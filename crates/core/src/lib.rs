@@ -37,8 +37,9 @@
 //!   kernel) that the `oracle` query service reads;
 //! * [`queue`] — the scanner's incrementally maintained work queue
 //!   (replaces the per-round O(n²) priority sweeps);
-//! * [`parallel`] — the §6 scaling step: K vantage pairs measuring
-//!   concurrently in virtual time over the shared event loop;
+//! * [`parallel`] — the one measurement engine: a poll-driven task per
+//!   vantage under one driver, one lane for the sequential tool and K
+//!   for the §6 scaling step (K pairs in flight in virtual time);
 //! * [`health`] — per-relay EWMA success scores and quarantine, so a
 //!   dead relay stops taxing its n−1 pairs;
 //! * [`timeout`] — CBT-style adaptive per-phase deadlines learned from
@@ -83,7 +84,7 @@ pub use health::{HealthConfig, HealthEvent, RelayHealth};
 pub use king::{king_measure, KingConfig, KingOutcome};
 pub use matrix::{DetourBest, RttMatrix, RttView, TSV_MAGIC};
 pub use orchestrator::{Ting, TingConfig, TingError};
-pub use parallel::{measure_interleaved, PairOutcome};
+pub use parallel::{measure_interleaved, PairOutcome, UnknownVantage};
 pub use queue::WorkQueue;
 pub use report::{CampaignReport, QualityFlag};
 pub use sampling::SamplePolicy;

@@ -3,15 +3,17 @@
 //! [`Ting::measure_pair`] is the top-level operation: build `C_xy`,
 //! `C_x`, `C_y`, attach an echo stream to each, sample RTTs under the
 //! configured [`SamplePolicy`], tear everything down, and return the
-//! [`TingMeasurement`]. Circuits are measured sequentially, exactly as
-//! the published tool does.
+//! [`TingMeasurement`]. The procedure itself lives in
+//! [`crate::parallel`]; this module holds its configuration, its error
+//! type, and the observability hooks it reports through.
 
 use crate::estimator::{CircuitSamples, TingMeasurement};
+use crate::parallel;
 use crate::sampling::SamplePolicy;
 use crate::timeout::{AdaptiveTimeoutConfig, TimeoutEstimators, TimeoutPhase};
-use netsim::{NodeId, SimDuration, SimTime};
+use netsim::{NodeId, SimTime};
 use obs::{Counter, Hist, Obs, Value};
-use tor_sim::{CircuitStatus, MeasurementMetrics, TorNetwork};
+use tor_sim::{MeasurementMetrics, TorNetwork};
 
 /// Ting configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,8 +192,7 @@ impl TingObsHandles {
 #[derive(Debug, Clone, Default)]
 pub struct Ting {
     pub config: TingConfig,
-    /// Failure/retry counters and the retry trace, shared with callers
-    /// that keep a clone.
+    /// Failure/retry counters, shared with callers that keep a clone.
     pub metrics: MeasurementMetrics,
     /// Rolling per-phase duration estimators feeding the adaptive
     /// deadlines (inert unless `config.adaptive_timeouts` is set).
@@ -291,8 +292,8 @@ impl Ting {
 
     /// Bumps the `ting.error.<code>` counter and, at trace level,
     /// records a `ting.error` event naming the failed circuit's span.
-    /// Called at every failure creation site (sequential and
-    /// interleaved), so retried failures count each time they occur.
+    /// Called at every failure creation site, so retried failures
+    /// count each time they occur.
     pub(crate) fn observe_error(&self, err: &TingError, at: SimTime, circuit: obs::SpanId) {
         match err {
             TingError::CircuitBuildFailed { .. } => self.handles.err_circuit.inc(),
@@ -379,37 +380,24 @@ impl Ting {
     }
 
     /// Bumps the probe-timeout counter (kept next to
-    /// `MeasurementMetrics::on_probe_timed_out` at both call sites).
+    /// `MeasurementMetrics::on_probe_timed_out` at its call site).
     pub(crate) fn observe_probe_timeout(&self) {
         self.handles.probe_timeouts.inc();
     }
 
     /// Measures `R(x, y)` per §3.3: the three circuits, minima, Eq. (4).
     /// Each circuit is retried under backoff through the same relays
-    /// before the pair is abandoned.
+    /// before the pair is abandoned, and circuits are measured strictly
+    /// one after another, exactly as the published tool does (a
+    /// single-lane drive of the engine in [`crate::parallel`]).
     pub fn measure_pair(
         &self,
         net: &mut TorNetwork,
         x: NodeId,
         y: NodeId,
     ) -> Result<TingMeasurement, TingError> {
-        let started = net.sim.now();
-        let (w, z) = (net.local_w, net.local_z);
-        let full = self.sample_circuit_resilient_traced(net, vec![w, x, y, z], "full")?;
-        let x_leg = self.sample_circuit_resilient_traced(net, vec![w, x], "x")?;
-        let y_leg = self.sample_circuit_resilient_traced(net, vec![w, y], "y")?;
-        let elapsed_s = (net.sim.now() - started).as_secs_f64();
-        Ok(TingMeasurement {
-            full,
-            x_leg,
-            y_leg,
-            elapsed_s,
-        })
-    }
-
-    /// An absolute deadline `timeout_ms` from now, if configured.
-    fn deadline(net: &TorNetwork, timeout_ms: Option<f64>) -> Option<SimTime> {
-        timeout_ms.map(|ms| net.sim.now() + SimDuration::from_millis_f64(ms))
+        let job = parallel::pair_job(self, (net.local_w, net.local_z), (x, y), ());
+        parallel::run_alone(net, self, job).into_measurement()
     }
 
     /// The backoff pause before retry `attempt` (1-based) of a circuit:
@@ -425,180 +413,31 @@ impl Ting {
         )
     }
 
-    /// [`Ting::sample_circuit`] under the retry policy: rebuilds the
-    /// circuit through the same relays after transient failures, with
-    /// exponential backoff, and returns the last error once attempts
-    /// are exhausted. Permanent (policy) failures return immediately.
-    pub fn sample_circuit_resilient(
-        &self,
-        net: &mut TorNetwork,
-        path: Vec<NodeId>,
-    ) -> Result<CircuitSamples, TingError> {
-        let kind = circuit_kind_of(&path);
-        self.sample_circuit_resilient_traced(net, path, kind)
-    }
-
-    /// [`Ting::sample_circuit_resilient`] with the circuit's estimator
-    /// role (`full`/`x`/`y`) known, so every attempt's trace span says
-    /// which Eq. (4) term it sampled.
-    pub(crate) fn sample_circuit_resilient_traced(
-        &self,
-        net: &mut TorNetwork,
-        path: Vec<NodeId>,
-        kind: &'static str,
-    ) -> Result<CircuitSamples, TingError> {
-        let attempts = self.config.max_attempts.max(1);
-        let mut last_err = None;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                let pause_ms = self.backoff_ms(&path, attempt - 1);
-                self.metrics.on_retry();
-                self.observe_retry(attempt, net.sim.now());
-                self.metrics.trace(format!(
-                    "retry attempt={attempt} path={:?} backoff_ms={pause_ms:.1}",
-                    path.iter().map(|n| n.0).collect::<Vec<_>>()
-                ));
-                let t = net.sim.now() + SimDuration::from_millis_f64(pause_ms);
-                net.sim.advance_to(t);
-            }
-            match self.sample_circuit_traced(net, path.clone(), kind, attempt) {
-                Ok(samples) => return Ok(samples),
-                Err(e) => {
-                    if !e.is_retryable() {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.expect("at least one attempt ran"))
-    }
-
     /// Builds one circuit, attaches an echo stream, samples RTTs under
-    /// the policy, and tears the circuit down. Each phase runs under its
-    /// configured timeout; probes that miss their deadline are dropped
-    /// from the sample set (a late echo can only inflate a minimum-based
-    /// estimator if it is mistaken for a fresh reply, so probes are
-    /// content-tagged and matched).
+    /// the policy, and tears the circuit down — a single attempt, no
+    /// retry. Each phase runs under its configured timeout; probes that
+    /// miss their deadline are dropped from the sample set.
     pub fn sample_circuit(
         &self,
         net: &mut TorNetwork,
         path: Vec<NodeId>,
     ) -> Result<CircuitSamples, TingError> {
-        let kind = circuit_kind_of(&path);
-        self.sample_circuit_traced(net, path, kind, 1)
-    }
-
-    /// [`Ting::sample_circuit`] with its trace identity (estimator role
-    /// and 1-based attempt number) known. The attempt is wrapped in a
-    /// `ting.circuit` span closed on *every* exit path — success and
-    /// each early error return alike.
-    pub(crate) fn sample_circuit_traced(
-        &self,
-        net: &mut TorNetwork,
-        path: Vec<NodeId>,
-        kind: &'static str,
-        attempt: u32,
-    ) -> Result<CircuitSamples, TingError> {
-        let span = self.observe_circuit_begin(&path, kind, attempt, 0, net.sim.now());
-        let build_started = net.sim.now();
-        let build_deadline = Self::deadline(net, self.phase_timeout_ms(TimeoutPhase::Build));
-        let circuit = net.controller.build_circuit(&mut net.sim, path.clone());
-        match build_deadline {
-            Some(d) => net.sim.run_until_idle_or(d),
-            None => net.sim.run_until_idle(),
+        // Judging only by path shape, four hops is the full `C_xy`
+        // circuit; a bare two-hop leg cannot be told apart as `C_x` vs
+        // `C_y`.
+        let kind = if path.len() == 4 { "full" } else { "leg" };
+        let job = parallel::Job {
+            subject: (),
+            circuits: [(path, kind)],
+            max_attempts: 1,
         };
-        if net.controller.circuit_status(circuit) != CircuitStatus::Ready {
-            // A local policy rejection (one-hop path, repeated or
-            // unknown relay) can never succeed on retry; anything else
-            // — timeout, refused extend, crashed relay — can.
-            let permanent = net.controller.circuit_error(circuit).is_some();
-            self.metrics.on_circuit_failed();
-            self.metrics.trace(format!(
-                "circuit_failed path={:?} permanent={permanent}",
-                path.iter().map(|n| n.0).collect::<Vec<_>>()
-            ));
-            net.controller.close_circuit(&mut net.sim, circuit);
-            let err = TingError::CircuitBuildFailed { path, permanent };
-            self.observe_error(&err, net.sim.now(), span);
-            self.observe_circuit_end(span, err.code(), net.sim.now());
-            return Err(err);
-        }
-        self.observe_phase_ms(
-            TimeoutPhase::Build,
-            net.sim.now().since(build_started).as_millis_f64(),
-            net.sim.now(),
-            span,
-        );
-        let echo = net.echo_server;
-        let open_started = net.sim.now();
-        let stream_deadline = Self::deadline(net, self.phase_timeout_ms(TimeoutPhase::Stream));
-        let Some(stream) =
-            net.controller
-                .open_stream_and_wait_until(&mut net.sim, circuit, echo, stream_deadline)
-        else {
-            self.metrics
-                .trace(format!("stream_failed circuit={}", circuit.0));
-            net.controller.close_circuit(&mut net.sim, circuit);
-            self.observe_error(&TingError::StreamFailed, net.sim.now(), span);
-            self.observe_circuit_end(span, TingError::StreamFailed.code(), net.sim.now());
-            return Err(TingError::StreamFailed);
-        };
-        self.observe_phase_ms(
-            TimeoutPhase::Stream,
-            net.sim.now().since(open_started).as_millis_f64(),
-            net.sim.now(),
-            span,
-        );
-
-        let mut samples: Vec<f64> = Vec::new();
-        let mut lost: u32 = 0;
-        let mut probe_idx: u64 = 0;
-        while self.config.policy.wants_more(&samples) {
-            if self.config.probe_spacing_ms > 0.0 && probe_idx > 0 {
-                let t = net.sim.now() + SimDuration::from_millis_f64(self.config.probe_spacing_ms);
-                net.sim.advance_to(t);
-            }
-            let payload = self.probe_payload(probe_idx);
-            probe_idx += 1;
-            let probe_deadline = Self::deadline(net, self.phase_timeout_ms(TimeoutPhase::Probe));
-            match net.controller.echo_roundtrip_ms_until(
-                &mut net.sim,
-                stream,
-                payload,
-                probe_deadline,
-            ) {
-                Some(rtt) => {
-                    self.observe_phase_ms(TimeoutPhase::Probe, rtt, net.sim.now(), span);
-                    samples.push(rtt);
-                }
-                None => {
-                    lost += 1;
-                    self.metrics.on_probe_timed_out();
-                    self.observe_probe_timeout();
-                    if lost > self.config.max_lost_probes {
-                        self.metrics
-                            .trace(format!("probes_lost circuit={} lost={lost}", circuit.0));
-                        net.controller.close_stream(&mut net.sim, stream);
-                        net.controller.close_circuit(&mut net.sim, circuit);
-                        self.observe_error(&TingError::ProbeLost, net.sim.now(), span);
-                        self.observe_circuit_end(span, TingError::ProbeLost.code(), net.sim.now());
-                        return Err(TingError::ProbeLost);
-                    }
-                }
-            }
-        }
-
-        net.controller.close_stream(&mut net.sim, stream);
-        net.controller.close_circuit(&mut net.sim, circuit);
-        net.sim.run_until_idle();
-        self.observe_circuit_end(span, "ok", net.sim.now());
-        Ok(CircuitSamples::new(samples))
+        parallel::run_alone(net, self, job)
+            .result
+            .map(|[samples]| samples)
     }
 
     /// Opens a `scan.pair` span for a measurement of `(a, b)` from
-    /// `vantage`. Used by both scan drivers so sequential and parallel
-    /// traces carry identically-shaped pair spans.
+    /// `vantage`, as the engine starts it.
     pub(crate) fn observe_pair_begin(
         &self,
         a: NodeId,
@@ -644,17 +483,6 @@ impl Ting {
             *slot = byte;
         }
         payload
-    }
-}
-
-/// The estimator role of a circuit judging only by its path shape:
-/// four hops is the full `C_xy` circuit; a two-hop leg sampled outside
-/// [`Ting::measure_pair`] cannot be told apart as `C_x` vs `C_y`.
-pub(crate) fn circuit_kind_of(path: &[NodeId]) -> &'static str {
-    if path.len() == 4 {
-        "full"
-    } else {
-        "leg"
     }
 }
 

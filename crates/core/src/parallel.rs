@@ -1,24 +1,38 @@
-//! Interleaved multi-vantage measurement.
+//! The measurement engine.
 //!
-//! §6 of the paper sizes all-pairs coverage of the live network by
-//! assuming "multiple instances of Ting can run in parallel" from
-//! several vantage pairs. This module reproduces that scaling step in
-//! the simulator: each vantage `i` (its own proxy, local relay pair
-//! `(w_i, z_i)`, and echo server — see
-//! [`tor_sim::TorNetworkBuilder::vantages`]) owns one in-flight
-//! measurement at a time, and a cooperative driver multiplexes all of
-//! them over the single `netsim` event loop so K pairs are measured
-//! concurrently *in virtual time*.
+//! §3.3's procedure — build a circuit, attach an echo stream, sample
+//! RTTs, tear the circuit down, retry under backoff — is implemented
+//! exactly once, as a poll-driven state machine ([`Task`]) that issues
+//! controller commands without ever draining the event queue itself.
+//! One cooperative driver ([`drive`]) runs one task per *lane* (a
+//! vantage: its own proxy, local relay pair `(w_i, z_i)` and echo
+//! server — see [`tor_sim::TorNetworkBuilder::vantages`]): it peeks the
+//! next event time ([`netsim::Simulator::next_event_at`]), compares it
+//! with every task's earliest wake-up deadline, and advances whichever
+//! comes first. Every entry point is a lane assignment over that
+//! driver: [`Ting::measure_pair`] and [`Ting::sample_circuit`] run one
+//! job on one lane, [`crate::scanner::Scanner::run_round`] queues a
+//! whole round on one lane, and
+//! [`crate::scanner::Scanner::run_round_parallel`] spreads it over all
+//! of them — §6's "multiple instances of Ting can run in parallel",
+//! with K pairs in flight concurrently *in virtual time*.
 //!
-//! The sequential [`crate::orchestrator::Ting::measure_pair`] blocks on
-//! `run_until_idle`, which cannot overlap two measurements. Here each
-//! measurement is a poll-driven state machine ([`PairTask`]) that
-//! issues controller commands without draining the queue; the driver
-//! ([`measure_interleaved`]) peeks the next event time
-//! ([`netsim::Simulator::next_event_at`]), compares it with every
-//! task's earliest wake-up deadline, and advances whichever comes
-//! first. The event stream — and therefore every estimate — remains a
-//! deterministic function of `(seed, K, assignment order)`.
+//! Two rules make a single-lane call reproduce the published tool,
+//! which measures its circuits strictly one after another:
+//!
+//! * **Single-lane drain.** After a successful teardown, a task that is
+//!   the only lane of its driver call waits for the network to go quiet
+//!   before it starts its next circuit (or reports completion), so no
+//!   DESTROY is still in flight when the next CREATE leaves. With
+//!   several lanes the network never goes quiet while others measure,
+//!   so multi-lane tasks overlap teardown with the next build instead.
+//! * **No `idle` for a fresh task.** "The network is quiescent" is a
+//!   statement about what a task was waiting for; a task the driver
+//!   started this turn has not asked for anything yet, and must not
+//!   read the previous task's quiet as its own build never settling.
+//!
+//! The event stream — and therefore every estimate — is a deterministic
+//! function of `(seed, lane count, assignment order)`.
 
 use crate::estimator::{CircuitSamples, TingMeasurement};
 use crate::orchestrator::{Ting, TingError};
@@ -44,10 +58,84 @@ pub struct PairOutcome {
     pub result: Result<TingMeasurement, TingError>,
 }
 
-/// Where one in-flight measurement currently is.
+/// An assignment named a vantage the network does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnknownVantage {
+    pub vantage: usize,
+    pub provisioned: usize,
+}
+
+impl std::fmt::Display for UnknownVantage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "assignment to vantage {} but only {} provisioned",
+            self.vantage, self.provisioned
+        )
+    }
+}
+
+impl std::error::Error for UnknownVantage {}
+
+/// A circuit to sample: its relay path (entry first) and its role in
+/// the Eq. (4) estimator (see [`Ting::observe_circuit_begin`]).
+pub(crate) type Circuit = (Vec<NodeId>, &'static str);
+
+/// One lane's unit of work: `N` circuits sampled in order, each
+/// attempted up to `max_attempts` times. `subject` is whatever the
+/// caller needs back with the result.
+pub(crate) struct Job<S, const N: usize> {
+    pub subject: S,
+    pub circuits: [Circuit; N],
+    pub max_attempts: u32,
+}
+
+/// A completed [`Job`].
+pub(crate) struct Finished<S, const N: usize> {
+    pub subject: S,
+    pub vantage: usize,
+    pub started: SimTime,
+    pub completed_at: SimTime,
+    pub result: Result<[CircuitSamples; N], TingError>,
+}
+
+impl<S> Finished<S, 3> {
+    /// The §3.3 measurement a [`pair_job`] produced.
+    pub(crate) fn into_measurement(self) -> Result<TingMeasurement, TingError> {
+        let elapsed_s = (self.completed_at - self.started).as_secs_f64();
+        self.result.map(|[full, x_leg, y_leg]| TingMeasurement {
+            full,
+            x_leg,
+            y_leg,
+            elapsed_s,
+        })
+    }
+}
+
+/// The three circuits of §3.3 for the pair `(x, y)` seen from the local
+/// relays `(w, z)`: `C_xy`, `C_x`, `C_y`, each under the configured
+/// retry policy.
+pub(crate) fn pair_job<S>(
+    ting: &Ting,
+    (w, z): (NodeId, NodeId),
+    (x, y): (NodeId, NodeId),
+    subject: S,
+) -> Job<S, 3> {
+    Job {
+        subject,
+        circuits: [
+            (vec![w, x, y, z], "full"),
+            (vec![w, x], "x"),
+            (vec![w, y], "y"),
+        ],
+        max_attempts: ting.config.max_attempts.max(1),
+    }
+}
+
+/// Where one in-flight job currently is.
 enum TaskState {
-    /// About to build the current phase's circuit.
-    StartPhase,
+    /// About to build the current circuit.
+    StartCircuit,
     /// Waiting for the circuit build to settle.
     Building {
         circuit: CircuitHandle,
@@ -73,88 +161,68 @@ enum TaskState {
         sent_at: SimTime,
         deadline: Option<SimTime>,
     },
+    /// Single lane only: the circuit is torn down and the task waits
+    /// for the network to go quiet before moving on.
+    Draining,
     /// Waiting out the retry backoff before rebuilding the circuit.
     Backoff { resume_at: SimTime },
     /// Finished; the result has been recorded.
     Done,
 }
 
-/// A poll-driven measurement of one pair through one vantage: the same
-/// three-circuit, retry-under-backoff procedure as
-/// [`Ting::measure_pair`], restructured so it never drains the event
-/// queue itself and can therefore interleave with other tasks.
-struct PairTask {
-    x: NodeId,
-    y: NodeId,
-    w: NodeId,
-    z: NodeId,
+/// A poll-driven run of one [`Job`] through one vantage: build, attach,
+/// sample and tear down each circuit in turn, retrying a failed one
+/// under backoff. It never drains the event queue itself, so it can
+/// interleave with other tasks.
+struct Task<const N: usize> {
+    circuits: [Circuit; N],
+    max_attempts: u32,
     echo: NodeId,
     /// Vantage index this task measures from (trace attribution).
     vantage: usize,
-    /// The open `scan.pair` span (id 0 when not tracing).
-    pair_span: obs::SpanId,
+    /// Whether this task is the only lane of its driver call (see the
+    /// module docs' drain rule).
+    drain: bool,
     /// The `ting.circuit` span of the in-flight attempt, tagging every
     /// phase/error event recorded while it is open.
     circuit_span: obs::SpanId,
     started: SimTime,
-    /// 0 = `C_xy`, 1 = `C_x`, 2 = `C_y`.
-    phase: usize,
-    /// 1-based attempt counter for the current phase.
+    /// Index of the circuit being sampled.
+    idx: usize,
+    /// 1-based attempt counter for the current circuit.
     attempt: u32,
-    samples: Vec<f64>,
+    /// RTTs collected so far, one set per circuit.
+    samples: [Vec<f64>; N],
     lost: u32,
     probe_idx: u64,
-    phase_samples: Vec<CircuitSamples>,
     /// When the in-flight circuit build was issued (adaptive-timeout
     /// observation).
     build_started: SimTime,
     /// When the in-flight stream open was issued.
     open_started: SimTime,
     state: TaskState,
-    result: Option<Result<TingMeasurement, TingError>>,
+    result: Option<Result<[CircuitSamples; N], TingError>>,
 }
 
-impl PairTask {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        x: NodeId,
-        y: NodeId,
-        w: NodeId,
-        z: NodeId,
-        echo: NodeId,
-        vantage: usize,
-        pair_span: obs::SpanId,
-        now: SimTime,
-    ) -> PairTask {
-        PairTask {
-            x,
-            y,
-            w,
-            z,
+impl<const N: usize> Task<N> {
+    fn new<S>(job: Job<S, N>, echo: NodeId, vantage: usize, drain: bool, now: SimTime) -> Task<N> {
+        Task {
+            circuits: job.circuits,
+            max_attempts: job.max_attempts,
             echo,
             vantage,
-            pair_span,
+            drain,
             circuit_span: obs::SpanId(0),
             started: now,
-            phase: 0,
+            idx: 0,
             attempt: 1,
-            samples: Vec::new(),
+            samples: std::array::from_fn(|_| Vec::new()),
             lost: 0,
             probe_idx: 0,
-            phase_samples: Vec::new(),
             build_started: now,
             open_started: now,
-            state: TaskState::StartPhase,
+            state: TaskState::StartCircuit,
             result: None,
-        }
-    }
-
-    /// The relay path of the current phase.
-    fn phase_path(&self) -> Vec<NodeId> {
-        match self.phase {
-            0 => vec![self.w, self.x, self.y, self.z],
-            1 => vec![self.w, self.x],
-            _ => vec![self.w, self.y],
         }
     }
 
@@ -166,30 +234,22 @@ impl PairTask {
         deadline.is_some_and(|d| sim.now() >= d)
     }
 
-    /// Handles a failed circuit attempt: retry under the same jittered
-    /// exponential backoff as the sequential pipeline, or conclude the
-    /// measurement once attempts are exhausted (or the failure is
-    /// permanent).
+    /// Handles a failed circuit attempt: rebuild through the same
+    /// relays after a jittered exponential backoff, or conclude the job
+    /// once attempts are exhausted (or the failure is permanent).
     fn fail_attempt(&mut self, sim: &Simulator, ting: &Ting, err: TingError) {
         // Whatever happens next (retry or give up), this attempt's
         // circuit is over — close its span so no error path leaks one.
         ting.observe_circuit_end(self.circuit_span, err.code(), sim.now());
-        let max_attempts = ting.config.max_attempts.max(1);
-        if !err.is_retryable() || self.attempt >= max_attempts {
+        if !err.is_retryable() || self.attempt >= self.max_attempts {
             self.result = Some(Err(err));
             self.state = TaskState::Done;
             return;
         }
-        let path = self.phase_path();
-        let pause_ms = ting.backoff_ms(&path, self.attempt);
+        let pause_ms = ting.backoff_ms(&self.circuits[self.idx].0, self.attempt);
         self.attempt += 1;
         ting.metrics.on_retry();
         ting.observe_retry(self.attempt, sim.now());
-        ting.metrics.trace(format!(
-            "retry attempt={} path={:?} backoff_ms={pause_ms:.1}",
-            self.attempt,
-            path.iter().map(|n| n.0).collect::<Vec<_>>()
-        ));
         self.state = TaskState::Backoff {
             resume_at: sim.now() + SimDuration::from_millis_f64(pause_ms),
         };
@@ -223,10 +283,9 @@ impl PairTask {
     /// woken at (`None` = it is waiting purely on network events).
     ///
     /// `idle` tells the task the global event queue has drained with no
-    /// other task holding a wake-up — the interleaved equivalent of
-    /// `run_until_idle` returning in the sequential pipeline, at which
-    /// point an unmet condition (circuit not ready, echo not arrived)
-    /// can never be met and must be treated as a failure/timeout.
+    /// task holding a wake-up: an unmet condition (circuit not ready,
+    /// echo not arrived) can never be met and must be treated as a
+    /// failure/timeout, and a drain is complete.
     fn poll(
         &mut self,
         sim: &mut Simulator,
@@ -236,26 +295,21 @@ impl PairTask {
     ) -> Option<SimTime> {
         loop {
             match self.state {
-                TaskState::StartPhase => {
-                    self.samples.clear();
+                TaskState::StartCircuit => {
+                    self.samples[self.idx].clear();
                     self.lost = 0;
                     self.probe_idx = 0;
                     self.build_started = sim.now();
-                    let kind = match self.phase {
-                        0 => "full",
-                        1 => "x",
-                        _ => "y",
-                    };
-                    let path = self.phase_path();
+                    let (path, kind) = &self.circuits[self.idx];
                     self.circuit_span = ting.observe_circuit_begin(
-                        &path,
+                        path,
                         kind,
                         self.attempt,
                         self.vantage,
                         sim.now(),
                     );
                     let deadline = Self::deadline(sim, ting.phase_timeout_ms(TimeoutPhase::Build));
-                    let circuit = ctl.build_circuit(sim, path);
+                    let circuit = ctl.build_circuit(sim, path.clone());
                     self.state = TaskState::Building { circuit, deadline };
                 }
                 TaskState::Building { circuit, deadline } => match ctl.circuit_status(circuit) {
@@ -282,15 +336,17 @@ impl PairTask {
                             return deadline;
                         }
                         idle = false;
-                        let path = self.phase_path();
+                        // A local policy rejection (one-hop path,
+                        // repeated or unknown relay) can never succeed
+                        // on retry; anything else — timeout, refused
+                        // extend, crashed relay — can.
                         let permanent = ctl.circuit_error(circuit).is_some();
                         ting.metrics.on_circuit_failed();
-                        ting.metrics.trace(format!(
-                            "circuit_failed path={:?} permanent={permanent}",
-                            path.iter().map(|n| n.0).collect::<Vec<_>>()
-                        ));
                         ctl.close_circuit(sim, circuit);
-                        let err = TingError::CircuitBuildFailed { path, permanent };
+                        let err = TingError::CircuitBuildFailed {
+                            path: self.circuits[self.idx].0.clone(),
+                            permanent,
+                        };
                         ting.observe_error(&err, sim.now(), self.circuit_span);
                         self.fail_attempt(sim, ting, err);
                     }
@@ -315,8 +371,6 @@ impl PairTask {
                             return deadline;
                         }
                         idle = false;
-                        ting.metrics
-                            .trace(format!("stream_failed circuit={}", circuit.0));
                         ctl.close_circuit(sim, circuit);
                         ting.observe_error(&TingError::StreamFailed, sim.now(), self.circuit_span);
                         self.fail_attempt(sim, ting, TingError::StreamFailed);
@@ -339,6 +393,10 @@ impl PairTask {
                     sent_at,
                     deadline,
                 } => {
+                    // Probes are content-tagged and matched: a late
+                    // echo of an earlier, timed-out probe draining into
+                    // this window must not pass for a fast reply (it
+                    // would deflate a minimum-based estimator).
                     let echoed = ctl
                         .take_received(stream)
                         .into_iter()
@@ -353,11 +411,11 @@ impl PairTask {
                                 sim.now(),
                                 self.circuit_span,
                             );
-                            self.samples.push(rtt);
-                            if ting.config.policy.wants_more(&self.samples) {
+                            self.samples[self.idx].push(rtt);
+                            if ting.config.policy.wants_more(&self.samples[self.idx]) {
                                 self.pause_or_probe(sim, ctl, ting, circuit, stream);
                             } else {
-                                self.finish_phase(sim, ctl, ting, circuit, stream);
+                                self.finish_circuit(sim, ctl, ting, circuit, stream);
                             }
                         }
                         None => {
@@ -369,10 +427,6 @@ impl PairTask {
                             ting.metrics.on_probe_timed_out();
                             ting.observe_probe_timeout();
                             if self.lost > ting.config.max_lost_probes {
-                                ting.metrics.trace(format!(
-                                    "probes_lost circuit={} lost={}",
-                                    circuit.0, self.lost
-                                ));
                                 ctl.close_stream(sim, stream);
                                 ctl.close_circuit(sim, circuit);
                                 ting.observe_error(
@@ -387,11 +441,18 @@ impl PairTask {
                         }
                     }
                 }
+                TaskState::Draining => {
+                    if !idle {
+                        return None;
+                    }
+                    idle = false;
+                    self.next_circuit(sim, ting);
+                }
                 TaskState::Backoff { resume_at } => {
                     if sim.now() < resume_at {
                         return Some(resume_at);
                     }
-                    self.state = TaskState::StartPhase;
+                    self.state = TaskState::StartCircuit;
                 }
                 TaskState::Done => return None,
             }
@@ -419,9 +480,9 @@ impl PairTask {
         }
     }
 
-    /// Seals the current phase's samples, tears the circuit down, and
-    /// either advances to the next phase or completes the measurement.
-    fn finish_phase(
+    /// Tears the fully sampled circuit down, then moves on — at once
+    /// when other lanes share the network, after the drain otherwise.
+    fn finish_circuit(
         &mut self,
         sim: &mut Simulator,
         ctl: &mut Controller,
@@ -431,81 +492,53 @@ impl PairTask {
     ) {
         ctl.close_stream(sim, stream);
         ctl.close_circuit(sim, circuit);
+        if self.drain {
+            self.state = TaskState::Draining;
+        } else {
+            self.next_circuit(sim, ting);
+        }
+    }
+
+    /// Closes the sampled circuit's span and either starts the next
+    /// circuit or completes the job.
+    fn next_circuit(&mut self, sim: &Simulator, ting: &Ting) {
         ting.observe_circuit_end(self.circuit_span, "ok", sim.now());
-        self.phase_samples
-            .push(CircuitSamples::new(std::mem::take(&mut self.samples)));
-        self.phase += 1;
+        self.idx += 1;
         self.attempt = 1;
-        if self.phase == 3 {
-            let y_leg = self.phase_samples.pop().expect("three phases");
-            let x_leg = self.phase_samples.pop().expect("three phases");
-            let full = self.phase_samples.pop().expect("three phases");
-            let elapsed_s = (sim.now() - self.started).as_secs_f64();
-            self.result = Some(Ok(TingMeasurement {
-                full,
-                x_leg,
-                y_leg,
-                elapsed_s,
-            }));
+        if self.idx == N {
+            self.result = Some(Ok(std::array::from_fn(|i| {
+                CircuitSamples::new(std::mem::take(&mut self.samples[i]))
+            })));
             self.state = TaskState::Done;
         } else {
-            self.state = TaskState::StartPhase;
+            self.state = TaskState::StartCircuit;
         }
     }
 }
 
-/// Measures `assignments` — `(vantage, x, y)` triples — with one
-/// in-flight measurement per vantage, interleaved over the shared event
-/// loop so up to [`TorNetwork::vantage_count`] pairs progress
-/// concurrently in virtual time. Each vantage works through its own
-/// shard of the assignment list in order; outcomes are returned in
-/// completion order (deterministic for a fixed network and assignment
-/// list). The engine closes each pair's trace span with the raw
-/// measurement outcome; use [`measure_interleaved_with`] to take over
-/// completion handling (the scanner does, closing spans with the
-/// validation verdict instead).
+/// Runs every lane's jobs to completion, one in-flight job per lane,
+/// interleaved over the shared event loop. Lane `v` measures from
+/// vantage `v`, so `lanes` must not be longer than
+/// [`TorNetwork::vantage_count`]. `on_start` runs as a job leaves its
+/// queue, `on_complete` *at the virtual instant it finishes* (the
+/// simulation has not advanced past [`Finished::completed_at`]), so
+/// bookkeeping either performs — trace spans, cache updates, health
+/// accounting — lands time-ordered.
 ///
 /// # Panics
-/// Panics when an assignment names a vantage the network does not have,
-/// or when the driver detects a livelock (a task neither progressing
-/// nor holding a wake-up — a bug, not an expected runtime condition).
-pub fn measure_interleaved(
+/// Panics when the driver detects a livelock (a task neither
+/// progressing nor holding a wake-up — a bug, not an expected runtime
+/// condition).
+pub(crate) fn drive<S: Copy, const N: usize>(
     net: &mut TorNetwork,
     ting: &Ting,
-    assignments: &[(usize, NodeId, NodeId)],
-) -> Vec<PairOutcome> {
-    let mut outcomes = Vec::with_capacity(assignments.len());
-    measure_interleaved_with(net, ting, assignments, |outcome| {
-        let label = match &outcome.result {
-            Ok(_) => "ok",
-            Err(e) => e.code(),
-        };
-        ting.observe_pair_end(outcome.span, label, outcome.completed_at);
-        outcomes.push(outcome);
-    });
-    outcomes
-}
-
-/// [`measure_interleaved`] with a custom completion handler:
-/// `on_complete` runs *at the virtual instant each measurement
-/// finishes* (the simulation has not advanced past
-/// [`PairOutcome::completed_at`]), so bookkeeping it performs — cache
-/// updates, health accounting, trace events — lands at the completion
-/// time and the trace stays time-ordered. The handler owns the pair's
-/// `scan.pair` span ([`PairOutcome::span`]) and must close it.
-pub fn measure_interleaved_with(
-    net: &mut TorNetwork,
-    ting: &Ting,
-    assignments: &[(usize, NodeId, NodeId)],
-    mut on_complete: impl FnMut(PairOutcome),
+    mut lanes: Vec<VecDeque<Job<S, N>>>,
+    mut on_start: impl FnMut(&mut S, usize, SimTime),
+    mut on_complete: impl FnMut(Finished<S, N>),
 ) {
-    let k = net.vantage_count();
-    let mut shards: Vec<VecDeque<(NodeId, NodeId)>> = (0..k).map(|_| VecDeque::new()).collect();
-    for &(v, x, y) in assignments {
-        assert!(v < k, "assignment to vantage {v} but only {k} provisioned");
-        shards[v].push_back((x, y));
-    }
-    let mut active: Vec<Option<PairTask>> = (0..k).map(|_| None).collect();
+    debug_assert!(lanes.len() <= net.vantage_count());
+    let drain = lanes.len() == 1;
+    let mut active: Vec<Option<(S, Task<N>)>> = lanes.iter().map(|_| None).collect();
     let mut idle_pending = false;
     let mut stuck_polls = 0u32;
 
@@ -513,27 +546,29 @@ pub fn measure_interleaved_with(
         let idle = std::mem::take(&mut idle_pending);
         let mut wake: Option<SimTime> = None;
         let mut any_active = false;
-        for v in 0..k {
+        for v in 0..lanes.len() {
+            let mut fresh = false;
             if active[v].is_none() {
-                if let Some((x, y)) = shards[v].pop_front() {
-                    let (w, z, echo) = net.vantage_endpoints(v);
-                    let span = ting.observe_pair_begin(x, y, v, net.sim.now());
-                    active[v] = Some(PairTask::new(x, y, w, z, echo, v, span, net.sim.now()));
+                if let Some(mut job) = lanes[v].pop_front() {
+                    let now = net.sim.now();
+                    on_start(&mut job.subject, v, now);
+                    let echo = net.vantage_endpoints(v).2;
+                    active[v] = Some((job.subject, Task::new(job, echo, v, drain, now)));
+                    fresh = true;
                 }
             }
-            let Some(task) = active[v].as_mut() else {
+            let Some((subject, task)) = active[v].as_mut() else {
                 continue;
             };
             any_active = true;
             let (sim, ctl, _, _, _) = net.vantage_parts(v);
-            let hint = task.poll(sim, ctl, ting, idle);
+            let hint = task.poll(sim, ctl, ting, idle && !fresh);
             if let Some(result) = task.result.take() {
-                on_complete(PairOutcome {
-                    x: task.x,
-                    y: task.y,
+                on_complete(Finished {
+                    subject: *subject,
                     vantage: v,
+                    started: task.started,
                     completed_at: net.sim.now(),
-                    span: task.pair_span,
                     result,
                 });
                 active[v] = None;
@@ -541,14 +576,15 @@ pub fn measure_interleaved_with(
                 wake = Some(wake.map_or(h, |w| w.min(h)));
             }
         }
-        if !any_active && shards.iter().all(VecDeque::is_empty) {
+        if !any_active && lanes.iter().all(VecDeque::is_empty) {
             break;
         }
 
         // Advance virtual time to whatever comes first: the next queued
         // event or the earliest task wake-up. When neither exists the
         // network is quiescent with tasks still waiting — re-poll them
-        // with the idle flag so unmet conditions resolve as timeouts.
+        // with the idle flag so drains complete and unmet conditions
+        // resolve as timeouts.
         match (net.sim.next_event_at(), wake) {
             (Some(te), Some(tw)) if te > tw => {
                 net.sim.advance_to(tw);
@@ -571,4 +607,97 @@ pub fn measure_interleaved_with(
         }
         stuck_polls = 0;
     }
+}
+
+/// Runs one job alone on the primary vantage — a single-lane [`drive`].
+pub(crate) fn run_alone<const N: usize>(
+    net: &mut TorNetwork,
+    ting: &Ting,
+    job: Job<(), N>,
+) -> Finished<(), N> {
+    let mut finished = None;
+    drive(
+        net,
+        ting,
+        vec![VecDeque::from([job])],
+        |_, _, _| {},
+        |f| finished = Some(f),
+    );
+    finished.expect("the driver returns only once every queued job has completed")
+}
+
+/// Measures each lane's pairs in order from that lane's vantage, every
+/// measurement wrapped in a `scan.pair` span. The completion handler
+/// owns the span ([`PairOutcome::span`]) and must close it.
+pub(crate) fn measure_lanes(
+    net: &mut TorNetwork,
+    ting: &Ting,
+    lanes: Vec<VecDeque<(NodeId, NodeId)>>,
+    mut on_complete: impl FnMut(PairOutcome),
+) {
+    let jobs = lanes
+        .into_iter()
+        .enumerate()
+        .map(|(v, pairs)| {
+            let (w, z, _) = net.vantage_endpoints(v);
+            pairs
+                .into_iter()
+                .map(|(x, y)| pair_job(ting, (w, z), (x, y), (x, y, obs::SpanId(0))))
+                .collect()
+        })
+        .collect();
+    drive(
+        net,
+        ting,
+        jobs,
+        |(x, y, span), v, now| *span = ting.observe_pair_begin(*x, *y, v, now),
+        |finished| {
+            let (x, y, span) = finished.subject;
+            on_complete(PairOutcome {
+                x,
+                y,
+                vantage: finished.vantage,
+                completed_at: finished.completed_at,
+                span,
+                result: finished.into_measurement(),
+            });
+        },
+    );
+}
+
+/// Measures `assignments` — `(vantage, x, y)` triples — with one
+/// in-flight measurement per vantage, interleaved over the shared event
+/// loop so up to [`TorNetwork::vantage_count`] pairs progress
+/// concurrently in virtual time. Each vantage works through its own
+/// shard of the assignment list in order; outcomes are returned in
+/// completion order (deterministic for a fixed network and assignment
+/// list), each pair's trace span closed with the raw measurement
+/// outcome. An assignment to a vantage the network does not have
+/// refuses the whole call before anything is measured.
+pub fn measure_interleaved(
+    net: &mut TorNetwork,
+    ting: &Ting,
+    assignments: &[(usize, NodeId, NodeId)],
+) -> Result<Vec<PairOutcome>, UnknownVantage> {
+    let provisioned = net.vantage_count();
+    let mut lanes = vec![VecDeque::new(); provisioned];
+    for &(vantage, x, y) in assignments {
+        lanes
+            .get_mut(vantage)
+            .ok_or(UnknownVantage {
+                vantage,
+                provisioned,
+            })?
+            .push_back((x, y));
+    }
+    let mut outcomes = Vec::with_capacity(assignments.len());
+    measure_lanes(net, ting, lanes, |outcome| {
+        let label = match &outcome.result {
+            Ok(_) => "ok",
+            Err(e) => e.code(),
+        };
+        ting.observe_pair_end(outcome.span, label, outcome.completed_at);
+        outcomes.push(outcome);
+    });
+    Ok(outcomes)
 }

@@ -12,13 +12,13 @@ use crate::estimator::TingMeasurement;
 use crate::health::{HealthConfig, HealthEvent, RelayHealth};
 use crate::matrix::RttMatrix;
 use crate::orchestrator::{Ting, TingError};
-use crate::parallel::measure_interleaved_with;
+use crate::parallel::measure_lanes;
 use crate::queue::WorkQueue;
 use crate::validate::{validate, ValidationConfig, ValidationContext, ValidationError, Verdict};
 use geo::GeoPoint;
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::{Obs, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use tor_sim::TorNetwork;
 
@@ -278,10 +278,6 @@ impl Scanner {
     ) -> bool {
         let est = m.estimate_ms();
         if crate::report::implausibly_low(est) {
-            ting.metrics.trace(format!(
-                "implausible_estimate a={} b={} est_ms={est:.3}",
-                a.0, b.0
-            ));
             ting.obs().inc("ting.estimate.implausible");
             if ting.obs().is_tracing() {
                 ting.obs().event(
@@ -302,12 +298,6 @@ impl Scanner {
                 Verdict::Accept => {}
                 Verdict::Flag(e) => {
                     ting.metrics.on_estimate_flagged();
-                    ting.metrics.trace(format!(
-                        "estimate_flagged a={} b={} code={} est_ms={est:.3}",
-                        a.0,
-                        b.0,
-                        e.code()
-                    ));
                     self.observe_verdict(
                         obs::names::VALIDATE_FLAG,
                         "ting.validate.flag",
@@ -320,12 +310,6 @@ impl Scanner {
                 }
                 Verdict::Reject(e) => {
                     ting.metrics.on_estimate_rejected();
-                    ting.metrics.trace(format!(
-                        "estimate_rejected a={} b={} code={} est_ms={est:.3}",
-                        a.0,
-                        b.0,
-                        e.code()
-                    ));
                     self.observe_verdict(
                         obs::names::VALIDATE_REJECT,
                         "ting.validate.reject",
@@ -419,8 +403,6 @@ impl Scanner {
             Some(HealthEvent::Quarantined(n)) => {
                 self.queue.quarantine(n);
                 ting.metrics.on_relay_quarantined();
-                ting.metrics
-                    .trace(format!("relay_quarantined node={}", n.0));
                 ting.obs().inc("ting.health.quarantined");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -433,8 +415,6 @@ impl Scanner {
             Some(HealthEvent::Released(n)) => {
                 self.queue.release(n);
                 ting.metrics.on_relay_released();
-                ting.metrics
-                    .trace(format!("relay_released node={} reason=probation", n.0));
                 ting.obs().inc("ting.health.released.probation");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -503,8 +483,6 @@ impl Scanner {
             for n in h.release_by_decay(now) {
                 self.queue.release(n);
                 ting.metrics.on_relay_released();
-                ting.metrics
-                    .trace(format!("relay_released node={} reason=decay", n.0));
                 ting.obs().inc("ting.health.released.decay");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -526,8 +504,6 @@ impl Scanner {
                 h.probe_scheduled(n, now);
                 if let Some((a, b)) = self.queue.probe_pair(n) {
                     ting.metrics.on_probation_probe();
-                    ting.metrics
-                        .trace(format!("probation_probe node={} a={} b={}", n.0, a.0, b.0));
                     ting.obs().inc("ting.health.probation_probe");
                     if ting.obs().is_tracing() {
                         ting.obs().event(
@@ -549,42 +525,6 @@ impl Scanner {
         plan
     }
 
-    /// Closes the per-pair measurement span with the scanner's verdict.
-    /// `Ok(accepted)` is a completed measurement (accepted or rejected
-    /// by validation); `Err` carries the pipeline error's stable reason
-    /// code.
-    fn observe_pair_end(
-        &self,
-        span: obs::SpanId,
-        outcome: Result<bool, &TingError>,
-        now: SimTime,
-        ting: &Ting,
-    ) {
-        let outcome = match outcome {
-            Ok(true) => "accepted",
-            Ok(false) => "rejected",
-            Err(e) => e.code(),
-        };
-        ting.observe_pair_end(span, outcome, now);
-    }
-
-    /// Closes the scan-round span with the round's tallies.
-    fn observe_round_end(&self, span: obs::SpanId, report: RoundReport, now: SimTime, ting: &Ting) {
-        if !ting.obs().is_tracing() {
-            return;
-        }
-        ting.obs().span_end(
-            obs::names::SCAN_ROUND_END,
-            span,
-            now.as_nanos(),
-            vec![
-                ("measured", Value::U64(report.measured as u64)),
-                ("failed", Value::U64(report.failed as u64)),
-                ("still_pending", Value::U64(report.still_pending as u64)),
-            ],
-        );
-    }
-
     /// Re-queues a failed pair under exponential backoff.
     fn record_failure(&mut self, a: NodeId, b: NodeId, now: SimTime, ting: &Ting) {
         let attempts = self.pending_retry.get(&key(a, b)).map_or(0, |f| f.attempts) + 1;
@@ -598,17 +538,14 @@ impl Scanner {
         );
         self.queue.on_failed(a, b, next_attempt_at);
         ting.metrics.on_pair_requeued();
-        ting.metrics.trace(format!(
-            "pair_requeued a={} b={} attempts={attempts}",
-            a.0, b.0
-        ));
         ting.obs().inc("ting.pair_requeued");
     }
 
-    /// Executes one round against the network. Failed measurements
-    /// (circuit build failures on churned relays, lost probes) are
-    /// re-queued under exponential backoff rather than poisoning the
-    /// cache or hot-looping on a dead relay.
+    /// Executes one round against the network, measuring the round's
+    /// pairs one after another from the primary vantage. Failed
+    /// measurements (circuit build failures on churned relays, lost
+    /// probes) are re-queued under exponential backoff rather than
+    /// poisoning the cache or hot-looping on a dead relay.
     ///
     /// Planning and reporting both come from the incremental work
     /// queue — one O(round · log n) plan per round instead of the two
@@ -616,111 +553,81 @@ impl Scanner {
     /// [`RoundReport::still_pending`] is the *true* backlog, not capped
     /// at [`ScannerConfig::pairs_per_round`].
     pub fn run_round(&mut self, net: &mut TorNetwork, ting: &Ting) -> RoundReport {
-        self.rounds_run += 1;
-        let plan = self.plan_round_healthy(net.sim.now(), ting);
-        let round = ting.obs().span_begin(
-            obs::names::SCAN_ROUND_BEGIN,
-            net.sim.now().as_nanos(),
-            vec![("planned", Value::U64(plan.len() as u64))],
-        );
-        let mut measured = 0;
-        let mut failed = 0;
-        for (a, b) in plan {
-            let pair_span = ting.observe_pair_begin(a, b, 0, net.sim.now());
-            match ting.measure_pair(net, a, b) {
-                Ok(m) => {
-                    self.note_pair_outcome(a, b, Ok(()), net.sim.now(), ting);
-                    let accepted = self.record_success(a, b, &m, net.sim.now(), ting);
-                    if accepted {
-                        measured += 1;
-                    } else {
-                        failed += 1;
-                    }
-                    self.observe_pair_end(pair_span, Ok(accepted), net.sim.now(), ting);
-                }
-                Err(
-                    ref e @ (TingError::CircuitBuildFailed { .. }
-                    | TingError::StreamFailed
-                    | TingError::ProbeLost),
-                ) => {
-                    failed += 1;
-                    self.note_pair_outcome(a, b, Err(e), net.sim.now(), ting);
-                    self.record_failure(a, b, net.sim.now(), ting);
-                    self.observe_pair_end(pair_span, Err(e), net.sim.now(), ting);
-                }
-            }
-        }
-        let report = RoundReport {
-            measured,
-            failed,
-            still_pending: self.queue.backlog(net.sim.now()),
-        };
-        self.observe_round_end(round, report, net.sim.now(), ting);
-        report
+        self.round(net, ting, 1)
     }
 
-    /// Executes one round with the round's pairs sharded round-robin
+    /// [`Scanner::run_round`] with the round's pairs dealt round-robin
     /// over every provisioned vantage (see
     /// [`tor_sim::TorNetworkBuilder::vantages`]) and measured
-    /// concurrently in virtual time via
-    /// [`crate::parallel::measure_interleaved_with`]. Outcomes are
-    /// recorded *at each measurement's own completion instant* — the
-    /// engine hands them over before the simulation moves on, so cache,
-    /// health, and trace bookkeeping all land time-ordered.
-    ///
-    /// With a single vantage this *is* [`Scanner::run_round`] — the
-    /// sequential path is invoked directly, so `K = 1` output stays
-    /// bit-identical to the sequential scanner's.
+    /// concurrently in virtual time. With a single vantage the lane
+    /// assignment — and so every output bit — is that of
+    /// [`Scanner::run_round`].
     pub fn run_round_parallel(&mut self, net: &mut TorNetwork, ting: &Ting) -> RoundReport {
-        let k = net.vantage_count();
-        if k <= 1 {
-            return self.run_round(net, ting);
-        }
+        self.round(net, ting, net.vantage_count())
+    }
+
+    /// One round over `lanes` vantages (see [`crate::parallel`]).
+    /// Outcomes are recorded *at each measurement's own completion
+    /// instant* — the engine hands them over before the simulation
+    /// moves on, so cache, health, and trace bookkeeping all land
+    /// time-ordered.
+    fn round(&mut self, net: &mut TorNetwork, ting: &Ting, lanes: usize) -> RoundReport {
         self.rounds_run += 1;
         let plan = self.plan_round_healthy(net.sim.now(), ting);
+        let mut fields = vec![("planned", Value::U64(plan.len() as u64))];
+        if lanes > 1 {
+            fields.push(("vantages", Value::U64(lanes as u64)));
+        }
         let round = ting.obs().span_begin(
             obs::names::SCAN_ROUND_BEGIN,
             net.sim.now().as_nanos(),
-            vec![
-                ("planned", Value::U64(plan.len() as u64)),
-                ("vantages", Value::U64(k as u64)),
-            ],
+            fields,
         );
-        let assignments: Vec<(usize, NodeId, NodeId)> = plan
-            .iter()
-            .enumerate()
-            .map(|(j, &(a, b))| (j % k, a, b))
-            .collect();
+        let mut queues = vec![VecDeque::new(); lanes];
+        for (j, pair) in plan.into_iter().enumerate() {
+            queues[j % lanes].push_back(pair);
+        }
         let mut measured = 0;
         let mut failed = 0;
-        let this = &mut *self;
-        measure_interleaved_with(net, ting, &assignments, |outcome| {
-            let at = outcome.completed_at;
-            match outcome.result {
+        measure_lanes(net, ting, queues, |outcome| {
+            let (x, y, at) = (outcome.x, outcome.y, outcome.completed_at);
+            // The pair span closes with the scanner's verdict, or the
+            // pipeline error's stable reason code.
+            let verdict = match &outcome.result {
                 Ok(m) => {
-                    this.note_pair_outcome(outcome.x, outcome.y, Ok(()), at, ting);
-                    let accepted = this.record_success(outcome.x, outcome.y, &m, at, ting);
-                    if accepted {
+                    self.note_pair_outcome(x, y, Ok(()), at, ting);
+                    if self.record_success(x, y, m, at, ting) {
                         measured += 1;
+                        "accepted"
                     } else {
                         failed += 1;
+                        "rejected"
                     }
-                    this.observe_pair_end(outcome.span, Ok(accepted), at, ting);
                 }
-                Err(ref e) => {
+                Err(e) => {
                     failed += 1;
-                    this.note_pair_outcome(outcome.x, outcome.y, Err(e), at, ting);
-                    this.record_failure(outcome.x, outcome.y, at, ting);
-                    this.observe_pair_end(outcome.span, Err(e), at, ting);
+                    self.note_pair_outcome(x, y, Err(e), at, ting);
+                    self.record_failure(x, y, at, ting);
+                    e.code()
                 }
-            }
+            };
+            ting.observe_pair_end(outcome.span, verdict, at);
         });
         let report = RoundReport {
             measured,
             failed,
             still_pending: self.queue.backlog(net.sim.now()),
         };
-        self.observe_round_end(round, report, net.sim.now(), ting);
+        ting.obs().span_end(
+            obs::names::SCAN_ROUND_END,
+            round,
+            net.sim.now().as_nanos(),
+            vec![
+                ("measured", Value::U64(report.measured as u64)),
+                ("failed", Value::U64(report.failed as u64)),
+                ("still_pending", Value::U64(report.still_pending as u64)),
+            ],
+        );
         report
     }
 

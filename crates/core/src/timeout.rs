@@ -8,9 +8,9 @@
 //! literature (Imani et al., arXiv:1706.06457) confirms the learned
 //! cutoff beats any global constant. This module does the same for the
 //! measurement pipeline's three phases — circuit build, stream attach,
-//! probe echo — so both the sequential orchestrator and the parallel
-//! driver cut off stragglers at the observed p95 (plus headroom)
-//! rather than a hardcoded constant.
+//! probe echo — so every lane of the measurement engine cuts off
+//! stragglers at the observed p95 (plus headroom) rather than a
+//! hardcoded constant.
 //!
 //! Only *successful* phase durations feed the estimator: timeouts are
 //! censored observations and would drag the quantile toward whatever
@@ -131,8 +131,8 @@ impl Inner {
 
 /// A cheap, clonable handle to the three per-phase estimators — the
 /// same `Rc` sharing pattern as [`tor_sim::MeasurementMetrics`], so the
-/// scanner, the orchestrator, and the parallel driver all feed and read
-/// one state.
+/// scanner and every lane of the measurement engine feed and read one
+/// state.
 #[derive(Debug, Clone, Default)]
 pub struct TimeoutEstimators {
     inner: Rc<RefCell<Inner>>,

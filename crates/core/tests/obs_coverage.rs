@@ -3,14 +3,14 @@
 //!
 //! The test drives a storm (crashed relays, link loss, stalls, relay
 //! overload, health + validation enabled) with observability at
-//! `Metrics`, then derives the set of resilience events that *actually
-//! occurred* from the pipeline's human-readable trace and checks each
-//! one against the `obs` registry: the matching counter is nonzero,
-//! its count agrees with the legacy [`MeasurementSnapshot`], and the
-//! JSONL export carries it.
+//! `Trace`, then derives the set of resilience events that *actually
+//! occurred* from the exported event log and checks each one against
+//! the `obs` registry: the matching counter is nonzero, its count
+//! agrees with the legacy [`MeasurementSnapshot`], and the JSONL export
+//! carries it.
 
 use netsim::{FaultPlan, NodeId, SimDuration, SimTime};
-use ting::obs::{config_hash, ExportMeta, Obs, ObsConfig};
+use ting::obs::{config_hash, names, Event, ExportMeta, Obs, ObsConfig, Value};
 use ting::{
     AdaptiveTimeoutConfig, HealthConfig, Scanner, ScannerConfig, Ting, TingConfig, ValidationConfig,
 };
@@ -18,16 +18,21 @@ use tor_sim::TorNetworkBuilder;
 
 const SEED: u64 = 0x0b5e;
 
-/// Extracts `code=<x>` from a trace line.
-fn code_of(line: &str) -> &str {
-    line.split_whitespace()
-        .find_map(|tok| tok.strip_prefix("code="))
-        .expect("trace line missing code=")
+/// The string field `key` of a trace event.
+fn str_field<'a>(event: &'a Event, key: &str) -> &'a str {
+    event
+        .fields
+        .iter()
+        .find_map(|(k, v)| match v {
+            Value::Str(s) if *k == key => Some(s.as_str()),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("{} event missing {key}", event.name))
 }
 
 #[test]
 fn every_observed_failure_class_reaches_the_exported_metrics() {
-    let obs = Obs::new(ObsConfig::Metrics);
+    let obs = Obs::new(ObsConfig::Trace);
     let mut net = TorNetworkBuilder::live(SEED, 12)
         .fault_plan(
             FaultPlan::new(SEED ^ 0x7)
@@ -76,38 +81,37 @@ fn every_observed_failure_class_reaches_the_exported_metrics() {
         scanner.run_round(&mut net, &ting);
     }
 
-    // Derive the classes that actually occurred from the trace, mapped
-    // to the obs counter each one must have incremented.
+    // Derive the classes that actually occurred from the event log,
+    // mapped to the obs counter each one must have incremented.
     let mut expected: Vec<(String, u64)> = Vec::new();
     let mut tally = |name: String| match expected.iter_mut().find(|(n, _)| *n == name) {
         Some((_, count)) => *count += 1,
         None => expected.push((name, 1)),
     };
-    for line in ting.metrics.trace_lines() {
-        if line.starts_with("circuit_failed ") {
-            tally("ting.error.circuit_build_failed".into());
-        } else if line.starts_with("stream_failed ") {
-            tally("ting.error.stream_failed".into());
-        } else if line.starts_with("probes_lost ") {
-            tally("ting.error.probe_lost".into());
-        } else if line.starts_with("retry ") {
-            tally("ting.retry".into());
-        } else if line.starts_with("pair_requeued ") {
-            tally("ting.pair_requeued".into());
-        } else if line.starts_with("implausible_estimate ") {
-            tally("ting.estimate.implausible".into());
-        } else if line.starts_with("relay_quarantined ") {
-            tally("ting.health.quarantined".into());
-        } else if line.starts_with("relay_released ") && line.ends_with("reason=probation") {
-            tally("ting.health.released.probation".into());
-        } else if line.starts_with("relay_released ") && line.ends_with("reason=decay") {
-            tally("ting.health.released.decay".into());
-        } else if line.starts_with("probation_probe ") {
-            tally("ting.health.probation_probe".into());
-        } else if line.starts_with("estimate_rejected ") {
-            tally(format!("ting.validate.reject.{}", code_of(&line)));
-        } else if line.starts_with("estimate_flagged ") {
-            tally(format!("ting.validate.flag.{}", code_of(&line)));
+    for event in obs.events() {
+        match event.name {
+            names::TING_ERROR => tally(format!("ting.error.{}", str_field(&event, "code"))),
+            names::TING_RETRY => tally("ting.retry".into()),
+            // Every pair the scanner does not accept — pipeline error,
+            // implausible or rejected estimate — is re-queued.
+            names::SCAN_PAIR_END if str_field(&event, "outcome") != "accepted" => {
+                tally("ting.pair_requeued".into())
+            }
+            names::VALIDATE_IMPLAUSIBLE => tally("ting.estimate.implausible".into()),
+            names::HEALTH_QUARANTINE => tally("ting.health.quarantined".into()),
+            names::HEALTH_RELEASE => tally(format!(
+                "ting.health.released.{}",
+                str_field(&event, "reason")
+            )),
+            names::HEALTH_PROBE => tally("ting.health.probation_probe".into()),
+            names::VALIDATE_REJECT => tally(format!(
+                "ting.validate.reject.{}",
+                str_field(&event, "code")
+            )),
+            names::VALIDATE_FLAG => {
+                tally(format!("ting.validate.flag.{}", str_field(&event, "code")))
+            }
+            _ => {}
         }
     }
 
@@ -126,7 +130,7 @@ fn every_observed_failure_class_reaches_the_exported_metrics() {
     }
 
     // Every class that occurred is in the registry with the exact same
-    // count the trace shows, and in the JSONL export.
+    // count the event log shows, and in the JSONL export.
     let doc = obs.export_jsonl(&ExportMeta {
         seed: SEED,
         config_hash: config_hash("obs-coverage-v1"),

@@ -1,13 +1,18 @@
 //! Tests for the multi-vantage parallel scanner: the incremental work
 //! queue is held to bit-equality with the O(n²) reference planner over
-//! randomized histories, `K = 1` parallel scans are held bit-identical
-//! to the sequential scanner, and `K = 4` must actually halve the
-//! virtual time of a full all-pairs scan.
+//! randomized histories, single-lane scans — `run_round`, and
+//! `run_round_parallel` at `K = 1` — are held to the bytes the blocking
+//! sequential engine produced before the engines merged, and `K = 4`
+//! must actually halve the virtual time of a full all-pairs scan.
 
 use netsim::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use ting::{Scanner, ScannerConfig, Ting, TingConfig, WorkQueue};
+use ting::checkpoint::crc32;
+use ting::obs::{Obs, ObsConfig};
+use ting::{
+    measure_interleaved, Scanner, ScannerConfig, Ting, TingConfig, UnknownVantage, WorkQueue,
+};
 use tor_sim::TorNetworkBuilder;
 
 const STALENESS_S: u64 = 1_000;
@@ -115,14 +120,56 @@ fn scan_checkpoint(vantages: Option<usize>, parallel: bool) -> String {
     scanner.to_checkpoint()
 }
 
-/// K = 1 must not perturb the sequential scanner in any way: neither
+/// CRC-32 and byte length of `scan_checkpoint(None, false)` as the
+/// blocking sequential engine wrote it at c1a2311, the last commit that
+/// had one. Both scan entry points now drive the same engine, so
+/// comparing them with each other would compare a path with itself.
+const SEQUENTIAL_CHECKPOINT: (u32, usize) = (0x7a4e_facc, 733);
+
+/// One lane must reproduce the sequential scanner bit for bit: neither
 /// provisioning a (single) vantage pool nor routing through the
 /// parallel entry point may change a single bit of the output.
 #[test]
 fn k1_parallel_scan_is_bit_identical_to_sequential() {
-    let baseline = scan_checkpoint(None, false);
-    assert_eq!(baseline, scan_checkpoint(Some(1), false));
-    assert_eq!(baseline, scan_checkpoint(Some(1), true));
+    for (vantages, parallel) in [(None, false), (Some(1), false), (Some(1), true)] {
+        let checkpoint = scan_checkpoint(vantages, parallel);
+        assert_eq!(
+            (crc32(checkpoint.as_bytes()), checkpoint.len()),
+            SEQUENTIAL_CHECKPOINT,
+            "vantages={vantages:?} parallel={parallel} left the sequential bytes:\n{checkpoint}"
+        );
+    }
+}
+
+/// An assignment to a vantage the network does not have refuses the
+/// whole call before anything starts: no span opens, no event runs, the
+/// clock does not move.
+#[test]
+fn unknown_vantage_is_refused_before_any_measurement_starts() {
+    let obs = Obs::new(ObsConfig::Trace);
+    let mut net = TorNetworkBuilder::testbed(97)
+        .vantages(2)
+        .observability(obs.clone())
+        .build();
+    let ting = Ting::with_obs(TingConfig::fast(), obs.clone());
+    let (x, y) = (net.relays[0], net.relays[1]);
+    // Settle start-up events so the counters below are stable.
+    net.sim.run_until_idle();
+    let before = (net.sim.now(), obs.counter_value("net.events"));
+    let refused = measure_interleaved(&mut net, &ting, &[(0, x, y), (2, y, x)]);
+    assert_eq!(
+        refused.err(),
+        Some(UnknownVantage {
+            vantage: 2,
+            provisioned: 2
+        })
+    );
+    assert_eq!((net.sim.now(), obs.counter_value("net.events")), before);
+    assert!(
+        obs.events().iter().all(|e| !e.name.starts_with("scan.")),
+        "a refused call must not open spans"
+    );
+    assert_eq!(net.sim.run_until_idle(), 0, "nothing was left queued");
 }
 
 /// A fixed (seed, K) must reproduce the interleaved scan exactly,

@@ -2,7 +2,7 @@
 //!
 //! Three properties the fault-injection work must hold:
 //! 1. the whole pipeline is deterministic — same seed, same fault plan,
-//!    byte-identical scan state and identical retry traces;
+//!    byte-identical scan state and byte-identical `obs` trace exports;
 //! 2. with every fault knob at zero the resilience layer is a strict
 //!    no-op — estimates are bit-identical to a build with no plan at
 //!    all;
@@ -11,12 +11,13 @@
 //!    re-queued under backoff rather than dropped.
 
 use netsim::{FaultPlan, NodeId, SimDuration, SimTime};
-use ting::{Scanner, ScannerConfig, Ting, TingConfig};
+use ting::obs::{config_hash, ExportMeta, Obs, ObsConfig};
+use ting::{Scanner, ScannerConfig, Ting, TingConfig, TingError};
 use tor_sim::{RelayFaultProfile, TorNetwork, TorNetworkBuilder};
 
 const SEED: u64 = 0x4E51;
 
-fn faulty_net(seed: u64) -> TorNetwork {
+fn faulty_builder(seed: u64) -> TorNetworkBuilder {
     TorNetworkBuilder::live(seed, 14)
         .fault_plan(
             FaultPlan::new(seed ^ 0x7)
@@ -29,7 +30,10 @@ fn faulty_net(seed: u64) -> TorNetwork {
             overload_queue_depth: 32,
             seed: seed ^ 0x9,
         })
-        .build()
+}
+
+fn faulty_net(seed: u64) -> TorNetwork {
+    faulty_builder(seed).build()
 }
 
 fn scan_config() -> ScannerConfig {
@@ -43,32 +47,42 @@ fn scan_config() -> ScannerConfig {
 }
 
 /// Runs `rounds` scan rounds, 30 virtual minutes apart, over the first
-/// 6 relays. Returns the final checkpoint and the full retry trace.
-fn run_scan(net: &mut TorNetwork, rounds: u64) -> (String, Vec<String>) {
+/// 6 relays of a faulty network traced end to end. Returns the final
+/// checkpoint, the exported JSONL trace, and how many retries and
+/// re-queues the faults provoked.
+fn run_scan(rounds: u64) -> (String, String, u64) {
+    let obs = Obs::new(ObsConfig::Trace);
+    let mut net = faulty_builder(SEED).observability(obs.clone()).build();
     let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
     let mut scanner = Scanner::new(nodes, scan_config());
-    let ting = Ting::new(TingConfig::fast());
+    let ting = Ting::with_obs(TingConfig::fast(), obs.clone());
     for round in 0..rounds {
         net.sim
             .advance_to(SimTime::ZERO + SimDuration::from_secs(round * 1800));
-        scanner.run_round(net, &ting);
+        scanner.run_round(&mut net, &ting);
     }
-    (scanner.to_checkpoint(), ting.metrics.trace_lines())
+    let meta = ExportMeta {
+        seed: SEED,
+        config_hash: config_hash("resilience-v1"),
+    };
+    let snap = ting.metrics.snapshot();
+    (
+        scanner.to_checkpoint(),
+        obs.export_jsonl(&meta),
+        snap.retries + snap.pairs_requeued,
+    )
 }
 
 /// Same seed + same fault plan ⇒ byte-identical scan state and an
-/// identical retry trace, event for event.
+/// identical trace, event for event.
 #[test]
 fn faulty_scan_is_deterministic() {
-    let (cp1, trace1) = run_scan(&mut faulty_net(SEED), 4);
-    let (cp2, trace2) = run_scan(&mut faulty_net(SEED), 4);
+    let (cp1, trace1, recovered1) = run_scan(4);
+    let (cp2, trace2, _) = run_scan(4);
     assert_eq!(cp1, cp2, "scan state diverged across identical runs");
-    assert_eq!(
-        trace1, trace2,
-        "retry traces diverged across identical runs"
-    );
+    assert!(trace1 == trace2, "traces diverged across identical runs");
     assert!(
-        !trace1.is_empty(),
+        recovered1 > 0,
         "fault rates were meant to provoke at least one retry/requeue"
     );
 }
@@ -206,4 +220,52 @@ fn checkpoint_roundtrip_is_exact() {
     let text = scanner.to_checkpoint();
     let reloaded = Scanner::from_checkpoint(&text).expect("parses");
     assert_eq!(reloaded.to_checkpoint(), text);
+}
+
+/// A network whose relay `x` has crashed, and a driver whose build
+/// deadline sits below the network's own connect timeout — so the
+/// deadline, not a settled failure, is what ends each build through
+/// `x`. Returns the virtual time `max_attempts` such timeouts must cost.
+fn dead_relay_setup() -> (TorNetwork, NodeId, NodeId, Ting, SimDuration) {
+    let config = TingConfig {
+        max_attempts: 2,
+        circuit_build_timeout_ms: Some(1_000.0),
+        ..TingConfig::fast()
+    };
+    let mut net = TorNetworkBuilder::live(SEED, 14).build();
+    let (x, y) = (net.relays[0], net.relays[1]);
+    net.crash_relay(x, None);
+    (net, x, y, Ting::new(config), SimDuration::from_secs(2))
+}
+
+/// A circuit-build timeout costs its full configured virtual duration:
+/// a driver that gives up at the last event before the deadline
+/// under-reports what a dead relay cost the scan.
+#[test]
+fn build_timeout_is_charged_in_full_by_measure_pair() {
+    let (mut net, x, y, ting, floor) = dead_relay_setup();
+    let started = net.sim.now();
+    let err = ting.measure_pair(&mut net, x, y).unwrap_err();
+    assert!(matches!(
+        err,
+        TingError::CircuitBuildFailed {
+            permanent: false,
+            ..
+        }
+    ));
+    assert_eq!(ting.metrics.snapshot().circuits_failed, 2);
+    let charged = net.sim.now() - started;
+    assert!(charged >= floor, "charged {charged:?}, owed {floor:?}");
+}
+
+/// The same cost from the scanner's entry point.
+#[test]
+fn build_timeout_is_charged_in_full_by_run_round() {
+    let (mut net, x, y, ting, floor) = dead_relay_setup();
+    let mut scanner = Scanner::new(vec![x, y], scan_config());
+    let started = net.sim.now();
+    let report = scanner.run_round(&mut net, &ting);
+    assert_eq!((report.measured, report.failed), (0, 1));
+    let charged = net.sim.now() - started;
+    assert!(charged >= floor, "charged {charged:?}, owed {floor:?}");
 }

@@ -277,27 +277,6 @@ impl Simulator {
         n
     }
 
-    /// Runs until the queue drains or the next event lies past
-    /// `deadline`, **without** advancing the clock to the deadline.
-    ///
-    /// This is the timeout primitive the resilient measurement pipeline
-    /// uses: when nothing is lost the queue drains exactly as
-    /// [`Simulator::run_until_idle`] would (identical event stream,
-    /// identical final clock), and when a reply never comes the caller
-    /// observes the deadline expiring instead of blocking forever.
-    pub fn run_until_idle_or(&mut self, deadline: SimTime) -> u64 {
-        self.ensure_started();
-        let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
-        }
-        n
-    }
-
     fn ensure_started(&mut self) {
         for i in 0..self.processes.len() {
             if !self.started[i] {
@@ -1010,17 +989,6 @@ mod tests {
         // Every message stalls 5 s each way, but they all arrive.
         assert_eq!(results.borrow().len(), 10);
         assert!(results.borrow().iter().all(|&r| r >= 10_000.0));
-    }
-
-    #[test]
-    fn run_until_idle_or_does_not_advance_clock_past_queue() {
-        let results = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = two_node_sim(321, 5, results.clone());
-        let deadline = SimTime::ZERO + SimDuration::from_hours(1);
-        sim.run_until_idle_or(deadline);
-        assert_eq!(results.borrow().len(), 5);
-        // Unlike run_until, the clock stays at the last event.
-        assert!(sim.now() < deadline);
     }
 
     #[test]

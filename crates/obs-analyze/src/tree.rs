@@ -77,8 +77,9 @@ pub struct Trace {
     pub rounds: Vec<RoundNode>,
     /// Pairs measured outside any round span (raw engine runs).
     pub orphan_pairs: Vec<PairNode>,
-    /// Circuits sampled outside any pair span (direct `sample_circuit`
-    /// calls).
+    /// Circuits sampled outside any pair span (direct
+    /// `Ting::measure_pair` / `Ting::sample_circuit` calls, which open
+    /// no `scan.pair` span).
     pub orphan_circuits: Vec<CircuitNode>,
 }
 

@@ -9,7 +9,7 @@
 //! these types, so existing `tor_sim::MeasurementMetrics` paths keep
 //! working.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 /// Counters the measurement pipeline (Ting driver + scanner) maintains.
@@ -24,9 +24,6 @@ struct MeasurementInner {
     relays_quarantined: Cell<u64>,
     relays_released: Cell<u64>,
     probation_probes: Cell<u64>,
-    /// Human-readable retry trace — one line per resilience event, in
-    /// order. Deterministic runs produce identical traces.
-    trace: RefCell<Vec<String>>,
 }
 
 /// A cheap, clonable handle to the measurement pipeline's counters.
@@ -47,7 +44,7 @@ pub struct MeasurementSnapshot {
     /// Scanner pairs put back on the queue under backoff.
     pub pairs_requeued: u64,
     /// Estimates refused by validation (never cached); the reason code
-    /// is in the trace.
+    /// is in the `ting.validate.reject.<code>` obs counters.
     pub estimates_rejected: u64,
     /// Estimates cached but flagged suspect by validation.
     pub estimates_flagged: u64,
@@ -114,16 +111,6 @@ impl MeasurementMetrics {
         self.inner
             .probation_probes
             .set(self.inner.probation_probes.get() + 1);
-    }
-
-    /// Appends one line to the retry trace.
-    pub fn trace(&self, line: String) {
-        self.inner.trace.borrow_mut().push(line);
-    }
-
-    /// The retry trace so far.
-    pub fn trace_lines(&self) -> Vec<String> {
-        self.inner.trace.borrow().clone()
     }
 
     /// Reads all counters at once.

@@ -152,38 +152,15 @@ impl Controller {
         self.enqueue(sim, Command::CloseCircuit { circuit: circuit.0 });
     }
 
-    /// Runs the simulator until idle, or — when a deadline is given —
-    /// only through events due by the deadline, leaving later ones
-    /// queued. With `None` this is exactly [`Simulator::run_until_idle`],
-    /// so timeout-free callers keep bit-identical behaviour.
-    fn run_bounded(sim: &mut Simulator, deadline: Option<SimTime>) {
-        match deadline {
-            Some(d) => sim.run_until_idle_or(d),
-            None => sim.run_until_idle(),
-        };
-    }
-
     /// Convenience: builds a circuit and runs the simulator until the
-    /// build settles. Returns true when the circuit is ready.
+    /// build settles. Returns the handle when the circuit is ready.
     pub fn build_and_wait(
         &mut self,
         sim: &mut Simulator,
         path: Vec<NodeId>,
     ) -> Option<CircuitHandle> {
-        self.build_and_wait_until(sim, path, None)
-    }
-
-    /// [`Controller::build_and_wait`] with an optional deadline: if the
-    /// build has not settled by `deadline`, gives up and returns `None`
-    /// (the circuit may still be building; close it to be safe).
-    pub fn build_and_wait_until(
-        &mut self,
-        sim: &mut Simulator,
-        path: Vec<NodeId>,
-        deadline: Option<SimTime>,
-    ) -> Option<CircuitHandle> {
         let h = self.build_circuit(sim, path);
-        Self::run_bounded(sim, deadline);
+        sim.run_until_idle();
         match self.circuit_status(h) {
             CircuitStatus::Ready => Some(h),
             _ => None,
@@ -197,19 +174,8 @@ impl Controller {
         circuit: CircuitHandle,
         target: NodeId,
     ) -> Option<StreamHandle> {
-        self.open_stream_and_wait_until(sim, circuit, target, None)
-    }
-
-    /// [`Controller::open_stream_and_wait`] with an optional deadline.
-    pub fn open_stream_and_wait_until(
-        &mut self,
-        sim: &mut Simulator,
-        circuit: CircuitHandle,
-        target: NodeId,
-        deadline: Option<SimTime>,
-    ) -> Option<StreamHandle> {
         let s = self.open_stream(sim, circuit, target);
-        Self::run_bounded(sim, deadline);
+        sim.run_until_idle();
         match self.stream_status(s) {
             StreamStatus::Open => Some(s),
             _ => None,
@@ -232,28 +198,5 @@ impl Controller {
         let received = self.take_received(stream);
         let (arrival, _) = received.into_iter().next_back()?;
         Some((arrival - sent_at).as_millis_f64())
-    }
-
-    /// [`Controller::echo_roundtrip_ms`] with an optional deadline, and
-    /// robust to late echoes: only a reply whose bytes match `data` and
-    /// which arrived after this send counts. A stalled echo from an
-    /// earlier, timed-out probe draining into this window is discarded
-    /// instead of being mistaken for a fast reply.
-    pub fn echo_roundtrip_ms_until(
-        &mut self,
-        sim: &mut Simulator,
-        stream: StreamHandle,
-        data: Vec<u8>,
-        deadline: Option<SimTime>,
-    ) -> Option<f64> {
-        let sent_at = sim.now();
-        let expect = data.clone();
-        self.send(sim, stream, data);
-        Self::run_bounded(sim, deadline);
-        self.take_received(stream)
-            .into_iter()
-            .filter(|(arrival, echoed)| *arrival >= sent_at && *echoed == expect)
-            .map(|(arrival, _)| (arrival - sent_at).as_millis_f64())
-            .next_back()
     }
 }
