@@ -11,6 +11,7 @@
 
 use bench::{env_usize, seed};
 use netsim::{FaultPlan, NodeId};
+use ting::obs::{Obs, ObsConfig};
 use ting::{Ting, TingConfig};
 use tor_sim::{RelayFaultProfile, TorNetworkBuilder};
 
@@ -49,11 +50,12 @@ fn main() {
         }
         pairs.truncate(pairs_limit);
 
-        let ting = Ting::new(TingConfig {
+        let config = TingConfig {
             max_lost_probes: 4,
             max_attempts: 5,
             ..TingConfig::with_samples(samples)
-        });
+        };
+        let ting = Ting::with_obs(config, Obs::new(ObsConfig::Metrics));
         let mut succeeded = 0usize;
         let mut rel_errs: Vec<f64> = Vec::new();
         for &(x, y) in &pairs {
@@ -71,15 +73,15 @@ fn main() {
             let idx = ((rel_errs.len() - 1) as f64 * q).round() as usize;
             rel_errs[idx]
         };
-        let c = ting.metrics.snapshot();
+        let count = |name| ting.obs().counter_value(name);
         println!(
             "{rate}\t{:.4}\t{:.4}\t{:.4}\t{}\t{}\t{}",
             succeeded as f64 / pairs.len() as f64,
             quantile(0.5),
             quantile(0.9),
-            c.circuits_failed,
-            c.probes_timed_out,
-            c.retries,
+            count("ting.error.circuit_build_failed"),
+            count("ting.probe.timeout"),
+            count("ting.retry"),
         );
     }
     println!("# every rate terminated: per-phase timeouts + bounded retry, no deadlocks");

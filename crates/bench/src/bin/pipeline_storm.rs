@@ -1,8 +1,7 @@
 //! Pipeline soak: a fault storm against the live scan→serve pipeline.
 //!
-//! Drives a sharded supervised scan through the same hostile network as
-//! `shard_storm` — link faults, relay overload, churn, a mid-storm
-//! shard crash — and streams its merge deltas into journaled
+//! Drives a sharded supervised scan through the [`bench::storm`]
+//! weather, with a mid-storm shard crash, and streams its merge deltas into journaled
 //! [`oracle::Pipeline`]s in three phases:
 //!
 //! * **continuous serving** — every published generation must match
@@ -30,66 +29,22 @@
 //! Usage: `pipeline_storm [--seed N] [--virtual-hours H] [--trace-out PATH]`
 //! (env fallbacks: `TING_SEED`, `TING_HOURS`).
 
-use bench::env_u64;
-use netsim::{FaultPlan, NodeId, SimDuration, SimTime};
+use bench::storm::{self, ROUND_SECS, SHARDS};
+use netsim::{NodeId, SimDuration};
 use oracle::journal::frame_record;
 use oracle::{Journal, Pipeline, PipelineConfig, SloConfig, TtlPolicy};
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use ting::obs::{config_hash, ExportMeta, Obs, ObsConfig};
-use ting::shard::{MergeDelta, Supervisor, SupervisorConfig};
-use ting::{AdaptiveTimeoutConfig, HealthConfig, ScannerConfig, TingConfig, ValidationConfig};
-use tor_sim::churn::ChurnConfig;
-use tor_sim::{RelayFaultProfile, TorNetwork, TorNetworkBuilder};
+use std::path::Path;
+use ting::obs::{Obs, ObsConfig};
+use ting::shard::MergeDelta;
 
-const ROUND_SECS: u64 = 300;
 const N_NODES: usize = 10;
-const SHARDS: usize = 4;
-
-fn storm_net(seed: u64) -> TorNetwork {
-    TorNetworkBuilder::live(seed, 12)
-        .vantages(2)
-        .fault_plan(
-            FaultPlan::new(seed ^ 0x7)
-                .with_link_loss(0.003)
-                .with_stalls(0.001, 300.0),
-        )
-        .relay_faults(RelayFaultProfile {
-            extend_refuse_prob: 0.01,
-            overload_drop_prob: 0.002,
-            overload_queue_depth: 32,
-            seed: seed ^ 0x9,
-        })
-        .build()
-}
-
-fn scan_config() -> ScannerConfig {
-    ScannerConfig {
-        staleness: SimDuration::from_hours(24),
-        pairs_per_round: 8,
-        retry_backoff: SimDuration::from_secs(60),
-        retry_backoff_cap: SimDuration::from_hours(1),
-        health: Some(HealthConfig::default()),
-        validation: Some(ValidationConfig::default()),
-    }
-}
-
-fn supervisor_config() -> SupervisorConfig {
-    SupervisorConfig {
-        shards: SHARDS,
-        scanner: scan_config(),
-        heartbeat_timeout: SimDuration::from_hours(2),
-        restart_budget: 3,
-        restart_backoff: SimDuration::from_nanos(0),
-        restart_backoff_cap: SimDuration::from_nanos(0),
-    }
-}
 
 fn pipeline_config() -> PipelineConfig {
     PipelineConfig {
         queue_cap: 4,
         publish_interval: SimDuration(0),
-        staleness: scan_config().staleness,
+        staleness: storm::scan_config().staleness,
         ttl: TtlPolicy::new(SimDuration::from_hours(1), SimDuration::from_hours(48))
             .expect("static TTL config"),
         slo: None,
@@ -101,13 +56,13 @@ fn pipeline_config() -> PipelineConfig {
 /// serving-loop regression; the other objectives are sentinels (0 =
 /// breach only when *nothing* succeeds) so the gate stays about
 /// staleness. The soft TTL must exceed the scanner's own re-measure
-/// period (`scan_config().staleness`): a healthy scanner leaves a
+/// period (`storm::scan_config().staleness`): a healthy scanner leaves a
 /// fresh-enough pair alone for that long, and a tighter serving TTL
 /// would read that by-design quiet as staleness and poison the gate.
 fn traced_pipeline_config() -> PipelineConfig {
     PipelineConfig {
         ttl: TtlPolicy::new(
-            scan_config().staleness + SimDuration::from_hours(1),
+            storm::scan_config().staleness + SimDuration::from_hours(1),
             SimDuration::from_hours(48),
         )
         .expect("static TTL config"),
@@ -128,40 +83,22 @@ fn traced_pipeline_config() -> PipelineConfig {
 /// The no-fault control campaign: same topology, cadence, and sharding
 /// as the storm, but a clean network, full tracing, and the SLO engine
 /// live. Writes the JSONL export to `path`.
-fn traced_run(seed: u64, rounds: u64, path: &Path) {
+fn traced_run(seed: u64, rounds: u64, path: &str) {
     let obs = Obs::new(ObsConfig::Trace);
-    let mut net = TorNetworkBuilder::live(seed, 12)
-        .vantages(2)
-        .observability(obs.clone())
-        .build();
-    let nodes: Vec<NodeId> = net.relays.iter().copied().take(N_NODES).collect();
-    let mut sup = Supervisor::with_obs(
-        nodes.clone(),
-        supervisor_config(),
-        ting_config(),
-        obs.clone(),
-    );
-    sup.load_locations(&net);
+    let mut net = storm::calm_net(seed, &obs);
+    let nodes = storm::nodes(&net, N_NODES);
+    let mut sup = storm::supervisor(&net, nodes.clone(), 3, &obs);
     let mut p = Pipeline::with_obs(nodes, SHARDS, traced_pipeline_config(), obs.clone(), None);
     for round in 0..rounds {
-        let target = SimTime::ZERO + SimDuration::from_secs(round * ROUND_SECS);
-        if target > net.sim.now() {
-            net.sim.advance_to(target);
-        }
+        storm::advance_to_round(&mut net, round);
         sup.run_round(&mut net);
         p.offer(sup.take_delta(net.sim.now()));
         p.tick(net.sim.now())
             .expect("volatile pipeline cannot fail");
     }
-    let text = obs.export_jsonl(&ExportMeta {
-        seed,
-        config_hash: config_hash("pipeline-storm-trace-v1"),
-    });
-    std::fs::write(path, &text).expect("write trace output");
+    let text = storm::export_trace(&obs, seed, "pipeline-storm-trace-v1", path);
     println!(
-        "# trace: {} rounds (no faults) -> {} ({} bytes, final state {})",
-        rounds,
-        path.display(),
+        "# trace: {rounds} rounds (no faults) -> {path} ({} bytes, final state {})",
         text.len(),
         p.state().tag()
     );
@@ -171,32 +108,13 @@ fn traced_run(seed: u64, rounds: u64, path: &Path) {
 /// the full delta stream, and the offline merge document at the end —
 /// the ground truth every pipeline run must converge to.
 fn storm_stream(seed: u64, rounds: u64) -> (Vec<NodeId>, Vec<MergeDelta>, String) {
-    let mut net = storm_net(seed);
-    let nodes: Vec<NodeId> = net.relays.iter().copied().take(N_NODES).collect();
-    let mut sup = Supervisor::new(nodes.clone(), supervisor_config(), ting_config());
-    sup.load_locations(&net);
-    let churn = ChurnConfig {
-        initial_relays: 12,
-        daily_departure_rate: 1.2,
-        ..ChurnConfig::default()
-    };
+    let mut net = storm::hostile_net(seed, &Obs::off());
+    let nodes = storm::nodes(&net, N_NODES);
+    let mut sup = storm::supervisor(&net, nodes.clone(), 3, &Obs::off());
     let victim = (seed % SHARDS as u64) as usize;
     let mut deltas = Vec::new();
     for round in 0..rounds {
-        let target = SimTime::ZERO + SimDuration::from_secs(round * ROUND_SECS);
-        if target > net.sim.now() {
-            net.sim.advance_to(target);
-        }
-        if round % 6 == 2 {
-            net.churn_step(&churn, 1.0, seed ^ round);
-            net.refresh_consensus();
-        }
-        if round % 9 == 8 {
-            for &n in &net.relays.clone() {
-                net.revive_relay(n);
-            }
-            net.refresh_consensus();
-        }
+        storm::weather(&mut net, round, seed);
         sup.run_round(&mut net);
         // A mid-storm shard crash puts "restarting" statuses and a
         // checkpoint re-emission into the delta stream.
@@ -212,20 +130,15 @@ fn storm_stream(seed: u64, rounds: u64) -> (Vec<NodeId>, Vec<MergeDelta>, String
     (nodes, deltas, merged)
 }
 
-fn ting_config() -> TingConfig {
-    TingConfig {
-        max_attempts: 2,
-        max_lost_probes: 4,
-        adaptive_timeouts: Some(AdaptiveTimeoutConfig::default()),
-        ..TingConfig::fast()
-    }
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ting-pipe-storm-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create pipeline journal dir");
-    dir
+/// A storm-configured pipeline journaling into `dir`.
+fn journaled(nodes: &[NodeId], dir: &Path) -> Pipeline {
+    Pipeline::with_obs(
+        nodes.to_vec(),
+        SHARDS,
+        pipeline_config(),
+        Obs::off(),
+        Some(Journal::open(dir).expect("open journal")),
+    )
 }
 
 /// Feeds `deltas` into `p`, checking lockstep invariants each round.
@@ -264,48 +177,75 @@ fn drive(p: &mut Pipeline, deltas: &[MergeDelta], violations: &mut Vec<String>) 
     docs
 }
 
-fn recover_and_finish(
-    nodes: &[NodeId],
-    dir: &Path,
-    resume_at: SimTime,
-    deltas: &[MergeDelta],
+/// One kill of the serving process as it publishes the generation after
+/// `kill_round` rounds. `torn` leaves a prefix of that generation's
+/// frame, cut at a seeded offset, at the journal's tail, as a
+/// mid-append kill would; otherwise the frame is fully sealed but the
+/// published file never advanced — a kill between seal and swap. The
+/// recovered process serves the rest of the stream and must converge on
+/// the uninterrupted run's final document. Returns the phase's summary.
+fn kill_phase(
+    seed: u64,
+    torn: bool,
+    (nodes, deltas, docs): (&[NodeId], &[MergeDelta], &[String]),
+    kill_round: usize,
     violations: &mut Vec<String>,
-    label: &str,
-) -> Option<Pipeline> {
-    let journal = match Journal::open(dir) {
-        Ok(j) => j,
-        Err(e) => {
-            violations.push(format!("{label}: journal reopen failed: {e}"));
-            return None;
-        }
+) -> Result<String, String> {
+    let label = if torn {
+        "torn-tail"
+    } else {
+        "seal/swap-window"
     };
-    match Pipeline::recover(
+    let dir = storm::tempdir("pipe-storm-kill");
+    let mut p = journaled(nodes, &dir);
+    drive(&mut p, &deltas[..kill_round], violations);
+    let next_gen = p.generation() + 1;
+    drop(p);
+    let journal =
+        Journal::open(&dir).map_err(|e| format!("{label}: journal reopen failed: {e}"))?;
+    let (resume_at, damage) = if torn {
+        let frame = frame_record(next_gen, &docs[kill_round]);
+        let cut = 1 + (seed as usize % (frame.len() - 1));
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(journal.journal_path())
+            .and_then(|mut f| f.write_all(&frame.as_bytes()[..cut]))
+            .expect("write torn tail");
+        let damage = format!("torn tail at byte {cut}/{} -> resumed to", frame.len());
+        (deltas[kill_round - 1].now, damage)
+    } else {
+        journal
+            .append(next_gen, &docs[kill_round])
+            .expect("stage sealed record");
+        let damage = format!("pending generation {next_gen} applied ->");
+        (deltas[kill_round].now, damage)
+    };
+    let (mut p, found) = Pipeline::recover(
         nodes.to_vec(),
         SHARDS,
         pipeline_config(),
-        ting::obs::Obs::off(),
+        Obs::off(),
         journal,
         resume_at,
-    ) {
-        Ok((mut p, _)) => {
-            // Generation g corresponds to the delta-stream prefix of
-            // length g − 1: resume from the first unconsumed delta.
-            let consumed = (p.generation() - 1) as usize;
-            drive(&mut p, &deltas[consumed..], violations);
-            Some(p)
-        }
-        Err(e) => {
-            violations.push(format!("{label}: recovery failed: {e}"));
-            None
-        }
+    )
+    .map_err(|e| format!("{label}: recovery failed: {e}"))?;
+    if torn && !found.torn_tail {
+        violations.push(format!("{damage}: recovery did not report the torn tail"));
     }
+    // Generation g corresponds to the delta-stream prefix of length
+    // g − 1: resume from the first unconsumed delta.
+    let consumed = (p.generation() - 1) as usize;
+    drive(&mut p, &deltas[consumed..], violations);
+    let diverged = format!("{label} kill/resume diverged from uninterrupted run");
+    let same = p.serving_document() == docs[docs.len() - 1];
+    let same = storm::identity(same, &diverged, violations);
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(format!("{damage} generation {} ({same})", p.generation()))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = arg_u64(&args, "--seed", "TING_SEED", 2015);
-    let hours = arg_u64(&args, "--virtual-hours", "TING_HOURS", 4);
-    let rounds = (hours * 3600 / ROUND_SECS).max(4);
+    let args = storm::Args::parse();
+    let (seed, hours, rounds) = (args.seed, args.hours, args.rounds(4));
     let kill_round = (rounds / 2) as usize;
     println!(
         "# pipeline storm: seed={seed} virtual_hours={hours} rounds={rounds} \
@@ -317,160 +257,40 @@ fn main() {
 
     // Phase 1: continuous serving, uninterrupted. The baseline run and
     // ground truth for both kill phases.
-    let base_dir = tempdir("base");
-    let mut baseline = Pipeline::with_obs(
-        nodes.clone(),
-        SHARDS,
-        pipeline_config(),
-        ting::obs::Obs::off(),
-        Some(Journal::open(&base_dir).expect("open baseline journal")),
-    );
+    let base_dir = storm::tempdir("pipe-storm-base");
+    let mut baseline = journaled(&nodes, &base_dir);
     let docs = drive(&mut baseline, &deltas, &mut violations);
-    let final_doc = baseline.serving_document();
-    if final_doc != offline_merge {
-        violations.push("pipeline final document diverged from offline merge".into());
-    }
     println!(
         "# phase 1: generations={} final_state={} (vs offline merge {})",
         baseline.generation(),
         baseline.state().tag(),
-        if final_doc == offline_merge {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
+        storm::identity(
+            baseline.serving_document() == offline_merge,
+            "pipeline final document diverged from offline merge",
+            &mut violations
+        )
     );
-
-    // Phase 2: kill mid-append. Replay the stream up to the kill
-    // round, then tear the journal exactly as a mid-append kill would —
-    // a prefix of the next generation's frame, cut at a seeded offset.
-    let dir = tempdir("torn");
-    let mut p = Pipeline::with_obs(
-        nodes.clone(),
-        SHARDS,
-        pipeline_config(),
-        ting::obs::Obs::off(),
-        Some(Journal::open(&dir).expect("open torn-phase journal")),
-    );
-    drive(&mut p, &deltas[..kill_round], &mut violations);
-    let resume_at = deltas[kill_round - 1].now;
-    let next_gen = p.generation() + 1;
-    drop(p);
-    let frame = frame_record(next_gen, &docs[kill_round]);
-    let cut = 1 + (seed as usize % (frame.len() - 1));
-    {
-        let journal = Journal::open(&dir).expect("reopen for tear");
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(journal.journal_path())
-            .expect("journal file exists after publishes");
-        f.write_all(&frame.as_bytes()[..cut])
-            .expect("write torn tail");
-    }
-    let torn_seen = Journal::open(&dir)
-        .expect("reopen torn journal")
-        .recover()
-        .map(|r| r.torn_tail)
-        .unwrap_or(false);
-    if !torn_seen {
-        violations.push(format!(
-            "torn tail ({cut} of {} bytes) not reported by recovery",
-            frame.len()
-        ));
-    }
-    if let Some(p) = recover_and_finish(
-        &nodes,
-        &dir,
-        resume_at,
-        &deltas,
-        &mut violations,
-        "torn-tail phase",
-    ) {
-        if p.serving_document() != final_doc {
-            violations.push("torn-tail kill/resume diverged from uninterrupted run".into());
-        }
-        println!(
-            "# phase 2: torn tail at byte {cut}/{} -> resumed to generation {} ({})",
-            frame.len(),
-            p.generation(),
-            if p.serving_document() == final_doc {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            }
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Phase 3: kill between seal and swap. The next generation's frame
-    // is fully sealed in the journal but the published file never
-    // advanced; recovery must serve the pending generation.
-    let dir = tempdir("sealed");
-    let mut p = Pipeline::with_obs(
-        nodes.clone(),
-        SHARDS,
-        pipeline_config(),
-        ting::obs::Obs::off(),
-        Some(Journal::open(&dir).expect("open sealed-phase journal")),
-    );
-    drive(&mut p, &deltas[..kill_round], &mut violations);
-    let next_gen = p.generation() + 1;
-    drop(p);
-    Journal::open(&dir)
-        .expect("reopen for seal")
-        .append(next_gen, &docs[kill_round])
-        .expect("stage sealed record");
-    if let Some(p) = recover_and_finish(
-        &nodes,
-        &dir,
-        deltas[kill_round].now,
-        &deltas,
-        &mut violations,
-        "sealed-window phase",
-    ) {
-        if p.serving_document() != final_doc {
-            violations.push("seal/swap-window kill/resume diverged from uninterrupted run".into());
-        }
-        println!(
-            "# phase 3: pending generation {next_gen} applied -> generation {} ({})",
-            p.generation(),
-            if p.serving_document() == final_doc {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            }
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&base_dir);
+
+    // Phase 2: kill mid-append; phase 3: kill between seal and swap.
+    let stream = (&nodes[..], &deltas[..], &docs[..]);
+    for (phase, torn) in [(2, true), (3, false)] {
+        match kill_phase(seed, torn, stream, kill_round, &mut violations) {
+            Ok(summary) => println!("# phase {phase}: {summary}"),
+            Err(e) => violations.push(e),
+        }
+    }
 
     // The traced no-fault control run, when requested — written even
     // if the storm phases found violations, so CI always has the
     // artifact to post-mortem with.
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-    {
-        traced_run(seed, rounds, Path::new(path));
+    if let Some(path) = &args.trace_out {
+        traced_run(seed, rounds, path);
     }
 
-    if violations.is_empty() {
-        println!("pipeline storm PASSED: continuous serving exact, kill/resume bit-identical");
-    } else {
-        println!("pipeline storm FAILED:");
-        for v in &violations {
-            println!("  - {v}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Reads `--name value` from the CLI, falling back to `env_name`.
-fn arg_u64(args: &[String], name: &str, env_name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| env_u64(env_name, default))
+    storm::verdict(
+        "pipeline storm",
+        "continuous serving exact, kill/resume bit-identical",
+        &violations,
+    );
 }

@@ -1,8 +1,7 @@
 //! Shard soak: a fault storm against the sharded scan supervisor.
 //!
-//! Builds the same hostile network as `chaos_soak` — link faults, relay
-//! overload, periodic churn and mass revivals — and drives a 4-shard
-//! supervised scan through it in two phases:
+//! Drives a 4-shard supervised scan through the [`bench::storm`]
+//! weather in two phases:
 //!
 //! * **kill/resume** — mid-storm, a seeded-random shard is crashed; the
 //!   supervisor restarts it from its checkpoint (through the on-disk
@@ -22,70 +21,12 @@
 //! Usage: `shard_storm [--seed N] [--virtual-hours H]`
 //! (env fallbacks: `TING_SEED`, `TING_HOURS`).
 
-use bench::env_u64;
-use netsim::{FaultPlan, NodeId, SimDuration, SimTime};
-use ting::shard::{MergeOutcome, ShardStatus, Supervisor, SupervisorConfig};
-use ting::{AdaptiveTimeoutConfig, HealthConfig, ScannerConfig, TingConfig, ValidationConfig};
-use tor_sim::churn::ChurnConfig;
-use tor_sim::{RelayFaultProfile, TorNetwork, TorNetworkBuilder};
-
-const ROUND_SECS: u64 = 300;
-const N_NODES: usize = 10;
-const SHARDS: usize = 4;
-
-fn storm_net(seed: u64) -> TorNetwork {
-    TorNetworkBuilder::live(seed, 12)
-        .vantages(2)
-        .fault_plan(
-            FaultPlan::new(seed ^ 0x7)
-                .with_link_loss(0.003)
-                .with_stalls(0.001, 300.0),
-        )
-        .relay_faults(RelayFaultProfile {
-            extend_refuse_prob: 0.01,
-            overload_drop_prob: 0.002,
-            overload_queue_depth: 32,
-            seed: seed ^ 0x9,
-        })
-        .build()
-}
-
-fn scan_config() -> ScannerConfig {
-    ScannerConfig {
-        staleness: SimDuration::from_hours(24),
-        pairs_per_round: 8,
-        retry_backoff: SimDuration::from_secs(60),
-        retry_backoff_cap: SimDuration::from_hours(1),
-        health: Some(HealthConfig::default()),
-        validation: Some(ValidationConfig::default()),
-    }
-}
-
-fn ting_config() -> TingConfig {
-    TingConfig {
-        max_attempts: 2,
-        max_lost_probes: 4,
-        adaptive_timeouts: Some(AdaptiveTimeoutConfig::default()),
-        ..TingConfig::fast()
-    }
-}
-
-fn supervisor_config(restart_budget: u32) -> SupervisorConfig {
-    SupervisorConfig {
-        shards: SHARDS,
-        scanner: scan_config(),
-        heartbeat_timeout: SimDuration::from_hours(2),
-        restart_budget,
-        // Zero backoff: a crashed shard rejoins on the next round, so a
-        // kill/resume run walks the same virtual-time schedule as an
-        // uninterrupted one.
-        restart_backoff: SimDuration::from_nanos(0),
-        restart_backoff_cap: SimDuration::from_nanos(0),
-    }
-}
+use bench::storm::{self, SHARDS};
+use netsim::SimTime;
+use ting::obs::Obs;
+use ting::shard::{MergeOutcome, ShardStatus};
 
 struct StormOutcome {
-    merged_doc: String,
     merged: MergeOutcome,
     end: SimTime,
     quarantined: usize,
@@ -102,41 +43,21 @@ fn storm_run(
     restart_budget: u32,
     checkpoint_dir: Option<&std::path::Path>,
 ) -> StormOutcome {
-    let mut net = storm_net(seed);
-    let nodes: Vec<NodeId> = net.relays.iter().copied().take(N_NODES).collect();
-    let mut sup = Supervisor::new(nodes, supervisor_config(restart_budget), ting_config());
+    let mut net = storm::hostile_net(seed, &Obs::off());
+    let mut sup = storm::supervisor(&net, storm::nodes(&net, 10), restart_budget, &Obs::off());
     if let Some(dir) = checkpoint_dir {
-        std::fs::create_dir_all(dir).expect("create shard checkpoint dir");
         sup.set_checkpoint_dir(dir);
     }
-    sup.load_locations(&net);
-    let churn = ChurnConfig {
-        initial_relays: 12,
-        daily_departure_rate: 1.2,
-        ..ChurnConfig::default()
-    };
     let mut violations = Vec::new();
     let mut prev_covered = 0usize;
     for round in 0..rounds {
-        let target = SimTime::ZERO + SimDuration::from_secs(round * ROUND_SECS);
-        if target > net.sim.now() {
-            net.sim.advance_to(target);
-        }
-        if round % 6 == 2 {
-            net.churn_step(&churn, 1.0, seed ^ round);
-            net.refresh_consensus();
-        }
-        if round % 9 == 8 {
-            for &n in &net.relays.clone() {
-                net.revive_relay(n);
-            }
-            net.refresh_consensus();
-        }
+        storm::weather(&mut net, round, seed);
         let report = sup.run_round(&mut net);
-        if report.shards_run + report.shards_waiting + report.shards_quarantined < SHARDS {
+        let accounted = report.shards_run + report.shards_waiting + report.shards_quarantined;
+        if accounted < SHARDS {
             violations.push(format!(
                 "round {round}: {} of {SHARDS} shards unaccounted for",
-                SHARDS - report.shards_run - report.shards_waiting - report.shards_quarantined
+                SHARDS - accounted
             ));
         }
         match sup.merge(net.sim.now()) {
@@ -151,51 +72,21 @@ fn storm_run(
             }
             Err(e) => violations.push(format!("round {round}: merge refused: {e}")),
         }
-        if let Some((at, shard)) = kill {
-            if at == round {
-                sup.inject_crash(shard, net.sim.now());
-            }
+        if let Some((_, shard)) = kill.filter(|&(at, _)| at == round) {
+            sup.inject_crash(shard, net.sim.now());
         }
     }
 
-    let merged = match sup.merge(net.sim.now()) {
-        Ok(m) => m,
-        Err(e) => {
-            violations.push(format!("final merge refused: {e}"));
-            // An empty stand-in so the caller can still report.
-            MergeOutcome {
-                matrix: ting::RttMatrix::new(Vec::new()),
-                measured_at: Default::default(),
-                lineage: Default::default(),
-                shards: Vec::new(),
-                now: net.sim.now(),
-            }
-        }
-    };
-    for (a, b, est) in merged.matrix.pairs() {
-        if !(est.is_finite() && est > 0.05) {
-            violations.push(format!(
-                "implausible estimate merged ({},{}): {est}",
-                a.0, b.0
-            ));
-            continue;
-        }
-        let pa = net.sim.underlay().node(a.index()).location;
-        let pb = net.sim.underlay().node(b.index()).location;
-        let floor = geo::lightspeed::min_rtt_ms(geo::great_circle_km(pa, pb));
-        if est < floor {
-            violations.push(format!(
-                "faster-than-light estimate merged ({},{}): {est} < {floor}",
-                a.0, b.0
-            ));
-        }
-    }
+    let merged = sup.merge(net.sim.now()).unwrap_or_else(|e| {
+        violations.push(format!("final merge refused: {e}"));
+        storm::fail("shard storm", &violations)
+    });
+    violations.extend(storm::implausible_estimates(&net, &merged.matrix));
 
     let quarantined = (0..sup.shard_count())
         .filter(|&k| sup.status(k) == ShardStatus::Quarantined)
         .count();
     StormOutcome {
-        merged_doc: merged.to_document(),
         merged,
         end: net.sim.now(),
         quarantined,
@@ -203,20 +94,9 @@ fn storm_run(
     }
 }
 
-/// Reads `--name value` from the CLI, falling back to `env_name`.
-fn arg_u64(args: &[String], name: &str, env_name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| env_u64(env_name, default))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = arg_u64(&args, "--seed", "TING_SEED", 2015);
-    let hours = arg_u64(&args, "--virtual-hours", "TING_HOURS", 4);
-    let rounds = (hours * 3600 / ROUND_SECS).max(3);
+    let args = storm::Args::parse();
+    let (seed, hours, rounds) = (args.seed, args.hours, args.rounds(3));
     let victim = (seed % SHARDS as u64) as usize;
     let kill_round = rounds / 3;
     println!(
@@ -228,8 +108,7 @@ fn main() {
 
     // Phase 1: kill/resume bit-identity. The resumed run restarts its
     // victim through an on-disk checkpoint file.
-    let dir = std::env::temp_dir().join(format!("ting-shard-storm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = storm::tempdir("shard-storm");
     let baseline = storm_run(seed, rounds, None, 3, None);
     let resumed = storm_run(seed, rounds, Some((kill_round, victim)), 3, Some(&dir));
     let _ = std::fs::remove_dir_all(&dir);
@@ -241,18 +120,15 @@ fn main() {
             resumed.end, baseline.end
         ));
     }
-    if resumed.merged_doc != baseline.merged_doc {
-        violations.push("kill/resume merged document diverged from uninterrupted run".into());
-    }
     println!(
         "# phase 1: coverage={:.4} measured_pairs={} (kill/resume {})",
         baseline.merged.coverage(),
         baseline.merged.matrix.measured_pairs(),
-        if resumed.merged_doc == baseline.merged_doc {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
+        storm::identity(
+            resumed.merged.to_document() == baseline.merged.to_document(),
+            "kill/resume merged document diverged from uninterrupted run",
+            &mut violations
+        )
     );
 
     // Phase 2: degraded mode. Budget 0, killed early: the shard dies
@@ -260,7 +136,7 @@ fn main() {
     let degraded = storm_run(seed, rounds, Some((0, victim)), 0, None);
     let degraded_again = storm_run(seed, rounds, Some((0, victim)), 0, None);
     violations.extend(degraded.violations.iter().cloned());
-    if degraded.merged_doc != degraded_again.merged_doc {
+    if degraded.merged.to_document() != degraded_again.merged.to_document() {
         violations.push("degraded-mode run is nondeterministic".into());
     }
     if degraded.quarantined != 1 {
@@ -295,13 +171,9 @@ fn main() {
         dead.uncovered,
     );
 
-    if violations.is_empty() {
-        println!("shard storm PASSED: kill/resume bit-identical, degraded mode held");
-    } else {
-        println!("shard storm FAILED:");
-        for v in &violations {
-            println!("  - {v}");
-        }
-        std::process::exit(1);
-    }
+    storm::verdict(
+        "shard storm",
+        "kill/resume bit-identical, degraded mode held",
+        &violations,
+    );
 }

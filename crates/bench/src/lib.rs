@@ -19,6 +19,8 @@
 //! | `TING_THREADS`   | worker threads (default: all cores) |
 //! | `TING_HOURS`     | duration of longitudinal runs       |
 
+pub mod storm;
+
 use netsim::{NodeId, SimDuration, SimTime};
 use ting::{RttMatrix, Ting, TingConfig, TingMeasurement};
 use tor_sim::{TorNetwork, TorNetworkBuilder};
@@ -153,7 +155,7 @@ pub fn testbed_accuracy_dataset(samples: usize, pairs_limit: usize) -> Vec<Accur
 /// Fans pair measurements out over [`threads`] workers. Returns, in
 /// input order, `(ping ground truth, measurement)` per pair. Each
 /// worker constructs its own [`Ting`] from the config (the driver's
-/// metrics handle is single-threaded by design).
+/// `Rc` handles are single-threaded by design).
 pub fn measure_pairs_parallel<F>(
     build: F,
     pairs: &[(NodeId, NodeId)],

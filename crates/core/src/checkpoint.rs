@@ -11,7 +11,7 @@
 //!   destination either holds the old document or the complete new one,
 //!   never a prefix — even across a power loss right after the rename.
 //! * **Corruption at rest** — bit rot, filesystem bugs, a stray editor.
-//!   The v2 checkpoint format ends with a CRC-32 trailer line covering
+//!   The checkpoint format ends with a CRC-32 trailer line covering
 //!   every preceding byte ([`crc32`], [`seal`], [`verify_sealed`]); any
 //!   flipped or truncated byte fails verification and the loader
 //!   refuses the file instead of resuming from silently wrong state.
@@ -132,14 +132,14 @@ mod tests {
 
     #[test]
     fn seal_then_verify_roundtrips() {
-        let body = "# ting scan checkpoint v2\nm\t1\t2\t10\t0\n";
+        let body = "# ting scan checkpoint v3\nm\t1\t2\t10\t0\t1\n";
         let sealed = seal(body.to_string());
         assert_eq!(verify_sealed(&sealed).unwrap(), body);
     }
 
     #[test]
     fn any_flipped_body_byte_fails_verification() {
-        let body = "# ting scan checkpoint v2\nm\t1\t2\t10\t0\n";
+        let body = "# ting scan checkpoint v3\nm\t1\t2\t10\t0\t1\n";
         let sealed = seal(body.to_string());
         // Every byte of the body is covered by the CRC; a flip anywhere
         // in it must be caught. (Flips inside the trailer itself either
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn truncation_fails_verification() {
-        let sealed = seal("# ting scan checkpoint v2\nm\t1\t2\t10\t0\n".to_string());
+        let sealed = seal("# ting scan checkpoint v3\nm\t1\t2\t10\t0\t1\n".to_string());
         // Any truncation that loses more than the final newline must be
         // rejected (losing only the trailing '\n' leaves the document
         // complete: body and trailer both intact).

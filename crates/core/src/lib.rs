@@ -92,7 +92,7 @@ pub use scanner::{Scanner, ScannerConfig};
 pub use shard::{
     merge_checkpoints, parse_merged_document, partition_pairs, DeltaPair, MergeDelta, MergeOutcome,
     MergedDocument, ShardCoverage, ShardStatus, Supervisor, SupervisorConfig, SupervisorReport,
-    MERGED_MAGIC, MERGED_MAGIC_V1,
+    MERGED_MAGIC,
 };
 pub use timeout::{AdaptiveTimeoutConfig, TimeoutEstimators, TimeoutPhase};
 pub use validate::{ValidationConfig, ValidationError, Verdict};

@@ -13,7 +13,7 @@ use crate::sampling::SamplePolicy;
 use crate::timeout::{AdaptiveTimeoutConfig, TimeoutEstimators, TimeoutPhase};
 use netsim::{NodeId, SimTime};
 use obs::{Counter, Hist, Obs, Value};
-use tor_sim::{MeasurementMetrics, TorNetwork};
+use tor_sim::TorNetwork;
 
 /// Ting configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,8 +192,6 @@ impl TingObsHandles {
 #[derive(Debug, Clone, Default)]
 pub struct Ting {
     pub config: TingConfig,
-    /// Failure/retry counters, shared with callers that keep a clone.
-    pub metrics: MeasurementMetrics,
     /// Rolling per-phase duration estimators feeding the adaptive
     /// deadlines (inert unless `config.adaptive_timeouts` is set).
     pub timeouts: TimeoutEstimators,
@@ -214,7 +212,6 @@ impl Ting {
     pub fn with_obs(config: TingConfig, obs: Obs) -> Ting {
         Ting {
             config,
-            metrics: MeasurementMetrics::new(),
             timeouts: TimeoutEstimators::new(),
             handles: TingObsHandles::new(&obs),
             obs,
@@ -379,8 +376,7 @@ impl Ting {
         );
     }
 
-    /// Bumps the probe-timeout counter (kept next to
-    /// `MeasurementMetrics::on_probe_timed_out` at its call site).
+    /// Bumps the probe-timeout counter.
     pub(crate) fn observe_probe_timeout(&self) {
         self.handles.probe_timeouts.inc();
     }

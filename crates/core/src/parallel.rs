@@ -248,7 +248,6 @@ impl<const N: usize> Task<N> {
         }
         let pause_ms = ting.backoff_ms(&self.circuits[self.idx].0, self.attempt);
         self.attempt += 1;
-        ting.metrics.on_retry();
         ting.observe_retry(self.attempt, sim.now());
         self.state = TaskState::Backoff {
             resume_at: sim.now() + SimDuration::from_millis_f64(pause_ms),
@@ -341,7 +340,6 @@ impl<const N: usize> Task<N> {
                         // on retry; anything else — timeout, refused
                         // extend, crashed relay — can.
                         let permanent = ctl.circuit_error(circuit).is_some();
-                        ting.metrics.on_circuit_failed();
                         ctl.close_circuit(sim, circuit);
                         let err = TingError::CircuitBuildFailed {
                             path: self.circuits[self.idx].0.clone(),
@@ -424,7 +422,6 @@ impl<const N: usize> Task<N> {
                             }
                             idle = false;
                             self.lost += 1;
-                            ting.metrics.on_probe_timed_out();
                             ting.observe_probe_timeout();
                             if self.lost > ting.config.max_lost_probes {
                                 ctl.close_stream(sim, stream);

@@ -89,8 +89,7 @@ pub struct Scanner {
     rounds_run: u64,
     /// The round (value of `rounds_run`) in which each cached estimate
     /// was accepted — the scanner half of a measurement's lineage.
-    /// Estimates loaded from pre-lineage (v1/v2) checkpoints carry
-    /// round 0, meaning "unknown".
+    /// Round 0 means "unknown".
     measured_round: HashMap<(NodeId, NodeId), u64>,
     /// Pairs under failure backoff.
     pending_retry: HashMap<(NodeId, NodeId), FailState>,
@@ -111,9 +110,15 @@ pub struct Scanner {
 impl Scanner {
     /// Creates a scanner over a fixed relay set.
     pub fn new(nodes: Vec<NodeId>, config: ScannerConfig) -> Scanner {
-        Scanner {
+        Scanner::try_new(nodes, config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible constructor for the load path: duplicate nodes become
+    /// an error instead of a panic.
+    fn try_new(nodes: Vec<NodeId>, config: ScannerConfig) -> Result<Scanner, String> {
+        Ok(Scanner {
             config,
-            matrix: RttMatrix::new(nodes.clone()),
+            matrix: RttMatrix::try_new(nodes.clone())?,
             measured_at: HashMap::new(),
             rounds_run: 0,
             measured_round: HashMap::new(),
@@ -122,7 +127,7 @@ impl Scanner {
             health: config.health.map(RelayHealth::new),
             locations: HashMap::new(),
             scope: None,
-        }
+        })
     }
 
     /// Restricts the scanner to `owned` pairs, permanently retiring
@@ -191,8 +196,7 @@ impl Scanner {
     }
 
     /// The scan round in which `pair`'s cached estimate was accepted,
-    /// if the pair has one. Round 0 means the estimate predates
-    /// lineage tracking (loaded from a v1/v2 checkpoint).
+    /// if the pair has one. Round 0 means "unknown".
     pub fn measured_round(&self, a: NodeId, b: NodeId) -> Option<u64> {
         self.measured_round.get(&key(a, b)).copied()
     }
@@ -297,7 +301,6 @@ impl Scanner {
             match validate(est, vcfg, &self.validation_context(a, b, now)) {
                 Verdict::Accept => {}
                 Verdict::Flag(e) => {
-                    ting.metrics.on_estimate_flagged();
                     self.observe_verdict(
                         obs::names::VALIDATE_FLAG,
                         "ting.validate.flag",
@@ -309,7 +312,6 @@ impl Scanner {
                     );
                 }
                 Verdict::Reject(e) => {
-                    ting.metrics.on_estimate_rejected();
                     self.observe_verdict(
                         obs::names::VALIDATE_REJECT,
                         "ting.validate.reject",
@@ -402,7 +404,6 @@ impl Scanner {
         match h.record(node, success, now) {
             Some(HealthEvent::Quarantined(n)) => {
                 self.queue.quarantine(n);
-                ting.metrics.on_relay_quarantined();
                 ting.obs().inc("ting.health.quarantined");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -414,7 +415,6 @@ impl Scanner {
             }
             Some(HealthEvent::Released(n)) => {
                 self.queue.release(n);
-                ting.metrics.on_relay_released();
                 ting.obs().inc("ting.health.released.probation");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -482,7 +482,6 @@ impl Scanner {
         if let Some(h) = self.health.as_mut() {
             for n in h.release_by_decay(now) {
                 self.queue.release(n);
-                ting.metrics.on_relay_released();
                 ting.obs().inc("ting.health.released.decay");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -503,7 +502,6 @@ impl Scanner {
                 // counts: the next probe waits a full interval.
                 h.probe_scheduled(n, now);
                 if let Some((a, b)) = self.queue.probe_pair(n) {
-                    ting.metrics.on_probation_probe();
                     ting.obs().inc("ting.health.probation_probe");
                     if ting.obs().is_tracing() {
                         ting.obs().event(
@@ -537,7 +535,6 @@ impl Scanner {
             },
         );
         self.queue.on_failed(a, b, next_attempt_at);
-        ting.metrics.on_pair_requeued();
         ting.obs().inc("ting.pair_requeued");
     }
 
@@ -653,7 +650,8 @@ impl Scanner {
     /// were, so lineage stays stable across restarts.
     pub fn to_checkpoint(&self) -> String {
         let mut out = String::new();
-        out.push_str("# ting scan checkpoint v3\n");
+        out.push_str(CHECKPOINT_MAGIC);
+        out.push('\n');
         out.push_str("# nodes:");
         for n in self.matrix.nodes() {
             let _ = write!(out, " {}", n.0);
@@ -735,35 +733,19 @@ impl Scanner {
         crate::checkpoint::seal(out)
     }
 
-    /// Parses a checkpoint document. v3 documents (the current format)
-    /// and v2 documents must carry a valid CRC-32 trailer — any flipped
-    /// or truncated byte is refused rather than resumed from. v1
-    /// documents (pre-CRC, pre-health) still load for compatibility
-    /// with old scan state; v1/v2 estimates carry lineage round 0
-    /// ("unknown").
+    /// Parses a checkpoint document. It must carry the current (v3)
+    /// magic line and a valid CRC-32 trailer — any flipped or truncated
+    /// byte is refused rather than resumed from — and every row must
+    /// name nodes from its own `# nodes:` list: a malformed document is
+    /// an error naming the line, never a panic.
     pub fn from_checkpoint(text: &str) -> Result<Scanner, String> {
-        let magic = text.lines().next().ok_or("empty checkpoint")?;
-        match magic {
-            "# ting scan checkpoint v1" => Self::parse_checkpoint(text, 1),
-            "# ting scan checkpoint v2" => {
-                let body = crate::checkpoint::verify_sealed(text)?;
-                Self::parse_checkpoint(body, 2)
-            }
-            "# ting scan checkpoint v3" => {
-                let body = crate::checkpoint::verify_sealed(text)?;
-                Self::parse_checkpoint(body, 3)
-            }
+        match text.lines().next().ok_or("empty checkpoint")? {
+            CHECKPOINT_MAGIC => Self::parse_checkpoint(crate::checkpoint::verify_sealed(text)?),
             other => Err(format!("bad magic line: {other:?}")),
         }
     }
 
-    /// The shared checkpoint body parser. `version >= 2` admits the
-    /// health config keys and `h`/`q` state lines; `version >= 3` adds
-    /// the `# rounds:` header and the per-estimate round column. A
-    /// document carrying state its version doesn't admit is corrupt.
-    fn parse_checkpoint(body: &str, version: u32) -> Result<Scanner, String> {
-        let v2 = version >= 2;
-        let v3 = version >= 3;
+    fn parse_checkpoint(body: &str) -> Result<Scanner, String> {
         let mut lines = body.lines();
         lines.next(); // magic, already matched by the caller
         let nodes_line = lines.next().ok_or("missing node list")?;
@@ -788,39 +770,40 @@ impl Scanner {
                 "pairs_per_round" => config.pairs_per_round = u(v)? as usize,
                 "retry_backoff_ns" => config.retry_backoff = SimDuration::from_nanos(u(v)?),
                 "retry_backoff_cap_ns" => config.retry_backoff_cap = SimDuration::from_nanos(u(v)?),
-                "health" if v2 => {
+                "health" => {
                     config.health = (u(v)? == 1).then(HealthConfig::default);
                 }
-                "health_alpha" if v2 => health_cfg(&mut config, k)?.ewma_alpha = fl(v)?,
-                "health_qbelow" if v2 => health_cfg(&mut config, k)?.quarantine_below = fl(v)?,
-                "health_rabove" if v2 => health_cfg(&mut config, k)?.release_above = fl(v)?,
-                "health_probation_ns" if v2 => {
+                "health_alpha" => health_cfg(&mut config, k)?.ewma_alpha = fl(v)?,
+                "health_qbelow" => health_cfg(&mut config, k)?.quarantine_below = fl(v)?,
+                "health_rabove" => health_cfg(&mut config, k)?.release_above = fl(v)?,
+                "health_probation_ns" => {
                     health_cfg(&mut config, k)?.probation_interval = SimDuration::from_nanos(u(v)?)
                 }
-                "health_halflife_ns" if v2 => {
+                "health_halflife_ns" => {
                     health_cfg(&mut config, k)?.decay_half_life = SimDuration::from_nanos(u(v)?)
                 }
-                "val" if v2 => {
+                "val" => {
                     config.validation = (u(v)? == 1).then(ValidationConfig::default);
                 }
-                "val_divfactor" if v2 => val_cfg(&mut config, k)?.divergence_factor = fl(v)?,
-                "val_divslack_ms" if v2 => val_cfg(&mut config, k)?.divergence_slack_ms = fl(v)?,
-                "val_lightspeed" if v2 => val_cfg(&mut config, k)?.lightspeed = u(v)? == 1,
-                "val_tivfactor" if v2 => val_cfg(&mut config, k)?.tiv_factor = fl(v)?,
-                "val_tivmin_ms" if v2 => val_cfg(&mut config, k)?.tiv_min_detour_ms = fl(v)?,
+                "val_divfactor" => val_cfg(&mut config, k)?.divergence_factor = fl(v)?,
+                "val_divslack_ms" => val_cfg(&mut config, k)?.divergence_slack_ms = fl(v)?,
+                "val_lightspeed" => val_cfg(&mut config, k)?.lightspeed = u(v)? == 1,
+                "val_tivfactor" => val_cfg(&mut config, k)?.tiv_factor = fl(v)?,
+                "val_tivmin_ms" => val_cfg(&mut config, k)?.tiv_min_detour_ms = fl(v)?,
                 other => return Err(format!("unknown config key {other:?}")),
             }
         }
-        let mut scanner = Scanner::new(nodes, config);
+        // The matrix and the work queue index by node id, so a row is
+        // only good if the document's own node list has its nodes.
+        let known: HashSet<NodeId> = nodes.iter().copied().collect();
+        let mut scanner = Scanner::try_new(nodes, config).map_err(|e| format!("line 2: {e}"))?;
         for (lineno, line) in lines.enumerate() {
-            if v3 {
-                if let Some(r) = line.strip_prefix("# rounds:") {
-                    scanner.rounds_run = r
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("bad rounds header: {e}"))?;
-                    continue;
-                }
+            if let Some(r) = line.strip_prefix("# rounds:") {
+                scanner.rounds_run = r
+                    .trim()
+                    .parse()
+                    .map_err(|e| format!("bad rounds header: {e}"))?;
+                continue;
             }
             if line.trim().is_empty() || line.starts_with('#') {
                 continue;
@@ -828,18 +811,27 @@ impl Scanner {
             let err = |msg: &str| format!("line {}: {msg}", lineno + 4);
             let mut f = line.split('\t');
             let tag = f.next().ok_or_else(|| err("empty"))?;
-            let a = NodeId(
-                f.next()
+            let node = |field: Option<&str>, which: &str| {
+                let id = field
                     .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err("bad node a"))?,
-            );
+                    .map(NodeId)
+                    .ok_or_else(|| err(&format!("bad node {which}")))?;
+                if !known.contains(&id) {
+                    return Err(err(&format!("unknown node {}", id.0)));
+                }
+                Ok(id)
+            };
+            let a = node(f.next(), "a")?;
+            let other = |field: Option<&str>| {
+                let b = node(field, "b")?;
+                if a == b {
+                    return Err(err("pair of a node with itself"));
+                }
+                Ok(b)
+            };
             match tag {
                 "m" => {
-                    let b = NodeId(
-                        f.next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| err("bad node b"))?,
-                    );
+                    let b = other(f.next())?;
                     let rtt: f64 = f
                         .next()
                         .and_then(|t| t.parse().ok())
@@ -848,25 +840,18 @@ impl Scanner {
                         .next()
                         .and_then(|t| t.parse().ok())
                         .ok_or_else(|| err("bad timestamp"))?;
-                    let round: u64 = if v3 {
-                        f.next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| err("bad round"))?
-                    } else {
-                        0
-                    };
-                    scanner.matrix.set(a, b, rtt);
+                    let round: u64 = f
+                        .next()
+                        .and_then(|t| t.parse().ok())
+                        .ok_or_else(|| err("bad round"))?;
+                    scanner.matrix.try_set(a, b, rtt).map_err(|e| err(&e))?;
                     scanner
                         .measured_at
                         .insert(key(a, b), SimTime::ZERO + SimDuration::from_nanos(t_ns));
                     scanner.measured_round.insert(key(a, b), round);
                 }
                 "f" => {
-                    let b = NodeId(
-                        f.next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| err("bad node b"))?,
-                    );
+                    let b = other(f.next())?;
                     let attempts: u32 = f
                         .next()
                         .and_then(|t| t.parse().ok())
@@ -883,7 +868,7 @@ impl Scanner {
                         },
                     );
                 }
-                "h" if v2 => {
+                "h" => {
                     let score: f64 = f
                         .next()
                         .and_then(|t| t.parse().ok())
@@ -898,7 +883,7 @@ impl Scanner {
                         .ok_or_else(|| err("health line but health=0"))?
                         .restore_score(a, score, SimTime::ZERO + SimDuration::from_nanos(at_ns));
                 }
-                "q" if v2 => {
+                "q" => {
                     let since_ns: u64 = f
                         .next()
                         .and_then(|t| t.parse().ok())
@@ -1018,6 +1003,10 @@ impl Scanner {
         }
     }
 }
+
+/// The first line of a scan checkpoint: the one format version read
+/// and written.
+const CHECKPOINT_MAGIC: &str = "# ting scan checkpoint v3";
 
 fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     if a <= b {

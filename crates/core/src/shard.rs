@@ -276,10 +276,6 @@ impl MergeOutcome {
 /// The first line of the [`MergeOutcome::to_document`] format.
 pub const MERGED_MAGIC: &str = "# ting merged matrix v2";
 
-/// The first line of the pre-lineage (v1) document format, still
-/// accepted by [`parse_merged_document`] for compatibility.
-pub const MERGED_MAGIC_V1: &str = "# ting merged matrix v1";
-
 /// One incremental publish unit drained from a running [`Supervisor`]
 /// by [`Supervisor::take_delta`]: every owned pair measured (or
 /// re-measured) since the previous drain, plus the current per-shard
@@ -330,8 +326,7 @@ pub struct MergedDocument {
     /// Measurement instants, keyed by the pair in ascending-id order.
     pub measured_at_ns: HashMap<(NodeId, NodeId), u64>,
     /// Per-pair provenance, keyed like `measured_at_ns`. Pairs whose
-    /// row carried `-` markers (or any pair in a v1 document) are
-    /// absent.
+    /// row carried `-` markers are absent.
     pub lineage: HashMap<(NodeId, NodeId), Lineage>,
     /// Coverage rows, in document (= shard id) order.
     pub shards: Vec<ShardCoverage>,
@@ -342,22 +337,15 @@ pub struct MergedDocument {
 /// Parses a CRC-sealed merged-matrix document. Refuses corrupt seals,
 /// unknown versions, unknown nodes in matrix rows, and malformed
 /// coverage rows — loudly, with the offending line in the error.
-/// Accepts both the current v2 format (matrix rows carry shard/round
-/// lineage columns) and the legacy v1 format (no lineage; every pair
-/// loads with unknown provenance).
 pub fn parse_merged_document(text: &str) -> Result<MergedDocument, String> {
     let body = crate::checkpoint::verify_sealed(text)?;
     let mut lines = body.lines().enumerate();
     let (_, magic) = lines.next().ok_or("empty merged document")?;
-    let v2 = match magic {
-        MERGED_MAGIC => true,
-        MERGED_MAGIC_V1 => false,
-        other => {
-            return Err(format!(
-                "unsupported merged-matrix header {other:?} (expected {MERGED_MAGIC:?})"
-            ))
-        }
-    };
+    if magic != MERGED_MAGIC {
+        return Err(format!(
+            "unsupported merged-matrix header {magic:?} (expected {MERGED_MAGIC:?})"
+        ));
+    }
     let (_, nodes_line) = lines.next().ok_or("missing node list")?;
     let nodes: Vec<NodeId> = nodes_line
         .strip_prefix("# nodes:")
@@ -429,10 +417,9 @@ pub fn parse_merged_document(text: &str) -> Result<MergedDocument, String> {
                 });
             }
             "m" => {
-                let want = if v2 { 7 } else { 5 };
-                if fields.len() != want {
+                if fields.len() != 7 {
                     return Err(format!(
-                        "line {n}: matrix row has {} fields, expected {want}",
+                        "line {n}: matrix row has {} fields, expected 7",
                         fields.len()
                     ));
                 }
@@ -452,18 +439,16 @@ pub fn parse_merged_document(text: &str) -> Result<MergedDocument, String> {
                     .try_set(a, b, rtt)
                     .map_err(|e| format!("line {n}: {e}"))?;
                 measured_at_ns.insert(ordered(a, b), t_ns);
-                if v2 {
-                    match (fields[5], fields[6]) {
-                        ("-", "-") => {}
-                        (shard, round) => {
-                            let shard: u32 = shard.parse().map_err(|_| {
-                                format!("line {n}: invalid lineage shard {shard:?}")
-                            })?;
-                            let round: u64 = round.parse().map_err(|_| {
-                                format!("line {n}: invalid lineage round {round:?}")
-                            })?;
-                            lineage.insert(ordered(a, b), Lineage { shard, round });
-                        }
+                match (fields[5], fields[6]) {
+                    ("-", "-") => {}
+                    (shard, round) => {
+                        let shard: u32 = shard
+                            .parse()
+                            .map_err(|_| format!("line {n}: invalid lineage shard {shard:?}"))?;
+                        let round: u64 = round
+                            .parse()
+                            .map_err(|_| format!("line {n}: invalid lineage round {round:?}"))?;
+                        lineage.insert(ordered(a, b), Lineage { shard, round });
                     }
                 }
             }
@@ -1196,16 +1181,18 @@ mod tests {
         let mut corrupt = doc.clone().into_bytes();
         corrupt[5] ^= 0x01;
         assert!(parse_merged_document(&String::from_utf8(corrupt).unwrap()).is_err());
-        // An unknown version inside a valid seal is still refused.
-        let v3 = crate::checkpoint::seal(
-            "# ting merged matrix v3\n# nodes: 0 1\n# now_ns: 9\n".to_owned(),
-        );
-        let err = parse_merged_document(&v3).unwrap_err();
-        assert!(err.contains("unsupported merged-matrix header"), "{err}");
-        // Matrix rows naming unknown nodes error with the line number
-        // (legacy v1 documents still parse, without lineage columns).
+        // Any other version inside a valid seal is still refused.
+        for version in ["v1", "v3"] {
+            let other = crate::checkpoint::seal(format!(
+                "# ting merged matrix {version}\n# nodes: 0 1\n# now_ns: 9\n"
+            ));
+            let err = parse_merged_document(&other).unwrap_err();
+            assert!(err.contains("unsupported merged-matrix header"), "{err}");
+        }
+        // Matrix rows naming unknown nodes error with the line number.
         let bad = crate::checkpoint::seal(
-            "# ting merged matrix v1\n# nodes: 0 1\n# now_ns: 9\nm\t0\t7\t3.5\t1\n".to_owned(),
+            "# ting merged matrix v2\n# nodes: 0 1\n# now_ns: 9\nm\t0\t7\t3.5\t1\t-\t-\n"
+                .to_owned(),
         );
         let err = parse_merged_document(&bad).unwrap_err();
         assert!(
@@ -1214,14 +1201,14 @@ mod tests {
         );
         // Unknown row kinds and truncated coverage rows are refused.
         let bad = crate::checkpoint::seal(
-            "# ting merged matrix v1\n# nodes: 0 1\n# now_ns: 9\nx\t1\n".to_owned(),
+            "# ting merged matrix v2\n# nodes: 0 1\n# now_ns: 9\nx\t1\n".to_owned(),
         );
         assert!(parse_merged_document(&bad).is_err());
         let bad = crate::checkpoint::seal(
-            "# ting merged matrix v1\n# nodes: 0 1\n# now_ns: 9\ns\t0\tlive\t1\n".to_owned(),
+            "# ting merged matrix v2\n# nodes: 0 1\n# now_ns: 9\ns\t0\tlive\t1\n".to_owned(),
         );
         assert!(parse_merged_document(&bad).is_err());
-        // A v2 matrix row must carry both lineage columns, well-formed.
+        // A matrix row must carry both lineage columns, well-formed.
         let bad = crate::checkpoint::seal(
             "# ting merged matrix v2\n# nodes: 0 1\n# now_ns: 9\nm\t0\t1\t3.5\t1\n".to_owned(),
         );

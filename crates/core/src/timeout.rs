@@ -129,10 +129,9 @@ impl Inner {
     }
 }
 
-/// A cheap, clonable handle to the three per-phase estimators — the
-/// same `Rc` sharing pattern as [`tor_sim::MeasurementMetrics`], so the
-/// scanner and every lane of the measurement engine feed and read one
-/// state.
+/// A cheap, clonable handle to the three per-phase estimators (`Rc`
+/// sharing, like [`tor_sim::RelayMetrics`]), so the scanner and every
+/// lane of the measurement engine feed and read one state.
 #[derive(Debug, Clone, Default)]
 pub struct TimeoutEstimators {
     inner: Rc<RefCell<Inner>>,

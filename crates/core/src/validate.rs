@@ -24,8 +24,9 @@
 //!   exists so a campaign audit can distinguish "interesting topology"
 //!   from "suspect sample".
 //!
-//! Reason codes land in the `MeasurementMetrics` trace, so a
-//! deterministic run yields a deterministic audit trail.
+//! Reason codes land in the `ting.validate.{flag,reject}.<code>` obs
+//! counters and trace events, so a deterministic run yields a
+//! deterministic audit trail.
 
 /// Validation knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]

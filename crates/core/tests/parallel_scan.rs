@@ -31,7 +31,7 @@ fn checkpoint(
     measured: &BTreeMap<(u32, u32), u64>,
     failed: &BTreeMap<(u32, u32), u64>,
 ) -> String {
-    let mut out = String::from("# ting scan checkpoint v1\n# nodes:");
+    let mut out = String::from("# ting scan checkpoint v3\n# nodes:");
     for i in 0..nodes {
         out.push_str(&format!(" {i}"));
     }
@@ -42,12 +42,12 @@ fn checkpoint(
         STALENESS_S * 1_000_000_000
     ));
     for (&(a, b), &t_s) in measured {
-        out.push_str(&format!("m\t{a}\t{b}\t10\t{}\n", t_s * 1_000_000_000));
+        out.push_str(&format!("m\t{a}\t{b}\t10\t{}\t1\n", t_s * 1_000_000_000));
     }
     for (&(a, b), &until_s) in failed {
         out.push_str(&format!("f\t{a}\t{b}\t1\t{}\n", until_s * 1_000_000_000));
     }
-    out
+    ting::checkpoint::seal(out)
 }
 
 proptest! {

@@ -65,11 +65,10 @@ fn run_scan(rounds: u64) -> (String, String, u64) {
         seed: SEED,
         config_hash: config_hash("resilience-v1"),
     };
-    let snap = ting.metrics.snapshot();
     (
         scanner.to_checkpoint(),
         obs.export_jsonl(&meta),
-        snap.retries + snap.pairs_requeued,
+        obs.counter_value("ting.retry") + obs.counter_value("ting.pair_requeued"),
     )
 }
 
@@ -111,11 +110,12 @@ fn zero_rate_faults_give_bit_identical_estimates() {
         }
         let mut net = b.build();
         let (x, y) = (net.relays[0], net.relays[1]);
-        let ting = Ting::new(TingConfig::fast());
+        let obs = Obs::new(ObsConfig::Metrics);
+        let ting = Ting::with_obs(TingConfig::fast(), obs.clone());
         let m = ting
             .measure_pair(&mut net, x, y)
             .expect("clean measurement");
-        (m.estimate_ms().to_bits(), ting.metrics.snapshot())
+        (m.estimate_ms().to_bits(), obs)
     };
     let (bits_plain, counters_plain) = measure(false);
     let (bits_zeroed, counters_zeroed) = measure(true);
@@ -123,9 +123,12 @@ fn zero_rate_faults_give_bit_identical_estimates() {
         bits_plain, bits_zeroed,
         "zero-rate faults perturbed the estimate"
     );
-    assert_eq!(counters_plain, counters_zeroed);
-    assert_eq!(counters_zeroed.circuits_failed, 0);
-    assert_eq!(counters_zeroed.retries, 0);
+    assert_eq!(counters_plain.counters(), counters_zeroed.counters());
+    assert_eq!(
+        counters_zeroed.counter_value("ting.error.circuit_build_failed"),
+        0
+    );
+    assert_eq!(counters_zeroed.counter_value("ting.retry"), 0);
 }
 
 /// Drives the §4.6 scan with a mid-run relay crash. When `kill_after`
@@ -235,7 +238,8 @@ fn dead_relay_setup() -> (TorNetwork, NodeId, NodeId, Ting, SimDuration) {
     let mut net = TorNetworkBuilder::live(SEED, 14).build();
     let (x, y) = (net.relays[0], net.relays[1]);
     net.crash_relay(x, None);
-    (net, x, y, Ting::new(config), SimDuration::from_secs(2))
+    let ting = Ting::with_obs(config, Obs::new(ObsConfig::Metrics));
+    (net, x, y, ting, SimDuration::from_secs(2))
 }
 
 /// A circuit-build timeout costs its full configured virtual duration:
@@ -253,7 +257,10 @@ fn build_timeout_is_charged_in_full_by_measure_pair() {
             ..
         }
     ));
-    assert_eq!(ting.metrics.snapshot().circuits_failed, 2);
+    assert_eq!(
+        ting.obs().counter_value("ting.error.circuit_build_failed"),
+        2
+    );
     let charged = net.sim.now() - started;
     assert!(charged >= floor, "charged {charged:?}, owed {floor:?}");
 }

@@ -36,7 +36,6 @@ pub mod fault;
 pub mod process;
 pub mod sim;
 pub mod time;
-pub mod trace;
 pub mod underlay;
 
 pub use event::{Event, EventKind};
@@ -44,7 +43,6 @@ pub use fault::{CrashWindow, FaultPlan, FaultStats};
 pub use process::{Context, Process};
 pub use sim::{ConnId, NodeId, Simulator};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};
 pub use underlay::{
     AsId, AsProfile, NodeAttrs, ProtocolPolicy, TrafficClass, Underlay, UnderlayConfig,
 };

@@ -4,7 +4,6 @@ use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultPlan;
 use crate::process::{Context, Op, Process};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, Tracer};
 use crate::underlay::{TrafficClass, Underlay};
 use obs::{Counter, Obs, Value};
 use rand::rngs::SmallRng;
@@ -108,7 +107,6 @@ pub struct Simulator {
     now: SimTime,
     rng: SmallRng,
     next_conn: u64,
-    tracer: Option<Tracer>,
     faults: FaultPlan,
     obs: SimObs,
 }
@@ -125,15 +123,9 @@ impl Simulator {
             now: SimTime::ZERO,
             rng: SmallRng::seed_from_u64(seed),
             next_conn: 0,
-            tracer: None,
             faults: FaultPlan::disabled(),
             obs: SimObs::default(),
         }
-    }
-
-    /// Attaches an event tracer (keep a clone to read events later).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
     }
 
     /// Attaches an observability handle (keep a clone to read the
@@ -323,14 +315,6 @@ impl Simulator {
         match ev.kind {
             EventKind::Deliver { conn, to, data } => {
                 self.obs.delivers.inc();
-                if let Some(t) = &self.tracer {
-                    t.record(TraceEvent::Delivered {
-                        at: self.now,
-                        conn,
-                        to,
-                        bytes: data.len(),
-                    });
-                }
                 if self.obs.obs.is_tracing() {
                     self.obs.obs.event(
                         obs::names::NET_DELIVER,
@@ -346,14 +330,6 @@ impl Simulator {
             }
             EventKind::ConnOpened { conn, at, peer } => {
                 self.obs.conns_opened.inc();
-                if let Some(t) = &self.tracer {
-                    t.record(TraceEvent::ConnOpened {
-                        at: self.now,
-                        conn,
-                        opener: peer,
-                        acceptor: at,
-                    });
-                }
                 if self.obs.obs.is_tracing() {
                     self.obs.obs.event(
                         obs::names::NET_CONN_OPENED,
@@ -373,9 +349,6 @@ impl Simulator {
             }
             EventKind::ConnClosed { conn, at } => {
                 self.obs.conns_closed.inc();
-                if let Some(t) = &self.tracer {
-                    t.record(TraceEvent::ConnClosed { at: self.now, conn });
-                }
                 if self.obs.obs.is_tracing() {
                     self.obs.obs.event(
                         obs::names::NET_CONN_CLOSED,
@@ -387,13 +360,6 @@ impl Simulator {
             }
             EventKind::Timer { node, id } => {
                 self.obs.timers.inc();
-                if let Some(t) = &self.tracer {
-                    t.record(TraceEvent::TimerFired {
-                        at: self.now,
-                        node,
-                        id,
-                    });
-                }
                 self.dispatch_to(node, |p, ctx| p.on_timer(ctx, id));
             }
         }
@@ -837,11 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn tracer_observes_connection_lifecycle() {
-        let (mut sim, _a, b) = build();
-        let tracer = crate::trace::Tracer::new(64);
-        sim.set_tracer(tracer.clone());
-
+    fn trace_observes_connection_lifecycle() {
         struct OneShot {
             target: NodeId,
         }
@@ -852,7 +814,6 @@ mod tests {
                 ctx.close(c);
             }
         }
-        // Rebuild with a driver at node 0.
         let world = World::new();
         let nyc = world.city("New York").unwrap().location;
         let lon = world.city("London").unwrap().location;
@@ -863,27 +824,23 @@ mod tests {
         u.add_node_in(a_as, nyc, [10, 0, 0, 1], &mut seed_rng);
         u.add_node_in(b_as, lon, [10, 1, 0, 1], &mut seed_rng);
         let mut sim = Simulator::new(u, 3);
-        sim.set_tracer(tracer.clone());
-        tracer.clear();
+        let obs = Obs::new(obs::ObsConfig::Trace);
+        sim.set_obs(obs.clone());
         sim.add_process(Box::new(OneShot { target: NodeId(1) }));
         sim.add_process(Box::new(IdleProcess));
         sim.run_until_idle();
 
-        let events = tracer.events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, crate::trace::TraceEvent::ConnOpened { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, crate::trace::TraceEvent::Delivered { bytes: 3, .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, crate::trace::TraceEvent::ConnClosed { .. })));
+        let events = obs.events();
+        let named = |name| events.iter().filter(move |e| e.name == name);
+        assert!(named(obs::names::NET_CONN_OPENED).next().is_some());
+        assert!(
+            named(obs::names::NET_DELIVER).any(|e| e.fields.contains(&("bytes", Value::U64(3))))
+        );
+        assert!(named(obs::names::NET_CONN_CLOSED).next().is_some());
         // Timestamps are monotone.
         for w in events.windows(2) {
-            assert!(w[0].at() <= w[1].at());
+            assert!(w[0].t_ns <= w[1].t_ns);
         }
-        let _ = b;
     }
 
     fn two_node_sim(seed: u64, pings: u32, results: Rc<RefCell<Vec<f64>>>) -> Simulator {

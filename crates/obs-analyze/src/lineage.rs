@@ -46,7 +46,7 @@ pub struct LineageChain {
     pub a: u64,
     pub b: u64,
     /// Shard that ran the probe and the scanner round it ran in
-    /// (round 0 = legacy data without recorded lineage).
+    /// (round 0 = no recorded lineage).
     pub shard: u64,
     pub round: u64,
     /// Virtual instant the probe measured the pair.

@@ -26,7 +26,6 @@
 pub mod export;
 pub mod hist;
 pub mod lineage;
-pub mod measure;
 pub mod names;
 pub mod slo;
 
@@ -36,7 +35,6 @@ pub use export::{
 };
 pub use hist::LogHistogram;
 pub use lineage::{Lineage, Origin};
-pub use measure::{MeasurementMetrics, MeasurementSnapshot};
 pub use slo::{SloEngine, SloSpec, SloTotals, WindowSpec};
 
 use std::cell::{Cell, RefCell};

@@ -16,20 +16,18 @@
 /// The provenance of one accepted pair measurement: which shard's
 /// scanner measured it, in which of that scanner's scan rounds.
 ///
-/// Round numbers start at 1; round 0 means "unknown" — the measurement
-/// predates lineage tracking (a v1/v2 checkpoint or a v1 merged
-/// document loaded for compatibility).
+/// Round numbers start at 1; round 0 means "unknown".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Lineage {
     /// The shard whose scanner accepted the measurement.
     pub shard: u32,
     /// That scanner's round counter when the estimate was cached
-    /// (1-based; 0 = unknown/legacy).
+    /// (1-based; 0 = unknown).
     pub round: u64,
 }
 
 impl Lineage {
-    /// A lineage with unknown provenance (legacy data).
+    /// A lineage with unknown provenance.
     pub const UNKNOWN: Lineage = Lineage { shard: 0, round: 0 };
 
     /// True when the lineage carries real provenance (round ≥ 1).

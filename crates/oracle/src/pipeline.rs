@@ -147,7 +147,8 @@ pub struct Pipeline {
     matrix: RttMatrix,
     measured_at: HashMap<(NodeId, NodeId), SimTime>,
     /// Per-pair provenance mirroring `measured_at`'s key set for pairs
-    /// that arrived through deltas (recovered v1 documents may lack it).
+    /// that arrived through deltas (recovered rows with `-` lineage
+    /// markers lack it).
     lineage: HashMap<(NodeId, NodeId), Lineage>,
     /// Shard status tags from the most recent delta.
     statuses: Vec<&'static str>,

@@ -127,7 +127,7 @@ pub struct PointAnswer {
     pub age_ns: Option<u64>,
     /// Full provenance of the served cell — the shard and scan round
     /// that measured it plus this snapshot's generation. `None` when
-    /// the source carries no lineage (bare matrices, v1 documents) or
+    /// the source carries no lineage (bare matrices, `-` marker rows) or
     /// the pair is unmeasured.
     pub origin: Option<Origin>,
     /// The generation that produced this answer.

@@ -36,6 +36,6 @@ pub mod traffic;
 
 pub use control::{CircuitHandle, CircuitStatus, Controller, StreamHandle, StreamStatus};
 pub use directory::{Consensus, RelayDescriptor, RelayFlags};
-pub use metrics::{MeasurementMetrics, MeasurementSnapshot, MetricsSnapshot, RelayMetrics};
+pub use metrics::{MetricsSnapshot, RelayMetrics};
 pub use network::{TorNetwork, TorNetworkBuilder, Vantage};
 pub use relay::{RelayConfig, RelayFaultProfile};

@@ -6,13 +6,6 @@
 //! a consistent [`MetricsSnapshot`] at any time without touching the
 //! simulator. Used by tests to assert on internal behaviour (queue
 //! depths, teardown completeness) without poking at private state.
-//!
-//! The measurement-pipeline counters ([`MeasurementMetrics`],
-//! [`MeasurementSnapshot`]) moved to the `obs` crate when the unified
-//! observability layer landed; they are re-exported here so existing
-//! `tor_sim::...` paths keep working.
-
-pub use obs::{MeasurementMetrics, MeasurementSnapshot};
 
 use std::cell::Cell;
 use std::rc::Rc;

@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example continuous_scanner`
 
 use netsim::{FaultPlan, SimDuration, SimTime};
+use ting::obs::{Obs, ObsConfig};
 use ting::{Scanner, ScannerConfig, Ting, TingConfig};
 use tor_sim::TorNetworkBuilder;
 
@@ -29,7 +30,7 @@ fn main() {
             ..ScannerConfig::default()
         },
     );
-    let ting = Ting::new(TingConfig::fast());
+    let ting = Ting::with_obs(TingConfig::fast(), Obs::new(ObsConfig::Metrics));
 
     println!("scanning {pairs} pairs at ≤20 pairs per 4-hour round:\n");
     println!(
@@ -62,9 +63,12 @@ fn main() {
     println!("(the paper's §4.6 point: infrequent measurement + caching suffices,");
     println!(" because estimates are stable over at least a week)");
 
-    let m = ting.metrics.snapshot();
+    let count = |name| ting.obs().counter_value(name);
     println!(
         "\nresilience counters: circuits_failed={} probes_timed_out={} retries={} pairs_requeued={}",
-        m.circuits_failed, m.probes_timed_out, m.retries, m.pairs_requeued
+        count("ting.error.circuit_build_failed"),
+        count("ting.probe.timeout"),
+        count("ting.retry"),
+        count("ting.pair_requeued")
     );
 }
