@@ -16,13 +16,15 @@
 //! delay story (§3.2, §4.3 of the paper) hinges on the fact that a relay's
 //! per-cell work is dominated by symmetric cryptography — cells here are
 //! genuinely onion-encrypted and decrypted so that cost and correctness
-//! are real, and the Criterion benches measure the real thing. Second,
-//! circuit construction (CREATE2/EXTEND2) only behaves like Tor if key
-//! derivation actually happens per hop.
+//! are real, and the per-layer table of `benchmark/` (`-- trace`) times
+//! each primitive here. Second, circuit construction (CREATE2/EXTEND2)
+//! only behaves like Tor if key derivation actually happens per hop.
 //!
-//! These implementations favour clarity over speed and are **not**
-//! hardened against side channels; they exist to support a measurement
-//! reproduction, not production key handling.
+//! The hashes and the cipher favour clarity over speed; [`mod@x25519`],
+//! which is most of a scan's wall time, is written for speed. None of it
+//! is hardened against side channels — `x25519_base` indexes its table
+//! by digits of the secret scalar — because this crate supports a
+//! measurement reproduction, not production key handling.
 
 pub mod chacha20;
 pub mod hkdf;

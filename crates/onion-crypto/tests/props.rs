@@ -2,9 +2,28 @@
 
 use onion_crypto::{
     chacha20::ChaCha20, client_handshake_finish, client_handshake_start, hkdf, hmac_sha256,
-    server_handshake, sha256, KeyPair, Sha256,
+    server_handshake, sha256, x25519, x25519_base, KeyPair, Sha256,
 };
 use proptest::prelude::*;
+
+/// The X25519 base point, u = 9.
+const BASE_U: [u8; 32] = {
+    let mut u = [0u8; 32];
+    u[0] = 9;
+    u
+};
+
+/// `x25519_base` walks a precomputed table, `x25519` a ladder; on the
+/// base point they must return the same bytes. These fills put the
+/// signed radix-16 digits at their extremes: all zero, −8 in every
+/// place, carries rippling to the top digit.
+#[test]
+fn x25519_base_equals_ladder_on_fill_scalars() {
+    for fill in [0x00u8, 0x08, 0x77, 0x80, 0x88, 0xff] {
+        let k = [fill; 32];
+        assert_eq!(x25519_base(&k), x25519(&k, &BASE_U), "fill {fill:#04x}");
+    }
+}
 
 proptest! {
     #[test]
@@ -95,8 +114,18 @@ proptest! {
         let ka = KeyPair::from_secret(a);
         let kb = KeyPair::from_secret(b);
         prop_assert_eq!(
-            onion_crypto::x25519(&ka.secret, &kb.public),
-            onion_crypto::x25519(&kb.secret, &ka.public)
+            x25519(&ka.secret, &kb.public),
+            x25519(&kb.secret, &ka.public)
         );
+    }
+}
+
+proptest! {
+    // 256 scalars × 64 digits visit every table entry under both signs.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn x25519_base_equals_ladder_on_base_point(k in any::<[u8; 32]>()) {
+        prop_assert_eq!(x25519_base(&k), x25519(&k, &BASE_U));
     }
 }
