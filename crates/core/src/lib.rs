@@ -35,8 +35,9 @@
 //!   import/export, the substrate of every §5 application, plus the
 //!   dense index-addressed [`matrix::RttView`] (and its shared detour
 //!   kernel) that the `oracle` query service reads;
-//! * [`queue`] — the scanner's incrementally maintained work queue
-//!   (replaces the per-round O(n²) priority sweeps);
+//! * [`queue`] — the scanner's pair table (every per-pair fact besides
+//!   the RTT, stored once, laid out like the matrix) and the
+//!   incrementally maintained priority order over it;
 //! * [`parallel`] — the one measurement engine: a poll-driven task per
 //!   vantage under one driver, one lane for the sequential tool and K
 //!   for the §6 scaling step (K pairs in flight in virtual time);

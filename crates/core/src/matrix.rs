@@ -28,6 +28,24 @@ pub struct RttMatrix {
 /// anyway is how corrupt caches are born.
 pub const TSV_MAGIC: &str = "# ting all-pairs rtt matrix v1";
 
+/// A pair in ascending order — the one key order every pair-keyed map
+/// and table in the workspace uses.
+pub fn ordered<T: Ord>(a: T, b: T) -> (T, T) {
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// The slot of pair `(a, b)` in the row-major upper triangle (diagonal
+/// included) over `n` nodes: [`RttMatrix`]'s storage order, and the
+/// index every other per-pair table is laid out by.
+pub fn tri_index(n: usize, a: usize, b: usize) -> usize {
+    let (lo, hi) = ordered(a, b);
+    lo * n - lo * (lo + 1) / 2 + hi
+}
+
 impl RttMatrix {
     /// Creates an empty matrix over `nodes`.
     ///
@@ -68,9 +86,18 @@ impl RttMatrix {
     }
 
     fn tri_index(&self, a: usize, b: usize) -> usize {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        // Upper triangle incl. diagonal, row-major.
-        lo * self.nodes.len() - lo * (lo + 1) / 2 + hi
+        tri_index(self.nodes.len(), a, b)
+    }
+
+    /// Resolves a node to its dense index.
+    pub fn index_of(&self, n: NodeId) -> Option<u32> {
+        self.index.get(&n).map(|&i| i as u32)
+    }
+
+    /// Index-space lookup of an off-diagonal pair (symmetric); `None` =
+    /// unmeasured.
+    pub fn get_idx(&self, i: u32, j: u32) -> Option<f64> {
+        self.rtt_ms[self.tri_index(i as usize, j as usize)]
     }
 
     /// Records a measurement (symmetric).
@@ -127,7 +154,7 @@ impl RttMatrix {
 
     /// Whether every off-diagonal pair is measured.
     pub fn is_complete(&self) -> bool {
-        self.measured_pairs() == self.len() * (self.len() - 1) / 2
+        self.measured_pairs() == self.len() * self.len().saturating_sub(1) / 2
     }
 
     /// The mean measured RTT — the `µ` of deanonymization Algorithm 1
@@ -179,7 +206,7 @@ impl RttMatrix {
     ) -> Result<RttMatrix, TingError> {
         let mut m = RttMatrix::new(nodes);
         let n = m.len();
-        let total = n * (n - 1) / 2;
+        let total = n * n.saturating_sub(1) / 2;
         let mut done = 0;
         for i in 0..n {
             for j in (i + 1)..n {
@@ -408,6 +435,18 @@ mod tests {
         m.set(NodeId(1), NodeId(2), 3.0);
         assert!(m.is_complete());
         assert_eq!(m.mean_rtt_ms(), Some(2.0));
+    }
+
+    #[test]
+    fn empty_matrix_is_complete_and_measures_nothing() {
+        // Regression: both computed `len() * (len() - 1) / 2`, which on
+        // an empty node list is `0usize - 1` — a debug-build panic.
+        assert!(RttMatrix::new(vec![]).is_complete());
+        let mut net = tor_sim::TorNetworkBuilder::testbed(1).build();
+        let ting = Ting::new(crate::orchestrator::TingConfig::fast());
+        let mut calls = 0;
+        let m = RttMatrix::measure(&mut net, vec![], &ting, |_, _| calls += 1).unwrap();
+        assert_eq!((m.measured_pairs(), calls), (0, 0));
     }
 
     #[test]

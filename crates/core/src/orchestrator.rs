@@ -218,13 +218,6 @@ impl Ting {
         }
     }
 
-    /// Replaces the observability handle (e.g. after loading a driver
-    /// from persisted state).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.handles = TingObsHandles::new(&obs);
-        self.obs = obs;
-    }
-
     /// The attached observability handle.
     pub fn obs(&self) -> &Obs {
         &self.obs

@@ -10,7 +10,7 @@
 
 use crate::estimator::TingMeasurement;
 use crate::health::{HealthConfig, HealthEvent, RelayHealth};
-use crate::matrix::RttMatrix;
+use crate::matrix::{ordered, tri_index, RttMatrix};
 use crate::orchestrator::{Ting, TingError};
 use crate::parallel::measure_lanes;
 use crate::queue::WorkQueue;
@@ -18,7 +18,7 @@ use crate::validate::{validate, ValidationConfig, ValidationContext, ValidationE
 use geo::GeoPoint;
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::{Obs, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use tor_sim::TorNetwork;
 
@@ -69,42 +69,36 @@ pub struct RoundReport {
     pub still_pending: usize,
 }
 
-/// Retry bookkeeping for a pair whose measurement failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FailState {
-    /// Consecutive failures so far.
-    attempts: u32,
-    /// The pair is not eligible again before this instant.
-    next_attempt_at: SimTime,
+/// One cached estimate with its provenance, as [`Scanner::measurements`]
+/// reads it out of the matrix and the pair table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Measurement {
+    pub(crate) a: NodeId,
+    pub(crate) b: NodeId,
+    pub(crate) rtt_ms: f64,
+    pub(crate) at: SimTime,
+    /// The scan round that accepted it; 0 means "unknown".
+    pub(crate) round: u64,
 }
 
 /// A caching, prioritizing all-pairs scanner.
 pub struct Scanner {
     config: ScannerConfig,
+    /// The cached RTTs, and the one `NodeId → index` map.
     matrix: RttMatrix,
-    measured_at: HashMap<(NodeId, NodeId), SimTime>,
     /// Scan rounds completed-or-started over this scanner's lifetime
     /// (checkpointed, so round numbers stay stable across restarts).
     /// 1-based: the first round is round 1; 0 means "no round yet".
     rounds_run: u64,
-    /// The round (value of `rounds_run`) in which each cached estimate
-    /// was accepted — the scanner half of a measurement's lineage.
-    /// Round 0 means "unknown".
-    measured_round: HashMap<(NodeId, NodeId), u64>,
-    /// Pairs under failure backoff.
-    pending_retry: HashMap<(NodeId, NodeId), FailState>,
-    /// Incremental priority structure mirroring `measured_at` +
-    /// `pending_retry`; replaces the per-round O(n²) sweeps.
+    /// Every other per-pair fact — measurement instant, round of
+    /// record, retry state, scope — in the queue's pair table, laid out
+    /// like the matrix, plus the priority order over it.
     queue: WorkQueue,
     /// Per-relay health model, present iff `config.health` is.
     health: Option<RelayHealth>,
     /// Node geolocations for the lightspeed validation bound (see
     /// [`Scanner::load_locations`]); pairs without locations skip it.
     locations: HashMap<NodeId, GeoPoint>,
-    /// When set, only these pairs are scheduled — the rest are retired
-    /// from the queue (see [`Scanner::restrict_to`]). `None` means the
-    /// scanner owns the whole matrix, the pre-shard behaviour.
-    scope: Option<HashSet<(NodeId, NodeId)>>,
 }
 
 impl Scanner {
@@ -118,16 +112,24 @@ impl Scanner {
     fn try_new(nodes: Vec<NodeId>, config: ScannerConfig) -> Result<Scanner, String> {
         Ok(Scanner {
             config,
-            matrix: RttMatrix::try_new(nodes.clone())?,
-            measured_at: HashMap::new(),
+            queue: WorkQueue::new(nodes.len(), config.staleness),
+            matrix: RttMatrix::try_new(nodes)?,
             rounds_run: 0,
-            measured_round: HashMap::new(),
-            pending_retry: HashMap::new(),
-            queue: WorkQueue::new(nodes, config.staleness),
             health: config.health.map(RelayHealth::new),
             locations: HashMap::new(),
-            scope: None,
         })
+    }
+
+    /// The pair's indices into the node list, lower first; `None` when
+    /// either node is not scanned.
+    fn pair(&self, a: NodeId, b: NodeId) -> Option<(u32, u32)> {
+        Some(ordered(self.matrix.index_of(a)?, self.matrix.index_of(b)?))
+    }
+
+    /// [`Scanner::pair`] for the pairs the scanner itself planned.
+    fn planned_pair(&self, a: NodeId, b: NodeId) -> (u32, u32) {
+        self.pair(a, b)
+            .unwrap_or_else(|| panic!("pair ({}, {}) is not scanned", a.0, b.0))
     }
 
     /// Restricts the scanner to `owned` pairs, permanently retiring
@@ -143,21 +145,20 @@ impl Scanner {
     /// [`Scanner::from_checkpoint`], as [`crate::shard::Supervisor`]
     /// does on every shard restart.
     pub fn restrict_to(&mut self, owned: &[(NodeId, NodeId)]) {
-        let owned: HashSet<(NodeId, NodeId)> = owned.iter().map(|&(a, b)| key(a, b)).collect();
-        let nodes = self.matrix.nodes().to_vec();
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                if !owned.contains(&key(a, b)) {
-                    self.queue.retire(a, b);
+        let n = self.matrix.len();
+        let mut keep = vec![false; n * (n + 1) / 2];
+        for &(a, b) in owned {
+            if let Some((i, j)) = self.pair(a, b) {
+                keep[tri_index(n, i as usize, j as usize)] = true;
+            }
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                if !keep[tri_index(n, i, j)] {
+                    self.queue.retire(i as u32, j as u32);
                 }
             }
         }
-        self.scope = Some(owned);
-    }
-
-    /// The restricted pair scope, if any.
-    pub fn scope(&self) -> Option<&HashSet<(NodeId, NodeId)>> {
-        self.scope.as_ref()
     }
 
     /// The current cached dataset.
@@ -192,13 +193,16 @@ impl Scanner {
 
     /// When `pair` was last measured, if ever.
     pub fn measured_at(&self, a: NodeId, b: NodeId) -> Option<SimTime> {
-        self.measured_at.get(&key(a, b)).copied()
+        let (i, j) = self.pair(a, b)?;
+        self.queue.record(i, j).measured_at
     }
 
     /// The scan round in which `pair`'s cached estimate was accepted,
     /// if the pair has one. Round 0 means "unknown".
     pub fn measured_round(&self, a: NodeId, b: NodeId) -> Option<u64> {
-        self.measured_round.get(&key(a, b)).copied()
+        let (i, j) = self.pair(a, b)?;
+        let rec = self.queue.record(i, j);
+        rec.measured_at.map(|_| rec.round)
     }
 
     /// Scan rounds run over this scanner's lifetime (checkpointed).
@@ -209,51 +213,30 @@ impl Scanner {
     /// Failure-backoff state for a pair: `(consecutive failures,
     /// eligible-again instant)`, if the pair is being backed off.
     pub fn retry_state(&self, a: NodeId, b: NodeId) -> Option<(u32, SimTime)> {
-        self.pending_retry
-            .get(&key(a, b))
-            .map(|f| (f.attempts, f.next_attempt_at))
+        let (i, j) = self.pair(a, b)?;
+        let rec = self.queue.record(i, j);
+        (rec.attempts > 0).then_some((rec.attempts, rec.retry_at))
     }
 
-    /// Pairs the scanner would measure next, most urgent first:
-    /// never-measured pairs, then stale ones, oldest first. Pairs whose
-    /// failure backoff has not expired are withheld.
-    ///
-    /// This is the original O(n²) full sweep, kept as the executable
-    /// specification of the priority order. The scan loop itself plans
-    /// through the incremental [`WorkQueue`] instead; a property test
-    /// replays randomized histories against both to keep them
-    /// bit-equal.
-    pub fn plan_round(&self, now: SimTime) -> Vec<(NodeId, NodeId)> {
-        let nodes = self.matrix.nodes().to_vec();
-        let mut unmeasured = Vec::new();
-        let mut stale: Vec<((NodeId, NodeId), SimTime)> = Vec::new();
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                let k = key(a, b);
-                if self.scope.as_ref().is_some_and(|s| !s.contains(&k)) {
-                    continue; // owned by another shard
-                }
-                if let Some(f) = self.pending_retry.get(&k) {
-                    if now < f.next_attempt_at {
-                        continue; // backing off
-                    }
-                }
-                match self.measured_at.get(&k) {
-                    None => unmeasured.push((a, b)),
-                    Some(&t) => {
-                        if now.since(t) >= self.config.staleness {
-                            stale.push(((a, b), t));
-                        }
-                    }
-                }
-            }
-        }
-        stale.sort_by_key(|&(_, t)| t);
-        unmeasured
-            .into_iter()
-            .chain(stale.into_iter().map(|(p, _)| p))
-            .take(self.config.pairs_per_round)
-            .collect()
+    /// Every cached estimate in pair-index order, each numbered by its
+    /// pair's position in that order — the number
+    /// [`crate::shard::partition_pairs`] deals pairs to shards by.
+    pub(crate) fn measurements(&self) -> impl Iterator<Item = (usize, Measurement)> + '_ {
+        let nodes = self.matrix.nodes();
+        self.queue
+            .records()
+            .enumerate()
+            .filter_map(move |(ordinal, ((i, j), rec))| {
+                let at = rec.measured_at?;
+                let m = Measurement {
+                    a: nodes[i as usize],
+                    b: nodes[j as usize],
+                    rtt_ms: self.matrix.get_idx(i, j)?,
+                    at,
+                    round: rec.round,
+                };
+                Some((ordinal, m))
+            })
     }
 
     /// The backoff pause after the `attempts`-th consecutive failure.
@@ -327,10 +310,8 @@ impl Scanner {
             }
         }
         self.matrix.set(a, b, est);
-        self.measured_at.insert(key(a, b), now);
-        self.measured_round.insert(key(a, b), self.rounds_run);
-        self.pending_retry.remove(&key(a, b));
-        self.queue.on_measured(a, b, now);
+        let (i, j) = self.planned_pair(a, b);
+        self.queue.on_measured(i, j, now, self.rounds_run);
         true
     }
 
@@ -376,9 +357,8 @@ impl Scanner {
             _ => None,
         };
         let fresh_cached_ms = self
-            .measured_at
-            .get(&key(a, b))
-            .filter(|&&t| now.since(t) < self.config.staleness)
+            .measured_at(a, b)
+            .filter(|&t| now.since(t) < self.config.staleness)
             .and_then(|_| self.matrix.get(a, b));
         let best_detour_ms = self
             .matrix
@@ -390,7 +370,7 @@ impl Scanner {
         ValidationContext {
             distance_km,
             fresh_cached_ms,
-            confirming_retry: self.pending_retry.contains_key(&key(a, b)),
+            confirming_retry: self.retry_state(a, b).is_some(),
             best_detour_ms,
         }
     }
@@ -403,7 +383,9 @@ impl Scanner {
         };
         match h.record(node, success, now) {
             Some(HealthEvent::Quarantined(n)) => {
-                self.queue.quarantine(n);
+                if let Some(i) = self.matrix.index_of(n) {
+                    self.queue.quarantine(i);
+                }
                 ting.obs().inc("ting.health.quarantined");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -414,7 +396,9 @@ impl Scanner {
                 }
             }
             Some(HealthEvent::Released(n)) => {
-                self.queue.release(n);
+                if let Some(i) = self.matrix.index_of(n) {
+                    self.queue.release(i);
+                }
                 ting.obs().inc("ting.health.released.probation");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -478,10 +462,13 @@ impl Scanner {
     /// ordinary queue plan.
     fn plan_round_healthy(&mut self, now: SimTime, ting: &Ting) -> Vec<(NodeId, NodeId)> {
         let cap = self.config.pairs_per_round;
+        let nodes = self.matrix.nodes();
         let mut plan = Vec::new();
         if let Some(h) = self.health.as_mut() {
             for n in h.release_by_decay(now) {
-                self.queue.release(n);
+                if let Some(i) = self.matrix.index_of(n) {
+                    self.queue.release(i);
+                }
                 ting.obs().inc("ting.health.released.decay");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -501,7 +488,11 @@ impl Scanner {
                 // Even with no probe partner available, the attempt
                 // counts: the next probe waits a full interval.
                 h.probe_scheduled(n, now);
-                if let Some((a, b)) = self.queue.probe_pair(n) {
+                let probe = self
+                    .matrix
+                    .index_of(n)
+                    .and_then(|i| self.queue.probe_pair(i));
+                if let Some((a, b)) = probe.map(|(i, j)| (nodes[i as usize], nodes[j as usize])) {
                     ting.obs().inc("ting.health.probation_probe");
                     if ting.obs().is_tracing() {
                         ting.obs().event(
@@ -519,22 +510,20 @@ impl Scanner {
             }
         }
         let remaining = cap.saturating_sub(plan.len());
-        plan.extend(self.queue.plan(now, remaining));
+        let planned = self.queue.plan(now, remaining);
+        plan.extend(
+            planned
+                .into_iter()
+                .map(|(i, j)| (nodes[i as usize], nodes[j as usize])),
+        );
         plan
     }
 
     /// Re-queues a failed pair under exponential backoff.
     fn record_failure(&mut self, a: NodeId, b: NodeId, now: SimTime, ting: &Ting) {
-        let attempts = self.pending_retry.get(&key(a, b)).map_or(0, |f| f.attempts) + 1;
-        let next_attempt_at = now + self.backoff(attempts);
-        self.pending_retry.insert(
-            key(a, b),
-            FailState {
-                attempts,
-                next_attempt_at,
-            },
-        );
-        self.queue.on_failed(a, b, next_attempt_at);
+        let (i, j) = self.planned_pair(a, b);
+        let attempts = self.queue.record(i, j).attempts + 1;
+        self.queue.on_failed(i, j, now + self.backoff(attempts));
         ting.obs().inc("ting.pair_requeued");
     }
 
@@ -545,8 +534,7 @@ impl Scanner {
     /// poisoning the cache or hot-looping on a dead relay.
     ///
     /// Planning and reporting both come from the incremental work
-    /// queue — one O(round · log n) plan per round instead of the two
-    /// O(n²) sweeps the scanner used to pay — and
+    /// queue — one O(round · log n) plan per round — and
     /// [`RoundReport::still_pending`] is the *true* backlog, not capped
     /// at [`ScannerConfig::pairs_per_round`].
     pub fn run_round(&mut self, net: &mut TorNetwork, ting: &Ting) -> RoundReport {
@@ -699,32 +687,28 @@ impl Scanner {
         }
         out.push('\n');
         let _ = writeln!(out, "# rounds: {}", self.rounds_run);
-        for (a, b, rtt) in self.matrix.pairs() {
-            let t = self.measured_at[&key(a, b)];
-            let round = self.measured_round.get(&key(a, b)).copied().unwrap_or(0);
+        for (_, m) in self.measurements() {
             let _ = writeln!(
                 out,
                 "m\t{}\t{}\t{}\t{}\t{}",
-                a.0,
-                b.0,
-                rtt,
-                t.as_nanos(),
-                round
+                m.a.0,
+                m.b.0,
+                m.rtt_ms,
+                m.at.as_nanos(),
+                m.round
             );
         }
         let nodes = self.matrix.nodes();
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                if let Some(f) = self.pending_retry.get(&key(a, b)) {
-                    let _ = writeln!(
-                        out,
-                        "f\t{}\t{}\t{}\t{}",
-                        a.0,
-                        b.0,
-                        f.attempts,
-                        f.next_attempt_at.as_nanos()
-                    );
-                }
+        for ((i, j), rec) in self.queue.records() {
+            if rec.attempts > 0 {
+                let _ = writeln!(
+                    out,
+                    "f\t{}\t{}\t{}\t{}",
+                    nodes[i as usize].0,
+                    nodes[j as usize].0,
+                    rec.attempts,
+                    rec.retry_at.as_nanos()
+                );
             }
         }
         if let Some(h) = &self.health {
@@ -793,9 +777,6 @@ impl Scanner {
                 other => return Err(format!("unknown config key {other:?}")),
             }
         }
-        // The matrix and the work queue index by node id, so a row is
-        // only good if the document's own node list has its nodes.
-        let known: HashSet<NodeId> = nodes.iter().copied().collect();
         let mut scanner = Scanner::try_new(nodes, config).map_err(|e| format!("line 2: {e}"))?;
         for (lineno, line) in lines.enumerate() {
             if let Some(r) = line.strip_prefix("# rounds:") {
@@ -811,27 +792,31 @@ impl Scanner {
             let err = |msg: &str| format!("line {}: {msg}", lineno + 4);
             let mut f = line.split('\t');
             let tag = f.next().ok_or_else(|| err("empty"))?;
-            let node = |field: Option<&str>, which: &str| {
+            // The matrix and the pair table are laid out by the
+            // document's own node list, so a row is only good if that
+            // list has its nodes.
+            let matrix = &scanner.matrix;
+            let node = |field: Option<&str>, which: &str| -> Result<(NodeId, u32), String> {
                 let id = field
                     .and_then(|t| t.parse().ok())
                     .map(NodeId)
                     .ok_or_else(|| err(&format!("bad node {which}")))?;
-                if !known.contains(&id) {
-                    return Err(err(&format!("unknown node {}", id.0)));
-                }
-                Ok(id)
+                let index = matrix
+                    .index_of(id)
+                    .ok_or_else(|| err(&format!("unknown node {}", id.0)))?;
+                Ok((id, index))
             };
-            let a = node(f.next(), "a")?;
+            let (a, i) = node(f.next(), "a")?;
             let other = |field: Option<&str>| {
-                let b = node(field, "b")?;
+                let (b, j) = node(field, "b")?;
                 if a == b {
                     return Err(err("pair of a node with itself"));
                 }
-                Ok(b)
+                Ok((b, j))
             };
             match tag {
                 "m" => {
-                    let b = other(f.next())?;
+                    let (b, j) = other(f.next())?;
                     let rtt: f64 = f
                         .next()
                         .and_then(|t| t.parse().ok())
@@ -845,28 +830,25 @@ impl Scanner {
                         .and_then(|t| t.parse().ok())
                         .ok_or_else(|| err("bad round"))?;
                     scanner.matrix.try_set(a, b, rtt).map_err(|e| err(&e))?;
-                    scanner
-                        .measured_at
-                        .insert(key(a, b), SimTime::ZERO + SimDuration::from_nanos(t_ns));
-                    scanner.measured_round.insert(key(a, b), round);
+                    let rec = scanner.queue.record_mut(i, j);
+                    rec.measured_at = Some(SimTime::ZERO + SimDuration::from_nanos(t_ns));
+                    rec.round = round;
                 }
                 "f" => {
-                    let b = other(f.next())?;
+                    let (_, j) = other(f.next())?;
+                    // A pair under backoff has failed at least once.
                     let attempts: u32 = f
                         .next()
                         .and_then(|t| t.parse().ok())
+                        .filter(|&attempts| attempts > 0)
                         .ok_or_else(|| err("bad attempts"))?;
                     let next_ns: u64 = f
                         .next()
                         .and_then(|t| t.parse().ok())
                         .ok_or_else(|| err("bad next-attempt time"))?;
-                    scanner.pending_retry.insert(
-                        key(a, b),
-                        FailState {
-                            attempts,
-                            next_attempt_at: SimTime::ZERO + SimDuration::from_nanos(next_ns),
-                        },
-                    );
+                    let rec = scanner.queue.record_mut(i, j);
+                    rec.attempts = attempts;
+                    rec.retry_at = SimTime::ZERO + SimDuration::from_nanos(next_ns);
                 }
                 "h" => {
                     let score: f64 = f
@@ -905,33 +887,19 @@ impl Scanner {
                 other => return Err(err(&format!("unknown tag {other:?}"))),
             }
         }
-        // Rebuild the incremental queue from the parsed maps. Successes
-        // first so a subsequent failure keeps the pair's measurement
-        // history through its backoff; quarantines last so they park
-        // pairs whose state is already current.
-        let measured: Vec<_> = scanner
-            .measured_at
-            .iter()
-            .map(|(&(a, b), &t)| (a, b, t))
-            .collect();
-        for (a, b, t) in measured {
-            scanner.queue.on_measured(a, b, t);
-        }
-        let failed: Vec<_> = scanner
-            .pending_retry
-            .iter()
-            .map(|(&(a, b), f)| (a, b, f.next_attempt_at))
-            .collect();
-        for (a, b, until) in failed {
-            scanner.queue.on_failed(a, b, until);
-        }
+        // Re-derive the priority order from the records just filled
+        // in; quarantines last, so they park pairs already in place.
+        scanner.queue.rebuild();
         let quarantined = scanner
             .health
             .as_ref()
             .map(|h| h.quarantined_nodes())
             .unwrap_or_default();
-        for n in quarantined {
-            scanner.queue.quarantine(n);
+        for i in quarantined
+            .into_iter()
+            .filter_map(|n| scanner.matrix.index_of(n))
+        {
+            scanner.queue.quarantine(i);
         }
         Ok(scanner)
     }
@@ -1008,14 +976,6 @@ impl Scanner {
 /// and written.
 const CHECKPOINT_MAGIC: &str = "# ting scan checkpoint v3";
 
-fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 /// The health sub-config a `health_*` checkpoint key writes into;
 /// `health=1` must precede it in the config line.
 fn health_cfg<'a>(c: &'a mut ScannerConfig, k: &str) -> Result<&'a mut HealthConfig, String> {
@@ -1072,8 +1032,10 @@ mod tests {
         let (mut net, mut scanner, ting) = setup(30);
         scanner.run_round(&mut net, &ting);
         assert!(scanner.matrix().is_complete());
-        // Immediately afterwards nothing is stale.
-        assert!(scanner.plan_round(net.sim.now()).is_empty());
+        // Immediately afterwards nothing is stale: the next round has
+        // nothing to do.
+        let idle = scanner.run_round(&mut net, &ting);
+        assert_eq!((idle.measured, idle.failed, idle.still_pending), (0, 0, 0));
     }
 
     #[test]
@@ -1089,8 +1051,9 @@ mod tests {
         // ordered oldest-first.
         let later = netsim::SimTime::ZERO + netsim::SimDuration::from_hours(48);
         net.sim.advance_to(later);
-        let plan = scanner.plan_round(net.sim.now());
-        assert!(!plan.is_empty());
+        let plan = scanner.queue.plan(net.sim.now(), 30);
+        assert_eq!(plan.len(), 28);
+        assert_eq!(plan[0], (0, 1), "the first pair measured is the oldest");
         scanner.run_round(&mut net, &ting);
         let t1 = scanner.measured_at(first_pair.0, first_pair.1).unwrap();
         assert!(t1 > t0, "stale pair not refreshed");
@@ -1102,22 +1065,21 @@ mod tests {
         // Measure 27 of 28 pairs; age them; the unmeasured pair must
         // come first in the next plan.
         scanner.run_round(&mut net, &ting);
-        let plan_before = scanner.plan_round(net.sim.now());
+        let plan_before = scanner.queue.plan(net.sim.now(), 27);
         assert_eq!(plan_before.len(), 1, "one pair left unmeasured");
         let missing = plan_before[0];
         net.sim
             .advance_to(netsim::SimTime::ZERO + netsim::SimDuration::from_hours(48));
-        let plan = scanner.plan_round(net.sim.now());
+        let plan = scanner.queue.plan(net.sim.now(), 27);
+        assert_eq!(plan.len(), 27);
         assert_eq!(plan[0], missing);
     }
 
     #[test]
     fn still_pending_reports_true_backlog_beyond_round_cap() {
         let (mut net, mut scanner, ting) = setup(5);
-        // 8 nodes → 28 pairs, 5 measured per round. The old report
-        // derived `still_pending` from a second `plan_round` sweep,
-        // which capped it at `pairs_per_round`; it must be the true
-        // backlog.
+        // 8 nodes → 28 pairs, 5 measured per round: `still_pending`
+        // is the true backlog, not capped at `pairs_per_round`.
         let r = scanner.run_round(&mut net, &ting);
         assert_eq!(r.measured, 5);
         assert_eq!(r.still_pending, 23);
@@ -1150,8 +1112,8 @@ mod tests {
         let (attempts, next_at) = scanner.retry_state(NodeId(1), NodeId(2)).unwrap();
         assert_eq!(attempts, 1);
         assert!(next_at > now);
-        assert!(scanner.plan_round(now).is_empty());
-        assert_eq!(scanner.plan_round(next_at), vec![(NodeId(1), NodeId(2))]);
+        assert!(scanner.queue.plan(now, 50).is_empty());
+        assert_eq!(scanner.queue.plan(next_at, 50), vec![(0, 1)]);
         // A plausible re-measurement is accepted and clears the backoff.
         assert!(scanner.record_success(NodeId(1), NodeId(2), &sampled(50.0, 20.0), next_at, &ting));
         assert_eq!(scanner.matrix().get(NodeId(1), NodeId(2)), Some(30.0));

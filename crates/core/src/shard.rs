@@ -31,6 +31,7 @@
 //! [`Scanner`] — both properties are tested in
 //! `crates/core/tests/shard_scan.rs`.
 
+use crate::matrix::ordered;
 use crate::orchestrator::{Ting, TingConfig};
 use crate::scanner::{RoundReport, Scanner, ScannerConfig};
 use netsim::{NodeId, SimDuration, SimTime};
@@ -52,14 +53,21 @@ use tor_sim::TorNetwork;
 pub fn partition_pairs(nodes: &[NodeId], shards: usize) -> Vec<Vec<(NodeId, NodeId)>> {
     assert!(shards > 0, "shard count must be positive");
     let mut owned = vec![Vec::new(); shards];
-    let mut p = 0usize;
+    let mut ordinal = 0usize;
     for (i, &a) in nodes.iter().enumerate() {
         for &b in &nodes[i + 1..] {
-            owned[p % shards].push((a, b));
-            p += 1;
+            owned[owner(ordinal, shards)].push((a, b));
+            ordinal += 1;
         }
     }
     owned
+}
+
+/// The shard [`partition_pairs`] deals the `ordinal`-th pair in
+/// `(i, j)` index order to — what lets a walk over a scanner's pair
+/// table (same order) tell ownership without a lookup.
+fn owner(ordinal: usize, shards: usize) -> usize {
+    ordinal % shards
 }
 
 /// Supervision policy.
@@ -180,6 +188,37 @@ pub struct ShardCoverage {
     /// Oldest / newest measurement timestamp among covered pairs.
     pub oldest_ns: Option<u64>,
     pub newest_ns: Option<u64>,
+}
+
+impl ShardCoverage {
+    /// The row of a shard that owns `owned` pairs, none covered yet.
+    pub fn new(shard: u32, status: &'static str, owned: usize) -> ShardCoverage {
+        ShardCoverage {
+            shard,
+            status,
+            owned,
+            covered: 0,
+            stale: 0,
+            uncovered: owned,
+            oldest_ns: None,
+            newest_ns: None,
+        }
+    }
+
+    /// Counts one owned pair as covered by an estimate measured at `t`,
+    /// judged against the `staleness` horizon at `now`. The offline
+    /// merge and the live pipeline both tally through here — their
+    /// coverage rows must agree byte for byte.
+    pub fn cover(&mut self, t: SimTime, now: SimTime, staleness: SimDuration) {
+        self.covered += 1;
+        self.uncovered -= 1;
+        if now.since(t) >= staleness {
+            self.stale += 1;
+        }
+        let t_ns = t.as_nanos();
+        self.oldest_ns = Some(self.oldest_ns.map_or(t_ns, |o| o.min(t_ns)));
+        self.newest_ns = Some(self.newest_ns.map_or(t_ns, |n| n.max(t_ns)));
+    }
 }
 
 /// The deterministic reduction over shard checkpoints.
@@ -332,6 +371,24 @@ pub struct MergedDocument {
     pub shards: Vec<ShardCoverage>,
     /// The merge instant staleness was judged against.
     pub now_ns: u64,
+}
+
+/// A parsed document is the outcome it was rendered from: rendering it
+/// again reproduces the document byte for byte.
+impl From<MergedDocument> for MergeOutcome {
+    fn from(doc: MergedDocument) -> MergeOutcome {
+        MergeOutcome {
+            matrix: doc.matrix,
+            measured_at: doc
+                .measured_at_ns
+                .into_iter()
+                .map(|(pair, t_ns)| (pair, SimTime(t_ns)))
+                .collect(),
+            lineage: doc.lineage,
+            shards: doc.shards,
+            now: SimTime(doc.now_ns),
+        }
+    }
 }
 
 /// Parses a CRC-sealed merged-matrix document. Refuses corrupt seals,
@@ -501,47 +558,23 @@ pub fn merge_checkpoints(
         }
     }
     let staleness = parsed[0].config().staleness;
-    let owned = partition_pairs(&nodes, sorted.len());
+    let count = sorted.len();
+    let total = nodes.len() * nodes.len().saturating_sub(1) / 2;
     let mut matrix = crate::matrix::RttMatrix::new(nodes);
     let mut measured_at = HashMap::new();
     let mut lineage = HashMap::new();
-    let mut shards = Vec::with_capacity(sorted.len());
-    for ((e, s), owned) in sorted.iter().zip(&parsed).zip(&owned) {
-        let mut covered = 0;
-        let mut stale = 0;
-        let mut oldest: Option<u64> = None;
-        let mut newest: Option<u64> = None;
-        for &(a, b) in owned {
-            let (Some(rtt), Some(t)) = (s.matrix().get(a, b), s.measured_at(a, b)) else {
-                continue;
-            };
-            matrix.set(a, b, rtt);
-            measured_at.insert(ordered(a, b), t);
-            lineage.insert(
-                ordered(a, b),
-                Lineage {
-                    shard: e.0,
-                    round: s.measured_round(a, b).unwrap_or(0),
-                },
-            );
-            covered += 1;
-            if now.since(t) >= staleness {
-                stale += 1;
-            }
-            let t_ns = t.as_nanos();
-            oldest = Some(oldest.map_or(t_ns, |o| o.min(t_ns)));
-            newest = Some(newest.map_or(t_ns, |n| n.max(t_ns)));
+    let mut shards = Vec::with_capacity(count);
+    for (k, (e, s)) in sorted.iter().zip(&parsed).enumerate() {
+        let owned = (0..total).filter(|&p| owner(p, count) == k).count();
+        let mut coverage = ShardCoverage::new(e.0, e.1, owned);
+        for (_, m) in s.measurements().filter(|&(p, _)| owner(p, count) == k) {
+            matrix.set(m.a, m.b, m.rtt_ms);
+            measured_at.insert(ordered(m.a, m.b), m.at);
+            let round = m.round;
+            lineage.insert(ordered(m.a, m.b), Lineage { shard: e.0, round });
+            coverage.cover(m.at, now, staleness);
         }
-        shards.push(ShardCoverage {
-            shard: e.0,
-            status: e.1,
-            owned: owned.len(),
-            covered,
-            stale,
-            uncovered: owned.len() - covered,
-            oldest_ns: oldest,
-            newest_ns: newest,
-        });
+        shards.push(coverage);
     }
     Ok(MergeOutcome {
         matrix,
@@ -994,12 +1027,13 @@ impl Supervisor {
     pub fn take_delta(&mut self, now: SimTime) -> MergeDelta {
         self.delta_seq += 1;
         let mut pairs = Vec::new();
-        let mut statuses = Vec::with_capacity(self.slots.len());
+        let count = self.slots.len();
+        let mut statuses = Vec::with_capacity(count);
         for slot in &mut self.slots {
             statuses.push(slot.status.tag());
             match &slot.scanner {
                 Some(s) => {
-                    emit_since(s, slot.id, &slot.owned, slot.delta_mark, &mut pairs);
+                    emit_since(s, slot.id, count, slot.delta_mark, &mut pairs);
                     slot.delta_mark = Some(now);
                 }
                 None => {
@@ -1010,7 +1044,7 @@ impl Supervisor {
                     // A refused checkpoint contributes nothing here;
                     // restore() handles (and traces) the corruption.
                     if let Ok(s) = Scanner::from_checkpoint(&slot.checkpoint) {
-                        emit_since(&s, slot.id, &slot.owned, slot.delta_mark, &mut pairs);
+                        emit_since(&s, slot.id, count, slot.delta_mark, &mut pairs);
                     }
                 }
             }
@@ -1043,46 +1077,36 @@ impl Supervisor {
     }
 }
 
-/// Pushes every owned pair with a measurement at or after `mark` (all
-/// of them when `mark` is `None`) onto `out`, in partition order, each
-/// stamped with the owning shard and the scanner's round of record.
+/// Pushes every pair shard `shard` of `shards` owns with a measurement
+/// at or after `mark` (all of them when `mark` is `None`) onto `out`,
+/// in partition order, each stamped with the owning shard and the
+/// scanner's round of record.
 fn emit_since(
     s: &Scanner,
     shard: u32,
-    owned: &[(NodeId, NodeId)],
+    shards: usize,
     mark: Option<SimTime>,
     out: &mut Vec<DeltaPair>,
 ) {
-    for &(a, b) in owned {
-        let (Some(rtt), Some(t)) = (s.matrix().get(a, b), s.measured_at(a, b)) else {
-            continue;
-        };
-        if mark.is_none_or(|m| t >= m) {
-            out.push(DeltaPair {
-                a,
-                b,
-                rtt_ms: rtt,
-                measured_at: t,
+    out.extend(
+        s.measurements()
+            .filter(|&(p, m)| owner(p, shards) == shard as usize && mark.is_none_or(|k| m.at >= k))
+            .map(|(_, m)| DeltaPair {
+                a: m.a,
+                b: m.b,
+                rtt_ms: m.rtt_ms,
+                measured_at: m.at,
                 lineage: Lineage {
                     shard,
-                    round: s.measured_round(a, b).unwrap_or(0),
+                    round: m.round,
                 },
-            });
-        }
-    }
+            }),
+    );
 }
 
 /// Shard `id`'s checkpoint file under `dir`.
 pub fn shard_path(dir: &Path, id: u32) -> PathBuf {
     dir.join(format!("shard-{id}.ckpt"))
-}
-
-fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
 }
 
 #[cfg(test)]
@@ -1146,19 +1170,7 @@ mod tests {
         );
         assert_eq!(parsed.lineage.get(&(NodeId(1), NodeId(2))), None);
         // Re-rendering the parsed state is a byte-identical fixed point.
-        let again = MergeOutcome {
-            matrix: parsed.matrix.clone(),
-            measured_at: parsed
-                .measured_at_ns
-                .iter()
-                .map(|(&k, &v)| (k, SimTime(v)))
-                .collect(),
-            lineage: parsed.lineage.clone(),
-            shards: parsed.shards.clone(),
-            now: SimTime(parsed.now_ns),
-        }
-        .to_document();
-        assert_eq!(again, doc);
+        assert_eq!(MergeOutcome::from(parsed).to_document(), doc);
     }
 
     #[test]

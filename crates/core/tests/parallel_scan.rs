@@ -1,13 +1,14 @@
 //! Tests for the multi-vantage parallel scanner: the incremental work
-//! queue is held to bit-equality with the O(n²) reference planner over
-//! randomized histories, single-lane scans — `run_round`, and
-//! `run_round_parallel` at `K = 1` — are held to the bytes the blocking
-//! sequential engine produced before the engines merged, and `K = 4`
-//! must actually halve the virtual time of a full all-pairs scan.
+//! queue is held to bit-equality with the O(n²) reference planner
+//! (defined here) over randomized histories, single-lane scans —
+//! `run_round`, and `run_round_parallel` at `K = 1` — are held to the
+//! bytes the blocking sequential engine produced before the engines
+//! merged, and `K = 4` must actually halve the virtual time of a full
+//! all-pairs scan.
 
 use netsim::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use ting::checkpoint::crc32;
 use ting::obs::{Obs, ObsConfig};
 use ting::{
@@ -21,33 +22,49 @@ fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
 }
 
-/// Renders a checkpoint for a scanner whose final state is `measured`
-/// (pair → measurement time, seconds) and `failed` (pair → backoff
-/// deadline, seconds), so the O(n²) `plan_round` reference can be
-/// queried against an arbitrary history's end state.
-fn checkpoint(
-    nodes: u32,
-    pairs_per_round: usize,
-    measured: &BTreeMap<(u32, u32), u64>,
-    failed: &BTreeMap<(u32, u32), u64>,
-) -> String {
-    let mut out = String::from("# ting scan checkpoint v3\n# nodes:");
-    for i in 0..nodes {
-        out.push_str(&format!(" {i}"));
+/// The shadow state the reference planner reads: what a history did to
+/// each pair and relay, in plain maps with the scanner's record
+/// semantics.
+#[derive(Default)]
+struct Shadow {
+    /// Pair → last successful measurement (seconds).
+    measured: BTreeMap<(u32, u32), u64>,
+    /// Pair → backoff deadline (seconds) of its pending retry.
+    failed: BTreeMap<(u32, u32), u64>,
+    /// Pairs retired out of scope, for good.
+    retired: BTreeSet<(u32, u32)>,
+    /// Relays currently quarantined.
+    quarantined: BTreeSet<u32>,
+}
+
+/// The executable specification of the scan priority order: one O(n²)
+/// sweep over every pair. Never-measured pairs first in index order,
+/// then stale ones oldest first (ties in index order); pairs out of
+/// scope, touching a quarantined relay, or inside a failure backoff are
+/// withheld.
+fn reference_plan(n: u32, limit: usize, now_s: u64, shadow: &Shadow) -> Vec<(u32, u32)> {
+    let mut unmeasured = Vec::new();
+    let mut stale = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            let parked = shadow.quarantined.contains(&i) || shadow.quarantined.contains(&j);
+            let backing_off = shadow
+                .failed
+                .get(&(i, j))
+                .is_some_and(|&until| now_s < until);
+            if shadow.retired.contains(&(i, j)) || parked || backing_off {
+                continue;
+            }
+            match shadow.measured.get(&(i, j)) {
+                None => unmeasured.push((i, j)),
+                Some(&at) if now_s.saturating_sub(at) >= STALENESS_S => stale.push((at, (i, j))),
+                Some(_) => {}
+            }
+        }
     }
-    out.push('\n');
-    out.push_str(&format!(
-        "# config: staleness_ns={} pairs_per_round={pairs_per_round} \
-         retry_backoff_ns=1000000000 retry_backoff_cap_ns=2000000000\n",
-        STALENESS_S * 1_000_000_000
-    ));
-    for (&(a, b), &t_s) in measured {
-        out.push_str(&format!("m\t{a}\t{b}\t10\t{}\t1\n", t_s * 1_000_000_000));
-    }
-    for (&(a, b), &until_s) in failed {
-        out.push_str(&format!("f\t{a}\t{b}\t1\t{}\n", until_s * 1_000_000_000));
-    }
-    ting::checkpoint::seal(out)
+    stale.sort_by_key(|&(at, _)| at);
+    let stale = stale.into_iter().map(|(_, pair)| pair);
+    unmeasured.into_iter().chain(stale).take(limit).collect()
 }
 
 proptest! {
@@ -55,40 +72,53 @@ proptest! {
 
     /// The incremental queue's plan must be bit-equal to the O(n²)
     /// reference sweep after any sequence of measurement successes and
-    /// failures, queried at any (non-decreasing) instant and round cap.
+    /// failures, scope retirements, and relay quarantines and releases,
+    /// queried at any (non-decreasing) instant and round cap.
     #[test]
     fn work_queue_plan_matches_reference_plan_round(
         n in 3u32..8,
         limit in 1usize..30,
         events in prop::collection::vec((any::<u16>(), any::<u8>(), 0u64..400), 0..60),
     ) {
-        let node_ids: Vec<NodeId> = (0..n).map(NodeId).collect();
-        let mut queue = WorkQueue::new(node_ids, SimDuration::from_secs(STALENESS_S));
-        // Shadow maps with the scanner's exact record semantics: a
-        // success overwrites the timestamp and clears any backoff; a
-        // failure sets the backoff and keeps the measurement history.
-        let mut measured: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        let mut failed: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        let mut queue = WorkQueue::new(n as usize, SimDuration::from_secs(STALENESS_S));
+        let mut shadow = Shadow::default();
         let mut clock = 0u64;
         for (sel, kind, dt) in events {
             clock += dt;
             let i = (sel as u32) % n;
             let j = (i + 1 + ((sel as u32) / n) % (n - 1)) % n;
-            let (a, b) = if i < j { (i, j) } else { (j, i) };
-            if kind % 2 == 0 {
-                queue.on_measured(NodeId(a), NodeId(b), t(clock));
-                measured.insert((a, b), clock);
-                failed.remove(&(a, b));
-            } else {
-                let until = clock + 1 + (kind as u64 % 7) * 100;
-                queue.on_failed(NodeId(a), NodeId(b), t(until));
-                failed.insert((a, b), until);
+            let pair = if i < j { (i, j) } else { (j, i) };
+            match kind % 8 {
+                // A success overwrites the timestamp and clears any
+                // backoff — also for a parked or retired pair, whose
+                // record stays current while it is unscheduled.
+                0..=2 => {
+                    queue.on_measured(i, j, t(clock), 1);
+                    shadow.measured.insert(pair, clock);
+                    shadow.failed.remove(&pair);
+                }
+                // A failure sets the backoff and keeps the history.
+                3 | 4 => {
+                    let until = clock + 1 + (kind as u64 / 8 % 7) * 100;
+                    queue.on_failed(i, j, t(until));
+                    shadow.failed.insert(pair, until);
+                }
+                5 => {
+                    queue.retire(i, j);
+                    shadow.retired.insert(pair);
+                }
+                6 => {
+                    queue.quarantine(i);
+                    shadow.quarantined.insert(i);
+                }
+                _ => {
+                    queue.release(i);
+                    shadow.quarantined.remove(&i);
+                }
             }
         }
-        let reference =
-            Scanner::from_checkpoint(&checkpoint(n, limit, &measured, &failed)).unwrap();
         for now_s in [clock, clock + STALENESS_S / 2, clock + 2 * STALENESS_S + 700] {
-            prop_assert_eq!(reference.plan_round(t(now_s)), queue.plan(t(now_s), limit));
+            prop_assert_eq!(reference_plan(n, limit, now_s, &shadow), queue.plan(t(now_s), limit));
         }
     }
 }

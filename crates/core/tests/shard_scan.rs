@@ -449,3 +449,48 @@ fn downed_shard_emits_its_checkpoint_once_per_outage() {
     assert_eq!(sup.status(1), ShardStatus::Running);
     assert!(revived, "a restored shard's new measurements are drained");
 }
+
+/// The delta stream's pair order is part of the publish contract (later
+/// pairs win collisions when deltas coalesce), so the sequence a
+/// supervised scan drains — live shards in shard then partition order,
+/// a crashed shard's frozen checkpoint, the re-emits after its restore
+/// — is pinned by CRC to the bytes captured before the scanner's
+/// per-pair maps became one table (e4aead0).
+#[test]
+fn delta_pairs_keep_their_order() {
+    use std::fmt::Write as _;
+    let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
+    let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
+    let mut config = supervisor_config(3);
+    config.scanner.pairs_per_round = 2;
+    let mut sup = Supervisor::new(nodes, config, TingConfig::fast());
+    sup.load_locations(&net);
+    let mut text = String::new();
+    for round in 0..5 {
+        sup.run_round(&mut net);
+        if round == 1 {
+            // Shard 1's second round reaches the stream through its
+            // checkpoint, not its live scanner.
+            sup.inject_crash(1, net.sim.now());
+        }
+        let delta = sup.take_delta(net.sim.now());
+        for p in &delta.pairs {
+            let _ = writeln!(
+                text,
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                delta.seq,
+                p.a.0,
+                p.b.0,
+                p.rtt_ms,
+                p.measured_at.as_nanos(),
+                p.lineage.shard,
+                p.lineage.round
+            );
+        }
+    }
+    assert_eq!(
+        (ting::checkpoint::crc32(text.as_bytes()), text.len()),
+        (0x8e74_0b44, 787),
+        "drained pairs left the pinned sequence:\n{text}"
+    );
+}

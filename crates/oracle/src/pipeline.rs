@@ -29,6 +29,7 @@ use netsim::{NodeId, SimDuration, SimTime};
 use obs::slo::{SLO_COVERAGE, SLO_PUBLISH_LATENCY, SLO_SHARD_PROGRESS, SLO_STALENESS};
 use obs::{names, Counter, Hist, Lineage, Obs, SloEngine, SloSpec, Value, WindowSpec};
 use std::collections::{HashMap, VecDeque};
+use ting::matrix::ordered;
 use ting::shard::{
     parse_merged_document, partition_pairs, MergeDelta, MergeOutcome, ShardCoverage,
 };
@@ -79,14 +80,22 @@ pub struct SloConfig {
     pub burn_threshold_milli: u32,
 }
 
+/// The live SLO engine with the one budget the control loop itself
+/// judges deltas against before reporting them to it.
+#[derive(Debug)]
+struct LiveSlo {
+    engine: SloEngine,
+    latency_budget: SimDuration,
+}
+
 impl SloConfig {
-    fn engine(&self, obs: &Obs) -> SloEngine {
+    fn live(&self, obs: &Obs) -> LiveSlo {
         let slo = |name, objective_ppm| SloSpec {
             name,
             objective_ppm,
             burn_threshold_milli: self.burn_threshold_milli,
         };
-        SloEngine::new(
+        let engine = SloEngine::new(
             obs.clone(),
             WindowSpec {
                 bucket_ns: self.bucket.as_nanos(),
@@ -98,7 +107,11 @@ impl SloConfig {
                 slo(SLO_PUBLISH_LATENCY, self.latency_objective_ppm),
                 slo(SLO_STALENESS, self.staleness_objective_ppm),
             ],
-        )
+        );
+        LiveSlo {
+            engine,
+            latency_budget: self.latency_budget,
+        }
     }
 }
 
@@ -167,7 +180,7 @@ pub struct Pipeline {
     /// stamped on the publish trace so a lineage walk can tie a pair's
     /// drain back to the generation that first served it.
     last_seq: u64,
-    slo: Option<SloEngine>,
+    slo: Option<LiveSlo>,
     obs: Obs,
     metrics: Metrics,
 }
@@ -197,7 +210,7 @@ impl Pipeline {
         let metrics = Metrics::new(&obs);
         obs.set_gauge("oracle.stale.state", ServingState::Degraded.gauge());
         obs.set_gauge("oracle.pipeline.generation", 1);
-        let slo = config.slo.map(|c| c.engine(&obs));
+        let slo = config.slo.map(|c| c.live(&obs));
         Pipeline {
             config,
             nodes,
@@ -247,26 +260,21 @@ impl Pipeline {
                     parsed.shards.len()
                 ));
             }
-            p.matrix = parsed.matrix;
-            p.measured_at = parsed
-                .measured_at_ns
-                .iter()
-                .map(|(&k, &v)| (k, SimTime(v)))
-                .collect();
-            p.lineage = parsed.lineage.clone();
-            p.statuses = parsed.shards.iter().map(|c| c.status).collect();
-            let snapshot = Snapshot::from_merged_document(&doc)?;
+            let snapshot = Snapshot::from_merged(&parsed);
             p.oracle
                 .publish_versioned_at(snapshot, gen, Some(now.as_nanos()));
+            let served = MergeOutcome::from(parsed);
+            p.matrix = served.matrix;
+            p.measured_at = served.measured_at;
+            p.lineage = served.lineage;
+            p.statuses = served.shards.iter().map(|c| c.status).collect();
             p.generation = gen;
-            p.last_publish = Some(SimTime(parsed.now_ns));
+            p.last_publish = Some(served.now);
             p.obs.set_gauge("oracle.pipeline.generation", gen as i64);
             // A pending record sealed but never swapped: finish its
             // interrupted publish so the directory converges.
-            if recovered.pending.is_some() {
-                p.journal
-                    .as_ref()
-                    .expect("recovering pipeline has a journal")
+            if let (Some(_), Some(journal)) = (&recovered.pending, &p.journal) {
+                journal
                     .mark_published(gen, &doc)
                     .map_err(|e| format!("completing interrupted publish: {e}"))?;
             }
@@ -296,7 +304,8 @@ impl Pipeline {
         if let Some(slo) = &mut self.slo {
             let live = delta.statuses.iter().filter(|s| **s == "live").count() as u64;
             let total = delta.statuses.len() as u64;
-            slo.observe(SLO_SHARD_PROGRESS, delta.now.as_nanos(), live, total - live);
+            slo.engine
+                .observe(SLO_SHARD_PROGRESS, delta.now.as_nanos(), live, total - live);
         }
         if self.obs.is_tracing() {
             self.obs.event(
@@ -310,22 +319,28 @@ impl Pipeline {
         }
         self.queue.push_back(delta);
         if self.queue.len() > self.config.queue_cap {
-            let oldest = self.queue.pop_front().expect("queue is over capacity");
-            let into = self.queue.front_mut().expect("cap is at least 1");
-            let mut pairs = oldest.pairs;
-            pairs.append(&mut into.pairs);
-            into.pairs = pairs;
-            self.metrics.coalesced.inc();
-            if self.obs.is_tracing() {
-                self.obs.event(
-                    names::ORACLE_PIPELINE_COALESCE,
-                    into.now.as_nanos(),
-                    vec![
-                        ("from_seq", Value::U64(oldest.seq)),
-                        ("into_seq", Value::U64(into.seq)),
-                        ("pairs", Value::U64(into.pairs.len() as u64)),
-                    ],
-                );
+            match (self.queue.pop_front(), self.queue.front_mut()) {
+                (Some(oldest), Some(into)) => {
+                    let mut pairs = oldest.pairs;
+                    pairs.append(&mut into.pairs);
+                    into.pairs = pairs;
+                    self.metrics.coalesced.inc();
+                    if self.obs.is_tracing() {
+                        self.obs.event(
+                            names::ORACLE_PIPELINE_COALESCE,
+                            into.now.as_nanos(),
+                            vec![
+                                ("from_seq", Value::U64(oldest.seq)),
+                                ("into_seq", Value::U64(into.seq)),
+                                ("pairs", Value::U64(into.pairs.len() as u64)),
+                            ],
+                        );
+                    }
+                }
+                // `queue_cap >= 1`, so a queue over capacity holds a
+                // second delta; without one nothing is dropped.
+                (Some(only), None) => self.queue.push_front(only),
+                (None, _) => {}
             }
         }
         self.obs
@@ -348,7 +363,7 @@ impl Pipeline {
         };
         self.rejudge(now);
         if let Some(slo) = &mut self.slo {
-            slo.evaluate(now.as_nanos());
+            slo.engine.evaluate(now.as_nanos());
         }
         Ok(published)
     }
@@ -368,14 +383,8 @@ impl Pipeline {
                 // One observation per delta: did it reach a served
                 // generation within its offer→publish budget?
                 let waited = now.as_nanos().saturating_sub(delta.now.as_nanos());
-                let on_time = waited
-                    <= self
-                        .config
-                        .slo
-                        .expect("engine implies config")
-                        .latency_budget
-                        .as_nanos();
-                slo.observe(
+                let on_time = waited <= slo.latency_budget.as_nanos();
+                slo.engine.observe(
                     SLO_PUBLISH_LATENCY,
                     now.as_nanos(),
                     on_time as u64,
@@ -393,7 +402,7 @@ impl Pipeline {
         if let Some(slo) = &mut self.slo {
             let owned: u64 = self.owned.iter().map(|o| o.len() as u64).sum();
             let covered = self.measured_at.len() as u64;
-            slo.observe(
+            slo.engine.observe(
                 SLO_COVERAGE,
                 now.as_nanos(),
                 covered,
@@ -442,32 +451,13 @@ impl Pipeline {
     fn outcome(&self, now: SimTime) -> MergeOutcome {
         let mut shards = Vec::with_capacity(self.owned.len());
         for (k, owned) in self.owned.iter().enumerate() {
-            let mut covered = 0;
-            let mut stale = 0;
-            let mut oldest: Option<u64> = None;
-            let mut newest: Option<u64> = None;
+            let mut coverage = ShardCoverage::new(k as u32, self.statuses[k], owned.len());
             for &(a, b) in owned {
-                let Some(&t) = self.measured_at.get(&ordered(a, b)) else {
-                    continue;
-                };
-                covered += 1;
-                if now.since(t) >= self.config.staleness {
-                    stale += 1;
+                if let Some(&t) = self.measured_at.get(&ordered(a, b)) {
+                    coverage.cover(t, now, self.config.staleness);
                 }
-                let t_ns = t.as_nanos();
-                oldest = Some(oldest.map_or(t_ns, |o| o.min(t_ns)));
-                newest = Some(newest.map_or(t_ns, |n| n.max(t_ns)));
             }
-            shards.push(ShardCoverage {
-                shard: k as u32,
-                status: self.statuses[k],
-                owned: owned.len(),
-                covered,
-                stale,
-                uncovered: owned.len() - covered,
-                oldest_ns: oldest,
-                newest_ns: newest,
-            });
+            shards.push(coverage);
         }
         MergeOutcome {
             matrix: self.matrix.clone(),
@@ -488,7 +478,8 @@ impl Pipeline {
             // Every judgment burns the staleness budget when it lands
             // anywhere below `Fresh` on the ladder.
             let fresh = next == ServingState::Fresh;
-            slo.observe(SLO_STALENESS, now.as_nanos(), fresh as u64, !fresh as u64);
+            slo.engine
+                .observe(SLO_STALENESS, now.as_nanos(), fresh as u64, !fresh as u64);
         }
         if next != self.state {
             if self.obs.is_tracing() {
@@ -563,7 +554,7 @@ impl Pipeline {
     /// Windowed totals for one live SLO as of the last `tick`; `None`
     /// without an [`SloConfig`] or for an unknown name.
     pub fn slo_totals(&self, name: &str) -> Option<obs::SloTotals> {
-        self.slo.as_ref()?.totals(name)
+        self.slo.as_ref()?.engine.totals(name)
     }
 
     /// The served generation's sealed document, re-rendered at its own
@@ -582,14 +573,6 @@ impl Pipeline {
     /// The underlying oracle (e.g. for unguarded access in tests).
     pub fn oracle(&self) -> &Oracle {
         &self.oracle
-    }
-}
-
-fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
     }
 }
 

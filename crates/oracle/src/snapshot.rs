@@ -12,7 +12,7 @@
 
 use netsim::NodeId;
 use obs::{Lineage, Origin};
-use ting::shard::{parse_merged_document, ShardCoverage};
+use ting::shard::{parse_merged_document, MergedDocument, ShardCoverage};
 use ting::{RttMatrix, RttView};
 
 /// Where a snapshot's data came from.
@@ -265,7 +265,12 @@ impl Snapshot {
     /// richest source: per-pair timestamps, the merge instant, and
     /// per-shard coverage all survive into the snapshot metadata.
     pub fn from_merged_document(text: &str) -> Result<Snapshot, String> {
-        let doc = parse_merged_document(text)?;
+        Ok(Snapshot::from_merged(&parse_merged_document(text)?))
+    }
+
+    /// [`Snapshot::from_merged_document`] for a document already
+    /// parsed.
+    pub fn from_merged(doc: &MergedDocument) -> Snapshot {
         let mut snap = Snapshot::from_matrix(&doc.matrix);
         snap.meta.source = SnapshotSource::MergedCheckpoint;
         snap.meta.now_ns = Some(doc.now_ns);
@@ -297,7 +302,7 @@ impl Snapshot {
             }
             snap.lineage = Some(table);
         }
-        Ok(snap)
+        snap
     }
 
     pub fn meta(&self) -> &SnapshotMeta {
