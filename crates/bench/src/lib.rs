@@ -18,6 +18,8 @@
 //! | `TING_RELAYS`    | live-network relay population       |
 //! | `TING_THREADS`   | worker threads (default: all cores) |
 //! | `TING_HOURS`     | duration of longitudinal runs       |
+//! | `TING_RUNS`      | Monte-Carlo runs per configuration  |
+//! | `TING_REPS`      | timed repetitions (`obs_overhead`)  |
 
 pub mod storm;
 
@@ -53,22 +55,6 @@ pub fn threads() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
-    )
-}
-
-/// Renders one `obs` histogram as the quantile JSON object shared by
-/// every `BENCH_*.json` phase entry. `ting-prof diff` gates exactly
-/// these fields, so the shape must stay in lockstep across baselines.
-pub fn hist_quantiles_json(h: &ting::obs::LogHistogram) -> String {
-    let q = |p: f64| h.quantile(p).unwrap_or(0);
-    format!(
-        "{{\"count\":{},\"min_us\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-        h.count(),
-        h.min().unwrap_or(0),
-        q(0.5),
-        q(0.9),
-        q(0.99),
-        h.max().unwrap_or(0)
     )
 }
 

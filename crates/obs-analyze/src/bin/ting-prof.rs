@@ -1,10 +1,9 @@
-//! `ting-prof`: analyze `ting-obs-v1` traces and gate bench baselines.
+//! `ting-prof`: analyze `ting-obs-v1` traces.
 //!
 //! ```text
 //! ting-prof lint    <trace.jsonl>                  # exit 1 on issues
 //! ting-prof report  <trace.jsonl>                  # deterministic profile
 //! ting-prof flame   <trace.jsonl> [out.folded]     # folded stacks
-//! ting-prof diff    <base.json> <current.json> [--tolerance 0.10]
 //! ting-prof lineage <trace.jsonl> <x> <y>          # causal chain for a pair
 //! ting-prof slo     <trace.jsonl> [--fail-on <name>]  # breach timeline
 //! ```
@@ -23,7 +22,7 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let usage = "usage: ting-prof <lint|report|flame|diff|lineage|slo> ... (see --help)";
+    let usage = "usage: ting-prof <lint|report|flame|lineage|slo> ... (see --help)";
     let cmd = args.first().map(String::as_str).ok_or(usage)?;
     match cmd {
         "lint" => {
@@ -63,33 +62,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 None => print!("{folded}"),
             }
             Ok(ExitCode::SUCCESS)
-        }
-        "diff" => {
-            let base_path = args.get(1).ok_or("diff: missing baseline path")?;
-            let cur_path = args.get(2).ok_or("diff: missing current path")?;
-            let mut tolerance = 0.10;
-            let mut rest = args[3..].iter();
-            while let Some(flag) = rest.next() {
-                match flag.as_str() {
-                    "--tolerance" => {
-                        tolerance = rest
-                            .next()
-                            .ok_or("--tolerance needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--tolerance: {e}"))?;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            let base = obs_analyze::parse_bench(&read(base_path)?)?;
-            let current = obs_analyze::parse_bench(&read(cur_path)?)?;
-            let report = obs_analyze::diff(&base, &current, tolerance);
-            print!("{}", report.render(&base, &current));
-            Ok(if report.failed() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            })
         }
         "lineage" => {
             let doc = load_trace(args.get(1).ok_or("lineage: missing trace path")?)?;
@@ -144,10 +116,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
-}
-
 fn load_trace(path: &str) -> Result<obs::Document, String> {
-    obs_analyze::parse_document(&read(path)?).map_err(|e| format!("{path}: {e}"))
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    obs_analyze::parse_document(&text).map_err(|e| format!("{path}: {e}"))
 }

@@ -1,5 +1,4 @@
-//! A small strict JSON reader shared by the trace parser and the bench
-//! diff engine.
+//! The small strict JSON reader under the trace parser.
 //!
 //! Numbers are kept as their **raw source token** rather than eagerly
 //! converted: the `ting-obs-v1` round-trip contract is byte-level, and
@@ -30,30 +29,12 @@ impl Json {
         }
     }
 
-    /// Looks up a key in an object value.
-    pub fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
     /// The value as a `u64`, or an error naming `what`.
     pub fn as_u64(&self, what: &str) -> Result<u64, String> {
         match self {
             Json::Num(raw) => raw
                 .parse::<u64>()
                 .map_err(|_| format!("{what}: {raw:?} is not a u64")),
-            other => Err(format!("{what}: expected number, got {}", other.kind())),
-        }
-    }
-
-    /// The value as an `f64`, or an error naming `what`.
-    pub fn as_f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| format!("{what}: {raw:?} is not a number")),
             other => Err(format!("{what}: expected number, got {}", other.kind())),
         }
     }
@@ -288,16 +269,24 @@ mod tests {
     fn parses_nested_structures() {
         let v = parse(r#"{"a":[1,-2,3.5,null,true],"b":{"c":"x"}}"#).unwrap();
         assert_eq!(
-            v.get("a"),
-            Some(&Json::Arr(vec![
-                Json::Num("1".into()),
-                Json::Num("-2".into()),
-                Json::Num("3.5".into()),
-                Json::Null,
-                Json::Bool(true),
-            ]))
+            v,
+            Json::Obj(vec![
+                (
+                    "a".into(),
+                    Json::Arr(vec![
+                        Json::Num("1".into()),
+                        Json::Num("-2".into()),
+                        Json::Num("3.5".into()),
+                        Json::Null,
+                        Json::Bool(true),
+                    ])
+                ),
+                (
+                    "b".into(),
+                    Json::Obj(vec![("c".into(), Json::Str("x".into()))])
+                ),
+            ])
         );
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Str("x".into())));
     }
 
     #[test]

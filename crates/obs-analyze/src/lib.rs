@@ -14,8 +14,6 @@
 //! * [`flame`] — inferno-compatible folded-stack flamegraph output;
 //! * [`attrib`] — per-relay forwarding-delay estimates (`F̂_i`) and
 //!   failure/quarantine involvement;
-//! * [`diff`] — the `BENCH_scan.json` regression gate CI runs, built on
-//!   deterministic virtual-time phase quantiles;
 //! * [`report`] — the deterministic human-readable profile;
 //! * [`lineage`] — a served pair's causal chain: probe → drain →
 //!   coalesce folds → first serving generation, plus owning-shard
@@ -24,7 +22,6 @@
 //!   `ting-prof slo` report and CI's no-fault staleness gate).
 
 pub mod attrib;
-pub mod diff;
 pub mod flame;
 pub mod json;
 pub mod lineage;
@@ -35,7 +32,6 @@ pub mod slo;
 pub mod tree;
 
 pub use attrib::{per_relay, RelayAttribution};
-pub use diff::{diff, parse_bench, BenchDoc, DiffReport};
 pub use flame::folded_stacks;
 pub use lineage::{render_lineage, trace_pair, LineageChain};
 pub use lint::{lint, LintIssue};

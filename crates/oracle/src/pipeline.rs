@@ -351,7 +351,10 @@ impl Pipeline {
     /// generation when the queue has data and the publish interval has
     /// elapsed, then re-judges the TTL ladder (which moves even when
     /// nothing publishes — expiry is a function of time, not traffic).
-    /// Returns the generation published this turn, if any.
+    /// Returns the generation published this turn, if any. `Err` is a
+    /// journal write failure, or a queued delta whose status count is
+    /// not the shard count: that delta is discarded, nothing else moves,
+    /// and the next `tick` proceeds.
     pub fn tick(&mut self, now: SimTime) -> Result<Option<u64>, String> {
         let due = self
             .last_publish
@@ -371,6 +374,20 @@ impl Pipeline {
     /// Drains the queue into the accumulated dataset and pushes one
     /// generation through journal and swap cell.
     fn publish_queued(&mut self, now: SimTime) -> Result<u64, String> {
+        // `outcome` indexes one status tag per shard, so a delta that
+        // carries any other number is refused before anything folds —
+        // the same mismatch `recover` refuses in a document.
+        let shards = self.owned.len();
+        let malformed = self.queue.iter().position(|d| d.statuses.len() != shards);
+        if let Some(bad) = malformed.and_then(|at| self.queue.remove(at)) {
+            self.obs
+                .set_gauge("oracle.pipeline.queue_depth", self.queue.len() as i64);
+            return Err(format!(
+                "delta seq {} carries {} shard statuses, pipeline has {shards} shards; delta discarded",
+                bad.seq,
+                bad.statuses.len()
+            ));
+        }
         let span = self.obs.span_begin(
             names::ORACLE_PIPELINE_PUBLISH_BEGIN,
             now.as_nanos(),
@@ -730,6 +747,72 @@ mod tests {
         let g = p.rtt(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(g.answer.rtt_ms, Some(3.0));
         assert_eq!(g.answer.measured_at_ns, Some(3));
+    }
+
+    #[test]
+    fn batch_pairs_histogram_counts_pairs_folded_per_generation() {
+        let obs = Obs::new(obs::ObsConfig::Metrics);
+        let mut cfg = config();
+        cfg.queue_cap = 2;
+        let mut p = Pipeline::with_obs(nodes(), 1, cfg, obs.clone(), None);
+        let sized = |seq: u64, pairs: usize| {
+            let pair = (NodeId(0), NodeId(1), seq as f64, SimTime(seq));
+            delta(seq, vec![pair; pairs], seq)
+        };
+        p.offer(sized(1, 1));
+        assert_eq!(p.tick(SimTime(1)).unwrap(), Some(2));
+        // Three offers against a cap of two: 2 + 1 coalesce, and the
+        // tick folds both queued deltas (3 + 3 pairs) into one generation.
+        p.offer(sized(2, 2));
+        p.offer(sized(3, 1));
+        p.offer(sized(4, 3));
+        assert_eq!(p.tick(SimTime(4)).unwrap(), Some(3));
+        p.offer(sized(5, 2));
+        assert_eq!(p.tick(SimTime(5)).unwrap(), Some(4));
+
+        let h = obs.histogram("oracle.pipeline.batch_pairs").unwrap();
+        assert_eq!(h.count(), obs.counter_value("oracle.pipeline.published"));
+        assert_eq!((h.count(), h.min(), h.max()), (3, Some(1), Some(6)));
+        assert_eq!(h.quantile(0.5), Some(2), "the batches were 1, 6, 2");
+        assert_eq!(obs.counter_value("oracle.pipeline.deltas"), 5);
+        assert_eq!(obs.counter_value("oracle.pipeline.coalesced"), 1);
+    }
+
+    #[test]
+    fn wrong_status_count_is_an_error_and_only_that_delta_is_lost() {
+        let dir = std::env::temp_dir().join(format!("ting-pipeline-tags-{}", std::process::id()));
+        let served = |p: &Pipeline, b| p.rtt(NodeId(0), NodeId(b)).unwrap().answer.rtt_ms;
+        for (journaled, tags) in [(false, 0), (false, 2), (true, 0), (true, 2)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let journal = journaled.then(|| Journal::open(&dir).unwrap());
+            let mut p = Pipeline::with_obs(nodes(), 1, config(), Obs::off(), journal.clone());
+            p.offer(delta(1, vec![(NodeId(0), NodeId(1), 7.0, SimTime(5))], 10));
+            assert_eq!(p.tick(SimTime(10)).unwrap(), Some(2));
+            let document = p.serving_document();
+
+            p.offer(delta(2, vec![(NodeId(0), NodeId(2), 3.0, SimTime(11))], 12));
+            let mut bad = delta(3, vec![(NodeId(0), NodeId(1), 9.0, SimTime(12))], 13);
+            bad.statuses = vec!["live"; tags];
+            p.offer(bad);
+            let err = p.tick(SimTime(13)).unwrap_err();
+            let counts = format!("carries {tags} shard statuses, pipeline has 1 shards");
+            assert!(
+                err.contains("delta seq 3") && err.contains(&counts),
+                "{err}"
+            );
+            assert_eq!((p.generation(), p.queue_depth()), (2, 1));
+            assert_eq!(p.serving_document(), document, "dataset untouched");
+            assert_eq!(served(&p, 1), Some(7.0), "served generation untouched");
+            if let Some(j) = &journal {
+                let on_disk = j.recover().unwrap();
+                assert_eq!(on_disk.serve().map(|(gen, _)| *gen), Some(2));
+                assert!(on_disk.pending.is_none());
+            }
+
+            assert_eq!(p.tick(SimTime(13)).unwrap(), Some(3), "next tick proceeds");
+            assert_eq!((served(&p, 1), served(&p, 2)), (Some(7.0), Some(3.0)));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

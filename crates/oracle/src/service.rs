@@ -10,15 +10,16 @@
 //! long as it likes — snapshot isolation by immutability.
 //!
 //! [`OracleReader`] is the `Send + Sync` handle for reader threads; it
-//! shares the swap cell but carries no metrics (the `obs` registry is
-//! deliberately single-threaded). Queries through the `Oracle` itself
-//! tick per-family counters and record answered-RTT histograms under
-//! the `oracle.*` names registered in `obs::names`.
+//! holds the swap cell but carries no metrics (the `obs` registry is
+//! deliberately single-threaded). The `Oracle` reads through a reader
+//! of its own, so the cell is read in one place; its queries
+//! additionally tick per-family counters and record answered-RTT
+//! histograms under the `oracle.*` names registered in `obs::names`.
 
 use crate::snapshot::{DetourAnswer, KNearestAnswer, PointAnswer, QueryError, Snapshot};
 use netsim::NodeId;
 use obs::{names, Counter, Hist, Obs, Value};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Pre-resolved metric handles for the query hot path.
 #[derive(Debug, Clone, Default)]
@@ -53,7 +54,8 @@ impl Metrics {
 /// hand [`OracleReader`]s to concurrent consumers.
 #[derive(Debug)]
 pub struct Oracle {
-    shared: Arc<RwLock<Arc<Snapshot>>>,
+    /// The one handle on the swap cell; every read goes through it.
+    reader: OracleReader,
     version: u64,
     obs: Obs,
     metrics: Metrics,
@@ -71,7 +73,9 @@ impl Oracle {
         initial.stamp_version(1);
         let metrics = Metrics::new(&obs);
         let oracle = Oracle {
-            shared: Arc::new(RwLock::new(Arc::new(initial))),
+            reader: OracleReader {
+                shared: Arc::new(RwLock::new(Arc::new(initial))),
+            },
             version: 1,
             obs,
             metrics,
@@ -119,8 +123,11 @@ impl Oracle {
         );
         self.version = version;
         snapshot.stamp_version(version);
-        let next = Arc::new(snapshot);
-        *self.shared.write().expect("oracle swap cell poisoned") = next;
+        // The cell only ever holds a whole `Arc<Snapshot>`, so a thread
+        // that panicked with the lock held cannot have left it half
+        // written: poisoning carries no information here.
+        let cell = &self.reader.shared;
+        *cell.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(snapshot);
         self.note_swap(swap_t_ns);
         version
     }
@@ -152,10 +159,7 @@ impl Oracle {
 
     /// The currently served generation.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.shared
-            .read()
-            .expect("oracle swap cell poisoned")
-            .clone()
+        self.reader.snapshot()
     }
 
     /// The latest published version.
@@ -165,9 +169,7 @@ impl Oracle {
 
     /// A `Send + Sync` handle for concurrent reader threads.
     pub fn reader(&self) -> OracleReader {
-        OracleReader {
-            shared: Arc::clone(&self.shared),
-        }
+        self.reader.clone()
     }
 
     /// Instrumented point lookup `R(x, y)`.
@@ -229,7 +231,7 @@ impl OracleReader {
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.shared
             .read()
-            .expect("oracle swap cell poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
