@@ -45,7 +45,7 @@ pub struct TivReport {
 
 impl TivReport {
     /// Scans every measured pair for its best detour, via the shared
-    /// index-space kernel ([`ting::RttView::best_detour`]) that also
+    /// index-space kernel ([`RttMatrix::best_detour`]) that also
     /// powers the latency oracle's ShorTor-style via-relay queries —
     /// one implementation, two consumers, bit-identical answers.
     ///
@@ -53,16 +53,15 @@ impl TivReport {
     /// Panics if the matrix is incomplete.
     pub fn analyze(matrix: &RttMatrix) -> TivReport {
         assert!(matrix.is_complete(), "TIV analysis needs all pairs");
-        let view = matrix.view();
         let nodes = matrix.nodes();
         let mut findings = Vec::new();
         for (i, &s) in nodes.iter().enumerate() {
             for (j, &d) in nodes.iter().enumerate().skip(i + 1) {
-                let direct = view.get_idx(i as u32, j as u32).expect("complete");
+                let direct = matrix.get_idx(i as u32, j as u32).expect("complete");
                 // A pair with no third relay (n = 2) keeps the
                 // historical "no detour" encoding: +∞ through itself.
-                let (best_relay, best_detour_ms) = match view.best_detour(i as u32, j as u32) {
-                    Some(best) => (view.node(best.via), best.rtt_ms),
+                let (best_relay, best_detour_ms) = match matrix.best_detour(i as u32, j as u32) {
+                    Some(best) => (matrix.node(best.via), best.rtt_ms),
                     None => (s, f64::INFINITY),
                 };
                 findings.push(TivFinding {

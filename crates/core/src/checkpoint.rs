@@ -20,6 +20,8 @@
 //!   ([`bak_path`]), so [`crate::scanner::Scanner::recover`] can fall
 //!   back to the last good generation.
 
+use netsim::NodeId;
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -77,6 +79,32 @@ pub fn verify_sealed(text: &str) -> Result<&str, String> {
         ));
     }
     Ok(body)
+}
+
+/// Appends the node-list header — line 2 of the matrix TSV, the scan
+/// checkpoint and the merged document alike.
+pub(crate) fn write_nodes_header(out: &mut String, nodes: &[NodeId]) {
+    out.push_str("# nodes:");
+    for n in nodes {
+        let _ = write!(out, " {}", n.0);
+    }
+    out.push('\n');
+}
+
+/// Parses the line [`write_nodes_header`] writes. Strict: the prefix
+/// must be there and every token must be a `u32`.
+pub(crate) fn parse_nodes_header(line: &str) -> Result<Vec<NodeId>, String> {
+    line.strip_prefix("# nodes:")
+        .ok_or_else(|| format!("line 2 is not a '# nodes:' list: {line:?}"))?
+        .split_whitespace()
+        .map(|t| parse_node_id(t, 2))
+        .collect()
+}
+
+/// Parses one node-id token of line `line`: a `u32`, nothing looser.
+pub(crate) fn parse_node_id(token: &str, line: usize) -> Result<NodeId, String> {
+    let bad = |_| format!("line {line}: invalid node id {token:?} (expected a u32)");
+    token.parse().map(NodeId).map_err(bad)
 }
 
 /// Writes `contents` to `path` atomically and durably: the bytes go to

@@ -31,13 +31,13 @@
 //! * [`strawman`] — the §3.2 baseline that mixes Tor and ping traffic
 //!   (kept so experiments can show *why* it fails);
 //! * [`forwarding`] — the §4.3 forwarding-delay measurement procedure;
-//! * [`matrix`] — all-pairs RTT matrices with caching and strict TSV
-//!   import/export, the substrate of every §5 application, plus the
-//!   dense index-addressed [`matrix::RttView`] (and its shared detour
-//!   kernel) that the `oracle` query service reads;
+//! * [`matrix`] — the all-pairs RTT matrix: one dense index-addressed
+//!   table with strict TSV import/export and the shared detour kernel,
+//!   filled by the scanner, read by every §5 application and served as
+//!   is by the `oracle` query service;
 //! * [`queue`] — the scanner's pair table (every per-pair fact besides
-//!   the RTT, stored once, laid out like the matrix) and the
-//!   incrementally maintained priority order over it;
+//!   the RTT, stored once) and the incrementally maintained priority
+//!   order over it;
 //! * [`parallel`] — the one measurement engine: a poll-driven task per
 //!   vantage under one driver, one lane for the sequential tool and K
 //!   for the §6 scaling step (K pairs in flight in virtual time);
@@ -71,7 +71,6 @@ pub mod matrix;
 pub mod orchestrator;
 pub mod parallel;
 pub mod queue;
-pub mod report;
 pub mod sampling;
 pub mod scanner;
 pub mod shard;
@@ -83,11 +82,10 @@ pub use estimator::{ting_estimate_ms, CircuitSamples, TingMeasurement};
 pub use forwarding::{measure_forwarding_delay, ForwardingDelayMeasurement, ProbeProtocol};
 pub use health::{HealthConfig, HealthEvent, RelayHealth};
 pub use king::{king_measure, KingConfig, KingOutcome};
-pub use matrix::{DetourBest, RttMatrix, RttView, TSV_MAGIC};
+pub use matrix::{DetourBest, RttMatrix, TSV_MAGIC};
 pub use orchestrator::{Ting, TingConfig, TingError};
 pub use parallel::{measure_interleaved, PairOutcome, UnknownVantage};
 pub use queue::WorkQueue;
-pub use report::{CampaignReport, QualityFlag};
 pub use sampling::SamplePolicy;
 pub use scanner::{Scanner, ScannerConfig};
 pub use shard::{

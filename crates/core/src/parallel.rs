@@ -2,9 +2,9 @@
 //!
 //! §3.3's procedure — build a circuit, attach an echo stream, sample
 //! RTTs, tear the circuit down, retry under backoff — is implemented
-//! exactly once, as a poll-driven state machine ([`Task`]) that issues
+//! exactly once, as a poll-driven state machine (`Task`) that issues
 //! controller commands without ever draining the event queue itself.
-//! One cooperative driver ([`drive`]) runs one task per *lane* (a
+//! One cooperative driver (`drive`) runs one task per *lane* (a
 //! vantage: its own proxy, local relay pair `(w_i, z_i)` and echo
 //! server — see [`tor_sim::TorNetworkBuilder::vantages`]): it peeks the
 //! next event time ([`netsim::Simulator::next_event_at`]), compares it

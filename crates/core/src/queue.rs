@@ -2,9 +2,8 @@
 //!
 //! Per-pair scan state is the one thing in this crate that grows as
 //! n², so it is stored exactly once: [`WorkQueue`] holds one
-//! [`PairRecord`] per slot of the node list's triangular pair index
-//! ([`crate::matrix::tri_index`], the layout [`crate::matrix::RttMatrix`]
-//! keeps its RTTs in), and [`crate::scanner::Scanner`] reads measurement
+//! `PairRecord` per slot of the node list's triangular pair index
+//! (`tri_index`), and [`crate::scanner::Scanner`] reads measurement
 //! instants, lineage rounds and retry state out of the same records the
 //! queue schedules by. Pairs are addressed by their indices into the
 //! scanner's node list; the matrix owns the one `NodeId → index` map.
@@ -17,9 +16,16 @@
 //! (`tests/parallel_scan.rs`) replays randomized histories against a
 //! reference O(n²) sweep to hold that order to bit-equality.
 
-use crate::matrix::{ordered, tri_index};
+use crate::matrix::ordered;
 use netsim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
+
+/// The slot of pair `(a, b)` in the row-major upper triangle (diagonal
+/// included) over `n` nodes: the pair table's storage order.
+pub(crate) fn tri_index(n: usize, a: usize, b: usize) -> usize {
+    let (lo, hi) = ordered(a, b);
+    lo * n - lo * (lo + 1) / 2 + hi
+}
 
 /// Which of the queue's structures currently holds a pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

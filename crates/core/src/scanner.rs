@@ -10,11 +10,13 @@
 
 use crate::estimator::TingMeasurement;
 use crate::health::{HealthConfig, HealthEvent, RelayHealth};
-use crate::matrix::{ordered, tri_index, RttMatrix};
+use crate::matrix::{ordered, RttMatrix};
 use crate::orchestrator::{Ting, TingError};
 use crate::parallel::measure_lanes;
-use crate::queue::WorkQueue;
-use crate::validate::{validate, ValidationConfig, ValidationContext, ValidationError, Verdict};
+use crate::queue::{tri_index, WorkQueue};
+use crate::validate::{
+    implausibly_low, validate, ValidationConfig, ValidationContext, ValidationError, Verdict,
+};
 use geo::GeoPoint;
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::{Obs, Value};
@@ -248,13 +250,12 @@ impl Scanner {
         )
     }
 
-    /// Records a successful measurement, subject to the same sanity
-    /// gate [`crate::report::CampaignReport`] applies when auditing a
-    /// finished campaign: Eq. (4) subtracts two half-legs from the full
-    /// circuit and can come out negative or implausibly close to zero
-    /// under pathological sampling. Such an estimate never reaches the
-    /// cache — the pair is re-queued under the failure backoff instead.
-    /// Returns `true` when the estimate was accepted.
+    /// Records a successful measurement, subject to the
+    /// [`implausibly_low`] sanity gate: Eq. (4) subtracts two half-legs
+    /// from the full circuit and can come out negative or implausibly
+    /// close to zero under pathological sampling. Such an estimate
+    /// never reaches the cache — the pair is re-queued under the
+    /// failure backoff instead. Returns `true` when it was accepted.
     fn record_success(
         &mut self,
         a: NodeId,
@@ -264,7 +265,7 @@ impl Scanner {
         ting: &Ting,
     ) -> bool {
         let est = m.estimate_ms();
-        if crate::report::implausibly_low(est) {
+        if implausibly_low(est) {
             ting.obs().inc("ting.estimate.implausible");
             if ting.obs().is_tracing() {
                 ting.obs().event(
@@ -361,12 +362,9 @@ impl Scanner {
             .filter(|&t| now.since(t) < self.config.staleness)
             .and_then(|_| self.matrix.get(a, b));
         let best_detour_ms = self
-            .matrix
-            .nodes()
-            .iter()
-            .filter(|&&z| z != a && z != b)
-            .filter_map(|&z| Some(self.matrix.get(a, z)? + self.matrix.get(z, b)?))
-            .min_by(f64::total_cmp);
+            .pair(a, b)
+            .and_then(|(i, j)| self.matrix.best_detour(i, j))
+            .map(|best| best.rtt_ms);
         ValidationContext {
             distance_km,
             fresh_cached_ms,
@@ -640,11 +638,7 @@ impl Scanner {
         let mut out = String::new();
         out.push_str(CHECKPOINT_MAGIC);
         out.push('\n');
-        out.push_str("# nodes:");
-        for n in self.matrix.nodes() {
-            let _ = write!(out, " {}", n.0);
-        }
-        out.push('\n');
+        crate::checkpoint::write_nodes_header(&mut out, self.matrix.nodes());
         let _ = write!(
             out,
             "# config: staleness_ns={} pairs_per_round={} retry_backoff_ns={} retry_backoff_cap_ns={}",
@@ -720,8 +714,8 @@ impl Scanner {
     /// Parses a checkpoint document. It must carry the current (v3)
     /// magic line and a valid CRC-32 trailer — any flipped or truncated
     /// byte is refused rather than resumed from — and every row must
-    /// name nodes from its own `# nodes:` list: a malformed document is
-    /// an error naming the line, never a panic.
+    /// name nodes from its own node list: a malformed document is an
+    /// error naming the line, never a panic.
     pub fn from_checkpoint(text: &str) -> Result<Scanner, String> {
         match text.lines().next().ok_or("empty checkpoint")? {
             CHECKPOINT_MAGIC => Self::parse_checkpoint(crate::checkpoint::verify_sealed(text)?),
@@ -732,12 +726,8 @@ impl Scanner {
     fn parse_checkpoint(body: &str) -> Result<Scanner, String> {
         let mut lines = body.lines();
         lines.next(); // magic, already matched by the caller
-        let nodes_line = lines.next().ok_or("missing node list")?;
-        let nodes: Vec<NodeId> = nodes_line
-            .trim_start_matches("# nodes:")
-            .split_whitespace()
-            .map(|t| t.parse::<u32>().map(NodeId).map_err(|e| e.to_string()))
-            .collect::<Result<_, _>>()?;
+        let nodes =
+            crate::checkpoint::parse_nodes_header(lines.next().ok_or("missing node list")?)?;
         let config_line = lines.next().ok_or("missing config line")?;
         let mut config = ScannerConfig::default();
         for tok in config_line
@@ -1118,6 +1108,55 @@ mod tests {
         assert!(scanner.record_success(NodeId(1), NodeId(2), &sampled(50.0, 20.0), next_at, &ting));
         assert_eq!(scanner.matrix().get(NodeId(1), NodeId(2)), Some(30.0));
         assert_eq!(scanner.retry_state(NodeId(1), NodeId(2)), None);
+    }
+
+    #[test]
+    fn validation_detour_is_the_brute_force_minimum_over_cached_legs() {
+        let (mut net, mut scanner, ting) = setup(10);
+        // One round caches 10 of 28 pairs: a sparse matrix, where some
+        // pairs have several candidate relays and some have none.
+        scanner.run_round(&mut net, &ting);
+        let (cached, ids) = (scanner.matrix(), scanner.matrix().nodes());
+        let mut with_detour = 0;
+        for &a in ids {
+            for &b in ids.iter().filter(|&&b| b != a) {
+                let want = ids
+                    .iter()
+                    .filter(|&&z| z != a && z != b)
+                    .filter_map(|&z| Some(cached.get(a, z)? + cached.get(z, b)?))
+                    .min_by(f64::total_cmp);
+                let got = scanner
+                    .validation_context(a, b, net.sim.now())
+                    .best_detour_ms;
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "({a:?}, {b:?})"
+                );
+                with_detour += usize::from(want.is_some());
+            }
+        }
+        assert!(0 < with_detour && with_detour < 56, "{with_detour} of 56");
+    }
+
+    #[test]
+    fn checkpoint_node_list_is_parsed_as_strictly_as_the_other_documents() {
+        // Regression: this parser trimmed the prefix instead of
+        // requiring it, so a bare id list loaded, and a bad id was
+        // reported as `invalid digit found in string` with no line.
+        let good =
+            Scanner::new(vec![NodeId(0), NodeId(1)], ScannerConfig::default()).to_checkpoint();
+        let body = crate::checkpoint::verify_sealed(&good).unwrap();
+        let refused = |nodes_line: &str| {
+            let doc = crate::checkpoint::seal(body.replacen("# nodes: 0 1", nodes_line, 1));
+            Scanner::from_checkpoint(&doc)
+                .err()
+                .unwrap_or_else(|| panic!("{nodes_line:?} must be refused"))
+        };
+        let err = refused("0 1");
+        assert!(err.contains("line 2 is not a '# nodes:' list"), "{err}");
+        let err = refused("# nodes: 0 x1");
+        assert!(err.contains("line 2: invalid node id \"x1\""), "{err}");
     }
 
     #[test]

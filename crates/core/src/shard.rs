@@ -65,8 +65,8 @@ pub fn partition_pairs(nodes: &[NodeId], shards: usize) -> Vec<Vec<(NodeId, Node
 
 /// The shard [`partition_pairs`] deals the `ordinal`-th pair in
 /// `(i, j)` index order to — what lets a walk over a scanner's pair
-/// table (same order) tell ownership without a lookup.
-fn owner(ordinal: usize, shards: usize) -> usize {
+/// table or a node list (same order) tell ownership without a lookup.
+pub fn owner(ordinal: usize, shards: usize) -> usize {
     ordinal % shards
 }
 
@@ -245,12 +245,9 @@ impl MergeOutcome {
     /// harness compares across kill/resume boundaries.
     pub fn to_document(&self) -> String {
         let mut out = String::new();
-        out.push_str("# ting merged matrix v2\n");
-        out.push_str("# nodes:");
-        for n in self.matrix.nodes() {
-            let _ = write!(out, " {}", n.0);
-        }
+        out.push_str(MERGED_MAGIC);
         out.push('\n');
+        crate::checkpoint::write_nodes_header(&mut out, self.matrix.nodes());
         let _ = writeln!(out, "# now_ns: {}", self.now.as_nanos());
         for c in &self.shards {
             let _ = writeln!(
@@ -266,37 +263,13 @@ impl MergeOutcome {
                 c.newest_ns.map_or("-".into(), |t| t.to_string()),
             );
         }
-        let nodes = self.matrix.nodes().to_vec();
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                if let Some(rtt) = self.matrix.get(a, b) {
-                    let t = self.measured_at[&ordered(a, b)];
-                    match self.lineage.get(&ordered(a, b)) {
-                        Some(l) => {
-                            let _ = writeln!(
-                                out,
-                                "m\t{}\t{}\t{}\t{}\t{}\t{}",
-                                a.0,
-                                b.0,
-                                rtt,
-                                t.as_nanos(),
-                                l.shard,
-                                l.round
-                            );
-                        }
-                        None => {
-                            let _ = writeln!(
-                                out,
-                                "m\t{}\t{}\t{}\t{}\t-\t-",
-                                a.0,
-                                b.0,
-                                rtt,
-                                t.as_nanos()
-                            );
-                        }
-                    }
-                }
-            }
+        for (a, b, rtt) in self.matrix.pairs() {
+            let t = self.measured_at[&ordered(a, b)];
+            let _ = write!(out, "m\t{}\t{}\t{}\t{}", a.0, b.0, rtt, t.as_nanos());
+            let _ = match self.lineage.get(&ordered(a, b)) {
+                Some(l) => writeln!(out, "\t{}\t{}", l.shard, l.round),
+                None => writeln!(out, "\t-\t-"),
+            };
         }
         crate::checkpoint::seal(out)
     }
@@ -404,16 +377,7 @@ pub fn parse_merged_document(text: &str) -> Result<MergedDocument, String> {
         ));
     }
     let (_, nodes_line) = lines.next().ok_or("missing node list")?;
-    let nodes: Vec<NodeId> = nodes_line
-        .strip_prefix("# nodes:")
-        .ok_or_else(|| format!("line 2 is not a '# nodes:' list: {nodes_line:?}"))?
-        .split_whitespace()
-        .map(|t| {
-            t.parse::<u32>()
-                .map(NodeId)
-                .map_err(|_| format!("line 2: invalid node id {t:?} (expected a u32)"))
-        })
-        .collect::<Result<_, _>>()?;
+    let nodes = crate::checkpoint::parse_nodes_header(nodes_line)?;
     let (_, now_line) = lines.next().ok_or("missing '# now_ns:' line")?;
     let now_ns: u64 = now_line
         .strip_prefix("# now_ns: ")
@@ -480,11 +444,7 @@ pub fn parse_merged_document(text: &str) -> Result<MergedDocument, String> {
                         fields.len()
                     ));
                 }
-                let node = |i: usize| -> Result<NodeId, String> {
-                    fields[i].parse::<u32>().map(NodeId).map_err(|_| {
-                        format!("line {n}: invalid node id {:?} (expected a u32)", fields[i])
-                    })
-                };
+                let node = |i: usize| crate::checkpoint::parse_node_id(fields[i], n);
                 let (a, b) = (node(1)?, node(2)?);
                 let rtt: f64 = fields[3]
                     .parse()
@@ -1209,6 +1169,19 @@ mod tests {
         let err = parse_merged_document(&bad).unwrap_err();
         assert!(
             err.contains("line 4") && err.contains("unknown node 7"),
+            "{err}"
+        );
+        // So do rows pairing a node with itself. Regression: this one
+        // parsed, its timestamp became the snapshot's freshness, and
+        // re-rendering the parsed document no longer reproduced it.
+        let bad = crate::checkpoint::seal(
+            "# ting merged matrix v2\n# nodes: 0 1 2\n# now_ns: 1000\n\
+             m\t0\t1\t3.5\t5\t0\t1\nm\t2\t2\t7\t999\t0\t9\n"
+                .to_owned(),
+        );
+        let err = parse_merged_document(&bad).unwrap_err();
+        assert!(
+            err.contains("line 5") && err.contains("pair of a node with itself"),
             "{err}"
         );
         // Unknown row kinds and truncated coverage rows are refused.

@@ -10,8 +10,7 @@
 //! * **Speed of light** (reject): `R(x, y)` below the great-circle
 //!   light-in-fiber round trip ([`geo::lightspeed`]) is physically
 //!   impossible — an Eq. (4) undershoot artifact, like the
-//!   negative-estimate case [`crate::report::implausibly_low`] already
-//!   catches.
+//!   negative-estimate case [`implausibly_low`] already catches.
 //! * **Cache divergence** (reject once, then accept): a re-measurement
 //!   that lands far from a still-fresh cached value is suspect — but
 //!   paths do change, so only the *first* divergent measurement is
@@ -27,6 +26,18 @@
 //! Reason codes land in the `ting.validate.{flag,reject}.<code>` obs
 //! counters and trace events, so a deterministic run yields a
 //! deterministic audit trail.
+
+/// Whether an Eq. (4) estimate is below any plausible RTT floor
+/// (negative or ~0 ms). The subtraction of two half-leg minima can
+/// undershoot when the leg circuits were measured under different
+/// congestion floors; such a value is a measurement artifact, not an
+/// RTT, and [`crate::scanner::Scanner`] refuses to cache it whether or
+/// not the configurable checks below are on. NaN (an artifact of
+/// degenerate sampling) counts as implausible too — a plain `< 0.05`
+/// would let it slip into the cache.
+pub fn implausibly_low(estimate_ms: f64) -> bool {
+    estimate_ms.is_nan() || estimate_ms < 0.05
+}
 
 /// Validation knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,6 +188,23 @@ mod tests {
 
     fn cfg() -> ValidationConfig {
         ValidationConfig::default()
+    }
+
+    #[test]
+    fn implausibly_low_boundary_values() {
+        // The gate is exactly `< 0.05 ms` with NaN on the implausible
+        // side: estimates at the threshold pass, anything below — or
+        // not a number at all — is refused.
+        assert!(!implausibly_low(0.05));
+        assert!(!implausibly_low(0.050001));
+        assert!(!implausibly_low(100.0));
+        assert!(!implausibly_low(f64::INFINITY));
+        assert!(implausibly_low(0.049999));
+        assert!(implausibly_low(0.0));
+        assert!(implausibly_low(-0.0));
+        assert!(implausibly_low(-25.0));
+        assert!(implausibly_low(f64::NEG_INFINITY));
+        assert!(implausibly_low(f64::NAN));
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Property tests for the RTT-matrix TSV dataset format.
+//! Property tests for the RTT matrix and its TSV dataset format.
 //!
 //! §4.6's cacheable all-pairs dataset is only trustworthy if the cache
 //! file is: `render ∘ parse == id` must hold exactly — including the
 //! f64 payloads, which `to_tsv` prints via `{}` (shortest
 //! representation that round-trips) — over arbitrary node sets and
-//! coverage patterns.
+//! coverage patterns. And since the scanner, the analyses and the
+//! oracle all read the one [`RttMatrix`], every read method is held to
+//! a `HashMap` model over random write histories.
 
 use netsim::NodeId;
 use proptest::prelude::*;
+use std::collections::HashMap;
+use ting::matrix::ordered;
 use ting::{RttMatrix, TSV_MAGIC};
 
 /// Arbitrary node-id sets: spread across the u32 range, deduplicated.
@@ -32,6 +36,72 @@ fn exact_f64s() -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
+    #[test]
+    fn every_read_agrees_with_a_hash_map_model(
+        n in 2usize..=12,
+        // Few distinct values, so overwrites and detour ties both occur.
+        writes in prop::collection::vec((0usize..12, 0usize..12, 0u32..24), 0..90),
+    ) {
+        // Descending ids: index order is not id order.
+        let nodes: Vec<NodeId> = (0..n as u32).map(|i| NodeId(900 - 7 * i)).collect();
+        let mut m = RttMatrix::new(nodes.clone());
+        let mut model: HashMap<(NodeId, NodeId), f64> = HashMap::new();
+        for (i, j, quarter_ms) in writes {
+            let (a, b, v) = (nodes[i % n], nodes[j % n], f64::from(quarter_ms) * 0.25);
+            if a == b {
+                prop_assert!(m.try_set(a, b, v).is_err());
+            } else {
+                m.set(a, b, v);
+                model.insert(ordered(a, b), v);
+            }
+        }
+        let want = |i: usize, j: usize| match i == j {
+            true => Some(0.0),
+            false => model.get(&ordered(nodes[i], nodes[j])).copied(),
+        };
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+
+        let mut pairs = Vec::new();
+        for i in 0..n {
+            prop_assert_eq!(m.index_of(nodes[i]), Some(i as u32));
+            prop_assert_eq!(m.node(i as u32), nodes[i]);
+            for j in 0..n {
+                prop_assert_eq!(bits(m.get(nodes[i], nodes[j])), bits(want(i, j)));
+                prop_assert_eq!(bits(m.get_idx(i as u32, j as u32)), bits(want(i, j)));
+                let cell = m.row(i as u32)[j];
+                prop_assert_eq!(cell.is_nan(), want(i, j).is_none());
+                prop_assert_eq!(cell.to_bits(), m.row(j as u32)[i].to_bits());
+                if let (true, Some(v)) = (i < j, want(i, j)) {
+                    pairs.push((nodes[i], nodes[j], v));
+                }
+            }
+        }
+        prop_assert_eq!(m.get(nodes[0], NodeId(1)), None);
+        prop_assert_eq!(m.pairs().collect::<Vec<_>>(), pairs);
+        prop_assert_eq!(m.measured_pairs(), model.len());
+        prop_assert_eq!(m.is_complete(), model.len() == n * (n - 1) / 2);
+        prop_assert_eq!(&RttMatrix::from_tsv(&m.to_tsv()).expect("own rendering"), &m);
+
+        // The detour kernel against brute force over the model: both
+        // legs measured, strict improvement so the lowest index keeps
+        // a tie, nothing to route through when n = 2.
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                let mut best: Option<(u32, f64)> = None;
+                for v in (0..n).filter(|&v| v != i && v != j) {
+                    if let (Some(x), Some(y)) = (want(i, v), want(j, v)) {
+                        if best.is_none_or(|(_, ms)| x + y < ms) {
+                            best = Some((v as u32, x + y));
+                        }
+                    }
+                }
+                let got = m.best_detour(i as u32, j as u32).map(|b| (b.via, b.rtt_ms));
+                prop_assert_eq!(got, best);
+                prop_assert!(n > 2 || got.is_none());
+            }
+        }
+    }
+
     #[test]
     fn tsv_roundtrip_is_identity(nodes in node_set(), values in exact_f64s()) {
         let mut m = RttMatrix::new(nodes.clone());

@@ -6,7 +6,7 @@
 //!
 //! * [`parse`] — a strict parser whose output re-renders byte-identical
 //!   through `obs::Document::render_jsonl` (property-tested);
-//! * [`lint`] — structural validation against `obs::names::REGISTRY`:
+//! * [`mod@lint`] — structural validation against `obs::names::REGISTRY`:
 //!   unknown events, non-monotonic clocks, leaked/mismatched spans;
 //! * [`tree`] — span-tree reconstruction, exact self-time attribution
 //!   (per-pair partitions telescope to the span duration), round

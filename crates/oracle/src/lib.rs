@@ -6,9 +6,9 @@
 //! multi-hop overlay routing after it — consumes exactly that dataset.
 //! This crate is the read-side serving layer: it loads a matrix from
 //! the §4.6 TSV cache or a sharded scan's merged checkpoint document,
-//! freezes it into an immutable [`Snapshot`] (dense index-addressed
-//! [`ting::RttView`] + freshness metadata), and answers three query
-//! families:
+//! freezes it into an immutable [`Snapshot`] (the dense
+//! index-addressed [`ting::RttMatrix`] + freshness metadata), and
+//! answers three query families:
 //!
 //! * **point lookup** — [`Oracle::rtt`]: `R(x, y)` with the
 //!   measurement timestamp, age, and generation it came from;

@@ -27,12 +27,10 @@ use crate::snapshot::{DetourAnswer, KNearestAnswer, PointAnswer, QueryError, Sna
 use crate::ttl::{ServingState, TtlPolicy};
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::slo::{SLO_COVERAGE, SLO_PUBLISH_LATENCY, SLO_SHARD_PROGRESS, SLO_STALENESS};
-use obs::{names, Counter, Hist, Lineage, Obs, SloEngine, SloSpec, Value, WindowSpec};
+use obs::{names, Counter, Hist, Obs, SloEngine, SloSpec, Value, WindowSpec};
 use std::collections::{HashMap, VecDeque};
 use ting::matrix::ordered;
-use ting::shard::{
-    parse_merged_document, partition_pairs, MergeDelta, MergeOutcome, ShardCoverage,
-};
+use ting::shard::{owner, parse_merged_document, MergeDelta, MergeOutcome, ShardCoverage};
 use ting::RttMatrix;
 
 /// Tuning knobs for the publish loop.
@@ -153,18 +151,12 @@ impl Metrics {
 #[derive(Debug)]
 pub struct Pipeline {
     config: PipelineConfig,
-    nodes: Vec<NodeId>,
-    /// Pair ownership per shard, mirroring the supervisor's partition.
-    owned: Vec<Vec<(NodeId, NodeId)>>,
-    /// Accumulated dataset: every pair any delta ever carried.
-    matrix: RttMatrix,
-    measured_at: HashMap<(NodeId, NodeId), SimTime>,
-    /// Per-pair provenance mirroring `measured_at`'s key set for pairs
-    /// that arrived through deltas (recovered rows with `-` lineage
-    /// markers lack it).
-    lineage: HashMap<(NodeId, NodeId), Lineage>,
-    /// Shard status tags from the most recent delta.
-    statuses: Vec<&'static str>,
+    /// Accumulated dataset: every pair any delta ever carried, the
+    /// shard status tags of the most recent one, and the coverage rows
+    /// as judged at the last publish — exactly what
+    /// [`ting::shard::merge_checkpoints`] would hand back, folded into
+    /// and rendered in place.
+    dataset: MergeOutcome,
     journal: Option<Journal>,
     oracle: Oracle,
     queue: VecDeque<MergeDelta>,
@@ -204,21 +196,25 @@ impl Pipeline {
         journal: Option<Journal>,
     ) -> Pipeline {
         assert!(config.queue_cap >= 1, "queue capacity must be positive");
-        let owned = partition_pairs(&nodes, shards);
-        let matrix = RttMatrix::new(nodes.clone());
-        let oracle = Oracle::with_obs(Snapshot::from_matrix(&matrix), obs.clone());
+        assert!(shards > 0, "shard count must be positive");
+        let mut dataset = MergeOutcome {
+            matrix: RttMatrix::new(nodes),
+            measured_at: HashMap::new(),
+            lineage: HashMap::new(),
+            shards: (0..shards as u32)
+                .map(|k| ShardCoverage::new(k, "live", 0))
+                .collect(),
+            now: SimTime::ZERO,
+        };
+        judge_coverage(&mut dataset, SimTime::ZERO, config.staleness);
+        let oracle = Oracle::with_obs(Snapshot::from_matrix(&dataset.matrix), obs.clone());
         let metrics = Metrics::new(&obs);
         obs.set_gauge("oracle.stale.state", ServingState::Degraded.gauge());
         obs.set_gauge("oracle.pipeline.generation", 1);
         let slo = config.slo.map(|c| c.live(&obs));
         Pipeline {
             config,
-            nodes,
-            owned,
-            matrix,
-            measured_at: HashMap::new(),
-            lineage: HashMap::new(),
-            statuses: vec!["live"; shards],
+            dataset,
             journal,
             oracle,
             queue: VecDeque::new(),
@@ -251,7 +247,7 @@ impl Pipeline {
         let mut p = Pipeline::with_obs(nodes, shards, config, obs, Some(journal));
         if let Some((gen, doc)) = recovered.serve().cloned() {
             let parsed = parse_merged_document(&doc)?;
-            if parsed.matrix.nodes() != p.nodes.as_slice() {
+            if parsed.matrix.nodes() != p.dataset.matrix.nodes() {
                 return Err("recovered generation's node list differs from the pipeline's".into());
             }
             if parsed.shards.len() != shards {
@@ -263,13 +259,9 @@ impl Pipeline {
             let snapshot = Snapshot::from_merged(&parsed);
             p.oracle
                 .publish_versioned_at(snapshot, gen, Some(now.as_nanos()));
-            let served = MergeOutcome::from(parsed);
-            p.matrix = served.matrix;
-            p.measured_at = served.measured_at;
-            p.lineage = served.lineage;
-            p.statuses = served.shards.iter().map(|c| c.status).collect();
+            p.dataset = MergeOutcome::from(parsed);
             p.generation = gen;
-            p.last_publish = Some(served.now);
+            p.last_publish = Some(p.dataset.now);
             p.obs.set_gauge("oracle.pipeline.generation", gen as i64);
             // A pending record sealed but never swapped: finish its
             // interrupted publish so the directory converges.
@@ -374,10 +366,10 @@ impl Pipeline {
     /// Drains the queue into the accumulated dataset and pushes one
     /// generation through journal and swap cell.
     fn publish_queued(&mut self, now: SimTime) -> Result<u64, String> {
-        // `outcome` indexes one status tag per shard, so a delta that
+        // The dataset keeps one status tag per shard, so a delta that
         // carries any other number is refused before anything folds —
         // the same mismatch `recover` refuses in a document.
-        let shards = self.owned.len();
+        let shards = self.dataset.shards.len();
         let malformed = self.queue.iter().position(|d| d.statuses.len() != shards);
         if let Some(bad) = malformed.and_then(|at| self.queue.remove(at)) {
             self.obs
@@ -408,17 +400,21 @@ impl Pipeline {
                     !on_time as u64,
                 );
             }
+            let data = &mut self.dataset;
             for p in delta.pairs {
-                self.matrix.set(p.a, p.b, p.rtt_ms);
-                self.measured_at.insert(ordered(p.a, p.b), p.measured_at);
-                self.lineage.insert(ordered(p.a, p.b), p.lineage);
+                data.matrix.set(p.a, p.b, p.rtt_ms);
+                data.measured_at.insert(ordered(p.a, p.b), p.measured_at);
+                data.lineage.insert(ordered(p.a, p.b), p.lineage);
             }
             self.last_seq = self.last_seq.max(delta.seq);
-            self.statuses = delta.statuses;
+            for (row, status) in data.shards.iter_mut().zip(delta.statuses) {
+                row.status = status;
+            }
         }
         if let Some(slo) = &mut self.slo {
-            let owned: u64 = self.owned.iter().map(|o| o.len() as u64).sum();
-            let covered = self.measured_at.len() as u64;
+            let n = self.dataset.matrix.len() as u64;
+            let owned = n * n.saturating_sub(1) / 2;
+            let covered = self.dataset.measured_at.len() as u64;
             slo.engine.observe(
                 SLO_COVERAGE,
                 now.as_nanos(),
@@ -428,7 +424,8 @@ impl Pipeline {
         }
         self.obs.set_gauge("oracle.pipeline.queue_depth", 0);
 
-        let doc = self.outcome(now).to_document();
+        judge_coverage(&mut self.dataset, now, self.config.staleness);
+        let doc = self.dataset.to_document();
         let next = self.generation + 1;
         if let Some(j) = &self.journal {
             j.append(next, &doc)
@@ -459,30 +456,6 @@ impl Pipeline {
             );
         }
         Ok(next)
-    }
-
-    /// Renders the accumulated dataset exactly as
-    /// [`ting::shard::merge_checkpoints`] would: coverage rows over the
-    /// same partition, staleness judged at `now` against the same
-    /// horizon, shard statuses from the latest delta.
-    fn outcome(&self, now: SimTime) -> MergeOutcome {
-        let mut shards = Vec::with_capacity(self.owned.len());
-        for (k, owned) in self.owned.iter().enumerate() {
-            let mut coverage = ShardCoverage::new(k as u32, self.statuses[k], owned.len());
-            for &(a, b) in owned {
-                if let Some(&t) = self.measured_at.get(&ordered(a, b)) {
-                    coverage.cover(t, now, self.config.staleness);
-                }
-            }
-            shards.push(coverage);
-        }
-        MergeOutcome {
-            matrix: self.matrix.clone(),
-            measured_at: self.measured_at.clone(),
-            lineage: self.lineage.clone(),
-            shards,
-            now,
-        }
     }
 
     /// Re-judges the TTL ladder against the served snapshot's newest
@@ -574,12 +547,11 @@ impl Pipeline {
         self.slo.as_ref()?.engine.totals(name)
     }
 
-    /// The served generation's sealed document, re-rendered at its own
+    /// The served generation's sealed document, as judged at its own
     /// publish instant — what the chaos harness compares bit-for-bit
     /// across kill/resume boundaries.
     pub fn serving_document(&self) -> String {
-        let at = self.last_publish.unwrap_or(SimTime::ZERO);
-        self.outcome(at).to_document()
+        self.dataset.to_document()
     }
 
     /// A `Send + Sync` handle into the underlying swap cell.
@@ -593,10 +565,36 @@ impl Pipeline {
     }
 }
 
+/// Re-tallies `dataset`'s coverage rows exactly as
+/// [`ting::shard::merge_checkpoints`] would: every pair dealt to its
+/// [`owner`] in `(i, j)` index order, staleness judged at `now` against
+/// the same horizon, each row keeping its status tag.
+fn judge_coverage(dataset: &mut MergeOutcome, now: SimTime, staleness: SimDuration) {
+    let shards = dataset.shards.len();
+    for (k, row) in dataset.shards.iter_mut().enumerate() {
+        *row = ShardCoverage::new(k as u32, row.status, 0);
+    }
+    let nodes = dataset.matrix.nodes();
+    let mut ordinal = 0;
+    for (i, &a) in nodes.iter().enumerate() {
+        for &b in &nodes[i + 1..] {
+            let row = &mut dataset.shards[owner(ordinal, shards)];
+            row.owned += 1;
+            row.uncovered += 1;
+            if let Some(&t) = dataset.measured_at.get(&ordered(a, b)) {
+                row.cover(t, now, staleness);
+            }
+            ordinal += 1;
+        }
+    }
+    dataset.now = now;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use obs::Lineage;
     use ting::shard::DeltaPair;
 
     fn delta(seq: u64, pairs: Vec<(NodeId, NodeId, f64, SimTime)>, now: u64) -> MergeDelta {
@@ -813,6 +811,36 @@ mod tests {
             assert_eq!((served(&p, 1), served(&p, 2)), (Some(7.0), Some(3.0)));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serving_document_is_the_stored_outcome_until_the_next_publish() {
+        let mut cfg = config();
+        cfg.publish_interval = SimDuration::from_secs(10);
+        let mut p = Pipeline::new(nodes(), 2, cfg);
+        let to = |seq, b, at| MergeDelta {
+            statuses: vec!["live", "restarting"],
+            ..delta(seq, vec![(NodeId(0), NodeId(b), 7.0, SimTime(at))], at)
+        };
+        let bootstrap = p.serving_document();
+        let rows = "# now_ns: 0\ns\t0\tlive\t2\t0\t0\t2\t-\t-\ns\t1\tlive\t1\t0\t0\t1\t-\t-\n";
+        assert!(bootstrap.contains(rows), "{bootstrap}");
+        p.offer(to(1, 1, 5));
+        assert_eq!(p.serving_document(), bootstrap, "offered, not yet ticked");
+        assert_eq!(p.tick(SimTime(5)).unwrap(), Some(2));
+        let served = p.serving_document();
+        let rows =
+            "# now_ns: 5\ns\t0\tlive\t2\t1\t0\t1\t5\t5\ns\t1\trestarting\t1\t0\t0\t1\t-\t-\n";
+        assert!(served.contains(rows), "{served}");
+        p.offer(to(2, 2, 6));
+        assert_eq!(p.tick(SimTime(6)).unwrap(), None, "interval not elapsed");
+        assert_eq!(p.serving_document(), served, "ticked, nothing published");
+    }
+
+    #[test]
+    #[should_panic(expected = "shard count must be positive")]
+    fn zero_shards_are_refused_at_construction() {
+        Pipeline::new(nodes(), 0, config());
     }
 
     #[test]

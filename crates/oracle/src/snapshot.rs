@@ -1,7 +1,7 @@
 //! Immutable matrix snapshots: what the oracle actually serves.
 //!
 //! A [`Snapshot`] is a fully materialized, read-only copy of one
-//! generation of the RTT dataset — the dense [`RttView`] for lookups,
+//! generation of the RTT dataset — the dense [`RttMatrix`] for lookups,
 //! per-pair measurement timestamps when the source carries them (the
 //! merged shard checkpoint does; a bare TSV does not), and the
 //! [`SnapshotMeta`] freshness/coverage summary every answer cites.
@@ -13,7 +13,7 @@
 use netsim::NodeId;
 use obs::{Lineage, Origin};
 use ting::shard::{parse_merged_document, MergedDocument, ShardCoverage};
-use ting::{RttMatrix, RttView};
+use ting::RttMatrix;
 
 /// Where a snapshot's data came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,11 +217,11 @@ const NO_LINEAGE: Lineage = Lineage {
 /// One immutable generation of the served dataset.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    view: RttView,
-    /// Dense `n × n` measurement instants mirroring the view's layout;
-    /// `None` for sources without timestamps.
+    matrix: RttMatrix,
+    /// Dense `n × n` measurement instants mirroring the matrix's
+    /// layout; `None` for sources without timestamps.
     measured_at_ns: Option<Vec<u64>>,
-    /// Dense `n × n` per-pair provenance mirroring the view's layout;
+    /// Dense `n × n` per-pair provenance mirroring the matrix's layout;
     /// `None` for sources without lineage (bare matrices, TSVs, v1
     /// documents).
     lineage: Option<Vec<Lineage>>,
@@ -232,11 +232,9 @@ impl Snapshot {
     /// Builds a snapshot straight from an in-memory matrix (no
     /// timestamps — e.g. a freshly measured dataset).
     pub fn from_matrix(matrix: &RttMatrix) -> Snapshot {
-        let view = matrix.view();
-        let n = view.len();
-        let measured_pairs = view.measured_pairs();
+        let n = matrix.len();
         Snapshot {
-            view,
+            matrix: matrix.clone(),
             measured_at_ns: None,
             lineage: None,
             meta: SnapshotMeta {
@@ -244,7 +242,7 @@ impl Snapshot {
                 source: SnapshotSource::Matrix,
                 nodes: n,
                 total_pairs: n * (n.max(1) - 1) / 2,
-                measured_pairs,
+                measured_pairs: matrix.measured_pairs(),
                 now_ns: None,
                 oldest_ns: None,
                 newest_ns: None,
@@ -276,11 +274,11 @@ impl Snapshot {
         snap.meta.now_ns = Some(doc.now_ns);
         snap.meta.shards = Some(summarize_shards(&doc.shards));
 
-        let n = snap.view.len();
+        let n = snap.matrix.len();
         let mut table = vec![NO_TIMESTAMP; n * n];
         let (mut oldest, mut newest) = (None::<u64>, None::<u64>);
         for (&(a, b), &t) in &doc.measured_at_ns {
-            let (Some(i), Some(j)) = (snap.view.index_of(a), snap.view.index_of(b)) else {
+            let (Some(i), Some(j)) = (snap.matrix.index_of(a), snap.matrix.index_of(b)) else {
                 continue;
             };
             table[i as usize * n + j as usize] = t;
@@ -294,7 +292,7 @@ impl Snapshot {
         if !doc.lineage.is_empty() {
             let mut table = vec![NO_LINEAGE; n * n];
             for (&(a, b), &l) in &doc.lineage {
-                let (Some(i), Some(j)) = (snap.view.index_of(a), snap.view.index_of(b)) else {
+                let (Some(i), Some(j)) = (snap.matrix.index_of(a), snap.matrix.index_of(b)) else {
                     continue;
                 };
                 table[i as usize * n + j as usize] = l;
@@ -309,10 +307,10 @@ impl Snapshot {
         &self.meta
     }
 
-    /// The underlying read view (for bulk consumers that want to work
-    /// in index space themselves).
-    pub fn view(&self) -> &RttView {
-        &self.view
+    /// The underlying matrix (for bulk consumers that want to work in
+    /// index space themselves).
+    pub fn view(&self) -> &RttMatrix {
+        &self.matrix
     }
 
     pub(crate) fn stamp_version(&mut self, version: u64) {
@@ -320,7 +318,7 @@ impl Snapshot {
     }
 
     fn resolve(&self, n: NodeId) -> Result<u32, QueryError> {
-        self.view.index_of(n).ok_or(QueryError::UnknownNode(n))
+        self.matrix.index_of(n).ok_or(QueryError::UnknownNode(n))
     }
 
     /// The newest measurement instant in the dataset — what snapshot-
@@ -334,7 +332,7 @@ impl Snapshot {
     /// The pair's measurement instant, in index space.
     fn timestamp_idx(&self, i: u32, j: u32) -> Option<u64> {
         let t = self.measured_at_ns.as_deref()?;
-        let v = t[i as usize * self.view.len() + j as usize];
+        let v = t[i as usize * self.matrix.len() + j as usize];
         if v == NO_TIMESTAMP {
             None
         } else {
@@ -353,7 +351,7 @@ impl Snapshot {
     /// The pair's provenance, in index space.
     fn lineage_idx(&self, i: u32, j: u32) -> Option<Lineage> {
         let t = self.lineage.as_deref()?;
-        let l = t[i as usize * self.view.len() + j as usize];
+        let l = t[i as usize * self.matrix.len() + j as usize];
         if l == NO_LINEAGE {
             None
         } else {
@@ -372,7 +370,7 @@ impl Snapshot {
     #[inline]
     pub fn rtt(&self, x: NodeId, y: NodeId) -> Result<PointAnswer, QueryError> {
         let (i, j) = (self.resolve(x)?, self.resolve(y)?);
-        let rtt_ms = self.view.get_idx(i, j);
+        let rtt_ms = self.matrix.get_idx(i, j);
         let measured_at_ns = self.timestamp_idx(i, j);
         let age_ns = self.age_of(measured_at_ns);
         Ok(PointAnswer {
@@ -389,7 +387,7 @@ impl Snapshot {
     /// fully deterministic for a given snapshot.
     pub fn k_nearest(&self, x: NodeId, k: usize) -> Result<KNearestAnswer, QueryError> {
         let i = self.resolve(x)?;
-        let row = self.view.row(i);
+        let row = self.matrix.row(i);
         let mut candidates: Vec<(f64, u32)> = row
             .iter()
             .enumerate()
@@ -413,7 +411,7 @@ impl Snapshot {
             neighbors: candidates
                 .into_iter()
                 .map(|(rtt_ms, v)| Neighbor {
-                    node: self.view.node(v),
+                    node: self.matrix.node(v),
                     rtt_ms,
                 })
                 .collect(),
@@ -426,7 +424,7 @@ impl Snapshot {
     /// `R(x, v) + R(v, y)`, via the same kernel `analysis::tiv` uses.
     pub fn best_via(&self, x: NodeId, y: NodeId) -> Result<DetourAnswer, QueryError> {
         let (i, j) = (self.resolve(x)?, self.resolve(y)?);
-        let best = self.view.best_detour(i, j);
+        let best = self.matrix.best_detour(i, j);
         // A detour is only as fresh as its stalest leg: cite the older
         // of the two leg instants so TTL policy applies to detours.
         // `cited` is the pair whose provenance the answer reports: the
@@ -440,13 +438,13 @@ impl Snapshot {
             None => (self.timestamp_idx(i, j), Some((i, j))),
         };
         let via = best.map(|best| Neighbor {
-            node: self.view.node(best.via),
+            node: self.matrix.node(best.via),
             rtt_ms: best.rtt_ms,
         });
         Ok(DetourAnswer {
             src: x,
             dst: y,
-            direct_ms: self.view.get_idx(i, j),
+            direct_ms: self.matrix.get_idx(i, j),
             via,
             measured_at_ns,
             age_ns: self.age_of(measured_at_ns),

@@ -21,8 +21,7 @@
 //! * [`network`] — builders that assemble underlay + relays + proxy into
 //!   a runnable [`network::TorNetwork`], including the PlanetLab-like
 //!   validation testbed and live-network scenarios of §4;
-//! * [`churn`] — the relay-population process behind Fig. 18;
-//! * [`traffic`] — finite background workloads for realism tests.
+//! * [`churn`] — the relay-population process behind Fig. 18.
 
 pub mod churn;
 pub mod client;
@@ -32,7 +31,6 @@ pub mod echo;
 pub mod metrics;
 pub mod network;
 pub mod relay;
-pub mod traffic;
 
 pub use control::{CircuitHandle, CircuitStatus, Controller, StreamHandle, StreamStatus};
 pub use directory::{Consensus, RelayDescriptor, RelayFlags};
