@@ -3,12 +3,13 @@
 //! Each `src/bin/figNN_*.rs` binary regenerates the data series behind
 //! one figure of the paper, printing gnuplot-friendly columns plus a
 //! summary comparing against the paper's reported numbers. Binaries
-//! share the scenario builders, the parallel measurement driver, and a
-//! TSV dataset cache (under `target/figdata/`) so related figures
-//! (3/4/7, 11–17) don't re-measure the same networks.
+//! share the scenario builders, the pair-measurement loop, and a TSV
+//! dataset cache (under `target/figdata/`) so related figures (3/4/7,
+//! 11–17) don't re-measure the same networks.
 //!
 //! Every binary accepts environment-variable overrides so a quick smoke
-//! run is possible without touching the paper-scale defaults:
+//! run is possible without touching the paper-scale defaults; a value
+//! that does not parse is an error (exit 2), not the default:
 //!
 //! | var              | meaning                             |
 //! |------------------|-------------------------------------|
@@ -16,7 +17,6 @@
 //! | `TING_SAMPLES`   | Ting samples per circuit            |
 //! | `TING_PAIRS`     | number of pairs to measure          |
 //! | `TING_RELAYS`    | live-network relay population       |
-//! | `TING_THREADS`   | worker threads (default: all cores) |
 //! | `TING_HOURS`     | duration of longitudinal runs       |
 //! | `TING_RUNS`      | Monte-Carlo runs per configuration  |
 //! | `TING_REPS`      | timed repetitions (`obs_overhead`)  |
@@ -27,35 +27,27 @@ use netsim::{NodeId, SimDuration, SimTime};
 use ting::{RttMatrix, Ting, TingConfig, TingMeasurement};
 use tor_sim::{TorNetwork, TorNetworkBuilder};
 
-/// Reads an integer environment override.
+/// Reads an integer environment override. A value that is set but does
+/// not parse exits the process, naming the variable and the value: a
+/// mistyped override must not run the experiment at its default.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_u64(name, default as u64) as usize
 }
 
-/// Reads a `u64` environment override.
+/// [`env_usize`] for a `u64`.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Ok(value) = std::env::var(name) else {
+        return default;
+    };
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{name}={value:?} is not a non-negative integer");
+        std::process::exit(2)
+    })
 }
 
 /// The scenario seed shared by every figure unless overridden.
 pub fn seed() -> u64 {
     env_u64("TING_SEED", 2015)
-}
-
-/// Worker thread count.
-pub fn threads() -> usize {
-    env_usize(
-        "TING_THREADS",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
-    )
 }
 
 /// The figdata cache directory (created on demand).
@@ -81,10 +73,7 @@ impl AccuracyPoint {
 }
 
 /// Measures `pairs` with Ting (at `samples` per circuit) against
-/// min-of-100-ping ground truth on the §4.1 testbed, fanning the pairs
-/// out over worker threads. Each worker rebuilds the network from the
-/// same seed, so the underlay (and thus ground truth) is identical
-/// across workers.
+/// min-of-100-ping ground truth on the §4.1 testbed.
 pub fn testbed_accuracy_dataset(samples: usize, pairs_limit: usize) -> Vec<AccuracyPoint> {
     let seed = seed();
     let cache = figdata_dir().join(format!("accuracy_s{seed}_k{samples}_p{pairs_limit}.tsv"));
@@ -118,8 +107,8 @@ pub fn testbed_accuracy_dataset(samples: usize, pairs_limit: usize) -> Vec<Accur
     }
     pairs.truncate(pairs_limit);
 
-    let results = measure_pairs_parallel(
-        move || TorNetworkBuilder::testbed(seed).build(),
+    let results = measure_pairs(
+        TorNetworkBuilder::testbed(seed).build(),
         &pairs,
         TingConfig::with_samples(samples),
     );
@@ -138,51 +127,22 @@ pub fn testbed_accuracy_dataset(samples: usize, pairs_limit: usize) -> Vec<Accur
     pts
 }
 
-/// Fans pair measurements out over [`threads`] workers. Returns, in
-/// input order, `(ping ground truth, measurement)` per pair. Each
-/// worker constructs its own [`Ting`] from the config (the driver's
-/// `Rc` handles are single-threaded by design).
-pub fn measure_pairs_parallel<F>(
-    build: F,
+/// Measures `pairs` one after another on `net`, freshly built by the
+/// caller: in input order, `(ping ground truth, measurement)` per pair.
+/// One network, one RNG stream — the dataset depends on the seed and
+/// nothing else about the host.
+fn measure_pairs(
+    mut net: TorNetwork,
     pairs: &[(NodeId, NodeId)],
     config: TingConfig,
-) -> Vec<(f64, TingMeasurement)>
-where
-    F: Fn() -> TorNetwork + Sync,
-{
-    let n_threads = threads().max(1).min(pairs.len().max(1));
-    let mut results: Vec<Option<(f64, TingMeasurement)>> = vec![None; pairs.len()];
-    let chunk = pairs.len().div_ceil(n_threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, shard) in pairs.chunks(chunk).enumerate() {
-            let build = &build;
-            handles.push((
-                t,
-                scope.spawn(move || {
-                    let mut net = build();
-                    let ting = Ting::new(config);
-                    shard
-                        .iter()
-                        .map(|&(x, y)| {
-                            let truth = net.ping_min_rtt_ms(x, y, 100);
-                            let m = ting.measure_pair(&mut net, x, y).expect("pair measured");
-                            (truth, m)
-                        })
-                        .collect::<Vec<_>>()
-                }),
-            ));
-        }
-        for (t, handle) in handles {
-            for (i, r) in handle.join().expect("worker").into_iter().enumerate() {
-                results[t * chunk + i] = Some(r);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("all measured"))
-        .collect()
+) -> Vec<(f64, TingMeasurement)> {
+    let ting = Ting::new(config);
+    let measure = |&(x, y): &(NodeId, NodeId)| {
+        let truth = net.ping_min_rtt_ms(x, y, 100);
+        let m = ting.measure_pair(&mut net, x, y).expect("pair measured");
+        (truth, m)
+    };
+    pairs.iter().map(measure).collect()
 }
 
 /// Builds (or loads from the figdata cache) the §5 live-network
@@ -203,7 +163,6 @@ pub fn live_matrix(n: usize, samples: usize) -> (TorNetwork, RttMatrix) {
         }
     }
 
-    // Measure in parallel: shard the pair list, merge into one matrix.
     let mut pair_list: Vec<(NodeId, NodeId)> = Vec::new();
     for i in 0..nodes.len() {
         for j in (i + 1)..nodes.len() {
@@ -211,17 +170,12 @@ pub fn live_matrix(n: usize, samples: usize) -> (TorNetwork, RttMatrix) {
         }
     }
     eprintln!(
-        "[bench] measuring {} pairs over {} threads ({} samples/circuit)...",
+        "[bench] measuring {} pairs ({} samples/circuit)...",
         pair_list.len(),
-        threads(),
         samples
     );
-    let relay_pool = (n * 3).max(n + 10);
-    let results = measure_pairs_parallel(
-        move || TorNetworkBuilder::live(seed, relay_pool).build(),
-        &pair_list,
-        TingConfig::with_samples(samples),
-    );
+    let fresh = TorNetworkBuilder::live(seed, (n * 3).max(n + 10)).build();
+    let results = measure_pairs(fresh, &pair_list, TingConfig::with_samples(samples));
     let mut matrix = RttMatrix::new(nodes);
     for ((a, b), (_, m)) in pair_list.iter().zip(results) {
         matrix.set(*a, *b, m.estimate_ms());

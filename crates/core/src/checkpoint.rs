@@ -20,10 +20,13 @@
 //!   ([`bak_path`]), so [`crate::scanner::Scanner::recover`] can fall
 //!   back to the last good generation.
 
+use crate::matrix::RttMatrix;
 use netsim::NodeId;
-use std::fmt::Write as _;
+use std::fmt::{Debug, Write as _};
 use std::io::Write as _;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// The CRC-32 (IEEE 802.3, reflected, `0xEDB88320`) of `bytes` — the
 /// same polynomial as zip/gzip/PNG, so sealed checkpoints can be
@@ -91,20 +94,140 @@ pub(crate) fn write_nodes_header(out: &mut String, nodes: &[NodeId]) {
     out.push('\n');
 }
 
-/// Parses the line [`write_nodes_header`] writes. Strict: the prefix
-/// must be there and every token must be a `u32`.
-pub(crate) fn parse_nodes_header(line: &str) -> Result<Vec<NodeId>, String> {
-    line.strip_prefix("# nodes:")
-        .ok_or_else(|| format!("line 2 is not a '# nodes:' list: {line:?}"))?
-        .split_whitespace()
-        .map(|t| parse_node_id(t, 2))
-        .collect()
+/// The one reader under the three row documents — scan checkpoint,
+/// merged document, matrix TSV (grammar: DESIGN.md §19): a magic line,
+/// positional `# key: value` headers, then tab-separated rows. Every
+/// error names its line.
+pub(crate) struct Doc<'a> {
+    lines: std::str::Lines<'a>,
+    /// 1-based number of the last line handed out.
+    line: usize,
 }
 
-/// Parses one node-id token of line `line`: a `u32`, nothing looser.
-pub(crate) fn parse_node_id(token: &str, line: usize) -> Result<NodeId, String> {
-    let bad = |_| format!("line {line}: invalid node id {token:?} (expected a u32)");
-    token.parse().map(NodeId).map_err(bad)
+impl<'a> Doc<'a> {
+    /// Opens `body` past its first line, which must be exactly `magic`;
+    /// `what` names the document in the refusal.
+    pub(crate) fn open(body: &'a str, magic: &str, what: &str) -> Result<Doc<'a>, String> {
+        let mut lines = body.lines();
+        let found = lines.next().unwrap_or_default();
+        if found == magic {
+            return Ok(Doc { lines, line: 1 });
+        }
+        Err(format!(
+            "unsupported {what} header {found:?} (expected {magic:?})"
+        ))
+    }
+
+    /// [`Doc::open`] over the verified body of a sealed document; the
+    /// magic first, so a pre-seal format is refused for its version.
+    pub(crate) fn open_sealed(text: &'a str, magic: &str, what: &str) -> Result<Doc<'a>, String> {
+        Doc::open(text, magic, what)?;
+        Doc::open(verify_sealed(text)?, magic, what)
+    }
+
+    /// The next line, which must be exactly `# key: value`: the value's
+    /// space-separated fields.
+    pub(crate) fn header(&mut self, key: &str) -> Result<Row<'a>, String> {
+        self.line += 1;
+        let text = self.lines.next().unwrap_or_default();
+        let (line, fields) = (self.line, text.split(' '));
+        let mut row = Row { line, fields };
+        let found = (row.token(), row.token().and_then(|t| t.strip_suffix(':')));
+        if found == (Some("#"), Some(key)) {
+            return Ok(row);
+        }
+        Err(format!("line {line} is not a '# {key}:' list: {text:?}"))
+    }
+
+    /// The `# nodes:` header as the empty matrix it lays out: every
+    /// token a `u32`, none twice.
+    pub(crate) fn nodes(&mut self) -> Result<RttMatrix, String> {
+        let mut row = self.header("nodes")?;
+        let mut nodes = Vec::new();
+        while let Some(token) = row.token() {
+            nodes.push(NodeId(row.parse("node id", token)?));
+        }
+        RttMatrix::try_new(nodes).map_err(|e| row.err(&e))
+    }
+
+    /// Every remaining line's tab-separated fields. Nothing is skipped:
+    /// a blank or comment line is a row of an unknown kind.
+    pub(crate) fn rows(self) -> impl Iterator<Item = Row<'a>> {
+        let numbered = self.lines.zip(self.line + 1..);
+        numbered.map(|(text, line)| Row {
+            line,
+            fields: text.split('\t'),
+        })
+    }
+}
+
+/// One line's fields, read left to right.
+pub(crate) struct Row<'a> {
+    line: usize,
+    fields: std::str::Split<'a, char>,
+}
+
+impl<'a> Row<'a> {
+    /// One of this line's fields as a field list of its own.
+    pub(crate) fn part(&self, token: &'a str, separator: char) -> Row<'a> {
+        let (line, fields) = (self.line, token.split(separator));
+        Row { line, fields }
+    }
+
+    /// `line N: msg` — the shape of every load error.
+    pub(crate) fn err(&self, msg: &str) -> String {
+        format!("line {}: {msg}", self.line)
+    }
+
+    /// The next field, if the line has one left.
+    pub(crate) fn token(&mut self) -> Option<&'a str> {
+        self.fields.next()
+    }
+
+    /// The next field, unparsed.
+    pub(crate) fn text(&mut self, what: &str) -> Result<&'a str, String> {
+        self.token()
+            .ok_or_else(|| self.err(&format!("invalid {what}: the line ends before it")))
+    }
+
+    fn parse<T: FromStr>(&self, what: &str, token: &str) -> Result<T, String> {
+        let bad = |_| self.err(&format!("invalid {what} {token:?}"));
+        token.parse().map_err(bad)
+    }
+
+    /// The next field as a `T`.
+    pub(crate) fn field<T: FromStr>(&mut self, what: &str) -> Result<T, String> {
+        let token = self.text(what)?;
+        self.parse(what, token)
+    }
+
+    /// The next field as a `T` inside `range` (so never a NaN).
+    pub(crate) fn field_in<T>(&mut self, what: &str, range: RangeInclusive<T>) -> Result<T, String>
+    where
+        T: FromStr + PartialOrd + Debug,
+    {
+        let v = self.field(what)?;
+        if range.contains(&v) {
+            return Ok(v);
+        }
+        Err(self.err(&format!("{what} {v:?} is outside {range:?}")))
+    }
+
+    /// The next field as a `T`, or `None` where the writer put `-`.
+    pub(crate) fn opt<T: FromStr>(&mut self, what: &str) -> Result<Option<T>, String> {
+        match self.text(what)? {
+            "-" => Ok(None),
+            token => self.parse(what, token).map(Some),
+        }
+    }
+
+    /// The line must be used up: a surplus field is an error.
+    pub(crate) fn end(&mut self) -> Result<(), String> {
+        match self.token() {
+            None => Ok(()),
+            Some(extra) => Err(self.err(&format!("surplus field {extra:?}"))),
+        }
+    }
 }
 
 /// Writes `contents` to `path` atomically and durably: the bytes go to

@@ -27,20 +27,21 @@
 //! Scores decay toward healthy with a configurable half-life, so a
 //! quarantine is never a life sentence — matching how a relay that
 //! rebooted looks fine again once the consensus catches up. All state
-//! is plain `(f64, SimTime)` pairs serialized into the v2 checkpoint,
+//! is plain `(f64, SimTime)` pairs serialized into the scan checkpoint,
 //! so kill/resume keeps bit-identical health decisions.
 
+use crate::checkpoint::Row;
 use netsim::{NodeId, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
 /// Health-model knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
-    /// EWMA weight of the newest observation.
+    /// EWMA weight of the newest observation, in `[0, 1]`.
     pub ewma_alpha: f64,
-    /// Scores below this enter quarantine.
+    /// Scores (always in `[0, 1]`) below this enter quarantine.
     pub quarantine_below: f64,
-    /// Quarantined relays scoring at or above this are released.
+    /// Quarantined relays scoring at or above this, in `[0, 1]`, are released.
     pub release_above: f64,
     /// Pause between probation probes of a quarantined relay.
     pub probation_interval: SimDuration,
@@ -193,7 +194,7 @@ impl RelayHealth {
     }
 
     /// Serializes scores (`h` lines) and the quarantine roster (`q`
-    /// lines) for the v2 checkpoint. Deterministic order; f64s printed
+    /// lines) for the scan checkpoint. Deterministic order; f64s printed
     /// in their shortest exactly-roundtripping form.
     pub fn checkpoint_lines(&self) -> String {
         use std::fmt::Write as _;
@@ -216,20 +217,30 @@ impl RelayHealth {
         out
     }
 
-    /// Restores one `h` score line (parsed fields).
-    pub fn restore_score(&mut self, node: NodeId, score: f64, at: SimTime) {
-        self.scores.insert(node, (score, at));
-    }
-
-    /// Restores one `q` quarantine line (parsed fields).
-    pub fn restore_quarantine(&mut self, node: NodeId, since: SimTime, next_probe_at: SimTime) {
-        self.quarantined.insert(
-            node,
-            Quarantine {
-                since,
-                next_probe_at,
-            },
-        );
+    /// Reads back one row [`RelayHealth::checkpoint_lines`] wrote, `h`
+    /// or `q`, for `node`, whose id field the caller has resolved. A
+    /// node has at most one row of each kind.
+    pub(crate) fn read_row(
+        &mut self,
+        tag: &str,
+        node: NodeId,
+        row: &mut Row,
+    ) -> Result<(), String> {
+        let second = if tag == "h" {
+            let score = row.field_in("health score", 0.0..=1.0)?;
+            let at = SimTime(row.field("health timestamp")?);
+            self.scores.insert(node, (score, at)).is_some()
+        } else {
+            let q = Quarantine {
+                since: SimTime(row.field("quarantine since")?),
+                next_probe_at: SimTime(row.field("next-probe time")?),
+            };
+            self.quarantined.insert(node, q).is_some()
+        };
+        if second {
+            return Err(row.err(&format!("a second {tag} row for the node")));
+        }
+        Ok(())
     }
 }
 
@@ -333,22 +344,14 @@ mod tests {
         h.record(NodeId(5), true, t(9));
         let lines = h.checkpoint_lines();
         let mut restored = health();
-        for line in lines.lines() {
-            let f: Vec<&str> = line.split('\t').collect();
-            let n = NodeId(f[1].parse().unwrap());
-            match f[0] {
-                "h" => restored.restore_score(
-                    n,
-                    f[2].parse().unwrap(),
-                    SimTime::ZERO + SimDuration::from_nanos(f[3].parse().unwrap()),
-                ),
-                "q" => restored.restore_quarantine(
-                    n,
-                    SimTime::ZERO + SimDuration::from_nanos(f[2].parse().unwrap()),
-                    SimTime::ZERO + SimDuration::from_nanos(f[3].parse().unwrap()),
-                ),
-                other => panic!("unexpected tag {other}"),
-            }
+        let doc = format!("magic\n{lines}");
+        for mut row in crate::checkpoint::Doc::open(&doc, "magic", "test")
+            .unwrap()
+            .rows()
+        {
+            let kind = row.text("row kind").unwrap();
+            let node = NodeId(row.field("node id").unwrap());
+            restored.read_row(kind, node, &mut row).unwrap();
         }
         assert_eq!(restored.checkpoint_lines(), lines);
         assert_eq!(restored.quarantined_nodes(), h.quarantined_nodes());

@@ -48,7 +48,9 @@
 //! * [`validate`] — lightspeed/divergence/TIV cross-checks gating
 //!   estimates before they reach the cache;
 //! * [`checkpoint`] — CRC-sealed, atomically-written (and fsynced)
-//!   checkpoint plumbing behind [`scanner::Scanner::save`]/`recover`;
+//!   checkpoint plumbing behind [`scanner::Scanner::save`]/`recover`,
+//!   and the one strict reader under the three row documents (scan
+//!   checkpoint, merged document, matrix TSV);
 //! * [`shard`] — crash-isolated scan shards under a supervising
 //!   restart budget, with a deterministic merge over shard
 //!   checkpoints and degraded-mode coverage reporting;

@@ -7,7 +7,7 @@
 //! serializable to TSV so experiment binaries can regenerate or reload
 //! it, and the input to every §5 application.
 
-use crate::checkpoint::{parse_node_id, parse_nodes_header, write_nodes_header};
+use crate::checkpoint::{write_nodes_header, Doc, Row};
 use crate::orchestrator::{Ting, TingError};
 use netsim::NodeId;
 use std::collections::HashMap;
@@ -156,21 +156,54 @@ impl RttMatrix {
     /// Fallible [`RttMatrix::set`]: unknown nodes, non-finite RTTs and
     /// the diagonal (fixed at 0) become errors instead of panics.
     pub fn try_set(&mut self, a: NodeId, b: NodeId, rtt_ms: f64) -> Result<(), String> {
-        if !rtt_ms.is_finite() {
-            return Err(format!("non-finite RTT {rtt_ms}"));
-        }
         let lookup = |n: NodeId| {
             self.index_of(n)
                 .ok_or_else(|| format!("unknown node {}", n.0))
         };
-        let (ia, ib) = (lookup(a)? as usize, lookup(b)? as usize);
-        if ia == ib {
+        let (ia, ib) = (lookup(a)?, lookup(b)?);
+        self.set_idx(ia, ib, rtt_ms)
+    }
+
+    /// [`RttMatrix::try_set`] in index space.
+    fn set_idx(&mut self, i: u32, j: u32, rtt_ms: f64) -> Result<(), String> {
+        if !rtt_ms.is_finite() {
+            return Err(format!("non-finite RTT {rtt_ms}"));
+        }
+        if i == j {
             return Err("pair of a node with itself".into());
         }
-        let n = self.nodes.len();
-        self.rtt_ms[ia * n + ib] = rtt_ms;
-        self.rtt_ms[ib * n + ia] = rtt_ms;
+        let (i, j, n) = (i as usize, j as usize, self.nodes.len());
+        self.rtt_ms[i * n + j] = rtt_ms;
+        self.rtt_ms[j * n + i] = rtt_ms;
         Ok(())
+    }
+
+    /// Reads a node-id field: the index of a node this matrix has.
+    pub(crate) fn read_node(&self, row: &mut Row) -> Result<u32, String> {
+        let id = row.field("node id")?;
+        self.index_of(NodeId(id))
+            .ok_or_else(|| row.err(&format!("unknown node {id}")))
+    }
+
+    /// Reads the two node-id fields of a pair row.
+    pub(crate) fn read_pair(&self, row: &mut Row) -> Result<(u32, u32), String> {
+        let (i, j) = (self.read_node(row)?, self.read_node(row)?);
+        if i == j {
+            return Err(row.err("pair of a node with itself"));
+        }
+        Ok((i, j))
+    }
+
+    /// Reads the `a b rtt` fields every measurement row starts with, in
+    /// all three documents, into their cell: one row a pair.
+    pub(crate) fn read_cell(&mut self, row: &mut Row) -> Result<(u32, u32), String> {
+        let (i, j) = self.read_pair(row)?;
+        let rtt = row.field("rtt")?;
+        if self.get_idx(i, j).is_some() {
+            return Err(row.err("a second row for the pair"));
+        }
+        self.set_idx(i, j, rtt).map_err(|e| row.err(&e))?;
+        Ok((i, j))
     }
 
     /// Iterates all measured off-diagonal pairs `(a, b, rtt)` with
@@ -280,40 +313,16 @@ impl RttMatrix {
         Ok(m)
     }
 
-    /// Parses the [`RttMatrix::to_tsv`] format.
-    ///
-    /// The loader is strict where it used to be forgiving, because a
-    /// cached dataset that loads wrongly poisons every downstream
-    /// application: the version line must match [`TSV_MAGIC`] exactly,
-    /// node IDs must be integer `u32` tokens (no `f64` round-trip that
-    /// would silently truncate `4.7` to node 4), and a data row naming
-    /// a node absent from the header is an error, not a panic.
+    /// Parses the [`RttMatrix::to_tsv`] format — strictly (DESIGN.md
+    /// §19), because a cached dataset that loads wrongly poisons every
+    /// downstream application: [`TSV_MAGIC`] exactly, `u32` node ids
+    /// from the header, three fields a row, one row a pair.
     pub fn from_tsv(text: &str) -> Result<RttMatrix, String> {
-        let mut lines = text.lines();
-        let magic = lines.next().ok_or("empty input")?;
-        if magic.trim_end() != TSV_MAGIC {
-            return Err(format!(
-                "unsupported matrix header {magic:?} (expected {TSV_MAGIC:?})"
-            ));
-        }
-        let nodes = parse_nodes_header(lines.next().ok_or("missing node list")?)?;
-        let mut m = RttMatrix::try_new(nodes)?;
-        for (lineno, line) in lines.enumerate() {
-            if line.trim().is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let n = lineno + 3;
-            let mut f = line.split('\t');
-            let mut field = |what: &str| -> Result<&str, String> {
-                f.next()
-                    .ok_or_else(|| format!("line {n}: missing {what} field"))
-            };
-            let a = parse_node_id(field("source node")?, n)?;
-            let b = parse_node_id(field("destination node")?, n)?;
-            let v = field("rtt")?
-                .parse::<f64>()
-                .map_err(|e| format!("line {n}: invalid rtt: {e}"))?;
-            m.try_set(a, b, v).map_err(|e| format!("line {n}: {e}"))?;
+        let mut doc = Doc::open(text, TSV_MAGIC, "matrix")?;
+        let mut m = doc.nodes()?;
+        for mut row in doc.rows() {
+            m.read_cell(&mut row)?;
+            row.end()?;
         }
         Ok(m)
     }

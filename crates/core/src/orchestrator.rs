@@ -20,20 +20,9 @@ use tor_sim::TorNetwork;
 pub struct TingConfig {
     /// Sampling policy per circuit.
     pub policy: SamplePolicy,
-    /// Echo payload size in bytes (one cell each way regardless; the
-    /// paper's probes are tiny).
-    pub payload_len: usize,
-    /// Pause between consecutive probes on a circuit, ms (gives relay
-    /// queues a chance to drain, as a polite real deployment would).
-    pub probe_spacing_ms: f64,
     /// Give up on a circuit build after this long (virtual ms). `None`
     /// waits forever — only sensible in a fault-free simulation.
     pub circuit_build_timeout_ms: Option<f64>,
-    /// Give up on the echo stream attach after this long (ms).
-    pub stream_timeout_ms: Option<f64>,
-    /// Give up on an individual probe after this long (ms); the probe
-    /// is discarded, never entering the sample set.
-    pub probe_timeout_ms: Option<f64>,
     /// Probes allowed to time out within one circuit measurement before
     /// the attempt is abandoned as [`TingError::ProbeLost`].
     pub max_lost_probes: u32,
@@ -41,33 +30,39 @@ pub struct TingConfig {
     /// Failed attempts rebuild the circuit through the same relays
     /// after a backoff.
     pub max_attempts: u32,
-    /// Base retry backoff (ms); attempt `k` waits `base · 2^(k-1)`,
-    /// scaled by a deterministic jitter in `[0.5, 1.5)`.
-    pub retry_backoff_ms: f64,
-    /// Ceiling on a single backoff pause (ms).
-    pub retry_backoff_cap_ms: f64,
     /// CBT-style adaptive per-phase deadlines (see [`crate::timeout`]).
-    /// `None` keeps the fixed deadlines above — and keeps the pipeline
+    /// `None` keeps the fixed deadlines — and keeps the pipeline
     /// bit-identical to the pre-adaptive behaviour.
     pub adaptive_timeouts: Option<AdaptiveTimeoutConfig>,
 }
+
+/// Echo payload size in bytes (one cell each way regardless; the
+/// paper's probes are tiny).
+const PAYLOAD_LEN: usize = 8;
+/// Pause between consecutive probes on a circuit, ms (gives relay
+/// queues a chance to drain, as a polite real deployment would).
+pub(crate) const PROBE_SPACING_MS: f64 = 5.0;
+/// Give up on the echo stream attach after this long (ms).
+const STREAM_TIMEOUT_MS: f64 = 15_000.0;
+/// Give up on an individual probe after this long (ms); the probe is
+/// discarded, never entering the sample set.
+const PROBE_TIMEOUT_MS: f64 = 5_000.0;
+/// Base retry backoff (ms); attempt `k` waits `base · 2^(k-1)`, scaled
+/// by a deterministic jitter in `[0.5, 1.5)`, up to the cap (ms).
+const RETRY_BACKOFF_MS: f64 = 500.0;
+const RETRY_BACKOFF_CAP_MS: f64 = 8_000.0;
 
 impl Default for TingConfig {
     fn default() -> Self {
         TingConfig {
             policy: SamplePolicy::paper_accurate(),
-            payload_len: 8,
-            probe_spacing_ms: 5.0,
-            // Generous enough that a fault-free run never hits them
-            // (keeping estimates bit-identical to an untimed run), tight
-            // enough that a dead relay costs seconds, not a hung scan.
+            // Like the stream and probe deadlines, generous enough that
+            // a fault-free run never hits it (keeping estimates
+            // bit-identical to an untimed run), tight enough that a
+            // dead relay costs seconds, not a hung scan.
             circuit_build_timeout_ms: Some(30_000.0),
-            stream_timeout_ms: Some(15_000.0),
-            probe_timeout_ms: Some(5_000.0),
             max_lost_probes: 16,
             max_attempts: 3,
-            retry_backoff_ms: 500.0,
-            retry_backoff_cap_ms: 8_000.0,
             adaptive_timeouts: None,
         }
     }
@@ -229,8 +224,8 @@ impl Ting {
     pub(crate) fn phase_timeout_ms(&self, phase: TimeoutPhase) -> Option<f64> {
         let fixed = match phase {
             TimeoutPhase::Build => self.config.circuit_build_timeout_ms,
-            TimeoutPhase::Stream => self.config.stream_timeout_ms,
-            TimeoutPhase::Probe => self.config.probe_timeout_ms,
+            TimeoutPhase::Stream => Some(STREAM_TIMEOUT_MS),
+            TimeoutPhase::Probe => Some(PROBE_TIMEOUT_MS),
         };
         match (&self.config.adaptive_timeouts, fixed) {
             (Some(cfg), Some(fallback)) => Some(self.timeouts.timeout_ms(phase, cfg, fallback)),
@@ -394,12 +389,7 @@ impl Ting {
     /// so concurrent deployments desynchronize — but never drawn from
     /// the simulation RNG, keeping retries replayable.
     pub(crate) fn backoff_ms(&self, path: &[NodeId], attempt: u32) -> f64 {
-        crate::backoff::jittered_ms(
-            self.config.retry_backoff_ms,
-            self.config.retry_backoff_cap_ms,
-            path,
-            attempt,
-        )
+        crate::backoff::jittered_ms(RETRY_BACKOFF_MS, RETRY_BACKOFF_CAP_MS, path, attempt)
     }
 
     /// Builds one circuit, attaches an echo stream, samples RTTs under
@@ -463,11 +453,11 @@ impl Ting {
         );
     }
 
-    /// The probe payload: `payload_len` bytes carrying the probe index
+    /// The probe payload: [`PAYLOAD_LEN`] bytes carrying the probe index
     /// (little-endian, truncated) so echoes are matchable to their
     /// probe. Same length for every probe — identical timing.
     pub(crate) fn probe_payload(&self, probe_idx: u64) -> Vec<u8> {
-        let mut payload = vec![0xA5u8; self.config.payload_len];
+        let mut payload = vec![0xA5u8; PAYLOAD_LEN];
         for (slot, byte) in payload.iter_mut().zip(probe_idx.to_le_bytes()) {
             *slot = byte;
         }

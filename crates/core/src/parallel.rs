@@ -35,7 +35,7 @@
 //! function of `(seed, lane count, assignment order)`.
 
 use crate::estimator::{CircuitSamples, TingMeasurement};
-use crate::orchestrator::{Ting, TingError};
+use crate::orchestrator::{Ting, TingError, PROBE_SPACING_MS};
 use crate::timeout::TimeoutPhase;
 use netsim::{NodeId, SimDuration, SimTime, Simulator};
 use std::collections::VecDeque;
@@ -456,8 +456,8 @@ impl<const N: usize> Task<N> {
         }
     }
 
-    /// Waits out the probe spacing (if configured) before the next
-    /// probe. The first probe of a circuit never waits.
+    /// Waits out the probe spacing before the next probe. The first
+    /// probe of a circuit never waits.
     fn pause_or_probe(
         &mut self,
         sim: &mut Simulator,
@@ -466,11 +466,11 @@ impl<const N: usize> Task<N> {
         circuit: CircuitHandle,
         stream: StreamHandle,
     ) {
-        if ting.config.probe_spacing_ms > 0.0 && self.probe_idx > 0 {
+        if self.probe_idx > 0 {
             self.state = TaskState::Spacing {
                 circuit,
                 stream,
-                resume_at: sim.now() + SimDuration::from_millis_f64(ting.config.probe_spacing_ms),
+                resume_at: sim.now() + SimDuration::from_millis_f64(PROBE_SPACING_MS),
             };
         } else {
             self.send_probe(sim, ctl, ting, circuit, stream);

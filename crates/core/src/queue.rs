@@ -266,7 +266,7 @@ impl WorkQueue {
     /// its last success).
     pub fn on_failed(&mut self, i: u32, j: u32, until: SimTime) {
         self.record_outcome(i, j, Tier::Backoff, |rec| {
-            rec.attempts += 1;
+            rec.attempts = rec.attempts.saturating_add(1);
             rec.retry_at = until;
         });
     }

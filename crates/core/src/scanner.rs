@@ -8,6 +8,7 @@
 //! whose estimates have gone stale. [`Scanner`] implements that loop on
 //! top of [`crate::matrix::RttMatrix`].
 
+use crate::checkpoint::{Doc, Row};
 use crate::estimator::TingMeasurement;
 use crate::health::{HealthConfig, HealthEvent, RelayHealth};
 use crate::matrix::{ordered, RttMatrix};
@@ -105,21 +106,23 @@ pub struct Scanner {
 
 impl Scanner {
     /// Creates a scanner over a fixed relay set.
+    ///
+    /// # Panics
+    /// Panics on duplicate nodes.
     pub fn new(nodes: Vec<NodeId>, config: ScannerConfig) -> Scanner {
-        Scanner::try_new(nodes, config).unwrap_or_else(|e| panic!("{e}"))
+        Scanner::over(RttMatrix::new(nodes), config)
     }
 
-    /// Fallible constructor for the load path: duplicate nodes become
-    /// an error instead of a panic.
-    fn try_new(nodes: Vec<NodeId>, config: ScannerConfig) -> Result<Scanner, String> {
-        Ok(Scanner {
+    /// A scanner with nothing measured yet over `matrix`'s node list.
+    fn over(matrix: RttMatrix, config: ScannerConfig) -> Scanner {
+        Scanner {
             config,
-            queue: WorkQueue::new(nodes.len(), config.staleness),
-            matrix: RttMatrix::try_new(nodes)?,
+            queue: WorkQueue::new(matrix.len(), config.staleness),
+            matrix,
             rounds_run: 0,
             health: config.health.map(RelayHealth::new),
             locations: HashMap::new(),
-        })
+        }
     }
 
     /// The pair's indices into the node list, lower first; `None` when
@@ -520,7 +523,7 @@ impl Scanner {
     /// Re-queues a failed pair under exponential backoff.
     fn record_failure(&mut self, a: NodeId, b: NodeId, now: SimTime, ting: &Ting) {
         let (i, j) = self.planned_pair(a, b);
-        let attempts = self.queue.record(i, j).attempts + 1;
+        let attempts = self.queue.record(i, j).attempts.saturating_add(1);
         self.queue.on_failed(i, j, now + self.backoff(attempts));
         ting.obs().inc("ting.pair_requeued");
     }
@@ -711,185 +714,56 @@ impl Scanner {
         crate::checkpoint::seal(out)
     }
 
-    /// Parses a checkpoint document. It must carry the current (v3)
-    /// magic line and a valid CRC-32 trailer — any flipped or truncated
-    /// byte is refused rather than resumed from — and every row must
-    /// name nodes from its own node list: a malformed document is an
-    /// error naming the line, never a panic.
+    /// Parses a checkpoint document: the current (v3) magic, a valid
+    /// CRC-32 trailer — any flipped or truncated byte is refused rather
+    /// than resumed from — and exactly what [`Scanner::to_checkpoint`]
+    /// writes (DESIGN.md §19). A malformed document is an error naming
+    /// the line, never a panic.
     pub fn from_checkpoint(text: &str) -> Result<Scanner, String> {
-        match text.lines().next().ok_or("empty checkpoint")? {
-            CHECKPOINT_MAGIC => Self::parse_checkpoint(crate::checkpoint::verify_sealed(text)?),
-            other => Err(format!("bad magic line: {other:?}")),
-        }
-    }
-
-    fn parse_checkpoint(body: &str) -> Result<Scanner, String> {
-        let mut lines = body.lines();
-        lines.next(); // magic, already matched by the caller
-        let nodes =
-            crate::checkpoint::parse_nodes_header(lines.next().ok_or("missing node list")?)?;
-        let config_line = lines.next().ok_or("missing config line")?;
-        let mut config = ScannerConfig::default();
-        for tok in config_line
-            .trim_start_matches("# config:")
-            .split_whitespace()
-        {
-            let (k, v) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("bad token {tok:?}"))?;
-            let u = |v: &str| v.parse::<u64>().map_err(|e| format!("{k}: {e}"));
-            let fl = |v: &str| v.parse::<f64>().map_err(|e| format!("{k}: {e}"));
-            match k {
-                "staleness_ns" => config.staleness = SimDuration::from_nanos(u(v)?),
-                "pairs_per_round" => config.pairs_per_round = u(v)? as usize,
-                "retry_backoff_ns" => config.retry_backoff = SimDuration::from_nanos(u(v)?),
-                "retry_backoff_cap_ns" => config.retry_backoff_cap = SimDuration::from_nanos(u(v)?),
-                "health" => {
-                    config.health = (u(v)? == 1).then(HealthConfig::default);
-                }
-                "health_alpha" => health_cfg(&mut config, k)?.ewma_alpha = fl(v)?,
-                "health_qbelow" => health_cfg(&mut config, k)?.quarantine_below = fl(v)?,
-                "health_rabove" => health_cfg(&mut config, k)?.release_above = fl(v)?,
-                "health_probation_ns" => {
-                    health_cfg(&mut config, k)?.probation_interval = SimDuration::from_nanos(u(v)?)
-                }
-                "health_halflife_ns" => {
-                    health_cfg(&mut config, k)?.decay_half_life = SimDuration::from_nanos(u(v)?)
-                }
-                "val" => {
-                    config.validation = (u(v)? == 1).then(ValidationConfig::default);
-                }
-                "val_divfactor" => val_cfg(&mut config, k)?.divergence_factor = fl(v)?,
-                "val_divslack_ms" => val_cfg(&mut config, k)?.divergence_slack_ms = fl(v)?,
-                "val_lightspeed" => val_cfg(&mut config, k)?.lightspeed = u(v)? == 1,
-                "val_tivfactor" => val_cfg(&mut config, k)?.tiv_factor = fl(v)?,
-                "val_tivmin_ms" => val_cfg(&mut config, k)?.tiv_min_detour_ms = fl(v)?,
-                other => return Err(format!("unknown config key {other:?}")),
-            }
-        }
-        let mut scanner = Scanner::try_new(nodes, config).map_err(|e| format!("line 2: {e}"))?;
-        for (lineno, line) in lines.enumerate() {
-            if let Some(r) = line.strip_prefix("# rounds:") {
-                scanner.rounds_run = r
-                    .trim()
-                    .parse()
-                    .map_err(|e| format!("bad rounds header: {e}"))?;
-                continue;
-            }
-            if line.trim().is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |msg: &str| format!("line {}: {msg}", lineno + 4);
-            let mut f = line.split('\t');
-            let tag = f.next().ok_or_else(|| err("empty"))?;
-            // The matrix and the pair table are laid out by the
-            // document's own node list, so a row is only good if that
-            // list has its nodes.
-            let matrix = &scanner.matrix;
-            let node = |field: Option<&str>, which: &str| -> Result<(NodeId, u32), String> {
-                let id = field
-                    .and_then(|t| t.parse().ok())
-                    .map(NodeId)
-                    .ok_or_else(|| err(&format!("bad node {which}")))?;
-                let index = matrix
-                    .index_of(id)
-                    .ok_or_else(|| err(&format!("unknown node {}", id.0)))?;
-                Ok((id, index))
-            };
-            let (a, i) = node(f.next(), "a")?;
-            let other = |field: Option<&str>| {
-                let (b, j) = node(field, "b")?;
-                if a == b {
-                    return Err(err("pair of a node with itself"));
-                }
-                Ok((b, j))
-            };
-            match tag {
-                "m" => {
-                    let (b, j) = other(f.next())?;
-                    let rtt: f64 = f
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad rtt"))?;
-                    let t_ns: u64 = f
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad timestamp"))?;
-                    let round: u64 = f
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad round"))?;
-                    scanner.matrix.try_set(a, b, rtt).map_err(|e| err(&e))?;
+        let mut doc = Doc::open_sealed(text, CHECKPOINT_MAGIC, "scan-checkpoint")?;
+        let matrix = doc.nodes()?;
+        let mut scanner = Scanner::over(matrix, parse_config(doc.header("config")?)?);
+        let mut rounds = doc.header("rounds")?;
+        scanner.rounds_run = rounds.field("round counter")?;
+        rounds.end()?;
+        for mut row in doc.rows() {
+            let kind = row.text("row kind")?;
+            match (kind, scanner.health.as_mut()) {
+                ("m", _) => {
+                    let (i, j) = scanner.matrix.read_cell(&mut row)?;
                     let rec = scanner.queue.record_mut(i, j);
-                    rec.measured_at = Some(SimTime::ZERO + SimDuration::from_nanos(t_ns));
-                    rec.round = round;
+                    rec.measured_at = Some(SimTime(row.field("timestamp")?));
+                    rec.round = row.field("round")?;
                 }
-                "f" => {
-                    let (_, j) = other(f.next())?;
+                ("f", _) => {
+                    let (i, j) = scanner.matrix.read_pair(&mut row)?;
+                    let rec = scanner.queue.record_mut(i, j);
+                    if rec.attempts > 0 {
+                        return Err(row.err("a second f row for the pair"));
+                    }
                     // A pair under backoff has failed at least once.
-                    let attempts: u32 = f
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .filter(|&attempts| attempts > 0)
-                        .ok_or_else(|| err("bad attempts"))?;
-                    let next_ns: u64 = f
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad next-attempt time"))?;
-                    let rec = scanner.queue.record_mut(i, j);
-                    rec.attempts = attempts;
-                    rec.retry_at = SimTime::ZERO + SimDuration::from_nanos(next_ns);
+                    rec.attempts = row.field_in("attempts", 1..=u32::MAX)?;
+                    rec.retry_at = SimTime(row.field("next-attempt time")?);
                 }
-                "h" => {
-                    let score: f64 = f
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad health score"))?;
-                    let at_ns: u64 = f
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad health timestamp"))?;
-                    scanner
-                        .health
-                        .as_mut()
-                        .ok_or_else(|| err("health line but health=0"))?
-                        .restore_score(a, score, SimTime::ZERO + SimDuration::from_nanos(at_ns));
+                ("h" | "q", Some(health)) => {
+                    let node = scanner.matrix.node(scanner.matrix.read_node(&mut row)?);
+                    health.read_row(kind, node, &mut row)?;
                 }
-                "q" => {
-                    let since_ns: u64 = f
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad quarantine since"))?;
-                    let next_ns: u64 = f
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad next-probe time"))?;
-                    scanner
-                        .health
-                        .as_mut()
-                        .ok_or_else(|| err("quarantine line but health=0"))?
-                        .restore_quarantine(
-                            a,
-                            SimTime::ZERO + SimDuration::from_nanos(since_ns),
-                            SimTime::ZERO + SimDuration::from_nanos(next_ns),
-                        );
-                }
-                other => return Err(err(&format!("unknown tag {other:?}"))),
+                _ => return Err(row.err(&format!("tag {kind:?} is unknown or needs health=1"))),
             }
+            row.end()?;
         }
         // Re-derive the priority order from the records just filled
         // in; quarantines last, so they park pairs already in place.
         scanner.queue.rebuild();
-        let quarantined = scanner
+        for node in scanner
             .health
-            .as_ref()
-            .map(|h| h.quarantined_nodes())
-            .unwrap_or_default();
-        for i in quarantined
-            .into_iter()
-            .filter_map(|n| scanner.matrix.index_of(n))
+            .iter()
+            .flat_map(RelayHealth::quarantined_nodes)
         {
-            scanner.queue.quarantine(i);
+            if let Some(i) = scanner.matrix.index_of(node) {
+                scanner.queue.quarantine(i);
+            }
         }
         Ok(scanner)
     }
@@ -966,20 +840,40 @@ impl Scanner {
 /// and written.
 const CHECKPOINT_MAGIC: &str = "# ting scan checkpoint v3";
 
-/// The health sub-config a `health_*` checkpoint key writes into;
-/// `health=1` must precede it in the config line.
-fn health_cfg<'a>(c: &'a mut ScannerConfig, k: &str) -> Result<&'a mut HealthConfig, String> {
-    c.health
-        .as_mut()
-        .ok_or_else(|| format!("{k} before health=1"))
-}
-
-/// The validation sub-config a `val_*` checkpoint key writes into;
-/// `val=1` must precede it in the config line.
-fn val_cfg<'a>(c: &'a mut ScannerConfig, k: &str) -> Result<&'a mut ValidationConfig, String> {
-    c.validation
-        .as_mut()
-        .ok_or_else(|| format!("{k} before val=1"))
+/// Reads the `# config:` header: `key=value` tokens over the defaults,
+/// a sub-config's keys after its `health=1` / `val=1`. Floats and flags
+/// steer control flow, so they are held to their documented ranges.
+fn parse_config(mut line: Row) -> Result<ScannerConfig, String> {
+    let mut c = ScannerConfig::default();
+    let (mut h, mut v) = (HealthConfig::default(), ValidationConfig::default());
+    let (mut health, mut val) = (false, false);
+    while let Some(token) = line.token() {
+        let mut kv = line.part(token, '=');
+        let k = kv.text("config key")?;
+        match k {
+            "staleness_ns" => c.staleness = SimDuration(kv.field(k)?),
+            "pairs_per_round" => c.pairs_per_round = kv.field(k)?,
+            "retry_backoff_ns" => c.retry_backoff = SimDuration(kv.field(k)?),
+            "retry_backoff_cap_ns" => c.retry_backoff_cap = SimDuration(kv.field(k)?),
+            "health" => health = kv.field_in(k, 0..=1)? == 1,
+            "health_alpha" if health => h.ewma_alpha = kv.field_in(k, 0.0..=1.0)?,
+            "health_qbelow" if health => h.quarantine_below = kv.field_in(k, 0.0..=1.0)?,
+            "health_rabove" if health => h.release_above = kv.field_in(k, 0.0..=1.0)?,
+            "health_probation_ns" if health => h.probation_interval = SimDuration(kv.field(k)?),
+            "health_halflife_ns" if health => h.decay_half_life = SimDuration(kv.field(k)?),
+            "val" => val = kv.field_in(k, 0..=1)? == 1,
+            "val_divfactor" if val => v.divergence_factor = kv.field_in(k, 0.0..=f64::MAX)?,
+            "val_divslack_ms" if val => v.divergence_slack_ms = kv.field_in(k, 0.0..=f64::MAX)?,
+            "val_lightspeed" if val => v.lightspeed = kv.field_in(k, 0..=1)? == 1,
+            "val_tivfactor" if val => v.tiv_factor = kv.field_in(k, 0.0..=f64::MAX)?,
+            "val_tivmin_ms" if val => v.tiv_min_detour_ms = kv.field_in(k, 0.0..=f64::MAX)?,
+            _ => return Err(kv.err(&format!("config key {k:?} is unknown or precedes its flag"))),
+        }
+        kv.end()?;
+    }
+    c.health = health.then_some(h);
+    c.validation = val.then_some(v);
+    Ok(c)
 }
 
 #[cfg(test)]

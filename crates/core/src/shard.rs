@@ -31,6 +31,7 @@
 //! [`Scanner`] — both properties are tested in
 //! `crates/core/tests/shard_scan.rs`.
 
+use crate::checkpoint::Doc;
 use crate::matrix::ordered;
 use crate::orchestrator::{Ting, TingConfig};
 use crate::scanner::{RoundReport, Scanner, ScannerConfig};
@@ -364,113 +365,57 @@ impl From<MergedDocument> for MergeOutcome {
     }
 }
 
-/// Parses a CRC-sealed merged-matrix document. Refuses corrupt seals,
-/// unknown versions, unknown nodes in matrix rows, and malformed
-/// coverage rows — loudly, with the offending line in the error.
+/// Parses a CRC-sealed merged-matrix document: exactly what
+/// [`MergeOutcome::to_document`] writes (DESIGN.md §19), or an error
+/// naming the offending line.
 pub fn parse_merged_document(text: &str) -> Result<MergedDocument, String> {
-    let body = crate::checkpoint::verify_sealed(text)?;
-    let mut lines = body.lines().enumerate();
-    let (_, magic) = lines.next().ok_or("empty merged document")?;
-    if magic != MERGED_MAGIC {
-        return Err(format!(
-            "unsupported merged-matrix header {magic:?} (expected {MERGED_MAGIC:?})"
-        ));
-    }
-    let (_, nodes_line) = lines.next().ok_or("missing node list")?;
-    let nodes = crate::checkpoint::parse_nodes_header(nodes_line)?;
-    let (_, now_line) = lines.next().ok_or("missing '# now_ns:' line")?;
-    let now_ns: u64 = now_line
-        .strip_prefix("# now_ns: ")
-        .ok_or_else(|| format!("line 3 is not a '# now_ns:' line: {now_line:?}"))?
-        .trim()
-        .parse()
-        .map_err(|e| format!("line 3: invalid now_ns: {e}"))?;
+    let mut doc = Doc::open_sealed(text, MERGED_MAGIC, "merged-matrix")?;
+    let mut matrix = doc.nodes()?;
+    let mut now = doc.header("now_ns")?;
+    let now_ns = now.field("now_ns")?;
+    now.end()?;
 
-    let mut matrix = crate::matrix::RttMatrix::try_new(nodes)?;
     let mut measured_at_ns = HashMap::new();
     let mut lineage = HashMap::new();
     let mut shards = Vec::new();
-    for (lineno, line) in lines {
-        let n = lineno + 1;
-        if line.trim().is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('\t').collect();
-        match fields[0] {
+    for mut row in doc.rows() {
+        match row.text("row kind")? {
             "s" => {
-                if fields.len() != 9 {
-                    return Err(format!(
-                        "line {n}: coverage row has {} fields, expected 9",
-                        fields.len()
-                    ));
-                }
-                let num = |i: usize, what: &str| -> Result<usize, String> {
-                    fields[i]
-                        .parse()
-                        .map_err(|_| format!("line {n}: invalid {what} {:?}", fields[i]))
-                };
-                let opt_ns = |i: usize, what: &str| -> Result<Option<u64>, String> {
-                    if fields[i] == "-" {
-                        return Ok(None);
-                    }
-                    fields[i]
-                        .parse()
-                        .map(Some)
-                        .map_err(|_| format!("line {n}: invalid {what} {:?}", fields[i]))
-                };
-                let status = match fields[2] {
+                // Coverage rows come in shard order, `0..k`.
+                let next = shards.len() as u32;
+                let shard = row.field_in("shard id", next..=next)?;
+                let status = match row.text("shard status")? {
                     "live" => "live",
                     "restarting" => "restarting",
                     "dead" => "dead",
-                    other => return Err(format!("line {n}: unknown shard status {other:?}")),
+                    other => return Err(row.err(&format!("unknown shard status {other:?}"))),
                 };
                 shards.push(ShardCoverage {
-                    shard: fields[1]
-                        .parse()
-                        .map_err(|_| format!("line {n}: invalid shard id {:?}", fields[1]))?,
+                    shard,
                     status,
-                    owned: num(3, "owned count")?,
-                    covered: num(4, "covered count")?,
-                    stale: num(5, "stale count")?,
-                    uncovered: num(6, "uncovered count")?,
-                    oldest_ns: opt_ns(7, "oldest_ns")?,
-                    newest_ns: opt_ns(8, "newest_ns")?,
+                    owned: row.field("owned count")?,
+                    covered: row.field("covered count")?,
+                    stale: row.field("stale count")?,
+                    uncovered: row.field("uncovered count")?,
+                    oldest_ns: row.opt("oldest_ns")?,
+                    newest_ns: row.opt("newest_ns")?,
                 });
             }
             "m" => {
-                if fields.len() != 7 {
-                    return Err(format!(
-                        "line {n}: matrix row has {} fields, expected 7",
-                        fields.len()
-                    ));
-                }
-                let node = |i: usize| crate::checkpoint::parse_node_id(fields[i], n);
-                let (a, b) = (node(1)?, node(2)?);
-                let rtt: f64 = fields[3]
-                    .parse()
-                    .map_err(|e| format!("line {n}: invalid rtt: {e}"))?;
-                let t_ns: u64 = fields[4]
-                    .parse()
-                    .map_err(|e| format!("line {n}: invalid timestamp: {e}"))?;
-                matrix
-                    .try_set(a, b, rtt)
-                    .map_err(|e| format!("line {n}: {e}"))?;
-                measured_at_ns.insert(ordered(a, b), t_ns);
-                match (fields[5], fields[6]) {
-                    ("-", "-") => {}
-                    (shard, round) => {
-                        let shard: u32 = shard
-                            .parse()
-                            .map_err(|_| format!("line {n}: invalid lineage shard {shard:?}"))?;
-                        let round: u64 = round
-                            .parse()
-                            .map_err(|_| format!("line {n}: invalid lineage round {round:?}"))?;
-                        lineage.insert(ordered(a, b), Lineage { shard, round });
+                let (i, j) = matrix.read_cell(&mut row)?;
+                let pair = ordered(matrix.node(i), matrix.node(j));
+                measured_at_ns.insert(pair, row.field("timestamp")?);
+                match (row.opt("lineage shard")?, row.opt("lineage round")?) {
+                    (Some(shard), Some(round)) => {
+                        lineage.insert(pair, Lineage { shard, round });
                     }
+                    (None, None) => {}
+                    _ => return Err(row.err("invalid lineage shard / round: one is '-' alone")),
                 }
             }
-            kind => return Err(format!("line {n}: unknown row kind {kind:?}")),
+            kind => return Err(row.err(&format!("unknown row kind {kind:?}"))),
         }
+        row.end()?;
     }
     Ok(MergedDocument {
         matrix,

@@ -39,7 +39,7 @@ pub fn implausibly_low(estimate_ms: f64) -> bool {
     estimate_ms.is_nan() || estimate_ms < 0.05
 }
 
-/// Validation knobs.
+/// Validation knobs. The factors and slacks are finite and ≥ 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationConfig {
     /// A re-measurement further than `factor×` (plus slack) from a

@@ -28,7 +28,8 @@ impl NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnId(pub u64);
 
-/// Per-connection state.
+/// Per-connection state, kept from the open to the close: a closed
+/// connection is a forgotten one.
 #[derive(Debug)]
 struct ConnState {
     /// Active opener.
@@ -41,7 +42,6 @@ struct ConnState {
     /// FIFO enforcement: the last scheduled delivery per direction.
     last_delivery_a2b: SimTime,
     last_delivery_b2a: SimTime,
-    closed: bool,
 }
 
 impl ConnState {
@@ -425,21 +425,11 @@ impl Simulator {
                     ],
                 );
             }
-            self.conns.insert(
-                conn,
-                ConnState {
-                    a: from,
-                    b: to,
-                    class,
-                    ready_at: SimTime::ZERO,
-                    last_delivery_a2b: SimTime::ZERO,
-                    last_delivery_b2a: SimTime::ZERO,
-                    closed: true,
-                },
-            );
-            // The opener's SYN retransmissions expire after a fixed
-            // timeout; surface the failure as a close so its process
-            // can drop cached state for the dead connection.
+            // The connection never exists — anything sent on it is
+            // dropped like on a closed one. The opener's SYN
+            // retransmissions expire after a fixed timeout; surface the
+            // failure as a close so its process can drop cached state
+            // for the dead connection.
             let at = self.now + SimDuration::from_millis_f64(CONNECT_TIMEOUT_MS);
             self.queue
                 .schedule(at, EventKind::ConnClosed { conn, at: from });
@@ -465,7 +455,6 @@ impl Simulator {
                 ready_at,
                 last_delivery_a2b: SimTime::ZERO,
                 last_delivery_b2a: SimTime::ZERO,
-                closed: false,
             },
         );
         self.queue.schedule(
@@ -484,9 +473,6 @@ impl Simulator {
         let Some(state) = self.conns.get_mut(&conn) else {
             return; // Sending on an unknown/closed connection drops.
         };
-        if state.closed {
-            return;
-        }
         let to = state.peer_of(from);
         // The opener cannot transmit before the handshake completes; the
         // acceptor cannot transmit before it learns of the connection.
@@ -550,13 +536,11 @@ impl Simulator {
     }
 
     fn do_close(&mut self, from: NodeId, conn: ConnId) {
-        let Some(state) = self.conns.get_mut(&conn) else {
+        // Forgetting the connection is what closes it, so the table
+        // holds open connections only.
+        let Some(state) = self.conns.remove(&conn) else {
             return;
         };
-        if state.closed {
-            return;
-        }
-        state.closed = true;
         let to = state.peer_of(from);
         let owd_ms = self.underlay.sample_owd_ms(
             from.index(),
@@ -573,7 +557,7 @@ impl Simulator {
     /// Number of live (non-closed) connections — useful for leak checks
     /// in tests.
     pub fn open_conn_count(&self) -> usize {
-        self.conns.values().filter(|c| !c.closed).count()
+        self.conns.len()
     }
 
     /// Draws a random `u64` from the run RNG (for seeding sub-generators

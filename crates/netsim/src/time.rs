@@ -91,16 +91,19 @@ impl SimTime {
     }
 }
 
+/// Saturating, like [`SimTime::since`]: durations read back from a
+/// checkpoint can be anything, and an instant past the end of time is
+/// "never", not a wrap into the past.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -114,7 +117,7 @@ impl Sub<SimTime> for SimTime {
 impl Add<SimDuration> for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -159,6 +162,16 @@ mod tests {
         assert_eq!((later - t).as_millis_f64(), 5.0);
         // Saturating: earlier - later = 0.
         assert_eq!(t - later, SimDuration::ZERO);
+        // And at the other end: past the end of time is the end of time.
+        let never = SimTime(u64::MAX);
+        assert_eq!(t + SimDuration(u64::MAX), never);
+        assert_eq!(
+            SimDuration(u64::MAX) + SimDuration(1),
+            SimDuration(u64::MAX)
+        );
+        let mut clock = never;
+        clock += SimDuration(1);
+        assert_eq!(clock, never);
     }
 
     #[test]

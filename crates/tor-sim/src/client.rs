@@ -60,7 +60,6 @@ pub enum CircuitStatus {
     Building,
     Ready,
     Failed,
-    Closed,
 }
 
 /// Externally visible stream state.
@@ -72,6 +71,8 @@ pub enum StreamStatus {
 }
 
 /// State shared between the proxy process and the controller handle.
+/// The four handle-keyed tables hold live handles only: closing a
+/// circuit or stream forgets it (see [`crate::control::Controller`]).
 #[derive(Debug, Default)]
 pub(crate) struct ProxyShared {
     pub commands: VecDeque<Command>,
@@ -80,6 +81,13 @@ pub(crate) struct ProxyShared {
     pub stream_status: HashMap<u64, StreamStatus>,
     /// Echoed data arriving on a stream: (arrival time, bytes).
     pub received: HashMap<u64, Vec<(SimTime, Vec<u8>)>>,
+}
+
+impl ProxyShared {
+    fn forget_stream(&mut self, stream: u64) {
+        self.stream_status.remove(&stream);
+        self.received.remove(&stream);
+    }
 }
 
 /// One circuit from the proxy's point of view.
@@ -317,10 +325,8 @@ impl OnionProxy {
                 target,
             } => {
                 let Some(c) = self.circuits.get_mut(&circuit) else {
-                    self.shared
-                        .borrow_mut()
-                        .stream_status
-                        .insert(handle, StreamStatus::Closed);
+                    // Nothing to attach to: closed from the start.
+                    self.shared.borrow_mut().stream_status.remove(&handle);
                     return;
                 };
                 let stream_id = c.next_stream_id;
@@ -361,7 +367,8 @@ impl OnionProxy {
                 }
             }
             Command::CloseStream { stream } => {
-                let Some(&(circuit, stream_id)) = self.stream_index.get(&stream) else {
+                self.shared.borrow_mut().forget_stream(stream);
+                let Some((circuit, stream_id)) = self.stream_index.remove(&stream) else {
                     return;
                 };
                 let Some(c) = self.circuits.get_mut(&circuit) else {
@@ -374,32 +381,30 @@ impl OnionProxy {
                     let (link, circ_id) = (c.link, c.circ_id);
                     self.send_cell(ctx, link, Cell::new(circ_id, CellCommand::Relay, payload));
                 }
-                self.shared
-                    .borrow_mut()
-                    .stream_status
-                    .insert(stream, StreamStatus::Closed);
             }
             Command::CloseCircuit { circuit } => {
+                // The handle dies here whatever became of the circuit —
+                // one refused by path policy never had any other state —
+                // and so do the streams still attached through it.
+                let mut shared = self.shared.borrow_mut();
+                shared.circuit_status.remove(&circuit);
+                shared.circuit_errors.remove(&circuit);
+                self.stream_index.retain(|&stream, &mut (through, _)| {
+                    if through == circuit {
+                        shared.forget_stream(stream);
+                    }
+                    through != circuit
+                });
+                drop(shared);
                 let Some(c) = self.circuits.remove(&circuit) else {
                     return;
                 };
                 self.circ_index.remove(&(c.link, c.circ_id));
-                for stream_handle in c.streams.values() {
-                    self.shared
-                        .borrow_mut()
-                        .stream_status
-                        .insert(*stream_handle, StreamStatus::Closed);
-                    self.stream_index.remove(stream_handle);
-                }
                 self.send_cell(
                     ctx,
                     c.link,
                     Cell::new(c.circ_id, CellCommand::Destroy, vec![]),
                 );
-                self.shared
-                    .borrow_mut()
-                    .circuit_status
-                    .insert(circuit, CircuitStatus::Closed);
             }
         }
     }

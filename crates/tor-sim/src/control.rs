@@ -9,6 +9,15 @@
 //! Mechanically it shares a command queue with the [`OnionProxy`]
 //! process and pokes the simulator's wake timer so commands are executed
 //! at the current virtual instant.
+//!
+//! A handle lives until its owner closes it: [`Controller::close_stream`]
+//! and [`Controller::close_circuit`] (which also closes the streams
+//! still attached through the circuit) make the proxy forget the handle,
+//! so a campaign of any length holds state for its open circuits only.
+//! A forgotten handle answers like one never minted: a circuit is
+//! [`CircuitStatus::Failed`] with no [`Controller::circuit_error`], a
+//! stream is [`StreamStatus::Closed`] with nothing received, and a send
+//! or a second close on it does nothing.
 
 pub use crate::client::{CircuitStatus, PolicyError, StreamStatus};
 use crate::client::{Command, OnionProxy, ProxyShared};
@@ -71,7 +80,8 @@ impl Controller {
         CircuitHandle(handle)
     }
 
-    /// Current status of a circuit.
+    /// Current status of a circuit ([`CircuitStatus::Failed`] once the
+    /// handle is closed).
     pub fn circuit_status(&self, circuit: CircuitHandle) -> CircuitStatus {
         self.shared
             .borrow()
@@ -111,7 +121,8 @@ impl Controller {
         StreamHandle(handle)
     }
 
-    /// Current status of a stream.
+    /// Current status of a stream ([`StreamStatus::Closed`] once the
+    /// handle, or its circuit's, is closed).
     pub fn stream_status(&self, stream: StreamHandle) -> StreamStatus {
         self.shared
             .borrow()
@@ -198,5 +209,68 @@ impl Controller {
         let received = self.take_received(stream);
         let (arrival, _) = received.into_iter().next_back()?;
         Some((arrival - sent_at).as_millis_f64())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::control::CircuitStatus;
+    use crate::network::{TorNetwork, TorNetworkBuilder};
+
+    /// Every table that holds one entry per connection or handle: the
+    /// simulator's connections, the relays' link tables, and the
+    /// proxy's three status tables plus its receive buffers.
+    fn table_sizes(net: &TorNetwork) -> [usize; 6] {
+        let locals = [&net.w_metrics, &net.z_metrics];
+        let relays = net.relay_metrics.iter().chain(locals);
+        let shared = net.controller.shared.borrow();
+        [
+            net.sim.open_conn_count(),
+            relays.map(|m| m.link_entries().get()).sum(),
+            shared.circuit_status.len(),
+            shared.circuit_errors.len(),
+            shared.stream_status.len(),
+            shared.received.len(),
+        ]
+    }
+
+    /// Bounded memory: a campaign holds state for its open circuits and
+    /// its links, not for every connection and handle it ever had. One
+    /// pair is what Ting measures it with — `C_xy`, `C_x`, `C_y`, an
+    /// echo stream through each, everything closed after use — plus a
+    /// circuit the path policy refuses.
+    #[test]
+    fn two_hundred_pairs_leave_every_table_at_its_size_after_the_first() {
+        let mut net = TorNetworkBuilder::testbed(48).build();
+        let (w, z, echo) = (net.local_w, net.local_z, net.echo_server);
+        let (x, y) = (net.relays[4], net.relays[11]);
+        let mut after_first = None;
+        for pair in 0..200 {
+            for path in [vec![w, x, y, z], vec![w, x], vec![w, y], vec![x]] {
+                let (ctl, sim) = (&mut net.controller, &mut net.sim);
+                let circuit = ctl.build_circuit(sim, path);
+                sim.run_until_idle();
+                if ctl.circuit_status(circuit) == CircuitStatus::Ready {
+                    let stream = ctl
+                        .open_stream_and_wait(sim, circuit, echo)
+                        .expect("stream");
+                    ctl.echo_roundtrip_ms(sim, stream, vec![7; 8])
+                        .expect("echo");
+                    ctl.close_stream(sim, stream);
+                } else {
+                    assert!(ctl.circuit_error(circuit).is_some(), "only policy refuses");
+                }
+                ctl.close_circuit(sim, circuit);
+                sim.run_until_idle();
+            }
+            let sizes = table_sizes(&net);
+            assert_eq!(
+                *after_first.get_or_insert(sizes),
+                sizes,
+                "after pair {pair}"
+            );
+        }
+        // Closed handles answer like handles never minted.
+        assert_eq!(after_first.map(|s| s[2..].to_vec()), Some(vec![0; 4]));
     }
 }

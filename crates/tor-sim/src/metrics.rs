@@ -24,6 +24,10 @@ struct Inner {
     busy_ms_accumulated: Cell<f64>,
     cells_dropped: Cell<u64>,
     extends_refused: Cell<u64>,
+    /// Entries in the relay's link tables: a gauge only test builds
+    /// keep, for the bounded-memory test in `control.rs`.
+    #[cfg(test)]
+    link_entries: Cell<usize>,
 }
 
 /// A cheap, clonable handle to one relay's counters.
@@ -116,6 +120,11 @@ impl RelayMetrics {
         self.inner
             .extends_refused
             .set(self.inner.extends_refused.get() + 1);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn link_entries(&self) -> &Cell<usize> {
+        &self.inner.link_entries
     }
 
     /// Reads all counters at once.

@@ -156,9 +156,12 @@ pub struct Relay {
     links: HashMap<NodeId, ConnId>,
     /// Cells queued while an outbound link handshakes.
     pending_link: HashMap<ConnId, Vec<Cell>>,
-    /// Which node each conn talks to (both directions).
+    /// Which node each link conn talks to (both directions). Like
+    /// `conn_ready`, Tor links only: an exit stream's external conn
+    /// lives in `stream_index` alone, so it is forgotten with the
+    /// stream.
     conn_peer: HashMap<ConnId, NodeId>,
-    /// Established conns (outbound ready or inbound accepted).
+    /// Established link conns (outbound ready or inbound accepted).
     conn_ready: HashMap<ConnId, bool>,
     circuits: HashMap<HopKey, CircuitState>,
     /// Secondary index: (conn, circ) on the *next* side → prev key.
@@ -287,7 +290,16 @@ impl Relay {
         self.links.insert(peer, c);
         self.conn_peer.insert(c, peer);
         self.conn_ready.insert(c, false);
+        self.publish_link_entries();
         c
+    }
+
+    /// Test builds publish the link tables' size wherever it changes.
+    fn publish_link_entries(&self) {
+        #[cfg(test)]
+        let entries = self.conn_peer.len() + self.conn_ready.len();
+        #[cfg(test)]
+        self.metrics.link_entries().set(entries);
     }
 
     fn process_cell(&mut self, ctx: &mut Context, conn: ConnId, cell: Cell) {
@@ -430,8 +442,6 @@ impl Relay {
                     rc.data[0], rc.data[1], rc.data[2], rc.data[3],
                 ]));
                 let ext_conn = ctx.open(target, TrafficClass::Tcp);
-                self.conn_peer.insert(ext_conn, target);
-                self.conn_ready.insert(ext_conn, false);
                 let circuit = self.circuits.get_mut(&key).expect("circuit exists");
                 circuit.pending_streams.insert(ext_conn, rc.stream_id);
                 self.stream_index.insert(ext_conn, (key, rc.stream_id));
@@ -528,10 +538,14 @@ impl Process for Relay {
     fn on_conn_opened(&mut self, _ctx: &mut Context, conn: ConnId, peer: NodeId) {
         self.conn_peer.insert(conn, peer);
         self.conn_ready.insert(conn, true);
+        self.publish_link_entries();
     }
 
     fn on_conn_established(&mut self, ctx: &mut Context, conn: ConnId) {
-        self.conn_ready.insert(conn, true);
+        // A link this relay opened, unless it has been forgotten since.
+        if let Some(ready) = self.conn_ready.get_mut(&conn) {
+            *ready = true;
+        }
         // Exit-stream connects complete here too.
         if let Some(&(key, stream_id)) = self.stream_index.get(&conn) {
             if let Some(circuit) = self.circuits.get_mut(&key) {
@@ -622,6 +636,7 @@ impl Process for Relay {
         }
         self.conn_ready.remove(&conn);
         self.pending_link.remove(&conn);
+        self.publish_link_entries();
         // CREATE2s awaiting a reply on this link: DESTROY to clients.
         let dead_creates: Vec<(HopKey, HopKey)> = self
             .pending_create
