@@ -51,10 +51,7 @@ pub fn jittered_ms(base_ms: f64, cap_ms: f64, path: &[NodeId], attempt: u32) -> 
         h = (h ^ n.0 as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h = (h ^ attempt as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    let jitter = 0.5 + (h >> 11) as f64 / (1u64 << 53) as f64;
+    let jitter = 0.5 + netsim::keyed_u01(h);
     (base * jitter).min(cap_ms)
 }
 

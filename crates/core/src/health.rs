@@ -97,10 +97,6 @@ impl RelayHealth {
         }
     }
 
-    pub fn config(&self) -> HealthConfig {
-        self.config
-    }
-
     /// The relay's current score with decay applied up to `now`
     /// (without mutating state). Unobserved relays score 1.0.
     pub fn score(&self, node: NodeId, now: SimTime) -> f64 {

@@ -593,11 +593,6 @@ impl Supervisor {
         self.slots[k].restarts
     }
 
-    /// The pairs the partitioner assigned to shard `k`.
-    pub fn owned_pairs(&self, k: usize) -> &[(NodeId, NodeId)] {
-        &self.slots[k].owned
-    }
-
     /// Shard `k`'s live scanner, absent while it is down.
     pub fn scanner(&self, k: usize) -> Option<&Scanner> {
         self.slots[k].scanner.as_ref()

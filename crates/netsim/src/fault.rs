@@ -22,6 +22,27 @@ use crate::sim::NodeId;
 use crate::time::SimTime;
 use std::cell::Cell;
 
+/// The SplitMix64 finalizer.
+pub(crate) fn mix64(mut h: u64) -> u64 {
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// The top 53 bits of `h` as a uniform `[0, 1)`.
+pub(crate) fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// One uniform draw in `[0, 1)` from `key`, finalized SplitMix64-style:
+/// the keyed-hash generator behind every decision that must stay off
+/// the simulation RNG (fault plans, congestion drift, relay faults,
+/// churn, retry jitter). Each caller folds its own seed and counter
+/// into `key`.
+pub fn keyed_u01(key: u64) -> f64 {
+    unit(mix64(key))
+}
+
 /// A window during which a node is crashed: events addressed to it are
 /// dropped and connections to it cannot be opened. `until == None`
 /// means the node never comes back.
@@ -166,14 +187,11 @@ impl FaultPlan {
     fn draw_u01(&self) -> f64 {
         let n = self.draws.get();
         self.draws.set(n + 1);
-        let mut h = self
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(n);
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        keyed_u01(
+            self.seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(n),
+        )
     }
 
     /// Whether to silently drop a message. Call only when enabled.

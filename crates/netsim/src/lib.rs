@@ -39,7 +39,7 @@ pub mod time;
 pub mod underlay;
 
 pub use event::{Event, EventKind};
-pub use fault::{CrashWindow, FaultPlan, FaultStats};
+pub use fault::{keyed_u01, CrashWindow, FaultPlan, FaultStats};
 pub use process::{Context, Process};
 pub use sim::{ConnId, NodeId, Simulator};
 pub use time::{SimDuration, SimTime};

@@ -7,7 +7,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::underlay::{TrafficClass, Underlay};
 use obs::{Counter, Obs, Value};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// How long an opener waits for a SYN+ACK that never comes before the
@@ -185,12 +185,6 @@ impl Simulator {
         &self.underlay
     }
 
-    /// The run RNG (experiment drivers share it so a run stays a pure
-    /// function of one seed).
-    pub fn rng_mut(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
     /// One synthetic ICMP echo RTT at the current time — Fig. 3's ground
     /// truth and the §3.2 strawman both use this.
     pub fn ping_rtt_ms(&mut self, a: NodeId, b: NodeId) -> f64 {
@@ -248,23 +242,6 @@ impl Simulator {
         let mut n = 0;
         while self.step() {
             n += 1;
-        }
-        n
-    }
-
-    /// Runs until the queue drains or `deadline` passes.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.ensure_started();
-        let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
-        }
-        if self.now < deadline {
-            self.now = deadline;
         }
         n
     }
@@ -558,12 +535,6 @@ impl Simulator {
     /// in tests.
     pub fn open_conn_count(&self) -> usize {
         self.conns.len()
-    }
-
-    /// Draws a random `u64` from the run RNG (for seeding sub-generators
-    /// deterministically).
-    pub fn draw_seed(&mut self) -> u64 {
-        self.rng.gen()
     }
 }
 

@@ -26,6 +26,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
+use crate::fault::{mix64, unit};
 use crate::time::SimTime;
 
 /// Identifies an autonomous system.
@@ -436,15 +437,13 @@ impl Underlay {
         };
         let epoch = (t.as_hours_f64() / c.drift_epoch_hours) as u64;
         // SplitMix64-style hash of (seed, pair, epoch) → uniform [0,1).
-        let mut h = self
-            .seed
-            .wrapping_add((lo as u64) << 40)
-            .wrapping_add((hi as u64) << 20)
-            .wrapping_add(epoch);
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
+        let h = mix64(
+            self.seed
+                .wrapping_add((lo as u64) << 40)
+                .wrapping_add((hi as u64) << 20)
+                .wrapping_add(epoch),
+        );
+        let u = unit(h);
         // Amplitude grows with path length (long paths cross more
         // congested links); use the hub-to-hub geodesic.
         let base =
@@ -455,7 +454,7 @@ impl Underlay {
         // outliers visible in the paper's Fig. 10 box plots.
         let mut h2 = h.wrapping_mul(0x2545_f491_4f6c_dd1d).rotate_left(17);
         h2 ^= h2 >> 29;
-        let u2 = (h2 >> 11) as f64 / (1u64 << 53) as f64;
+        let u2 = unit(h2);
         if u2 < 0.005 {
             // ~0.5%/epoch ⇒ about a third of pairs see one shift in a
             // week of 2 h epochs, matching Fig. 10's outlier share.

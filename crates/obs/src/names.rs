@@ -78,18 +78,10 @@ pub const SHARD_CHECKPOINT_CORRUPT: &str = "shard.checkpoint.corrupt";
 pub const SCAN_RECOVER_BAK: &str = "scan.recover.bak";
 
 // ── Oracle query-service names ──
-// The snapshot swap is a trace event; the query-family names below it
-// are counter/histogram names only — they tick at `Metrics` level on
-// the query hot path and never appear in the event log.
+// The snapshot swap is the service's one trace event. Queries are not
+// counted per family: readers hold no registry handle, and a shared
+// counter on the point path costs more than the lookup can afford.
 pub const ORACLE_SNAPSHOT_SWAP: &str = "oracle.snapshot.swap";
-pub const ORACLE_QUERY_POINT: &str = "oracle.query.point";
-pub const ORACLE_QUERY_NEAREST: &str = "oracle.query.nearest";
-pub const ORACLE_QUERY_DETOUR: &str = "oracle.query.detour";
-pub const ORACLE_QUERY_UNKNOWN_NODE: &str = "oracle.query.unknown_node";
-pub const ORACLE_QUERY_UNMEASURED: &str = "oracle.query.unmeasured";
-pub const ORACLE_ANSWER_POINT_US: &str = "oracle.answer.point_us";
-pub const ORACLE_ANSWER_NEAREST_US: &str = "oracle.answer.nearest_us";
-pub const ORACLE_ANSWER_DETOUR_US: &str = "oracle.answer.detour_us";
 
 // ── Live-pipeline spans and events ──
 // The publish pair brackets one drain→journal→swap→truncate cycle;

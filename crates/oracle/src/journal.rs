@@ -121,8 +121,10 @@ impl Journal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), false),
             Err(e) => return Err(format!("journal unreadable: {e}")),
         };
-        let published_gen = published.as_ref().map_or(0, |&(g, _)| g);
-        let pending = records.into_iter().rfind(|&(g, _)| g > published_gen);
+        // `None < Some(0)`: with no published file every sealed record
+        // is pending, whatever number it carries.
+        let published_gen = published.as_ref().map(|&(g, _)| g);
+        let pending = records.into_iter().rfind(|&(g, _)| Some(g) > published_gen);
         Ok(Recovered {
             published,
             pending,

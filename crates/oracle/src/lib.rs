@@ -8,22 +8,23 @@
 //! the §4.6 TSV cache or a sharded scan's merged checkpoint document,
 //! freezes it into an immutable [`Snapshot`] (the dense
 //! index-addressed [`ting::RttMatrix`] + freshness metadata), and
-//! answers three query families:
+//! answers three query families through one front, [`OracleReader`]
+//! (the two ranking families refuse while serving is `Degraded`):
 //!
-//! * **point lookup** — [`Oracle::rtt`]: `R(x, y)` with the
+//! * **point lookup** — [`OracleReader::rtt`]: `R(x, y)` with the
 //!   measurement timestamp, age, and generation it came from;
-//! * **k-nearest relays** — [`Oracle::k_nearest`]: the `k` lowest-RTT
-//!   neighbors of a relay, deterministic tie-breaks;
-//! * **via-relay detour** — [`Oracle::best_via`]: ShorTor-style
+//! * **k-nearest relays** — [`OracleReader::k_nearest`]: the `k`
+//!   lowest-RTT neighbors of a relay, deterministic tie-breaks;
+//! * **via-relay detour** — [`OracleReader::best_via`]: ShorTor-style
 //!   `argmin_v R(x,v) + R(v,y)`, the same kernel `analysis::tiv` uses
 //!   for Figs. 14–15, so research analysis and serving path cannot
 //!   drift apart.
 //!
-//! Concurrency model: publishes swap an `Arc<Snapshot>` behind a lock
-//! held for nanoseconds; readers ([`OracleReader`], `Send + Sync`)
-//! clone the `Arc` and query immutable data, so a scanner/ingest loop
-//! can publish fresher generations forever without ever blocking a
-//! reader or tearing a dataset mid-query.
+//! Concurrency model: publishes swap an `Arc<Snapshot>`, and the TTL
+//! judgment it is served under, behind a lock held for nanoseconds;
+//! readers (`Send + Sync`) clone the `Arc` and query immutable data,
+//! so a scanner/ingest loop can publish fresher generations forever
+//! without ever blocking a reader or tearing a dataset mid-query.
 
 pub mod journal;
 pub mod pipeline;
@@ -32,10 +33,9 @@ pub mod snapshot;
 pub mod ttl;
 
 pub use journal::{Journal, Recovered};
-pub use pipeline::{GuardedPoint, Pipeline, PipelineConfig, SloConfig};
-pub use service::{Oracle, OracleReader};
+pub use pipeline::{Pipeline, PipelineConfig, SloConfig};
+pub use service::{GuardedPoint, Oracle, OracleReader};
 pub use snapshot::{
-    DetourAnswer, KNearestAnswer, Neighbor, PointAnswer, QueryError, ShardSummary, Snapshot,
-    SnapshotMeta, SnapshotSource,
+    DetourAnswer, KNearestAnswer, Neighbor, PointAnswer, QueryError, Snapshot, SnapshotMeta,
 };
 pub use ttl::{ServingState, TtlPolicy};

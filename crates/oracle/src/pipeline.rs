@@ -15,15 +15,14 @@
 //! sealed generation, bit-identical to an uninterrupted run.
 //!
 //! Serving is guarded by the [`TtlPolicy`] ladder, judged against the
-//! snapshot's newest measurement in virtual time: `Fresh` answers pass
-//! through, `Stale` ones carry a flag, and in `Degraded` mode point
-//! lookups serve-with-warning while ranking queries (`k_nearest`,
-//! `best_via`) refuse — a stale ordering is the one silent wrong
-//! answer this layer exists to prevent.
+//! snapshot's newest measurement in virtual time. The pipeline is the
+//! judge, not the guard: it seats each verdict in the oracle's swap
+//! cell — with every publish, and again on every tick — and the
+//! [`OracleReader`]s it hands out act on it (see [`crate::service`]).
 
-use crate::journal::{Journal, Recovered};
+use crate::journal::{Journal, Recovered, JOURNAL_FILE, PUBLISHED_FILE};
 use crate::service::{Oracle, OracleReader};
-use crate::snapshot::{DetourAnswer, KNearestAnswer, PointAnswer, QueryError, Snapshot};
+use crate::snapshot::Snapshot;
 use crate::ttl::{ServingState, TtlPolicy};
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::slo::{SLO_COVERAGE, SLO_PUBLISH_LATENCY, SLO_SHARD_PROGRESS, SLO_STALENESS};
@@ -113,15 +112,6 @@ impl SloConfig {
     }
 }
 
-/// A point answer qualified by the serving state it was produced in.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardedPoint {
-    pub answer: PointAnswer,
-    /// `Stale`/`Degraded` is the serve-with-warning flag: the value is
-    /// real, but the dataset behind it has outlived an SLO.
-    pub state: ServingState,
-}
-
 /// Pre-resolved metric handles for the publish loop.
 #[derive(Debug, Clone, Default)]
 struct Metrics {
@@ -160,14 +150,7 @@ pub struct Pipeline {
     journal: Option<Journal>,
     oracle: Oracle,
     queue: VecDeque<MergeDelta>,
-    /// Current generation — equals the oracle version *and* the
-    /// journal's record number; keeping all three in lockstep is what
-    /// makes recovery unambiguous.
-    generation: u64,
     last_publish: Option<SimTime>,
-    state: ServingState,
-    /// Dataset age at the last judgment, cited in refusals.
-    age_ns: Option<u64>,
     /// Highest delta sequence folded into the served generation —
     /// stamped on the publish trace so a lineage walk can tie a pair's
     /// drain back to the generation that first served it.
@@ -208,8 +191,11 @@ impl Pipeline {
         };
         judge_coverage(&mut dataset, SimTime::ZERO, config.staleness);
         let oracle = Oracle::with_obs(Snapshot::from_matrix(&dataset.matrix), obs.clone());
+        // No timestamps, no age to certify: the ladder says `Degraded`.
+        let bootstrap = config.ttl.judgment(None, 0);
+        oracle.judge(bootstrap);
         let metrics = Metrics::new(&obs);
-        obs.set_gauge("oracle.stale.state", ServingState::Degraded.gauge());
+        obs.set_gauge("oracle.stale.state", bootstrap.state.gauge());
         obs.set_gauge("oracle.pipeline.generation", 1);
         let slo = config.slo.map(|c| c.live(&obs));
         Pipeline {
@@ -218,10 +204,7 @@ impl Pipeline {
             journal,
             oracle,
             queue: VecDeque::new(),
-            generation: 1,
             last_publish: None,
-            state: ServingState::Degraded,
-            age_ns: None,
             last_seq: 0,
             slo,
             obs,
@@ -245,7 +228,17 @@ impl Pipeline {
     ) -> Result<(Pipeline, Recovered), String> {
         let recovered = journal.recover()?;
         let mut p = Pipeline::with_obs(nodes, shards, config, obs, Some(journal));
+        let bootstrap = p.state();
         if let Some((gen, doc)) = recovered.serve().cloned() {
+            // No publish writes the bootstrap generation or leaves the
+            // next one without a number, whatever a sealed file says.
+            if !(2..u64::MAX).contains(&gen) {
+                let file = match recovered.pending {
+                    Some(_) => JOURNAL_FILE,
+                    None => PUBLISHED_FILE,
+                };
+                return Err(format!("{file}: generation {gen} is outside 2..u64::MAX"));
+            }
             let parsed = parse_merged_document(&doc)?;
             if parsed.matrix.nodes() != p.dataset.matrix.nodes() {
                 return Err("recovered generation's node list differs from the pipeline's".into());
@@ -257,10 +250,11 @@ impl Pipeline {
                 ));
             }
             let snapshot = Snapshot::from_merged(&parsed);
+            let freshness = snapshot.freshness_ns();
+            let verdict = config.ttl.judgment(freshness, now.as_nanos());
             p.oracle
-                .publish_versioned_at(snapshot, gen, Some(now.as_nanos()));
+                .publish_judged(snapshot, gen, Some(now.as_nanos()), verdict);
             p.dataset = MergeOutcome::from(parsed);
-            p.generation = gen;
             p.last_publish = Some(p.dataset.now);
             p.obs.set_gauge("oracle.pipeline.generation", gen as i64);
             // A pending record sealed but never swapped: finish its
@@ -282,7 +276,7 @@ impl Pipeline {
                 );
             }
         }
-        p.rejudge(now);
+        p.rejudge(now, bootstrap);
         Ok((p, recovered))
     }
 
@@ -342,7 +336,9 @@ impl Pipeline {
     /// One control-loop turn at virtual instant `now`: publishes a new
     /// generation when the queue has data and the publish interval has
     /// elapsed, then re-judges the TTL ladder (which moves even when
-    /// nothing publishes — expiry is a function of time, not traffic).
+    /// nothing publishes — expiry is a function of time, not traffic)
+    /// and folds what readers refused and flagged since the last turn
+    /// into `oracle.stale.{refused, served_stale}`.
     /// Returns the generation published this turn, if any. `Err` is a
     /// journal write failure, or a queued delta whose status count is
     /// not the shard count: that delta is discarded, nothing else moves,
@@ -351,12 +347,16 @@ impl Pipeline {
         let due = self
             .last_publish
             .is_none_or(|at| now.since(at) >= self.config.publish_interval);
+        let before = self.state();
         let published = if !self.queue.is_empty() && due {
             Some(self.publish_queued(now)?)
         } else {
             None
         };
-        self.rejudge(now);
+        self.rejudge(now, before);
+        let (refused, served_stale) = self.oracle.take_stale_counts();
+        self.metrics.refused.add(refused);
+        self.metrics.served_stale.add(served_stale);
         if let Some(slo) = &mut self.slo {
             slo.engine.evaluate(now.as_nanos());
         }
@@ -366,6 +366,10 @@ impl Pipeline {
     /// Drains the queue into the accumulated dataset and pushes one
     /// generation through journal and swap cell.
     fn publish_queued(&mut self, now: SimTime) -> Result<u64, String> {
+        let next = self
+            .generation()
+            .checked_add(1)
+            .ok_or("generation counter exhausted; nothing published")?;
         // The dataset keeps one status tag per shard, so a delta that
         // carries any other number is refused before anything folds —
         // the same mismatch `recover` refuses in a document.
@@ -426,14 +430,15 @@ impl Pipeline {
 
         judge_coverage(&mut self.dataset, now, self.config.staleness);
         let doc = self.dataset.to_document();
-        let next = self.generation + 1;
         if let Some(j) = &self.journal {
             j.append(next, &doc)
                 .map_err(|e| format!("journal append (gen {next}): {e}"))?;
         }
         let snapshot = Snapshot::from_merged_document(&doc)?;
-        self.oracle.publish_versioned(snapshot, next);
-        self.generation = next;
+        let freshness = snapshot.freshness_ns();
+        let verdict = self.config.ttl.judgment(freshness, now.as_nanos());
+        self.oracle
+            .publish_judged(snapshot, next, Some(now.as_nanos()), verdict);
         if let Some(j) = &self.journal {
             j.mark_published(next, &doc)
                 .map_err(|e| format!("journal publish (gen {next}): {e}"))?;
@@ -458,12 +463,14 @@ impl Pipeline {
         Ok(next)
     }
 
-    /// Re-judges the TTL ladder against the served snapshot's newest
-    /// measurement and traces every transition.
-    fn rejudge(&mut self, now: SimTime) {
+    /// Re-judges the served generation at `now`, seats the verdict in
+    /// the swap cell and traces the move, if any, away from `before`,
+    /// the state this turn began in.
+    fn rejudge(&mut self, now: SimTime, before: ServingState) {
         let freshness = self.oracle.snapshot().freshness_ns();
-        self.age_ns = freshness.map(|f| now.as_nanos().saturating_sub(f));
-        let next = self.config.ttl.judge(freshness, now.as_nanos());
+        let verdict = self.config.ttl.judgment(freshness, now.as_nanos());
+        self.oracle.judge(verdict);
+        let next = verdict.state;
         if let Some(slo) = &mut self.slo {
             // Every judgment burns the staleness budget when it lands
             // anywhere below `Fresh` on the ladder.
@@ -471,69 +478,32 @@ impl Pipeline {
             slo.engine
                 .observe(SLO_STALENESS, now.as_nanos(), fresh as u64, !fresh as u64);
         }
-        if next != self.state {
+        if next != before {
             if self.obs.is_tracing() {
                 self.obs.event(
                     names::ORACLE_STALE_TRANSITION,
                     now.as_nanos(),
                     vec![
-                        ("from", Value::Str(self.state.tag().to_owned())),
+                        ("from", Value::Str(before.tag().to_owned())),
                         ("to", Value::Str(next.tag().to_owned())),
-                        ("age_ns", Value::U64(self.age_ns.unwrap_or(u64::MAX))),
+                        ("age_ns", Value::U64(verdict.age_ns.unwrap_or(u64::MAX))),
                     ],
                 );
             }
             self.obs.set_gauge("oracle.stale.state", next.gauge());
-            self.state = next;
         }
-    }
-
-    /// Guarded point lookup: always answers (a stale `R(x, y)` beats
-    /// none), qualified by the serving state so the client knows what
-    /// it got.
-    pub fn rtt(&self, x: NodeId, y: NodeId) -> Result<GuardedPoint, QueryError> {
-        let answer = self.oracle.rtt(x, y)?;
-        if self.state != ServingState::Fresh {
-            self.metrics.served_stale.inc();
-        }
-        Ok(GuardedPoint {
-            answer,
-            state: self.state,
-        })
-    }
-
-    /// Guarded k-nearest: refuses outright in `Degraded` mode — a
-    /// stale ordering is a silent wrong answer.
-    pub fn k_nearest(&self, x: NodeId, k: usize) -> Result<KNearestAnswer, QueryError> {
-        self.refuse_if_degraded()?;
-        self.oracle.k_nearest(x, k)
-    }
-
-    /// Guarded detour search: refuses outright in `Degraded` mode.
-    pub fn best_via(&self, x: NodeId, y: NodeId) -> Result<DetourAnswer, QueryError> {
-        self.refuse_if_degraded()?;
-        self.oracle.best_via(x, y)
-    }
-
-    fn refuse_if_degraded(&self) -> Result<(), QueryError> {
-        if self.state == ServingState::Degraded {
-            self.metrics.refused.inc();
-            return Err(QueryError::Degraded {
-                age_ns: self.age_ns,
-                hard_ttl_ns: self.config.ttl.hard_ttl.as_nanos(),
-            });
-        }
-        Ok(())
     }
 
     /// Current serving state on the TTL ladder.
     pub fn state(&self) -> ServingState {
-        self.state
+        self.oracle.judgment().state
     }
 
-    /// Current generation (== oracle version == journal record).
+    /// Current generation: the oracle version, which every publish
+    /// keeps equal to the journal's record number — that lockstep is
+    /// what makes recovery unambiguous.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.oracle.version()
     }
 
     /// Deltas currently queued for the next publish.
@@ -554,14 +524,10 @@ impl Pipeline {
         self.dataset.to_document()
     }
 
-    /// A `Send + Sync` handle into the underlying swap cell.
+    /// The served front: a `Send + Sync` handle on the swap cell that
+    /// answers under the judgment this pipeline keeps there.
     pub fn reader(&self) -> OracleReader {
         self.oracle.reader()
-    }
-
-    /// The underlying oracle (e.g. for unguarded access in tests).
-    pub fn oracle(&self) -> &Oracle {
-        &self.oracle
     }
 }
 
@@ -593,6 +559,7 @@ fn judge_coverage(dataset: &mut MergeOutcome, now: SimTime, staleness: SimDurati
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::QueryError;
 
     use obs::Lineage;
     use ting::shard::DeltaPair;
@@ -651,11 +618,11 @@ mod tests {
         assert_eq!(p.state(), ServingState::Degraded);
         assert_eq!(p.generation(), 1);
         assert!(matches!(
-            p.k_nearest(NodeId(0), 2),
+            p.reader().k_nearest(NodeId(0), 2),
             Err(QueryError::Degraded { .. })
         ));
         // Point lookups still serve, with the warning attached.
-        let g = p.rtt(NodeId(0), NodeId(1)).unwrap();
+        let g = p.reader().point(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(g.state, ServingState::Degraded);
         assert_eq!(g.answer.rtt_ms, None);
 
@@ -663,10 +630,10 @@ mod tests {
         let published = p.tick(SimTime(10)).unwrap();
         assert_eq!(published, Some(2));
         assert_eq!(p.state(), ServingState::Fresh);
-        let g = p.rtt(NodeId(0), NodeId(1)).unwrap();
+        let g = p.reader().point(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(g.answer.rtt_ms, Some(7.0));
         assert_eq!(g.state, ServingState::Fresh);
-        assert!(p.k_nearest(NodeId(0), 2).is_ok());
+        assert!(p.reader().k_nearest(NodeId(0), 2).is_ok());
     }
 
     #[test]
@@ -680,16 +647,16 @@ mod tests {
         let hard = SimDuration::from_secs(600).as_nanos();
         p.tick(SimTime(soft)).unwrap();
         assert_eq!(p.state(), ServingState::Stale);
-        let g = p.rtt(NodeId(0), NodeId(1)).unwrap();
+        let g = p.reader().point(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(g.state, ServingState::Stale, "stale answers are flagged");
         assert!(
-            p.best_via(NodeId(0), NodeId(1)).is_ok(),
+            p.reader().best_via(NodeId(0), NodeId(1)).is_ok(),
             "stale still ranks"
         );
 
         p.tick(SimTime(hard)).unwrap();
         assert_eq!(p.state(), ServingState::Degraded);
-        let err = p.best_via(NodeId(0), NodeId(1)).unwrap_err();
+        let err = p.reader().best_via(NodeId(0), NodeId(1)).unwrap_err();
         assert_eq!(
             err,
             QueryError::Degraded {
@@ -698,7 +665,7 @@ mod tests {
             }
         );
         assert!(
-            p.rtt(NodeId(0), NodeId(1)).is_ok(),
+            p.reader().point(NodeId(0), NodeId(1)).is_ok(),
             "points serve-with-warning"
         );
 
@@ -742,7 +709,7 @@ mod tests {
         assert_eq!(p.queue_depth(), 2, "overflow folded the two oldest");
         assert_eq!(obs.counter_value("oracle.pipeline.coalesced"), 1);
         p.tick(SimTime(3)).unwrap();
-        let g = p.rtt(NodeId(0), NodeId(1)).unwrap();
+        let g = p.reader().point(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(g.answer.rtt_ms, Some(3.0));
         assert_eq!(g.answer.measured_at_ns, Some(3));
     }
@@ -779,7 +746,13 @@ mod tests {
     #[test]
     fn wrong_status_count_is_an_error_and_only_that_delta_is_lost() {
         let dir = std::env::temp_dir().join(format!("ting-pipeline-tags-{}", std::process::id()));
-        let served = |p: &Pipeline, b| p.rtt(NodeId(0), NodeId(b)).unwrap().answer.rtt_ms;
+        let served = |p: &Pipeline, b| {
+            p.reader()
+                .point(NodeId(0), NodeId(b))
+                .unwrap()
+                .answer
+                .rtt_ms
+        };
         for (journaled, tags) in [(false, 0), (false, 2), (true, 0), (true, 2)] {
             let _ = std::fs::remove_dir_all(&dir);
             let journal = journaled.then(|| Journal::open(&dir).unwrap());
@@ -910,7 +883,13 @@ mod tests {
         let mut p = Pipeline::new(nodes(), 1, config());
         p.offer(delta(4, vec![(NodeId(0), NodeId(1), 7.0, SimTime(5))], 10));
         p.tick(SimTime(10)).unwrap();
-        let origin = p.rtt(NodeId(0), NodeId(1)).unwrap().answer.origin.unwrap();
+        let origin = p
+            .reader()
+            .point(NodeId(0), NodeId(1))
+            .unwrap()
+            .answer
+            .origin
+            .unwrap();
         // The test helper stamps `round = seq`; the pair was first
         // served by generation 2 (bootstrap is generation 1).
         assert_eq!((origin.shard, origin.round, origin.generation), (0, 4, 2));

@@ -4,7 +4,7 @@
 //! generation of the RTT dataset — the dense [`RttMatrix`] for lookups,
 //! per-pair measurement timestamps when the source carries them (the
 //! merged shard checkpoint does; a bare TSV does not), and the
-//! [`SnapshotMeta`] freshness/coverage summary every answer cites.
+//! [`SnapshotMeta`] generation/freshness summary every answer cites.
 //! Snapshots are plain data (`Send + Sync`), so the service can hand
 //! `Arc<Snapshot>`s to any number of reader threads and swap in a
 //! fresher generation without blocking or mutating anything a reader
@@ -12,64 +12,24 @@
 
 use netsim::NodeId;
 use obs::{Lineage, Origin};
-use ting::shard::{parse_merged_document, MergedDocument, ShardCoverage};
+use ting::shard::{parse_merged_document, MergedDocument};
 use ting::RttMatrix;
 
-/// Where a snapshot's data came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotSource {
-    /// Built directly from an in-memory [`RttMatrix`].
-    Matrix,
-    /// Loaded from the [`RttMatrix::to_tsv`] cache format (§4.6).
-    Tsv,
-    /// Loaded from a CRC-sealed merged shard checkpoint document
-    /// ([`ting::MergeOutcome::to_document`]) — carries per-pair
-    /// timestamps and per-shard coverage.
-    MergedCheckpoint,
-}
-
-/// Shard-coverage summary of a merged-checkpoint snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardSummary {
-    pub total: usize,
-    pub live: usize,
-    pub restarting: usize,
-    pub dead: usize,
-    /// Covered pairs the merge judged stale.
-    pub stale_pairs: usize,
-}
-
-/// Freshness and coverage metadata for one snapshot generation.
+/// Generation and freshness metadata for one snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnapshotMeta {
     /// Publish generation, stamped by the service on swap-in (0 until
     /// then). Strictly increasing per oracle, so clients can detect a
     /// dataset change between two answers.
     pub version: u64,
-    pub source: SnapshotSource,
     pub nodes: usize,
-    /// Off-diagonal pairs the node set implies.
-    pub total_pairs: usize,
     /// Off-diagonal pairs with a measurement.
     pub measured_pairs: usize,
     /// The instant the dataset was judged against (the merge's
     /// `now_ns`); `None` for sources without a clock.
     pub now_ns: Option<u64>,
-    /// Oldest / newest measurement timestamp in the dataset.
-    pub oldest_ns: Option<u64>,
+    /// Newest measurement timestamp in the dataset.
     pub newest_ns: Option<u64>,
-    /// Per-shard status tallies (merged checkpoints only).
-    pub shards: Option<ShardSummary>,
-}
-
-impl SnapshotMeta {
-    /// Measured fraction of the pair space, `[0, 1]` (1.0 when empty).
-    pub fn coverage(&self) -> f64 {
-        if self.total_pairs == 0 {
-            return 1.0;
-        }
-        self.measured_pairs as f64 / self.total_pairs as f64
-    }
 }
 
 /// A query that cannot be answered against the snapshot's node set.
@@ -214,7 +174,11 @@ const NO_LINEAGE: Lineage = Lineage {
     round: u64::MAX,
 };
 
-/// One immutable generation of the served dataset.
+/// One immutable generation of the served dataset. Its three query
+/// methods are the only implementation of the families, and they know
+/// nothing of the clock: whoever holds an `Arc<Snapshot>` has pinned
+/// immutable data and left the serving judgment behind — the guarded
+/// front is [`crate::OracleReader`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     matrix: RttMatrix,
@@ -232,36 +196,28 @@ impl Snapshot {
     /// Builds a snapshot straight from an in-memory matrix (no
     /// timestamps — e.g. a freshly measured dataset).
     pub fn from_matrix(matrix: &RttMatrix) -> Snapshot {
-        let n = matrix.len();
         Snapshot {
             matrix: matrix.clone(),
             measured_at_ns: None,
             lineage: None,
             meta: SnapshotMeta {
                 version: 0,
-                source: SnapshotSource::Matrix,
-                nodes: n,
-                total_pairs: n * (n.max(1) - 1) / 2,
+                nodes: matrix.len(),
                 measured_pairs: matrix.measured_pairs(),
                 now_ns: None,
-                oldest_ns: None,
                 newest_ns: None,
-                shards: None,
             },
         }
     }
 
-    /// Loads the [`RttMatrix::to_tsv`] cache format.
+    /// Loads the [`RttMatrix::to_tsv`] cache format (§4.6).
     pub fn from_tsv(text: &str) -> Result<Snapshot, String> {
-        let matrix = RttMatrix::from_tsv(text)?;
-        let mut snap = Snapshot::from_matrix(&matrix);
-        snap.meta.source = SnapshotSource::Tsv;
-        Ok(snap)
+        Ok(Snapshot::from_matrix(&RttMatrix::from_tsv(text)?))
     }
 
     /// Loads a CRC-sealed merged shard checkpoint document — the
-    /// richest source: per-pair timestamps, the merge instant, and
-    /// per-shard coverage all survive into the snapshot metadata.
+    /// richest source: per-pair timestamps, lineage and the merge
+    /// instant all survive into the snapshot.
     pub fn from_merged_document(text: &str) -> Result<Snapshot, String> {
         Ok(Snapshot::from_merged(&parse_merged_document(text)?))
     }
@@ -270,24 +226,20 @@ impl Snapshot {
     /// parsed.
     pub fn from_merged(doc: &MergedDocument) -> Snapshot {
         let mut snap = Snapshot::from_matrix(&doc.matrix);
-        snap.meta.source = SnapshotSource::MergedCheckpoint;
         snap.meta.now_ns = Some(doc.now_ns);
-        snap.meta.shards = Some(summarize_shards(&doc.shards));
 
         let n = snap.matrix.len();
         let mut table = vec![NO_TIMESTAMP; n * n];
-        let (mut oldest, mut newest) = (None::<u64>, None::<u64>);
+        let mut newest = None::<u64>;
         for (&(a, b), &t) in &doc.measured_at_ns {
             let (Some(i), Some(j)) = (snap.matrix.index_of(a), snap.matrix.index_of(b)) else {
                 continue;
             };
             table[i as usize * n + j as usize] = t;
             table[j as usize * n + i as usize] = t;
-            oldest = Some(oldest.map_or(t, |o: u64| o.min(t)));
             newest = Some(newest.map_or(t, |o: u64| o.max(t)));
         }
         snap.measured_at_ns = Some(table);
-        snap.meta.oldest_ns = oldest;
         snap.meta.newest_ns = newest;
         if !doc.lineage.is_empty() {
             let mut table = vec![NO_LINEAGE; n * n];
@@ -454,22 +406,6 @@ impl Snapshot {
     }
 }
 
-fn summarize_shards(shards: &[ShardCoverage]) -> ShardSummary {
-    let mut s = ShardSummary {
-        total: shards.len(),
-        ..ShardSummary::default()
-    };
-    for c in shards {
-        match c.status {
-            "live" => s.live += 1,
-            "restarting" => s.restarting += 1,
-            _ => s.dead += 1,
-        }
-        s.stale_pairs += c.stale;
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,9 +422,7 @@ mod tests {
     #[test]
     fn point_lookup_and_coverage() {
         let s = Snapshot::from_matrix(&matrix());
-        assert_eq!(s.meta().total_pairs, 6);
-        assert_eq!(s.meta().measured_pairs, 3);
-        assert!((s.meta().coverage() - 0.5).abs() < 1e-12);
+        assert_eq!((s.meta().nodes, s.meta().measured_pairs), (4, 3));
         let a = s.rtt(NodeId(2), NodeId(1)).unwrap();
         assert_eq!(a.rtt_ms, Some(10.0));
         assert_eq!(a.measured_at_ns, None, "matrix sources carry no timestamps");
@@ -646,7 +580,7 @@ mod tests {
     fn tsv_snapshot_roundtrip_and_errors() {
         let m = matrix();
         let s = Snapshot::from_tsv(&m.to_tsv()).unwrap();
-        assert_eq!(s.meta().source, SnapshotSource::Tsv);
+        assert_eq!((s.meta().nodes, s.meta().measured_pairs), (4, 3));
         assert_eq!(s.rtt(NodeId(2), NodeId(3)).unwrap().rtt_ms, Some(5.0));
         // Load-path failures surface the matrix parser's errors.
         let err = Snapshot::from_tsv("junk\n").unwrap_err();

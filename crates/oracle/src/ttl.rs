@@ -6,17 +6,10 @@
 //! [`TtlPolicy`] maps the age of the served snapshot's data onto a
 //! three-state ladder, mirroring the supervisor's quarantine
 //! philosophy (degrade loudly, never silently serve garbage):
-//!
-//! * [`ServingState::Fresh`] — age below the soft TTL; answers are
-//!   served unqualified.
-//! * [`ServingState::Stale`] — past the soft TTL; every answer is
-//!   flagged so clients can decide for themselves.
-//! * [`ServingState::Degraded`] — past the hard TTL (or the dataset
-//!   carries no timestamps at all): point lookups still
-//!   serve-with-warning — a stale `R(x, y)` beats none for debugging —
-//!   but ranking queries (`k_nearest`, `best_via`) refuse, because a
-//!   stale *ordering* is exactly the silent wrong answer the SLO
-//!   exists to prevent.
+//! [`ServingState::Fresh`] below the soft TTL, [`ServingState::Stale`]
+//! past it, [`ServingState::Degraded`] past the hard TTL or when the
+//! dataset carries no timestamps at all. What a reader may be served in
+//! each state is [`crate::service`]'s business.
 //!
 //! Age is judged against the **newest measurement** in the snapshot,
 //! not the publish instant: republishing unchanged data (a status-only
@@ -55,6 +48,16 @@ impl ServingState {
     }
 }
 
+/// The verdict a generation is served under: its place on the ladder,
+/// and the two numbers a refusal cites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Judgment {
+    pub(crate) state: ServingState,
+    /// The dataset's age when judged, when known.
+    pub(crate) age_ns: Option<u64>,
+    pub(crate) hard_ttl_ns: u64,
+}
+
 /// Snapshot-level freshness SLOs, in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TtlPolicy {
@@ -84,16 +87,22 @@ impl TtlPolicy {
     /// timestamps at all — is `Degraded`: an age that cannot be
     /// certified cannot satisfy an SLO.
     pub fn judge(&self, data_ns: Option<u64>, now_ns: u64) -> ServingState {
-        let Some(at) = data_ns else {
-            return ServingState::Degraded;
+        self.judgment(data_ns, now_ns).state
+    }
+
+    /// [`TtlPolicy::judge`] with the age it judged and the TTL a
+    /// refusal will cite.
+    pub(crate) fn judgment(&self, data_ns: Option<u64>, now_ns: u64) -> Judgment {
+        let age_ns = data_ns.map(|at| now_ns.saturating_sub(at));
+        let state = match age_ns {
+            Some(age) if age < self.soft_ttl.as_nanos() => ServingState::Fresh,
+            Some(age) if age < self.hard_ttl.as_nanos() => ServingState::Stale,
+            _ => ServingState::Degraded,
         };
-        let age = now_ns.saturating_sub(at);
-        if age >= self.hard_ttl.as_nanos() {
-            ServingState::Degraded
-        } else if age >= self.soft_ttl.as_nanos() {
-            ServingState::Stale
-        } else {
-            ServingState::Fresh
+        Judgment {
+            state,
+            age_ns,
+            hard_ttl_ns: self.hard_ttl.as_nanos(),
         }
     }
 }

@@ -45,7 +45,7 @@ fn oracle_detours_bit_match_the_tiv_reference() {
 
     let oracle = Oracle::new(Snapshot::from_matrix(&matrix));
     for f in &report.findings {
-        let d = oracle.best_via(f.src, f.dst).unwrap();
+        let d = oracle.reader().best_via(f.src, f.dst).unwrap();
         let via = d.via.expect("complete 40-relay matrix always has a via");
         assert_eq!(via.node, f.best_relay, "pair ({:?}, {:?})", f.src, f.dst);
         assert_eq!(
@@ -82,7 +82,7 @@ fn detour_matches_reference_through_a_tsv_roundtrip() {
     let report = TivReport::analyze(&matrix);
     let oracle = Oracle::new(Snapshot::from_tsv(&matrix.to_tsv()).unwrap());
     for f in &report.findings {
-        let d = oracle.best_via(f.src, f.dst).unwrap();
+        let d = oracle.reader().best_via(f.src, f.dst).unwrap();
         assert_eq!(d.via.unwrap().rtt_ms.to_bits(), f.best_detour_ms.to_bits());
         assert_eq!(d.via.unwrap().node, f.best_relay);
     }

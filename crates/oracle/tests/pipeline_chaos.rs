@@ -8,7 +8,7 @@
 //! publish of fresh data.
 
 use netsim::{NodeId, SimDuration, SimTime};
-use oracle::journal::{frame_record, render_published, Journal};
+use oracle::journal::{frame_record, render_published, Journal, JOURNAL_FILE, PUBLISHED_FILE};
 use oracle::{Pipeline, PipelineConfig, QueryError, ServingState, TtlPolicy};
 use std::path::PathBuf;
 use ting::obs::{Lineage, Obs};
@@ -268,7 +268,7 @@ fn hard_ttl_expiry_flips_serving_deterministically_in_virtual_time() {
             ladder.push(p.state());
         }
         let (a, b) = (nodes[0], nodes[1]);
-        let refusal = p.k_nearest(a, 4).unwrap_err();
+        let refusal = p.reader().k_nearest(a, 4).unwrap_err();
         assert_eq!(
             refusal,
             QueryError::Degraded {
@@ -276,7 +276,7 @@ fn hard_ttl_expiry_flips_serving_deterministically_in_virtual_time() {
                 hard_ttl_ns: hard
             }
         );
-        let point = p.rtt(a, b).unwrap();
+        let point = p.reader().point(a, b).unwrap();
         assert_eq!(point.state, ServingState::Degraded);
 
         // Fresh data recovers serving on the next publish.
@@ -356,7 +356,78 @@ fn recovery_judges_staleness_at_the_resume_instant() {
     )
     .unwrap();
     assert_eq!(p.state(), ServingState::Degraded);
-    assert!(matches!(p.best_via(a, b), Err(QueryError::Degraded { .. })));
-    assert_eq!(p.rtt(a, b).unwrap().state, ServingState::Degraded);
+    assert!(matches!(
+        p.reader().best_via(a, b),
+        Err(QueryError::Degraded { .. })
+    ));
+    assert_eq!(
+        p.reader().point(a, b).unwrap().state,
+        ServingState::Degraded
+    );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A CRC seal vouches for a file's bytes, not for its generation
+/// number. Generation 1 is the bootstrap and is never journaled, and
+/// the publish after `u64::MAX` has no number: a sealed published file
+/// or journal record outside `2..u64::MAX` is refused with an error
+/// naming the file and the value — it used to reach the oracle's
+/// version assert (0, 1) or overflow the next publish (`u64::MAX`) —
+/// and the refusal leaves the directory byte for byte as it found it.
+fn recovery_refuses_generation(gen: u64) {
+    let (nodes, deltas, _) = fixture(1);
+    let mut honest = Pipeline::new(nodes.clone(), SHARDS, pipeline_config());
+    drive(&mut honest, &deltas);
+    let doc = honest.serving_document();
+    let now = deltas[0].now;
+
+    let listing = |dir: &PathBuf| {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    for file in [PUBLISHED_FILE, JOURNAL_FILE] {
+        let dir = tempdir(&format!("gen-{gen}-{file}"));
+        let sealed = match file {
+            PUBLISHED_FILE => render_published(gen, &doc),
+            _ => frame_record(gen, &doc),
+        };
+        std::fs::write(dir.join(file), &sealed).unwrap();
+        let before = listing(&dir);
+        let err = Pipeline::recover(
+            nodes.clone(),
+            SHARDS,
+            pipeline_config(),
+            Obs::off(),
+            Journal::open(&dir).unwrap(),
+            now,
+        )
+        .map(|(p, _)| p.generation())
+        .unwrap_err();
+        assert!(
+            err.contains(file) && err.contains(&format!("generation {gen} ")),
+            "{err}"
+        );
+        assert_eq!(listing(&dir), before, "a refused recovery writes nothing");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn recovery_refuses_generation_zero() {
+    recovery_refuses_generation(0);
+}
+
+#[test]
+fn recovery_refuses_the_bootstrap_generation() {
+    recovery_refuses_generation(1);
+}
+
+#[test]
+fn recovery_refuses_the_last_generation() {
+    recovery_refuses_generation(u64::MAX);
 }

@@ -8,12 +8,12 @@
 //! recoverable.
 
 use netsim::{NodeId, SimDuration, SimTime};
-use oracle::{Journal, Pipeline, PipelineConfig, ServingState, TtlPolicy};
+use oracle::{Journal, Pipeline, PipelineConfig, QueryError, ServingState, TtlPolicy};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-use ting::obs::Lineage;
+use std::sync::{Barrier, Mutex};
+use ting::obs::{Lineage, Obs, ObsConfig};
 use ting::shard::{DeltaPair, MergeDelta};
 
 const ROUNDS: u64 = 200;
@@ -165,5 +165,121 @@ fn readers_never_observe_an_unsealed_generation() {
     assert_eq!(recovered.serving_document(), p.serving_document());
     assert!(r.pending.is_none());
     assert_eq!(recovered.state(), ServingState::Fresh);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The judgment travels with the generation: the writer alternates
+/// fresh publishes with clock jumps past the hard TTL while four
+/// readers rank through handles taken before the storm. Every refusal
+/// must be a whole judgment (an age at or past the policy's hard TTL,
+/// never one half of a `Fresh` verdict), every ranking that answers
+/// must cite a sealed generation, and once the writer stops in
+/// `Degraded` every reader refuses.
+#[test]
+fn readers_rank_only_under_a_whole_judgment() {
+    const JUMPS: u64 = 100;
+    let hard = config().ttl.hard_ttl.as_nanos();
+    // Far enough apart that each publish is `Fresh` at its own instant
+    // whatever the jump before it was.
+    let at = |seq: u64| SimTime(seq * 4 * hard);
+    let fresh = |seq: u64| {
+        let mut d = delta(seq);
+        d.now = at(seq);
+        d.pairs[0].measured_at = at(seq);
+        d
+    };
+
+    let dir = tempdir("judged");
+    let obs = Obs::new(ObsConfig::Metrics);
+    let journal = Journal::open(&dir).unwrap();
+    let mut p = Pipeline::with_obs(nodes(), 1, config(), obs.clone(), Some(journal));
+    // One publish before the readers start, so every refusal they can
+    // meet cites a known age (the clockless bootstrap has none).
+    p.offer(fresh(1));
+    assert_eq!(p.tick(at(1)).unwrap(), Some(2));
+    let sealed: Mutex<HashSet<u64>> = Mutex::new(HashSet::from([2]));
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(READERS + 1);
+
+    std::thread::scope(|s| {
+        let mut observers = Vec::new();
+        for _ in 0..READERS {
+            let reader = p.reader();
+            let (sealed, stop, start) = (&sealed, &stop, &start);
+            observers.push(s.spawn(move || {
+                let (mut ranked, mut refused, mut flagged) = (0u64, 0u64, 0u64);
+                let mut rank = |detour: bool| {
+                    let version = if detour {
+                        reader
+                            .best_via(NodeId(0), NodeId(1))
+                            .map(|d| d.snapshot_version)
+                    } else {
+                        reader.k_nearest(NodeId(0), 3).map(|k| k.snapshot_version)
+                    };
+                    match version {
+                        Ok(version) => {
+                            assert!(
+                                sealed.lock().unwrap().contains(&version),
+                                "ranked over generation {version} before it was sealed"
+                            );
+                            ranked += 1;
+                            true
+                        }
+                        Err(QueryError::Degraded {
+                            age_ns,
+                            hard_ttl_ns,
+                        }) => {
+                            assert_eq!(hard_ttl_ns, hard, "the policy's hard TTL");
+                            assert!(
+                                age_ns.is_some_and(|age| age >= hard),
+                                "refused under half a judgment: age {age_ns:?}"
+                            );
+                            refused += 1;
+                            false
+                        }
+                        Err(e) => panic!("unexpected refusal: {e}"),
+                    }
+                };
+                start.wait();
+                let mut detour = false;
+                while !stop.load(Ordering::Acquire) {
+                    rank(detour);
+                    detour = !detour;
+                    let point = reader.point(NodeId(0), NodeId(1)).unwrap();
+                    flagged += u64::from(point.state != ServingState::Fresh);
+                }
+                // The writer stopped in `Degraded` before raising the
+                // flag: from here on nothing may rank.
+                assert!(!rank(false) && !rank(true), "ranked after the last jump");
+                (ranked, refused, flagged)
+            }));
+        }
+
+        start.wait();
+        for seq in 2..=JUMPS {
+            p.offer(fresh(seq));
+            sealed.lock().unwrap().insert(p.generation() + 1);
+            assert_eq!(p.tick(at(seq)).unwrap(), Some(seq + 1));
+            assert_eq!(p.state(), ServingState::Fresh);
+            // The clock jumps past the hard TTL with nothing to publish.
+            assert_eq!(p.tick(SimTime(at(seq).0 + hard + seq)).unwrap(), None);
+            assert_eq!(p.state(), ServingState::Degraded);
+        }
+        stop.store(true, Ordering::Release);
+
+        let (mut ranked, mut refused, mut flagged) = (0, 0, 0);
+        for o in observers {
+            let (a, b, c) = o.join().unwrap();
+            (ranked, refused, flagged) = (ranked + a, refused + b, flagged + c);
+        }
+        // Liveness: the readers met both sides of the ladder.
+        assert!(ranked > 0, "no reader ever ranked");
+        assert!(refused >= 2 * READERS as u64);
+        // What the readers refused and flagged is what the registry
+        // reads once the next tick has folded the cell's tallies in.
+        p.tick(SimTime(at(JUMPS).0 + 2 * hard)).unwrap();
+        assert_eq!(obs.counter_value("oracle.stale.refused"), refused);
+        assert_eq!(obs.counter_value("oracle.stale.served_stale"), flagged);
+    });
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -37,15 +37,10 @@ fn sample_exp(rng: &mut SmallRng, mean: f64) -> f64 {
     -rng.gen_range(1e-12..1.0f64).ln() * mean
 }
 
-/// One uniform draw in `[0, 1)` from a SplitMix64-style keyed hash —
-/// the same generator family the fault plan uses, so churn decisions
-/// never consume the simulation RNG.
+/// One uniform draw in `[0, 1)` from the keyed hash the fault plan
+/// uses, so churn decisions never consume the simulation RNG.
 fn keyed_u01(seed: u64, n: u64) -> f64 {
-    let mut h = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(n);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    netsim::keyed_u01(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(n))
 }
 
 /// Which §4 scenario to construct.

@@ -220,24 +220,13 @@ impl Relay {
     fn fault_draw_u01(&mut self) -> f64 {
         let n = self.fault_draws;
         self.fault_draws += 1;
-        let mut h = self
-            .faults
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(n);
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        let seed = self.faults.seed;
+        netsim::keyed_u01(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(n))
     }
 
     /// This relay's metrics handle.
     pub fn metrics(&self) -> RelayMetrics {
         self.metrics.clone()
-    }
-
-    pub fn identity_public(&self) -> onion_crypto::PublicKey {
-        self.identity.public
     }
 
     /// Samples this cell's processing cost and returns its ready time.
