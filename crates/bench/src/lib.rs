@@ -36,11 +36,15 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 
 /// [`env_usize`] for a `u64`.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    let Ok(value) = std::env::var(name) else {
-        return default;
-    };
+    let set = std::env::var(name);
+    set.map_or(default, |value| parse_override(&format!("{name}="), &value))
+}
+
+/// Parses an override's value; one that does not parse exits 2 naming
+/// where it was set (`VAR=` or `--flag `) and what it was.
+pub(crate) fn parse_override(set_by: &str, value: &str) -> u64 {
     value.parse().unwrap_or_else(|_| {
-        eprintln!("{name}={value:?} is not a non-negative integer");
+        eprintln!("{set_by}{value:?} is not a non-negative integer");
         std::process::exit(2)
     })
 }

@@ -7,7 +7,7 @@
 //! what it compares. The scanner storm itself lives here
 //! ([`scanner_storm`]) because `tests/soak.rs` runs the same function.
 
-use crate::env_u64;
+use crate::{env_u64, parse_override};
 use netsim::{FaultPlan, NodeId, SimDuration, SimTime};
 use std::path::PathBuf;
 use ting::obs::{config_hash, ExportMeta, Obs};
@@ -301,10 +301,11 @@ impl Args {
             let i = args.iter().position(|a| a == name)?;
             args.get(i + 1).cloned()
         };
-        let number = |name: &str, env_name: &str, default: u64| {
-            value(name)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| env_u64(env_name, default))
+        // A flag value that does not parse exits 2, as its variable's
+        // does: a mistyped seed must not run the default one.
+        let number = |name: &str, env_name: &str, default: u64| match value(name) {
+            Some(v) => parse_override(&format!("{name} "), &v),
+            None => env_u64(env_name, default),
         };
         Args {
             seed: number("--seed", "TING_SEED", 2015),
@@ -315,7 +316,7 @@ impl Args {
 
     /// Scan rounds in the requested virtual hours, at least `min`.
     pub fn rounds(&self, min: u64) -> u64 {
-        (self.hours * 3600 / ROUND_SECS).max(min)
+        (self.hours.saturating_mul(3600) / ROUND_SECS).max(min)
     }
 }
 
@@ -334,4 +335,28 @@ pub fn fail(name: &str, violations: &[String]) -> ! {
         println!("  - {v}");
     }
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rounds_saturate_where_the_hours_overflow() {
+        let rounds = |hours| {
+            let args = Args {
+                seed: 0,
+                hours,
+                trace_out: None,
+            };
+            args.rounds(3)
+        };
+        assert_eq!((rounds(0), rounds(1), rounds(4)), (3, 12, 48));
+        let last = u64::MAX / 3600;
+        assert_eq!(rounds(last), last * 3600 / ROUND_SECS);
+        // One hour more wrapped to a 0-hour soak in release and
+        // panicked in debug; it is the longest soak there is.
+        assert_eq!(rounds(last + 1), u64::MAX / ROUND_SECS);
+        assert_eq!(rounds(u64::MAX), u64::MAX / ROUND_SECS);
+    }
 }

@@ -56,6 +56,18 @@ pub fn ordered<T: Ord>(a: T, b: T) -> (T, T) {
     }
 }
 
+/// What a cell refuses whatever the matrix: the diagonal (fixed at 0)
+/// and a non-finite RTT.
+fn admits_idx(i: u32, j: u32, rtt_ms: f64) -> Result<(), String> {
+    if !rtt_ms.is_finite() {
+        return Err(format!("non-finite RTT {rtt_ms}"));
+    }
+    if i == j {
+        return Err("pair of a node with itself".into());
+    }
+    Ok(())
+}
+
 /// The best single-relay detour the kernel found for one pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetourBest {
@@ -156,22 +168,24 @@ impl RttMatrix {
     /// Fallible [`RttMatrix::set`]: unknown nodes, non-finite RTTs and
     /// the diagonal (fixed at 0) become errors instead of panics.
     pub fn try_set(&mut self, a: NodeId, b: NodeId, rtt_ms: f64) -> Result<(), String> {
+        let (ia, ib) = self.admits(a, b, rtt_ms)?;
+        self.set_idx(ia, ib, rtt_ms)
+    }
+
+    /// The cell [`RttMatrix::try_set`] would write, or its refusal —
+    /// asked without writing.
+    pub(crate) fn admits(&self, a: NodeId, b: NodeId, rtt_ms: f64) -> Result<(u32, u32), String> {
         let lookup = |n: NodeId| {
             self.index_of(n)
                 .ok_or_else(|| format!("unknown node {}", n.0))
         };
         let (ia, ib) = (lookup(a)?, lookup(b)?);
-        self.set_idx(ia, ib, rtt_ms)
+        admits_idx(ia, ib, rtt_ms).map(|()| (ia, ib))
     }
 
     /// [`RttMatrix::try_set`] in index space.
     fn set_idx(&mut self, i: u32, j: u32, rtt_ms: f64) -> Result<(), String> {
-        if !rtt_ms.is_finite() {
-            return Err(format!("non-finite RTT {rtt_ms}"));
-        }
-        if i == j {
-            return Err("pair of a node with itself".into());
-        }
+        admits_idx(i, j, rtt_ms)?;
         let (i, j, n) = (i as usize, j as usize, self.nodes.len());
         self.rtt_ms[i * n + j] = rtt_ms;
         self.rtt_ms[j * n + i] = rtt_ms;

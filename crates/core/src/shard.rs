@@ -67,7 +67,7 @@ pub fn partition_pairs(nodes: &[NodeId], shards: usize) -> Vec<Vec<(NodeId, Node
 /// The shard [`partition_pairs`] deals the `ordinal`-th pair in
 /// `(i, j)` index order to — what lets a walk over a scanner's pair
 /// table or a node list (same order) tell ownership without a lookup.
-pub fn owner(ordinal: usize, shards: usize) -> usize {
+fn owner(ordinal: usize, shards: usize) -> usize {
     ordinal % shards
 }
 
@@ -238,6 +238,95 @@ pub struct MergeOutcome {
 }
 
 impl MergeOutcome {
+    /// The empty dataset over `nodes`, dealt to `shards` live shards.
+    ///
+    /// # Panics
+    /// Panics when `shards` is zero or `nodes` repeats a node.
+    pub fn new(nodes: Vec<NodeId>, shards: usize) -> MergeOutcome {
+        assert!(shards > 0, "shard count must be positive");
+        let mut empty = MergeOutcome {
+            matrix: crate::matrix::RttMatrix::new(nodes),
+            measured_at: HashMap::new(),
+            lineage: HashMap::new(),
+            // Judging numbers the rows and counts what each owns.
+            shards: vec![ShardCoverage::new(0, "live", 0); shards],
+            now: SimTime::ZERO,
+        };
+        empty.judge_coverage(SimTime::ZERO, SimDuration::ZERO);
+        empty
+    }
+
+    /// Whether [`MergeOutcome::fold`] takes `delta`, asked before
+    /// anything is written: one status tag per shard, and every pair one
+    /// [`crate::RttMatrix::try_set`] accepts (known, distinct, finite).
+    pub fn admits(&self, delta: &MergeDelta) -> Result<(), String> {
+        let (tags, shards) = (delta.statuses.len(), self.shards.len());
+        if tags != shards {
+            return Err(format!(
+                "carries {tags} shard statuses, pipeline has {shards} shards"
+            ));
+        }
+        for p in &delta.pairs {
+            let cell = self.matrix.admits(p.a, p.b, p.rtt_ms);
+            cell.map_err(|e| format!("carries pair ({}, {}): {e}", p.a.0, p.b.0))?;
+        }
+        Ok(())
+    }
+
+    /// Folds `delta` in: each pair assigns its cell, instant and
+    /// lineage (later pairs win), each shard row takes its status tag.
+    /// A delta [`MergeOutcome::admits`] refuses is an `Err`, unfolded.
+    pub fn fold(&mut self, delta: MergeDelta) -> Result<(), String> {
+        self.admits(&delta)?;
+        for p in delta.pairs {
+            self.matrix.try_set(p.a, p.b, p.rtt_ms)?;
+            self.measured_at.insert(ordered(p.a, p.b), p.measured_at);
+            self.lineage.insert(ordered(p.a, p.b), p.lineage);
+        }
+        for (row, status) in self.shards.iter_mut().zip(delta.statuses) {
+            row.status = status;
+        }
+        Ok(())
+    }
+
+    /// Re-tallies the coverage rows exactly as [`merge_checkpoints`]
+    /// would: every pair dealt to its owner in `(i, j)` index order,
+    /// staleness judged at `now` against the same horizon, each row
+    /// keeping its status tag.
+    pub fn judge_coverage(&mut self, now: SimTime, staleness: SimDuration) {
+        let shards = self.shards.len();
+        for (k, row) in self.shards.iter_mut().enumerate() {
+            *row = ShardCoverage::new(k as u32, row.status, 0);
+        }
+        let nodes = self.matrix.nodes();
+        let mut ordinal = 0;
+        for (i, &a) in nodes.iter().enumerate() {
+            for &b in &nodes[i + 1..] {
+                let row = &mut self.shards[owner(ordinal, shards)];
+                row.owned += 1;
+                row.uncovered += 1;
+                if let Some(&t) = self.measured_at.get(&ordered(a, b)) {
+                    row.cover(t, now, staleness);
+                }
+                ordinal += 1;
+            }
+        }
+        self.now = now;
+    }
+
+    /// Every measured pair as `(a, b, rtt, measured_at, lineage)` in
+    /// `(i, j)` index order — the one row source under the rendered
+    /// document and the served snapshot.
+    pub fn rows(
+        &self,
+    ) -> impl Iterator<Item = (NodeId, NodeId, f64, SimTime, Option<Lineage>)> + '_ {
+        self.matrix.pairs().map(|(a, b, rtt)| {
+            let pair = ordered(a, b);
+            let lineage = self.lineage.get(&pair).copied();
+            (a, b, rtt, self.measured_at[&pair], lineage)
+        })
+    }
+
     /// Renders the merged matrix as a deterministic, CRC-sealed text
     /// document: coverage rows in shard order, then matrix rows in
     /// `(i, j)` index order with their measurement timestamps. Two
@@ -264,10 +353,9 @@ impl MergeOutcome {
                 c.newest_ns.map_or("-".into(), |t| t.to_string()),
             );
         }
-        for (a, b, rtt) in self.matrix.pairs() {
-            let t = self.measured_at[&ordered(a, b)];
+        for (a, b, rtt, t, lineage) in self.rows() {
             let _ = write!(out, "m\t{}\t{}\t{}\t{}", a.0, b.0, rtt, t.as_nanos());
-            let _ = match self.lineage.get(&ordered(a, b)) {
+            let _ = match lineage {
                 Some(l) => writeln!(out, "\t{}\t{}", l.shard, l.round),
                 None => writeln!(out, "\t-\t-"),
             };
@@ -1069,8 +1157,165 @@ mod tests {
             Some(&Lineage { shard: 0, round: 4 })
         );
         assert_eq!(parsed.lineage.get(&(NodeId(1), NodeId(2))), None);
-        // Re-rendering the parsed state is a byte-identical fixed point.
-        assert_eq!(MergeOutcome::from(parsed).to_document(), doc);
+        // Re-rendering the parsed state is a byte-identical fixed point,
+        // and the row without provenance comes back out without it.
+        let back = MergeOutcome::from(parsed);
+        assert_eq!(back.to_document(), doc);
+        let lineages: Vec<_> = back.rows().map(|row| row.4).collect();
+        assert_eq!(lineages, [Some(Lineage { shard: 0, round: 4 }), None]);
+    }
+
+    fn pair(a: u32, b: u32, rtt_ms: f64, at: u64, lineage: (u32, u64)) -> DeltaPair {
+        let (shard, round) = lineage;
+        DeltaPair {
+            a: NodeId(a),
+            b: NodeId(b),
+            rtt_ms,
+            measured_at: SimTime(at),
+            lineage: Lineage { shard, round },
+        }
+    }
+
+    fn delta(pairs: Vec<DeltaPair>, statuses: Vec<&'static str>) -> MergeDelta {
+        MergeDelta {
+            seq: 1,
+            pairs,
+            statuses,
+            now: SimTime(100),
+        }
+    }
+
+    #[test]
+    fn admits_names_each_refusal_and_a_refused_delta_folds_nothing() {
+        let mut merged = MergeOutcome::new(nodes(3), 2);
+        let empty = merged.to_document();
+        let good = pair(0, 1, 5.0, 10, (0, 1));
+        let two = vec!["live"; 2];
+        let refusals = [
+            (
+                vec![],
+                good,
+                "carries 0 shard statuses, pipeline has 2 shards",
+            ),
+            (
+                vec!["live"; 3],
+                good,
+                "carries 3 shard statuses, pipeline has 2 shards",
+            ),
+            (
+                two.clone(),
+                pair(0, 9, 5.0, 10, (0, 1)),
+                "carries pair (0, 9): unknown node 9",
+            ),
+            (
+                two.clone(),
+                pair(9, 0, 5.0, 10, (0, 1)),
+                "carries pair (9, 0): unknown node 9",
+            ),
+            (
+                two.clone(),
+                pair(2, 2, 5.0, 10, (0, 1)),
+                "carries pair (2, 2): pair of a node with itself",
+            ),
+            (
+                two.clone(),
+                pair(0, 1, f64::NAN, 10, (0, 1)),
+                "carries pair (0, 1): non-finite RTT NaN",
+            ),
+            (
+                two.clone(),
+                pair(0, 1, f64::INFINITY, 10, (0, 1)),
+                "carries pair (0, 1): non-finite RTT inf",
+            ),
+        ];
+        for (statuses, bad, reason) in refusals {
+            // The offender comes last: a fold that wrote as it went
+            // would have written `good` before it met it.
+            let refused = delta(vec![good, bad], statuses);
+            assert_eq!(merged.admits(&refused).unwrap_err(), reason);
+            assert_eq!(merged.fold(refused).unwrap_err(), reason);
+            assert_eq!(merged.to_document(), empty, "{reason}");
+        }
+        let admitted = delta(vec![good], two);
+        assert_eq!(merged.admits(&admitted), Ok(()));
+        assert_eq!(merged.fold(admitted), Ok(()));
+        assert_eq!(merged.rows().count(), 1);
+    }
+
+    #[test]
+    fn folded_pairs_come_back_as_rows_in_index_order_later_pairs_winning() {
+        // Ids out of order in the node list: rows follow the list.
+        let mut merged = MergeOutcome::new(vec![NodeId(7), NodeId(3), NodeId(5)], 2);
+        let first = vec![
+            pair(5, 7, 1.0, 10, (0, 1)),
+            pair(3, 7, 2.0, 11, (1, 1)),
+            // The same pair again, named the other way round.
+            pair(7, 5, 3.0, 12, (0, 2)),
+        ];
+        merged
+            .fold(delta(first, vec!["live", "restarting"]))
+            .unwrap();
+        // Measured earlier than anything the dataset holds, folded later.
+        let second = vec![pair(3, 5, 4.0, 5, (1, 3))];
+        merged.fold(delta(second, vec!["dead", "live"])).unwrap();
+
+        let row = |a, b, rtt, at, (shard, round)| {
+            let lineage = Some(Lineage { shard, round });
+            (NodeId(a), NodeId(b), rtt, SimTime(at), lineage)
+        };
+        let rows: Vec<_> = merged.rows().collect();
+        assert_eq!(
+            rows,
+            [
+                row(7, 3, 2.0, 11, (1, 1)),
+                row(7, 5, 3.0, 12, (0, 2)),
+                row(3, 5, 4.0, 5, (1, 3)),
+            ]
+        );
+        let tags: Vec<_> = merged.shards.iter().map(|row| row.status).collect();
+        assert_eq!(tags, ["dead", "live"], "the latest delta's tags");
+        // Folding tallies nothing; judging does.
+        assert_eq!(merged.coverage(), 0.0);
+        merged.judge_coverage(SimTime(20), SimDuration(9));
+        assert_eq!(merged.coverage(), 1.0);
+        // Shard 0 owns (7, 3) @ 11 and (3, 5) @ 5, shard 1 (7, 5) @ 12.
+        let stale: Vec<_> = merged.shards.iter().map(|row| row.stale).collect();
+        assert_eq!(stale, [2, 0]);
+    }
+
+    #[test]
+    fn judged_coverage_rows_are_the_offline_merges() {
+        let mut net = tor_sim::TorNetworkBuilder::testbed(41).vantages(2).build();
+        let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
+        let config = SupervisorConfig {
+            shards: 3,
+            scanner: ScannerConfig {
+                pairs_per_round: 2,
+                ..ScannerConfig::default()
+            },
+            ..SupervisorConfig::default()
+        };
+        let mut sup = Supervisor::new(nodes.clone(), config, TingConfig::fast());
+        let mut live = MergeOutcome::new(nodes, 3);
+        for round in 0..2 {
+            sup.run_round(&mut net);
+            if round == 0 {
+                sup.inject_crash(1, net.sim.now());
+            }
+            live.fold(sup.take_delta(net.sim.now())).unwrap();
+        }
+        // At the drain instant nothing is stale; a horizon later all is.
+        for now in [net.sim.now(), net.sim.now() + config.scanner.staleness] {
+            let offline = sup.merge(now).unwrap();
+            live.judge_coverage(now, config.scanner.staleness);
+            assert_eq!(live.shards, offline.shards);
+            assert_eq!(live.to_document(), offline.to_document());
+        }
+        let rows = &live.shards;
+        assert_eq!(rows[1].status, "restarting");
+        assert!(rows
+            .iter()
+            .all(|row| row.covered > 0 && row.uncovered > 0 && row.stale == row.covered));
     }
 
     #[test]

@@ -19,24 +19,27 @@ impl SimDuration {
         SimDuration(ns)
     }
 
+    /// Saturating, like the four below: a count read from a flag or a
+    /// document can be anything, and a span too long to represent is
+    /// "forever", not a wrap into a short one.
     pub fn from_micros(us: u64) -> SimDuration {
-        SimDuration(us * 1_000)
+        SimDuration(us.saturating_mul(1_000))
     }
 
     pub fn from_millis(ms: u64) -> SimDuration {
-        SimDuration(ms * 1_000_000)
+        SimDuration(ms.saturating_mul(1_000_000))
     }
 
     pub fn from_secs(s: u64) -> SimDuration {
-        SimDuration(s * 1_000_000_000)
+        SimDuration(s.saturating_mul(1_000_000_000))
     }
 
     pub fn from_hours(h: u64) -> SimDuration {
-        SimDuration::from_secs(h * 3600)
+        SimDuration::from_secs(h.saturating_mul(3600))
     }
 
     pub fn from_days(d: u64) -> SimDuration {
-        SimDuration::from_hours(d * 24)
+        SimDuration::from_hours(d.saturating_mul(24))
     }
 
     /// Converts a (possibly fractional) millisecond count, rounding to
@@ -172,6 +175,22 @@ mod tests {
         let mut clock = never;
         clock += SimDuration(1);
         assert_eq!(clock, never);
+        // So do the unit constructors, at the first count past the end
+        // and at the largest; one below the boundary is still exact.
+        let forever = SimDuration(u64::MAX);
+        let saturates = |from: fn(u64) -> SimDuration, ns: u64| {
+            let last = u64::MAX / ns;
+            assert_eq!(from(last), SimDuration(last * ns));
+            assert_eq!(from(last + 1), forever);
+            assert_eq!(from(u64::MAX), forever);
+        };
+        saturates(SimDuration::from_micros, 1_000);
+        saturates(SimDuration::from_millis, 1_000_000);
+        saturates(SimDuration::from_secs, 1_000_000_000);
+        saturates(SimDuration::from_hours, 3_600_000_000_000);
+        saturates(SimDuration::from_days, 86_400_000_000_000);
+        // Hours that fit as seconds but not as nanoseconds.
+        assert_eq!(SimDuration::from_hours(u64::MAX / 1000), forever);
     }
 
     #[test]

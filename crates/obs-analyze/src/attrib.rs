@@ -28,7 +28,7 @@
 
 use crate::tree::{CircuitNode, PairNode, Trace};
 use obs::names;
-use obs::{Document, Value};
+use obs::Document;
 use std::collections::BTreeMap;
 
 /// Attribution totals for one relay.
@@ -115,12 +115,8 @@ pub fn per_relay(doc: &Document, trace: &Trace) -> BTreeMap<u32, RelayAttributio
             names::HEALTH_RELEASE => 1,
             _ => continue,
         };
-        let node = ev.fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-            ("node", Value::U64(n)) => Some(*n as u32),
-            _ => None,
-        });
-        if let Some(node) = node {
-            let entry = table.entry(node).or_default();
+        if let Some(node) = ev.field_u64("node") {
+            let entry = table.entry(node as u32).or_default();
             if counter == 0 {
                 entry.quarantines += 1;
             } else {
@@ -135,7 +131,7 @@ pub fn per_relay(doc: &Document, trace: &Trace) -> BTreeMap<u32, RelayAttributio
 mod tests {
     use super::*;
     use crate::tree::{PhasePoint, RoundNode};
-    use obs::{EventRecord, ObsConfig};
+    use obs::{EventRecord, ObsConfig, Value};
 
     fn leg(relay: u32, probes_us: &[u64], outcome: &str) -> CircuitNode {
         CircuitNode {

@@ -12,7 +12,7 @@
 //! measured it, which shard outage delayed its successor, which
 //! coalesce folded it, and which generation first served it.
 
-use obs::{names, Document, EventRecord, Value};
+use obs::{names, Document};
 use std::fmt::Write as _;
 
 /// One hop of queue-overflow coalescing the pair's delta went through.
@@ -66,20 +66,6 @@ pub struct LineageChain {
     pub serving: Option<(u64, String, String)>,
 }
 
-fn field_u64(ev: &EventRecord, key: &str) -> Option<u64> {
-    ev.fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        (k2, Value::U64(n)) if k2 == key => Some(*n),
-        _ => None,
-    })
-}
-
-fn field_str<'a>(ev: &'a EventRecord, key: &str) -> Option<&'a str> {
-    ev.fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        (k2, Value::Str(s)) if k2 == key => Some(s.as_str()),
-        _ => None,
-    })
-}
-
 /// Reconstructs the causal chain for pair `(x, y)` (order-insensitive)
 /// from the trace's event log. `None` when the trace never drained a
 /// measurement for the pair.
@@ -90,14 +76,14 @@ pub fn trace_pair(doc: &Document, x: u64, y: u64) -> Option<LineageChain> {
         if ev.name != names::LINEAGE_PAIR {
             return false;
         }
-        let (a, b) = (field_u64(ev, "a"), field_u64(ev, "b"));
+        let (a, b) = (ev.field_u64("a"), ev.field_u64("b"));
         (a == Some(x) && b == Some(y)) || (a == Some(y) && b == Some(x))
     })?;
 
-    let shard = field_u64(pair_ev, "shard").unwrap_or(0);
-    let round = field_u64(pair_ev, "round").unwrap_or(0);
-    let measured_ns = field_u64(pair_ev, "t_meas").unwrap_or(pair_ev.t_ns);
-    let mut seq = field_u64(pair_ev, "seq").unwrap_or(0);
+    let shard = pair_ev.field_u64("shard").unwrap_or(0);
+    let round = pair_ev.field_u64("round").unwrap_or(0);
+    let measured_ns = pair_ev.field_u64("t_meas").unwrap_or(pair_ev.t_ns);
+    let mut seq = pair_ev.field_u64("seq").unwrap_or(0);
 
     // Follow the delta sequence through coalesce folds: when the
     // oldest queued delta (ours) folds into a newer one, the surviving
@@ -106,8 +92,8 @@ pub fn trace_pair(doc: &Document, x: u64, y: u64) -> Option<LineageChain> {
     let mut published = None;
     for ev in &doc.events[idx + 1..] {
         if ev.name == names::ORACLE_PIPELINE_COALESCE {
-            if field_u64(ev, "from_seq") == Some(seq) {
-                let into_seq = field_u64(ev, "into_seq").unwrap_or(seq);
+            if ev.field_u64("from_seq") == Some(seq) {
+                let into_seq = ev.field_u64("into_seq").unwrap_or(seq);
                 coalesces.push(CoalesceHop {
                     t_ns: ev.t_ns,
                     from_seq: seq,
@@ -116,12 +102,12 @@ pub fn trace_pair(doc: &Document, x: u64, y: u64) -> Option<LineageChain> {
                 seq = into_seq;
             }
         } else if ev.name == names::ORACLE_PIPELINE_PUBLISH_END
-            && field_u64(ev, "last_seq").unwrap_or(0) >= seq
+            && ev.field_u64("last_seq").unwrap_or(0) >= seq
         {
             published = Some(PublishPoint {
                 t_ns: ev.t_ns,
-                generation: field_u64(ev, "generation").unwrap_or(0),
-                last_seq: field_u64(ev, "last_seq").unwrap_or(0),
+                generation: ev.field_u64("generation").unwrap_or(0),
+                last_seq: ev.field_u64("last_seq").unwrap_or(0),
             });
             break;
         }
@@ -142,11 +128,11 @@ pub fn trace_pair(doc: &Document, x: u64, y: u64) -> Option<LineageChain> {
                     || n == names::SHARD_CHECKPOINT_CORRUPT
             )
         })
-        .filter(|ev| ev.t_ns >= measured_ns && field_u64(ev, "shard") == Some(shard))
+        .filter(|ev| ev.t_ns >= measured_ns && ev.field_u64("shard") == Some(shard))
         .map(|ev| ShardIncident {
             t_ns: ev.t_ns,
             name: ev.name.clone(),
-            reason: field_str(ev, "reason").map(str::to_owned),
+            reason: ev.field_str("reason").map(str::to_owned),
         })
         .collect();
 
@@ -157,8 +143,8 @@ pub fn trace_pair(doc: &Document, x: u64, y: u64) -> Option<LineageChain> {
         .map(|ev| {
             (
                 ev.t_ns,
-                field_str(ev, "from").unwrap_or("?").to_owned(),
-                field_str(ev, "to").unwrap_or("?").to_owned(),
+                ev.field_str("from").unwrap_or("?").to_owned(),
+                ev.field_str("to").unwrap_or("?").to_owned(),
             )
         });
 
@@ -169,7 +155,7 @@ pub fn trace_pair(doc: &Document, x: u64, y: u64) -> Option<LineageChain> {
         round,
         measured_ns,
         drained_ns: pair_ev.t_ns,
-        seq: field_u64(pair_ev, "seq").unwrap_or(0),
+        seq: pair_ev.field_u64("seq").unwrap_or(0),
         coalesces,
         published,
         incidents,
@@ -264,7 +250,7 @@ pub fn render_lineage(doc: &Document, x: u64, y: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::ObsConfig;
+    use obs::{EventRecord, ObsConfig, Value};
 
     fn ev(name: &str, t_ns: u64, fields: Vec<(&str, Value)>) -> EventRecord {
         EventRecord {

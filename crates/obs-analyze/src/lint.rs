@@ -14,7 +14,7 @@
 //!   begin, or an end closing a span some *other* event opened.
 
 use obs::names::{self, EventKind};
-use obs::{Document, EventRecord, Value};
+use obs::Document;
 use std::collections::HashMap;
 
 /// One linter finding. `event` is the index into `Document::events`
@@ -32,14 +32,6 @@ impl std::fmt::Display for LintIssue {
             None => write!(f, "document: {}", self.msg),
         }
     }
-}
-
-/// The `span` field of an event, when present and well-typed.
-pub fn span_id(ev: &EventRecord) -> Option<u64> {
-    ev.fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        ("span", Value::U64(id)) => Some(*id),
-        _ => None,
-    })
 }
 
 /// Lints the document's event log. An empty result means the trace is
@@ -76,7 +68,7 @@ pub fn lint(doc: &Document) -> Vec<LintIssue> {
 
         match spec.kind {
             EventKind::Point => {}
-            EventKind::SpanBegin { .. } => match span_id(ev) {
+            EventKind::SpanBegin { .. } => match ev.field_u64("span") {
                 None => issues.push(LintIssue {
                     event: Some(i),
                     msg: format!("span begin {:?} lacks a span id field", ev.name),
@@ -92,7 +84,7 @@ pub fn lint(doc: &Document) -> Vec<LintIssue> {
                     }
                 }
             },
-            EventKind::SpanEnd { begin } => match span_id(ev) {
+            EventKind::SpanEnd { begin } => match ev.field_u64("span") {
                 None => issues.push(LintIssue {
                     event: Some(i),
                     msg: format!("span end {:?} lacks a span id field", ev.name),
@@ -131,7 +123,7 @@ pub fn lint(doc: &Document) -> Vec<LintIssue> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::ObsConfig;
+    use obs::{EventRecord, ObsConfig, Value};
 
     fn doc(events: Vec<EventRecord>) -> Document {
         Document {

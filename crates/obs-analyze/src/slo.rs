@@ -7,7 +7,7 @@
 //! side of the staleness-budget story, and what the CI no-fault gate
 //! (`ting-prof slo --fail-on staleness`) runs on.
 
-use obs::{names, Document, Value};
+use obs::{names, Document};
 use std::fmt::Write as _;
 
 /// One breach window for one SLO. `end_ns` is `None` when the trace
@@ -21,20 +21,6 @@ pub struct Breach {
     pub burn_milli: u64,
 }
 
-fn field_u64(fields: &[(String, Value)], key: &str) -> Option<u64> {
-    fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        (k2, Value::U64(n)) if k2 == key => Some(*n),
-        _ => None,
-    })
-}
-
-fn field_str<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-    fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        (k2, Value::Str(s)) if k2 == key => Some(s.as_str()),
-        _ => None,
-    })
-}
-
 /// Extracts every breach window from the trace, in begin order.
 /// Begin/end events pair by their `slo` name — one engine never nests
 /// windows for the same SLO.
@@ -43,13 +29,13 @@ pub fn breaches(doc: &Document) -> Vec<Breach> {
     for ev in &doc.events {
         if ev.name == names::SLO_BREACH_BEGIN {
             out.push(Breach {
-                slo: field_str(&ev.fields, "slo").unwrap_or("?").to_owned(),
+                slo: ev.field_str("slo").unwrap_or("?").to_owned(),
                 begin_ns: ev.t_ns,
                 end_ns: None,
-                burn_milli: field_u64(&ev.fields, "burn_milli").unwrap_or(0),
+                burn_milli: ev.field_u64("burn_milli").unwrap_or(0),
             });
         } else if ev.name == names::SLO_BREACH_END {
-            let slo = field_str(&ev.fields, "slo").unwrap_or("?");
+            let slo = ev.field_str("slo").unwrap_or("?");
             if let Some(open) = out
                 .iter_mut()
                 .rev()
@@ -117,7 +103,7 @@ pub fn render_slo(doc: &Document) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::{EventRecord, ObsConfig};
+    use obs::{EventRecord, ObsConfig, Value};
 
     fn ev(name: &str, t_ns: u64, slo: &str, span: u64) -> EventRecord {
         EventRecord {

@@ -12,9 +12,8 @@
 //! self-times telescope to `t1 − t0` with no remainder. That exactness
 //! is a tested acceptance criterion, not an aspiration.
 
-use crate::lint::span_id;
 use obs::names;
-use obs::{Document, EventRecord, Value};
+use obs::Document;
 use std::collections::HashMap;
 
 /// One `ting.phase` point inside a circuit attempt.
@@ -86,20 +85,6 @@ pub struct Trace {
 /// The labels a pair span's time is partitioned into.
 pub const SELF_TIME_LABELS: [&str; 6] = ["setup", "build", "stream", "sample", "wait", "finalize"];
 
-fn get_u64(ev: &EventRecord, key: &str) -> Option<u64> {
-    ev.fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        (k2, Value::U64(n)) if k2 == key => Some(*n),
-        _ => None,
-    })
-}
-
-fn get_str<'a>(ev: &'a EventRecord, key: &str) -> Option<&'a str> {
-    ev.fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        (k2, Value::Str(s)) if k2 == key => Some(s.as_str()),
-        _ => None,
-    })
-}
-
 /// Rebuilds the span forest from a document's event log. The document
 /// should lint clean first ([`crate::lint::lint`]); structural defects
 /// surface here as errors.
@@ -116,10 +101,12 @@ pub fn build(doc: &Document) -> Result<Trace, String> {
                     return Err(format!("event #{i}: nested scan rounds"));
                 }
                 open_round = Some(RoundNode {
-                    id: span_id(ev).ok_or_else(|| format!("event #{i}: round without span id"))?,
+                    id: ev
+                        .field_u64("span")
+                        .ok_or_else(|| format!("event #{i}: round without span id"))?,
                     t0: ev.t_ns,
                     t1: ev.t_ns,
-                    planned: get_u64(ev, "planned").unwrap_or(0),
+                    planned: ev.field_u64("planned").unwrap_or(0),
                     measured: 0,
                     failed: 0,
                     pairs: Vec::new(),
@@ -130,19 +117,21 @@ pub fn build(doc: &Document) -> Result<Trace, String> {
                     .take()
                     .ok_or_else(|| format!("event #{i}: round end without begin"))?;
                 round.t1 = ev.t_ns;
-                round.measured = get_u64(ev, "measured").unwrap_or(0);
-                round.failed = get_u64(ev, "failed").unwrap_or(0);
+                round.measured = ev.field_u64("measured").unwrap_or(0);
+                round.failed = ev.field_u64("failed").unwrap_or(0);
                 trace.rounds.push(round);
             }
             names::SCAN_PAIR_BEGIN => {
-                let id = span_id(ev).ok_or_else(|| format!("event #{i}: pair without span id"))?;
+                let id = ev
+                    .field_u64("span")
+                    .ok_or_else(|| format!("event #{i}: pair without span id"))?;
                 open_pairs.insert(
                     id,
                     PairNode {
                         id,
-                        a: get_u64(ev, "a").unwrap_or(0) as u32,
-                        b: get_u64(ev, "b").unwrap_or(0) as u32,
-                        vantage: get_u64(ev, "vantage").unwrap_or(0),
+                        a: ev.field_u64("a").unwrap_or(0) as u32,
+                        b: ev.field_u64("b").unwrap_or(0) as u32,
+                        vantage: ev.field_u64("vantage").unwrap_or(0),
                         t0: ev.t_ns,
                         t1: ev.t_ns,
                         outcome: String::new(),
@@ -151,21 +140,25 @@ pub fn build(doc: &Document) -> Result<Trace, String> {
                 );
             }
             names::SCAN_PAIR_END => {
-                let id = span_id(ev).ok_or_else(|| format!("event #{i}: pair end without id"))?;
+                let id = ev
+                    .field_u64("span")
+                    .ok_or_else(|| format!("event #{i}: pair end without id"))?;
                 let mut pair = open_pairs
                     .remove(&id)
                     .ok_or_else(|| format!("event #{i}: pair end for unopened span {id}"))?;
                 pair.t1 = ev.t_ns;
-                pair.outcome = get_str(ev, "outcome").unwrap_or("").to_owned();
+                pair.outcome = ev.field_str("outcome").unwrap_or("").to_owned();
                 match &mut open_round {
                     Some(round) => round.pairs.push(pair),
                     None => trace.orphan_pairs.push(pair),
                 }
             }
             names::TING_CIRCUIT_BEGIN => {
-                let id =
-                    span_id(ev).ok_or_else(|| format!("event #{i}: circuit without span id"))?;
-                let path = get_str(ev, "path")
+                let id = ev
+                    .field_u64("span")
+                    .ok_or_else(|| format!("event #{i}: circuit without span id"))?;
+                let path = ev
+                    .field_str("path")
                     .unwrap_or("")
                     .split('-')
                     .filter_map(|t| t.parse().ok())
@@ -174,10 +167,10 @@ pub fn build(doc: &Document) -> Result<Trace, String> {
                     id,
                     CircuitNode {
                         id,
-                        kind: get_str(ev, "kind").unwrap_or("").to_owned(),
+                        kind: ev.field_str("kind").unwrap_or("").to_owned(),
                         path,
-                        attempt: get_u64(ev, "attempt").unwrap_or(0),
-                        vantage: get_u64(ev, "vantage").unwrap_or(0),
+                        attempt: ev.field_u64("attempt").unwrap_or(0),
+                        vantage: ev.field_u64("vantage").unwrap_or(0),
                         t0: ev.t_ns,
                         t1: ev.t_ns,
                         outcome: String::new(),
@@ -187,13 +180,14 @@ pub fn build(doc: &Document) -> Result<Trace, String> {
                 );
             }
             names::TING_CIRCUIT_END => {
-                let id =
-                    span_id(ev).ok_or_else(|| format!("event #{i}: circuit end without id"))?;
+                let id = ev
+                    .field_u64("span")
+                    .ok_or_else(|| format!("event #{i}: circuit end without id"))?;
                 let mut c = open_circuits
                     .remove(&id)
                     .ok_or_else(|| format!("event #{i}: circuit end for unopened span {id}"))?;
                 c.t1 = ev.t_ns;
-                c.outcome = get_str(ev, "outcome").unwrap_or("").to_owned();
+                c.outcome = ev.field_str("outcome").unwrap_or("").to_owned();
                 // The owning pair is the open pair on this vantage.
                 let owner = open_pairs.values_mut().find(|p| p.vantage == c.vantage);
                 match owner {
@@ -202,19 +196,21 @@ pub fn build(doc: &Document) -> Result<Trace, String> {
                 }
             }
             names::TING_PHASE => {
-                if let (Some(circuit), Some(phase)) = (get_u64(ev, "circuit"), get_str(ev, "phase"))
+                if let (Some(circuit), Some(phase)) =
+                    (ev.field_u64("circuit"), ev.field_str("phase"))
                 {
                     if let Some(c) = open_circuits.get_mut(&circuit) {
                         c.phases.push(PhasePoint {
                             phase: phase.to_owned(),
                             t_ns: ev.t_ns,
-                            dur_us: get_u64(ev, "dur_us").unwrap_or(0),
+                            dur_us: ev.field_u64("dur_us").unwrap_or(0),
                         });
                     }
                 }
             }
             names::TING_ERROR => {
-                if let (Some(circuit), Some(code)) = (get_u64(ev, "circuit"), get_str(ev, "code")) {
+                if let (Some(circuit), Some(code)) = (ev.field_u64("circuit"), ev.field_str("code"))
+                {
                     if let Some(c) = open_circuits.get_mut(&circuit) {
                         c.errors.push(code.to_owned());
                     }

@@ -116,13 +116,6 @@ fn traced_audit_run(tag: &str) -> String {
     text
 }
 
-fn field_u64(ev: &ting::obs::EventRecord, key: &str) -> Option<u64> {
-    ev.fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        (k2, ting::obs::Value::U64(n)) if k2 == key => Some(*n),
-        _ => None,
-    })
-}
-
 /// A pair whose *latest* drain was shard 0's round-1 delta: its audit
 /// must cross the coalesce fold, the crash, and the first publish.
 fn audited_pair(doc: &obs::Document) -> (u64, u64) {
@@ -133,13 +126,10 @@ fn audited_pair(doc: &obs::Document) -> (u64, u64) {
         .iter()
         .filter(|ev| ev.name == names::LINEAGE_PAIR)
     {
-        let a = field_u64(ev, "a").unwrap();
-        let b = field_u64(ev, "b").unwrap();
+        let a = ev.field_u64("a").unwrap();
+        let b = ev.field_u64("b").unwrap();
         let key = (a.min(b), a.max(b));
-        let val = (
-            field_u64(ev, "seq").unwrap(),
-            field_u64(ev, "shard").unwrap(),
-        );
+        let val = (ev.field_u64("seq").unwrap(), ev.field_u64("shard").unwrap());
         last.insert(key, val);
     }
     let mut candidates: Vec<(u64, u64)> = last

@@ -82,6 +82,24 @@ pub struct EventRecord {
     pub fields: Vec<(String, Value)>,
 }
 
+impl EventRecord {
+    /// The `u64` field called `key`, when present and well-typed.
+    pub fn field_u64(&self, key: &str) -> Option<u64> {
+        self.fields.iter().find_map(|(k, v)| match v {
+            Value::U64(n) if k == key => Some(*n),
+            _ => None,
+        })
+    }
+
+    /// The string field called `key`, when present and well-typed.
+    pub fn field_str(&self, key: &str) -> Option<&str> {
+        self.fields.iter().find_map(|(k, v)| match v {
+            Value::Str(s) if k == key => Some(s.as_str()),
+            _ => None,
+        })
+    }
+}
+
 /// The parser-facing model of one exported run: everything a
 /// `ting-obs-v1` JSONL document carries, in document order.
 /// [`Document::render_jsonl`] is the one and only renderer — the live

@@ -27,10 +27,8 @@ use crate::ttl::{ServingState, TtlPolicy};
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::slo::{SLO_COVERAGE, SLO_PUBLISH_LATENCY, SLO_SHARD_PROGRESS, SLO_STALENESS};
 use obs::{names, Counter, Hist, Obs, SloEngine, SloSpec, Value, WindowSpec};
-use std::collections::{HashMap, VecDeque};
-use ting::matrix::ordered;
-use ting::shard::{owner, parse_merged_document, MergeDelta, MergeOutcome, ShardCoverage};
-use ting::RttMatrix;
+use std::collections::VecDeque;
+use ting::shard::{parse_merged_document, MergeDelta, MergeOutcome};
 
 /// Tuning knobs for the publish loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,8 +142,8 @@ pub struct Pipeline {
     /// Accumulated dataset: every pair any delta ever carried, the
     /// shard status tags of the most recent one, and the coverage rows
     /// as judged at the last publish — exactly what
-    /// [`ting::shard::merge_checkpoints`] would hand back, folded into
-    /// and rendered in place.
+    /// [`ting::shard::merge_checkpoints`] would hand back, folded into,
+    /// rendered and served through its own methods.
     dataset: MergeOutcome,
     journal: Option<Journal>,
     oracle: Oracle,
@@ -179,17 +177,7 @@ impl Pipeline {
         journal: Option<Journal>,
     ) -> Pipeline {
         assert!(config.queue_cap >= 1, "queue capacity must be positive");
-        assert!(shards > 0, "shard count must be positive");
-        let mut dataset = MergeOutcome {
-            matrix: RttMatrix::new(nodes),
-            measured_at: HashMap::new(),
-            lineage: HashMap::new(),
-            shards: (0..shards as u32)
-                .map(|k| ShardCoverage::new(k, "live", 0))
-                .collect(),
-            now: SimTime::ZERO,
-        };
-        judge_coverage(&mut dataset, SimTime::ZERO, config.staleness);
+        let dataset = MergeOutcome::new(nodes, shards);
         let oracle = Oracle::with_obs(Snapshot::from_matrix(&dataset.matrix), obs.clone());
         // No timestamps, no age to certify: the ladder says `Degraded`.
         let bootstrap = config.ttl.judgment(None, 0);
@@ -249,14 +237,9 @@ impl Pipeline {
                     parsed.shards.len()
                 ));
             }
-            let snapshot = Snapshot::from_merged(&parsed);
-            let freshness = snapshot.freshness_ns();
-            let verdict = config.ttl.judgment(freshness, now.as_nanos());
-            p.oracle
-                .publish_judged(snapshot, gen, Some(now.as_nanos()), verdict);
             p.dataset = MergeOutcome::from(parsed);
             p.last_publish = Some(p.dataset.now);
-            p.obs.set_gauge("oracle.pipeline.generation", gen as i64);
+            p.serve(gen, now);
             // A pending record sealed but never swapped: finish its
             // interrupted publish so the directory converges.
             if let (Some(_), Some(journal)) = (&recovered.pending, &p.journal) {
@@ -284,7 +267,10 @@ impl Pipeline {
     /// refuses: past `queue_cap` the two oldest queued deltas coalesce
     /// into one (later pairs win collisions — application order is
     /// preserved), trading publish granularity for bounded memory so a
-    /// supervisor outrunning the publisher is slowed by nothing.
+    /// supervisor outrunning the publisher is slowed by nothing. A
+    /// malformed delta is refused by the `tick` that reaches it, whole:
+    /// one that overflowed `queue_cap` takes the neighbour it was
+    /// coalesced into with it.
     pub fn offer(&mut self, delta: MergeDelta) {
         self.metrics.deltas.inc();
         if let Some(slo) = &mut self.slo {
@@ -340,9 +326,9 @@ impl Pipeline {
     /// and folds what readers refused and flagged since the last turn
     /// into `oracle.stale.{refused, served_stale}`.
     /// Returns the generation published this turn, if any. `Err` is a
-    /// journal write failure, or a queued delta whose status count is
-    /// not the shard count: that delta is discarded, nothing else moves,
-    /// and the next `tick` proceeds.
+    /// journal write failure, or a queued delta the dataset does not
+    /// admit ([`MergeOutcome::admits`]): that delta is discarded,
+    /// nothing else moves, and the next `tick` proceeds.
     pub fn tick(&mut self, now: SimTime) -> Result<Option<u64>, String> {
         let due = self
             .last_publish
@@ -370,19 +356,16 @@ impl Pipeline {
             .generation()
             .checked_add(1)
             .ok_or("generation counter exhausted; nothing published")?;
-        // The dataset keeps one status tag per shard, so a delta that
-        // carries any other number is refused before anything folds —
-        // the same mismatch `recover` refuses in a document.
-        let shards = self.dataset.shards.len();
-        let malformed = self.queue.iter().position(|d| d.statuses.len() != shards);
-        if let Some(bad) = malformed.and_then(|at| self.queue.remove(at)) {
+        // Every queued delta is asked before anything folds or a span
+        // opens: a refusal leaves dataset, journal and trace alone, and
+        // no fold below can fail.
+        let mut queued = self.queue.iter().enumerate();
+        let refused = queued.find_map(|(at, d)| Some((at, d.seq, self.dataset.admits(d).err()?)));
+        if let Some((at, seq, why)) = refused {
+            self.queue.remove(at);
             self.obs
                 .set_gauge("oracle.pipeline.queue_depth", self.queue.len() as i64);
-            return Err(format!(
-                "delta seq {} carries {} shard statuses, pipeline has {shards} shards; delta discarded",
-                bad.seq,
-                bad.statuses.len()
-            ));
+            return Err(format!("delta seq {seq} {why}; delta discarded"));
         }
         let span = self.obs.span_begin(
             names::ORACLE_PIPELINE_PUBLISH_BEGIN,
@@ -404,41 +387,25 @@ impl Pipeline {
                     !on_time as u64,
                 );
             }
-            let data = &mut self.dataset;
-            for p in delta.pairs {
-                data.matrix.set(p.a, p.b, p.rtt_ms);
-                data.measured_at.insert(ordered(p.a, p.b), p.measured_at);
-                data.lineage.insert(ordered(p.a, p.b), p.lineage);
-            }
             self.last_seq = self.last_seq.max(delta.seq);
-            for (row, status) in data.shards.iter_mut().zip(delta.statuses) {
-                row.status = status;
-            }
-        }
-        if let Some(slo) = &mut self.slo {
-            let n = self.dataset.matrix.len() as u64;
-            let owned = n * n.saturating_sub(1) / 2;
-            let covered = self.dataset.measured_at.len() as u64;
-            slo.engine.observe(
-                SLO_COVERAGE,
-                now.as_nanos(),
-                covered,
-                owned.saturating_sub(covered),
-            );
+            let _ = self.dataset.fold(delta);
         }
         self.obs.set_gauge("oracle.pipeline.queue_depth", 0);
 
-        judge_coverage(&mut self.dataset, now, self.config.staleness);
+        self.dataset.judge_coverage(now, self.config.staleness);
+        if let Some(slo) = &mut self.slo {
+            let rows = &self.dataset.shards;
+            let covered: u64 = rows.iter().map(|row| row.covered as u64).sum();
+            let uncovered: u64 = rows.iter().map(|row| row.uncovered as u64).sum();
+            slo.engine
+                .observe(SLO_COVERAGE, now.as_nanos(), covered, uncovered);
+        }
         let doc = self.dataset.to_document();
         if let Some(j) = &self.journal {
             j.append(next, &doc)
                 .map_err(|e| format!("journal append (gen {next}): {e}"))?;
         }
-        let snapshot = Snapshot::from_merged_document(&doc)?;
-        let freshness = snapshot.freshness_ns();
-        let verdict = self.config.ttl.judgment(freshness, now.as_nanos());
-        self.oracle
-            .publish_judged(snapshot, next, Some(now.as_nanos()), verdict);
+        self.serve(next, now);
         if let Some(j) = &self.journal {
             j.mark_published(next, &doc)
                 .map_err(|e| format!("journal publish (gen {next}): {e}"))?;
@@ -446,8 +413,6 @@ impl Pipeline {
         self.last_publish = Some(now);
         self.metrics.published.inc();
         self.metrics.batch_pairs.record_us(batch_pairs);
-        self.obs
-            .set_gauge("oracle.pipeline.generation", next as i64);
         if self.obs.is_tracing() {
             self.obs.span_end(
                 names::ORACLE_PIPELINE_PUBLISH_END,
@@ -461,6 +426,17 @@ impl Pipeline {
             );
         }
         Ok(next)
+    }
+
+    /// The one tail `tick` and `recover` end in: the dataset in hand
+    /// is swapped in as generation `gen` under its TTL judgment at `now`.
+    fn serve(&mut self, gen: u64, now: SimTime) {
+        let now_ns = now.as_nanos();
+        let snapshot = Snapshot::from_merged(&self.dataset);
+        let verdict = self.config.ttl.judgment(snapshot.freshness_ns(), now_ns);
+        self.oracle
+            .publish_judged(snapshot, gen, Some(now_ns), verdict);
+        self.obs.set_gauge("oracle.pipeline.generation", gen as i64);
     }
 
     /// Re-judges the served generation at `now`, seats the verdict in
@@ -529,31 +505,6 @@ impl Pipeline {
     pub fn reader(&self) -> OracleReader {
         self.oracle.reader()
     }
-}
-
-/// Re-tallies `dataset`'s coverage rows exactly as
-/// [`ting::shard::merge_checkpoints`] would: every pair dealt to its
-/// [`owner`] in `(i, j)` index order, staleness judged at `now` against
-/// the same horizon, each row keeping its status tag.
-fn judge_coverage(dataset: &mut MergeOutcome, now: SimTime, staleness: SimDuration) {
-    let shards = dataset.shards.len();
-    for (k, row) in dataset.shards.iter_mut().enumerate() {
-        *row = ShardCoverage::new(k as u32, row.status, 0);
-    }
-    let nodes = dataset.matrix.nodes();
-    let mut ordinal = 0;
-    for (i, &a) in nodes.iter().enumerate() {
-        for &b in &nodes[i + 1..] {
-            let row = &mut dataset.shards[owner(ordinal, shards)];
-            row.owned += 1;
-            row.uncovered += 1;
-            if let Some(&t) = dataset.measured_at.get(&ordered(a, b)) {
-                row.cover(t, now, staleness);
-            }
-            ordinal += 1;
-        }
-    }
-    dataset.now = now;
 }
 
 #[cfg(test)]
@@ -753,28 +704,50 @@ mod tests {
                 .answer
                 .rtt_ms
         };
-        for (journaled, tags) in [(false, 0), (false, 2), (true, 0), (true, 2)] {
+        // Every file of the journal directory, by name.
+        let on_disk = || {
+            let files = std::fs::read_dir(&dir).unwrap().map(|f| f.unwrap().path());
+            let mut files: Vec<_> = files
+                .map(|f| (f.clone(), std::fs::read(f).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        // The bad delta's status tags, pair and RTT, and what the
+        // refusal says of it.
+        let malformed = [
+            (0, (0, 1), 9.0, "0 shard statuses, pipeline has 1 shards"),
+            (2, (0, 1), 9.0, "2 shard statuses, pipeline has 1 shards"),
+            (1, (0, 9), 9.0, "pair (0, 9): unknown node 9"),
+            (1, (1, 1), 9.0, "pair (1, 1): pair of a node with itself"),
+            (1, (0, 1), f64::NAN, "pair (0, 1): non-finite RTT NaN"),
+        ];
+        let cases = malformed.iter().flat_map(|bad| [(false, bad), (true, bad)]);
+        for (journaled, &(tags, (a, b), rtt_ms, reason)) in cases {
             let _ = std::fs::remove_dir_all(&dir);
             let journal = journaled.then(|| Journal::open(&dir).unwrap());
             let mut p = Pipeline::with_obs(nodes(), 1, config(), Obs::off(), journal.clone());
             p.offer(delta(1, vec![(NodeId(0), NodeId(1), 7.0, SimTime(5))], 10));
             assert_eq!(p.tick(SimTime(10)).unwrap(), Some(2));
             let document = p.serving_document();
+            let journal_bytes = journaled.then(on_disk);
 
             p.offer(delta(2, vec![(NodeId(0), NodeId(2), 3.0, SimTime(11))], 12));
-            let mut bad = delta(3, vec![(NodeId(0), NodeId(1), 9.0, SimTime(12))], 13);
+            let mut bad = delta(3, vec![(NodeId(a), NodeId(b), rtt_ms, SimTime(12))], 13);
             bad.statuses = vec!["live"; tags];
             p.offer(bad);
             let err = p.tick(SimTime(13)).unwrap_err();
-            let counts = format!("carries {tags} shard statuses, pipeline has 1 shards");
-            assert!(
-                err.contains("delta seq 3") && err.contains(&counts),
-                "{err}"
-            );
+            let carries = format!("delta seq 3 carries {reason}; delta discarded");
+            assert_eq!(err, carries);
             assert_eq!((p.generation(), p.queue_depth()), (2, 1));
             assert_eq!(p.serving_document(), document, "dataset untouched");
             assert_eq!(served(&p, 1), Some(7.0), "served generation untouched");
             if let Some(j) = &journal {
+                assert_eq!(
+                    Some(on_disk()),
+                    journal_bytes,
+                    "journal directory untouched"
+                );
                 let on_disk = j.recover().unwrap();
                 assert_eq!(on_disk.serve().map(|(gen, _)| *gen), Some(2));
                 assert!(on_disk.pending.is_none());

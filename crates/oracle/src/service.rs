@@ -324,7 +324,6 @@ mod tests {
 
     #[test]
     fn swap_emits_the_registered_trace_event() {
-        use std::collections::HashMap;
         use ting::shard::MergeOutcome;
         let obs = Obs::new(ObsConfig::Trace);
         // Matrix-source snapshots carry no dataset instant: swapping
@@ -340,19 +339,9 @@ mod tests {
         };
         assert_eq!(swaps(&obs), 0, "clockless snapshots stay off the log");
 
-        let mut m = RttMatrix::new(vec![NodeId(0), NodeId(1)]);
-        m.set(NodeId(0), NodeId(1), 7.0);
-        let mut measured_at = HashMap::new();
-        measured_at.insert((NodeId(0), NodeId(1)), netsim::SimTime(5_000));
-        let doc = MergeOutcome {
-            matrix: m,
-            measured_at,
-            lineage: HashMap::new(),
-            shards: vec![],
-            now: netsim::SimTime(10_000),
-        }
-        .to_document();
-        oracle.publish(Snapshot::from_merged_document(&doc).unwrap());
+        let mut merged = MergeOutcome::new(vec![NodeId(0), NodeId(1)], 1);
+        merged.judge_coverage(netsim::SimTime(10_000), netsim::SimDuration::ZERO);
+        oracle.publish(Snapshot::from_merged(&merged));
         assert_eq!(swaps(&obs), 1, "a timestamped publish is traced");
     }
 }

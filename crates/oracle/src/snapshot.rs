@@ -12,7 +12,7 @@
 
 use netsim::NodeId;
 use obs::{Lineage, Origin};
-use ting::shard::{parse_merged_document, MergedDocument};
+use ting::shard::{parse_merged_document, MergeOutcome};
 use ting::RttMatrix;
 
 /// Generation and freshness metadata for one snapshot.
@@ -219,39 +219,30 @@ impl Snapshot {
     /// richest source: per-pair timestamps, lineage and the merge
     /// instant all survive into the snapshot.
     pub fn from_merged_document(text: &str) -> Result<Snapshot, String> {
-        Ok(Snapshot::from_merged(&parse_merged_document(text)?))
+        Ok(Snapshot::from_merged(&parse_merged_document(text)?.into()))
     }
 
-    /// [`Snapshot::from_merged_document`] for a document already
-    /// parsed.
-    pub fn from_merged(doc: &MergedDocument) -> Snapshot {
-        let mut snap = Snapshot::from_matrix(&doc.matrix);
-        snap.meta.now_ns = Some(doc.now_ns);
+    /// The snapshot of a merged dataset in hand: one pass over its
+    /// rows fills the instant and lineage tables.
+    pub fn from_merged(merged: &MergeOutcome) -> Snapshot {
+        let mut snap = Snapshot::from_matrix(&merged.matrix);
+        snap.meta.now_ns = Some(merged.now.as_nanos());
 
         let n = snap.matrix.len();
-        let mut table = vec![NO_TIMESTAMP; n * n];
-        let mut newest = None::<u64>;
-        for (&(a, b), &t) in &doc.measured_at_ns {
+        let mut instants = vec![NO_TIMESTAMP; n * n];
+        for (a, b, _, t, lineage) in merged.rows() {
             let (Some(i), Some(j)) = (snap.matrix.index_of(a), snap.matrix.index_of(b)) else {
                 continue;
             };
-            table[i as usize * n + j as usize] = t;
-            table[j as usize * n + i as usize] = t;
-            newest = Some(newest.map_or(t, |o: u64| o.max(t)));
-        }
-        snap.measured_at_ns = Some(table);
-        snap.meta.newest_ns = newest;
-        if !doc.lineage.is_empty() {
-            let mut table = vec![NO_LINEAGE; n * n];
-            for (&(a, b), &l) in &doc.lineage {
-                let (Some(i), Some(j)) = (snap.matrix.index_of(a), snap.matrix.index_of(b)) else {
-                    continue;
-                };
-                table[i as usize * n + j as usize] = l;
-                table[j as usize * n + i as usize] = l;
+            for cell in [i as usize * n + j as usize, j as usize * n + i as usize] {
+                instants[cell] = t.as_nanos();
+                if let Some(l) = lineage {
+                    snap.lineage.get_or_insert_with(|| vec![NO_LINEAGE; n * n])[cell] = l;
+                }
             }
-            snap.lineage = Some(table);
+            snap.meta.newest_ns = snap.meta.newest_ns.max(Some(t.as_nanos()));
         }
+        snap.measured_at_ns = Some(instants);
         snap
     }
 
@@ -409,6 +400,8 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::{SimDuration, SimTime};
+    use ting::shard::{DeltaPair, MergeDelta};
 
     fn matrix() -> RttMatrix {
         let mut m = RttMatrix::new(vec![NodeId(1), NodeId(2), NodeId(3), NodeId(4)]);
@@ -493,31 +486,38 @@ mod tests {
         assert_eq!(d.savings_percent(), 0.0);
     }
 
+    fn pair(a: u32, b: u32, rtt_ms: f64, at: u64, shard: u32, round: u64) -> DeltaPair {
+        DeltaPair {
+            a: NodeId(a),
+            b: NodeId(b),
+            rtt_ms,
+            measured_at: SimTime(at),
+            lineage: Lineage { shard, round },
+        }
+    }
+
+    /// The sealed document of `pairs` folded over nodes `0..3` and
+    /// judged at 10 µs.
+    fn merged_document(pairs: Vec<DeltaPair>) -> String {
+        let delta = MergeDelta {
+            seq: 1,
+            pairs,
+            statuses: vec!["live"],
+            now: SimTime(10_000),
+        };
+        let mut merged = MergeOutcome::new(vec![NodeId(0), NodeId(1), NodeId(2)], 1);
+        merged.fold(delta).unwrap();
+        merged.judge_coverage(SimTime(10_000), SimDuration::from_hours(24));
+        merged.to_document()
+    }
+
     #[test]
     fn detour_freshness_cites_the_older_leg() {
-        use netsim::SimTime;
-        use std::collections::HashMap;
-        use ting::shard::MergeOutcome;
-        let mut m = RttMatrix::new(vec![NodeId(0), NodeId(1), NodeId(2)]);
-        m.set(NodeId(0), NodeId(1), 100.0);
-        m.set(NodeId(0), NodeId(2), 20.0);
-        m.set(NodeId(1), NodeId(2), 20.0);
-        let mut measured_at = HashMap::new();
-        measured_at.insert((NodeId(0), NodeId(1)), SimTime(5_000));
-        measured_at.insert((NodeId(0), NodeId(2)), SimTime(1_000));
-        measured_at.insert((NodeId(1), NodeId(2)), SimTime(4_000));
-        let mut lineage = HashMap::new();
-        lineage.insert((NodeId(0), NodeId(1)), Lineage { shard: 0, round: 5 });
-        lineage.insert((NodeId(0), NodeId(2)), Lineage { shard: 1, round: 2 });
-        lineage.insert((NodeId(1), NodeId(2)), Lineage { shard: 2, round: 4 });
-        let doc = MergeOutcome {
-            matrix: m,
-            measured_at,
-            lineage,
-            shards: vec![],
-            now: SimTime(10_000),
-        }
-        .to_document();
+        let doc = merged_document(vec![
+            pair(0, 1, 100.0, 5_000, 0, 5),
+            pair(0, 2, 20.0, 1_000, 1, 2),
+            pair(1, 2, 20.0, 4_000, 2, 4),
+        ]);
         let s = Snapshot::from_merged_document(&doc).unwrap();
         assert_eq!(s.freshness_ns(), Some(5_000));
         let d = s.best_via(NodeId(0), NodeId(1)).unwrap();
@@ -546,20 +546,7 @@ mod tests {
         assert_eq!(near.origin.unwrap().round, 2);
 
         // With no candidate via relay the answer cites the direct pair.
-        let mut m = RttMatrix::new(vec![NodeId(0), NodeId(1), NodeId(2)]);
-        m.set(NodeId(0), NodeId(1), 50.0);
-        let mut measured_at = HashMap::new();
-        measured_at.insert((NodeId(0), NodeId(1)), SimTime(7_000));
-        let mut lineage = HashMap::new();
-        lineage.insert((NodeId(0), NodeId(1)), Lineage { shard: 3, round: 9 });
-        let doc = MergeOutcome {
-            matrix: m,
-            measured_at,
-            lineage,
-            shards: vec![],
-            now: SimTime(10_000),
-        }
-        .to_document();
+        let doc = merged_document(vec![pair(0, 1, 50.0, 7_000, 3, 9)]);
         let s = Snapshot::from_merged_document(&doc).unwrap();
         let d = s.best_via(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(d.via, None);

@@ -18,7 +18,6 @@ pub mod cdf;
 pub mod convergence;
 pub mod corr;
 pub mod hist;
-pub mod ks;
 pub mod linfit;
 pub mod summary;
 
@@ -27,7 +26,6 @@ pub use cdf::EmpiricalCdf;
 pub use convergence::MinConvergence;
 pub use corr::{pearson, spearman};
 pub use hist::Histogram;
-pub use ks::ks_distance;
 pub use linfit::{linear_fit, LinearFit};
 pub use summary::{
     coefficient_of_variation, max, mean, median, min, quantile, stddev, variance, Summary,
