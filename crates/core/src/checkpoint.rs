@@ -28,17 +28,61 @@ use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
+/// The slicing-by-8 tables, built at compile time from the reflected
+/// polynomial: `CRC_TABLES[0]` is the published byte-at-a-time CRC-32
+/// table, and `CRC_TABLES[k][b]` is the CRC register after byte `b`
+/// and `k` zero bytes have passed through it.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
 /// The CRC-32 (IEEE 802.3, reflected, `0xEDB88320`) of `bytes` — the
 /// same polynomial as zip/gzip/PNG, so sealed checkpoints can be
-/// cross-checked with standard tools.
+/// cross-checked with standard tools. Slicing-by-8: eight bytes a step
+/// through two little-endian word loads and eight table lookups, the
+/// one-table byte loop for the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -270,15 +314,100 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// The bit-at-a-time loop [`crc32`] replaced, kept as the oracle the
+/// table kernel is differentially tested against.
+#[cfg(test)]
+mod reference {
+    pub fn crc32(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        let fox = b"The quick brown fox jumps over the lazy dog";
+        assert_eq!(crc32(fox), 0x414F_A339);
+    }
+
+    #[test]
+    fn first_table_is_the_published_crc32_table() {
+        // A wrong table fails here by name, not by a thousand pins.
+        assert_eq!(CRC_TABLES[0][0], 0);
+        assert_eq!(CRC_TABLES[0][1], 0x7707_3096);
+        assert_eq!(CRC_TABLES[0][255], 0x2D02_EF8D);
+        // Table k is the bare register (no inversions) after byte `b`
+        // and k zero bytes: 8 (k + 1) single-bit steps from `b`.
+        for b in 0..256 {
+            let mut crc = b as u32;
+            for (k, table) in CRC_TABLES.iter().enumerate() {
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+                assert_eq!(table[b], crc, "table {k}, byte {b}");
+            }
+        }
+    }
+
+    fn seeded(len: usize, seed: u64) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        SmallRng::seed_from_u64(seed).fill(&mut buf[..]);
+        buf
+    }
+
+    #[test]
+    fn kernel_equals_the_bitwise_reference_at_every_head_and_tail() {
+        // Every length across several 8-byte steps, from every start
+        // offset within a step: all chunk / tail-loop boundaries.
+        let buf = seeded(308, 22);
+        for start in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                let expect = reference::crc32(bytes);
+                assert_eq!(crc32(bytes), expect, "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_equals_the_bitwise_reference_on_large_buffers() {
+        let nodes: Vec<NodeId> = (0..300).map(NodeId).collect();
+        let mut merged = crate::shard::MergeOutcome::new(nodes.clone(), 4);
+        for (i, &a) in nodes.iter().enumerate() {
+            for &b in &nodes[i + 1..] {
+                let at = netsim::SimTime((a.0 * 300 + b.0) as u64);
+                merged.matrix.set(a, b, (a.0 + b.0) as f64 / 7.0);
+                merged.measured_at.insert((a, b), at);
+            }
+        }
+        let document = merged.to_document().into_bytes();
+        assert!(document.len() > 1_000_000, "{} bytes", document.len());
+        let buffers = [
+            ("4 KiB", seeded(4096, 1)),
+            ("1 MiB + 3", seeded((1 << 20) + 3, 2)),
+            ("merged document", document),
+            ("zeros", vec![0x00; 70_001]),
+            ("ones", vec![0xFF; 70_001]),
+        ];
+        for (name, bytes) in &buffers {
+            assert_eq!(crc32(bytes), reference::crc32(bytes), "{name}");
+        }
     }
 
     #[test]

@@ -49,13 +49,21 @@ impl ChaCha20 {
     }
 
     /// XORs the keystream into `data` in place (encrypt == decrypt).
-    pub fn apply_keystream(&mut self, data: &mut [u8]) {
-        for byte in data {
+    pub fn apply_keystream(&mut self, mut data: &mut [u8]) {
+        while !data.is_empty() {
             if self.offset == 64 {
                 self.refill();
             }
-            *byte ^= self.block[self.offset];
-            self.offset += 1;
+            // The rest of this keystream block, or of `data`, as one
+            // slice XOR.
+            let take = data.len().min(64 - self.offset);
+            let (head, rest) = data.split_at_mut(take);
+            let keystream = &self.block[self.offset..self.offset + take];
+            for (byte, k) in head.iter_mut().zip(keystream) {
+                *byte ^= k;
+            }
+            self.offset += take;
+            data = rest;
         }
     }
 
@@ -195,6 +203,51 @@ mod tests {
         got.extend(split.keystream(51));
         got.extend(split.keystream(136));
         assert_eq!(got, expect);
+    }
+
+    /// The byte-at-a-time loop [`ChaCha20::apply_keystream`] replaced,
+    /// kept as the oracle the slice form is tested against.
+    fn apply_keystream_reference(cipher: &mut ChaCha20, data: &mut [u8]) {
+        for byte in data {
+            if cipher.offset == 64 {
+                cipher.refill();
+            }
+            *byte ^= cipher.block[cipher.offset];
+            cipher.offset += 1;
+        }
+    }
+
+    #[test]
+    fn any_chunking_equals_the_one_shot_and_the_bytewise_reference() {
+        let key = rfc_key();
+        let nonce = [9u8; 12];
+        let message = ChaCha20::new(&[3u8; 32], &nonce, 0).keystream(2048);
+        let mut reference = message.clone();
+        let mut bytewise = ChaCha20::new(&key, &nonce, 0);
+        apply_keystream_reference(&mut bytewise, &mut reference);
+        let next = bytewise.keystream(70);
+        let mut one_shot = message.clone();
+        ChaCha20::new(&key, &nonce, 0).apply_keystream(&mut one_shot);
+        assert_eq!(one_shot, reference);
+
+        // A seeded random split: each cut a keystream byte, so chunks
+        // of 0..=255 bytes start at every offset within a block.
+        let cuts = ChaCha20::new(&[5u8; 32], &nonce, 0).keystream(64);
+        let random: Vec<usize> = cuts.iter().map(|&c| c as usize).collect();
+        let fixed = [1, 63, 64, 65, 509].map(|n| vec![n]);
+        for sizes in fixed.iter().chain([&random]) {
+            let mut chunked = message.clone();
+            let mut cipher = ChaCha20::new(&key, &nonce, 0);
+            let (mut rest, mut cuts) = (&mut chunked[..], sizes.iter().cycle());
+            while !rest.is_empty() {
+                let take = rest.len().min(*cuts.next().unwrap());
+                let (head, tail) = rest.split_at_mut(take);
+                cipher.apply_keystream(head);
+                rest = tail;
+            }
+            assert_eq!(chunked, reference, "chunk sizes {sizes:?}");
+            assert_eq!(cipher.keystream(70), next, "same stream position");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   first appends one framed record (`@gen` header, the merged
 //!   document's bytes, `@seal` trailer with a CRC-32 over the body)
 //!   and fsyncs; the completed `@seal` line is the commit point. A
-//!   kill mid-append leaves a torn tail that recovery discards.
+//!   kill mid-append leaves a torn tail that recovery cuts off.
 //! * **`oracle.published`** — the last served generation, an
 //!   outer-sealed wrapper around the same document, replaced with
 //!   [`ting::checkpoint::write_atomic`] (tmp + fsync + rename + dir
@@ -98,18 +98,25 @@ impl Journal {
     /// recognizes by its generation number.
     pub fn mark_published(&self, gen: u64, doc: &str) -> std::io::Result<()> {
         checkpoint::write_atomic(&self.published_path(), &render_published(gen, doc))?;
+        self.cut_journal(0)
+    }
+
+    /// Cuts the staging log to its first `len` bytes, durably.
+    fn cut_journal(&self, len: u64) -> std::io::Result<()> {
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(self.journal_path())?;
-        f.set_len(0)?;
-        f.sync_all()?;
-        Ok(())
+        f.set_len(len)?;
+        f.sync_all()
     }
 
     /// Replays the directory after a kill. Corrupt *sealed* state (a
     /// published file that fails its CRC) is an error — that is disk
     /// rot, not a crash window, and must be loud. Torn tails and stale
-    /// `.tmp` siblings are expected crash debris and are ignored.
+    /// `.tmp` siblings are expected crash debris: the `.tmp` is ignored,
+    /// the tail is cut off the log, so that the next [`Journal::append`]
+    /// lands behind sealed records only — a record sealed behind
+    /// garbage would be lost to the next recovery's walk.
     pub fn recover(&self) -> Result<Recovered, String> {
         let published = match std::fs::read_to_string(self.published_path()) {
             Ok(text) => Some(parse_published(&text)?),
@@ -117,7 +124,15 @@ impl Journal {
             Err(e) => return Err(format!("published file unreadable: {e}")),
         };
         let (records, torn_tail) = match std::fs::read(self.journal_path()) {
-            Ok(bytes) => scan_journal(&bytes),
+            Ok(bytes) => {
+                let (records, sealed) = scan_journal(&bytes);
+                let torn_tail = sealed < bytes.len();
+                if torn_tail {
+                    self.cut_journal(sealed as u64)
+                        .map_err(|e| format!("cutting the journal's torn tail: {e}"))?;
+                }
+                (records, torn_tail)
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), false),
             Err(e) => return Err(format!("journal unreadable: {e}")),
         };
@@ -171,31 +186,29 @@ fn parse_published(text: &str) -> Result<(u64, String), String> {
     Ok((gen, doc.to_owned()))
 }
 
-/// Walks the journal bytes record by record. Any framing violation —
-/// truncated header, short body, missing or mismatched `@seal` — ends
-/// the walk there: everything before it is sealed state, everything
-/// from it on is a torn tail.
-fn scan_journal(bytes: &[u8]) -> (Vec<(u64, String)>, bool) {
+/// Walks the journal bytes record by record; returns the sealed
+/// records and the offset their last one ends at. Any framing violation
+/// — truncated header, a length that overflows or overruns the buffer,
+/// missing or mismatched `@seal` — ends the walk there: everything
+/// before it is sealed state, everything from it on is a torn tail.
+fn scan_journal(bytes: &[u8]) -> (Vec<(u64, String)>, usize) {
     let mut records = Vec::new();
     let mut pos = 0;
-    while pos < bytes.len() {
-        let Some((gen, len, body_start)) = parse_frame_header(bytes, pos) else {
-            return (records, true);
-        };
-        let body_end = body_start + len;
-        if body_end > bytes.len() {
-            return (records, true);
-        }
-        let Ok(body) = std::str::from_utf8(&bytes[body_start..body_end]) else {
-            return (records, true);
-        };
-        let Some(tail_end) = verify_frame_seal(bytes, body_end, gen, body) else {
-            return (records, true);
-        };
+    while let Some((gen, body, next)) = read_frame(bytes, pos) {
         records.push((gen, body.to_owned()));
-        pos = tail_end;
+        pos = next;
     }
-    (records, false)
+    (records, pos)
+}
+
+/// The sealed frame at `pos`: its generation, its body and the offset
+/// just past its trailer.
+fn read_frame(bytes: &[u8], pos: usize) -> Option<(u64, &str, usize)> {
+    let (gen, len, body_start) = parse_frame_header(bytes, pos)?;
+    // `len` is whatever the file says: the sum must not wrap.
+    let body_end = body_start.checked_add(len)?;
+    let body = std::str::from_utf8(bytes.get(body_start..body_end)?).ok()?;
+    Some((gen, body, verify_frame_seal(bytes, body_end, gen, body)?))
 }
 
 /// Parses `@gen <g> <len>\n` at `pos`; returns `(gen, len, body
@@ -292,15 +305,75 @@ mod tests {
     #[test]
     fn frame_roundtrips_and_rejects_a_flipped_body_byte() {
         let frame = frame_record(7, "payload line\n");
-        let (records, torn) = scan_journal(frame.as_bytes());
+        let (records, sealed) = scan_journal(frame.as_bytes());
         assert_eq!(records, vec![(7, "payload line\n".to_owned())]);
-        assert!(!torn);
+        assert_eq!(sealed, frame.len(), "no torn tail");
         let mut corrupt = frame.into_bytes();
         let at = "@gen 7 13\npay".len() - 1;
         corrupt[at] ^= 0x01;
-        let (records, torn) = scan_journal(&corrupt);
+        let (records, sealed) = scan_journal(&corrupt);
         assert!(records.is_empty());
-        assert!(torn);
+        assert_eq!(sealed, 0, "torn from the first byte");
+    }
+
+    #[test]
+    fn a_frame_length_that_overflows_is_a_torn_tail() {
+        // One flipped or torn length token must not panic recovery:
+        // `body_start + len` wraps below `body_start` in release.
+        let dir = tempdir("overflow");
+        let j = Journal::open(&dir).unwrap();
+        let torn = format!("{}@gen 3 {}\n", frame_record(2, "sealed\n"), usize::MAX);
+        std::fs::write(j.journal_path(), torn).unwrap();
+        let r = j.recover().unwrap();
+        assert_eq!(r.pending, Some((2, "sealed\n".to_owned())));
+        assert!(r.torn_tail);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // The second of two records, its length token replaced.
+        let first = frame_record(1, "one\n");
+        let second = frame_record(2, "two two\n");
+        let body_start = first.len() + "@gen 2 8\n".len();
+        // The length whose wrapped sum lands on offset `at`: the start
+        // of the buffer, inside it, on the record boundary, and (with
+        // `usize::MAX`) one short of `body_start`.
+        let wraps_to = |at: usize| usize::MAX - body_start + 1 + at;
+        let lengths = [0, 7, 9].into_iter();
+        let lengths = lengths.chain([0, 3, first.len(), body_start - 1].map(wraps_to));
+        let unparsed = ["-1", "", "18446744073709551616"].map(String::from);
+        for token in lengths.map(|n| n.to_string()).chain(unparsed) {
+            let header = format!("@gen 2 {token}\n");
+            let rest = second.strip_prefix("@gen 2 8\n").unwrap();
+            let bytes = format!("{first}{header}{rest}");
+            let (records, sealed) = scan_journal(bytes.as_bytes());
+            assert_eq!(records, vec![(1, "one\n".to_owned())], "length {token:?}");
+            assert_eq!(sealed, first.len(), "length {token:?}");
+        }
+    }
+
+    #[test]
+    fn a_record_sealed_behind_a_torn_tail_survives_the_next_kill() {
+        let dir = tempdir("two-kills");
+        let j = Journal::open(&dir).unwrap();
+        j.append(2, "two\n").unwrap();
+        j.mark_published(2, "two\n").unwrap();
+        // First kill: mid-append of generation 3.
+        let frame = frame_record(3, "three\n");
+        std::fs::write(j.journal_path(), &frame.as_bytes()[..frame.len() - 4]).unwrap();
+        let r = j.recover().unwrap();
+        assert!(r.torn_tail);
+        assert_eq!((r.serve().unwrap().0, &r.pending), (2, &None));
+        let files = || [j.journal_path(), j.published_path()].map(|f| std::fs::read(f).unwrap());
+        let cut = files();
+        assert_eq!(j.recover().unwrap().serve(), r.serve());
+        assert_eq!(files(), cut, "recover ∘ recover = recover");
+
+        // The restarted publisher stages generation 3 again; the second
+        // kill lands between its seal and `mark_published`.
+        j.append(3, "three\n").unwrap();
+        let r = j.recover().unwrap();
+        assert_eq!(r.pending, Some((3, "three\n".to_owned())));
+        assert!(!r.torn_tail);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl Pipeline {
         let recovered = journal.recover()?;
         let mut p = Pipeline::with_obs(nodes, shards, config, obs, Some(journal));
         let bootstrap = p.state();
-        if let Some((gen, doc)) = recovered.serve().cloned() {
+        if let Some(&(gen, ref doc)) = recovered.serve() {
             // No publish writes the bootstrap generation or leaves the
             // next one without a number, whatever a sealed file says.
             if !(2..u64::MAX).contains(&gen) {
@@ -227,7 +227,7 @@ impl Pipeline {
                 };
                 return Err(format!("{file}: generation {gen} is outside 2..u64::MAX"));
             }
-            let parsed = parse_merged_document(&doc)?;
+            let parsed = parse_merged_document(doc)?;
             if parsed.matrix.nodes() != p.dataset.matrix.nodes() {
                 return Err("recovered generation's node list differs from the pipeline's".into());
             }
@@ -244,7 +244,7 @@ impl Pipeline {
             // interrupted publish so the directory converges.
             if let (Some(_), Some(journal)) = (&recovered.pending, &p.journal) {
                 journal
-                    .mark_published(gen, &doc)
+                    .mark_published(gen, doc)
                     .map_err(|e| format!("completing interrupted publish: {e}"))?;
             }
             if p.obs.is_tracing() {

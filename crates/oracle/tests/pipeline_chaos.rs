@@ -10,7 +10,7 @@
 use netsim::{NodeId, SimDuration, SimTime};
 use oracle::journal::{frame_record, render_published, Journal, JOURNAL_FILE, PUBLISHED_FILE};
 use oracle::{Pipeline, PipelineConfig, QueryError, ServingState, TtlPolicy};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use ting::obs::{Lineage, Obs};
 use ting::shard::{DeltaPair, MergeDelta, Supervisor, SupervisorConfig};
 use ting::{checkpoint, ScannerConfig, TingConfig};
@@ -166,6 +166,108 @@ fn kill_at_any_append_byte_recovers_the_last_sealed_generation() {
         assert_eq!(&p.serving_document(), final_doc, "cut at byte {cut}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Every file of the journal directory, by name.
+fn on_disk(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let files = std::fs::read_dir(dir).unwrap().map(|f| f.unwrap().path());
+    let mut files: Vec<_> = files
+        .map(|f| (f.clone(), std::fs::read(f).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Two kills: the first mid-append (every cut point), the second in
+/// the seal → swap window of the restarted pipeline's next publish.
+/// Readers were already served that generation, so recovery must serve
+/// it — which it can only find if the first restart cut the torn tail
+/// instead of letting the record be appended behind it.
+#[test]
+fn a_generation_sealed_after_a_torn_tail_survives_a_second_kill() {
+    let (nodes, deltas, _) = fixture(2);
+    let mut baseline = Pipeline::new(nodes.clone(), SHARDS, pipeline_config());
+    let mut docs = Vec::new();
+    for d in &deltas {
+        baseline.offer(d.clone());
+        baseline.tick(d.now).unwrap();
+        docs.push((baseline.generation(), baseline.serving_document(), d.now));
+    }
+    let (g0, ref doc0, now0) = docs[0];
+    let (g1, ref doc1, now1) = docs[1];
+    let restart = |dir: &Path, now| {
+        let journal = Journal::open(dir).unwrap();
+        Pipeline::recover(
+            nodes.clone(),
+            SHARDS,
+            pipeline_config(),
+            Obs::off(),
+            journal,
+            now,
+        )
+        .unwrap()
+    };
+    let frame = frame_record(g1, doc1);
+    for cut in 0..frame.len() {
+        let dir = tempdir("twokills");
+        let j = Journal::open(&dir).unwrap();
+        j.append(g0, doc0).unwrap();
+        j.mark_published(g0, doc0).unwrap();
+        std::fs::write(j.journal_path(), &frame.as_bytes()[..cut]).unwrap();
+
+        let (p, r) = restart(&dir, now0);
+        assert_eq!((p.generation(), r.torn_tail), (g0, cut > 0), "cut {cut}");
+        let after_first = on_disk(&dir);
+        drop(restart(&dir, now0));
+        assert_eq!(on_disk(&dir), after_first, "recover ∘ recover = recover");
+
+        // What a kill before `mark_published` leaves of the restarted
+        // pipeline's next publish: the frame `append` staged, alone.
+        drop(p);
+        j.append(g1, doc1).unwrap();
+        let (p, r) = restart(&dir, now1);
+        assert_eq!(p.generation(), g1, "cut {cut}: sealed generation lost");
+        assert_eq!(&p.serving_document(), doc1, "cut {cut}");
+        assert_eq!(r.pending.as_ref().map(|&(g, _)| g), Some(g1), "cut {cut}");
+
+        // Recovery finished the publish: the directory has converged.
+        let converged = on_disk(&dir);
+        let (p, r) = restart(&dir, now1);
+        assert_eq!(
+            (p.generation(), &r.pending, r.torn_tail),
+            (g1, &None, false)
+        );
+        assert_eq!(on_disk(&dir), converged, "cut {cut}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A frame header whose length token overflows `usize` arithmetic is a
+/// torn tail like any other framing violation — not a panic.
+#[test]
+fn an_overflowing_frame_length_recovers_the_sealed_prefix() {
+    let (nodes, deltas, _) = fixture(1);
+    let mut baseline = Pipeline::new(nodes.clone(), SHARDS, pipeline_config());
+    drive(&mut baseline, &deltas);
+    let (gen, doc) = (baseline.generation(), baseline.serving_document());
+
+    let dir = tempdir("overflow");
+    let j = Journal::open(&dir).unwrap();
+    let torn = format!("{}@gen 3 {}\n", frame_record(gen, &doc), usize::MAX);
+    std::fs::write(j.journal_path(), torn).unwrap();
+    let (p, r) = Pipeline::recover(
+        nodes,
+        SHARDS,
+        pipeline_config(),
+        Obs::off(),
+        Journal::open(&dir).unwrap(),
+        deltas[0].now,
+    )
+    .unwrap();
+    assert_eq!((p.generation(), p.serving_document()), (gen, doc));
+    assert!(r.torn_tail);
+    assert_eq!(r.pending.map(|(g, _)| g), Some(gen));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The swap and truncate windows: a record sealed but never swapped is
