@@ -63,11 +63,6 @@ impl GeoPredictor {
         })
     }
 
-    /// The underlying fit.
-    pub fn fit_params(&self) -> LinearFit {
-        self.fit
-    }
-
     /// Predicted RTT for a pair (ms). `None` if either node was not in
     /// the training set.
     pub fn predict(&self, a: NodeId, b: NodeId) -> Option<f64> {
@@ -77,6 +72,7 @@ impl GeoPredictor {
     }
 
     /// A full predicted matrix over the training nodes.
+    #[cfg(test)]
     pub fn predicted_matrix(&self) -> RttMatrix {
         let nodes: Vec<NodeId> = self.positions.iter().map(|(n, _)| *n).collect();
         let mut m = RttMatrix::new(nodes.clone());
@@ -89,6 +85,7 @@ impl GeoPredictor {
     }
 
     /// Spearman rank correlation between predictions and `truth`.
+    #[cfg(test)]
     pub fn rank_agreement(&self, truth: &RttMatrix) -> Option<f64> {
         let mut pred = Vec::new();
         let mut real = Vec::new();
@@ -177,7 +174,7 @@ mod tests {
         let (truth, geodb) = setup();
         let mut rng = SmallRng::seed_from_u64(3);
         let pred = GeoPredictor::fit(&truth, &geodb, &mut rng).unwrap();
-        assert!(pred.fit_params().slope > 0.0);
+        assert!(pred.fit.slope > 0.0);
         // Longer distance → larger prediction.
         let nodes = truth.nodes();
         let p = pred.predict(nodes[0], nodes[1]).unwrap();

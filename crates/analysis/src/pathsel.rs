@@ -112,11 +112,6 @@ impl<'a> PathSelector<'a> {
         }
     }
 
-    /// The estimated acceptance rate for one length.
-    pub fn acceptance_rate(&self, len: usize) -> f64 {
-        self.acceptance.get(&len).copied().unwrap_or(0.0)
-    }
-
     /// Draws one circuit uniformly-ish from the acceptable set: pick a
     /// length with probability ∝ (acceptance × population), then
     /// rejection-sample circuits of that length until one fits.
@@ -318,12 +313,8 @@ mod tests {
             &mut rng,
         );
         for len in 3..7 {
-            assert!(
-                sel.acceptance_rate(len) >= sel.acceptance_rate(len + 1),
-                "len {len}: {} < {}",
-                sel.acceptance_rate(len),
-                sel.acceptance_rate(len + 1)
-            );
+            let (here, longer) = (sel.acceptance[&len], sel.acceptance[&(len + 1)]);
+            assert!(here >= longer, "len {len}: {here} < {longer}");
         }
     }
 

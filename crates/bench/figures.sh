@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The paper-faithfulness guard (EXPERIMENTS.md): reruns the headline
-# scalars, the ablations and the three cheap figures, and compares each
-# stdout byte for byte with crates/bench/expected/. Everything printed is
-# a pure function of the seed, so any difference is a behaviour change.
+# scalars, the ablations, the three cheap figures and the fault storm
+# (the one binary that drives every fault path through tor-sim), and
+# compares each stdout byte for byte with crates/bench/expected/.
+# Everything printed is a pure function of the seed, so any difference is
+# a behaviour change.
 #
 #   crates/bench/figures.sh            compare; exit 1 on any difference
 #   crates/bench/figures.sh --update   rewrite the expectations
@@ -33,4 +35,5 @@ figure ablation_filters
 figure fig05_forwarding_delays TING_HOURS=48
 figure fig06_sample_convergence TING_PAIRS=100 TING_SAMPLES=1000
 figure fig08_distance_vs_latency TING_PAIRS=10000 TING_RELAYS=300
+figure fault_storm
 exit $status

@@ -42,14 +42,6 @@ impl KingConfig {
             samples: 20,
         }
     }
-
-    /// King as (barely) deployable at the paper's writing.
-    pub fn year_2015() -> KingConfig {
-        KingConfig {
-            ns_availability: 0.03,
-            ..KingConfig::year_2002()
-        }
-    }
 }
 
 /// One King measurement attempt.
@@ -161,7 +153,11 @@ mod tests {
     fn king_2015_mostly_fails() {
         let mut net = TorNetworkBuilder::live(3002, 30).build();
         let mut rng = SmallRng::seed_from_u64(2);
-        let cfg = KingConfig::year_2015();
+        // King as (barely) deployable at the paper's writing.
+        let cfg = KingConfig {
+            ns_availability: 0.03,
+            ..KingConfig::year_2002()
+        };
         let now = net.sim.now();
         let failures = (0..200)
             .filter(|&i| {

@@ -9,7 +9,7 @@
 //! relocates the host to a completely wrong city.
 
 use crate::coord::GeoPoint;
-use crate::world::{World, CITIES};
+use crate::world::CITIES;
 use rand::Rng;
 
 /// Error parameters for [`GeoDb::estimate`].
@@ -105,23 +105,6 @@ impl GeoDb {
         let east = self.error_model.sigma_km * mag * (2.0 * std::f64::consts::PI * u2).sin();
         Some(true_loc.offset_km(north, east))
     }
-
-    /// Builds a database for `n` hosts placed randomly in `world` with
-    /// the Tor regional skew. Returns the DB; `truth(i)` is defined for
-    /// all `i < n`.
-    pub fn populate_tor_like<R: Rng + ?Sized>(
-        world: &World,
-        n: usize,
-        error_model: GeoErrorModel,
-        rng: &mut R,
-    ) -> GeoDb {
-        let mut db = GeoDb::new(error_model);
-        for host in 0..n {
-            let (_, loc) = world.sample_location(rng);
-            db.insert(host, loc);
-        }
-        db
-    }
 }
 
 #[cfg(test)]
@@ -188,16 +171,6 @@ mod tests {
             .count();
         let frac = gross as f64 / n as f64;
         assert!(frac > 0.12 && frac < 0.28, "gross fraction {frac}");
-    }
-
-    #[test]
-    fn populate_covers_all_hosts() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let db = GeoDb::populate_tor_like(&World::new(), 100, GeoErrorModel::default(), &mut rng);
-        assert_eq!(db.len(), 100);
-        for i in 0..100 {
-            assert!(db.truth(i).is_some());
-        }
     }
 
     #[test]

@@ -19,13 +19,6 @@ pub fn min_rtt_ms(distance_km: f64) -> f64 {
     2.0 * distance_km / FIBER_KM_PER_MS
 }
 
-/// The inverse: the farthest two hosts can be (km) given an observed RTT
-/// in milliseconds. Used to sanity-check geolocation data.
-pub fn max_distance_km(rtt_ms: f64) -> f64 {
-    assert!(rtt_ms >= 0.0, "negative RTT");
-    rtt_ms * FIBER_KM_PER_MS / 2.0
-}
-
 /// Whether an (RTT, distance) observation is physically possible.
 pub fn physically_possible(rtt_ms: f64, distance_km: f64) -> bool {
     rtt_ms + 1e-9 >= min_rtt_ms(distance_km)
@@ -50,12 +43,6 @@ mod tests {
     #[test]
     fn zero_distance_zero_rtt() {
         assert_eq!(min_rtt_ms(0.0), 0.0);
-    }
-
-    #[test]
-    fn inverse_functions_roundtrip() {
-        let d = 1234.5;
-        assert!((max_distance_km(min_rtt_ms(d)) - d).abs() < 1e-9);
     }
 
     #[test]

@@ -59,21 +59,6 @@ impl CrashWindow {
     }
 }
 
-/// Counters describing what the plan actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages silently dropped on links.
-    pub messages_dropped: u64,
-    /// Messages that were delayed by a jitter spike.
-    pub spikes_injected: u64,
-    /// Messages that were stalled for a long period.
-    pub stalls_injected: u64,
-    /// Events dropped because the destination node was crashed.
-    pub events_dropped_at_down_node: u64,
-    /// Connection handshakes blackholed (target down at SYN time).
-    pub connects_blackholed: u64,
-}
-
 /// A deterministic fault-injection plan.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
@@ -92,12 +77,6 @@ pub struct FaultPlan {
     crash_windows: Vec<CrashWindow>,
     /// Monotone draw counter (interior-mutable so read paths stay `&`).
     draws: Cell<u64>,
-    /// Injection counters.
-    messages_dropped: Cell<u64>,
-    spikes_injected: Cell<u64>,
-    stalls_injected: Cell<u64>,
-    events_dropped: Cell<u64>,
-    connects_blackholed: Cell<u64>,
 }
 
 impl FaultPlan {
@@ -199,11 +178,7 @@ impl FaultPlan {
         if self.link_loss_prob <= 0.0 {
             return false;
         }
-        let dropped = self.draw_u01() < self.link_loss_prob;
-        if dropped {
-            self.messages_dropped.set(self.messages_dropped.get() + 1);
-        }
-        dropped
+        self.draw_u01() < self.link_loss_prob
     }
 
     /// Extra delay (ms) injected onto a surviving message: a possible
@@ -215,34 +190,12 @@ impl FaultPlan {
             if u < self.jitter_spike_prob {
                 let v = self.draw_u01().min(1.0 - 1e-12);
                 extra += -(1.0 - v).ln() * self.jitter_spike_mean_ms;
-                self.spikes_injected.set(self.spikes_injected.get() + 1);
             }
         }
         if self.stall_prob > 0.0 && self.stall_ms > 0.0 && self.draw_u01() < self.stall_prob {
             extra += self.stall_ms;
-            self.stalls_injected.set(self.stalls_injected.get() + 1);
         }
         extra
-    }
-
-    pub(crate) fn count_event_dropped(&self) {
-        self.events_dropped.set(self.events_dropped.get() + 1);
-    }
-
-    pub(crate) fn count_connect_blackholed(&self) {
-        self.connects_blackholed
-            .set(self.connects_blackholed.get() + 1);
-    }
-
-    /// Injection counters so far.
-    pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            messages_dropped: self.messages_dropped.get(),
-            spikes_injected: self.spikes_injected.get(),
-            stalls_injected: self.stalls_injected.get(),
-            events_dropped_at_down_node: self.events_dropped.get(),
-            connects_blackholed: self.connects_blackholed.get(),
-        }
     }
 }
 
@@ -302,7 +255,6 @@ mod tests {
         let plan = FaultPlan::new(42).with_link_loss(0.25);
         let dropped = (0..10_000).filter(|_| plan.drop_message()).count();
         assert!((2000..3000).contains(&dropped), "dropped {dropped}");
-        assert_eq!(plan.stats().messages_dropped, dropped as u64);
     }
 
     #[test]
@@ -310,6 +262,5 @@ mod tests {
         let plan = FaultPlan::new(5).with_stalls(1.0, 750.0);
         let d = plan.extra_delay_ms();
         assert!(d >= 750.0);
-        assert_eq!(plan.stats().stalls_injected, 1);
     }
 }

@@ -277,7 +277,6 @@ impl Simulator {
                 EventKind::Timer { node, .. } => node,
             };
             if self.faults.node_down(dest, ev.at) {
-                self.faults.count_event_dropped();
                 self.obs.fault_events_dropped.inc();
                 if self.obs.obs.is_tracing() {
                     self.obs.obs.event(
@@ -390,7 +389,6 @@ impl Simulator {
         if self.faults.is_enabled()
             && (self.faults.node_down(to, self.now) || self.faults.node_down(from, self.now))
         {
-            self.faults.count_connect_blackholed();
             self.obs.fault_connects_blackholed.inc();
             if self.obs.obs.is_tracing() {
                 self.obs.obs.event(
@@ -848,9 +846,9 @@ mod tests {
         let results = Rc::new(RefCell::new(Vec::new()));
         let mut sim = two_node_sim(321, 40, results.clone());
         sim.set_fault_plan(crate::fault::FaultPlan::new(9).with_link_loss(0.5));
+        sim.set_obs(Obs::new(obs::ObsConfig::Metrics));
         sim.run_until_idle(); // terminates: a lost ping ends the driver's loop
-        let stats = sim.fault_plan().stats();
-        assert!(stats.messages_dropped >= 1);
+        assert!(sim.obs().counter_value("net.fault.messages_dropped") >= 1);
         assert!(
             results.borrow().len() < 40,
             "all 40 pings survived 50% loss"
@@ -864,10 +862,12 @@ mod tests {
         sim.set_fault_plan(
             crate::fault::FaultPlan::new(1).with_crash_forever(NodeId(1), SimTime::ZERO),
         );
+        sim.set_obs(Obs::new(obs::ObsConfig::Metrics));
         sim.run_until_idle();
         // No ConnEstablished ever fires, so the driver never sends.
         assert!(results.borrow().is_empty());
-        assert_eq!(sim.fault_plan().stats().connects_blackholed, 1);
+        let blackholed = sim.obs().counter_value("net.fault.connects_blackholed");
+        assert_eq!(blackholed, 1);
     }
 
     #[test]

@@ -19,13 +19,9 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Saturating, like the four below: a count read from a flag or a
+    /// Saturating, like the two below: a count read from a flag or a
     /// document can be anything, and a span too long to represent is
     /// "forever", not a wrap into a short one.
-    pub fn from_micros(us: u64) -> SimDuration {
-        SimDuration(us.saturating_mul(1_000))
-    }
-
     pub fn from_millis(ms: u64) -> SimDuration {
         SimDuration(ms.saturating_mul(1_000_000))
     }
@@ -36,10 +32,6 @@ impl SimDuration {
 
     pub fn from_hours(h: u64) -> SimDuration {
         SimDuration::from_secs(h.saturating_mul(3600))
-    }
-
-    pub fn from_days(d: u64) -> SimDuration {
-        SimDuration::from_hours(d.saturating_mul(24))
     }
 
     /// Converts a (possibly fractional) millisecond count, rounding to
@@ -145,8 +137,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimDuration::from_secs(2).as_millis_f64(), 2000.0);
         assert_eq!(SimDuration::from_hours(1).as_secs_f64(), 3600.0);
-        assert_eq!(SimDuration::from_days(2), SimDuration::from_hours(48));
-        assert_eq!(SimDuration::from_micros(1500).as_millis_f64(), 1.5);
     }
 
     #[test]
@@ -184,11 +174,9 @@ mod tests {
             assert_eq!(from(last + 1), forever);
             assert_eq!(from(u64::MAX), forever);
         };
-        saturates(SimDuration::from_micros, 1_000);
         saturates(SimDuration::from_millis, 1_000_000);
         saturates(SimDuration::from_secs, 1_000_000_000);
         saturates(SimDuration::from_hours, 3_600_000_000_000);
-        saturates(SimDuration::from_days, 86_400_000_000_000);
         // Hours that fit as seconds but not as nanoseconds.
         assert_eq!(SimDuration::from_hours(u64::MAX / 1000), forever);
     }
@@ -209,7 +197,7 @@ mod tests {
 
     #[test]
     fn two_month_experiment_fits() {
-        let t = SimTime::ZERO + SimDuration::from_days(60);
+        let t = SimTime::ZERO + SimDuration::from_hours(60 * 24);
         assert!(t.as_nanos() < u64::MAX / 1000);
     }
 }

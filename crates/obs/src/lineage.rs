@@ -26,16 +26,6 @@ pub struct Lineage {
     pub round: u64,
 }
 
-impl Lineage {
-    /// A lineage with unknown provenance.
-    pub const UNKNOWN: Lineage = Lineage { shard: 0, round: 0 };
-
-    /// True when the lineage carries real provenance (round ≥ 1).
-    pub fn is_known(&self) -> bool {
-        self.round > 0
-    }
-}
-
 /// The full origin triple a served answer cites: the measurement's
 /// [`Lineage`] joined with the publish generation that carried it into
 /// the serving snapshot.
@@ -62,13 +52,6 @@ impl Origin {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unknown_lineage_is_round_zero() {
-        assert!(!Lineage::UNKNOWN.is_known());
-        assert!(Lineage { shard: 3, round: 1 }.is_known());
-        assert_eq!(Lineage::default(), Lineage::UNKNOWN);
-    }
 
     #[test]
     fn origin_joins_lineage_and_generation() {

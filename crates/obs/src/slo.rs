@@ -269,6 +269,7 @@ impl SloEngine {
     }
 
     /// True when the named SLO's last evaluation found it breaching.
+    #[cfg(test)]
     pub fn is_breaching(&self, name: &str) -> bool {
         self.windows
             .iter()

@@ -141,18 +141,6 @@ pub struct DetourAnswer {
 }
 
 impl DetourAnswer {
-    /// Whether routing through the via relay beats the direct path —
-    /// the pair has a triangle-inequality violation. A detour with no
-    /// measured direct path counts: it offers connectivity where the
-    /// dataset offers none.
-    pub fn is_improvement(&self) -> bool {
-        match (&self.via, self.direct_ms) {
-            (Some(v), Some(d)) => v.rtt_ms < d,
-            (Some(_), None) => true,
-            (None, _) => false,
-        }
-    }
-
     /// Relative saving in percent (Fig. 14's x-axis); 0 when no
     /// improvement or no measured direct path to compare against.
     pub fn savings_percent(&self) -> f64 {
@@ -478,11 +466,9 @@ mod tests {
                 rtt_ms: 40.0
             })
         );
-        assert!(d.is_improvement());
         assert!((d.savings_percent() - 60.0).abs() < 1e-9);
         // The cheap legs have no improving detour.
         let d = s.best_via(NodeId(0), NodeId(2)).unwrap();
-        assert!(!d.is_improvement());
         assert_eq!(d.savings_percent(), 0.0);
     }
 

@@ -103,19 +103,6 @@ impl EmpiricalCdf {
             .collect()
     }
 
-    /// Evaluates the CDF at `k` evenly spaced x-values across
-    /// `[min, max]` — a compact fixed-size series for printed tables.
-    pub fn sampled_points(&self, k: usize) -> Vec<(f64, f64)> {
-        assert!(k >= 2);
-        let (lo, hi) = (self.min(), self.max());
-        (0..k)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (k - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
-    }
-
     /// Read-only access to the sorted sample.
     pub fn sorted_samples(&self) -> &[f64] {
         &self.xs
@@ -175,16 +162,6 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 <= w[1].1);
         }
-    }
-
-    #[test]
-    fn sampled_points_cover_range() {
-        let c = cdf();
-        let pts = c.sampled_points(5);
-        assert_eq!(pts.len(), 5);
-        assert_eq!(pts[0].0, 1.0);
-        assert_eq!(pts[4].0, 3.0);
-        assert_eq!(pts[4].1, 1.0);
     }
 
     #[test]

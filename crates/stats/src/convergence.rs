@@ -57,11 +57,6 @@ impl MinConvergence {
         assert!(rel >= 0.0);
         self.samples_to_within_abs(self.final_min.abs() * rel)
     }
-
-    /// The running minimum after sample `i` (0-based).
-    pub fn running_min(&self, i: usize) -> f64 {
-        self.mins[i]
-    }
 }
 
 #[cfg(test)]
@@ -74,7 +69,7 @@ mod tests {
         assert_eq!(c.final_min, 2.0);
         assert_eq!(c.samples_to_min, 4);
         for i in 1..c.n {
-            assert!(c.running_min(i) <= c.running_min(i - 1));
+            assert!(c.mins[i] <= c.mins[i - 1]);
         }
     }
 

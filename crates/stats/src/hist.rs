@@ -59,13 +59,6 @@ impl Histogram {
         self.counts[b] += 1;
     }
 
-    /// Records `weight` observations at once (used when scaling sampled
-    /// circuit counts up to the full `C(n, ℓ)` population, Fig. 16).
-    pub fn add_weighted(&mut self, x: f64, weight: u64) {
-        let b = self.bin_of(x);
-        self.counts[b] += weight;
-    }
-
     /// Number of bins.
     pub fn bins(&self) -> usize {
         self.counts.len()
@@ -84,11 +77,6 @@ impl Histogram {
     /// Midpoint x-value of bin `i`.
     pub fn bin_center(&self, i: usize) -> f64 {
         self.lo + (i as f64 + 0.5) * self.width
-    }
-
-    /// Lower edge of bin `i`.
-    pub fn bin_lo(&self, i: usize) -> f64 {
-        self.lo + i as f64 * self.width
     }
 
     /// `(bin_center, count)` pairs for plotting.
@@ -142,18 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_adds() {
-        let mut h = Histogram::new(0.0, 1.0, 1);
-        h.add_weighted(0.5, 1000);
-        assert_eq!(h.total(), 1000);
-    }
-
-    #[test]
     fn bin_width_constructor_covers_range() {
         let h = Histogram::with_bin_width(0.0, 2.5, 0.05); // paper's 50ms bins
         assert_eq!(h.bins(), 50);
         assert!((h.bin_center(0) - 0.025).abs() < 1e-12);
-        assert!((h.bin_lo(1) - 0.05).abs() < 1e-12);
     }
 
     #[test]

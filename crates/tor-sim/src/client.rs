@@ -7,7 +7,8 @@
 //! [`crate::control::Controller`]), the simulator-friendly equivalent of
 //! Stem's control-port connection.
 
-use netsim::{ConnId, Context, NodeId, Process, SimTime, TrafficClass};
+use crate::link::{HopKey, LinkTable};
+use netsim::{ConnId, Context, NodeId, Process, SimTime};
 use onion_crypto::{
     client_handshake_finish, client_handshake_start, ClientHandshakeState, KeyPair, PublicKey,
 };
@@ -70,23 +71,53 @@ pub enum StreamStatus {
     Closed,
 }
 
+/// What the controller can ask about a circuit handle.
+#[derive(Debug)]
+pub(crate) struct CircuitEntry {
+    pub status: CircuitStatus,
+    /// The path policy that refused the circuit, if one did.
+    pub error: Option<PolicyError>,
+}
+
+/// What the controller can ask about a stream handle.
+#[derive(Debug)]
+pub(crate) struct StreamEntry {
+    pub status: StreamStatus,
+    /// Echoed data not yet taken: (arrival time, bytes).
+    pub received: Vec<(SimTime, Vec<u8>)>,
+}
+
 /// State shared between the proxy process and the controller handle.
-/// The four handle-keyed tables hold live handles only: closing a
+/// The two handle-keyed tables hold live handles only: closing a
 /// circuit or stream forgets it (see [`crate::control::Controller`]).
 #[derive(Debug, Default)]
 pub(crate) struct ProxyShared {
     pub commands: VecDeque<Command>,
-    pub circuit_status: HashMap<u64, CircuitStatus>,
-    pub circuit_errors: HashMap<u64, PolicyError>,
-    pub stream_status: HashMap<u64, StreamStatus>,
-    /// Echoed data arriving on a stream: (arrival time, bytes).
-    pub received: HashMap<u64, Vec<(SimTime, Vec<u8>)>>,
+    pub circuits: HashMap<u64, CircuitEntry>,
+    pub streams: HashMap<u64, StreamEntry>,
+    /// The size of the proxy's link table, in test builds.
+    #[cfg(test)]
+    pub link_entries: Rc<std::cell::Cell<usize>>,
 }
 
 impl ProxyShared {
-    fn forget_stream(&mut self, stream: u64) {
-        self.stream_status.remove(&stream);
-        self.received.remove(&stream);
+    /// A closed handle answers like one never minted: `Failed`.
+    pub fn circuit_status(&self, handle: u64) -> CircuitStatus {
+        let entry = self.circuits.get(&handle);
+        entry.map_or(CircuitStatus::Failed, |e| e.status)
+    }
+
+    /// Records a live circuit's status (a closed handle stays closed).
+    fn set_circuit(&mut self, handle: u64, status: CircuitStatus) {
+        if let Some(entry) = self.circuits.get_mut(&handle) {
+            entry.status = status;
+        }
+    }
+
+    fn set_stream(&mut self, handle: u64, status: StreamStatus) {
+        if let Some(entry) = self.streams.get_mut(&handle) {
+            entry.status = status;
+        }
     }
 }
 
@@ -94,15 +125,22 @@ impl ProxyShared {
 struct ClientCircuit {
     path: Vec<NodeId>,
     identities: Vec<PublicKey>,
-    link: ConnId,
-    circ_id: CircuitId,
+    /// The link to the first hop, and the circuit's id on it.
+    hop: HopKey,
     crypto: ClientCrypto,
     /// In-flight handshake for the hop currently being established.
     hs: Option<ClientHandshakeState>,
     /// Streams on this circuit: stream id → external handle.
     streams: HashMap<u16, u64>,
     next_stream_id: u16,
-    alive: bool,
+}
+
+impl ClientCircuit {
+    /// Sends a relay cell to the circuit's last hop.
+    fn send_forward(&mut self, links: &mut LinkTable, ctx: &mut Context, rc: &RelayCell) {
+        let payload = self.crypto.encrypt_forward(self.crypto.len() - 1, rc);
+        links.send(ctx, self.hop, CellCommand::Relay, payload);
+    }
 }
 
 /// The onion-proxy process.
@@ -110,12 +148,10 @@ pub struct OnionProxy {
     shared: Rc<RefCell<ProxyShared>>,
     /// Identity keys for every relay the proxy may extend to.
     identity_map: HashMap<NodeId, PublicKey>,
-    links: HashMap<NodeId, ConnId>,
-    conn_ready: HashMap<ConnId, bool>,
-    pending_cells: HashMap<ConnId, Vec<Cell>>,
+    links: LinkTable,
     circuits: HashMap<u64, ClientCircuit>,
     /// Index (link conn, circuit id) → circuit handle.
-    circ_index: HashMap<(ConnId, CircuitId), u64>,
+    circ_index: HashMap<HopKey, u64>,
     /// Index stream handle → (circuit handle, stream id).
     stream_index: HashMap<u64, (u64, u16)>,
     next_circ_id: u32,
@@ -126,34 +162,19 @@ impl OnionProxy {
         shared: Rc<RefCell<ProxyShared>>,
         identity_map: HashMap<NodeId, PublicKey>,
     ) -> OnionProxy {
+        let links = LinkTable::default();
+        #[cfg(test)]
+        {
+            shared.borrow_mut().link_entries = links.published_len.clone();
+        }
         OnionProxy {
             shared,
             identity_map,
-            links: HashMap::new(),
-            conn_ready: HashMap::new(),
-            pending_cells: HashMap::new(),
+            links,
             circuits: HashMap::new(),
             circ_index: HashMap::new(),
             stream_index: HashMap::new(),
             next_circ_id: 1,
-        }
-    }
-
-    fn link_to(&mut self, ctx: &mut Context, relay: NodeId) -> ConnId {
-        if let Some(&c) = self.links.get(&relay) {
-            return c;
-        }
-        let c = ctx.open(relay, TrafficClass::Tor);
-        self.links.insert(relay, c);
-        self.conn_ready.insert(c, false);
-        c
-    }
-
-    fn send_cell(&mut self, ctx: &mut Context, conn: ConnId, cell: Cell) {
-        if self.conn_ready.get(&conn).copied().unwrap_or(false) {
-            ctx.send(conn, cell.encode());
-        } else {
-            self.pending_cells.entry(conn).or_default().push(cell);
         }
     }
 
@@ -175,14 +196,17 @@ impl OnionProxy {
 
     fn start_build(&mut self, ctx: &mut Context, handle: u64, path: Vec<NodeId>) {
         if let Err(e) = self.validate_path(&path) {
-            let mut shared = self.shared.borrow_mut();
-            shared.circuit_status.insert(handle, CircuitStatus::Failed);
-            shared.circuit_errors.insert(handle, e);
+            if let Some(entry) = self.shared.borrow_mut().circuits.get_mut(&handle) {
+                entry.status = CircuitStatus::Failed;
+                entry.error = Some(e);
+            }
             return;
         }
         let identities: Vec<PublicKey> = path.iter().map(|n| self.identity_map[n]).collect();
-        let link = self.link_to(ctx, path[0]);
-        let circ_id = CircuitId(self.next_circ_id);
+        let hop = (
+            self.links.find_or_open(ctx, path[0]),
+            CircuitId(self.next_circ_id),
+        );
         self.next_circ_id += 1;
 
         let mut seed = [0u8; 32];
@@ -194,25 +218,16 @@ impl OnionProxy {
             ClientCircuit {
                 path,
                 identities,
-                link,
-                circ_id,
+                hop,
                 crypto: ClientCrypto::new(),
                 hs: Some(hs),
                 streams: HashMap::new(),
                 next_stream_id: 1,
-                alive: true,
             },
         );
-        self.circ_index.insert((link, circ_id), handle);
-        self.shared
-            .borrow_mut()
-            .circuit_status
-            .insert(handle, CircuitStatus::Building);
-        self.send_cell(
-            ctx,
-            link,
-            Cell::new(circ_id, CellCommand::Create2, x_pub.to_vec()),
-        );
+        self.circ_index.insert(hop, handle);
+        self.links
+            .send(ctx, hop, CellCommand::Create2, x_pub.to_vec());
     }
 
     /// Sends the next EXTEND2, or marks the circuit ready.
@@ -220,10 +235,8 @@ impl OnionProxy {
         let circuit = self.circuits.get_mut(&handle).expect("circuit exists");
         let established = circuit.crypto.len();
         if established == circuit.path.len() {
-            self.shared
-                .borrow_mut()
-                .circuit_status
-                .insert(handle, CircuitStatus::Ready);
+            let mut shared = self.shared.borrow_mut();
+            shared.set_circuit(handle, CircuitStatus::Ready);
             return;
         }
         let mut seed = [0u8; 32];
@@ -236,19 +249,12 @@ impl OnionProxy {
             client_pk: x_pub,
         };
         let rc = RelayCell::new(RelayCmd::Extend2, 0, ext.encode());
-        let payload = circuit.crypto.encrypt_forward(established - 1, &rc);
-        let (link, circ_id) = (circuit.link, circuit.circ_id);
-        self.send_cell(ctx, link, Cell::new(circ_id, CellCommand::Relay, payload));
+        circuit.send_forward(&mut self.links, ctx, &rc);
     }
 
-    fn fail_circuit(&mut self, handle: u64) {
-        if let Some(c) = self.circuits.get_mut(&handle) {
-            c.alive = false;
-        }
-        self.shared
-            .borrow_mut()
-            .circuit_status
-            .insert(handle, CircuitStatus::Failed);
+    fn fail_circuit(&self, handle: u64) {
+        let mut shared = self.shared.borrow_mut();
+        shared.set_circuit(handle, CircuitStatus::Failed);
     }
 
     fn handle_created2(&mut self, ctx: &mut Context, handle: u64, body: &[u8]) {
@@ -288,28 +294,21 @@ impl OnionProxy {
             }
             RelayCmd::Connected => {
                 if let Some(&stream_handle) = circuit.streams.get(&rc.stream_id) {
-                    self.shared
-                        .borrow_mut()
-                        .stream_status
-                        .insert(stream_handle, StreamStatus::Open);
+                    let mut shared = self.shared.borrow_mut();
+                    shared.set_stream(stream_handle, StreamStatus::Open);
                 }
             }
             RelayCmd::Data => {
-                if let Some(&stream_handle) = circuit.streams.get(&rc.stream_id) {
-                    self.shared
-                        .borrow_mut()
-                        .received
-                        .entry(stream_handle)
-                        .or_default()
-                        .push((ctx.now, rc.data));
+                let stream_handle = circuit.streams.get(&rc.stream_id);
+                let mut shared = self.shared.borrow_mut();
+                if let Some(entry) = stream_handle.and_then(|h| shared.streams.get_mut(h)) {
+                    entry.received.push((ctx.now, rc.data));
                 }
             }
             RelayCmd::End => {
                 if let Some(stream_handle) = circuit.streams.remove(&rc.stream_id) {
-                    self.shared
-                        .borrow_mut()
-                        .stream_status
-                        .insert(stream_handle, StreamStatus::Closed);
+                    let mut shared = self.shared.borrow_mut();
+                    shared.set_stream(stream_handle, StreamStatus::Closed);
                 }
             }
             _ => {}
@@ -326,60 +325,42 @@ impl OnionProxy {
             } => {
                 let Some(c) = self.circuits.get_mut(&circuit) else {
                     // Nothing to attach to: closed from the start.
-                    self.shared.borrow_mut().stream_status.remove(&handle);
+                    self.shared.borrow_mut().streams.remove(&handle);
                     return;
                 };
                 let stream_id = c.next_stream_id;
                 c.next_stream_id += 1;
                 c.streams.insert(stream_id, handle);
                 self.stream_index.insert(handle, (circuit, stream_id));
-                self.shared
-                    .borrow_mut()
-                    .stream_status
-                    .insert(handle, StreamStatus::Connecting);
                 let mut data = target.0.to_be_bytes().to_vec();
                 data.extend_from_slice(&7u16.to_be_bytes()); // echo port
                 let rc = RelayCell::new(RelayCmd::Begin, stream_id, data);
-                let last_hop = c.crypto.len() - 1;
-                let payload = c.crypto.encrypt_forward(last_hop, &rc);
-                let (link, circ_id) = (c.link, c.circ_id);
-                self.send_cell(ctx, link, Cell::new(circ_id, CellCommand::Relay, payload));
+                c.send_forward(&mut self.links, ctx, &rc);
             }
             Command::SendData { stream, data } => {
                 let Some(&(circuit, stream_id)) = self.stream_index.get(&stream) else {
                     return;
                 };
-                let Some(c) = self.circuits.get_mut(&circuit) else {
-                    return;
-                };
-                if !c.alive {
+                // A failed circuit carries no more cells.
+                if self.shared.borrow().circuit_status(circuit) == CircuitStatus::Failed {
                     return;
                 }
-                let mut out = Vec::new();
+                let c = self.circuits.get_mut(&circuit).expect("indexed");
                 for chunk in data.chunks(tor_protocol::RELAY_DATA_LEN) {
                     let rc = RelayCell::new(RelayCmd::Data, stream_id, chunk.to_vec());
-                    let last_hop = c.crypto.len() - 1;
-                    let payload = c.crypto.encrypt_forward(last_hop, &rc);
-                    out.push((c.link, Cell::new(c.circ_id, CellCommand::Relay, payload)));
-                }
-                for (link, cell) in out {
-                    self.send_cell(ctx, link, cell);
+                    c.send_forward(&mut self.links, ctx, &rc);
                 }
             }
             Command::CloseStream { stream } => {
-                self.shared.borrow_mut().forget_stream(stream);
+                self.shared.borrow_mut().streams.remove(&stream);
                 let Some((circuit, stream_id)) = self.stream_index.remove(&stream) else {
                     return;
                 };
-                let Some(c) = self.circuits.get_mut(&circuit) else {
-                    return;
-                };
-                if c.streams.remove(&stream_id).is_some() && c.alive {
+                let failed = self.shared.borrow().circuit_status(circuit) == CircuitStatus::Failed;
+                let c = self.circuits.get_mut(&circuit).expect("indexed");
+                if c.streams.remove(&stream_id).is_some() && !failed {
                     let rc = RelayCell::new(RelayCmd::End, stream_id, vec![]);
-                    let last_hop = c.crypto.len() - 1;
-                    let payload = c.crypto.encrypt_forward(last_hop, &rc);
-                    let (link, circ_id) = (c.link, c.circ_id);
-                    self.send_cell(ctx, link, Cell::new(circ_id, CellCommand::Relay, payload));
+                    c.send_forward(&mut self.links, ctx, &rc);
                 }
             }
             Command::CloseCircuit { circuit } => {
@@ -387,11 +368,10 @@ impl OnionProxy {
                 // one refused by path policy never had any other state —
                 // and so do the streams still attached through it.
                 let mut shared = self.shared.borrow_mut();
-                shared.circuit_status.remove(&circuit);
-                shared.circuit_errors.remove(&circuit);
-                self.stream_index.retain(|&stream, &mut (through, _)| {
+                shared.circuits.remove(&circuit);
+                self.stream_index.retain(|stream, &mut (through, _)| {
                     if through == circuit {
-                        shared.forget_stream(stream);
+                        shared.streams.remove(stream);
                     }
                     through != circuit
                 });
@@ -399,12 +379,8 @@ impl OnionProxy {
                 let Some(c) = self.circuits.remove(&circuit) else {
                     return;
                 };
-                self.circ_index.remove(&(c.link, c.circ_id));
-                self.send_cell(
-                    ctx,
-                    c.link,
-                    Cell::new(c.circ_id, CellCommand::Destroy, vec![]),
-                );
+                self.circ_index.remove(&c.hop);
+                self.links.send(ctx, c.hop, CellCommand::Destroy, vec![]);
             }
         }
     }
@@ -412,10 +388,17 @@ impl OnionProxy {
 
 impl Process for OnionProxy {
     fn on_conn_established(&mut self, ctx: &mut Context, conn: ConnId) {
-        self.conn_ready.insert(conn, true);
-        if let Some(cells) = self.pending_cells.remove(&conn) {
-            for cell in cells {
-                ctx.send(conn, cell.encode());
+        self.links.established(ctx, conn);
+    }
+
+    fn on_conn_closed(&mut self, _ctx: &mut Context, conn: ConnId) {
+        // The first hop never answered: forget the link, so that the
+        // next circuit through that relay opens a fresh one, and fail
+        // the circuits that were waiting on it. (Nothing is sent, so
+        // the order of this walk decides nothing.)
+        if self.links.closed(conn) {
+            for (_, &handle) in self.circ_index.iter().filter(|(key, _)| key.0 == conn) {
+                self.fail_circuit(handle);
             }
         }
     }

@@ -19,8 +19,8 @@
 //! stream is [`StreamStatus::Closed`] with nothing received, and a send
 //! or a second close on it does nothing.
 
+use crate::client::{CircuitEntry, Command, OnionProxy, ProxyShared, StreamEntry};
 pub use crate::client::{CircuitStatus, PolicyError, StreamStatus};
-use crate::client::{Command, OnionProxy, ProxyShared};
 use netsim::{NodeId, SimTime, Simulator};
 use onion_crypto::PublicKey;
 use std::cell::RefCell;
@@ -72,10 +72,11 @@ impl Controller {
     pub fn build_circuit(&mut self, sim: &mut Simulator, path: Vec<NodeId>) -> CircuitHandle {
         let handle = self.next_handle;
         self.next_handle += 1;
-        self.shared
-            .borrow_mut()
-            .circuit_status
-            .insert(handle, CircuitStatus::Building);
+        let entry = CircuitEntry {
+            status: CircuitStatus::Building,
+            error: None,
+        };
+        self.shared.borrow_mut().circuits.insert(handle, entry);
         self.enqueue(sim, Command::BuildCircuit { handle, path });
         CircuitHandle(handle)
     }
@@ -83,17 +84,13 @@ impl Controller {
     /// Current status of a circuit ([`CircuitStatus::Failed`] once the
     /// handle is closed).
     pub fn circuit_status(&self, circuit: CircuitHandle) -> CircuitStatus {
-        self.shared
-            .borrow()
-            .circuit_status
-            .get(&circuit.0)
-            .copied()
-            .unwrap_or(CircuitStatus::Failed)
+        self.shared.borrow().circuit_status(circuit.0)
     }
 
     /// The local policy error that failed a circuit, if any.
     pub fn circuit_error(&self, circuit: CircuitHandle) -> Option<PolicyError> {
-        self.shared.borrow().circuit_errors.get(&circuit.0).cloned()
+        let shared = self.shared.borrow();
+        shared.circuits.get(&circuit.0)?.error.clone()
     }
 
     /// Attaches a stream through `circuit` to `target` (exits from the
@@ -106,10 +103,11 @@ impl Controller {
     ) -> StreamHandle {
         let handle = self.next_handle;
         self.next_handle += 1;
-        self.shared
-            .borrow_mut()
-            .stream_status
-            .insert(handle, StreamStatus::Connecting);
+        let entry = StreamEntry {
+            status: StreamStatus::Connecting,
+            received: Vec::new(),
+        };
+        self.shared.borrow_mut().streams.insert(handle, entry);
         self.enqueue(
             sim,
             Command::OpenStream {
@@ -124,12 +122,9 @@ impl Controller {
     /// Current status of a stream ([`StreamStatus::Closed`] once the
     /// handle, or its circuit's, is closed).
     pub fn stream_status(&self, stream: StreamHandle) -> StreamStatus {
-        self.shared
-            .borrow()
-            .stream_status
-            .get(&stream.0)
-            .copied()
-            .unwrap_or(StreamStatus::Closed)
+        let shared = self.shared.borrow();
+        let entry = shared.streams.get(&stream.0);
+        entry.map_or(StreamStatus::Closed, |e| e.status)
     }
 
     /// Sends application bytes on a stream.
@@ -146,11 +141,9 @@ impl Controller {
     /// Drains bytes received on a stream: `(arrival time, data)` pairs
     /// in arrival order.
     pub fn take_received(&mut self, stream: StreamHandle) -> Vec<(SimTime, Vec<u8>)> {
-        self.shared
-            .borrow_mut()
-            .received
-            .remove(&stream.0)
-            .unwrap_or_default()
+        let mut shared = self.shared.borrow_mut();
+        let entry = shared.streams.get_mut(&stream.0);
+        entry.map_or_else(Vec::new, |e| std::mem::take(&mut e.received))
     }
 
     /// Closes a stream (END toward the exit).
@@ -214,12 +207,16 @@ impl Controller {
 
 #[cfg(test)]
 mod tests {
-    use crate::control::CircuitStatus;
+    use crate::control::{CircuitStatus, StreamStatus};
     use crate::network::{TorNetwork, TorNetworkBuilder};
+    use crate::relay::RelayFaultProfile;
+    use netsim::{NodeId, SimDuration, SimTime};
+    use obs::{ExportMeta, Obs, ObsConfig};
+    use std::collections::BTreeSet;
 
     /// Every table that holds one entry per connection or handle: the
     /// simulator's connections, the relays' link tables, and the
-    /// proxy's three status tables plus its receive buffers.
+    /// proxy's link table, command queue and two handle tables.
     fn table_sizes(net: &TorNetwork) -> [usize; 6] {
         let locals = [&net.w_metrics, &net.z_metrics];
         let relays = net.relay_metrics.iter().chain(locals);
@@ -227,25 +224,41 @@ mod tests {
         [
             net.sim.open_conn_count(),
             relays.map(|m| m.link_entries().get()).sum(),
-            shared.circuit_status.len(),
-            shared.circuit_errors.len(),
-            shared.stream_status.len(),
-            shared.received.len(),
+            shared.link_entries.get(),
+            shared.commands.len(),
+            shared.circuits.len(),
+            shared.streams.len(),
         ]
     }
 
-    /// Bounded memory: a campaign holds state for its open circuits and
-    /// its links, not for every connection and handle it ever had. One
-    /// pair is what Ting measures it with — `C_xy`, `C_x`, `C_y`, an
+    /// Bounded memory: runs `round` `rounds` times and checks that it
+    /// leaves every table at its size after the first — a campaign
+    /// holds state for its open circuits and its links, not for every
+    /// connection and handle it ever had — and no handle behind.
+    fn bounded_rounds(
+        mut net: TorNetwork,
+        rounds: usize,
+        mut round: impl FnMut(&mut TorNetwork, usize),
+    ) {
+        let mut after_first = None;
+        for i in 0..rounds {
+            round(&mut net, i);
+            let sizes = table_sizes(&net);
+            assert_eq!(*after_first.get_or_insert(sizes), sizes, "after round {i}");
+        }
+        // Closed handles answer like handles never minted.
+        assert_eq!(after_first.map(|s| s[3..].to_vec()), Some(vec![0; 3]));
+    }
+
+    /// One pair is what Ting measures it with — `C_xy`, `C_x`, `C_y`, an
     /// echo stream through each, everything closed after use — plus a
     /// circuit the path policy refuses.
     #[test]
     fn two_hundred_pairs_leave_every_table_at_its_size_after_the_first() {
-        let mut net = TorNetworkBuilder::testbed(48).build();
+        let net = TorNetworkBuilder::testbed(48).build();
         let (w, z, echo) = (net.local_w, net.local_z, net.echo_server);
         let (x, y) = (net.relays[4], net.relays[11]);
-        let mut after_first = None;
-        for pair in 0..200 {
+        bounded_rounds(net, 200, |net, _| {
             for path in [vec![w, x, y, z], vec![w, x], vec![w, y], vec![x]] {
                 let (ctl, sim) = (&mut net.controller, &mut net.sim);
                 let circuit = ctl.build_circuit(sim, path);
@@ -263,14 +276,146 @@ mod tests {
                 ctl.close_circuit(sim, circuit);
                 sim.run_until_idle();
             }
-            let sizes = table_sizes(&net);
-            assert_eq!(
-                *after_first.get_or_insert(sizes),
-                sizes,
-                "after pair {pair}"
-            );
+        });
+    }
+
+    /// The same on the fault paths: a relay down while a circuit builds
+    /// through it — in the middle, or as the first hop — and back up
+    /// for the next, a circuit closed while `Building`, a stream closed
+    /// while `Connecting`. Round 0 finds no link to the crashed relay,
+    /// so the connect is blackholed and the link dies; later rounds
+    /// find an established one, and the CREATE2 just vanishes.
+    #[test]
+    fn two_hundred_faulted_rounds_leave_every_table_at_its_size_after_the_first() {
+        let net = TorNetworkBuilder::testbed(48).build();
+        let (w, z, echo) = (net.local_w, net.local_z, net.echo_server);
+        let (x, y) = (net.relays[4], net.relays[11]);
+        bounded_rounds(net, 200, |net, i| {
+            for (down, path) in [(y, vec![w, x, y, z]), (x, vec![x, y])] {
+                net.crash_relay(down, None);
+                let (ctl, sim) = (&mut net.controller, &mut net.sim);
+                let circuit = ctl.build_circuit(sim, path.clone());
+                sim.run_until_idle();
+                let expected = [CircuitStatus::Failed, CircuitStatus::Building][i.min(1)];
+                assert_eq!(ctl.circuit_status(circuit), expected, "{down:?} down");
+                ctl.close_circuit(sim, circuit);
+                sim.run_until_idle();
+                net.revive_relay(down);
+                let (ctl, sim) = (&mut net.controller, &mut net.sim);
+                let circuit = ctl.build_and_wait(sim, path).expect("relay is back");
+                ctl.close_circuit(sim, circuit);
+                sim.run_until_idle();
+            }
+            let (ctl, sim) = (&mut net.controller, &mut net.sim);
+            let circuit = ctl.build_circuit(sim, vec![w, x, y, z]);
+            for _ in 0..20 {
+                sim.step();
+            }
+            assert_eq!(ctl.circuit_status(circuit), CircuitStatus::Building);
+            ctl.close_circuit(sim, circuit);
+            sim.run_until_idle();
+
+            let circuit = ctl.build_and_wait(sim, vec![w, x]).expect("circuit");
+            let stream = ctl.open_stream(sim, circuit, echo);
+            ctl.close_stream(sim, stream);
+            sim.run_until_idle();
+            assert_eq!(ctl.stream_status(stream), StreamStatus::Closed);
+            ctl.close_circuit(sim, circuit);
+            sim.run_until_idle();
+        });
+    }
+
+    /// And when the DESTROY comes from the exit side: every measurable
+    /// relay refuses to extend, so `x` tears down toward `w`.
+    #[test]
+    fn two_hundred_refused_extends_leave_every_table_at_its_size_after_the_first() {
+        let refusing = RelayFaultProfile {
+            extend_refuse_prob: 1.0,
+            ..RelayFaultProfile::disabled()
+        };
+        let net = TorNetworkBuilder::testbed(48)
+            .relay_faults(refusing)
+            .build();
+        let path = vec![net.local_w, net.relays[4], net.relays[11]];
+        bounded_rounds(net, 200, |net, _| {
+            let (ctl, sim) = (&mut net.controller, &mut net.sim);
+            let circuit = ctl.build_circuit(sim, path.clone());
+            sim.run_until_idle();
+            assert_eq!(ctl.circuit_status(circuit), CircuitStatus::Failed);
+            ctl.close_circuit(sim, circuit);
+            sim.run_until_idle();
+        });
+    }
+
+    /// A first hop that is down fails the circuit instead of leaving it
+    /// `Building` on an idle event queue, and once the relay is back the
+    /// next circuit through it opens a fresh link.
+    #[test]
+    fn proxy_reopens_the_link_to_a_first_hop_that_was_down() {
+        let first_hops: [fn(&TorNetwork) -> NodeId; 2] = [|net| net.relays[4], |net| net.local_w];
+        for first_hop in first_hops {
+            let mut net = TorNetworkBuilder::testbed(48).build();
+            let path = vec![first_hop(&net), net.relays[11]];
+            let minute = SimDuration::from_secs(60);
+            net.crash_relay(path[0], Some(SimTime::ZERO + minute));
+            let (ctl, sim) = (&mut net.controller, &mut net.sim);
+            let circuit = ctl.build_circuit(sim, path.clone());
+            sim.run_until_idle();
+            assert_eq!(ctl.circuit_status(circuit), CircuitStatus::Failed);
+            ctl.close_circuit(sim, circuit);
+            sim.advance_to(SimTime::ZERO + minute + minute);
+            assert!(net.relay_up(path[0]));
+            let (ctl, sim) = (&mut net.controller, &mut net.sim);
+            assert!(ctl.build_and_wait(sim, path).is_some(), "relay is back");
         }
-        // Closed handles answer like handles never minted.
-        assert_eq!(after_first.map(|s| s[2..].to_vec()), Some(vec![0; 4]));
+    }
+
+    /// Fifty attempts through a first hop that stays down cost the proxy
+    /// what one does: the dead link goes, and its queued cells with it.
+    #[test]
+    fn fifty_builds_through_a_dead_first_hop_queue_nothing() {
+        let mut net = TorNetworkBuilder::testbed(48).build();
+        let path = vec![net.relays[4], net.relays[11]];
+        net.crash_relay(path[0], None);
+        bounded_rounds(net, 50, |net, _| {
+            let (ctl, sim) = (&mut net.controller, &mut net.sim);
+            let circuit = ctl.build_circuit(sim, path.clone());
+            sim.run_until_idle();
+            assert_eq!(ctl.circuit_status(circuit), CircuitStatus::Failed);
+            ctl.close_circuit(sim, circuit);
+            sim.run_until_idle();
+        });
+    }
+
+    /// Same seed ⇒ same bytes when circuits share a dying link: three
+    /// vantages each extend through `x` to a crashed `y`, so `x` fails
+    /// three circuits at once when its connect to `y` times out, and the
+    /// order of its DESTROYs decides the RNG draws behind each delay.
+    /// Every hash map is seeded per instance, so one process shows a
+    /// hash-order dependence (3! orders: 6 outcomes in 40 runs before).
+    #[test]
+    fn forty_runs_of_three_lanes_through_one_dying_link_are_one_outcome() {
+        let outcomes: BTreeSet<(SimTime, String)> = (0..40)
+            .map(|_| {
+                let obs = Obs::new(ObsConfig::Trace);
+                let mut net = TorNetworkBuilder::testbed(48)
+                    .vantages(3)
+                    .observability(obs.clone())
+                    .build();
+                let (x, y) = (net.relays[4], net.relays[11]);
+                net.crash_relay(y, None);
+                for lane in 0..3 {
+                    let (sim, ctl, w, _, _) = net.vantage_parts(lane);
+                    ctl.build_circuit(sim, vec![w, x, y]);
+                }
+                net.sim.run_until_idle();
+                let meta = ExportMeta {
+                    seed: 48,
+                    config_hash: 0,
+                };
+                (net.sim.now(), obs.export_jsonl(&meta))
+            })
+            .collect();
+        assert_eq!(outcomes.len(), 1);
     }
 }

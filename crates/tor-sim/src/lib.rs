@@ -18,16 +18,23 @@
 //! * [`client`] — the onion proxy state machine;
 //! * [`control`] — the controller handle measurement drivers use;
 //! * [`echo`] — the TCP echo server (`d` in the paper's setup);
+//! * `link` — the Tor link table the relay and the proxy both hold;
 //! * [`network`] — builders that assemble underlay + relays + proxy into
 //!   a runnable [`network::TorNetwork`], including the PlanetLab-like
 //!   validation testbed and live-network scenarios of §4;
 //! * [`churn`] — the relay-population process behind Fig. 18.
+
+// Same seed ⇒ same bytes: hash order is per map instance, so no loop
+// here may run in it. (The lint sees `for` loops only, not iterator
+// chains: a walk that emits ops sorts its keys or uses an ordered map.)
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod churn;
 pub mod client;
 pub mod control;
 pub mod directory;
 pub mod echo;
+mod link;
 pub mod metrics;
 pub mod network;
 pub mod relay;

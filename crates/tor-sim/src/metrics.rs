@@ -24,10 +24,10 @@ struct Inner {
     busy_ms_accumulated: Cell<f64>,
     cells_dropped: Cell<u64>,
     extends_refused: Cell<u64>,
-    /// Entries in the relay's link tables: a gauge only test builds
-    /// keep, for the bounded-memory test in `control.rs`.
+    /// The size of the relay's link table: a gauge only test builds
+    /// keep, for the bounded-memory tests in `control.rs`.
     #[cfg(test)]
-    link_entries: Cell<usize>,
+    link_entries: Rc<Cell<usize>>,
 }
 
 /// A cheap, clonable handle to one relay's counters.
@@ -123,8 +123,8 @@ impl RelayMetrics {
     }
 
     #[cfg(test)]
-    pub(crate) fn link_entries(&self) -> &Cell<usize> {
-        &self.inner.link_entries
+    pub(crate) fn link_entries(&self) -> Rc<Cell<usize>> {
+        self.inner.link_entries.clone()
     }
 
     /// Reads all counters at once.

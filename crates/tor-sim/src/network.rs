@@ -61,7 +61,6 @@ pub struct TorNetworkBuilder {
     /// Of the discriminating remainder, fraction that deprioritizes
     /// ICMP (vs shaping TCP/Tor).
     icmp_anomaly_frac: f64,
-    underlay_config: UnderlayConfig,
     fault_plan: FaultPlan,
     relay_faults: RelayFaultProfile,
     /// Vantage hosts beyond the primary measurement host (0 = the
@@ -82,7 +81,6 @@ impl TorNetworkBuilder {
             n_relays: 31,
             neutral_frac: 0.65,
             icmp_anomaly_frac: 0.6,
-            underlay_config: UnderlayConfig::default(),
             fault_plan: FaultPlan::disabled(),
             relay_faults: RelayFaultProfile::disabled(),
             extra_vantages: 0,
@@ -98,7 +96,6 @@ impl TorNetworkBuilder {
             n_relays,
             neutral_frac: 0.70,
             icmp_anomaly_frac: 0.6,
-            underlay_config: UnderlayConfig::default(),
             fault_plan: FaultPlan::disabled(),
             relay_faults: RelayFaultProfile::disabled(),
             extra_vantages: 0,
@@ -133,12 +130,6 @@ impl TorNetworkBuilder {
         self
     }
 
-    /// Overrides underlay model constants.
-    pub fn underlay_config(mut self, cfg: UnderlayConfig) -> TorNetworkBuilder {
-        self.underlay_config = cfg;
-        self
-    }
-
     /// Installs an underlay fault plan (link loss, delay spikes, stalls,
     /// crash windows). Disabled by default.
     pub fn fault_plan(mut self, plan: FaultPlan) -> TorNetworkBuilder {
@@ -170,7 +161,7 @@ impl TorNetworkBuilder {
     pub fn build(self) -> TorNetwork {
         let world = World::new();
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut underlay = Underlay::new(self.underlay_config, self.seed ^ 0x7ea5);
+        let mut underlay = Underlay::new(UnderlayConfig::default(), self.seed ^ 0x7ea5);
 
         // ── Measurement host: one well-connected AS, four nodes. ──
         let host_city = world.city("Washington DC").expect("city exists");

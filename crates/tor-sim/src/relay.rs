@@ -19,11 +19,13 @@
 //! exists precisely to cancel this `F`; §4.3 finds its per-relay minimum
 //! at 0–3 ms, which is what the default [`RelayConfig`] produces.
 
+use crate::link::{HopKey, LinkTable};
 use crate::metrics::RelayMetrics;
 use netsim::{ConnId, Context, NodeId, Process, SimDuration, TrafficClass};
 use onion_crypto::{server_handshake, KeyPair};
 use rand::Rng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use tor_protocol::{
     Cell, CellCommand, CircuitId, Extend2, Extended2, RelayCell, RelayCmd, RelayCrypto,
     RelayCryptoOutcome,
@@ -122,22 +124,40 @@ impl RelayFaultProfile {
     }
 }
 
-/// Keys a circuit hop uniquely at this relay: the client-side link
-/// connection and circuit id.
-type HopKey = (ConnId, CircuitId);
+/// A circuit's two neighbours at this relay.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Client,
+    Exit,
+}
+
+/// One exit stream: the external connection and whether its connect
+/// has completed (until then DATA and END for the stream are ignored).
+struct ExitStream {
+    conn: ConnId,
+    connected: bool,
+}
 
 /// One circuit's state at this relay.
 struct CircuitState {
     crypto: RelayCrypto,
     /// Link/circuit toward the client.
     prev: HopKey,
-    /// Link/circuit toward the exit, once extended.
+    /// Link/circuit toward the exit, from the CREATE2 on.
     next: Option<HopKey>,
-    /// Open exit streams: stream id → external connection.
-    streams: HashMap<u16, ConnId>,
-    /// Streams whose BEGIN is awaiting the external connect.
-    pending_streams: HashMap<ConnId, u16>,
-    torn_down: bool,
+    /// The CREATED2 for `next` is back: cells and DESTROYs go there.
+    extended: bool,
+    /// Exit streams by stream id. Ordered: a teardown closes them in
+    /// this order, and every close draws from the simulation RNG.
+    streams: BTreeMap<u16, ExitStream>,
+}
+
+impl CircuitState {
+    /// Sends a relay cell of this relay's own toward the client.
+    fn send_backward(&mut self, links: &mut LinkTable, ctx: &mut Context, rc: &RelayCell) {
+        let payload = self.crypto.encrypt_backward(rc);
+        links.send(ctx, self.prev, CellCommand::Relay, payload);
+    }
 }
 
 /// A cell waiting in the processing queue.
@@ -152,23 +172,14 @@ struct PendingCell {
 pub struct Relay {
     identity: KeyPair,
     config: RelayConfig,
-    /// Link conns to peers (outbound, for extension).
-    links: HashMap<NodeId, ConnId>,
-    /// Cells queued while an outbound link handshakes.
-    pending_link: HashMap<ConnId, Vec<Cell>>,
-    /// Which node each link conn talks to (both directions). Like
-    /// `conn_ready`, Tor links only: an exit stream's external conn
-    /// lives in `stream_index` alone, so it is forgotten with the
-    /// stream.
-    conn_peer: HashMap<ConnId, NodeId>,
-    /// Established link conns (outbound ready or inbound accepted).
-    conn_ready: HashMap<ConnId, bool>,
+    /// Tor links only: an exit stream's external conn lives in
+    /// `stream_index` and its circuit.
+    links: LinkTable,
+    /// Circuits by their client-side key.
     circuits: HashMap<HopKey, CircuitState>,
-    /// Secondary index: (conn, circ) on the *next* side → prev key.
-    next_index: HashMap<HopKey, HopKey>,
-    /// CREATE2s we sent, awaiting CREATED2: (conn, circ) → prev key.
-    pending_create: HashMap<HopKey, HopKey>,
-    /// External stream conns → (circuit prev key, stream id).
+    /// Exit-side index: a circuit's `next` → its client-side key.
+    exit_index: HashMap<HopKey, HopKey>,
+    /// External stream conns → (circuit's client-side key, stream id).
     stream_index: HashMap<ConnId, (HopKey, u16)>,
     /// Next circuit id for links we originate.
     next_circ_id: u32,
@@ -186,13 +197,9 @@ impl Relay {
         Relay {
             identity,
             config,
-            links: HashMap::new(),
-            pending_link: HashMap::new(),
-            conn_peer: HashMap::new(),
-            conn_ready: HashMap::new(),
+            links: LinkTable::default(),
             circuits: HashMap::new(),
-            next_index: HashMap::new(),
-            pending_create: HashMap::new(),
+            exit_index: HashMap::new(),
             stream_index: HashMap::new(),
             next_circ_id: 1,
             busy_until_ns: 0,
@@ -205,6 +212,10 @@ impl Relay {
 
     /// Attaches an external metrics handle (callers keep a clone).
     pub fn with_metrics(mut self, metrics: RelayMetrics) -> Relay {
+        #[cfg(test)]
+        {
+            self.links.published_len = metrics.link_entries();
+        }
         self.metrics = metrics;
         self
     }
@@ -262,35 +273,6 @@ impl Relay {
         ctx.set_timer(SimDuration::from_nanos(ready_at_ns - now_ns), TIMER_PROC);
     }
 
-    fn send_cell(&mut self, ctx: &mut Context, conn: ConnId, cell: Cell) {
-        if self.conn_ready.get(&conn).copied().unwrap_or(false) {
-            ctx.send(conn, cell.encode());
-        } else {
-            self.pending_link.entry(conn).or_default().push(cell);
-        }
-    }
-
-    /// Finds or opens a Tor link to `peer`.
-    fn link_to(&mut self, ctx: &mut Context, peer: NodeId) -> ConnId {
-        if let Some(&c) = self.links.get(&peer) {
-            return c;
-        }
-        let c = ctx.open(peer, TrafficClass::Tor);
-        self.links.insert(peer, c);
-        self.conn_peer.insert(c, peer);
-        self.conn_ready.insert(c, false);
-        self.publish_link_entries();
-        c
-    }
-
-    /// Test builds publish the link tables' size wherever it changes.
-    fn publish_link_entries(&self) {
-        #[cfg(test)]
-        let entries = self.conn_peer.len() + self.conn_ready.len();
-        #[cfg(test)]
-        self.metrics.link_entries().set(entries);
-    }
-
     fn process_cell(&mut self, ctx: &mut Context, conn: ConnId, cell: Cell) {
         match cell.command {
             CellCommand::Create2 => self.handle_create2(ctx, conn, cell),
@@ -316,58 +298,45 @@ impl Relay {
                 crypto: RelayCrypto::new(&keys),
                 prev: key,
                 next: None,
-                streams: HashMap::new(),
-                pending_streams: HashMap::new(),
-                torn_down: false,
+                extended: false,
+                streams: BTreeMap::new(),
             },
         );
         let body = Extended2 {
             server_pk: reply.ephemeral_public,
             auth: reply.auth,
         };
-        self.send_cell(
-            ctx,
-            conn,
-            Cell::new(cell.circ_id, CellCommand::Created2, body.encode()),
-        );
+        self.links
+            .send(ctx, key, CellCommand::Created2, body.encode());
     }
 
     fn handle_created2(&mut self, ctx: &mut Context, conn: ConnId, cell: Cell) {
         let key = (conn, cell.circ_id);
-        let Some(prev_key) = self.pending_create.remove(&key) else {
+        let Some(circuit) = self
+            .exit_index
+            .get(&key)
+            .and_then(|prev_key| self.circuits.get_mut(prev_key))
+            .filter(|circuit| !circuit.extended)
+        else {
             return; // stale
         };
-        let Some(circuit) = self.circuits.get_mut(&prev_key) else {
-            return;
-        };
-        circuit.next = Some(key);
-        self.next_index.insert(key, prev_key);
+        circuit.extended = true;
         // Tunnel the CREATED2 body back as EXTENDED2.
         let body = &cell.payload[..Extended2::LEN];
         let rc = RelayCell::new(RelayCmd::Extended2, 0, body.to_vec());
-        let payload = circuit.crypto.encrypt_backward(&rc);
-        let (prev_conn, prev_circ) = circuit.prev;
-        self.send_cell(
-            ctx,
-            prev_conn,
-            Cell::new(prev_circ, CellCommand::Relay, payload),
-        );
+        circuit.send_backward(&mut self.links, ctx, &rc);
     }
 
     fn handle_relay(&mut self, ctx: &mut Context, conn: ConnId, cell: Cell) {
         let key = (conn, cell.circ_id);
-        if let Some(&prev_key) = self.next_index.get(&key) {
+        if let Some(prev_key) = self.exit_index.get(&key) {
             // Backward direction: add our layer and pass toward client.
-            let Some(circuit) = self.circuits.get_mut(&prev_key) else {
+            let Some(circuit) = self.circuits.get_mut(prev_key) else {
                 return;
             };
             let payload = circuit.crypto.reencrypt_backward(&cell.payload);
-            let (prev_conn, prev_circ) = circuit.prev;
-            self.send_cell(
-                ctx,
-                prev_conn,
-                Cell::new(prev_circ, CellCommand::Relay, payload),
-            );
+            self.links
+                .send(ctx, circuit.prev, CellCommand::Relay, payload);
             return;
         }
         // Forward direction.
@@ -377,16 +346,12 @@ impl Relay {
         match circuit.crypto.process_forward(&cell.payload) {
             RelayCryptoOutcome::Forward(payload) => {
                 self.metrics.on_forwarded();
-                let Some((next_conn, next_circ)) = circuit.next else {
+                let Some(next) = circuit.next.filter(|_| circuit.extended) else {
                     // Unrecognized at the last hop: protocol violation.
-                    self.teardown(ctx, key, true);
+                    self.teardown(ctx, key, None);
                     return;
                 };
-                self.send_cell(
-                    ctx,
-                    next_conn,
-                    Cell::new(next_circ, CellCommand::Relay, payload),
-                );
+                self.links.send(ctx, next, CellCommand::Relay, payload);
             }
             RelayCryptoOutcome::Recognized(rc) => {
                 self.metrics.on_recognized();
@@ -396,63 +361,65 @@ impl Relay {
     }
 
     fn handle_recognized(&mut self, ctx: &mut Context, key: HopKey, rc: RelayCell) {
+        if rc.cmd == RelayCmd::Extend2
+            && self.faults.is_enabled()
+            && self.faults.extend_refuse_prob > 0.0
+            && self.fault_draw_u01() < self.faults.extend_refuse_prob
+        {
+            // Refuse to extend: tear down so the client sees a
+            // DESTROY and can rebuild through the same pair.
+            self.metrics.on_extend_refused();
+            self.teardown(ctx, key, None);
+            return;
+        }
+        let circuit = self.circuits.get_mut(&key).expect("circuit exists");
         match rc.cmd {
             RelayCmd::Extend2 => {
-                if self.faults.is_enabled()
-                    && self.faults.extend_refuse_prob > 0.0
-                    && self.fault_draw_u01() < self.faults.extend_refuse_prob
-                {
-                    // Refuse to extend: tear down so the client sees a
-                    // DESTROY and can rebuild through the same pair.
-                    self.metrics.on_extend_refused();
-                    self.teardown(ctx, key, true);
-                    return;
-                }
-                let Some(ext) = Extend2::decode(&rc.data) else {
-                    self.teardown(ctx, key, true);
+                // A second EXTEND2 is as malformed as an undecodable one.
+                let Some(ext) = Extend2::decode(&rc.data).filter(|_| circuit.next.is_none()) else {
+                    self.teardown(ctx, key, None);
                     return;
                 };
-                let link = self.link_to(ctx, NodeId(ext.target));
-                let out_circ = CircuitId(self.next_circ_id);
+                let link = self.links.find_or_open(ctx, NodeId(ext.target));
+                let next = (link, CircuitId(self.next_circ_id));
                 self.next_circ_id += 1;
-                self.pending_create.insert((link, out_circ), key);
-                self.send_cell(
-                    ctx,
-                    link,
-                    Cell::new(out_circ, CellCommand::Create2, ext.client_pk.to_vec()),
-                );
+                circuit.next = Some(next);
+                self.exit_index.insert(next, key);
+                let client_pk = ext.client_pk.to_vec();
+                self.links.send(ctx, next, CellCommand::Create2, client_pk);
             }
             RelayCmd::Begin => {
-                // data = target node u32 (the simulator's address form).
-                if rc.data.len() < 4 {
+                // data = target node u32 (the simulator's address form);
+                // a short one, or a stream id already in use, is ignored.
+                let (Some(&target), Entry::Vacant(slot)) = (
+                    rc.data.first_chunk::<4>(),
+                    circuit.streams.entry(rc.stream_id),
+                ) else {
                     return;
-                }
-                let target = NodeId(u32::from_be_bytes([
-                    rc.data[0], rc.data[1], rc.data[2], rc.data[3],
-                ]));
-                let ext_conn = ctx.open(target, TrafficClass::Tcp);
-                let circuit = self.circuits.get_mut(&key).expect("circuit exists");
-                circuit.pending_streams.insert(ext_conn, rc.stream_id);
-                self.stream_index.insert(ext_conn, (key, rc.stream_id));
+                };
+                let conn = ctx.open(NodeId(u32::from_be_bytes(target)), TrafficClass::Tcp);
+                let connected = false;
+                slot.insert(ExitStream { conn, connected });
+                self.stream_index.insert(conn, (key, rc.stream_id));
                 self.metrics.on_stream_opened();
             }
             RelayCmd::Data => {
-                let circuit = self.circuits.get_mut(&key).expect("circuit exists");
-                if let Some(&ext_conn) = circuit.streams.get(&rc.stream_id) {
-                    ctx.send(ext_conn, rc.data);
+                if let Some(stream) = circuit.streams.get(&rc.stream_id).filter(|s| s.connected) {
+                    ctx.send(stream.conn, rc.data);
                 }
             }
-            RelayCmd::End => {
-                let circuit = self.circuits.get_mut(&key).expect("circuit exists");
-                if let Some(ext_conn) = circuit.streams.remove(&rc.stream_id) {
-                    self.stream_index.remove(&ext_conn);
-                    ctx.close(ext_conn);
+            RelayCmd::End => match circuit.streams.entry(rc.stream_id) {
+                Entry::Occupied(slot) if slot.get().connected => {
+                    let stream = slot.remove();
+                    self.stream_index.remove(&stream.conn);
+                    ctx.close(stream.conn);
                 }
-            }
+                _ => {}
+            },
             RelayCmd::SendMe => {} // flow control not enforced
             RelayCmd::Connected | RelayCmd::Extended2 => {
                 // Client-bound commands arriving forward: protocol error.
-                self.teardown(ctx, key, true);
+                self.teardown(ctx, key, None);
             }
         }
     }
@@ -460,120 +427,62 @@ impl Relay {
     fn handle_destroy(&mut self, ctx: &mut Context, conn: ConnId, cell: Cell) {
         let key = (conn, cell.circ_id);
         if self.circuits.contains_key(&key) {
-            self.teardown(ctx, key, false);
-        } else if let Some(&prev_key) = self.next_index.get(&key) {
-            // Destroy arriving from the exit side.
-            self.teardown_toward_client(ctx, prev_key);
+            self.teardown(ctx, key, Some(Side::Client));
+        } else if let Some(&prev_key) = self.exit_index.get(&key) {
+            self.teardown(ctx, prev_key, Some(Side::Exit));
         }
     }
 
-    /// Tears down a circuit identified by its prev-side key, propagating
-    /// DESTROY toward the exit (and to the client if `notify_client`).
-    fn teardown(&mut self, ctx: &mut Context, key: HopKey, notify_client: bool) {
-        let Some(mut circuit) = self.circuits.remove(&key) else {
+    /// Forgets the circuit with client-side key `key`: closes its exit
+    /// streams and sends DESTROY to each neighbour except the one the
+    /// teardown was `heard_from` (`None`: this relay's own decision).
+    fn teardown(&mut self, ctx: &mut Context, key: HopKey, heard_from: Option<Side>) {
+        let Some(circuit) = self.circuits.remove(&key) else {
             return;
         };
-        if circuit.torn_down {
-            return;
-        }
-        circuit.torn_down = true;
         self.metrics.on_circuit_destroyed();
-        for (_, ext_conn) in circuit.streams.drain() {
-            self.stream_index.remove(&ext_conn);
-            ctx.close(ext_conn);
-        }
-        for (ext_conn, _) in circuit.pending_streams.drain() {
-            self.stream_index.remove(&ext_conn);
-            ctx.close(ext_conn);
+        for stream in circuit.streams.into_values() {
+            self.stream_index.remove(&stream.conn);
+            ctx.close(stream.conn);
         }
         if let Some(next) = circuit.next {
-            self.next_index.remove(&next);
-            self.send_cell(ctx, next.0, Cell::new(next.1, CellCommand::Destroy, vec![]));
+            self.exit_index.remove(&next);
+            if circuit.extended && heard_from != Some(Side::Exit) {
+                self.links.send(ctx, next, CellCommand::Destroy, vec![]);
+            }
         }
-        if notify_client {
-            let (prev_conn, prev_circ) = circuit.prev;
-            self.send_cell(
-                ctx,
-                prev_conn,
-                Cell::new(prev_circ, CellCommand::Destroy, vec![]),
-            );
+        if heard_from != Some(Side::Client) {
+            self.links
+                .send(ctx, circuit.prev, CellCommand::Destroy, vec![]);
         }
-    }
-
-    fn teardown_toward_client(&mut self, ctx: &mut Context, prev_key: HopKey) {
-        let Some(circuit) = self.circuits.get(&prev_key) else {
-            return;
-        };
-        let next = circuit.next;
-        if let Some(next) = next {
-            self.next_index.remove(&next);
-        }
-        let mut c = self.circuits.remove(&prev_key).unwrap();
-        self.metrics.on_circuit_destroyed();
-        for (_, ext_conn) in c.streams.drain() {
-            self.stream_index.remove(&ext_conn);
-            ctx.close(ext_conn);
-        }
-        let (prev_conn, prev_circ) = c.prev;
-        self.send_cell(
-            ctx,
-            prev_conn,
-            Cell::new(prev_circ, CellCommand::Destroy, vec![]),
-        );
     }
 }
 
 impl Process for Relay {
     fn on_conn_opened(&mut self, _ctx: &mut Context, conn: ConnId, peer: NodeId) {
-        self.conn_peer.insert(conn, peer);
-        self.conn_ready.insert(conn, true);
-        self.publish_link_entries();
+        self.links.accepted(conn, peer);
     }
 
     fn on_conn_established(&mut self, ctx: &mut Context, conn: ConnId) {
-        // A link this relay opened, unless it has been forgotten since.
-        if let Some(ready) = self.conn_ready.get_mut(&conn) {
-            *ready = true;
-        }
+        self.links.established(ctx, conn);
         // Exit-stream connects complete here too.
-        if let Some(&(key, stream_id)) = self.stream_index.get(&conn) {
-            if let Some(circuit) = self.circuits.get_mut(&key) {
-                if circuit.pending_streams.remove(&conn).is_some() {
-                    circuit.streams.insert(stream_id, conn);
-                    let rc = RelayCell::new(RelayCmd::Connected, stream_id, vec![]);
-                    let payload = circuit.crypto.encrypt_backward(&rc);
-                    let (prev_conn, prev_circ) = circuit.prev;
-                    self.send_cell(
-                        ctx,
-                        prev_conn,
-                        Cell::new(prev_circ, CellCommand::Relay, payload),
-                    );
-                }
-            }
-        }
-        // Flush cells queued on this link.
-        if let Some(cells) = self.pending_link.remove(&conn) {
-            for cell in cells {
-                ctx.send(conn, cell.encode());
-            }
-        }
+        let Some(&(key, stream_id)) = self.stream_index.get(&conn) else {
+            return;
+        };
+        let circuit = self.circuits.get_mut(&key).expect("indexed");
+        let stream = circuit.streams.get_mut(&stream_id).expect("indexed");
+        stream.connected = true;
+        let rc = RelayCell::new(RelayCmd::Connected, stream_id, vec![]);
+        circuit.send_backward(&mut self.links, ctx, &rc);
     }
 
     fn on_data(&mut self, ctx: &mut Context, conn: ConnId, data: Vec<u8>) {
         if let Some(&(key, stream_id)) = self.stream_index.get(&conn) {
             // Data returning from an exit stream: wrap and send backward.
-            let Some(circuit) = self.circuits.get_mut(&key) else {
-                return;
-            };
-            let mut out = Vec::new();
+            let circuit = self.circuits.get_mut(&key).expect("indexed");
             for chunk in data.chunks(tor_protocol::RELAY_DATA_LEN) {
                 let rc = RelayCell::new(RelayCmd::Data, stream_id, chunk.to_vec());
-                let payload = circuit.crypto.encrypt_backward(&rc);
-                let (prev_conn, prev_circ) = circuit.prev;
-                out.push((prev_conn, Cell::new(prev_circ, CellCommand::Relay, payload)));
-            }
-            for (conn, cell) in out {
-                self.send_cell(ctx, conn, cell);
+                circuit.send_backward(&mut self.links, ctx, &rc);
             }
             return;
         }
@@ -601,61 +510,34 @@ impl Process for Relay {
     fn on_conn_closed(&mut self, ctx: &mut Context, conn: ConnId) {
         // An exit stream's target hung up: END toward the client.
         if let Some((key, stream_id)) = self.stream_index.remove(&conn) {
-            if let Some(circuit) = self.circuits.get_mut(&key) {
-                circuit.streams.remove(&stream_id);
-                circuit.pending_streams.remove(&conn);
-                let rc = RelayCell::new(RelayCmd::End, stream_id, vec![]);
-                let payload = circuit.crypto.encrypt_backward(&rc);
-                let (prev_conn, prev_circ) = circuit.prev;
-                self.send_cell(
-                    ctx,
-                    prev_conn,
-                    Cell::new(prev_circ, CellCommand::Relay, payload),
-                );
-            }
+            let circuit = self.circuits.get_mut(&key).expect("indexed");
+            circuit.streams.remove(&stream_id);
+            let rc = RelayCell::new(RelayCmd::End, stream_id, vec![]);
+            circuit.send_backward(&mut self.links, ctx, &rc);
             return;
         }
         // A peer link died (e.g. a blackholed connect to a crashed
-        // relay timed out): forget the cached link so future extends
-        // reopen it, and fail everything that was riding on it.
-        if let Some(peer) = self.conn_peer.remove(&conn) {
-            if self.links.get(&peer) == Some(&conn) {
-                self.links.remove(&peer);
-            }
+        // relay timed out): forget it so future extends reopen it, and
+        // fail everything that was riding on it — in key order, because
+        // each DESTROY draws a delay from the simulation RNG.
+        if !self.links.closed(conn) {
+            return;
         }
-        self.conn_ready.remove(&conn);
-        self.pending_link.remove(&conn);
-        self.publish_link_entries();
-        // CREATE2s awaiting a reply on this link: DESTROY to clients.
-        let dead_creates: Vec<(HopKey, HopKey)> = self
-            .pending_create
-            .iter()
-            .filter(|((c, _), _)| *c == conn)
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        for (key, prev_key) in dead_creates {
-            self.pending_create.remove(&key);
-            self.teardown(ctx, prev_key, true);
+        // Circuits extended, or extending, over this link.
+        for next in keys_on_link(&self.exit_index, conn) {
+            let prev_key = self.exit_index[&next];
+            self.teardown(ctx, prev_key, Some(Side::Exit));
         }
-        // Established circuits whose next hop used this link.
-        let dead_next: Vec<HopKey> = self
-            .next_index
-            .iter()
-            .filter(|((c, _), _)| *c == conn)
-            .map(|(_, &prev)| prev)
-            .collect();
-        for prev_key in dead_next {
-            self.teardown(ctx, prev_key, true);
-        }
-        // Circuits whose client side was this link: tear toward exit.
-        let dead_prev: Vec<HopKey> = self
-            .circuits
-            .keys()
-            .filter(|(c, _)| *c == conn)
-            .copied()
-            .collect();
-        for key in dead_prev {
-            self.teardown(ctx, key, false);
+        // Circuits whose client side was this link.
+        for key in keys_on_link(&self.circuits, conn) {
+            self.teardown(ctx, key, Some(Side::Client));
         }
     }
+}
+
+/// The keys of `index` that ride link `conn`, in key order.
+fn keys_on_link<V>(index: &HashMap<HopKey, V>, conn: ConnId) -> Vec<HopKey> {
+    let mut keys: Vec<HopKey> = index.keys().filter(|k| k.0 == conn).copied().collect();
+    keys.sort_unstable();
+    keys
 }
