@@ -213,6 +213,76 @@ mod tests {
         RelayCell::new(RelayCmd::Data, 7, vec![tag; 20])
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The wire pin: every byte any link of a 4-hop circuit carries for
+    /// 64 forward and 64 backward cells, and the running digests they
+    /// leave behind. Golden traces and `benchmark/exact.txt` pin times
+    /// and RNG draws, not cell bytes; this is the test that fails when
+    /// one keystream or digest byte moves. The constants were captured
+    /// from the build before the batched ChaCha20 and the hardware
+    /// SHA-256 — an edit to them is a wire-format change.
+    #[test]
+    fn wire_bytes_of_a_four_hop_circuit_are_pinned() {
+        let (mut client, mut relays) = circuit(4);
+        let mut wire = Sha256::new();
+        for n in 0..64usize {
+            // Forward: addressee and data length both cycle, so digests
+            // advance unevenly and cells span 0..=498 data bytes.
+            let target = (n * 7 + n / 5) % 4;
+            let len = if n == 63 { 498 } else { (n * 37) % 499 };
+            let cell = RelayCell::new(RelayCmd::Data, n as u16, vec![n as u8 ^ 0x5a; len]);
+            let mut payload = client.encrypt_forward(target, &cell);
+            for (i, relay) in relays.iter_mut().enumerate() {
+                wire.update(&payload);
+                match relay.process_forward(&payload) {
+                    RelayCryptoOutcome::Recognized(got) => {
+                        assert_eq!((i, &got), (target, &cell), "forward cell {n}");
+                        break;
+                    }
+                    RelayCryptoOutcome::Forward(next) => payload = next,
+                }
+            }
+            // Backward, from another hop, through every relay below it.
+            let source = (n * 3 + n / 7) % 4;
+            let len = (n * 53 + 11) % 499;
+            let reply = RelayCell::new(RelayCmd::Data, !(n as u16), vec![n as u8; len]);
+            let mut back = relays[source].encrypt_backward(&reply);
+            wire.update(&back);
+            for i in (0..source).rev() {
+                back = relays[i].reencrypt_backward(&back);
+                wire.update(&back);
+            }
+            assert_eq!(
+                client.decrypt_backward(&back),
+                Some((source, reply)),
+                "backward cell {n}"
+            );
+        }
+        assert_eq!(
+            hex(&wire.finalize()),
+            "42380b9cd8ff34827d8e23016484da181130b45a36f83c9a722f80cf9e981536",
+            "a link payload byte moved"
+        );
+
+        let mut digests = Sha256::new();
+        for (hop, relay) in client.hops.iter().zip(&relays) {
+            let fwd = hop.fwd_digest.clone().finalize();
+            let bwd = hop.bwd_digest.clone().finalize();
+            assert_eq!(fwd, relay.state.fwd_digest.clone().finalize());
+            assert_eq!(bwd, relay.state.bwd_digest.clone().finalize());
+            digests.update(&fwd);
+            digests.update(&bwd);
+        }
+        assert_eq!(
+            hex(&digests.finalize()),
+            "f3379207c4bea9567623c54f33a6354b97e905c7fc8e3ce57b058e51c5412fa7",
+            "a running digest moved"
+        );
+    }
+
     #[test]
     fn forward_to_each_hop_of_three() {
         let (mut client, mut relays) = circuit(3);
