@@ -15,6 +15,10 @@
 //! * [`coverage`] — §5.3: Tor as a measurement platform. /24 counting
 //!   and residential classification over a relay population (Fig. 18).
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub mod circuits;
 pub mod coverage;
 pub mod deanon;

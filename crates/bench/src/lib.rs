@@ -21,6 +21,10 @@
 //! | `TING_RUNS`      | Monte-Carlo runs per configuration  |
 //! | `TING_REPS`      | timed repetitions (`obs_overhead`)  |
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub mod storm;
 
 use netsim::{NodeId, SimDuration, SimTime};

@@ -61,6 +61,10 @@
 //!   enable via [`orchestrator::Ting::with_obs`] and
 //!   `TorNetworkBuilder::observability`.
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub use obs;
 
 pub mod backoff;

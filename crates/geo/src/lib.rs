@@ -16,6 +16,10 @@
 //! * [`hostnames`] — synthetic rDNS names plus the Schulman-style
 //!   residential classifier the paper extends in §5.3.
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub mod coord;
 pub mod geolocation;
 pub mod hostnames;

@@ -31,6 +31,9 @@
 //! are state machines implementing [`Process`], polled with a [`Context`]
 //! that batches the actions they emit.
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
 // Same seed ⇒ same bytes: hash order is per map instance, so no loop
 // here may run in it. (The lint sees `for` loops only, not iterator
 // chains: a walk that emits ops sorts its keys or uses an ordered map.)

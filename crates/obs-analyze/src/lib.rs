@@ -21,6 +21,10 @@
 //! * [`slo`] — SLO breach windows and the `slo.*` gauge family (the
 //!   `ting-prof slo` report and CI's no-fault staleness gate).
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub mod attrib;
 pub mod flame;
 pub mod json;

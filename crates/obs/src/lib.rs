@@ -23,6 +23,10 @@
 //! check on every path; an `Off` run is enforced (by test) to be
 //! bit-identical to a run of the pre-observability code.
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod hist;
 pub mod lineage;

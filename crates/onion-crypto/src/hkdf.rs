@@ -20,17 +20,17 @@ pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * 32, "HKDF output too long");
     let mut okm = Vec::with_capacity(len);
     let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while okm.len() < len {
+    // T(1) ‖ T(2) ‖ …: at most 255 blocks by the assertion above, so the
+    // one-byte block index cannot overflow.
+    for counter in 1..=len.div_ceil(32) {
         let mut msg = Vec::with_capacity(t.len() + info.len() + 1);
         msg.extend_from_slice(&t);
         msg.extend_from_slice(info);
-        msg.push(counter);
+        msg.push(counter as u8);
         let block = hmac_sha256(prk, &msg);
         let take = (len - okm.len()).min(32);
         okm.extend_from_slice(&block[..take]);
         t = block.to_vec();
-        counter = counter.checked_add(1).expect("HKDF counter overflow");
     }
     okm
 }
@@ -95,7 +95,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    fn the_rfc_limit_itself_is_admitted() {
+        // 255 blocks is the contract; the block counter used to be
+        // incremented once more after the last of them and overflow.
+        let prk = hkdf_extract(b"s", b"k");
+        let short = hkdf_expand(&prk, b"x", 254 * 32);
+        for len in [254 * 32 + 1, 255 * 32] {
+            let long = hkdf_expand(&prk, b"x", len);
+            assert_eq!(long.len(), len);
+            assert_eq!(long[..short.len()], short[..]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "HKDF output too long")]
     fn over_limit_rejected() {
         let prk = [0u8; 32];
         let _ = hkdf_expand(&prk, b"", 255 * 32 + 1);

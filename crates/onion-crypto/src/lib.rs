@@ -20,11 +20,21 @@
 //! each primitive here. Second, circuit construction (CREATE2/EXTEND2)
 //! only behaves like Tor if key derivation actually happens per hop.
 //!
-//! The hashes and the cipher favour clarity over speed; [`mod@x25519`],
-//! which is most of a scan's wall time, is written for speed. None of it
-//! is hardened against side channels — `x25519_base` indexes its table
-//! by digits of the secret scalar — because this crate supports a
+//! All three kernels a scan spends its time in are written for speed
+//! behind the plain signatures: [`mod@x25519`] (most of a handshake),
+//! the [`chacha20`] keystream (sixteen blocks a refill, in a form the
+//! compiler vectorises) and the [`mod@sha256`] compression function
+//! (the x86 SHA extensions where the CPU reports them, the FIPS 180-4
+//! text everywhere else — chosen by detection, never by a setting). Each
+//! keeps the code it replaced as its `#[cfg(test)]` reference. None of
+//! it is hardened against side channels — `x25519_base` indexes its
+//! table by digits of the secret scalar — because this crate supports a
 //! measurement reproduction, not production key handling.
+
+// One `unsafe` block in the workspace: the call into the SHA-256
+// hardware kernel, in `sha256::hardware`, which carries the only
+// `#[allow]`. Every other crate forbids the lint outright.
+#![deny(unsafe_code)]
 
 pub mod chacha20;
 pub mod hkdf;

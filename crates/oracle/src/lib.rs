@@ -26,6 +26,10 @@
 //! so a scanner/ingest loop can publish fresher generations forever
 //! without ever blocking a reader or tearing a dataset mid-query.
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub mod journal;
 pub mod pipeline;
 pub mod service;

@@ -13,6 +13,10 @@
 //! NaN-free in debug builds — measurement code should never produce NaN
 //! latencies.
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub mod boxplot;
 pub mod cdf;
 pub mod convergence;

@@ -23,6 +23,10 @@
 //! omitted; and the relay crypto uses ChaCha20 + SHA-256 rather than
 //! AES-CTR + SHA-1 (same structure, current primitives).
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub mod cell;
 pub mod extend;
 pub mod onion;

@@ -6,6 +6,10 @@
 //! overlay), [`netsim`] (the discrete-event underlay), and [`analysis`]
 //! (the paper's Section 5 applications).
 
+// The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
+// kernel; nothing here may add a second.
+#![forbid(unsafe_code)]
+
 pub use analysis;
 pub use geo;
 pub use netsim;
