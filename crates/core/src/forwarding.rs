@@ -107,8 +107,9 @@ mod tests {
         let mut net = TorNetworkBuilder::testbed(32).neutral_fraction(1.0).build();
         let x = net.relays[9];
         let x_as = net.sim.underlay().node(x.index()).as_id;
-        net.sim.underlay_mut().as_profile_mut(x_as).policy =
-            ProtocolPolicy::icmp_deprioritized(25.0);
+        net.sim
+            .underlay_mut()
+            .set_policy(x_as, ProtocolPolicy::icmp_deprioritized(25.0));
         let m = measure_forwarding_delay(&ting(), &mut net, x, ProbeProtocol::Icmp, 50).unwrap();
         // ping overestimates R(w,x) by ~25 ms; F_x ≈ real F − 2·25.
         assert!(m.f_x_ms < -20.0, "F_x = {} not negative", m.f_x_ms);
@@ -121,7 +122,9 @@ mod tests {
         let x_as = net.sim.underlay().node(x.index()).as_id;
         // ICMP unaffected, Tor/TCP slowed: the Tor circuit's leg looks
         // long relative to ping → large positive F_x.
-        net.sim.underlay_mut().as_profile_mut(x_as).policy = ProtocolPolicy::tcp_shaped(15.0);
+        net.sim
+            .underlay_mut()
+            .set_policy(x_as, ProtocolPolicy::tcp_shaped(15.0));
         let m = measure_forwarding_delay(&ting(), &mut net, x, ProbeProtocol::Icmp, 50).unwrap();
         assert!(m.f_x_ms > 15.0, "F_x = {} not inflated", m.f_x_ms);
     }
@@ -133,7 +136,9 @@ mod tests {
         let mut net = TorNetworkBuilder::testbed(34).neutral_fraction(1.0).build();
         let x = net.relays[13];
         let x_as = net.sim.underlay().node(x.index()).as_id;
-        net.sim.underlay_mut().as_profile_mut(x_as).policy = ProtocolPolicy::tcp_shaped(15.0);
+        net.sim
+            .underlay_mut()
+            .set_policy(x_as, ProtocolPolicy::tcp_shaped(15.0));
         let m = measure_forwarding_delay(&ting(), &mut net, x, ProbeProtocol::Tcp, 50).unwrap();
         assert!(
             m.f_x_ms > -1.0 && m.f_x_ms < 6.0,

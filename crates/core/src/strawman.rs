@@ -84,8 +84,9 @@ mod tests {
         let mut net = TorNetworkBuilder::testbed(22).neutral_fraction(1.0).build();
         let (x, y) = (net.relays[3], net.relays[18]);
         let x_as = net.sim.underlay().node(x.index()).as_id;
-        net.sim.underlay_mut().as_profile_mut(x_as).policy =
-            ProtocolPolicy::icmp_deprioritized(40.0);
+        net.sim
+            .underlay_mut()
+            .set_policy(x_as, ProtocolPolicy::icmp_deprioritized(40.0));
         let truth = net.true_rtt_ms(x, y);
         let ting = Ting::new(TingConfig::with_samples(30));
 

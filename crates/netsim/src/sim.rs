@@ -109,6 +109,10 @@ pub struct Simulator {
     next_conn: u64,
     faults: FaultPlan,
     obs: SimObs,
+    /// The one op buffer every handler emits into: lent to the handler's
+    /// [`Context`], drained by [`Simulator::apply_ops`], and kept with
+    /// its capacity for the next dispatch.
+    ops: Vec<Op>,
 }
 
 impl Simulator {
@@ -125,6 +129,7 @@ impl Simulator {
             next_conn: 0,
             faults: FaultPlan::disabled(),
             obs: SimObs::default(),
+            ops: Vec::new(),
         }
     }
 
@@ -360,17 +365,19 @@ impl Simulator {
             now: self.now,
             self_id: node,
             rng: &mut self.rng,
-            ops: Vec::new(),
+            ops: std::mem::take(&mut self.ops),
             next_conn: &mut self.next_conn,
         };
         f(&mut process, &mut ctx);
-        let ops = std::mem::take(&mut ctx.ops);
+        let mut ops = std::mem::take(&mut ctx.ops);
         self.processes[node.index()] = Some(process);
-        self.apply_ops(node, ops);
+        self.apply_ops(node, &mut ops);
+        self.ops = ops;
     }
 
-    fn apply_ops(&mut self, from: NodeId, ops: Vec<Op>) {
-        for op in ops {
+    /// Applies and removes every op in `ops`, leaving its capacity.
+    fn apply_ops(&mut self, from: NodeId, ops: &mut Vec<Op>) {
+        for op in ops.drain(..) {
             match op {
                 Op::Open { conn, to, class } => self.do_open(from, conn, to, class),
                 Op::Send { conn, data } => self.do_send(from, conn, data),

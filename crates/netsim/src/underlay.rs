@@ -244,17 +244,37 @@ impl Default for UnderlayConfig {
     }
 }
 
+/// What the underlay keeps per unordered AS pair `(lo, hi)`: the drawn
+/// route properties and the hub-to-hub geodesic, both fixed once the
+/// pair is first used.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    inflation: f64,
+    peering_ms: f64,
+    /// `great_circle_km(hub_lo, hub_hi)` and `great_circle_km(hub_hi,
+    /// hub_lo)`: each direction keeps the argument order it always had,
+    /// so no sample depends on the formula being bit-symmetric.
+    hub_km: [f64; 2],
+}
+
 /// The full underlay: AS table, node table, cached pairwise inflation,
 /// and the per-packet delay sampler.
+///
+/// Hubs and node locations never change once added (only an AS's
+/// [`ProtocolPolicy`] may, through [`Underlay::set_policy`]), so every
+/// distance a sample needs is computed once: node ↔ own hub in
+/// [`Underlay::add_node`], hub ↔ hub beside the AS pair's route draw.
 #[derive(Debug, Clone)]
 pub struct Underlay {
     config: UnderlayConfig,
     ases: Vec<AsProfile>,
     nodes: Vec<NodeAttrs>,
-    /// Per-unordered-AS-pair route properties (inflation factor and
-    /// fixed peering overhead), lazily drawn but deterministic: keyed
-    /// RNG from the build seed and the pair.
-    inflation_cache: HashMap<(AsId, AsId), (f64, f64)>,
+    /// Per node: `great_circle_km(location, hub)` and
+    /// `great_circle_km(hub, location)` for the node's own AS hub.
+    hub_km: Vec<[f64; 2]>,
+    /// Per-unordered-AS-pair route properties, lazily drawn but
+    /// deterministic: keyed RNG from the build seed and the pair.
+    routes: HashMap<(AsId, AsId), Route>,
     seed: u64,
 }
 
@@ -266,7 +286,8 @@ impl Underlay {
             config,
             ases: Vec::new(),
             nodes: Vec::new(),
-            inflation_cache: HashMap::new(),
+            hub_km: Vec::new(),
+            routes: HashMap::new(),
             seed,
         }
     }
@@ -285,6 +306,11 @@ impl Underlay {
             (attrs.as_id.0 as usize) < self.ases.len(),
             "node references unknown AS"
         );
+        let hub = self.ases[attrs.as_id.0 as usize].hub;
+        self.hub_km.push([
+            great_circle_km(attrs.location, hub),
+            great_circle_km(hub, attrs.location),
+        ]);
         self.nodes.push(attrs);
         self.nodes.len() - 1
     }
@@ -321,8 +347,10 @@ impl Underlay {
         &self.ases[id.0 as usize]
     }
 
-    pub fn as_profile_mut(&mut self, id: AsId) -> &mut AsProfile {
-        &mut self.ases[id.0 as usize]
+    /// Replaces an AS's protocol policy — the one property of an AS that
+    /// may change after it is added.
+    pub fn set_policy(&mut self, id: AsId, policy: ProtocolPolicy) {
+        self.ases[id.0 as usize].policy = policy;
     }
 
     pub fn node_count(&self) -> usize {
@@ -350,9 +378,15 @@ impl Underlay {
         if a == b {
             return (self.config.intra_as_inflation, 0.0);
         }
+        let route = self.route(a, b);
+        (route.inflation, route.peering_ms)
+    }
+
+    /// The [`Route`] of two distinct ASes, drawn on first use.
+    fn route(&mut self, a: AsId, b: AsId) -> Route {
         let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&f) = self.inflation_cache.get(&key) {
-            return f;
+        if let Some(&route) = self.routes.get(&key) {
+            return route;
         }
         let pair_seed = self
             .seed
@@ -366,9 +400,21 @@ impl Underlay {
             let exp: f64 = -rng.gen_range(1e-9..1.0f64).ln() * c.inter_as_inflation_exp_mean;
             (c.inter_as_inflation_min + exp).min(c.inter_as_inflation_max)
         };
-        let peering = rng.gen_range(c.peering_ms.0..c.peering_ms.1.max(c.peering_ms.0 + 1e-9));
-        self.inflation_cache.insert(key, (inflation, peering));
-        (inflation, peering)
+        let peering_ms = rng.gen_range(c.peering_ms.0..c.peering_ms.1.max(c.peering_ms.0 + 1e-9));
+        let (hub_lo, hub_hi) = (
+            self.ases[key.0 .0 as usize].hub,
+            self.ases[key.1 .0 as usize].hub,
+        );
+        let route = Route {
+            inflation,
+            peering_ms,
+            hub_km: [
+                great_circle_km(hub_lo, hub_hi),
+                great_circle_km(hub_hi, hub_lo),
+            ],
+        };
+        self.routes.insert(key, route);
+        route
     }
 
     /// The *base* one-way latency (ms) between two nodes for `class`:
@@ -378,29 +424,26 @@ impl Underlay {
         if from == to {
             return self.config.loopback_ms;
         }
-        let a = self.nodes[from].clone();
-        let b = self.nodes[to].clone();
-        let policy_extra = (self.ases[a.as_id.0 as usize].policy.extra_ms(class)
-            + self.ases[b.as_id.0 as usize].policy.extra_ms(class))
+        let (a, b) = (&self.nodes[from], &self.nodes[to]);
+        let (as_a, as_b) = (a.as_id, b.as_id);
+        let (a_access_ms, b_access_ms) = (a.access_delay_ms, b.access_delay_ms);
+        let policy_extra = (self.ases[as_a.0 as usize].policy.extra_ms(class)
+            + self.ases[as_b.0 as usize].policy.extra_ms(class))
             / 2.0;
-        let propagation = if a.as_id == b.as_id {
+        let propagation = if as_a == as_b {
             let d = great_circle_km(a.location, b.location);
             d * self.config.intra_as_inflation / FIBER_KM_PER_MS
         } else {
-            let hub_a = self.ases[a.as_id.0 as usize].hub;
-            let hub_b = self.ases[b.as_id.0 as usize].hub;
-            let (infl, peering) = self.route_properties(a.as_id, b.as_id);
-            (great_circle_km(a.location, hub_a)
-                + great_circle_km(hub_b, b.location)
-                + great_circle_km(hub_a, hub_b) * infl)
+            // node → hub_a → hub_b → node, each leg in the argument
+            // order the formula has always been evaluated in.
+            let route = self.route(as_a, as_b);
+            (self.hub_km[from][0]
+                + self.hub_km[to][1]
+                + route.hub_km[usize::from(as_a > as_b)] * route.inflation)
                 / FIBER_KM_PER_MS
-                + peering
+                + route.peering_ms
         };
-        self.config.path_floor_ms
-            + a.access_delay_ms
-            + b.access_delay_ms
-            + propagation
-            + policy_extra
+        self.config.path_floor_ms + a_access_ms + b_access_ms + propagation + policy_extra
     }
 
     /// Base round-trip latency (ms) — twice the one-way base, since the
@@ -413,9 +456,8 @@ impl Underlay {
     /// deterministic value that steps to a fresh uniform draw each
     /// epoch. Affects every protocol equally (it is path congestion),
     /// so probes taken at the same time still cancel it.
-    pub fn drift_ms(&self, from: usize, to: usize, t: SimTime) -> f64 {
-        let c = &self.config;
-        if c.drift_ms == 0.0 && c.drift_rel == 0.0 {
+    pub fn drift_ms(&mut self, from: usize, to: usize, t: SimTime) -> f64 {
+        if self.config.drift_ms == 0.0 && self.config.drift_rel == 0.0 {
             return 0.0;
         }
         if from == to {
@@ -425,8 +467,8 @@ impl Underlay {
         // co-located nodes (the paper's w and z) see identical drift to
         // any third host — which is what lets Ting's subtractions
         // cancel it.
-        let as_a = self.nodes[from].as_id.0 as usize;
-        let as_b = self.nodes[to].as_id.0 as usize;
+        let as_a = self.nodes[from].as_id;
+        let as_b = self.nodes[to].as_id;
         if as_a == as_b {
             return 0.0;
         }
@@ -435,19 +477,19 @@ impl Underlay {
         } else {
             (as_b, as_a)
         };
+        // Amplitude grows with path length (long paths cross more
+        // congested links); use the hub-to-hub geodesic.
+        let base = self.route(lo, hi).hub_km[0] / FIBER_KM_PER_MS;
+        let c = &self.config;
         let epoch = (t.as_hours_f64() / c.drift_epoch_hours) as u64;
         // SplitMix64-style hash of (seed, pair, epoch) → uniform [0,1).
         let h = mix64(
             self.seed
-                .wrapping_add((lo as u64) << 40)
-                .wrapping_add((hi as u64) << 20)
+                .wrapping_add((lo.0 as u64) << 40)
+                .wrapping_add((hi.0 as u64) << 20)
                 .wrapping_add(epoch),
         );
         let u = unit(h);
-        // Amplitude grows with path length (long paths cross more
-        // congested links); use the hub-to-hub geodesic.
-        let base =
-            geo::great_circle_km(self.ases[lo].hub, self.ases[hi].hub) / geo::FIBER_KM_PER_MS;
         let mut drift = u * (c.drift_ms + c.drift_rel * base);
         // Occasionally an epoch lands on a shifted route (a BGP change
         // or sustained congestion) that min-filtering cannot hide — the
@@ -630,11 +672,184 @@ mod tests {
         assert!(vals.len() > 5, "drift not stepping: {vals:?}");
     }
 
+    /// The per-sample formulas as they were before the geometry cache:
+    /// every great-circle distance recomputed from the AS and node
+    /// tables on every call.
+    mod reference {
+        use super::*;
+
+        pub fn base_owd_ms(u: &mut Underlay, from: usize, to: usize, class: TrafficClass) -> f64 {
+            if from == to {
+                return u.config.loopback_ms;
+            }
+            let a = u.nodes[from].clone();
+            let b = u.nodes[to].clone();
+            let policy_extra = (u.ases[a.as_id.0 as usize].policy.extra_ms(class)
+                + u.ases[b.as_id.0 as usize].policy.extra_ms(class))
+                / 2.0;
+            let propagation = if a.as_id == b.as_id {
+                let d = great_circle_km(a.location, b.location);
+                d * u.config.intra_as_inflation / FIBER_KM_PER_MS
+            } else {
+                let hub_a = u.ases[a.as_id.0 as usize].hub;
+                let hub_b = u.ases[b.as_id.0 as usize].hub;
+                let (infl, peering) = u.route_properties(a.as_id, b.as_id);
+                (great_circle_km(a.location, hub_a)
+                    + great_circle_km(hub_b, b.location)
+                    + great_circle_km(hub_a, hub_b) * infl)
+                    / FIBER_KM_PER_MS
+                    + peering
+            };
+            u.config.path_floor_ms
+                + a.access_delay_ms
+                + b.access_delay_ms
+                + propagation
+                + policy_extra
+        }
+
+        pub fn drift_ms(u: &Underlay, from: usize, to: usize, t: SimTime) -> f64 {
+            let c = &u.config;
+            if c.drift_ms == 0.0 && c.drift_rel == 0.0 {
+                return 0.0;
+            }
+            if from == to {
+                return 0.0;
+            }
+            let as_a = u.nodes[from].as_id.0 as usize;
+            let as_b = u.nodes[to].as_id.0 as usize;
+            if as_a == as_b {
+                return 0.0;
+            }
+            let (lo, hi) = if as_a <= as_b {
+                (as_a, as_b)
+            } else {
+                (as_b, as_a)
+            };
+            let epoch = (t.as_hours_f64() / c.drift_epoch_hours) as u64;
+            let h = mix64(
+                u.seed
+                    .wrapping_add((lo as u64) << 40)
+                    .wrapping_add((hi as u64) << 20)
+                    .wrapping_add(epoch),
+            );
+            let u1 = unit(h);
+            let base = great_circle_km(u.ases[lo].hub, u.ases[hi].hub) / FIBER_KM_PER_MS;
+            let mut drift = u1 * (c.drift_ms + c.drift_rel * base);
+            let mut h2 = h.wrapping_mul(0x2545_f491_4f6c_dd1d).rotate_left(17);
+            h2 ^= h2 >> 29;
+            if unit(h2) < 0.005 {
+                let u3 = (h2 & 0xffff) as f64 / 65536.0;
+                drift += (2.0 + 0.12 * base) * (0.5 + u3);
+            }
+            drift
+        }
+
+        pub fn sample_owd_ms(
+            u: &mut Underlay,
+            from: usize,
+            to: usize,
+            class: TrafficClass,
+            t: SimTime,
+            rng: &mut SmallRng,
+        ) -> f64 {
+            let base = base_owd_ms(u, from, to, class);
+            if from == to {
+                return base + rng.gen_range(0.0..0.01);
+            }
+            let a = &u.ases[u.nodes[from].as_id.0 as usize];
+            let b = &u.ases[u.nodes[to].as_id.0 as usize];
+            let load = (a.load_factor(t) + b.load_factor(t)) / 2.0;
+            let jitter_mean = (a.jitter_mean_ms + b.jitter_mean_ms) / 2.0 * load;
+            let jitter = -rng.gen_range(1e-12..1.0f64).ln() * jitter_mean;
+            let spike_prob = ((a.spike_prob + b.spike_prob) / 2.0 * load).min(1.0);
+            let spike = if rng.gen_bool(spike_prob) {
+                let spike_mean = (a.spike_mean_ms + b.spike_mean_ms) / 2.0;
+                -rng.gen_range(1e-12..1.0f64).ln() * spike_mean
+            } else {
+                0.0
+            };
+            let retransmit = if u.config.loss_prob > 0.0 && rng.gen_bool(u.config.loss_prob) {
+                u.config.retransmit_penalty_ms
+            } else {
+                0.0
+            };
+            base + drift_ms(u, from, to, t) + jitter + spike + retransmit
+        }
+    }
+
+    /// The geometry cache changes no bit: every ordered node pair of a
+    /// 40-AS world (two nodes an AS, so intra-AS and loopback pairs
+    /// too) × three classes × three drift epochs, the cached
+    /// `drift_ms` / `base_owd_ms` / `sample_owd_ms` against the formulas
+    /// above — drift first, so some AS pairs are first drawn by it —
+    /// and again after `set_policy` moved three ASes.
+    #[test]
+    fn cached_geometry_is_bit_identical_to_recomputing_it() {
+        let world = World::new();
+        let mut u = Underlay::new(UnderlayConfig::default(), 2015);
+        let mut rng = SmallRng::seed_from_u64(3);
+        for (i, city) in world.cities().iter().cycle().take(40).enumerate() {
+            let profile = if i % 3 == 0 {
+                AsProfile::residential(city.name, city.location)
+            } else {
+                AsProfile::datacenter(city.name, city.location)
+            };
+            let in_as = u.add_as(profile);
+            for j in 0..2u8 {
+                let off = f64::from(j) * 0.37;
+                let at = GeoPoint::new(city.location.lat + off, city.location.lon - off);
+                u.add_node_in(in_as, at, [10, i as u8, j, 1], &mut rng);
+            }
+        }
+        let epochs = [0, 5, 73].map(|h| SimTime::ZERO + crate::time::SimDuration::from_hours(h));
+        let classes = [TrafficClass::Icmp, TrafficClass::Tcp, TrafficClass::Tor];
+        for policies in [false, true] {
+            if policies {
+                u.set_policy(AsId(3), ProtocolPolicy::icmp_deprioritized(7.5));
+                u.set_policy(AsId(8), ProtocolPolicy::tor_shaped(2.25));
+                u.set_policy(AsId(21), ProtocolPolicy::tcp_shaped(4.0));
+            }
+            let mut cached_rng = SmallRng::seed_from_u64(9);
+            let mut reference_rng = SmallRng::seed_from_u64(9);
+            for from in 0..u.node_count() {
+                for to in 0..u.node_count() {
+                    for t in epochs {
+                        let want = reference::drift_ms(&u, from, to, t);
+                        assert_eq!(u.drift_ms(from, to, t).to_bits(), want.to_bits());
+                    }
+                    for class in classes {
+                        let want = reference::base_owd_ms(&mut u, from, to, class);
+                        let got = u.base_owd_ms(from, to, class);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{from}→{to} {class:?}");
+                        for t in epochs {
+                            let want = reference::sample_owd_ms(
+                                &mut u,
+                                from,
+                                to,
+                                class,
+                                t,
+                                &mut reference_rng,
+                            );
+                            let got = u.sample_owd_ms(from, to, class, t, &mut cached_rng);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{from}→{to} {class:?} {t:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            // The same draws, too.
+            assert_eq!(cached_rng.gen::<u64>(), reference_rng.gen::<u64>());
+        }
+    }
+
     #[test]
     fn policy_extra_applies_per_class() {
         let (mut u, a, b) = two_as_underlay();
         let plain = u.base_rtt_ms(a, b, TrafficClass::Icmp);
-        u.as_profile_mut(AsId(0)).policy = ProtocolPolicy::icmp_deprioritized(20.0);
+        u.set_policy(AsId(0), ProtocolPolicy::icmp_deprioritized(20.0));
         let slowed = u.base_rtt_ms(a, b, TrafficClass::Icmp);
         let tcp = u.base_rtt_ms(a, b, TrafficClass::Tcp);
         // One endpoint AS adds 20 ms / 2 = 10 ms per direction = 20 ms RTT.
@@ -645,7 +860,7 @@ mod tests {
     #[test]
     fn tor_shaping_separates_tor_from_tcp() {
         let (mut u, a, b) = two_as_underlay();
-        u.as_profile_mut(AsId(1)).policy = ProtocolPolicy::tor_shaped(8.0);
+        u.set_policy(AsId(1), ProtocolPolicy::tor_shaped(8.0));
         let tor = u.base_rtt_ms(a, b, TrafficClass::Tor);
         let tcp = u.base_rtt_ms(a, b, TrafficClass::Tcp);
         assert!((tor - tcp - 8.0).abs() < 1e-9);
@@ -700,7 +915,7 @@ mod tests {
     #[test]
     fn ping_uses_icmp_class() {
         let (mut u, a, b) = two_as_underlay();
-        u.as_profile_mut(AsId(0)).policy = ProtocolPolicy::icmp_deprioritized(50.0);
+        u.set_policy(AsId(0), ProtocolPolicy::icmp_deprioritized(50.0));
         let mut rng = SmallRng::seed_from_u64(4);
         let ping = u.ping_rtt_ms(a, b, SimTime::ZERO, &mut rng);
         let tcp_floor = u.base_rtt_ms(a, b, TrafficClass::Tcp);

@@ -5,7 +5,8 @@
 //! is load-bearing for anonymity (cells are indistinguishable on the
 //! wire) and for Ting (every echo probe costs exactly one cell each way).
 
-use bytes::{Buf, BufMut};
+use bytes::Buf;
+use std::borrow::Cow;
 
 /// Payload bytes in every cell.
 pub const PAYLOAD_LEN: usize = 509;
@@ -43,6 +44,12 @@ impl CellCommand {
 }
 
 /// One link cell.
+///
+/// A cell owns one buffer from wire to wire: [`Cell::decode`] of an
+/// owned `Vec` keeps that allocation as the payload, the onion layers
+/// in [`crate::onion`] strip or add theirs in place, and
+/// [`Cell::encode`] writes the header back into the same allocation —
+/// a relay forwards a cell without allocating or copying it whole.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
     pub circ_id: CircuitId,
@@ -52,7 +59,8 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Builds a cell, zero-padding (or rejecting an over-long) payload.
+    /// Builds a cell, zero-padding (or rejecting an over-long) payload,
+    /// with room for the header [`Cell::encode`] puts in front of it.
     ///
     /// # Panics
     /// Panics if `payload` exceeds [`PAYLOAD_LEN`].
@@ -62,6 +70,7 @@ impl Cell {
             "cell payload too long: {}",
             payload.len()
         );
+        payload.reserve_exact(CELL_LEN - payload.len());
         payload.resize(PAYLOAD_LEN, 0);
         Cell {
             circ_id,
@@ -70,28 +79,35 @@ impl Cell {
         }
     }
 
-    /// Serializes to exactly [`CELL_LEN`] bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(CELL_LEN);
-        buf.put_u32(self.circ_id.0);
-        buf.put_u8(self.command as u8);
-        buf.extend_from_slice(&self.payload);
+    /// Serializes to exactly [`CELL_LEN`] bytes, in the payload's own
+    /// allocation.
+    pub fn encode(self) -> Vec<u8> {
+        let mut header = [0u8; CELL_LEN - PAYLOAD_LEN];
+        header[..4].copy_from_slice(&self.circ_id.0.to_be_bytes());
+        header[4] = self.command as u8;
+        let mut buf = self.payload;
+        buf.splice(..0, header);
         debug_assert_eq!(buf.len(), CELL_LEN);
         buf
     }
 
     /// Parses a cell. Returns `None` on wrong length or unknown command
-    /// (a well-behaved relay drops garbage rather than panicking).
-    pub fn decode(mut bytes: &[u8]) -> Option<Cell> {
+    /// (a well-behaved relay drops garbage rather than panicking). An
+    /// owned buffer becomes the payload; a borrowed one is copied once.
+    pub fn decode<'a>(bytes: impl Into<Cow<'a, [u8]>>) -> Option<Cell> {
+        let bytes = bytes.into();
         if bytes.len() != CELL_LEN {
             return None;
         }
-        let circ_id = CircuitId(bytes.get_u32());
-        let command = CellCommand::from_u8(bytes.get_u8())?;
+        let mut header = &bytes[..];
+        let circ_id = CircuitId(header.get_u32());
+        let command = CellCommand::from_u8(header.get_u8())?;
+        let mut payload = bytes.into_owned();
+        payload.drain(..CELL_LEN - PAYLOAD_LEN);
         Some(Cell {
             circ_id,
             command,
-            payload: bytes.to_vec(),
+            payload,
         })
     }
 }
@@ -103,7 +119,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let c = Cell::new(CircuitId(0xdeadbeef), CellCommand::Relay, vec![1, 2, 3]);
-        let bytes = c.encode();
+        let bytes = c.clone().encode();
         assert_eq!(bytes.len(), CELL_LEN);
         let d = Cell::decode(&bytes).unwrap();
         assert_eq!(c, d);
@@ -121,7 +137,7 @@ mod tests {
             CellCommand::Destroy,
         ] {
             let c = Cell::new(CircuitId(7), cmd, vec![]);
-            assert_eq!(Cell::decode(&c.encode()).unwrap().command, cmd);
+            assert_eq!(Cell::decode(c.encode()).unwrap().command, cmd);
         }
     }
 
@@ -129,7 +145,24 @@ mod tests {
     fn wrong_length_rejected() {
         assert!(Cell::decode(&[0u8; CELL_LEN - 1]).is_none());
         assert!(Cell::decode(&[0u8; CELL_LEN + 1]).is_none());
-        assert!(Cell::decode(&[]).is_none());
+        assert!(Cell::decode(Vec::new()).is_none());
+    }
+
+    /// An owned buffer is the payload from decode to encode: no
+    /// allocation, and a borrowed one decodes to the same cell.
+    #[test]
+    fn an_owned_cell_keeps_its_buffer_from_decode_to_encode() {
+        let wire = Cell::new(CircuitId(9), CellCommand::Relay, vec![0xab; 77]).encode();
+        let (at, copy) = (wire.as_ptr(), wire.clone());
+        let cell = Cell::decode(wire).expect("a cell");
+        assert_eq!(Some(&cell), Cell::decode(&copy).as_ref());
+        assert_eq!(cell.payload.as_ptr(), at);
+        let again = Cell::new(CircuitId(10), cell.command, cell.payload).encode();
+        assert_eq!(again.as_ptr(), at);
+        assert_eq!(
+            (&again[..4], &again[4..]),
+            (&10u32.to_be_bytes()[..], &copy[4..])
+        );
     }
 
     #[test]
@@ -148,6 +181,6 @@ mod tests {
     #[test]
     fn full_payload_accepted() {
         let c = Cell::new(CircuitId(1), CellCommand::Relay, vec![0xab; PAYLOAD_LEN]);
-        assert_eq!(Cell::decode(&c.encode()).unwrap(), c);
+        assert_eq!(Cell::decode(c.clone().encode()).unwrap(), c);
     }
 }

@@ -18,9 +18,16 @@
 //! advance only for cells addressed to (or originated by) that hop.
 //! Both sides enforce this identically or the keystreams desynchronize —
 //! the property the `multi_hop_interleaving` test locks down.
+//!
+//! Buffers: every function that takes a payload in transit takes
+//! `impl Into<Cow<[u8]>>` and works in the buffer it then owns — an
+//! owned `Vec` (the cell a relay just decoded) is stripped or wrapped in
+//! place and handed back as the next hop's payload, a borrowed one is
+//! copied once.
 
 use crate::relay::RelayCell;
 use onion_crypto::{ChaCha20, HopKeys, Sha256};
+use std::borrow::Cow;
 
 /// One hop's cipher + digest state (used on both ends).
 #[derive(Debug, Clone)]
@@ -46,11 +53,15 @@ impl HopState {
     }
 }
 
-/// Computes the 4-byte digest of `zero_digest_payload` against `state`,
-/// returning the would-be new state alongside (commit on match).
-fn digest4(state: &Sha256, zero_digest_payload: &[u8]) -> (Sha256, [u8; 4]) {
+/// Computes the 4-byte digest of `payload` read with its digest field
+/// zeroed against `state`, returning the would-be new state alongside
+/// (commit on match).
+fn digest4(state: &Sha256, payload: &[u8]) -> (Sha256, [u8; 4]) {
     let mut next = state.clone();
-    next.update(zero_digest_payload);
+    let (before, after) = RelayCell::around_digest(payload);
+    next.update(before);
+    next.update(&[0; 4]);
+    next.update(after);
     let full = next.clone().finalize();
     let mut d = [0u8; 4];
     d.copy_from_slice(&full[..4]);
@@ -90,10 +101,10 @@ impl ClientCrypto {
     /// Panics if `hop` is out of range.
     pub fn encrypt_forward(&mut self, hop: usize, rc: &RelayCell) -> Vec<u8> {
         assert!(hop < self.hops.len(), "hop {hop} not established");
-        let zero = rc.encode_zero_digest();
-        let (next_digest, d4) = digest4(&self.hops[hop].fwd_digest, &zero);
+        let mut payload = rc.encode_zero_digest();
+        let (next_digest, d4) = digest4(&self.hops[hop].fwd_digest, &payload);
         self.hops[hop].fwd_digest = next_digest;
-        let mut payload = rc.encode_with_digest(d4);
+        RelayCell::set_digest_field(&mut payload, d4);
         // Innermost layer first (the addressee's), outermost (hop 0) last.
         for i in (0..=hop).rev() {
             self.hops[i].fwd_cipher.apply_keystream(&mut payload);
@@ -105,13 +116,15 @@ impl ClientCrypto {
     /// Returns `(hop_index, cell)`, or `None` if no established hop
     /// recognizes the cell (corruption / desync — callers destroy the
     /// circuit, as Tor does).
-    pub fn decrypt_backward(&mut self, payload: &[u8]) -> Option<(usize, RelayCell)> {
-        let mut buf = payload.to_vec();
+    pub fn decrypt_backward<'a>(
+        &mut self,
+        payload: impl Into<Cow<'a, [u8]>>,
+    ) -> Option<(usize, RelayCell)> {
+        let mut buf = payload.into().into_owned();
         for i in 0..self.hops.len() {
             self.hops[i].bwd_cipher.apply_keystream(&mut buf);
             if RelayCell::looks_recognized(&buf) {
-                let zero = RelayCell::with_zero_digest(&buf);
-                let (next_digest, d4) = digest4(&self.hops[i].bwd_digest, &zero);
+                let (next_digest, d4) = digest4(&self.hops[i].bwd_digest, &buf);
                 if d4 == RelayCell::digest_field(&buf) {
                     self.hops[i].bwd_digest = next_digest;
                     let (rc, _) = RelayCell::decode(&buf)?;
@@ -147,12 +160,11 @@ impl RelayCrypto {
 
     /// Strips this hop's forward layer and decides whether the cell is
     /// addressed here.
-    pub fn process_forward(&mut self, payload: &[u8]) -> RelayCryptoOutcome {
-        let mut buf = payload.to_vec();
+    pub fn process_forward<'a>(&mut self, payload: impl Into<Cow<'a, [u8]>>) -> RelayCryptoOutcome {
+        let mut buf = payload.into().into_owned();
         self.state.fwd_cipher.apply_keystream(&mut buf);
         if RelayCell::looks_recognized(&buf) {
-            let zero = RelayCell::with_zero_digest(&buf);
-            let (next_digest, d4) = digest4(&self.state.fwd_digest, &zero);
+            let (next_digest, d4) = digest4(&self.state.fwd_digest, &buf);
             if d4 == RelayCell::digest_field(&buf) {
                 if let Some((rc, _)) = RelayCell::decode(&buf) {
                     self.state.fwd_digest = next_digest;
@@ -165,18 +177,18 @@ impl RelayCrypto {
 
     /// Originates a backward cell from this hop.
     pub fn encrypt_backward(&mut self, rc: &RelayCell) -> Vec<u8> {
-        let zero = rc.encode_zero_digest();
-        let (next_digest, d4) = digest4(&self.state.bwd_digest, &zero);
+        let mut payload = rc.encode_zero_digest();
+        let (next_digest, d4) = digest4(&self.state.bwd_digest, &payload);
         self.state.bwd_digest = next_digest;
-        let mut payload = rc.encode_with_digest(d4);
+        RelayCell::set_digest_field(&mut payload, d4);
         self.state.bwd_cipher.apply_keystream(&mut payload);
         payload
     }
 
     /// Adds this hop's backward layer to a cell in transit toward the
     /// client (middle relays call this on every backward cell).
-    pub fn reencrypt_backward(&mut self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = payload.to_vec();
+    pub fn reencrypt_backward<'a>(&mut self, payload: impl Into<Cow<'a, [u8]>>) -> Vec<u8> {
+        let mut buf = payload.into().into_owned();
         self.state.bwd_cipher.apply_keystream(&mut buf);
         buf
     }
@@ -281,6 +293,42 @@ mod tests {
             "f3379207c4bea9567623c54f33a6354b97e905c7fc8e3ce57b058e51c5412fa7",
             "a running digest moved"
         );
+    }
+
+    /// A middle relay's cell is one buffer from the link it arrives on
+    /// to the link it leaves by, in either direction: `Cell::decode` →
+    /// this hop's layer → `Cell::encode` neither allocates nor copies
+    /// the cell — and the cell still means what it meant.
+    #[test]
+    fn a_middle_relay_forwards_a_cell_in_the_buffer_it_arrived_in() {
+        use crate::cell::{Cell, CellCommand, CircuitId};
+        let hop = |payload, id| Cell::new(CircuitId(id), CellCommand::Relay, payload).encode();
+        let (mut client, mut relays) = circuit(3);
+
+        let wire = hop(client.encrypt_forward(2, &rc(1)), 1);
+        let at = wire.as_ptr();
+        let cell = Cell::decode(wire).expect("a cell");
+        let RelayCryptoOutcome::Forward(payload) = relays[0].process_forward(cell.payload) else {
+            panic!("middle hop recognized an exit cell");
+        };
+        let wire = hop(payload, 2);
+        assert_eq!(wire.as_ptr(), at, "forward cell reallocated");
+        let cell = Cell::decode(wire).expect("a cell");
+        let RelayCryptoOutcome::Forward(payload) = relays[1].process_forward(cell.payload) else {
+            panic!("middle hop recognized an exit cell");
+        };
+        assert_eq!(
+            relays[2].process_forward(payload),
+            RelayCryptoOutcome::Recognized(rc(1))
+        );
+
+        let wire = hop(relays[2].encrypt_backward(&rc(2)), 2);
+        let at = wire.as_ptr();
+        let cell = Cell::decode(wire).expect("a cell");
+        let wire = hop(relays[1].reencrypt_backward(cell.payload), 1);
+        assert_eq!(wire.as_ptr(), at, "backward cell reallocated");
+        let payload = relays[0].reencrypt_backward(Cell::decode(wire).expect("a cell").payload);
+        assert_eq!(client.decrypt_backward(payload), Some((2, rc(2))));
     }
 
     #[test]

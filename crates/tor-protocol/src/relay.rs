@@ -13,7 +13,7 @@
 //! data            498 bytes (zero-padded)
 //! ```
 
-use crate::cell::PAYLOAD_LEN;
+use crate::cell::{CELL_LEN, PAYLOAD_LEN};
 use bytes::{Buf, BufMut};
 
 /// Header bytes before the data section.
@@ -87,14 +87,15 @@ impl RelayCell {
     /// to `digest` (the caller computes it over the zero-digest bytes).
     pub fn encode_with_digest(&self, digest: [u8; 4]) -> Vec<u8> {
         let mut buf = self.encode_zero_digest();
-        buf[5..9].copy_from_slice(&digest);
+        Self::set_digest_field(&mut buf, digest);
         buf
     }
 
     /// Serializes with a zeroed digest field — the form the running
-    /// digest is computed over.
+    /// digest is computed over. The buffer has room for the link header,
+    /// so the cell it becomes is encoded without growing it.
     pub fn encode_zero_digest(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(PAYLOAD_LEN);
+        let mut buf = Vec::with_capacity(CELL_LEN);
         buf.put_u8(self.cmd as u8);
         buf.put_u16(0); // recognized
         buf.put_u16(self.stream_id);
@@ -145,18 +146,24 @@ impl RelayCell {
     /// Extracts the digest field bytes.
     pub fn digest_field(payload: &[u8]) -> [u8; 4] {
         let mut d = [0u8; 4];
-        d.copy_from_slice(&payload[5..9]);
+        d.copy_from_slice(&payload[DIGEST]);
         d
     }
 
-    /// Returns a copy of `payload` with the digest field zeroed (the
-    /// form digests are computed over).
-    pub fn with_zero_digest(payload: &[u8]) -> Vec<u8> {
-        let mut p = payload.to_vec();
-        p[5..9].fill(0);
-        p
+    /// Writes the digest field of an encoded payload.
+    pub(crate) fn set_digest_field(payload: &mut [u8], digest: [u8; 4]) {
+        payload[DIGEST].copy_from_slice(&digest);
+    }
+
+    /// The bytes of `payload` before and after its digest field: with
+    /// four zero bytes between them, the form digests are computed over.
+    pub(crate) fn around_digest(payload: &[u8]) -> (&[u8], &[u8]) {
+        (&payload[..DIGEST.start], &payload[DIGEST.end..])
     }
 }
+
+/// Where the digest field sits in a relay payload.
+const DIGEST: std::ops::Range<usize> = 5..9;
 
 #[cfg(test)]
 mod tests {
@@ -210,12 +217,13 @@ mod tests {
     fn zero_digest_form_zeroes_only_digest() {
         let rc = RelayCell::new(RelayCmd::Data, 7, vec![5; 10]);
         let payload = rc.encode_with_digest([1, 2, 3, 4]);
-        let zeroed = RelayCell::with_zero_digest(&payload);
+        let zeroed = rc.encode_zero_digest();
         assert_eq!(&zeroed[5..9], &[0, 0, 0, 0]);
         assert_eq!(RelayCell::digest_field(&payload), [1, 2, 3, 4]);
-        // Everything else untouched.
-        assert_eq!(&zeroed[..5], &payload[..5]);
-        assert_eq!(&zeroed[9..], &payload[9..]);
+        // Everything else is what is around the digest field.
+        let (before, after) = RelayCell::around_digest(&payload);
+        assert_eq!(before, &zeroed[..5]);
+        assert_eq!(after, &zeroed[9..]);
     }
 
     #[test]

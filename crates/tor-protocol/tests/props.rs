@@ -34,7 +34,7 @@ proptest! {
         data in prop::collection::vec(any::<u8>(), 0..tor_protocol::PAYLOAD_LEN),
     ) {
         let c = Cell::new(CircuitId(circ), CellCommand::Relay, data);
-        prop_assert_eq!(Cell::decode(&c.encode()), Some(c));
+        prop_assert_eq!(Cell::decode(c.clone().encode()), Some(c));
     }
 
     #[test]

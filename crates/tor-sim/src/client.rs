@@ -95,6 +95,9 @@ pub(crate) struct ProxyShared {
     pub commands: VecDeque<Command>,
     pub circuits: HashMap<u64, CircuitEntry>,
     pub streams: HashMap<u64, StreamEntry>,
+    /// The proxy handled an event since [`crate::Controller::take_touched`]
+    /// last read this.
+    pub touched: bool,
     /// The size of the proxy's link table, in test builds.
     #[cfg(test)]
     pub link_entries: Rc<std::cell::Cell<usize>>,
@@ -176,6 +179,10 @@ impl OnionProxy {
             stream_index: HashMap::new(),
             next_circ_id: 1,
         }
+    }
+
+    fn touch(&self) {
+        self.shared.borrow_mut().touched = true;
     }
 
     /// Validates the §3.1 client policies.
@@ -323,7 +330,10 @@ impl OnionProxy {
                 circuit,
                 target,
             } => {
-                let Some(c) = self.circuits.get_mut(&circuit) else {
+                // Like Tor, attach to an open circuit only: one still
+                // building has no exit to send BEGIN to yet.
+                let ready = self.shared.borrow().circuit_status(circuit) == CircuitStatus::Ready;
+                let Some(c) = self.circuits.get_mut(&circuit).filter(|_| ready) else {
                     // Nothing to attach to: closed from the start.
                     self.shared.borrow_mut().streams.remove(&handle);
                     return;
@@ -386,12 +396,17 @@ impl OnionProxy {
     }
 }
 
+/// Every handler marks the shared state touched: only the proxy's
+/// handlers change what its controller reports between two of the
+/// controller's own calls.
 impl Process for OnionProxy {
     fn on_conn_established(&mut self, ctx: &mut Context, conn: ConnId) {
+        self.touch();
         self.links.established(ctx, conn);
     }
 
     fn on_conn_closed(&mut self, _ctx: &mut Context, conn: ConnId) {
+        self.touch();
         // The first hop never answered: forget the link, so that the
         // next circuit through that relay opens a fresh one, and fail
         // the circuits that were waiting on it. (Nothing is sent, so
@@ -404,7 +419,8 @@ impl Process for OnionProxy {
     }
 
     fn on_data(&mut self, ctx: &mut Context, conn: ConnId, data: Vec<u8>) {
-        let Some(cell) = Cell::decode(&data) else {
+        self.touch();
+        let Some(cell) = Cell::decode(data) else {
             return;
         };
         let Some(&handle) = self.circ_index.get(&(conn, cell.circ_id)) else {
@@ -414,7 +430,7 @@ impl Process for OnionProxy {
             CellCommand::Created2 => self.handle_created2(ctx, handle, &cell.payload),
             CellCommand::Relay => {
                 let circuit = self.circuits.get_mut(&handle).expect("indexed");
-                match circuit.crypto.decrypt_backward(&cell.payload) {
+                match circuit.crypto.decrypt_backward(cell.payload) {
                     Some((hop, rc)) => self.handle_backward(ctx, handle, hop, rc),
                     None => self.fail_circuit(handle),
                 }
@@ -427,6 +443,7 @@ impl Process for OnionProxy {
     }
 
     fn on_timer(&mut self, ctx: &mut Context, _id: u64) {
+        self.touch();
         // Wake: drain the command queue.
         loop {
             let cmd = self.shared.borrow_mut().commands.pop_front();

@@ -156,6 +156,14 @@ impl Controller {
         self.enqueue(sim, Command::CloseCircuit { circuit: circuit.0 });
     }
 
+    /// Whether the proxy has handled an event since the last call. Until
+    /// it has, no status, error or received byte this controller reports
+    /// has changed except by the controller's own calls — the signal a
+    /// driver of many proxies uses to skip asking again.
+    pub fn take_touched(&mut self) -> bool {
+        std::mem::take(&mut self.shared.borrow_mut().touched)
+    }
+
     /// Convenience: builds a circuit and runs the simulator until the
     /// build settles. Returns the handle when the circuit is ready.
     pub fn build_and_wait(
@@ -367,6 +375,49 @@ mod tests {
             assert!(net.relay_up(path[0]));
             let (ctl, sim) = (&mut net.controller, &mut net.sim);
             assert!(ctl.build_and_wait(sim, path).is_some(), "relay is back");
+        }
+    }
+
+    /// A stream is attached to an open circuit only, as Tor attaches
+    /// one: on a circuit still `Building` — no hop done yet, or one of
+    /// four — it is `Closed` at once, its handle is forgotten, no relay
+    /// opens an exit stream, and the circuit goes on to `Ready` and
+    /// carries the next stream. (The first panicked the proxy on
+    /// `crypto.len() - 1`; the second sent BEGIN to the middle relay
+    /// `w`, which opened the exit stream itself.)
+    #[test]
+    fn a_stream_on_a_circuit_still_building_is_refused() {
+        for hops_done in [0, 1] {
+            let mut net = TorNetworkBuilder::testbed(48).build();
+            let (w, z, echo) = (net.local_w, net.local_z, net.echo_server);
+            let (x, y) = (net.relays[4], net.relays[11]);
+            let circuit = net.controller.build_circuit(&mut net.sim, vec![w, x, y, z]);
+            if hops_done == 1 {
+                // `x` holds the circuit: the proxy has sent its EXTEND2
+                // and not yet heard EXTENDED2 back.
+                while net.relay_metrics[4].snapshot().circuits_created == 0 {
+                    assert!(net.sim.step(), "the build stalled");
+                }
+            }
+            let stream = net.controller.open_stream(&mut net.sim, circuit, echo);
+            while !net.controller.shared.borrow().commands.is_empty() {
+                net.sim.step();
+            }
+            let ctl = &net.controller;
+            assert_eq!(ctl.circuit_status(circuit), CircuitStatus::Building);
+            assert_eq!(ctl.stream_status(stream), StreamStatus::Closed);
+            assert!(net.controller.shared.borrow().streams.is_empty());
+            net.sim.run_until_idle();
+            let (ctl, sim) = (&mut net.controller, &mut net.sim);
+            assert_eq!(ctl.circuit_status(circuit), CircuitStatus::Ready);
+            let relays = net
+                .relay_metrics
+                .iter()
+                .chain([&net.w_metrics, &net.z_metrics]);
+            let exits: u64 = relays.map(|m| m.snapshot().streams_opened).sum();
+            assert_eq!(exits, 0, "a relay opened an exit stream");
+            let stream = ctl.open_stream_and_wait(sim, circuit, echo);
+            assert!(stream.is_some(), "hops_done {hops_done}");
         }
     }
 

@@ -334,7 +334,7 @@ impl Relay {
             let Some(circuit) = self.circuits.get_mut(prev_key) else {
                 return;
             };
-            let payload = circuit.crypto.reencrypt_backward(&cell.payload);
+            let payload = circuit.crypto.reencrypt_backward(cell.payload);
             self.links
                 .send(ctx, circuit.prev, CellCommand::Relay, payload);
             return;
@@ -343,7 +343,7 @@ impl Relay {
         let Some(circuit) = self.circuits.get_mut(&key) else {
             return; // unknown circuit: drop
         };
-        match circuit.crypto.process_forward(&cell.payload) {
+        match circuit.crypto.process_forward(cell.payload) {
             RelayCryptoOutcome::Forward(payload) => {
                 self.metrics.on_forwarded();
                 let Some(next) = circuit.next.filter(|_| circuit.extended) else {
@@ -486,8 +486,9 @@ impl Process for Relay {
             }
             return;
         }
-        // A link cell: queue behind the processing model.
-        if let Some(cell) = Cell::decode(&data) {
+        // A link cell: queue behind the processing model. Its buffer is
+        // the one it leaves by (`Cell`'s docs).
+        if let Some(cell) = Cell::decode(data) {
             self.enqueue_cell(ctx, conn, cell);
         }
     }

@@ -15,8 +15,9 @@ fn ting_immune_to_protocol_discrimination() {
     let before = ting.measure_pair(&mut net, x, y).unwrap().estimate_ms();
     // Turn on aggressive ICMP deprioritization at x's network.
     let x_as = net.sim.underlay().node(x.index()).as_id;
-    net.sim.underlay_mut().as_profile_mut(x_as).policy =
-        netsim::ProtocolPolicy::icmp_deprioritized(50.0);
+    net.sim
+        .underlay_mut()
+        .set_policy(x_as, netsim::ProtocolPolicy::icmp_deprioritized(50.0));
     let after = ting.measure_pair(&mut net, x, y).unwrap().estimate_ms();
     assert!(
         (after - before).abs() < 5.0,
