@@ -68,6 +68,34 @@ fn admits_idx(i: u32, j: u32, rtt_ms: f64) -> Result<(), String> {
     Ok(())
 }
 
+/// Lanes of the detour kernel's first pass: eight independent running
+/// minimums, which rustc keeps in vector registers on any target.
+const LANES: usize = 8;
+
+/// `b` when it is below `a`, else `a`: a NaN `b` never replaces.
+fn min_of(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Folds every `a[v] + b[v]` into the lane-wise running minimum. A sum
+/// with an unmeasured (`NaN`) leg is `NaN` and drops out.
+fn lane_min(lanes: &mut [f64; LANES], a: &[f64], b: &[f64]) {
+    let (a, b) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail = a.remainder().iter().zip(b.remainder());
+    for (x, y) in a.zip(b) {
+        for ((m, x), y) in lanes.iter_mut().zip(x).zip(y) {
+            *m = min_of(*m, x + y);
+        }
+    }
+    for (x, y) in tail {
+        lanes[0] = min_of(lanes[0], x + y);
+    }
+}
+
 /// The best single-relay detour the kernel found for one pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetourBest {
@@ -263,28 +291,33 @@ impl RttMatrix {
 
     /// The shared ShorTor/TIV detour kernel: the via relay minimizing
     /// `R(s, v) + R(v, d)` over every relay `v ∉ {s, d}` with both legs
-    /// measured. Candidates are scanned in index order with a strict
-    /// improvement test, so ties keep the lowest index — the same
-    /// deterministic answer `analysis::tiv` has always produced.
-    /// Returns `None` when no third relay has both legs measured.
+    /// measured. Ties keep the lowest index — the same deterministic
+    /// answer `analysis::tiv` has always produced. Returns `None` when
+    /// no third relay has both legs measured.
+    ///
+    /// Two passes over the three spans `[0, lo)`, `(lo, hi)`, `(hi, n)`
+    /// around the endpoints: a lane-wise minimum of the sums, then the
+    /// first relay whose sum `==` it. That is the first strict minimum
+    /// in index order, bit for bit: `==` equates ±0 and the second pass
+    /// returns the first relay's own sum, and a sum that overflowed to
+    /// `+∞` still wins when nothing finite exists.
     pub fn best_detour(&self, i: u32, j: u32) -> Option<DetourBest> {
         let (row_i, row_j) = (self.row(i), self.row(j));
-        let mut best: Option<DetourBest> = None;
-        for v in 0..self.nodes.len() as u32 {
-            if v == i || v == j {
-                continue;
-            }
-            // NaN legs propagate into a NaN sum, which fails the `<`
-            // test — unmeasured candidates drop out for free.
-            let detour = row_i[v as usize] + row_j[v as usize];
-            if best.is_none_or(|b| detour < b.rtt_ms) && !detour.is_nan() {
-                best = Some(DetourBest {
-                    via: v,
-                    rtt_ms: detour,
-                });
-            }
+        let (lo, hi) = ordered(i as usize, j as usize);
+        let spans = [0..lo, (lo + 1).min(hi)..hi, hi + 1..row_i.len()];
+        let mut lanes = [f64::INFINITY; LANES];
+        for span in spans.clone() {
+            lane_min(&mut lanes, &row_i[span.clone()], &row_j[span]);
         }
-        best
+        let min = lanes.into_iter().fold(f64::INFINITY, min_of);
+        spans.into_iter().find_map(|span| {
+            let sums = row_i[span.clone()].iter().zip(&row_j[span.clone()]);
+            let v = span.start + sums.map(|(a, b)| a + b).position(|s| s == min)?;
+            Some(DetourBest {
+                via: v as u32,
+                rtt_ms: row_i[v] + row_j[v],
+            })
+        })
     }
 
     /// Serializes to a TSV document (`a b rtt_ms` per line, header with
@@ -342,12 +375,99 @@ impl RttMatrix {
     }
 }
 
+/// The detour kernel as it was before the lane passes: one branch per
+/// candidate, in index order — what the two-pass kernel must equal.
+#[cfg(test)]
+mod reference {
+    use super::{DetourBest, RttMatrix};
+
+    pub fn best_detour(m: &RttMatrix, i: u32, j: u32) -> Option<DetourBest> {
+        let (row_i, row_j) = (m.row(i), m.row(j));
+        let mut best: Option<DetourBest> = None;
+        for v in 0..m.len() as u32 {
+            if v == i || v == j {
+                continue;
+            }
+            let detour = row_i[v as usize] + row_j[v as usize];
+            if best.is_none_or(|b| detour < b.rtt_ms) && !detour.is_nan() {
+                best = Some(DetourBest {
+                    via: v,
+                    rtt_ms: detour,
+                });
+            }
+        }
+        best
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
+    }
+
+    /// Every ordered pair, the diagonal included, against the old loop
+    /// with the sums compared as bits.
+    fn assert_detours_match_reference(m: &RttMatrix) {
+        let bits = |b: Option<DetourBest>| b.map(|b| (b.via, b.rtt_ms.to_bits()));
+        for i in 0..m.len() as u32 {
+            for j in 0..m.len() as u32 {
+                let (got, want) = (m.best_detour(i, j), reference::best_detour(m, i, j));
+                assert_eq!(bits(got), bits(want), "n {} ({i}, {j})", m.len());
+            }
+        }
+    }
+
+    #[test]
+    fn detour_kernel_equals_the_scalar_loop_across_lane_boundaries() {
+        // Cell values chosen to break a careless kernel: signed zeros
+        // (first index keeps its own bits), negatives, and legs whose
+        // sum overflows to ±∞ or cancels to 0.
+        const AWKWARD: [f64; 9] = [
+            -0.0,
+            0.0,
+            -2.5,
+            1.0,
+            1.0,
+            f64::MAX,
+            f64::MAX * 0.75,
+            -f64::MAX,
+            7.25,
+        ];
+        let mut rng = SmallRng::seed_from_u64(2015);
+        for n in 0..=40u32 {
+            for density in [0, 1, 3, 4] {
+                let mut m = RttMatrix::new(nodes(n));
+                for a in 0..n {
+                    for b in a + 1..n {
+                        if rng.gen_range(0..4u32) < density {
+                            let v = AWKWARD[rng.gen_range(0..AWKWARD.len())];
+                            m.set(NodeId(a), NodeId(b), v);
+                        }
+                    }
+                }
+                assert_detours_match_reference(&m);
+            }
+        }
+        // Every leg at f64::MAX: each sum is +∞, and the first relay
+        // still wins, as the scalar loop's `is_none_or` had it.
+        let mut m = RttMatrix::new(nodes(19));
+        for a in 0..19 {
+            for b in a + 1..19 {
+                m.set(NodeId(a), NodeId(b), f64::MAX);
+            }
+        }
+        assert_eq!(
+            m.best_detour(5, 11),
+            Some(DetourBest {
+                via: 0,
+                rtt_ms: f64::INFINITY
+            })
+        );
+        assert_detours_match_reference(&m);
     }
 
     #[test]

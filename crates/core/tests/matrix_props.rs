@@ -6,10 +6,13 @@
 //! representation that round-trips) — over arbitrary node sets and
 //! coverage patterns. And since the scanner, the analyses and the
 //! oracle all read the one [`RttMatrix`], every read method is held to
-//! a `HashMap` model over random write histories.
+//! a `HashMap` model over random write histories. The detour kernel's
+//! lane passes are held to a brute-force loop bit for bit: this file is
+//! its independent reference.
 
 use netsim::NodeId;
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use ting::matrix::ordered;
 use ting::{RttMatrix, TSV_MAGIC};
@@ -33,6 +36,44 @@ fn exact_f64s() -> impl Strategy<Value = Vec<f64>> {
             .map(|v| if v.is_finite() { v } else { 1.5 })
             .collect()
     })
+}
+
+/// Cell values that separate an exact detour kernel from a careless
+/// one: signed zeros (the first via keeps its own zero's sign),
+/// negatives, repeats, and legs near `f64::MAX` whose sums overflow to
+/// `+∞` (or `−∞`, or cancel to 0).
+const AWKWARD: [f64; 10] = [
+    -0.0,
+    0.0,
+    -4.5,
+    0.75,
+    0.75,
+    30.0,
+    f64::MAX,
+    f64::MAX * 0.75,
+    f64::MAX * 0.5,
+    -f64::MAX,
+];
+
+/// The detour by its definition: every `v ∉ {i, j}` with both legs
+/// measured, in index order, a strictly lower sum replacing the best.
+/// The first candidate is taken whatever its sum, so an overflowed `+∞`
+/// stands when nothing finite exists.
+fn brute_force_detour(
+    n: usize,
+    i: usize,
+    j: usize,
+    leg: impl Fn(usize, usize) -> Option<f64>,
+) -> Option<(u32, f64)> {
+    let mut best: Option<(u32, f64)> = None;
+    for v in (0..n).filter(|&v| v != i && v != j) {
+        if let (Some(x), Some(y)) = (leg(i, v), leg(j, v)) {
+            if best.is_none_or(|(_, ms)| x + y < ms) {
+                best = Some((v as u32, x + y));
+            }
+        }
+    }
+    best
 }
 
 proptest! {
@@ -82,22 +123,52 @@ proptest! {
         prop_assert_eq!(m.is_complete(), model.len() == n * (n - 1) / 2);
         prop_assert_eq!(&RttMatrix::from_tsv(&m.to_tsv()).expect("own rendering"), &m);
 
-        // The detour kernel against brute force over the model: both
-        // legs measured, strict improvement so the lowest index keeps
-        // a tie, nothing to route through when n = 2.
+        // The detour kernel against brute force over the model; nothing
+        // to route through when n = 2.
         for i in 0..n {
             for j in (0..n).filter(|&j| j != i) {
-                let mut best: Option<(u32, f64)> = None;
-                for v in (0..n).filter(|&v| v != i && v != j) {
-                    if let (Some(x), Some(y)) = (want(i, v), want(j, v)) {
-                        if best.is_none_or(|(_, ms)| x + y < ms) {
-                            best = Some((v as u32, x + y));
-                        }
-                    }
-                }
                 let got = m.best_detour(i as u32, j as u32).map(|b| (b.via, b.rtt_ms));
-                prop_assert_eq!(got, best);
+                prop_assert_eq!(got, brute_force_detour(n, i, j, want));
                 prop_assert!(n > 2 || got.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn best_detour_is_the_brute_force_answer_bit_for_bit(
+        n in 1usize..=40,
+        density in 0u32..=4,
+        seed in any::<u64>(),
+    ) {
+        // Up to five 8-lane chunks and a ragged tail; every (i, j) is
+        // checked, so both endpoints fall on each side of every chunk
+        // boundary, and i == j is asked too. `density` quarters of the
+        // pairs are measured, and a dark relay measures none, so some
+        // rows leave no finite candidate at all.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let nodes: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let dark: Vec<bool> = (0..n).map(|_| rng.gen_range(0..6u32) == 0).collect();
+        let mut m = RttMatrix::new(nodes.clone());
+        let mut model: HashMap<(usize, usize), f64> = HashMap::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                if !dark[i] && !dark[j] && rng.gen_range(0..4u32) < density {
+                    let v = AWKWARD[rng.gen_range(0..AWKWARD.len())];
+                    m.set(nodes[i], nodes[j], v);
+                    model.insert((i, j), v);
+                }
+            }
+        }
+        let want = |i: usize, j: usize| match i == j {
+            true => Some(0.0),
+            false => model.get(&ordered(i, j)).copied(),
+        };
+        let bits = |b: Option<(u32, f64)>| b.map(|(v, ms)| (v, ms.to_bits()));
+        for i in 0..n {
+            for j in 0..n {
+                let got = m.best_detour(i as u32, j as u32).map(|b| (b.via, b.rtt_ms));
+                let want = brute_force_detour(n, i, j, want);
+                prop_assert_eq!(bits(got), bits(want), "n {}, ({}, {})", n, i, j);
             }
         }
     }

@@ -151,6 +151,9 @@ impl DetourAnswer {
     }
 }
 
+/// Cells `k_nearest` tests for "nothing measured" at once.
+const LANES: usize = 8;
+
 /// Sentinel for "no timestamp" in the dense timestamp table, chosen so
 /// a legitimate `t = 0` (the virtual epoch) stays representable.
 const NO_TIMESTAMP: u64 = u64::MAX;
@@ -316,17 +319,37 @@ impl Snapshot {
     /// The `k` relays nearest to `x` (measured pairs only, `x` itself
     /// excluded), ascending by RTT with index order breaking ties —
     /// fully deterministic for a given snapshot.
+    ///
+    /// The row is read in chunks of `LANES` cells, skipping those with
+    /// nothing measured; when more than `k` candidates remain,
+    /// selection keeps the `k` first under the ranking order and only
+    /// those are sorted. That order (`total_cmp`, then index) is
+    /// strict, so the selected set is the full sort's prefix and the
+    /// answer is the full sort's.
     pub fn k_nearest(&self, x: NodeId, k: usize) -> Result<KNearestAnswer, QueryError> {
         let i = self.resolve(x)?;
         let row = self.matrix.row(i);
-        let mut candidates: Vec<(f64, u32)> = row
-            .iter()
-            .enumerate()
-            .filter(|&(v, &ms)| v as u32 != i && !ms.is_nan())
-            .map(|(v, &ms)| (ms, v as u32))
-            .collect();
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        candidates.truncate(k);
+        let mut candidates: Vec<(f64, u32)> = Vec::with_capacity(row.len());
+        let mut take = |start: usize, cells: &[f64]| {
+            let measured = cells.iter().enumerate().filter(|(_, ms)| !ms.is_nan());
+            let others = measured.map(|(o, &ms)| (ms, (start + o) as u32));
+            candidates.extend(others.filter(|&(_, v)| v != i));
+        };
+        let chunks = row.chunks_exact(LANES);
+        let tail = chunks.remainder();
+        for (c, cells) in chunks.enumerate() {
+            // Not short-circuiting, so the test compiles to vector code.
+            if !cells.iter().fold(true, |none, ms| none & ms.is_nan()) {
+                take(c * LANES, cells);
+            }
+        }
+        take(row.len() - tail.len(), tail);
+        let order = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        if candidates.len() > k {
+            candidates.select_nth_unstable_by(k, order);
+            candidates.truncate(k);
+        }
+        candidates.sort_unstable_by(order);
         // The answer's origin is its weakest link: the *stalest*
         // contributing pair, first-in-order breaking timestamp ties.
         let mut stalest: Option<(u64, u32)> = None;
@@ -385,11 +408,97 @@ impl Snapshot {
     }
 }
 
+/// `k_nearest` as it was before selection: every candidate collected
+/// and sorted — what the selecting kernel must equal.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn k_nearest(s: &Snapshot, x: NodeId, k: usize) -> Result<KNearestAnswer, QueryError> {
+        let i = s.resolve(x)?;
+        let row = s.matrix.row(i);
+        let mut candidates: Vec<(f64, u32)> = row
+            .iter()
+            .enumerate()
+            .filter(|&(v, &ms)| v as u32 != i && !ms.is_nan())
+            .map(|(v, &ms)| (ms, v as u32))
+            .collect();
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        candidates.truncate(k);
+        let mut stalest: Option<(u64, u32)> = None;
+        for &(_, v) in &candidates {
+            if let Some(t) = s.timestamp_idx(i, v) {
+                if stalest.is_none_or(|(best, _)| t < best) {
+                    stalest = Some((t, v));
+                }
+            }
+        }
+        let origin = stalest.and_then(|(_, v)| s.origin_idx(i, v));
+        Ok(KNearestAnswer {
+            neighbors: candidates
+                .into_iter()
+                .map(|(rtt_ms, v)| Neighbor {
+                    node: s.matrix.node(v),
+                    rtt_ms,
+                })
+                .collect(),
+            origin,
+            snapshot_version: s.meta.version,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::{SimDuration, SimTime};
     use ting::shard::{DeltaPair, MergeDelta};
+
+    /// Bit-level view of an answer: `Neighbor`'s derived `==` equates
+    /// ±0, which the ranking does not.
+    fn knn_bits(a: &KNearestAnswer) -> (Vec<(NodeId, u64)>, Option<Origin>) {
+        let ranked = a.neighbors.iter().map(|n| (n.node, n.rtt_ms.to_bits()));
+        (ranked.collect(), a.origin)
+    }
+
+    #[test]
+    fn selection_equals_the_full_sort_on_every_row_and_k() {
+        // 37 relays: four full 8-cell chunks and a ragged tail. Rows
+        // range from empty to full; values repeat, and include ±0 and
+        // negatives, so ties and the sign of zero both decide order.
+        const VALUES: [f64; 7] = [-0.0, 0.0, -1.5, 3.0, 3.0, 12.25, 0.5];
+        let n = 37u32;
+        let mut pairs = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                let (h, stamp) = (a * 31 + b * 17, u64::from((a + b) % 5));
+                if h % (a % 4 + 1) == 0 && a % 9 != 4 && b % 9 != 4 {
+                    let v = VALUES[(h % 7) as usize];
+                    pairs.push(pair(a, b, v, 1_000 + stamp, a % 3, stamp));
+                }
+            }
+        }
+        let delta = MergeDelta {
+            seq: 1,
+            pairs,
+            statuses: vec!["live"],
+            now: SimTime(10_000),
+        };
+        let mut merged = MergeOutcome::new((0..n).map(NodeId).collect(), 1);
+        merged.fold(delta).unwrap();
+        let timed = Snapshot::from_merged(&merged);
+        for s in [&timed, &Snapshot::from_matrix(&merged.matrix)] {
+            for x in 0..n {
+                for k in [0, 1, 2, 7, 8, 9, 16, 35, 36, 37, usize::MAX] {
+                    let got = s.k_nearest(NodeId(x), k).unwrap();
+                    let want = reference::k_nearest(s, NodeId(x), k).unwrap();
+                    assert_eq!(knn_bits(&got), knn_bits(&want), "x {x}, k {k}");
+                }
+            }
+        }
+        // Relays 4, 13, 22 and 31 have nothing measured.
+        assert!(timed.k_nearest(NodeId(13), 5).unwrap().neighbors.is_empty());
+    }
 
     fn matrix() -> RttMatrix {
         let mut m = RttMatrix::new(vec![NodeId(1), NodeId(2), NodeId(3), NodeId(4)]);

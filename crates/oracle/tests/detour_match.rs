@@ -1,35 +1,48 @@
-//! The oracle's via-relay answers must bit-match the `analysis::tiv`
-//! reference on a seeded 40-relay matrix: same via relay, same
-//! combined RTT (compared as raw f64 bits), same direct path. The TIV
-//! report is the research-grade implementation behind Figs. 14–15; the
-//! oracle serves the same question at query time, and the two must
-//! never drift.
+//! The oracle's via-relay answers must bit-match two references on a
+//! seeded 40-relay matrix: same via relay, same combined RTT (compared
+//! as raw f64 bits), same direct path.
+//!
+//! - `analysis::tiv`, the research-grade report behind Figs. 14–15. It
+//!   calls the same kernel (`RttMatrix::best_detour`) as the oracle, so
+//!   this pins the two callers together, not the kernel.
+//! - A scalar loop written here from the definition, which pins the
+//!   kernel itself.
+
+mod common;
 
 use analysis::tiv::TivReport;
+use common::seeded_matrix;
 use netsim::NodeId;
 use oracle::{Oracle, Snapshot};
-use rand::{rngs::SmallRng, Rng, SeedableRng};
 use ting::RttMatrix;
 
-/// A complete seeded 40-relay matrix with planted triangle structure:
-/// nodes on a plane (so most triangles are sane) plus multiplicative
-/// inflation (so detours genuinely win for many pairs).
-fn seeded_matrix(seed: u64, n: u32) -> RttMatrix {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let coords: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
-        .collect();
-    let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let mut m = RttMatrix::new(nodes.clone());
-    for i in 0..n as usize {
-        for j in (i + 1)..n as usize {
-            let (dx, dy) = (coords[i].0 - coords[j].0, coords[i].1 - coords[j].1);
-            let base = (dx * dx + dy * dy).sqrt() + 1.0;
-            let inflation = rng.gen_range(1.0..3.0);
-            m.set(nodes[i], nodes[j], base * inflation);
+/// The detour by its definition, independent of the kernel: every third
+/// relay with both legs measured, in index order, a strictly lower sum
+/// replacing the best.
+fn scalar_best_via(m: &RttMatrix, x: NodeId, y: NodeId) -> Option<(NodeId, f64)> {
+    let (i, j) = (m.index_of(x)?, m.index_of(y)?);
+    let mut best: Option<(NodeId, f64)> = None;
+    for v in (0..m.len() as u32).filter(|&v| v != i && v != j) {
+        if let (Some(a), Some(b)) = (m.get_idx(i, v), m.get_idx(v, j)) {
+            if best.is_none_or(|(_, ms)| a + b < ms) {
+                best = Some((m.node(v), a + b));
+            }
         }
     }
-    m
+    best
+}
+
+/// The oracle's detour from every relay to every relay, the diagonal
+/// included, equals the scalar loop's, bit for bit.
+fn assert_detours_match_the_scalar_loop(matrix: &RttMatrix, oracle: &Oracle) {
+    for &x in matrix.nodes() {
+        for &y in matrix.nodes() {
+            let got = oracle.reader().best_via(x, y).unwrap().via;
+            let got = got.map(|v| (v.node, v.rtt_ms.to_bits()));
+            let want = scalar_best_via(matrix, x, y).map(|(v, ms)| (v, ms.to_bits()));
+            assert_eq!(got, want, "pair ({x:?}, {y:?})");
+        }
+    }
 }
 
 #[test]
@@ -71,6 +84,7 @@ fn oracle_detours_bit_match_the_tiv_reference() {
             f.dst
         );
     }
+    assert_detours_match_the_scalar_loop(&matrix, &oracle);
 }
 
 #[test]
@@ -85,4 +99,5 @@ fn detour_matches_reference_through_a_tsv_roundtrip() {
         assert_eq!(d.via.unwrap().rtt_ms.to_bits(), f.best_detour_ms.to_bits());
         assert_eq!(d.via.unwrap().node, f.best_relay);
     }
+    assert_detours_match_the_scalar_loop(&matrix, &oracle);
 }
