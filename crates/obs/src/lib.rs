@@ -1,7 +1,7 @@
 //! Structured observability for the Ting reproduction.
 //!
 //! One subsystem shared by every layer of the stack — `netsim` link and
-//! fault events, `tor-sim` relay/directory/controller events, and the
+//! fault events, `tor-sim` relay/churn/controller events, and the
 //! `core` measurement pipeline (orchestrator, parallel engine, scanner,
 //! health, validation) — replacing the ad-hoc counters that grew up
 //! alongside each crate. Three ideas:

@@ -1,17 +1,15 @@
 //! A miniature Tor overlay running on the `netsim` substrate.
 //!
 //! This is the system Ting measures through: onion routers with real
-//! layered cryptography, a directory with bandwidth-weighted relay
-//! selection, an onion proxy that builds circuits under the same policy
-//! constraints as a stock Tor client (no one-hop circuits, no repeated
-//! relay), and a Stem-like [`control::Controller`] that lets measurement
-//! code construct *explicit* circuits and attach streams to them — the
-//! two capabilities §3.1 of the paper identifies as Ting's building
-//! blocks.
+//! layered cryptography, an onion proxy that builds circuits under the
+//! same policy constraints as a stock Tor client (no one-hop circuits, no
+//! repeated relay), and a Stem-like [`control::Controller`] that lets
+//! measurement code construct *explicit* circuits and attach streams to
+//! them — the two capabilities §3.1 of the paper identifies as Ting's
+//! building blocks. The relays come from [`network::TorNetwork::relays`].
 //!
 //! Module map:
 //!
-//! * [`directory`] — relay descriptors, consensus, weighted selection;
 //! * [`relay`] — the onion-router state machine, including the
 //!   per-circuit queue + processing-cost model that produces the
 //!   forwarding delays Ting must cancel out (§3.3, §4.3);
@@ -35,7 +33,6 @@
 pub mod churn;
 pub mod client;
 pub mod control;
-pub mod directory;
 pub mod echo;
 mod link;
 pub mod metrics;
@@ -43,7 +40,6 @@ pub mod network;
 pub mod relay;
 
 pub use control::{CircuitHandle, CircuitStatus, Controller, StreamHandle, StreamStatus};
-pub use directory::{Consensus, RelayDescriptor, RelayFlags};
 pub use metrics::{MetricsSnapshot, RelayMetrics};
 pub use network::{TorNetwork, TorNetworkBuilder, Vantage};
 pub use relay::{RelayConfig, RelayFaultProfile};

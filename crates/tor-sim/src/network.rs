@@ -12,12 +12,10 @@
 //!   Fig. 5 anomaly mix).
 //! * [`TorNetworkBuilder::live`] — a live-Tor-like network: hundreds of
 //!   relays with the US/EU geographic skew, residential/datacenter AS
-//!   mix, Pareto bandwidth weights, rDNS names, and occasional
-//!   Tor-specific shaping.
+//!   mix, and occasional Tor-specific shaping.
 
 use crate::churn::ChurnConfig;
 use crate::control::Controller;
-use crate::directory::{Consensus, RelayDescriptor, RelayFlags};
 use crate::echo::EchoServer;
 use crate::metrics::RelayMetrics;
 use crate::relay::{Relay, RelayConfig, RelayFaultProfile};
@@ -183,7 +181,6 @@ impl TorNetworkBuilder {
         let mut relay_keys: Vec<KeyPair> = Vec::with_capacity(self.n_relays);
         let mut relay_configs: Vec<RelayConfig> = Vec::with_capacity(self.n_relays);
         let mut relay_ips: Vec<[u8; 4]> = Vec::with_capacity(self.n_relays);
-        let mut relay_residential: Vec<bool> = Vec::with_capacity(self.n_relays);
 
         let placements: Vec<(String, GeoPoint, bool)> = match self.scenario {
             Scenario::Testbed => {
@@ -255,7 +252,6 @@ impl TorNetworkBuilder {
             assert_eq!(node_idx, 4 + i);
             relay_nodes.push(NodeId(node_idx as u32));
             relay_ips.push(ip);
-            relay_residential.push(*residential);
 
             let mut secret = [0u8; 32];
             rng.fill(&mut secret);
@@ -283,7 +279,7 @@ impl TorNetworkBuilder {
             busy_mean_ms: 1.0,
         };
 
-        // ── Identity map & consensus. ──
+        // ── Identity map. ──
         let mut identity_map: HashMap<NodeId, onion_crypto::PublicKey> = HashMap::new();
         identity_map.insert(NodeId(w_idx as u32), w_key.public);
         identity_map.insert(NodeId(z_idx as u32), z_key.public);
@@ -291,35 +287,13 @@ impl TorNetworkBuilder {
             identity_map.insert(*node, key.public);
         }
 
-        let hostname_gen = HostnameGenerator::default();
-        let mut consensus = Consensus::new();
-        for (i, node) in relay_nodes.iter().enumerate() {
-            // Pareto-ish bandwidth weights (heavy-tailed, like Tor's).
-            let u: f64 = rng.gen_range(1e-6..1.0);
-            let bandwidth = 100.0 * u.powf(-1.0 / 1.3);
-            let rdns = if relay_residential[i] {
-                // Residential relays keep ISP-style names.
-                Some(
-                    hostname_gen
-                        .generate(relay_ips[i], &mut rng)
-                        .unwrap_or_else(|| format!("host{i}.example.net")),
-                )
-            } else {
-                hostname_gen.generate(relay_ips[i], &mut rng)
-            };
-            consensus.publish(RelayDescriptor {
-                node: *node,
-                identity: relay_keys[i].public,
-                bandwidth,
-                flags: RelayFlags {
-                    running: true,
-                    guard: true,
-                    exit: rng.gen_bool(0.3),
-                },
-                nickname: format!("relay{i}"),
-                ip: relay_ips[i],
-                rdns,
-            });
+        // Three draws per relay whose values nothing reads. Extra vantages
+        // are placed by the draws after them and a 4-vantage scan pins
+        // those, so they stay until that pin is re-based.
+        for &ip in &relay_ips {
+            rng.gen_range(1e-6..1.0f64);
+            HostnameGenerator::default().generate(ip, &mut rng);
+            rng.gen_bool(0.3);
         }
 
         // ── Extra vantage hosts (multi-vantage parallel scanning). ──
@@ -435,7 +409,6 @@ impl TorNetworkBuilder {
 
         TorNetwork {
             sim,
-            consensus,
             controller,
             relays: relay_nodes,
             relay_configs,
@@ -507,7 +480,6 @@ pub struct Vantage {
 /// A fully assembled simulated Tor deployment.
 pub struct TorNetwork {
     pub sim: Simulator,
-    pub consensus: Consensus,
     pub controller: Controller,
     /// The measurable relay population (excludes `w`/`z`).
     pub relays: Vec<NodeId>,
@@ -646,9 +618,8 @@ impl TorNetwork {
     }
 
     /// Crashes a relay at the current sim time — until `until`, or
-    /// forever when `None`. The consensus keeps listing it as running
-    /// until the next [`TorNetwork::refresh_consensus`]; circuits
-    /// through it fail to build in the meantime.
+    /// forever when `None`. Circuits through it fail to build until it
+    /// is revived.
     pub fn crash_relay(&mut self, relay: NodeId, until: Option<SimTime>) {
         let now = self.sim.now();
         self.sim.fault_plan_mut().add_crash(relay, now, until);
@@ -663,8 +634,7 @@ impl TorNetwork {
         }
     }
 
-    /// Reboots a crashed relay: events reach it again immediately. The
-    /// consensus keeps listing it as down until the next refresh.
+    /// Reboots a crashed relay: events reach it again immediately.
     pub fn revive_relay(&mut self, relay: NodeId) {
         self.sim.fault_plan_mut().clear_crashes(relay);
         let obs = self.sim.obs();
@@ -678,8 +648,8 @@ impl TorNetwork {
         }
     }
 
-    /// Whether the relay is actually reachable right now (ground truth,
-    /// as opposed to what the possibly-stale consensus claims).
+    /// Whether the relay is reachable right now: the fault plan's
+    /// ground truth.
     pub fn relay_up(&self, relay: NodeId) -> bool {
         !self.sim.fault_plan().node_down(relay, self.sim.now())
     }
@@ -690,10 +660,9 @@ impl TorNetwork {
     /// Departure draws come from a keyed hash over `(seed, relay
     /// index)`, never the simulation RNG. Returns the departed relays.
     ///
-    /// The consensus does **not** see departures until the next
-    /// [`TorNetwork::refresh_consensus`] — the directory-staleness
-    /// window during which a scanner keeps picking dead relays and its
-    /// circuit builds time out.
+    /// Nothing routes around a departed relay: a scanner keeps building
+    /// circuits through it, and they fail, until the scanner's health
+    /// model stops picking it.
     pub fn churn_step(
         &mut self,
         churn: &ChurnConfig,
@@ -728,18 +697,18 @@ impl TorNetwork {
         departed
     }
 
-    /// Publishes a fresh consensus: every relay's Running flag is synced
-    /// to its actual state. Between calls the directory is stale,
-    /// exactly like the hourly consensus of the real network.
+    /// Publishes the running tally, as the real network's hourly
+    /// consensus would: how many relays are up now goes into the
+    /// `tor.consensus.running` gauge (and, when tracing, a
+    /// `tor.consensus.refresh` event). Nothing routes by it.
     pub fn refresh_consensus(&mut self) {
         let now = self.sim.now();
-        let mut running = 0u64;
-        for i in 0..self.relays.len() {
-            let node = self.relays[i];
-            let up = !self.sim.fault_plan().node_down(node, now);
-            running += u64::from(up);
-            self.consensus.set_running(node, up);
-        }
+        let fault_plan = self.sim.fault_plan();
+        let running = self
+            .relays
+            .iter()
+            .filter(|&&node| !fault_plan.node_down(node, now))
+            .count() as u64;
         let obs = self.sim.obs();
         obs.inc("tor.consensus.refreshes");
         obs.set_gauge("tor.consensus.running", running as i64);
@@ -765,7 +734,6 @@ mod tests {
     fn testbed_builds_31_relays() {
         let net = TorNetworkBuilder::testbed(7).build();
         assert_eq!(net.relays.len(), 31);
-        assert_eq!(net.consensus.len(), 31);
     }
 
     #[test]
@@ -955,27 +923,43 @@ mod tests {
         assert!(net.relay_metrics[4].snapshot().extends_refused >= 1);
     }
 
+    /// The `tor.consensus.running` gauge, as the last refresh left it.
+    fn running_gauge(net: &TorNetwork) -> Option<i64> {
+        let meta = obs::ExportMeta {
+            seed: 0,
+            config_hash: 0,
+        };
+        let doc = net.obs().document(&meta);
+        let gauge = doc
+            .gauges
+            .iter()
+            .find(|(name, _)| name == "tor.consensus.running");
+        gauge.map(|&(_, value)| value)
+    }
+
     #[test]
     fn crashed_relay_fails_circuits_until_revived() {
-        let mut net = TorNetworkBuilder::testbed(51).build();
+        let mut net = TorNetworkBuilder::testbed(51)
+            .observability(Obs::new(obs::ObsConfig::Metrics))
+            .build();
         let (x, y) = (net.relays[6], net.relays[12]);
         net.crash_relay(x, None);
         assert!(!net.relay_up(x));
-        // Stale consensus still claims the relay runs.
-        assert!(net.consensus.descriptor(x).unwrap().flags.running);
+        assert!(net.relay_up(y));
         assert!(net
             .controller
             .build_and_wait(&mut net.sim, vec![net.local_w, x, y, net.local_z])
             .is_none());
 
+        assert_eq!(running_gauge(&net), None, "published before a refresh");
         net.refresh_consensus();
-        assert!(!net.consensus.descriptor(x).unwrap().flags.running);
-        assert!(net.consensus.descriptor(y).unwrap().flags.running);
+        assert_eq!(running_gauge(&net), Some(30));
 
         net.revive_relay(x);
         assert!(net.relay_up(x));
+        assert_eq!(running_gauge(&net), Some(30), "tally moves on refresh only");
         net.refresh_consensus();
-        assert!(net.consensus.descriptor(x).unwrap().flags.running);
+        assert_eq!(running_gauge(&net), Some(31));
         assert!(net
             .controller
             .build_and_wait(&mut net.sim, vec![net.local_w, x, y, net.local_z])
@@ -983,7 +967,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_departures_are_deterministic_and_lag_consensus() {
+    fn churn_departures_are_deterministic_and_counted_on_refresh() {
         let run = || {
             let mut net = TorNetworkBuilder::testbed(52).build();
             // A huge interval so some relays certainly depart.
@@ -993,16 +977,16 @@ mod tests {
         assert_eq!(departed, run());
         assert!(!departed.is_empty(), "no churn in 20 simulated days");
 
-        let mut net = TorNetworkBuilder::testbed(52).build();
+        let mut net = TorNetworkBuilder::testbed(52)
+            .observability(Obs::new(obs::ObsConfig::Metrics))
+            .build();
         let gone = net.churn_step(&ChurnConfig::default(), 24.0 * 20.0, 77);
-        // Consensus is stale until refreshed.
-        assert!(net.consensus.descriptor(gone[0]).unwrap().flags.running);
-        net.refresh_consensus();
-        for &node in &gone {
-            assert!(!net.consensus.descriptor(node).unwrap().flags.running);
+        for &node in &net.relays {
+            assert_eq!(net.relay_up(node), !gone.contains(&node));
         }
-        let up = net.consensus.relays().iter().filter(|r| r.flags.running);
-        assert_eq!(up.count(), net.relays.len() - gone.len());
+        net.refresh_consensus();
+        let up = net.relays.len() - gone.len();
+        assert_eq!(running_gauge(&net), Some(up as i64));
     }
 
     #[test]

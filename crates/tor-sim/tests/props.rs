@@ -93,38 +93,4 @@ proptest! {
             prop_assert_eq!(status, CircuitStatus::Ready);
         }
     }
-
-    /// Consensus path sampling always satisfies its own constraints.
-    #[test]
-    fn consensus_paths_are_valid(seed in 0u64..200, len in 2usize..6) {
-        use rand::SeedableRng;
-        let net = TorNetworkBuilder::live(seed, 40).build();
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        if let Some(path) = net.consensus.sample_path(len, true, &mut rng) {
-            prop_assert_eq!(path.len(), len);
-            let mut s16 = std::collections::HashSet::new();
-            for n in &path {
-                let d = net.consensus.descriptor(*n).expect("descriptor");
-                prop_assert!(d.flags.running);
-                prop_assert!(s16.insert(d.slash16()), "duplicate /16");
-            }
-        }
-    }
-
-    /// Default (vanilla-Tor) paths honour guard/exit flags.
-    #[test]
-    fn default_paths_are_valid(seed in 0u64..200) {
-        use rand::SeedableRng;
-        let net = TorNetworkBuilder::live(seed, 40).build();
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 1);
-        for _ in 0..10 {
-            if let Some(path) = net.consensus.default_path(&mut rng) {
-                prop_assert_eq!(path.len(), 3);
-                let g = net.consensus.descriptor(path[0]).unwrap();
-                let e = net.consensus.descriptor(path[2]).unwrap();
-                prop_assert!(g.flags.guard);
-                prop_assert!(e.flags.exit);
-            }
-        }
-    }
 }
