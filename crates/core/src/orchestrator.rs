@@ -20,9 +20,8 @@ use tor_sim::TorNetwork;
 pub struct TingConfig {
     /// Sampling policy per circuit.
     pub policy: SamplePolicy,
-    /// Give up on a circuit build after this long (virtual ms). `None`
-    /// waits forever — only sensible in a fault-free simulation.
-    pub circuit_build_timeout_ms: Option<f64>,
+    /// Give up on a circuit build after this long (virtual ms).
+    pub circuit_build_timeout_ms: f64,
     /// Probes allowed to time out within one circuit measurement before
     /// the attempt is abandoned as [`TingError::ProbeLost`].
     pub max_lost_probes: u32,
@@ -60,7 +59,7 @@ impl Default for TingConfig {
             // a fault-free run never hits it (keeping estimates
             // bit-identical to an untimed run), tight enough that a
             // dead relay costs seconds, not a hung scan.
-            circuit_build_timeout_ms: Some(30_000.0),
+            circuit_build_timeout_ms: 30_000.0,
             max_lost_probes: 16,
             max_attempts: 3,
             adaptive_timeouts: None,
@@ -220,16 +219,16 @@ impl Ting {
 
     /// The effective deadline for `phase` in ms: the learned estimate
     /// once adaptive timeouts are enabled and warmed up, otherwise the
-    /// fixed config value (`None` = wait forever).
-    pub(crate) fn phase_timeout_ms(&self, phase: TimeoutPhase) -> Option<f64> {
+    /// fixed config value.
+    pub(crate) fn phase_timeout_ms(&self, phase: TimeoutPhase) -> f64 {
         let fixed = match phase {
             TimeoutPhase::Build => self.config.circuit_build_timeout_ms,
-            TimeoutPhase::Stream => Some(STREAM_TIMEOUT_MS),
-            TimeoutPhase::Probe => Some(PROBE_TIMEOUT_MS),
+            TimeoutPhase::Stream => STREAM_TIMEOUT_MS,
+            TimeoutPhase::Probe => PROBE_TIMEOUT_MS,
         };
-        match (&self.config.adaptive_timeouts, fixed) {
-            (Some(cfg), Some(fallback)) => Some(self.timeouts.timeout_ms(phase, cfg, fallback)),
-            (_, fixed) => fixed,
+        match &self.config.adaptive_timeouts {
+            Some(cfg) => self.timeouts.timeout_ms(phase, cfg, fixed),
+            None => fixed,
         }
     }
 

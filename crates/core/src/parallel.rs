@@ -139,13 +139,13 @@ enum TaskState {
     /// Waiting for the circuit build to settle.
     Building {
         circuit: CircuitHandle,
-        deadline: Option<SimTime>,
+        deadline: SimTime,
     },
     /// Waiting for the echo stream to connect.
     Opening {
         circuit: CircuitHandle,
         stream: StreamHandle,
-        deadline: Option<SimTime>,
+        deadline: SimTime,
     },
     /// Waiting out the inter-probe spacing.
     Spacing {
@@ -159,7 +159,7 @@ enum TaskState {
         stream: StreamHandle,
         expect: Vec<u8>,
         sent_at: SimTime,
-        deadline: Option<SimTime>,
+        deadline: SimTime,
     },
     /// Single lane only: the circuit is torn down and the task waits
     /// for the network to go quiet before moving on.
@@ -226,12 +226,8 @@ impl<const N: usize> Task<N> {
         }
     }
 
-    fn deadline(sim: &Simulator, timeout_ms: Option<f64>) -> Option<SimTime> {
-        timeout_ms.map(|ms| sim.now() + SimDuration::from_millis_f64(ms))
-    }
-
-    fn past(sim: &Simulator, deadline: Option<SimTime>) -> bool {
-        deadline.is_some_and(|d| sim.now() >= d)
+    fn deadline(sim: &Simulator, timeout_ms: f64) -> SimTime {
+        sim.now() + SimDuration::from_millis_f64(timeout_ms)
     }
 
     /// Handles a failed circuit attempt: rebuild through the same
@@ -333,8 +329,8 @@ impl<const N: usize> Task<N> {
                     }
                     status => {
                         let settled = status == CircuitStatus::Failed;
-                        if !settled && !Self::past(sim, deadline) && !idle {
-                            return deadline;
+                        if !settled && sim.now() < deadline && !idle {
+                            return Some(deadline);
                         }
                         idle = false;
                         // A local policy rejection (one-hop path,
@@ -367,8 +363,8 @@ impl<const N: usize> Task<N> {
                     }
                     status => {
                         let settled = status != StreamStatus::Connecting;
-                        if !settled && !Self::past(sim, deadline) && !idle {
-                            return deadline;
+                        if !settled && sim.now() < deadline && !idle {
+                            return Some(deadline);
                         }
                         idle = false;
                         ctl.close_circuit(sim, circuit);
@@ -419,8 +415,8 @@ impl<const N: usize> Task<N> {
                             }
                         }
                         None => {
-                            if !Self::past(sim, deadline) && !idle {
-                                return deadline;
+                            if sim.now() < deadline && !idle {
+                                return Some(deadline);
                             }
                             idle = false;
                             self.lost += 1;

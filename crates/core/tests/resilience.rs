@@ -232,7 +232,7 @@ fn checkpoint_roundtrip_is_exact() {
 fn dead_relay_setup() -> (TorNetwork, NodeId, NodeId, Ting, SimDuration) {
     let config = TingConfig {
         max_attempts: 2,
-        circuit_build_timeout_ms: Some(1_000.0),
+        circuit_build_timeout_ms: 1_000.0,
         ..TingConfig::fast()
     };
     let mut net = TorNetworkBuilder::live(SEED, 14).build();
