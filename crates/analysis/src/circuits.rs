@@ -10,7 +10,7 @@
 use netsim::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use stats::Histogram;
+use stats::BinLayout;
 use ting::RttMatrix;
 
 /// Per-length binned series.
@@ -63,7 +63,7 @@ impl CircuitLengthAnalysis {
 
         for length in lengths {
             assert!(length >= 2 && length <= n, "bad length {length}");
-            let layout = Histogram::with_bin_width(0.0, max_s, 0.05);
+            let layout = BinLayout::with_bin_width(0.0, max_s, 0.05);
             let bins = layout.bins();
             let mut counts = vec![0u64; bins];
             // node_hits[bin][node index] = sampled circuits in this bin

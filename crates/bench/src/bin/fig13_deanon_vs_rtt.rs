@@ -31,8 +31,7 @@ fn main() {
 
     // Bin the relationship for readability.
     let max_rtt = re2e.iter().copied().fold(0.0f64, f64::max);
-    let mut layout = stats::Histogram::with_bin_width(0.0, max_rtt + 1.0, 100.0);
-    layout.add(0.0); // layout only; counts unused
+    let layout = stats::BinLayout::with_bin_width(0.0, max_rtt + 1.0, 100.0);
     let groups =
         stats::hist::group_by_bins(&layout, re2e.iter().copied().zip(ruled.iter().copied()));
     println!("#");

@@ -4,7 +4,7 @@
 //! statistical summaries: empirical CDFs (Figs. 3, 4, 7, 9, 11, 12, 14),
 //! box-plot five-number summaries (Figs. 5, 10), rank correlation
 //! (Spearman ρ = 0.997 headline), ordinary-least-squares fits (Fig. 8),
-//! histograms over fixed bins (Figs. 16, 17), coefficients of variation
+//! fixed-width bins (Figs. 13, 16, 17), coefficients of variation
 //! (Fig. 9), and minimum-convergence tracking (Fig. 6). This crate
 //! implements all of them on plain `f64` slices with no dependencies, so
 //! the rest of the workspace shares one audited implementation.
@@ -29,7 +29,7 @@ pub use boxplot::BoxplotSummary;
 pub use cdf::EmpiricalCdf;
 pub use convergence::MinConvergence;
 pub use corr::{pearson, spearman};
-pub use hist::Histogram;
+pub use hist::BinLayout;
 pub use linfit::{linear_fit, LinearFit};
 pub use summary::{
     coefficient_of_variation, max, mean, median, min, quantile, stddev, variance, Summary,

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use stats::{
-    corr::fractional_ranks, linear_fit, pearson, spearman, BoxplotSummary, EmpiricalCdf, Histogram,
-    MinConvergence, Summary,
+    corr::fractional_ranks, hist::group_by_bins, linear_fit, pearson, spearman, BinLayout,
+    BoxplotSummary, EmpiricalCdf, MinConvergence, Summary,
 };
 
 fn finite_vec(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -106,12 +106,23 @@ proptest! {
     }
 
     #[test]
-    fn histogram_conserves_observations(xs in finite_vec(1)) {
-        let mut h = Histogram::new(-1.0e6, 1.0e6, 37);
+    fn bin_of_clamps_to_the_edge_bins(xs in finite_vec(1)) {
+        // Narrower than the data, so both edges clamp.
+        let (lo, hi, width) = (-1.0e5, 1.0e5, 5.0e3);
+        let layout = BinLayout::with_bin_width(lo, hi, width);
+        let last = layout.bins() - 1;
         for &x in &xs {
-            h.add(x);
+            let b = layout.bin_of(x);
+            if x < lo {
+                prop_assert_eq!(b, 0);
+            } else if x >= hi {
+                prop_assert_eq!(b, last);
+            } else {
+                prop_assert!((layout.bin_center(b) - x).abs() <= width / 2.0 + 1e-6);
+            }
         }
-        prop_assert_eq!(h.total(), xs.len() as u64);
+        let groups = group_by_bins(&layout, xs.iter().map(|&x| (x, x)));
+        prop_assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), xs.len());
     }
 
     #[test]
