@@ -111,26 +111,6 @@ impl FaultPlan {
         self
     }
 
-    /// Crashes `node` during `[from, until)`.
-    pub fn with_crash(mut self, node: NodeId, from: SimTime, until: SimTime) -> FaultPlan {
-        self.crash_windows.push(CrashWindow {
-            node,
-            from,
-            until: Some(until),
-        });
-        self
-    }
-
-    /// Crashes `node` at `from`, permanently.
-    pub fn with_crash_forever(mut self, node: NodeId, from: SimTime) -> FaultPlan {
-        self.crash_windows.push(CrashWindow {
-            node,
-            from,
-            until: None,
-        });
-        self
-    }
-
     /// Adds a crash window at runtime (e.g. churn-driven departures).
     pub fn add_crash(&mut self, node: NodeId, from: SimTime, until: Option<SimTime>) {
         self.crash_windows.push(CrashWindow { node, from, until });
@@ -218,7 +198,8 @@ mod tests {
     #[test]
     fn crash_windows_cover_correct_interval() {
         let t = |s| SimTime::ZERO + SimDuration::from_secs(s);
-        let plan = FaultPlan::new(1).with_crash(NodeId(3), t(10), t(20));
+        let mut plan = FaultPlan::new(1);
+        plan.add_crash(NodeId(3), t(10), Some(t(20)));
         assert!(plan.is_enabled());
         assert!(!plan.node_down(NodeId(3), t(9)));
         assert!(plan.node_down(NodeId(3), t(10)));
@@ -226,7 +207,8 @@ mod tests {
         assert!(!plan.node_down(NodeId(3), t(20)));
         assert!(!plan.node_down(NodeId(4), t(15)));
 
-        let forever = FaultPlan::new(1).with_crash_forever(NodeId(5), t(100));
+        let mut forever = FaultPlan::new(1);
+        forever.add_crash(NodeId(5), t(100), None);
         assert!(forever.node_down(NodeId(5), t(1_000_000)));
         assert!(!forever.node_down(NodeId(5), t(99)));
     }
@@ -234,7 +216,8 @@ mod tests {
     #[test]
     fn clear_crashes_reboots_node() {
         let t = |s| SimTime::ZERO + SimDuration::from_secs(s);
-        let mut plan = FaultPlan::new(1).with_crash_forever(NodeId(2), t(0));
+        let mut plan = FaultPlan::new(1);
+        plan.add_crash(NodeId(2), t(0), None);
         assert!(plan.node_down(NodeId(2), t(50)));
         plan.clear_crashes(NodeId(2));
         assert!(!plan.node_down(NodeId(2), t(50)));

@@ -866,9 +866,9 @@ mod tests {
     fn crashed_target_blackholes_connect() {
         let results = Rc::new(RefCell::new(Vec::new()));
         let mut sim = two_node_sim(5, 3, results.clone());
-        sim.set_fault_plan(
-            crate::fault::FaultPlan::new(1).with_crash_forever(NodeId(1), SimTime::ZERO),
-        );
+        let mut plan = crate::fault::FaultPlan::new(1);
+        plan.add_crash(NodeId(1), SimTime::ZERO, None);
+        sim.set_fault_plan(plan);
         sim.set_obs(Obs::new(obs::ObsConfig::Metrics));
         sim.run_until_idle();
         // No ConnEstablished ever fires, so the driver never sends.
@@ -884,11 +884,9 @@ mod tests {
         let results = Rc::new(RefCell::new(Vec::new()));
         let mut sim = two_node_sim(5, 3, results.clone());
         let from = SimTime::ZERO + SimDuration::from_millis(200);
-        sim.set_fault_plan(crate::fault::FaultPlan::new(1).with_crash(
-            NodeId(1),
-            from,
-            from + SimDuration::from_hours(1),
-        ));
+        let mut plan = crate::fault::FaultPlan::new(1);
+        plan.add_crash(NodeId(1), from, Some(from + SimDuration::from_hours(1)));
+        sim.set_fault_plan(plan);
         sim.run_until_idle();
         let n_before_crash = results.borrow().len();
         assert!(n_before_crash < 3, "crash never bit");

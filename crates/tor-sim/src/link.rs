@@ -220,7 +220,8 @@ mod tests {
 
     #[test]
     fn a_closed_link_is_forgotten_whole_and_a_send_on_it_is_dropped() {
-        let crashed = FaultPlan::new(1).with_crash_forever(NodeId(1), SimTime::ZERO);
+        let mut crashed = FaultPlan::new(1);
+        crashed.add_crash(NodeId(1), SimTime::ZERO, None);
         let (seen, lens) = run(crashed);
         // The blackholed connect closed; cells 1–3 went with the link,
         // cell 5 (sent on the forgotten conn) went nowhere.
