@@ -5,7 +5,8 @@
 # appears on no other non-test line of crates/*/src, benchmark/src,
 # examples or src. "Non-test" is the usual line-count rule: a file's lines
 # before its first top-level `#[cfg(test)]`. A name matches as a whole
-# word, anywhere on a line (code, doc comment or string).
+# word, anywhere on a line of code or in a string; `///` and `//!` doc
+# comment lines and `use` / `pub use` lines do not count as uses.
 #
 # Fails on a flagged name that .github/unused_pub.allow does not list, and
 # on an allow-list entry that is no longer flagged, so the list can only
@@ -28,6 +29,9 @@ flagged=$(
                     match($0, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
                     defs[substr($0, RSTART + 7, RLENGTH - 7)] = FILENAME ":" FNR
                 }
+                # A doc comment or an import names a function without
+                # using it.
+                if ($0 ~ /^[ \t]*(\/\/[\/!]|(pub )?use )/) next
                 line = $0
                 gsub(/[^A-Za-z0-9_]+/, " ", line)
                 n = split(line, words, " ")

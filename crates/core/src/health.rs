@@ -32,7 +32,7 @@
 
 use crate::checkpoint::Row;
 use netsim::{NodeId, SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Health-model knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,8 +82,8 @@ struct Quarantine {
 pub struct RelayHealth {
     config: HealthConfig,
     /// `(score, last update)` per relay; absent means never observed
-    /// (implicitly healthy at 1.0).
-    scores: HashMap<NodeId, (f64, SimTime)>,
+    /// (implicitly healthy at 1.0). Ordered like `quarantined`.
+    scores: BTreeMap<NodeId, (f64, SimTime)>,
     /// Quarantined relays, ordered for deterministic iteration.
     quarantined: BTreeMap<NodeId, Quarantine>,
 }
@@ -92,7 +92,7 @@ impl RelayHealth {
     pub fn new(config: HealthConfig) -> RelayHealth {
         RelayHealth {
             config,
-            scores: HashMap::new(),
+            scores: BTreeMap::new(),
             quarantined: BTreeMap::new(),
         }
     }
@@ -195,10 +195,7 @@ impl RelayHealth {
     pub fn checkpoint_lines(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let mut ids: Vec<NodeId> = self.scores.keys().copied().collect();
-        ids.sort();
-        for n in ids {
-            let (s, at) = self.scores[&n];
+        for (n, (s, at)) in &self.scores {
             let _ = writeln!(out, "h\t{}\t{}\t{}", n.0, s, at.as_nanos());
         }
         for (n, q) in &self.quarantined {

@@ -36,8 +36,8 @@
 //!   filled by the scanner, read by every §5 application and served as
 //!   is by the `oracle` query service;
 //! * [`queue`] — the scanner's pair table (every per-pair fact besides
-//!   the RTT, stored once) and the incrementally maintained priority
-//!   order over it;
+//!   the RTT, stored once) and the priority order one sweep over it
+//!   derives;
 //! * [`parallel`] — the one measurement engine: a poll-driven task per
 //!   vantage under one driver, one lane for the sequential tool and K
 //!   for the §6 scaling step (K pairs in flight in virtual time);

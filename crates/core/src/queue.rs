@@ -8,13 +8,16 @@
 //! queue schedules by. Pairs are addressed by their indices into the
 //! scanner's node list; the matrix owns the one `NodeId → index` map.
 //!
-//! Over the table the queue keeps the priority order — never-measured
-//! pairs first in index order, then stale pairs oldest first, with
-//! failure-backoff pairs withheld until eligible — in four ordered tier
-//! sets updated in O(log n) per measurement outcome, so planning a
-//! round costs O(round size · log n). A property test
-//! (`tests/parallel_scan.rs`) replays randomized histories against a
-//! reference O(n²) sweep to hold that order to bit-equality.
+//! The priority order is a function of the records, not a structure
+//! kept beside them: never-measured pairs first in index order, then
+//! stale pairs oldest first, with retired pairs, pairs touching a
+//! quarantined relay and pairs inside a failure backoff withheld.
+//! [`WorkQueue::plan`] and [`WorkQueue::backlog`] each derive it with
+//! one sweep over the table — about 2 ns a pair slot, so ≈ 90 µs at 300
+//! relays, against ≥ 18 ms for any round that measures a pair. A
+//! property test (`tests/parallel_scan.rs`) replays randomized histories
+//! against the reference sweep stated there over its own shadow state,
+//! and holds plan, backlog and probation probe to bit-equality with it.
 
 use crate::matrix::ordered;
 use netsim::{SimDuration, SimTime};
@@ -25,26 +28,6 @@ use std::collections::BTreeSet;
 pub(crate) fn tri_index(n: usize, a: usize, b: usize) -> usize {
     let (lo, hi) = ordered(a, b);
     lo * n - lo * (lo + 1) / 2 + hi
-}
-
-/// Which of the queue's structures currently holds a pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    /// Never successfully measured; eligible immediately.
-    Unmeasured,
-    /// Measured, and not yet seen past the staleness horizon.
-    Fresh,
-    /// Measured and past the staleness horizon; eligible.
-    Stale,
-    /// Under failure backoff until the record's `retry_at`.
-    Backoff,
-    /// An endpoint is quarantined (see [`crate::health`]): in no tier
-    /// set until the relay is released.
-    Parked,
-    /// Out of scope for good (another shard's pair — see
-    /// [`crate::shard`]): in no tier set, never released, never picked
-    /// as a probation probe.
-    Retired,
 }
 
 /// Everything the scanner knows about one pair besides its RTT.
@@ -60,35 +43,10 @@ pub(crate) struct PairRecord {
     pub(crate) attempts: u32,
     /// With `attempts > 0`: not eligible again before this instant.
     pub(crate) retry_at: SimTime,
-    tier: Tier,
-}
-
-impl PairRecord {
-    /// The tier a pair enters the schedule in, from its history alone:
-    /// withheld while a retry is pending, else fresh if ever measured.
-    /// [`WorkQueue::normalize`] moves it on against the clock (an
-    /// expired backoff to its measurement tier, a fresh pair past the
-    /// horizon to stale) before anything reads the order, so a record
-    /// restored from a checkpoint or released from quarantine plans
-    /// exactly like one that never left.
-    fn entry_tier(&self) -> Tier {
-        if self.attempts > 0 {
-            Tier::Backoff
-        } else if self.measured_at.is_some() {
-            Tier::Fresh
-        } else {
-            Tier::Unmeasured
-        }
-    }
-
-    fn is_scheduled(&self) -> bool {
-        !matches!(self.tier, Tier::Parked | Tier::Retired)
-    }
-}
-
-/// Every pair over `n` nodes, in `(i, j)` index order.
-fn pairs(n: u32) -> impl Iterator<Item = (u32, u32)> {
-    (0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)))
+    /// Out of scope for good (another shard's pair — see
+    /// [`crate::shard`]): never planned, never picked as a probation
+    /// probe, though outcomes still keep the record current.
+    retired: bool,
 }
 
 /// The `n − 1` pairs touching node `i`, in index order, each with its
@@ -99,28 +57,14 @@ fn touching(n: u32, i: u32) -> impl Iterator<Item = ((u32, u32), u32)> {
         .chain((i + 1..n).map(move |k| ((i, k), k)))
 }
 
-/// The pair table plus an incrementally maintained priority structure
-/// over it.
-///
-/// The tier sets are keyed by the pairs' `(i, j)` indices (`i < j`), so
-/// their orderings are the reference sweep's: it pushes unmeasured
-/// pairs in `(i, j)` iteration order and stably sorts stale pairs by
-/// measurement time (ties keeping iteration order).
+/// The pair table, the relays under quarantine, and the priority order
+/// derived from both on demand.
 #[derive(Debug, Clone)]
 pub struct WorkQueue {
     n: u32,
     staleness: SimDuration,
     /// One record per slot of [`tri_index`] (diagonal slots unused).
     table: Vec<PairRecord>,
-    /// Never-measured pairs, in `(i, j)` index order.
-    unmeasured: BTreeSet<(u32, u32)>,
-    /// Measured, not yet stale; ordered by measurement time so the
-    /// stale horizon advances over a prefix.
-    fresh: BTreeSet<(SimTime, u32, u32)>,
-    /// Measured and stale; oldest measurement first.
-    stale: BTreeSet<(SimTime, u32, u32)>,
-    /// Under failure backoff; ordered by eligibility instant.
-    backoff: BTreeSet<(SimTime, u32, u32)>,
     /// Relays under health quarantine (see [`crate::health`]).
     quarantined: BTreeSet<u32>,
 }
@@ -128,7 +72,7 @@ pub struct WorkQueue {
 impl WorkQueue {
     /// Creates a queue over `n` nodes with every pair unmeasured.
     pub fn new(n: usize, staleness: SimDuration) -> WorkQueue {
-        let mut queue = WorkQueue {
+        WorkQueue {
             n: n as u32,
             staleness,
             table: vec![
@@ -137,18 +81,12 @@ impl WorkQueue {
                     round: 0,
                     attempts: 0,
                     retry_at: SimTime::ZERO,
-                    tier: Tier::Unmeasured,
+                    retired: false,
                 };
                 n * (n + 1) / 2
             ],
-            unmeasured: BTreeSet::new(),
-            fresh: BTreeSet::new(),
-            stale: BTreeSet::new(),
-            backoff: BTreeSet::new(),
             quarantined: BTreeSet::new(),
-        };
-        queue.rebuild();
-        queue
+        }
     }
 
     fn slot(&self, (i, j): (u32, u32)) -> usize {
@@ -160,8 +98,7 @@ impl WorkQueue {
         &self.table[self.slot((i, j))]
     }
 
-    /// Write access for the checkpoint loader, which fills records in
-    /// and then calls [`WorkQueue::rebuild`].
+    /// Write access for the checkpoint loader and the outcome hooks.
     pub(crate) fn record_mut(&mut self, i: u32, j: u32) -> &mut PairRecord {
         let slot = self.slot((i, j));
         &mut self.table[slot]
@@ -175,203 +112,91 @@ impl WorkQueue {
         slots.zip(&self.table).filter(|&((i, j), _)| i != j)
     }
 
-    /// Re-derives the tier sets from the table: every scheduled pair
-    /// enters at its [`PairRecord::entry_tier`].
-    pub(crate) fn rebuild(&mut self) {
-        let (mut unmeasured, mut fresh, mut backoff) = (Vec::new(), Vec::new(), Vec::new());
-        for (i, j) in pairs(self.n) {
-            let slot = self.slot((i, j));
-            let rec = &mut self.table[slot];
-            if !rec.is_scheduled() {
-                continue;
-            }
-            rec.tier = rec.entry_tier();
-            match (rec.tier, rec.measured_at) {
-                (Tier::Fresh, Some(t)) => fresh.push((t, i, j)),
-                (Tier::Backoff, _) => backoff.push((rec.retry_at, i, j)),
-                _ => unmeasured.push((i, j)),
-            }
-        }
-        // Collecting sorts once and bulk-builds, where n² single
-        // inserts would rebalance n² times.
-        self.unmeasured = unmeasured.into_iter().collect();
-        self.fresh = fresh.into_iter().collect();
-        self.stale = BTreeSet::new();
-        self.backoff = backoff.into_iter().collect();
-    }
-
-    /// Removes `key` from whichever tier set holds it. The sets are
-    /// keyed by the record's own fields, so this runs *before* they
-    /// change.
-    fn detach(&mut self, key: (u32, u32)) {
-        let rec = self.table[self.slot(key)];
-        let (i, j) = key;
-        match (rec.tier, rec.measured_at) {
-            (Tier::Unmeasured, _) => self.unmeasured.remove(&key),
-            (Tier::Fresh, Some(t)) => self.fresh.remove(&(t, i, j)),
-            (Tier::Stale, Some(t)) => self.stale.remove(&(t, i, j)),
-            (Tier::Backoff, _) => self.backoff.remove(&(rec.retry_at, i, j)),
-            // Parked and retired pairs are in no set.
-            _ => false,
-        };
-    }
-
-    /// Tags `key` with `tier` and files it in that tier's set.
-    fn attach(&mut self, key: (u32, u32), tier: Tier) {
-        let slot = self.slot(key);
-        let rec = &mut self.table[slot];
-        rec.tier = tier;
-        let (i, j) = key;
-        match (tier, rec.measured_at) {
-            (Tier::Unmeasured, _) => self.unmeasured.insert(key),
-            (Tier::Fresh, Some(t)) => self.fresh.insert((t, i, j)),
-            (Tier::Stale, Some(t)) => self.stale.insert((t, i, j)),
-            (Tier::Backoff, _) => self.backoff.insert((rec.retry_at, i, j)),
-            _ => false,
-        };
-    }
-
-    /// Applies one measurement outcome to the pair's record and, when
-    /// the pair is scheduled, moves it to `tier`. A parked pair (a
-    /// probation probe's outcome) or a retired one keeps its record
-    /// current without entering any tier.
-    fn record_outcome(&mut self, i: u32, j: u32, tier: Tier, write: impl FnOnce(&mut PairRecord)) {
-        let key = ordered(i, j);
-        let slot = self.slot(key);
-        let scheduled = self.table[slot].is_scheduled();
-        if scheduled {
-            self.detach(key);
-        }
-        write(&mut self.table[slot]);
-        if scheduled {
-            self.attach(key, tier);
-        }
-    }
-
     /// Records a successful measurement at `at`, accepted in scan round
-    /// `round`. Clears any backoff. A success always re-enters as
-    /// fresh; staleness migration happens lazily against the clock in
-    /// `normalize`.
+    /// `round`. Clears any backoff.
     pub fn on_measured(&mut self, i: u32, j: u32, at: SimTime, round: u64) {
-        self.record_outcome(i, j, Tier::Fresh, |rec| {
-            rec.measured_at = Some(at);
-            rec.round = round;
-            rec.attempts = 0;
-        });
+        let rec = self.record_mut(i, j);
+        rec.measured_at = Some(at);
+        rec.round = round;
+        rec.attempts = 0;
     }
 
     /// Records a failed measurement: one more consecutive failure, and
-    /// the pair is withheld until `until`, then re-enters the tier its
-    /// measurement history puts it in (unmeasured, or stale/fresh by
-    /// its last success).
+    /// the pair is withheld until `until`, then queues again by its
+    /// measurement history (unmeasured, or stale/fresh by its last
+    /// success).
     pub fn on_failed(&mut self, i: u32, j: u32, until: SimTime) {
-        self.record_outcome(i, j, Tier::Backoff, |rec| {
-            rec.attempts = rec.attempts.saturating_add(1);
-            rec.retry_at = until;
-        });
+        let rec = self.record_mut(i, j);
+        rec.attempts = rec.attempts.saturating_add(1);
+        rec.retry_at = until;
     }
 
-    /// Parks every pair touching node `i`: quarantined relays' pairs
-    /// are deprioritized out of planning entirely instead of burning
-    /// timeouts on schedule. Retired pairs stay retired — they must not
-    /// leak back in through a later release.
+    /// Quarantines node `i`: its pairs stay out of planning instead of
+    /// burning timeouts on schedule, while their records stay current.
     pub fn quarantine(&mut self, i: u32) {
-        if !self.quarantined.insert(i) {
-            return;
-        }
-        for (key, _) in touching(self.n, i) {
-            let slot = self.slot(key);
-            if self.table[slot].is_scheduled() {
-                self.detach(key);
-                self.table[slot].tier = Tier::Parked;
-            }
-        }
+        self.quarantined.insert(i);
     }
 
-    /// Permanently removes a pair from scheduling: it leaves whatever
-    /// tier holds it (or its parking place) and never re-enters one,
-    /// though measurement outcomes still keep its record current. This
-    /// is how a shard-scoped scanner disowns the pairs other shards
-    /// measure (see [`crate::shard::partition_pairs`]). Irreversible.
+    /// Permanently removes a pair from scheduling, though measurement
+    /// outcomes still keep its record current. This is how a
+    /// shard-scoped scanner disowns the pairs other shards measure (see
+    /// [`crate::shard::partition_pairs`]). Irreversible.
     pub fn retire(&mut self, i: u32, j: u32) {
-        let key = ordered(i, j);
-        self.detach(key);
-        let slot = self.slot(key);
-        self.table[slot].tier = Tier::Retired;
+        self.record_mut(i, j).retired = true;
     }
 
-    /// Releases node `i` from quarantine: its parked pairs re-enter the
-    /// schedule, except those whose other endpoint is still
-    /// quarantined.
+    /// Releases node `i` from quarantine: its pairs plan again, except
+    /// those whose other endpoint is still quarantined.
     pub fn release(&mut self, i: u32) {
-        if !self.quarantined.remove(&i) {
-            return;
-        }
-        for (key, other) in touching(self.n, i) {
-            let rec = self.table[self.slot(key)];
-            if rec.tier == Tier::Parked && !self.quarantined.contains(&other) {
-                self.attach(key, rec.entry_tier());
-            }
-        }
+        self.quarantined.remove(&i);
     }
 
     /// Picks a probation-probe pair for quarantined node `i`: the first
-    /// parked pair (in index order) joining it to a non-quarantined
-    /// peer. The pair stays parked — its outcome feeds the health model
-    /// without re-entering the schedule.
+    /// pair (in index order) in scope joining it to a non-quarantined
+    /// peer. The pair stays out of the plan — its outcome feeds the
+    /// health model without scheduling it.
     pub fn probe_pair(&self, i: u32) -> Option<(u32, u32)> {
         touching(self.n, i)
-            .find(|&(key, other)| {
-                self.table[self.slot(key)].tier == Tier::Parked
-                    && !self.quarantined.contains(&other)
+            .find(|&((a, b), other)| {
+                !self.record(a, b).retired && !self.quarantined.contains(&other)
             })
-            .map(|(key, _)| key)
+            .map(|(pair, _)| pair)
     }
 
-    /// Advances the time-dependent tiers to `now`: expired backoffs
-    /// re-enter their measurement tier, and fresh entries past the
-    /// staleness horizon move to the stale tier. Amortized O(log n)
-    /// per transition — each pair moves at most twice per cycle.
-    fn normalize(&mut self, now: SimTime) {
-        // Expired backoffs first: a released pair may be stale already.
-        while let Some(&(until, i, j)) = self.backoff.first() {
-            if until > now {
-                break;
-            }
-            self.backoff.pop_first();
-            let tier = match self.record(i, j).measured_at {
-                None => Tier::Unmeasured,
-                Some(t) if now.since(t) >= self.staleness => Tier::Stale,
-                Some(_) => Tier::Fresh,
-            };
-            self.attach((i, j), tier);
-        }
-        // Fresh → stale over the ordered prefix.
-        while let Some(&(t, i, j)) = self.fresh.first() {
-            if now.since(t) < self.staleness {
-                break;
-            }
-            self.fresh.pop_first();
-            self.attach((i, j), Tier::Stale);
-        }
+    /// Every pair eligible at `now` — in scope, not backing off, never
+    /// measured or stale, and touching no quarantined relay — in index
+    /// order, with its last measurement (`None` when it never had one).
+    fn due(&self, now: SimTime) -> impl Iterator<Item = ((u32, u32), Option<SimTime>)> + '_ {
+        self.records().filter_map(move |((i, j), rec)| {
+            let withheld = rec.retired
+                || (rec.attempts > 0 && now < rec.retry_at)
+                || matches!(rec.measured_at, Some(t) if now.since(t) < self.staleness)
+                || self.quarantined.contains(&i)
+                || self.quarantined.contains(&j);
+            (!withheld).then_some(((i, j), rec.measured_at))
+        })
     }
 
     /// The pairs the scanner should measure next, most urgent first.
-    pub fn plan(&mut self, now: SimTime, limit: usize) -> Vec<(u32, u32)> {
-        self.normalize(now);
-        self.unmeasured
-            .iter()
-            .copied()
-            .chain(self.stale.iter().map(|&(_, i, j)| (i, j)))
-            .take(limit)
-            .collect()
+    pub fn plan(&self, now: SimTime, limit: usize) -> Vec<(u32, u32)> {
+        let mut unmeasured = Vec::new();
+        let mut stale = Vec::new();
+        for (pair, at) in self.due(now) {
+            match at {
+                None => unmeasured.push(pair),
+                Some(t) => stale.push((t, pair)),
+            }
+        }
+        // Pairs are distinct, so ties in time fall back to index order.
+        stale.sort_unstable();
+        let stale = stale.into_iter().map(|(_, pair)| pair);
+        unmeasured.into_iter().chain(stale).take(limit).collect()
     }
 
     /// The true backlog: every pair eligible for measurement at `now`,
     /// with no round-size cap.
-    pub fn backlog(&mut self, now: SimTime) -> usize {
-        self.normalize(now);
-        self.unmeasured.len() + self.stale.len()
+    pub fn backlog(&self, now: SimTime) -> usize {
+        self.due(now).count()
     }
 }
 
@@ -389,7 +214,7 @@ mod tests {
 
     #[test]
     fn starts_with_all_pairs_unmeasured_in_index_order() {
-        let mut q = queue(3);
+        let q = queue(3);
         assert_eq!(q.plan(t(0), 10), vec![(0, 1), (0, 2), (1, 2),]);
         assert_eq!(q.backlog(t(0)), 3);
     }
@@ -467,7 +292,7 @@ mod tests {
         q.retire(2, 0); // symmetric + repeated: no-op
         assert_eq!(q.plan(t(0), 10), vec![(0, 1), (1, 2)]);
         assert_eq!(q.backlog(t(0)), 2);
-        // Outcomes keep state current without re-entering a tier.
+        // Outcomes keep state current without scheduling the pair.
         q.on_measured(0, 2, t(1), 1);
         q.on_failed(0, 2, t(2));
         assert_eq!(q.backlog(t(500)), 2);

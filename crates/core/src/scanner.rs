@@ -534,8 +534,8 @@ impl Scanner {
     /// probes) are re-queued under exponential backoff rather than
     /// poisoning the cache or hot-looping on a dead relay.
     ///
-    /// Planning and reporting both come from the incremental work
-    /// queue — one O(round · log n) plan per round — and
+    /// Planning and reporting both come from the work queue — one sweep
+    /// over the pair table each — and
     /// [`RoundReport::still_pending`] is the *true* backlog, not capped
     /// at [`ScannerConfig::pairs_per_round`].
     pub fn run_round(&mut self, net: &mut TorNetwork, ting: &Ting) -> RoundReport {
@@ -753,9 +753,6 @@ impl Scanner {
             }
             row.end()?;
         }
-        // Re-derive the priority order from the records just filled
-        // in; quarantines last, so they park pairs already in place.
-        scanner.queue.rebuild();
         for node in scanner
             .health
             .iter()

@@ -34,7 +34,7 @@
 use crate::checkpoint::Doc;
 use crate::matrix::ordered;
 use crate::orchestrator::{Ting, TingConfig};
-use crate::scanner::{RoundReport, Scanner, ScannerConfig};
+use crate::scanner::{Scanner, ScannerConfig};
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::{names, Lineage, Obs, Value};
 use std::collections::HashMap;
@@ -128,33 +128,70 @@ impl ShardStatus {
     }
 }
 
-/// One supervised shard: its live scanner + driver (absent while
-/// crashed), last-known-good checkpoint, and supervision bookkeeping.
+/// A shard is live — its scanner and driver running — or down, and
+/// its [`ShardStatus`] is read off which.
+enum SlotState {
+    Live {
+        scanner: Box<Scanner>,
+        ting: Box<Ting>,
+        /// When the shard last made progress; `None` until its first
+        /// supervised round.
+        last_progress: Option<SimTime>,
+        /// Chaos hook: the shard is wedged (alive but doing nothing)
+        /// until this instant; only the supervisor's heartbeat can free
+        /// it.
+        wedged_until: Option<SimTime>,
+    },
+    Down {
+        /// When the restart pause ends; `None` once the restart budget
+        /// is exhausted (quarantined).
+        restart_at: Option<SimTime>,
+        /// Whether the last-known-good checkpoint was already emitted
+        /// as a delta — a downed shard's checkpoint is frozen, so one
+        /// emission per outage suffices.
+        emitted: bool,
+    },
+}
+
+impl SlotState {
+    fn status(&self) -> ShardStatus {
+        match *self {
+            SlotState::Live { .. } => ShardStatus::Running,
+            SlotState::Down { restart_at, .. } => match restart_at {
+                Some(at) => ShardStatus::Restarting { at },
+                None => ShardStatus::Quarantined,
+            },
+        }
+    }
+}
+
+/// One supervised shard: its state, last-known-good checkpoint, and
+/// supervision bookkeeping.
 struct ShardSlot {
     id: u32,
     owned: Vec<(NodeId, NodeId)>,
-    scanner: Option<Scanner>,
-    ting: Option<Ting>,
+    state: SlotState,
     /// Last sealed checkpoint, refreshed after every completed round.
     /// Always parseable: initialized from the empty scanner.
     checkpoint: String,
     /// Adaptive-timeout estimator export taken with the checkpoint.
     timeouts: String,
-    status: ShardStatus,
     restarts: u32,
-    last_progress: SimTime,
-    started: bool,
-    /// Chaos hook: the shard is wedged (alive but doing nothing) until
-    /// this instant; only the supervisor's heartbeat can free it.
-    wedged_until: Option<SimTime>,
     /// Incremental-publish watermark: measurements at or after this
     /// instant have not yet been drained by [`Supervisor::take_delta`].
     /// `None` means nothing was ever drained (everything is new).
     delta_mark: Option<SimTime>,
-    /// Whether the slot's last-known-good checkpoint was already
-    /// emitted as a delta while the shard is down — a downed shard's
-    /// checkpoint is frozen, so one emission per outage suffices.
-    down_emitted: bool,
+}
+
+impl ShardSlot {
+    /// The shard's current checkpoint: the live scanner's state when it
+    /// is up, the last known-good copy otherwise.
+    fn current_checkpoint(&self) -> String {
+        match &self.state {
+            SlotState::Live { scanner, .. } => scanner.to_checkpoint(),
+            SlotState::Down { .. } => self.checkpoint.clone(),
+        }
+    }
 }
 
 /// Aggregate outcome of one supervised round across all shards.
@@ -626,17 +663,16 @@ impl Supervisor {
                 ShardSlot {
                     id: id as u32,
                     owned,
-                    scanner: Some(scanner),
-                    ting: Some(Ting::with_obs(ting_config, obs.clone())),
+                    state: SlotState::Live {
+                        scanner: Box::new(scanner),
+                        ting: Box::new(Ting::with_obs(ting_config, obs.clone())),
+                        last_progress: None,
+                        wedged_until: None,
+                    },
                     checkpoint,
                     timeouts: String::new(),
-                    status: ShardStatus::Running,
                     restarts: 0,
-                    last_progress: SimTime::ZERO,
-                    started: false,
-                    wedged_until: None,
                     delta_mark: None,
-                    down_emitted: false,
                 }
             })
             .collect();
@@ -661,8 +697,8 @@ impl Supervisor {
     /// re-applies it on every restart).
     pub fn load_locations(&mut self, net: &TorNetwork) {
         for slot in &mut self.slots {
-            if let Some(s) = slot.scanner.as_mut() {
-                s.load_locations(net);
+            if let SlotState::Live { scanner, .. } = &mut slot.state {
+                scanner.load_locations(net);
             }
         }
     }
@@ -673,7 +709,7 @@ impl Supervisor {
 
     /// The supervision state of shard `k`.
     pub fn status(&self, k: usize) -> ShardStatus {
-        self.slots[k].status
+        self.slots[k].state.status()
     }
 
     /// Restarts consumed by shard `k`.
@@ -683,16 +719,16 @@ impl Supervisor {
 
     /// Shard `k`'s live scanner, absent while it is down.
     pub fn scanner(&self, k: usize) -> Option<&Scanner> {
-        self.slots[k].scanner.as_ref()
+        match &self.slots[k].state {
+            SlotState::Live { scanner, .. } => Some(scanner.as_ref()),
+            SlotState::Down { .. } => None,
+        }
     }
 
     /// Shard `k`'s current checkpoint: the live scanner's state when
     /// it is up, the last known-good copy otherwise.
     pub fn shard_checkpoint(&self, k: usize) -> String {
-        match &self.slots[k].scanner {
-            Some(s) => s.to_checkpoint(),
-            None => self.slots[k].checkpoint.clone(),
-        }
+        self.slots[k].current_checkpoint()
     }
 
     /// Chaos hook: kills shard `k` right now, as a crash would — its
@@ -700,27 +736,20 @@ impl Supervisor {
     /// last checkpoint (budget and backoff apply, exactly like an
     /// organic failure).
     pub fn inject_crash(&mut self, k: usize, now: SimTime) {
-        if matches!(self.slots[k].status, ShardStatus::Quarantined) {
+        if self.status(k) == ShardStatus::Quarantined {
             return;
         }
         self.crash(k, now, "injected");
     }
 
-    /// Chaos hook: wedges shard `k` until `until` — it stays alive but
-    /// executes no rounds, the failure mode only the heartbeat
-    /// deadline can detect.
+    /// Chaos hook: wedges live shard `k` until `until` — it stays
+    /// alive but executes no rounds, the failure mode only the
+    /// heartbeat deadline can detect. A downed shard already runs
+    /// nothing and is left alone.
     pub fn inject_hang(&mut self, k: usize, until: SimTime) {
-        self.slots[k].wedged_until = Some(until);
-    }
-
-    /// Chaos hook: drops shard `k`'s live scanner and driver *without*
-    /// flipping its status — the half-applied-crash state (a panic
-    /// unwound between the state drop and the status write). The next
-    /// round must route the slot through the ordinary crash path
-    /// instead of panicking the supervisor.
-    pub fn inject_scanner_loss(&mut self, k: usize) {
-        self.slots[k].scanner = None;
-        self.slots[k].ting = None;
+        if let SlotState::Live { wedged_until, .. } = &mut self.slots[k].state {
+            *wedged_until = Some(until);
+        }
     }
 
     /// Chaos hook: corrupts shard `k`'s stored checkpoint (in-memory
@@ -751,25 +780,24 @@ impl Supervisor {
         let mut report = SupervisorReport::default();
         for k in 0..self.slots.len() {
             let now = net.sim.now();
-            match self.slots[k].status {
-                ShardStatus::Quarantined => {
-                    report.shards_quarantined += 1;
-                    continue;
-                }
-                ShardStatus::Restarting { at } => {
-                    if now < at {
-                        report.shards_waiting += 1;
-                        continue;
-                    }
-                    self.restore(k, net);
-                }
-                ShardStatus::Running => {}
+            if matches!(self.status(k), ShardStatus::Restarting { at } if now >= at) {
+                self.restore(k, net);
             }
-            if !self.slots[k].started {
-                self.slots[k].started = true;
-                self.slots[k].last_progress = now;
-            }
-            let idle = now.since(self.slots[k].last_progress);
+            let slot = &mut self.slots[k];
+            let SlotState::Live {
+                scanner,
+                ting,
+                last_progress,
+                wedged_until,
+            } = &mut slot.state
+            else {
+                match slot.state.status() {
+                    ShardStatus::Quarantined => report.shards_quarantined += 1,
+                    _ => report.shards_waiting += 1,
+                }
+                continue;
+            };
+            let idle = now.since(*last_progress.get_or_insert(now));
             if idle > self.config.heartbeat_timeout {
                 // The heartbeat deadline passed with no progress: the
                 // shard is stuck (wedged process, poisoned vantage).
@@ -789,111 +817,64 @@ impl Supervisor {
                 report.shards_waiting += 1;
                 continue;
             }
-            if self.slots[k].wedged_until.is_some_and(|u| now < u) {
+            *wedged_until = wedged_until.filter(|&u| now < u);
+            if wedged_until.is_some() {
                 // Simulated hang: alive, no round, no progress.
                 report.shards_waiting += 1;
                 continue;
             }
-            self.slots[k].wedged_until = None;
-            match self.run_shard_round(k, net) {
-                Some(r) => {
-                    report.measured += r.measured;
-                    report.failed += r.failed;
-                    report.still_pending += r.still_pending;
-                    report.shards_run += 1;
-                    if self.slots[k].scanner.is_none() {
-                        // The post-round checkpoint write failed; the
-                        // shard crashed and is counted as run *and* now
-                        // waiting.
-                        report.shards_waiting += 1;
-                    }
-                }
-                // A slot whose live state was lost without the status
-                // flipping: it crashed instead of running.
-                None => report.shards_waiting += 1,
+            let span = self.obs.span_begin(
+                names::SHARD_ROUND_BEGIN,
+                now.as_nanos(),
+                vec![("shard", Value::U64(k as u64))],
+            );
+            let r = scanner.run_round_parallel(net, ting);
+            let now = net.sim.now();
+            if self.obs.is_tracing() {
+                self.obs.span_end(
+                    names::SHARD_ROUND_END,
+                    span,
+                    now.as_nanos(),
+                    vec![
+                        ("shard", Value::U64(k as u64)),
+                        ("measured", Value::U64(r.measured as u64)),
+                        ("failed", Value::U64(r.failed as u64)),
+                        ("still_pending", Value::U64(r.still_pending as u64)),
+                    ],
+                );
+            }
+            // Progress = the round did work, or had none eligible to do.
+            if r.measured + r.failed > 0 || r.still_pending == 0 {
+                *last_progress = Some(now);
+            }
+            slot.checkpoint = scanner.to_checkpoint();
+            slot.timeouts = ting.timeouts.export();
+            let saved = self
+                .checkpoint_dir
+                .as_ref()
+                .is_none_or(|dir| scanner.save(shard_path(dir, slot.id)).is_ok());
+            report.measured += r.measured;
+            report.failed += r.failed;
+            report.still_pending += r.still_pending;
+            report.shards_run += 1;
+            if !saved {
+                // Treat a failing checkpoint disk like a crashed shard:
+                // scanning on without durable state would silently void
+                // the crash-safety contract. The shard is counted as
+                // run *and* now waiting.
+                self.crash(k, now, "io");
+                report.shards_waiting += 1;
             }
         }
         report
-    }
-
-    /// One shard's scan round plus checkpointing, wrapped in a
-    /// `shard.round` span. Returns `None` when the slot had no live
-    /// scanner or driver — a degraded slot that reached the run path
-    /// (a half-applied crash) is sent through the ordinary crash path
-    /// rather than panicking the supervisor.
-    fn run_shard_round(&mut self, k: usize, net: &mut TorNetwork) -> Option<RoundReport> {
-        if self.slots[k].scanner.is_none() || self.slots[k].ting.is_none() {
-            self.crash(k, net.sim.now(), "lost-state");
-            return None;
-        }
-        let span = self.obs.span_begin(
-            names::SHARD_ROUND_BEGIN,
-            net.sim.now().as_nanos(),
-            vec![("shard", Value::U64(k as u64))],
-        );
-        let slot = &mut self.slots[k];
-        let r = match (slot.scanner.as_mut(), slot.ting.as_ref()) {
-            (Some(scanner), Some(ting)) => scanner.run_round_parallel(net, ting),
-            // Unreachable (guarded above), but a missed round is a
-            // better failure mode than a poisoned supervisor.
-            _ => RoundReport {
-                measured: 0,
-                failed: 0,
-                still_pending: 0,
-            },
-        };
-        let now = net.sim.now();
-        if self.obs.is_tracing() {
-            self.obs.span_end(
-                names::SHARD_ROUND_END,
-                span,
-                now.as_nanos(),
-                vec![
-                    ("shard", Value::U64(k as u64)),
-                    ("measured", Value::U64(r.measured as u64)),
-                    ("failed", Value::U64(r.failed as u64)),
-                    ("still_pending", Value::U64(r.still_pending as u64)),
-                ],
-            );
-        }
-        // Progress = the round did work, or had none eligible to do.
-        if r.measured + r.failed > 0 || r.still_pending == 0 {
-            slot.last_progress = now;
-        }
-        if let Some(scanner) = slot.scanner.as_ref() {
-            slot.checkpoint = scanner.to_checkpoint();
-        }
-        if let Some(ting) = slot.ting.as_ref() {
-            slot.timeouts = ting.timeouts.export();
-        }
-        if let Some(dir) = self.checkpoint_dir.clone() {
-            let saved = match self.slots[k].scanner.as_ref() {
-                Some(scanner) => scanner.save(shard_path(&dir, self.slots[k].id)).is_ok(),
-                None => false,
-            };
-            if !saved {
-                // Treat a failing checkpoint disk (or a vanished
-                // scanner) like a crashed shard: scanning on without
-                // durable state would silently void the crash-safety
-                // contract.
-                self.crash(k, now, "io");
-            }
-        }
-        Some(r)
     }
 
     /// Kills shard `k`: live state is dropped and a restart is
     /// scheduled under the budget, or the shard is quarantined beyond
     /// it.
     fn crash(&mut self, k: usize, now: SimTime, reason: &str) {
-        let slot = &mut self.slots[k];
-        slot.scanner = None;
-        slot.ting = None;
-        slot.wedged_until = None;
-        // A fresh outage: its last-known-good checkpoint is new to the
-        // delta stream again.
-        slot.down_emitted = false;
-        slot.restarts += 1;
+        self.slots[k].restarts += 1;
+        let restarts = self.slots[k].restarts;
         self.obs.inc("ting.shard.crashed");
         if self.obs.is_tracing() {
             self.obs.event(
@@ -902,13 +883,11 @@ impl Supervisor {
                 vec![
                     ("shard", Value::U64(k as u64)),
                     ("reason", Value::Str(reason.to_owned())),
-                    ("restarts", Value::U64(self.slots[k].restarts as u64)),
+                    ("restarts", Value::U64(restarts as u64)),
                 ],
             );
         }
-        let slot = &mut self.slots[k];
-        if slot.restarts > self.config.restart_budget {
-            slot.status = ShardStatus::Quarantined;
+        let restart_at = if restarts > self.config.restart_budget {
             self.obs.inc("ting.shard.quarantined");
             if self.obs.is_tracing() {
                 self.obs.event(
@@ -916,18 +895,25 @@ impl Supervisor {
                     now.as_nanos(),
                     vec![
                         ("shard", Value::U64(k as u64)),
-                        ("restarts", Value::U64(self.slots[k].restarts as u64)),
+                        ("restarts", Value::U64(restarts as u64)),
                     ],
                 );
             }
+            None
         } else {
             let pause = crate::backoff::exponential(
                 self.config.restart_backoff,
-                slot.restarts,
+                restarts,
                 self.config.restart_backoff_cap,
             );
-            slot.status = ShardStatus::Restarting { at: now + pause };
-        }
+            Some(now + pause)
+        };
+        // A fresh outage: its last-known-good checkpoint is new to the
+        // delta stream again.
+        self.slots[k].state = SlotState::Down {
+            restart_at,
+            emitted: false,
+        };
     }
 
     /// Brings a crashed shard back: checkpoint (disk, then the
@@ -966,10 +952,12 @@ impl Supervisor {
         let _ = ting.timeouts.import(&self.slots[k].timeouts);
         let slot = &mut self.slots[k];
         slot.checkpoint = scanner.to_checkpoint();
-        slot.scanner = Some(scanner);
-        slot.ting = Some(ting);
-        slot.status = ShardStatus::Running;
-        slot.last_progress = now;
+        slot.state = SlotState::Live {
+            scanner: Box::new(scanner),
+            ting: Box::new(ting),
+            last_progress: Some(now),
+            wedged_until: None,
+        };
         self.obs.inc("ting.shard.restarted");
         if self.obs.is_tracing() {
             self.obs.event(
@@ -990,16 +978,7 @@ impl Supervisor {
         let entries: Vec<(u32, &'static str, String)> = self
             .slots
             .iter()
-            .map(|slot| {
-                (
-                    slot.id,
-                    slot.status.tag(),
-                    match &slot.scanner {
-                        Some(s) => s.to_checkpoint(),
-                        None => slot.checkpoint.clone(),
-                    },
-                )
-            })
+            .map(|s| (s.id, s.state.status().tag(), s.current_checkpoint()))
             .collect();
         merge_checkpoints(&entries, now)
     }
@@ -1018,17 +997,17 @@ impl Supervisor {
         let count = self.slots.len();
         let mut statuses = Vec::with_capacity(count);
         for slot in &mut self.slots {
-            statuses.push(slot.status.tag());
-            match &slot.scanner {
-                Some(s) => {
-                    emit_since(s, slot.id, count, slot.delta_mark, &mut pairs);
+            statuses.push(slot.state.status().tag());
+            match &mut slot.state {
+                SlotState::Live { scanner, .. } => {
+                    emit_since(scanner, slot.id, count, slot.delta_mark, &mut pairs);
                     slot.delta_mark = Some(now);
                 }
-                None => {
-                    if slot.down_emitted {
+                SlotState::Down { emitted, .. } => {
+                    if *emitted {
                         continue;
                     }
-                    slot.down_emitted = true;
+                    *emitted = true;
                     // A refused checkpoint contributes nothing here;
                     // restore() handles (and traces) the corruption.
                     if let Ok(s) = Scanner::from_checkpoint(&slot.checkpoint) {

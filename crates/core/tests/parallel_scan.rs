@@ -1,6 +1,7 @@
-//! Tests for the multi-vantage parallel scanner: the incremental work
-//! queue is held to bit-equality with the O(n²) reference planner
-//! (defined here) over randomized histories, single-lane scans —
+//! Tests for the multi-vantage parallel scanner: the work queue's plan,
+//! backlog and probation probe are held to bit-equality with the
+//! reference planner (defined here, over its own shadow state) across
+//! randomized histories, single-lane scans —
 //! `run_round`, and `run_round_parallel` at `K = 1` — are held to the
 //! bytes the blocking sequential engine produced before the engines
 //! merged, and `K = 4` must actually halve the virtual time of a full
@@ -67,13 +68,25 @@ fn reference_plan(n: u32, limit: usize, now_s: u64, shadow: &Shadow) -> Vec<(u32
     unmeasured.into_iter().chain(stale).take(limit).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// The probation probe for quarantined relay `i`: the first pair in
+/// index order that is in scope, touches `i`, and whose other endpoint
+/// is not quarantined.
+fn reference_probe(n: u32, i: u32, shadow: &Shadow) -> Option<(u32, u32)> {
+    (0..n)
+        .filter(|&k| k != i && !shadow.quarantined.contains(&k))
+        .map(|k| if k < i { (k, i) } else { (i, k) })
+        .find(|pair| !shadow.retired.contains(pair))
+}
 
-    /// The incremental queue's plan must be bit-equal to the O(n²)
-    /// reference sweep after any sequence of measurement successes and
-    /// failures, scope retirements, and relay quarantines and releases,
-    /// queried at any (non-decreasing) instant and round cap.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The queue's plan must be bit-equal to the reference sweep after
+    /// any sequence of measurement successes and failures, scope
+    /// retirements, and relay quarantines and releases, queried at any
+    /// (non-decreasing) instant and round cap; its backlog must be the
+    /// reference's uncapped count, and its probation probe for every
+    /// quarantined relay the reference's.
     #[test]
     fn work_queue_plan_matches_reference_plan_round(
         n in 3u32..8,
@@ -119,6 +132,11 @@ proptest! {
         }
         for now_s in [clock, clock + STALENESS_S / 2, clock + 2 * STALENESS_S + 700] {
             prop_assert_eq!(reference_plan(n, limit, now_s, &shadow), queue.plan(t(now_s), limit));
+            let uncapped = reference_plan(n, usize::MAX, now_s, &shadow).len();
+            prop_assert_eq!(uncapped, queue.backlog(t(now_s)));
+            for &i in &shadow.quarantined {
+                prop_assert_eq!(reference_probe(n, i, &shadow), queue.probe_pair(i));
+            }
         }
     }
 }

@@ -336,36 +336,6 @@ fn file_backed_shards_recover_from_bak_generation() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Losing a shard's live state without the status flipping — the
-/// half-applied crash the old code met with a panic — routes through
-/// the ordinary crash path: the round counts the shard as waiting, the
-/// crash is metered, and the restarted shard still finishes its pairs.
-#[test]
-fn scanner_loss_mid_supervision_crashes_the_shard_not_the_supervisor() {
-    let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
-    let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
-    let obs = Obs::new(ObsConfig::Metrics);
-    let mut sup =
-        Supervisor::with_obs(nodes, supervisor_config(3), TingConfig::fast(), obs.clone());
-    sup.load_locations(&net);
-    sup.run_round(&mut net);
-    sup.inject_scanner_loss(1);
-    assert_eq!(
-        sup.status(1),
-        ShardStatus::Running,
-        "the loss leaves the status untouched — that is the hazard"
-    );
-    let report = sup.run_round(&mut net); // must not panic
-    assert!(report.shards_waiting >= 1);
-    assert_eq!(obs.counter_value("ting.shard.crashed"), 1);
-    for _ in 0..3 {
-        sup.run_round(&mut net);
-    }
-    assert_eq!(sup.status(1), ShardStatus::Running);
-    let merged = sup.merge(net.sim.now()).unwrap();
-    assert_eq!(merged.coverage(), 1.0, "the shard must recover and finish");
-}
-
 /// Replaying the incremental delta stream reproduces exactly the full
 /// merge: same matrix, same per-pair freshness. The pipeline's
 /// apply-deltas path and the offline `merge()` path agree.

@@ -32,16 +32,6 @@ impl Default for GeoErrorModel {
     }
 }
 
-impl GeoErrorModel {
-    /// A perfect oracle (used by tests and ground-truth comparisons).
-    pub fn perfect() -> GeoErrorModel {
-        GeoErrorModel {
-            sigma_km: 0.0,
-            gross_error_prob: 0.0,
-        }
-    }
-}
-
 /// Maps opaque host IDs to true locations and serves error-prone
 /// estimates, like a commercial geolocation service would.
 #[derive(Debug, Clone, Default)]
@@ -113,9 +103,15 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// A perfect oracle.
+    const PERFECT: GeoErrorModel = GeoErrorModel {
+        sigma_km: 0.0,
+        gross_error_prob: 0.0,
+    };
+
     #[test]
     fn insert_and_truth_roundtrip() {
-        let mut db = GeoDb::new(GeoErrorModel::perfect());
+        let mut db = GeoDb::new(PERFECT);
         let p = GeoPoint::new(50.0, 10.0);
         db.insert(3, p);
         assert_eq!(db.truth(3), Some(p));
@@ -126,7 +122,7 @@ mod tests {
 
     #[test]
     fn perfect_model_returns_truth() {
-        let mut db = GeoDb::new(GeoErrorModel::perfect());
+        let mut db = GeoDb::new(PERFECT);
         let p = GeoPoint::new(40.0, -74.0);
         db.insert(0, p);
         let mut rng = SmallRng::seed_from_u64(0);

@@ -100,8 +100,10 @@ impl SimObs {
 /// of API calls.
 pub struct Simulator {
     underlay: Underlay,
-    processes: Vec<Option<Box<dyn Process>>>,
-    started: Vec<bool>,
+    processes: Vec<Box<dyn Process>>,
+    /// Processes `..started` have run `on_start`. Processes are only
+    /// appended, and they start in index order.
+    started: usize,
     queue: EventQueue,
     conns: HashMap<ConnId, ConnState>,
     now: SimTime,
@@ -121,7 +123,7 @@ impl Simulator {
         Simulator {
             underlay,
             processes: Vec::new(),
-            started: Vec::new(),
+            started: 0,
             queue: EventQueue::new(),
             conns: HashMap::new(),
             now: SimTime::ZERO,
@@ -170,8 +172,7 @@ impl Simulator {
             self.processes.len() < self.underlay.node_count(),
             "more processes than underlay nodes"
         );
-        self.processes.push(Some(process));
-        self.started.push(false);
+        self.processes.push(process);
         id
     }
 
@@ -252,11 +253,10 @@ impl Simulator {
     }
 
     fn ensure_started(&mut self) {
-        for i in 0..self.processes.len() {
-            if !self.started[i] {
-                self.started[i] = true;
-                self.dispatch_to(NodeId(i as u32), |p, ctx| p.on_start(ctx));
-            }
+        while self.started < self.processes.len() {
+            let node = NodeId(self.started as u32);
+            self.started += 1;
+            self.dispatch_to(node, |p, ctx| p.on_start(ctx));
         }
     }
 
@@ -353,12 +353,8 @@ impl Simulator {
     where
         F: FnOnce(&mut Box<dyn Process>, &mut Context),
     {
-        let Some(slot) = self.processes.get_mut(node.index()) else {
-            return;
-        };
-        let Some(mut process) = slot.take() else {
-            // Re-entrant dispatch cannot happen (ops are buffered), so a
-            // missing process means the node was removed; drop the event.
+        // An underlay node with no process attached drops the event.
+        let Some(process) = self.processes.get_mut(node.index()) else {
             return;
         };
         let mut ctx = Context {
@@ -368,9 +364,8 @@ impl Simulator {
             ops: std::mem::take(&mut self.ops),
             next_conn: &mut self.next_conn,
         };
-        f(&mut process, &mut ctx);
+        f(process, &mut ctx);
         let mut ops = std::mem::take(&mut ctx.ops);
-        self.processes[node.index()] = Some(process);
         self.apply_ops(node, &mut ops);
         self.ops = ops;
     }
