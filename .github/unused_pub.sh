@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Public-surface audit.
 #
-# Lists every `pub fn` in the non-test part of crates/*/src whose name
-# appears on no other non-test line of crates/*/src, benchmark/src,
-# examples or src. "Non-test" is the usual line-count rule: a file's lines
-# before its first top-level `#[cfg(test)]`. A name matches as a whole
-# word, anywhere on a line of code or in a string; `///` and `//!` doc
-# comment lines and `use` / `pub use` lines do not count as uses.
+# Lists every `pub` fn, struct, enum, trait, type, const and static in the
+# non-test part of crates/*/src whose name appears on no other non-test line
+# of crates/*/src, benchmark/src, examples or src. "Non-test" is the usual
+# line-count rule: a file's lines before its first top-level `#[cfg(test)]`.
+# A name matches as a whole word, anywhere on a line of code or in a
+# string; `///` and `//!` doc comment lines and `use` / `pub use` lines do
+# not count as uses.
 #
 # Fails on a flagged name that .github/unused_pub.allow does not list, and
 # on an allow-list entry that is no longer flagged, so the list can only
@@ -26,10 +27,12 @@ flagged=$(
             skip { next }
             {
                 if (FILENAME ~ /^crates\/[^\/]+\/src\// &&
-                    match($0, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
-                    defs[substr($0, RSTART + 7, RLENGTH - 7)] = FILENAME ":" FNR
+                    match($0, /pub (fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/)) {
+                    name = substr($0, RSTART, RLENGTH)
+                    sub(/^pub [a-z]+ /, "", name)
+                    defs[name] = FILENAME ":" FNR
                 }
-                # A doc comment or an import names a function without
+                # A doc comment or an import names an item without
                 # using it.
                 if ($0 ~ /^[ \t]*(\/\/[\/!]|(pub )?use )/) next
                 line = $0
@@ -57,7 +60,7 @@ stale=$(comm -13 <(printf '%s' "$flagged" | cut -f1) <(printf '%s' "$allowed"))
 
 status=0
 if [ -n "$new" ]; then
-    echo "pub fn named on no other line (delete it, narrow it, or list it in $allow):"
+    echo "pub item named on no other line (delete it, narrow it, or list it in $allow):"
     printf '%s\n' "$new" | sed 's/^/  /'
     status=1
 fi

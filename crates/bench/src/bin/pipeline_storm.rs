@@ -87,7 +87,7 @@ fn traced_run(seed: u64, rounds: u64, path: &str) {
     let obs = Obs::new(ObsConfig::Trace);
     let mut net = storm::calm_net(seed, &obs);
     let nodes = storm::nodes(&net, N_NODES);
-    let mut sup = storm::supervisor(&net, nodes.clone(), 3, &obs);
+    let mut sup = storm::supervisor(nodes.clone(), 3, &obs);
     let mut p = Pipeline::with_obs(nodes, SHARDS, traced_pipeline_config(), obs.clone(), None);
     for round in 0..rounds {
         storm::advance_to_round(&mut net, round);
@@ -110,7 +110,7 @@ fn traced_run(seed: u64, rounds: u64, path: &str) {
 fn storm_stream(seed: u64, rounds: u64) -> (Vec<NodeId>, Vec<MergeDelta>, String) {
     let mut net = storm::hostile_net(seed, &Obs::off());
     let nodes = storm::nodes(&net, N_NODES);
-    let mut sup = storm::supervisor(&net, nodes.clone(), 3, &Obs::off());
+    let mut sup = storm::supervisor(nodes.clone(), 3, &Obs::off());
     let victim = (seed % SHARDS as u64) as usize;
     let mut deltas = Vec::new();
     for round in 0..rounds {

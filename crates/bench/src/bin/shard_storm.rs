@@ -44,7 +44,7 @@ fn storm_run(
     checkpoint_dir: Option<&std::path::Path>,
 ) -> StormOutcome {
     let mut net = storm::hostile_net(seed, &Obs::off());
-    let mut sup = storm::supervisor(&net, storm::nodes(&net, 10), restart_budget, &Obs::off());
+    let mut sup = storm::supervisor(storm::nodes(&net, 10), restart_budget, &Obs::off());
     if let Some(dir) = checkpoint_dir {
         sup.set_checkpoint_dir(dir);
     }

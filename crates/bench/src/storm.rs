@@ -82,12 +82,7 @@ fn ting_config() -> TingConfig {
 }
 
 /// A [`SHARDS`]-shard supervised scan of `nodes`, recording into `obs`.
-pub fn supervisor(
-    net: &TorNetwork,
-    nodes: Vec<NodeId>,
-    restart_budget: u32,
-    obs: &Obs,
-) -> Supervisor {
+pub fn supervisor(nodes: Vec<NodeId>, restart_budget: u32, obs: &Obs) -> Supervisor {
     let config = SupervisorConfig {
         shards: SHARDS,
         scanner: scan_config(),
@@ -99,9 +94,7 @@ pub fn supervisor(
         restart_backoff: SimDuration::from_nanos(0),
         restart_backoff_cap: SimDuration::from_nanos(0),
     };
-    let mut sup = Supervisor::with_obs(nodes, config, ting_config(), obs.clone());
-    sup.load_locations(net);
-    sup
+    Supervisor::with_obs(nodes, config, ting_config(), obs.clone())
 }
 
 /// Advances the clock to the start of `round` (never backwards: a round
@@ -163,16 +156,10 @@ pub fn implausible_estimates(net: &TorNetwork, matrix: &RttMatrix) -> Vec<String
 /// Kills the scanning process: scanner and driver are torn down and
 /// rebuilt from what a real process would have persisted — the
 /// checkpoint and the exported timeout estimators.
-fn kill_and_resume(
-    scanner: &mut Scanner,
-    ting: &mut Ting,
-    net: &TorNetwork,
-    obs: &Obs,
-) -> Result<(), String> {
+fn kill_and_resume(scanner: &mut Scanner, ting: &mut Ting, obs: &Obs) -> Result<(), String> {
     let timeouts = ting.timeouts.export();
     *scanner = Scanner::from_checkpoint(&scanner.to_checkpoint())
         .map_err(|e| format!("own checkpoint refused: {e}"))?;
-    scanner.load_locations(net);
     *ting = Ting::with_obs(ting_config(), obs.clone());
     ting.timeouts
         .import(&timeouts)
@@ -199,7 +186,6 @@ pub struct ScanOutcome {
 pub fn scanner_storm(seed: u64, rounds: u64, kill_at: Option<u64>, obs: &Obs) -> ScanOutcome {
     let mut net = hostile_net(seed, obs);
     let mut scanner = Scanner::new(nodes(&net, 8), scan_config());
-    scanner.load_locations(&net);
     let mut ting = Ting::with_obs(ting_config(), obs.clone());
     let mut violations = Vec::new();
     let mut prev_measured = 0;
@@ -216,7 +202,7 @@ pub fn scanner_storm(seed: u64, rounds: u64, kill_at: Option<u64>, obs: &Obs) ->
         prev_measured = measured;
 
         if kill_at == Some(round) {
-            if let Err(e) = kill_and_resume(&mut scanner, &mut ting, &net, obs) {
+            if let Err(e) = kill_and_resume(&mut scanner, &mut ting, obs) {
                 violations.push(format!("round {round}: {e}"));
                 break;
             }

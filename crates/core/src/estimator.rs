@@ -28,6 +28,10 @@ impl CircuitSamples {
     }
 
     /// The circuit's RTT estimate: the minimum sample.
+    #[expect(
+        clippy::expect_used,
+        reason = "`CircuitSamples::new` refuses an empty sample list"
+    )]
     pub fn min_ms(&self) -> f64 {
         min_filter(&self.samples).expect("non-empty by construction")
     }

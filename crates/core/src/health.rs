@@ -8,9 +8,11 @@
 //! module adds the cross-pair view: every circuit/stream/probe outcome
 //! feeds an EWMA success score for the relays involved, and a relay
 //! whose score collapses enters **quarantine** — its pairs are parked
-//! in the [`crate::queue::WorkQueue`] instead of scheduled, and the
-//! relay re-earns its place via cheap probation probes (or pure decay,
-//! for the case where the scanner simply stops hearing about it).
+//! instead of scheduled, and the relay re-earns its place via cheap
+//! probation probes (or pure decay, for the case where the scanner
+//! simply stops hearing about it). The roster kept here is the only
+//! one: the scanner reads it into the `parked` mask it hands
+//! [`crate::queue::WorkQueue`] each time it plans.
 //!
 //! State machine per relay:
 //!

@@ -110,6 +110,10 @@ impl RttMatrix {
     ///
     /// # Panics
     /// Panics on duplicate nodes.
+    #[expect(
+        clippy::panic,
+        reason = "documented to panic on a node list built in code; data goes through `try_new`"
+    )]
     pub fn new(nodes: Vec<NodeId>) -> RttMatrix {
         RttMatrix::try_new(nodes).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -189,6 +193,10 @@ impl RttMatrix {
     /// Panics on a non-finite RTT, a node outside the matrix or a pair
     /// of a node with itself; load paths that cannot trust their input
     /// use [`RttMatrix::try_set`].
+    #[expect(
+        clippy::panic,
+        reason = "documented to panic on a cell built in code; data goes through `try_set`"
+    )]
     pub fn set(&mut self, a: NodeId, b: NodeId, rtt_ms: f64) {
         self.try_set(a, b, rtt_ms).unwrap_or_else(|e| panic!("{e}"));
     }

@@ -615,6 +615,10 @@ pub(crate) fn drive<S: Copy, const N: usize>(
 }
 
 /// Runs one job alone on the primary vantage — a single-lane [`drive`].
+#[expect(
+    clippy::expect_used,
+    reason = "`drive` returns only once every queued job has completed, and the one job's completion sets `finished`"
+)]
 pub(crate) fn run_alone<const N: usize>(
     net: &mut TorNetwork,
     ting: &Ting,

@@ -21,7 +21,7 @@ use crate::validate::{
 use geo::GeoPoint;
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::{Obs, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use tor_sim::TorNetwork;
 
@@ -97,11 +97,9 @@ pub struct Scanner {
     /// record, retry state, scope — in the queue's pair table, laid out
     /// like the matrix, plus the priority order over it.
     queue: WorkQueue,
-    /// Per-relay health model, present iff `config.health` is.
+    /// Per-relay health model, present iff `config.health` is: the one
+    /// quarantine roster, read by [`Scanner::parked`].
     health: Option<RelayHealth>,
-    /// Node geolocations for the lightspeed validation bound (see
-    /// [`Scanner::load_locations`]); pairs without locations skip it.
-    locations: HashMap<NodeId, GeoPoint>,
 }
 
 impl Scanner {
@@ -121,7 +119,6 @@ impl Scanner {
             matrix,
             rounds_run: 0,
             health: config.health.map(RelayHealth::new),
-            locations: HashMap::new(),
         }
     }
 
@@ -132,6 +129,10 @@ impl Scanner {
     }
 
     /// [`Scanner::pair`] for the pairs the scanner itself planned.
+    #[expect(
+        clippy::panic,
+        reason = "the scanner plans only pairs of its own node list"
+    )]
     fn planned_pair(&self, a: NodeId, b: NodeId) -> (u32, u32) {
         self.pair(a, b)
             .unwrap_or_else(|| panic!("pair ({}, {}) is not scanned", a.0, b.0))
@@ -181,19 +182,22 @@ impl Scanner {
         self.health.as_ref()
     }
 
-    /// Registers a node location for the lightspeed validation bound.
-    pub fn set_node_location(&mut self, node: NodeId, location: GeoPoint) {
-        self.locations.insert(node, location);
+    /// Every scanned node's location, in node-list order, read from the
+    /// network's underlay — the one place a relay's location is kept.
+    fn locations(&self, net: &TorNetwork) -> Vec<GeoPoint> {
+        let at = |n: &NodeId| net.sim.underlay().node(n.index()).location;
+        self.matrix.nodes().iter().map(at).collect()
     }
 
-    /// Pulls every scanned node's location from the network's underlay.
-    /// Locations are derived state, not checkpointed — call this again
-    /// after [`Scanner::from_checkpoint`].
-    pub fn load_locations(&mut self, net: &TorNetwork) {
-        for &n in self.matrix.nodes() {
-            let loc = net.sim.underlay().node(n.index()).location;
-            self.locations.insert(n, loc);
+    /// One flag per node index: whether the health model holds that
+    /// relay in quarantine, so the queue parks its pairs.
+    fn parked(&self) -> Vec<bool> {
+        let mut parked = vec![false; self.matrix.len()];
+        let roster = self.health.iter().flat_map(RelayHealth::quarantined_nodes);
+        for i in roster.filter_map(|node| self.matrix.index_of(node)) {
+            parked[i as usize] = true;
         }
+        parked
     }
 
     /// When `pair` was last measured, if ever.
@@ -266,6 +270,7 @@ impl Scanner {
         m: &TingMeasurement,
         now: SimTime,
         ting: &Ting,
+        locations: &[GeoPoint],
     ) -> bool {
         let est = m.estimate_ms();
         if implausibly_low(est) {
@@ -285,7 +290,7 @@ impl Scanner {
             return false;
         }
         if let Some(vcfg) = &self.config.validation {
-            match validate(est, vcfg, &self.validation_context(a, b, now)) {
+            match validate(est, vcfg, &self.validation_context(a, b, now, locations)) {
                 Verdict::Accept => {}
                 Verdict::Flag(e) => {
                     self.observe_verdict(
@@ -352,14 +357,19 @@ impl Scanner {
     }
 
     /// Assembles what [`crate::validate::validate`] needs to know about
-    /// a pair: geodesic distance (if geolocated), the cached estimate
-    /// when still fresh, whether this measurement is already a retry,
-    /// and the best cached two-hop detour.
-    fn validation_context(&self, a: NodeId, b: NodeId, now: SimTime) -> ValidationContext {
-        let distance_km = match (self.locations.get(&a), self.locations.get(&b)) {
-            (Some(&pa), Some(&pb)) => Some(geo::great_circle_km(pa, pb)),
-            _ => None,
-        };
+    /// a pair: the distance between its [`Scanner::locations`], the
+    /// cached estimate when still fresh, whether this measurement is
+    /// already a retry, and the best cached two-hop detour.
+    fn validation_context(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        now: SimTime,
+        locations: &[GeoPoint],
+    ) -> ValidationContext {
+        let location = |n| self.matrix.index_of(n).map(|i| locations[i as usize]);
+        let (pa, pb) = (location(a), location(b));
+        let distance_km = pa.zip(pb).map(|(pa, pb)| geo::great_circle_km(pa, pb));
         let fresh_cached_ms = self
             .measured_at(a, b)
             .filter(|&t| now.since(t) < self.config.staleness)
@@ -376,17 +386,14 @@ impl Scanner {
         }
     }
 
-    /// Feeds one relay observation into the health model and applies
-    /// any quarantine transition to the work queue.
+    /// Feeds one relay observation into the health model and records
+    /// any quarantine transition it made.
     fn note_health(&mut self, node: NodeId, success: bool, now: SimTime, ting: &Ting) {
         let Some(h) = self.health.as_mut() else {
             return;
         };
         match h.record(node, success, now) {
             Some(HealthEvent::Quarantined(n)) => {
-                if let Some(i) = self.matrix.index_of(n) {
-                    self.queue.quarantine(i);
-                }
                 ting.obs().inc("ting.health.quarantined");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -397,9 +404,6 @@ impl Scanner {
                 }
             }
             Some(HealthEvent::Released(n)) => {
-                if let Some(i) = self.matrix.index_of(n) {
-                    self.queue.release(i);
-                }
                 ting.obs().inc("ting.health.released.probation");
                 if ting.obs().is_tracing() {
                     ting.obs().event(
@@ -462,26 +466,25 @@ impl Scanner {
     /// then due probation probes (within the round budget), then the
     /// ordinary queue plan.
     fn plan_round_healthy(&mut self, now: SimTime, ting: &Ting) -> Vec<(NodeId, NodeId)> {
+        let released = self.health.as_mut().map(|h| h.release_by_decay(now));
+        for n in released.into_iter().flatten() {
+            ting.obs().inc("ting.health.released.decay");
+            if ting.obs().is_tracing() {
+                ting.obs().event(
+                    obs::names::HEALTH_RELEASE,
+                    now.as_nanos(),
+                    vec![
+                        ("node", Value::U64(n.0 as u64)),
+                        ("reason", Value::Str("decay".to_owned())),
+                    ],
+                );
+            }
+        }
+        let parked = self.parked();
         let cap = self.config.pairs_per_round;
         let nodes = self.matrix.nodes();
         let mut plan = Vec::new();
         if let Some(h) = self.health.as_mut() {
-            for n in h.release_by_decay(now) {
-                if let Some(i) = self.matrix.index_of(n) {
-                    self.queue.release(i);
-                }
-                ting.obs().inc("ting.health.released.decay");
-                if ting.obs().is_tracing() {
-                    ting.obs().event(
-                        obs::names::HEALTH_RELEASE,
-                        now.as_nanos(),
-                        vec![
-                            ("node", Value::U64(n.0 as u64)),
-                            ("reason", Value::Str("decay".to_owned())),
-                        ],
-                    );
-                }
-            }
             for n in h.due_probes(now) {
                 if plan.len() >= cap {
                     break;
@@ -492,7 +495,7 @@ impl Scanner {
                 let probe = self
                     .matrix
                     .index_of(n)
-                    .and_then(|i| self.queue.probe_pair(i));
+                    .and_then(|i| self.queue.probe_pair(i, &parked));
                 if let Some((a, b)) = probe.map(|(i, j)| (nodes[i as usize], nodes[j as usize])) {
                     ting.obs().inc("ting.health.probation_probe");
                     if ting.obs().is_tracing() {
@@ -511,7 +514,7 @@ impl Scanner {
             }
         }
         let remaining = cap.saturating_sub(plan.len());
-        let planned = self.queue.plan(now, remaining);
+        let planned = self.queue.plan(now, remaining, &parked);
         plan.extend(
             planned
                 .into_iter()
@@ -560,6 +563,7 @@ impl Scanner {
     fn round(&mut self, net: &mut TorNetwork, ting: &Ting, lanes: usize) -> RoundReport {
         self.rounds_run += 1;
         let plan = self.plan_round_healthy(net.sim.now(), ting);
+        let locations = self.locations(net);
         let mut fields = vec![("planned", Value::U64(plan.len() as u64))];
         if lanes > 1 {
             fields.push(("vantages", Value::U64(lanes as u64)));
@@ -582,7 +586,7 @@ impl Scanner {
             let verdict = match &outcome.result {
                 Ok(m) => {
                     self.note_pair_outcome(x, y, Ok(()), at, ting);
-                    if self.record_success(x, y, m, at, ting) {
+                    if self.record_success(x, y, m, at, ting, &locations) {
                         measured += 1;
                         "accepted"
                     } else {
@@ -602,7 +606,7 @@ impl Scanner {
         let report = RoundReport {
             measured,
             failed,
-            still_pending: self.queue.backlog(net.sim.now()),
+            still_pending: self.queue.backlog(net.sim.now(), &self.parked()),
         };
         ting.obs().span_end(
             obs::names::SCAN_ROUND_END,
@@ -752,15 +756,6 @@ impl Scanner {
                 _ => return Err(row.err(&format!("tag {kind:?} is unknown or needs health=1"))),
             }
             row.end()?;
-        }
-        for node in scanner
-            .health
-            .iter()
-            .flat_map(RelayHealth::quarantined_nodes)
-        {
-            if let Some(i) = scanner.matrix.index_of(node) {
-                scanner.queue.quarantine(i);
-            }
         }
         Ok(scanner)
     }
@@ -932,7 +927,7 @@ mod tests {
         // ordered oldest-first.
         let later = netsim::SimTime::ZERO + netsim::SimDuration::from_hours(48);
         net.sim.advance_to(later);
-        let plan = scanner.queue.plan(net.sim.now(), 30);
+        let plan = scanner.queue.plan(net.sim.now(), 30, &scanner.parked());
         assert_eq!(plan.len(), 28);
         assert_eq!(plan[0], (0, 1), "the first pair measured is the oldest");
         scanner.run_round(&mut net, &ting);
@@ -946,12 +941,12 @@ mod tests {
         // Measure 27 of 28 pairs; age them; the unmeasured pair must
         // come first in the next plan.
         scanner.run_round(&mut net, &ting);
-        let plan_before = scanner.queue.plan(net.sim.now(), 27);
+        let plan_before = scanner.queue.plan(net.sim.now(), 27, &scanner.parked());
         assert_eq!(plan_before.len(), 1, "one pair left unmeasured");
         let missing = plan_before[0];
         net.sim
             .advance_to(netsim::SimTime::ZERO + netsim::SimDuration::from_hours(48));
-        let plan = scanner.queue.plan(net.sim.now(), 27);
+        let plan = scanner.queue.plan(net.sim.now(), 27, &scanner.parked());
         assert_eq!(plan.len(), 27);
         assert_eq!(plan[0], missing);
     }
@@ -982,7 +977,7 @@ mod tests {
         // Eq. (4): 10 − 6 − 6 = −2 ms, a measurement artifact.
         let bad = sampled(10.0, 12.0);
         assert!(bad.estimate_ms() < 0.0);
-        assert!(!scanner.record_success(NodeId(1), NodeId(2), &bad, now, &ting));
+        assert!(!scanner.record_success(NodeId(1), NodeId(2), &bad, now, &ting, &[]));
         assert_eq!(
             scanner.matrix().measured_pairs(),
             0,
@@ -993,10 +988,20 @@ mod tests {
         let (attempts, next_at) = scanner.retry_state(NodeId(1), NodeId(2)).unwrap();
         assert_eq!(attempts, 1);
         assert!(next_at > now);
-        assert!(scanner.queue.plan(now, 50).is_empty());
-        assert_eq!(scanner.queue.plan(next_at, 50), vec![(0, 1)]);
+        assert!(scanner.queue.plan(now, 50, &scanner.parked()).is_empty());
+        assert_eq!(
+            scanner.queue.plan(next_at, 50, &scanner.parked()),
+            vec![(0, 1)]
+        );
         // A plausible re-measurement is accepted and clears the backoff.
-        assert!(scanner.record_success(NodeId(1), NodeId(2), &sampled(50.0, 20.0), next_at, &ting));
+        assert!(scanner.record_success(
+            NodeId(1),
+            NodeId(2),
+            &sampled(50.0, 20.0),
+            next_at,
+            &ting,
+            &[]
+        ));
         assert_eq!(scanner.matrix().get(NodeId(1), NodeId(2)), Some(30.0));
         assert_eq!(scanner.retry_state(NodeId(1), NodeId(2)), None);
     }
@@ -1007,6 +1012,7 @@ mod tests {
         // One round caches 10 of 28 pairs: a sparse matrix, where some
         // pairs have several candidate relays and some have none.
         scanner.run_round(&mut net, &ting);
+        let locations = scanner.locations(&net);
         let (cached, ids) = (scanner.matrix(), scanner.matrix().nodes());
         let mut with_detour = 0;
         for &a in ids {
@@ -1017,7 +1023,7 @@ mod tests {
                     .filter_map(|&z| Some(cached.get(a, z)? + cached.get(z, b)?))
                     .min_by(f64::total_cmp);
                 let got = scanner
-                    .validation_context(a, b, net.sim.now())
+                    .validation_context(a, b, net.sim.now(), &locations)
                     .best_detour_ms;
                 assert_eq!(
                     got.map(f64::to_bits),
@@ -1028,6 +1034,59 @@ mod tests {
             }
         }
         assert!(0 < with_detour && with_detour < 56, "{with_detour} of 56");
+    }
+
+    #[test]
+    fn the_lightspeed_bound_needs_no_setup() {
+        use crate::estimator::CircuitSamples;
+        use obs::ObsConfig;
+
+        // Validation on, and the scanner never told where anything is.
+        let net = TorNetworkBuilder::testbed(61).build();
+        let nodes: Vec<NodeId> = net.relays.iter().copied().take(8).collect();
+        let config = ScannerConfig {
+            validation: Some(ValidationConfig::default()),
+            ..ScannerConfig::default()
+        };
+        let mut scanner = Scanner::new(nodes.clone(), config);
+        let ting = Ting::with_obs(TingConfig::fast(), Obs::new(ObsConfig::Metrics));
+        let now = SimTime::ZERO + SimDuration::from_secs(10);
+        let locations = scanner.locations(&net);
+        let at = |n: NodeId| net.sim.underlay().node(n.index()).location;
+        let mut farthest = (0.0, nodes[0], nodes[1]);
+        for (k, &a) in nodes.iter().enumerate() {
+            for &b in &nodes[k + 1..] {
+                let km = geo::great_circle_km(at(a), at(b));
+                let ctx = scanner.validation_context(a, b, now, &locations);
+                assert_eq!(ctx.distance_km.map(f64::to_bits), Some(km.to_bits()));
+                if km > farthest.0 {
+                    farthest = (km, a, b);
+                }
+            }
+        }
+
+        // An estimate 1 ms under the farthest pair's light-in-fiber floor.
+        let (km, a, b) = farthest;
+        let est = geo::lightspeed::min_rtt_ms(km) - 1.0;
+        assert!(est > 1.0, "the testbed's farthest pair is {km} km apart");
+        let leg = CircuitSamples::new(vec![10.0]);
+        let m = TingMeasurement {
+            full: CircuitSamples::new(vec![est + 10.0]),
+            x_leg: leg.clone(),
+            y_leg: leg,
+            elapsed_s: 1.0,
+        };
+        assert!(!scanner.record_success(a, b, &m, now, &ting, &locations));
+        let refused = ting
+            .obs()
+            .counter_value("ting.validate.reject.below_lightspeed");
+        assert_eq!(refused, 1);
+        assert_eq!(scanner.matrix().measured_pairs(), 0);
+        let (attempts, retry_at) = scanner.retry_state(a, b).unwrap();
+        assert_eq!((attempts, retry_at), (1, now + config.retry_backoff));
+        let (i, j) = scanner.planned_pair(a, b);
+        let plan = scanner.queue.plan(now, usize::MAX, &scanner.parked());
+        assert!(!plan.contains(&(i, j)), "re-queued under backoff");
     }
 
     #[test]

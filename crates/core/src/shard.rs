@@ -169,7 +169,6 @@ impl SlotState {
 /// supervision bookkeeping.
 struct ShardSlot {
     id: u32,
-    owned: Vec<(NodeId, NodeId)>,
     state: SlotState,
     /// Last sealed checkpoint, refreshed after every completed round.
     /// Always parseable: initialized from the empty scanner.
@@ -652,8 +651,7 @@ impl Supervisor {
         ting_config: TingConfig,
         obs: Obs,
     ) -> Supervisor {
-        let owned = partition_pairs(&nodes, config.shards);
-        let slots = owned
+        let slots = partition_pairs(&nodes, config.shards)
             .into_iter()
             .enumerate()
             .map(|(id, owned)| {
@@ -662,7 +660,6 @@ impl Supervisor {
                 let checkpoint = scanner.to_checkpoint();
                 ShardSlot {
                     id: id as u32,
-                    owned,
                     state: SlotState::Live {
                         scanner: Box::new(scanner),
                         ting: Box::new(Ting::with_obs(ting_config, obs.clone())),
@@ -690,17 +687,6 @@ impl Supervisor {
     /// Enables file-backed shard checkpoints under `dir`.
     pub fn set_checkpoint_dir(&mut self, dir: impl Into<PathBuf>) {
         self.checkpoint_dir = Some(dir.into());
-    }
-
-    /// Registers every shard's node locations for lightspeed
-    /// validation. Call once after construction (and the supervisor
-    /// re-applies it on every restart).
-    pub fn load_locations(&mut self, net: &TorNetwork) {
-        for slot in &mut self.slots {
-            if let SlotState::Live { scanner, .. } = &mut slot.state {
-                scanner.load_locations(net);
-            }
-        }
     }
 
     pub fn shard_count(&self) -> usize {
@@ -781,7 +767,7 @@ impl Supervisor {
         for k in 0..self.slots.len() {
             let now = net.sim.now();
             if matches!(self.status(k), ShardStatus::Restarting { at } if now >= at) {
-                self.restore(k, net);
+                self.restore(k, now);
             }
             let slot = &mut self.slots[k];
             let SlotState::Live {
@@ -916,12 +902,12 @@ impl Supervisor {
         };
     }
 
-    /// Brings a crashed shard back: checkpoint (disk, then the
-    /// in-memory copy), restored timeout estimators, re-derived scope
-    /// and locations. A refused checkpoint falls back to a fresh
-    /// scanner — losing the shard's cache but never wedging the scan.
-    fn restore(&mut self, k: usize, net: &TorNetwork) {
-        let now = net.sim.now();
+    /// Brings a crashed shard back at `now`: checkpoint (disk, then the
+    /// in-memory copy), restored timeout estimators, and its scope
+    /// re-dealt by [`partition_pairs`], the rule construction used. A
+    /// refused checkpoint falls back to a fresh scanner — losing the
+    /// shard's cache but never wedging the scan.
+    fn restore(&mut self, k: usize, now: SimTime) {
         let from_disk = self.checkpoint_dir.as_ref().and_then(|dir| {
             Scanner::recover_observed(shard_path(dir, self.slots[k].id), &self.obs, now).ok()
         });
@@ -946,8 +932,7 @@ impl Supervisor {
                 Scanner::new(self.nodes.clone(), self.config.scanner)
             }
         };
-        scanner.restrict_to(&self.slots[k].owned);
-        scanner.load_locations(net);
+        scanner.restrict_to(&partition_pairs(&self.nodes, self.config.shards)[k]);
         let ting = Ting::with_obs(self.ting_config, self.obs.clone());
         let _ = ting.timeouts.import(&self.slots[k].timeouts);
         let slot = &mut self.slots[k];

@@ -10,7 +10,9 @@
 //! * **Speed of light** (reject): `R(x, y)` below the great-circle
 //!   light-in-fiber round trip ([`geo::lightspeed`]) is physically
 //!   impossible — an Eq. (4) undershoot artifact, like the
-//!   negative-estimate case [`implausibly_low`] already catches.
+//!   negative-estimate case [`implausibly_low`] already catches. The
+//!   scanner reads both endpoints' locations from the network's
+//!   underlay, so the bound needs no setup.
 //! * **Cache divergence** (reject once, then accept): a re-measurement
 //!   that lands far from a still-fresh cached value is suspect — but
 //!   paths do change, so only the *first* divergent measurement is
@@ -48,8 +50,7 @@ pub struct ValidationConfig {
     /// Absolute slack (ms) before divergence triggers — sub-ms paths
     /// jitter by more than any ratio test tolerates.
     pub divergence_slack_ms: f64,
-    /// Enforce the great-circle lightspeed lower bound (needs node
-    /// locations; pairs without locations are skipped).
+    /// Enforce the great-circle lightspeed lower bound.
     pub lightspeed: bool,
     /// Flag estimates above `best_detour × factor` as TIV outliers.
     pub tiv_factor: f64,
@@ -131,7 +132,7 @@ pub enum Verdict {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ValidationContext {
     /// Great-circle distance between the endpoints, if both are
-    /// geolocated.
+    /// geolocated (every scanned pair is).
     pub distance_km: Option<f64>,
     /// The cached estimate, only when it is still fresh (stale cache
     /// entries prove nothing about the current path).

@@ -48,6 +48,12 @@ fn handwritten() -> String {
 
 /// The canonical serialization of the handwritten state: whatever
 /// `to_checkpoint` itself emits after one parse.
+/// [`handwritten`] with one more measurement: a state whose checkpoint
+/// differs from it.
+fn handwritten_plus_one_row() -> String {
+    seal(format!("{HANDWRITTEN_BODY}m\t0\t2\t7.75\t3000000000\t3\n"))
+}
+
 fn canonical() -> String {
     Scanner::from_checkpoint(&handwritten())
         .expect("handwritten checkpoint must parse")
@@ -521,8 +527,8 @@ fn save_promotes_backup_and_recover_falls_back() {
     let gen1_text = std::fs::read_to_string(&path).unwrap();
 
     // A second save promotes the first generation to `.bak`.
-    let mut gen2 = Scanner::from_checkpoint(&gen1_text).unwrap();
-    gen2.set_node_location(netsim::NodeId(0), geo::GeoPoint::new(0.0, 0.0));
+    let gen2 = Scanner::from_checkpoint(&handwritten_plus_one_row()).unwrap();
+    assert_ne!(gen2.to_checkpoint(), gen1_text, "the generations differ");
     gen2.save(&path).unwrap();
     assert_eq!(std::fs::read_to_string(bak_path(&path)).unwrap(), gen1_text);
 
@@ -581,8 +587,12 @@ fn interrupted_save_leaves_a_loadable_checkpoint() {
         Scanner::recover(&path).unwrap().to_checkpoint(),
         gen1.to_checkpoint()
     );
-    let mut gen2 = Scanner::from_checkpoint(&gen1.to_checkpoint()).unwrap();
-    gen2.set_node_location(netsim::NodeId(1), geo::GeoPoint::new(10.0, 20.0));
+    let gen2 = Scanner::from_checkpoint(&handwritten_plus_one_row()).unwrap();
+    assert_ne!(
+        gen2.to_checkpoint(),
+        gen1.to_checkpoint(),
+        "the generations differ"
+    );
     gen2.save(&path).unwrap();
     assert_eq!(
         std::fs::read_to_string(&path).unwrap(),

@@ -46,7 +46,6 @@ fn traced_scan(seed: u64, mode: ObsConfig) -> (String, String, u64) {
             ..ScannerConfig::default()
         },
     );
-    scanner.load_locations(&net);
     for _ in 0..3 {
         scanner.run_round(&mut net, &ting);
         let next = net.sim.now() + SimDuration::from_secs(120);

@@ -62,7 +62,6 @@ fn every_observed_failure_class_reaches_the_exported_metrics() {
             validation: Some(ValidationConfig::default()),
         },
     );
-    scanner.load_locations(&net);
     let ting = Ting::with_obs(
         TingConfig {
             max_attempts: 2,

@@ -84,7 +84,6 @@ fn one_shard_supervised_scan_is_bit_identical_to_plain_scanner() {
     // Supervised run over an identically seeded network.
     let mut net2 = TorNetworkBuilder::testbed(97).vantages(2).build();
     let mut sup = Supervisor::new(nodes, supervisor_config(1), TingConfig::fast());
-    sup.load_locations(&net2);
     for _ in 0..3 {
         sup.run_round(&mut net2);
     }
@@ -108,7 +107,6 @@ fn run_sharded(shards: usize, rounds: usize) -> (Supervisor, tor_sim::TorNetwork
     let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
     let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
     let mut sup = Supervisor::new(nodes, supervisor_config(shards), TingConfig::fast());
-    sup.load_locations(&net);
     for _ in 0..rounds {
         sup.run_round(&mut net);
     }
@@ -157,7 +155,6 @@ fn kill_and_resume_is_bit_identical_to_uninterrupted_run() {
     let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
     let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
     let mut sup = Supervisor::new(nodes, supervisor_config(4), TingConfig::fast());
-    sup.load_locations(&net);
     for round in 0..rounds {
         if round == 1 {
             // Crash shard 2 between rounds: its live state is gone; it
@@ -189,7 +186,6 @@ fn dead_shard_degrades_scan_without_blocking_it() {
         config.restart_budget = 0; // first crash quarantines
         let obs = Obs::new(ObsConfig::Metrics);
         let mut sup = Supervisor::with_obs(nodes, config, TingConfig::fast(), obs.clone());
-        sup.load_locations(&net);
         // Kill shard 1 before it ever measures: every owned pair stays
         // uncovered.
         sup.inject_crash(1, net.sim.now());
@@ -246,7 +242,6 @@ fn heartbeat_detects_wedged_shard_and_restarts_it() {
     config.heartbeat_timeout = SimDuration::from_hours(1);
     let obs = Obs::new(ObsConfig::Metrics);
     let mut sup = Supervisor::with_obs(nodes, config, TingConfig::fast(), obs.clone());
-    sup.load_locations(&net);
     // Wedge shard 1 indefinitely; only the heartbeat can free it.
     sup.inject_hang(1, t(1_000_000));
     let round_secs = 600;
@@ -277,7 +272,6 @@ fn corrupt_checkpoint_restarts_shard_fresh() {
     let obs = Obs::new(ObsConfig::Metrics);
     let mut sup =
         Supervisor::with_obs(nodes, supervisor_config(2), TingConfig::fast(), obs.clone());
-    sup.load_locations(&net);
     sup.run_round(&mut net); // measures everything (7-pair budget, ~8 owned)
     sup.corrupt_stored_checkpoint(0);
     sup.inject_crash(0, net.sim.now());
@@ -309,7 +303,6 @@ fn file_backed_shards_recover_from_bak_generation() {
     let mut sup =
         Supervisor::with_obs(nodes, supervisor_config(2), TingConfig::fast(), obs.clone());
     sup.set_checkpoint_dir(&dir);
-    sup.load_locations(&net);
     sup.run_round(&mut net);
     sup.run_round(&mut net); // second save promotes a `.bak` generation
     for k in 0..2u32 {
@@ -344,7 +337,6 @@ fn delta_stream_replays_to_the_full_merge() {
     let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
     let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
     let mut sup = Supervisor::new(nodes.clone(), supervisor_config(3), TingConfig::fast());
-    sup.load_locations(&net);
 
     let mut matrix = RttMatrix::new(nodes);
     let mut measured_at: HashMap<(NodeId, NodeId), SimTime> = HashMap::new();
@@ -392,7 +384,6 @@ fn downed_shard_emits_its_checkpoint_once_per_outage() {
     let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
     let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
     let mut sup = Supervisor::new(nodes.clone(), supervisor_config(3), TingConfig::fast());
-    sup.load_locations(&net);
     sup.run_round(&mut net);
     sup.inject_crash(1, net.sim.now());
 
@@ -434,7 +425,6 @@ fn delta_pairs_keep_their_order() {
     let mut config = supervisor_config(3);
     config.scanner.pairs_per_round = 2;
     let mut sup = Supervisor::new(nodes, config, TingConfig::fast());
-    sup.load_locations(&net);
     let mut text = String::new();
     for round in 0..5 {
         sup.run_round(&mut net);

@@ -46,7 +46,6 @@ fn traced_scan(seed: u64) -> String {
             ..ScannerConfig::default()
         },
     );
-    scanner.load_locations(&net);
     for _ in 0..3 {
         scanner.run_round(&mut net, &ting);
         let next = net.sim.now() + SimDuration::from_secs(120);
@@ -66,7 +65,6 @@ fn traced_parallel_scan(seed: u64, vantages: usize) -> String {
         .build();
     let ting = Ting::with_obs(TingConfig::fast(), obs.clone());
     let mut scanner = Scanner::new(net.relays.clone(), ScannerConfig::default());
-    scanner.load_locations(&net);
     let report = scanner.run_round_parallel(&mut net, &ting);
     assert!(report.measured > 0, "parallel fixture measured nothing");
     obs.export_jsonl(&meta(seed))
@@ -179,7 +177,6 @@ fn traced_testbed_scan(seed: u64) -> (String, Vec<(u32, f64, f64)>) {
             ..ScannerConfig::default()
         },
     );
-    scanner.load_locations(&net);
     for _ in 0..4 {
         scanner.run_round(&mut net, &ting);
         let next = net.sim.now() + SimDuration::from_secs(120);

@@ -64,7 +64,6 @@ fn traced_audit_run(tag: &str) -> String {
         restart_backoff_cap: SimDuration::from_nanos(0),
     };
     let mut sup = Supervisor::with_obs(nodes.clone(), config, TingConfig::fast(), obs.clone());
-    sup.load_locations(&net);
 
     let mut p = Pipeline::with_obs(
         nodes.clone(),

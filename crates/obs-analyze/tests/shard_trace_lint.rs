@@ -41,7 +41,6 @@ fn traced_supervised_scan(tag: &str) -> String {
     };
     let mut sup = Supervisor::with_obs(nodes, config, TingConfig::fast(), obs.clone());
     sup.set_checkpoint_dir(&dir);
-    sup.load_locations(&net);
 
     // Two clean rounds: `shard.round` spans, and a `.bak` generation
     // behind every shard's checkpoint file.

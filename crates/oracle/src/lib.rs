@@ -29,6 +29,12 @@
 // The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
 // kernel; nothing here may add a second.
 #![forbid(unsafe_code)]
+// No data reaches a panic: a site that can only fail by construction
+// carries an `#[expect]` naming the invariant it relies on.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod journal;
 pub mod pipeline;

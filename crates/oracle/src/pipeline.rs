@@ -148,6 +148,10 @@ pub struct Pipeline {
     journal: Option<Journal>,
     oracle: Oracle,
     queue: VecDeque<MergeDelta>,
+    /// Pairs folded into `dataset` since the last sealed generation;
+    /// `Some` while it holds folds no sealed generation carries (a
+    /// refused journal append leaves them for the next tick).
+    unsealed: Option<u64>,
     last_publish: Option<SimTime>,
     /// Highest delta sequence folded into the served generation —
     /// stamped on the publish trace so a lineage walk can tie a pair's
@@ -192,6 +196,7 @@ impl Pipeline {
             journal,
             oracle,
             queue: VecDeque::new(),
+            unsealed: None,
             last_publish: None,
             last_seq: 0,
             slo,
@@ -320,8 +325,9 @@ impl Pipeline {
     }
 
     /// One control-loop turn at virtual instant `now`: publishes a new
-    /// generation when the queue has data and the publish interval has
-    /// elapsed, then re-judges the TTL ladder (which moves even when
+    /// generation when the queue has data, or the dataset holds folds a
+    /// refused journal append left unsealed, and the publish interval
+    /// has elapsed, then re-judges the TTL ladder (which moves even when
     /// nothing publishes — expiry is a function of time, not traffic)
     /// and folds what readers refused and flagged since the last turn
     /// into `oracle.stale.{refused, served_stale}`.
@@ -334,7 +340,7 @@ impl Pipeline {
             .last_publish
             .is_none_or(|at| now.since(at) >= self.config.publish_interval);
         let before = self.state();
-        let published = if !self.queue.is_empty() && due {
+        let published = if (!self.queue.is_empty() || self.unsealed.is_some()) && due {
             Some(self.publish_queued(now)?)
         } else {
             None
@@ -350,7 +356,8 @@ impl Pipeline {
     }
 
     /// Drains the queue into the accumulated dataset and pushes one
-    /// generation through journal and swap cell.
+    /// generation, carrying every fold not yet sealed, through journal
+    /// and swap cell.
     fn publish_queued(&mut self, now: SimTime) -> Result<u64, String> {
         let next = self
             .generation()
@@ -372,7 +379,7 @@ impl Pipeline {
             now.as_nanos(),
             vec![("queued", Value::U64(self.queue.len() as u64))],
         );
-        let mut batch_pairs: u64 = 0;
+        let mut batch_pairs = self.unsealed.unwrap_or(0);
         while let Some(delta) = self.queue.pop_front() {
             batch_pairs += delta.pairs.len() as u64;
             if let Some(slo) = &mut self.slo {
@@ -390,6 +397,7 @@ impl Pipeline {
             self.last_seq = self.last_seq.max(delta.seq);
             let _ = self.dataset.fold(delta);
         }
+        self.unsealed = Some(batch_pairs);
         self.obs.set_gauge("oracle.pipeline.queue_depth", 0);
 
         self.dataset.judge_coverage(now, self.config.staleness);
@@ -405,6 +413,7 @@ impl Pipeline {
             j.append(next, &doc)
                 .map_err(|e| format!("journal append (gen {next}): {e}"))?;
         }
+        self.unsealed = None;
         self.serve(next, now);
         if let Some(j) = &self.journal {
             j.mark_published(next, &doc)
@@ -495,7 +504,9 @@ impl Pipeline {
 
     /// The served generation's sealed document, as judged at its own
     /// publish instant — what the chaos harness compares bit-for-bit
-    /// across kill/resume boundaries.
+    /// across kill/resume boundaries. After a refused journal append it
+    /// is the dataset the next `tick` will seal, already holding the
+    /// folds the served generation does not carry yet.
     pub fn serving_document(&self) -> String {
         self.dataset.to_document()
     }
@@ -756,6 +767,43 @@ mod tests {
             assert_eq!(p.tick(SimTime(13)).unwrap(), Some(3), "next tick proceeds");
             assert_eq!((served(&p, 1), served(&p, 2)), (Some(7.0), Some(3.0)));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_journal_append_is_published_by_the_next_tick() {
+        let dir = std::env::temp_dir().join(format!("ting-pipeline-append-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Journal::open(&dir).unwrap();
+        let mut p = Pipeline::with_obs(nodes(), 1, config(), Obs::off(), Some(journal.clone()));
+        let served = |p: &Pipeline| {
+            p.reader()
+                .point(NodeId(0), NodeId(2))
+                .unwrap()
+                .answer
+                .rtt_ms
+        };
+        p.offer(delta(1, vec![(NodeId(0), NodeId(1), 7.0, SimTime(5))], 10));
+        assert_eq!(p.tick(SimTime(10)).unwrap(), Some(2));
+
+        // A directory where the log belongs: the append is refused.
+        let log = journal.journal_path();
+        std::fs::remove_file(&log).unwrap();
+        std::fs::create_dir(&log).unwrap();
+        p.offer(delta(2, vec![(NodeId(0), NodeId(2), 3.0, SimTime(11))], 12));
+        let err = p.tick(SimTime(12)).unwrap_err();
+        assert!(err.starts_with("journal append (gen 3): "), "{err}");
+        assert_eq!((p.generation(), p.queue_depth(), served(&p)), (2, 0, None));
+        assert!(p.serving_document().contains("m\t0\t2\t3\t11\t0\t2\n"));
+
+        // The disk is back: the next tick seals and serves the fold,
+        // though nothing new was offered.
+        std::fs::remove_dir(&log).unwrap();
+        assert_eq!(p.tick(SimTime(13)).unwrap(), Some(3));
+        assert_eq!(served(&p), Some(3.0));
+        let recovered = journal.recover().unwrap();
+        assert_eq!(recovered.serve(), Some(&(3, p.serving_document())));
+        assert_eq!(p.tick(SimTime(14)).unwrap(), None, "nothing left unsealed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -55,7 +55,6 @@ fn fixture(rounds: usize) -> (Vec<NodeId>, Vec<MergeDelta>, String) {
         restart_backoff_cap: SimDuration::from_nanos(0),
     };
     let mut sup = Supervisor::new(nodes.clone(), config, TingConfig::fast());
-    sup.load_locations(&net);
     let mut deltas = Vec::new();
     for _ in 0..rounds {
         sup.run_round(&mut net);
