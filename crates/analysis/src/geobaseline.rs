@@ -73,7 +73,7 @@ impl GeoPredictor {
 
     /// A full predicted matrix over the training nodes.
     #[cfg(test)]
-    pub fn predicted_matrix(&self) -> RttMatrix {
+    fn predicted_matrix(&self) -> RttMatrix {
         let nodes: Vec<NodeId> = self.positions.iter().map(|(n, _)| *n).collect();
         let mut m = RttMatrix::new(nodes.clone());
         for (i, &a) in nodes.iter().enumerate() {
@@ -86,7 +86,7 @@ impl GeoPredictor {
 
     /// Spearman rank correlation between predictions and `truth`.
     #[cfg(test)]
-    pub fn rank_agreement(&self, truth: &RttMatrix) -> Option<f64> {
+    fn rank_agreement(&self, truth: &RttMatrix) -> Option<f64> {
         let mut pred = Vec::new();
         let mut real = Vec::new();
         for (a, b, rtt) in truth.pairs() {

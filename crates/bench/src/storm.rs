@@ -13,8 +13,8 @@ use std::path::PathBuf;
 use ting::obs::{config_hash, ExportMeta, Obs};
 use ting::shard::{Supervisor, SupervisorConfig};
 use ting::{
-    AdaptiveTimeoutConfig, HealthConfig, RttMatrix, Scanner, ScannerConfig, Ting, TingConfig,
-    ValidationConfig,
+    AdaptiveTimeoutConfig, HealthConfig, RttMatrix, Scanner, ScannerConfig, TimeoutEstimators,
+    Ting, TingConfig, ValidationConfig,
 };
 use tor_sim::churn::ChurnConfig;
 use tor_sim::{RelayFaultProfile, TorNetwork, TorNetworkBuilder};
@@ -154,16 +154,15 @@ pub fn implausible_estimates(net: &TorNetwork, matrix: &RttMatrix) -> Vec<String
 }
 
 /// Kills the scanning process: scanner and driver are torn down and
-/// rebuilt from what a real process would have persisted — the
-/// checkpoint and the exported timeout estimators.
+/// rebuilt from the checkpoint, and the timeout estimators move into
+/// the new driver, as a supervisor's restart hands them over.
 fn kill_and_resume(scanner: &mut Scanner, ting: &mut Ting, obs: &Obs) -> Result<(), String> {
-    let timeouts = ting.timeouts.export();
     *scanner = Scanner::from_checkpoint(&scanner.to_checkpoint())
         .map_err(|e| format!("own checkpoint refused: {e}"))?;
+    let timeouts = std::mem::take(&mut ting.timeouts);
     *ting = Ting::with_obs(ting_config(), obs.clone());
-    ting.timeouts
-        .import(&timeouts)
-        .map_err(|e| format!("timeout state refused: {e}"))
+    ting.timeouts = timeouts;
+    Ok(())
 }
 
 /// Final state of a scanner storm. Everything here must be equal
@@ -171,7 +170,7 @@ fn kill_and_resume(scanner: &mut Scanner, ting: &mut Ting, obs: &Obs) -> Result<
 #[derive(Debug, PartialEq)]
 pub struct ScanOutcome {
     pub checkpoint: String,
-    pub timeouts: String,
+    pub timeouts: TimeoutEstimators,
     pub measured_pairs: usize,
     /// Broken invariants: progress went backwards, an implausible
     /// estimate was cached, own state was refused on resume, or a
@@ -234,7 +233,7 @@ pub fn scanner_storm(seed: u64, rounds: u64, kill_at: Option<u64>, obs: &Obs) ->
 
     ScanOutcome {
         checkpoint: scanner.to_checkpoint(),
-        timeouts: ting.timeouts.export(),
+        timeouts: ting.timeouts,
         measured_pairs: scanner.matrix().measured_pairs(),
         violations,
     }

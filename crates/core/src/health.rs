@@ -108,10 +108,6 @@ impl RelayHealth {
         }
     }
 
-    pub fn is_quarantined(&self, node: NodeId) -> bool {
-        self.quarantined.contains_key(&node)
-    }
-
     /// Currently quarantined relays, ascending by id.
     pub fn quarantined_nodes(&self) -> Vec<NodeId> {
         self.quarantined.keys().copied().collect()
@@ -263,7 +259,7 @@ mod tests {
             }
         }
         assert_eq!(event, Some(HealthEvent::Quarantined(n)));
-        assert!(h.is_quarantined(n));
+        assert!(h.quarantined_nodes().contains(&n));
         // Further failures while quarantined emit no duplicate event.
         assert_eq!(h.record(n, false, t(20)), None);
     }
@@ -276,7 +272,7 @@ mod tests {
             let ev = h.record(n, i % 5 != 0, t(i)); // 20% failure rate
             assert_eq!(ev, None, "at observation {i}");
         }
-        assert!(!h.is_quarantined(n));
+        assert!(!h.quarantined_nodes().contains(&n));
     }
 
     #[test]
@@ -286,7 +282,7 @@ mod tests {
         for i in 0..6 {
             h.record(n, false, t(i));
         }
-        assert!(h.is_quarantined(n));
+        assert!(h.quarantined_nodes().contains(&n));
         let mut released = false;
         for i in 0..20 {
             if let Some(HealthEvent::Released(m)) = h.record(n, true, t(100 + i)) {
@@ -296,7 +292,7 @@ mod tests {
             }
         }
         assert!(released, "successes never released the relay");
-        assert!(!h.is_quarantined(n));
+        assert!(!h.quarantined_nodes().contains(&n));
     }
 
     #[test]
@@ -306,12 +302,12 @@ mod tests {
         for i in 0..6 {
             h.record(n, false, t(i));
         }
-        assert!(h.is_quarantined(n));
+        assert!(h.quarantined_nodes().contains(&n));
         assert!(h.release_by_decay(t(3600)).is_empty(), "released too soon");
         // Many half-lives later the deficit has decayed away.
         let released = h.release_by_decay(t(3600 * 24 * 7));
         assert_eq!(released, vec![n]);
-        assert!(!h.is_quarantined(n));
+        assert!(!h.quarantined_nodes().contains(&n));
         assert!(h.score(n, t(3600 * 24 * 7)) >= 0.6);
     }
 

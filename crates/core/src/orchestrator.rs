@@ -250,17 +250,13 @@ impl Ting {
             TimeoutPhase::Probe => &self.handles.probe_hist,
         };
         hist.record_ms(ms);
-        if self.obs.is_tracing() {
-            self.obs.event(
-                obs::names::TING_PHASE,
-                at.as_nanos(),
-                vec![
-                    ("phase", Value::Str(Self::phase_name(phase).to_owned())),
-                    ("dur_us", Value::U64(obs::ms_to_us(ms))),
-                    ("circuit", Value::U64(circuit.0)),
-                ],
-            );
-        }
+        self.obs.event(obs::names::TING_PHASE, at.as_nanos(), || {
+            vec![
+                ("phase", Value::Str(Self::phase_name(phase).to_owned())),
+                ("dur_us", Value::U64(obs::ms_to_us(ms))),
+                ("circuit", Value::U64(circuit.0)),
+            ]
+        });
         if let Some(cfg) = &self.config.adaptive_timeouts {
             self.timeouts.observe(phase, ms, cfg);
         }
@@ -284,29 +280,21 @@ impl Ting {
             TingError::StreamFailed => self.handles.err_stream.inc(),
             TingError::ProbeLost => self.handles.err_probe.inc(),
         }
-        if self.obs.is_tracing() {
-            self.obs.event(
-                obs::names::TING_ERROR,
-                at.as_nanos(),
-                vec![
-                    ("code", Value::Str(err.code().to_owned())),
-                    ("circuit", Value::U64(circuit.0)),
-                ],
-            );
-        }
+        self.obs.event(obs::names::TING_ERROR, at.as_nanos(), || {
+            vec![
+                ("code", Value::Str(err.code().to_owned())),
+                ("circuit", Value::U64(circuit.0)),
+            ]
+        });
     }
 
     /// Bumps the retry counter and, at trace level, records a
     /// `ting.retry` event.
     pub(crate) fn observe_retry(&self, attempt: u32, at: SimTime) {
         self.handles.retries.inc();
-        if self.obs.is_tracing() {
-            self.obs.event(
-                obs::names::TING_RETRY,
-                at.as_nanos(),
-                vec![("attempt", Value::U64(u64::from(attempt)))],
-            );
-        }
+        self.obs.event(obs::names::TING_RETRY, at.as_nanos(), || {
+            vec![("attempt", Value::U64(u64::from(attempt)))]
+        });
     }
 
     /// Opens a `ting.circuit` span: one build-attach-sample attempt
@@ -324,26 +312,16 @@ impl Ting {
         vantage: usize,
         at: SimTime,
     ) -> obs::SpanId {
-        if !self.obs.is_tracing() {
-            return obs::SpanId(0);
-        }
-        let mut rendered = String::new();
-        for (i, n) in path.iter().enumerate() {
-            if i > 0 {
-                rendered.push('-');
-            }
-            rendered.push_str(&n.0.to_string());
-        }
-        self.obs.span_begin(
-            obs::names::TING_CIRCUIT_BEGIN,
-            at.as_nanos(),
-            vec![
-                ("kind", Value::Str(kind.to_owned())),
-                ("path", Value::Str(rendered)),
-                ("attempt", Value::U64(u64::from(attempt))),
-                ("vantage", Value::U64(vantage as u64)),
-            ],
-        )
+        self.obs
+            .span_begin(obs::names::TING_CIRCUIT_BEGIN, at.as_nanos(), || {
+                let rendered: Vec<String> = path.iter().map(|n| n.0.to_string()).collect();
+                vec![
+                    ("kind", Value::Str(kind.to_owned())),
+                    ("path", Value::Str(rendered.join("-"))),
+                    ("attempt", Value::U64(u64::from(attempt))),
+                    ("vantage", Value::U64(vantage as u64)),
+                ]
+            })
     }
 
     /// Closes a `ting.circuit` span. `outcome` is `"ok"` or the
@@ -352,15 +330,10 @@ impl Ting {
     /// loss — must pass through here exactly once (the trace linter
     /// rejects traces with unmatched begins).
     pub(crate) fn observe_circuit_end(&self, span: obs::SpanId, outcome: &str, at: SimTime) {
-        if !self.obs.is_tracing() {
-            return;
-        }
-        self.obs.span_end(
-            obs::names::TING_CIRCUIT_END,
-            span,
-            at.as_nanos(),
-            vec![("outcome", Value::Str(outcome.to_owned()))],
-        );
+        self.obs
+            .span_end(obs::names::TING_CIRCUIT_END, span, at.as_nanos(), || {
+                vec![("outcome", Value::Str(outcome.to_owned()))]
+            });
     }
 
     /// Bumps the probe-timeout counter.
@@ -423,33 +396,24 @@ impl Ting {
         vantage: usize,
         at: SimTime,
     ) -> obs::SpanId {
-        if !self.obs.is_tracing() {
-            return obs::SpanId(0);
-        }
-        self.obs.span_begin(
-            obs::names::SCAN_PAIR_BEGIN,
-            at.as_nanos(),
-            vec![
-                ("a", Value::U64(u64::from(a.0))),
-                ("b", Value::U64(u64::from(b.0))),
-                ("vantage", Value::U64(vantage as u64)),
-            ],
-        )
+        self.obs
+            .span_begin(obs::names::SCAN_PAIR_BEGIN, at.as_nanos(), || {
+                vec![
+                    ("a", Value::U64(u64::from(a.0))),
+                    ("b", Value::U64(u64::from(b.0))),
+                    ("vantage", Value::U64(vantage as u64)),
+                ]
+            })
     }
 
     /// Closes a `scan.pair` span with an outcome string (`accepted`,
     /// `rejected`, an error code, or `ok` for raw engine runs with no
     /// validating scanner above them).
     pub(crate) fn observe_pair_end(&self, span: obs::SpanId, outcome: &str, at: SimTime) {
-        if !self.obs.is_tracing() {
-            return;
-        }
-        self.obs.span_end(
-            obs::names::SCAN_PAIR_END,
-            span,
-            at.as_nanos(),
-            vec![("outcome", Value::Str(outcome.to_owned()))],
-        );
+        self.obs
+            .span_end(obs::names::SCAN_PAIR_END, span, at.as_nanos(), || {
+                vec![("outcome", Value::Str(outcome.to_owned()))]
+            });
     }
 
     /// The probe payload: [`PAYLOAD_LEN`] bytes carrying the probe index

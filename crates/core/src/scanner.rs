@@ -275,17 +275,14 @@ impl Scanner {
         let est = m.estimate_ms();
         if implausibly_low(est) {
             ting.obs().inc("ting.estimate.implausible");
-            if ting.obs().is_tracing() {
-                ting.obs().event(
-                    obs::names::VALIDATE_IMPLAUSIBLE,
-                    now.as_nanos(),
+            ting.obs()
+                .event(obs::names::VALIDATE_IMPLAUSIBLE, now.as_nanos(), || {
                     vec![
                         ("a", Value::U64(a.0 as u64)),
                         ("b", Value::U64(b.0 as u64)),
                         ("est_ms", Value::F64(est)),
-                    ],
-                );
-            }
+                    ]
+                });
             self.record_failure(a, b, now, ting);
             return false;
         }
@@ -343,17 +340,13 @@ impl Scanner {
             return;
         }
         obs.inc(&format!("{counter_base}.{}", e.code()));
-        if obs.is_tracing() {
-            obs.event(
-                event_name,
-                now.as_nanos(),
-                vec![
-                    ("a", Value::U64(a.0 as u64)),
-                    ("b", Value::U64(b.0 as u64)),
-                    ("code", Value::Str(e.code().to_owned())),
-                ],
-            );
-        }
+        obs.event(event_name, now.as_nanos(), || {
+            vec![
+                ("a", Value::U64(a.0 as u64)),
+                ("b", Value::U64(b.0 as u64)),
+                ("code", Value::Str(e.code().to_owned())),
+            ]
+        });
     }
 
     /// Assembles what [`crate::validate::validate`] needs to know about
@@ -395,26 +388,20 @@ impl Scanner {
         match h.record(node, success, now) {
             Some(HealthEvent::Quarantined(n)) => {
                 ting.obs().inc("ting.health.quarantined");
-                if ting.obs().is_tracing() {
-                    ting.obs().event(
-                        obs::names::HEALTH_QUARANTINE,
-                        now.as_nanos(),
-                        vec![("node", Value::U64(n.0 as u64))],
-                    );
-                }
+                ting.obs()
+                    .event(obs::names::HEALTH_QUARANTINE, now.as_nanos(), || {
+                        vec![("node", Value::U64(n.0 as u64))]
+                    });
             }
             Some(HealthEvent::Released(n)) => {
                 ting.obs().inc("ting.health.released.probation");
-                if ting.obs().is_tracing() {
-                    ting.obs().event(
-                        obs::names::HEALTH_RELEASE,
-                        now.as_nanos(),
+                ting.obs()
+                    .event(obs::names::HEALTH_RELEASE, now.as_nanos(), || {
                         vec![
                             ("node", Value::U64(n.0 as u64)),
                             ("reason", Value::Str("probation".to_owned())),
-                        ],
-                    );
-                }
+                        ]
+                    });
             }
             None => {}
         }
@@ -469,16 +456,13 @@ impl Scanner {
         let released = self.health.as_mut().map(|h| h.release_by_decay(now));
         for n in released.into_iter().flatten() {
             ting.obs().inc("ting.health.released.decay");
-            if ting.obs().is_tracing() {
-                ting.obs().event(
-                    obs::names::HEALTH_RELEASE,
-                    now.as_nanos(),
+            ting.obs()
+                .event(obs::names::HEALTH_RELEASE, now.as_nanos(), || {
                     vec![
                         ("node", Value::U64(n.0 as u64)),
                         ("reason", Value::Str("decay".to_owned())),
-                    ],
-                );
-            }
+                    ]
+                });
         }
         let parked = self.parked();
         let cap = self.config.pairs_per_round;
@@ -498,17 +482,14 @@ impl Scanner {
                     .and_then(|i| self.queue.probe_pair(i, &parked));
                 if let Some((a, b)) = probe.map(|(i, j)| (nodes[i as usize], nodes[j as usize])) {
                     ting.obs().inc("ting.health.probation_probe");
-                    if ting.obs().is_tracing() {
-                        ting.obs().event(
-                            obs::names::HEALTH_PROBE,
-                            now.as_nanos(),
+                    ting.obs()
+                        .event(obs::names::HEALTH_PROBE, now.as_nanos(), || {
                             vec![
                                 ("node", Value::U64(n.0 as u64)),
                                 ("a", Value::U64(a.0 as u64)),
                                 ("b", Value::U64(b.0 as u64)),
-                            ],
-                        );
-                    }
+                            ]
+                        });
                     plan.push((a, b));
                 }
             }
@@ -564,14 +545,16 @@ impl Scanner {
         self.rounds_run += 1;
         let plan = self.plan_round_healthy(net.sim.now(), ting);
         let locations = self.locations(net);
-        let mut fields = vec![("planned", Value::U64(plan.len() as u64))];
-        if lanes > 1 {
-            fields.push(("vantages", Value::U64(lanes as u64)));
-        }
         let round = ting.obs().span_begin(
             obs::names::SCAN_ROUND_BEGIN,
             net.sim.now().as_nanos(),
-            fields,
+            || {
+                let mut fields = vec![("planned", Value::U64(plan.len() as u64))];
+                if lanes > 1 {
+                    fields.push(("vantages", Value::U64(lanes as u64)));
+                }
+                fields
+            },
         );
         let mut queues = vec![VecDeque::new(); lanes];
         for (j, pair) in plan.into_iter().enumerate() {
@@ -612,11 +595,13 @@ impl Scanner {
             obs::names::SCAN_ROUND_END,
             round,
             net.sim.now().as_nanos(),
-            vec![
-                ("measured", Value::U64(report.measured as u64)),
-                ("failed", Value::U64(report.failed as u64)),
-                ("still_pending", Value::U64(report.still_pending as u64)),
-            ],
+            || {
+                vec![
+                    ("measured", Value::U64(report.measured as u64)),
+                    ("failed", Value::U64(report.failed as u64)),
+                    ("still_pending", Value::U64(report.still_pending as u64)),
+                ]
+            },
         );
         report
     }
@@ -812,16 +797,12 @@ impl Scanner {
                     std::io::Error::new(primary_err.kind(), primary_err.to_string())
                 })?;
                 obs.inc("ting.checkpoint.recovered_bak");
-                if obs.is_tracing() {
-                    obs.event(
-                        obs::names::SCAN_RECOVER_BAK,
-                        now.as_nanos(),
-                        vec![
-                            ("path", Value::Str(path.display().to_string())),
-                            ("primary_error", Value::Str(primary_err.to_string())),
-                        ],
-                    );
-                }
+                obs.event(obs::names::SCAN_RECOVER_BAK, now.as_nanos(), || {
+                    vec![
+                        ("path", Value::Str(path.display().to_string())),
+                        ("primary_error", Value::Str(primary_err.to_string())),
+                    ]
+                });
                 Ok(s)
             }
         }

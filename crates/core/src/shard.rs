@@ -35,6 +35,7 @@ use crate::checkpoint::Doc;
 use crate::matrix::ordered;
 use crate::orchestrator::{Ting, TingConfig};
 use crate::scanner::{Scanner, ScannerConfig};
+use crate::timeout::TimeoutEstimators;
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::{names, Lineage, Obs, Value};
 use std::collections::HashMap;
@@ -173,8 +174,10 @@ struct ShardSlot {
     /// Last sealed checkpoint, refreshed after every completed round.
     /// Always parseable: initialized from the empty scanner.
     checkpoint: String,
-    /// Adaptive-timeout estimator export taken with the checkpoint.
-    timeouts: String,
+    /// The shard's adaptive-timeout estimators, shared with its live
+    /// driver and kept across a crash. A shard dies only between rounds,
+    /// so they hold what its last completed round taught.
+    timeouts: TimeoutEstimators,
     restarts: u32,
     /// Incremental-publish watermark: measurements at or after this
     /// instant have not yet been drained by [`Supervisor::take_delta`].
@@ -658,16 +661,17 @@ impl Supervisor {
                 let mut scanner = Scanner::new(nodes.clone(), config.scanner);
                 scanner.restrict_to(&owned);
                 let checkpoint = scanner.to_checkpoint();
+                let ting = Ting::with_obs(ting_config, obs.clone());
                 ShardSlot {
                     id: id as u32,
+                    timeouts: ting.timeouts.clone(),
                     state: SlotState::Live {
                         scanner: Box::new(scanner),
-                        ting: Box::new(Ting::with_obs(ting_config, obs.clone())),
+                        ting: Box::new(ting),
                         last_progress: None,
                         wedged_until: None,
                     },
                     checkpoint,
-                    timeouts: String::new(),
                     restarts: 0,
                     delta_mark: None,
                 }
@@ -789,16 +793,12 @@ impl Supervisor {
                 // shard is stuck (wedged process, poisoned vantage).
                 // Kill it; the restart path takes over.
                 self.obs.inc("ting.shard.stalled");
-                if self.obs.is_tracing() {
-                    self.obs.event(
-                        names::SHARD_STALL,
-                        now.as_nanos(),
-                        vec![
-                            ("shard", Value::U64(k as u64)),
-                            ("idle_ns", Value::U64(idle.as_nanos())),
-                        ],
-                    );
-                }
+                self.obs.event(names::SHARD_STALL, now.as_nanos(), || {
+                    vec![
+                        ("shard", Value::U64(k as u64)),
+                        ("idle_ns", Value::U64(idle.as_nanos())),
+                    ]
+                });
                 self.crash(k, now, "stall");
                 report.shards_waiting += 1;
                 continue;
@@ -809,32 +809,27 @@ impl Supervisor {
                 report.shards_waiting += 1;
                 continue;
             }
-            let span = self.obs.span_begin(
-                names::SHARD_ROUND_BEGIN,
-                now.as_nanos(),
-                vec![("shard", Value::U64(k as u64))],
-            );
+            let span = self
+                .obs
+                .span_begin(names::SHARD_ROUND_BEGIN, now.as_nanos(), || {
+                    vec![("shard", Value::U64(k as u64))]
+                });
             let r = scanner.run_round_parallel(net, ting);
             let now = net.sim.now();
-            if self.obs.is_tracing() {
-                self.obs.span_end(
-                    names::SHARD_ROUND_END,
-                    span,
-                    now.as_nanos(),
+            self.obs
+                .span_end(names::SHARD_ROUND_END, span, now.as_nanos(), || {
                     vec![
                         ("shard", Value::U64(k as u64)),
                         ("measured", Value::U64(r.measured as u64)),
                         ("failed", Value::U64(r.failed as u64)),
                         ("still_pending", Value::U64(r.still_pending as u64)),
-                    ],
-                );
-            }
+                    ]
+                });
             // Progress = the round did work, or had none eligible to do.
             if r.measured + r.failed > 0 || r.still_pending == 0 {
                 *last_progress = Some(now);
             }
             slot.checkpoint = scanner.to_checkpoint();
-            slot.timeouts = ting.timeouts.export();
             let saved = self
                 .checkpoint_dir
                 .as_ref()
@@ -862,29 +857,21 @@ impl Supervisor {
         self.slots[k].restarts += 1;
         let restarts = self.slots[k].restarts;
         self.obs.inc("ting.shard.crashed");
-        if self.obs.is_tracing() {
-            self.obs.event(
-                names::SHARD_CRASH,
-                now.as_nanos(),
-                vec![
-                    ("shard", Value::U64(k as u64)),
-                    ("reason", Value::Str(reason.to_owned())),
-                    ("restarts", Value::U64(restarts as u64)),
-                ],
-            );
-        }
+        self.obs.event(names::SHARD_CRASH, now.as_nanos(), || {
+            vec![
+                ("shard", Value::U64(k as u64)),
+                ("reason", Value::Str(reason.to_owned())),
+                ("restarts", Value::U64(restarts as u64)),
+            ]
+        });
         let restart_at = if restarts > self.config.restart_budget {
             self.obs.inc("ting.shard.quarantined");
-            if self.obs.is_tracing() {
-                self.obs.event(
-                    names::SHARD_QUARANTINE,
-                    now.as_nanos(),
-                    vec![
-                        ("shard", Value::U64(k as u64)),
-                        ("restarts", Value::U64(restarts as u64)),
-                    ],
-                );
-            }
+            self.obs.event(names::SHARD_QUARANTINE, now.as_nanos(), || {
+                vec![
+                    ("shard", Value::U64(k as u64)),
+                    ("restarts", Value::U64(restarts as u64)),
+                ]
+            });
             None
         } else {
             let pause = crate::backoff::exponential(
@@ -922,20 +909,17 @@ impl Supervisor {
                 // owned pairs will re-measure; everyone else's state
                 // is untouched.
                 self.obs.inc("ting.shard.checkpoint_corrupt");
-                if self.obs.is_tracing() {
-                    self.obs.event(
-                        names::SHARD_CHECKPOINT_CORRUPT,
-                        now.as_nanos(),
-                        vec![("shard", Value::U64(k as u64)), ("error", Value::Str(e))],
-                    );
-                }
+                self.obs
+                    .event(names::SHARD_CHECKPOINT_CORRUPT, now.as_nanos(), || {
+                        vec![("shard", Value::U64(k as u64)), ("error", Value::Str(e))]
+                    });
                 Scanner::new(self.nodes.clone(), self.config.scanner)
             }
         };
         scanner.restrict_to(&partition_pairs(&self.nodes, self.config.shards)[k]);
-        let ting = Ting::with_obs(self.ting_config, self.obs.clone());
-        let _ = ting.timeouts.import(&self.slots[k].timeouts);
+        let mut ting = Ting::with_obs(self.ting_config, self.obs.clone());
         let slot = &mut self.slots[k];
+        ting.timeouts = slot.timeouts.clone();
         slot.checkpoint = scanner.to_checkpoint();
         slot.state = SlotState::Live {
             scanner: Box::new(scanner),
@@ -944,16 +928,12 @@ impl Supervisor {
             wedged_until: None,
         };
         self.obs.inc("ting.shard.restarted");
-        if self.obs.is_tracing() {
-            self.obs.event(
-                names::SHARD_RESTART,
-                now.as_nanos(),
-                vec![
-                    ("shard", Value::U64(k as u64)),
-                    ("attempt", Value::U64(self.slots[k].restarts as u64)),
-                ],
-            );
-        }
+        self.obs.event(names::SHARD_RESTART, now.as_nanos(), || {
+            vec![
+                ("shard", Value::U64(k as u64)),
+                ("attempt", Value::U64(self.slots[k].restarts as u64)),
+            ]
+        });
     }
 
     /// Merges every shard's current state (live scanners and
@@ -1006,9 +986,7 @@ impl Supervisor {
             // drain instant (the measurement's own time may predate
             // earlier events; the event log must stay monotone).
             for p in &pairs {
-                self.obs.event(
-                    names::LINEAGE_PAIR,
-                    now.as_nanos(),
+                self.obs.event(names::LINEAGE_PAIR, now.as_nanos(), || {
                     vec![
                         ("a", Value::U64(p.a.0 as u64)),
                         ("b", Value::U64(p.b.0 as u64)),
@@ -1016,8 +994,8 @@ impl Supervisor {
                         ("round", Value::U64(p.lineage.round)),
                         ("seq", Value::U64(self.delta_seq)),
                         ("t_meas", Value::U64(p.measured_at.as_nanos())),
-                    ],
-                );
+                    ]
+                });
             }
         }
         MergeDelta {
@@ -1416,5 +1394,53 @@ mod tests {
         assert_eq!(m.shards[1].status, "dead");
         assert_eq!(m.shards[0].owned + m.shards[1].owned, 3);
         assert_eq!(m.shards[1].oldest_ns, None);
+    }
+
+    #[test]
+    fn a_restarted_shard_keeps_its_learned_deadlines() {
+        use crate::timeout::{AdaptiveTimeoutConfig, TimeoutPhase};
+        const PHASES: [TimeoutPhase; 3] = [
+            TimeoutPhase::Build,
+            TimeoutPhase::Stream,
+            TimeoutPhase::Probe,
+        ];
+        let adaptive = AdaptiveTimeoutConfig::default();
+        let ting_config = TingConfig {
+            adaptive_timeouts: Some(adaptive),
+            ..TingConfig::with_samples(2)
+        };
+        let config = SupervisorConfig {
+            shards: 1,
+            restart_backoff: SimDuration::ZERO,
+            restart_backoff_cap: SimDuration::ZERO,
+            ..SupervisorConfig::default()
+        };
+        let mut net = tor_sim::TorNetworkBuilder::testbed(31).build();
+        let mut sup = Supervisor::new(net.relays[..8].to_vec(), config, ting_config);
+        let deadlines = |sup: &Supervisor| match &sup.slots[0].state {
+            SlotState::Live { ting, .. } => PHASES.map(|p| ting.phase_timeout_ms(p).to_bits()),
+            SlotState::Down { .. } => panic!("shard 0 is down"),
+        };
+        let warm = |sup: &Supervisor| {
+            let timeouts = &sup.slots[0].timeouts;
+            PHASES
+                .iter()
+                .all(|&p| timeouts.samples(p) >= adaptive.min_samples)
+        };
+        for _ in 0..20 {
+            if warm(&sup) {
+                break;
+            }
+            sup.run_round(&mut net);
+        }
+        assert!(warm(&sup), "the estimators never warmed up");
+        let learned = deadlines(&sup);
+        let now = net.sim.now();
+        sup.inject_crash(0, now);
+        assert_eq!(sup.status(0), ShardStatus::Restarting { at: now });
+        sup.restore(0, now);
+        assert_eq!(deadlines(&sup), learned);
+        let fresh = Ting::new(ting_config);
+        assert_ne!(learned, PHASES.map(|p| fresh.phase_timeout_ms(p).to_bits()));
     }
 }

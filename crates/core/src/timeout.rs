@@ -20,9 +20,10 @@
 //! disabled (`TingConfig::adaptive_timeouts = None`) is bit-identical
 //! to the pre-adaptive pipeline.
 //!
-//! The estimator state is a plain ring buffer per phase,
-//! exportable/importable as text ([`TimeoutEstimators::export`]) so a
-//! killed-and-resumed scan replays with bit-identical deadlines.
+//! The estimator state is a plain ring buffer per phase behind a shared
+//! handle. A supervisor keeps a shard's handle across a crash and hands
+//! it to the restarted driver, so a killed-and-resumed scan replays with
+//! bit-identical deadlines.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -77,6 +78,13 @@ struct Window {
     cursor: usize,
 }
 
+impl PartialEq for Window {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |w: &Window| w.samples.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        self.cursor == other.cursor && bits(self) == bits(other)
+    }
+}
+
 impl Window {
     fn observe(&mut self, ms: f64, window: usize) {
         if window == 0 {
@@ -104,7 +112,7 @@ impl Window {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct Inner {
     build: Window,
     stream: Window,
@@ -172,60 +180,13 @@ impl TimeoutEstimators {
         let q = w.quantile(config.quantile).unwrap_or(fallback_ms);
         (q * config.headroom).clamp(config.floor_ms, config.ceiling_ms)
     }
+}
 
-    /// Serializes the full estimator state as text: one line per phase,
-    /// `<tag> <cursor> <samples…>` with f64s in their shortest
-    /// exactly-roundtripping form. [`TimeoutEstimators::import`] of the
-    /// export is bit-identical — the kill/resume contract.
-    pub fn export(&self) -> String {
-        use std::fmt::Write as _;
-        let inner = self.inner.borrow();
-        let mut out = String::new();
-        for (tag, w) in [
-            ("build", &inner.build),
-            ("stream", &inner.stream),
-            ("probe", &inner.probe),
-        ] {
-            let _ = write!(out, "{tag} {}", w.cursor);
-            for s in &w.samples {
-                let _ = write!(out, " {s}");
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Restores state written by [`TimeoutEstimators::export`],
-    /// replacing the current contents.
-    pub fn import(&self, text: &str) -> Result<(), String> {
-        let mut inner = self.inner.borrow_mut();
-        *inner = Inner::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut toks = line.split_whitespace();
-            let tag = toks.next().ok_or("empty estimator line")?;
-            let cursor: usize = toks
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("bad cursor in estimator line {line:?}"))?;
-            let samples: Vec<f64> = toks
-                .map(|t| {
-                    t.parse::<f64>()
-                        .map_err(|e| format!("bad sample {t:?}: {e}"))
-                })
-                .collect::<Result<_, _>>()?;
-            let w = match tag {
-                "build" => &mut inner.build,
-                "stream" => &mut inner.stream,
-                "probe" => &mut inner.probe,
-                other => return Err(format!("unknown estimator phase {other:?}")),
-            };
-            w.samples = samples;
-            w.cursor = cursor;
-        }
-        Ok(())
+/// Equal when every phase holds the same cursor and the same samples,
+/// bit for bit: the kill/resume contract's comparison.
+impl PartialEq for TimeoutEstimators {
+    fn eq(&self, other: &Self) -> bool {
+        *self.inner.borrow() == *other.inner.borrow()
     }
 }
 
@@ -290,41 +251,21 @@ mod tests {
     }
 
     #[test]
-    fn export_import_is_bit_identical() {
-        let est = TimeoutEstimators::new();
+    fn equality_compares_cursors_and_sample_bits() {
         let c = cfg();
-        for (i, ms) in [3.25, 700.125, 0.0625, 41.5, 9.75, 1.0, 2.0, 3.0, 4.0]
-            .iter()
-            .enumerate()
-        {
-            let phase = match i % 3 {
-                0 => TimeoutPhase::Build,
-                1 => TimeoutPhase::Stream,
-                _ => TimeoutPhase::Probe,
-            };
-            est.observe(phase, *ms, &c);
-        }
-        let text = est.export();
-        let restored = TimeoutEstimators::new();
-        restored.import(&text).unwrap();
-        assert_eq!(restored.export(), text);
-        for phase in [
-            TimeoutPhase::Build,
-            TimeoutPhase::Stream,
-            TimeoutPhase::Probe,
-        ] {
-            assert_eq!(
-                restored.timeout_ms(phase, &c, 1.0).to_bits(),
-                est.timeout_ms(phase, &c, 1.0).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn import_rejects_garbage() {
-        let est = TimeoutEstimators::new();
-        assert!(est.import("build x 1 2\n").is_err());
-        assert!(est.import("warp 0 1 2\n").is_err());
-        assert!(est.import("probe 0 1 banana\n").is_err());
+        let fed = |samples: &[f64]| {
+            let est = TimeoutEstimators::new();
+            for &ms in samples {
+                est.observe(TimeoutPhase::Probe, ms, &c);
+            }
+            est
+        };
+        assert_eq!(fed(&[1.0, 2.0]), fed(&[1.0, 2.0]));
+        assert_ne!(fed(&[1.0, 0.0]), fed(&[1.0, -0.0]));
+        assert_ne!(fed(&[1.0, 2.0]), fed(&[2.0, 1.0]));
+        // A full window: same samples, cursor one further along.
+        let nine = [5.0; 9];
+        assert_ne!(fed(&nine), fed(&nine[..8]));
+        assert_eq!(fed(&[f64::NAN]), fed(&[f64::NAN]));
     }
 }

@@ -64,8 +64,8 @@ fn canonical() -> String {
 fn roundtrip_is_exact_including_health_state() {
     let scanner = Scanner::from_checkpoint(&handwritten()).unwrap();
     let health = scanner.health().expect("health=1 restores the model");
-    assert!(health.is_quarantined(netsim::NodeId(3)));
-    assert!(!health.is_quarantined(netsim::NodeId(0)));
+    assert!(health.quarantined_nodes().contains(&netsim::NodeId(3)));
+    assert!(!health.quarantined_nodes().contains(&netsim::NodeId(0)));
     // Serialize → parse → serialize is a fixed point, byte for byte.
     let ck = scanner.to_checkpoint();
     let again = Scanner::from_checkpoint(&ck).unwrap().to_checkpoint();

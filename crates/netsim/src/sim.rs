@@ -283,45 +283,39 @@ impl Simulator {
             };
             if self.faults.node_down(dest, ev.at) {
                 self.obs.fault_events_dropped.inc();
-                if self.obs.obs.is_tracing() {
-                    self.obs.obs.event(
-                        obs::names::NET_FAULT_EVENT_DROPPED,
-                        self.now.as_nanos(),
-                        vec![("node", Value::U64(u64::from(dest.0)))],
-                    );
-                }
+                self.obs.obs.event(
+                    obs::names::NET_FAULT_EVENT_DROPPED,
+                    self.now.as_nanos(),
+                    || vec![("node", Value::U64(u64::from(dest.0)))],
+                );
                 return true;
             }
         }
         match ev.kind {
             EventKind::Deliver { conn, to, data } => {
                 self.obs.delivers.inc();
-                if self.obs.obs.is_tracing() {
-                    self.obs.obs.event(
-                        obs::names::NET_DELIVER,
-                        self.now.as_nanos(),
+                self.obs
+                    .obs
+                    .event(obs::names::NET_DELIVER, self.now.as_nanos(), || {
                         vec![
                             ("conn", Value::U64(conn.0)),
                             ("to", Value::U64(u64::from(to.0))),
                             ("bytes", Value::U64(data.len() as u64)),
-                        ],
-                    );
-                }
+                        ]
+                    });
                 self.dispatch_to(to, |p, ctx| p.on_data(ctx, conn, data));
             }
             EventKind::ConnOpened { conn, at, peer } => {
                 self.obs.conns_opened.inc();
-                if self.obs.obs.is_tracing() {
-                    self.obs.obs.event(
-                        obs::names::NET_CONN_OPENED,
-                        self.now.as_nanos(),
+                self.obs
+                    .obs
+                    .event(obs::names::NET_CONN_OPENED, self.now.as_nanos(), || {
                         vec![
                             ("conn", Value::U64(conn.0)),
                             ("opener", Value::U64(u64::from(peer.0))),
                             ("acceptor", Value::U64(u64::from(at.0))),
-                        ],
-                    );
-                }
+                        ]
+                    });
                 self.dispatch_to(at, |p, ctx| p.on_conn_opened(ctx, conn, peer));
             }
             EventKind::ConnEstablished { conn, at } => {
@@ -330,13 +324,11 @@ impl Simulator {
             }
             EventKind::ConnClosed { conn, at } => {
                 self.obs.conns_closed.inc();
-                if self.obs.obs.is_tracing() {
-                    self.obs.obs.event(
-                        obs::names::NET_CONN_CLOSED,
-                        self.now.as_nanos(),
-                        vec![("conn", Value::U64(conn.0))],
-                    );
-                }
+                self.obs
+                    .obs
+                    .event(obs::names::NET_CONN_CLOSED, self.now.as_nanos(), || {
+                        vec![("conn", Value::U64(conn.0))]
+                    });
                 self.dispatch_to(at, |p, ctx| p.on_conn_closed(ctx, conn));
             }
             EventKind::Timer { node, id } => {
@@ -392,16 +384,16 @@ impl Simulator {
             && (self.faults.node_down(to, self.now) || self.faults.node_down(from, self.now))
         {
             self.obs.fault_connects_blackholed.inc();
-            if self.obs.obs.is_tracing() {
-                self.obs.obs.event(
-                    obs::names::NET_FAULT_CONNECT_BLACKHOLED,
-                    self.now.as_nanos(),
+            self.obs.obs.event(
+                obs::names::NET_FAULT_CONNECT_BLACKHOLED,
+                self.now.as_nanos(),
+                || {
                     vec![
                         ("from", Value::U64(u64::from(from.0))),
                         ("to", Value::U64(u64::from(to.0))),
-                    ],
-                );
-            }
+                    ]
+                },
+            );
             // The connection never exists — anything sent on it is
             // dropped like on a closed one. The opener's SYN
             // retransmissions expire after a fixed timeout; surface the
@@ -470,28 +462,26 @@ impl Simulator {
         let fault_extra_ms = if self.faults.is_enabled() {
             if self.faults.node_down(from, tx_at) || self.faults.drop_message() {
                 self.obs.fault_messages_dropped.inc();
-                if self.obs.obs.is_tracing() {
-                    self.obs.obs.event(
-                        obs::names::NET_FAULT_MESSAGE_DROPPED,
-                        self.now.as_nanos(),
+                self.obs.obs.event(
+                    obs::names::NET_FAULT_MESSAGE_DROPPED,
+                    self.now.as_nanos(),
+                    || {
                         vec![
                             ("conn", Value::U64(conn.0)),
                             ("from", Value::U64(u64::from(from.0))),
-                        ],
-                    );
-                }
+                        ]
+                    },
+                );
                 return;
             }
             let extra = self.faults.extra_delay_ms();
             if extra > 0.0 {
                 self.obs.fault_delays.inc();
-                if self.obs.obs.is_tracing() {
-                    self.obs.obs.event(
-                        obs::names::NET_FAULT_DELAY,
-                        self.now.as_nanos(),
-                        vec![("conn", Value::U64(conn.0)), ("ms", Value::F64(extra))],
-                    );
-                }
+                self.obs
+                    .obs
+                    .event(obs::names::NET_FAULT_DELAY, self.now.as_nanos(), || {
+                        vec![("conn", Value::U64(conn.0)), ("ms", Value::F64(extra))]
+                    });
             }
             extra
         } else {
@@ -700,9 +690,9 @@ mod tests {
         }
         impl Process for TimerProc {
             fn on_start(&mut self, ctx: &mut Context) {
-                ctx.set_timer(SimDuration::from_millis(20), 2);
-                ctx.set_timer(SimDuration::from_millis(10), 1);
-                ctx.set_timer(SimDuration::from_millis(30), 3);
+                ctx.set_timer(SimDuration::from_nanos(20_000_000), 2);
+                ctx.set_timer(SimDuration::from_nanos(10_000_000), 1);
+                ctx.set_timer(SimDuration::from_nanos(30_000_000), 3);
             }
             fn on_timer(&mut self, _ctx: &mut Context, id: u64) {
                 self.fired.borrow_mut().push(id);
@@ -878,7 +868,7 @@ mod tests {
         // every delivery to it is dropped.
         let results = Rc::new(RefCell::new(Vec::new()));
         let mut sim = two_node_sim(5, 3, results.clone());
-        let from = SimTime::ZERO + SimDuration::from_millis(200);
+        let from = SimTime::ZERO + SimDuration::from_nanos(200_000_000);
         let mut plan = crate::fault::FaultPlan::new(1);
         plan.add_crash(NodeId(1), from, Some(from + SimDuration::from_hours(1)));
         sim.set_fault_plan(plan);

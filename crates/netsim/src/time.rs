@@ -19,13 +19,9 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Saturating, like the two below: a count read from a flag or a
+    /// Saturating, like the one below: a count read from a flag or a
     /// document can be anything, and a span too long to represent is
     /// "forever", not a wrap into a short one.
-    pub fn from_millis(ms: u64) -> SimDuration {
-        SimDuration(ms.saturating_mul(1_000_000))
-    }
-
     pub fn from_secs(s: u64) -> SimDuration {
         SimDuration(s.saturating_mul(1_000_000_000))
     }
@@ -134,7 +130,6 @@ mod tests {
 
     #[test]
     fn conversions_roundtrip() {
-        assert_eq!(SimDuration::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimDuration::from_secs(2).as_millis_f64(), 2000.0);
         assert_eq!(SimDuration::from_hours(1).as_secs_f64(), 3600.0);
     }
@@ -149,9 +144,9 @@ mod tests {
 
     #[test]
     fn time_arithmetic() {
-        let t = SimTime::ZERO + SimDuration::from_millis(10);
+        let t = SimTime::ZERO + SimDuration::from_nanos(10_000_000);
         assert_eq!(t.as_millis_f64(), 10.0);
-        let later = t + SimDuration::from_millis(5);
+        let later = t + SimDuration::from_nanos(5_000_000);
         assert_eq!((later - t).as_millis_f64(), 5.0);
         // Saturating: earlier - later = 0.
         assert_eq!(t - later, SimDuration::ZERO);
@@ -174,7 +169,6 @@ mod tests {
             assert_eq!(from(last + 1), forever);
             assert_eq!(from(u64::MAX), forever);
         };
-        saturates(SimDuration::from_millis, 1_000_000);
         saturates(SimDuration::from_secs, 1_000_000_000);
         saturates(SimDuration::from_hours, 3_600_000_000_000);
         // Hours that fit as seconds but not as nanoseconds.

@@ -357,10 +357,6 @@ impl Underlay {
         self.nodes.len()
     }
 
-    pub fn as_count(&self) -> usize {
-        self.ases.len()
-    }
-
     /// The deterministic inflation factor for an AS pair.
     pub fn inflation(&mut self, a: AsId, b: AsId) -> f64 {
         self.route_properties(a, b).0

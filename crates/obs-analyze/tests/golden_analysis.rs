@@ -182,10 +182,11 @@ fn traced_testbed_scan(seed: u64) -> (String, Vec<(u32, f64, f64)>) {
         let next = net.sim.now() + SimDuration::from_secs(120);
         net.sim.advance_to(next);
     }
-    let truth = nodes
+    let truth = net
+        .relays
         .iter()
-        .map(|&n| {
-            let cfg = net.relay_config(n).expect("relay has a config");
+        .zip(&net.relay_configs)
+        .map(|(n, cfg)| {
             (
                 n.0,
                 cfg.expected_queueing_ms(),

@@ -13,7 +13,8 @@
 //!   and a `Cell` bump, not a map lookup.
 //! - **Virtual-time events and spans** keyed to the simulator clock:
 //!   scan round → pair measurement → circuit phase → cell hop. Only
-//!   recorded under [`ObsConfig::Trace`].
+//!   recorded under [`ObsConfig::Trace`]; a call site passes its fields
+//!   as a closure, which runs only then.
 //! - **A deterministic JSONL exporter** ([`Obs::export_jsonl`]) keyed
 //!   by seed + config hash, producing byte-identical documents for
 //!   identical seeded runs — the golden-trace contract the determinism
@@ -67,13 +68,16 @@ pub enum Value {
     Str(String),
 }
 
+/// An event's key/value fields, in the order they are exported.
+type Fields = Vec<(&'static str, Value)>;
+
 /// One recorded event: a name, the virtual-time instant in
 /// nanoseconds, and a small set of key/value fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     pub t_ns: u64,
     pub name: &'static str,
-    pub fields: Vec<(&'static str, Value)>,
+    pub fields: Fields,
 }
 
 /// Identifies one span across its `begin`/`end` event pair.
@@ -187,8 +191,9 @@ impl Obs {
         self.inner.is_some()
     }
 
-    /// True when the event/span log is recorded. Guard any field
-    /// construction for [`Obs::event`] behind this on hot paths.
+    /// True when the event/span log is recorded. [`Obs::event`] and the
+    /// span calls already test this; a caller needs it only to skip a
+    /// loop that emits one event per item.
     #[inline]
     pub fn is_tracing(&self) -> bool {
         matches!(
@@ -250,24 +255,29 @@ impl Obs {
         }
     }
 
-    /// Appends an event to the trace log (no-op unless tracing).
-    pub fn event(&self, name: &'static str, t_ns: u64, fields: Vec<(&'static str, Value)>) {
+    /// Appends an event to the trace log. `fields` runs only under
+    /// [`ObsConfig::Trace`], so with tracing off a call site costs one
+    /// branch and builds nothing.
+    #[inline]
+    pub fn event(&self, name: &'static str, t_ns: u64, fields: impl FnOnce() -> Fields) {
         if let Some(inner) = &self.inner {
             if inner.config == ObsConfig::Trace {
+                let fields = fields();
                 inner.events.borrow_mut().push(Event { t_ns, name, fields });
             }
         }
     }
 
     /// Opens a span: emits the given `*.begin` event carrying a fresh
-    /// span id plus `fields`, and returns the id to pass to
-    /// [`Obs::span_end`]. Span ids are allocated even when not tracing
-    /// so begin/end pairing stays consistent across modes.
+    /// span id ahead of `fields`, and returns the id to pass to
+    /// [`Obs::span_end`]. Span ids are allocated at every enabled level
+    /// so begin/end pairing stays consistent across modes; `fields`
+    /// runs only under [`ObsConfig::Trace`].
     pub fn span_begin(
         &self,
         begin_name: &'static str,
         t_ns: u64,
-        mut fields: Vec<(&'static str, Value)>,
+        fields: impl FnOnce() -> Fields,
     ) -> SpanId {
         let id = match &self.inner {
             Some(inner) => {
@@ -277,22 +287,26 @@ impl Obs {
             }
             None => 0,
         };
-        fields.insert(0, ("span", Value::U64(id)));
-        self.event(begin_name, t_ns, fields);
-        SpanId(id)
+        // A begin event is laid out like an end event: the id, then `fields`.
+        let span = SpanId(id);
+        self.span_end(begin_name, span, t_ns, fields);
+        span
     }
 
     /// Closes a span: emits the given `*.end` event carrying the span
-    /// id plus `fields`.
+    /// id ahead of `fields`, which runs only under [`ObsConfig::Trace`].
     pub fn span_end(
         &self,
         end_name: &'static str,
         span: SpanId,
         t_ns: u64,
-        mut fields: Vec<(&'static str, Value)>,
+        fields: impl FnOnce() -> Fields,
     ) {
-        fields.insert(0, ("span", Value::U64(span.0)));
-        self.event(end_name, t_ns, fields);
+        self.event(end_name, t_ns, || {
+            let mut fields = fields();
+            fields.insert(0, ("span", Value::U64(span.0)));
+            fields
+        });
     }
 
     /// The current value of a counter (0 when absent or disabled).
@@ -367,7 +381,7 @@ mod tests {
         assert_eq!(obs.counter_value("x"), 0);
         obs.record_ms("h", 3.5);
         assert!(obs.histogram("h").is_none());
-        obs.event("e", 1, vec![]);
+        obs.event("e", 1, Vec::new);
         assert!(obs.events().is_empty());
         assert!(!Obs::new(ObsConfig::Off).is_enabled());
     }
@@ -384,7 +398,7 @@ mod tests {
         assert_eq!(obs.counter_value("ting.retry"), 4);
         obs.record_ms("phase.build", 2.0);
         assert_eq!(obs.histogram("phase.build").unwrap().count(), 1);
-        obs.event("ignored", 5, vec![]);
+        obs.event("ignored", 5, Vec::new);
         assert!(obs.events().is_empty());
     }
 
@@ -399,8 +413,10 @@ mod tests {
     #[test]
     fn spans_pair_up_in_the_event_log() {
         let obs = Obs::new(ObsConfig::Trace);
-        let s = obs.span_begin("scan.round.begin", 10, vec![("planned", Value::U64(3))]);
-        obs.span_end("scan.round.end", s, 99, vec![("measured", Value::U64(2))]);
+        let s = obs.span_begin("scan.round.begin", 10, || vec![("planned", Value::U64(3))]);
+        obs.span_end("scan.round.end", s, 99, || {
+            vec![("measured", Value::U64(2))]
+        });
         let events = obs.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "scan.round.begin");
@@ -417,7 +433,7 @@ mod tests {
             obs.inc("a.counter");
             obs.set_gauge("g", -4);
             obs.record_ms("lat", 1.25);
-            obs.event("e", 7, vec![("k", Value::Str("v\"x".into()))]);
+            obs.event("e", 7, || vec![("k", Value::Str("v\"x".into()))]);
             obs.export_jsonl(&ExportMeta {
                 seed: 2015,
                 config_hash: config_hash("cfg"),

@@ -220,33 +220,20 @@ impl SloEngine {
                 &format!("slo.{name}.burn_milli"),
                 i64::try_from(burn).unwrap_or(i64::MAX),
             );
-            let breaching = w.breaching(good, bad);
-            match (breaching, w.breach) {
+            let fields = || {
+                vec![
+                    ("slo", Value::Str(name.to_owned())),
+                    ("good", Value::U64(good)),
+                    ("bad", Value::U64(bad)),
+                    ("burn_milli", Value::U64(burn)),
+                ]
+            };
+            match (w.breaching(good, bad), w.breach) {
                 (true, None) => {
-                    let span = self.obs.span_begin(
-                        names::SLO_BREACH_BEGIN,
-                        t_ns,
-                        vec![
-                            ("slo", Value::Str(name.to_owned())),
-                            ("good", Value::U64(good)),
-                            ("bad", Value::U64(bad)),
-                            ("burn_milli", Value::U64(burn)),
-                        ],
-                    );
-                    w.breach = Some(span);
+                    w.breach = Some(self.obs.span_begin(names::SLO_BREACH_BEGIN, t_ns, fields));
                 }
                 (false, Some(span)) => {
-                    self.obs.span_end(
-                        names::SLO_BREACH_END,
-                        span,
-                        t_ns,
-                        vec![
-                            ("slo", Value::Str(name.to_owned())),
-                            ("good", Value::U64(good)),
-                            ("bad", Value::U64(bad)),
-                            ("burn_milli", Value::U64(burn)),
-                        ],
-                    );
+                    self.obs.span_end(names::SLO_BREACH_END, span, t_ns, fields);
                     w.breach = None;
                 }
                 _ => {}
@@ -270,7 +257,7 @@ impl SloEngine {
 
     /// True when the named SLO's last evaluation found it breaching.
     #[cfg(test)]
-    pub fn is_breaching(&self, name: &str) -> bool {
+    fn is_breaching(&self, name: &str) -> bool {
         self.windows
             .iter()
             .any(|w| w.spec.name == name && w.breach.is_some())

@@ -252,17 +252,14 @@ impl Pipeline {
                     .mark_published(gen, doc)
                     .map_err(|e| format!("completing interrupted publish: {e}"))?;
             }
-            if p.obs.is_tracing() {
-                p.obs.event(
-                    names::ORACLE_PIPELINE_RECOVER,
-                    now.as_nanos(),
+            p.obs
+                .event(names::ORACLE_PIPELINE_RECOVER, now.as_nanos(), || {
                     vec![
                         ("generation", Value::U64(gen)),
                         ("pending", Value::U64(recovered.pending.is_some() as u64)),
                         ("torn_tail", Value::U64(recovered.torn_tail as u64)),
-                    ],
-                );
-            }
+                    ]
+                });
         }
         p.rejudge(now, bootstrap);
         Ok((p, recovered))
@@ -284,16 +281,13 @@ impl Pipeline {
             slo.engine
                 .observe(SLO_SHARD_PROGRESS, delta.now.as_nanos(), live, total - live);
         }
-        if self.obs.is_tracing() {
-            self.obs.event(
-                names::ORACLE_PIPELINE_DELTA,
-                delta.now.as_nanos(),
+        self.obs
+            .event(names::ORACLE_PIPELINE_DELTA, delta.now.as_nanos(), || {
                 vec![
                     ("seq", Value::U64(delta.seq)),
                     ("pairs", Value::U64(delta.pairs.len() as u64)),
-                ],
-            );
-        }
+                ]
+            });
         self.queue.push_back(delta);
         if self.queue.len() > self.config.queue_cap {
             match (self.queue.pop_front(), self.queue.front_mut()) {
@@ -302,17 +296,14 @@ impl Pipeline {
                     pairs.append(&mut into.pairs);
                     into.pairs = pairs;
                     self.metrics.coalesced.inc();
-                    if self.obs.is_tracing() {
-                        self.obs.event(
-                            names::ORACLE_PIPELINE_COALESCE,
-                            into.now.as_nanos(),
+                    self.obs
+                        .event(names::ORACLE_PIPELINE_COALESCE, into.now.as_nanos(), || {
                             vec![
                                 ("from_seq", Value::U64(oldest.seq)),
                                 ("into_seq", Value::U64(into.seq)),
                                 ("pairs", Value::U64(into.pairs.len() as u64)),
-                            ],
-                        );
-                    }
+                            ]
+                        });
                 }
                 // `queue_cap >= 1`, so a queue over capacity holds a
                 // second delta; without one nothing is dropped.
@@ -374,11 +365,11 @@ impl Pipeline {
                 .set_gauge("oracle.pipeline.queue_depth", self.queue.len() as i64);
             return Err(format!("delta seq {seq} {why}; delta discarded"));
         }
-        let span = self.obs.span_begin(
-            names::ORACLE_PIPELINE_PUBLISH_BEGIN,
-            now.as_nanos(),
-            vec![("queued", Value::U64(self.queue.len() as u64))],
-        );
+        let span =
+            self.obs
+                .span_begin(names::ORACLE_PIPELINE_PUBLISH_BEGIN, now.as_nanos(), || {
+                    vec![("queued", Value::U64(self.queue.len() as u64))]
+                });
         let mut batch_pairs = self.unsealed.unwrap_or(0);
         while let Some(delta) = self.queue.pop_front() {
             batch_pairs += delta.pairs.len() as u64;
@@ -422,18 +413,18 @@ impl Pipeline {
         self.last_publish = Some(now);
         self.metrics.published.inc();
         self.metrics.batch_pairs.record_us(batch_pairs);
-        if self.obs.is_tracing() {
-            self.obs.span_end(
-                names::ORACLE_PIPELINE_PUBLISH_END,
-                span,
-                now.as_nanos(),
+        self.obs.span_end(
+            names::ORACLE_PIPELINE_PUBLISH_END,
+            span,
+            now.as_nanos(),
+            || {
                 vec![
                     ("generation", Value::U64(next)),
                     ("batch_pairs", Value::U64(batch_pairs)),
                     ("last_seq", Value::U64(self.last_seq)),
-                ],
-            );
-        }
+                ]
+            },
+        );
         Ok(next)
     }
 
@@ -464,17 +455,14 @@ impl Pipeline {
                 .observe(SLO_STALENESS, now.as_nanos(), fresh as u64, !fresh as u64);
         }
         if next != before {
-            if self.obs.is_tracing() {
-                self.obs.event(
-                    names::ORACLE_STALE_TRANSITION,
-                    now.as_nanos(),
+            self.obs
+                .event(names::ORACLE_STALE_TRANSITION, now.as_nanos(), || {
                     vec![
                         ("from", Value::Str(before.tag().to_owned())),
                         ("to", Value::Str(next.tag().to_owned())),
                         ("age_ns", Value::U64(verdict.age_ns.unwrap_or(u64::MAX))),
-                    ],
-                );
-            }
+                    ]
+                });
             self.obs.set_gauge("oracle.stale.state", next.gauge());
         }
     }

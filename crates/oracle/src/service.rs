@@ -166,18 +166,14 @@ impl Oracle {
         // A swap with no instant (a matrix-source bootstrap — no
         // clock) has no place on the virtual-time event log; the
         // gauges above still record it.
-        if self.obs.is_tracing() {
-            if let Some(t_ns) = t_ns {
-                self.obs.event(
-                    names::ORACLE_SNAPSHOT_SWAP,
-                    t_ns,
-                    vec![
-                        ("version", Value::U64(meta.version)),
-                        ("nodes", Value::U64(meta.nodes as u64)),
-                        ("measured_pairs", Value::U64(meta.measured_pairs as u64)),
-                    ],
-                );
-            }
+        if let Some(t_ns) = t_ns {
+            self.obs.event(names::ORACLE_SNAPSHOT_SWAP, t_ns, || {
+                vec![
+                    ("version", Value::U64(meta.version)),
+                    ("nodes", Value::U64(meta.nodes as u64)),
+                    ("measured_pairs", Value::U64(meta.measured_pairs as u64)),
+                ]
+            });
         }
     }
 

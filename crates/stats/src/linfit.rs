@@ -21,11 +21,6 @@ impl LinearFit {
     pub fn predict(&self, x: f64) -> f64 {
         self.slope * x + self.intercept
     }
-
-    /// Residual `y − ŷ` for one observation.
-    pub fn residual(&self, x: f64, y: f64) -> f64 {
-        y - self.predict(x)
-    }
 }
 
 /// Fits `y ≈ slope·x + intercept` by ordinary least squares.
@@ -120,6 +115,6 @@ mod tests {
             n: 2,
         };
         assert_eq!(f.predict(3.0), 7.0);
-        assert_eq!(f.residual(3.0, 8.0), 1.0);
+        assert_eq!(8.0 - f.predict(3.0), 1.0);
     }
 }

@@ -372,7 +372,7 @@ mod tests {
             assert_eq!(ctl.circuit_status(circuit), CircuitStatus::Failed);
             ctl.close_circuit(sim, circuit);
             sim.advance_to(SimTime::ZERO + minute + minute);
-            assert!(net.relay_up(path[0]));
+            assert!(!net.sim.fault_plan().node_down(path[0], net.sim.now()));
             let (ctl, sim) = (&mut net.controller, &mut net.sim);
             assert!(ctl.build_and_wait(sim, path).is_some(), "relay is back");
         }

@@ -514,13 +514,6 @@ impl TorNetwork {
         self.sim.obs()
     }
 
-    /// The build-time performance parameters of a measurable relay
-    /// (`None` for non-relay nodes and the local `w`/`z` pairs).
-    pub fn relay_config(&self, node: NodeId) -> Option<&RelayConfig> {
-        let i = self.relays.iter().position(|&n| n == node)?;
-        Some(&self.relay_configs[i])
-    }
-
     /// Publishes aggregate relay-layer totals (cells processed,
     /// forwarded, dropped, EXTEND2 refusals, circuits created and
     /// destroyed, streams opened) into the observability registry as
@@ -625,13 +618,9 @@ impl TorNetwork {
         self.sim.fault_plan_mut().add_crash(relay, now, until);
         let obs = self.sim.obs();
         obs.inc("tor.relay.crashes");
-        if obs.is_tracing() {
-            obs.event(
-                obs::names::TOR_RELAY_CRASH,
-                now.as_nanos(),
-                vec![("node", Value::U64(u64::from(relay.0)))],
-            );
-        }
+        obs.event(obs::names::TOR_RELAY_CRASH, now.as_nanos(), || {
+            vec![("node", Value::U64(u64::from(relay.0)))]
+        });
     }
 
     /// Reboots a crashed relay: events reach it again immediately.
@@ -639,19 +628,11 @@ impl TorNetwork {
         self.sim.fault_plan_mut().clear_crashes(relay);
         let obs = self.sim.obs();
         obs.inc("tor.relay.revives");
-        if obs.is_tracing() {
-            obs.event(
-                obs::names::TOR_RELAY_REVIVE,
-                self.sim.now().as_nanos(),
-                vec![("node", Value::U64(u64::from(relay.0)))],
-            );
-        }
-    }
-
-    /// Whether the relay is reachable right now: the fault plan's
-    /// ground truth.
-    pub fn relay_up(&self, relay: NodeId) -> bool {
-        !self.sim.fault_plan().node_down(relay, self.sim.now())
+        obs.event(
+            obs::names::TOR_RELAY_REVIVE,
+            self.sim.now().as_nanos(),
+            || vec![("node", Value::U64(u64::from(relay.0)))],
+        );
     }
 
     /// Applies `interval_hours` of relay churn: each currently-up relay
@@ -687,11 +668,9 @@ impl TorNetwork {
         obs.add("tor.churn.departures", departed.len() as u64);
         if obs.is_tracing() {
             for &node in &departed {
-                obs.event(
-                    obs::names::TOR_CHURN_DEPARTED,
-                    now.as_nanos(),
-                    vec![("node", Value::U64(u64::from(node.0)))],
-                );
+                obs.event(obs::names::TOR_CHURN_DEPARTED, now.as_nanos(), || {
+                    vec![("node", Value::U64(u64::from(node.0)))]
+                });
             }
         }
         departed
@@ -712,16 +691,12 @@ impl TorNetwork {
         let obs = self.sim.obs();
         obs.inc("tor.consensus.refreshes");
         obs.set_gauge("tor.consensus.running", running as i64);
-        if obs.is_tracing() {
-            obs.event(
-                obs::names::TOR_CONSENSUS_REFRESH,
-                now.as_nanos(),
-                vec![
-                    ("running", Value::U64(running)),
-                    ("relays", Value::U64(self.relays.len() as u64)),
-                ],
-            );
-        }
+        obs.event(obs::names::TOR_CONSENSUS_REFRESH, now.as_nanos(), || {
+            vec![
+                ("running", Value::U64(running)),
+                ("relays", Value::U64(self.relays.len() as u64)),
+            ]
+        });
     }
 }
 
@@ -740,8 +715,13 @@ mod tests {
     fn live_network_builds_with_requested_size() {
         let net = TorNetworkBuilder::live(7, 80).build();
         assert_eq!(net.relays.len(), 80);
-        // Live relays share ASes: far fewer ASes than relays + host.
-        assert!(net.sim.underlay().as_count() < 81);
+        // Live relays share ASes: far fewer ASes than relays.
+        let ases: std::collections::HashSet<_> = net
+            .relays
+            .iter()
+            .map(|r| net.sim.underlay().node(r.index()).as_id)
+            .collect();
+        assert!(ases.len() < 80);
     }
 
     #[test]
@@ -923,6 +903,12 @@ mod tests {
         assert!(net.relay_metrics[4].snapshot().extends_refused >= 1);
     }
 
+    /// Whether `relay` is reachable right now: the fault plan's ground
+    /// truth.
+    fn up(net: &TorNetwork, relay: NodeId) -> bool {
+        !net.sim.fault_plan().node_down(relay, net.sim.now())
+    }
+
     /// The `tor.consensus.running` gauge, as the last refresh left it.
     fn running_gauge(net: &TorNetwork) -> Option<i64> {
         let meta = obs::ExportMeta {
@@ -944,8 +930,8 @@ mod tests {
             .build();
         let (x, y) = (net.relays[6], net.relays[12]);
         net.crash_relay(x, None);
-        assert!(!net.relay_up(x));
-        assert!(net.relay_up(y));
+        assert!(!up(&net, x));
+        assert!(up(&net, y));
         assert!(net
             .controller
             .build_and_wait(&mut net.sim, vec![net.local_w, x, y, net.local_z])
@@ -956,7 +942,7 @@ mod tests {
         assert_eq!(running_gauge(&net), Some(30));
 
         net.revive_relay(x);
-        assert!(net.relay_up(x));
+        assert!(up(&net, x));
         assert_eq!(running_gauge(&net), Some(30), "tally moves on refresh only");
         net.refresh_consensus();
         assert_eq!(running_gauge(&net), Some(31));
@@ -982,7 +968,7 @@ mod tests {
             .build();
         let gone = net.churn_step(&ChurnConfig::default(), 24.0 * 20.0, 77);
         for &node in &net.relays {
-            assert_eq!(net.relay_up(node), !gone.contains(&node));
+            assert_eq!(up(&net, node), !gone.contains(&node));
         }
         net.refresh_consensus();
         let up = net.relays.len() - gone.len();
