@@ -167,6 +167,10 @@ impl Simulator {
     /// Attaches `process` to the next underlay node. Must be called once
     /// per node, in underlay order; returns the node's id.
     pub fn add_process(&mut self, process: Box<dyn Process>) -> NodeId {
+        #[expect(
+            clippy::expect_used,
+            reason = "a node id is a u32, and a simulation holds far fewer than 2^32 nodes"
+        )]
         let id = NodeId(u32::try_from(self.processes.len()).expect("too many nodes"));
         assert!(
             self.processes.len() < self.underlay.node_count(),

@@ -294,6 +294,10 @@ impl Underlay {
 
     /// Registers an AS; returns its id.
     pub fn add_as(&mut self, profile: AsProfile) -> AsId {
+        #[expect(
+            clippy::expect_used,
+            reason = "an AS id is a u16, and no builder places 65,536 ASes"
+        )]
         let id = AsId(u16::try_from(self.ases.len()).expect("too many ASes"));
         self.ases.push(profile);
         id

@@ -6,9 +6,10 @@
 //! for the simulated proxy: build an explicit circuit, attach a stream,
 //! send data, read echoes with their arrival timestamps, tear down.
 //!
-//! Mechanically it shares a command queue with the [`OnionProxy`]
-//! process and pokes the simulator's wake timer so commands are executed
-//! at the current virtual instant.
+//! Mechanically it shares one state cell with the [`OnionProxy`]
+//! process — the command queue and a record per handle — and pokes the
+//! simulator's wake timer so commands are executed at the current
+//! virtual instant.
 //!
 //! A handle lives until its owner closes it: [`Controller::close_stream`]
 //! and [`Controller::close_circuit`] (which also closes the streams
@@ -19,12 +20,11 @@
 //! stream is [`StreamStatus::Closed`] with nothing received, and a send
 //! or a second close on it does nothing.
 
-use crate::client::{CircuitEntry, Command, OnionProxy, ProxyShared, StreamEntry};
+use crate::client::{CircuitEntry, Command, OnionProxy, ProxyState, StreamEntry};
 pub use crate::client::{CircuitStatus, PolicyError, StreamStatus};
 use netsim::{NodeId, SimTime, Simulator};
 use onion_crypto::PublicKey;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Opaque handle to a circuit managed through a [`Controller`].
@@ -37,20 +37,21 @@ pub struct StreamHandle(pub u64);
 
 /// Controller for one onion proxy.
 pub struct Controller {
-    shared: Rc<RefCell<ProxyShared>>,
+    shared: Rc<RefCell<ProxyState>>,
     proxy_node: NodeId,
     next_handle: u64,
 }
 
 impl Controller {
     /// Creates the proxy process + controller pair. The caller attaches
-    /// the returned process to the proxy's node.
+    /// the returned process to the proxy's node. `identities` holds each
+    /// relay's identity key at its [`NodeId::index`].
     pub fn create(
         proxy_node: NodeId,
-        identity_map: HashMap<NodeId, PublicKey>,
+        identities: Rc<[Option<PublicKey>]>,
     ) -> (Controller, OnionProxy) {
-        let shared = Rc::new(RefCell::new(ProxyShared::default()));
-        let proxy = OnionProxy::new(shared.clone(), identity_map);
+        let shared = Rc::new(RefCell::new(ProxyState::new(identities)));
+        let proxy = OnionProxy(shared.clone());
         (
             Controller {
                 shared,
@@ -75,6 +76,7 @@ impl Controller {
         let entry = CircuitEntry {
             status: CircuitStatus::Building,
             error: None,
+            onion: None,
         };
         self.shared.borrow_mut().circuits.insert(handle, entry);
         self.enqueue(sim, Command::BuildCircuit { handle, path });
@@ -106,6 +108,7 @@ impl Controller {
         let entry = StreamEntry {
             status: StreamStatus::Connecting,
             received: Vec::new(),
+            on: None,
         };
         self.shared.borrow_mut().streams.insert(handle, entry);
         self.enqueue(
@@ -215,27 +218,38 @@ impl Controller {
 
 #[cfg(test)]
 mod tests {
-    use crate::control::{CircuitStatus, StreamStatus};
+    use crate::control::{CircuitStatus, PolicyError, StreamStatus};
     use crate::network::{TorNetwork, TorNetworkBuilder};
     use crate::relay::RelayFaultProfile;
     use netsim::{NodeId, SimDuration, SimTime};
     use obs::{ExportMeta, Obs, ObsConfig};
     use std::collections::BTreeSet;
 
-    /// Every table that holds one entry per connection or handle: the
-    /// simulator's connections, the relays' link tables, and the
-    /// proxy's link table, command queue and two handle tables.
-    fn table_sizes(net: &TorNetwork) -> [usize; 6] {
+    /// Every table that holds one entry per connection, circuit or
+    /// handle: the simulator's connections; the relays' link tables,
+    /// circuits, exit indexes and exit streams; the proxy's link table,
+    /// command queue, circuit index and two handle tables.
+    fn table_sizes(net: &TorNetwork) -> [usize; 10] {
         let locals = [&net.w_metrics, &net.z_metrics];
-        let relays = net.relay_metrics.iter().chain(locals);
-        let shared = net.controller.shared.borrow();
+        let mut relays = [0; 4];
+        for m in net.relay_metrics.iter().chain(locals) {
+            let [circuits, exits, streams] = m.circuit_entries().get();
+            let sizes = [m.link_entries().get(), circuits, exits, streams];
+            relays.iter_mut().zip(sizes).for_each(|(sum, n)| *sum += n);
+        }
+        let proxy = net.controller.shared.borrow();
+        let [links, circuits, exits, streams] = relays;
         [
             net.sim.open_conn_count(),
-            relays.map(|m| m.link_entries().get()).sum(),
-            shared.link_entries.get(),
-            shared.commands.len(),
-            shared.circuits.len(),
-            shared.streams.len(),
+            links,
+            circuits,
+            exits,
+            streams,
+            proxy.links.len(),
+            proxy.commands.len(),
+            proxy.circuits.len(),
+            proxy.circ_index.len(),
+            proxy.streams.len(),
         ]
     }
 
@@ -255,7 +269,7 @@ mod tests {
             assert_eq!(*after_first.get_or_insert(sizes), sizes, "after round {i}");
         }
         // Closed handles answer like handles never minted.
-        assert_eq!(after_first.map(|s| s[3..].to_vec()), Some(vec![0; 3]));
+        assert_eq!(after_first.map(|s| s[6..].to_vec()), Some(vec![0; 4]));
     }
 
     /// One pair is what Ting measures it with — `C_xy`, `C_x`, `C_y`, an
@@ -421,6 +435,30 @@ mod tests {
         }
     }
 
+    /// A path through a node with no identity key is refused by name:
+    /// the echo server (a node, not a relay), and a node past the end of
+    /// the key table. A hop repeated is refused as repeated first.
+    #[test]
+    fn a_path_through_a_node_with_no_key_is_refused_as_unknown() {
+        let mut net = TorNetworkBuilder::testbed(48).build();
+        let (w, echo) = (net.local_w, net.echo_server);
+        let refusals = [
+            (vec![w, echo], PolicyError::UnknownRelay(echo)),
+            (
+                vec![w, NodeId(u32::MAX)],
+                PolicyError::UnknownRelay(NodeId(u32::MAX)),
+            ),
+            (vec![echo, w, echo], PolicyError::RepeatedRelay),
+        ];
+        for (path, error) in refusals {
+            let (ctl, sim) = (&mut net.controller, &mut net.sim);
+            let circuit = ctl.build_circuit(sim, path);
+            sim.run_until_idle();
+            assert_eq!(ctl.circuit_status(circuit), CircuitStatus::Failed);
+            assert_eq!(ctl.circuit_error(circuit), Some(error));
+        }
+    }
+
     /// Fifty attempts through a first hop that stays down cost the proxy
     /// what one does: the dead link goes, and its queued cells with it.
     #[test]
@@ -442,8 +480,11 @@ mod tests {
     /// vantages each extend through `x` to a crashed `y`, so `x` fails
     /// three circuits at once when its connect to `y` times out, and the
     /// order of its DESTROYs decides the RNG draws behind each delay.
-    /// Every hash map is seeded per instance, so one process shows a
-    /// hash-order dependence (3! orders: 6 outcomes in 40 runs before).
+    /// `std` hash maps are seeded per instance, so one process shows a
+    /// hash-order dependence (3! orders: 6 outcomes in 40 runs when the
+    /// relay walked its hash maps). The outcome is pinned — final clock,
+    /// export length and digest — to the order the relay promises: exit
+    /// side first, each side in key order.
     #[test]
     fn forty_runs_of_three_lanes_through_one_dying_link_are_one_outcome() {
         let outcomes: BTreeSet<(SimTime, String)> = (0..40)
@@ -468,5 +509,12 @@ mod tests {
             })
             .collect();
         assert_eq!(outcomes.len(), 1);
+        let (clock, export) = outcomes.first().expect("one outcome");
+        assert_eq!((clock.as_nanos(), export.len()), (3_061_907_267, 3_270));
+        let digest = onion_crypto::sha256(export.as_bytes());
+        assert_eq!(
+            digest[..8],
+            [0xfe, 0xab, 0x11, 0x82, 0x3a, 0x84, 0x57, 0xad]
+        );
     }
 }

@@ -25,6 +25,12 @@
 // The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
 // kernel; nothing here may add a second.
 #![forbid(unsafe_code)]
+// No data reaches a panic: a site that can only fail by construction
+// carries an `#[expect]` naming the invariant it relies on.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 // Same seed ⇒ same bytes: hash order is per map instance, so no loop
 // here may run in it. (The lint sees `for` loops only, not iterator
 // chains: a walk that emits ops sorts its keys or uses an ordered map.)

@@ -17,6 +17,11 @@ use tor_protocol::{Cell, CellCommand, CircuitId};
 /// Addresses one circuit hop at a node: a link and the circuit's id on it.
 pub(crate) type HopKey = (ConnId, CircuitId);
 
+/// Every key on link `conn`: a range over a map ordered by [`HopKey`].
+pub(crate) fn on_link(conn: ConnId) -> std::ops::RangeInclusive<HopKey> {
+    (conn, CircuitId(0))..=(conn, CircuitId(u32::MAX))
+}
+
 struct Link {
     peer: NodeId,
     /// Cells held back until the handshake this node started completes;

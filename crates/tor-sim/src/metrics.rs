@@ -24,10 +24,13 @@ struct Inner {
     busy_ms_accumulated: Cell<f64>,
     cells_dropped: Cell<u64>,
     extends_refused: Cell<u64>,
-    /// The size of the relay's link table: a gauge only test builds
-    /// keep, for the bounded-memory tests in `control.rs`.
+    /// The sizes of the relay's link table and of its three circuit
+    /// tables (circuits, exit index, exit streams): gauges only test
+    /// builds keep, for the bounded-memory tests in `control.rs`.
     #[cfg(test)]
     link_entries: Rc<Cell<usize>>,
+    #[cfg(test)]
+    circuit_entries: Cell<[usize; 3]>,
 }
 
 /// A cheap, clonable handle to one relay's counters.
@@ -125,6 +128,11 @@ impl RelayMetrics {
     #[cfg(test)]
     pub(crate) fn link_entries(&self) -> Rc<Cell<usize>> {
         self.inner.link_entries.clone()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn circuit_entries(&self) -> &Cell<[usize; 3]> {
+        &self.inner.circuit_entries
     }
 
     /// Reads all counters at once.

@@ -25,10 +25,11 @@ use netsim::{
     UnderlayConfig,
 };
 use obs::{Obs, Value};
-use onion_crypto::KeyPair;
+use onion_crypto::{KeyPair, PublicKey};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Draws from an exponential distribution with the given mean.
 fn sample_exp(rng: &mut SmallRng, mean: f64) -> f64 {
@@ -162,6 +163,10 @@ impl TorNetworkBuilder {
         let mut underlay = Underlay::new(UnderlayConfig::default(), self.seed ^ 0x7ea5);
 
         // ── Measurement host: one well-connected AS, four nodes. ──
+        #[expect(
+            clippy::expect_used,
+            reason = "the measurement host's city is in geo's fixed city table"
+        )]
         let host_city = world.city("Washington DC").expect("city exists");
         let mut host_profile = AsProfile::datacenter("measurement-host", host_city.location);
         host_profile.access_delay_ms = (0.02, 0.05);
@@ -279,14 +284,6 @@ impl TorNetworkBuilder {
             busy_mean_ms: 1.0,
         };
 
-        // ── Identity map. ──
-        let mut identity_map: HashMap<NodeId, onion_crypto::PublicKey> = HashMap::new();
-        identity_map.insert(NodeId(w_idx as u32), w_key.public);
-        identity_map.insert(NodeId(z_idx as u32), z_key.public);
-        for (node, key) in relay_nodes.iter().zip(&relay_keys) {
-            identity_map.insert(*node, key.public);
-        }
-
         // Three draws per relay whose values nothing reads. Extra vantages
         // are placed by the draws after them and a 4-vantage scan pins
         // those, so they stay until that pin is re-based.
@@ -309,6 +306,14 @@ impl TorNetworkBuilder {
             w_key: KeyPair,
             z_key: KeyPair,
         }
+        let primary = VantageSeed {
+            proxy_idx,
+            w_idx,
+            z_idx,
+            echo_idx,
+            w_key,
+            z_key,
+        };
         let mut vantage_seeds: Vec<VantageSeed> = Vec::with_capacity(self.extra_vantages);
         for j in 0..self.extra_vantages {
             let (city, loc) = world.sample_location(&mut rng);
@@ -339,22 +344,47 @@ impl TorNetworkBuilder {
             });
         }
 
+        // ── Identity keys by node index: one table every proxy reads. ──
+        let mut identities = vec![None; underlay.node_count()];
+        for (node, key) in relay_nodes.iter().zip(&relay_keys) {
+            identities[node.index()] = Some(key.public);
+        }
+        for v in std::iter::once(&primary).chain(&vantage_seeds) {
+            identities[v.w_idx] = Some(v.w_key.public);
+            identities[v.z_idx] = Some(v.z_key.public);
+        }
+        let identities: Rc<[Option<PublicKey>]> = identities.into();
+
         // ── Simulator + processes (same order as underlay nodes). ──
         let mut sim = Simulator::new(underlay, self.seed ^ 0xc0de);
         sim.set_fault_plan(self.fault_plan);
         sim.set_obs(self.observability.clone());
-        let (controller, proxy_process) =
-            Controller::create(NodeId(proxy_idx as u32), identity_map);
-        let proxy = sim.add_process(Box::new(proxy_process));
-        let w_metrics = RelayMetrics::new();
-        let z_metrics = RelayMetrics::new();
-        let local_w = sim.add_process(Box::new(
-            Relay::new(w_key, local_config).with_metrics(w_metrics.clone()),
-        ));
-        let local_z = sim.add_process(Box::new(
-            Relay::new(z_key, local_config).with_metrics(z_metrics.clone()),
-        ));
-        let echo_server = sim.add_process(Box::new(EchoServer::new()));
+        // A vantage's four processes: its proxy, `w`, `z` and echo server.
+        let add_vantage = |sim: &mut Simulator, seed: VantageSeed| {
+            let proxy_node = NodeId(seed.proxy_idx as u32);
+            let (controller, proxy) = Controller::create(proxy_node, identities.clone());
+            let proxy = sim.add_process(Box::new(proxy));
+            let (w_metrics, z_metrics) = (RelayMetrics::new(), RelayMetrics::new());
+            let w = Relay::new(seed.w_key, local_config).with_metrics(w_metrics.clone());
+            let w = sim.add_process(Box::new(w));
+            let z = Relay::new(seed.z_key, local_config).with_metrics(z_metrics.clone());
+            let z = sim.add_process(Box::new(z));
+            let echo = sim.add_process(Box::new(EchoServer::new()));
+            debug_assert_eq!(
+                [proxy, w, z, echo].map(NodeId::index),
+                [seed.proxy_idx, seed.w_idx, seed.z_idx, seed.echo_idx]
+            );
+            Vantage {
+                proxy,
+                w,
+                z,
+                echo,
+                controller,
+                w_metrics,
+                z_metrics,
+            }
+        };
+        let primary = add_vantage(&mut sim, primary);
         let mut relay_metrics = Vec::with_capacity(relay_keys.len());
         for (i, (key, config)) in relay_keys.iter().zip(&relay_configs).enumerate() {
             let metrics = RelayMetrics::new();
@@ -365,60 +395,24 @@ impl TorNetworkBuilder {
                     .with_faults(self.relay_faults.for_relay(i as u64)),
             ));
         }
-        debug_assert_eq!(proxy.index(), proxy_idx);
-        debug_assert_eq!(local_w.index(), w_idx);
-        debug_assert_eq!(local_z.index(), z_idx);
-        debug_assert_eq!(echo_server.index(), echo_idx);
-
-        // Extra vantage processes follow the relays, mirroring the
-        // primary host's four-process layout.
-        let mut extra_vantages = Vec::with_capacity(vantage_seeds.len());
-        for seed in vantage_seeds {
-            let mut map: HashMap<NodeId, onion_crypto::PublicKey> = HashMap::new();
-            map.insert(NodeId(seed.w_idx as u32), seed.w_key.public);
-            map.insert(NodeId(seed.z_idx as u32), seed.z_key.public);
-            for (node, key) in relay_nodes.iter().zip(&relay_keys) {
-                map.insert(*node, key.public);
-            }
-            let (v_controller, v_proxy_process) =
-                Controller::create(NodeId(seed.proxy_idx as u32), map);
-            let v_proxy = sim.add_process(Box::new(v_proxy_process));
-            let vw_metrics = RelayMetrics::new();
-            let vz_metrics = RelayMetrics::new();
-            let vw = sim.add_process(Box::new(
-                Relay::new(seed.w_key, local_config).with_metrics(vw_metrics.clone()),
-            ));
-            let vz = sim.add_process(Box::new(
-                Relay::new(seed.z_key, local_config).with_metrics(vz_metrics.clone()),
-            ));
-            let v_echo = sim.add_process(Box::new(EchoServer::new()));
-            debug_assert_eq!(v_proxy.index(), seed.proxy_idx);
-            debug_assert_eq!(vw.index(), seed.w_idx);
-            debug_assert_eq!(vz.index(), seed.z_idx);
-            debug_assert_eq!(v_echo.index(), seed.echo_idx);
-            extra_vantages.push(Vantage {
-                proxy: v_proxy,
-                w: vw,
-                z: vz,
-                echo: v_echo,
-                controller: v_controller,
-                w_metrics: vw_metrics,
-                z_metrics: vz_metrics,
-            });
-        }
+        // Extra vantage processes follow the relays.
+        let extra_vantages = vantage_seeds
+            .into_iter()
+            .map(|seed| add_vantage(&mut sim, seed))
+            .collect();
 
         TorNetwork {
             sim,
-            controller,
+            controller: primary.controller,
             relays: relay_nodes,
             relay_configs,
             relay_metrics,
-            w_metrics,
-            z_metrics,
-            proxy,
-            local_w,
-            local_z,
-            echo_server,
+            w_metrics: primary.w_metrics,
+            z_metrics: primary.z_metrics,
+            proxy: primary.proxy,
+            local_w: primary.w,
+            local_z: primary.z,
+            echo_server: primary.echo,
             extra_vantages,
         }
     }

@@ -19,13 +19,13 @@
 //! exists precisely to cancel this `F`; §4.3 finds its per-relay minimum
 //! at 0–3 ms, which is what the default [`RelayConfig`] produces.
 
-use crate::link::{HopKey, LinkTable};
+use crate::link::{on_link, HopKey, LinkTable};
 use crate::metrics::RelayMetrics;
 use netsim::{ConnId, Context, NodeId, Process, SimDuration, TrafficClass};
 use onion_crypto::{server_handshake, KeyPair};
 use rand::Rng;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use tor_protocol::{
     Cell, CellCommand, CircuitId, Extend2, Extended2, RelayCell, RelayCmd, RelayCrypto,
     RelayCryptoOutcome,
@@ -175,12 +175,13 @@ pub struct Relay {
     /// Tor links only: an exit stream's external conn lives in
     /// `stream_index` and its circuit.
     links: LinkTable,
-    /// Circuits by their client-side key.
-    circuits: HashMap<HopKey, CircuitState>,
+    /// Circuits by their client-side key. Boxed: a B-tree node holds
+    /// eleven values inline.
+    circuits: BTreeMap<HopKey, Box<CircuitState>>,
     /// Exit-side index: a circuit's `next` → its client-side key.
-    exit_index: HashMap<HopKey, HopKey>,
+    exit_index: BTreeMap<HopKey, HopKey>,
     /// External stream conns → (circuit's client-side key, stream id).
-    stream_index: HashMap<ConnId, (HopKey, u16)>,
+    stream_index: BTreeMap<ConnId, (HopKey, u16)>,
     /// Next circuit id for links we originate.
     next_circ_id: u32,
     /// Busy-until accounting for the processing queue (ns).
@@ -198,9 +199,9 @@ impl Relay {
             identity,
             config,
             links: LinkTable::default(),
-            circuits: HashMap::new(),
-            exit_index: HashMap::new(),
-            stream_index: HashMap::new(),
+            circuits: BTreeMap::new(),
+            exit_index: BTreeMap::new(),
+            stream_index: BTreeMap::new(),
             next_circ_id: 1,
             busy_until_ns: 0,
             queue: VecDeque::new(),
@@ -292,16 +293,14 @@ impl Relay {
         let (reply, keys) = server_handshake(&self.identity, ephemeral, &client_pk);
         self.metrics.on_circuit_created();
         let key = (conn, cell.circ_id);
-        self.circuits.insert(
-            key,
-            CircuitState {
-                crypto: RelayCrypto::new(&keys),
-                prev: key,
-                next: None,
-                extended: false,
-                streams: BTreeMap::new(),
-            },
-        );
+        let circuit = CircuitState {
+            crypto: RelayCrypto::new(&keys),
+            prev: key,
+            next: None,
+            extended: false,
+            streams: BTreeMap::new(),
+        };
+        self.circuits.insert(key, Box::new(circuit));
         let body = Extended2 {
             server_pk: reply.ephemeral_public,
             auth: reply.auth,
@@ -372,7 +371,9 @@ impl Relay {
             self.teardown(ctx, key, None);
             return;
         }
-        let circuit = self.circuits.get_mut(&key).expect("circuit exists");
+        let Some(circuit) = self.circuits.get_mut(&key) else {
+            return;
+        };
         match rc.cmd {
             RelayCmd::Extend2 => {
                 // A second EXTEND2 is as malformed as an undecodable one.
@@ -433,6 +434,17 @@ impl Relay {
         }
     }
 
+    /// Test builds publish the circuit tables' sizes beside the links'.
+    /// Only processing a cell and a closed connection change them.
+    fn publish_tables(&self) {
+        #[cfg(test)]
+        self.metrics.circuit_entries().set([
+            self.circuits.len(),
+            self.exit_index.len(),
+            self.stream_index.len(),
+        ]);
+    }
+
     /// Forgets the circuit with client-side key `key`: closes its exit
     /// streams and sends DESTROY to each neighbour except the one the
     /// teardown was `heard_from` (`None`: this relay's own decision).
@@ -469,8 +481,12 @@ impl Process for Relay {
         let Some(&(key, stream_id)) = self.stream_index.get(&conn) else {
             return;
         };
-        let circuit = self.circuits.get_mut(&key).expect("indexed");
-        let stream = circuit.streams.get_mut(&stream_id).expect("indexed");
+        let Some(circuit) = self.circuits.get_mut(&key) else {
+            return;
+        };
+        let Some(stream) = circuit.streams.get_mut(&stream_id) else {
+            return;
+        };
         stream.connected = true;
         let rc = RelayCell::new(RelayCmd::Connected, stream_id, vec![]);
         circuit.send_backward(&mut self.links, ctx, &rc);
@@ -479,10 +495,11 @@ impl Process for Relay {
     fn on_data(&mut self, ctx: &mut Context, conn: ConnId, data: Vec<u8>) {
         if let Some(&(key, stream_id)) = self.stream_index.get(&conn) {
             // Data returning from an exit stream: wrap and send backward.
-            let circuit = self.circuits.get_mut(&key).expect("indexed");
-            for chunk in data.chunks(tor_protocol::RELAY_DATA_LEN) {
-                let rc = RelayCell::new(RelayCmd::Data, stream_id, chunk.to_vec());
-                circuit.send_backward(&mut self.links, ctx, &rc);
+            if let Some(circuit) = self.circuits.get_mut(&key) {
+                for chunk in data.chunks(tor_protocol::RELAY_DATA_LEN) {
+                    let rc = RelayCell::new(RelayCmd::Data, stream_id, chunk.to_vec());
+                    circuit.send_backward(&mut self.links, ctx, &rc);
+                }
             }
             return;
         }
@@ -498,47 +515,36 @@ impl Process for Relay {
             return;
         }
         let now_ns = ctx.now.as_nanos();
-        while let Some(front) = self.queue.front() {
-            if front.ready_at_ns > now_ns {
-                break;
-            }
-            let pending = self.queue.pop_front().unwrap();
+        while let Some(pending) = self.queue.pop_front_if(|p| p.ready_at_ns <= now_ns) {
             self.metrics.on_processed(pending.cost_ms);
             self.process_cell(ctx, pending.conn, pending.cell);
         }
+        self.publish_tables();
     }
 
     fn on_conn_closed(&mut self, ctx: &mut Context, conn: ConnId) {
-        // An exit stream's target hung up: END toward the client.
         if let Some((key, stream_id)) = self.stream_index.remove(&conn) {
-            let circuit = self.circuits.get_mut(&key).expect("indexed");
-            circuit.streams.remove(&stream_id);
-            let rc = RelayCell::new(RelayCmd::End, stream_id, vec![]);
-            circuit.send_backward(&mut self.links, ctx, &rc);
-            return;
+            // An exit stream's target hung up: END toward the client.
+            if let Some(circuit) = self.circuits.get_mut(&key) {
+                circuit.streams.remove(&stream_id);
+                let rc = RelayCell::new(RelayCmd::End, stream_id, vec![]);
+                circuit.send_backward(&mut self.links, ctx, &rc);
+            }
+        } else if self.links.closed(conn) {
+            // A peer link died (e.g. a blackholed connect to a crashed
+            // relay timed out): it is forgotten, so future extends
+            // reopen it. Fail everything that was riding on it — exit
+            // side first, each side in key order, because each DESTROY
+            // draws a delay from the simulation RNG.
+            let exits = self.exit_index.range(on_link(conn)).map(|(_, &key)| key);
+            for key in exits.collect::<Vec<_>>() {
+                self.teardown(ctx, key, Some(Side::Exit));
+            }
+            let clients = self.circuits.range(on_link(conn)).map(|(&key, _)| key);
+            for key in clients.collect::<Vec<_>>() {
+                self.teardown(ctx, key, Some(Side::Client));
+            }
         }
-        // A peer link died (e.g. a blackholed connect to a crashed
-        // relay timed out): forget it so future extends reopen it, and
-        // fail everything that was riding on it — in key order, because
-        // each DESTROY draws a delay from the simulation RNG.
-        if !self.links.closed(conn) {
-            return;
-        }
-        // Circuits extended, or extending, over this link.
-        for next in keys_on_link(&self.exit_index, conn) {
-            let prev_key = self.exit_index[&next];
-            self.teardown(ctx, prev_key, Some(Side::Exit));
-        }
-        // Circuits whose client side was this link.
-        for key in keys_on_link(&self.circuits, conn) {
-            self.teardown(ctx, key, Some(Side::Client));
-        }
+        self.publish_tables();
     }
-}
-
-/// The keys of `index` that ride link `conn`, in key order.
-fn keys_on_link<V>(index: &HashMap<HopKey, V>, conn: ConnId) -> Vec<HopKey> {
-    let mut keys: Vec<HopKey> = index.keys().filter(|k| k.0 == conn).copied().collect();
-    keys.sort_unstable();
-    keys
 }
