@@ -36,19 +36,20 @@ for side in parent change; do
 done
 
 # Each run: a binary and its arguments. A run that names trace.jsonl
-# writes a trace there.
+# writes a trace there; a trace only the working tree writes (a flag
+# <rev> ignores) is linted, not compared.
 runs=(
     "chaos_soak --seed 7 --virtual-hours 2 --trace-out trace.jsonl"
     "chaos_soak --seed 2015 --virtual-hours 2 --trace-out trace.jsonl"
     "pipeline_storm --seed 7 --virtual-hours 2 --trace-out trace.jsonl"
     "pipeline_storm --seed 2015 --virtual-hours 2 --trace-out trace.jsonl"
-    "shard_storm --seed 7 --virtual-hours 2"
-    "shard_storm --seed 2015 --virtual-hours 2"
+    "shard_storm --seed 7 --virtual-hours 2 --trace-out trace.jsonl"
+    "shard_storm --seed 2015 --virtual-hours 2 --trace-out trace.jsonl"
     "fault_storm"
     "chaos_soak --seed 3 --virtual-hours 24"
     "chaos_soak --seed 2015 --virtual-hours 24"
-    "shard_storm --seed 3 --virtual-hours 24"
-    "shard_storm --seed 2015 --virtual-hours 24"
+    "shard_storm --seed 3 --virtual-hours 24 --trace-out trace.jsonl"
+    "shard_storm --seed 2015 --virtual-hours 24 --trace-out trace.jsonl"
 )
 failures=()
 equal=0 compared=0 linted=0 traces=0

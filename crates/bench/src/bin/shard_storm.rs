@@ -18,12 +18,14 @@
 //! monotone round over round, and every merged estimate is plausible
 //! (positive, finite, at or above the pair's speed-of-light floor).
 //!
-//! Usage: `shard_storm [--seed N] [--virtual-hours H]`
-//! (env fallbacks: `TING_SEED`, `TING_HOURS`).
+//! Usage: `shard_storm [--seed N] [--virtual-hours H] [--trace-out PATH]`
+//! (env fallbacks: `TING_SEED`, `TING_HOURS`). `--trace-out` writes
+//! the kill/resume run's trace — a crash and a restore through its
+//! checkpoint file — as JSONL, and says so on stderr.
 
 use bench::storm::{self, SHARDS};
 use netsim::SimTime;
-use ting::obs::Obs;
+use ting::obs::{Obs, ObsConfig};
 use ting::shard::{MergeOutcome, ShardStatus};
 
 struct StormOutcome {
@@ -33,18 +35,19 @@ struct StormOutcome {
     violations: Vec<String>,
 }
 
-/// One supervised storm. `kill` = (round, shard) crashes that shard
-/// right after that round; `checkpoint_dir` routes restarts through
-/// on-disk shard files instead of the in-memory copies.
+/// One supervised storm, recording into `obs`. `kill` = (round, shard)
+/// crashes that shard right after that round; `checkpoint_dir` routes
+/// restarts through on-disk shard files instead of the kept scanners.
 fn storm_run(
     seed: u64,
     rounds: u64,
     kill: Option<(u64, usize)>,
     restart_budget: u32,
     checkpoint_dir: Option<&std::path::Path>,
+    obs: &Obs,
 ) -> StormOutcome {
-    let mut net = storm::hostile_net(seed, &Obs::off());
-    let mut sup = storm::supervisor(storm::nodes(&net, 10), restart_budget, &Obs::off());
+    let mut net = storm::hostile_net(seed, obs);
+    let mut sup = storm::supervisor(storm::nodes(&net, 10), restart_budget, obs);
     if let Some(dir) = checkpoint_dir {
         sup.set_checkpoint_dir(dir);
     }
@@ -107,11 +110,22 @@ fn main() {
     let mut violations = Vec::new();
 
     // Phase 1: kill/resume bit-identity. The resumed run restarts its
-    // victim through an on-disk checkpoint file.
+    // victim through an on-disk checkpoint file. It is the traced run
+    // when a trace is asked for: recording is behaviourally inert, so
+    // the comparison against the unobserved baseline still stands.
+    let obs = match args.trace_out {
+        Some(_) => Obs::new(ObsConfig::Trace),
+        None => Obs::off(),
+    };
     let dir = storm::tempdir("shard-storm");
-    let baseline = storm_run(seed, rounds, None, 3, None);
-    let resumed = storm_run(seed, rounds, Some((kill_round, victim)), 3, Some(&dir));
+    let baseline = storm_run(seed, rounds, None, 3, None, &Obs::off());
+    let kill = Some((kill_round, victim));
+    let resumed = storm_run(seed, rounds, kill, 3, Some(&dir), &obs);
     let _ = std::fs::remove_dir_all(&dir);
+    if let Some(path) = &args.trace_out {
+        let trace = storm::export_trace(&obs, seed, &format!("shard-storm hours={hours}"), path);
+        eprintln!("# trace: {} lines -> {path}", trace.lines().count());
+    }
     violations.extend(baseline.violations.iter().cloned());
     violations.extend(resumed.violations.iter().cloned());
     if resumed.end != baseline.end {
@@ -133,8 +147,8 @@ fn main() {
 
     // Phase 2: degraded mode. Budget 0, killed early: the shard dies
     // for good and the survivors carry the scan.
-    let degraded = storm_run(seed, rounds, Some((0, victim)), 0, None);
-    let degraded_again = storm_run(seed, rounds, Some((0, victim)), 0, None);
+    let degraded = storm_run(seed, rounds, Some((0, victim)), 0, None, &Obs::off());
+    let degraded_again = storm_run(seed, rounds, Some((0, victim)), 0, None, &Obs::off());
     violations.extend(degraded.violations.iter().cloned());
     if degraded.merged.to_document() != degraded_again.merged.to_document() {
         violations.push("degraded-mode run is nondeterministic".into());

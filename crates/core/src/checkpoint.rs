@@ -17,8 +17,8 @@
 //!   refuses the file instead of resuming from silently wrong state.
 //! * **A corrupt primary with a good history** — every successful save
 //!   first promotes the previous (verified) checkpoint to `<path>.bak`
-//!   ([`bak_path`]), so [`crate::scanner::Scanner::recover`] can fall
-//!   back to the last good generation.
+//!   ([`bak_path`]), so [`crate::scanner::Scanner::recover_observed`]
+//!   can fall back to the last good generation.
 
 use crate::matrix::RttMatrix;
 use netsim::NodeId;

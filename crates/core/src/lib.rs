@@ -48,12 +48,13 @@
 //! * [`validate`] — lightspeed/divergence/TIV cross-checks gating
 //!   estimates before they reach the cache;
 //! * [`checkpoint`] — CRC-sealed, atomically-written (and fsynced)
-//!   checkpoint plumbing behind [`scanner::Scanner::save`]/`recover`,
+//!   checkpoint plumbing behind [`scanner::Scanner::save`] /
+//!   [`scanner::Scanner::recover_observed`],
 //!   and the one strict reader under the three row documents (scan
 //!   checkpoint, merged document, matrix TSV);
 //! * [`shard`] — crash-isolated scan shards under a supervising
-//!   restart budget, with a deterministic merge over shard
-//!   checkpoints and degraded-mode coverage reporting;
+//!   restart budget, with a deterministic merge over the shards'
+//!   scanners and degraded-mode coverage reporting;
 //! * [`backoff`] — the shared exponential/jittered backoff arithmetic;
 //! * [`obs`] (re-exported crate) — the unified observability layer:
 //!   counters, log-bucketed latency histograms, virtual-time trace
@@ -101,9 +102,8 @@ pub use queue::WorkQueue;
 pub use sampling::SamplePolicy;
 pub use scanner::{Scanner, ScannerConfig};
 pub use shard::{
-    merge_checkpoints, parse_merged_document, partition_pairs, DeltaPair, MergeDelta, MergeOutcome,
-    MergedDocument, ShardCoverage, ShardStatus, Supervisor, SupervisorConfig, SupervisorReport,
-    MERGED_MAGIC,
+    parse_merged_document, partition_pairs, DeltaPair, MergeDelta, MergeOutcome, MergedDocument,
+    ShardCoverage, ShardStatus, Supervisor, SupervisorConfig, SupervisorReport, MERGED_MAGIC,
 };
 pub use timeout::{AdaptiveTimeoutConfig, TimeoutEstimators, TimeoutPhase};
 pub use validate::{ValidationConfig, ValidationError, Verdict};

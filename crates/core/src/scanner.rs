@@ -750,8 +750,8 @@ impl Scanner {
     /// can never leave a torn checkpoint where
     /// [`Scanner::from_checkpoint`] would misparse it. When a previous
     /// checkpoint exists and still verifies, it is promoted to
-    /// `<path>.bak` first, so [`Scanner::recover`] always has a last
-    /// good generation to fall back to.
+    /// `<path>.bak` first, so [`Scanner::recover_observed`] always has a
+    /// last good generation to fall back to.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         let path = path.as_ref();
         if let Ok(old) = std::fs::read_to_string(path) {
@@ -763,37 +763,30 @@ impl Scanner {
         crate::checkpoint::write_atomic(path, &self.to_checkpoint())
     }
 
-    /// Loads a scanner from a checkpoint file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Scanner> {
-        let text = std::fs::read_to_string(path)?;
-        Scanner::from_checkpoint(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// Loads the checkpoint at `path`, falling back to the `.bak`
     /// generation [`Scanner::save`] maintains when the primary is
     /// missing, truncated, or corrupt. The primary's error is preserved
-    /// when both fail.
-    pub fn recover(path: impl AsRef<std::path::Path>) -> std::io::Result<Scanner> {
-        Scanner::recover_observed(path, &Obs::off(), SimTime::ZERO)
-    }
-
-    /// [`Scanner::recover`] with the fallback made visible: when the
-    /// primary is refused and the `.bak` generation loads instead, the
-    /// `ting.checkpoint.recovered_bak` counter is incremented and (at
-    /// trace level) a [`obs::names::SCAN_RECOVER_BAK`] event records
-    /// the path and the primary's error — silent recovery from a
-    /// corrupt checkpoint is itself a signal worth alerting on.
+    /// when both fail. The fallback is made visible: when the `.bak`
+    /// generation loads instead, the `ting.checkpoint.recovered_bak`
+    /// counter is incremented and (at trace level) a
+    /// [`obs::names::SCAN_RECOVER_BAK`] event records the path and the
+    /// primary's error — silent recovery from a corrupt checkpoint is
+    /// itself a signal worth alerting on.
     pub fn recover_observed(
         path: impl AsRef<std::path::Path>,
         obs: &Obs,
         now: SimTime,
     ) -> std::io::Result<Scanner> {
+        let load = |path: &std::path::Path| {
+            let text = std::fs::read_to_string(path)?;
+            Scanner::from_checkpoint(&text)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        };
         let path = path.as_ref();
-        match Scanner::load(path) {
+        match load(path) {
             Ok(s) => Ok(s),
             Err(primary_err) => {
-                let s = Scanner::load(crate::checkpoint::bak_path(path)).map_err(|_| {
+                let s = load(&crate::checkpoint::bak_path(path)).map_err(|_| {
                     std::io::Error::new(primary_err.kind(), primary_err.to_string())
                 })?;
                 obs.inc("ting.checkpoint.recovered_bak");

@@ -20,15 +20,16 @@
 //!   the scan continues **degraded**: the remaining shards keep making
 //!   progress, and the merged matrix reports the dead shard's pairs as
 //!   uncovered with staleness metadata instead of blocking.
-//! * **Checkpoint fallback** — a shard whose checkpoint is refused on
-//!   restart falls back to the supervisor's in-memory copy, then to a
-//!   fresh scanner (re-measuring its pairs), rather than wedging.
+//! * **Kept state** — a crash drops only the shard's driver; its
+//!   scanner stays in the supervisor, holding the last completed round.
+//!   A file-backed restart reads the checkpoint file (primary, then
+//!   `.bak`) and resumes the kept scanner when both are refused, so a
+//!   restart never wedges and never starts a shard over.
 //!
-//! The merge ([`merge_checkpoints`]) is a fixed shard-ordering
-//! reduction over shard checkpoints. Shard ownership is disjoint, so
-//! the result is invariant to shard completion order, and at shard
-//! count 1 the supervised scan is bit-identical to the unsharded
-//! [`Scanner`] — both properties are tested in
+//! The merge ([`Supervisor::merge`]) is a fixed shard-ordering
+//! reduction over the shards' scanners. Shard ownership is disjoint, so
+//! each pair has one source, and at shard count 1 the supervised scan
+//! is bit-identical to the unsharded [`Scanner`] — tested in
 //! `crates/core/tests/shard_scan.rs`.
 
 use crate::checkpoint::Doc;
@@ -129,11 +130,10 @@ impl ShardStatus {
     }
 }
 
-/// A shard is live — its scanner and driver running — or down, and
-/// its [`ShardStatus`] is read off which.
+/// A shard is live — its driver running — or down, and its
+/// [`ShardStatus`] is read off which.
 enum SlotState {
     Live {
-        scanner: Box<Scanner>,
         ting: Box<Ting>,
         /// When the shard last made progress; `None` until its first
         /// supervised round.
@@ -147,9 +147,9 @@ enum SlotState {
         /// When the restart pause ends; `None` once the restart budget
         /// is exhausted (quarantined).
         restart_at: Option<SimTime>,
-        /// Whether the last-known-good checkpoint was already emitted
-        /// as a delta — a downed shard's checkpoint is frozen, so one
-        /// emission per outage suffices.
+        /// Whether the kept scanner was already emitted as a delta — a
+        /// downed shard's scanner is frozen, so one emission per outage
+        /// suffices.
         emitted: bool,
     },
 }
@@ -166,14 +166,14 @@ impl SlotState {
     }
 }
 
-/// One supervised shard: its state, last-known-good checkpoint, and
-/// supervision bookkeeping.
+/// One supervised shard: its scanner, state, and supervision
+/// bookkeeping.
 struct ShardSlot {
     id: u32,
+    /// The shard's scanner, live or down. A shard dies only between
+    /// rounds, so across a crash it holds the last completed round.
+    scanner: Scanner,
     state: SlotState,
-    /// Last sealed checkpoint, refreshed after every completed round.
-    /// Always parseable: initialized from the empty scanner.
-    checkpoint: String,
     /// The shard's adaptive-timeout estimators, shared with its live
     /// driver and kept across a crash. A shard dies only between rounds,
     /// so they hold what its last completed round taught.
@@ -183,17 +183,6 @@ struct ShardSlot {
     /// instant have not yet been drained by [`Supervisor::take_delta`].
     /// `None` means nothing was ever drained (everything is new).
     delta_mark: Option<SimTime>,
-}
-
-impl ShardSlot {
-    /// The shard's current checkpoint: the live scanner's state when it
-    /// is up, the last known-good copy otherwise.
-    fn current_checkpoint(&self) -> String {
-        match &self.state {
-            SlotState::Live { scanner, .. } => scanner.to_checkpoint(),
-            SlotState::Down { .. } => self.checkpoint.clone(),
-        }
-    }
 }
 
 /// Aggregate outcome of one supervised round across all shards.
@@ -328,8 +317,8 @@ impl MergeOutcome {
         Ok(())
     }
 
-    /// Re-tallies the coverage rows exactly as [`merge_checkpoints`]
-    /// would: every pair dealt to its owner in `(i, j)` index order,
+    /// Re-tallies the coverage rows exactly as [`Supervisor::merge`]
+    /// does: every pair dealt to its owner in `(i, j)` index order,
     /// staleness judged at `now` against the same horizon, each row
     /// keeping its status tag.
     pub fn judge_coverage(&mut self, now: SimTime, staleness: SimDuration) {
@@ -553,75 +542,10 @@ pub fn parse_merged_document(text: &str) -> Result<MergedDocument, String> {
     })
 }
 
-/// Merges shard checkpoints into one matrix: a fixed shard-ordering
-/// reduction. Entries are `(shard id, status tag from`
-/// [`ShardStatus::tag`]`, sealed checkpoint text)`; ids must be exactly
-/// `0..entries.len()`, in any order — the reduction sorts them, and
-/// because [`partition_pairs`] ownership is disjoint the merged matrix
-/// is invariant to the order shards completed (or crashed) in. Each
-/// shard contributes only the pairs it owns; anything else in its
-/// checkpoint (possible after an ownership change) is ignored.
-pub fn merge_checkpoints(
-    entries: &[(u32, &'static str, String)],
-    now: SimTime,
-) -> Result<MergeOutcome, String> {
-    if entries.is_empty() {
-        return Err("no shard checkpoints to merge".into());
-    }
-    let mut sorted: Vec<&(u32, &'static str, String)> = entries.iter().collect();
-    sorted.sort_by_key(|e| e.0);
-    for (want, e) in sorted.iter().enumerate() {
-        if e.0 as usize != want {
-            return Err(format!(
-                "shard ids must be exactly 0..{}, got {}",
-                entries.len(),
-                e.0
-            ));
-        }
-    }
-    let parsed: Vec<Scanner> = sorted
-        .iter()
-        .map(|e| Scanner::from_checkpoint(&e.2).map_err(|err| format!("shard {}: {err}", e.0)))
-        .collect::<Result<_, _>>()?;
-    let nodes = parsed[0].matrix().nodes().to_vec();
-    for (e, s) in sorted.iter().zip(&parsed) {
-        if s.matrix().nodes() != nodes.as_slice() {
-            return Err(format!("shard {}: node list differs from shard 0", e.0));
-        }
-    }
-    let staleness = parsed[0].config().staleness;
-    let count = sorted.len();
-    let total = nodes.len() * nodes.len().saturating_sub(1) / 2;
-    let mut matrix = crate::matrix::RttMatrix::new(nodes);
-    let mut measured_at = HashMap::new();
-    let mut lineage = HashMap::new();
-    let mut shards = Vec::with_capacity(count);
-    for (k, (e, s)) in sorted.iter().zip(&parsed).enumerate() {
-        let owned = (0..total).filter(|&p| owner(p, count) == k).count();
-        let mut coverage = ShardCoverage::new(e.0, e.1, owned);
-        for (_, m) in s.measurements().filter(|&(p, _)| owner(p, count) == k) {
-            matrix.set(m.a, m.b, m.rtt_ms);
-            measured_at.insert(ordered(m.a, m.b), m.at);
-            let round = m.round;
-            lineage.insert(ordered(m.a, m.b), Lineage { shard: e.0, round });
-            coverage.cover(m.at, now, staleness);
-        }
-        shards.push(coverage);
-    }
-    Ok(MergeOutcome {
-        matrix,
-        measured_at,
-        lineage,
-        shards,
-        now,
-    })
-}
-
 /// The shard supervisor: drives every shard's scan rounds, detects
-/// stalls, restarts crashed shards from their checkpoints under the
-/// restart budget, quarantines repeat offenders, and merges shard
-/// state into one matrix. See the module docs for the supervision
-/// policy.
+/// stalls, restarts crashed shards under the restart budget,
+/// quarantines repeat offenders, and merges shard state into one
+/// matrix. See the module docs for the supervision policy.
 pub struct Supervisor {
     config: SupervisorConfig,
     ting_config: TingConfig,
@@ -632,7 +556,7 @@ pub struct Supervisor {
     delta_seq: u64,
     /// When set, each shard persists `shard-<id>.ckpt` here after every
     /// round and restarts recover through [`Scanner::recover_observed`]
-    /// (primary, then `.bak`, then the in-memory copy, then fresh).
+    /// (primary, then `.bak`, then the kept scanner).
     checkpoint_dir: Option<PathBuf>,
 }
 
@@ -660,18 +584,16 @@ impl Supervisor {
             .map(|(id, owned)| {
                 let mut scanner = Scanner::new(nodes.clone(), config.scanner);
                 scanner.restrict_to(&owned);
-                let checkpoint = scanner.to_checkpoint();
                 let ting = Ting::with_obs(ting_config, obs.clone());
                 ShardSlot {
                     id: id as u32,
+                    scanner,
                     timeouts: ting.timeouts.clone(),
                     state: SlotState::Live {
-                        scanner: Box::new(scanner),
                         ting: Box::new(ting),
                         last_progress: None,
                         wedged_until: None,
                     },
-                    checkpoint,
                     restarts: 0,
                     delta_mark: None,
                 }
@@ -709,21 +631,13 @@ impl Supervisor {
 
     /// Shard `k`'s live scanner, absent while it is down.
     pub fn scanner(&self, k: usize) -> Option<&Scanner> {
-        match &self.slots[k].state {
-            SlotState::Live { scanner, .. } => Some(scanner.as_ref()),
-            SlotState::Down { .. } => None,
-        }
-    }
-
-    /// Shard `k`'s current checkpoint: the live scanner's state when
-    /// it is up, the last known-good copy otherwise.
-    pub fn shard_checkpoint(&self, k: usize) -> String {
-        self.slots[k].current_checkpoint()
+        let slot = &self.slots[k];
+        matches!(slot.state, SlotState::Live { .. }).then_some(&slot.scanner)
     }
 
     /// Chaos hook: kills shard `k` right now, as a crash would — its
-    /// live scanner and driver are dropped and it restarts from its
-    /// last checkpoint (budget and backoff apply, exactly like an
+    /// driver is dropped, its scanner kept, and it restarts as any
+    /// crashed shard does (budget and backoff apply, exactly like an
     /// organic failure).
     pub fn inject_crash(&mut self, k: usize, now: SimTime) {
         if self.status(k) == ShardStatus::Quarantined {
@@ -742,30 +656,10 @@ impl Supervisor {
         }
     }
 
-    /// Chaos hook: corrupts shard `k`'s stored checkpoint (in-memory
-    /// copy, and the on-disk primary + backup when file-backed) so the
-    /// next restart exercises the corrupt-checkpoint path.
-    pub fn corrupt_stored_checkpoint(&mut self, k: usize) {
-        fn flip(text: &str) -> String {
-            let mut bytes = text.as_bytes().to_vec();
-            if let Some(b) = bytes.iter_mut().find(|b| **b == b'm' || **b == b'#') {
-                *b ^= 0x55;
-            }
-            String::from_utf8_lossy(&bytes).into_owned()
-        }
-        let corrupted = flip(&self.slots[k].checkpoint);
-        self.slots[k].checkpoint = corrupted.clone();
-        if let Some(dir) = &self.checkpoint_dir {
-            let path = shard_path(dir, self.slots[k].id);
-            let _ = std::fs::write(&path, &corrupted);
-            let _ = std::fs::write(crate::checkpoint::bak_path(&path), &corrupted);
-        }
-    }
-
     /// Runs one supervised round: restores shards whose restart pause
     /// has elapsed, kills shards past their heartbeat deadline, runs a
     /// scan round on every healthy shard in fixed shard order, and
-    /// refreshes each shard's checkpoint afterwards.
+    /// saves each shard's checkpoint file afterwards when file-backed.
     pub fn run_round(&mut self, net: &mut TorNetwork) -> SupervisorReport {
         let mut report = SupervisorReport::default();
         for k in 0..self.slots.len() {
@@ -775,7 +669,6 @@ impl Supervisor {
             }
             let slot = &mut self.slots[k];
             let SlotState::Live {
-                scanner,
                 ting,
                 last_progress,
                 wedged_until,
@@ -814,7 +707,7 @@ impl Supervisor {
                 .span_begin(names::SHARD_ROUND_BEGIN, now.as_nanos(), || {
                     vec![("shard", Value::U64(k as u64))]
                 });
-            let r = scanner.run_round_parallel(net, ting);
+            let r = slot.scanner.run_round_parallel(net, ting);
             let now = net.sim.now();
             self.obs
                 .span_end(names::SHARD_ROUND_END, span, now.as_nanos(), || {
@@ -829,11 +722,10 @@ impl Supervisor {
             if r.measured + r.failed > 0 || r.still_pending == 0 {
                 *last_progress = Some(now);
             }
-            slot.checkpoint = scanner.to_checkpoint();
             let saved = self
                 .checkpoint_dir
                 .as_ref()
-                .is_none_or(|dir| scanner.save(shard_path(dir, slot.id)).is_ok());
+                .is_none_or(|dir| slot.scanner.save(shard_path(dir, slot.id)).is_ok());
             report.measured += r.measured;
             report.failed += r.failed;
             report.still_pending += r.still_pending;
@@ -850,9 +742,9 @@ impl Supervisor {
         report
     }
 
-    /// Kills shard `k`: live state is dropped and a restart is
-    /// scheduled under the budget, or the shard is quarantined beyond
-    /// it.
+    /// Kills shard `k`: its driver is dropped (the scanner is kept) and
+    /// a restart is scheduled under the budget, or the shard is
+    /// quarantined beyond it.
     fn crash(&mut self, k: usize, now: SimTime, reason: &str) {
         self.slots[k].restarts += 1;
         let restarts = self.slots[k].restarts;
@@ -881,48 +773,32 @@ impl Supervisor {
             );
             Some(now + pause)
         };
-        // A fresh outage: its last-known-good checkpoint is new to the
-        // delta stream again.
+        // A fresh outage: its kept scanner is new to the delta stream
+        // again.
         self.slots[k].state = SlotState::Down {
             restart_at,
             emitted: false,
         };
     }
 
-    /// Brings a crashed shard back at `now`: checkpoint (disk, then the
-    /// in-memory copy), restored timeout estimators, and its scope
-    /// re-dealt by [`partition_pairs`], the rule construction used. A
-    /// refused checkpoint falls back to a fresh scanner — losing the
-    /// shard's cache but never wedging the scan.
+    /// Brings a crashed shard back at `now` with its timeout estimators.
+    /// A file-backed shard resumes its checkpoint file (primary, then
+    /// `.bak`), its scope re-dealt by [`partition_pairs`], the rule
+    /// construction used. With no file, both generations refused, or a
+    /// file over another node list (no checkpoint of this shard), it
+    /// resumes the scanner it kept across the crash.
     fn restore(&mut self, k: usize, now: SimTime) {
-        let from_disk = self.checkpoint_dir.as_ref().and_then(|dir| {
-            Scanner::recover_observed(shard_path(dir, self.slots[k].id), &self.obs, now).ok()
-        });
-        let restored = match from_disk {
-            Some(s) => Ok(s),
-            None => Scanner::from_checkpoint(&self.slots[k].checkpoint),
-        };
-        let mut scanner = match restored {
-            Ok(s) => s,
-            Err(e) => {
-                // Both generations refused: start the shard over. Its
-                // owned pairs will re-measure; everyone else's state
-                // is untouched.
-                self.obs.inc("ting.shard.checkpoint_corrupt");
-                self.obs
-                    .event(names::SHARD_CHECKPOINT_CORRUPT, now.as_nanos(), || {
-                        vec![("shard", Value::U64(k as u64)), ("error", Value::Str(e))]
-                    });
-                Scanner::new(self.nodes.clone(), self.config.scanner)
-            }
-        };
-        scanner.restrict_to(&partition_pairs(&self.nodes, self.config.shards)[k]);
-        let mut ting = Ting::with_obs(self.ting_config, self.obs.clone());
         let slot = &mut self.slots[k];
+        let from_file = self.checkpoint_dir.as_ref().and_then(|dir| {
+            Scanner::recover_observed(shard_path(dir, slot.id), &self.obs, now).ok()
+        });
+        if let Some(mut scanner) = from_file.filter(|s| s.matrix().nodes() == self.nodes) {
+            scanner.restrict_to(&partition_pairs(&self.nodes, self.config.shards)[k]);
+            slot.scanner = scanner;
+        }
+        let mut ting = Ting::with_obs(self.ting_config, self.obs.clone());
         ting.timeouts = slot.timeouts.clone();
-        slot.checkpoint = scanner.to_checkpoint();
         slot.state = SlotState::Live {
-            scanner: Box::new(scanner),
             ting: Box::new(ting),
             last_progress: Some(now),
             wedged_until: None,
@@ -936,24 +812,47 @@ impl Supervisor {
         });
     }
 
-    /// Merges every shard's current state (live scanners and
-    /// last-known-good checkpoints of downed shards alike) into one
-    /// matrix with per-shard coverage rows.
+    /// Merges every shard's scanner — live, or kept across an outage —
+    /// into one matrix with per-shard coverage rows: a fixed
+    /// shard-ordering reduction in which each shard contributes only
+    /// the pairs [`partition_pairs`] deals it, each tallied as
+    /// [`ShardCoverage::cover`] judges it at `now`. Never returns `Err`.
     pub fn merge(&self, now: SimTime) -> Result<MergeOutcome, String> {
-        let entries: Vec<(u32, &'static str, String)> = self
-            .slots
-            .iter()
-            .map(|s| (s.id, s.state.status().tag(), s.current_checkpoint()))
-            .collect();
-        merge_checkpoints(&entries, now)
+        let count = self.slots.len();
+        let n = self.nodes.len();
+        let total = n * n.saturating_sub(1) / 2;
+        let staleness = self.config.scanner.staleness;
+        let mut matrix = crate::matrix::RttMatrix::new(self.nodes.clone());
+        let mut measured_at = HashMap::new();
+        let mut lineage = HashMap::new();
+        let mut shards = Vec::with_capacity(count);
+        for (k, slot) in self.slots.iter().enumerate() {
+            let (shard, s) = (slot.id, &slot.scanner);
+            let owned = (0..total).filter(|&p| owner(p, count) == k).count();
+            let mut coverage = ShardCoverage::new(shard, slot.state.status().tag(), owned);
+            for (_, m) in s.measurements().filter(|&(p, _)| owner(p, count) == k) {
+                let (pair, round) = (ordered(m.a, m.b), m.round);
+                matrix.set(m.a, m.b, m.rtt_ms);
+                measured_at.insert(pair, m.at);
+                lineage.insert(pair, Lineage { shard, round });
+                coverage.cover(m.at, now, staleness);
+            }
+            shards.push(coverage);
+        }
+        Ok(MergeOutcome {
+            matrix,
+            measured_at,
+            lineage,
+            shards,
+            now,
+        })
     }
 
     /// Drains the incremental merge delta: every owned pair measured at
     /// or after the slot's watermark since the previous drain. Live
     /// shards advance their watermark to `now`; a downed shard emits
-    /// its frozen last-known-good checkpoint once per outage and keeps
-    /// its watermark, so a later restore re-emits anything the outage
-    /// hid. The inclusive `>=` filter may re-emit a boundary
+    /// its frozen kept scanner once per outage and keeps its watermark,
+    /// so a later restore re-emits anything the outage hid. The inclusive `>=` filter may re-emit a boundary
     /// measurement — application is assignment, so duplicates are
     /// idempotent and nothing is ever lost.
     pub fn take_delta(&mut self, now: SimTime) -> MergeDelta {
@@ -964,8 +863,8 @@ impl Supervisor {
         for slot in &mut self.slots {
             statuses.push(slot.state.status().tag());
             match &mut slot.state {
-                SlotState::Live { scanner, .. } => {
-                    emit_since(scanner, slot.id, count, slot.delta_mark, &mut pairs);
+                SlotState::Live { .. } => {
+                    emit_since(&slot.scanner, slot.id, count, slot.delta_mark, &mut pairs);
                     slot.delta_mark = Some(now);
                 }
                 SlotState::Down { emitted, .. } => {
@@ -973,11 +872,7 @@ impl Supervisor {
                         continue;
                     }
                     *emitted = true;
-                    // A refused checkpoint contributes nothing here;
-                    // restore() handles (and traces) the corruption.
-                    if let Ok(s) = Scanner::from_checkpoint(&slot.checkpoint) {
-                        emit_since(&s, slot.id, count, slot.delta_mark, &mut pairs);
-                    }
+                    emit_since(&slot.scanner, slot.id, count, slot.delta_mark, &mut pairs);
                 }
             }
         }
@@ -1365,35 +1260,6 @@ mod tests {
     #[should_panic(expected = "shard count must be positive")]
     fn zero_shards_panics() {
         partition_pairs(&nodes(3), 0);
-    }
-
-    #[test]
-    fn merge_rejects_bad_shard_ids() {
-        let s = Scanner::new(nodes(3), ScannerConfig::default());
-        let ckpt = s.to_checkpoint();
-        let err = merge_checkpoints(
-            &[(0, "live", ckpt.clone()), (2, "live", ckpt)],
-            SimTime::ZERO,
-        )
-        .unwrap_err();
-        assert!(err.contains("shard ids"), "{err}");
-    }
-
-    #[test]
-    fn merge_of_empty_checkpoints_covers_nothing() {
-        let s = Scanner::new(nodes(3), ScannerConfig::default());
-        let ckpt = s.to_checkpoint();
-        let m = merge_checkpoints(
-            &[(0, "live", ckpt.clone()), (1, "dead", ckpt)],
-            SimTime::ZERO,
-        )
-        .unwrap();
-        assert_eq!(m.coverage(), 0.0);
-        assert_eq!(m.shards.len(), 2);
-        assert_eq!(m.shards[0].status, "live");
-        assert_eq!(m.shards[1].status, "dead");
-        assert_eq!(m.shards[0].owned + m.shards[1].owned, 3);
-        assert_eq!(m.shards[1].oldest_ns, None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! detected (proptest over byte flips and truncations), a sealed but
 //! malformed body is an error and never a panic, other versions and
 //! unknown config keys fail loudly, the `.bak` generation chain lets
-//! [`Scanner::recover`] survive a corrupt primary, and a scanner
+//! [`Scanner::recover_observed`] survive a corrupt primary, and a scanner
 //! restored from its checkpoint re-renders and plans exactly like the
 //! one that lived through the history (proptest over scan histories).
 //!
@@ -11,9 +11,23 @@
 //! every structural edit of a writer-rendered document is an error
 //! naming the edited line.
 
+use netsim::SimTime;
 use proptest::prelude::*;
+use std::path::Path;
 use ting::checkpoint::{bak_path, seal};
+use ting::obs::Obs;
 use ting::Scanner;
+
+/// The checkpoint file at `path`, read and parsed with no fallback.
+fn load(path: &Path) -> Result<Scanner, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    Scanner::from_checkpoint(&text)
+}
+
+/// The checkpoint at `path` or its `.bak` generation, unobserved.
+fn recover(path: &Path) -> std::io::Result<Scanner> {
+    Scanner::recover_observed(path, &Obs::off(), SimTime::ZERO)
+}
 
 /// A handwritten document body exercising every line kind:
 /// measurements, failure backoffs, health scores, and a quarantine
@@ -534,7 +548,7 @@ fn save_promotes_backup_and_recover_falls_back() {
 
     // A healthy primary wins.
     assert_eq!(
-        Scanner::recover(&path).unwrap().to_checkpoint(),
+        recover(&path).unwrap().to_checkpoint(),
         gen2.to_checkpoint()
     );
 
@@ -543,15 +557,12 @@ fn save_promotes_backup_and_recover_falls_back() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
-    assert!(
-        Scanner::load(&path).is_err(),
-        "corrupt primary must not load"
-    );
-    assert_eq!(Scanner::recover(&path).unwrap().to_checkpoint(), gen1_text);
+    assert!(load(&path).is_err(), "corrupt primary must not load");
+    assert_eq!(recover(&path).unwrap().to_checkpoint(), gen1_text);
 
     // Both gone: the primary's error surfaces.
     std::fs::remove_file(bak_path(&path)).unwrap();
-    assert!(Scanner::recover(&path).is_err());
+    assert!(recover(&path).is_err());
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -573,10 +584,7 @@ fn interrupted_save_leaves_a_loadable_checkpoint() {
         std::fs::read_to_string(&path).unwrap(),
         gen1.to_checkpoint()
     );
-    assert_eq!(
-        Scanner::load(&path).unwrap().to_checkpoint(),
-        gen1.to_checkpoint()
-    );
+    assert_eq!(load(&path).unwrap().to_checkpoint(), gen1.to_checkpoint());
     assert!(!tmp_path(&path).exists(), "no temp file survives a save");
 
     // A save killed *before* the rename instead leaves a torn `.tmp`
@@ -584,7 +592,7 @@ fn interrupted_save_leaves_a_loadable_checkpoint() {
     // replaces the garbage temp wholesale.
     std::fs::write(tmp_path(&path), "# torn half-written garb").unwrap();
     assert_eq!(
-        Scanner::recover(&path).unwrap().to_checkpoint(),
+        recover(&path).unwrap().to_checkpoint(),
         gen1.to_checkpoint()
     );
     let gen2 = Scanner::from_checkpoint(&handwritten_plus_one_row()).unwrap();

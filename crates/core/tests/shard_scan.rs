@@ -1,22 +1,32 @@
 //! Tests for the shard supervision layer (`ting::shard`): the
 //! partitioner's exact-cover property, bit-identity of a one-shard
-//! supervised scan with the plain `Scanner`, completion-order
-//! invariance of the merge, kill/resume losslessness, heartbeat stall
-//! detection, corrupt-checkpoint recovery, and degraded-mode scanning
-//! with a shard dead past its restart budget.
+//! supervised scan with the plain `Scanner`, kill/resume losslessness
+//! (in memory and through checkpoint files), heartbeat stall detection,
+//! corrupt-checkpoint recovery, and degraded-mode scanning with a shard
+//! dead past its restart budget.
 
 use netsim::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::path::PathBuf;
+use ting::checkpoint::bak_path;
 use ting::obs::{Obs, ObsConfig};
 use ting::shard::{
-    merge_checkpoints, partition_pairs, MergeDelta, ShardStatus, Supervisor, SupervisorConfig,
+    partition_pairs, shard_path, MergeDelta, ShardStatus, Supervisor, SupervisorConfig,
 };
 use ting::{RttMatrix, Scanner, ScannerConfig, Ting, TingConfig};
 use tor_sim::TorNetworkBuilder;
 
 fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
+}
+
+/// An empty checkpoint directory private to this process and `tag`.
+fn checkpoint_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ting-shard-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 proptest! {
@@ -89,7 +99,7 @@ fn one_shard_supervised_scan_is_bit_identical_to_plain_scanner() {
     }
     assert_eq!(net2.sim.now(), plain_end, "virtual clocks must agree");
     assert_eq!(
-        sup.shard_checkpoint(0),
+        sup.scanner(0).unwrap().to_checkpoint(),
         plain_ckpt,
         "one-shard checkpoint must match the plain scanner byte for byte"
     );
@@ -113,37 +123,9 @@ fn run_sharded(shards: usize, rounds: usize) -> (Supervisor, tor_sim::TorNetwork
     (sup, net)
 }
 
-/// The merge is a fixed shard-ordering reduction: feeding it shard
-/// checkpoints in any completion order produces the same document.
-#[test]
-fn merge_is_invariant_to_shard_completion_order() {
-    let (sup, net) = run_sharded(3, 3);
-    let now = net.sim.now();
-    let entries: Vec<(u32, &'static str, String)> = (0..3)
-        .map(|k| (k as u32, sup.status(k).tag(), sup.shard_checkpoint(k)))
-        .collect();
-    let sorted_doc = merge_checkpoints(&entries, now).unwrap().to_document();
-    let mut rotated = entries.clone();
-    rotated.rotate_left(1);
-    let mut reversed = entries;
-    reversed.reverse();
-    assert_eq!(
-        merge_checkpoints(&rotated, now).unwrap().to_document(),
-        sorted_doc
-    );
-    assert_eq!(
-        merge_checkpoints(&reversed, now).unwrap().to_document(),
-        sorted_doc
-    );
-    // And the scan actually finished: every shard fully covered.
-    let merged = merge_checkpoints(&rotated, now).unwrap();
-    assert_eq!(merged.coverage(), 1.0);
-    assert!(merged.shards.iter().all(|c| c.uncovered == 0));
-}
-
 /// Killing a shard mid-scan and letting the supervisor restart it from
-/// its checkpoint must not change one bit of the final merged output
-/// relative to an uninterrupted run.
+/// the scanner it kept must not change one bit of the final merged
+/// output relative to an uninterrupted run.
 #[test]
 fn kill_and_resume_is_bit_identical_to_uninterrupted_run() {
     let rounds = 4;
@@ -157,8 +139,8 @@ fn kill_and_resume_is_bit_identical_to_uninterrupted_run() {
     let mut sup = Supervisor::new(nodes, supervisor_config(4), TingConfig::fast());
     for round in 0..rounds {
         if round == 1 {
-            // Crash shard 2 between rounds: its live state is gone; it
-            // restarts from the checkpoint taken after round 0.
+            // Crash shard 2 between rounds: its driver is gone; it
+            // resumes the scanner kept after round 0.
             sup.inject_crash(2, net.sim.now());
             assert!(matches!(sup.status(2), ShardStatus::Restarting { .. }));
         }
@@ -171,6 +153,64 @@ fn kill_and_resume_is_bit_identical_to_uninterrupted_run() {
         resumed, baseline,
         "restart from checkpoint must be lossless"
     );
+}
+
+/// The file-backed twin of the test above, with every shard killed at
+/// once: each restarts by parsing its own checkpoint file, so this pins
+/// the supervisor's text round trip — render, save, recover, re-deal —
+/// against the uninterrupted run's final document.
+#[test]
+fn killing_every_file_backed_shard_is_bit_identical_to_uninterrupted_run() {
+    let rounds = 4;
+    let baseline = {
+        let (sup, net) = run_sharded(4, rounds);
+        sup.merge(net.sim.now()).unwrap().to_document()
+    };
+
+    let dir = checkpoint_dir("kill-all");
+    let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
+    let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
+    let mut sup = Supervisor::new(nodes, supervisor_config(4), TingConfig::fast());
+    sup.set_checkpoint_dir(&dir);
+    for round in 0..rounds {
+        if round == 1 {
+            for k in 0..4 {
+                sup.inject_crash(k, net.sim.now());
+            }
+        }
+        sup.run_round(&mut net);
+    }
+    for k in 0..4 {
+        assert_eq!(sup.status(k), ShardStatus::Running);
+        assert_eq!(sup.restarts(k), 1);
+    }
+    let resumed = sup.merge(net.sim.now()).unwrap().to_document();
+    assert_eq!(
+        resumed, baseline,
+        "restart through checkpoint files must be lossless"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A downed shard still merges its last completed round: the merged
+/// rows are the same before and after the crash, and only the shard's
+/// status tag moves.
+#[test]
+fn a_downed_shard_merges_its_last_round() {
+    let (mut sup, net) = run_sharded(3, 2);
+    let now = net.sim.now();
+    let before = sup.merge(now).unwrap();
+    sup.inject_crash(1, now);
+    assert!(sup.scanner(1).is_none(), "a downed shard lends no scanner");
+    let after = sup.merge(now).unwrap();
+    assert!(
+        before.shards[1].covered > 0,
+        "shard 1 measured before it died"
+    );
+    assert!(before.rows().eq(after.rows()));
+    let mut expected = before.shards.clone();
+    expected[1].status = "restarting";
+    assert_eq!(after.shards, expected);
 }
 
 /// A shard killed past its restart budget is quarantined; the scan
@@ -263,29 +303,47 @@ fn heartbeat_detects_wedged_shard_and_restarts_it() {
     );
 }
 
-/// A shard whose stored checkpoint is corrupt restarts fresh — its
-/// cache is lost and re-measured — instead of wedging the scan.
+/// A file-backed shard whose checkpoint file and `.bak` are both
+/// refused — or whose file is a sound checkpoint of another node list —
+/// resumes the scanner it kept across the crash: nothing is
+/// re-measured, and its round count carries on.
 #[test]
-fn corrupt_checkpoint_restarts_shard_fresh() {
+fn refused_checkpoint_files_resume_the_kept_scanner() {
+    let dir = checkpoint_dir("refused");
     let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
     let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
     let obs = Obs::new(ObsConfig::Metrics);
     let mut sup =
         Supervisor::with_obs(nodes, supervisor_config(2), TingConfig::fast(), obs.clone());
-    sup.run_round(&mut net); // measures everything (7-pair budget, ~8 owned)
-    sup.corrupt_stored_checkpoint(0);
-    sup.inject_crash(0, net.sim.now());
-    for _ in 0..3 {
-        sup.run_round(&mut net);
+    sup.set_checkpoint_dir(&dir);
+    sup.run_round(&mut net);
+    sup.run_round(&mut net); // second save promotes a `.bak` generation
+    assert_eq!(sup.merge(net.sim.now()).unwrap().coverage(), 1.0);
+    let rounds = sup.scanner(0).unwrap().rounds_run();
+
+    let path = shard_path(&dir, 0);
+    for file in [path.clone(), bak_path(&path)] {
+        assert!(file.exists());
+        std::fs::write(&file, "not a checkpoint\n").unwrap();
     }
-    assert_eq!(obs.counter_value("ting.shard.checkpoint_corrupt"), 1);
+    sup.inject_crash(0, net.sim.now());
+    assert_eq!(sup.merge(net.sim.now()).unwrap().coverage(), 1.0);
+    sup.run_round(&mut net);
     assert_eq!(sup.status(0), ShardStatus::Running);
+    assert_eq!(obs.counter_value("ting.shard.restarted"), 1);
+    assert_eq!(obs.counter_value("ting.checkpoint.recovered_bak"), 0);
+    assert_eq!(sup.scanner(0).unwrap().rounds_run(), rounds + 1);
     let merged = sup.merge(net.sim.now()).unwrap();
-    assert_eq!(
-        merged.coverage(),
-        1.0,
-        "the fresh shard must re-measure its pairs"
-    );
+    assert_eq!(merged.coverage(), 1.0, "the kept scanner lost nothing");
+
+    let foreign = Scanner::new((100..106).map(NodeId).collect(), scanner_config());
+    std::fs::write(&path, foreign.to_checkpoint()).unwrap();
+    sup.inject_crash(0, net.sim.now());
+    sup.run_round(&mut net);
+    assert_eq!(sup.scanner(0).unwrap().rounds_run(), rounds + 2);
+    assert_eq!(sup.merge(net.sim.now()).unwrap().coverage(), 1.0);
+
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// File-backed shard checkpoints: every shard persists its own sealed
@@ -293,9 +351,7 @@ fn corrupt_checkpoint_restarts_shard_fresh() {
 /// to `.bak` (visible through the recovery counter).
 #[test]
 fn file_backed_shards_recover_from_bak_generation() {
-    let dir = std::env::temp_dir().join(format!("ting-shard-files-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = checkpoint_dir("files");
 
     let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
     let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
@@ -306,14 +362,15 @@ fn file_backed_shards_recover_from_bak_generation() {
     sup.run_round(&mut net);
     sup.run_round(&mut net); // second save promotes a `.bak` generation
     for k in 0..2u32 {
-        let path = ting::shard::shard_path(&dir, k);
+        let path = shard_path(&dir, k);
         assert!(path.exists(), "shard {k} must persist a checkpoint");
-        Scanner::load(&path).expect("persisted shard checkpoint must verify");
+        let text = std::fs::read_to_string(&path).unwrap();
+        Scanner::from_checkpoint(&text).expect("persisted shard checkpoint must verify");
     }
 
     // Corrupt shard 0's primary on disk; a crash-restart must recover
     // through the `.bak` generation and say so.
-    let path = ting::shard::shard_path(&dir, 0);
+    let path = shard_path(&dir, 0);
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
@@ -322,7 +379,6 @@ fn file_backed_shards_recover_from_bak_generation() {
     sup.run_round(&mut net);
     assert_eq!(sup.status(0), ShardStatus::Running);
     assert_eq!(obs.counter_value("ting.checkpoint.recovered_bak"), 1);
-    assert_eq!(obs.counter_value("ting.shard.checkpoint_corrupt"), 0);
     let merged = sup.merge(net.sim.now()).unwrap();
     assert_eq!(merged.coverage(), 1.0);
 
@@ -375,8 +431,8 @@ fn delta_stream_replays_to_the_full_merge() {
     assert_eq!(measured_at, merged.measured_at);
 }
 
-/// A downed shard's frozen last-known-good checkpoint enters the delta
-/// stream once per outage — repeated drains while it stays down do not
+/// A downed shard's frozen kept scanner enters the delta stream once
+/// per outage — repeated drains while it stays down do not
 /// re-emit it, and its watermark stays put so a restore re-covers the
 /// gap.
 #[test]
@@ -393,12 +449,12 @@ fn downed_shard_emits_its_checkpoint_once_per_outage() {
     assert_eq!(d1.statuses[1], "restarting");
     assert!(
         has_shard1(&d1),
-        "the first drain after the crash carries the frozen checkpoint"
+        "the first drain after the crash carries the kept scanner"
     );
     // Crash again without an intervening restore: still one outage as
     // far as the stream is concerned — nothing new to say.
     let d2 = sup.take_delta(net.sim.now());
-    assert!(!has_shard1(&d2), "the frozen checkpoint is not re-emitted");
+    assert!(!has_shard1(&d2), "the kept scanner is not re-emitted");
 
     // Restore (zero backoff) and finish: the shard's fresh
     // measurements re-enter the stream.
@@ -414,7 +470,7 @@ fn downed_shard_emits_its_checkpoint_once_per_outage() {
 /// The delta stream's pair order is part of the publish contract (later
 /// pairs win collisions when deltas coalesce), so the sequence a
 /// supervised scan drains — live shards in shard then partition order,
-/// a crashed shard's frozen checkpoint, the re-emits after its restore
+/// a crashed shard's kept scanner, the re-emits after its restore
 /// — is pinned by CRC to the bytes captured before the scanner's
 /// per-pair maps became one table (e4aead0).
 #[test]
@@ -429,8 +485,8 @@ fn delta_pairs_keep_their_order() {
     for round in 0..5 {
         sup.run_round(&mut net);
         if round == 1 {
-            // Shard 1's second round reaches the stream through its
-            // checkpoint, not its live scanner.
+            // Shard 1's second round reaches the stream while it is
+            // down, through the scanner it kept.
             sup.inject_crash(1, net.sim.now());
         }
         let delta = sup.take_delta(net.sim.now());

@@ -125,7 +125,6 @@ pub fn trace_pair(doc: &Document, x: u64, y: u64) -> Option<LineageChain> {
                     || n == names::SHARD_RESTART
                     || n == names::SHARD_STALL
                     || n == names::SHARD_QUARANTINE
-                    || n == names::SHARD_CHECKPOINT_CORRUPT
             )
         })
         .filter(|ev| ev.t_ns >= measured_ns && ev.field_u64("shard") == Some(shard))

@@ -1,11 +1,13 @@
 //! Supervision traces are first-class analysis inputs: a supervised
 //! sharded scan driven through every failure path — crash, restart,
-//! heartbeat stall, corrupt checkpoint, `.bak` fallback, quarantine —
-//! must export a trace that lints clean against `obs::names::REGISTRY`,
-//! and the fixture must actually emit every shard-supervision event so
-//! a renamed or unregistered emitter cannot slip through.
+//! heartbeat stall, refused checkpoint files, `.bak` fallback,
+//! quarantine — must export a trace that lints clean against
+//! `obs::names::REGISTRY`, and the fixture must actually emit every
+//! shard-supervision event so a renamed or unregistered emitter cannot
+//! slip through.
 
 use netsim::{NodeId, SimDuration};
+use ting::checkpoint::bak_path;
 use ting::obs::{config_hash, names, ExportMeta, Obs, ObsConfig};
 use ting::shard::{shard_path, ShardStatus, Supervisor, SupervisorConfig};
 use ting::{ScannerConfig, TingConfig};
@@ -57,10 +59,12 @@ fn traced_supervised_scan(tag: &str) -> String {
     sup.inject_crash(0, net.sim.now());
     sup.run_round(&mut net);
 
-    // Corrupt shard 1's checkpoint everywhere — primary, `.bak`, and
-    // the in-memory copy: the restart starts it over
-    // (`shard.checkpoint.corrupt`).
-    sup.corrupt_stored_checkpoint(1);
+    // Overwrite both of shard 1's generations on disk: the restart
+    // resumes the scanner the supervisor kept across the crash.
+    let path = shard_path(&dir, 1);
+    for file in [path.clone(), bak_path(&path)] {
+        std::fs::write(file, "not a checkpoint\n").unwrap();
+    }
     sup.inject_crash(1, net.sim.now());
     sup.run_round(&mut net);
 
@@ -114,7 +118,6 @@ fn supervised_scan_trace_lints_clean_and_covers_every_shard_event() {
         names::SHARD_RESTART,
         names::SHARD_STALL,
         names::SHARD_QUARANTINE,
-        names::SHARD_CHECKPOINT_CORRUPT,
         names::SCAN_RECOVER_BAK,
     ] {
         assert!(count(name) >= 1, "fixture never emitted {name:?}");

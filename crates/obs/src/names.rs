@@ -72,7 +72,6 @@ pub const SHARD_CRASH: &str = "shard.crash";
 pub const SHARD_RESTART: &str = "shard.restart";
 pub const SHARD_STALL: &str = "shard.stall";
 pub const SHARD_QUARANTINE: &str = "shard.quarantine";
-pub const SHARD_CHECKPOINT_CORRUPT: &str = "shard.checkpoint.corrupt";
 
 // ── Checkpoint-recovery events ──
 pub const SCAN_RECOVER_BAK: &str = "scan.recover.bak";
@@ -167,7 +166,6 @@ pub const REGISTRY: &[EventSpec] = &[
     point(SHARD_RESTART),
     point(SHARD_STALL),
     point(SHARD_QUARANTINE),
-    point(SHARD_CHECKPOINT_CORRUPT),
     point(SCAN_RECOVER_BAK),
     point(ORACLE_SNAPSHOT_SWAP),
     begin(ORACLE_PIPELINE_PUBLISH_BEGIN, ORACLE_PIPELINE_PUBLISH_END),

@@ -142,7 +142,7 @@ pub struct Pipeline {
     /// Accumulated dataset: every pair any delta ever carried, the
     /// shard status tags of the most recent one, and the coverage rows
     /// as judged at the last publish — exactly what
-    /// [`ting::shard::merge_checkpoints`] would hand back, folded into,
+    /// [`ting::Supervisor::merge`] would hand back, folded into,
     /// rendered and served through its own methods.
     dataset: MergeOutcome,
     journal: Option<Journal>,

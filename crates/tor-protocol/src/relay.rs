@@ -83,14 +83,6 @@ impl RelayCell {
         }
     }
 
-    /// Serializes into a full 509-byte payload with the digest field set
-    /// to `digest` (the caller computes it over the zero-digest bytes).
-    pub fn encode_with_digest(&self, digest: [u8; 4]) -> Vec<u8> {
-        let mut buf = self.encode_zero_digest();
-        Self::set_digest_field(&mut buf, digest);
-        buf
-    }
-
     /// Serializes with a zeroed digest field — the form the running
     /// digest is computed over. The buffer has room for the link header,
     /// so the cell it becomes is encoded without growing it.
@@ -168,11 +160,13 @@ const DIGEST: std::ops::Range<usize> = 5..9;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip() {
         let rc = RelayCell::new(RelayCmd::Data, 42, b"ping payload".to_vec());
-        let payload = rc.encode_with_digest([9, 8, 7, 6]);
+        let mut payload = rc.encode_zero_digest();
+        RelayCell::set_digest_field(&mut payload, [9, 8, 7, 6]);
         assert_eq!(payload.len(), PAYLOAD_LEN);
         let (decoded, digest) = RelayCell::decode(&payload).unwrap();
         assert_eq!(decoded, rc);
@@ -216,7 +210,8 @@ mod tests {
     #[test]
     fn zero_digest_form_zeroes_only_digest() {
         let rc = RelayCell::new(RelayCmd::Data, 7, vec![5; 10]);
-        let payload = rc.encode_with_digest([1, 2, 3, 4]);
+        let mut payload = rc.encode_zero_digest();
+        RelayCell::set_digest_field(&mut payload, [1, 2, 3, 4]);
         let zeroed = rc.encode_zero_digest();
         assert_eq!(&zeroed[5..9], &[0, 0, 0, 0]);
         assert_eq!(RelayCell::digest_field(&payload), [1, 2, 3, 4]);
@@ -237,5 +232,23 @@ mod tests {
     #[should_panic]
     fn oversize_data_rejected() {
         let _ = RelayCell::new(RelayCmd::Data, 1, vec![0; RELAY_DATA_LEN + 1]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn relay_cell_roundtrip(
+            stream in any::<u16>(),
+            data in prop::collection::vec(any::<u8>(), 0..RELAY_DATA_LEN),
+            digest in any::<[u8; 4]>(),
+        ) {
+            let rc = RelayCell::new(RelayCmd::Data, stream, data);
+            let mut payload = rc.encode_zero_digest();
+            RelayCell::set_digest_field(&mut payload, digest);
+            let (decoded, d) = RelayCell::decode(&payload).unwrap();
+            prop_assert_eq!(decoded, rc);
+            prop_assert_eq!(d, digest);
+        }
     }
 }
