@@ -118,6 +118,7 @@ pins=(
     "cargo test --release --offline -q -p tor-protocol wire_bytes_of_a_four_hop_circuit_are_pinned"
     "cargo test --release --offline -q -p tor-sim --test builder_draws"
     "cargo test --release --offline -q -p ting --test shard_scan delta_pairs_keep_their_order"
+    "cargo test --release --offline -q -p oracle --test journal_bytes"
 )
 passed=0
 for pin in "${pins[@]}"; do
