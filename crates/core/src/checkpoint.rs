@@ -62,12 +62,18 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 /// The CRC-32 (IEEE 802.3, reflected, `0xEDB88320`) of `bytes` — the
 /// same polynomial as zip/gzip/PNG, so sealed checkpoints can be
-/// cross-checked with standard tools. Slicing-by-8: eight bytes a step
-/// through two little-endian word loads and eight table lookups, the
-/// one-table byte loop for the tail.
+/// cross-checked with standard tools.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Continues a finished CRC-32: `crc32_update(crc32(a), b)` is
+/// `crc32(a ++ b)`. Slicing-by-8: eight bytes a step through two
+/// little-endian word loads and eight table lookups, the one-table byte
+/// loop for the tail.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut crc = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
@@ -87,19 +93,72 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The CRC-32 of `a ++ b` from `crc32(a)`, `crc32(b)` and `b`'s length
+/// alone — zlib's `crc32_combine`: `crc_a` is shifted past `len_b` zero
+/// bytes by multiplying it with `x^(8 · len_b)` modulo the polynomial,
+/// and the shift is built by square-and-multiply, so the cost is
+/// logarithmic in `len_b`.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    // Reflected bit order: bit 31 is `x^0`, bit 31 − k is `x^k`.
+    let mut shift = 1 << 31;
+    let mut square = 1 << 23; // x^8: one zero byte.
+    let mut n = len_b;
+    while n > 0 {
+        if n & 1 == 1 {
+            shift = mul_mod_p(shift, square);
+        }
+        square = mul_mod_p(square, square);
+        n >>= 1;
+    }
+    mul_mod_p(shift, crc_a) ^ crc_b
+}
+
+/// `a · b` modulo the CRC-32 polynomial, both in reflected bit order.
+fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    for k in (0..32).rev() {
+        if (a >> k) & 1 == 1 {
+            product ^= b;
+        }
+        // b · x
+        b = (b >> 1) ^ (0xEDB8_8320 & (b & 1).wrapping_neg());
+    }
+    product
+}
+
 /// The trailer prefix that marks the integrity line.
 pub const CRC_PREFIX: &str = "# crc32: ";
 
 /// Appends the CRC-32 trailer line to a checkpoint document. The CRC
 /// covers every byte before the trailer, including the final newline of
 /// the body.
-pub fn seal(mut body: String) -> String {
-    if !body.ends_with('\n') {
-        body.push('\n');
-    }
+pub fn seal(body: String) -> String {
+    seal_with_crc(body).0
+}
+
+/// [`seal`], and the CRC-32 of the whole sealed document, trailer
+/// included: the body's CRC continued over what the seal appends, so a
+/// writer that frames the document again need not hash it again.
+pub(crate) fn seal_with_crc(mut body: String) -> (String, u32) {
     let crc = crc32(body.as_bytes());
-    body.push_str(&format!("{CRC_PREFIX}{crc:08x}\n"));
-    body
+    let suffix = seal_suffix("", &body, crc);
+    body.push_str(&suffix);
+    (body, crc32_update(crc, suffix.as_bytes()))
+}
+
+/// What [`seal`] appends to `head ++ doc` — a newline when the two end
+/// without one, then the trailer — given `doc`'s CRC-32, which is
+/// combined with `head`'s: `doc` is not hashed here.
+pub fn seal_suffix(head: &str, doc: &str, doc_crc: u32) -> String {
+    let mut crc = crc32_combine(crc32(head.as_bytes()), doc_crc, doc.len());
+    let mut suffix = String::new();
+    let last = if doc.is_empty() { head } else { doc };
+    if !last.ends_with('\n') {
+        suffix.push('\n');
+        crc = crc32_update(crc, b"\n");
+    }
+    let _ = writeln!(suffix, "{CRC_PREFIX}{crc:08x}");
+    suffix
 }
 
 /// Splits a sealed document into its body and verifies the trailer.
@@ -133,9 +192,42 @@ pub fn verify_sealed(text: &str) -> Result<&str, String> {
 pub(crate) fn write_nodes_header(out: &mut String, nodes: &[NodeId]) {
     out.push_str("# nodes:");
     for n in nodes {
-        let _ = write!(out, " {}", n.0);
+        out.push(' ');
+        push_u64(out, n.0.into());
     }
     out.push('\n');
+}
+
+/// `"00" "01" … "99"`: the two digits of every value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal, as `v.to_string()` would: two digits a step
+/// from the right, then a lone leading digit when the length is odd.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let d = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if v >= 10 {
+        let d = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    for &digit in &buf[at..] {
+        out.push(char::from(digit));
+    }
 }
 
 /// The one reader under the three row documents — scan checkpoint,
@@ -283,9 +375,17 @@ impl<'a> Row<'a> {
 /// effort — not every filesystem supports directory handles) so the
 /// rename itself survives the crash.
 pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    write_atomic_parts(path, &[contents.as_bytes()])
+}
+
+/// [`write_atomic`] of the concatenation of `parts`, written one after
+/// another, so a caller that frames a large buffer need not copy it.
+pub fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     let tmp = tmp_path(path);
     let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(contents.as_bytes())?;
+    for part in parts {
+        f.write_all(part)?;
+    }
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, path)?;
@@ -407,6 +507,82 @@ mod tests {
         ];
         for (name, bytes) in &buffers {
             assert_eq!(crc32(bytes), reference::crc32(bytes), "{name}");
+        }
+    }
+
+    #[test]
+    fn update_and_combine_equal_the_one_shot_crc_at_every_split() {
+        let buf = seeded(400, 23);
+        let mut rng = SmallRng::seed_from_u64(24);
+        // Every pair of lengths up to 17 straddles the 8-byte chunk
+        // edge from both sides; random splits cover the rest.
+        let small = (0..=17).flat_map(|a| (0..=17).map(move |b| (a, b)));
+        let random = (0..500).map(|_| (rng.gen_range(0..=200usize), rng.gen_range(0..=200usize)));
+        for (len_a, len_b) in small.chain(random) {
+            let (a, b) = buf[..len_a + len_b].split_at(len_a);
+            let whole = crc32(&buf[..len_a + len_b]);
+            let (crc_a, crc_b) = (crc32(a), crc32(b));
+            assert_eq!(crc32_update(crc_a, b), whole, "update, {len_a} + {len_b}");
+            let combined = crc32_combine(crc_a, crc_b, len_b);
+            assert_eq!(combined, whole, "combine, {len_a} + {len_b}");
+        }
+        // A document-sized buffer, cut at its ends, across a chunk
+        // edge, in the middle and before an 18-byte trailer.
+        let big = seeded(1_700_000, 25);
+        let whole = crc32(&big);
+        for at in [0, 1, 7, 8, 9, 850_001, big.len() - 18, big.len()] {
+            let (a, b) = big.split_at(at);
+            assert_eq!(crc32_update(crc32(a), b), whole, "update at {at}");
+            let combined = crc32_combine(crc32(a), crc32(b), b.len());
+            assert_eq!(combined, whole, "combine at {at}");
+        }
+    }
+
+    #[test]
+    fn seal_with_crc_returns_the_crc_of_the_sealed_text() {
+        let nodes: Vec<NodeId> = (0..5).map(NodeId).collect();
+        for body in [
+            "",
+            "\n",
+            "no newline",
+            "# ting scan checkpoint v3\nm\t1\t2\t10\t0\t1\n",
+        ] {
+            let (sealed, crc) = seal_with_crc(body.to_string());
+            assert_eq!(crc, crc32(sealed.as_bytes()), "{body:?}");
+            assert_eq!(
+                verify_sealed(&sealed).map(|b| b.trim_end_matches('\n')),
+                Ok(body.trim_end_matches('\n'))
+            );
+        }
+        let (document, crc) = crate::shard::MergeOutcome::new(nodes, 2).to_document_with_crc();
+        assert_eq!(crc, crc32(document.as_bytes()));
+        // Sealing a head and a document is sealing their concatenation.
+        for (head, doc) in [
+            ("", ""),
+            ("head\n", ""),
+            ("", "doc"),
+            ("head\n", "doc"),
+            ("h", "doc\n"),
+        ] {
+            let suffix = seal_suffix(head, doc, crc32(doc.as_bytes()));
+            let sealed = seal(format!("{head}{doc}"));
+            assert_eq!(format!("{head}{doc}{suffix}"), sealed, "{head:?} + {doc:?}");
+        }
+    }
+
+    #[test]
+    fn digit_writer_equals_to_string() {
+        let mut values = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1]);
+        }
+        let mut rng = SmallRng::seed_from_u64(26);
+        values.extend((0..10_000).map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32)));
+        for v in values {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
         }
     }
 

@@ -32,14 +32,13 @@
 //! is bit-identical to the unsharded [`Scanner`] — tested in
 //! `crates/core/tests/shard_scan.rs`.
 
-use crate::checkpoint::Doc;
-use crate::matrix::ordered;
+use crate::checkpoint::{push_u64, seal_with_crc, Doc};
+use crate::matrix::{ordered, PairMap};
 use crate::orchestrator::{Ting, TingConfig};
 use crate::scanner::{Scanner, ScannerConfig};
 use crate::timeout::TimeoutEstimators;
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::{names, Lineage, Obs, Value};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tor_sim::TorNetwork;
@@ -254,11 +253,11 @@ impl ShardCoverage {
 #[derive(Debug, Clone)]
 pub struct MergeOutcome {
     pub matrix: crate::matrix::RttMatrix,
-    pub measured_at: HashMap<(NodeId, NodeId), SimTime>,
+    pub measured_at: PairMap<SimTime>,
     /// Per-pair provenance: the shard and scan round that produced
     /// each covered cell. Pairs without an entry (data merged from
     /// pre-lineage state) render as unknown.
-    pub lineage: HashMap<(NodeId, NodeId), Lineage>,
+    pub lineage: PairMap<Lineage>,
     /// One row per shard, in shard-id order.
     pub shards: Vec<ShardCoverage>,
     /// The merge instant staleness was judged against.
@@ -274,8 +273,8 @@ impl MergeOutcome {
         assert!(shards > 0, "shard count must be positive");
         let mut empty = MergeOutcome {
             matrix: crate::matrix::RttMatrix::new(nodes),
-            measured_at: HashMap::new(),
-            lineage: HashMap::new(),
+            measured_at: PairMap::default(),
+            lineage: PairMap::default(),
             // Judging numbers the rows and counts what each owns.
             shards: vec![ShardCoverage::new(0, "live", 0); shards],
             now: SimTime::ZERO,
@@ -342,16 +341,17 @@ impl MergeOutcome {
         self.now = now;
     }
 
-    /// Every measured pair as `(a, b, rtt, measured_at, lineage)` in
-    /// `(i, j)` index order — the one row source under the rendered
-    /// document and the served snapshot.
-    pub fn rows(
-        &self,
-    ) -> impl Iterator<Item = (NodeId, NodeId, f64, SimTime, Option<Lineage>)> + '_ {
-        self.matrix.pairs().map(|(a, b, rtt)| {
-            let pair = ordered(a, b);
+    /// Every measured pair as `(i, j, rtt, measured_at, lineage)` in
+    /// index space, `i < j`, in `(i, j)` order — the one row source
+    /// under the rendered document and the served snapshot. A measured
+    /// cell with no instant (only a hand-built outcome holds one) is not
+    /// a row.
+    pub fn rows(&self) -> impl Iterator<Item = (u32, u32, f64, SimTime, Option<Lineage>)> + '_ {
+        let nodes = self.matrix.nodes();
+        self.matrix.cells().filter_map(move |(i, j, rtt)| {
+            let pair = ordered(nodes[i as usize], nodes[j as usize]);
             let lineage = self.lineage.get(&pair).copied();
-            (a, b, rtt, self.measured_at[&pair], lineage)
+            Some((i, j, rtt, *self.measured_at.get(&pair)?, lineage))
         })
     }
 
@@ -362,7 +362,18 @@ impl MergeOutcome {
     /// of shard completion order — this document is what the soak
     /// harness compares across kill/resume boundaries.
     pub fn to_document(&self) -> String {
-        let mut out = String::new();
+        self.to_document_with_crc().0
+    }
+
+    /// [`MergeOutcome::to_document`] and the document's CRC-32: the
+    /// seal's pass over the body, continued over its trailer — the one
+    /// pass over the document's bytes a publish makes.
+    pub fn to_document_with_crc(&self) -> (String, u32) {
+        let nodes = self.matrix.nodes();
+        // Generous line sizes: capacity never written costs address
+        // space, not memory, and a short guess would copy the document.
+        let rows = 56 * self.measured_at.len() + 96 * self.shards.len();
+        let mut out = String::with_capacity(128 + 11 * nodes.len() + rows);
         out.push_str(MERGED_MAGIC);
         out.push('\n');
         crate::checkpoint::write_nodes_header(&mut out, self.matrix.nodes());
@@ -381,14 +392,26 @@ impl MergeOutcome {
                 c.newest_ns.map_or("-".into(), |t| t.to_string()),
             );
         }
-        for (a, b, rtt, t, lineage) in self.rows() {
-            let _ = write!(out, "m\t{}\t{}\t{}\t{}", a.0, b.0, rtt, t.as_nanos());
-            let _ = match lineage {
-                Some(l) => writeln!(out, "\t{}\t{}", l.shard, l.round),
-                None => writeln!(out, "\t-\t-"),
-            };
+        for (i, j, rtt, t, lineage) in self.rows() {
+            out.push_str("m\t");
+            push_u64(&mut out, nodes[i as usize].0.into());
+            out.push('\t');
+            push_u64(&mut out, nodes[j as usize].0.into());
+            // Shortest round-trip digits: `f64`'s own `Display`.
+            let _ = write!(out, "\t{rtt}\t");
+            push_u64(&mut out, t.as_nanos());
+            match lineage {
+                Some(l) => {
+                    out.push('\t');
+                    push_u64(&mut out, l.shard.into());
+                    out.push('\t');
+                    push_u64(&mut out, l.round);
+                }
+                None => out.push_str("\t-\t-"),
+            }
+            out.push('\n');
         }
-        crate::checkpoint::seal(out)
+        seal_with_crc(out)
     }
 
     /// Owned-pair coverage across every shard, `[0, 1]`.
@@ -453,10 +476,10 @@ impl MergeDelta {
 pub struct MergedDocument {
     pub matrix: crate::matrix::RttMatrix,
     /// Measurement instants, keyed by the pair in ascending-id order.
-    pub measured_at_ns: HashMap<(NodeId, NodeId), u64>,
+    pub measured_at_ns: PairMap<u64>,
     /// Per-pair provenance, keyed like `measured_at_ns`. Pairs whose
     /// row carried `-` markers are absent.
-    pub lineage: HashMap<(NodeId, NodeId), Lineage>,
+    pub lineage: PairMap<Lineage>,
     /// Coverage rows, in document (= shard id) order.
     pub shards: Vec<ShardCoverage>,
     /// The merge instant staleness was judged against.
@@ -491,8 +514,8 @@ pub fn parse_merged_document(text: &str) -> Result<MergedDocument, String> {
     let now_ns = now.field("now_ns")?;
     now.end()?;
 
-    let mut measured_at_ns = HashMap::new();
-    let mut lineage = HashMap::new();
+    let mut measured_at_ns = PairMap::default();
+    let mut lineage = PairMap::default();
     let mut shards = Vec::new();
     for mut row in doc.rows() {
         match row.text("row kind")? {
@@ -823,8 +846,8 @@ impl Supervisor {
         let total = n * n.saturating_sub(1) / 2;
         let staleness = self.config.scanner.staleness;
         let mut matrix = crate::matrix::RttMatrix::new(self.nodes.clone());
-        let mut measured_at = HashMap::new();
-        let mut lineage = HashMap::new();
+        let mut measured_at = PairMap::default();
+        let mut lineage = PairMap::default();
         let mut shards = Vec::with_capacity(count);
         for (k, slot) in self.slots.iter().enumerate() {
             let (shard, s) = (slot.id, &slot.scanner);
@@ -947,12 +970,12 @@ mod tests {
         let mut matrix = crate::matrix::RttMatrix::new(nodes(3));
         matrix.set(NodeId(0), NodeId(1), 12.5);
         matrix.set(NodeId(1), NodeId(2), 80.25);
-        let mut measured_at = HashMap::new();
+        let mut measured_at = PairMap::default();
         measured_at.insert((NodeId(0), NodeId(1)), SimTime(1_000));
         measured_at.insert((NodeId(1), NodeId(2)), SimTime(2_000));
         // One pair with provenance, one without: both column forms
         // must round-trip.
-        let mut lineage = HashMap::new();
+        let mut lineage = PairMap::default();
         lineage.insert((NodeId(0), NodeId(1)), Lineage { shard: 0, round: 4 });
         let outcome = MergeOutcome {
             matrix,
@@ -1096,17 +1119,18 @@ mod tests {
         let second = vec![pair(3, 5, 4.0, 5, (1, 3))];
         merged.fold(delta(second, vec!["dead", "live"])).unwrap();
 
-        let row = |a, b, rtt, at, (shard, round)| {
+        let row = |i, j, rtt, at, (shard, round)| {
             let lineage = Some(Lineage { shard, round });
-            (NodeId(a), NodeId(b), rtt, SimTime(at), lineage)
+            (i, j, rtt, SimTime(at), lineage)
         };
         let rows: Vec<_> = merged.rows().collect();
+        // Indices: 7 is 0, 3 is 1, 5 is 2.
         assert_eq!(
             rows,
             [
-                row(7, 3, 2.0, 11, (1, 1)),
-                row(7, 5, 3.0, 12, (0, 2)),
-                row(3, 5, 4.0, 5, (1, 3)),
+                row(0, 1, 2.0, 11, (1, 1)),
+                row(0, 2, 3.0, 12, (0, 2)),
+                row(1, 2, 4.0, 5, (1, 3)),
             ]
         );
         let tags: Vec<_> = merged.shards.iter().map(|row| row.status).collect();
@@ -1118,6 +1142,19 @@ mod tests {
         // Shard 0 owns (7, 3) @ 11 and (3, 5) @ 5, shard 1 (7, 5) @ 12.
         let stale: Vec<_> = merged.shards.iter().map(|row| row.stale).collect();
         assert_eq!(stale, [2, 0]);
+    }
+
+    #[test]
+    fn a_measured_cell_without_an_instant_is_not_a_row() {
+        let mut merged = MergeOutcome::new(nodes(3), 1);
+        merged.matrix.set(NodeId(2), NodeId(0), 5.0);
+        assert_eq!(merged.rows().count(), 0);
+        merged
+            .measured_at
+            .insert((NodeId(0), NodeId(2)), SimTime(9));
+        let rows: Vec<_> = merged.rows().collect();
+        assert_eq!(rows, [(0, 2, 5.0, SimTime(9), None)]);
+        assert!(merged.to_document().contains("\nm\t0\t2\t5\t9\t-\t-\n"));
     }
 
     #[test]
@@ -1160,12 +1197,12 @@ mod tests {
         let doc = {
             let mut matrix = crate::matrix::RttMatrix::new(nodes(2));
             matrix.set(NodeId(0), NodeId(1), 3.5);
-            let mut measured_at = HashMap::new();
+            let mut measured_at = PairMap::default();
             measured_at.insert((NodeId(0), NodeId(1)), SimTime(7));
             MergeOutcome {
                 matrix,
                 measured_at,
-                lineage: HashMap::new(),
+                lineage: PairMap::default(),
                 shards: vec![],
                 now: SimTime(9),
             }

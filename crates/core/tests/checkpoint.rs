@@ -396,8 +396,12 @@ fn every_structural_mutation_of_a_merged_document_is_a_line_numbered_error() {
     live.cover(SimTime(2_000), SimTime(5_000), SimDuration(10_000));
     let rendered = MergeOutcome {
         matrix,
-        measured_at: [(pair(0, 1), SimTime(1_000)), (pair(1, 2), SimTime(2_000))].into(),
-        lineage: [(pair(0, 1), ting::obs::Lineage { shard: 0, round: 4 })].into(),
+        measured_at: [(pair(0, 1), SimTime(1_000)), (pair(1, 2), SimTime(2_000))]
+            .into_iter()
+            .collect(),
+        lineage: [(pair(0, 1), ting::obs::Lineage { shard: 0, round: 4 })]
+            .into_iter()
+            .collect(),
         shards: vec![live, ShardCoverage::new(1, "dead", 1)],
         now: SimTime(5_000),
     }

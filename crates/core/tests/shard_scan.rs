@@ -7,9 +7,10 @@
 
 use netsim::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use ting::checkpoint::bak_path;
+use ting::matrix::PairMap;
 use ting::obs::{Obs, ObsConfig};
 use ting::shard::{
     partition_pairs, shard_path, MergeDelta, ShardStatus, Supervisor, SupervisorConfig,
@@ -395,7 +396,7 @@ fn delta_stream_replays_to_the_full_merge() {
     let mut sup = Supervisor::new(nodes.clone(), supervisor_config(3), TingConfig::fast());
 
     let mut matrix = RttMatrix::new(nodes);
-    let mut measured_at: HashMap<(NodeId, NodeId), SimTime> = HashMap::new();
+    let mut measured_at: PairMap<SimTime> = PairMap::default();
     let mut seqs = Vec::new();
     for _ in 0..4 {
         sup.run_round(&mut net);

@@ -399,15 +399,17 @@ impl Pipeline {
             slo.engine
                 .observe(SLO_COVERAGE, now.as_nanos(), covered, uncovered);
         }
-        let doc = self.dataset.to_document();
+        // The seal's CRC is the one pass over the document: the frame
+        // and the published file's outer seal are computed from it.
+        let (doc, crc) = self.dataset.to_document_with_crc();
         if let Some(j) = &self.journal {
-            j.append(next, &doc)
+            j.append_with_crc(next, &doc, crc)
                 .map_err(|e| format!("journal append (gen {next}): {e}"))?;
         }
         self.unsealed = None;
         self.serve(next, now);
         if let Some(j) = &self.journal {
-            j.mark_published(next, &doc)
+            j.mark_published_with_crc(next, &doc, crc)
                 .map_err(|e| format!("journal publish (gen {next}): {e}"))?;
         }
         self.last_publish = Some(now);
@@ -904,5 +906,73 @@ mod tests {
         assert_eq!((origin.shard, origin.round, origin.generation), (0, 4, 2));
         // The document renders it, so recovery round-trips it too.
         assert!(p.serving_document().contains("\t0\t4\n"));
+    }
+
+    /// What each step of a journaled publish, and a whole 64-pair
+    /// tick, costs at 300 relays with every pair measured, best of 30:
+    /// `cargo test --release -p oracle --lib publish_steps -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "prints timings; run by hand in release"]
+    fn publish_steps_at_300_relays() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use std::time::{Duration, Instant};
+        let nodes: Vec<NodeId> = (0..300).map(NodeId).collect();
+        let mut rng = SmallRng::seed_from_u64(2015);
+        let mut pairs = Vec::new();
+        for (i, &a) in nodes.iter().enumerate() {
+            for &b in &nodes[i + 1..] {
+                let at = SimTime(rng.gen_range(0..1_000_000_000_000u64));
+                pairs.push((a, b, rng.gen_range(1.0..400.0), at));
+            }
+        }
+        let mut dataset = MergeOutcome::new(nodes.clone(), 1);
+        dataset.fold(delta(1, pairs.clone(), 0)).unwrap();
+        let dir = std::env::temp_dir().join(format!("ting-publish-steps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Journal::open(&dir).unwrap();
+        let best = |step: &str, f: &mut dyn FnMut() -> Duration| {
+            let ms = (0..30).map(|_| f()).min().unwrap().as_secs_f64() * 1e3;
+            println!("{step:<9} {ms:6.2} ms");
+        };
+        let timed = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            f();
+            t.elapsed()
+        };
+        let (now, staleness) = (SimTime(1_000_000_000_000), SimDuration::from_hours(24));
+        best("judge", &mut || {
+            timed(&mut || dataset.judge_coverage(now, staleness))
+        });
+        let (doc, crc) = dataset.to_document_with_crc();
+        best("render", &mut || {
+            timed(&mut || drop(std::hint::black_box(dataset.to_document_with_crc())))
+        });
+        best("append", &mut || {
+            let took = timed(&mut || journal.append_with_crc(2, &doc, crc).unwrap());
+            std::fs::File::create(journal.journal_path()).unwrap();
+            took
+        });
+        best("snapshot", &mut || {
+            timed(&mut || drop(std::hint::black_box(Snapshot::from_merged(&dataset))))
+        });
+        best("mark", &mut || {
+            timed(&mut || journal.mark_published_with_crc(2, &doc, crc).unwrap())
+        });
+        // The whole turn: a 64-pair delta folded, published and served.
+        let mut p = Pipeline::with_obs(nodes, 1, config(), Obs::off(), Some(journal));
+        p.offer(delta(1, pairs.clone(), 0));
+        p.tick(SimTime(0)).unwrap();
+        let mut seq = 1;
+        best("tick", &mut || {
+            seq += 1;
+            let at = SimTime(seq * 1_000);
+            let changed = pairs.iter().cycle().skip(seq as usize * 64).take(64);
+            let changed = changed
+                .map(|&(a, b, rtt, _)| (a, b, rtt + 1.0, at))
+                .collect();
+            p.offer(delta(seq, changed, seq * 1_000));
+            timed(&mut || assert_eq!(p.tick(at).unwrap(), Some(seq + 1)))
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -214,27 +214,36 @@ impl Snapshot {
     }
 
     /// The snapshot of a merged dataset in hand: one pass over its
-    /// rows fills the instant and lineage tables.
+    /// index-space rows fills the instant and lineage tables and counts
+    /// the measured pairs.
     pub fn from_merged(merged: &MergeOutcome) -> Snapshot {
-        let mut snap = Snapshot::from_matrix(&merged.matrix);
-        snap.meta.now_ns = Some(merged.now.as_nanos());
-
-        let n = snap.matrix.len();
+        let n = merged.matrix.len();
         let mut instants = vec![NO_TIMESTAMP; n * n];
-        for (a, b, _, t, lineage) in merged.rows() {
-            let (Some(i), Some(j)) = (snap.matrix.index_of(a), snap.matrix.index_of(b)) else {
-                continue;
-            };
+        let mut lineage = None;
+        let (mut measured_pairs, mut newest_ns) = (0, None);
+        for (i, j, _, t, provenance) in merged.rows() {
+            let t = t.as_nanos();
             for cell in [i as usize * n + j as usize, j as usize * n + i as usize] {
-                instants[cell] = t.as_nanos();
-                if let Some(l) = lineage {
-                    snap.lineage.get_or_insert_with(|| vec![NO_LINEAGE; n * n])[cell] = l;
+                instants[cell] = t;
+                if let Some(l) = provenance {
+                    lineage.get_or_insert_with(|| vec![NO_LINEAGE; n * n])[cell] = l;
                 }
             }
-            snap.meta.newest_ns = snap.meta.newest_ns.max(Some(t.as_nanos()));
+            measured_pairs += 1;
+            newest_ns = newest_ns.max(Some(t));
         }
-        snap.measured_at_ns = Some(instants);
-        snap
+        Snapshot {
+            matrix: merged.matrix.clone(),
+            measured_at_ns: Some(instants),
+            lineage,
+            meta: SnapshotMeta {
+                version: 0,
+                nodes: n,
+                measured_pairs,
+                now_ns: Some(merged.now.as_nanos()),
+                newest_ns,
+            },
+        }
     }
 
     pub fn meta(&self) -> &SnapshotMeta {
