@@ -1,75 +1,146 @@
 #!/usr/bin/env bash
-# Public-surface audit.
+# Public-surface audit, by the compiler.
 #
-# Lists every `pub` fn, struct, enum, trait, type, const and static in the
-# non-test part of crates/*/src whose name appears on no other non-test line
-# of crates/*/src, benchmark/src, examples or src. "Non-test" is the usual
-# line-count rule: a file's lines before its first top-level `#[cfg(test)]`.
-# A name matches as a whole word, anywhere on a line of code or in a
-# string; `///` and `//!` doc comment lines and `use` / `pub use` lines do
-# not count as uses.
+# A `pub fn` in the non-test part of crates/*/src (a file's lines before
+# its first top-level `#[cfg(test)]`, the usual line-count rule) is
+# flagged when every non-test target still compiles with it narrowed to
+# `pub(crate)`: the workspace's libs, bins and examples, and benchmark/'s
+# bins. A flagged fn is either called by no non-test code at all (rustc's
+# `dead_code` names it once it is narrowed) or only inside its own crate.
 #
-# Fails on a flagged name that .github/unused_pub.allow does not list, and
+# The method, on a copy of the tree under target/unused-pub/ (the
+# checkout is never edited): narrow every such `pub fn`, run
+# `cargo check --keep-going` over those targets, restore every fn an
+# error names (a private fn's "defined here" note, or the name a
+# re-export (E0364) cannot re-export), and repeat until a round restores
+# nothing. Each round settles one more level of the crate graph.
+#
+# Fails on a flagged fn that .github/unused_pub.allow does not list, and
 # on an allow-list entry that is no longer flagged, so the list can only
-# shrink. Run from anywhere: `.github/unused_pub.sh`.
+# shrink. Run from anywhere: `.github/unused_pub.sh`. The copy builds
+# into target/unused-pub/target, which a second run finds warm.
 set -euo pipefail
-cd "$(dirname "$0")/.."
+root=$(cd "$(dirname "$0")/.." && pwd)
 export LC_ALL=C
+allow=$root/.github/unused_pub.allow
+base=$root/target/unused-pub
+tree=$base/tree
+export CARGO_TARGET_DIR=$base/target
+# A lint never fails a round: rustc's `dead_code` warning is the signal.
+export RUSTFLAGS=--cap-lints=warn
 
-allow=.github/unused_pub.allow
+rm -rf "$tree"
+mkdir -p "$tree"
+(cd "$root" && git ls-files -z --cached --others --exclude-standard) |
+    tar -C "$root" --null --ignore-failed-read -T - -cf - | tar -C "$tree" -xf -
+cd "$tree"
 
-# "name<TAB>file:line", one line per flagged name, sorted.
-flagged=$(
-    find crates/*/src benchmark/src examples src -name '*.rs' | sort |
-        xargs awk '
-            FNR == 1 { skip = 0 }
-            /^#\[cfg\(test\)\]/ { skip = 1 }
-            skip { next }
+# Narrow, and list each narrowed fn as "file:line<TAB>name<TAB>Type::name"
+# (Type is the enclosing top-level `impl`'s self type, if any).
+find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
+    BEGIN { open(LIST, ">", "'"$base"'/narrowed") or die }
+    if ($. == 1) { $test = 0; $type = "" }
+    $test = 1 if /^#\[cfg\(test\)\]/;
+    if (!$test) {
+        if (/^impl\b/) {
+            ($t = $_) =~ s/^impl\s*//;
+            1 while $t =~ s/<[^<>]*>//g;
+            $t =~ s/^.*\bfor\s+//;
+            $type = $t =~ /^([A-Za-z_]\w*)/ ? "$1::" : "";
+        }
+        $type = "" if /^\}/;
+        if (s/^(\s*)pub fn (\w+)/$1pub(crate) fn $2/) {
+            print LIST "$ARGV:$.\t$2\t$type$2\n";
+        }
+    }
+    print;
+    close ARGV if eof;
+'
+narrowed=$(wc -l <"$base/narrowed")
+
+# One round: check every non-test target, keeping each diagnostic as
+# "level<TAB>code<TAB>message<TAB>file:line" for every span it carries.
+check() {
+    {
+        cargo check --offline --keep-going --message-format=json -q \
+            --workspace --lib --bins --examples || true
+        cargo check --offline --keep-going --message-format=json -q \
+            --manifest-path benchmark/Cargo.toml --bins || true
+    } 2>/dev/null | jq -r --arg tree "$tree/" '
+        select(.reason == "compiler-message") | .message
+        | . as $m
+        | [.. | objects | select(has("file_name") and has("line_start"))]
+        | .[]
+        | [$m.level, ($m.code.code // ""), ($m.message | gsub("\t"; " ")),
+           "\(.file_name | ltrimstr($tree)):\(.line_start)"]
+        | @tsv' | sort -u
+}
+
+rounds=0
+while :; do
+    rounds=$((rounds + 1))
+    diags=$(check)
+    errors=$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "error"')
+    # Narrowed fns an error points at: a span on the definition's line,
+    # or the name an E0364 re-export names, in the re-exporting crate.
+    restore=$(
+        {
+            printf '%s\n' "$errors" | cut -f4
+            printf '%s\n' "$errors" | awk -F'\t' '$2 == "E0364" {
+                split($4, at, "/"); name = $3
+                sub(/^`/, "", name); sub(/`.*/, "", name)
+                print at[1] "/" at[2] "/\t" name
+            }'
+        } | awk -F'\t' '
+            FILENAME == "-" { if (NF == 1) at[$1] = 1; else named[$1 SUBSEP $2] = 1; next }
             {
-                if (FILENAME ~ /^crates\/[^\/]+\/src\// &&
-                    match($0, /pub (fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/)) {
-                    name = substr($0, RSTART, RLENGTH)
-                    sub(/^pub [a-z]+ /, "", name)
-                    defs[name] = FILENAME ":" FNR
-                }
-                # A doc comment or an import names an item without
-                # using it.
-                if ($0 ~ /^[ \t]*(\/\/[\/!]|(pub )?use )/) next
-                line = $0
-                gsub(/[^A-Za-z0-9_]+/, " ", line)
-                n = split(line, words, " ")
-                delete seen
-                for (i = 1; i <= n; i++) {
-                    if (!(words[i] in seen)) {
-                        seen[words[i]] = 1
-                        lines[words[i]]++
-                    }
-                }
-            }
-            END {
-                for (name in defs) if (lines[name] == 1) print name "\t" defs[name]
-            }
-        ' | sort
+                split($1, p, "/")
+                if (($1 in at) || ((p[1] "/" p[2] "/") SUBSEP $2) in named) print $1
+            }' - "$base/narrowed" | sort -u
+    )
+    if [ -z "$restore" ]; then
+        break
+    fi
+    printf '%s\n' "$restore" | while IFS=: read -r file line; do
+        sed -i "${line}s/pub(crate) fn /pub fn /" "$file"
+    done
+    grep -v -F -f <(printf '%s\n' "$restore" | sed 's/$/\t/') "$base/narrowed" >"$base/narrowed.next" || true
+    mv "$base/narrowed.next" "$base/narrowed"
+done
+
+if [ -n "$errors" ]; then
+    echo "unused-pub audit: the tree does not build with the flagged fns narrowed:"
+    printf '%s\n' "$errors" | cut -f2- | sed 's/^/  /' | head -n 40
+    exit 2
+fi
+
+# "Type::name<TAB>file:line<TAB>kind", one line per flagged fn.
+dead=$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "warning" && $2 == "dead_code" { print $4 }')
+flagged=$(
+    awk -F'\t' 'FILENAME == "-" { dead[$1] = 1; next }
+        { print $3 "\t" $1 "\t" (($1 in dead) ? "called by no non-test code" : "called only inside its crate") }' \
+        - "$base/narrowed" <<<"$dead" | sort
 )
 
 # The allow-list: a name, then its reason; `#` starts a comment.
 allowed=$(sed -e 's/#.*//' "$allow" | awk 'NF { print $1 }' | sort)
 
-new=$(join -t "$(printf '\t')" -v 1 <(printf '%s' "$flagged") <(printf '%s' "$allowed"))
-stale=$(comm -13 <(printf '%s' "$flagged" | cut -f1) <(printf '%s' "$allowed"))
+new=$(join -t "$(printf '\t')" -v 1 <(printf '%s\n' "$flagged" | grep .) <(printf '%s\n' "$allowed" | grep .) || true)
+stale=$(comm -13 <(printf '%s\n' "$flagged" | cut -f1 | grep . | sort -u) <(printf '%s\n' "$allowed" | grep .) || true)
 
+echo "unused-pub audit: $rounds rounds over $narrowed pub fns"
 status=0
 if [ -n "$new" ]; then
-    echo "pub item named on no other line (delete it, narrow it, or list it in $allow):"
-    printf '%s\n' "$new" | sed 's/^/  /'
+    echo "pub fn no other crate's non-test code calls (delete it, make it pub(crate), or list it in .github/unused_pub.allow):"
+    printf '%s\n' "$new" | awk -F'\t' '{ printf "  %-44s %-42s %s\n", $1, $2, $3 }'
     status=1
 fi
 if [ -n "$stale" ]; then
-    echo "$allow lists names the audit no longer flags (remove them):"
+    echo ".github/unused_pub.allow lists names the audit no longer flags (remove them):"
     printf '%s\n' "$stale" | sed 's/^/  /'
     status=1
 fi
 if [ "$status" -eq 0 ]; then
-    echo "unused-pub audit: $(printf '%s' "$flagged" | grep -c .) names flagged, all allowed"
+    echo "unused-pub audit: $(printf '%s\n' "$flagged" | grep -c .) fns flagged, all allowed"
 fi
 exit "$status"

@@ -34,7 +34,7 @@ pub struct CircuitLengthAnalysis {
 }
 
 /// `C(n, k)` as f64 (the paper's scaling factor).
-pub fn choose(n: usize, k: usize) -> f64 {
+pub(crate) fn choose(n: usize, k: usize) -> f64 {
     if k > n {
         return 0.0;
     }

@@ -171,7 +171,11 @@ impl<'a> DeanonSimulator<'a> {
     }
 
     /// Runs one simulated attack with `strategy`.
-    pub fn run_once<R: Rng + ?Sized>(&self, strategy: Strategy, rng: &mut R) -> DeanonOutcome {
+    pub(crate) fn run_once<R: Rng + ?Sized>(
+        &self,
+        strategy: Strategy,
+        rng: &mut R,
+    ) -> DeanonOutcome {
         let weighted_selection = matches!(
             strategy,
             Strategy::WeightOrdered | Strategy::InformedWeighted
@@ -184,7 +188,7 @@ impl<'a> DeanonSimulator<'a> {
     /// artificially inflated by `pad_ms` — the §5.1.3 latency-padding
     /// defense. The attacker only ever sees the padded RTT, so its
     /// budget-based filtering weakens.
-    pub fn run_once_padded<R: Rng + ?Sized>(
+    pub(crate) fn run_once_padded<R: Rng + ?Sized>(
         &self,
         strategy: Strategy,
         pad_ms: f64,

@@ -116,7 +116,7 @@ impl<'a> PathSelector<'a> {
     /// length with probability ∝ (acceptance × population), then
     /// rejection-sample circuits of that length until one fits.
     /// Returns `None` if no length has any acceptance mass.
-    pub fn sample_circuit<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Vec<NodeId>> {
+    pub(crate) fn sample_circuit<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Vec<NodeId>> {
         let n = self.matrix.len();
         let masses: Vec<(usize, f64)> = (self.config.min_len..=self.config.max_len)
             .map(|len| {
@@ -205,7 +205,7 @@ fn random_circuit<R: Rng + ?Sized>(matrix: &RttMatrix, len: usize, rng: &mut R) 
 }
 
 /// Sum of consecutive hop RTTs.
-pub fn circuit_rtt_ms(matrix: &RttMatrix, circuit: &[NodeId]) -> f64 {
+pub(crate) fn circuit_rtt_ms(matrix: &RttMatrix, circuit: &[NodeId]) -> f64 {
     circuit
         .windows(2)
         .map(|w| matrix.get(w[0], w[1]).expect("complete matrix"))

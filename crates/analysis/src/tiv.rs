@@ -29,7 +29,7 @@ impl TivFinding {
     }
 
     /// Relative saving in percent (Fig. 14's x-axis); 0 when no TIV.
-    pub fn savings_percent(&self) -> f64 {
+    pub(crate) fn savings_percent(&self) -> f64 {
         if !self.is_violation() {
             return 0.0;
         }

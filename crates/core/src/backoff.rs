@@ -7,11 +7,11 @@
 //! owns the two hazards the ad-hoc versions each had to dodge:
 //!
 //! * **Overflow** — `base · 2^(attempts−1)` exceeds `u64` nanoseconds
-//!   after ~30 doublings of any realistic base. [`exponential`] does
+//!   after ~30 doublings of any realistic base. `exponential` does
 //!   the shift in `u128` and saturates at the cap, so arbitrarily
 //!   large attempt counts are safe (property-tested below).
 //! * **Synchronized retries** — concurrent measurements that fail
-//!   together would retry together. [`jittered_ms`] spreads pauses
+//!   together would retry together. `jittered_ms` spreads pauses
 //!   with a keyed hash of the circuit path, never the simulation RNG,
 //!   so runs stay replayable.
 
@@ -20,7 +20,7 @@ use netsim::{NodeId, SimDuration};
 /// The pause after the `attempts`-th consecutive failure:
 /// `min(base · 2^(attempts−1), cap)`, computed without overflow.
 /// `attempts = 0` is treated like the first failure.
-pub fn exponential(base: SimDuration, attempts: u32, cap: SimDuration) -> SimDuration {
+pub(crate) fn exponential(base: SimDuration, attempts: u32, cap: SimDuration) -> SimDuration {
     let base_ns = base.as_nanos();
     let cap_ns = cap.as_nanos();
     if base_ns == 0 {
@@ -40,7 +40,7 @@ pub fn exponential(base: SimDuration, attempts: u32, cap: SimDuration) -> SimDur
 /// concurrent deployments desynchronize — but never drawn from the
 /// simulation RNG, keeping retries replayable. The jitter factor lies
 /// in `[0.5, 1.5)`; the result is capped at `cap_ms`.
-pub fn jittered_ms(base_ms: f64, cap_ms: f64, path: &[NodeId], attempt: u32) -> f64 {
+pub(crate) fn jittered_ms(base_ms: f64, cap_ms: f64, path: &[NodeId], attempt: u32) -> f64 {
     // Clamp the exponent so pathological attempt counts neither wrap
     // through `as i32` nor overflow `powi` into NaN territory; anything
     // past ~2^1024 saturates at the cap regardless.

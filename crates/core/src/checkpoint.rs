@@ -6,7 +6,7 @@
 //!
 //! * **Torn writes** — the process dies mid-`write(2)`. Checkpoints are
 //!   written to a `<path>.tmp` sibling, **fsynced**, and renamed into
-//!   place ([`write_atomic`]): the rename is atomic on POSIX
+//!   place (`write_atomic`): the rename is atomic on POSIX
 //!   filesystems and the fsync orders the data before it, so the
 //!   destination either holds the old document or the complete new one,
 //!   never a prefix — even across a power loss right after the rename.
@@ -17,8 +17,8 @@
 //!   refuses the file instead of resuming from silently wrong state.
 //! * **A corrupt primary with a good history** — every successful save
 //!   first promotes the previous (verified) checkpoint to `<path>.bak`
-//!   ([`bak_path`]), so [`crate::scanner::Scanner::recover_observed`]
-//!   can fall back to the last good generation.
+//!   (`bak_path`), so `Scanner::recover_observed` can fall back to the
+//!   last good generation.
 
 use crate::matrix::RttMatrix;
 use netsim::NodeId;
@@ -374,11 +374,11 @@ impl<'a> Row<'a> {
 /// data. After the rename the parent directory is fsynced too (best
 /// effort — not every filesystem supports directory handles) so the
 /// rename itself survives the crash.
-pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     write_atomic_parts(path, &[contents.as_bytes()])
 }
 
-/// [`write_atomic`] of the concatenation of `parts`, written one after
+/// `write_atomic` of the concatenation of `parts`, written one after
 /// another, so a caller that frames a large buffer need not copy it.
 pub fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     let tmp = tmp_path(path);
@@ -398,12 +398,12 @@ pub fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
 }
 
 /// The temp-file sibling used for atomic writes.
-pub fn tmp_path(path: &Path) -> PathBuf {
+pub(crate) fn tmp_path(path: &Path) -> PathBuf {
     sibling(path, "tmp")
 }
 
 /// The last-good-generation backup sibling.
-pub fn bak_path(path: &Path) -> PathBuf {
+pub(crate) fn bak_path(path: &Path) -> PathBuf {
     sibling(path, "bak")
 }
 

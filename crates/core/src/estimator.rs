@@ -22,7 +22,7 @@ pub struct CircuitSamples {
 }
 
 impl CircuitSamples {
-    pub fn new(samples: Vec<f64>) -> CircuitSamples {
+    pub(crate) fn new(samples: Vec<f64>) -> CircuitSamples {
         assert!(!samples.is_empty(), "a circuit measurement needs samples");
         CircuitSamples { samples }
     }

@@ -91,7 +91,7 @@ pub struct RelayHealth {
 }
 
 impl RelayHealth {
-    pub fn new(config: HealthConfig) -> RelayHealth {
+    pub(crate) fn new(config: HealthConfig) -> RelayHealth {
         RelayHealth {
             config,
             scores: BTreeMap::new(),
@@ -101,7 +101,7 @@ impl RelayHealth {
 
     /// The relay's current score with decay applied up to `now`
     /// (without mutating state). Unobserved relays score 1.0.
-    pub fn score(&self, node: NodeId, now: SimTime) -> f64 {
+    pub(crate) fn score(&self, node: NodeId, now: SimTime) -> f64 {
         match self.scores.get(&node) {
             None => 1.0,
             Some(&(s, at)) => self.decayed(s, at, now),
@@ -126,7 +126,12 @@ impl RelayHealth {
 
     /// Feeds one success/failure observation for `node` and returns the
     /// quarantine transition it caused, if any.
-    pub fn record(&mut self, node: NodeId, success: bool, now: SimTime) -> Option<HealthEvent> {
+    pub(crate) fn record(
+        &mut self,
+        node: NodeId,
+        success: bool,
+        now: SimTime,
+    ) -> Option<HealthEvent> {
         let prior = self.score(node, now);
         let obs = if success { 1.0 } else { 0.0 };
         let score = self.config.ewma_alpha * obs + (1.0 - self.config.ewma_alpha) * prior;
@@ -152,7 +157,7 @@ impl RelayHealth {
     }
 
     /// Quarantined relays whose probation probe is due, ascending by id.
-    pub fn due_probes(&self, now: SimTime) -> Vec<NodeId> {
+    pub(crate) fn due_probes(&self, now: SimTime) -> Vec<NodeId> {
         self.quarantined
             .iter()
             .filter(|(_, q)| q.next_probe_at <= now)
@@ -162,7 +167,7 @@ impl RelayHealth {
 
     /// Marks a probation probe as scheduled: the next one is not due
     /// before `now + probation_interval`.
-    pub fn probe_scheduled(&mut self, node: NodeId, now: SimTime) {
+    pub(crate) fn probe_scheduled(&mut self, node: NodeId, now: SimTime) {
         if let Some(q) = self.quarantined.get_mut(&node) {
             q.next_probe_at = now + self.config.probation_interval;
         }
@@ -172,7 +177,7 @@ impl RelayHealth {
     /// back above the release threshold — the path out for a relay the
     /// scanner has stopped hearing about entirely. Returns the released
     /// relays, ascending by id.
-    pub fn release_by_decay(&mut self, now: SimTime) -> Vec<NodeId> {
+    pub(crate) fn release_by_decay(&mut self, now: SimTime) -> Vec<NodeId> {
         let release: Vec<NodeId> = self
             .quarantined
             .keys()
@@ -190,7 +195,7 @@ impl RelayHealth {
     /// Serializes scores (`h` lines) and the quarantine roster (`q`
     /// lines) for the scan checkpoint. Deterministic order; f64s printed
     /// in their shortest exactly-roundtripping form.
-    pub fn checkpoint_lines(&self) -> String {
+    pub(crate) fn checkpoint_lines(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (n, (s, at)) in &self.scores {

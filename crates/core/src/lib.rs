@@ -48,8 +48,8 @@
 //! * [`validate`] — lightspeed/divergence/TIV cross-checks gating
 //!   estimates before they reach the cache;
 //! * [`checkpoint`] — CRC-sealed, atomically-written (and fsynced)
-//!   checkpoint plumbing behind [`scanner::Scanner::save`] /
-//!   [`scanner::Scanner::recover_observed`],
+//!   checkpoint plumbing behind `scanner::Scanner::save` /
+//!   `scanner::Scanner::recover_observed`,
 //!   and the one strict reader under the three row documents (scan
 //!   checkpoint, merged document, matrix TSV);
 //! * [`shard`] — crash-isolated scan shards under a supervising

@@ -49,7 +49,7 @@ pub const TSV_MAGIC: &str = "# ting all-pairs rtt matrix v1";
 
 /// A pair in ascending order — the one key order every pair-keyed map
 /// and table in the workspace uses.
-pub fn ordered<T: Ord>(a: T, b: T) -> (T, T) {
+pub(crate) fn ordered<T: Ord>(a: T, b: T) -> (T, T) {
     if a <= b {
         (a, b)
     } else {
@@ -57,7 +57,7 @@ pub fn ordered<T: Ord>(a: T, b: T) -> (T, T) {
     }
 }
 
-/// A map keyed by a pair of nodes (in [`ordered`] order, by
+/// A map keyed by a pair of nodes (in `ordered` order, by
 /// convention) under [`PairHasher`]: the per-pair instants and lineage
 /// of a merged dataset, read once per cell on every publish.
 pub type PairMap<V> = HashMap<(NodeId, NodeId), V, BuildHasherDefault<PairHasher>>;
@@ -155,7 +155,7 @@ impl RttMatrix {
 
     /// Fallible constructor for load paths: duplicate nodes become an
     /// error instead of a panic.
-    pub fn try_new(nodes: Vec<NodeId>) -> Result<RttMatrix, String> {
+    pub(crate) fn try_new(nodes: Vec<NodeId>) -> Result<RttMatrix, String> {
         let mut index = HashMap::with_capacity(nodes.len());
         for (i, n) in nodes.iter().enumerate() {
             if index.insert(*n, i as u32).is_some() {
@@ -227,7 +227,7 @@ impl RttMatrix {
     /// # Panics
     /// Panics on a non-finite RTT, a node outside the matrix or a pair
     /// of a node with itself; load paths that cannot trust their input
-    /// use [`RttMatrix::try_set`].
+    /// use `RttMatrix::try_set`.
     #[expect(
         clippy::panic,
         reason = "documented to panic on a cell built in code; data goes through `try_set`"
@@ -238,7 +238,7 @@ impl RttMatrix {
 
     /// Fallible [`RttMatrix::set`]: unknown nodes, non-finite RTTs and
     /// the diagonal (fixed at 0) become errors instead of panics.
-    pub fn try_set(&mut self, a: NodeId, b: NodeId, rtt_ms: f64) -> Result<(), String> {
+    pub(crate) fn try_set(&mut self, a: NodeId, b: NodeId, rtt_ms: f64) -> Result<(), String> {
         let (ia, ib) = self.admits(a, b, rtt_ms)?;
         self.set_idx(ia, ib, rtt_ms)
     }

@@ -101,7 +101,7 @@ pub enum TingError {
 
 impl TingError {
     /// Whether retrying the same operation can possibly succeed.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         !matches!(
             self,
             TingError::CircuitBuildFailed {
@@ -114,7 +114,7 @@ impl TingError {
     /// A stable machine-readable code naming the variant — the suffix
     /// of the `ting.error.<code>` observability counter each failure
     /// increments.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             TingError::CircuitBuildFailed { .. } => "circuit_build_failed",
             TingError::StreamFailed => "stream_failed",

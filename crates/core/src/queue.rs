@@ -14,7 +14,7 @@
 //! parked relay and pairs inside a failure backoff withheld. The caller
 //! passes the `parked` mask, one flag per node index, read off the one
 //! quarantine roster ([`crate::health::RelayHealth`]).
-//! [`WorkQueue::plan`] and [`WorkQueue::backlog`] each derive the order
+//! `WorkQueue::plan` and `WorkQueue::backlog` each derive the order
 //! with one sweep over the table — about 2 ns a pair slot, so ≈ 90 µs at
 //! 300 relays, against ≥ 18 ms for any round that measures a pair. A
 //! property test (`tests/parallel_scan.rs`) replays randomized histories
@@ -69,7 +69,7 @@ pub struct WorkQueue {
 
 impl WorkQueue {
     /// Creates a queue over `n` nodes with every pair unmeasured.
-    pub fn new(n: usize, staleness: SimDuration) -> WorkQueue {
+    pub(crate) fn new(n: usize, staleness: SimDuration) -> WorkQueue {
         WorkQueue {
             n: n as u32,
             staleness,
@@ -111,7 +111,7 @@ impl WorkQueue {
 
     /// Records a successful measurement at `at`, accepted in scan round
     /// `round`. Clears any backoff.
-    pub fn on_measured(&mut self, i: u32, j: u32, at: SimTime, round: u64) {
+    pub(crate) fn on_measured(&mut self, i: u32, j: u32, at: SimTime, round: u64) {
         let rec = self.record_mut(i, j);
         rec.measured_at = Some(at);
         rec.round = round;
@@ -122,7 +122,7 @@ impl WorkQueue {
     /// the pair is withheld until `until`, then queues again by its
     /// measurement history (unmeasured, or stale/fresh by its last
     /// success).
-    pub fn on_failed(&mut self, i: u32, j: u32, until: SimTime) {
+    pub(crate) fn on_failed(&mut self, i: u32, j: u32, until: SimTime) {
         let rec = self.record_mut(i, j);
         rec.attempts = rec.attempts.saturating_add(1);
         rec.retry_at = until;
@@ -132,7 +132,7 @@ impl WorkQueue {
     /// outcomes still keep its record current. This is how a
     /// shard-scoped scanner disowns the pairs other shards measure (see
     /// [`crate::shard::partition_pairs`]). Irreversible.
-    pub fn retire(&mut self, i: u32, j: u32) {
+    pub(crate) fn retire(&mut self, i: u32, j: u32) {
         self.record_mut(i, j).retired = true;
     }
 
@@ -140,7 +140,7 @@ impl WorkQueue {
     /// (in index order) in scope joining it to a peer `parked` does not
     /// flag. The pair stays out of the plan — its outcome feeds the
     /// health model without scheduling it.
-    pub fn probe_pair(&self, i: u32, parked: &[bool]) -> Option<(u32, u32)> {
+    pub(crate) fn probe_pair(&self, i: u32, parked: &[bool]) -> Option<(u32, u32)> {
         touching(self.n, i)
             .find(|&((a, b), other)| !self.record(a, b).retired && !parked[other as usize])
             .map(|(pair, _)| pair)
@@ -165,7 +165,7 @@ impl WorkQueue {
     }
 
     /// The pairs the scanner should measure next, most urgent first.
-    pub fn plan(&self, now: SimTime, limit: usize, parked: &[bool]) -> Vec<(u32, u32)> {
+    pub(crate) fn plan(&self, now: SimTime, limit: usize, parked: &[bool]) -> Vec<(u32, u32)> {
         let mut unmeasured = Vec::new();
         let mut stale = Vec::new();
         for (pair, at) in self.due(now, parked) {
@@ -182,7 +182,7 @@ impl WorkQueue {
 
     /// The true backlog: every pair eligible for measurement at `now`,
     /// with no round-size cap.
-    pub fn backlog(&self, now: SimTime, parked: &[bool]) -> usize {
+    pub(crate) fn backlog(&self, now: SimTime, parked: &[bool]) -> usize {
         self.due(now, parked).count()
     }
 }
@@ -190,6 +190,8 @@ impl WorkQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
@@ -314,5 +316,133 @@ mod tests {
         assert_eq!(q.plan(t(0), 10, &zero), vec![(1, 2)]);
         assert_eq!(q.probe_pair(0, &zero), Some((0, 1)));
         assert_eq!(q.backlog(t(0), &mask(3, &[])), 3);
+    }
+
+    // The executable specification the queue's plan, backlog and
+    // probation probe are held to, bit for bit, across randomized
+    // histories.
+
+    const STALENESS_S: u64 = 1_000;
+
+    /// The shadow state the reference planner reads: what a history did to
+    /// each pair and relay, in plain maps with the scanner's record
+    /// semantics.
+    #[derive(Default)]
+    struct Shadow {
+        /// Pair → last successful measurement (seconds).
+        measured: BTreeMap<(u32, u32), u64>,
+        /// Pair → backoff deadline (seconds) of its pending retry.
+        failed: BTreeMap<(u32, u32), u64>,
+        /// Pairs retired out of scope, for good.
+        retired: BTreeSet<(u32, u32)>,
+        /// Relays currently quarantined.
+        quarantined: BTreeSet<u32>,
+    }
+
+    /// The executable specification of the scan priority order: one O(n²)
+    /// sweep over every pair. Never-measured pairs first in index order,
+    /// then stale ones oldest first (ties in index order); pairs out of
+    /// scope, touching a quarantined relay, or inside a failure backoff are
+    /// withheld.
+    fn reference_plan(n: u32, limit: usize, now_s: u64, shadow: &Shadow) -> Vec<(u32, u32)> {
+        let mut unmeasured = Vec::new();
+        let mut stale = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                let parked = shadow.quarantined.contains(&i) || shadow.quarantined.contains(&j);
+                let backing_off = shadow
+                    .failed
+                    .get(&(i, j))
+                    .is_some_and(|&until| now_s < until);
+                if shadow.retired.contains(&(i, j)) || parked || backing_off {
+                    continue;
+                }
+                match shadow.measured.get(&(i, j)) {
+                    None => unmeasured.push((i, j)),
+                    Some(&at) if now_s.saturating_sub(at) >= STALENESS_S => {
+                        stale.push((at, (i, j)))
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        stale.sort_by_key(|&(at, _)| at);
+        let stale = stale.into_iter().map(|(_, pair)| pair);
+        unmeasured.into_iter().chain(stale).take(limit).collect()
+    }
+
+    /// The probation probe for quarantined relay `i`: the first pair in
+    /// index order that is in scope, touches `i`, and whose other endpoint
+    /// is not quarantined.
+    fn reference_probe(n: u32, i: u32, shadow: &Shadow) -> Option<(u32, u32)> {
+        (0..n)
+            .filter(|&k| k != i && !shadow.quarantined.contains(&k))
+            .map(|k| if k < i { (k, i) } else { (i, k) })
+            .find(|pair| !shadow.retired.contains(pair))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The queue's plan must be bit-equal to the reference sweep after
+        /// any sequence of measurement successes and failures, scope
+        /// retirements, and relay quarantines and releases, queried at any
+        /// (non-decreasing) instant and round cap; its backlog must be the
+        /// reference's uncapped count, and its probation probe for every
+        /// quarantined relay the reference's.
+        #[test]
+        fn work_queue_plan_matches_reference_plan_round(
+            n in 3u32..8,
+            limit in 1usize..30,
+            events in prop::collection::vec((any::<u16>(), any::<u8>(), 0u64..400), 0..60),
+        ) {
+            let mut queue = WorkQueue::new(n as usize, SimDuration::from_secs(STALENESS_S));
+            let mut shadow = Shadow::default();
+            let mut clock = 0u64;
+            for (sel, kind, dt) in events {
+                clock += dt;
+                let i = (sel as u32) % n;
+                let j = (i + 1 + ((sel as u32) / n) % (n - 1)) % n;
+                let pair = if i < j { (i, j) } else { (j, i) };
+                match kind % 8 {
+                    // A success overwrites the timestamp and clears any
+                    // backoff — also for a parked or retired pair, whose
+                    // record stays current while it is unscheduled.
+                    0..=2 => {
+                        queue.on_measured(i, j, t(clock), 1);
+                        shadow.measured.insert(pair, clock);
+                        shadow.failed.remove(&pair);
+                    }
+                    // A failure sets the backoff and keeps the history.
+                    3 | 4 => {
+                        let until = clock + 1 + (kind as u64 / 8 % 7) * 100;
+                        queue.on_failed(i, j, t(until));
+                        shadow.failed.insert(pair, until);
+                    }
+                    5 => {
+                        queue.retire(i, j);
+                        shadow.retired.insert(pair);
+                    }
+                    // Quarantine is the health model's to keep; the queue
+                    // reads it as the mask below.
+                    6 => {
+                        shadow.quarantined.insert(i);
+                    }
+                    _ => {
+                        shadow.quarantined.remove(&i);
+                    }
+                }
+            }
+            let parked: Vec<bool> = (0..n).map(|i| shadow.quarantined.contains(&i)).collect();
+            for now_s in [clock, clock + STALENESS_S / 2, clock + 2 * STALENESS_S + 700] {
+                let plan = queue.plan(t(now_s), limit, &parked);
+                prop_assert_eq!(reference_plan(n, limit, now_s, &shadow), plan);
+                let uncapped = reference_plan(n, usize::MAX, now_s, &shadow).len();
+                prop_assert_eq!(uncapped, queue.backlog(t(now_s), &parked));
+                for &i in &shadow.quarantined {
+                    prop_assert_eq!(reference_probe(n, i, &shadow), queue.probe_pair(i, &parked));
+                }
+            }
+        }
     }
 }

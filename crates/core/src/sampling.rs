@@ -27,13 +27,13 @@ pub enum SamplePolicy {
 
 impl SamplePolicy {
     /// The paper's high-accuracy setting.
-    pub fn paper_accurate() -> SamplePolicy {
+    pub(crate) fn paper_accurate() -> SamplePolicy {
         SamplePolicy::FixedCount(200)
     }
 
     /// The paper's "measure a pair in under 15 seconds" setting (§4.4,
     /// ~5% error budget).
-    pub fn paper_fast() -> SamplePolicy {
+    pub(crate) fn paper_fast() -> SamplePolicy {
         SamplePolicy::EarlyStop {
             min_samples: 8,
             window: 6,
@@ -42,16 +42,8 @@ impl SamplePolicy {
         }
     }
 
-    /// Upper bound on samples this policy can take.
-    pub fn max_samples(&self) -> usize {
-        match *self {
-            SamplePolicy::FixedCount(n) => n,
-            SamplePolicy::EarlyStop { max_samples, .. } => max_samples,
-        }
-    }
-
     /// Given the samples so far, should we take another?
-    pub fn wants_more(&self, samples: &[f64]) -> bool {
+    pub(crate) fn wants_more(&self, samples: &[f64]) -> bool {
         match *self {
             SamplePolicy::FixedCount(n) => samples.len() < n,
             SamplePolicy::EarlyStop {
@@ -86,7 +78,7 @@ impl SamplePolicy {
 /// The minimum filter: the final estimate for a circuit is the minimum
 /// of its samples (§3.3: "we take multiple samples, and use the minimum
 /// value"). Returns `None` for an empty slice.
-pub fn min_filter(samples: &[f64]) -> Option<f64> {
+pub(crate) fn min_filter(samples: &[f64]) -> Option<f64> {
     samples.iter().copied().reduce(f64::min)
 }
 
@@ -100,7 +92,6 @@ mod tests {
         assert!(p.wants_more(&[]));
         assert!(p.wants_more(&[1.0, 2.0]));
         assert!(!p.wants_more(&[1.0, 2.0, 3.0]));
-        assert_eq!(p.max_samples(), 3);
     }
 
     #[test]
@@ -148,7 +139,13 @@ mod tests {
 
     #[test]
     fn paper_presets_are_sane() {
-        assert_eq!(SamplePolicy::paper_accurate().max_samples(), 200);
-        assert!(SamplePolicy::paper_fast().max_samples() <= 100);
+        assert_eq!(
+            SamplePolicy::paper_accurate(),
+            SamplePolicy::FixedCount(200)
+        );
+        assert!(matches!(
+            SamplePolicy::paper_fast(),
+            SamplePolicy::EarlyStop { max_samples, .. } if max_samples <= 100
+        ));
     }
 }

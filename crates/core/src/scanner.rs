@@ -214,11 +214,6 @@ impl Scanner {
         rec.measured_at.map(|_| rec.round)
     }
 
-    /// Scan rounds run over this scanner's lifetime (checkpointed).
-    pub fn rounds_run(&self) -> u64 {
-        self.rounds_run
-    }
-
     /// Failure-backoff state for a pair: `(consecutive failures,
     /// eligible-again instant)`, if the pair is being backed off.
     pub fn retry_state(&self, a: NodeId, b: NodeId) -> Option<(u32, SimTime)> {
@@ -752,7 +747,7 @@ impl Scanner {
     /// checkpoint exists and still verifies, it is promoted to
     /// `<path>.bak` first, so [`Scanner::recover_observed`] always has a
     /// last good generation to fall back to.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    pub(crate) fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         let path = path.as_ref();
         if let Ok(old) = std::fs::read_to_string(path) {
             // Never promote a corrupt primary over a good backup.
@@ -772,7 +767,7 @@ impl Scanner {
     /// [`obs::names::SCAN_RECOVER_BAK`] event records the path and the
     /// primary's error — silent recovery from a corrupt checkpoint is
     /// itself a signal worth alerting on.
-    pub fn recover_observed(
+    pub(crate) fn recover_observed(
         path: impl AsRef<std::path::Path>,
         obs: &Obs,
         now: SimTime,
@@ -1088,5 +1083,156 @@ mod tests {
         let scanner = Scanner::new(vec![NodeId(1), NodeId(2)], ScannerConfig::default());
         assert_eq!(scanner.coverage(), 0.0);
         assert_eq!(scanner.measured_at(NodeId(1), NodeId(2)), None);
+    }
+
+    /// A checkpointed scanner over `n` relays: scanners of different
+    /// sizes checkpoint differently.
+    fn generation(n: u32) -> Scanner {
+        Scanner::new((0..n).map(NodeId).collect(), ScannerConfig::default())
+    }
+
+    /// The checkpoint file at `path`, read and parsed with no fallback.
+    fn load(path: &std::path::Path) -> Result<Scanner, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+        Scanner::from_checkpoint(&text)
+    }
+
+    /// The checkpoint at `path` or its `.bak` generation, unobserved.
+    fn recover(path: &std::path::Path) -> std::io::Result<Scanner> {
+        Scanner::recover_observed(path, &Obs::off(), SimTime::ZERO)
+    }
+
+    #[test]
+    fn save_promotes_backup_and_recover_falls_back() {
+        let dir = std::env::temp_dir().join(format!("ting-ckpt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("scan.ckpt");
+
+        let gen1 = generation(4);
+        gen1.save(&path).unwrap();
+        let gen1_text = std::fs::read_to_string(&path).unwrap();
+
+        // A second save promotes the first generation to `.bak`.
+        let gen2 = generation(3);
+        assert_ne!(gen2.to_checkpoint(), gen1_text, "the generations differ");
+        gen2.save(&path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(crate::checkpoint::bak_path(&path)).unwrap(),
+            gen1_text
+        );
+
+        // A healthy primary wins.
+        assert_eq!(
+            recover(&path).unwrap().to_checkpoint(),
+            gen2.to_checkpoint()
+        );
+
+        // Corrupt the primary: recover falls back to the `.bak` generation.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(load(&path).is_err(), "corrupt primary must not load");
+        assert_eq!(recover(&path).unwrap().to_checkpoint(), gen1_text);
+
+        // Both gone: the primary's error surfaces.
+        std::fs::remove_file(crate::checkpoint::bak_path(&path)).unwrap();
+        assert!(recover(&path).is_err());
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn interrupted_save_leaves_a_loadable_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("ting-ckpt-interrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("scan.ckpt");
+
+        let gen1 = generation(4);
+        gen1.save(&path).unwrap();
+        // A save killed right after the rename leaves exactly this state:
+        // the (fsynced) document under the final name, nothing else. It
+        // must be complete and loadable, byte for byte.
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            gen1.to_checkpoint()
+        );
+        assert_eq!(load(&path).unwrap().to_checkpoint(), gen1.to_checkpoint());
+        assert!(
+            !crate::checkpoint::tmp_path(&path).exists(),
+            "no temp file survives a save"
+        );
+
+        // A save killed *before* the rename instead leaves a torn `.tmp`
+        // sibling. The primary is untouched by it, and the next save
+        // replaces the garbage temp wholesale.
+        std::fs::write(
+            crate::checkpoint::tmp_path(&path),
+            "# torn half-written garb",
+        )
+        .unwrap();
+        assert_eq!(
+            recover(&path).unwrap().to_checkpoint(),
+            gen1.to_checkpoint()
+        );
+        let gen2 = generation(3);
+        assert_ne!(
+            gen2.to_checkpoint(),
+            gen1.to_checkpoint(),
+            "the generations differ"
+        );
+        gen2.save(&path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            gen2.to_checkpoint()
+        );
+        assert!(!crate::checkpoint::tmp_path(&path).exists());
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bak_fallback_increments_counter_and_emits_event() {
+        use obs::{names, ObsConfig};
+
+        let dir = std::env::temp_dir().join(format!("ting-ckpt-observed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("scan.ckpt");
+
+        let gen1 = generation(4);
+        gen1.save(&path).unwrap();
+        let gen1_text = std::fs::read_to_string(&path).unwrap();
+        Scanner::from_checkpoint(&gen1_text)
+            .unwrap()
+            .save(&path)
+            .unwrap();
+
+        let now = SimTime::ZERO + SimDuration::from_secs(5);
+
+        // A healthy primary recovers silently: no counter, no event.
+        let obs = Obs::new(ObsConfig::Trace);
+        Scanner::recover_observed(&path, &obs, now).unwrap();
+        assert_eq!(obs.counter_value("ting.checkpoint.recovered_bak"), 0);
+        assert!(obs.events().is_empty());
+
+        // Corrupt the primary: the `.bak` fallback is counted and traced.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let recovered = Scanner::recover_observed(&path, &obs, now).unwrap();
+        assert_eq!(recovered.to_checkpoint(), gen1_text);
+        assert_eq!(obs.counter_value("ting.checkpoint.recovered_bak"), 1);
+        let events = obs.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, names::SCAN_RECOVER_BAK);
+        assert_eq!(events[0].t_ns, now.as_nanos());
+        assert!(
+            events[0].fields.iter().any(|(k, _)| *k == "primary_error"),
+            "event must carry the primary's error: {:?}",
+            events[0].fields
+        );
+
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,7 +15,7 @@
 //!   than [`SupervisorConfig::heartbeat_timeout`] (virtual time) is
 //!   declared stuck, killed, and restarted from its last checkpoint.
 //! * **Restart budget** — each restart waits a
-//!   [`crate::backoff::exponential`] pause; a shard that exhausts
+//!   `crate::backoff::exponential` pause; a shard that exhausts
 //!   [`SupervisorConfig::restart_budget`] restarts is quarantined and
 //!   the scan continues **degraded**: the remaining shards keep making
 //!   progress, and the merged matrix reports the dead shard's pairs as
@@ -87,7 +87,7 @@ pub struct SupervisorConfig {
     /// Restarts allowed per shard before it is quarantined.
     pub restart_budget: u32,
     /// Base pause before restart `k`; escalates as
-    /// `min(base · 2^(k−1), cap)` via [`crate::backoff::exponential`].
+    /// `min(base · 2^(k−1), cap)` via `crate::backoff::exponential`.
     pub restart_backoff: SimDuration,
     /// Ceiling on a single restart pause.
     pub restart_backoff_cap: SimDuration,
@@ -120,7 +120,7 @@ pub enum ShardStatus {
 
 impl ShardStatus {
     /// The status tag used in merged-document coverage rows.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             ShardStatus::Running => "live",
             ShardStatus::Restarting { .. } => "restarting",
@@ -220,7 +220,7 @@ pub struct ShardCoverage {
 
 impl ShardCoverage {
     /// The row of a shard that owns `owned` pairs, none covered yet.
-    pub fn new(shard: u32, status: &'static str, owned: usize) -> ShardCoverage {
+    pub(crate) fn new(shard: u32, status: &'static str, owned: usize) -> ShardCoverage {
         ShardCoverage {
             shard,
             status,
@@ -237,7 +237,7 @@ impl ShardCoverage {
     /// judged against the `staleness` horizon at `now`. The offline
     /// merge and the live pipeline both tally through here — their
     /// coverage rows must agree byte for byte.
-    pub fn cover(&mut self, t: SimTime, now: SimTime, staleness: SimDuration) {
+    pub(crate) fn cover(&mut self, t: SimTime, now: SimTime, staleness: SimDuration) {
         self.covered += 1;
         self.uncovered -= 1;
         if now.since(t) >= staleness {
@@ -285,7 +285,7 @@ impl MergeOutcome {
 
     /// Whether [`MergeOutcome::fold`] takes `delta`, asked before
     /// anything is written: one status tag per shard, and every pair one
-    /// [`crate::RttMatrix::try_set`] accepts (known, distinct, finite).
+    /// `crate::RttMatrix::try_set` accepts (known, distinct, finite).
     pub fn admits(&self, delta: &MergeDelta) -> Result<(), String> {
         let (tags, shards) = (delta.statuses.len(), self.shards.len());
         if tags != shards {
@@ -441,7 +441,7 @@ pub struct MergeDelta {
     /// Measured pairs in shard, then partition order — deterministic
     /// for a given supervisor state.
     pub pairs: Vec<DeltaPair>,
-    /// Status tag per shard ([`ShardStatus::tag`]), indexed by shard id.
+    /// Status tag per shard (`ShardStatus::tag`), indexed by shard id.
     pub statuses: Vec<&'static str>,
     /// The instant the delta was drained.
     pub now: SimTime,
@@ -459,13 +459,7 @@ pub struct DeltaPair {
     pub lineage: Lineage,
 }
 
-impl MergeDelta {
-    /// True when the delta carries neither new pairs nor any live
-    /// shard — nothing a publisher would act on beyond status rows.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-}
+impl MergeDelta {}
 
 /// A merged-matrix document parsed back into data — the read-side
 /// inverse of [`MergeOutcome::to_document`], and the load path the
@@ -645,11 +639,6 @@ impl Supervisor {
     /// The supervision state of shard `k`.
     pub fn status(&self, k: usize) -> ShardStatus {
         self.slots[k].state.status()
-    }
-
-    /// Restarts consumed by shard `k`.
-    pub fn restarts(&self, k: usize) -> u32 {
-        self.slots[k].restarts
     }
 
     /// Shard `k`'s live scanner, absent while it is down.
@@ -839,7 +828,7 @@ impl Supervisor {
     /// into one matrix with per-shard coverage rows: a fixed
     /// shard-ordering reduction in which each shard contributes only
     /// the pairs [`partition_pairs`] deals it, each tallied as
-    /// [`ShardCoverage::cover`] judges it at `now`. Never returns `Err`.
+    /// `ShardCoverage::cover` judges it at `now`. Never returns `Err`.
     pub fn merge(&self, now: SimTime) -> Result<MergeOutcome, String> {
         let count = self.slots.len();
         let n = self.nodes.len();
@@ -953,7 +942,7 @@ fn emit_since(
 }
 
 /// Shard `id`'s checkpoint file under `dir`.
-pub fn shard_path(dir: &Path, id: u32) -> PathBuf {
+pub(crate) fn shard_path(dir: &Path, id: u32) -> PathBuf {
     dir.join(format!("shard-{id}.ckpt"))
 }
 
@@ -1328,7 +1317,7 @@ mod tests {
             let timeouts = &sup.slots[0].timeouts;
             PHASES
                 .iter()
-                .all(|&p| timeouts.samples(p) >= adaptive.min_samples)
+                .all(|&p| !timeouts.timeout_ms(p, &adaptive, f64::NAN).is_nan())
         };
         for _ in 0..20 {
             if warm(&sup) {

@@ -146,27 +146,22 @@ pub struct TimeoutEstimators {
 }
 
 impl TimeoutEstimators {
-    pub fn new() -> TimeoutEstimators {
+    pub(crate) fn new() -> TimeoutEstimators {
         TimeoutEstimators::default()
     }
 
     /// Feeds one successful phase duration.
-    pub fn observe(&self, phase: TimeoutPhase, ms: f64, config: &AdaptiveTimeoutConfig) {
+    pub(crate) fn observe(&self, phase: TimeoutPhase, ms: f64, config: &AdaptiveTimeoutConfig) {
         self.inner
             .borrow_mut()
             .window(phase)
             .observe(ms, config.window);
     }
 
-    /// Successes observed so far for `phase`.
-    pub fn samples(&self, phase: TimeoutPhase) -> usize {
-        self.inner.borrow().window_ref(phase).samples.len()
-    }
-
     /// The deadline for `phase` in ms: `quantile · headroom`, clamped
     /// to `[floor, ceiling]` — or `fallback_ms` until `min_samples`
     /// successes have been seen.
-    pub fn timeout_ms(
+    pub(crate) fn timeout_ms(
         &self,
         phase: TimeoutPhase,
         config: &AdaptiveTimeoutConfig,
@@ -247,7 +242,8 @@ mod tests {
             est.observe(TimeoutPhase::Stream, 20.0, &c);
         }
         assert_eq!(est.timeout_ms(TimeoutPhase::Stream, &c, 9_999.0), 30.0);
-        assert_eq!(est.samples(TimeoutPhase::Stream), 8);
+        let inner = est.inner.borrow();
+        assert_eq!(inner.window_ref(TimeoutPhase::Stream).samples.len(), 8);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * **Speed of light** (reject): `R(x, y)` below the great-circle
 //!   light-in-fiber round trip ([`geo::lightspeed`]) is physically
 //!   impossible — an Eq. (4) undershoot artifact, like the
-//!   negative-estimate case [`implausibly_low`] already catches. The
+//!   negative-estimate case `implausibly_low` already catches. The
 //!   scanner reads both endpoints' locations from the network's
 //!   underlay, so the bound needs no setup.
 //! * **Cache divergence** (reject once, then accept): a re-measurement
@@ -37,7 +37,7 @@
 /// not the configurable checks below are on. NaN (an artifact of
 /// degenerate sampling) counts as implausible too — a plain `< 0.05`
 /// would let it slip into the cache.
-pub fn implausibly_low(estimate_ms: f64) -> bool {
+pub(crate) fn implausibly_low(estimate_ms: f64) -> bool {
     estimate_ms.is_nan() || estimate_ms < 0.05
 }
 
@@ -83,7 +83,7 @@ pub enum ValidationError {
 
 impl ValidationError {
     /// Stable reason code for metrics traces.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             ValidationError::BelowLightspeed { .. } => "below_lightspeed",
             ValidationError::CacheDivergence { .. } => "cache_divergence",
@@ -147,7 +147,7 @@ pub struct ValidationContext {
 }
 
 /// Runs the checks in severity order and returns the verdict.
-pub fn validate(est_ms: f64, config: &ValidationConfig, ctx: &ValidationContext) -> Verdict {
+pub(crate) fn validate(est_ms: f64, config: &ValidationConfig, ctx: &ValidationContext) -> Verdict {
     if config.lightspeed {
         if let Some(km) = ctx.distance_km {
             let min_possible_ms = geo::lightspeed::min_rtt_ms(km);

@@ -129,10 +129,11 @@ fn every_observed_failure_class_reaches_the_exported_metrics() {
 
     // Every class that occurred is in the registry with the exact same
     // count the event log shows, and in the JSONL export.
-    let doc = obs.export_jsonl(&ExportMeta {
+    let meta = ExportMeta {
         seed: SEED,
         config_hash: config_hash("obs-coverage-v1"),
-    });
+    };
+    let doc = obs.export_jsonl(&meta);
     for (name, count) in &expected {
         assert_eq!(
             obs.counter_value(name),
@@ -146,9 +147,11 @@ fn every_observed_failure_class_reaches_the_exported_metrics() {
     }
 
     // Per-phase latency histograms filled up alongside.
-    let build = obs
-        .histogram("ting.phase.build_us")
+    let hists = obs.document(&meta).hists;
+    let build = hists
+        .iter()
+        .find(|h| h.name == "ting.phase.build_us")
         .expect("build histogram");
-    assert!(build.count() > 0);
-    assert!(build.quantile(0.5).unwrap() > 0);
+    assert!(build.count > 0);
+    assert!(build.summary.unwrap().p50 > 0);
 }

@@ -1,147 +1,14 @@
-//! Tests for the multi-vantage parallel scanner: the work queue's plan,
-//! backlog and probation probe are held to bit-equality with the
-//! reference planner (defined here, over its own shadow state) across
-//! randomized histories, single-lane scans —
+//! Tests for the multi-vantage parallel scanner: single-lane scans —
 //! `run_round`, and `run_round_parallel` at `K = 1` — are held to the
 //! bytes the blocking sequential engine produced before the engines
 //! merged, and `K = 4` must actually halve the virtual time of a full
 //! all-pairs scan.
 
-use netsim::{NodeId, SimDuration, SimTime};
-use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use netsim::{NodeId, SimTime};
 use ting::checkpoint::crc32;
 use ting::obs::{Obs, ObsConfig};
-use ting::{
-    measure_interleaved, Scanner, ScannerConfig, Ting, TingConfig, UnknownVantage, WorkQueue,
-};
+use ting::{measure_interleaved, Scanner, ScannerConfig, Ting, TingConfig, UnknownVantage};
 use tor_sim::TorNetworkBuilder;
-
-const STALENESS_S: u64 = 1_000;
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
-
-/// The shadow state the reference planner reads: what a history did to
-/// each pair and relay, in plain maps with the scanner's record
-/// semantics.
-#[derive(Default)]
-struct Shadow {
-    /// Pair → last successful measurement (seconds).
-    measured: BTreeMap<(u32, u32), u64>,
-    /// Pair → backoff deadline (seconds) of its pending retry.
-    failed: BTreeMap<(u32, u32), u64>,
-    /// Pairs retired out of scope, for good.
-    retired: BTreeSet<(u32, u32)>,
-    /// Relays currently quarantined.
-    quarantined: BTreeSet<u32>,
-}
-
-/// The executable specification of the scan priority order: one O(n²)
-/// sweep over every pair. Never-measured pairs first in index order,
-/// then stale ones oldest first (ties in index order); pairs out of
-/// scope, touching a quarantined relay, or inside a failure backoff are
-/// withheld.
-fn reference_plan(n: u32, limit: usize, now_s: u64, shadow: &Shadow) -> Vec<(u32, u32)> {
-    let mut unmeasured = Vec::new();
-    let mut stale = Vec::new();
-    for i in 0..n {
-        for j in i + 1..n {
-            let parked = shadow.quarantined.contains(&i) || shadow.quarantined.contains(&j);
-            let backing_off = shadow
-                .failed
-                .get(&(i, j))
-                .is_some_and(|&until| now_s < until);
-            if shadow.retired.contains(&(i, j)) || parked || backing_off {
-                continue;
-            }
-            match shadow.measured.get(&(i, j)) {
-                None => unmeasured.push((i, j)),
-                Some(&at) if now_s.saturating_sub(at) >= STALENESS_S => stale.push((at, (i, j))),
-                Some(_) => {}
-            }
-        }
-    }
-    stale.sort_by_key(|&(at, _)| at);
-    let stale = stale.into_iter().map(|(_, pair)| pair);
-    unmeasured.into_iter().chain(stale).take(limit).collect()
-}
-
-/// The probation probe for quarantined relay `i`: the first pair in
-/// index order that is in scope, touches `i`, and whose other endpoint
-/// is not quarantined.
-fn reference_probe(n: u32, i: u32, shadow: &Shadow) -> Option<(u32, u32)> {
-    (0..n)
-        .filter(|&k| k != i && !shadow.quarantined.contains(&k))
-        .map(|k| if k < i { (k, i) } else { (i, k) })
-        .find(|pair| !shadow.retired.contains(pair))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The queue's plan must be bit-equal to the reference sweep after
-    /// any sequence of measurement successes and failures, scope
-    /// retirements, and relay quarantines and releases, queried at any
-    /// (non-decreasing) instant and round cap; its backlog must be the
-    /// reference's uncapped count, and its probation probe for every
-    /// quarantined relay the reference's.
-    #[test]
-    fn work_queue_plan_matches_reference_plan_round(
-        n in 3u32..8,
-        limit in 1usize..30,
-        events in prop::collection::vec((any::<u16>(), any::<u8>(), 0u64..400), 0..60),
-    ) {
-        let mut queue = WorkQueue::new(n as usize, SimDuration::from_secs(STALENESS_S));
-        let mut shadow = Shadow::default();
-        let mut clock = 0u64;
-        for (sel, kind, dt) in events {
-            clock += dt;
-            let i = (sel as u32) % n;
-            let j = (i + 1 + ((sel as u32) / n) % (n - 1)) % n;
-            let pair = if i < j { (i, j) } else { (j, i) };
-            match kind % 8 {
-                // A success overwrites the timestamp and clears any
-                // backoff — also for a parked or retired pair, whose
-                // record stays current while it is unscheduled.
-                0..=2 => {
-                    queue.on_measured(i, j, t(clock), 1);
-                    shadow.measured.insert(pair, clock);
-                    shadow.failed.remove(&pair);
-                }
-                // A failure sets the backoff and keeps the history.
-                3 | 4 => {
-                    let until = clock + 1 + (kind as u64 / 8 % 7) * 100;
-                    queue.on_failed(i, j, t(until));
-                    shadow.failed.insert(pair, until);
-                }
-                5 => {
-                    queue.retire(i, j);
-                    shadow.retired.insert(pair);
-                }
-                // Quarantine is the health model's to keep; the queue
-                // reads it as the mask below.
-                6 => {
-                    shadow.quarantined.insert(i);
-                }
-                _ => {
-                    shadow.quarantined.remove(&i);
-                }
-            }
-        }
-        let parked: Vec<bool> = (0..n).map(|i| shadow.quarantined.contains(&i)).collect();
-        for now_s in [clock, clock + STALENESS_S / 2, clock + 2 * STALENESS_S + 700] {
-            let plan = queue.plan(t(now_s), limit, &parked);
-            prop_assert_eq!(reference_plan(n, limit, now_s, &shadow), plan);
-            let uncapped = reference_plan(n, usize::MAX, now_s, &shadow).len();
-            prop_assert_eq!(uncapped, queue.backlog(t(now_s), &parked));
-            for &i in &shadow.quarantined {
-                prop_assert_eq!(reference_probe(n, i, &shadow), queue.probe_pair(i, &parked));
-            }
-        }
-    }
-}
 
 /// Runs a 3-round scan over 6 relays on an identically seeded testbed
 /// and returns the full scanner checkpoint (matrix values + timestamps).

@@ -9,12 +9,9 @@ use netsim::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::PathBuf;
-use ting::checkpoint::bak_path;
 use ting::matrix::PairMap;
 use ting::obs::{Obs, ObsConfig};
-use ting::shard::{
-    partition_pairs, shard_path, MergeDelta, ShardStatus, Supervisor, SupervisorConfig,
-};
+use ting::shard::{partition_pairs, MergeDelta, ShardStatus, Supervisor, SupervisorConfig};
 use ting::{RttMatrix, Scanner, ScannerConfig, Ting, TingConfig};
 use tor_sim::TorNetworkBuilder;
 
@@ -79,6 +76,15 @@ fn supervisor_config(shards: usize) -> SupervisorConfig {
 /// A one-shard supervised scan must be bit-identical to the plain
 /// `Scanner` over the same network: same checkpoint bytes, same merged
 /// matrix. Sharding at S = 1 is a pure refactor, not a behavior change.
+/// The round counter a scanner checkpoints.
+fn rounds_run(scanner: &Scanner) -> u64 {
+    let checkpoint = scanner.to_checkpoint();
+    let rounds = checkpoint
+        .lines()
+        .find_map(|l| l.strip_prefix("# rounds: "));
+    rounds.expect("a rounds line").parse().unwrap()
+}
+
 #[test]
 fn one_shard_supervised_scan_is_bit_identical_to_plain_scanner() {
     // Plain run.
@@ -137,7 +143,9 @@ fn kill_and_resume_is_bit_identical_to_uninterrupted_run() {
 
     let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
     let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
-    let mut sup = Supervisor::new(nodes, supervisor_config(4), TingConfig::fast());
+    let obs = Obs::new(ObsConfig::Metrics);
+    let mut sup =
+        Supervisor::with_obs(nodes, supervisor_config(4), TingConfig::fast(), obs.clone());
     for round in 0..rounds {
         if round == 1 {
             // Crash shard 2 between rounds: its driver is gone; it
@@ -148,7 +156,7 @@ fn kill_and_resume_is_bit_identical_to_uninterrupted_run() {
         sup.run_round(&mut net);
     }
     assert_eq!(sup.status(2), ShardStatus::Running);
-    assert_eq!(sup.restarts(2), 1);
+    assert_eq!(obs.counter_value("ting.shard.restarted"), 1);
     let resumed = sup.merge(net.sim.now()).unwrap().to_document();
     assert_eq!(
         resumed, baseline,
@@ -171,7 +179,9 @@ fn killing_every_file_backed_shard_is_bit_identical_to_uninterrupted_run() {
     let dir = checkpoint_dir("kill-all");
     let mut net = TorNetworkBuilder::testbed(41).vantages(2).build();
     let nodes: Vec<NodeId> = net.relays.iter().copied().take(6).collect();
-    let mut sup = Supervisor::new(nodes, supervisor_config(4), TingConfig::fast());
+    let obs = Obs::new(ObsConfig::Metrics);
+    let mut sup =
+        Supervisor::with_obs(nodes, supervisor_config(4), TingConfig::fast(), obs.clone());
     sup.set_checkpoint_dir(&dir);
     for round in 0..rounds {
         if round == 1 {
@@ -183,8 +193,8 @@ fn killing_every_file_backed_shard_is_bit_identical_to_uninterrupted_run() {
     }
     for k in 0..4 {
         assert_eq!(sup.status(k), ShardStatus::Running);
-        assert_eq!(sup.restarts(k), 1);
     }
+    assert_eq!(obs.counter_value("ting.shard.restarted"), 4);
     let resumed = sup.merge(net.sim.now()).unwrap().to_document();
     assert_eq!(
         resumed, baseline,
@@ -320,10 +330,10 @@ fn refused_checkpoint_files_resume_the_kept_scanner() {
     sup.run_round(&mut net);
     sup.run_round(&mut net); // second save promotes a `.bak` generation
     assert_eq!(sup.merge(net.sim.now()).unwrap().coverage(), 1.0);
-    let rounds = sup.scanner(0).unwrap().rounds_run();
+    let rounds = rounds_run(sup.scanner(0).unwrap());
 
-    let path = shard_path(&dir, 0);
-    for file in [path.clone(), bak_path(&path)] {
+    let path = dir.join("shard-0.ckpt");
+    for file in [path.clone(), path.with_extension("ckpt.bak")] {
         assert!(file.exists());
         std::fs::write(&file, "not a checkpoint\n").unwrap();
     }
@@ -333,7 +343,7 @@ fn refused_checkpoint_files_resume_the_kept_scanner() {
     assert_eq!(sup.status(0), ShardStatus::Running);
     assert_eq!(obs.counter_value("ting.shard.restarted"), 1);
     assert_eq!(obs.counter_value("ting.checkpoint.recovered_bak"), 0);
-    assert_eq!(sup.scanner(0).unwrap().rounds_run(), rounds + 1);
+    assert_eq!(rounds_run(sup.scanner(0).unwrap()), rounds + 1);
     let merged = sup.merge(net.sim.now()).unwrap();
     assert_eq!(merged.coverage(), 1.0, "the kept scanner lost nothing");
 
@@ -341,7 +351,7 @@ fn refused_checkpoint_files_resume_the_kept_scanner() {
     std::fs::write(&path, foreign.to_checkpoint()).unwrap();
     sup.inject_crash(0, net.sim.now());
     sup.run_round(&mut net);
-    assert_eq!(sup.scanner(0).unwrap().rounds_run(), rounds + 2);
+    assert_eq!(rounds_run(sup.scanner(0).unwrap()), rounds + 2);
     assert_eq!(sup.merge(net.sim.now()).unwrap().coverage(), 1.0);
 
     std::fs::remove_dir_all(&dir).unwrap();
@@ -363,7 +373,7 @@ fn file_backed_shards_recover_from_bak_generation() {
     sup.run_round(&mut net);
     sup.run_round(&mut net); // second save promotes a `.bak` generation
     for k in 0..2u32 {
-        let path = shard_path(&dir, k);
+        let path = dir.join(format!("shard-{k}.ckpt"));
         assert!(path.exists(), "shard {k} must persist a checkpoint");
         let text = std::fs::read_to_string(&path).unwrap();
         Scanner::from_checkpoint(&text).expect("persisted shard checkpoint must verify");
@@ -371,7 +381,7 @@ fn file_backed_shards_recover_from_bak_generation() {
 
     // Corrupt shard 0's primary on disk; a crash-restart must recover
     // through the `.bak` generation and say so.
-    let path = shard_path(&dir, 0);
+    let path = dir.join("shard-0.ckpt");
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;

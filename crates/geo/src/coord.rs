@@ -27,16 +27,11 @@ impl GeoPoint {
         }
     }
 
-    /// Great-circle distance to `other` in kilometres.
-    pub fn distance_km(&self, other: &GeoPoint) -> f64 {
-        great_circle_km(*self, *other)
-    }
-
     /// Displaces this point by roughly `north_km` north and `east_km`
     /// east. Accurate for the small (tens of km) offsets the geolocation
     /// error model uses; breaks down only at the poles, where latitude is
     /// clamped.
-    pub fn offset_km(&self, north_km: f64, east_km: f64) -> GeoPoint {
+    pub(crate) fn offset_km(&self, north_km: f64, east_km: f64) -> GeoPoint {
         let km_per_deg_lat = EARTH_RADIUS_KM * std::f64::consts::PI / 180.0;
         let lat = self.lat + north_km / km_per_deg_lat;
         let km_per_deg_lon = km_per_deg_lat * self.lat.to_radians().cos().max(0.01);
@@ -58,6 +53,7 @@ pub fn great_circle_km(a: GeoPoint, b: GeoPoint) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const NYC: GeoPoint = GeoPoint {
         lat: 40.7128,
@@ -131,5 +127,21 @@ mod tests {
         let d_direct = great_circle_km(NYC, SYDNEY);
         let via = great_circle_km(NYC, LONDON) + great_circle_km(LONDON, SYDNEY);
         assert!(d_direct <= via + 1e-6);
+    }
+
+    proptest! {
+        #[test]
+        fn offset_roundtrip_small(
+            a in (-90.0..90.0f64, -180.0..180.0f64).prop_map(|(lat, lon)| GeoPoint::new(lat, lon)),
+            n in -50.0..50.0f64,
+            e in -50.0..50.0f64,
+        ) {
+            // Small offsets move the point by at most the Euclidean magnitude
+            // (plus slack for spherical distortion at extreme latitudes).
+            let b = a.offset_km(n, e);
+            let d = great_circle_km(a, b);
+            let mag = (n * n + e * e).sqrt();
+            prop_assert!(d <= mag * 1.5 + 1.0, "moved {d} for offset {mag}");
+        }
     }
 }

@@ -60,18 +60,8 @@ impl GeoDb {
     /// The true location, if known. Ground-truth consumers (the underlay
     /// latency model) use this; experiment code should use
     /// [`GeoDb::estimate`] to mimic what a measurement study can see.
-    pub fn truth(&self, host: usize) -> Option<GeoPoint> {
+    pub(crate) fn truth(&self, host: usize) -> Option<GeoPoint> {
         self.truth.get(host).copied().flatten()
-    }
-
-    /// Number of hosts with known locations.
-    pub fn len(&self) -> usize {
-        self.truth.iter().filter(|t| t.is_some()).count()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// An error-prone location estimate, as the paper's Neustar lookups
@@ -100,6 +90,7 @@ impl GeoDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::great_circle_km;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -117,7 +108,6 @@ mod tests {
         assert_eq!(db.truth(3), Some(p));
         assert_eq!(db.truth(0), None);
         assert_eq!(db.truth(99), None);
-        assert_eq!(db.len(), 1);
     }
 
     #[test]
@@ -142,7 +132,7 @@ mod tests {
         let n = 1000;
         for _ in 0..n {
             let est = db.estimate(0, &mut rng).unwrap();
-            total += p.distance_km(&est);
+            total += great_circle_km(p, est);
         }
         let mean_err = total / n as f64;
         // Mean of |N2(0, σ)| is σ·sqrt(π/2) ≈ 37.6 km.
@@ -162,7 +152,7 @@ mod tests {
         let gross = (0..n)
             .filter(|_| {
                 let est = db.estimate(0, &mut rng).unwrap();
-                p.distance_km(&est) > 100.0
+                great_circle_km(p, est) > 100.0
             })
             .count();
         let frac = gross as f64 / n as f64;

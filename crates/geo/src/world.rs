@@ -28,7 +28,7 @@ pub enum Region {
 impl Region {
     /// Sampling weight approximating the Tor relay population's skew
     /// toward Europe and North America (Tor Metrics, 2015).
-    pub fn tor_weight(self) -> f64 {
+    pub(crate) fn tor_weight(self) -> f64 {
         match self {
             Region::Europe => 0.52,
             Region::NorthAmerica => 0.33,
@@ -183,7 +183,7 @@ impl World {
     }
 
     /// Samples one city with the Tor regional skew.
-    pub fn sample_city<R: Rng + ?Sized>(&self, rng: &mut R) -> City {
+    pub(crate) fn sample_city<R: Rng + ?Sized>(&self, rng: &mut R) -> City {
         // Pick a region by weight, then a uniform city within it.
         let total: f64 = self
             .cities
@@ -228,6 +228,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::great_circle_km;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -281,7 +282,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..100 {
             let (city, loc) = w.sample_location(&mut rng);
-            let d = city.location.distance_km(&loc);
+            let d = great_circle_km(city.location, loc);
             // Corner of the jitter square is sqrt(2) * 25 km away.
             assert!(d <= 25.0 * std::f64::consts::SQRT_2 + 1.0, "d {d}");
         }

@@ -52,14 +52,4 @@ proptest! {
         let c = classify_hostname(&s);
         prop_assert!(matches!(c, HostClass::Residential | HostClass::Datacenter | HostClass::Unknown));
     }
-
-    #[test]
-    fn offset_roundtrip_small(a in point(), n in -50.0..50.0f64, e in -50.0..50.0f64) {
-        // Small offsets move the point by at most the Euclidean magnitude
-        // (plus slack for spherical distortion at extreme latitudes).
-        let b = a.offset_km(n, e);
-        let d = great_circle_km(a, b);
-        let mag = (n * n + e * e).sqrt();
-        prop_assert!(d <= mag * 1.5 + 1.0, "moved {d} for offset {mag}");
-    }
 }

@@ -82,16 +82,8 @@ impl EventQueue {
     }
 
     /// Timestamp of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -143,7 +135,6 @@ mod tests {
         q.schedule(SimTime(9), timer(0, 0));
         q.schedule(SimTime(4), timer(0, 1));
         assert_eq!(q.peek_time(), Some(SimTime(4)));
-        assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
+        assert_eq!(q.heap.len(), 2);
     }
 }

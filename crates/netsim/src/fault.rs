@@ -13,7 +13,7 @@
 //!   simulator's run RNG. Two runs with the same seed, plan, and call
 //!   sequence inject byte-identical faults.
 //! * **Strict no-op when disabled.** If every rate is zero and there are
-//!   no crash windows, [`FaultPlan::is_enabled`] is false and the
+//!   no crash windows, `FaultPlan::is_enabled` is false and the
 //!   simulator takes the exact pre-fault code path: no draws, no state
 //!   changes, bit-identical event streams and estimates.
 //! * **Never wall-clock.** Everything is keyed on [`SimTime`].
@@ -54,7 +54,7 @@ pub struct CrashWindow {
 }
 
 impl CrashWindow {
-    pub fn covers(&self, node: NodeId, t: SimTime) -> bool {
+    pub(crate) fn covers(&self, node: NodeId, t: SimTime) -> bool {
         self.node == node && t >= self.from && self.until.is_none_or(|u| t < u)
     }
 }
@@ -122,15 +122,11 @@ impl FaultPlan {
         self.crash_windows.retain(|w| w.node != node);
     }
 
-    pub fn crash_windows(&self) -> &[CrashWindow] {
-        &self.crash_windows
-    }
-
     /// True when the plan can inject anything at all. The simulator
     /// checks this before every fault hook, so a disabled plan is a
     /// strict no-op: no draws happen and event streams are bit-identical
     /// to a build without fault support.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.link_loss_prob > 0.0
             || (self.jitter_spike_prob > 0.0 && self.jitter_spike_mean_ms > 0.0)
             || (self.stall_prob > 0.0 && self.stall_ms > 0.0)

@@ -66,13 +66,13 @@ impl SimTime {
         self.0 as f64 / 1_000_000.0
     }
 
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
     /// Hours since simulation start, fractional. The diurnal load model
     /// keys off this.
-    pub fn as_hours_f64(self) -> f64 {
+    pub(crate) fn as_hours_f64(self) -> f64 {
         self.as_secs_f64() / 3600.0
     }
 

@@ -58,7 +58,7 @@ pub struct ProtocolPolicy {
 
 impl ProtocolPolicy {
     /// No discrimination.
-    pub fn neutral() -> ProtocolPolicy {
+    pub(crate) fn neutral() -> ProtocolPolicy {
         ProtocolPolicy::default()
     }
 
@@ -361,16 +361,6 @@ impl Underlay {
         self.nodes.len()
     }
 
-    /// The deterministic inflation factor for an AS pair.
-    pub fn inflation(&mut self, a: AsId, b: AsId) -> f64 {
-        self.route_properties(a, b).0
-    }
-
-    /// The deterministic fixed peering overhead (ms) for an AS pair.
-    pub fn peering_ms(&mut self, a: AsId, b: AsId) -> f64 {
-        self.route_properties(a, b).1
-    }
-
     /// `(inflation, peering_ms)` for an AS pair, drawn once per pair
     /// from an RNG keyed on (seed, pair) — deterministic and
     /// order-independent.
@@ -420,7 +410,7 @@ impl Underlay {
     /// The *base* one-way latency (ms) between two nodes for `class`:
     /// propagation + access + policy, with no jitter. This is the floor
     /// that minima of repeated measurements converge to.
-    pub fn base_owd_ms(&mut self, from: usize, to: usize, class: TrafficClass) -> f64 {
+    pub(crate) fn base_owd_ms(&mut self, from: usize, to: usize, class: TrafficClass) -> f64 {
         if from == to {
             return self.config.loopback_ms;
         }
@@ -456,7 +446,7 @@ impl Underlay {
     /// deterministic value that steps to a fresh uniform draw each
     /// epoch. Affects every protocol equally (it is path congestion),
     /// so probes taken at the same time still cancel it.
-    pub fn drift_ms(&mut self, from: usize, to: usize, t: SimTime) -> f64 {
+    pub(crate) fn drift_ms(&mut self, from: usize, to: usize, t: SimTime) -> f64 {
         if self.config.drift_ms == 0.0 && self.config.drift_rel == 0.0 {
             return 0.0;
         }
@@ -507,7 +497,7 @@ impl Underlay {
     }
 
     /// Samples one packet's one-way delay (ms) at time `t`.
-    pub fn sample_owd_ms<R: Rng + ?Sized>(
+    pub(crate) fn sample_owd_ms<R: Rng + ?Sized>(
         &mut self,
         from: usize,
         to: usize,
@@ -545,7 +535,7 @@ impl Underlay {
 
     /// One synthetic ICMP ping RTT sample (ms) at time `t` — the tool the
     /// paper's ground truth and the strawman both rely on.
-    pub fn ping_rtt_ms<R: Rng + ?Sized>(
+    pub(crate) fn ping_rtt_ms<R: Rng + ?Sized>(
         &mut self,
         a: usize,
         b: usize,
@@ -557,7 +547,7 @@ impl Underlay {
     }
 
     /// One TCP-probe RTT sample (ms) at `t` (tcptraceroute in §4.3).
-    pub fn tcp_rtt_ms<R: Rng + ?Sized>(
+    pub(crate) fn tcp_rtt_ms<R: Rng + ?Sized>(
         &mut self,
         a: usize,
         b: usize,
@@ -573,6 +563,7 @@ impl Underlay {
 mod tests {
     use super::*;
     use geo::World;
+    use proptest::prelude::*;
 
     fn two_as_underlay() -> (Underlay, usize, usize) {
         let world = World::new();
@@ -599,13 +590,13 @@ mod tests {
     #[test]
     fn inflation_is_deterministic_and_symmetric() {
         let (mut u, _, _) = two_as_underlay();
-        let f1 = u.inflation(AsId(0), AsId(1));
-        let f2 = u.inflation(AsId(1), AsId(0));
+        let f1 = u.route_properties(AsId(0), AsId(1)).0;
+        let f2 = u.route_properties(AsId(1), AsId(0)).0;
         assert_eq!(f1, f2);
         assert!((1.15..=3.0).contains(&f1), "inflation {f1}");
         // Rebuilding with the same seed gives the same draw.
         let (mut u2, _, _) = two_as_underlay();
-        assert_eq!(u2.inflation(AsId(0), AsId(1)), f1);
+        assert_eq!(u2.route_properties(AsId(0), AsId(1)).0, f1);
     }
 
     #[test]
@@ -973,5 +964,92 @@ mod tests {
             access_delay_ms: 1.0,
             ip: [1, 2, 3, 4],
         });
+    }
+
+    /// Builds an underlay of `n_as` ASes (one node each) with seed `seed`.
+    fn build(n_as: usize, seed: u64) -> Underlay {
+        let world = World::new();
+        let mut u = Underlay::new(UnderlayConfig::default(), seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xdead);
+        for (i, city) in world.cities().iter().cycle().take(n_as).enumerate() {
+            let a = u.add_as(AsProfile::datacenter(city.name, city.location));
+            u.add_node_in(a, city.location, [10, (i >> 8) as u8, i as u8, 1], &mut rng);
+        }
+        u
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn base_latency_symmetric(seed in 0u64..1000, n in 2usize..12) {
+            let mut u = build(n, seed);
+            for a in 0..n {
+                for b in 0..n {
+                    let ab = u.base_owd_ms(a, b, TrafficClass::Tcp);
+                    let ba = u.base_owd_ms(b, a, TrafficClass::Tcp);
+                    prop_assert!((ab - ba).abs() < 1e-9, "asymmetric {ab} vs {ba}");
+                }
+            }
+        }
+
+        #[test]
+        fn base_latency_deterministic(seed in 0u64..1000) {
+            let mut u1 = build(6, seed);
+            let mut u2 = build(6, seed);
+            for a in 0..6 {
+                for b in 0..6 {
+                    prop_assert_eq!(
+                        u1.base_owd_ms(a, b, TrafficClass::Tor),
+                        u2.base_owd_ms(a, b, TrafficClass::Tor)
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn base_latency_respects_lightspeed(seed in 0u64..1000, n in 2usize..10) {
+            let mut u = build(n, seed);
+            for a in 0..n {
+                for b in 0..n {
+                    if a == b { continue; }
+                    let owd = u.base_owd_ms(a, b, TrafficClass::Tcp);
+                    let na = u.node(a).location;
+                    let nb = u.node(b).location;
+                    let floor = geo::min_rtt_ms(geo::great_circle_km(na, nb)) / 2.0;
+                    prop_assert!(owd + 1e-9 >= floor, "owd {owd} beats light {floor}");
+                }
+            }
+        }
+
+        #[test]
+        fn samples_dominate_base(seed in 0u64..500) {
+            let mut u = build(4, seed);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for a in 0..4 {
+                for b in 0..4 {
+                    let base = u.base_owd_ms(a, b, TrafficClass::Tor);
+                    for k in 0..20 {
+                        let t = SimTime(k * 1_000_000_000);
+                        let s = u.sample_owd_ms(a, b, TrafficClass::Tor, t, &mut rng);
+                        prop_assert!(s >= base - 1e-9);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn inflation_within_configured_bounds(seed in 0u64..1000, n in 2usize..10) {
+            let mut u = build(n, seed);
+            let cfg = UnderlayConfig::default();
+            for a in 0..n as u16 {
+                for b in 0..n as u16 {
+                    if a == b { continue; }
+                    let f = u.route_properties(AsId(a), AsId(b)).0;
+                    prop_assert!(f >= cfg.inter_as_inflation_min - 1e-9);
+                    prop_assert!(f <= cfg.inter_as_inflation_max.max(cfg.bad_route_inflation) + 1e-9);
+                }
+            }
+        }
     }
 }

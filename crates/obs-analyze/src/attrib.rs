@@ -15,8 +15,8 @@
 //! ranking out.) Note what the subtraction cancels: the relay's
 //! constant crypto cost rides in every probe — fastest included — so it
 //! lands in the floor alongside propagation, and `F̂_i` recovers the
-//! *queueing* excess (`tor_sim::RelayConfig::expected_queueing_ms` in
-//! the simulator), not the full `base + queueing` mean. The simulator
+//! *queueing* excess (`busy_prob · busy_mean_ms` of the simulator's
+//! `tor_sim::RelayConfig`), not the full `base + queueing` mean. The simulator
 //! knows each relay's true configuration, and a test holds the rank
 //! correlation between `F̂_i` and that ground truth.
 //!

@@ -22,7 +22,7 @@ pub enum Json {
 impl Json {
     /// The object's fields, or an error naming `what` when it is not
     /// an object.
-    pub fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
+    pub(crate) fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
         match self {
             Json::Obj(fields) => Ok(fields),
             other => Err(format!("{what}: expected object, got {}", other.kind())),
@@ -30,7 +30,7 @@ impl Json {
     }
 
     /// The value as a `u64`, or an error naming `what`.
-    pub fn as_u64(&self, what: &str) -> Result<u64, String> {
+    pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
         match self {
             Json::Num(raw) => raw
                 .parse::<u64>()
@@ -40,7 +40,7 @@ impl Json {
     }
 
     /// The value as a string, or an error naming `what`.
-    pub fn as_str(&self, what: &str) -> Result<&str, String> {
+    pub(crate) fn as_str(&self, what: &str) -> Result<&str, String> {
         match self {
             Json::Str(s) => Ok(s),
             other => Err(format!("{what}: expected string, got {}", other.kind())),
@@ -61,7 +61,7 @@ impl Json {
 
 /// Parses exactly one JSON value spanning the whole input (surrounding
 /// whitespace allowed, trailing garbage is an error).
-pub fn parse(input: &str) -> Result<Json, String> {
+pub(crate) fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         chars: input.chars().collect(),
         pos: 0,

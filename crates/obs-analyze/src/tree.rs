@@ -235,7 +235,7 @@ pub fn build(doc: &Document) -> Result<Trace, String> {
 /// covers `[t0, t_build]`, stream `(t_build, t_stream]`, sampling the
 /// rest. A phase that never completed (the attempt failed inside it)
 /// absorbs the remainder, so the three parts always sum to `t1 − t0`.
-pub fn circuit_self_times(c: &CircuitNode) -> [u64; 3] {
+pub(crate) fn circuit_self_times(c: &CircuitNode) -> [u64; 3] {
     let t_build = c
         .phases
         .iter()

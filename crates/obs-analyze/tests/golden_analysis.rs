@@ -189,7 +189,7 @@ fn traced_testbed_scan(seed: u64) -> (String, Vec<(u32, f64, f64)>) {
         .map(|(n, cfg)| {
             (
                 n.0,
-                cfg.expected_queueing_ms(),
+                cfg.busy_prob * cfg.busy_mean_ms,
                 cfg.expected_forwarding_ms(),
             )
         })

@@ -83,7 +83,7 @@ fn traced_audit_run(tag: &str) -> String {
     p.tick(net.sim.now()).unwrap();
     assert_eq!(p.state(), ServingState::Fresh);
 
-    let newest = p.reader().snapshot().freshness_ns().unwrap();
+    let newest = p.reader().snapshot().meta().newest_ns.unwrap();
     p.tick(SimTime(newest + SimDuration::from_hours(1).as_nanos()))
         .unwrap();
     assert_eq!(p.state(), ServingState::Stale);

@@ -93,7 +93,7 @@ fn traced_pipeline_run(tag: &str) -> String {
     // hard boundary (→ `Degraded`) — transitions without traffic. The
     // off-ladder judgments burn the 99% staleness budget, so
     // `slo.breach.begin` fires on the way down.
-    let newest = p.reader().snapshot().freshness_ns().unwrap();
+    let newest = p.reader().snapshot().meta().newest_ns.unwrap();
     p.tick(SimTime(newest + SimDuration::from_hours(1).as_nanos()))
         .unwrap();
     assert_eq!(p.state(), ServingState::Stale);

@@ -7,9 +7,8 @@
 //! slip through.
 
 use netsim::{NodeId, SimDuration};
-use ting::checkpoint::bak_path;
 use ting::obs::{config_hash, names, ExportMeta, Obs, ObsConfig};
-use ting::shard::{shard_path, ShardStatus, Supervisor, SupervisorConfig};
+use ting::shard::{ShardStatus, Supervisor, SupervisorConfig};
 use ting::{ScannerConfig, TingConfig};
 use tor_sim::TorNetworkBuilder;
 
@@ -51,7 +50,7 @@ fn traced_supervised_scan(tag: &str) -> String {
 
     // Corrupt shard 0's on-disk primary only: the crash-restart
     // recovers through `.bak` (`scan.recover.bak`).
-    let path = shard_path(&dir, 0);
+    let path = dir.join("shard-0.ckpt");
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
@@ -61,8 +60,8 @@ fn traced_supervised_scan(tag: &str) -> String {
 
     // Overwrite both of shard 1's generations on disk: the restart
     // resumes the scanner the supervisor kept across the crash.
-    let path = shard_path(&dir, 1);
-    for file in [path.clone(), bak_path(&path)] {
+    let path = dir.join("shard-1.ckpt");
+    for file in [path.clone(), path.with_extension("ckpt.bak")] {
         std::fs::write(file, "not a checkpoint\n").unwrap();
     }
     sup.inject_crash(1, net.sim.now());

@@ -9,13 +9,8 @@
 //! `2^-g` everywhere. With the default `g = 5` that is ~3% — more than
 //! enough to read a p99 off a phase-latency distribution.
 //!
-//! Counts live in a sparse `BTreeMap<bucket index, u64>`, so merging
-//! two histograms is **exact** integer addition — no re-sampling, no
-//! floating point. That is the property the parallel scanner needs:
-//! per-vantage histograms merge into a campaign histogram that is
-//! bit-identical to having recorded every value into one histogram in
-//! any order (merge is associative and commutative; a property test
-//! holds it to that).
+//! Counts live in a sparse `BTreeMap<bucket index, u64>`, so the
+//! exported buckets come out in value order.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +29,6 @@ pub struct LogHistogram {
     /// Exact extrema (`min > max` ⇔ empty).
     min: u64,
     max: u64,
-    sum: u128,
 }
 
 impl Default for LogHistogram {
@@ -46,7 +40,7 @@ impl Default for LogHistogram {
 impl LogHistogram {
     /// Creates an empty histogram with `grouping_bits` sub-bucket bits
     /// (relative error ≤ `2^-grouping_bits`). Panics outside `1..=16`.
-    pub fn new(grouping_bits: u32) -> LogHistogram {
+    pub(crate) fn new(grouping_bits: u32) -> LogHistogram {
         assert!(
             (1..=16).contains(&grouping_bits),
             "grouping_bits {grouping_bits} outside 1..=16"
@@ -57,16 +51,11 @@ impl LogHistogram {
             total: 0,
             min: u64::MAX,
             max: 0,
-            sum: 0,
         }
     }
 
-    pub fn grouping_bits(&self) -> u32 {
-        self.grouping_bits
-    }
-
     /// The bucket index covering `v`.
-    pub fn index_of(&self, v: u64) -> u32 {
+    pub(crate) fn index_of(&self, v: u64) -> u32 {
         let g = self.grouping_bits;
         let sub = 1u64 << g;
         if v < 2 * sub {
@@ -79,7 +68,7 @@ impl LogHistogram {
     }
 
     /// The inclusive `[lo, hi]` value range of bucket `index`.
-    pub fn bucket_bounds(&self, index: u32) -> (u64, u64) {
+    pub(crate) fn bucket_bounds(&self, index: u32) -> (u64, u64) {
         let g = self.grouping_bits;
         let sub = 1u64 << g;
         if u64::from(index) < 2 * sub {
@@ -96,12 +85,12 @@ impl LogHistogram {
     }
 
     /// Records one observation of `v`.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.record_n(v, 1);
     }
 
     /// Records `n` observations of `v`.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -109,39 +98,28 @@ impl LogHistogram {
         self.total += n;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.sum += u128::from(v) * u128::from(n);
     }
 
     /// Total observations recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.total
     }
 
     /// Exact minimum recorded value.
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.total > 0).then_some(self.min)
     }
 
     /// Exact maximum recorded value.
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.total > 0).then_some(self.max)
-    }
-
-    /// Exact sum of recorded values.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Exact mean of recorded values (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.sum as f64 / self.total as f64)
     }
 
     /// The nearest-rank `q`-quantile, reported as the upper bound of
     /// the bucket holding that rank, clamped to the recorded extrema
     /// (so `quantile(0.0..=1.0)` always lies in `[min, max]` and is
     /// monotone in `q`). `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         if self.total == 0 {
             return None;
         }
@@ -156,25 +134,8 @@ impl LogHistogram {
         unreachable!("rank {rank} beyond total {}", self.total)
     }
 
-    /// Merges `other` into `self` by exact integer bucket addition.
-    /// Panics when the grouping bits differ (the bucket grids would
-    /// not line up).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(
-            self.grouping_bits, other.grouping_bits,
-            "merging histograms with different grouping bits"
-        );
-        for (&idx, &n) in &other.counts {
-            *self.counts.entry(idx).or_insert(0) += n;
-        }
-        self.total += other.total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-    }
-
     /// Occupied buckets in value order, as `(lo, hi, count)`.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.counts.iter().map(|(&idx, &n)| {
             let (lo, hi) = self.bucket_bounds(idx);
             (lo, hi, n)
@@ -185,6 +146,16 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ms_to_us;
+    use proptest::prelude::*;
+
+    fn hist_of(grouping_bits: u32, values: &[u64]) -> LogHistogram {
+        let mut h = LogHistogram::new(grouping_bits);
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
 
     #[test]
     fn exact_region_is_exact() {
@@ -250,7 +221,6 @@ mod tests {
         assert!((980..=1000).contains(&p99), "p99 {p99}");
         assert_eq!(h.quantile(0.0), Some(1));
         assert_eq!(h.quantile(1.0), Some(1000));
-        assert_eq!(h.mean(), Some(500.5));
     }
 
     #[test]
@@ -260,30 +230,56 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.mean(), None);
     }
 
-    #[test]
-    fn merge_is_exact() {
-        let mut a = LogHistogram::new(5);
-        let mut b = LogHistogram::new(5);
-        let mut whole = LogHistogram::new(5);
-        for v in [3u64, 77, 1024, 5, 999_999] {
-            a.record(v);
-            whole.record(v);
+    proptest! {
+        #[test]
+        fn bucket_bounds_bracket_recorded_values(v in any::<u64>(), g in 1u32..=16) {
+            let h = LogHistogram::new(g);
+            let (lo, hi) = h.bucket_bounds(h.index_of(v));
+            prop_assert!(lo <= v && v <= hi, "{} outside [{}, {}]", v, lo, hi);
+            // Relative error bound: bucket width ≤ 2^-g · lo.
+            prop_assert!(hi - lo <= lo >> g, "bucket [{}, {}] too wide for g={}", lo, hi, g);
         }
-        for v in [4u64, 77, 2048] {
-            b.record(v);
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
 
-    #[test]
-    #[should_panic(expected = "different grouping bits")]
-    fn merge_rejects_mismatched_grids() {
-        let mut a = LogHistogram::new(5);
-        a.merge(&LogHistogram::new(6));
+        #[test]
+        fn quantiles_are_monotone_and_bracketed(
+            values in proptest::collection::vec(any::<u64>(), 1..80),
+            qs in proptest::collection::vec(0.0f64..1.0, 2..8),
+            g in 1u32..=10,
+        ) {
+            let h = hist_of(g, &values);
+            let mut sorted_qs = qs;
+            sorted_qs.push(1.0); // always exercise the endpoint
+            sorted_qs.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            let mut last = None;
+            for &q in &sorted_qs {
+                let quantile = h.quantile(q).unwrap();
+                prop_assert!(quantile >= h.min().unwrap() && quantile <= h.max().unwrap());
+                if let Some(prev) = last {
+                    prop_assert!(quantile >= prev, "quantile({}) = {} < {}", q, quantile, prev);
+                }
+                last = Some(quantile);
+            }
+        }
+
+        /// Any bit pattern — NaN, ±∞, subnormals, negatives — converts
+        /// without panicking, and garbage lands on the deterministic
+        /// clamp values.
+        #[test]
+        fn ms_to_us_total_on_all_bit_patterns(bits in any::<u64>()) {
+            let ms = f64::from_bits(bits);
+            let us = ms_to_us(ms);
+            if ms.is_nan() || ms <= 0.0 {
+                prop_assert_eq!(us, 0);
+            } else if ms >= 2e16 {
+                // 2e16 ms = 2e19 µs > u64::MAX µs: must saturate high.
+                prop_assert_eq!(us, u64::MAX);
+            }
+            // Recording the result must never panic either.
+            let mut h = LogHistogram::new(5);
+            h.record(us);
+            prop_assert_eq!(h.count(), 1);
+        }
     }
 }

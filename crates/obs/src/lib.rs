@@ -7,7 +7,7 @@
 //! alongside each crate. Three ideas:
 //!
 //! - **A registry** of named monotone counters, gauges, and
-//!   log-bucketed latency histograms ([`hist::LogHistogram`]) behind a
+//!   log-bucketed latency histograms (`hist::LogHistogram`) behind a
 //!   cheap clonable [`Obs`] handle. Hot paths pre-resolve [`Counter`]
 //!   and [`Hist`] handles once so the per-event cost is a null check
 //!   and a `Cell` bump, not a map lookup.
@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod export;
-pub mod hist;
+mod hist;
 pub mod lineage;
 pub mod names;
 pub mod slo;
@@ -38,7 +38,7 @@ pub use export::{
     config_hash, fnv1a64, mode_name, Document, EventRecord, ExportMeta, HistRecord, HistSummary,
     FORMAT,
 };
-pub use hist::LogHistogram;
+use hist::LogHistogram;
 pub use lineage::{Lineage, Origin};
 pub use slo::{SloEngine, SloSpec, SloTotals, WindowSpec};
 
@@ -248,13 +248,6 @@ impl Obs {
         }
     }
 
-    /// One-shot histogram record by name — fine off the hot path.
-    pub fn record_ms(&self, name: &str, ms: f64) {
-        if self.inner.is_some() {
-            self.hist_handle(name).record_ms(ms);
-        }
-    }
-
     /// Appends an event to the trace log. `fields` runs only under
     /// [`ObsConfig::Trace`], so with tracing off a call site costs one
     /// branch and builds nothing.
@@ -332,13 +325,6 @@ impl Obs {
             .unwrap_or_default()
     }
 
-    /// A copy of a named histogram, when it exists.
-    pub fn histogram(&self, name: &str) -> Option<LogHistogram> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.hists.borrow().get(name).map(|h| h.borrow().clone()))
-    }
-
     /// A copy of the event log so far.
     pub fn events(&self) -> Vec<Event> {
         self.inner
@@ -379,8 +365,14 @@ mod tests {
         let c = obs.counter_handle("x");
         c.inc();
         assert_eq!(obs.counter_value("x"), 0);
-        obs.record_ms("h", 3.5);
-        assert!(obs.histogram("h").is_none());
+        obs.hist_handle("h").record_ms(3.5);
+        assert!(obs
+            .document(&ExportMeta {
+                seed: 0,
+                config_hash: 0
+            })
+            .hists
+            .is_empty());
         obs.event("e", 1, Vec::new);
         assert!(obs.events().is_empty());
         assert!(!Obs::new(ObsConfig::Off).is_enabled());
@@ -396,8 +388,16 @@ mod tests {
         c.add(2);
         obs.inc("ting.retry");
         assert_eq!(obs.counter_value("ting.retry"), 4);
-        obs.record_ms("phase.build", 2.0);
-        assert_eq!(obs.histogram("phase.build").unwrap().count(), 1);
+        obs.hist_handle("phase.build").record_ms(2.0);
+        assert_eq!(
+            obs.document(&ExportMeta {
+                seed: 0,
+                config_hash: 0
+            })
+            .hists[0]
+                .count,
+            1
+        );
         obs.event("ignored", 5, Vec::new);
         assert!(obs.events().is_empty());
     }
@@ -432,7 +432,7 @@ mod tests {
             obs.inc("b.counter");
             obs.inc("a.counter");
             obs.set_gauge("g", -4);
-            obs.record_ms("lat", 1.25);
+            obs.hist_handle("lat").record_ms(1.25);
             obs.event("e", 7, || vec![("k", Value::Str("v\"x".into()))]);
             obs.export_jsonl(&ExportMeta {
                 seed: 2015,

@@ -84,14 +84,6 @@ impl ChaCha20 {
         }
     }
 
-    /// Produces `len` raw keystream bytes (used for key derivation in
-    /// tests and for padding generation).
-    pub fn keystream(&mut self, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        self.apply_keystream(&mut out);
-        out
-    }
-
     fn refill(&mut self) {
         keystream_batch(&self.key, self.counter, &self.nonce, &mut self.batch);
         self.counter = self.counter.wrapping_add(LANES as u32);
@@ -220,6 +212,19 @@ mod reference {
 mod tests {
     use super::*;
     use crate::sha256::hex;
+
+    /// `len` raw keystream bytes.
+    trait Keystream {
+        fn keystream(&mut self, len: usize) -> Vec<u8>;
+    }
+
+    impl Keystream for ChaCha20 {
+        fn keystream(&mut self, len: usize) -> Vec<u8> {
+            let mut out = vec![0u8; len];
+            self.apply_keystream(&mut out);
+            out
+        }
+    }
 
     #[test]
     fn rfc8439_quarter_round_vector() {

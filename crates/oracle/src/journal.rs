@@ -11,7 +11,7 @@
 //!   kill mid-append leaves a torn tail that recovery cuts off.
 //! * **`oracle.published`** — the last served generation, an
 //!   outer-sealed wrapper around the same document, replaced with
-//!   [`ting::checkpoint::write_atomic`] (tmp + fsync + rename + dir
+//!   [`ting::checkpoint::write_atomic_parts`] (tmp + fsync + rename + dir
 //!   fsync). After the swap the journal is truncated; a kill between
 //!   swap and truncate leaves a record whose generation equals the
 //!   published one, which recovery recognizes as already applied.
@@ -74,7 +74,7 @@ impl Journal {
         self.dir.join(JOURNAL_FILE)
     }
 
-    pub fn published_path(&self) -> PathBuf {
+    pub(crate) fn published_path(&self) -> PathBuf {
         self.dir.join(PUBLISHED_FILE)
     }
 

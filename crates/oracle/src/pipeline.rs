@@ -687,10 +687,20 @@ mod tests {
         p.offer(sized(5, 2));
         assert_eq!(p.tick(SimTime(5)).unwrap(), Some(4));
 
-        let h = obs.histogram("oracle.pipeline.batch_pairs").unwrap();
-        assert_eq!(h.count(), obs.counter_value("oracle.pipeline.published"));
-        assert_eq!((h.count(), h.min(), h.max()), (3, Some(1), Some(6)));
-        assert_eq!(h.quantile(0.5), Some(2), "the batches were 1, 6, 2");
+        let meta = obs::ExportMeta {
+            seed: 0,
+            config_hash: 0,
+        };
+        let doc = obs.document(&meta);
+        let h = doc
+            .hists
+            .iter()
+            .find(|h| h.name == "oracle.pipeline.batch_pairs");
+        let h = h.unwrap();
+        assert_eq!(h.count, obs.counter_value("oracle.pipeline.published"));
+        let s = h.summary.unwrap();
+        assert_eq!((h.count, s.min, s.max), (3, 1, 6));
+        assert_eq!(s.p50, 2, "the batches were 1, 6, 2");
         assert_eq!(obs.counter_value("oracle.pipeline.deltas"), 5);
         assert_eq!(obs.counter_value("oracle.pipeline.coalesced"), 1);
     }

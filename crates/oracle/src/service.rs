@@ -70,7 +70,7 @@ impl Oracle {
     }
 
     /// Creates a service with metrics/trace wired to `obs`.
-    pub fn with_obs(mut initial: Snapshot, obs: Obs) -> Oracle {
+    pub(crate) fn with_obs(mut initial: Snapshot, obs: Obs) -> Oracle {
         initial.stamp_version(1);
         let at = initial.meta().now_ns;
         let cell = Cell {
@@ -90,14 +90,6 @@ impl Oracle {
         };
         oracle.note_swap(at);
         oracle
-    }
-
-    /// Publishes a fresher generation: stamps the next version and
-    /// swaps it in. Readers already holding the previous `Arc` are
-    /// untouched; new reads see the new generation. Returns the
-    /// published version.
-    pub fn publish(&mut self, snapshot: Snapshot) -> u64 {
-        self.publish_versioned(snapshot, self.version + 1)
     }
 
     /// Publishes under an explicit version number, under the judgment
@@ -178,12 +170,12 @@ impl Oracle {
     }
 
     /// The currently served generation.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
+    pub(crate) fn snapshot(&self) -> Arc<Snapshot> {
         self.reader.snapshot()
     }
 
     /// The latest published version.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
@@ -301,7 +293,7 @@ mod tests {
         assert_eq!(oracle.version(), 1);
         let a = oracle.reader().rtt(NodeId(0), NodeId(1)).unwrap();
         assert_eq!((a.rtt_ms, a.snapshot_version), (Some(5.0), 1));
-        assert_eq!(oracle.publish(snap(6.0)), 2);
+        assert_eq!(oracle.publish_versioned(snap(6.0), 2), 2);
         let a = oracle.reader().rtt(NodeId(0), NodeId(1)).unwrap();
         assert_eq!((a.rtt_ms, a.snapshot_version), (Some(6.0), 2));
     }
@@ -310,7 +302,7 @@ mod tests {
     fn held_snapshot_survives_a_publish() {
         let mut oracle = Oracle::new(snap(5.0));
         let held = oracle.snapshot();
-        oracle.publish(snap(6.0));
+        oracle.publish_versioned(snap(6.0), 2);
         assert_eq!(held.rtt(NodeId(0), NodeId(1)).unwrap().rtt_ms, Some(5.0));
         assert_eq!(
             oracle.snapshot().rtt(NodeId(0), NodeId(1)).unwrap().rtt_ms,
@@ -326,7 +318,7 @@ mod tests {
         // them moves gauges but must not enter the virtual-time event
         // log (a t=0 record would run a live trace's clock backwards).
         let mut oracle = Oracle::with_obs(snap(5.0), obs.clone());
-        oracle.publish(snap(6.0));
+        oracle.publish_versioned(snap(6.0), 2);
         let swaps = |obs: &Obs| {
             obs.events()
                 .into_iter()
@@ -337,7 +329,7 @@ mod tests {
 
         let mut merged = MergeOutcome::new(vec![NodeId(0), NodeId(1)], 1);
         merged.judge_coverage(netsim::SimTime(10_000), netsim::SimDuration::ZERO);
-        oracle.publish(Snapshot::from_merged(&merged));
+        oracle.publish_versioned(Snapshot::from_merged(&merged), 3);
         assert_eq!(swaps(&obs), 1, "a timestamped publish is traced");
     }
 }

@@ -140,17 +140,6 @@ pub struct DetourAnswer {
     pub snapshot_version: u64,
 }
 
-impl DetourAnswer {
-    /// Relative saving in percent (Fig. 14's x-axis); 0 when no
-    /// improvement or no measured direct path to compare against.
-    pub fn savings_percent(&self) -> f64 {
-        match (&self.via, self.direct_ms) {
-            (Some(v), Some(d)) if v.rtt_ms < d => (1.0 - v.rtt_ms / d) * 100.0,
-            _ => 0.0,
-        }
-    }
-}
-
 /// Cells `k_nearest` tests for "nothing measured" at once.
 const LANES: usize = 8;
 
@@ -201,11 +190,6 @@ impl Snapshot {
         }
     }
 
-    /// Loads the [`RttMatrix::to_tsv`] cache format (§4.6).
-    pub fn from_tsv(text: &str) -> Result<Snapshot, String> {
-        Ok(Snapshot::from_matrix(&RttMatrix::from_tsv(text)?))
-    }
-
     /// Loads a CRC-sealed merged shard checkpoint document — the
     /// richest source: per-pair timestamps, lineage and the merge
     /// instant all survive into the snapshot.
@@ -216,7 +200,7 @@ impl Snapshot {
     /// The snapshot of a merged dataset in hand: one pass over its
     /// index-space rows fills the instant and lineage tables and counts
     /// the measured pairs.
-    pub fn from_merged(merged: &MergeOutcome) -> Snapshot {
+    pub(crate) fn from_merged(merged: &MergeOutcome) -> Snapshot {
         let n = merged.matrix.len();
         let mut instants = vec![NO_TIMESTAMP; n * n];
         let mut lineage = None;
@@ -268,7 +252,7 @@ impl Snapshot {
     /// level TTL policy judges. Tied to the *data*, not the publish:
     /// republishing unchanged pairs (a status-only generation) does
     /// not move it. `None` for sources without timestamps.
-    pub fn freshness_ns(&self) -> Option<u64> {
+    pub(crate) fn freshness_ns(&self) -> Option<u64> {
         self.meta.newest_ns
     }
 
@@ -566,6 +550,23 @@ mod tests {
         let near = s.k_nearest(NodeId(5), 2).unwrap().neighbors;
         assert_eq!(near[0].node, NodeId(6));
         assert_eq!(near[1].node, NodeId(7));
+        // The two zeros tie only under `partial_cmp`: −0 ranks first,
+        // whatever its index.
+        m.set(NodeId(5), NodeId(6), 0.0);
+        m.set(NodeId(5), NodeId(7), -0.0);
+        let s = Snapshot::from_matrix(&m);
+        let near = s.k_nearest(NodeId(5), 2).unwrap().neighbors;
+        assert_eq!(near[0].node, NodeId(7));
+        // Forty ties for ten places: the selection and the sort are
+        // unstable, so only the tie-break keeps index order.
+        let nodes: Vec<NodeId> = (0..41).map(NodeId).collect();
+        let mut m = RttMatrix::new(nodes.clone());
+        for &n in &nodes[1..] {
+            m.set(nodes[0], n, 4.0);
+        }
+        let near = Snapshot::from_matrix(&m).k_nearest(nodes[0], 10).unwrap();
+        let got: Vec<NodeId> = near.neighbors.iter().map(|n| n.node).collect();
+        assert_eq!(got, nodes[1..11]);
     }
 
     #[test]
@@ -584,10 +585,9 @@ mod tests {
                 rtt_ms: 40.0
             })
         );
-        assert!((d.savings_percent() - 60.0).abs() < 1e-9);
         // The cheap legs have no improving detour.
         let d = s.best_via(NodeId(0), NodeId(2)).unwrap();
-        assert_eq!(d.savings_percent(), 0.0);
+        assert!(d.via.is_none_or(|v| Some(v.rtt_ms) >= d.direct_ms));
     }
 
     fn pair(a: u32, b: u32, rtt_ms: f64, at: u64, shard: u32, round: u64) -> DeltaPair {
@@ -665,16 +665,5 @@ mod tests {
             .unwrap();
         assert_eq!((d.measured_at_ns, d.age_ns), (None, None));
         assert_eq!(d.origin, None);
-    }
-
-    #[test]
-    fn tsv_snapshot_roundtrip_and_errors() {
-        let m = matrix();
-        let s = Snapshot::from_tsv(&m.to_tsv()).unwrap();
-        assert_eq!((s.meta().nodes, s.meta().measured_pairs), (4, 3));
-        assert_eq!(s.rtt(NodeId(2), NodeId(3)).unwrap().rtt_ms, Some(5.0));
-        // Load-path failures surface the matrix parser's errors.
-        let err = Snapshot::from_tsv("junk\n").unwrap_err();
-        assert!(err.contains("unsupported matrix header"), "{err}");
     }
 }

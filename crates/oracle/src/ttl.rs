@@ -39,7 +39,7 @@ impl ServingState {
     }
 
     /// Numeric encoding for the `oracle.stale.state` gauge.
-    pub fn gauge(&self) -> i64 {
+    pub(crate) fn gauge(&self) -> i64 {
         match self {
             ServingState::Fresh => 0,
             ServingState::Stale => 1,
@@ -82,16 +82,9 @@ impl TtlPolicy {
         Ok(TtlPolicy { soft_ttl, hard_ttl })
     }
 
-    /// Judges a dataset whose newest measurement is `data_ns` against
-    /// the virtual instant `now_ns`. `None` — a dataset with no
-    /// timestamps at all — is `Degraded`: an age that cannot be
-    /// certified cannot satisfy an SLO.
-    pub fn judge(&self, data_ns: Option<u64>, now_ns: u64) -> ServingState {
-        self.judgment(data_ns, now_ns).state
-    }
-
-    /// [`TtlPolicy::judge`] with the age it judged and the TTL a
-    /// refusal will cite.
+    /// The serving state of data last measured at `data_ns`, judged at
+    /// `now_ns` (unknown data age is `Degraded`), with the age it judged
+    /// and the TTL a refusal will cite.
     pub(crate) fn judgment(&self, data_ns: Option<u64>, now_ns: u64) -> Judgment {
         let age_ns = data_ns.map(|at| now_ns.saturating_sub(at));
         let state = match age_ns {
@@ -123,20 +116,20 @@ mod tests {
     fn ladder_boundaries_are_inclusive() {
         let p = policy(10, 100);
         let ns = |s: u64| SimDuration::from_secs(s).as_nanos();
-        assert_eq!(p.judge(Some(0), ns(9)), ServingState::Fresh);
-        assert_eq!(p.judge(Some(0), ns(10)), ServingState::Stale);
-        assert_eq!(p.judge(Some(0), ns(99)), ServingState::Stale);
-        assert_eq!(p.judge(Some(0), ns(100)), ServingState::Degraded);
+        assert_eq!(p.judgment(Some(0), ns(9)).state, ServingState::Fresh);
+        assert_eq!(p.judgment(Some(0), ns(10)).state, ServingState::Stale);
+        assert_eq!(p.judgment(Some(0), ns(99)).state, ServingState::Stale);
+        assert_eq!(p.judgment(Some(0), ns(100)).state, ServingState::Degraded);
         // Age is relative to the data, not the epoch.
-        assert_eq!(p.judge(Some(ns(95)), ns(100)), ServingState::Fresh);
+        assert_eq!(p.judgment(Some(ns(95)), ns(100)).state, ServingState::Fresh);
     }
 
     #[test]
     fn unknown_age_is_degraded_and_clock_skew_is_fresh() {
         let p = policy(10, 100);
-        assert_eq!(p.judge(None, 0), ServingState::Degraded);
+        assert_eq!(p.judgment(None, 0).state, ServingState::Degraded);
         // Data "from the future" (drained mid-round) saturates to age 0.
-        assert_eq!(p.judge(Some(50), 10), ServingState::Fresh);
+        assert_eq!(p.judgment(Some(50), 10).state, ServingState::Fresh);
     }
 
     #[test]
@@ -148,6 +141,6 @@ mod tests {
     #[test]
     fn zero_soft_ttl_is_immediately_stale() {
         let p = policy(0, 100);
-        assert_eq!(p.judge(Some(5), 5), ServingState::Stale);
+        assert_eq!(p.judgment(Some(5), 5).state, ServingState::Stale);
     }
 }

@@ -94,7 +94,7 @@ fn run(n: u32, seed: u64, publishes: u64) -> Vec<Written> {
             now: SimTime(now),
         });
         let generation = p.tick(SimTime(now)).unwrap().unwrap();
-        let published = std::fs::read(journal.published_path()).unwrap();
+        let published = std::fs::read(dir.join(oracle::journal::PUBLISHED_FILE)).unwrap();
         let frame = frame_record(generation, &p.serving_document());
         written.push((
             published.len(),

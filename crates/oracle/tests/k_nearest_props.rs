@@ -91,7 +91,7 @@ proptest! {
         n in 1u32..=40,
         seed in any::<u64>(),
     ) {
-        let s = Snapshot::from_merged(&merged(n, seed));
+        let s = Snapshot::from_merged_document(&merged(n, seed).to_document()).unwrap();
         let n = n as usize;
         for &x in s.view().nodes() {
             for k in [0, 1, 16, n - 1, n, usize::MAX] {
@@ -110,7 +110,7 @@ fn the_datasets_cover_every_row_shape() {
     // empty row, a full one, a tie, and −0 ranked before +0.
     let (mut empty, mut full, mut tie, mut signed_zeros) = (false, false, false, false);
     for seed in 0..64 {
-        let s = Snapshot::from_merged(&merged(40, seed));
+        let s = Snapshot::from_merged_document(&merged(40, seed).to_document()).unwrap();
         for &x in s.view().nodes() {
             let all = s.k_nearest(x, usize::MAX).unwrap().neighbors;
             empty |= all.is_empty();

@@ -296,7 +296,7 @@ fn post_seal_and_post_swap_windows_recover_without_loss() {
     j.mark_published(g0, doc0).unwrap();
     j.append(g1, doc1).unwrap();
     let torn = &render_published(g1, doc1)[..40];
-    std::fs::write(checkpoint::tmp_path(&j.published_path()), torn).unwrap();
+    std::fs::write(dir.join("oracle.published.tmp"), torn).unwrap();
     let (p, r) = Pipeline::recover(
         nodes.clone(),
         SHARDS,
@@ -322,7 +322,11 @@ fn post_seal_and_post_swap_windows_recover_without_loss() {
     let dir = tempdir("posttrunc");
     let j = Journal::open(&dir).unwrap();
     j.append(g1, doc1).unwrap();
-    checkpoint::write_atomic(&j.published_path(), &render_published(g1, doc1)).unwrap();
+    checkpoint::write_atomic_parts(
+        &dir.join(oracle::journal::PUBLISHED_FILE),
+        &[render_published(g1, doc1).as_bytes()],
+    )
+    .unwrap();
     let (p, r) = Pipeline::recover(
         nodes.clone(),
         SHARDS,
@@ -354,7 +358,8 @@ fn hard_ttl_expiry_flips_serving_deterministically_in_virtual_time() {
         let newest = p
             .reader()
             .snapshot()
-            .freshness_ns()
+            .meta()
+            .newest_ns
             .expect("published data carries timestamps");
         let soft = SimDuration::from_hours(1).as_nanos();
         let hard = SimDuration::from_hours(24).as_nanos();
@@ -431,7 +436,7 @@ fn recovery_judges_staleness_at_the_resume_instant() {
         Some(Journal::open(&dir).unwrap()),
     );
     drive(&mut p, &deltas);
-    let newest = p.reader().snapshot().freshness_ns().unwrap();
+    let newest = p.reader().snapshot().meta().newest_ns.unwrap();
     drop(p);
 
     let (p, _) = Pipeline::recover(

@@ -141,7 +141,7 @@ fn sealed_snapshot(doc: &str, generation: u64) -> std::sync::Arc<Snapshot> {
     let sealed = Snapshot::from_merged_document(doc).expect("the served document loads");
     let mut stamp = Oracle::new(sealed.clone());
     stamp.publish_versioned(sealed, generation);
-    stamp.snapshot()
+    stamp.reader().snapshot()
 }
 
 fn assert_served_is_sealed(p: &Pipeline, stream: &mut Stream) {

@@ -168,8 +168,8 @@ fn a_bare_oracle_never_refuses() {
     let mut oracle = Oracle::new(Snapshot::from_matrix(&m));
     let reader = oracle.reader();
     for generation in 1..=2 {
-        assert!(reader.snapshot().freshness_ns().is_none());
+        assert!(reader.snapshot().meta().newest_ns.is_none());
         check_row(&reader, ServingState::Fresh, generation, None);
-        oracle.publish(Snapshot::from_matrix(&m));
+        oracle.publish_versioned(Snapshot::from_matrix(&m), generation + 1);
     }
 }

@@ -69,7 +69,7 @@ fn held_snapshot_is_consistent_across_a_concurrent_swap() {
     };
 
     pinned.wait();
-    assert_eq!(oracle.publish(homogeneous(20.0)), 2);
+    assert_eq!(oracle.publish_versioned(homogeneous(20.0), 2), 2);
     published.wait();
     rx.recv().expect("reader thread failed");
     handle.join().unwrap();
@@ -118,7 +118,7 @@ fn racing_readers_never_observe_a_torn_generation() {
 
     start.wait();
     for g in 2..=GENERATIONS {
-        oracle.publish(homogeneous(g as f64));
+        oracle.publish_versioned(homogeneous(g as f64), g);
     }
     for h in handles {
         h.join().unwrap();

@@ -30,16 +30,6 @@ impl EmpiricalCdf {
         }
     }
 
-    /// Number of underlying samples.
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// Always false: construction rejects empty samples.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// `F(x)`: the fraction of samples ≤ `x`.
     pub fn eval(&self, x: f64) -> f64 {
         // partition_point returns the count of elements <= x given the
@@ -84,7 +74,7 @@ impl EmpiricalCdf {
     }
 
     /// The probability mass exactly at `x` (ties in the sample).
-    pub fn point_mass(&self, x: f64) -> f64 {
+    pub(crate) fn point_mass(&self, x: f64) -> f64 {
         let below = self.xs.partition_point(|&v| v < x);
         let at_or_below = self.xs.partition_point(|&v| v <= x);
         (at_or_below - below) as f64 / self.xs.len() as f64
@@ -175,6 +165,5 @@ mod tests {
         let c = cdf();
         assert_eq!(c.min(), 1.0);
         assert_eq!(c.max(), 3.0);
-        assert_eq!(c.len(), 4);
     }
 }

@@ -47,7 +47,7 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
 /// Assigns 1-based fractional ranks, averaging over ties.
 ///
 /// E.g. `[10, 20, 20, 30]` → `[1.0, 2.5, 2.5, 4.0]`.
-pub fn fractional_ranks(xs: &[f64]) -> Vec<f64> {
+pub(crate) fn fractional_ranks(xs: &[f64]) -> Vec<f64> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
     idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("NaN in rank input"));
     let mut ranks = vec![0.0; xs.len()];
@@ -136,5 +136,15 @@ mod tests {
         let xs = [1.0, 2.0, 2.0, 3.0];
         let ys = [10.0, 20.0, 20.0, 30.0];
         assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ranks_are_a_permutation_mass(xs in proptest::collection::vec(-1.0e6..1.0e6f64, 1..64)) {
+            let r = fractional_ranks(&xs);
+            let sum: f64 = r.iter().sum();
+            let expect = (xs.len() * (xs.len() + 1)) as f64 / 2.0;
+            proptest::prop_assert!((sum - expect).abs() < 1e-6);
+        }
     }
 }

@@ -31,9 +31,7 @@ pub use convergence::MinConvergence;
 pub use corr::{pearson, spearman};
 pub use hist::BinLayout;
 pub use linfit::{linear_fit, LinearFit};
-pub use summary::{
-    coefficient_of_variation, max, mean, median, min, quantile, stddev, variance, Summary,
-};
+pub use summary::{coefficient_of_variation, max, mean, median, min, quantile, stddev, variance};
 
 /// Sorts a copy of `xs` ascending, treating all values as totally ordered.
 ///

@@ -67,7 +67,7 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Same as [`quantile`] but assumes `v` is already sorted ascending.
-pub fn quantile_sorted(v: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_sorted(v: &[f64], q: f64) -> f64 {
     assert!(!v.is_empty());
     let pos = q * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
@@ -83,45 +83,6 @@ pub fn quantile_sorted(v: &[f64], q: f64) -> f64 {
 /// Median (the 0.5 quantile). Returns `None` for an empty slice.
 pub fn median(xs: &[f64]) -> Option<f64> {
     quantile(xs, 0.5)
-}
-
-/// A five-number-plus summary of a sample, computed in one pass over the
-/// sorted data. Convenient for printing experiment tables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    pub n: usize,
-    pub min: f64,
-    pub q1: f64,
-    pub median: f64,
-    pub q3: f64,
-    pub max: f64,
-    pub mean: f64,
-    pub stddev: f64,
-}
-
-impl Summary {
-    /// Summarizes `xs`. Returns `None` for an empty slice.
-    pub fn of(xs: &[f64]) -> Option<Summary> {
-        if xs.is_empty() {
-            return None;
-        }
-        let v = sorted(xs);
-        Some(Summary {
-            n: v.len(),
-            min: v[0],
-            q1: quantile_sorted(&v, 0.25),
-            median: quantile_sorted(&v, 0.5),
-            q3: quantile_sorted(&v, 0.75),
-            max: v[v.len() - 1],
-            mean: mean(&v).unwrap(),
-            stddev: stddev(&v).unwrap(),
-        })
-    }
-
-    /// Interquartile range `q3 − q1`.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -186,23 +147,6 @@ mod tests {
     #[should_panic]
     fn quantile_rejects_out_of_range() {
         let _ = quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn summary_five_numbers() {
-        let s = Summary::of(&[5.0, 1.0, 3.0, 2.0, 4.0]).unwrap();
-        assert_eq!(s.n, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.q1, 2.0);
-        assert_eq!(s.q3, 4.0);
-        assert_eq!(s.iqr(), 2.0);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum CellCommand {
 }
 
 impl CellCommand {
-    pub fn from_u8(v: u8) -> Option<CellCommand> {
+    pub(crate) fn from_u8(v: u8) -> Option<CellCommand> {
         match v {
             10 => Some(CellCommand::Create2),
             11 => Some(CellCommand::Created2),

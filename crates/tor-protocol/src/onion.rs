@@ -85,13 +85,9 @@ impl ClientCrypto {
         self.hops.push(HopState::new(keys));
     }
 
-    /// Number of established hops.
-    pub fn len(&self) -> usize {
-        self.hops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
+    /// The index of the last established hop; `None` before the first.
+    pub fn last_hop(&self) -> Option<usize> {
+        self.hops.len().checked_sub(1)
     }
 
     /// Onion-encrypts `rc` addressed to hop `hop` (0-based). Returns the

@@ -43,7 +43,7 @@ pub enum RelayCmd {
 }
 
 impl RelayCmd {
-    pub fn from_u8(v: u8) -> Option<RelayCmd> {
+    pub(crate) fn from_u8(v: u8) -> Option<RelayCmd> {
         match v {
             1 => Some(RelayCmd::Begin),
             2 => Some(RelayCmd::Data),
@@ -86,7 +86,7 @@ impl RelayCell {
     /// Serializes with a zeroed digest field — the form the running
     /// digest is computed over. The buffer has room for the link header,
     /// so the cell it becomes is encoded without growing it.
-    pub fn encode_zero_digest(&self) -> Vec<u8> {
+    pub(crate) fn encode_zero_digest(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(CELL_LEN);
         buf.put_u8(self.cmd as u8);
         buf.put_u16(0); // recognized
@@ -100,7 +100,7 @@ impl RelayCell {
 
     /// Parses a fully decrypted payload. Returns `None` if the payload
     /// is malformed (bad command, bad length field).
-    pub fn decode(payload: &[u8]) -> Option<(RelayCell, [u8; 4])> {
+    pub(crate) fn decode(payload: &[u8]) -> Option<(RelayCell, [u8; 4])> {
         if payload.len() != PAYLOAD_LEN {
             return None;
         }
@@ -131,12 +131,12 @@ impl RelayCell {
     /// Fast pre-check a relay uses before running the digest
     /// comparison: a cell can only be "for this hop" if the recognized
     /// field decrypted to zero.
-    pub fn looks_recognized(payload: &[u8]) -> bool {
+    pub(crate) fn looks_recognized(payload: &[u8]) -> bool {
         payload.len() == PAYLOAD_LEN && payload[1] == 0 && payload[2] == 0
     }
 
     /// Extracts the digest field bytes.
-    pub fn digest_field(payload: &[u8]) -> [u8; 4] {
+    pub(crate) fn digest_field(payload: &[u8]) -> [u8; 4] {
         let mut d = [0u8; 4];
         d.copy_from_slice(&payload[DIGEST]);
         d

@@ -118,7 +118,7 @@ impl ChurnModel {
     }
 
     /// Advances one day: departures then arrivals.
-    pub fn step_day(&mut self) -> DailySnapshot {
+    pub(crate) fn step_day(&mut self) -> DailySnapshot {
         self.day += 1;
         let n = self.relays.len();
         // Departures: each relay independently leaves.
@@ -156,7 +156,7 @@ impl ChurnModel {
     }
 
     /// The current day's counts.
-    pub fn snapshot(&self) -> DailySnapshot {
+    pub(crate) fn snapshot(&self) -> DailySnapshot {
         let unique: HashSet<[u8; 3]> = self.relays.iter().map(|r| r.slash24()).collect();
         DailySnapshot {
             day: self.day,

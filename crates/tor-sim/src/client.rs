@@ -107,9 +107,13 @@ pub(crate) struct ClientCircuit {
 }
 
 impl ClientCircuit {
-    /// Sends a relay cell to the circuit's last hop.
+    /// Sends a relay cell to the circuit's last hop. A circuit with no
+    /// established hop sends nothing.
     fn send_forward(&mut self, links: &mut LinkTable, ctx: &mut Context, rc: &RelayCell) {
-        let payload = self.crypto.encrypt_forward(self.crypto.len() - 1, rc);
+        let Some(last) = self.crypto.last_hop() else {
+            return;
+        };
+        let payload = self.crypto.encrypt_forward(last, rc);
         links.send(ctx, self.hop, CellCommand::Relay, payload);
     }
 }
@@ -142,7 +146,7 @@ pub(crate) struct ProxyState {
 }
 
 impl ProxyState {
-    pub fn new(identities: Rc<[Option<PublicKey>]>) -> ProxyState {
+    pub(crate) fn new(identities: Rc<[Option<PublicKey>]>) -> ProxyState {
         ProxyState {
             commands: VecDeque::new(),
             circuits: BTreeMap::new(),
@@ -156,7 +160,7 @@ impl ProxyState {
     }
 
     /// A closed handle answers like one never minted: `Failed`.
-    pub fn circuit_status(&self, handle: u64) -> CircuitStatus {
+    pub(crate) fn circuit_status(&self, handle: u64) -> CircuitStatus {
         let entry = self.circuits.get(&handle);
         entry.map_or(CircuitStatus::Failed, |e| e.status)
     }
@@ -237,7 +241,7 @@ impl ProxyState {
             return;
         };
         circuit.crypto.add_hop(&keys);
-        let established = circuit.crypto.len();
+        let established = circuit.crypto.last_hop().map_or(0, |last| last + 1);
         let (Some(next), Some(&identity)) = (
             circuit.path.get(established),
             circuit.identities.get(established),
@@ -374,7 +378,7 @@ impl ProxyState {
         };
         if rc.cmd == RelayCmd::Extended2 {
             // Must come from the current last hop.
-            if hop + 1 == circuit.crypto.len() {
+            if circuit.crypto.last_hop() == Some(hop) {
                 self.handle_created2(ctx, handle, &rc.data);
             } else {
                 self.fail_circuit(handle);
@@ -431,5 +435,65 @@ impl Process for OnionProxy {
         while let Some(cmd) = state.commands.pop_front() {
             state.handle_command(ctx, cmd);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geo::World;
+    use netsim::{AsProfile, Simulator, Underlay, UnderlayConfig};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    /// Node 0: opens a link to node 1, then sends a relay cell on a
+    /// circuit that has no established hop.
+    struct Sender;
+
+    impl Process for Sender {
+        fn on_start(&mut self, ctx: &mut Context) {
+            let mut links = LinkTable::default();
+            let conn = links.find_or_open(ctx, NodeId(1));
+            let before = links.len();
+            let mut circuit = ClientCircuit {
+                path: vec![NodeId(1)],
+                identities: Vec::new(),
+                hop: (conn, CircuitId(1)),
+                crypto: ClientCrypto::new(),
+                hs: None,
+                streams: BTreeMap::new(),
+                next_stream_id: 1,
+            };
+            let rc = RelayCell::new(RelayCmd::Data, 1, b"x".to_vec());
+            circuit.send_forward(&mut links, ctx, &rc);
+            assert_eq!(links.len(), before, "no cell queued");
+        }
+    }
+
+    /// Node 1: counts the bytes that reach it.
+    struct Peer(Rc<RefCell<usize>>);
+
+    impl Process for Peer {
+        fn on_data(&mut self, _ctx: &mut Context, _conn: ConnId, data: Vec<u8>) {
+            *self.0.borrow_mut() += data.len();
+        }
+    }
+
+    #[test]
+    fn a_circuit_with_no_established_hop_sends_nothing() {
+        let world = World::new();
+        let mut underlay = Underlay::new(UnderlayConfig::default(), 5);
+        let mut rng = SmallRng::seed_from_u64(1);
+        for (i, city) in ["New York", "London"].into_iter().enumerate() {
+            let at = world.city(city).expect("city exists").location;
+            let in_as = underlay.add_as(AsProfile::datacenter(city, at));
+            underlay.add_node_in(in_as, at, [10, i as u8, 0, 1], &mut rng);
+        }
+        let mut sim = Simulator::new(underlay, 9);
+        let received = Rc::new(RefCell::new(0));
+        sim.add_process(Box::new(Sender));
+        sim.add_process(Box::new(Peer(received.clone())));
+        sim.run_until_idle();
+        assert_eq!(*received.borrow(), 0);
     }
 }

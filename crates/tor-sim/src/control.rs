@@ -46,7 +46,7 @@ impl Controller {
     /// Creates the proxy process + controller pair. The caller attaches
     /// the returned process to the proxy's node. `identities` holds each
     /// relay's identity key at its [`NodeId::index`].
-    pub fn create(
+    pub(crate) fn create(
         proxy_node: NodeId,
         identities: Rc<[Option<PublicKey>]>,
     ) -> (Controller, OnionProxy) {

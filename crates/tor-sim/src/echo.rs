@@ -17,7 +17,7 @@ pub struct EchoServer {
 }
 
 impl EchoServer {
-    pub fn new() -> EchoServer {
+    pub(crate) fn new() -> EchoServer {
         EchoServer::default()
     }
 }

@@ -59,7 +59,7 @@ pub struct MetricsSnapshot {
 }
 
 impl RelayMetrics {
-    pub fn new() -> RelayMetrics {
+    pub(crate) fn new() -> RelayMetrics {
         RelayMetrics::default()
     }
 
@@ -136,7 +136,7 @@ impl RelayMetrics {
     }
 
     /// Reads all counters at once.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             cells_processed: self.inner.cells_processed.get(),
             cells_forwarded: self.inner.cells_forwarded.get(),
@@ -150,13 +150,5 @@ impl RelayMetrics {
             cells_dropped: self.inner.cells_dropped.get(),
             extends_refused: self.inner.extends_refused.get(),
         }
-    }
-}
-
-impl MetricsSnapshot {
-    /// Live circuits right now.
-    pub fn open_circuits(&self) -> u64 {
-        self.circuits_created
-            .saturating_sub(self.circuits_destroyed)
     }
 }

@@ -149,7 +149,7 @@ impl TorNetworkBuilder {
     /// Attaches an observability handle: the simulator's dispatch loop
     /// and the network-level lifecycle methods (crash, revive, churn,
     /// consensus refresh) record into it. Keep a clone to read the
-    /// registry, or use [`TorNetwork::obs`]. The default [`Obs::off`]
+    /// registry. The default [`Obs::off`]
     /// records nothing and is bit-identical to an uninstrumented build.
     pub fn observability(mut self, obs: Obs) -> TorNetworkBuilder {
         self.observability = obs;
@@ -502,12 +502,6 @@ pub struct TorNetwork {
 }
 
 impl TorNetwork {
-    /// The observability handle attached at build time (the disabled
-    /// handle when none was).
-    pub fn obs(&self) -> &Obs {
-        self.sim.obs()
-    }
-
     /// Publishes aggregate relay-layer totals (cells processed,
     /// forwarded, dropped, EXTEND2 refusals, circuits created and
     /// destroyed, streams opened) into the observability registry as
@@ -799,7 +793,7 @@ mod tests {
             .unwrap();
         let mid = x_metrics.snapshot();
         assert_eq!(mid.circuits_created, 1);
-        assert_eq!(mid.open_circuits(), 1);
+        assert_eq!(mid.circuits_destroyed, 0);
         // x saw its own EXTEND2 (recognized) and forwarded the later
         // handshake cells toward y/z.
         assert!(mid.cells_recognized >= 1);
@@ -823,7 +817,7 @@ mod tests {
         net.sim.run_until_idle();
         let end = x_metrics.snapshot();
         assert_eq!(end.circuits_destroyed, 1);
-        assert_eq!(end.open_circuits(), 0);
+        assert_eq!(end.circuits_created, end.circuits_destroyed);
         // The exit z opened exactly one stream.
         let z = net.z_metrics.snapshot();
         assert_eq!(z.streams_opened, 1);
@@ -909,7 +903,7 @@ mod tests {
             seed: 0,
             config_hash: 0,
         };
-        let doc = net.obs().document(&meta);
+        let doc = net.sim.obs().document(&meta);
         let gauge = doc
             .gauges
             .iter()

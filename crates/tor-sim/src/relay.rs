@@ -56,16 +56,7 @@ impl RelayConfig {
     /// forwarding-delay estimator should recover, so trace-analysis
     /// tests correlate their per-relay attributions against it.
     pub fn expected_forwarding_ms(&self) -> f64 {
-        self.base_proc_ms + self.expected_queueing_ms()
-    }
-
-    /// The queueing part of the forwarding delay alone. An estimator
-    /// that subtracts a minimum-RTT floor cancels `base_proc_ms` along
-    /// with propagation (both sit in every probe, including the
-    /// fastest), so what it can actually recover per relay is this
-    /// excess term.
-    pub fn expected_queueing_ms(&self) -> f64 {
-        self.busy_prob * self.busy_mean_ms
+        self.base_proc_ms + self.busy_prob * self.busy_mean_ms
     }
 }
 
@@ -104,18 +95,18 @@ pub struct RelayFaultProfile {
 
 impl RelayFaultProfile {
     /// A profile that injects nothing.
-    pub fn disabled() -> RelayFaultProfile {
+    pub(crate) fn disabled() -> RelayFaultProfile {
         RelayFaultProfile::default()
     }
 
     /// True when the profile can inject anything at all.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.extend_refuse_prob > 0.0 || self.overload_drop_prob > 0.0
     }
 
     /// Derives a per-relay copy with its own seed, so relays sharing one
     /// profile still draw independent fault streams.
-    pub fn for_relay(mut self, index: u64) -> RelayFaultProfile {
+    pub(crate) fn for_relay(mut self, index: u64) -> RelayFaultProfile {
         self.seed = self
             .seed
             .wrapping_add(index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
@@ -194,7 +185,7 @@ pub struct Relay {
 }
 
 impl Relay {
-    pub fn new(identity: KeyPair, config: RelayConfig) -> Relay {
+    pub(crate) fn new(identity: KeyPair, config: RelayConfig) -> Relay {
         Relay {
             identity,
             config,
@@ -212,7 +203,7 @@ impl Relay {
     }
 
     /// Attaches an external metrics handle (callers keep a clone).
-    pub fn with_metrics(mut self, metrics: RelayMetrics) -> Relay {
+    pub(crate) fn with_metrics(mut self, metrics: RelayMetrics) -> Relay {
         #[cfg(test)]
         {
             self.links.published_len = metrics.link_entries();
@@ -222,7 +213,7 @@ impl Relay {
     }
 
     /// Attaches a fault profile (disabled by default).
-    pub fn with_faults(mut self, faults: RelayFaultProfile) -> Relay {
+    pub(crate) fn with_faults(mut self, faults: RelayFaultProfile) -> Relay {
         self.faults = faults;
         self
     }
@@ -234,11 +225,6 @@ impl Relay {
         self.fault_draws += 1;
         let seed = self.faults.seed;
         netsim::keyed_u01(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(n))
-    }
-
-    /// This relay's metrics handle.
-    pub fn metrics(&self) -> RelayMetrics {
-        self.metrics.clone()
     }
 
     /// Samples this cell's processing cost and returns its ready time.

@@ -88,8 +88,7 @@ fn matrix_feeds_applications() {
         analysis::Strategy::IgnoreTooLarge,
         analysis::Strategy::Informed,
     ] {
-        for _ in 0..20 {
-            let o = sim.run_once(strategy, &mut rng);
+        for o in sim.run_many(strategy, 20, &mut rng) {
             assert!(o.probes >= 2 && o.probes <= o.universe);
         }
     }
