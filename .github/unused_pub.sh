@@ -9,11 +9,14 @@
 # `dead_code` names it once it is narrowed) or only inside its own crate.
 #
 # The method, on a copy of the tree under target/unused-pub/ (the
-# checkout is never edited): narrow every such `pub fn`, run
-# `cargo check --keep-going` over those targets, restore every fn an
-# error names (a private fn's "defined here" note, or the name a
-# re-export (E0364) cannot re-export), and repeat until a round restores
-# nothing. Each round settles one more level of the crate graph.
+# checkout is never edited): split every `pub use a::{b, c};` into one
+# line per name, narrow every such `pub fn` and, with a free fn, each
+# `pub use` line of its crate that names it, run `cargo check
+# --keep-going` over those targets, restore every fn or use line an
+# error names (a private item's "defined here" note, or the name a
+# re-export (E0364) cannot re-export) together with its partner, and
+# repeat until a round restores nothing. Each round settles one more
+# level of the crate graph.
 #
 # Fails on a flagged fn that .github/unused_pub.allow does not list, and
 # on an allow-list entry that is no longer flagged, so the list can only
@@ -34,6 +37,16 @@ mkdir -p "$tree"
 (cd "$root" && git ls-files -z --cached --others --exclude-standard) |
     tar -C "$root" --null --ignore-failed-read -T - -cf - | tar -C "$tree" -xf -
 cd "$tree"
+
+# One re-exported name a line, so a re-export narrows with its fn alone.
+find crates/*/src -name '*.rs' | sort | xargs perl -0777 -i -pe '
+    my ($head, $tail) = split /^(?=#\[cfg\(test\)\])/m, $_, 2;
+    $head =~ s{^pub use ([\w:]+)::\{([^{}]*)\};}{
+        my $path = $1;
+        join "\n", map { "pub use ${path}::$_;" } grep { length } split /\s*,\s*/, $2 =~ s/^\s+|\s+$//gr
+    }gme;
+    $_ = $head . ($tail // "");
+'
 
 # Narrow, and list each narrowed fn as "file:line<TAB>name<TAB>Type::name"
 # (Type is the enclosing top-level `impl`'s self type, if any).
@@ -57,6 +70,31 @@ find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
     close ARGV if eof;
 '
 narrowed=$(wc -l <"$base/narrowed")
+
+# Narrow each `pub use` line that re-exports a narrowed free fn of its
+# crate, pairing them as "use file:line<TAB>fn file:line".
+find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
+    BEGIN {
+        open(LIST, "<", "'"$base"'/narrowed") or die;
+        while (<LIST>) {
+            my ($at, $name, $qualified) = split /\t/;
+            chomp $qualified;
+            my ($crate) = $at =~ m{^(crates/[^/]+/)};
+            push @{ $fn{"$crate\t$name"} }, $at if $qualified eq $name;
+        }
+        open(PAIRS, ">", "'"$base"'/uses") or die;
+    }
+    if ($. == 1) { $test = 0 }
+    $test = 1 if /^#\[cfg\(test\)\]/;
+    my ($crate) = $ARGV =~ m{^(crates/[^/]+/)};
+    my ($name) = $test ? () : /^pub use [\w:]*\b(\w+)(?: as \w+)?;/;
+    if (defined $name && $fn{"$crate\t$name"}) {
+        s/^pub use /pub(crate) use /;
+        print PAIRS "$ARGV:$.\t$_\n" for @{ $fn{"$crate\t$name"} };
+    }
+    print;
+    close ARGV if eof;
+'
 
 # One round: check every non-test target, keeping each diagnostic as
 # "level<TAB>code<TAB>message<TAB>file:line" for every span it carries.
@@ -82,30 +120,42 @@ while :; do
     diags=$(check)
     errors=$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "error"')
     # Narrowed fns an error points at: a span on the definition's line,
-    # or the name an E0364 re-export names, in the re-exporting crate.
+    # the name an E0364 re-export names, in the re-exporting crate, or a
+    # free fn whose narrowed re-export leaves its name to a module of the
+    # same name (E0423, in any crate).
     restore=$(
         {
             printf '%s\n' "$errors" | cut -f4
-            printf '%s\n' "$errors" | awk -F'\t' '$2 == "E0364" {
+            printf '%s\n' "$errors" | awk -F'\t' '$2 == "E0364" || $2 == "E0423" {
                 split($4, at, "/"); name = $3
-                sub(/^`/, "", name); sub(/`.*/, "", name)
-                print at[1] "/" at[2] "/\t" name
+                sub(/^[^`]*`/, "", name); sub(/`.*/, "", name)
+                print ($2 == "E0364" ? at[1] "/" at[2] "/" : "*") "\t" name
             }'
         } | awk -F'\t' '
             FILENAME == "-" { if (NF == 1) at[$1] = 1; else named[$1 SUBSEP $2] = 1; next }
+            FILENAME ~ /uses$/ { if ($1 in at) print $1; next }
             {
                 split($1, p, "/")
-                if (($1 in at) || ((p[1] "/" p[2] "/") SUBSEP $2) in named) print $1
-            }' - "$base/narrowed" | sort -u
+                if (($1 in at) || ((p[1] "/" p[2] "/") SUBSEP $2) in named ||
+                    ($3 == $2 && ("*" SUBSEP $2) in named)) print $1
+            }' - "$base/uses" "$base/narrowed" |
+            # A use line and its fn are restored together.
+            awk -F'\t' '
+                FILENAME == "-" { r[$1] = 1; next }
+                pass == 1 { if ($1 in r) r[$2] = 1; next }
+                { if ($2 in r) r[$1] = 1 }
+                END { for (k in r) print k }' - pass=1 "$base/uses" pass=2 "$base/uses" | sort -u
     )
     if [ -z "$restore" ]; then
         break
     fi
     printf '%s\n' "$restore" | while IFS=: read -r file line; do
-        sed -i "${line}s/pub(crate) fn /pub fn /" "$file"
+        sed -i "${line}s/pub(crate) fn /pub fn /;${line}s/^pub(crate) use /pub use /" "$file"
     done
-    grep -v -F -f <(printf '%s\n' "$restore" | sed 's/$/\t/') "$base/narrowed" >"$base/narrowed.next" || true
-    mv "$base/narrowed.next" "$base/narrowed"
+    for list in narrowed uses; do
+        grep -v -F -f <(printf '%s\n' "$restore" | sed 's/$/\t/') "$base/$list" >"$base/$list.next" || true
+        mv "$base/$list.next" "$base/$list"
+    done
 done
 
 if [ -n "$errors" ]; then

@@ -37,7 +37,6 @@ fn main() {
             .relay_faults(RelayFaultProfile {
                 extend_refuse_prob: rate * 0.5,
                 overload_drop_prob: rate,
-                overload_queue_depth: 32,
                 seed: storm_seed ^ 0x2,
             })
             .build();

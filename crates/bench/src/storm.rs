@@ -12,10 +12,7 @@ use netsim::{FaultPlan, NodeId, SimDuration, SimTime};
 use std::path::PathBuf;
 use ting::obs::{config_hash, ExportMeta, Obs};
 use ting::shard::{Supervisor, SupervisorConfig};
-use ting::{
-    AdaptiveTimeoutConfig, HealthConfig, RttMatrix, Scanner, ScannerConfig, TimeoutEstimators,
-    Ting, TingConfig, ValidationConfig,
-};
+use ting::{RttMatrix, Scanner, ScannerConfig, TimeoutEstimators, Ting, TingConfig};
 use tor_sim::churn::ChurnConfig;
 use tor_sim::{RelayFaultProfile, TorNetwork, TorNetworkBuilder};
 
@@ -48,7 +45,6 @@ pub fn hostile_net(seed: u64, obs: &Obs) -> TorNetwork {
         .relay_faults(RelayFaultProfile {
             extend_refuse_prob: 0.01,
             overload_drop_prob: 0.002,
-            overload_queue_depth: 32,
             seed: seed ^ 0x9,
         })
         .build()
@@ -67,8 +63,8 @@ pub fn scan_config() -> ScannerConfig {
         pairs_per_round: 8,
         retry_backoff: SimDuration::from_secs(60),
         retry_backoff_cap: SimDuration::from_hours(1),
-        health: Some(HealthConfig::default()),
-        validation: Some(ValidationConfig::default()),
+        health: true,
+        validation: true,
     }
 }
 
@@ -76,7 +72,7 @@ fn ting_config() -> TingConfig {
     TingConfig {
         max_attempts: 2,
         max_lost_probes: 4,
-        adaptive_timeouts: Some(AdaptiveTimeoutConfig::default()),
+        adaptive_timeouts: true,
         ..TingConfig::fast()
     }
 }

@@ -17,16 +17,16 @@
 //! State machine per relay:
 //!
 //! ```text
-//!            score < quarantine_below
+//!            score < QUARANTINE_BELOW
 //!   Healthy ──────────────────────────▶ Quarantined
 //!      ▲                                    │
-//!      │   probation probes succeed         │ every probation_interval:
-//!      │   (score ≥ release_above), or      │ one parked pair is
+//!      │   probation probes succeed         │ every PROBATION_INTERVAL:
+//!      │   (score ≥ RELEASE_ABOVE), or      │ one parked pair is
 //!      │   the score decays back above      │ scheduled as a probe
 //!      └────────────────────────────────────┘
 //! ```
 //!
-//! Scores decay toward healthy with a configurable half-life, so a
+//! Scores decay toward healthy with a six-hour half-life, so a
 //! quarantine is never a life sentence — matching how a relay that
 //! rebooted looks fine again once the consensus catches up. All state
 //! is plain `(f64, SimTime)` pairs serialized into the scan checkpoint,
@@ -34,36 +34,20 @@
 
 use crate::checkpoint::Row;
 use netsim::{NodeId, SimDuration, SimTime};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// Health-model knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// EWMA weight of the newest observation, in `[0, 1]`.
-    pub ewma_alpha: f64,
-    /// Scores (always in `[0, 1]`) below this enter quarantine.
-    pub quarantine_below: f64,
-    /// Quarantined relays scoring at or above this, in `[0, 1]`, are released.
-    pub release_above: f64,
-    /// Pause between probation probes of a quarantined relay.
-    pub probation_interval: SimDuration,
-    /// Half-life of the decay pulling scores back toward 1.0.
-    pub decay_half_life: SimDuration,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            // From 1.0, four consecutive failures cross 0.25:
-            // 0.70 → 0.49 → 0.34 → 0.24.
-            ewma_alpha: 0.3,
-            quarantine_below: 0.25,
-            release_above: 0.6,
-            probation_interval: SimDuration::from_secs(1800),
-            decay_half_life: SimDuration::from_hours(6),
-        }
-    }
-}
+/// EWMA weight of the newest observation. From 1.0, four consecutive
+/// failures cross [`QUARANTINE_BELOW`]: 0.70 → 0.49 → 0.34 → 0.24.
+pub(crate) const EWMA_ALPHA: f64 = 0.3;
+/// Scores (always in `[0, 1]`) below this enter quarantine.
+pub(crate) const QUARANTINE_BELOW: f64 = 0.25;
+/// Quarantined relays scoring at or above this are released.
+pub(crate) const RELEASE_ABOVE: f64 = 0.6;
+/// Pause between probation probes of a quarantined relay.
+pub(crate) const PROBATION_INTERVAL: SimDuration = SimDuration::from_secs(1800);
+/// Half-life of the decay pulling scores back toward 1.0.
+pub(crate) const DECAY_HALF_LIFE: SimDuration = SimDuration::from_hours(6);
 
 /// A quarantine/release transition produced by an observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +64,8 @@ struct Quarantine {
 }
 
 /// The relay health model: EWMA scores plus the quarantine roster.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RelayHealth {
-    config: HealthConfig,
     /// `(score, last update)` per relay; absent means never observed
     /// (implicitly healthy at 1.0). Ordered like `quarantined`.
     scores: BTreeMap<NodeId, (f64, SimTime)>,
@@ -91,14 +74,6 @@ pub struct RelayHealth {
 }
 
 impl RelayHealth {
-    pub(crate) fn new(config: HealthConfig) -> RelayHealth {
-        RelayHealth {
-            config,
-            scores: BTreeMap::new(),
-            quarantined: BTreeMap::new(),
-        }
-    }
-
     /// The relay's current score with decay applied up to `now`
     /// (without mutating state). Unobserved relays score 1.0.
     pub(crate) fn score(&self, node: NodeId, now: SimTime) -> f64 {
@@ -114,13 +89,9 @@ impl RelayHealth {
     }
 
     /// `s` decayed from `at` to `now`: the deficit below 1.0 halves
-    /// every `decay_half_life`.
+    /// every [`DECAY_HALF_LIFE`].
     fn decayed(&self, s: f64, at: SimTime, now: SimTime) -> f64 {
-        let half_ns = self.config.decay_half_life.as_nanos();
-        if half_ns == 0 {
-            return s;
-        }
-        let dt = now.since(at).as_nanos() as f64 / half_ns as f64;
+        let dt = now.since(at).as_nanos() as f64 / DECAY_HALF_LIFE.as_nanos() as f64;
         1.0 - (1.0 - s) * 0.5f64.powf(dt)
     }
 
@@ -134,25 +105,21 @@ impl RelayHealth {
     ) -> Option<HealthEvent> {
         let prior = self.score(node, now);
         let obs = if success { 1.0 } else { 0.0 };
-        let score = self.config.ewma_alpha * obs + (1.0 - self.config.ewma_alpha) * prior;
+        let score = EWMA_ALPHA * obs + (1.0 - EWMA_ALPHA) * prior;
         self.scores.insert(node, (score, now));
-        if self.quarantined.contains_key(&node) {
-            if score >= self.config.release_above {
-                self.quarantined.remove(&node);
-                return Some(HealthEvent::Released(node));
+        match self.quarantined.entry(node) {
+            Entry::Occupied(q) if score >= RELEASE_ABOVE => {
+                q.remove();
+                Some(HealthEvent::Released(node))
             }
-            None
-        } else if score < self.config.quarantine_below {
-            self.quarantined.insert(
-                node,
-                Quarantine {
+            Entry::Vacant(slot) if score < QUARANTINE_BELOW => {
+                slot.insert(Quarantine {
                     since: now,
-                    next_probe_at: now + self.config.probation_interval,
-                },
-            );
-            Some(HealthEvent::Quarantined(node))
-        } else {
-            None
+                    next_probe_at: now + PROBATION_INTERVAL,
+                });
+                Some(HealthEvent::Quarantined(node))
+            }
+            _ => None,
         }
     }
 
@@ -166,10 +133,10 @@ impl RelayHealth {
     }
 
     /// Marks a probation probe as scheduled: the next one is not due
-    /// before `now + probation_interval`.
+    /// before `now +` [`PROBATION_INTERVAL`].
     pub(crate) fn probe_scheduled(&mut self, node: NodeId, now: SimTime) {
         if let Some(q) = self.quarantined.get_mut(&node) {
-            q.next_probe_at = now + self.config.probation_interval;
+            q.next_probe_at = now + PROBATION_INTERVAL;
         }
     }
 
@@ -182,7 +149,7 @@ impl RelayHealth {
             .quarantined
             .keys()
             .copied()
-            .filter(|&n| self.score(n, now) >= self.config.release_above)
+            .filter(|&n| self.score(n, now) >= RELEASE_ABOVE)
             .collect();
         for &n in &release {
             let s = self.score(n, now);
@@ -249,7 +216,7 @@ mod tests {
     }
 
     fn health() -> RelayHealth {
-        RelayHealth::new(HealthConfig::default())
+        RelayHealth::default()
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub mod validate;
 
 pub use estimator::{ting_estimate_ms, CircuitSamples, TingMeasurement};
 pub use forwarding::{measure_forwarding_delay, ForwardingDelayMeasurement, ProbeProtocol};
-pub use health::{HealthConfig, HealthEvent, RelayHealth};
+pub use health::{HealthEvent, RelayHealth};
 pub use king::{king_measure, KingConfig, KingOutcome};
 pub use matrix::{DetourBest, RttMatrix, TSV_MAGIC};
 pub use orchestrator::{Ting, TingConfig, TingError};
@@ -105,5 +105,5 @@ pub use shard::{
     parse_merged_document, partition_pairs, DeltaPair, MergeDelta, MergeOutcome, MergedDocument,
     ShardCoverage, ShardStatus, Supervisor, SupervisorConfig, SupervisorReport, MERGED_MAGIC,
 };
-pub use timeout::{AdaptiveTimeoutConfig, TimeoutEstimators, TimeoutPhase};
-pub use validate::{ValidationConfig, ValidationError, Verdict};
+pub use timeout::{TimeoutEstimators, TimeoutPhase};
+pub use validate::{ValidationError, Verdict};

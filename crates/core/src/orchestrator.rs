@@ -10,7 +10,7 @@
 use crate::estimator::{CircuitSamples, TingMeasurement};
 use crate::parallel;
 use crate::sampling::SamplePolicy;
-use crate::timeout::{AdaptiveTimeoutConfig, TimeoutEstimators, TimeoutPhase};
+use crate::timeout::{TimeoutEstimators, TimeoutPhase};
 use netsim::{NodeId, SimTime};
 use obs::{Counter, Hist, Obs, Value};
 use tor_sim::TorNetwork;
@@ -30,9 +30,9 @@ pub struct TingConfig {
     /// after a backoff.
     pub max_attempts: u32,
     /// CBT-style adaptive per-phase deadlines (see [`crate::timeout`]).
-    /// `None` keeps the fixed deadlines — and keeps the pipeline
+    /// `false` keeps the fixed deadlines — and keeps the pipeline
     /// bit-identical to the pre-adaptive behaviour.
-    pub adaptive_timeouts: Option<AdaptiveTimeoutConfig>,
+    pub adaptive_timeouts: bool,
 }
 
 /// Echo payload size in bytes (one cell each way regardless; the
@@ -62,7 +62,7 @@ impl Default for TingConfig {
             circuit_build_timeout_ms: 30_000.0,
             max_lost_probes: 16,
             max_attempts: 3,
-            adaptive_timeouts: None,
+            adaptive_timeouts: false,
         }
     }
 }
@@ -226,9 +226,10 @@ impl Ting {
             TimeoutPhase::Stream => STREAM_TIMEOUT_MS,
             TimeoutPhase::Probe => PROBE_TIMEOUT_MS,
         };
-        match &self.config.adaptive_timeouts {
-            Some(cfg) => self.timeouts.timeout_ms(phase, cfg, fixed),
-            None => fixed,
+        if self.config.adaptive_timeouts {
+            self.timeouts.timeout_ms(phase, fixed)
+        } else {
+            fixed
         }
     }
 
@@ -257,8 +258,8 @@ impl Ting {
                 ("circuit", Value::U64(circuit.0)),
             ]
         });
-        if let Some(cfg) = &self.config.adaptive_timeouts {
-            self.timeouts.observe(phase, ms, cfg);
+        if self.config.adaptive_timeouts {
+            self.timeouts.observe(phase, ms);
         }
     }
 

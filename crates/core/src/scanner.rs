@@ -10,13 +10,13 @@
 
 use crate::checkpoint::{Doc, Row};
 use crate::estimator::TingMeasurement;
-use crate::health::{HealthConfig, HealthEvent, RelayHealth};
+use crate::health::{self, HealthEvent, RelayHealth};
 use crate::matrix::{ordered, RttMatrix};
 use crate::orchestrator::{Ting, TingError};
 use crate::parallel::measure_lanes;
 use crate::queue::{tri_index, WorkQueue};
 use crate::validate::{
-    implausibly_low, validate, ValidationConfig, ValidationContext, ValidationError, Verdict,
+    self, implausibly_low, validate, ValidationContext, ValidationError, Verdict,
 };
 use geo::GeoPoint;
 use netsim::{NodeId, SimDuration, SimTime};
@@ -41,12 +41,12 @@ pub struct ScannerConfig {
     /// Ceiling on the per-pair retry pause.
     pub retry_backoff_cap: netsim::SimDuration,
     /// Relay health scoring + quarantine (see [`crate::health`]).
-    /// `None` disables the model entirely — dead relays keep burning
+    /// `false` disables the model entirely — dead relays keep burning
     /// per-pair backoffs, exactly the pre-health behaviour.
-    pub health: Option<HealthConfig>,
+    pub health: bool,
     /// Estimate validation before caching (see [`crate::validate`]).
-    /// `None` keeps only the original implausibly-low gate.
-    pub validation: Option<ValidationConfig>,
+    /// `false` keeps only the original implausibly-low gate.
+    pub validation: bool,
 }
 
 impl Default for ScannerConfig {
@@ -58,8 +58,8 @@ impl Default for ScannerConfig {
             pairs_per_round: 50,
             retry_backoff: netsim::SimDuration::from_secs(300),
             retry_backoff_cap: netsim::SimDuration::from_hours(2),
-            health: None,
-            validation: None,
+            health: false,
+            validation: false,
         }
     }
 }
@@ -97,7 +97,7 @@ pub struct Scanner {
     /// record, retry state, scope — in the queue's pair table, laid out
     /// like the matrix, plus the priority order over it.
     queue: WorkQueue,
-    /// Per-relay health model, present iff `config.health` is: the one
+    /// Per-relay health model, present iff `config.health` is on: the one
     /// quarantine roster, read by [`Scanner::parked`].
     health: Option<RelayHealth>,
 }
@@ -118,7 +118,7 @@ impl Scanner {
             queue: WorkQueue::new(matrix.len(), config.staleness),
             matrix,
             rounds_run: 0,
-            health: config.health.map(RelayHealth::new),
+            health: config.health.then(RelayHealth::default),
         }
     }
 
@@ -281,8 +281,8 @@ impl Scanner {
             self.record_failure(a, b, now, ting);
             return false;
         }
-        if let Some(vcfg) = &self.config.validation {
-            match validate(est, vcfg, &self.validation_context(a, b, now, locations)) {
+        if self.config.validation {
+            match validate(est, &self.validation_context(a, b, now, locations)) {
                 Verdict::Accept => {}
                 Verdict::Flag(e) => {
                     self.observe_verdict(
@@ -634,37 +634,35 @@ impl Scanner {
             self.config.retry_backoff.as_nanos(),
             self.config.retry_backoff_cap.as_nanos(),
         );
-        // `{}` on f64 prints the shortest exactly-roundtripping form,
-        // so config floats survive the text format bit-identically.
-        match &self.config.health {
-            None => out.push_str(" health=0"),
-            Some(h) => {
-                let _ = write!(
-                    out,
-                    " health=1 health_alpha={} health_qbelow={} health_rabove={} \
-                     health_probation_ns={} health_halflife_ns={}",
-                    h.ewma_alpha,
-                    h.quarantine_below,
-                    h.release_above,
-                    h.probation_interval.as_nanos(),
-                    h.decay_half_life.as_nanos(),
-                );
-            }
+        // `{}` on f64 prints the shortest exactly-roundtripping form.
+        // The sub-config values are constants, written so a reader sees
+        // what the scan ran with; `parse_config` holds them to it.
+        if self.config.health {
+            let _ = write!(
+                out,
+                " health=1 health_alpha={} health_qbelow={} health_rabove={} \
+                 health_probation_ns={} health_halflife_ns={}",
+                health::EWMA_ALPHA,
+                health::QUARANTINE_BELOW,
+                health::RELEASE_ABOVE,
+                health::PROBATION_INTERVAL.as_nanos(),
+                health::DECAY_HALF_LIFE.as_nanos(),
+            );
+        } else {
+            out.push_str(" health=0");
         }
-        match &self.config.validation {
-            None => out.push_str(" val=0"),
-            Some(v) => {
-                let _ = write!(
-                    out,
-                    " val=1 val_divfactor={} val_divslack_ms={} val_lightspeed={} \
-                     val_tivfactor={} val_tivmin_ms={}",
-                    v.divergence_factor,
-                    v.divergence_slack_ms,
-                    u8::from(v.lightspeed),
-                    v.tiv_factor,
-                    v.tiv_min_detour_ms,
-                );
-            }
+        if self.config.validation {
+            let _ = write!(
+                out,
+                " val=1 val_divfactor={} val_divslack_ms={} val_lightspeed=1 \
+                 val_tivfactor={} val_tivmin_ms={}",
+                validate::DIVERGENCE_FACTOR,
+                validate::DIVERGENCE_SLACK_MS,
+                validate::TIV_FACTOR,
+                validate::TIV_MIN_DETOUR_MS,
+            );
+        } else {
+            out.push_str(" val=0");
         }
         out.push('\n');
         let _ = writeln!(out, "# rounds: {}", self.rounds_run);
@@ -802,12 +800,11 @@ impl Scanner {
 const CHECKPOINT_MAGIC: &str = "# ting scan checkpoint v3";
 
 /// Reads the `# config:` header: `key=value` tokens over the defaults,
-/// a sub-config's keys after its `health=1` / `val=1`. Floats and flags
-/// steer control flow, so they are held to their documented ranges.
+/// a sub-config's keys after its `health=1` / `val=1`. Flags steer
+/// control flow, so they are held to `0..=1`; a sub-config key is
+/// held to the one value the scanner runs with.
 fn parse_config(mut line: Row) -> Result<ScannerConfig, String> {
     let mut c = ScannerConfig::default();
-    let (mut h, mut v) = (HealthConfig::default(), ValidationConfig::default());
-    let (mut health, mut val) = (false, false);
     while let Some(token) = line.token() {
         let mut kv = line.part(token, '=');
         let k = kv.text("config key")?;
@@ -816,25 +813,35 @@ fn parse_config(mut line: Row) -> Result<ScannerConfig, String> {
             "pairs_per_round" => c.pairs_per_round = kv.field(k)?,
             "retry_backoff_ns" => c.retry_backoff = SimDuration(kv.field(k)?),
             "retry_backoff_cap_ns" => c.retry_backoff_cap = SimDuration(kv.field(k)?),
-            "health" => health = kv.field_in(k, 0..=1)? == 1,
-            "health_alpha" if health => h.ewma_alpha = kv.field_in(k, 0.0..=1.0)?,
-            "health_qbelow" if health => h.quarantine_below = kv.field_in(k, 0.0..=1.0)?,
-            "health_rabove" if health => h.release_above = kv.field_in(k, 0.0..=1.0)?,
-            "health_probation_ns" if health => h.probation_interval = SimDuration(kv.field(k)?),
-            "health_halflife_ns" if health => h.decay_half_life = SimDuration(kv.field(k)?),
-            "val" => val = kv.field_in(k, 0..=1)? == 1,
-            "val_divfactor" if val => v.divergence_factor = kv.field_in(k, 0.0..=f64::MAX)?,
-            "val_divslack_ms" if val => v.divergence_slack_ms = kv.field_in(k, 0.0..=f64::MAX)?,
-            "val_lightspeed" if val => v.lightspeed = kv.field_in(k, 0..=1)? == 1,
-            "val_tivfactor" if val => v.tiv_factor = kv.field_in(k, 0.0..=f64::MAX)?,
-            "val_tivmin_ms" if val => v.tiv_min_detour_ms = kv.field_in(k, 0.0..=f64::MAX)?,
+            "health" => c.health = kv.field_in(k, 0..=1)? == 1,
+            "health_alpha" if c.health => fixed(&mut kv, k, health::EWMA_ALPHA)?,
+            "health_qbelow" if c.health => fixed(&mut kv, k, health::QUARANTINE_BELOW)?,
+            "health_rabove" if c.health => fixed(&mut kv, k, health::RELEASE_ABOVE)?,
+            "health_probation_ns" if c.health => {
+                fixed(&mut kv, k, health::PROBATION_INTERVAL.as_nanos())?
+            }
+            "health_halflife_ns" if c.health => {
+                fixed(&mut kv, k, health::DECAY_HALF_LIFE.as_nanos())?
+            }
+            "val" => c.validation = kv.field_in(k, 0..=1)? == 1,
+            "val_divfactor" if c.validation => fixed(&mut kv, k, validate::DIVERGENCE_FACTOR)?,
+            "val_divslack_ms" if c.validation => fixed(&mut kv, k, validate::DIVERGENCE_SLACK_MS)?,
+            "val_lightspeed" if c.validation => fixed(&mut kv, k, 1u8)?,
+            "val_tivfactor" if c.validation => fixed(&mut kv, k, validate::TIV_FACTOR)?,
+            "val_tivmin_ms" if c.validation => fixed(&mut kv, k, validate::TIV_MIN_DETOUR_MS)?,
             _ => return Err(kv.err(&format!("config key {k:?} is unknown or precedes its flag"))),
         }
         kv.end()?;
     }
-    c.health = health.then_some(h);
-    c.validation = val.then_some(v);
     Ok(c)
+}
+
+/// Reads a sub-config value, refusing any but `value`.
+fn fixed<T>(kv: &mut Row, k: &str, value: T) -> Result<(), String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Debug + Copy,
+{
+    kv.field_in(k, value..=value).map(drop)
 }
 
 #[cfg(test)]
@@ -1014,7 +1021,7 @@ mod tests {
         let net = TorNetworkBuilder::testbed(61).build();
         let nodes: Vec<NodeId> = net.relays.iter().copied().take(8).collect();
         let config = ScannerConfig {
-            validation: Some(ValidationConfig::default()),
+            validation: true,
             ..ScannerConfig::default()
         };
         let mut scanner = Scanner::new(nodes.clone(), config);

@@ -459,8 +459,6 @@ pub struct DeltaPair {
     pub lineage: Lineage,
 }
 
-impl MergeDelta {}
-
 /// A merged-matrix document parsed back into data — the read-side
 /// inverse of [`MergeOutcome::to_document`], and the load path the
 /// latency oracle uses to serve a supervised scan's output. Timestamps
@@ -1290,15 +1288,14 @@ mod tests {
 
     #[test]
     fn a_restarted_shard_keeps_its_learned_deadlines() {
-        use crate::timeout::{AdaptiveTimeoutConfig, TimeoutPhase};
+        use crate::timeout::TimeoutPhase;
         const PHASES: [TimeoutPhase; 3] = [
             TimeoutPhase::Build,
             TimeoutPhase::Stream,
             TimeoutPhase::Probe,
         ];
-        let adaptive = AdaptiveTimeoutConfig::default();
         let ting_config = TingConfig {
-            adaptive_timeouts: Some(adaptive),
+            adaptive_timeouts: true,
             ..TingConfig::with_samples(2)
         };
         let config = SupervisorConfig {
@@ -1317,7 +1314,7 @@ mod tests {
             let timeouts = &sup.slots[0].timeouts;
             PHASES
                 .iter()
-                .all(|&p| !timeouts.timeout_ms(p, &adaptive, f64::NAN).is_nan())
+                .all(|&p| !timeouts.timeout_ms(p, f64::NAN).is_nan())
         };
         for _ in 0..20 {
             if warm(&sup) {

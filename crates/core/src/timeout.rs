@@ -14,11 +14,11 @@
 //!
 //! Only *successful* phase durations feed the estimator: timeouts are
 //! censored observations and would drag the quantile toward whatever
-//! the previous deadline was. Until `min_samples` successes have been
+//! the previous deadline was. Until `MIN_SAMPLES` (16) successes have been
 //! seen, the fixed fallback from [`crate::orchestrator::TingConfig`]
 //! applies unchanged — which also means a run with adaptive timeouts
-//! disabled (`TingConfig::adaptive_timeouts = None`) is bit-identical
-//! to the pre-adaptive pipeline.
+//! off (`TingConfig::adaptive_timeouts = false`) is bit-identical to
+//! the pre-adaptive pipeline.
 //!
 //! The estimator state is a plain ring buffer per phase behind a shared
 //! handle. A supervisor keeps a shard's handle across a crash and hands
@@ -28,36 +28,19 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Adaptive-timeout knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveTimeoutConfig {
-    /// Quantile of the observed success durations used as the cutoff
-    /// basis (Tor's CBT uses ~0.8; measurement wants a laxer p95).
-    pub quantile: f64,
-    /// Multiplier on the quantile — headroom for jitter above p95.
-    pub headroom: f64,
-    /// Ring-buffer window of success durations kept per phase.
-    pub window: usize,
-    /// Successes required before the estimate replaces the fallback.
-    pub min_samples: usize,
-    /// Never cut off below this (ms), no matter how fast successes are.
-    pub floor_ms: f64,
-    /// Never wait longer than this (ms).
-    pub ceiling_ms: f64,
-}
-
-impl Default for AdaptiveTimeoutConfig {
-    fn default() -> Self {
-        AdaptiveTimeoutConfig {
-            quantile: 0.95,
-            headroom: 1.5,
-            window: 128,
-            min_samples: 16,
-            floor_ms: 250.0,
-            ceiling_ms: 30_000.0,
-        }
-    }
-}
+/// Quantile of the observed success durations used as the cutoff basis
+/// (Tor's CBT uses ~0.8; measurement wants a laxer p95).
+const QUANTILE: f64 = 0.95;
+/// Multiplier on the quantile — headroom for jitter above p95.
+const HEADROOM: f64 = 1.5;
+/// Ring-buffer window of success durations kept per phase.
+const WINDOW: usize = 128;
+/// Successes required before the estimate replaces the fallback.
+const MIN_SAMPLES: usize = 16;
+/// Never cut off below this (ms), no matter how fast successes are.
+const FLOOR_MS: f64 = 250.0;
+/// Never wait longer than this (ms).
+const CEILING_MS: f64 = 30_000.0;
 
 /// The three deadline-bearing phases of one circuit measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,28 +69,23 @@ impl PartialEq for Window {
 }
 
 impl Window {
-    fn observe(&mut self, ms: f64, window: usize) {
-        if window == 0 {
-            return;
-        }
-        if self.samples.len() < window {
+    fn observe(&mut self, ms: f64) {
+        if self.samples.len() < WINDOW {
             self.samples.push(ms);
         } else {
-            self.cursor %= self.samples.len();
             self.samples[self.cursor] = ms;
         }
-        self.cursor = (self.cursor + 1) % window.max(1);
+        self.cursor = (self.cursor + 1) % WINDOW;
     }
 
-    /// The q-quantile (nearest-rank) of the window, if non-empty.
-    fn quantile(&self, q: f64) -> Option<f64> {
+    /// The [`QUANTILE`] (nearest-rank) of the window, if non-empty.
+    fn quantile(&self) -> Option<f64> {
         if self.samples.is_empty() {
             return None;
         }
         let mut sorted = self.samples.clone();
         sorted.sort_by(f64::total_cmp);
-        let rank =
-            ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        let rank = ((QUANTILE * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         Some(sorted[rank - 1])
     }
 }
@@ -151,29 +129,21 @@ impl TimeoutEstimators {
     }
 
     /// Feeds one successful phase duration.
-    pub(crate) fn observe(&self, phase: TimeoutPhase, ms: f64, config: &AdaptiveTimeoutConfig) {
-        self.inner
-            .borrow_mut()
-            .window(phase)
-            .observe(ms, config.window);
+    pub(crate) fn observe(&self, phase: TimeoutPhase, ms: f64) {
+        self.inner.borrow_mut().window(phase).observe(ms);
     }
 
-    /// The deadline for `phase` in ms: `quantile · headroom`, clamped
-    /// to `[floor, ceiling]` — or `fallback_ms` until `min_samples`
-    /// successes have been seen.
-    pub(crate) fn timeout_ms(
-        &self,
-        phase: TimeoutPhase,
-        config: &AdaptiveTimeoutConfig,
-        fallback_ms: f64,
-    ) -> f64 {
+    /// The deadline for `phase` in ms: [`QUANTILE`] · [`HEADROOM`],
+    /// clamped to `[FLOOR_MS, CEILING_MS]` — or `fallback_ms` until
+    /// [`MIN_SAMPLES`] successes have been seen.
+    pub(crate) fn timeout_ms(&self, phase: TimeoutPhase, fallback_ms: f64) -> f64 {
         let inner = self.inner.borrow();
         let w = inner.window_ref(phase);
-        if w.samples.len() < config.min_samples.max(1) {
+        if w.samples.len() < MIN_SAMPLES {
             return fallback_ms;
         }
-        let q = w.quantile(config.quantile).unwrap_or(fallback_ms);
-        (q * config.headroom).clamp(config.floor_ms, config.ceiling_ms)
+        let q = w.quantile().unwrap_or(fallback_ms);
+        (q * HEADROOM).clamp(FLOOR_MS, CEILING_MS)
     }
 }
 
@@ -189,70 +159,57 @@ impl PartialEq for TimeoutEstimators {
 mod tests {
     use super::*;
 
-    fn cfg() -> AdaptiveTimeoutConfig {
-        AdaptiveTimeoutConfig {
-            min_samples: 4,
-            window: 8,
-            floor_ms: 10.0,
-            ceiling_ms: 1_000.0,
-            quantile: 0.95,
-            headroom: 1.5,
-        }
-    }
-
     #[test]
     fn fallback_until_min_samples() {
         let est = TimeoutEstimators::new();
-        let c = cfg();
-        for _ in 0..3 {
-            est.observe(TimeoutPhase::Build, 100.0, &c);
+        for _ in 0..MIN_SAMPLES - 1 {
+            est.observe(TimeoutPhase::Build, 300.0);
         }
-        assert_eq!(est.timeout_ms(TimeoutPhase::Build, &c, 30_000.0), 30_000.0);
-        est.observe(TimeoutPhase::Build, 100.0, &c);
-        // p95 of {100,100,100,100}·1.5 = 150.
-        assert_eq!(est.timeout_ms(TimeoutPhase::Build, &c, 30_000.0), 150.0);
+        assert_eq!(est.timeout_ms(TimeoutPhase::Build, 30_000.0), 30_000.0);
+        est.observe(TimeoutPhase::Build, 300.0);
+        // p95 of sixteen 300s · 1.5 = 450.
+        assert_eq!(est.timeout_ms(TimeoutPhase::Build, 30_000.0), 450.0);
     }
 
     #[test]
     fn quantile_tracks_the_tail_and_clamps() {
         let est = TimeoutEstimators::new();
-        let c = cfg();
-        for ms in [10.0, 12.0, 11.0, 13.0, 700.0, 10.0, 12.0, 11.0] {
-            est.observe(TimeoutPhase::Probe, ms, &c);
+        let mut tail = [300.0; MIN_SAMPLES];
+        tail[4] = 25_000.0;
+        for ms in tail {
+            est.observe(TimeoutPhase::Probe, ms);
         }
-        // p95 over 8 samples is the max: 700 · 1.5 > ceiling → clamped.
-        assert_eq!(est.timeout_ms(TimeoutPhase::Probe, &c, 5_000.0), 1_000.0);
+        // p95 over 16 samples is the max: 25,000 · 1.5 > ceiling → clamped.
+        assert_eq!(est.timeout_ms(TimeoutPhase::Probe, 5_000.0), CEILING_MS);
         // Floor clamps equally: all-fast successes never cut below it.
         let est2 = TimeoutEstimators::new();
-        for _ in 0..8 {
-            est2.observe(TimeoutPhase::Probe, 1.0, &c);
+        for _ in 0..MIN_SAMPLES {
+            est2.observe(TimeoutPhase::Probe, 1.0);
         }
-        assert_eq!(est2.timeout_ms(TimeoutPhase::Probe, &c, 5_000.0), 10.0);
+        assert_eq!(est2.timeout_ms(TimeoutPhase::Probe, 5_000.0), FLOOR_MS);
     }
 
     #[test]
     fn window_evicts_oldest() {
         let est = TimeoutEstimators::new();
-        let c = cfg();
-        for _ in 0..8 {
-            est.observe(TimeoutPhase::Stream, 500.0, &c);
+        for _ in 0..WINDOW {
+            est.observe(TimeoutPhase::Stream, 500.0);
         }
-        // 8 more fast successes push every 500 out of the window.
-        for _ in 0..8 {
-            est.observe(TimeoutPhase::Stream, 20.0, &c);
+        // A window more of slower successes pushes every 500 out of it.
+        for _ in 0..WINDOW {
+            est.observe(TimeoutPhase::Stream, 200.0);
         }
-        assert_eq!(est.timeout_ms(TimeoutPhase::Stream, &c, 9_999.0), 30.0);
+        assert_eq!(est.timeout_ms(TimeoutPhase::Stream, 9_999.0), 300.0);
         let inner = est.inner.borrow();
-        assert_eq!(inner.window_ref(TimeoutPhase::Stream).samples.len(), 8);
+        assert_eq!(inner.window_ref(TimeoutPhase::Stream).samples.len(), WINDOW);
     }
 
     #[test]
     fn equality_compares_cursors_and_sample_bits() {
-        let c = cfg();
         let fed = |samples: &[f64]| {
             let est = TimeoutEstimators::new();
             for &ms in samples {
-                est.observe(TimeoutPhase::Probe, ms, &c);
+                est.observe(TimeoutPhase::Probe, ms);
             }
             est
         };
@@ -260,8 +217,8 @@ mod tests {
         assert_ne!(fed(&[1.0, 0.0]), fed(&[1.0, -0.0]));
         assert_ne!(fed(&[1.0, 2.0]), fed(&[2.0, 1.0]));
         // A full window: same samples, cursor one further along.
-        let nine = [5.0; 9];
-        assert_ne!(fed(&nine), fed(&nine[..8]));
+        let more = [5.0; WINDOW + 1];
+        assert_ne!(fed(&more), fed(&more[..WINDOW]));
         assert_eq!(fed(&[f64::NAN]), fed(&[f64::NAN]));
     }
 }

@@ -34,41 +34,23 @@
 /// undershoot when the leg circuits were measured under different
 /// congestion floors; such a value is a measurement artifact, not an
 /// RTT, and [`crate::scanner::Scanner`] refuses to cache it whether or
-/// not the configurable checks below are on. NaN (an artifact of
+/// not the checks below are on. NaN (an artifact of
 /// degenerate sampling) counts as implausible too — a plain `< 0.05`
 /// would let it slip into the cache.
 pub(crate) fn implausibly_low(estimate_ms: f64) -> bool {
     estimate_ms.is_nan() || estimate_ms < 0.05
 }
 
-/// Validation knobs. The factors and slacks are finite and ≥ 0.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ValidationConfig {
-    /// A re-measurement further than `factor×` (plus slack) from a
-    /// fresh cached value is divergent.
-    pub divergence_factor: f64,
-    /// Absolute slack (ms) before divergence triggers — sub-ms paths
-    /// jitter by more than any ratio test tolerates.
-    pub divergence_slack_ms: f64,
-    /// Enforce the great-circle lightspeed lower bound.
-    pub lightspeed: bool,
-    /// Flag estimates above `best_detour × factor` as TIV outliers.
-    pub tiv_factor: f64,
-    /// Ignore detours shorter than this (ms) for TIV flagging.
-    pub tiv_min_detour_ms: f64,
-}
-
-impl Default for ValidationConfig {
-    fn default() -> Self {
-        ValidationConfig {
-            divergence_factor: 4.0,
-            divergence_slack_ms: 50.0,
-            lightspeed: true,
-            tiv_factor: 8.0,
-            tiv_min_detour_ms: 5.0,
-        }
-    }
-}
+/// A re-measurement further than this factor (plus
+/// [`DIVERGENCE_SLACK_MS`]) from a fresh cached value is divergent.
+pub(crate) const DIVERGENCE_FACTOR: f64 = 4.0;
+/// Absolute slack (ms) before divergence triggers — sub-ms paths jitter
+/// by more than any ratio test tolerates.
+pub(crate) const DIVERGENCE_SLACK_MS: f64 = 50.0;
+/// Estimates above `best_detour ×` this are flagged as TIV outliers.
+pub(crate) const TIV_FACTOR: f64 = 8.0;
+/// Detours shorter than this (ms) flag nothing.
+pub(crate) const TIV_MIN_DETOUR_MS: f64 = 5.0;
 
 /// Why an estimate was refused or flagged.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,21 +129,19 @@ pub struct ValidationContext {
 }
 
 /// Runs the checks in severity order and returns the verdict.
-pub(crate) fn validate(est_ms: f64, config: &ValidationConfig, ctx: &ValidationContext) -> Verdict {
-    if config.lightspeed {
-        if let Some(km) = ctx.distance_km {
-            let min_possible_ms = geo::lightspeed::min_rtt_ms(km);
-            if est_ms < min_possible_ms {
-                return Verdict::Reject(ValidationError::BelowLightspeed {
-                    est_ms,
-                    min_possible_ms,
-                });
-            }
+pub(crate) fn validate(est_ms: f64, ctx: &ValidationContext) -> Verdict {
+    if let Some(km) = ctx.distance_km {
+        let min_possible_ms = geo::lightspeed::min_rtt_ms(km);
+        if est_ms < min_possible_ms {
+            return Verdict::Reject(ValidationError::BelowLightspeed {
+                est_ms,
+                min_possible_ms,
+            });
         }
     }
     if let Some(cached_ms) = ctx.fresh_cached_ms {
-        let hi = cached_ms * config.divergence_factor + config.divergence_slack_ms;
-        let lo = (cached_ms / config.divergence_factor - config.divergence_slack_ms).max(0.0);
+        let hi = cached_ms * DIVERGENCE_FACTOR + DIVERGENCE_SLACK_MS;
+        let lo = (cached_ms / DIVERGENCE_FACTOR - DIVERGENCE_SLACK_MS).max(0.0);
         if est_ms > hi || est_ms < lo {
             let err = ValidationError::CacheDivergence { est_ms, cached_ms };
             return if ctx.confirming_retry {
@@ -172,8 +152,7 @@ pub(crate) fn validate(est_ms: f64, config: &ValidationConfig, ctx: &ValidationC
         }
     }
     if let Some(best_detour_ms) = ctx.best_detour_ms {
-        if best_detour_ms >= config.tiv_min_detour_ms && est_ms > best_detour_ms * config.tiv_factor
-        {
+        if best_detour_ms >= TIV_MIN_DETOUR_MS && est_ms > best_detour_ms * TIV_FACTOR {
             return Verdict::Flag(ValidationError::TivOutlier {
                 est_ms,
                 best_detour_ms,
@@ -186,10 +165,6 @@ pub(crate) fn validate(est_ms: f64, config: &ValidationConfig, ctx: &ValidationC
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg() -> ValidationConfig {
-        ValidationConfig::default()
-    }
 
     #[test]
     fn implausibly_low_boundary_values() {
@@ -210,7 +185,7 @@ mod tests {
 
     #[test]
     fn clean_estimate_accepted() {
-        let v = validate(80.0, &cfg(), &ValidationContext::default());
+        let v = validate(80.0, &ValidationContext::default());
         assert_eq!(v, Verdict::Accept);
     }
 
@@ -221,14 +196,14 @@ mod tests {
             distance_km: Some(16_000.0),
             ..Default::default()
         };
-        match validate(20.0, &cfg(), &ctx) {
+        match validate(20.0, &ctx) {
             Verdict::Reject(e @ ValidationError::BelowLightspeed { .. }) => {
                 assert_eq!(e.code(), "below_lightspeed");
             }
             other => panic!("expected lightspeed rejection, got {other:?}"),
         }
         // A plausible transpacific RTT passes.
-        assert_eq!(validate(220.0, &cfg(), &ctx), Verdict::Accept);
+        assert_eq!(validate(220.0, &ctx), Verdict::Accept);
     }
 
     #[test]
@@ -239,7 +214,7 @@ mod tests {
         };
         // 40 → 500 ms is past 4× + 50 ms slack.
         assert!(matches!(
-            validate(500.0, &cfg(), &ctx),
+            validate(500.0, &ctx),
             Verdict::Reject(ValidationError::CacheDivergence { .. })
         ));
         // The confirming retry is accepted (flagged, not refused).
@@ -248,18 +223,18 @@ mod tests {
             ..ctx
         };
         assert!(matches!(
-            validate(500.0, &cfg(), &confirming),
+            validate(500.0, &confirming),
             Verdict::Flag(ValidationError::CacheDivergence { .. })
         ));
         // Ordinary re-measurement noise is fine.
-        assert_eq!(validate(55.0, &cfg(), &ctx), Verdict::Accept);
+        assert_eq!(validate(55.0, &ctx), Verdict::Accept);
     }
 
     #[test]
     fn stale_cache_never_triggers_divergence() {
         // The caller models staleness by leaving fresh_cached_ms unset.
         let ctx = ValidationContext::default();
-        assert_eq!(validate(500.0, &cfg(), &ctx), Verdict::Accept);
+        assert_eq!(validate(500.0, &ctx), Verdict::Accept);
     }
 
     #[test]
@@ -268,7 +243,7 @@ mod tests {
             best_detour_ms: Some(10.0),
             ..Default::default()
         };
-        match validate(200.0, &cfg(), &ctx) {
+        match validate(200.0, &ctx) {
             Verdict::Flag(e @ ValidationError::TivOutlier { .. }) => {
                 assert_eq!(e.code(), "tiv_outlier");
             }
@@ -276,12 +251,12 @@ mod tests {
         }
         // An ordinary TIV (direct a bit above the detour) passes clean:
         // §5.2 *wants* those in the dataset.
-        assert_eq!(validate(25.0, &cfg(), &ctx), Verdict::Accept);
+        assert_eq!(validate(25.0, &ctx), Verdict::Accept);
         // Tiny detours prove nothing.
         let tiny = ValidationContext {
             best_detour_ms: Some(0.5),
             ..Default::default()
         };
-        assert_eq!(validate(200.0, &cfg(), &tiny), Verdict::Accept);
+        assert_eq!(validate(200.0, &tiny), Verdict::Accept);
     }
 }

@@ -55,6 +55,9 @@ fn canonical() -> String {
 
 #[test]
 fn roundtrip_is_exact_including_health_state() {
+    // The handwritten document is what the writer renders, byte for
+    // byte, its `# config:` line included.
+    assert_eq!(canonical(), handwritten());
     let scanner = Scanner::from_checkpoint(&handwritten()).unwrap();
     let health = scanner.health().expect("health=1 restores the model");
     assert!(health.quarantined_nodes().contains(&netsim::NodeId(3)));
@@ -360,6 +363,76 @@ fn every_structural_mutation_of_a_checkpoint_is_a_line_numbered_error() {
     refuses_each(&canonical(), true, load, table);
 }
 
+/// A sub-config value is a constant the file only reports: each key
+/// is refused at any other value, even one inside its range, naming
+/// the `# config:` line. Resuming under the file's value would run the
+/// constant and re-render a different line.
+#[test]
+fn a_sub_config_value_other_than_the_constant_is_a_line_3_error() {
+    let table: &[Mutation] = &[
+        (
+            "health_alpha=0.35",
+            &[Replace(3, "health_alpha=0.3 ", "health_alpha=0.35 ")],
+            3,
+        ),
+        (
+            "health_qbelow=0.3",
+            &[Replace(3, "health_qbelow=0.25", "health_qbelow=0.3")],
+            3,
+        ),
+        (
+            "health_rabove=0.7",
+            &[Replace(3, "health_rabove=0.6", "health_rabove=0.7")],
+            3,
+        ),
+        (
+            "health_probation_ns of 5 minutes",
+            &[Replace(
+                3,
+                "probation_ns=1800000000000",
+                "probation_ns=300000000000",
+            )],
+            3,
+        ),
+        (
+            "health_halflife_ns of 1 hour",
+            &[Replace(
+                3,
+                "halflife_ns=21600000000000",
+                "halflife_ns=3600000000000",
+            )],
+            3,
+        ),
+        (
+            "val_divfactor=3",
+            &[Replace(3, "val_divfactor=4", "val_divfactor=3")],
+            3,
+        ),
+        (
+            "val_divslack_ms=40",
+            &[Replace(3, "val_divslack_ms=50", "val_divslack_ms=40")],
+            3,
+        ),
+        (
+            "val_lightspeed=0",
+            &[Replace(3, "val_lightspeed=1", "val_lightspeed=0")],
+            3,
+        ),
+        (
+            "val_tivfactor=6",
+            &[Replace(3, "val_tivfactor=8", "val_tivfactor=6")],
+            3,
+        ),
+        (
+            "val_tivmin_ms=2",
+            &[Replace(3, "val_tivmin_ms=5", "val_tivmin_ms=2")],
+            3,
+        ),
+    ];
+    let load = |text: &str| Scanner::from_checkpoint(text).err();
+    refuses_each(&canonical(), true, load, table);
+}
+
 /// A merged document with both coverage statuses and both lineage
 /// forms: magic, `# nodes:`, `# now_ns:` on lines 1–3, then `s s m m`.
 #[test]
@@ -451,9 +524,9 @@ fn dead_world() -> (
 }
 
 /// A sealed checkpoint can carry any `u64` into `now + pause`. The sum
-/// saturates: the retry (or probation probe) is due at the end of time,
-/// where an unchecked add panics in a debug build and, in a release
-/// build, wraps into the past and hot-loops on a dead relay.
+/// saturates: the retry is due at the end of time, where an unchecked
+/// add panics in a debug build and, in a release build, wraps into the
+/// past and hot-loops on a dead relay.
 #[test]
 fn an_unbounded_pause_from_a_checkpoint_saturates_the_retry_instant() {
     let (mut net, [a, b, _], document) = dead_world();
@@ -465,18 +538,16 @@ fn an_unbounded_pause_from_a_checkpoint_saturates_the_retry_instant() {
     let retry = scanner.retry_state(a, b);
     assert_eq!(retry, Some((1, netsim::SimTime(never))));
 
-    // The same sum through `probe_scheduled`: a quarantined relay whose
-    // probation probe is due, under an unbounded probation interval.
+    // The probation interval is a constant, so an unbounded one never
+    // reaches `probe_scheduled`'s sum: the file is refused first.
     let config = format!(
         "retry_backoff_ns=1000000000 retry_backoff_cap_ns=2000000000 \
          health=1 health_probation_ns={never} val=0"
     );
     let rows = format!("h\t{0}\t0.1\t0\nq\t{0}\t0\t0\n", a.0);
-    let mut scanner = Scanner::from_checkpoint(&document(&config, &rows)).unwrap();
-    scanner.run_round(&mut net, &ting);
-    let rescheduled = format!("q\t{}\t0\t{never}\n", a.0);
-    let checkpoint = scanner.to_checkpoint();
-    assert!(checkpoint.contains(&rescheduled), "{checkpoint}");
+    let err = Scanner::from_checkpoint(&document(&config, &rows)).err();
+    let err = err.expect("an unbounded probation interval must be refused");
+    assert!(err.starts_with("line 3: health_probation_ns"), "{err}");
 }
 
 /// Likewise the consecutive-failure counter of an `f` row: at
@@ -554,23 +625,18 @@ fn live_through(seed: u64, n: usize, pairs_per_round: usize, steps: &[Step]) -> 
     let net = tor_sim::TorNetworkBuilder::live(seed, 10).build();
     let nodes: Vec<netsim::NodeId> = net.relays.iter().copied().take(n).collect();
     let config = ting::ScannerConfig {
-        // Short horizons, so a history of a few virtual hours moves
-        // pairs through every tier: fresh, stale, backoff and back.
-        staleness: SimDuration::from_secs(2_000),
+        // Horizons short against the health model's (a 30-minute
+        // probation interval, a 6-hour half-life), so a history of a
+        // day moves pairs through every tier: fresh, stale, backoff
+        // and back. Four blamed failures quarantine a relay (its first
+        // failed pairs back off unparked); two good probation probes
+        // release it.
+        staleness: SimDuration::from_secs(12_000),
         pairs_per_round,
-        retry_backoff: SimDuration::from_secs(300),
-        retry_backoff_cap: SimDuration::from_secs(1_200),
-        // Three blamed failures quarantine a relay (its first failed
-        // pairs back off unparked); two good probation probes release
-        // it.
-        health: Some(ting::HealthConfig {
-            ewma_alpha: 0.35,
-            quarantine_below: 0.3,
-            release_above: 0.6,
-            probation_interval: SimDuration::from_secs(300),
-            decay_half_life: SimDuration::from_hours(1),
-        }),
-        validation: None,
+        retry_backoff: SimDuration::from_secs(1_800),
+        retry_backoff_cap: SimDuration::from_secs(7_200),
+        health: true,
+        validation: false,
     };
     let mut lived = Lived {
         owned: ting::partition_pairs(&nodes, 1).remove(0),
@@ -611,9 +677,9 @@ proptest! {
         seed in 0u64..10_000,
         n in 3usize..9,
         pairs_per_round in 2usize..6,
-        raw_steps in prop::collection::vec((0u8..7, any::<u8>(), 0u64..3_000), 3..9),
+        raw_steps in prop::collection::vec((0u8..7, any::<u8>(), 0u64..18_000), 3..9),
         // The first lands inside the retry backoffs the history left.
-        later in (0u64..100, 0u64..1_500, 0u64..4_000),
+        later in (0u64..600, 0u64..9_000, 0u64..24_000),
     ) {
         let steps: Vec<Step> = raw_steps.into_iter().map(step).collect();
         let mut lived = live_through(seed, n, pairs_per_round, &steps);

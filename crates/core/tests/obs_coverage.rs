@@ -10,9 +10,7 @@
 
 use netsim::{FaultPlan, NodeId, SimDuration, SimTime};
 use ting::obs::{config_hash, names, Event, ExportMeta, Obs, ObsConfig, Value};
-use ting::{
-    AdaptiveTimeoutConfig, HealthConfig, Scanner, ScannerConfig, Ting, TingConfig, ValidationConfig,
-};
+use ting::{Scanner, ScannerConfig, Ting, TingConfig};
 use tor_sim::TorNetworkBuilder;
 
 const SEED: u64 = 0x0b5e;
@@ -41,7 +39,6 @@ fn every_observed_failure_class_reaches_the_exported_metrics() {
         .relay_faults(tor_sim::RelayFaultProfile {
             extend_refuse_prob: 0.02,
             overload_drop_prob: 0.002,
-            overload_queue_depth: 32,
             seed: SEED ^ 0x9,
         })
         .observability(obs.clone())
@@ -58,15 +55,15 @@ fn every_observed_failure_class_reaches_the_exported_metrics() {
             pairs_per_round: 8,
             retry_backoff: SimDuration::from_secs(60),
             retry_backoff_cap: SimDuration::from_hours(1),
-            health: Some(HealthConfig::default()),
-            validation: Some(ValidationConfig::default()),
+            health: true,
+            validation: true,
         },
     );
     let ting = Ting::with_obs(
         TingConfig {
             max_attempts: 2,
             max_lost_probes: 4,
-            adaptive_timeouts: Some(AdaptiveTimeoutConfig::default()),
+            adaptive_timeouts: true,
             ..TingConfig::fast()
         },
         obs.clone(),

@@ -27,7 +27,6 @@ fn faulty_builder(seed: u64) -> TorNetworkBuilder {
         .relay_faults(RelayFaultProfile {
             extend_refuse_prob: 0.01,
             overload_drop_prob: 0.0,
-            overload_queue_depth: 32,
             seed: seed ^ 0x9,
         })
 }
@@ -104,7 +103,6 @@ fn zero_rate_faults_give_bit_identical_estimates() {
                 .relay_faults(RelayFaultProfile {
                     extend_refuse_prob: 0.0,
                     overload_drop_prob: 0.0,
-                    overload_queue_depth: 8,
                     seed: 0xBEEF,
                 });
         }

@@ -4,7 +4,7 @@
 //! `crates/bench/tests/soak.rs`.
 
 use netsim::{NodeId, SimDuration, SimTime};
-use ting::{HealthConfig, Scanner, ScannerConfig, Ting, TingConfig};
+use ting::{Scanner, ScannerConfig, Ting, TingConfig};
 use tor_sim::TorNetworkBuilder;
 
 const SEED: u64 = 0x50AC;
@@ -40,8 +40,8 @@ fn time_to_complete_live_pairs(health: bool) -> SimTime {
             pairs_per_round: 6,
             retry_backoff: SimDuration::from_secs(60),
             retry_backoff_cap: SimDuration::from_secs(600),
-            health: health.then(HealthConfig::default),
-            validation: None,
+            health,
+            validation: false,
         },
     );
     let ting = Ting::new(TingConfig {

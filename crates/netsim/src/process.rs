@@ -109,10 +109,3 @@ pub trait Process {
         let _ = (ctx, id);
     }
 }
-
-/// A process that does nothing — for plain underlay endpoints that only
-/// exist to be pinged.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdleProcess;
-
-impl Process for IdleProcess {}

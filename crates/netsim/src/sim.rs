@@ -535,11 +535,16 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::IdleProcess;
     use crate::underlay::{AsProfile, UnderlayConfig};
     use geo::World;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// A process that does nothing: an endpoint that only exists to be
+    /// pinged.
+    struct IdleProcess;
+
+    impl Process for IdleProcess {}
 
     /// Builds a two-node world: an echo server at node 1, a driver at 0.
     fn build() -> (Simulator, NodeId, NodeId) {

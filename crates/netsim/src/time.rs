@@ -22,11 +22,11 @@ impl SimDuration {
     /// Saturating, like the one below: a count read from a flag or a
     /// document can be anything, and a span too long to represent is
     /// "forever", not a wrap into a short one.
-    pub fn from_secs(s: u64) -> SimDuration {
+    pub const fn from_secs(s: u64) -> SimDuration {
         SimDuration(s.saturating_mul(1_000_000_000))
     }
 
-    pub fn from_hours(h: u64) -> SimDuration {
+    pub const fn from_hours(h: u64) -> SimDuration {
         SimDuration::from_secs(h.saturating_mul(3600))
     }
 

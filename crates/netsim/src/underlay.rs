@@ -212,15 +212,6 @@ pub struct UnderlayConfig {
     pub drift_rel: f64,
     /// How long one congestion epoch lasts.
     pub drift_epoch_hours: f64,
-    /// Per-packet loss probability on inter-AS paths. Default 0: the
-    /// measurement experiments model an uncongested control path (a
-    /// lost probe would simply re-sample — TCP retransmission sits
-    /// below the application's RTT observation). Set non-zero to
-    /// exercise loss handling: affected packets are delivered late by
-    /// one retransmission timeout instead of vanishing.
-    pub loss_prob: f64,
-    /// Extra delay a retransmitted packet suffers (ms) — one RTO.
-    pub retransmit_penalty_ms: f64,
 }
 
 impl Default for UnderlayConfig {
@@ -238,8 +229,6 @@ impl Default for UnderlayConfig {
             drift_ms: 1.2,
             drift_rel: 0.015,
             drift_epoch_hours: 2.0,
-            loss_prob: 0.0,
-            retransmit_penalty_ms: 200.0,
         }
     }
 }
@@ -522,15 +511,7 @@ impl Underlay {
         } else {
             0.0
         };
-        // Loss model: a dropped packet is recovered by TCP one RTO
-        // later (reliable delivery is the transport's contract; the
-        // application just sees a slow sample).
-        let retransmit = if self.config.loss_prob > 0.0 && rng.gen_bool(self.config.loss_prob) {
-            self.config.retransmit_penalty_ms
-        } else {
-            0.0
-        };
-        base + self.drift_ms(from, to, t) + jitter + spike + retransmit
+        base + self.drift_ms(from, to, t) + jitter + spike
     }
 
     /// One synthetic ICMP ping RTT sample (ms) at time `t` — the tool the
@@ -759,12 +740,7 @@ mod tests {
             } else {
                 0.0
             };
-            let retransmit = if u.config.loss_prob > 0.0 && rng.gen_bool(u.config.loss_prob) {
-                u.config.retransmit_penalty_ms
-            } else {
-                0.0
-            };
-            base + drift_ms(u, from, to, t) + jitter + spike + retransmit
+            base + drift_ms(u, from, to, t) + jitter + spike
         }
     }
 
@@ -911,47 +887,6 @@ mod tests {
         let ping = u.ping_rtt_ms(a, b, SimTime::ZERO, &mut rng);
         let tcp_floor = u.base_rtt_ms(a, b, TrafficClass::Tcp);
         assert!(ping > tcp_floor + 45.0, "ping {ping} vs tcp {tcp_floor}");
-    }
-
-    #[test]
-    fn loss_model_delays_but_never_drops() {
-        let world = World::new();
-        let cfg = UnderlayConfig {
-            loss_prob: 0.10,
-            retransmit_penalty_ms: 150.0,
-            ..UnderlayConfig::default()
-        };
-        let mut u = Underlay::new(cfg, 21);
-        let nyc = world.city("New York").unwrap().location;
-        let lon = world.city("London").unwrap().location;
-        let a = u.add_as(AsProfile::datacenter("a", nyc));
-        let b = u.add_as(AsProfile::datacenter("b", lon));
-        let mut rng = SmallRng::seed_from_u64(1);
-        let n0 = u.add_node_in(a, nyc, [9, 0, 0, 1], &mut rng);
-        let n1 = u.add_node_in(b, lon, [9, 1, 0, 1], &mut rng);
-        let base = u.base_owd_ms(n0, n1, TrafficClass::Tcp);
-        let mut slow = 0;
-        let n = 2000;
-        for _ in 0..n {
-            let s = u.sample_owd_ms(n0, n1, TrafficClass::Tcp, SimTime::ZERO, &mut rng);
-            assert!(s.is_finite() && s >= base);
-            if s >= base + 150.0 {
-                slow += 1;
-            }
-        }
-        let frac = slow as f64 / n as f64;
-        assert!((frac - 0.10).abs() < 0.03, "retransmit fraction {frac}");
-    }
-
-    #[test]
-    fn default_config_has_no_loss() {
-        let (mut u, a, b) = two_as_underlay();
-        let base = u.base_owd_ms(a, b, TrafficClass::Tcp);
-        let mut rng = SmallRng::seed_from_u64(5);
-        for _ in 0..2000 {
-            let s = u.sample_owd_ms(a, b, TrafficClass::Tcp, SimTime::ZERO, &mut rng);
-            assert!(s < base + 150.0, "unexpected retransmission delay {s}");
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub const FORMAT: &str = "ting-obs-v1";
 /// 64-bit FNV-1a over raw bytes — the export's config fingerprint.
 /// Stable, dependency-free, and cheap; collision resistance is not a
 /// goal (the hash keys trace files to configs, it does not secure them).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

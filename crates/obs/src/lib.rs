@@ -35,8 +35,7 @@ pub mod names;
 pub mod slo;
 
 pub use export::{
-    config_hash, fnv1a64, mode_name, Document, EventRecord, ExportMeta, HistRecord, HistSummary,
-    FORMAT,
+    config_hash, mode_name, Document, EventRecord, ExportMeta, HistRecord, HistSummary, FORMAT,
 };
 use hist::LogHistogram;
 pub use lineage::{Lineage, Origin};

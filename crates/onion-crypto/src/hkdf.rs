@@ -8,7 +8,7 @@
 use crate::hmac::hmac_sha256;
 
 /// HKDF-Extract: `PRK = HMAC(salt, ikm)`.
-pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
+pub(crate) fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
     hmac_sha256(salt, ikm)
 }
 
@@ -16,7 +16,7 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
 ///
 /// # Panics
 /// Panics if `len > 255 * 32` (RFC limit).
-pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], len: usize) -> Vec<u8> {
+pub(crate) fn hkdf_expand(prk: &[u8; 32], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * 32, "HKDF output too long");
     let mut okm = Vec::with_capacity(len);
     let mut t: Vec<u8> = Vec::new();
@@ -36,7 +36,7 @@ pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], len: usize) -> Vec<u8> {
 }
 
 /// Full extract-then-expand.
-pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
+pub(crate) fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
     let prk = hkdf_extract(salt, ikm);
     hkdf_expand(&prk, info, len)
 }
@@ -112,5 +112,17 @@ mod tests {
     fn over_limit_rejected() {
         let prk = [0u8; 32];
         let _ = hkdf_expand(&prk, b"", 255 * 32 + 1);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn hkdf_output_lengths(
+            salt in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..32),
+            ikm in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..64),
+            len in 0usize..512,
+        ) {
+            let okm = hkdf(&salt, &ikm, b"test", len);
+            proptest::prop_assert_eq!(okm.len(), len);
+        }
     }
 }

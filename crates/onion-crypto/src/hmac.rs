@@ -5,7 +5,7 @@ use crate::sha256::{sha256, Sha256};
 const BLOCK: usize = 64;
 
 /// Computes `HMAC-SHA256(key, message)`.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
+pub(crate) fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     // Keys longer than one block are hashed down first.
     let mut k = [0u8; BLOCK];
     if key.len() > BLOCK {
@@ -92,5 +92,20 @@ mod tests {
         let a = hmac_sha256(b"", b"");
         let b = hmac_sha256(b"", b"x");
         assert_ne!(a, b);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn hmac_is_deterministic_and_key_sensitive(
+            key in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..100),
+            msg in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..100),
+        ) {
+            let a = hmac_sha256(&key, &msg);
+            let b = hmac_sha256(&key, &msg);
+            proptest::prop_assert_eq!(a, b);
+            let mut key2 = key.clone();
+            key2.push(0x01);
+            proptest::prop_assert_ne!(a, hmac_sha256(&key2, &msg));
+        }
     }
 }

@@ -44,8 +44,6 @@ pub mod sha256;
 pub mod x25519;
 
 pub use chacha20::ChaCha20;
-pub use hkdf::{hkdf, hkdf_expand, hkdf_extract};
-pub use hmac::hmac_sha256;
 pub use ntor::{
     client_handshake_finish, client_handshake_start, server_handshake, ClientHandshakeState,
     HopKeys, ServerReply,

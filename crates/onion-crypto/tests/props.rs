@@ -1,8 +1,8 @@
 //! Property-based tests for the crypto primitives.
 
 use onion_crypto::{
-    chacha20::ChaCha20, client_handshake_finish, client_handshake_start, hkdf, hmac_sha256,
-    server_handshake, sha256, x25519, x25519_base, KeyPair, Sha256,
+    chacha20::ChaCha20, client_handshake_finish, client_handshake_start, server_handshake, sha256,
+    x25519, x25519_base, KeyPair, Sha256,
 };
 use proptest::prelude::*;
 
@@ -41,29 +41,6 @@ proptest! {
         let mut flipped = data.clone();
         flipped[idx] ^= 1 << bit;
         prop_assert_ne!(sha256(&data), sha256(&flipped));
-    }
-
-    #[test]
-    fn hmac_is_deterministic_and_key_sensitive(
-        key in prop::collection::vec(any::<u8>(), 0..100),
-        msg in prop::collection::vec(any::<u8>(), 0..100),
-    ) {
-        let a = hmac_sha256(&key, &msg);
-        let b = hmac_sha256(&key, &msg);
-        prop_assert_eq!(a, b);
-        let mut key2 = key.clone();
-        key2.push(0x01);
-        prop_assert_ne!(a, hmac_sha256(&key2, &msg));
-    }
-
-    #[test]
-    fn hkdf_output_lengths(
-        salt in prop::collection::vec(any::<u8>(), 0..32),
-        ikm in prop::collection::vec(any::<u8>(), 1..64),
-        len in 0usize..512,
-    ) {
-        let okm = hkdf(&salt, &ikm, b"test", len);
-        prop_assert_eq!(okm.len(), len);
     }
 
     #[test]

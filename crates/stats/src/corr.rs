@@ -9,7 +9,7 @@
 ///
 /// Returns `None` if the slices are empty, have different lengths, or if
 /// either sample has zero variance (correlation undefined).
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     if xs.is_empty() || xs.len() != ys.len() {
         return None;
     }
@@ -34,7 +34,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 
 /// Spearman rank-order correlation with average ranks for ties.
 ///
-/// Returns `None` under the same conditions as [`pearson`].
+/// Returns `None` under the same conditions as `pearson`.
 pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
     if xs.is_empty() || xs.len() != ys.len() {
         return None;
@@ -145,6 +145,20 @@ mod tests {
             let sum: f64 = r.iter().sum();
             let expect = (xs.len() * (xs.len() + 1)) as f64 / 2.0;
             proptest::prop_assert!((sum - expect).abs() < 1e-6);
+        }
+
+        #[test]
+        fn correlations_bounded(
+            xs in proptest::collection::vec(-1.0e6..1.0e6f64, 3..64),
+            ys in proptest::collection::vec(-1.0e6..1.0e6f64, 3..64),
+        ) {
+            let n = xs.len().min(ys.len());
+            if let Some(r) = pearson(&xs[..n], &ys[..n]) {
+                proptest::prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
+            }
+            if let Some(r) = spearman(&xs[..n], &ys[..n]) {
+                proptest::prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
+            }
         }
     }
 }

@@ -28,10 +28,10 @@ pub mod summary;
 pub use boxplot::BoxplotSummary;
 pub use cdf::EmpiricalCdf;
 pub use convergence::MinConvergence;
-pub use corr::{pearson, spearman};
+pub use corr::spearman;
 pub use hist::BinLayout;
 pub use linfit::{linear_fit, LinearFit};
-pub use summary::{coefficient_of_variation, max, mean, median, min, quantile, stddev, variance};
+pub use summary::{coefficient_of_variation, mean, median, quantile};
 
 /// Sorts a copy of `xs` ascending, treating all values as totally ordered.
 ///

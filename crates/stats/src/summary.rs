@@ -20,13 +20,13 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
 /// The paper's c_v figures are descriptive statistics over a fixed set of
 /// hourly measurements, so the population convention is the right one.
 /// Returns `None` for an empty slice.
-pub fn variance(xs: &[f64]) -> Option<f64> {
+pub(crate) fn variance(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
 }
 
 /// Population standard deviation. Returns `None` for an empty slice.
-pub fn stddev(xs: &[f64]) -> Option<f64> {
+pub(crate) fn stddev(xs: &[f64]) -> Option<f64> {
     variance(xs).map(f64::sqrt)
 }
 
@@ -41,16 +41,6 @@ pub fn coefficient_of_variation(xs: &[f64]) -> Option<f64> {
         return None;
     }
     Some(stddev(xs)? / m)
-}
-
-/// Minimum value. Returns `None` for an empty slice.
-pub fn min(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().reduce(f64::min)
-}
-
-/// Maximum value. Returns `None` for an empty slice.
-pub fn max(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().reduce(f64::max)
 }
 
 /// Quantile by linear interpolation between closest ranks
@@ -147,12 +137,5 @@ mod tests {
     #[should_panic]
     fn quantile_rejects_out_of_range() {
         let _ = quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn min_max_reduce() {
-        assert_eq!(min(&[3.0, -1.0, 2.0]), Some(-1.0));
-        assert_eq!(max(&[3.0, -1.0, 2.0]), Some(3.0));
-        assert_eq!(min(&[]), None);
     }
 }

@@ -70,6 +70,9 @@ impl Default for RelayConfig {
     }
 }
 
+/// Queue depth at which overload shedding kicks in.
+const OVERLOAD_QUEUE_DEPTH: usize = 32;
+
 /// Relay-level fault injection: misbehaviour of the onion router itself,
 /// as opposed to the underlay faults in [`netsim::FaultPlan`].
 ///
@@ -84,11 +87,8 @@ pub struct RelayFaultProfile {
     /// would).
     pub extend_refuse_prob: f64,
     /// Probability a cell is shed instead of queued once the processing
-    /// queue is at least [`RelayFaultProfile::overload_queue_depth`]
-    /// deep.
+    /// queue is at least `OVERLOAD_QUEUE_DEPTH` (32) cells deep.
     pub overload_drop_prob: f64,
-    /// Queue depth at which overload shedding kicks in.
-    pub overload_queue_depth: usize,
     /// Seed for this relay's private fault-draw stream.
     pub seed: u64,
 }
@@ -231,7 +231,7 @@ impl Relay {
     fn enqueue_cell(&mut self, ctx: &mut Context, conn: ConnId, cell: Cell) {
         if self.faults.is_enabled()
             && self.faults.overload_drop_prob > 0.0
-            && self.queue.len() >= self.faults.overload_queue_depth
+            && self.queue.len() >= OVERLOAD_QUEUE_DEPTH
             && self.fault_draw_u01() < self.faults.overload_drop_prob
         {
             // Overloaded: shed the cell instead of queueing it.
