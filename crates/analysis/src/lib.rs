@@ -156,7 +156,7 @@ mod props {
             let mut rng = SmallRng::seed_from_u64(seed ^ 5);
             let sel = PathSelector::new(
                 &m,
-                PathSelectorConfig { min_len: 3, max_len: 5, budget_ms: budget, pilot_samples: 300 },
+                PathSelectorConfig { max_len: 5, budget_ms: budget, pilot_samples: 300 },
                 &mut rng,
             );
             for _ in 0..10 {

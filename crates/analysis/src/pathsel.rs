@@ -23,11 +23,13 @@ use rand::Rng;
 use std::collections::HashMap;
 use ting::RttMatrix;
 
+/// The shortest circuit drawn: Tor's three-hop default.
+const MIN_LEN: usize = 3;
+
 /// Configuration for latency-aware selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathSelectorConfig {
-    /// Inclusive circuit-length range to draw from.
-    pub min_len: usize,
+    /// The longest circuit drawn; lengths run from 3 to this, inclusive.
     pub max_len: usize,
     /// Internal-RTT budget (ms): sum of hop RTTs along the circuit.
     pub budget_ms: f64,
@@ -38,7 +40,6 @@ pub struct PathSelectorConfig {
 impl Default for PathSelectorConfig {
     fn default() -> Self {
         PathSelectorConfig {
-            min_len: 3,
             max_len: 6,
             budget_ms: 300.0,
             pilot_samples: 2000,
@@ -92,10 +93,9 @@ impl<'a> PathSelector<'a> {
         rng: &mut R,
     ) -> PathSelector<'a> {
         assert!(matrix.is_complete(), "path selection needs all pairs");
-        assert!(config.min_len >= 2 && config.min_len <= config.max_len);
-        assert!(config.max_len <= matrix.len());
+        assert!((MIN_LEN..=matrix.len()).contains(&config.max_len));
         let mut acceptance = HashMap::new();
-        for len in config.min_len..=config.max_len {
+        for len in MIN_LEN..=config.max_len {
             let mut hits = 0usize;
             for _ in 0..config.pilot_samples {
                 let c = random_circuit(matrix, len, rng);
@@ -118,7 +118,7 @@ impl<'a> PathSelector<'a> {
     /// Returns `None` if no length has any acceptance mass.
     pub(crate) fn sample_circuit<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Vec<NodeId>> {
         let n = self.matrix.len();
-        let masses: Vec<(usize, f64)> = (self.config.min_len..=self.config.max_len)
+        let masses: Vec<(usize, f64)> = (MIN_LEN..=self.config.max_len)
             .map(|len| {
                 // Ordered-circuit population: n! / (n-len)!.
                 let mut pop = 1.0f64;
@@ -133,7 +133,7 @@ impl<'a> PathSelector<'a> {
             return None;
         }
         let mut target = rng.gen_range(0.0..total);
-        let mut chosen = self.config.min_len;
+        let mut chosen = MIN_LEN;
         for (len, m) in &masses {
             target -= m;
             if target <= 0.0 {
@@ -156,7 +156,7 @@ impl<'a> PathSelector<'a> {
     pub fn profile<R: Rng + ?Sized>(&self, samples: usize, rng: &mut R) -> SelectionProfile {
         let n = self.matrix.len();
         let mut circuits_per_length = HashMap::new();
-        for len in self.config.min_len..=self.config.max_len {
+        for len in MIN_LEN..=self.config.max_len {
             let mut pop = 1.0f64;
             for i in 0..len {
                 pop *= (n - i) as f64;
@@ -235,7 +235,6 @@ mod tests {
         let m = matrix(25, 1);
         let mut rng = SmallRng::seed_from_u64(2);
         let cfg = PathSelectorConfig {
-            min_len: 3,
             max_len: 6,
             budget_ms: 250.0,
             pilot_samples: 500,
@@ -258,7 +257,6 @@ mod tests {
         let narrow = PathSelector::new(
             &m,
             PathSelectorConfig {
-                min_len: 3,
                 max_len: 3,
                 budget_ms: 300.0,
                 pilot_samples: 2000,
@@ -269,7 +267,6 @@ mod tests {
         let wide = PathSelector::new(
             &m,
             PathSelectorConfig {
-                min_len: 3,
                 max_len: 6,
                 budget_ms: 300.0,
                 pilot_samples: 2000,
@@ -305,7 +302,6 @@ mod tests {
         let sel = PathSelector::new(
             &m,
             PathSelectorConfig {
-                min_len: 3,
                 max_len: 7,
                 budget_ms: 350.0,
                 pilot_samples: 3000,
@@ -325,7 +321,6 @@ mod tests {
         let sel = PathSelector::new(
             &m,
             PathSelectorConfig {
-                min_len: 3,
                 max_len: 4,
                 budget_ms: 1.0, // nothing fits
                 pilot_samples: 300,

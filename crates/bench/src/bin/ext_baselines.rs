@@ -17,7 +17,7 @@ use bench::{env_usize, print_cdf, seed};
 use geo::{GeoDb, GeoErrorModel};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use ting::{king_measure, KingConfig, KingOutcome, RttMatrix, Ting, TingConfig};
+use ting::{king_measure, KingOutcome, RttMatrix, Ting, TingConfig};
 use tor_sim::TorNetworkBuilder;
 
 fn main() {
@@ -28,10 +28,6 @@ fn main() {
 
     let relays = net.relays.clone();
     let ting = Ting::new(TingConfig::with_samples(samples));
-    let king_cfg = KingConfig {
-        ns_availability: 1.0, // accuracy comparison; viability below
-        ..KingConfig::year_2002()
-    };
 
     // Geolocate everything once (error-prone, as in Fig. 8).
     let mut geodb = GeoDb::new(GeoErrorModel::default());
@@ -54,8 +50,10 @@ fn main() {
         let truth = net.true_rtt_ms(x, y);
         let t = ting.measure_pair(&mut net, x, y).expect("ting");
         let now = net.sim.now();
+        // Every name server answers: an accuracy comparison (viability
+        // is reported below).
         let KingOutcome::Estimate(kg) =
-            king_measure(net.sim.underlay_mut(), x, y, &king_cfg, now, &mut rng)
+            king_measure(net.sim.underlay_mut(), x, y, 1.0, now, &mut rng)
         else {
             unreachable!("availability = 1");
         };

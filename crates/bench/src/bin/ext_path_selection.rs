@@ -27,7 +27,6 @@ fn main() {
         let narrow = PathSelector::new(
             &matrix,
             PathSelectorConfig {
-                min_len: 3,
                 max_len: 3,
                 budget_ms,
                 pilot_samples: 4000,
@@ -37,7 +36,6 @@ fn main() {
         let wide = PathSelector::new(
             &matrix,
             PathSelectorConfig {
-                min_len: 3,
                 max_len: 6,
                 budget_ms,
                 pilot_samples: 4000,

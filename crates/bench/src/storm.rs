@@ -13,7 +13,6 @@ use std::path::PathBuf;
 use ting::obs::{config_hash, ExportMeta, Obs};
 use ting::shard::{Supervisor, SupervisorConfig};
 use ting::{RttMatrix, Scanner, ScannerConfig, TimeoutEstimators, Ting, TingConfig};
-use tor_sim::churn::ChurnConfig;
 use tor_sim::{RelayFaultProfile, TorNetwork, TorNetworkBuilder};
 
 /// Virtual seconds between the starts of consecutive scan rounds.
@@ -114,12 +113,7 @@ fn revive_all(net: &mut TorNetwork) {
 pub fn weather(net: &mut TorNetwork, round: u64, seed: u64) {
     advance_to_round(net, round);
     if round % 6 == 2 {
-        let churn = ChurnConfig {
-            initial_relays: RELAYS,
-            daily_departure_rate: 1.2,
-            ..ChurnConfig::default()
-        };
-        net.churn_step(&churn, 1.0, seed ^ round);
+        net.churn_step(1.2, 1.0, seed ^ round);
         net.refresh_consensus();
     }
     if round % 9 == 8 {

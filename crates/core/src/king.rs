@@ -14,35 +14,19 @@
 //!    exactly that underestimate skew.
 //! 2. **Vanishing applicability.** King needs the name server to accept
 //!    recursive queries from strangers; the paper re-measured support
-//!    at ~3%, down from 72–79% in 2002. [`KingConfig::ns_availability`]
-//!    models this: most measurement attempts simply fail today.
+//!    at ~3%, down from 72–79% in 2002. [`king_measure`]'s
+//!    `ns_availability` models this: most measurement attempts simply
+//!    fail today.
 
+use netsim::underlay::{LOOPBACK_MS, PATH_FLOOR_MS};
 use netsim::{NodeId, TrafficClass, Underlay};
 use rand::Rng;
 
-/// King deployment parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KingConfig {
-    /// Probability that a target's name server still answers recursive
-    /// queries (2002: ~0.75; 2015 per the paper: ~0.03).
-    pub ns_availability: f64,
-    /// One-way last-mile delay of a name server (ms) — datacenter-ish,
-    /// regardless of what the measured host's own access looks like.
-    pub ns_access_ms: f64,
-    /// Probe samples (King also min-filters).
-    pub samples: usize,
-}
-
-impl KingConfig {
-    /// King as deployable in 2002.
-    pub fn year_2002() -> KingConfig {
-        KingConfig {
-            ns_availability: 0.75,
-            ns_access_ms: 0.3,
-            samples: 20,
-        }
-    }
-}
+/// One-way last-mile delay of a name server (ms) — datacenter-ish,
+/// regardless of what the measured host's own access looks like.
+const NS_ACCESS_MS: f64 = 0.3;
+/// Probe samples (King also min-filters).
+const SAMPLES: usize = 20;
 
 /// One King measurement attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,30 +37,33 @@ pub enum KingOutcome {
     NsUnavailable,
 }
 
-/// Attempts a King measurement of the pair `(x, y)`.
+/// Attempts a King measurement of the pair `(x, y)`, where
+/// `ns_availability` is the probability that a target's name server
+/// still answers recursive queries (2002: ~0.75; 2015 per the paper:
+/// ~0.03).
 ///
-/// The estimate is the minimum of `samples` probe RTTs between the two
+/// The estimate is the minimum of 20 probe RTTs between the two
 /// hub-located name servers, using ICMP-class treatment (DNS/UDP shares
 /// the non-TCP policy path in this model).
 pub fn king_measure<R: Rng + ?Sized>(
     underlay: &mut Underlay,
     x: NodeId,
     y: NodeId,
-    config: &KingConfig,
+    ns_availability: f64,
     now: netsim::SimTime,
     rng: &mut R,
 ) -> KingOutcome {
     // King needs at least one cooperative recursive NS; require it on
     // the x side (as the original technique did) and availability on y
     // for the authoritative step.
-    if !rng.gen_bool(config.ns_availability) {
+    if !rng.gen_bool(ns_availability) {
         return KingOutcome::NsUnavailable;
     }
     let ax = underlay.node(x.index()).as_id;
     let ay = underlay.node(y.index()).as_id;
     let mut min = f64::INFINITY;
-    for _ in 0..config.samples.max(1) {
-        min = min.min(ns_rtt_sample_ms(underlay, ax, ay, config, now, rng));
+    for _ in 0..SAMPLES {
+        min = min.min(ns_rtt_sample_ms(underlay, ax, ay, now, rng));
     }
     KingOutcome::Estimate(min)
 }
@@ -86,22 +73,20 @@ fn ns_rtt_sample_ms<R: Rng + ?Sized>(
     underlay: &mut Underlay,
     ax: netsim::AsId,
     ay: netsim::AsId,
-    config: &KingConfig,
     now: netsim::SimTime,
     rng: &mut R,
 ) -> f64 {
-    let cfg = *underlay.config();
     if ax == ay {
         // Same provider: both name servers in one rack.
-        return cfg.loopback_ms * 2.0 + 2.0 * config.ns_access_ms;
+        return LOOPBACK_MS * 2.0 + 2.0 * NS_ACCESS_MS;
     }
     let hub_a = underlay.as_profile(ax).hub;
     let hub_b = underlay.as_profile(ay).hub;
     let (inflation, peering) = underlay.route_properties(ax, ay);
     let policy = underlay.as_profile(ax).policy.extra_ms(TrafficClass::Icmp) / 2.0
         + underlay.as_profile(ay).policy.extra_ms(TrafficClass::Icmp) / 2.0;
-    let base_owd = cfg.path_floor_ms
-        + 2.0 * config.ns_access_ms
+    let base_owd = PATH_FLOOR_MS
+        + 2.0 * NS_ACCESS_MS
         + geo::great_circle_km(hub_a, hub_b) * inflation / geo::FIBER_KM_PER_MS
         + peering
         + policy;
@@ -130,16 +115,12 @@ mod tests {
         // NS-to-NS estimate misses the access legs → estimate < truth.
         let mut net = TorNetworkBuilder::live(3001, 60).build();
         let mut rng = SmallRng::seed_from_u64(1);
-        let cfg = KingConfig {
-            ns_availability: 1.0,
-            ..KingConfig::year_2002()
-        };
         let mut ratios = Vec::new();
         for k in 0..20 {
             let (x, y) = (net.relays[k], net.relays[k + 25]);
             let truth = net.true_rtt_ms(x, y);
             let now = net.sim.now();
-            match king_measure(net.sim.underlay_mut(), x, y, &cfg, now, &mut rng) {
+            match king_measure(net.sim.underlay_mut(), x, y, 1.0, now, &mut rng) {
                 KingOutcome::Estimate(e) => ratios.push(e / truth),
                 KingOutcome::NsUnavailable => unreachable!(),
             }
@@ -153,17 +134,14 @@ mod tests {
     fn king_2015_mostly_fails() {
         let mut net = TorNetworkBuilder::live(3002, 30).build();
         let mut rng = SmallRng::seed_from_u64(2);
-        // King as (barely) deployable at the paper's writing.
-        let cfg = KingConfig {
-            ns_availability: 0.03,
-            ..KingConfig::year_2002()
-        };
+        // King as (barely) deployable at the paper's writing: 3% of name
+        // servers answer.
         let now = net.sim.now();
         let failures = (0..200)
             .filter(|&i| {
                 let (x, y) = (net.relays[i % 30], net.relays[(i + 7) % 30]);
                 matches!(
-                    king_measure(net.sim.underlay_mut(), x, y, &cfg, now, &mut rng),
+                    king_measure(net.sim.underlay_mut(), x, y, 0.03, now, &mut rng),
                     KingOutcome::NsUnavailable
                 )
             })
@@ -186,12 +164,8 @@ mod tests {
         };
         let (x, y) = (pair[0], pair[1]);
         let mut rng = SmallRng::seed_from_u64(3);
-        let cfg = KingConfig {
-            ns_availability: 1.0,
-            ..KingConfig::year_2002()
-        };
         let now = net.sim.now();
-        match king_measure(net.sim.underlay_mut(), x, y, &cfg, now, &mut rng) {
+        match king_measure(net.sim.underlay_mut(), x, y, 1.0, now, &mut rng) {
             KingOutcome::Estimate(e) => assert!(e < 2.0, "same-AS estimate {e}"),
             KingOutcome::NsUnavailable => unreachable!(),
         }

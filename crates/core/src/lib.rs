@@ -94,7 +94,7 @@ pub mod validate;
 pub use estimator::{ting_estimate_ms, CircuitSamples, TingMeasurement};
 pub use forwarding::{measure_forwarding_delay, ForwardingDelayMeasurement, ProbeProtocol};
 pub use health::{HealthEvent, RelayHealth};
-pub use king::{king_measure, KingConfig, KingOutcome};
+pub use king::{king_measure, KingOutcome};
 pub use matrix::{DetourBest, RttMatrix, TSV_MAGIC};
 pub use orchestrator::{Ting, TingConfig, TingError};
 pub use parallel::{measure_interleaved, PairOutcome, UnknownVantage};

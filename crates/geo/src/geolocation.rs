@@ -37,7 +37,7 @@ impl Default for GeoErrorModel {
 #[derive(Debug, Clone, Default)]
 pub struct GeoDb {
     truth: Vec<Option<GeoPoint>>,
-    pub error_model: GeoErrorModel,
+    error_model: GeoErrorModel,
 }
 
 impl GeoDb {

@@ -133,83 +133,66 @@ fn numeric_groups(s: &str) -> usize {
     count
 }
 
-/// Generates synthetic rDNS names with a configurable residential /
-/// datacenter / unnamed mix, for populating simulated relay descriptors.
-#[derive(Debug, Clone)]
-pub struct HostnameGenerator {
-    /// Fraction of hosts that are residential.
-    pub residential_frac: f64,
-    /// Fraction of hosts that are datacenter (the rest have no rDNS or
-    /// an opaque name).
-    pub datacenter_frac: f64,
-    /// Fraction of hosts with no rDNS name at all (applied first; the
-    /// paper found 1150 of 6634 relay addresses had none).
-    pub no_rdns_frac: f64,
-}
+// The synthetic rDNS mix, tuned so the *classified* population lands
+// near the paper's §5.3 numbers: 61% of named hosts residential, ~13% at
+// named hosting companies, and 1150/6634 ≈ 17% with no rDNS at all.
 
-impl Default for HostnameGenerator {
-    fn default() -> Self {
-        // Tuned so the *classified* population lands near the paper's
-        // §5.3 numbers: 61% of named hosts residential, ~13% at named
-        // hosting companies, and 1150/6634 ≈ 17% with no rDNS at all.
-        HostnameGenerator {
-            residential_frac: 0.61,
-            datacenter_frac: 0.13,
-            no_rdns_frac: 0.17,
-        }
+/// Fraction of hosts that are residential.
+const RESIDENTIAL_FRAC: f64 = 0.61;
+/// Fraction of hosts that are datacenter (the rest have no rDNS or an
+/// opaque name).
+const DATACENTER_FRAC: f64 = 0.13;
+/// Fraction of hosts with no rDNS name at all (applied first; the paper
+/// found 1150 of 6634 relay addresses had none).
+const NO_RDNS_FRAC: f64 = 0.17;
+
+/// Generates a synthetic rDNS name (or `None` for hosts without rDNS)
+/// for a host with IPv4 address `ip`, from the residential / datacenter
+/// / unnamed mix above, for populating simulated relay descriptors.
+pub fn generate_hostname<R: Rng + ?Sized>(ip: [u8; 4], rng: &mut R) -> Option<String> {
+    if rng.gen_bool(NO_RDNS_FRAC) {
+        return None;
+    }
+    // Renormalize the named mix.
+    let named = 1.0 - NO_RDNS_FRAC;
+    let r: f64 = rng.gen_range(0.0..1.0);
+    if r < RESIDENTIAL_FRAC / named * (1.0 - NO_RDNS_FRAC) {
+        Some(residential_name(ip, rng))
+    } else if r < (RESIDENTIAL_FRAC + DATACENTER_FRAC) / named * (1.0 - NO_RDNS_FRAC) {
+        Some(datacenter_name(ip, rng))
+    } else {
+        Some(opaque_name(ip, rng))
     }
 }
 
-impl HostnameGenerator {
-    /// Generates a hostname (or `None` for hosts without rDNS) for a host
-    /// with IPv4 address `ip`.
-    pub fn generate<R: Rng + ?Sized>(&self, ip: [u8; 4], rng: &mut R) -> Option<String> {
-        if rng.gen_bool(self.no_rdns_frac) {
-            return None;
-        }
-        // Renormalize the named mix.
-        let named = 1.0 - self.no_rdns_frac;
-        let r: f64 = rng.gen_range(0.0..1.0);
-        if r < self.residential_frac / named * (1.0 - self.no_rdns_frac) {
-            Some(self.residential_name(ip, rng))
-        } else if r
-            < (self.residential_frac + self.datacenter_frac) / named * (1.0 - self.no_rdns_frac)
-        {
-            Some(self.datacenter_name(ip, rng))
-        } else {
-            Some(self.opaque_name(ip, rng))
-        }
+fn residential_name<R: Rng + ?Sized>(ip: [u8; 4], rng: &mut R) -> String {
+    let [a, b, c, d] = ip;
+    match rng.gen_range(0..5) {
+        0 => format!("pool-{a}-{b}-{c}-{d}.nycmny.verizon.net"),
+        1 => format!("c-{a}-{b}-{c}-{d}.hsd1.ma.comcast.net"),
+        2 => format!("p{a}{b}{c}{d}.dip0.t-ipconnect.de"),
+        3 => format!("{d}.{c}.{b}.{a}.dsl.dyn.orange.fr"),
+        _ => format!("cpc{a}-{b}{c}-{d}.cable.virginmedia.com"),
     }
+}
 
-    fn residential_name<R: Rng + ?Sized>(&self, ip: [u8; 4], rng: &mut R) -> String {
-        let [a, b, c, d] = ip;
-        match rng.gen_range(0..5) {
-            0 => format!("pool-{a}-{b}-{c}-{d}.nycmny.verizon.net"),
-            1 => format!("c-{a}-{b}-{c}-{d}.hsd1.ma.comcast.net"),
-            2 => format!("p{a}{b}{c}{d}.dip0.t-ipconnect.de"),
-            3 => format!("{d}.{c}.{b}.{a}.dsl.dyn.orange.fr"),
-            _ => format!("cpc{a}-{b}{c}-{d}.cable.virginmedia.com"),
-        }
+fn datacenter_name<R: Rng + ?Sized>(ip: [u8; 4], rng: &mut R) -> String {
+    let [a, b, c, d] = ip;
+    match rng.gen_range(0..5) {
+        0 => format!("li{b}{c}-{d}.members.linode.com"),
+        1 => format!("ec2-{a}-{b}-{c}-{d}.compute-1.amazonaws.com"),
+        2 => format!("ns{a}{b}{c}{d}.ip-{a}-{b}-{c}.ovh.net"),
+        3 => format!("static.{a}.{b}.{c}.{d}.clients.your-server.de"),
+        _ => format!("host-{a}-{b}-{c}-{d}.leaseweb.com"),
     }
+}
 
-    fn datacenter_name<R: Rng + ?Sized>(&self, ip: [u8; 4], rng: &mut R) -> String {
-        let [a, b, c, d] = ip;
-        match rng.gen_range(0..5) {
-            0 => format!("li{b}{c}-{d}.members.linode.com"),
-            1 => format!("ec2-{a}-{b}-{c}-{d}.compute-1.amazonaws.com"),
-            2 => format!("ns{a}{b}{c}{d}.ip-{a}-{b}-{c}.ovh.net"),
-            3 => format!("static.{a}.{b}.{c}.{d}.clients.your-server.de"),
-            _ => format!("host-{a}-{b}-{c}-{d}.leaseweb.com"),
-        }
-    }
-
-    fn opaque_name<R: Rng + ?Sized>(&self, ip: [u8; 4], rng: &mut R) -> String {
-        let [_, _, c, d] = ip;
-        match rng.gen_range(0..3) {
-            0 => format!("tor-relay-{c}{d}.example.org"),
-            1 => format!("mail{d}.smallbusiness.example.com"),
-            _ => format!("gw.office{c}.example.net"),
-        }
+fn opaque_name<R: Rng + ?Sized>(ip: [u8; 4], rng: &mut R) -> String {
+    let [_, _, c, d] = ip;
+    match rng.gen_range(0..3) {
+        0 => format!("tor-relay-{c}{d}.example.org"),
+        1 => format!("mail{d}.smallbusiness.example.com"),
+        _ => format!("gw.office{c}.example.net"),
     }
 }
 
@@ -290,7 +273,6 @@ mod tests {
 
     #[test]
     fn generator_hits_target_mix() {
-        let g = HostnameGenerator::default();
         let mut rng = SmallRng::seed_from_u64(11);
         let n = 20_000;
         let mut residential = 0;
@@ -304,7 +286,7 @@ mod tests {
                 (i / 13 % 256) as u8,
                 (i % 254 + 1) as u8,
             ];
-            match g.generate(ip, &mut rng) {
+            match generate_hostname(ip, &mut rng) {
                 None => none += 1,
                 Some(name) => {
                     named += 1;
@@ -330,7 +312,6 @@ mod tests {
     fn generated_names_classify_as_intended() {
         // Every name from the residential generator classifies
         // residential; same for datacenter.
-        let g = HostnameGenerator::default();
         let mut rng = SmallRng::seed_from_u64(5);
         for _ in 0..200 {
             let ip = [
@@ -339,9 +320,9 @@ mod tests {
                 rng.gen(),
                 rng.gen_range(1..=254),
             ];
-            let r = g.residential_name(ip, &mut rng);
+            let r = residential_name(ip, &mut rng);
             assert_eq!(classify_hostname(&r), HostClass::Residential, "{r}");
-            let d = g.datacenter_name(ip, &mut rng);
+            let d = datacenter_name(ip, &mut rng);
             assert_eq!(classify_hostname(&d), HostClass::Datacenter, "{d}");
         }
     }

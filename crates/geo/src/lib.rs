@@ -28,6 +28,6 @@ pub mod world;
 
 pub use coord::{great_circle_km, GeoPoint};
 pub use geolocation::{GeoDb, GeoErrorModel};
-pub use hostnames::{classify_hostname, HostClass, HostnameGenerator};
+pub use hostnames::{classify_hostname, generate_hostname, HostClass};
 pub use lightspeed::{min_rtt_ms, FIBER_KM_PER_MS};
 pub use world::{City, Region, World};

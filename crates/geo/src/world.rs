@@ -151,15 +151,16 @@ pub const CITIES: &[City] = &[
     city("Cairo", "EG", Region::Africa, 30.0444, 31.2357),
 ];
 
+/// Metro-area jitter radius in km (relays in the same city are placed
+/// within this radius of the center).
+const METRO_JITTER_KM: f64 = 25.0;
+
 /// The synthetic world: samples relay locations with the Tor-like
 /// regional skew, and jitters positions inside a city's metro area so
 /// co-located relays are close but not identical.
 #[derive(Debug, Clone)]
 pub struct World {
     cities: Vec<City>,
-    /// Metro-area jitter radius in km (relays in the same city are
-    /// placed within this radius of the center).
-    pub metro_jitter_km: f64,
 }
 
 impl Default for World {
@@ -173,7 +174,6 @@ impl World {
     pub fn new() -> World {
         World {
             cities: CITIES.to_vec(),
-            metro_jitter_km: 25.0,
         }
     }
 
@@ -203,8 +203,8 @@ impl World {
     /// Samples a relay location: a skew-weighted city plus metro jitter.
     pub fn sample_location<R: Rng + ?Sized>(&self, rng: &mut R) -> (City, GeoPoint) {
         let c = self.sample_city(rng);
-        let north = rng.gen_range(-self.metro_jitter_km..self.metro_jitter_km);
-        let east = rng.gen_range(-self.metro_jitter_km..self.metro_jitter_km);
+        let north = rng.gen_range(-METRO_JITTER_KM..METRO_JITTER_KM);
+        let east = rng.gen_range(-METRO_JITTER_KM..METRO_JITTER_KM);
         (c, c.location.offset_km(north, east))
     }
 

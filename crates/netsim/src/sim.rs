@@ -551,7 +551,7 @@ mod tests {
         let world = World::new();
         let nyc = world.city("New York").unwrap().location;
         let lon = world.city("London").unwrap().location;
-        let mut u = Underlay::new(UnderlayConfig::default(), 5);
+        let mut u = Underlay::new(UnderlayConfig, 5);
         let a = u.add_as(AsProfile::datacenter("a", nyc));
         let b = u.add_as(AsProfile::datacenter("b", lon));
         let mut seed_rng = SmallRng::seed_from_u64(1);
@@ -606,7 +606,7 @@ mod tests {
         let world = World::new();
         let nyc = world.city("New York").unwrap().location;
         let lon = world.city("London").unwrap().location;
-        let mut u = Underlay::new(UnderlayConfig::default(), 5);
+        let mut u = Underlay::new(UnderlayConfig, 5);
         let a = u.add_as(AsProfile::datacenter("a", nyc));
         let b = u.add_as(AsProfile::datacenter("b", lon));
         let mut seed_rng = SmallRng::seed_from_u64(1);
@@ -653,7 +653,7 @@ mod tests {
             let world = World::new();
             let nyc = world.city("New York").unwrap().location;
             let lon = world.city("London").unwrap().location;
-            let mut u = Underlay::new(UnderlayConfig::default(), 5);
+            let mut u = Underlay::new(UnderlayConfig, 5);
             let a = u.add_as(AsProfile::datacenter("a", nyc));
             let b = u.add_as(AsProfile::datacenter("b", lon));
             let mut seed_rng = SmallRng::seed_from_u64(1);
@@ -709,7 +709,7 @@ mod tests {
         }
         let world = World::new();
         let nyc = world.city("New York").unwrap().location;
-        let mut u = Underlay::new(UnderlayConfig::default(), 5);
+        let mut u = Underlay::new(UnderlayConfig, 5);
         let a = u.add_as(AsProfile::datacenter("a", nyc));
         let mut seed_rng = SmallRng::seed_from_u64(1);
         u.add_node_in(a, nyc, [10, 0, 0, 1], &mut seed_rng);
@@ -738,7 +738,7 @@ mod tests {
         let world = World::new();
         let nyc = world.city("New York").unwrap().location;
         let lon = world.city("London").unwrap().location;
-        let mut u = Underlay::new(UnderlayConfig::default(), 5);
+        let mut u = Underlay::new(UnderlayConfig, 5);
         let a = u.add_as(AsProfile::datacenter("a", nyc));
         let b = u.add_as(AsProfile::datacenter("b", lon));
         let mut seed_rng = SmallRng::seed_from_u64(1);
@@ -771,7 +771,7 @@ mod tests {
         let world = World::new();
         let nyc = world.city("New York").unwrap().location;
         let lon = world.city("London").unwrap().location;
-        let mut u = Underlay::new(UnderlayConfig::default(), 5);
+        let mut u = Underlay::new(UnderlayConfig, 5);
         let a_as = u.add_as(AsProfile::datacenter("a", nyc));
         let b_as = u.add_as(AsProfile::datacenter("b", lon));
         let mut seed_rng = SmallRng::seed_from_u64(1);
@@ -801,7 +801,7 @@ mod tests {
         let world = World::new();
         let nyc = world.city("New York").unwrap().location;
         let lon = world.city("London").unwrap().location;
-        let mut u = Underlay::new(UnderlayConfig::default(), 5);
+        let mut u = Underlay::new(UnderlayConfig, 5);
         let a = u.add_as(AsProfile::datacenter("a", nyc));
         let b = u.add_as(AsProfile::datacenter("b", lon));
         let mut seed_rng = SmallRng::seed_from_u64(1);

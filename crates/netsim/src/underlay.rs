@@ -178,60 +178,46 @@ pub struct NodeAttrs {
     pub ip: [u8; 4],
 }
 
-/// Tunable constants of the latency model.
-#[derive(Debug, Clone, Copy)]
-pub struct UnderlayConfig {
-    /// Multiplier on geodesic fiber time within a single AS.
-    pub intra_as_inflation: f64,
-    /// Minimum inter-AS inflation factor.
-    pub inter_as_inflation_min: f64,
-    /// Mean of the exponential part of inter-AS inflation.
-    pub inter_as_inflation_exp_mean: f64,
-    /// Hard cap on inter-AS inflation.
-    pub inter_as_inflation_max: f64,
-    /// Probability an AS pair routes "performance-insensitively" (large
-    /// fixed inflation — the substantial TIVs of Fig. 15).
-    pub bad_route_prob: f64,
-    /// Inflation applied to such unlucky pairs.
-    pub bad_route_inflation: f64,
-    /// Range of the fixed per-AS-pair peering overhead (ms, one-way):
-    /// even co-located ASes exchange traffic through IXPs and transit
-    /// providers, so inter-AS paths never cost zero propagation.
-    pub peering_ms: (f64, f64),
-    /// One-way delay between two processes on the same host (ms).
-    pub loopback_ms: f64,
-    /// Per-packet serialization/forwarding floor (ms) added per path.
-    pub path_floor_ms: f64,
-    /// Amplitude of the slowly-drifting congestion floor (ms): every
-    /// [`UnderlayConfig::drift_epoch_hours`], each node pair's floor
-    /// moves to a new value in `[0, drift_ms + drift_rel · base]`.
-    /// This is why week-long hourly Ting estimates vary slightly
-    /// (Figs. 9–10) even though each snapshot min-filters its jitter.
-    pub drift_ms: f64,
-    /// Relative component of the drift amplitude.
-    pub drift_rel: f64,
-    /// How long one congestion epoch lasts.
-    pub drift_epoch_hours: f64,
-}
+// The latency model's calibration: set once against the paper's
+// targets (Figs. 3, 9–10 and 15) and then frozen (DESIGN §9).
 
-impl Default for UnderlayConfig {
-    fn default() -> Self {
-        UnderlayConfig {
-            intra_as_inflation: 1.4,
-            inter_as_inflation_min: 1.12,
-            inter_as_inflation_exp_mean: 0.5,
-            inter_as_inflation_max: 4.0,
-            bad_route_prob: 0.10,
-            bad_route_inflation: 2.8,
-            peering_ms: (0.3, 2.0),
-            loopback_ms: 0.03,
-            path_floor_ms: 0.10,
-            drift_ms: 1.2,
-            drift_rel: 0.015,
-            drift_epoch_hours: 2.0,
-        }
-    }
-}
+/// Multiplier on geodesic fiber time within a single AS.
+const INTRA_AS_INFLATION: f64 = 1.4;
+/// Minimum inter-AS inflation factor.
+const INTER_AS_INFLATION_MIN: f64 = 1.12;
+/// Mean of the exponential part of inter-AS inflation.
+const INTER_AS_INFLATION_EXP_MEAN: f64 = 0.5;
+/// Hard cap on inter-AS inflation.
+const INTER_AS_INFLATION_MAX: f64 = 4.0;
+/// Probability an AS pair routes "performance-insensitively" (large
+/// fixed inflation — the substantial TIVs of Fig. 15).
+const BAD_ROUTE_PROB: f64 = 0.10;
+/// Inflation applied to such unlucky pairs.
+const BAD_ROUTE_INFLATION: f64 = 2.8;
+/// Range of the fixed per-AS-pair peering overhead (ms, one-way):
+/// even co-located ASes exchange traffic through IXPs and transit
+/// providers, so inter-AS paths never cost zero propagation.
+const PEERING_MS: std::ops::Range<f64> = 0.3..2.0;
+/// One-way delay between two processes on the same host (ms).
+pub const LOOPBACK_MS: f64 = 0.03;
+/// Per-packet serialization/forwarding floor (ms) added per path.
+pub const PATH_FLOOR_MS: f64 = 0.10;
+/// Amplitude of the slowly-drifting congestion floor (ms): every
+/// [`DRIFT_EPOCH_HOURS`], each node pair's floor moves to a new value
+/// in `[0, DRIFT_MS + DRIFT_REL · base]`. This is why week-long hourly
+/// Ting estimates vary slightly (Figs. 9–10) even though each snapshot
+/// min-filters its jitter.
+const DRIFT_MS: f64 = 1.2;
+/// Relative component of the drift amplitude.
+const DRIFT_REL: f64 = 0.015;
+/// How long one congestion epoch lasts.
+const DRIFT_EPOCH_HOURS: f64 = 2.0;
+
+/// What [`Underlay::new`] takes: the latency model has no settable
+/// values left (its calibration is the module's constants), so this is
+/// empty.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UnderlayConfig;
 
 /// What the underlay keeps per unordered AS pair `(lo, hi)`: the drawn
 /// route properties and the hub-to-hub geodesic, both fixed once the
@@ -255,7 +241,6 @@ struct Route {
 /// [`Underlay::add_node`], hub ↔ hub beside the AS pair's route draw.
 #[derive(Debug, Clone)]
 pub struct Underlay {
-    config: UnderlayConfig,
     ases: Vec<AsProfile>,
     nodes: Vec<NodeAttrs>,
     /// Per node: `great_circle_km(location, hub)` and
@@ -268,11 +253,10 @@ pub struct Underlay {
 }
 
 impl Underlay {
-    /// Creates an empty underlay with the given model constants. `seed`
-    /// fixes all per-pair routing draws.
-    pub fn new(config: UnderlayConfig, seed: u64) -> Underlay {
+    /// Creates an empty underlay. `seed` fixes all per-pair routing
+    /// draws.
+    pub fn new(_: UnderlayConfig, seed: u64) -> Underlay {
         Underlay {
-            config,
             ases: Vec::new(),
             nodes: Vec::new(),
             hub_km: Vec::new(),
@@ -331,11 +315,6 @@ impl Underlay {
         &self.nodes[idx]
     }
 
-    /// The model constants this underlay was built with.
-    pub fn config(&self) -> &UnderlayConfig {
-        &self.config
-    }
-
     pub fn as_profile(&self, id: AsId) -> &AsProfile {
         &self.ases[id.0 as usize]
     }
@@ -355,7 +334,7 @@ impl Underlay {
     /// order-independent.
     pub fn route_properties(&mut self, a: AsId, b: AsId) -> (f64, f64) {
         if a == b {
-            return (self.config.intra_as_inflation, 0.0);
+            return (INTRA_AS_INFLATION, 0.0);
         }
         let route = self.route(a, b);
         (route.inflation, route.peering_ms)
@@ -372,14 +351,13 @@ impl Underlay {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((key.0 .0 as u64) << 32 | key.1 .0 as u64);
         let mut rng = SmallRng::seed_from_u64(pair_seed);
-        let c = &self.config;
-        let inflation = if rng.gen_bool(c.bad_route_prob) {
-            c.bad_route_inflation
+        let inflation = if rng.gen_bool(BAD_ROUTE_PROB) {
+            BAD_ROUTE_INFLATION
         } else {
-            let exp: f64 = -rng.gen_range(1e-9..1.0f64).ln() * c.inter_as_inflation_exp_mean;
-            (c.inter_as_inflation_min + exp).min(c.inter_as_inflation_max)
+            let exp: f64 = -rng.gen_range(1e-9..1.0f64).ln() * INTER_AS_INFLATION_EXP_MEAN;
+            (INTER_AS_INFLATION_MIN + exp).min(INTER_AS_INFLATION_MAX)
         };
-        let peering_ms = rng.gen_range(c.peering_ms.0..c.peering_ms.1.max(c.peering_ms.0 + 1e-9));
+        let peering_ms = rng.gen_range(PEERING_MS);
         let (hub_lo, hub_hi) = (
             self.ases[key.0 .0 as usize].hub,
             self.ases[key.1 .0 as usize].hub,
@@ -401,7 +379,7 @@ impl Underlay {
     /// that minima of repeated measurements converge to.
     pub(crate) fn base_owd_ms(&mut self, from: usize, to: usize, class: TrafficClass) -> f64 {
         if from == to {
-            return self.config.loopback_ms;
+            return LOOPBACK_MS;
         }
         let (a, b) = (&self.nodes[from], &self.nodes[to]);
         let (as_a, as_b) = (a.as_id, b.as_id);
@@ -411,7 +389,7 @@ impl Underlay {
             / 2.0;
         let propagation = if as_a == as_b {
             let d = great_circle_km(a.location, b.location);
-            d * self.config.intra_as_inflation / FIBER_KM_PER_MS
+            d * INTRA_AS_INFLATION / FIBER_KM_PER_MS
         } else {
             // node → hub_a → hub_b → node, each leg in the argument
             // order the formula has always been evaluated in.
@@ -422,7 +400,7 @@ impl Underlay {
                 / FIBER_KM_PER_MS
                 + route.peering_ms
         };
-        self.config.path_floor_ms + a_access_ms + b_access_ms + propagation + policy_extra
+        PATH_FLOOR_MS + a_access_ms + b_access_ms + propagation + policy_extra
     }
 
     /// Base round-trip latency (ms) — twice the one-way base, since the
@@ -436,9 +414,6 @@ impl Underlay {
     /// epoch. Affects every protocol equally (it is path congestion),
     /// so probes taken at the same time still cancel it.
     pub(crate) fn drift_ms(&mut self, from: usize, to: usize, t: SimTime) -> f64 {
-        if self.config.drift_ms == 0.0 && self.config.drift_rel == 0.0 {
-            return 0.0;
-        }
         if from == to {
             return 0.0;
         }
@@ -459,8 +434,7 @@ impl Underlay {
         // Amplitude grows with path length (long paths cross more
         // congested links); use the hub-to-hub geodesic.
         let base = self.route(lo, hi).hub_km[0] / FIBER_KM_PER_MS;
-        let c = &self.config;
-        let epoch = (t.as_hours_f64() / c.drift_epoch_hours) as u64;
+        let epoch = (t.as_hours_f64() / DRIFT_EPOCH_HOURS) as u64;
         // SplitMix64-style hash of (seed, pair, epoch) → uniform [0,1).
         let h = mix64(
             self.seed
@@ -469,7 +443,7 @@ impl Underlay {
                 .wrapping_add(epoch),
         );
         let u = unit(h);
-        let mut drift = u * (c.drift_ms + c.drift_rel * base);
+        let mut drift = u * (DRIFT_MS + DRIFT_REL * base);
         // Occasionally an epoch lands on a shifted route (a BGP change
         // or sustained congestion) that min-filtering cannot hide — the
         // outliers visible in the paper's Fig. 10 box plots.
@@ -548,7 +522,7 @@ mod tests {
 
     fn two_as_underlay() -> (Underlay, usize, usize) {
         let world = World::new();
-        let mut u = Underlay::new(UnderlayConfig::default(), 42);
+        let mut u = Underlay::new(UnderlayConfig, 42);
         let nyc = world.city("New York").unwrap().location;
         let lon = world.city("London").unwrap().location;
         let a = u.add_as(AsProfile::datacenter("us-east", nyc));
@@ -620,7 +594,7 @@ mod tests {
     #[test]
     fn drift_shared_by_colocated_nodes_and_steps_over_epochs() {
         let world = World::new();
-        let mut u = Underlay::new(UnderlayConfig::default(), 11);
+        let mut u = Underlay::new(UnderlayConfig, 11);
         let nyc = world.city("New York").unwrap().location;
         let lon = world.city("London").unwrap().location;
         let host = u.add_as(AsProfile::datacenter("host", nyc));
@@ -652,7 +626,7 @@ mod tests {
 
         pub fn base_owd_ms(u: &mut Underlay, from: usize, to: usize, class: TrafficClass) -> f64 {
             if from == to {
-                return u.config.loopback_ms;
+                return LOOPBACK_MS;
             }
             let a = u.nodes[from].clone();
             let b = u.nodes[to].clone();
@@ -661,7 +635,7 @@ mod tests {
                 / 2.0;
             let propagation = if a.as_id == b.as_id {
                 let d = great_circle_km(a.location, b.location);
-                d * u.config.intra_as_inflation / FIBER_KM_PER_MS
+                d * INTRA_AS_INFLATION / FIBER_KM_PER_MS
             } else {
                 let hub_a = u.ases[a.as_id.0 as usize].hub;
                 let hub_b = u.ases[b.as_id.0 as usize].hub;
@@ -672,18 +646,10 @@ mod tests {
                     / FIBER_KM_PER_MS
                     + peering
             };
-            u.config.path_floor_ms
-                + a.access_delay_ms
-                + b.access_delay_ms
-                + propagation
-                + policy_extra
+            PATH_FLOOR_MS + a.access_delay_ms + b.access_delay_ms + propagation + policy_extra
         }
 
         pub fn drift_ms(u: &Underlay, from: usize, to: usize, t: SimTime) -> f64 {
-            let c = &u.config;
-            if c.drift_ms == 0.0 && c.drift_rel == 0.0 {
-                return 0.0;
-            }
             if from == to {
                 return 0.0;
             }
@@ -697,7 +663,7 @@ mod tests {
             } else {
                 (as_b, as_a)
             };
-            let epoch = (t.as_hours_f64() / c.drift_epoch_hours) as u64;
+            let epoch = (t.as_hours_f64() / DRIFT_EPOCH_HOURS) as u64;
             let h = mix64(
                 u.seed
                     .wrapping_add((lo as u64) << 40)
@@ -706,7 +672,7 @@ mod tests {
             );
             let u1 = unit(h);
             let base = great_circle_km(u.ases[lo].hub, u.ases[hi].hub) / FIBER_KM_PER_MS;
-            let mut drift = u1 * (c.drift_ms + c.drift_rel * base);
+            let mut drift = u1 * (DRIFT_MS + DRIFT_REL * base);
             let mut h2 = h.wrapping_mul(0x2545_f491_4f6c_dd1d).rotate_left(17);
             h2 ^= h2 >> 29;
             if unit(h2) < 0.005 {
@@ -753,7 +719,7 @@ mod tests {
     #[test]
     fn cached_geometry_is_bit_identical_to_recomputing_it() {
         let world = World::new();
-        let mut u = Underlay::new(UnderlayConfig::default(), 2015);
+        let mut u = Underlay::new(UnderlayConfig, 2015);
         let mut rng = SmallRng::seed_from_u64(3);
         for (i, city) in world.cities().iter().cycle().take(40).enumerate() {
             let profile = if i % 3 == 0 {
@@ -849,7 +815,7 @@ mod tests {
         // With enough ASes, some pair (a, b) has a relay c with
         // base(a,c) + base(c,b) < base(a,b): the routing TIVs of §5.2.1.
         let world = World::new();
-        let mut u = Underlay::new(UnderlayConfig::default(), 7);
+        let mut u = Underlay::new(UnderlayConfig, 7);
         let mut rng = SmallRng::seed_from_u64(9);
         let mut nodes = Vec::new();
         for (i, city) in world.cities().iter().take(20).enumerate() {
@@ -892,7 +858,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn node_in_unknown_as_rejected() {
-        let mut u = Underlay::new(UnderlayConfig::default(), 0);
+        let mut u = Underlay::new(UnderlayConfig, 0);
         u.add_node(NodeAttrs {
             as_id: AsId(3),
             location: GeoPoint::new(0.0, 0.0),
@@ -904,7 +870,7 @@ mod tests {
     /// Builds an underlay of `n_as` ASes (one node each) with seed `seed`.
     fn build(n_as: usize, seed: u64) -> Underlay {
         let world = World::new();
-        let mut u = Underlay::new(UnderlayConfig::default(), seed);
+        let mut u = Underlay::new(UnderlayConfig, seed);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xdead);
         for (i, city) in world.cities().iter().cycle().take(n_as).enumerate() {
             let a = u.add_as(AsProfile::datacenter(city.name, city.location));
@@ -976,13 +942,12 @@ mod tests {
         #[test]
         fn inflation_within_configured_bounds(seed in 0u64..1000, n in 2usize..10) {
             let mut u = build(n, seed);
-            let cfg = UnderlayConfig::default();
             for a in 0..n as u16 {
                 for b in 0..n as u16 {
                     if a == b { continue; }
                     let f = u.route_properties(AsId(a), AsId(b)).0;
-                    prop_assert!(f >= cfg.inter_as_inflation_min - 1e-9);
-                    prop_assert!(f <= cfg.inter_as_inflation_max.max(cfg.bad_route_inflation) + 1e-9);
+                    prop_assert!(f >= INTER_AS_INFLATION_MIN - 1e-9);
+                    prop_assert!(f <= INTER_AS_INFLATION_MAX.max(BAD_ROUTE_INFLATION) + 1e-9);
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! from ISP-like /16 blocks, Poisson-ish daily arrivals, proportional
 //! departures, and a growth drift.
 
-use geo::HostnameGenerator;
+use geo::generate_hostname;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -30,29 +30,27 @@ impl PopulationRelay {
     }
 }
 
+/// Fraction of the population leaving per day.
+const DAILY_DEPARTURE_RATE: f64 = 0.02;
+/// Mean arrivals per day as a fraction of the population (set above
+/// the departure rate to produce the paper's growth trend).
+const DAILY_ARRIVAL_RATE: f64 = 0.0205;
+/// How many distinct /16 "provider blocks" IPs are drawn from. Fewer
+/// blocks ⇒ more /24 sharing. Tuned so ~6500 relays cover ~5400–6100
+/// unique /24s as in Fig. 18.
+const PROVIDER_BLOCKS: usize = 1800;
+
 /// Parameters of the churn model.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnConfig {
     /// Relays running on day 0.
     pub initial_relays: usize,
-    /// Fraction of the population leaving per day.
-    pub daily_departure_rate: f64,
-    /// Mean arrivals per day as a fraction of the population (set above
-    /// the departure rate to produce the paper's growth trend).
-    pub daily_arrival_rate: f64,
-    /// How many distinct /16 "provider blocks" IPs are drawn from.
-    /// Fewer blocks ⇒ more /24 sharing. Tuned so ~6500 relays cover
-    /// ~5400–6100 unique /24s as in Fig. 18.
-    pub provider_blocks: usize,
 }
 
 impl Default for ChurnConfig {
     fn default() -> Self {
         ChurnConfig {
             initial_relays: 6500,
-            daily_departure_rate: 0.02,
-            daily_arrival_rate: 0.0205,
-            provider_blocks: 1800,
         }
     }
 }
@@ -68,9 +66,7 @@ pub struct DailySnapshot {
 /// The churn simulator.
 #[derive(Debug)]
 pub struct ChurnModel {
-    config: ChurnConfig,
     rng: SmallRng,
-    hostname_gen: HostnameGenerator,
     relays: Vec<PopulationRelay>,
     day: u32,
 }
@@ -78,9 +74,7 @@ pub struct ChurnModel {
 impl ChurnModel {
     pub fn new(config: ChurnConfig, seed: u64) -> ChurnModel {
         let mut m = ChurnModel {
-            config,
             rng: SmallRng::seed_from_u64(seed),
-            hostname_gen: HostnameGenerator::default(),
             relays: Vec::new(),
             day: 0,
         };
@@ -94,7 +88,7 @@ impl ChurnModel {
     fn new_relay(&mut self, day: u32) -> PopulationRelay {
         // Draw a /16 provider block, then host bits. Clustering inside
         // blocks produces realistic /24 sharing.
-        let block = self.rng.gen_range(0..self.config.provider_blocks);
+        let block = self.rng.gen_range(0..PROVIDER_BLOCKS);
         let ip = [
             (20 + block / 250) as u8,
             (block % 250) as u8,
@@ -104,7 +98,7 @@ impl ChurnModel {
             self.rng.gen_range(0..16u8),
             self.rng.gen_range(1..=254u8),
         ];
-        let rdns = self.hostname_gen.generate(ip, &mut self.rng);
+        let rdns = generate_hostname(ip, &mut self.rng);
         PopulationRelay {
             ip,
             rdns,
@@ -122,17 +116,16 @@ impl ChurnModel {
         self.day += 1;
         let n = self.relays.len();
         // Departures: each relay independently leaves.
-        let dep_rate = self.config.daily_departure_rate;
         let rng = &mut self.rng;
         let mut kept = Vec::with_capacity(n);
         for r in self.relays.drain(..) {
-            if !rng.gen_bool(dep_rate) {
+            if !rng.gen_bool(DAILY_DEPARTURE_RATE) {
                 kept.push(r);
             }
         }
         self.relays = kept;
         // Arrivals: Poisson-approximated by a binomial draw.
-        let expected = self.config.daily_arrival_rate * n as f64;
+        let expected = DAILY_ARRIVAL_RATE * n as f64;
         let arrivals = {
             // Simple Poisson sampler (Knuth) — rates here are ~100/day.
             let l = (-expected).exp();
@@ -217,7 +210,6 @@ mod tests {
         let mut m = ChurnModel::new(
             ChurnConfig {
                 initial_relays: 1000,
-                ..Default::default()
             },
             3,
         );

@@ -482,7 +482,7 @@ mod tests {
     #[test]
     fn a_circuit_with_no_established_hop_sends_nothing() {
         let world = World::new();
-        let mut underlay = Underlay::new(UnderlayConfig::default(), 5);
+        let mut underlay = Underlay::new(UnderlayConfig, 5);
         let mut rng = SmallRng::seed_from_u64(1);
         for (i, city) in ["New York", "London"].into_iter().enumerate() {
             let at = world.city(city).expect("city exists").location;

@@ -187,7 +187,7 @@ mod tests {
     /// published sizes once the run is idle.
     fn run(faults: FaultPlan) -> (Vec<(u32, u32)>, [usize; 2]) {
         let world = World::new();
-        let mut underlay = Underlay::new(UnderlayConfig::default(), 5);
+        let mut underlay = Underlay::new(UnderlayConfig, 5);
         let mut rng = SmallRng::seed_from_u64(1);
         for (i, city) in ["New York", "London"].into_iter().enumerate() {
             let at = world.city(city).expect("city exists").location;

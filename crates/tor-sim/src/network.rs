@@ -14,12 +14,11 @@
 //!   relays with the US/EU geographic skew, residential/datacenter AS
 //!   mix, and occasional Tor-specific shaping.
 
-use crate::churn::ChurnConfig;
 use crate::control::Controller;
 use crate::echo::EchoServer;
 use crate::metrics::RelayMetrics;
 use crate::relay::{Relay, RelayConfig, RelayFaultProfile};
-use geo::{GeoPoint, HostnameGenerator, World};
+use geo::{generate_hostname, GeoPoint, World};
 use netsim::{
     AsId, AsProfile, FaultPlan, NodeId, ProtocolPolicy, SimTime, Simulator, TrafficClass, Underlay,
     UnderlayConfig,
@@ -160,7 +159,7 @@ impl TorNetworkBuilder {
     pub fn build(self) -> TorNetwork {
         let world = World::new();
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut underlay = Underlay::new(UnderlayConfig::default(), self.seed ^ 0x7ea5);
+        let mut underlay = Underlay::new(UnderlayConfig, self.seed ^ 0x7ea5);
 
         // ── Measurement host: one well-connected AS, four nodes. ──
         #[expect(
@@ -289,7 +288,7 @@ impl TorNetworkBuilder {
         // those, so they stay until that pin is re-based.
         for &ip in &relay_ips {
             rng.gen_range(1e-6..1.0f64);
-            HostnameGenerator::default().generate(ip, &mut rng);
+            generate_hostname(ip, &mut rng);
             rng.gen_bool(0.3);
         }
 
@@ -624,8 +623,8 @@ impl TorNetwork {
     }
 
     /// Applies `interval_hours` of relay churn: each currently-up relay
-    /// departs with probability `daily_departure_rate · interval/24h`
-    /// (the Fig. 18 population model), crashing at the current sim time.
+    /// departs with probability `daily_departure_rate · interval/24h`,
+    /// crashing at the current sim time.
     /// Departure draws come from a keyed hash over `(seed, relay
     /// index)`, never the simulation RNG. Returns the departed relays.
     ///
@@ -634,11 +633,11 @@ impl TorNetwork {
     /// model stops picking it.
     pub fn churn_step(
         &mut self,
-        churn: &ChurnConfig,
+        daily_departure_rate: f64,
         interval_hours: f64,
         seed: u64,
     ) -> Vec<NodeId> {
-        let p = (churn.daily_departure_rate * interval_hours / 24.0).clamp(0.0, 1.0);
+        let p = (daily_departure_rate * interval_hours / 24.0).clamp(0.0, 1.0);
         let now = self.sim.now();
         let departed: Vec<NodeId> = self
             .relays
@@ -945,7 +944,7 @@ mod tests {
         let run = || {
             let mut net = TorNetworkBuilder::testbed(52).build();
             // A huge interval so some relays certainly depart.
-            net.churn_step(&ChurnConfig::default(), 24.0 * 20.0, 77)
+            net.churn_step(0.02, 24.0 * 20.0, 77)
         };
         let departed = run();
         assert_eq!(departed, run());
@@ -954,7 +953,7 @@ mod tests {
         let mut net = TorNetworkBuilder::testbed(52)
             .observability(Obs::new(obs::ObsConfig::Metrics))
             .build();
-        let gone = net.churn_step(&ChurnConfig::default(), 24.0 * 20.0, 77);
+        let gone = net.churn_step(0.02, 24.0 * 20.0, 77);
         for &node in &net.relays {
             assert_eq!(up(&net, node), !gone.contains(&node));
         }

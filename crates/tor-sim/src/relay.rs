@@ -17,7 +17,8 @@
 //! packet spends enqueued … if our measurement packet arrives at a node
 //! when our circuit is not first in the schedule"). Ting's estimator
 //! exists precisely to cancel this `F`; §4.3 finds its per-relay minimum
-//! at 0–3 ms, which is what the default [`RelayConfig`] produces.
+//! at 0–3 ms, which is what the [`RelayConfig`]s the network builder
+//! draws per relay produce.
 
 use crate::link::{on_link, HopKey, LinkTable};
 use crate::metrics::RelayMetrics;
@@ -57,16 +58,6 @@ impl RelayConfig {
     /// tests correlate their per-relay attributions against it.
     pub fn expected_forwarding_ms(&self) -> f64 {
         self.base_proc_ms + self.busy_prob * self.busy_mean_ms
-    }
-}
-
-impl Default for RelayConfig {
-    fn default() -> Self {
-        RelayConfig {
-            base_proc_ms: 0.5,
-            busy_prob: 0.35,
-            busy_mean_ms: 3.0,
-        }
     }
 }
 
