@@ -1,27 +1,36 @@
 #!/usr/bin/env bash
 # Public-surface audit, by the compiler.
 #
-# A `pub fn` in the non-test part of crates/*/src (a file's lines before
-# its first top-level `#[cfg(test)]`, the usual line-count rule) is
-# flagged when every non-test target still compiles with it narrowed to
-# `pub(crate)`: the workspace's libs, bins and examples, and benchmark/'s
-# bins. A flagged fn is either called by no non-test code at all (rustc's
-# `dead_code` names it once it is narrowed) or only inside its own crate.
+# Every public item in the non-test part of crates/*/src (a file's lines
+# before its first top-level `#[cfg(test)]`, the usual line-count rule)
+# is narrowed: `pub fn` (also `const`, `unsafe` or `async`), `pub
+# struct`, `enum`, `trait`, `type`, `const` and `static` (associated
+# ones too) to `pub(crate)`, and `pub mod` to `pub(crate) mod`. An item
+# is flagged when every non-test target still compiles with it narrowed:
+# the workspace's libs, bins and examples, and benchmark/'s bins. A
+# flagged item is either used by no non-test code at all (rustc's
+# `dead_code` names it once it is narrowed) or only inside its own
+# crate. Fields are not audited.
 #
 # The method, on a copy of the tree under target/unused-pub/ (the
 # checkout is never edited): split every `pub use a::{b, c};` into one
-# line per name, narrow every such `pub fn` and, with a free fn, each
-# `pub use` line of its crate that names it, run `cargo check
-# --keep-going` over those targets, restore every fn or use line an
-# error names (a private item's "defined here" note, or the name a
-# re-export (E0364) cannot re-export) together with its partner, and
-# repeat until a round restores nothing. Each round settles one more
-# level of the crate graph.
+# line per name, narrow every such item and, with a top-level one, each
+# `pub use` line of its crate that re-exports it, run `cargo check
+# --keep-going` over those targets, and restore, each with its partner:
+# every item or use line an error names (a private item's "defined
+# here" note, or the name a re-export (E0364, E0365) cannot re-export),
+# every item a `private_interfaces` or `private_bounds` warning names (a
+# narrowed type in a public signature), and the module of every public
+# item no path names any more (`unnameable_types`). Repeat until a round
+# restores nothing; each round settles one more level of the crate
+# graph. target/unused-pub/rounds.log keeps each round's diagnostics and
+# the lines it restored.
 #
-# Fails on a flagged fn that .github/unused_pub.allow does not list, and
+# Fails on a flagged item that .github/unused_pub.allow does not list,
 # on an allow-list entry that is no longer flagged, so the list can only
-# shrink. Run from anywhere: `.github/unused_pub.sh`. The copy builds
-# into target/unused-pub/target, which a second run finds warm.
+# shrink, and on a public item in a private module that nothing
+# re-exports. Run from anywhere: `.github/unused_pub.sh`. The copy
+# builds into target/unused-pub/target, which a second run finds warm.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 export LC_ALL=C
@@ -29,30 +38,64 @@ allow=$root/.github/unused_pub.allow
 base=$root/target/unused-pub
 tree=$base/tree
 export CARGO_TARGET_DIR=$base/target
-# A lint never fails a round: rustc's `dead_code` warning is the signal.
-export RUSTFLAGS=--cap-lints=warn
+# A lint never fails a round: rustc's `dead_code` warning is the signal,
+# and `unnameable_types` names a public item that no path reaches.
+export RUSTFLAGS="--cap-lints=warn -W unnameable_types"
 
-rm -rf "$tree"
+rm -rf "$tree" "$base/rounds.log"
 mkdir -p "$tree"
 (cd "$root" && git ls-files -z --cached --others --exclude-standard) |
     tar -C "$root" --null --ignore-failed-read -T - -cf - | tar -C "$tree" -xf -
 cd "$tree"
 
-# One re-exported name a line, so a re-export narrows with its fn alone.
-find crates/*/src -name '*.rs' | sort | xargs perl -0777 -i -pe '
-    my ($head, $tail) = split /^(?=#\[cfg\(test\)\])/m, $_, 2;
-    $head =~ s{^pub use ([\w:]+)::\{([^{}]*)\};}{
-        my $path = $1;
-        join "\n", map { "pub use ${path}::$_;" } grep { length } split /\s*,\s*/, $2 =~ s/^\s+|\s+$//gr
-    }gme;
-    $_ = $head . ($tail // "");
+# One re-exported name a line, so a re-export narrows with its item
+# alone. "file:line<TAB>line" maps a line of the copy back to the
+# checkout's, for the report.
+find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
+    BEGIN { open(MAP, ">", "'"$base"'/lines") or die }
+    if ($. == 1) { $test = 0; $out = 0; $buf = undef }
+    $test = 1 if /^#\[cfg\(test\)\]/;
+    if (!$test && !defined $buf && /^pub use [\w:]+::\{/) { $buf = ""; $start = $. }
+    if (defined $buf) {
+        $buf .= $_;
+        next unless /\};\s*$/;
+        my ($path, $names) = $buf =~ /^pub use ([\w:]+)::\{([^{}]*)\};\s*$/s;
+        my @lines = defined $names
+            ? map { "pub use ${path}::$_;\n" } grep { length } split /\s*,\s*/, $names =~ s/^\s+|\s+$//gr
+            : split /^/, $buf;
+        for (@lines) { $out++; print; print MAP "$ARGV:$out\t$start\n" }
+        $buf = undef;
+    } else {
+        $out++;
+        print;
+        print MAP "$ARGV:$out\t$.\n";
+    }
+    close ARGV if eof;
 '
 
-# Narrow, and list each narrowed fn as "file:line<TAB>name<TAB>Type::name"
-# (Type is the enclosing top-level `impl`'s self type, if any).
+# Narrow, and list each narrowed item as
+# "file:line<TAB>name<TAB>key<TAB>kind<TAB>top<TAB>module". The key is
+# `Type::name` for an associated item (Type is the enclosing top-level
+# `impl`'s self type), a free fn's bare name, and `crate::module::name`
+# for any other top-level item; kind is fn, type (struct, enum, trait,
+# alias), const (const, static) or mod; top is 1 for a top-level item,
+# which a `pub use` can re-export; module is the path, within its
+# crate, of the module the item is declared in.
 find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
-    BEGIN { open(LIST, ">", "'"$base"'/narrowed") or die }
-    if ($. == 1) { $test = 0; $type = "" }
+    BEGIN {
+        open(LIST, ">", "'"$base"'/narrowed") or die;
+        %kind = (fn => "fn", struct => "type", enum => "type", trait => "type",
+                 type => "type", const => "const", static => "const", mod => "mod");
+    }
+    if ($. == 1) {
+        $test = 0;
+        $type = "";
+        my ($dir, $path) = $ARGV =~ m{^crates/([^/]+)/src/(.*)\.rs$};
+        $path =~ s{(^|/)(lib|mod)$}{};
+        $path =~ s{/}{::}g;
+        $inner = $path;
+        $module = join "::", grep { length } ($dir eq "core" ? "ting" : $dir =~ tr/-/_/r), $path;
+    }
     $test = 1 if /^#\[cfg\(test\)\]/;
     if (!$test) {
         if (/^impl\b/) {
@@ -62,42 +105,60 @@ find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
             $type = $t =~ /^([A-Za-z_]\w*)/ ? "$1::" : "";
         }
         $type = "" if /^\}/;
-        if (s/^(\s*)pub fn (\w+)/$1pub(crate) fn $2/) {
-            print LIST "$ARGV:$.\t$2\t$type$2\n";
+        if (s/^(\s*)pub ((?:(?:const|unsafe|async) )*fn|struct|enum|trait|type|const|static|mod) (\w+)/$1pub(crate) $2 $3/) {
+            my ($indent, $what, $name) = ($1, $2, $3);
+            my $kind = $kind{$what =~ s/^.* //r};
+            my $top = length($indent) ? 0 : 1;
+            my $key = $type ne "" ? "$type$name" : $kind eq "fn" ? $name : "${module}::$name";
+            print LIST "$ARGV:$.\t$name\t$key\t$kind\t$top\t$inner\n";
         }
     }
     print;
     close ARGV if eof;
 '
-narrowed=$(wc -l <"$base/narrowed")
+counts=$(awk -F'\t' '{ n[$4]++ } END {
+    printf "%d pub fns, %d types, %d consts, %d modules", n["fn"], n["type"], n["const"], n["mod"] }' "$base/narrowed")
 
-# Narrow each `pub use` line that re-exports a narrowed free fn of its
-# crate, pairing them as "use file:line<TAB>fn file:line".
+# Narrow each `pub use` line that re-exports a narrowed top-level item
+# of its crate (the item of that name in the module the path names),
+# pairing them as "use file:line<TAB>item file:line".
 find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
     BEGIN {
         open(LIST, "<", "'"$base"'/narrowed") or die;
         while (<LIST>) {
-            my ($at, $name, $qualified) = split /\t/;
-            chomp $qualified;
+            chomp;
+            my ($at, $name, $key, $kind, $top, $inner) = split /\t/;
             my ($crate) = $at =~ m{^(crates/[^/]+/)};
-            push @{ $fn{"$crate\t$name"} }, $at if $qualified eq $name;
+            push @{ $item{"$crate\t$inner\t$name"} }, $at if $top;
         }
         open(PAIRS, ">", "'"$base"'/uses") or die;
     }
-    if ($. == 1) { $test = 0 }
+    if ($. == 1) {
+        $test = 0;
+        ($here = $ARGV) =~ s{^crates/[^/]+/src/(.*)\.rs$}{$1};
+        $here =~ s{(^|/)(lib|mod)$}{};
+        $here =~ s{/}{::}g;
+    }
     $test = 1 if /^#\[cfg\(test\)\]/;
     my ($crate) = $ARGV =~ m{^(crates/[^/]+/)};
-    my ($name) = $test ? () : /^pub use [\w:]*\b(\w+)(?: as \w+)?;/;
-    if (defined $name && $fn{"$crate\t$name"}) {
+    my ($path, $name) = $test ? () : /^pub use ((?:\w+::)*)(\w+)(?: as \w+)?;/;
+    if (defined $name) {
+        $path =~ s/::$//;
+        $path = $path =~ s/^crate(?:::|$)// ? $path : join "::", grep { length } $here, $path;
+    }
+    if (defined $name && $item{"$crate\t$path\t$name"}) {
         s/^pub use /pub(crate) use /;
-        print PAIRS "$ARGV:$.\t$_\n" for @{ $fn{"$crate\t$name"} };
+        print PAIRS "$ARGV:$.\t$_\n" for @{ $item{"$crate\t$path\t$name"} };
     }
     print;
     close ARGV if eof;
 '
 
 # One round: check every non-test target, keeping each diagnostic as
-# "level<TAB>code<TAB>message<TAB>file:line" for every span it carries.
+# "level<TAB>code<TAB>message<TAB>file:line<TAB>where" for every span it
+# carries; where is P for the diagnostic's own primary span (the site
+# that fails, such as a use of a private item) and S for any other (the
+# item it points at, such as a "defined here" note).
 check() {
     {
         cargo check --offline --keep-going --message-format=json -q \
@@ -107,10 +168,13 @@ check() {
     } 2>/dev/null | jq -r --arg tree "$tree/" '
         select(.reason == "compiler-message") | .message
         | . as $m
+        | [.spans[] | select(.is_primary)] as $own
         | [.. | objects | select(has("file_name") and has("line_start"))]
         | .[]
+        | . as $span
         | [$m.level, ($m.code.code // ""), ($m.message | gsub("\t"; " ")),
-           "\(.file_name | ltrimstr($tree)):\(.line_start)"]
+           "\(.file_name | ltrimstr($tree)):\(.line_start)",
+           (if any($own[]; . == $span) then "P" else "S" end)]
         | @tsv' | sort -u
 }
 
@@ -119,38 +183,52 @@ while :; do
     rounds=$((rounds + 1))
     diags=$(check)
     errors=$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "error"')
-    # Narrowed fns an error points at: a span on the definition's line,
-    # the name an E0364 re-export names, in the re-exporting crate, or a
-    # free fn whose narrowed re-export leaves its name to a module of the
-    # same name (E0423, in any crate).
+    # What a round restores: every error, every warning that a narrowed
+    # item leaks through a public signature, and every public item that
+    # no path names any more (its module is narrowed and nothing
+    # re-exports it).
+    restores=$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "error" ||
+        $2 == "private_interfaces" || $2 == "private_bounds" || $2 == "unnameable_types"')
+    # Narrowed items these point at: a span on the definition's line (not
+    # the failing site, which may be a narrowed item that merely names
+    # another); the name an E0364/E0365 re-export names, in the
+    # re-exporting crate; a top-level item other than a module whose
+    # narrowed re-export leaves its name to a module of the same name
+    # (E0423, in any crate); and the module of an item no path names.
     restore=$(
         {
-            printf '%s\n' "$errors" | cut -f4
-            printf '%s\n' "$errors" | awk -F'\t' '$2 == "E0364" || $2 == "E0423" {
+            printf '%s\n' "$restores" | awk -F'\t' '$5 == "S" && $2 != "unnameable_types" { print $4 }'
+            printf '%s\n' "$restores" | awk -F'\t' '$2 == "E0364" || $2 == "E0365" || $2 == "E0423" {
                 split($4, at, "/"); name = $3
                 sub(/^[^`]*`/, "", name); sub(/`.*/, "", name)
-                print ($2 == "E0364" ? at[1] "/" at[2] "/" : "*") "\t" name
+                print ($2 == "E0423" ? "*" : at[1] "/" at[2] "/") "\t" name
+            }
+            $2 == "unnameable_types" && $4 ~ /^crates\/[^\/]+\/src\/[^\/]+\.rs:/ {
+                split($4, at, "/"); name = at[4]; sub(/\.rs:.*/, "", name)
+                print "mod " at[1] "/" at[2] "/\t" name
             }'
         } | awk -F'\t' '
             FILENAME == "-" { if (NF == 1) at[$1] = 1; else named[$1 SUBSEP $2] = 1; next }
             FILENAME ~ /uses$/ { if ($1 in at) print $1; next }
             {
                 split($1, p, "/")
-                if (($1 in at) || ((p[1] "/" p[2] "/") SUBSEP $2) in named ||
-                    ($3 == $2 && ("*" SUBSEP $2) in named)) print $1
+                if (($1 in at) || ($5 == 1 && (((p[1] "/" p[2] "/") SUBSEP $2) in named ||
+                    ($4 != "mod" && ("*" SUBSEP $2) in named))) ||
+                    ($4 == "mod" && (("mod " p[1] "/" p[2] "/") SUBSEP $2) in named)) print $1
             }' - "$base/uses" "$base/narrowed" |
-            # A use line and its fn are restored together.
+            # A use line and its item are restored together.
             awk -F'\t' '
                 FILENAME == "-" { r[$1] = 1; next }
                 pass == 1 { if ($1 in r) r[$2] = 1; next }
                 { if ($2 in r) r[$1] = 1 }
                 END { for (k in r) print k }' - pass=1 "$base/uses" pass=2 "$base/uses" | sort -u
     )
+    printf '== round %d\n%s\n-- restored\n%s\n' "$rounds" "$restores" "$restore" >>"$base/rounds.log"
     if [ -z "$restore" ]; then
         break
     fi
     printf '%s\n' "$restore" | while IFS=: read -r file line; do
-        sed -i "${line}s/pub(crate) fn /pub fn /;${line}s/^pub(crate) use /pub use /" "$file"
+        sed -i "${line}s/pub(crate) /pub /" "$file"
     done
     for list in narrowed uses; do
         grep -v -F -f <(printf '%s\n' "$restore" | sed 's/$/\t/') "$base/$list" >"$base/$list.next" || true
@@ -159,17 +237,21 @@ while :; do
 done
 
 if [ -n "$errors" ]; then
-    echo "unused-pub audit: the tree does not build with the flagged fns narrowed:"
+    echo "unused-pub audit: the tree does not build with the flagged items narrowed:"
     printf '%s\n' "$errors" | cut -f2- | sed 's/^/  /' | head -n 40
     exit 2
 fi
 
-# "Type::name<TAB>file:line<TAB>kind", one line per flagged fn.
+# "key<TAB>file:line<TAB>kind<TAB>why", one line per flagged item, at
+# the checkout's line.
 dead=$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "warning" && $2 == "dead_code" { print $4 }')
 flagged=$(
     awk -F'\t' 'FILENAME == "-" { dead[$1] = 1; next }
-        { print $3 "\t" $1 "\t" (($1 in dead) ? "called by no non-test code" : "called only inside its crate") }' \
-        - "$base/narrowed" <<<"$dead" | sort
+        FILENAME ~ /lines$/ { line[$1] = $2; next }
+        {
+            at = $1; sub(/:[0-9]+$/, ":" line[$1], at)
+            print $3 "\t" at "\t" $4 "\t" (($1 in dead) ? "used by no non-test code" : "used only inside its crate")
+        }' - "$base/lines" "$base/narrowed" <<<"$dead" | sort
 )
 
 # The allow-list: a name, then its reason; `#` starts a comment.
@@ -178,11 +260,23 @@ allowed=$(sed -e 's/#.*//' "$allow" | awk 'NF { print $1 }' | sort)
 new=$(join -t "$(printf '\t')" -v 1 <(printf '%s\n' "$flagged" | grep .) <(printf '%s\n' "$allowed" | grep .) || true)
 stale=$(comm -13 <(printf '%s\n' "$flagged" | cut -f1 | grep . | sort -u) <(printf '%s\n' "$allowed" | grep .) || true)
 
-echo "unused-pub audit: $rounds rounds over $narrowed pub fns"
+# Public items in a private module that no `pub use` re-exports: their
+# crate's users get them from a public signature but cannot name them.
+unnameable=$(printf '%s\n' "$diags" | awk -F'\t' '$2 == "unnameable_types" {
+    name = $3; sub(/^[^`]*`/, "", name); sub(/`.*/, "", name)
+    at = $4; sub(/:[0-9]+$/, "", at)
+    print name "\t" at }' | sort -u)
+
+echo "unused-pub audit: $rounds rounds over $counts"
 status=0
+if [ -n "$unnameable" ]; then
+    echo "public items no path names (re-export them from the crate root):"
+    printf '%s\n' "$unnameable" | awk -F'\t' '{ printf "  %-44s %s\n", $1, $2 }'
+    status=1
+fi
 if [ -n "$new" ]; then
-    echo "pub fn no other crate's non-test code calls (delete it, make it pub(crate), or list it in .github/unused_pub.allow):"
-    printf '%s\n' "$new" | awk -F'\t' '{ printf "  %-44s %-42s %s\n", $1, $2, $3 }'
+    echo "public items no other crate's non-test code uses (delete, narrow, or list in .github/unused_pub.allow):"
+    printf '%s\n' "$new" | awk -F'\t' '{ printf "  %-5s %-44s %-42s %s\n", $3, $1, $2, $4 }'
     status=1
 fi
 if [ -n "$stale" ]; then
@@ -191,6 +285,7 @@ if [ -n "$stale" ]; then
     status=1
 fi
 if [ "$status" -eq 0 ]; then
-    echo "unused-pub audit: $(printf '%s\n' "$flagged" | grep -c .) fns flagged, all allowed"
+    echo "unused-pub audit: $(printf '%s\n' "$flagged" | awk -F'\t' 'NF { n[$3]++ } END {
+        printf "%d fns, %d types, %d consts, %d modules flagged, all allowed", n["fn"], n["type"], n["const"], n["mod"] }')"
 fi
 exit "$status"

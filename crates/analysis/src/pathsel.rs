@@ -165,13 +165,11 @@ impl<'a> PathSelector<'a> {
         }
         // Node-usage entropy.
         let mut usage: HashMap<NodeId, u64> = HashMap::new();
-        let mut drawn = 0u64;
         for _ in 0..samples {
             if let Some(c) = self.sample_circuit(rng) {
                 for node in c {
                     *usage.entry(node).or_insert(0) += 1;
                 }
-                drawn += 1;
             }
         }
         let total_usage: u64 = usage.values().sum();
@@ -186,7 +184,6 @@ impl<'a> PathSelector<'a> {
                 })
                 .sum()
         };
-        let _ = drawn;
         SelectionProfile {
             circuits_per_length,
             node_entropy_bits,

@@ -55,7 +55,7 @@ fn main() {
         let gx = geodb.estimate(x.index(), &mut rng).unwrap();
         let gy = geodb.estimate(y.index(), &mut rng).unwrap();
         let d_km = geo::great_circle_km(gx, gy);
-        if !geo::lightspeed::physically_possible(est, d_km) {
+        if !geo::physically_possible(est, d_km) {
             below_light += 1;
         }
         dists.push(d_km);

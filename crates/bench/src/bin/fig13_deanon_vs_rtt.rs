@@ -32,8 +32,7 @@ fn main() {
     // Bin the relationship for readability.
     let max_rtt = re2e.iter().copied().fold(0.0f64, f64::max);
     let layout = stats::BinLayout::with_bin_width(0.0, max_rtt + 1.0, 100.0);
-    let groups =
-        stats::hist::group_by_bins(&layout, re2e.iter().copied().zip(ruled.iter().copied()));
+    let groups = stats::group_by_bins(&layout, re2e.iter().copied().zip(ruled.iter().copied()));
     println!("#");
     println!("# binned: re2e_bin_ms\tmean_fraction_ruled_out\truns");
     for (i, g) in groups.iter().enumerate() {

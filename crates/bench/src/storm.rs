@@ -132,7 +132,7 @@ pub fn implausible_estimates(net: &TorNetwork, matrix: &RttMatrix) -> Vec<String
         }
         let pa = net.sim.underlay().node(a.index()).location;
         let pb = net.sim.underlay().node(b.index()).location;
-        let floor = geo::lightspeed::min_rtt_ms(geo::great_circle_km(pa, pb));
+        let floor = geo::min_rtt_ms(geo::great_circle_km(pa, pb));
         if est < floor {
             violations.push(format!(
                 "faster-than-light estimate ({},{}): {est} < {floor}",

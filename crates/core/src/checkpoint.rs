@@ -127,7 +127,7 @@ fn mul_mod_p(a: u32, mut b: u32) -> u32 {
 }
 
 /// The trailer prefix that marks the integrity line.
-pub const CRC_PREFIX: &str = "# crc32: ";
+pub(crate) const CRC_PREFIX: &str = "# crc32: ";
 
 /// Appends the CRC-32 trailer line to a checkpoint document. The CRC
 /// covers every byte before the trailer, including the final newline of

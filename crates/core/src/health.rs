@@ -51,7 +51,7 @@ pub(crate) const DECAY_HALF_LIFE: SimDuration = SimDuration::from_hours(6);
 
 /// A quarantine/release transition produced by an observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthEvent {
+pub(crate) enum HealthEvent {
     Quarantined(NodeId),
     Released(NodeId),
 }

@@ -18,8 +18,8 @@
 //!    `ns_availability` models this: most measurement attempts simply
 //!    fail today.
 
-use netsim::underlay::{LOOPBACK_MS, PATH_FLOOR_MS};
 use netsim::{NodeId, TrafficClass, Underlay};
+use netsim::{LOOPBACK_MS, PATH_FLOOR_MS};
 use rand::Rng;
 
 /// One-way last-mile delay of a name server (ms) — datacenter-ish,

@@ -23,29 +23,29 @@
 //!
 //! Module map:
 //!
-//! * [`estimator`] — the Eq. (4) algebra and measurement records;
-//! * [`sampling`] — sample policies (fixed count, early stopping) and
+//! * `estimator` — the Eq. (4) algebra and measurement records;
+//! * `sampling` — sample policies (fixed count, early stopping) and
 //!   the min filter;
-//! * [`orchestrator`] — drives circuits/streams over a
-//!   [`tor_sim::TorNetwork`] and produces [`estimator::TingMeasurement`]s;
+//! * `orchestrator` — drives circuits/streams over a
+//!   [`tor_sim::TorNetwork`] and produces [`TingMeasurement`]s;
 //! * [`strawman`] — the §3.2 baseline that mixes Tor and ping traffic
 //!   (kept so experiments can show *why* it fails);
-//! * [`forwarding`] — the §4.3 forwarding-delay measurement procedure;
-//! * [`matrix`] — the all-pairs RTT matrix: one dense index-addressed
+//! * `forwarding` — the §4.3 forwarding-delay measurement procedure;
+//! * `matrix` — the all-pairs RTT matrix: one dense index-addressed
 //!   table with strict TSV import/export and the shared detour kernel,
 //!   filled by the scanner, read by every §5 application and served as
 //!   is by the `oracle` query service;
-//! * [`queue`] — the scanner's pair table (every per-pair fact besides
+//! * `queue` — the scanner's pair table (every per-pair fact besides
 //!   the RTT, stored once) and the priority order one sweep over it
 //!   derives;
-//! * [`parallel`] — the one measurement engine: a poll-driven task per
+//! * `parallel` — the one measurement engine: a poll-driven task per
 //!   vantage under one driver, one lane for the sequential tool and K
 //!   for the §6 scaling step (K pairs in flight in virtual time);
-//! * [`health`] — per-relay EWMA success scores and quarantine, so a
+//! * `health` — per-relay EWMA success scores and quarantine, so a
 //!   dead relay stops taxing its n−1 pairs;
-//! * [`timeout`] — CBT-style adaptive per-phase deadlines learned from
+//! * `timeout` — CBT-style adaptive per-phase deadlines learned from
 //!   successful durations;
-//! * [`validate`] — lightspeed/divergence/TIV cross-checks gating
+//! * `validate` — lightspeed/divergence/TIV cross-checks gating
 //!   estimates before they reach the cache;
 //! * [`checkpoint`] — CRC-sealed, atomically-written (and fsynced)
 //!   checkpoint plumbing behind `scanner::Scanner::save` /
@@ -55,11 +55,11 @@
 //! * [`shard`] — crash-isolated scan shards under a supervising
 //!   restart budget, with a deterministic merge over the shards'
 //!   scanners and degraded-mode coverage reporting;
-//! * [`backoff`] — the shared exponential/jittered backoff arithmetic;
+//! * `backoff` — the shared exponential/jittered backoff arithmetic;
 //! * [`obs`] (re-exported crate) — the unified observability layer:
 //!   counters, log-bucketed latency histograms, virtual-time trace
 //!   events and the deterministic JSONL exporter. Off by default;
-//!   enable via [`orchestrator::Ting::with_obs`] and
+//!   enable via [`Ting::with_obs`] and
 //!   `TorNetworkBuilder::observability`.
 
 // The workspace's one `unsafe` block is `onion-crypto`'s SHA-256 hardware
@@ -74,36 +74,34 @@
 
 pub use obs;
 
-pub mod backoff;
+mod backoff;
 pub mod checkpoint;
-pub mod estimator;
-pub mod forwarding;
-pub mod health;
-pub mod king;
-pub mod matrix;
-pub mod orchestrator;
-pub mod parallel;
-pub mod queue;
-pub mod sampling;
-pub mod scanner;
+mod estimator;
+mod forwarding;
+mod health;
+mod king;
+mod matrix;
+mod orchestrator;
+mod parallel;
+mod queue;
+mod sampling;
+mod scanner;
 pub mod shard;
 pub mod strawman;
-pub mod timeout;
-pub mod validate;
+mod timeout;
+mod validate;
 
 pub use estimator::{ting_estimate_ms, CircuitSamples, TingMeasurement};
 pub use forwarding::{measure_forwarding_delay, ForwardingDelayMeasurement, ProbeProtocol};
-pub use health::{HealthEvent, RelayHealth};
+pub use health::RelayHealth;
 pub use king::{king_measure, KingOutcome};
-pub use matrix::{DetourBest, RttMatrix, TSV_MAGIC};
+pub use matrix::{DetourBest, PairHasher, RttMatrix};
 pub use orchestrator::{Ting, TingConfig, TingError};
 pub use parallel::{measure_interleaved, PairOutcome, UnknownVantage};
-pub use queue::WorkQueue;
 pub use sampling::SamplePolicy;
-pub use scanner::{Scanner, ScannerConfig};
+pub use scanner::{RoundReport, Scanner, ScannerConfig};
 pub use shard::{
     parse_merged_document, partition_pairs, DeltaPair, MergeDelta, MergeOutcome, MergedDocument,
-    ShardCoverage, ShardStatus, Supervisor, SupervisorConfig, SupervisorReport, MERGED_MAGIC,
+    ShardCoverage, ShardStatus, Supervisor, SupervisorConfig, SupervisorReport,
 };
-pub use timeout::{TimeoutEstimators, TimeoutPhase};
-pub use validate::{ValidationError, Verdict};
+pub use timeout::TimeoutEstimators;

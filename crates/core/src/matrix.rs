@@ -45,7 +45,7 @@ impl PartialEq for RttMatrix {
 /// anything else: a missing or unknown version means the file is not a
 /// dataset this code knows how to interpret, and silently parsing it
 /// anyway is how corrupt caches are born.
-pub const TSV_MAGIC: &str = "# ting all-pairs rtt matrix v1";
+pub(crate) const TSV_MAGIC: &str = "# ting all-pairs rtt matrix v1";
 
 /// A pair in ascending order — the one key order every pair-keyed map
 /// and table in the workspace uses.
@@ -60,9 +60,11 @@ pub(crate) fn ordered<T: Ord>(a: T, b: T) -> (T, T) {
 /// A map keyed by a pair of nodes (in `ordered` order, by
 /// convention) under [`PairHasher`]: the per-pair instants and lineage
 /// of a merged dataset, read once per cell on every publish.
-pub type PairMap<V> = HashMap<(NodeId, NodeId), V, BuildHasherDefault<PairHasher>>;
+pub(crate) type PairMap<V> = HashMap<(NodeId, NodeId), V, BuildHasherDefault<PairHasher>>;
 
-/// The hasher of a [`PairMap`]: the two `u32` ids packed into one word,
+/// The hasher of a node-pair-keyed map (the crate's `PairMap`, such as
+/// [`MergeOutcome::measured_at`](crate::MergeOutcome::measured_at)):
+/// the two `u32` ids packed into one word,
 /// then MurmurHash3's 64-bit multiply-xorshift finalizer, so every
 /// input bit reaches the bits the table probes with. Not keyed: the
 /// keys are ids from the dataset's own node list, and the documents it
@@ -412,7 +414,7 @@ impl RttMatrix {
 
     /// Parses the [`RttMatrix::to_tsv`] format — strictly (DESIGN.md
     /// §19), because a cached dataset that loads wrongly poisons every
-    /// downstream application: [`TSV_MAGIC`] exactly, `u32` node ids
+    /// downstream application: `TSV_MAGIC` exactly, `u32` node ids
     /// from the header, three fields a row, one row a pair.
     pub fn from_tsv(text: &str) -> Result<RttMatrix, String> {
         let mut doc = Doc::open(text, TSV_MAGIC, "matrix")?;

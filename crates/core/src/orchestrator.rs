@@ -29,7 +29,7 @@ pub struct TingConfig {
     /// Failed attempts rebuild the circuit through the same relays
     /// after a backoff.
     pub max_attempts: u32,
-    /// CBT-style adaptive per-phase deadlines (see [`crate::timeout`]).
+    /// CBT-style adaptive per-phase deadlines (see `crate::timeout`).
     /// `false` keeps the fixed deadlines — and keeps the pipeline
     /// bit-identical to the pre-adaptive behaviour.
     pub adaptive_timeouts: bool,
@@ -346,7 +346,7 @@ impl Ting {
     /// Each circuit is retried under backoff through the same relays
     /// before the pair is abandoned, and circuits are measured strictly
     /// one after another, exactly as the published tool does (a
-    /// single-lane drive of the engine in [`crate::parallel`]).
+    /// single-lane drive of the engine in `crate::parallel`).
     pub fn measure_pair(
         &self,
         net: &mut TorNetwork,

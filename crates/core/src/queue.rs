@@ -60,7 +60,7 @@ fn touching(n: u32, i: u32) -> impl Iterator<Item = ((u32, u32), u32)> {
 
 /// The pair table and the priority order derived from it on demand.
 #[derive(Debug, Clone)]
-pub struct WorkQueue {
+pub(crate) struct WorkQueue {
     n: u32,
     staleness: SimDuration,
     /// One record per slot of [`tri_index`] (diagonal slots unused).

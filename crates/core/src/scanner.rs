@@ -40,11 +40,11 @@ pub struct ScannerConfig {
     pub retry_backoff: netsim::SimDuration,
     /// Ceiling on the per-pair retry pause.
     pub retry_backoff_cap: netsim::SimDuration,
-    /// Relay health scoring + quarantine (see [`crate::health`]).
+    /// Relay health scoring + quarantine (see `crate::health`).
     /// `false` disables the model entirely — dead relays keep burning
     /// per-pair backoffs, exactly the pre-health behaviour.
     pub health: bool,
-    /// Estimate validation before caching (see [`crate::validate`]).
+    /// Estimate validation before caching (see `crate::validate`).
     /// `false` keeps only the original implausibly-low gate.
     pub validation: bool,
 }
@@ -515,7 +515,7 @@ impl Scanner {
     ///
     /// Planning and reporting both come from the work queue — one sweep
     /// over the pair table each — and
-    /// [`RoundReport::still_pending`] is the *true* backlog, not capped
+    /// `RoundReport::still_pending` is the *true* backlog, not capped
     /// at [`ScannerConfig::pairs_per_round`].
     pub fn run_round(&mut self, net: &mut TorNetwork, ting: &Ting) -> RoundReport {
         self.round(net, ting, 1)
@@ -1043,7 +1043,7 @@ mod tests {
 
         // An estimate 1 ms under the farthest pair's light-in-fiber floor.
         let (km, a, b) = farthest;
-        let est = geo::lightspeed::min_rtt_ms(km) - 1.0;
+        let est = geo::min_rtt_ms(km) - 1.0;
         assert!(est > 1.0, "the testbed's farthest pair is {km} km apart");
         let leg = CircuitSamples::new(vec![10.0]);
         let m = TingMeasurement {
@@ -1220,7 +1220,14 @@ mod tests {
         let obs = Obs::new(ObsConfig::Trace);
         Scanner::recover_observed(&path, &obs, now).unwrap();
         assert_eq!(obs.counter_value("ting.checkpoint.recovered_bak"), 0);
-        assert!(obs.events().is_empty());
+        let events = |obs: &Obs| {
+            obs.document(&obs::ExportMeta {
+                seed: 0,
+                config_hash: 0,
+            })
+            .events
+        };
+        assert!(events(&obs).is_empty());
 
         // Corrupt the primary: the `.bak` fallback is counted and traced.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1230,7 +1237,7 @@ mod tests {
         let recovered = Scanner::recover_observed(&path, &obs, now).unwrap();
         assert_eq!(recovered.to_checkpoint(), gen1_text);
         assert_eq!(obs.counter_value("ting.checkpoint.recovered_bak"), 1);
-        let events = obs.events();
+        let events = events(&obs);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, names::SCAN_RECOVER_BAK);
         assert_eq!(events[0].t_ns, now.as_nanos());

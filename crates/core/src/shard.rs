@@ -426,7 +426,7 @@ impl MergeOutcome {
 }
 
 /// The first line of the [`MergeOutcome::to_document`] format.
-pub const MERGED_MAGIC: &str = "# ting merged matrix v2";
+pub(crate) const MERGED_MAGIC: &str = "# ting merged matrix v2";
 
 /// One incremental publish unit drained from a running [`Supervisor`]
 /// by [`Supervisor::take_delta`]: every owned pair measured (or

@@ -44,7 +44,7 @@ const CEILING_MS: f64 = 30_000.0;
 
 /// The three deadline-bearing phases of one circuit measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeoutPhase {
+pub(crate) enum TimeoutPhase {
     /// Circuit build: `build_circuit` issued → `CircuitStatus::Ready`.
     Build,
     /// Echo stream attach: open issued → `StreamStatus::Open`.

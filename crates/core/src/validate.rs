@@ -54,7 +54,7 @@ pub(crate) const TIV_MIN_DETOUR_MS: f64 = 5.0;
 
 /// Why an estimate was refused or flagged.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ValidationError {
+pub(crate) enum ValidationError {
     /// Faster than light in fiber over the pair's great circle.
     BelowLightspeed { est_ms: f64, min_possible_ms: f64 },
     /// Far from a still-fresh cached estimate of the same pair.
@@ -101,7 +101,7 @@ impl std::fmt::Display for ValidationError {
 
 /// The gate's decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// Cache it.
     Accept,
     /// Cache it, but record the anomaly.
@@ -112,7 +112,7 @@ pub enum Verdict {
 
 /// Everything the checks need to know about the pair being validated.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ValidationContext {
+pub(crate) struct ValidationContext {
     /// Great-circle distance between the endpoints, if both are
     /// geolocated (every scanned pair is).
     pub distance_km: Option<f64>,
@@ -131,7 +131,7 @@ pub struct ValidationContext {
 /// Runs the checks in severity order and returns the verdict.
 pub(crate) fn validate(est_ms: f64, ctx: &ValidationContext) -> Verdict {
     if let Some(km) = ctx.distance_km {
-        let min_possible_ms = geo::lightspeed::min_rtt_ms(km);
+        let min_possible_ms = geo::min_rtt_ms(km);
         if est_ms < min_possible_ms {
             return Verdict::Reject(ValidationError::BelowLightspeed {
                 est_ms,

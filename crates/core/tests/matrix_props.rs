@@ -14,7 +14,10 @@ use netsim::NodeId;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::HashMap;
-use ting::{RttMatrix, TSV_MAGIC};
+use ting::RttMatrix;
+
+/// The matrix TSV format's first line; a document without it is refused.
+const TSV_MAGIC: &str = "# ting all-pairs rtt matrix v1";
 
 /// The model's key: a pair in ascending order.
 fn ordered<T: Ord>(a: T, b: T) -> (T, T) {

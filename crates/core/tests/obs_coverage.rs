@@ -9,21 +9,16 @@
 //! agrees with the event log, and the JSONL export carries it.
 
 use netsim::{FaultPlan, NodeId, SimDuration, SimTime};
-use ting::obs::{config_hash, names, Event, ExportMeta, Obs, ObsConfig, Value};
+use ting::obs::{config_hash, names, EventRecord, ExportMeta, Obs, ObsConfig};
 use ting::{Scanner, ScannerConfig, Ting, TingConfig};
 use tor_sim::TorNetworkBuilder;
 
 const SEED: u64 = 0x0b5e;
 
 /// The string field `key` of a trace event.
-fn str_field<'a>(event: &'a Event, key: &str) -> &'a str {
+fn str_field<'a>(event: &'a EventRecord, key: &str) -> &'a str {
     event
-        .fields
-        .iter()
-        .find_map(|(k, v)| match v {
-            Value::Str(s) if *k == key => Some(s.as_str()),
-            _ => None,
-        })
+        .field_str(key)
         .unwrap_or_else(|| panic!("{} event missing {key}", event.name))
 }
 
@@ -83,8 +78,12 @@ fn every_observed_failure_class_reaches_the_exported_metrics() {
         Some((_, count)) => *count += 1,
         None => expected.push((name, 1)),
     };
-    for event in obs.events() {
-        match event.name {
+    let meta = ExportMeta {
+        seed: SEED,
+        config_hash: config_hash("obs-coverage-v1"),
+    };
+    for event in obs.document(&meta).events {
+        match event.name.as_str() {
             names::TING_ERROR => tally(format!("ting.error.{}", str_field(&event, "code"))),
             names::TING_RETRY => tally("ting.retry".into()),
             // Every pair the scanner does not accept — pipeline error,
@@ -126,10 +125,6 @@ fn every_observed_failure_class_reaches_the_exported_metrics() {
 
     // Every class that occurred is in the registry with the exact same
     // count the event log shows, and in the JSONL export.
-    let meta = ExportMeta {
-        seed: SEED,
-        config_hash: config_hash("obs-coverage-v1"),
-    };
     let doc = obs.export_jsonl(&meta);
     for (name, count) in &expected {
         assert_eq!(

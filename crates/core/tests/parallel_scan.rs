@@ -6,7 +6,7 @@
 
 use netsim::{NodeId, SimTime};
 use ting::checkpoint::crc32;
-use ting::obs::{Obs, ObsConfig};
+use ting::obs::{ExportMeta, Obs, ObsConfig};
 use ting::{measure_interleaved, Scanner, ScannerConfig, Ting, TingConfig, UnknownVantage};
 use tor_sim::TorNetworkBuilder;
 
@@ -83,7 +83,13 @@ fn unknown_vantage_is_refused_before_any_measurement_starts() {
     );
     assert_eq!((net.sim.now(), obs.counter_value("net.events")), before);
     assert!(
-        obs.events().iter().all(|e| !e.name.starts_with("scan.")),
+        obs.document(&ExportMeta {
+            seed: 0,
+            config_hash: 0
+        })
+        .events
+        .iter()
+        .all(|e| !e.name.starts_with("scan.")),
         "a refused call must not open spans"
     );
     assert_eq!(net.sim.run_until_idle(), 0, "nothing was left queued");

@@ -7,9 +7,8 @@
 
 use netsim::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
-use ting::matrix::PairMap;
 use ting::obs::{Obs, ObsConfig};
 use ting::shard::{partition_pairs, MergeDelta, ShardStatus, Supervisor, SupervisorConfig};
 use ting::{RttMatrix, Scanner, ScannerConfig, Ting, TingConfig};
@@ -406,7 +405,7 @@ fn delta_stream_replays_to_the_full_merge() {
     let mut sup = Supervisor::new(nodes.clone(), supervisor_config(3), TingConfig::fast());
 
     let mut matrix = RttMatrix::new(nodes);
-    let mut measured_at: PairMap<SimTime> = PairMap::default();
+    let mut measured_at: BTreeMap<(NodeId, NodeId), SimTime> = BTreeMap::new();
     let mut seqs = Vec::new();
     for _ in 0..4 {
         sup.run_round(&mut net);
@@ -439,7 +438,8 @@ fn delta_stream_replays_to_the_full_merge() {
 
     let merged = sup.merge(net.sim.now()).unwrap();
     assert_eq!(matrix.to_tsv(), merged.matrix.to_tsv());
-    assert_eq!(measured_at, merged.measured_at);
+    let merged_at: BTreeMap<_, _> = merged.measured_at.iter().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(measured_at, merged_at);
 }
 
 /// A downed shard's frozen kept scanner enters the delta stream once

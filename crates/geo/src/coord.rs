@@ -1,7 +1,7 @@
 //! GPS coordinates and great-circle distance.
 
 /// Mean Earth radius in kilometres (IUGG).
-pub const EARTH_RADIUS_KM: f64 = 6371.0088;
+pub(crate) const EARTH_RADIUS_KM: f64 = 6371.0088;
 
 /// A point on the Earth's surface.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -6,7 +6,7 @@
 //! fiber. Points below that line indicate geolocation errors.
 
 /// Speed of light in vacuum, km/s.
-pub const C_KM_PER_S: f64 = 299_792.458;
+pub(crate) const C_KM_PER_S: f64 = 299_792.458;
 
 /// Effective propagation speed in fiber (⅔·c), expressed in km per
 /// millisecond: ≈ 199.86 km/ms.

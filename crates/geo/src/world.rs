@@ -66,7 +66,7 @@ const fn city(
 }
 
 /// All cities in the synthetic world. Coordinates are the real ones.
-pub const CITIES: &[City] = &[
+pub(crate) const CITIES: &[City] = &[
     // North America — the paper's testbed covers 9 U.S. states.
     city("New York", "US", Region::NorthAmerica, 40.7128, -74.0060),
     city(

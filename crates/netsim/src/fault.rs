@@ -47,7 +47,7 @@ pub fn keyed_u01(key: u64) -> f64 {
 /// dropped and connections to it cannot be opened. `until == None`
 /// means the node never comes back.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrashWindow {
+pub(crate) struct CrashWindow {
     pub node: NodeId,
     pub from: SimTime,
     pub until: Option<SimTime>,

@@ -46,17 +46,18 @@
 #![deny(clippy::iter_over_hash_type)]
 
 pub mod event;
-pub mod fault;
-pub mod process;
-pub mod sim;
-pub mod time;
-pub mod underlay;
+mod fault;
+mod process;
+mod sim;
+mod time;
+mod underlay;
 
 pub use event::{Event, EventKind};
-pub use fault::{keyed_u01, CrashWindow, FaultPlan};
+pub use fault::{keyed_u01, FaultPlan};
 pub use process::{Context, Process};
 pub use sim::{ConnId, NodeId, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use underlay::{
     AsId, AsProfile, NodeAttrs, ProtocolPolicy, TrafficClass, Underlay, UnderlayConfig,
+    LOOPBACK_MS, PATH_FLOOR_MS,
 };

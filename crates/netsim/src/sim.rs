@@ -784,12 +784,16 @@ mod tests {
         sim.add_process(Box::new(IdleProcess));
         sim.run_until_idle();
 
-        let events = obs.events();
+        let events = obs
+            .document(&obs::ExportMeta {
+                seed: 0,
+                config_hash: 0,
+            })
+            .events;
         let named = |name| events.iter().filter(move |e| e.name == name);
         assert!(named(obs::names::NET_CONN_OPENED).next().is_some());
-        assert!(
-            named(obs::names::NET_DELIVER).any(|e| e.fields.contains(&("bytes", Value::U64(3))))
-        );
+        assert!(named(obs::names::NET_DELIVER)
+            .any(|e| e.fields.contains(&("bytes".to_owned(), Value::U64(3)))));
         assert!(named(obs::names::NET_CONN_CLOSED).next().is_some());
         // Timestamps are monotone.
         for w in events.windows(2) {

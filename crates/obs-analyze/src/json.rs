@@ -9,7 +9,7 @@
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     Null,
     Bool(bool),
     /// The raw number token, exactly as it appeared in the source.

@@ -1,6 +1,6 @@
 //! SLO timeline analysis: breach windows and the `slo.*` gauge family.
 //!
-//! The live engine (`obs::slo::SloEngine`) emits `slo.breach.begin` /
+//! The live engine (`obs::SloEngine`) emits `slo.breach.begin` /
 //! `slo.breach.end` span pairs carrying an `slo` name field, and
 //! leaves its windowed totals behind as `slo.{name}.*` gauges. This
 //! module folds a trace back into per-SLO breach windows — the read

@@ -83,7 +83,8 @@ pub struct Trace {
 }
 
 /// The labels a pair span's time is partitioned into.
-pub const SELF_TIME_LABELS: [&str; 6] = ["setup", "build", "stream", "sample", "wait", "finalize"];
+pub(crate) const SELF_TIME_LABELS: [&str; 6] =
+    ["setup", "build", "stream", "sample", "wait", "finalize"];
 
 /// Rebuilds the span forest from a document's event log. The document
 /// should lint clean first ([`crate::lint::lint`]); structural defects
@@ -253,7 +254,7 @@ pub(crate) fn circuit_self_times(c: &CircuitNode) -> [u64; 3] {
     }
 }
 
-/// Partitions one pair span into the six [`SELF_TIME_LABELS`] buckets
+/// Partitions one pair span into the six `SELF_TIME_LABELS` buckets
 /// (ns). Time before the first circuit is `setup`, gaps between circuit
 /// attempts are `wait` (retry backoff, teardown), time after the last
 /// circuit is `finalize` (validation, cache bookkeeping). The six

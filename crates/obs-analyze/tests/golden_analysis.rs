@@ -14,7 +14,7 @@
 //! * health-event attribution agrees with the raw event stream.
 
 use netsim::{FaultPlan, NodeId, SimDuration};
-use obs_analyze::tree::{self, SELF_TIME_LABELS};
+use obs_analyze::{build, critical_path, pair_self_times};
 use ting::obs::{config_hash, ExportMeta, Obs, ObsConfig};
 use ting::{Scanner, ScannerConfig, Ting, TingConfig};
 use tor_sim::TorNetworkBuilder;
@@ -89,7 +89,7 @@ fn both_scan_drivers_produce_lint_clean_traces() {
                 .join("\n")
         );
         // Lint-clean implies the tree builder accepts it too.
-        tree::build(&doc).unwrap_or_else(|e| panic!("{label}: {e}"));
+        build(&doc).unwrap_or_else(|e| panic!("{label}: {e}"));
     }
 }
 
@@ -100,7 +100,7 @@ fn report_is_byte_deterministic() {
     assert_eq!(a, b, "trace itself must be deterministic first");
     let render = |text: &str| {
         let doc = obs_analyze::parse_document(text).unwrap();
-        let trace = tree::build(&doc).unwrap();
+        let trace = build(&doc).unwrap();
         obs_analyze::report::render(&doc, &trace)
     };
     let ra = render(&a);
@@ -120,7 +120,7 @@ fn report_is_byte_deterministic() {
 fn pair_self_times_partition_each_span_exactly() {
     let text = traced_scan(SEED);
     let doc = obs_analyze::parse_document(&text).unwrap();
-    let trace = tree::build(&doc).unwrap();
+    let trace = build(&doc).unwrap();
     let pairs: Vec<_> = trace
         .rounds
         .iter()
@@ -133,20 +133,19 @@ fn pair_self_times_partition_each_span_exactly() {
         pairs.len()
     );
     for p in pairs {
-        let st = tree::pair_self_times(p);
+        let st = pair_self_times(p);
         assert_eq!(
             st.iter().sum::<u64>(),
             p.t1 - p.t0,
-            "pair {}-{} self-times {:?} ({:?}) do not telescope to its span",
+            "pair {}-{} self-times {:?} (setup, build, stream, sample, wait, finalize) do not telescope to its span",
             p.a,
             p.b,
             st,
-            SELF_TIME_LABELS,
         );
     }
     // The same exactness must hold for the rounds' critical paths.
     for round in &trace.rounds {
-        let path = tree::critical_path(round);
+        let path = critical_path(round);
         let covered: u64 = path.iter().map(|s| s.t1 - s.t0).sum();
         assert_eq!(
             covered,
@@ -190,7 +189,9 @@ fn traced_testbed_scan(seed: u64) -> (String, Vec<(u32, f64, f64)>) {
             (
                 n.0,
                 cfg.busy_prob * cfg.busy_mean_ms,
-                cfg.expected_forwarding_ms(),
+                // The mean per-cell forwarding delay: the crypto floor
+                // plus the expected queueing excess.
+                cfg.base_proc_ms + cfg.busy_prob * cfg.busy_mean_ms,
             )
         })
         .collect();
@@ -201,7 +202,7 @@ fn traced_testbed_scan(seed: u64) -> (String, Vec<(u32, f64, f64)>) {
 fn forwarding_delay_estimates_track_configured_relay_delays() {
     let (text, truth) = traced_testbed_scan(SEED);
     let doc = obs_analyze::parse_document(&text).unwrap();
-    let trace = tree::build(&doc).unwrap();
+    let trace = build(&doc).unwrap();
     let table = obs_analyze::per_relay(&doc, &trace);
 
     let mut est = Vec::new();
@@ -243,7 +244,7 @@ fn forwarding_delay_estimates_track_configured_relay_delays() {
 fn health_attribution_matches_the_raw_event_stream() {
     let text = traced_scan(SEED);
     let doc = obs_analyze::parse_document(&text).unwrap();
-    let trace = tree::build(&doc).unwrap();
+    let trace = build(&doc).unwrap();
     let table = obs_analyze::per_relay(&doc, &trace);
 
     let count_events = |name: &str| doc.events.iter().filter(|e| e.name == name).count() as u64;
@@ -257,7 +258,7 @@ fn health_attribution_matches_the_raw_event_stream() {
 fn flamegraph_totals_cover_every_pair_nanosecond() {
     let text = traced_scan(SEED);
     let doc = obs_analyze::parse_document(&text).unwrap();
-    let trace = tree::build(&doc).unwrap();
+    let trace = build(&doc).unwrap();
     let folded = obs_analyze::folded_stacks(&trace);
 
     let mut total = 0u64;

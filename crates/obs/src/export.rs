@@ -73,7 +73,7 @@ pub struct HistRecord {
     pub buckets: Vec<(u64, u64, u64)>,
 }
 
-/// One exported event line: like [`crate::Event`] but with owned names,
+/// One exported event line: like `crate::Event` but with owned names,
 /// so parsed documents need no `'static` interning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {

@@ -28,18 +28,21 @@
 // kernel; nothing here may add a second.
 #![forbid(unsafe_code)]
 
-pub mod export;
+mod export;
 mod hist;
-pub mod lineage;
+mod lineage;
 pub mod names;
-pub mod slo;
+mod slo;
 
 pub use export::{
     config_hash, mode_name, Document, EventRecord, ExportMeta, HistRecord, HistSummary, FORMAT,
 };
 use hist::LogHistogram;
 pub use lineage::{Lineage, Origin};
-pub use slo::{SloEngine, SloSpec, SloTotals, WindowSpec};
+pub use slo::{
+    SloEngine, SloSpec, WindowSpec, SLO_COVERAGE, SLO_PUBLISH_LATENCY, SLO_SHARD_PROGRESS,
+    SLO_STALENESS,
+};
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -73,7 +76,7 @@ type Fields = Vec<(&'static str, Value)>;
 /// One recorded event: a name, the virtual-time instant in
 /// nanoseconds, and a small set of key/value fields.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Event {
+pub(crate) struct Event {
     pub t_ns: u64,
     pub name: &'static str,
     pub fields: Fields,
@@ -324,16 +327,8 @@ impl Obs {
             .unwrap_or_default()
     }
 
-    /// A copy of the event log so far.
-    pub fn events(&self) -> Vec<Event> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.events.borrow().clone())
-            .unwrap_or_default()
-    }
-
     /// Snapshots the registry into the parser-facing export model
-    /// (see [`export::Document`]). The disabled handle yields an empty
+    /// (see [`Document`]). The disabled handle yields an empty
     /// document.
     pub fn document(&self, meta: &ExportMeta) -> Document {
         match &self.inner {
@@ -345,7 +340,7 @@ impl Obs {
         }
     }
 
-    /// Renders the registry as deterministic JSONL (see [`export`]).
+    /// Renders the registry as deterministic JSONL (see [`Document::render_jsonl`]).
     /// The disabled handle exports just the meta header.
     pub fn export_jsonl(&self, meta: &ExportMeta) -> String {
         self.document(meta).render_jsonl()
@@ -355,6 +350,15 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The event log so far, as the export reads it.
+    pub(crate) fn events(obs: &Obs) -> Vec<EventRecord> {
+        obs.document(&ExportMeta {
+            seed: 0,
+            config_hash: 0,
+        })
+        .events
+    }
 
     #[test]
     fn off_handle_is_inert() {
@@ -373,7 +377,7 @@ mod tests {
             .hists
             .is_empty());
         obs.event("e", 1, Vec::new);
-        assert!(obs.events().is_empty());
+        assert!(events(&obs).is_empty());
         assert!(!Obs::new(ObsConfig::Off).is_enabled());
     }
 
@@ -398,7 +402,7 @@ mod tests {
             1
         );
         obs.event("ignored", 5, Vec::new);
-        assert!(obs.events().is_empty());
+        assert!(events(&obs).is_empty());
     }
 
     #[test]
@@ -416,10 +420,10 @@ mod tests {
         obs.span_end("scan.round.end", s, 99, || {
             vec![("measured", Value::U64(2))]
         });
-        let events = obs.events();
+        let events = events(&obs);
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "scan.round.begin");
-        assert_eq!(events[0].fields[0], ("span", Value::U64(s.0)));
+        assert_eq!(events[0].fields[0], ("span".to_owned(), Value::U64(s.0)));
         assert_eq!(events[1].name, "scan.round.end");
         assert_eq!(events[1].t_ns, 99);
     }

@@ -3,7 +3,7 @@
 //!
 //! Emitters (`netsim`, `tor-sim`, `core`) name events through these
 //! constants, the `obs-analyze` trace linter validates traces against
-//! [`REGISTRY`], and DESIGN.md §12 documents the same taxonomy — a
+//! `REGISTRY`, and DESIGN.md §12 documents the same taxonomy — a
 //! test in this crate checks the three agree, so a new event cannot be
 //! added in one place and forgotten in the others.
 
@@ -133,7 +133,7 @@ const fn end(name: &'static str, begin: &'static str) -> EventSpec {
 
 /// Every event name the stack may emit. The `obs-analyze` linter
 /// rejects traces containing names outside this list.
-pub const REGISTRY: &[EventSpec] = &[
+pub(crate) const REGISTRY: &[EventSpec] = &[
     begin(SCAN_ROUND_BEGIN, SCAN_ROUND_END),
     end(SCAN_ROUND_END, SCAN_ROUND_BEGIN),
     begin(SCAN_PAIR_BEGIN, SCAN_PAIR_END),
@@ -187,6 +187,7 @@ pub fn spec(name: &str) -> Option<&'static EventSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn names_are_unique() {
@@ -218,5 +219,61 @@ mod tests {
     fn lookup_finds_registered_names_only() {
         assert!(spec(TING_PHASE).is_some());
         assert!(spec("ting.bogus").is_none());
+    }
+
+    /// The §12 section body: from its heading to the next `## ` heading.
+    fn design_section_12() -> String {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let text = std::fs::read_to_string(path).expect("DESIGN.md readable");
+        let start = text
+            .find("## 12. Observability")
+            .expect("DESIGN.md has a §12 Observability section");
+        let body = &text[start..];
+        let end = body[4..].find("\n## ").map_or(body.len(), |i| i + 4);
+        body[..end].to_owned()
+    }
+
+    /// Backticked tokens in `text` that look like event names: lowercase
+    /// dotted identifiers, no wildcards/placeholders/paths.
+    fn event_shaped_names(text: &str) -> BTreeSet<String> {
+        let mut out = BTreeSet::new();
+        for piece in text.split('`').skip(1).step_by(2) {
+            let dotted = piece.contains('.');
+            let plain = piece
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_');
+            if dotted && plain && !piece.starts_with('.') && !piece.ends_with('.') {
+                out.insert(piece.to_owned());
+            }
+        }
+        out
+    }
+
+    /// DESIGN.md §12 and [`REGISTRY`] must list the same event taxonomy:
+    /// every registered name appears in the §12 span-taxonomy list, and
+    /// every event-shaped name §12 mentions is registered. A new event
+    /// added to one without the other fails here.
+    #[test]
+    fn design_section_12_and_registry_agree() {
+        let section = design_section_12();
+        let documented = event_shaped_names(&section);
+        let registered: BTreeSet<String> = REGISTRY.iter().map(|s| s.name.to_owned()).collect();
+
+        // Some §12 prose names metric families, not events; those are
+        // either wildcarded (excluded by shape) or counter names that never
+        // appear in the event log. Anything else must be registered.
+        let undocumented: Vec<_> = registered.difference(&documented).collect();
+        assert!(
+            undocumented.is_empty(),
+            "registered events missing from DESIGN.md §12: {undocumented:?}"
+        );
+        let unregistered: Vec<_> = documented
+            .difference(&registered)
+            .filter(|n| spec(n).is_none())
+            .collect();
+        assert!(
+            unregistered.is_empty(),
+            "DESIGN.md §12 names events not in obs::names::REGISTRY: {unregistered:?}"
+        );
     }
 }

@@ -68,17 +68,6 @@ pub struct SloSpec {
     pub burn_threshold_milli: u32,
 }
 
-/// Windowed totals for one SLO at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SloTotals {
-    pub good: u64,
-    pub bad: u64,
-    /// Burn rate in milli-multiples of the error budget, saturating;
-    /// 0 when the window is empty.
-    pub burn_milli: u64,
-    pub breaching: bool,
-}
-
 #[derive(Debug)]
 struct Window {
     spec: SloSpec,
@@ -241,20 +230,6 @@ impl SloEngine {
         }
     }
 
-    /// The windowed totals and verdict for one SLO, as of the last
-    /// `observe`/`evaluate` advance. `None` for unknown names.
-    pub fn totals(&self, name: &str) -> Option<SloTotals> {
-        self.windows.iter().find(|w| w.spec.name == name).map(|w| {
-            let (good, bad) = w.totals();
-            SloTotals {
-                good,
-                bad,
-                burn_milli: w.burn_milli(good, bad),
-                breaching: w.breach.is_some(),
-            }
-        })
-    }
-
     /// True when the named SLO's last evaluation found it breaching.
     #[cfg(test)]
     fn is_breaching(&self, name: &str) -> bool {
@@ -267,6 +242,7 @@ impl SloEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::events;
     use crate::ObsConfig;
 
     fn engine(objective_ppm: u32, burn_threshold_milli: u32) -> (SloEngine, Obs) {
@@ -286,13 +262,21 @@ mod tests {
         (eng, obs)
     }
 
+    /// One SLO's windowed `(good, bad, burn_milli)`, as of the last
+    /// `observe`/`evaluate` advance.
+    fn totals(eng: &SloEngine, name: &str) -> (u64, u64, u64) {
+        let w = eng.windows.iter().find(|w| w.spec.name == name).unwrap();
+        let (good, bad) = w.totals();
+        (good, bad, w.burn_milli(good, bad))
+    }
+
     #[test]
     fn empty_window_never_breaches() {
         let (mut eng, obs) = engine(999_000, 1000);
         eng.evaluate(0);
         eng.evaluate(5_000);
         assert!(!eng.is_breaching("t"));
-        assert!(obs.events().is_empty());
+        assert!(events(&obs).is_empty());
     }
 
     #[test]
@@ -307,12 +291,12 @@ mod tests {
         eng.observe("t", 420, 10, 0);
         eng.evaluate(450);
         assert!(!eng.is_breaching("t"));
-        let names: Vec<&str> = obs.events().iter().map(|e| e.name).collect();
+        let events = events(&obs);
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["slo.breach.begin", "slo.breach.end"]);
-        let begin = &obs.events()[0];
-        assert!(begin
+        assert!(events[0]
             .fields
-            .contains(&(("slo"), Value::Str("t".to_owned()))));
+            .contains(&("slo".to_owned(), Value::Str("t".to_owned()))));
     }
 
     #[test]
@@ -324,7 +308,7 @@ mod tests {
         eng.observe("t", 20, 0, 1);
         eng.evaluate(20);
         assert!(eng.is_breaching("t"));
-        assert_eq!(eng.totals("t").unwrap().burn_milli, u64::MAX);
+        assert_eq!(totals(&eng, "t").2, u64::MAX);
     }
 
     #[test]
@@ -335,7 +319,7 @@ mod tests {
         tolerant.observe("t", 10, 98, 2);
         tolerant.evaluate(10);
         assert!(!tolerant.is_breaching("t"));
-        assert_eq!(tolerant.totals("t").unwrap().burn_milli, 2000);
+        assert_eq!(totals(&tolerant, "t").2, 2000);
 
         let (mut strict, _) = engine(990_000, 2000);
         strict.observe("t", 10, 98, 2);
@@ -348,12 +332,12 @@ mod tests {
         let (mut eng, _) = engine(990_000, 1000);
         eng.evaluate(1_000); // head at bucket 10
         eng.observe("t", 0, 0, 5); // far in the past → oldest slot
-        let t = eng.totals("t").unwrap();
-        assert_eq!((t.good, t.bad), (0, 5));
+        let (good, bad, _) = totals(&eng, "t");
+        assert_eq!((good, bad), (0, 5));
         // The late entries expire with the oldest bucket, one step on.
         eng.evaluate(1_100);
-        let t = eng.totals("t").unwrap();
-        assert_eq!((t.good, t.bad), (0, 0));
+        let (good, bad, _) = totals(&eng, "t");
+        assert_eq!((good, bad), (0, 0));
     }
 
     #[test]
@@ -379,7 +363,7 @@ mod tests {
                 eng.observe("t", i * 60, 9, bad);
                 eng.evaluate(i * 60);
             }
-            obs.events()
+            events(&obs)
         };
         assert_eq!(run(), run());
     }

@@ -4,11 +4,11 @@
 //! implements everything the Tor substrate needs:
 //!
 //! * [`mod@sha256`] — streaming SHA-256 (FIPS 180-4),
-//! * [`mod@hmac`] — HMAC-SHA256 (RFC 2104 / 4231),
-//! * [`mod@hkdf`] — HKDF extract-and-expand (RFC 5869),
-//! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439),
+//! * `hmac` — HMAC-SHA256 (RFC 2104 / 4231),
+//! * `hkdf` — HKDF extract-and-expand (RFC 5869),
+//! * `chacha20` — the ChaCha20 stream cipher (RFC 8439),
 //! * [`mod@x25519`] — X25519 Diffie–Hellman over Curve25519 (RFC 7748),
-//! * [`ntor`] — an ntor-style circuit-extension handshake combining the
+//! * `ntor` — an ntor-style circuit-extension handshake combining the
 //!   above, producing the per-hop key material used by `tor-protocol`'s
 //!   layered relay crypto.
 //!
@@ -22,7 +22,7 @@
 //!
 //! All three kernels a scan spends its time in are written for speed
 //! behind the plain signatures: [`mod@x25519`] (most of a handshake),
-//! the [`chacha20`] keystream (sixteen blocks a refill, in a form the
+//! the `chacha20` keystream (sixteen blocks a refill, in a form the
 //! compiler vectorises) and the [`mod@sha256`] compression function
 //! (the x86 SHA extensions where the CPU reports them, the FIPS 180-4
 //! text everywhere else — chosen by detection, never by a setting). Each
@@ -36,10 +36,10 @@
 // `#[allow]`. Every other crate forbids the lint outright.
 #![deny(unsafe_code)]
 
-pub mod chacha20;
-pub mod hkdf;
-pub mod hmac;
-pub mod ntor;
+mod chacha20;
+mod hkdf;
+mod hmac;
+mod ntor;
 pub mod sha256;
 pub mod x25519;
 
@@ -49,4 +49,4 @@ pub use ntor::{
     HopKeys, ServerReply,
 };
 pub use sha256::{sha256, Sha256};
-pub use x25519::{x25519, x25519_base, KeyPair, PublicKey, SecretKey};
+pub use x25519::{x25519, x25519_base, KeyPair, PublicKey};

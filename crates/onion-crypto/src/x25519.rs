@@ -247,7 +247,7 @@ impl Fe {
 }
 
 /// A clamped X25519 secret key (32 bytes).
-pub type SecretKey = [u8; 32];
+pub(crate) type SecretKey = [u8; 32];
 /// An X25519 public key / curve point u-coordinate (32 bytes).
 pub type PublicKey = [u8; 32];
 

@@ -1,8 +1,8 @@
 //! Property-based tests for the crypto primitives.
 
 use onion_crypto::{
-    chacha20::ChaCha20, client_handshake_finish, client_handshake_start, server_handshake, sha256,
-    x25519, x25519_base, KeyPair, Sha256,
+    client_handshake_finish, client_handshake_start, server_handshake, sha256, x25519, x25519_base,
+    ChaCha20, KeyPair, Sha256,
 };
 use proptest::prelude::*;
 

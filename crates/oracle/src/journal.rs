@@ -32,7 +32,7 @@ pub const JOURNAL_FILE: &str = "oracle.journal";
 /// The last-published-generation file's name.
 pub const PUBLISHED_FILE: &str = "oracle.published";
 /// First line of the published file's (outer-sealed) body.
-pub const PUBLISHED_MAGIC: &str = "# ting oracle published v1";
+pub(crate) const PUBLISHED_MAGIC: &str = "# ting oracle published v1";
 
 /// What recovery found on disk.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

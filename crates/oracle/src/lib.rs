@@ -37,10 +37,10 @@
 )]
 
 pub mod journal;
-pub mod pipeline;
-pub mod service;
-pub mod snapshot;
-pub mod ttl;
+mod pipeline;
+mod service;
+mod snapshot;
+mod ttl;
 
 pub use journal::{Journal, Recovered};
 pub use pipeline::{Pipeline, PipelineConfig, SloConfig};

@@ -25,8 +25,10 @@ use crate::service::{Oracle, OracleReader};
 use crate::snapshot::Snapshot;
 use crate::ttl::{ServingState, TtlPolicy};
 use netsim::{NodeId, SimDuration, SimTime};
-use obs::slo::{SLO_COVERAGE, SLO_PUBLISH_LATENCY, SLO_SHARD_PROGRESS, SLO_STALENESS};
-use obs::{names, Counter, Hist, Obs, SloEngine, SloSpec, Value, WindowSpec};
+use obs::{
+    names, Counter, Hist, Obs, SloEngine, SloSpec, Value, WindowSpec, SLO_COVERAGE,
+    SLO_PUBLISH_LATENCY, SLO_SHARD_PROGRESS, SLO_STALENESS,
+};
 use std::collections::VecDeque;
 use ting::shard::{parse_merged_document, MergeDelta, MergeOutcome};
 
@@ -486,12 +488,6 @@ impl Pipeline {
         self.queue.len()
     }
 
-    /// Windowed totals for one live SLO as of the last `tick`; `None`
-    /// without an [`SloConfig`] or for an unknown name.
-    pub fn slo_totals(&self, name: &str) -> Option<obs::SloTotals> {
-        self.slo.as_ref()?.engine.totals(name)
-    }
-
     /// The served generation's sealed document, as judged at its own
     /// publish instant — what the chaos harness compares bit-for-bit
     /// across kill/resume boundaries. After a refused journal append it
@@ -562,6 +558,49 @@ mod tests {
 
     fn nodes() -> Vec<NodeId> {
         vec![NodeId(0), NodeId(1), NodeId(2)]
+    }
+
+    /// A pipeline whose trace records the SLO gauges and breach spans.
+    fn traced(nodes: Vec<NodeId>, config: PipelineConfig) -> (Pipeline, Obs) {
+        let obs = Obs::new(obs::ObsConfig::Trace);
+        (Pipeline::with_obs(nodes, 1, config, obs.clone(), None), obs)
+    }
+
+    /// One SLO's windowed totals as of the last `tick`.
+    struct Totals {
+        good: u64,
+        bad: u64,
+        breaching: bool,
+    }
+
+    /// One live SLO's totals as the trace shows them: its
+    /// `slo.{name}.good` / `.bad` gauges, and whether a breach span for
+    /// it is open. `None` for a name no gauge carries.
+    fn slo_totals(obs: &Obs, name: &str) -> Option<Totals> {
+        let doc = obs.document(&obs::ExportMeta {
+            seed: 0,
+            config_hash: 0,
+        });
+        let gauge = |family: &str| {
+            let key = format!("slo.{name}.{family}");
+            let (_, value) = doc.gauges.iter().find(|(k, _)| *k == key)?;
+            u64::try_from(*value).ok()
+        };
+        let open: i64 = doc
+            .events
+            .iter()
+            .filter(|e| e.field_str("slo") == Some(name))
+            .map(|e| match e.name.as_str() {
+                names::SLO_BREACH_BEGIN => 1,
+                names::SLO_BREACH_END => -1,
+                _ => 0,
+            })
+            .sum();
+        Some(Totals {
+            good: gauge("good")?,
+            bad: gauge("bad")?,
+            breaching: open > 0,
+        })
     }
 
     #[test]
@@ -860,23 +899,23 @@ mod tests {
     fn slo_engine_tracks_latency_coverage_and_staleness() {
         let mut cfg = config();
         cfg.slo = Some(slo_config());
-        let mut p = Pipeline::new(nodes(), 1, cfg);
-        assert_eq!(p.slo_totals("nonsense"), None);
+        let (mut p, obs) = traced(nodes(), cfg);
+        assert!(slo_totals(&obs, "nonsense").is_none());
         // One delta drained the instant it was offered: within budget.
         p.offer(delta(1, vec![(NodeId(0), NodeId(1), 7.0, SimTime(5))], 10));
         p.tick(SimTime(10)).unwrap();
-        let lat = p.slo_totals(SLO_PUBLISH_LATENCY).unwrap();
+        let lat = slo_totals(&obs, SLO_PUBLISH_LATENCY).unwrap();
         assert_eq!((lat.good, lat.bad), (1, 0));
         assert!(!lat.breaching);
-        let prog = p.slo_totals(SLO_SHARD_PROGRESS).unwrap();
+        let prog = slo_totals(&obs, SLO_SHARD_PROGRESS).unwrap();
         assert_eq!((prog.good, prog.bad), (1, 0));
         // 1 of 3 owned pairs measured: a 50% coverage objective with a
         // 2/3 bad fraction is burning beyond its budget.
-        let cov = p.slo_totals(SLO_COVERAGE).unwrap();
+        let cov = slo_totals(&obs, SLO_COVERAGE).unwrap();
         assert_eq!((cov.good, cov.bad), (1, 2));
         assert!(cov.breaching);
         // The single TTL judgment landed Fresh.
-        let st = p.slo_totals(SLO_STALENESS).unwrap();
+        let st = slo_totals(&obs, SLO_STALENESS).unwrap();
         assert_eq!((st.good, st.bad), (1, 0));
         assert!(!st.breaching);
     }
@@ -885,16 +924,16 @@ mod tests {
     fn staleness_slo_burns_while_serving_degraded() {
         let mut cfg = config();
         cfg.slo = Some(slo_config());
-        let mut p = Pipeline::new(nodes(), 1, cfg);
+        let (mut p, obs) = traced(nodes(), cfg);
         p.offer(delta(1, vec![(NodeId(0), NodeId(1), 7.0, SimTime(0))], 0));
         p.tick(SimTime(0)).unwrap();
-        assert!(!p.slo_totals(SLO_STALENESS).unwrap().breaching);
+        assert!(!slo_totals(&obs, SLO_STALENESS).unwrap().breaching);
         // By the hard TTL the window has slid past the healthy epoch:
         // the judgment at `hard` lands Degraded and burns the budget.
         let hard = SimDuration::from_secs(600).as_nanos();
         p.tick(SimTime(hard)).unwrap();
         assert_eq!(p.state(), ServingState::Degraded);
-        let st = p.slo_totals(SLO_STALENESS).unwrap();
+        let st = slo_totals(&obs, SLO_STALENESS).unwrap();
         assert_eq!((st.good, st.bad), (0, 1));
         assert!(st.breaching);
     }
@@ -984,5 +1023,154 @@ mod tests {
             timed(&mut || assert_eq!(p.tick(at).unwrap(), Some(seq + 1)))
         });
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The TTL ladder's boundary instants driven against the staleness
+    /// SLO window: each `tick` re-judges the dataset's age *and* feeds
+    /// the verdict into the windowed burn-rate engine, so the exact
+    /// instants where `TtlPolicy::judge` flips states are also the
+    /// instants where budget burn accrues. (The exported event sequence
+    /// of the same walk is pinned by the `slo_ttl` integration test.)
+    mod ladder {
+        use super::*;
+
+        const SOFT_S: u64 = 10;
+        const HARD_S: u64 = 100;
+
+        fn secs(s: u64) -> SimTime {
+            SimTime(SimDuration::from_secs(s).as_nanos())
+        }
+
+        /// Soft 10s / hard 100s ladder over a 10×10s SLO window: one judgment
+        /// per bucket, so window rotation and TTL boundaries interact on the
+        /// same clock.
+        fn config(staleness_objective_ppm: u32) -> PipelineConfig {
+            PipelineConfig {
+                queue_cap: 4,
+                publish_interval: SimDuration(0),
+                staleness: SimDuration::from_secs(HARD_S),
+                ttl: TtlPolicy::new(
+                    SimDuration::from_secs(SOFT_S),
+                    SimDuration::from_secs(HARD_S),
+                )
+                .unwrap(),
+                slo: Some(SloConfig {
+                    bucket: SimDuration::from_secs(SOFT_S),
+                    buckets: 10,
+                    coverage_objective_ppm: 0,
+                    progress_objective_ppm: 0,
+                    latency_budget: SimDuration::from_secs(HARD_S),
+                    latency_objective_ppm: 0,
+                    staleness_objective_ppm,
+                    burn_threshold_milli: 1000,
+                }),
+            }
+        }
+
+        fn nodes() -> Vec<NodeId> {
+            (0..4).map(NodeId).collect()
+        }
+
+        fn delta(seq: u64, at: SimTime) -> MergeDelta {
+            MergeDelta {
+                seq,
+                pairs: vec![DeltaPair {
+                    a: NodeId(0),
+                    b: NodeId(1),
+                    rtt_ms: 5.0,
+                    measured_at: at,
+                    lineage: Lineage {
+                        shard: 0,
+                        round: seq,
+                    },
+                }],
+                statuses: vec!["live"],
+                now: at,
+            }
+        }
+
+        /// Ladder states at the inclusive boundary instants, with each
+        /// judgment feeding the staleness window: `soft` and `hard` flip on
+        /// the boundary itself (age ≥ ttl), one nanosecond earlier does not.
+        #[test]
+        fn boundary_instants_flip_states_and_accrue_burn() {
+            // Objective 40%: breach once more than 60% of windowed judgments
+            // land off-Fresh.
+            let (mut p, obs) = traced(nodes(), config(400_000));
+            p.offer(delta(1, secs(0)));
+            p.tick(secs(0)).unwrap();
+            assert_eq!(p.state(), ServingState::Fresh);
+            let t = slo_totals(&obs, SLO_STALENESS).unwrap();
+            assert_eq!((t.good, t.bad, t.breaching), (1, 0, false));
+
+            // One nanosecond shy of the soft TTL: still Fresh.
+            p.tick(SimTime(secs(SOFT_S).as_nanos() - 1)).unwrap();
+            assert_eq!(p.state(), ServingState::Fresh);
+
+            // Exactly the soft boundary: age == soft_ttl is Stale, and the
+            // judgment burns budget.
+            p.tick(secs(SOFT_S)).unwrap();
+            assert_eq!(p.state(), ServingState::Stale);
+            let t = slo_totals(&obs, SLO_STALENESS).unwrap();
+            assert_eq!((t.good, t.bad, t.breaching), (2, 1, false));
+
+            // One nanosecond shy of the hard TTL: still Stale (and still
+            // under the 60% bad threshold: 2 bad of 4).
+            p.tick(SimTime(secs(HARD_S).as_nanos() - 1)).unwrap();
+            assert_eq!(p.state(), ServingState::Stale);
+            let t = slo_totals(&obs, SLO_STALENESS).unwrap();
+            assert_eq!((t.good, t.bad, t.breaching), (2, 2, false));
+
+            // Exactly the hard boundary: Degraded. The window also rotates —
+            // both good judgments (t=0 and t=soft−1ns) sat in bucket 0, now
+            // ten buckets back — so only the bad judgments remain and the
+            // breach begins.
+            p.tick(secs(HARD_S)).unwrap();
+            assert_eq!(p.state(), ServingState::Degraded);
+            let t = slo_totals(&obs, SLO_STALENESS).unwrap();
+            assert_eq!((t.good, t.bad, t.breaching), (0, 3, true));
+
+            // Fresh data a full window later: every burnt bucket has rotated
+            // out, the ladder re-judges Fresh, and the breach closes.
+            p.offer(delta(2, secs(2 * HARD_S)));
+            p.tick(secs(2 * HARD_S)).unwrap();
+            assert_eq!(p.state(), ServingState::Fresh);
+            let t = slo_totals(&obs, SLO_STALENESS).unwrap();
+            assert_eq!((t.good, t.bad, t.breaching), (1, 0, false));
+        }
+
+        /// A dataset with no timestamps at all — the clockless bootstrap —
+        /// judges Degraded from the first tick, and every judgment burns.
+        #[test]
+        fn clockless_bootstrap_burns_from_the_first_judgment() {
+            let (mut p, obs) = traced(nodes(), config(990_000));
+            assert_eq!(p.state(), ServingState::Degraded);
+            p.tick(secs(1)).unwrap();
+            let t = slo_totals(&obs, SLO_STALENESS).unwrap();
+            // 1 bad of 1 total blows a 1% budget instantly.
+            assert_eq!((t.good, t.bad, t.breaching), (0, 1, true));
+        }
+
+        /// Republishing unchanged data must not reset the staleness clock:
+        /// a status-only generation still judges against the newest probe.
+        #[test]
+        fn status_only_republish_does_not_reset_the_clock() {
+            let (mut p, obs) = traced(nodes(), config(400_000));
+            p.offer(delta(1, secs(0)));
+            p.tick(secs(0)).unwrap();
+
+            // An empty delta past the soft TTL: a new generation publishes,
+            // but the dataset's newest measurement is still t=0 — Stale.
+            p.offer(MergeDelta {
+                seq: 2,
+                pairs: vec![],
+                statuses: vec!["live"],
+                now: secs(SOFT_S),
+            });
+            p.tick(secs(SOFT_S)).unwrap();
+            assert_eq!(p.state(), ServingState::Stale);
+            let t = slo_totals(&obs, SLO_STALENESS).unwrap();
+            assert_eq!((t.good, t.bad), (1, 1));
+        }
     }
 }

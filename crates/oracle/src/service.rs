@@ -320,10 +320,14 @@ mod tests {
         let mut oracle = Oracle::with_obs(snap(5.0), obs.clone());
         oracle.publish_versioned(snap(6.0), 2);
         let swaps = |obs: &Obs| {
-            obs.events()
-                .into_iter()
-                .filter(|e| e.name == names::ORACLE_SNAPSHOT_SWAP)
-                .count()
+            obs.document(&obs::ExportMeta {
+                seed: 0,
+                config_hash: 0,
+            })
+            .events
+            .into_iter()
+            .filter(|e| e.name == names::ORACLE_SNAPSHOT_SWAP)
+            .count()
         };
         assert_eq!(swaps(&obs), 0, "clockless snapshots stay off the log");
 

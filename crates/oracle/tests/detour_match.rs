@@ -10,7 +10,7 @@
 
 mod common;
 
-use analysis::tiv::TivReport;
+use analysis::TivReport;
 use common::seeded_matrix;
 use netsim::NodeId;
 use oracle::Snapshot;

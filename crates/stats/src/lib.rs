@@ -17,19 +17,19 @@
 // kernel; nothing here may add a second.
 #![forbid(unsafe_code)]
 
-pub mod boxplot;
-pub mod cdf;
-pub mod convergence;
-pub mod corr;
-pub mod hist;
-pub mod linfit;
-pub mod summary;
+mod boxplot;
+mod cdf;
+mod convergence;
+mod corr;
+mod hist;
+mod linfit;
+mod summary;
 
 pub use boxplot::BoxplotSummary;
 pub use cdf::EmpiricalCdf;
 pub use convergence::MinConvergence;
 pub use corr::spearman;
-pub use hist::BinLayout;
+pub use hist::{group_by_bins, BinLayout};
 pub use linfit::{linear_fit, LinearFit};
 pub use summary::{coefficient_of_variation, mean, median, quantile};
 

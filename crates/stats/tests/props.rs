@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use stats::{
-    hist::group_by_bins, linear_fit, spearman, BinLayout, BoxplotSummary, EmpiricalCdf,
-    MinConvergence,
+    group_by_bins, linear_fit, spearman, BinLayout, BoxplotSummary, EmpiricalCdf, MinConvergence,
 };
 
 fn finite_vec(min_len: usize) -> impl Strategy<Value = Vec<f64>> {

@@ -11,7 +11,7 @@ use std::borrow::Cow;
 /// Payload bytes in every cell.
 pub const PAYLOAD_LEN: usize = 509;
 /// Total encoded size: circ_id (4) + command (1) + payload.
-pub const CELL_LEN: usize = 4 + 1 + PAYLOAD_LEN;
+pub(crate) const CELL_LEN: usize = 4 + 1 + PAYLOAD_LEN;
 
 /// Identifies a circuit on one link (hop-local, not end-to-end).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,7 +47,7 @@ impl CellCommand {
 ///
 /// A cell owns one buffer from wire to wire: [`Cell::decode`] of an
 /// owned `Vec` keeps that allocation as the payload, the onion layers
-/// in [`crate::onion`] strip or add theirs in place, and
+/// in `crate::onion` strip or add theirs in place, and
 /// [`Cell::encode`] writes the header back into the same allocation —
 /// a relay forwards a cell without allocating or copying it whole.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +79,7 @@ impl Cell {
         }
     }
 
-    /// Serializes to exactly [`CELL_LEN`] bytes, in the payload's own
+    /// Serializes to exactly `CELL_LEN` bytes, in the payload's own
     /// allocation.
     pub fn encode(self) -> Vec<u8> {
         let mut header = [0u8; CELL_LEN - PAYLOAD_LEN];

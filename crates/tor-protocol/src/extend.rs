@@ -19,7 +19,7 @@ pub struct Extend2 {
 }
 
 impl Extend2 {
-    pub const LEN: usize = 4 + 32;
+    pub(crate) const LEN: usize = 4 + 32;
 
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(Self::LEN);

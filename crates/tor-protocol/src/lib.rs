@@ -7,14 +7,14 @@
 //! Ting touches faithfully:
 //!
 //! * 514-byte cells with a circuit id, command, and fixed payload
-//!   ([`cell`]);
+//!   (`cell`);
 //! * relay cells carried inside encrypted payloads, with the
 //!   `recognized` / running-digest mechanism that lets a hop detect
-//!   cells addressed to it ([`relay`]);
+//!   cells addressed to it (`relay`);
 //! * CREATE2/CREATED2/EXTEND2/EXTENDED2 handshake payloads carrying
-//!   ntor-style key exchanges ([`extend`]);
+//!   ntor-style key exchanges (`extend`);
 //! * per-hop cipher/digest state and the layered encryption that makes
-//!   each relay strip or add exactly one layer ([`onion`]).
+//!   each relay strip or add exactly one layer (`onion`).
 //!
 //! What is intentionally simplified relative to production Tor (and
 //! documented here so nobody mistakes it for an oversight): link-level
@@ -33,12 +33,12 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod cell;
-pub mod extend;
-pub mod onion;
-pub mod relay;
+mod cell;
+mod extend;
+mod onion;
+mod relay;
 
-pub use cell::{Cell, CellCommand, CircuitId, CELL_LEN, PAYLOAD_LEN};
+pub use cell::{Cell, CellCommand, CircuitId, PAYLOAD_LEN};
 pub use extend::{Extend2, Extended2};
 pub use onion::{ClientCrypto, RelayCrypto, RelayCryptoOutcome};
 pub use relay::{RelayCell, RelayCmd, RELAY_DATA_LEN};

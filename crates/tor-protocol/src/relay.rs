@@ -17,7 +17,7 @@ use crate::cell::{CELL_LEN, PAYLOAD_LEN};
 use bytes::{Buf, BufMut};
 
 /// Header bytes before the data section.
-pub const RELAY_HEADER_LEN: usize = 1 + 2 + 2 + 4 + 2;
+pub(crate) const RELAY_HEADER_LEN: usize = 1 + 2 + 2 + 4 + 2;
 /// Maximum data bytes per relay cell.
 pub const RELAY_DATA_LEN: usize = PAYLOAD_LEN - RELAY_HEADER_LEN; // 498
 

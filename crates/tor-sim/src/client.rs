@@ -230,7 +230,7 @@ impl ProxyState {
         };
         let reply = Extended2::decode(&body[..Extended2::LEN.min(body.len())]);
         let keys = reply.and_then(|reply| {
-            let reply = onion_crypto::ntor::ServerReply {
+            let reply = onion_crypto::ServerReply {
                 ephemeral_public: reply.server_pk,
                 auth: reply.auth,
             };
@@ -403,7 +403,7 @@ impl ProxyState {
 
 /// The onion-proxy process: each event borrows the state it shares with
 /// its controller once, and hands it to one handler.
-pub struct OnionProxy(pub(crate) Rc<RefCell<ProxyState>>);
+pub(crate) struct OnionProxy(pub(crate) Rc<RefCell<ProxyState>>);
 
 impl OnionProxy {
     /// The shared state, marked touched: only the proxy's handlers

@@ -21,7 +21,7 @@
 //! or a second close on it does nothing.
 
 use crate::client::{CircuitEntry, Command, OnionProxy, ProxyState, StreamEntry};
-pub use crate::client::{CircuitStatus, PolicyError, StreamStatus};
+use crate::client::{CircuitStatus, PolicyError, StreamStatus};
 use netsim::{NodeId, SimTime, Simulator};
 use onion_crypto::PublicKey;
 use std::cell::RefCell;
@@ -218,7 +218,7 @@ impl Controller {
 
 #[cfg(test)]
 mod tests {
-    use crate::control::{CircuitStatus, PolicyError, StreamStatus};
+    use crate::client::{CircuitStatus, PolicyError, StreamStatus};
     use crate::network::{TorNetwork, TorNetworkBuilder};
     use crate::relay::RelayFaultProfile;
     use netsim::{NodeId, SimDuration, SimTime};

@@ -9,7 +9,7 @@ use netsim::{ConnId, Context, NodeId, Process};
 
 /// Echoes every message back on its connection and counts traffic.
 #[derive(Debug, Default)]
-pub struct EchoServer {
+pub(crate) struct EchoServer {
     /// Total messages echoed (for sanity checks in tests/experiments).
     pub echoed: u64,
     /// Connections currently open to the server.

@@ -3,22 +3,22 @@
 //! This is the system Ting measures through: onion routers with real
 //! layered cryptography, an onion proxy that builds circuits under the
 //! same policy constraints as a stock Tor client (no one-hop circuits, no
-//! repeated relay), and a Stem-like [`control::Controller`] that lets
+//! repeated relay), and a Stem-like [`Controller`] that lets
 //! measurement code construct *explicit* circuits and attach streams to
 //! them — the two capabilities §3.1 of the paper identifies as Ting's
-//! building blocks. The relays come from [`network::TorNetwork::relays`].
+//! building blocks. The relays come from [`TorNetwork::relays`].
 //!
 //! Module map:
 //!
-//! * [`relay`] — the onion-router state machine, including the
+//! * `relay` — the onion-router state machine, including the
 //!   per-circuit queue + processing-cost model that produces the
 //!   forwarding delays Ting must cancel out (§3.3, §4.3);
-//! * [`client`] — the onion proxy state machine;
-//! * [`control`] — the controller handle measurement drivers use;
-//! * [`echo`] — the TCP echo server (`d` in the paper's setup);
+//! * `client` — the onion proxy state machine;
+//! * `control` — the controller handle measurement drivers use;
+//! * `echo` — the TCP echo server (`d` in the paper's setup);
 //! * `link` — the Tor link table the relay and the proxy both hold;
-//! * [`network`] — builders that assemble underlay + relays + proxy into
-//!   a runnable [`network::TorNetwork`], including the PlanetLab-like
+//! * `network` — builders that assemble underlay + relays + proxy into
+//!   a runnable [`TorNetwork`], including the PlanetLab-like
 //!   validation testbed and live-network scenarios of §4;
 //! * [`churn`] — the relay-population process behind Fig. 18.
 
@@ -37,15 +37,16 @@
 #![deny(clippy::iter_over_hash_type)]
 
 pub mod churn;
-pub mod client;
-pub mod control;
-pub mod echo;
+mod client;
+mod control;
+mod echo;
 mod link;
-pub mod metrics;
-pub mod network;
-pub mod relay;
+mod metrics;
+mod network;
+mod relay;
 
-pub use control::{CircuitHandle, CircuitStatus, Controller, StreamHandle, StreamStatus};
-pub use metrics::{MetricsSnapshot, RelayMetrics};
+pub use client::{CircuitStatus, PolicyError, StreamStatus};
+pub use control::{CircuitHandle, Controller, StreamHandle};
+pub use metrics::RelayMetrics;
 pub use network::{TorNetwork, TorNetworkBuilder, Vantage};
 pub use relay::{RelayConfig, RelayFaultProfile};

@@ -41,7 +41,7 @@ pub struct RelayMetrics {
 
 /// A point-in-time copy of the counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricsSnapshot {
+pub(crate) struct MetricsSnapshot {
     pub cells_processed: u64,
     pub cells_forwarded: u64,
     pub cells_recognized: u64,

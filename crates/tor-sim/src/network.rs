@@ -478,8 +478,8 @@ pub struct TorNetwork {
     pub relays: Vec<NodeId>,
     /// The performance parameters each relay was built with,
     /// index-aligned with `relays`. Ground truth for per-relay
-    /// forwarding-delay attribution (see
-    /// [`RelayConfig::expected_forwarding_ms`]).
+    /// forwarding-delay attribution: a relay's mean per-cell delay is
+    /// `base_proc_ms + busy_prob · busy_mean_ms`.
     pub relay_configs: Vec<RelayConfig>,
     /// Per-relay observability handles, index-aligned with `relays`.
     pub relay_metrics: Vec<RelayMetrics>,
@@ -690,7 +690,7 @@ impl TorNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{CircuitStatus, StreamStatus};
+    use crate::client::{CircuitStatus, StreamStatus};
 
     #[test]
     fn testbed_builds_31_relays() {

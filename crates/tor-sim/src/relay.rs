@@ -50,17 +50,6 @@ pub struct RelayConfig {
     pub busy_mean_ms: f64,
 }
 
-impl RelayConfig {
-    /// The mean per-cell forwarding delay this config induces:
-    /// the crypto floor plus the expected queueing excess
-    /// (`busy_prob · busy_mean_ms`). This is the ground truth a §4.3
-    /// forwarding-delay estimator should recover, so trace-analysis
-    /// tests correlate their per-relay attributions against it.
-    pub fn expected_forwarding_ms(&self) -> f64 {
-        self.base_proc_ms + self.busy_prob * self.busy_mean_ms
-    }
-}
-
 /// Queue depth at which overload shedding kicks in.
 const OVERLOAD_QUEUE_DEPTH: usize = 32;
 
@@ -151,7 +140,7 @@ struct PendingCell {
 }
 
 /// The relay process.
-pub struct Relay {
+pub(crate) struct Relay {
     identity: KeyPair,
     config: RelayConfig,
     /// Tor links only: an exit stream's external conn lives in
