@@ -5,12 +5,15 @@
 # before its first top-level `#[cfg(test)]`, the usual line-count rule)
 # is narrowed: `pub fn` (also `const`, `unsafe` or `async`), `pub
 # struct`, `enum`, `trait`, `type`, `const` and `static` (associated
-# ones too) to `pub(crate)`, and `pub mod` to `pub(crate) mod`. An item
-# is flagged when every non-test target still compiles with it narrowed:
-# the workspace's libs, bins and examples, and benchmark/'s bins. A
-# flagged item is either used by no non-test code at all (rustc's
-# `dead_code` names it once it is narrowed) or only inside its own
-# crate. Fields are not audited.
+# ones too) to `pub(crate)`, `pub mod` to `pub(crate) mod`, and each
+# `pub` named field of a struct to `pub(crate)`. An item is flagged when
+# every non-test target still compiles with it narrowed: the
+# workspace's libs, bins and examples, and benchmark/'s bins and tests
+# (its files cannot change, so its tests count). A flagged item is
+# either used by no non-test code at all (rustc's `dead_code` names it
+# once it is narrowed) or only inside its own crate. Comparison derives
+# no non-test code needs are dropped first, so none hides an unread
+# field.
 #
 # The method, on a copy of the tree under target/unused-pub/ (the
 # checkout is never edited): split every `pub use a::{b, c};` into one
@@ -20,8 +23,10 @@
 # every item or use line an error names (a private item's "defined
 # here" note, or the name a re-export (E0364, E0365) cannot re-export),
 # every item a `private_interfaces` or `private_bounds` warning names (a
-# narrowed type in a public signature), and the module of every public
-# item no path names any more (`unnameable_types`). Repeat until a round
+# narrowed type in a public signature), the module of every public
+# item no path names any more (`unnameable_types`), and every field a
+# private-field error names (E0451, E0616, or a struct literal that
+# cannot be built: all of that struct's fields). Repeat until a round
 # restores nothing; each round settles one more level of the crate
 # graph. target/unused-pub/rounds.log keeps each round's diagnostics and
 # the lines it restored.
@@ -73,6 +78,86 @@ find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
     close ARGV if eof;
 '
 
+# One round: check every non-test target, keeping each diagnostic as
+# "level<TAB>code<TAB>message<TAB>file:line<TAB>where" for every span it
+# carries; where is P for the diagnostic's own primary span (the site
+# that fails, such as a use of a private item) and S for any other (the
+# item it points at, such as a "defined here" note).
+check() {
+    {
+        cargo check --offline --keep-going --message-format=json -q \
+            --workspace --lib --bins --examples || true
+        cargo check --offline --keep-going --message-format=json -q \
+            --manifest-path benchmark/Cargo.toml --bins --tests || true
+    } 2>/dev/null | jq -r --arg tree "$tree/" '
+        select(.reason == "compiler-message") | .message
+        | . as $m
+        | [.spans[] | select(.is_primary)] as $own
+        | [.. | objects | select(has("file_name") and has("line_start"))]
+        | .[]
+        | . as $span
+        | [$m.level, ($m.code.code // ""), ($m.message | gsub("\t"; " ")),
+           "\(.file_name | ltrimstr($tree)):\(.line_start)",
+           (if any($own[]; . == $span) then "P" else "S" end)]
+        | @tsv' | sort -u
+}
+
+# Comparison derives first. A derived `PartialEq`, `Eq`, `Hash`,
+# `PartialOrd` or `Ord` reads every field, so it would hide a field no
+# code reads from `dead_code` (a derived `Debug` or `Clone` does not
+# count as a read). Each non-test struct with named fields loses those
+# five from its `#[derive(...)]` line, listed as "file<TAB>derive
+# line<TAB>header line<TAB>original derive line"; a round restores the
+# derive of every struct that an error's span lands in (from the derive
+# line to the header: the `==`, the bound or the outer derive that needs
+# it points at the struct), until a round restores nothing. No item is
+# narrowed yet, so every error is a derive's.
+find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
+    BEGIN {
+        open(LIST, ">", "'"$base"'/derives") or die;
+        $cmp = qr/^(?:PartialEq|Eq|Hash|PartialOrd|Ord)$/;
+    }
+    if ($. == 1) { $test = 0; $held = undef }
+    $test = 1 if /^#\[cfg\(test\)\]/;
+    if (defined $held) {
+        if (/^\s*(?:#\[|\/\/)/) { $held .= $_; next }
+        my ($first) = $held =~ /^(.*)\n/;
+        my @names = $first =~ /^\s*#\[derive\((.*)\)\]$/ ? split /\s*,\s*/, $1 : ();
+        if (/^\s*(?:pub(?:\([\w:]+\))? )?struct \w+\b[^;]*\{\s*$/ && grep { /$cmp/ } @names) {
+            my ($indent) = $first =~ /^(\s*)/;
+            print LIST "$ARGV\t$held_at\t$.\t$first\n";
+            my $kept = join ", ", grep { !/$cmp/ } @names;
+            $held =~ s{^.*\n}{$indent#[derive($kept)]\n};
+        }
+        print $held;
+        $held = undef;
+    }
+    if (!$test && /^\s*#\[derive\(/) { ($held, $held_at) = ($_, $.); next }
+    print;
+    close ARGV if eof;
+'
+derive_rounds=0
+while :; do
+    derive_rounds=$((derive_rounds + 1))
+    diags=$(check)
+    restore=$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "error" { print $4 }' |
+        awk -F'\t' 'FILENAME == "-" { split($1, at, ":"); hit[at[1]] = hit[at[1]] " " at[2]; next }
+            {
+                n = split(hit[$1], lines, " ")
+                for (i = 1; i <= n; i++) if (lines[i] >= $2 && lines[i] <= $3) { print; break }
+            }' - "$base/derives")
+    printf '== derive round %d\n%s\n-- restored\n%s\n' "$derive_rounds" \
+        "$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "error"')" "$restore" >>"$base/rounds.log"
+    if [ -z "$restore" ]; then
+        break
+    fi
+    while IFS=$'\t' read -r file line header text; do
+        TEXT=$text LINE=$line perl -i -pe '$_ = "$ENV{TEXT}\n" if $. == $ENV{LINE}' "$file"
+    done <<<"$restore"
+    grep -v -F -f <(printf '%s\n' "$restore") "$base/derives" >"$base/derives.next" || true
+    mv "$base/derives.next" "$base/derives"
+done
+
 # Narrow, and list each narrowed item as
 # "file:line<TAB>name<TAB>key<TAB>kind<TAB>top<TAB>module". The key is
 # `Type::name` for an associated item (Type is the enclosing top-level
@@ -90,6 +175,7 @@ find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
     if ($. == 1) {
         $test = 0;
         $type = "";
+        $struct = undef;
         my ($dir, $path) = $ARGV =~ m{^crates/([^/]+)/src/(.*)\.rs$};
         $path =~ s{(^|/)(lib|mod)$}{};
         $path =~ s{/}{::}g;
@@ -105,6 +191,13 @@ find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
             $type = $t =~ /^([A-Za-z_]\w*)/ ? "$1::" : "";
         }
         $type = "" if /^\}/;
+        if (/^(\s*)(?:pub(?:\([\w:]+\))? )?struct (\w+)\b[^;]*\{\s*$/) {
+            ($sindent, $struct) = ($1, $2);
+        } elsif (defined $struct && /^$sindent\}/) {
+            $struct = undef;
+        } elsif (defined $struct && s/^(\s+)pub (\w+):/$1pub(crate) $2:/) {
+            print LIST "$ARGV:$.\t$2\t${struct}::$2\tfield\t0\t$inner\n";
+        }
         if (s/^(\s*)pub ((?:(?:const|unsafe|async) )*fn|struct|enum|trait|type|const|static|mod) (\w+)/$1pub(crate) $2 $3/) {
             my ($indent, $what, $name) = ($1, $2, $3);
             my $kind = $kind{$what =~ s/^.* //r};
@@ -117,7 +210,7 @@ find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
     close ARGV if eof;
 '
 counts=$(awk -F'\t' '{ n[$4]++ } END {
-    printf "%d pub fns, %d types, %d consts, %d modules", n["fn"], n["type"], n["const"], n["mod"] }' "$base/narrowed")
+    printf "%d pub fns, %d types, %d consts, %d modules, %d fields", n["fn"], n["type"], n["const"], n["mod"], n["field"] }' "$base/narrowed")
 
 # Narrow each `pub use` line that re-exports a narrowed top-level item
 # of its crate (the item of that name in the module the path names),
@@ -154,30 +247,8 @@ find crates/*/src -name '*.rs' | sort | xargs perl -i -ne '
     close ARGV if eof;
 '
 
-# One round: check every non-test target, keeping each diagnostic as
-# "level<TAB>code<TAB>message<TAB>file:line<TAB>where" for every span it
-# carries; where is P for the diagnostic's own primary span (the site
-# that fails, such as a use of a private item) and S for any other (the
-# item it points at, such as a "defined here" note).
-check() {
-    {
-        cargo check --offline --keep-going --message-format=json -q \
-            --workspace --lib --bins --examples || true
-        cargo check --offline --keep-going --message-format=json -q \
-            --manifest-path benchmark/Cargo.toml --bins || true
-    } 2>/dev/null | jq -r --arg tree "$tree/" '
-        select(.reason == "compiler-message") | .message
-        | . as $m
-        | [.spans[] | select(.is_primary)] as $own
-        | [.. | objects | select(has("file_name") and has("line_start"))]
-        | .[]
-        | . as $span
-        | [$m.level, ($m.code.code // ""), ($m.message | gsub("\t"; " ")),
-           "\(.file_name | ltrimstr($tree)):\(.line_start)",
-           (if any($own[]; . == $span) then "P" else "S" end)]
-        | @tsv' | sort -u
-}
-
+# The crates' library names, as a private-field error's path starts.
+libs=$(ls crates | sed 's/^core$/ting/; s/-/_/g' | tr '\n' ' ')
 rounds=0
 while :; do
     rounds=$((rounds + 1))
@@ -194,11 +265,13 @@ while :; do
     # another); the name an E0364/E0365 re-export names, in the
     # re-exporting crate; a top-level item other than a module whose
     # narrowed re-export leaves its name to a module of the same name
-    # (E0423, in any crate); and the module of an item no path names.
+    # (E0423, in any crate); the module of an item no path names; and
+    # each field a private-field error (E0451, E0616, or a struct
+    # literal that cannot be built) names, by crate, struct and name.
     restore=$(
         {
             printf '%s\n' "$restores" | awk -F'\t' '$5 == "S" && $2 != "unnameable_types" { print $4 }'
-            printf '%s\n' "$restores" | awk -F'\t' '$2 == "E0364" || $2 == "E0365" || $2 == "E0423" {
+            printf '%s\n' "$restores" | awk -F'\t' -v libs="$libs" '$2 == "E0364" || $2 == "E0365" || $2 == "E0423" {
                 split($4, at, "/"); name = $3
                 sub(/^[^`]*`/, "", name); sub(/`.*/, "", name)
                 print ($2 == "E0423" ? "*" : at[1] "/" at[2] "/") "\t" name
@@ -206,13 +279,33 @@ while :; do
             $2 == "unnameable_types" && $4 ~ /^crates\/[^\/]+\/src\/[^\/]+\.rs:/ {
                 split($4, at, "/"); name = at[4]; sub(/\.rs:.*/, "", name)
                 print "mod " at[1] "/" at[2] "/\t" name
+            }
+            $1 == "error" && ($3 ~ /^fields? `.*` of struct `[^`]*` (is|are) private$/ ||
+                $3 ~ /^cannot construct `[^`]*` with struct literal syntax due to private fields$/) {
+                type = fields = $3
+                if (sub(/^cannot construct `/, "", type)) fields = "`*`"
+                else { sub(/ of struct `.*/, "", fields); sub(/^.* of struct `/, "", type) }
+                sub(/`.*/, "", type); sub(/<.*/, "", type)
+                n = split(type, seg, "::")
+                crate = n > 1 && index(" " libs " ", " " seg[1] " ") ? seg[1] : "*"
+                while (match(fields, /`[^`]*`/)) {
+                    print "field\t" crate "\t" seg[n] "\t" substr(fields, RSTART + 1, RLENGTH - 2)
+                    fields = substr(fields, RSTART + RLENGTH)
+                }
             }'
         } | awk -F'\t' '
+            FILENAME == "-" && $1 == "field" { field[$2 SUBSEP $3 SUBSEP $4] = 1; next }
             FILENAME == "-" { if (NF == 1) at[$1] = 1; else named[$1 SUBSEP $2] = 1; next }
             FILENAME ~ /uses$/ { if ($1 in at) print $1; next }
             {
                 split($1, p, "/")
-                if (($1 in at) || ($5 == 1 && (((p[1] "/" p[2] "/") SUBSEP $2) in named ||
+                lib = p[2] == "core" ? "ting" : p[2]
+                gsub(/-/, "_", lib)
+                split($3, key, "::")
+                if ($4 == "field" && ((lib, key[1], key[2]) in field || (lib, key[1], "*") in field ||
+                    ("*", key[1], key[2]) in field || ("*", key[1], "*") in field))
+                    print $1
+                else if (($1 in at) || ($5 == 1 && (((p[1] "/" p[2] "/") SUBSEP $2) in named ||
                     ($4 != "mod" && ("*" SUBSEP $2) in named))) ||
                     ($4 == "mod" && (("mod " p[1] "/" p[2] "/") SUBSEP $2) in named)) print $1
             }' - "$base/uses" "$base/narrowed" |
@@ -244,7 +337,7 @@ fi
 
 # "key<TAB>file:line<TAB>kind<TAB>why", one line per flagged item, at
 # the checkout's line.
-dead=$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "warning" && $2 == "dead_code" { print $4 }')
+dead=$(printf '%s\n' "$diags" | awk -F'\t' '$1 == "warning" && $2 == "dead_code" && $5 == "P" { print $4 }')
 flagged=$(
     awk -F'\t' 'FILENAME == "-" { dead[$1] = 1; next }
         FILENAME ~ /lines$/ { line[$1] = $2; next }
@@ -255,7 +348,9 @@ flagged=$(
 )
 
 # The allow-list: a name, then its reason; `#` starts a comment.
-allowed=$(sed -e 's/#.*//' "$allow" | awk 'NF { print $1 }' | sort)
+allowed=$(sed -e 's/#.*//' "$allow" | perl -ne '
+    if (/^(\w+)::\{([^}]*)\}/) { my $t = $1; print "${t}::$_\n" for split /\s*,\s*/, $2 =~ s/^\s+|\s+$//gr }
+    elsif (/^(\S+)/) { print "$1\n" }' | sort)
 
 new=$(join -t "$(printf '\t')" -v 1 <(printf '%s\n' "$flagged" | grep .) <(printf '%s\n' "$allowed" | grep .) || true)
 stale=$(comm -13 <(printf '%s\n' "$flagged" | cut -f1 | grep . | sort -u) <(printf '%s\n' "$allowed" | grep .) || true)
@@ -286,6 +381,6 @@ if [ -n "$stale" ]; then
 fi
 if [ "$status" -eq 0 ]; then
     echo "unused-pub audit: $(printf '%s\n' "$flagged" | awk -F'\t' 'NF { n[$3]++ } END {
-        printf "%d fns, %d types, %d consts, %d modules flagged, all allowed", n["fn"], n["type"], n["const"], n["mod"] }')"
+        printf "%d fns, %d types, %d consts, %d modules, %d fields flagged, all allowed", n["fn"], n["type"], n["const"], n["mod"], n["field"] }')"
 fi
 exit "$status"

@@ -30,7 +30,6 @@ pub struct LengthBinSeries {
 #[derive(Debug, Clone)]
 pub struct CircuitLengthAnalysis {
     pub series: Vec<LengthBinSeries>,
-    pub samples_per_length: usize,
 }
 
 /// `C(n, k)` as f64 (the paper's scaling factor).
@@ -113,10 +112,7 @@ impl CircuitLengthAnalysis {
             });
         }
 
-        CircuitLengthAnalysis {
-            series,
-            samples_per_length,
-        }
+        CircuitLengthAnalysis { series }
     }
 
     /// Total scaled circuits with RTT inside `[lo_s, hi_s)` for one

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 use tor_sim::churn::PopulationRelay;
 
 /// Aggregate coverage statistics over one relay population snapshot.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoverageReport {
     pub total_relays: usize,
     pub unique_slash24: usize,

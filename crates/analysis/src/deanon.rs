@@ -48,7 +48,7 @@ pub enum Strategy {
 }
 
 /// One simulated attack's outcome.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct DeanonOutcome {
     /// Relays probed before both entry and middle were identified.
     pub probes: usize,
@@ -56,7 +56,7 @@ pub struct DeanonOutcome {
     pub universe: usize,
     /// Relays implicitly ruled out before any probing (Fig. 13's
     /// numerator).
-    pub ruled_out_implicitly: usize,
+    pub(crate) ruled_out_implicitly: usize,
     /// The victim circuit's end-to-end RTT (ms).
     pub re2e_ms: f64,
 }

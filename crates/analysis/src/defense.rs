@@ -21,7 +21,7 @@ use rand::Rng;
 use ting::RttMatrix;
 
 /// Outcome of a defense evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct DefenseOutcome {
     /// Median fraction probed with no defense.
     pub undefended: f64,

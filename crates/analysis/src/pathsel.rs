@@ -27,7 +27,7 @@ use ting::RttMatrix;
 const MIN_LEN: usize = 3;
 
 /// Configuration for latency-aware selection.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct PathSelectorConfig {
     /// The longest circuit drawn; lengths run from 3 to this, inclusive.
     pub max_len: usize,
@@ -48,15 +48,15 @@ impl Default for PathSelectorConfig {
 }
 
 /// Summary of what a selector can offer at its budget.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SelectionProfile {
     /// Estimated number of distinct acceptable circuits per length.
-    pub circuits_per_length: HashMap<usize, f64>,
+    pub(crate) circuits_per_length: HashMap<usize, f64>,
     /// Shannon entropy (bits) of per-node selection probability, i.e.
     /// how spread-out relay usage is under this policy.
-    pub node_entropy_bits: f64,
+    pub(crate) node_entropy_bits: f64,
     /// The maximum possible entropy (uniform over all relays).
-    pub max_entropy_bits: f64,
+    pub(crate) max_entropy_bits: f64,
 }
 
 impl SelectionProfile {

@@ -10,7 +10,7 @@ use netsim::NodeId;
 use ting::RttMatrix;
 
 /// The best detour found for one pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct TivFinding {
     pub src: NodeId,
     pub dst: NodeId,

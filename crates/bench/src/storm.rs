@@ -6,6 +6,9 @@
 //! `oracle::Pipeline`; each keeps only what it drives, what it kills and
 //! what it compares. The scanner storm itself lives here
 //! ([`scanner_storm`]) because `tests/soak.rs` runs the same function.
+//! Its kill rebuilds only the scanner, from its checkpoint; the driver
+//! and its learned timeouts are kept, as a supervisor's slot keeps a
+//! crashed shard's driver.
 
 use crate::{env_u64, parse_override};
 use netsim::{FaultPlan, NodeId, SimDuration, SimTime};
@@ -143,15 +146,12 @@ pub fn implausible_estimates(net: &TorNetwork, matrix: &RttMatrix) -> Vec<String
     violations
 }
 
-/// Kills the scanning process: scanner and driver are torn down and
-/// rebuilt from the checkpoint, and the timeout estimators move into
-/// the new driver, as a supervisor's restart hands them over.
-fn kill_and_resume(scanner: &mut Scanner, ting: &mut Ting, obs: &Obs) -> Result<(), String> {
+/// Kills the scanning process: the scanner is torn down and rebuilt
+/// from its checkpoint, and the driver, with its timeout estimators, is
+/// kept, as a supervisor keeps a crashed shard's.
+fn kill_and_resume(scanner: &mut Scanner) -> Result<(), String> {
     *scanner = Scanner::from_checkpoint(&scanner.to_checkpoint())
         .map_err(|e| format!("own checkpoint refused: {e}"))?;
-    let timeouts = std::mem::take(&mut ting.timeouts);
-    *ting = Ting::with_obs(ting_config(), obs.clone());
-    ting.timeouts = timeouts;
     Ok(())
 }
 
@@ -175,7 +175,7 @@ pub struct ScanOutcome {
 pub fn scanner_storm(seed: u64, rounds: u64, kill_at: Option<u64>, obs: &Obs) -> ScanOutcome {
     let mut net = hostile_net(seed, obs);
     let mut scanner = Scanner::new(nodes(&net, 8), scan_config());
-    let mut ting = Ting::with_obs(ting_config(), obs.clone());
+    let ting = Ting::with_obs(ting_config(), obs.clone());
     let mut violations = Vec::new();
     let mut prev_measured = 0;
     for round in 0..rounds {
@@ -191,7 +191,7 @@ pub fn scanner_storm(seed: u64, rounds: u64, kill_at: Option<u64>, obs: &Obs) ->
         prev_measured = measured;
 
         if kill_at == Some(round) {
-            if let Err(e) = kill_and_resume(&mut scanner, &mut ting, obs) {
+            if let Err(e) = kill_and_resume(&mut scanner) {
                 violations.push(format!("round {round}: {e}"));
                 break;
             }

@@ -26,17 +26,13 @@ pub enum ProbeProtocol {
 }
 
 /// Result of the §4.3 procedure for one relay.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ForwardingDelayMeasurement {
-    /// The relay measured.
-    pub relay: NodeId,
     /// Estimated local-relay forwarding delay `F_w = F_z` (ms).
     pub f_local_ms: f64,
     /// Estimated forwarding delay `F_x` (ms). Negative values reveal
     /// protocol-differential treatment on the relay's network.
     pub f_x_ms: f64,
-    /// Probe protocol used for the direct measurements.
-    pub protocol: ProbeProtocol,
 }
 
 /// Runs the procedure with `probe_samples` direct probes per leg.
@@ -69,12 +65,7 @@ pub fn measure_forwarding_delay(
     let r_wx = probe_min(net, w, x);
     let f_x_ms = c2.min_ms() - 2.0 * f_local_ms - 2.0 * r_wx - 2.0 * r_sw;
 
-    Ok(ForwardingDelayMeasurement {
-        relay: x,
-        f_local_ms,
-        f_x_ms,
-        protocol,
-    })
+    Ok(ForwardingDelayMeasurement { f_local_ms, f_x_ms })
 }
 
 #[cfg(test)]

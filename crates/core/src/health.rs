@@ -57,7 +57,7 @@ pub(crate) enum HealthEvent {
 }
 
 /// Per-relay quarantine record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Quarantine {
     since: SimTime,
     next_probe_at: SimTime,

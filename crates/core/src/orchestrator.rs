@@ -16,7 +16,7 @@ use obs::{Counter, Hist, Obs, Value};
 use tor_sim::TorNetwork;
 
 /// Ting configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct TingConfig {
     /// Sampling policy per circuit.
     pub policy: SamplePolicy,
@@ -183,9 +183,9 @@ impl TingObsHandles {
 }
 
 /// The Ting measurement driver.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Ting {
-    pub config: TingConfig,
+    pub(crate) config: TingConfig,
     /// Rolling per-phase duration estimators feeding the adaptive
     /// deadlines (inert unless `config.adaptive_timeouts` is set).
     pub timeouts: TimeoutEstimators,

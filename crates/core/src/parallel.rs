@@ -44,17 +44,15 @@ use tor_sim::{CircuitHandle, CircuitStatus, Controller, StreamHandle, StreamStat
 /// The completion record of one interleaved pair measurement.
 #[derive(Debug)]
 pub struct PairOutcome {
-    pub x: NodeId,
-    pub y: NodeId,
-    /// Vantage index that measured the pair.
-    pub vantage: usize,
+    pub(crate) x: NodeId,
+    pub(crate) y: NodeId,
     /// Virtual instant the measurement finished (success or failure).
-    pub completed_at: SimTime,
+    pub(crate) completed_at: SimTime,
     /// The pair's `scan.pair` trace span, opened by the engine when the
     /// measurement started. The completion handler must close it (the
     /// scanner does so with the validation outcome;
     /// [`measure_interleaved`] closes it with the raw result).
-    pub span: obs::SpanId,
+    pub(crate) span: obs::SpanId,
     pub result: Result<TingMeasurement, TingError>,
 }
 
@@ -85,18 +83,17 @@ pub(crate) type Circuit = (Vec<NodeId>, &'static str);
 /// attempted up to `max_attempts` times. `subject` is whatever the
 /// caller needs back with the result.
 pub(crate) struct Job<S, const N: usize> {
-    pub subject: S,
-    pub circuits: [Circuit; N],
-    pub max_attempts: u32,
+    pub(crate) subject: S,
+    pub(crate) circuits: [Circuit; N],
+    pub(crate) max_attempts: u32,
 }
 
 /// A completed [`Job`].
 pub(crate) struct Finished<S, const N: usize> {
-    pub subject: S,
-    pub vantage: usize,
-    pub started: SimTime,
-    pub completed_at: SimTime,
-    pub result: Result<[CircuitSamples; N], TingError>,
+    pub(crate) subject: S,
+    pub(crate) started: SimTime,
+    pub(crate) completed_at: SimTime,
+    pub(crate) result: Result<[CircuitSamples; N], TingError>,
 }
 
 impl<S> Finished<S, 3> {
@@ -571,7 +568,6 @@ pub(crate) fn drive<S: Copy, const N: usize>(
             if let Some(result) = task.result.take() {
                 on_complete(Finished {
                     subject: *subject,
-                    vantage: v,
                     started: task.started,
                     completed_at: net.sim.now(),
                     result,
@@ -665,7 +661,6 @@ pub(crate) fn measure_lanes(
             on_complete(PairOutcome {
                 x,
                 y,
-                vantage: finished.vantage,
                 completed_at: finished.completed_at,
                 span,
                 result: finished.into_measurement(),
@@ -741,7 +736,22 @@ mod tests {
         let relays = net.relays.clone();
         let assignments: Vec<_> = (0..8).map(|i| (i % 4, relays[i], relays[i + 8])).collect();
         let outcomes = measure_interleaved(&mut net, &ting, &assignments).expect("four vantages");
-        let record = format!("{outcomes:?} {}", net.sim.now().as_nanos());
+        // The shape the constant was captured in, when an outcome still
+        // carried its vantage: the one its pair was assigned to.
+        let rows: Vec<String> = outcomes
+            .iter()
+            .map(|o| {
+                let (v, _, _) = assignments
+                    .iter()
+                    .find(|&&(_, x, y)| (x, y) == (o.x, o.y))
+                    .expect("an assigned pair");
+                format!(
+                    "PairOutcome {{ x: {:?}, y: {:?}, vantage: {v}, completed_at: {:?}, span: {:?}, result: {:?} }}",
+                    o.x, o.y, o.completed_at, o.span, o.result
+                )
+            })
+            .collect();
+        let record = format!("[{}] {}", rows.join(", "), net.sim.now().as_nanos());
         (record, obs.counter_value("net.events"))
     }
 

@@ -32,7 +32,7 @@ pub(crate) fn tri_index(n: usize, a: usize, b: usize) -> usize {
 }
 
 /// Everything the scanner knows about one pair besides its RTT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PairRecord {
     /// When the cached estimate was accepted, if there is one.
     pub(crate) measured_at: Option<SimTime>,

@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use tor_sim::TorNetwork;
 
 /// Scanner policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScannerConfig {
     /// Estimates older than this are stale and get re-measured.
     pub staleness: netsim::SimDuration,
@@ -74,7 +74,7 @@ pub struct RoundReport {
 
 /// One cached estimate with its provenance, as [`Scanner::measurements`]
 /// reads it out of the matrix and the pair table.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Measurement {
     pub(crate) a: NodeId,
     pub(crate) b: NodeId,

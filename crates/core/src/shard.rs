@@ -20,11 +20,12 @@
 //!   the scan continues **degraded**: the remaining shards keep making
 //!   progress, and the merged matrix reports the dead shard's pairs as
 //!   uncovered with staleness metadata instead of blocking.
-//! * **Kept state** — a crash drops only the shard's driver; its
-//!   scanner stays in the supervisor, holding the last completed round.
-//!   A file-backed restart reads the checkpoint file (primary, then
-//!   `.bak`) and resumes the kept scanner when both are refused, so a
-//!   restart never wedges and never starts a shard over.
+//! * **Kept state** — a crash loses nothing the shard learned: its
+//!   scanner and its driver (the [`Ting`] with its adaptive-timeout
+//!   estimators) stay in the supervisor, holding the last completed
+//!   round. A file-backed restart reads the checkpoint file (primary,
+//!   then `.bak`) and resumes the kept scanner when both are refused,
+//!   so a restart never wedges and never starts a shard over.
 //!
 //! The merge ([`Supervisor::merge`]) is a fixed shard-ordering
 //! reduction over the shards' scanners. Shard ownership is disjoint, so
@@ -36,7 +37,6 @@ use crate::checkpoint::{push_u64, seal_with_crc, Doc};
 use crate::matrix::{ordered, PairMap};
 use crate::orchestrator::{Ting, TingConfig};
 use crate::scanner::{Scanner, ScannerConfig};
-use crate::timeout::TimeoutEstimators;
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::{names, Lineage, Obs, Value};
 use std::fmt::Write as _;
@@ -73,7 +73,7 @@ fn owner(ordinal: usize, shards: usize) -> usize {
 }
 
 /// Supervision policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
     /// Number of shards the pair matrix is partitioned into.
     pub shards: usize,
@@ -133,7 +133,6 @@ impl ShardStatus {
 /// [`ShardStatus`] is read off which.
 enum SlotState {
     Live {
-        ting: Box<Ting>,
         /// When the shard last made progress; `None` until its first
         /// supervised round.
         last_progress: Option<SimTime>,
@@ -165,18 +164,17 @@ impl SlotState {
     }
 }
 
-/// One supervised shard: its scanner, state, and supervision
+/// One supervised shard: its scanner, driver, state, and supervision
 /// bookkeeping.
 struct ShardSlot {
     id: u32,
-    /// The shard's scanner, live or down. A shard dies only between
-    /// rounds, so across a crash it holds the last completed round.
+    /// The shard's scanner and driver, live or down. A shard dies only
+    /// between rounds, so across a crash they hold the last completed
+    /// round: the scanner its pairs, the driver's estimators what that
+    /// round taught.
     scanner: Scanner,
+    ting: Ting,
     state: SlotState,
-    /// The shard's adaptive-timeout estimators, shared with its live
-    /// driver and kept across a crash. A shard dies only between rounds,
-    /// so they hold what its last completed round taught.
-    timeouts: TimeoutEstimators,
     restarts: u32,
     /// Incremental-publish watermark: measurements at or after this
     /// instant have not yet been drained by [`Supervisor::take_delta`].
@@ -185,12 +183,12 @@ struct ShardSlot {
 }
 
 /// Aggregate outcome of one supervised round across all shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SupervisorReport {
     pub measured: usize,
     pub failed: usize,
     /// Total eligible backlog across shards that ran this round.
-    pub still_pending: usize,
+    pub(crate) still_pending: usize,
     /// Shards that executed a scan round.
     pub shards_run: usize,
     /// Shards waiting out a restart pause (or wedged).
@@ -202,7 +200,7 @@ pub struct SupervisorReport {
 /// Per-shard coverage and staleness in a merged matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardCoverage {
-    pub shard: u32,
+    pub(crate) shard: u32,
     /// `"live"`, `"restarting"`, or `"dead"`.
     pub status: &'static str,
     /// Pairs the partitioner assigned to this shard.
@@ -434,7 +432,7 @@ pub(crate) const MERGED_MAGIC: &str = "# ting merged matrix v2";
 /// statuses. Applying a delta is idempotent assignment — re-applying a
 /// pair sets the same value — so consumers may see a boundary pair
 /// twice across drains (the watermark is inclusive) without harm.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MergeDelta {
     /// Strictly increasing per supervisor, starting at 1.
     pub seq: u64,
@@ -448,7 +446,7 @@ pub struct MergeDelta {
 }
 
 /// One measured pair inside a [`MergeDelta`], carrying its provenance.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct DeltaPair {
     pub a: NodeId,
     pub b: NodeId,
@@ -563,7 +561,6 @@ pub fn parse_merged_document(text: &str) -> Result<MergedDocument, String> {
 /// matrix. See the module docs for the supervision policy.
 pub struct Supervisor {
     config: SupervisorConfig,
-    ting_config: TingConfig,
     obs: Obs,
     nodes: Vec<NodeId>,
     slots: Vec<ShardSlot>,
@@ -599,13 +596,11 @@ impl Supervisor {
             .map(|(id, owned)| {
                 let mut scanner = Scanner::new(nodes.clone(), config.scanner);
                 scanner.restrict_to(&owned);
-                let ting = Ting::with_obs(ting_config, obs.clone());
                 ShardSlot {
                     id: id as u32,
                     scanner,
-                    timeouts: ting.timeouts.clone(),
+                    ting: Ting::with_obs(ting_config, obs.clone()),
                     state: SlotState::Live {
-                        ting: Box::new(ting),
                         last_progress: None,
                         wedged_until: None,
                     },
@@ -616,7 +611,6 @@ impl Supervisor {
             .collect();
         Supervisor {
             config,
-            ting_config,
             obs,
             nodes,
             slots,
@@ -646,7 +640,7 @@ impl Supervisor {
     }
 
     /// Chaos hook: kills shard `k` right now, as a crash would — its
-    /// driver is dropped, its scanner kept, and it restarts as any
+    /// scanner and driver are kept, and it restarts as any
     /// crashed shard does (budget and backoff apply, exactly like an
     /// organic failure).
     pub fn inject_crash(&mut self, k: usize, now: SimTime) {
@@ -679,7 +673,6 @@ impl Supervisor {
             }
             let slot = &mut self.slots[k];
             let SlotState::Live {
-                ting,
                 last_progress,
                 wedged_until,
             } = &mut slot.state
@@ -717,7 +710,7 @@ impl Supervisor {
                 .span_begin(names::SHARD_ROUND_BEGIN, now.as_nanos(), || {
                     vec![("shard", Value::U64(k as u64))]
                 });
-            let r = slot.scanner.run_round_parallel(net, ting);
+            let r = slot.scanner.run_round_parallel(net, &slot.ting);
             let now = net.sim.now();
             self.obs
                 .span_end(names::SHARD_ROUND_END, span, now.as_nanos(), || {
@@ -752,9 +745,9 @@ impl Supervisor {
         report
     }
 
-    /// Kills shard `k`: its driver is dropped (the scanner is kept) and
-    /// a restart is scheduled under the budget, or the shard is
-    /// quarantined beyond it.
+    /// Kills shard `k`: it stops running (its scanner and driver are
+    /// kept) and a restart is scheduled under the budget, or the shard
+    /// is quarantined beyond it.
     fn crash(&mut self, k: usize, now: SimTime, reason: &str) {
         self.slots[k].restarts += 1;
         let restarts = self.slots[k].restarts;
@@ -791,12 +784,13 @@ impl Supervisor {
         };
     }
 
-    /// Brings a crashed shard back at `now` with its timeout estimators.
-    /// A file-backed shard resumes its checkpoint file (primary, then
-    /// `.bak`), its scope re-dealt by [`partition_pairs`], the rule
-    /// construction used. With no file, both generations refused, or a
-    /// file over another node list (no checkpoint of this shard), it
-    /// resumes the scanner it kept across the crash.
+    /// Brings a crashed shard back at `now` with its kept driver, and so
+    /// its timeout estimators. A file-backed shard resumes its
+    /// checkpoint file (primary, then `.bak`), its scope re-dealt by
+    /// [`partition_pairs`], the rule construction used. With no file,
+    /// both generations refused, or a file over another node list (no
+    /// checkpoint of this shard), it resumes the scanner it kept across
+    /// the crash.
     fn restore(&mut self, k: usize, now: SimTime) {
         let slot = &mut self.slots[k];
         let from_file = self.checkpoint_dir.as_ref().and_then(|dir| {
@@ -806,10 +800,7 @@ impl Supervisor {
             scanner.restrict_to(&partition_pairs(&self.nodes, self.config.shards)[k]);
             slot.scanner = scanner;
         }
-        let mut ting = Ting::with_obs(self.ting_config, self.obs.clone());
-        ting.timeouts = slot.timeouts.clone();
         slot.state = SlotState::Live {
-            ting: Box::new(ting),
             last_progress: Some(now),
             wedged_until: None,
         };
@@ -1307,11 +1298,13 @@ mod tests {
         let mut net = tor_sim::TorNetworkBuilder::testbed(31).build();
         let mut sup = Supervisor::new(net.relays[..8].to_vec(), config, ting_config);
         let deadlines = |sup: &Supervisor| match &sup.slots[0].state {
-            SlotState::Live { ting, .. } => PHASES.map(|p| ting.phase_timeout_ms(p).to_bits()),
+            SlotState::Live { .. } => {
+                PHASES.map(|p| sup.slots[0].ting.phase_timeout_ms(p).to_bits())
+            }
             SlotState::Down { .. } => panic!("shard 0 is down"),
         };
         let warm = |sup: &Supervisor| {
-            let timeouts = &sup.slots[0].timeouts;
+            let timeouts = &sup.slots[0].ting.timeouts;
             PHASES
                 .iter()
                 .all(|&p| !timeouts.timeout_ms(p, f64::NAN).is_nan())

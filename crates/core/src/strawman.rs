@@ -18,14 +18,14 @@ use netsim::NodeId;
 use tor_sim::TorNetwork;
 
 /// A strawman measurement of one pair.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct StrawmanMeasurement {
     /// Minimum end-to-end RTT through the (w, x, y, z) circuit (ms).
-    pub circuit_min_ms: f64,
+    pub(crate) circuit_min_ms: f64,
     /// Minimum of the ICMP pings host → x (ms).
-    pub ping_x_min_ms: f64,
+    pub(crate) ping_x_min_ms: f64,
     /// Minimum of the ICMP pings host → y (ms).
-    pub ping_y_min_ms: f64,
+    pub(crate) ping_y_min_ms: f64,
 }
 
 impl StrawmanMeasurement {

@@ -20,13 +20,12 @@
 //! off (`TingConfig::adaptive_timeouts = false`) is bit-identical to
 //! the pre-adaptive pipeline.
 //!
-//! The estimator state is a plain ring buffer per phase behind a shared
-//! handle. A supervisor keeps a shard's handle across a crash and hands
-//! it to the restarted driver, so a killed-and-resumed scan replays with
+//! The estimator state is a plain ring buffer per phase, owned by the
+//! driver ([`crate::orchestrator::Ting`]). A supervisor keeps a shard's
+//! driver across a crash, so a killed-and-resumed scan replays with
 //! bit-identical deadlines.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Quantile of the observed success durations used as the cutoff basis
 /// (Tor's CBT uses ~0.8; measurement wants a laxer p95).
@@ -115,12 +114,11 @@ impl Inner {
     }
 }
 
-/// A cheap, clonable handle to the three per-phase estimators (`Rc`
-/// sharing, like [`tor_sim::RelayMetrics`]), so the scanner and every
-/// lane of the measurement engine feed and read one state.
-#[derive(Debug, Clone, Default)]
+/// The three per-phase estimators, fed and read through `&self`, so
+/// every lane of the measurement engine shares its driver's one state.
+#[derive(Debug, Default)]
 pub struct TimeoutEstimators {
-    inner: Rc<RefCell<Inner>>,
+    inner: RefCell<Inner>,
 }
 
 impl TimeoutEstimators {

@@ -115,17 +115,17 @@ pub(crate) enum Verdict {
 pub(crate) struct ValidationContext {
     /// Great-circle distance between the endpoints, if both are
     /// geolocated (every scanned pair is).
-    pub distance_km: Option<f64>,
+    pub(crate) distance_km: Option<f64>,
     /// The cached estimate, only when it is still fresh (stale cache
     /// entries prove nothing about the current path).
-    pub fresh_cached_ms: Option<f64>,
+    pub(crate) fresh_cached_ms: Option<f64>,
     /// Whether this measurement is already a retry of a refused one —
     /// a second divergent reading confirms the change instead of
     /// re-rejecting forever.
-    pub confirming_retry: bool,
+    pub(crate) confirming_retry: bool,
     /// `min over z of R(x,z) + R(z,y)` from the cache, if any third
     /// node connects both endpoints.
-    pub best_detour_ms: Option<f64>,
+    pub(crate) best_detour_ms: Option<f64>,
 }
 
 /// Runs the checks in severity order and returns the verdict.

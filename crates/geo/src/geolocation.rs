@@ -13,12 +13,12 @@ use crate::world::CITIES;
 use rand::Rng;
 
 /// Error parameters for [`GeoDb::estimate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct GeoErrorModel {
     /// Standard deviation of the usual displacement error, km.
-    pub sigma_km: f64,
+    pub(crate) sigma_km: f64,
     /// Probability that an estimate is grossly wrong (random other city).
-    pub gross_error_prob: f64,
+    pub(crate) gross_error_prob: f64,
 }
 
 impl Default for GeoErrorModel {

@@ -30,4 +30,4 @@ pub use coord::{great_circle_km, GeoPoint};
 pub use geolocation::{GeoDb, GeoErrorModel};
 pub use hostnames::{classify_hostname, generate_hostname, HostClass};
 pub use lightspeed::{min_rtt_ms, physically_possible, FIBER_KM_PER_MS};
-pub use world::{City, Region, World};
+pub use world::{City, World};

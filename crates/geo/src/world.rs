@@ -15,7 +15,7 @@ use rand::Rng;
 
 /// Coarse world regions used for weighting relay placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Region {
+pub(crate) enum Region {
     NorthAmerica,
     Europe,
     Asia,
@@ -42,11 +42,11 @@ impl Region {
 }
 
 /// A city a relay can be placed in.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct City {
     pub name: &'static str,
     pub country: &'static str,
-    pub region: Region,
+    pub(crate) region: Region,
     pub location: GeoPoint,
 }
 

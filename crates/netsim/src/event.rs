@@ -38,7 +38,7 @@ pub enum EventKind {
 pub struct Event {
     pub at: SimTime,
     pub seq: u64,
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
 }
 
 impl Ord for Event {

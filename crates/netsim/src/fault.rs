@@ -46,11 +46,11 @@ pub fn keyed_u01(key: u64) -> f64 {
 /// A window during which a node is crashed: events addressed to it are
 /// dropped and connections to it cannot be opened. `until == None`
 /// means the node never comes back.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct CrashWindow {
-    pub node: NodeId,
-    pub from: SimTime,
-    pub until: Option<SimTime>,
+    pub(crate) node: NodeId,
+    pub(crate) from: SimTime,
+    pub(crate) until: Option<SimTime>,
 }
 
 impl CrashWindow {
@@ -64,16 +64,16 @@ impl CrashWindow {
 pub struct FaultPlan {
     seed: u64,
     /// Probability a sent message is silently dropped.
-    pub link_loss_prob: f64,
+    pub(crate) link_loss_prob: f64,
     /// Probability a message is delayed by an extra exponential spike.
-    pub jitter_spike_prob: f64,
+    pub(crate) jitter_spike_prob: f64,
     /// Mean of the injected spike (ms).
-    pub jitter_spike_mean_ms: f64,
+    pub(crate) jitter_spike_mean_ms: f64,
     /// Probability a message stalls for a long, fixed period — the
     /// "stream hangs, then suddenly drains" failure mode.
-    pub stall_prob: f64,
+    pub(crate) stall_prob: f64,
     /// Stall duration (ms).
-    pub stall_ms: f64,
+    pub(crate) stall_ms: f64,
     crash_windows: Vec<CrashWindow>,
     /// Monotone draw counter (interior-mutable so read paths stay `&`).
     draws: Cell<u64>,

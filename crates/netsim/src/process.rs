@@ -36,8 +36,6 @@ pub(crate) enum Op {
 pub struct Context<'a> {
     /// Current virtual time.
     pub now: SimTime,
-    /// The node this handler runs on.
-    pub self_id: NodeId,
     /// Simulation RNG — all randomness must come from here.
     pub rng: &'a mut SmallRng,
     pub(crate) ops: Vec<Op>,

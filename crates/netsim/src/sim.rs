@@ -355,7 +355,6 @@ impl Simulator {
         };
         let mut ctx = Context {
             now: self.now,
-            self_id: node,
             rng: &mut self.rng,
             ops: std::mem::take(&mut self.ops),
             next_conn: &mut self.next_conn,

@@ -49,11 +49,11 @@ pub enum TrafficClass {
 ///
 /// All-zero means the AS treats every packet identically; the paper found
 /// ~65% of its PlanetLab networks behaved that way (§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProtocolPolicy {
-    pub icmp_extra_ms: f64,
-    pub tcp_extra_ms: f64,
-    pub tor_extra_ms: f64,
+    pub(crate) icmp_extra_ms: f64,
+    pub(crate) tcp_extra_ms: f64,
+    pub(crate) tor_extra_ms: f64,
 }
 
 impl ProtocolPolicy {
@@ -117,13 +117,13 @@ pub struct AsProfile {
     /// Mean of the exponential per-packet jitter at off-peak (ms).
     pub jitter_mean_ms: f64,
     /// Probability a packet hits a queueing spike.
-    pub spike_prob: f64,
+    pub(crate) spike_prob: f64,
     /// Mean spike magnitude (ms, exponential).
-    pub spike_mean_ms: f64,
+    pub(crate) spike_mean_ms: f64,
     /// Phase offset of the diurnal load curve (hours).
     pub diurnal_phase_h: f64,
     /// Amplitude of the diurnal multiplier (0 = flat load).
-    pub diurnal_amplitude: f64,
+    pub(crate) diurnal_amplitude: f64,
     pub policy: ProtocolPolicy,
 }
 

@@ -32,18 +32,18 @@ use obs::Document;
 use std::collections::BTreeMap;
 
 /// Attribution totals for one relay.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct RelayAttribution {
     /// Leg circuits that measured this relay directly.
     pub leg_circuits: u64,
     /// Probe RTT samples across those legs.
-    pub probes: u64,
+    pub(crate) probes: u64,
     /// Estimated forwarding delay (ms); `None` without enough probes.
     pub f_est_ms: Option<f64>,
     /// Circuit attempts through this relay that ended in an error.
-    pub failed_circuits: u64,
+    pub(crate) failed_circuits: u64,
     /// Circuit attempts through this relay in total.
-    pub circuits: u64,
+    pub(crate) circuits: u64,
     /// `health.quarantine` events naming this relay.
     pub quarantines: u64,
     /// `health.release` events naming this relay.
@@ -135,7 +135,6 @@ mod tests {
 
     fn leg(relay: u32, probes_us: &[u64], outcome: &str) -> CircuitNode {
         CircuitNode {
-            id: 1,
             kind: "x".into(),
             path: vec![0, relay],
             attempt: 1,
@@ -159,7 +158,6 @@ mod tests {
     fn estimates_half_mean_excess_and_counts_failures() {
         let trace = Trace {
             rounds: vec![RoundNode {
-                id: 1,
                 t0: 0,
                 t1: 100,
                 planned: 1,

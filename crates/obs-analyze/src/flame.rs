@@ -66,7 +66,6 @@ mod tests {
     #[test]
     fn folds_a_pair_into_sorted_stacks() {
         let c = CircuitNode {
-            id: 2,
             kind: "full".into(),
             path: vec![1, 5, 6, 2],
             attempt: 1,
@@ -90,7 +89,6 @@ mod tests {
         };
         let trace = Trace {
             rounds: vec![RoundNode {
-                id: 1,
                 t0: 0,
                 t1: 100,
                 planned: 1,

@@ -43,7 +43,4 @@ pub use lineage::{
 pub use lint::{lint, LintIssue};
 pub use parse::{parse_document, ParseError};
 pub use slo::{breached, breaches, render_slo, Breach};
-pub use tree::{
-    build, critical_path, pair_self_times, CircuitNode, CritSegment, PairNode, PhasePoint,
-    RoundNode, Trace,
-};
+pub use tree::{build, critical_path, pair_self_times, CritSegment, PairNode, RoundNode, Trace};

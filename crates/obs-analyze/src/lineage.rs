@@ -18,41 +18,39 @@ use std::fmt::Write as _;
 /// One hop of queue-overflow coalescing the pair's delta went through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoalesceHop {
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     pub from_seq: u64,
     pub into_seq: u64,
 }
 
 /// The publish that first served the pair's delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct PublishPoint {
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     pub generation: u64,
     pub last_seq: u64,
 }
 
 /// A supervision event on the pair's owning shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ShardIncident {
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     pub name: String,
     /// The `reason` field, when the event carries one.
-    pub reason: Option<String>,
+    pub(crate) reason: Option<String>,
 }
 
 /// The full causal chain for one pair, reconstructed from a trace.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LineageChain {
-    pub a: u64,
-    pub b: u64,
     /// Shard that ran the probe and the scanner round it ran in
     /// (round 0 = no recorded lineage).
     pub shard: u64,
     pub round: u64,
     /// Virtual instant the probe measured the pair.
-    pub measured_ns: u64,
+    pub(crate) measured_ns: u64,
     /// Virtual instant the supervisor drained it into a delta.
-    pub drained_ns: u64,
+    pub(crate) drained_ns: u64,
     /// Delta sequence it was drained under.
     pub seq: u64,
     /// Queue-overflow folds the delta went through before publish.
@@ -148,8 +146,6 @@ pub fn trace_pair(doc: &Document, x: u64, y: u64) -> Option<LineageChain> {
         });
 
     Some(LineageChain {
-        a: x,
-        b: y,
         shard,
         round,
         measured_ns,

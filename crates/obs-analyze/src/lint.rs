@@ -21,8 +21,8 @@ use std::collections::HashMap;
 /// (`None` for whole-document findings like leaked spans).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintIssue {
-    pub event: Option<usize>,
-    pub msg: String,
+    pub(crate) event: Option<usize>,
+    pub(crate) msg: String,
 }
 
 impl std::fmt::Display for LintIssue {

@@ -14,10 +14,10 @@ use obs::{Document, EventRecord, HistRecord, ObsConfig, Value};
 use obs::{HistSummary, FORMAT};
 
 /// A parse failure, tagged with its 1-based document line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ParseError {
-    pub line: usize,
-    pub msg: String,
+    pub(crate) line: usize,
+    pub(crate) msg: String,
 }
 
 impl std::fmt::Display for ParseError {

@@ -12,13 +12,13 @@ use std::fmt::Write as _;
 
 /// One breach window for one SLO. `end_ns` is `None` when the trace
 /// ends with the breach still open (the run died burning).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Breach {
     pub slo: String,
     pub begin_ns: u64,
     pub end_ns: Option<u64>,
     /// Burn rate (milli-multiples of the error budget) at begin.
-    pub burn_milli: u64,
+    pub(crate) burn_milli: u64,
 }
 
 /// Extracts every breach window from the trace, in begin order.

@@ -17,61 +17,59 @@ use obs::Document;
 use std::collections::HashMap;
 
 /// One `ting.phase` point inside a circuit attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhasePoint {
+#[derive(Debug, Clone)]
+pub(crate) struct PhasePoint {
     /// `build`, `stream`, or `probe`.
-    pub phase: String,
-    pub t_ns: u64,
-    pub dur_us: u64,
+    pub(crate) phase: String,
+    pub(crate) t_ns: u64,
+    pub(crate) dur_us: u64,
 }
 
 /// One circuit attempt (`ting.circuit` span).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CircuitNode {
-    pub id: u64,
+#[derive(Debug, Clone)]
+pub(crate) struct CircuitNode {
     /// `full`, `x`, `y`, or `leg`.
-    pub kind: String,
+    pub(crate) kind: String,
     /// Node ids along the path, first hop first.
-    pub path: Vec<u32>,
-    pub attempt: u64,
-    pub vantage: u64,
-    pub t0: u64,
-    pub t1: u64,
+    pub(crate) path: Vec<u32>,
+    pub(crate) attempt: u64,
+    pub(crate) vantage: u64,
+    pub(crate) t0: u64,
+    pub(crate) t1: u64,
     /// `ok` or a `TingError` code.
-    pub outcome: String,
-    pub phases: Vec<PhasePoint>,
+    pub(crate) outcome: String,
+    pub(crate) phases: Vec<PhasePoint>,
     /// `ting.error` codes attributed to this attempt.
-    pub errors: Vec<String>,
+    pub(crate) errors: Vec<String>,
 }
 
 /// One pair measurement (`scan.pair` span).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PairNode {
-    pub id: u64,
+    pub(crate) id: u64,
     pub a: u32,
     pub b: u32,
-    pub vantage: u64,
+    pub(crate) vantage: u64,
     pub t0: u64,
     pub t1: u64,
     /// `accepted`, `rejected`, `ok`, or an error code.
-    pub outcome: String,
-    pub circuits: Vec<CircuitNode>,
+    pub(crate) outcome: String,
+    pub(crate) circuits: Vec<CircuitNode>,
 }
 
 /// One scan round (`scan.round` span).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RoundNode {
-    pub id: u64,
     pub t0: u64,
     pub t1: u64,
-    pub planned: u64,
-    pub measured: u64,
-    pub failed: u64,
+    pub(crate) planned: u64,
+    pub(crate) measured: u64,
+    pub(crate) failed: u64,
     pub pairs: Vec<PairNode>,
 }
 
 /// The reconstructed trace.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     pub rounds: Vec<RoundNode>,
     /// Pairs measured outside any round span (raw engine runs).
@@ -79,7 +77,7 @@ pub struct Trace {
     /// Circuits sampled outside any pair span (direct
     /// `Ting::measure_pair` / `Ting::sample_circuit` calls, which open
     /// no `scan.pair` span).
-    pub orphan_circuits: Vec<CircuitNode>,
+    pub(crate) orphan_circuits: Vec<CircuitNode>,
 }
 
 /// The labels a pair span's time is partitioned into.
@@ -101,10 +99,9 @@ pub fn build(doc: &Document) -> Result<Trace, String> {
                 if open_round.is_some() {
                     return Err(format!("event #{i}: nested scan rounds"));
                 }
+                ev.field_u64("span")
+                    .ok_or_else(|| format!("event #{i}: round without span id"))?;
                 open_round = Some(RoundNode {
-                    id: ev
-                        .field_u64("span")
-                        .ok_or_else(|| format!("event #{i}: round without span id"))?,
                     t0: ev.t_ns,
                     t1: ev.t_ns,
                     planned: ev.field_u64("planned").unwrap_or(0),
@@ -167,7 +164,6 @@ pub fn build(doc: &Document) -> Result<Trace, String> {
                 open_circuits.insert(
                     id,
                     CircuitNode {
-                        id,
                         kind: ev.field_str("kind").unwrap_or("").to_owned(),
                         path,
                         attempt: ev.field_u64("attempt").unwrap_or(0),
@@ -284,10 +280,10 @@ pub fn pair_self_times(p: &PairNode) -> [u64; 6] {
 }
 
 /// One segment of a round's critical path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CritSegment {
     /// `pair:a-b@v` or `idle`.
-    pub label: String,
+    pub(crate) label: String,
     pub t0: u64,
     pub t1: u64,
 }
@@ -342,7 +338,6 @@ mod tests {
 
     fn circuit(t0: u64, t1: u64, phases: &[(&str, u64)]) -> CircuitNode {
         CircuitNode {
-            id: 1,
             kind: "full".into(),
             path: vec![1, 2, 3, 4],
             attempt: 1,
@@ -414,7 +409,6 @@ mod tests {
             circuits: vec![],
         };
         let round = RoundNode {
-            id: 1,
             t0: 0,
             t1: 100,
             planned: 3,

@@ -41,7 +41,7 @@ pub fn config_hash(config_text: &str) -> u64 {
 
 /// The identity of one exported run: everything needed to tie a trace
 /// file back to the simulation that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExportMeta {
     /// The run's scenario seed.
     pub seed: u64,
@@ -53,7 +53,7 @@ pub struct ExportMeta {
 /// these from the exact tracked extremes and the bucket quantiles; a
 /// parsed document keeps them verbatim (they are *not* reconstructible
 /// from the buckets alone — min/max are exact, buckets are not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct HistSummary {
     pub min: u64,
     pub p50: u64,
@@ -63,7 +63,7 @@ pub struct HistSummary {
 }
 
 /// One exported histogram line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct HistRecord {
     pub name: String,
     pub count: u64,
@@ -104,7 +104,7 @@ impl EventRecord {
 /// `ting-obs-v1` JSONL document carries, in document order.
 /// [`Document::render_jsonl`] is the one and only renderer — the live
 /// exporter goes through it too.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Document {
     /// Recording level of the run (`mode` in the meta header).
     pub config: ObsConfig,

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 ///
 /// Units are the caller's business; the observability layer records
 /// durations in integer microseconds (see [`crate::ms_to_us`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct LogHistogram {
     /// Sub-bucket grouping bits `g`: each power-of-two range is split
     /// into `2^g` sub-buckets; values below `2^(g+1)` are exact.

@@ -75,11 +75,11 @@ type Fields = Vec<(&'static str, Value)>;
 
 /// One recorded event: a name, the virtual-time instant in
 /// nanoseconds, and a small set of key/value fields.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Event {
-    pub t_ns: u64,
-    pub name: &'static str,
-    pub fields: Fields,
+    pub(crate) t_ns: u64,
+    pub(crate) name: &'static str,
+    pub(crate) fields: Fields,
 }
 
 /// Identifies one span across its `begin`/`end` event pair.

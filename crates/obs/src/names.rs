@@ -21,9 +21,9 @@ pub enum EventKind {
 }
 
 /// One registered event name with its structural role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct EventSpec {
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     pub kind: EventKind,
 }
 

@@ -44,7 +44,7 @@ pub const SLO_STALENESS: &str = "staleness";
 
 /// The shared window geometry: `buckets` ring slots of `bucket_ns`
 /// virtual nanoseconds each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct WindowSpec {
     /// Width of one ring bucket in virtual nanoseconds (min 1).
     pub bucket_ns: u64,
@@ -54,7 +54,7 @@ pub struct WindowSpec {
 }
 
 /// One declarative service-level objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct SloSpec {
     /// Name carried in the `slo` field of breach events and in the
     /// `slo.{name}.*` gauge family.

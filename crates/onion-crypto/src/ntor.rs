@@ -68,9 +68,9 @@ impl HopKeys {
 #[derive(Debug, Clone)]
 pub struct ClientHandshakeState {
     /// Client ephemeral keypair (x, X).
-    pub ephemeral: KeyPair,
+    pub(crate) ephemeral: KeyPair,
     /// Relay identity public key B the onion skin targets.
-    pub relay_identity: PublicKey,
+    pub(crate) relay_identity: PublicKey,
 }
 
 /// The onion-skin payload the client puts in CREATE2/EXTEND2: its
@@ -90,7 +90,7 @@ pub fn client_handshake_start(
 }
 
 /// The relay's reply: its ephemeral public key Y plus an auth tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServerReply {
     pub ephemeral_public: PublicKey,
     pub auth: [u8; 32],

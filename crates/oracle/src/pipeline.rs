@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use ting::shard::{parse_merged_document, MergeDelta, MergeOutcome};
 
 /// Tuning knobs for the publish loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
     /// Most deltas held before the two oldest coalesce (≥ 1). The
     /// queue never refuses an offer — backpressure folds history
@@ -56,7 +56,7 @@ pub struct PipelineConfig {
 
 /// Window geometry and objectives for the pipeline's live SLOs. All
 /// integer fields so [`PipelineConfig`] stays `Copy + Eq`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct SloConfig {
     /// Width of one aggregation bucket in virtual time.
     pub bucket: SimDuration,

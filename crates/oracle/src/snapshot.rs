@@ -22,12 +22,12 @@ pub struct SnapshotMeta {
     /// then). Strictly increasing per oracle, so clients can detect a
     /// dataset change between two answers.
     pub version: u64,
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Off-diagonal pairs with a measurement.
     pub measured_pairs: usize,
     /// The instant the dataset was judged against (the merge's
     /// `now_ns`); `None` for sources without a clock.
-    pub now_ns: Option<u64>,
+    pub(crate) now_ns: Option<u64>,
     /// Newest measurement timestamp in the dataset.
     pub newest_ns: Option<u64>,
 }
@@ -84,7 +84,7 @@ pub struct PointAnswer {
     /// When the pair was measured (merged-checkpoint snapshots only).
     pub measured_at_ns: Option<u64>,
     /// Age at the snapshot's `now_ns`, when both instants are known.
-    pub age_ns: Option<u64>,
+    pub(crate) age_ns: Option<u64>,
     /// Full provenance of the served cell — the shard and scan round
     /// that measured it plus this snapshot's generation. `None` when
     /// the source carries no lineage (bare matrices, `-` marker rows) or
@@ -118,8 +118,8 @@ pub struct KNearestAnswer {
 /// A ShorTor-style via-relay answer for `x → y`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetourAnswer {
-    pub src: NodeId,
-    pub dst: NodeId,
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
     /// Direct `R(src, dst)`; `None` when unmeasured.
     pub direct_ms: Option<f64>,
     /// Best via relay with its combined `R(src, v) + R(v, dst)`;
@@ -129,14 +129,14 @@ pub struct DetourAnswer {
     /// of the two leg measurements — a detour is only as fresh as its
     /// stalest leg; for a direct-only answer, the direct pair's
     /// instant. `None` when a contributing leg lacks a timestamp.
-    pub measured_at_ns: Option<u64>,
+    pub(crate) measured_at_ns: Option<u64>,
     /// Age of `measured_at_ns` at the snapshot's `now_ns`, when both
     /// are known — what TTL policy judges for detours.
-    pub age_ns: Option<u64>,
+    pub(crate) age_ns: Option<u64>,
     /// Provenance of the *cited* pair: the older leg for a via answer,
     /// the direct pair otherwise — the same selection as
     /// `measured_at_ns`. `None` when the source carries no lineage.
-    pub origin: Option<Origin>,
+    pub(crate) origin: Option<Origin>,
     pub snapshot_version: u64,
 }
 

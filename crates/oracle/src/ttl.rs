@@ -50,7 +50,7 @@ impl ServingState {
 
 /// The verdict a generation is served under: its place on the ladder,
 /// and the two numbers a refusal cites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Judgment {
     pub(crate) state: ServingState,
     /// The dataset's age when judged, when known.
@@ -59,10 +59,10 @@ pub(crate) struct Judgment {
 }
 
 /// Snapshot-level freshness SLOs, in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct TtlPolicy {
     /// Age at which answers start carrying a staleness flag.
-    pub soft_ttl: SimDuration,
+    pub(crate) soft_ttl: SimDuration,
     /// Age at which ranking queries refuse outright.
     pub hard_ttl: SimDuration,
 }

@@ -10,7 +10,7 @@ use crate::sorted;
 use crate::summary::quantile_sorted;
 
 /// Tukey box-plot summary of one sample.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BoxplotSummary {
     /// First quartile (25th percentile).
     pub q1: f64,

@@ -13,7 +13,7 @@ use crate::summary::quantile_sorted;
 ///
 /// Construction sorts the sample (`O(n log n)`); evaluation is a binary
 /// search (`O(log n)`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EmpiricalCdf {
     xs: Vec<f64>,
 }

@@ -9,14 +9,12 @@
 
 /// Analysis of how quickly the running minimum of a sample sequence
 /// approaches the final minimum.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MinConvergence {
     /// The minimum over the whole sequence.
-    pub final_min: f64,
+    pub(crate) final_min: f64,
     /// 1-based index of the sample that first achieved `final_min`.
     pub samples_to_min: usize,
-    /// Total samples in the sequence.
-    pub n: usize,
     mins: Vec<f64>, // running minimum after each sample
 }
 
@@ -37,7 +35,6 @@ impl MinConvergence {
         Some(MinConvergence {
             final_min,
             samples_to_min,
-            n: samples.len(),
             mins,
         })
     }
@@ -68,7 +65,7 @@ mod tests {
         let c = MinConvergence::analyze(&[5.0, 3.0, 4.0, 2.0, 6.0]).unwrap();
         assert_eq!(c.final_min, 2.0);
         assert_eq!(c.samples_to_min, 4);
-        for i in 1..c.n {
+        for i in 1..c.mins.len() {
             assert!(c.mins[i] <= c.mins[i - 1]);
         }
     }

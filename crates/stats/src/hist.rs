@@ -11,7 +11,7 @@
 /// Values outside the range land in the edge bins, so no observation is
 /// silently dropped (a "no silent truncation" rule the experiment
 /// harness relies on).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BinLayout {
     lo: f64,
     width: f64,

@@ -13,7 +13,7 @@ pub struct LinearFit {
     /// Coefficient of determination in `[0, 1]`.
     pub r_squared: f64,
     /// Number of points fitted.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl LinearFit {

@@ -20,8 +20,6 @@ use std::collections::HashSet;
 pub struct PopulationRelay {
     pub ip: [u8; 4],
     pub rdns: Option<String>,
-    /// Day the relay joined.
-    pub joined_day: u32,
 }
 
 impl PopulationRelay {
@@ -44,7 +42,7 @@ const PROVIDER_BLOCKS: usize = 1800;
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnConfig {
     /// Relays running on day 0.
-    pub initial_relays: usize,
+    pub(crate) initial_relays: usize,
 }
 
 impl Default for ChurnConfig {
@@ -79,13 +77,13 @@ impl ChurnModel {
             day: 0,
         };
         for _ in 0..config.initial_relays {
-            let r = m.new_relay(0);
+            let r = m.new_relay();
             m.relays.push(r);
         }
         m
     }
 
-    fn new_relay(&mut self, day: u32) -> PopulationRelay {
+    fn new_relay(&mut self) -> PopulationRelay {
         // Draw a /16 provider block, then host bits. Clustering inside
         // blocks produces realistic /24 sharing.
         let block = self.rng.gen_range(0..PROVIDER_BLOCKS);
@@ -99,11 +97,7 @@ impl ChurnModel {
             self.rng.gen_range(1..=254u8),
         ];
         let rdns = generate_hostname(ip, &mut self.rng);
-        PopulationRelay {
-            ip,
-            rdns,
-            joined_day: day,
-        }
+        PopulationRelay { ip, rdns }
     }
 
     /// Current population.
@@ -140,9 +134,8 @@ impl ChurnModel {
             }
             k as usize
         };
-        let day = self.day;
         for _ in 0..arrivals {
-            let r = self.new_relay(day);
+            let r = self.new_relay();
             self.relays.push(r);
         }
         self.snapshot()
@@ -213,8 +206,9 @@ mod tests {
             },
             3,
         );
+        let day0: HashSet<[u8; 4]> = m.relays().iter().map(|r| r.ip).collect();
         m.run(30);
-        let newcomers = m.relays().iter().filter(|r| r.joined_day > 0).count();
+        let newcomers = m.relays().iter().filter(|r| !day0.contains(&r.ip)).count();
         assert!(newcomers > 200, "only {newcomers} newcomers after 30 days");
     }
 

@@ -74,21 +74,21 @@ pub enum StreamStatus {
 /// One circuit handle: what the controller can ask about it, and the
 /// circuit itself once its build has started.
 pub(crate) struct CircuitEntry {
-    pub status: CircuitStatus,
+    pub(crate) status: CircuitStatus,
     /// The path policy that refused the circuit, if one did.
-    pub error: Option<PolicyError>,
+    pub(crate) error: Option<PolicyError>,
     /// `None` until the build starts, and for a path the policy refused.
-    pub onion: Option<ClientCircuit>,
+    pub(crate) onion: Option<ClientCircuit>,
 }
 
 /// One stream handle.
 pub(crate) struct StreamEntry {
-    pub status: StreamStatus,
+    pub(crate) status: StreamStatus,
     /// Echoed data not yet taken: (arrival time, bytes).
-    pub received: Vec<(SimTime, Vec<u8>)>,
+    pub(crate) received: Vec<(SimTime, Vec<u8>)>,
     /// The circuit handle and stream id it was attached as, from its
     /// BEGIN on (kept after the exit ENDs it).
-    pub on: Option<(u64, u16)>,
+    pub(crate) on: Option<(u64, u16)>,
 }
 
 /// One circuit from the proxy's point of view.
@@ -130,18 +130,18 @@ fn handshake(ctx: &mut Context, identity: PublicKey) -> (ClientHandshakeState, P
 /// hold live handles only: closing a circuit or stream forgets it (see
 /// the controller's docs).
 pub(crate) struct ProxyState {
-    pub commands: VecDeque<Command>,
-    pub circuits: BTreeMap<u64, CircuitEntry>,
-    pub streams: BTreeMap<u64, StreamEntry>,
+    pub(crate) commands: VecDeque<Command>,
+    pub(crate) circuits: BTreeMap<u64, CircuitEntry>,
+    pub(crate) streams: BTreeMap<u64, StreamEntry>,
     /// The proxy handled an event since [`crate::Controller::take_touched`]
     /// last read this.
-    pub touched: bool,
+    pub(crate) touched: bool,
     /// Identity keys by [`NodeId::index`], one table for every proxy:
     /// `None` for a node that is not a relay.
     identities: Rc<[Option<PublicKey>]>,
-    pub links: LinkTable,
+    pub(crate) links: LinkTable,
     /// (link conn, circuit id) → circuit handle.
-    pub circ_index: BTreeMap<HopKey, u64>,
+    pub(crate) circ_index: BTreeMap<HopKey, u64>,
     next_circ_id: u32,
 }
 

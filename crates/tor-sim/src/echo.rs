@@ -11,9 +11,9 @@ use netsim::{ConnId, Context, NodeId, Process};
 #[derive(Debug, Default)]
 pub(crate) struct EchoServer {
     /// Total messages echoed (for sanity checks in tests/experiments).
-    pub echoed: u64,
+    pub(crate) echoed: u64,
     /// Connections currently open to the server.
-    pub open_conns: u64,
+    pub(crate) open_conns: u64,
 }
 
 impl EchoServer {

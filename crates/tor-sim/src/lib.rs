@@ -47,6 +47,5 @@ mod relay;
 
 pub use client::{CircuitStatus, PolicyError, StreamStatus};
 pub use control::{CircuitHandle, Controller, StreamHandle};
-pub use metrics::RelayMetrics;
-pub use network::{TorNetwork, TorNetworkBuilder, Vantage};
+pub use network::{TorNetwork, TorNetworkBuilder};
 pub use relay::{RelayConfig, RelayFaultProfile};

@@ -145,6 +145,14 @@ mod tests {
         seen: Seen,
     }
 
+    impl Node {
+        /// What `seen` records a cell under: 0 for the node that dials,
+        /// 1 for the one that accepts (node 0 and node 1 in [`run`]).
+        fn role(&self) -> u32 {
+            u32::from(self.dial.is_none())
+        }
+    }
+
     impl Process for Node {
         fn on_start(&mut self, ctx: &mut Context) {
             let Some(peer) = self.dial else { return };
@@ -167,14 +175,14 @@ mod tests {
 
         fn on_data(&mut self, ctx: &mut Context, conn: ConnId, data: Vec<u8>) {
             let cell = Cell::decode(&data).expect("a cell");
-            self.seen.borrow_mut().push((ctx.self_id.0, cell.circ_id.0));
+            self.seen.borrow_mut().push((self.role(), cell.circ_id.0));
             if self.dial.is_none() {
                 send(&mut self.links, ctx, conn, cell.circ_id.0);
             }
         }
 
         fn on_conn_closed(&mut self, ctx: &mut Context, conn: ConnId) {
-            self.seen.borrow_mut().push((ctx.self_id.0, u32::MAX));
+            self.seen.borrow_mut().push((self.role(), u32::MAX));
             assert!(self.links.closed(conn));
             assert_eq!(self.links.len(), 0, "both indexes and the queue");
             assert!(!self.links.closed(conn), "already forgotten");

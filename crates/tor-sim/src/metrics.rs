@@ -4,8 +4,9 @@
 //! [`crate::relay::Relay`] can be given a [`RelayMetrics`] handle at
 //! construction; the same handle stays with the caller, which can read
 //! a consistent [`MetricsSnapshot`] at any time without touching the
-//! simulator. Used by tests to assert on internal behaviour (queue
-//! depths, teardown completeness) without poking at private state.
+//! simulator. Used by tests to assert on internal behaviour (circuit
+//! and stream counts, teardown completeness) without poking at private
+//! state.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -15,13 +16,9 @@ use std::rc::Rc;
 struct Inner {
     cells_processed: Cell<u64>,
     cells_forwarded: Cell<u64>,
-    cells_recognized: Cell<u64>,
     circuits_created: Cell<u64>,
     circuits_destroyed: Cell<u64>,
     streams_opened: Cell<u64>,
-    queue_depth: Cell<u64>,
-    queue_high_water: Cell<u64>,
-    busy_ms_accumulated: Cell<f64>,
     cells_dropped: Cell<u64>,
     extends_refused: Cell<u64>,
     /// The sizes of the relay's link table and of its three circuit
@@ -35,27 +32,22 @@ struct Inner {
 
 /// A cheap, clonable handle to one relay's counters.
 #[derive(Debug, Clone, Default)]
-pub struct RelayMetrics {
+pub(crate) struct RelayMetrics {
     inner: Rc<Inner>,
 }
 
 /// A point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct MetricsSnapshot {
-    pub cells_processed: u64,
-    pub cells_forwarded: u64,
-    pub cells_recognized: u64,
-    pub circuits_created: u64,
-    pub circuits_destroyed: u64,
-    pub streams_opened: u64,
-    pub queue_depth: u64,
-    pub queue_high_water: u64,
-    /// Total simulated milliseconds spent processing cells.
-    pub busy_ms_accumulated: f64,
+    pub(crate) cells_processed: u64,
+    pub(crate) cells_forwarded: u64,
+    pub(crate) circuits_created: u64,
+    pub(crate) circuits_destroyed: u64,
+    pub(crate) streams_opened: u64,
     /// Cells shed under injected overload faults.
-    pub cells_dropped: u64,
+    pub(crate) cells_dropped: u64,
     /// EXTEND2 requests the relay refused under injected faults.
-    pub extends_refused: u64,
+    pub(crate) extends_refused: u64,
 }
 
 impl RelayMetrics {
@@ -63,36 +55,16 @@ impl RelayMetrics {
         RelayMetrics::default()
     }
 
-    pub(crate) fn on_enqueue(&self) {
-        let d = self.inner.queue_depth.get() + 1;
-        self.inner.queue_depth.set(d);
-        if d > self.inner.queue_high_water.get() {
-            self.inner.queue_high_water.set(d);
-        }
-    }
-
-    pub(crate) fn on_processed(&self, cost_ms: f64) {
-        self.inner
-            .queue_depth
-            .set(self.inner.queue_depth.get().saturating_sub(1));
+    pub(crate) fn on_processed(&self) {
         self.inner
             .cells_processed
             .set(self.inner.cells_processed.get() + 1);
-        self.inner
-            .busy_ms_accumulated
-            .set(self.inner.busy_ms_accumulated.get() + cost_ms);
     }
 
     pub(crate) fn on_forwarded(&self) {
         self.inner
             .cells_forwarded
             .set(self.inner.cells_forwarded.get() + 1);
-    }
-
-    pub(crate) fn on_recognized(&self) {
-        self.inner
-            .cells_recognized
-            .set(self.inner.cells_recognized.get() + 1);
     }
 
     pub(crate) fn on_circuit_created(&self) {
@@ -140,13 +112,9 @@ impl RelayMetrics {
         MetricsSnapshot {
             cells_processed: self.inner.cells_processed.get(),
             cells_forwarded: self.inner.cells_forwarded.get(),
-            cells_recognized: self.inner.cells_recognized.get(),
             circuits_created: self.inner.circuits_created.get(),
             circuits_destroyed: self.inner.circuits_destroyed.get(),
             streams_opened: self.inner.streams_opened.get(),
-            queue_depth: self.inner.queue_depth.get(),
-            queue_high_water: self.inner.queue_high_water.get(),
-            busy_ms_accumulated: self.inner.busy_ms_accumulated.get(),
             cells_dropped: self.inner.cells_dropped.get(),
             extends_refused: self.inner.extends_refused.get(),
         }

@@ -60,7 +60,7 @@ const OVERLOAD_QUEUE_DEPTH: usize = 32;
 /// private to each relay — never from the simulation RNG — so enabling
 /// faults on one relay does not perturb random draws anywhere else, and
 /// a profile with all rates zero is a strict no-op (no draws happen).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RelayFaultProfile {
     /// Probability an EXTEND2 request is refused (circuit torn down with
     /// DESTROY back to the client, as a loaded or misconfigured relay
@@ -134,7 +134,6 @@ impl CircuitState {
 /// A cell waiting in the processing queue.
 struct PendingCell {
     ready_at_ns: u64,
-    cost_ms: f64,
     conn: ConnId,
     cell: Cell,
 }
@@ -230,10 +229,8 @@ impl Relay {
             .max(now_ns)
             .saturating_add((cost_ms * 1e6) as u64);
         let ready_at_ns = self.busy_until_ns;
-        self.metrics.on_enqueue();
         self.queue.push_back(PendingCell {
             ready_at_ns,
-            cost_ms,
             conn,
             cell,
         });
@@ -318,10 +315,7 @@ impl Relay {
                 };
                 self.links.send(ctx, next, CellCommand::Relay, payload);
             }
-            RelayCryptoOutcome::Recognized(rc) => {
-                self.metrics.on_recognized();
-                self.handle_recognized(ctx, key, rc)
-            }
+            RelayCryptoOutcome::Recognized(rc) => self.handle_recognized(ctx, key, rc),
         }
     }
 
@@ -482,7 +476,7 @@ impl Process for Relay {
         }
         let now_ns = ctx.now.as_nanos();
         while let Some(pending) = self.queue.pop_front_if(|p| p.ready_at_ns <= now_ns) {
-            self.metrics.on_processed(pending.cost_ms);
+            self.metrics.on_processed();
             self.process_cell(ctx, pending.conn, pending.cell);
         }
         self.publish_tables();
