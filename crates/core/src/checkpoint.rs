@@ -23,7 +23,7 @@
 use crate::matrix::RttMatrix;
 use netsim::NodeId;
 use std::fmt::{Debug, Write as _};
-use std::io::Write as _;
+use std::io::IoSlice;
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -71,7 +71,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// `crc32(a ++ b)`. Slicing-by-8: eight bytes a step through two
 /// little-endian word loads and eight table lookups, the one-table byte
 /// loop for the tail.
-fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = !crc;
     let mut chunks = bytes.chunks_exact(8);
@@ -95,28 +95,55 @@ fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
 
 /// The CRC-32 of `a ++ b` from `crc32(a)`, `crc32(b)` and `b`'s length
 /// alone — zlib's `crc32_combine`: `crc_a` is shifted past `len_b` zero
-/// bytes by multiplying it with `x^(8 · len_b)` modulo the polynomial,
-/// and the shift is built by square-and-multiply, so the cost is
-/// logarithmic in `len_b`.
+/// bytes by multiplying it with [`crc32_shift`]`(len_b)` modulo the
+/// polynomial.
 fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
-    // Reflected bit order: bit 31 is `x^0`, bit 31 − k is `x^k`.
-    let mut shift = 1 << 31;
-    let mut square = 1 << 23; // x^8: one zero byte.
-    let mut n = len_b;
-    while n > 0 {
-        if n & 1 == 1 {
-            shift = mul_mod_p(shift, square);
-        }
-        square = mul_mod_p(square, square);
-        n >>= 1;
-    }
-    mul_mod_p(shift, crc_a) ^ crc_b
+    crc32_combine_shifted(crc_a, crc_b, crc32_shift(len_b))
 }
 
+/// [`crc32_combine`] with `b`'s shift already in hand: one
+/// multiplication, so a writer that joins the CRCs of many cached parts
+/// keeps each part's shift beside its CRC.
+pub(crate) fn crc32_combine_shifted(crc_a: u32, crc_b: u32, shift_b: u32) -> u32 {
+    mul_mod_p(shift_b, crc_a) ^ crc_b
+}
+
+/// `x^(8 · len)` modulo the CRC-32 polynomial: the operator that moves a
+/// CRC past `len` zero bytes, one multiplication by [`X2N`] per set bit
+/// of `len`.
+pub(crate) fn crc32_shift(len: usize) -> u32 {
+    let mut shift = 1 << 31; // x^0, in reflected bit order.
+    let mut n = len;
+    let mut k = 0;
+    while n > 0 {
+        if n & 1 == 1 {
+            shift = mul_mod_p(shift, X2N[k]);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    shift
+}
+
+/// `X2N[k]` is `x^(8 · 2^k)` modulo the polynomial — zero bytes by the
+/// power of two, squared from one byte's `x^8` at compile time.
+static X2N: [u32; usize::BITS as usize] = {
+    let mut t = [0; usize::BITS as usize];
+    t[0] = 1 << 23; // x^8: one zero byte, bit 31 − k being x^k.
+    let mut k = 1;
+    while k < t.len() {
+        t[k] = mul_mod_p(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
 /// `a · b` modulo the CRC-32 polynomial, both in reflected bit order.
-fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
     let mut product = 0;
-    for k in (0..32).rev() {
+    let mut k = 32;
+    while k > 0 {
+        k -= 1;
         if (a >> k) & 1 == 1 {
             product ^= b;
         }
@@ -132,27 +159,21 @@ pub(crate) const CRC_PREFIX: &str = "# crc32: ";
 /// Appends the CRC-32 trailer line to a checkpoint document. The CRC
 /// covers every byte before the trailer, including the final newline of
 /// the body.
-pub fn seal(body: String) -> String {
-    seal_with_crc(body).0
-}
-
-/// [`seal`], and the CRC-32 of the whole sealed document, trailer
-/// included: the body's CRC continued over what the seal appends, so a
-/// writer that frames the document again need not hash it again.
-pub(crate) fn seal_with_crc(mut body: String) -> (String, u32) {
-    let crc = crc32(body.as_bytes());
-    let suffix = seal_suffix("", &body, crc);
+pub fn seal(mut body: String) -> String {
+    let suffix = seal_suffix("", &[&body], crc32(body.as_bytes()));
     body.push_str(&suffix);
-    (body, crc32_update(crc, suffix.as_bytes()))
+    body
 }
 
-/// What [`seal`] appends to `head ++ doc` — a newline when the two end
-/// without one, then the trailer — given `doc`'s CRC-32, which is
-/// combined with `head`'s: `doc` is not hashed here.
-pub fn seal_suffix(head: &str, doc: &str, doc_crc: u32) -> String {
-    let mut crc = crc32_combine(crc32(head.as_bytes()), doc_crc, doc.len());
+/// What [`seal`] appends to `head` followed by the parts of `doc` — a
+/// newline when they end without one, then the trailer — given the
+/// CRC-32 of `doc`'s concatenation, which is combined with `head`'s:
+/// `doc` is not hashed here.
+pub fn seal_suffix(head: &str, doc: &[&str], doc_crc: u32) -> String {
+    let len: usize = doc.iter().map(|part| part.len()).sum();
+    let mut crc = crc32_combine(crc32(head.as_bytes()), doc_crc, len);
     let mut suffix = String::new();
-    let last = if doc.is_empty() { head } else { doc };
+    let last = doc.iter().rfind(|part| !part.is_empty()).unwrap_or(&head);
     if !last.ends_with('\n') {
         suffix.push('\n');
         crc = crc32_update(crc, b"\n");
@@ -383,15 +404,32 @@ pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 pub fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     let tmp = tmp_path(path);
     let mut f = std::fs::File::create(&tmp)?;
-    for part in parts {
-        f.write_all(part)?;
-    }
+    write_all_parts(&mut f, parts)?;
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         if let Ok(d) = std::fs::File::open(dir) {
             let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
+
+/// Writes every byte of `parts`, in order, through vectored writes: a
+/// document held as a thousand cached chunks costs a couple of
+/// `writev` calls, not a thousand `write`s, and is never copied into
+/// one buffer.
+pub fn write_all_parts(out: &mut impl std::io::Write, parts: &[&[u8]]) -> std::io::Result<()> {
+    let mut slices: Vec<IoSlice> = parts.iter().map(|part| IoSlice::new(part)).collect();
+    let mut rest = &mut slices[..];
+    IoSlice::advance_slices(&mut rest, 0);
+    while !rest.is_empty() {
+        match out.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     Ok(())
@@ -539,34 +577,44 @@ mod tests {
     }
 
     #[test]
-    fn seal_with_crc_returns_the_crc_of_the_sealed_text() {
-        let nodes: Vec<NodeId> = (0..5).map(NodeId).collect();
-        for body in [
-            "",
-            "\n",
-            "no newline",
-            "# ting scan checkpoint v3\nm\t1\t2\t10\t0\t1\n",
-        ] {
-            let (sealed, crc) = seal_with_crc(body.to_string());
-            assert_eq!(crc, crc32(sealed.as_bytes()), "{body:?}");
+    fn sealing_a_head_and_parts_is_sealing_their_concatenation() {
+        let cases: [(&str, &[&str]); 9] = [
+            ("", &[]),
+            ("", &[""]),
+            ("head\n", &[]),
+            ("head\n", &["", ""]),
+            ("", &["doc"]),
+            ("head\n", &["doc"]),
+            ("h", &["doc\n"]),
+            ("h", &["do", "c\n", "", ""]),
+            ("head\n", &["one\n", "", "two"]),
+        ];
+        for (head, doc) in cases {
+            let crc = crc32(doc.concat().as_bytes());
+            let suffix = seal_suffix(head, doc, crc);
+            let sealed = seal(format!("{head}{}", doc.concat()));
             assert_eq!(
-                verify_sealed(&sealed).map(|b| b.trim_end_matches('\n')),
-                Ok(body.trim_end_matches('\n'))
+                format!("{head}{}{suffix}", doc.concat()),
+                sealed,
+                "{head:?} + {doc:?}"
             );
         }
-        let (document, crc) = crate::shard::MergeOutcome::new(nodes, 2).to_document_with_crc();
-        assert_eq!(crc, crc32(document.as_bytes()));
-        // Sealing a head and a document is sealing their concatenation.
-        for (head, doc) in [
-            ("", ""),
-            ("head\n", ""),
-            ("", "doc"),
-            ("head\n", "doc"),
-            ("h", "doc\n"),
-        ] {
-            let suffix = seal_suffix(head, doc, crc32(doc.as_bytes()));
-            let sealed = seal(format!("{head}{doc}"));
-            assert_eq!(format!("{head}{doc}{suffix}"), sealed, "{head:?} + {doc:?}");
+    }
+
+    #[test]
+    fn parts_are_written_whole_and_in_order() {
+        let long = seeded(70_001, 27);
+        let many: Vec<Vec<u8>> = (0..3_000).map(|k| seeded(k % 17, k as u64)).collect();
+        let cases: [Vec<&[u8]>; 4] = [
+            vec![],
+            vec![b"", b""],
+            vec![b"", b"a", b"", b"bc", &long, b""],
+            many.iter().map(Vec::as_slice).collect(),
+        ];
+        for parts in cases {
+            let mut out = Vec::new();
+            write_all_parts(&mut out, &parts).unwrap();
+            assert_eq!(out, parts.concat());
         }
     }
 
@@ -591,6 +639,16 @@ mod tests {
         let body = "# ting scan checkpoint v3\nm\t1\t2\t10\t0\t1\n";
         let sealed = seal(body.to_string());
         assert_eq!(verify_sealed(&sealed).unwrap(), body);
+        // Empty, newline-only and unterminated bodies verify too, up to
+        // the newline the seal adds before its trailer.
+        for body in ["", "\n", "no newline", body] {
+            let sealed = seal(body.to_string());
+            assert_eq!(
+                verify_sealed(&sealed).map(|b| b.trim_end_matches('\n')),
+                Ok(body.trim_end_matches('\n')),
+                "{body:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use netsim::NodeId;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 use tor_sim::TorNetwork;
 
 /// A symmetric all-pairs RTT dataset over a fixed relay set.
@@ -29,14 +30,17 @@ pub struct RttMatrix {
     nodes: Vec<NodeId>,
     index: HashMap<NodeId, u32>,
     /// Row-major `n × n`, symmetric; `NaN` = unmeasured, diagonal 0.
-    rtt_ms: Vec<f64>,
+    /// Clones share it until one of them is written, which copies it:
+    /// a served snapshot and the dataset it was cut from hold one table
+    /// until the dataset's next fold.
+    rtt_ms: Arc<Vec<f64>>,
 }
 
 /// Equal node lists and bit-equal cells: unmeasured cells are `NaN`,
 /// which `f64`'s own `==` would make unequal to themselves.
 impl PartialEq for RttMatrix {
     fn eq(&self, other: &RttMatrix) -> bool {
-        let mut cells = self.rtt_ms.iter().zip(&other.rtt_ms);
+        let mut cells = self.rtt_ms.iter().zip(other.rtt_ms.iter());
         self.nodes == other.nodes && cells.all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
@@ -172,7 +176,7 @@ impl RttMatrix {
         Ok(RttMatrix {
             nodes,
             index,
-            rtt_ms,
+            rtt_ms: Arc::new(rtt_ms),
         })
     }
 
@@ -183,6 +187,19 @@ impl RttMatrix {
 
     pub fn len(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The slot of the pair in cells `(i, j)` and `(j, i)` in a table
+    /// that holds each pair once, row by row over the upper triangle,
+    /// diagonal included (`queue::tri_index`'s order).
+    #[inline]
+    pub fn pair_slot(&self, i: u32, j: u32) -> usize {
+        crate::queue::tri_index(self.len(), i as usize, j as usize)
+    }
+
+    /// Slots in such a table: `n(n + 1)/2` over `n` nodes.
+    pub fn pair_slots(&self) -> usize {
+        self.len() * (self.len() + 1) / 2
     }
 
     pub fn is_empty(&self) -> bool {
@@ -239,10 +256,16 @@ impl RttMatrix {
     }
 
     /// Fallible [`RttMatrix::set`]: unknown nodes, non-finite RTTs and
-    /// the diagonal (fixed at 0) become errors instead of panics.
-    pub(crate) fn try_set(&mut self, a: NodeId, b: NodeId, rtt_ms: f64) -> Result<(), String> {
+    /// the diagonal (fixed at 0) become errors instead of panics. Returns
+    /// the cell written, in index space.
+    pub(crate) fn try_set(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        rtt_ms: f64,
+    ) -> Result<(u32, u32), String> {
         let (ia, ib) = self.admits(a, b, rtt_ms)?;
-        self.set_idx(ia, ib, rtt_ms)
+        self.set_idx(ia, ib, rtt_ms).map(|()| (ia, ib))
     }
 
     /// The cell [`RttMatrix::try_set`] would write, or its refusal —
@@ -260,8 +283,9 @@ impl RttMatrix {
     fn set_idx(&mut self, i: u32, j: u32, rtt_ms: f64) -> Result<(), String> {
         admits_idx(i, j, rtt_ms)?;
         let (i, j, n) = (i as usize, j as usize, self.nodes.len());
-        self.rtt_ms[i * n + j] = rtt_ms;
-        self.rtt_ms[j * n + i] = rtt_ms;
+        let cells = Arc::make_mut(&mut self.rtt_ms);
+        cells[i * n + j] = rtt_ms;
+        cells[j * n + i] = rtt_ms;
         Ok(())
     }
 
@@ -459,6 +483,24 @@ mod tests {
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
+    }
+
+    #[test]
+    fn a_clone_keeps_its_cells_whichever_side_is_written() {
+        let mut a = RttMatrix::new(nodes(3));
+        a.set(NodeId(0), NodeId(1), 5.0);
+        let mut b = a.clone();
+        b.set(NodeId(1), NodeId(0), 7.0);
+        let c = b.clone();
+        b.set(NodeId(2), NodeId(1), 9.0);
+        assert_eq!(a.get(NodeId(0), NodeId(1)), Some(5.0));
+        assert_eq!(b.get(NodeId(0), NodeId(1)), Some(7.0));
+        assert_eq!(
+            (a.get(NodeId(1), NodeId(2)), c.get(NodeId(1), NodeId(2))),
+            (None, None)
+        );
+        assert_eq!(b.get(NodeId(1), NodeId(2)), Some(9.0));
+        assert_eq!(c.get(NodeId(1), NodeId(0)), Some(7.0));
     }
 
     /// Every ordered pair, the diagonal included, against the old loop

@@ -25,10 +25,29 @@ use crate::matrix::ordered;
 use netsim::{SimDuration, SimTime};
 
 /// The slot of pair `(a, b)` in the row-major upper triangle (diagonal
-/// included) over `n` nodes: the pair table's storage order.
+/// included) over `n` nodes: the pair table's storage order, and the
+/// snapshot's through [`crate::RttMatrix::pair_slot`].
+#[inline]
 pub(crate) fn tri_index(n: usize, a: usize, b: usize) -> usize {
     let (lo, hi) = ordered(a, b);
     lo * n - lo * (lo + 1) / 2 + hi
+}
+
+/// The cell `(lo, hi)`, `lo ≤ hi`, at pair slot `slot < n(n + 1)/2`:
+/// the inverse of [`tri_index`], by a binary search over the rows'
+/// first slots.
+pub(crate) fn tri_cell(n: usize, slot: usize) -> (usize, usize) {
+    // Row `lo` starts at or before `slot`; row `hi` (or the end) after.
+    let (mut lo, mut hi) = (0, n);
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if tri_index(n, mid, mid) <= slot {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, slot - tri_index(n, lo, lo) + lo)
 }
 
 /// Everything the scanner knows about one pair besides its RTT.
@@ -244,6 +263,21 @@ mod tests {
         assert!(q.plan(t(20), 10, &none).is_empty());
         // Once the old estimate crosses the horizon it queues as stale.
         assert_eq!(q.plan(t(100), 10, &none), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn tri_cell_inverts_tri_index_on_every_slot() {
+        for n in [1, 2, 3, 7, 40] {
+            let mut slot = 0;
+            for lo in 0..n {
+                for hi in lo..n {
+                    assert_eq!(tri_index(n, lo, hi), slot, "n {n}, ({lo}, {hi})");
+                    assert_eq!(tri_cell(n, slot), (lo, hi), "n {n}, slot {slot}");
+                    slot += 1;
+                }
+            }
+            assert_eq!(slot, n * (n + 1) / 2);
+        }
     }
 
     #[test]

@@ -33,13 +33,17 @@
 //! is bit-identical to the unsharded [`Scanner`] — tested in
 //! `crates/core/tests/shard_scan.rs`.
 
-use crate::checkpoint::{push_u64, seal_with_crc, Doc};
+use crate::checkpoint::{
+    crc32, crc32_combine_shifted, crc32_shift, crc32_update, push_u64, seal, seal_suffix, Doc,
+};
 use crate::matrix::{ordered, PairMap};
 use crate::orchestrator::{Ting, TingConfig};
+use crate::queue::{tri_cell, tri_index};
 use crate::scanner::{Scanner, ScannerConfig};
 use netsim::{NodeId, SimDuration, SimTime};
 use obs::{names, Lineage, Obs, Value};
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use tor_sim::TorNetwork;
 
@@ -302,9 +306,20 @@ impl MergeOutcome {
     /// lineage (later pairs win), each shard row takes its status tag.
     /// A delta [`MergeOutcome::admits`] refuses is an `Err`, unfolded.
     pub fn fold(&mut self, delta: MergeDelta) -> Result<(), String> {
+        self.fold_cells(delta, |_, _| {})
+    }
+
+    /// [`MergeOutcome::fold`], handing each pair's cell to `touched` in
+    /// index space as it is written.
+    fn fold_cells(
+        &mut self,
+        delta: MergeDelta,
+        mut touched: impl FnMut(usize, usize),
+    ) -> Result<(), String> {
         self.admits(&delta)?;
         for p in delta.pairs {
-            self.matrix.try_set(p.a, p.b, p.rtt_ms)?;
+            let (i, j) = self.matrix.try_set(p.a, p.b, p.rtt_ms)?;
+            touched(i as usize, j as usize);
             self.measured_at.insert(ordered(p.a, p.b), p.measured_at);
             self.lineage.insert(ordered(p.a, p.b), p.lineage);
         }
@@ -345,12 +360,20 @@ impl MergeOutcome {
     /// cell with no instant (only a hand-built outcome holds one) is not
     /// a row.
     pub fn rows(&self) -> impl Iterator<Item = (u32, u32, f64, SimTime, Option<Lineage>)> + '_ {
-        let nodes = self.matrix.nodes();
-        self.matrix.cells().filter_map(move |(i, j, rtt)| {
-            let pair = ordered(nodes[i as usize], nodes[j as usize]);
-            let lineage = self.lineage.get(&pair).copied();
-            Some((i, j, rtt, *self.measured_at.get(&pair)?, lineage))
+        self.matrix.cells().filter_map(|(i, j, _)| {
+            let (rtt, t, lineage) = self.row(i, j)?;
+            Some((i, j, rtt, t, lineage))
         })
+    }
+
+    /// The row of the pair in cell `(i, j)` of either order, as `(rtt,
+    /// measured_at, lineage)`; `None` when it is not a row (see
+    /// [`MergeOutcome::rows`]).
+    pub fn row(&self, i: u32, j: u32) -> Option<(f64, SimTime, Option<Lineage>)> {
+        let rtt = self.matrix.get_idx(i, j).filter(|_| i != j)?;
+        let pair = ordered(self.matrix.node(i), self.matrix.node(j));
+        let lineage = self.lineage.get(&pair).copied();
+        Some((rtt, *self.measured_at.get(&pair)?, lineage))
     }
 
     /// Renders the merged matrix as a deterministic, CRC-sealed text
@@ -358,23 +381,24 @@ impl MergeOutcome {
     /// `(i, j)` index order with their measurement timestamps. Two
     /// merges of equal shard state render bit-identically regardless
     /// of shard completion order — this document is what the soak
-    /// harness compares across kill/resume boundaries.
+    /// harness compares across kill/resume boundaries. A live dataset
+    /// keeps the same text rendered in a [`RowText`].
     pub fn to_document(&self) -> String {
-        self.to_document_with_crc().0
-    }
-
-    /// [`MergeOutcome::to_document`] and the document's CRC-32: the
-    /// seal's pass over the body, continued over its trailer — the one
-    /// pass over the document's bytes a publish makes.
-    pub fn to_document_with_crc(&self) -> (String, u32) {
-        let nodes = self.matrix.nodes();
         // Generous line sizes: capacity never written costs address
         // space, not memory, and a short guess would copy the document.
         let rows = 56 * self.measured_at.len() + 96 * self.shards.len();
-        let mut out = String::with_capacity(128 + 11 * nodes.len() + rows);
+        let mut out = String::with_capacity(128 + 11 * self.matrix.len() + rows);
+        self.write_head(&mut out);
+        self.write_rows(&mut out, 0..self.matrix.pair_slots());
+        seal(out)
+    }
+
+    /// Appends what precedes the matrix rows: the magic and node-list
+    /// lines, the merge instant and one coverage row per shard.
+    fn write_head(&self, out: &mut String) {
         out.push_str(MERGED_MAGIC);
         out.push('\n');
-        crate::checkpoint::write_nodes_header(&mut out, self.matrix.nodes());
+        crate::checkpoint::write_nodes_header(out, self.matrix.nodes());
         let _ = writeln!(out, "# now_ns: {}", self.now.as_nanos());
         for c in &self.shards {
             let _ = writeln!(
@@ -390,26 +414,41 @@ impl MergeOutcome {
                 c.newest_ns.map_or("-".into(), |t| t.to_string()),
             );
         }
-        for (i, j, rtt, t, lineage) in self.rows() {
-            out.push_str("m\t");
-            push_u64(&mut out, nodes[i as usize].0.into());
-            out.push('\t');
-            push_u64(&mut out, nodes[j as usize].0.into());
-            // Shortest round-trip digits: `f64`'s own `Display`.
-            let _ = write!(out, "\t{rtt}\t");
-            push_u64(&mut out, t.as_nanos());
-            match lineage {
-                Some(l) => {
-                    out.push('\t');
-                    push_u64(&mut out, l.shard.into());
-                    out.push('\t');
-                    push_u64(&mut out, l.round);
+    }
+
+    /// Appends the `m` rows of the pairs in `slots` (positions in
+    /// `crate::queue::tri_index` order over the node list, diagonal
+    /// slots included, which hold no row) — the one row formatter,
+    /// under the whole document and under every chunk of a [`RowText`].
+    fn write_rows(&self, out: &mut String, slots: Range<usize>) {
+        let (n, nodes) = (self.matrix.len(), self.matrix.nodes());
+        let (mut i, mut j) = tri_cell(n, slots.start);
+        for _ in slots {
+            if let Some((rtt, t, lineage)) = self.row(i as u32, j as u32) {
+                out.push_str("m\t");
+                push_u64(out, nodes[i].0.into());
+                out.push('\t');
+                push_u64(out, nodes[j].0.into());
+                // Shortest round-trip digits: `f64`'s own `Display`.
+                let _ = write!(out, "\t{rtt}\t");
+                push_u64(out, t.as_nanos());
+                match lineage {
+                    Some(l) => {
+                        out.push('\t');
+                        push_u64(out, l.shard.into());
+                        out.push('\t');
+                        push_u64(out, l.round);
+                    }
+                    None => out.push_str("\t-\t-"),
                 }
-                None => out.push_str("\t-\t-"),
+                out.push('\n');
             }
-            out.push('\n');
+            j += 1;
+            if j == n {
+                i += 1;
+                j = i;
+            }
         }
-        seal_with_crc(out)
     }
 
     /// Owned-pair coverage across every shard, `[0, 1]`.
@@ -425,6 +464,124 @@ impl MergeOutcome {
 
 /// The first line of the [`MergeOutcome::to_document`] format.
 pub(crate) const MERGED_MAGIC: &str = "# ting merged matrix v2";
+
+/// Pair slots a [`RowText`] chunk renders: at 300 relays a 64-pair
+/// publish re-renders at most 64 chunks of about 32 rows, where the
+/// whole document has 44,850 (DESIGN.md §16).
+const CHUNK_SLOTS: usize = 32;
+
+/// The merged document of a live dataset, kept rendered: its `m` rows
+/// in chunks of `CHUNK_SLOTS` (32) consecutive pair slots, each with its
+/// text's CRC-32 and the shift that moves a CRC past that text. A fold
+/// through [`RowText::fold`] marks the chunks its pairs fall in, and
+/// [`RowText::render`] re-renders only those — by the formatter
+/// [`MergeOutcome::to_document`] writes every row with — so a publish
+/// formats and hashes the rows it changed, not the matrix. The head
+/// (coverage rows, merge instant) is rendered anew on every call.
+#[derive(Debug, Default)]
+pub struct RowText {
+    chunks: Vec<RowChunk>,
+    head: String,
+    trailer: String,
+    /// One chunk's rows as rendered, before they are copied into a
+    /// chunk sized to fit them.
+    scratch: String,
+    /// Chunks the last [`RowText::render`] re-rendered.
+    rendered: usize,
+}
+
+/// One chunk of a [`RowText`].
+#[derive(Debug, Clone, Default)]
+struct RowChunk {
+    text: String,
+    crc: u32,
+    /// `crc32_shift(text.len())`, kept so a render joins every chunk's
+    /// CRC with one multiplication: deriving it from the length on each
+    /// render costs ≈ 0.4 ms at 300 relays, most of a 64-pair render.
+    shift: u32,
+    /// Folded into since `text` was rendered.
+    dirty: bool,
+}
+
+impl RowText {
+    /// The text of `dataset`, every chunk dirty: nothing is rendered
+    /// until the first [`RowText::render`].
+    pub fn new(dataset: &MergeOutcome) -> RowText {
+        let dirty = RowChunk {
+            dirty: true,
+            ..RowChunk::default()
+        };
+        RowText {
+            chunks: vec![dirty; dataset.matrix.pair_slots().div_ceil(CHUNK_SLOTS)],
+            ..RowText::default()
+        }
+    }
+
+    /// [`MergeOutcome::fold`]s `delta` into `dataset`, marking the
+    /// chunk of every pair it writes and handing the pair's cell to
+    /// `touched` in index space.
+    pub fn fold(
+        &mut self,
+        dataset: &mut MergeOutcome,
+        delta: MergeDelta,
+        mut touched: impl FnMut(u32, u32),
+    ) -> Result<(), String> {
+        let n = dataset.matrix.len();
+        let chunks = &mut self.chunks;
+        dataset.fold_cells(delta, |i, j| {
+            if let Some(chunk) = chunks.get_mut(tri_index(n, i, j) / CHUNK_SLOTS) {
+                chunk.dirty = true;
+            }
+            touched(i as u32, j as u32);
+        })
+    }
+
+    /// Chunks the last [`RowText::render`] re-rendered: the work a
+    /// publish did, in chunks.
+    pub fn rendered(&self) -> usize {
+        self.rendered
+    }
+
+    /// `dataset`'s sealed document, byte for byte
+    /// [`MergeOutcome::to_document`], as parts in order — head, one
+    /// part per chunk, trailer — and the CRC-32 of their concatenation.
+    /// Only dirty chunks are rendered and hashed; the document's CRC
+    /// joins the head's with each chunk's, one multiplication a chunk.
+    /// `dataset` must be the one every fold since [`RowText::new`] went
+    /// into; one over another node count resets every chunk to dirty.
+    pub fn render(&mut self, dataset: &MergeOutcome) -> (Vec<&str>, u32) {
+        let slots = dataset.matrix.pair_slots();
+        if self.chunks.len() != slots.div_ceil(CHUNK_SLOTS) {
+            *self = RowText::new(dataset);
+        }
+        self.head.clear();
+        dataset.write_head(&mut self.head);
+        let mut crc = crc32(self.head.as_bytes());
+        self.rendered = 0;
+        for (k, chunk) in self.chunks.iter_mut().enumerate() {
+            if chunk.dirty {
+                self.rendered += 1;
+                self.scratch.clear();
+                let start = k * CHUNK_SLOTS;
+                dataset.write_rows(&mut self.scratch, start..slots.min(start + CHUNK_SLOTS));
+                chunk.text.clear();
+                chunk.text.reserve_exact(self.scratch.len());
+                chunk.text.push_str(&self.scratch);
+                chunk.crc = crc32(chunk.text.as_bytes());
+                chunk.shift = crc32_shift(chunk.text.len());
+                chunk.dirty = false;
+            }
+            crc = crc32_combine_shifted(crc, chunk.crc, chunk.shift);
+        }
+        let mut parts = Vec::with_capacity(self.chunks.len() + 2);
+        parts.push(self.head.as_str());
+        parts.extend(self.chunks.iter().map(|chunk| chunk.text.as_str()));
+        self.trailer = seal_suffix("", &parts, crc);
+        let crc = crc32_update(crc, self.trailer.as_bytes());
+        parts.push(&self.trailer);
+        (parts, crc)
+    }
+}
 
 /// One incremental publish unit drained from a running [`Supervisor`]
 /// by [`Supervisor::take_delta`]: every owned pair measured (or
@@ -1021,6 +1178,149 @@ mod tests {
             statuses,
             now: SimTime(100),
         }
+    }
+
+    /// The document as it was rendered before its rows were cut into
+    /// chunks: one walk over `rows()` into one buffer — what the
+    /// formatter, whole and by chunk, must reproduce.
+    mod reference {
+        use super::*;
+
+        pub fn to_document(m: &MergeOutcome) -> String {
+            let nodes = m.matrix.nodes();
+            let mut out = format!("{MERGED_MAGIC}\n");
+            crate::checkpoint::write_nodes_header(&mut out, nodes);
+            let _ = writeln!(out, "# now_ns: {}", m.now.as_nanos());
+            let opt = |t: Option<u64>| t.map_or("-".into(), |t| t.to_string());
+            for c in &m.shards {
+                let (s, st, o) = (c.shard, c.status, c.owned);
+                let (cov, stale, unc) = (c.covered, c.stale, c.uncovered);
+                let (old, new) = (opt(c.oldest_ns), opt(c.newest_ns));
+                let _ = writeln!(
+                    out,
+                    "s\t{s}\t{st}\t{o}\t{cov}\t{stale}\t{unc}\t{old}\t{new}"
+                );
+            }
+            for (i, j, rtt, t, lineage) in m.rows() {
+                let (a, b) = (nodes[i as usize].0, nodes[j as usize].0);
+                let lineage =
+                    lineage.map_or("-\t-".into(), |l| format!("{}\t{}", l.shard, l.round));
+                let _ = writeln!(out, "m\t{a}\t{b}\t{rtt}\t{}\t{lineage}", t.as_nanos());
+            }
+            crate::checkpoint::seal(out)
+        }
+    }
+
+    /// Seeded histories of folds — pairs named either way round, ids out
+    /// of index order, re-measurements older than what they replace,
+    /// repeated pairs (a coalesced delta), status-only deltas, folds
+    /// left unrendered (a refused append) and reloads from the document
+    /// (a recovery) — with a [`RowText`] rendered after most steps: its
+    /// parts are the reference document and their CRC is its CRC.
+    #[test]
+    fn row_text_renders_the_reference_document_after_any_history() {
+        use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
+        const STATUS: [&str; 3] = ["live", "restarting", "dead"];
+        let mut rendered = 0;
+        for seed in 0..28u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // 1 and 2 nodes, one short chunk (n = 7: 28 slots of 32), a
+            // full chunk and a short one (n = 8: 36 slots), several full
+            // chunks and a short last (n = 12, 23), and a last chunk
+            // exactly full (n = 63: 2,016 slots, 63 chunks).
+            let n = [1, 2, 7, 8, 12, 23, 63][seed as usize % 7];
+            let mut ids: Vec<NodeId> = (0..n).map(|i| NodeId(100 + 3 * i)).collect();
+            ids.shuffle(&mut rng);
+            let shards = rng.gen_range(1..=3usize);
+            let mut dataset = MergeOutcome::new(ids.clone(), shards);
+            let mut text = RowText::new(&dataset);
+            let mut clock = 1_000u64;
+            for step in 0..60u64 {
+                clock += rng.gen_range(0..50u64);
+                let statuses = (0..shards)
+                    .map(|_| STATUS[rng.gen_range(0..3usize)])
+                    .collect();
+                let mut pairs = Vec::new();
+                if n > 1 && rng.gen_bool(0.8) {
+                    for _ in 0..rng.gen_range(1..6usize) {
+                        let a = ids[rng.gen_range(0..ids.len())];
+                        let b = loop {
+                            let b = ids[rng.gen_range(0..ids.len())];
+                            if b != a {
+                                break b;
+                            }
+                        };
+                        // Older than what it may replace, now and then.
+                        let at = clock - rng.gen_range(0..200u64).min(clock);
+                        let rtt = f64::from(rng.gen_range(1..40_000u32)) / 7.0;
+                        let lineage = Lineage {
+                            shard: rng.gen_range(0..3u32),
+                            round: step,
+                        };
+                        let p = DeltaPair {
+                            a,
+                            b,
+                            rtt_ms: rtt,
+                            measured_at: SimTime(at),
+                            lineage,
+                        };
+                        pairs.push(p);
+                        if rng.gen_bool(0.2) {
+                            // The same pair again, the other way round:
+                            // a coalesced delta, where the later wins.
+                            pairs.push(DeltaPair { a: b, b: a, ..p });
+                        }
+                    }
+                }
+                let delta = MergeDelta {
+                    seq: step + 1,
+                    pairs,
+                    statuses,
+                    now: SimTime(clock),
+                };
+                text.fold(&mut dataset, delta, |_, _| {}).unwrap();
+                dataset.judge_coverage(SimTime(clock), SimDuration(150));
+                if rng.gen_bool(0.1) {
+                    let back = parse_merged_document(&dataset.to_document()).unwrap();
+                    dataset = MergeOutcome::from(back);
+                    text = RowText::new(&dataset);
+                }
+                if rng.gen_bool(0.75) {
+                    let want = reference::to_document(&dataset);
+                    assert_eq!(dataset.to_document(), want, "seed {seed}, step {step}");
+                    let (parts, crc) = text.render(&dataset);
+                    let got = parts.concat();
+                    assert_eq!(got, want, "seed {seed}, step {step}");
+                    assert_eq!(crc, crc32(got.as_bytes()), "seed {seed}, step {step}");
+                    rendered += 1;
+                }
+            }
+        }
+        assert!(rendered > 900, "{rendered} renders");
+    }
+
+    #[test]
+    fn a_fold_dirties_the_chunks_of_its_pairs_and_no_others() {
+        // 12 nodes: 78 pair slots, three chunks (0..32, 32..64, 64..78).
+        let ids: Vec<NodeId> = (0..12).rev().map(NodeId).collect();
+        let mut dataset = MergeOutcome::new(ids.clone(), 1);
+        let mut text = RowText::new(&dataset);
+        text.render(&dataset);
+        assert_eq!(text.rendered(), 3, "a new text is all dirty");
+        text.fold(&mut dataset, delta(vec![], vec!["dead"]), |_, _| {})
+            .unwrap();
+        text.render(&dataset);
+        assert_eq!(text.rendered(), 0, "status only");
+        // Indices (0, 11) at slot 11 and (10, 11) at slot 76, named by
+        // ids 11, 0 and 1 (index order runs against id order).
+        let pairs = vec![pair(0, 11, 1.0, 5, (0, 1)), pair(0, 1, 2.0, 5, (0, 1))];
+        text.fold(&mut dataset, delta(pairs, vec!["live"]), |_, _| {})
+            .unwrap();
+        let dirty: Vec<bool> = text.chunks.iter().map(|c| c.dirty).collect();
+        assert_eq!(dirty, [true, false, true]);
+        let (parts, _) = text.render(&dataset);
+        assert_eq!(parts.concat(), dataset.to_document());
+        assert_eq!(text.rendered(), 2);
     }
 
     #[test]

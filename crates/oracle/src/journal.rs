@@ -23,7 +23,6 @@
 //! have served. The chaos tests drive this by replaying every prefix
 //! of the on-disk bytes.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 use ting::checkpoint;
 
@@ -83,21 +82,20 @@ impl Journal {
     /// its `@seal` line. This is step one of a publish — the caller
     /// swaps the oracle next, then calls [`Journal::mark_published`].
     pub fn append(&self, gen: u64, doc: &str) -> std::io::Result<()> {
-        self.append_with_crc(gen, doc, checkpoint::crc32(doc.as_bytes()))
+        self.append_with_crc(gen, &[doc], checkpoint::crc32(doc.as_bytes()))
     }
 
-    /// [`Journal::append`] of a document whose CRC-32 the caller holds
-    /// — the seal's, on the pipeline's publish path. The frame goes to
-    /// the log in three writes, the document from the caller's buffer.
-    pub(crate) fn append_with_crc(&self, gen: u64, doc: &str, crc: u32) -> std::io::Result<()> {
+    /// [`Journal::append`] of a document held as the parts `doc`, whose
+    /// concatenation's CRC-32 the caller holds — the pipeline's cached
+    /// render. The frame goes to the log in vectored writes, the
+    /// document from the caller's buffers: nothing copies or hashes it.
+    pub(crate) fn append_with_crc(&self, gen: u64, doc: &[&str], crc: u32) -> std::io::Result<()> {
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(self.journal_path())?;
         let (header, trailer) = frame_parts(gen, doc, crc);
-        for part in [header.as_bytes(), doc.as_bytes(), trailer.as_bytes()] {
-            f.write_all(part)?;
-        }
+        checkpoint::write_all_parts(&mut f, &framed(&header, doc, &trailer))?;
         f.sync_all()?;
         Ok(())
     }
@@ -107,21 +105,20 @@ impl Journal {
     /// between the two leaves an already-applied record recovery
     /// recognizes by its generation number.
     pub fn mark_published(&self, gen: u64, doc: &str) -> std::io::Result<()> {
-        self.mark_published_with_crc(gen, doc, checkpoint::crc32(doc.as_bytes()))
+        self.mark_published_with_crc(gen, &[doc], checkpoint::crc32(doc.as_bytes()))
     }
 
-    /// [`Journal::mark_published`] of a document whose CRC-32 the
-    /// caller holds; like [`Journal::append_with_crc`], nothing copies
-    /// or hashes the document.
+    /// [`Journal::mark_published`] of a document held as parts, whose
+    /// CRC-32 the caller holds; like [`Journal::append_with_crc`],
+    /// nothing copies or hashes the document.
     pub(crate) fn mark_published_with_crc(
         &self,
         gen: u64,
-        doc: &str,
+        doc: &[&str],
         crc: u32,
     ) -> std::io::Result<()> {
         let (head, tail) = published_parts(gen, doc, crc);
-        let parts = [head.as_bytes(), doc.as_bytes(), tail.as_bytes()];
-        checkpoint::write_atomic_parts(&self.published_path(), &parts)?;
+        checkpoint::write_atomic_parts(&self.published_path(), &framed(&head, doc, &tail))?;
         self.cut_journal(0)
     }
 
@@ -176,30 +173,41 @@ impl Journal {
 /// `@seal <g> <crc32-hex>\n`. Public so fault-injection tests can
 /// compute byte offsets inside a record without writing one.
 pub fn frame_record(gen: u64, doc: &str) -> String {
-    let (header, trailer) = frame_parts(gen, doc, checkpoint::crc32(doc.as_bytes()));
+    let (header, trailer) = frame_parts(gen, &[doc], checkpoint::crc32(doc.as_bytes()));
     [header.as_str(), doc, &trailer].concat()
 }
 
-/// The `@gen` header and `@seal` trailer around `doc`, whose CRC-32 is
-/// `crc`.
-fn frame_parts(gen: u64, doc: &str, crc: u32) -> (String, String) {
-    let header = format!("@gen {gen} {}\n", doc.len());
+/// The `@gen` header and `@seal` trailer around the document whose
+/// parts are `doc` and whose CRC-32 is `crc`.
+fn frame_parts(gen: u64, doc: &[&str], crc: u32) -> (String, String) {
+    let len: usize = doc.iter().map(|part| part.len()).sum();
+    let header = format!("@gen {gen} {len}\n");
     (header, format!("@seal {gen} {crc:08x}\n"))
 }
 
 /// Renders the published file's contents (outer seal included).
 pub fn render_published(gen: u64, doc: &str) -> String {
-    let (head, tail) = published_parts(gen, doc, checkpoint::crc32(doc.as_bytes()));
+    let (head, tail) = published_parts(gen, &[doc], checkpoint::crc32(doc.as_bytes()));
     [head.as_str(), doc, &tail].concat()
 }
 
-/// What the published file holds before and after `doc`, whose CRC-32
-/// is `crc`: magic and generation lines, then the outer seal, its CRC
-/// combined from the head's and `crc`.
-fn published_parts(gen: u64, doc: &str, crc: u32) -> (String, String) {
+/// What the published file holds before and after the document whose
+/// parts are `doc` and whose CRC-32 is `crc`: magic and generation
+/// lines, then the outer seal, its CRC combined from the head's and
+/// `crc`.
+fn published_parts(gen: u64, doc: &[&str], crc: u32) -> (String, String) {
     let head = format!("{PUBLISHED_MAGIC}\n# gen: {gen}\n");
     let tail = checkpoint::seal_suffix(&head, doc, crc);
     (head, tail)
+}
+
+/// `doc`'s parts between `head` and `tail`, as the bytes a write takes.
+fn framed<'a>(head: &'a str, doc: &[&'a str], tail: &'a str) -> Vec<&'a [u8]> {
+    let mut parts = Vec::with_capacity(doc.len() + 2);
+    parts.push(head.as_bytes());
+    parts.extend(doc.iter().map(|part| part.as_bytes()));
+    parts.push(tail.as_bytes());
+    parts
 }
 
 /// Parses the published file: outer CRC, magic, generation, document.
@@ -276,6 +284,7 @@ fn verify_frame_seal(bytes: &[u8], pos: usize, gen: u64, body: &str) -> Option<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write as _;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ting-journal-{tag}-{}", std::process::id()));
@@ -308,10 +317,13 @@ mod tests {
         let dir = tempdir("carried");
         let j = Journal::open(&dir).unwrap();
         let nodes: Vec<netsim::NodeId> = (0..4).map(netsim::NodeId).collect();
-        let merged = ting::shard::MergeOutcome::new(nodes, 2).to_document_with_crc();
+        let merged = ting::shard::MergeOutcome::new(nodes, 2).to_document();
         let scan = checkpoint::seal("# ting scan checkpoint v3\nm\t1\t2\t10\t0\t1".into());
+        // Cut byte by byte, more parts than one `writev` takes.
+        let long = format!("{}\n", "row\t".repeat(800));
         let others = [
             &scan,
+            &long,
             "doc one\n",
             "alpha\n",
             "beta\n",
@@ -325,17 +337,25 @@ mod tests {
             "no newline",
             "",
         ];
-        let others = others.map(|doc| (doc.to_owned(), checkpoint::crc32(doc.as_bytes())));
-        for (gen, (doc, crc)) in (2..).zip([merged].into_iter().chain(others)) {
-            assert_eq!(crc, checkpoint::crc32(doc.as_bytes()), "{doc:?}");
-            j.append_with_crc(gen, &doc, crc).unwrap();
+        let docs = [merged.as_str()].into_iter().chain(others);
+        // Each document whole, and cut into parts of 1, 3 and 700
+        // bytes with an empty part between every two.
+        let cuts = [usize::MAX, 1, 3, 700].into_iter();
+        let cases = docs.flat_map(|doc| cuts.clone().map(move |cut| (doc, cut)));
+        for (gen, (doc, cut)) in (2..).zip(cases) {
+            let crc = checkpoint::crc32(doc.as_bytes());
+            let mut parts = vec![""];
+            for piece in doc.as_bytes().chunks(cut.min(doc.len().max(1))) {
+                parts.extend([std::str::from_utf8(piece).unwrap(), ""]);
+            }
+            j.append_with_crc(gen, &parts, crc).unwrap();
             let staged = std::fs::read(j.journal_path()).unwrap();
-            assert_eq!(staged, frame_record(gen, &doc).into_bytes(), "{doc:?}");
-            j.mark_published_with_crc(gen, &doc, crc).unwrap();
+            assert_eq!(staged, frame_record(gen, doc).into_bytes(), "{doc:?}");
+            j.mark_published_with_crc(gen, &parts, crc).unwrap();
             let published = std::fs::read(j.published_path()).unwrap();
             assert_eq!(
                 published,
-                render_published(gen, &doc).into_bytes(),
+                render_published(gen, doc).into_bytes(),
                 "{doc:?}"
             );
             let want = checkpoint::seal(format!("{PUBLISHED_MAGIC}\n# gen: {gen}\n{doc}"));

@@ -12,7 +12,7 @@
 //! (the two ranking families refuse while serving is `Degraded`):
 //!
 //! * **point lookup** — [`OracleReader::rtt`]: `R(x, y)` with the
-//!   measurement timestamp, age, and generation it came from;
+//!   measurement timestamp, lineage and generation it came from;
 //! * **k-nearest relays** — [`OracleReader::k_nearest`]: the `k`
 //!   lowest-RTT neighbors of a relay, deterministic tie-breaks;
 //! * **via-relay detour** — [`OracleReader::best_via`]: ShorTor-style

@@ -30,7 +30,7 @@ use obs::{
     SLO_PUBLISH_LATENCY, SLO_SHARD_PROGRESS, SLO_STALENESS,
 };
 use std::collections::VecDeque;
-use ting::shard::{parse_merged_document, MergeDelta, MergeOutcome};
+use ting::shard::{parse_merged_document, MergeDelta, MergeOutcome, RowText};
 
 /// Tuning knobs for the publish loop.
 #[derive(Debug, Clone, Copy)]
@@ -147,6 +147,15 @@ pub struct Pipeline {
     /// [`ting::Supervisor::merge`] would hand back, folded into,
     /// rendered and served through its own methods.
     dataset: MergeOutcome,
+    /// `dataset`'s document as rendered at the last publish, chunk by
+    /// chunk; folds mark the chunks the next publish re-renders.
+    rows: RowText,
+    /// Cells, in index space, folded into `dataset` since the served
+    /// snapshot was built: the slots the next serve rewrites in a copy
+    /// of it. `None` when that serve builds the snapshot whole instead:
+    /// the served one is the bootstrap, with no instant table to patch,
+    /// or a journal append was refused since it was served.
+    unserved: Option<Vec<(u32, u32)>>,
     journal: Option<Journal>,
     oracle: Oracle,
     queue: VecDeque<MergeDelta>,
@@ -184,6 +193,7 @@ impl Pipeline {
     ) -> Pipeline {
         assert!(config.queue_cap >= 1, "queue capacity must be positive");
         let dataset = MergeOutcome::new(nodes, shards);
+        let rows = RowText::new(&dataset);
         let oracle = Oracle::with_obs(Snapshot::from_matrix(&dataset.matrix), obs.clone());
         // No timestamps, no age to certify: the ladder says `Degraded`.
         let bootstrap = config.ttl.judgment(None, 0);
@@ -195,6 +205,8 @@ impl Pipeline {
         Pipeline {
             config,
             dataset,
+            rows,
+            unserved: None,
             journal,
             oracle,
             queue: VecDeque::new(),
@@ -388,7 +400,12 @@ impl Pipeline {
                 );
             }
             self.last_seq = self.last_seq.max(delta.seq);
-            let _ = self.dataset.fold(delta);
+            let unserved = &mut self.unserved;
+            let _ = self.rows.fold(&mut self.dataset, delta, |i, j| {
+                if let Some(folded) = unserved {
+                    folded.push((i, j));
+                }
+            });
         }
         self.unsealed = Some(batch_pairs);
         self.obs.set_gauge("oracle.pipeline.queue_depth", 0);
@@ -401,19 +418,12 @@ impl Pipeline {
             slo.engine
                 .observe(SLO_COVERAGE, now.as_nanos(), covered, uncovered);
         }
-        // The seal's CRC is the one pass over the document: the frame
-        // and the published file's outer seal are computed from it.
-        let (doc, crc) = self.dataset.to_document_with_crc();
-        if let Some(j) = &self.journal {
-            j.append_with_crc(next, &doc, crc)
-                .map_err(|e| format!("journal append (gen {next}): {e}"))?;
-        }
-        self.unsealed = None;
-        self.serve(next, now);
-        if let Some(j) = &self.journal {
-            j.mark_published_with_crc(next, &doc, crc)
-                .map_err(|e| format!("journal publish (gen {next}): {e}"))?;
-        }
+        // The document's parts borrow the row text, which `serve`'s
+        // `&mut self` must not reach: it is lent out for the steps.
+        let mut rows = std::mem::take(&mut self.rows);
+        let sealed = self.seal_and_serve(&mut rows, next, now);
+        self.rows = rows;
+        sealed?;
         self.last_publish = Some(now);
         self.metrics.published.inc();
         self.metrics.batch_pairs.record_us(batch_pairs);
@@ -432,11 +442,46 @@ impl Pipeline {
         Ok(next)
     }
 
+    /// Render, append, serve and mark generation `next`: the document
+    /// comes from `rows` as parts, the chunks folded into since the last
+    /// render re-rendered, and goes to the journal as those parts under
+    /// the CRC they were joined to — nothing copies or hashes it whole.
+    fn seal_and_serve(
+        &mut self,
+        rows: &mut RowText,
+        next: u64,
+        now: SimTime,
+    ) -> Result<(), String> {
+        let (doc, crc) = rows.render(&self.dataset);
+        if let Some(j) = &self.journal {
+            if let Err(e) = j.append_with_crc(next, &doc, crc) {
+                // The folds wait, unsealed, for the next tick; its serve
+                // builds the snapshot whole, so no list outlives a tick.
+                self.unserved = None;
+                return Err(format!("journal append (gen {next}): {e}"));
+            }
+        }
+        self.unsealed = None;
+        self.serve(next, now);
+        if let Some(j) = &self.journal {
+            j.mark_published_with_crc(next, &doc, crc)
+                .map_err(|e| format!("journal publish (gen {next}): {e}"))?;
+        }
+        Ok(())
+    }
+
     /// The one tail `tick` and `recover` end in: the dataset in hand
     /// is swapped in as generation `gen` under its TTL judgment at `now`.
+    /// The snapshot is the served one with the pairs folded since
+    /// rewritten ([`Snapshot::patched`]), or built whole from the dataset
+    /// when no list of them was kept (see `Pipeline::unserved`).
     fn serve(&mut self, gen: u64, now: SimTime) {
         let now_ns = now.as_nanos();
-        let snapshot = Snapshot::from_merged(&self.dataset);
+        // Taken, not cleared: a bulk fold's list keeps no capacity.
+        let folded = self.unserved.replace(Vec::new());
+        let served = self.oracle.snapshot();
+        let patched = folded.and_then(|folded| served.patched(&self.dataset, &folded));
+        let snapshot = patched.unwrap_or_else(|| Snapshot::from_merged(&self.dataset));
         let verdict = self.config.ttl.judgment(snapshot.freshness_ns(), now_ns);
         self.oracle
             .publish_judged(snapshot, gen, Some(now_ns), verdict);
@@ -510,6 +555,7 @@ mod tests {
     use crate::snapshot::QueryError;
 
     use obs::Lineage;
+    use ting::checkpoint;
     use ting::shard::DeltaPair;
 
     fn delta(seq: u64, pairs: Vec<(NodeId, NodeId, f64, SimTime)>, now: u64) -> MergeDelta {
@@ -957,9 +1003,251 @@ mod tests {
         assert!(p.serving_document().contains("\t0\t4\n"));
     }
 
+    /// What a seeded history of the incremental path has reached: the
+    /// properties below are only as good as the cases their seeds hit.
+    #[derive(Debug, Default)]
+    struct Reached {
+        coalesced: u64,
+        status_only: u64,
+        refused_then_healthy: u64,
+        reversed: u64,
+        older: u64,
+        recoveries: u64,
+    }
+
+    /// After a publish or a recovery, the cached render is the full
+    /// render of the dataset, on disk and in memory, and the served
+    /// snapshot is the one built whole from the dataset, bit for bit.
+    fn assert_incremental_is_whole(p: &mut Pipeline, journal: &Journal, at: &str) {
+        let whole = p.dataset.to_document();
+        let on_disk = journal.recover().unwrap();
+        assert_eq!(
+            on_disk.serve(),
+            Some(&(p.generation(), whole.clone())),
+            "{at}"
+        );
+        let (parts, crc) = p.rows.render(&p.dataset);
+        assert_eq!(parts.concat(), whole, "{at}");
+        assert_eq!(crc, checkpoint::crc32(whole.as_bytes()), "{at}");
+        assert_eq!(
+            p.rows.rendered(),
+            0,
+            "{at}: a publish leaves no dirty chunk"
+        );
+        let mut built = Snapshot::from_merged(&p.dataset);
+        built.stamp_version(p.generation());
+        assert!(
+            p.oracle.snapshot().same_bits(&built),
+            "{at}: served snapshot"
+        );
+    }
+
+    /// The render and snapshot properties of the incremental publish:
+    /// seeded histories of offers and ticks over ids out of index order —
+    /// first measurements and re-measurements, pairs named `(b, a)`,
+    /// re-measurements older than what they replace (the newest pair's
+    /// included), bursts past `queue_cap` that coalesce, status-only
+    /// deltas, a refused journal append followed by a healthy one, and
+    /// recoveries — after every publish leave the cached document equal
+    /// to the full render and the patched snapshot equal to
+    /// `Snapshot::from_merged`, cell for cell and in its metadata, and
+    /// the snapshot served before it as it was built.
+    #[test]
+    fn the_incremental_publish_is_the_whole_one_after_any_history() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        const N: u32 = 11;
+        let nodes: Vec<NodeId> = (0..N).map(|i| NodeId((i * 4) % N + 20)).collect();
+        let mut cfg = config();
+        cfg.queue_cap = 2;
+        let mut reached = Reached::default();
+        for seed in 0..6u64 {
+            let dir = std::env::temp_dir().join(format!(
+                "ting-pipeline-incremental-{seed}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let journal = Journal::open(&dir).unwrap();
+            let mut p =
+                Pipeline::with_obs(nodes.clone(), 1, cfg, Obs::off(), Some(journal.clone()));
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (mut seq, mut clock) = (0u64, 1_000u64);
+            // The pair holding the newest instant, and that instant.
+            let mut newest: Option<((NodeId, NodeId), u64)> = None;
+            // The last served snapshot, and its dataset built whole.
+            let mut held: Option<(std::sync::Arc<Snapshot>, Snapshot)> = None;
+            for step in 0..80 {
+                let at = format!("seed {seed}, step {step}");
+                let offers = if rng.gen_bool(0.3) { 3 } else { 1 };
+                for _ in 0..offers {
+                    seq += 1;
+                    clock += rng.gen_range(1..20u64);
+                    let mut pairs = Vec::new();
+                    if rng.gen_bool(0.85) {
+                        for _ in 0..rng.gen_range(1..5usize) {
+                            let i = rng.gen_range(0..N as usize);
+                            let j = (i + rng.gen_range(1..N as usize)) % N as usize;
+                            let (mut a, mut b) = (nodes[i], nodes[j]);
+                            let mut t = clock;
+                            if let Some((pair, t_max)) = newest.filter(|_| rng.gen_bool(0.15)) {
+                                // The newest pair again, older than it was.
+                                (a, b) = pair;
+                                t = t_max - rng.gen_range(1..=t_max.min(500));
+                                reached.older += 1;
+                            } else if rng.gen_bool(0.2) {
+                                t = clock.saturating_sub(rng.gen_range(1..400u64));
+                                reached.older += 1;
+                            }
+                            if rng.gen_bool(0.5) {
+                                (a, b) = (b, a);
+                                reached.reversed += 1;
+                            }
+                            pairs.push((
+                                a,
+                                b,
+                                f64::from(rng.gen_range(1..9_000u32)) / 8.0,
+                                SimTime(t),
+                            ));
+                        }
+                    } else {
+                        reached.status_only += 1;
+                    }
+                    p.offer(delta(seq, pairs, clock));
+                }
+                if offers > 1 {
+                    reached.coalesced += 1;
+                }
+                let refuse = rng.gen_bool(0.1);
+                let log = journal.journal_path();
+                if refuse {
+                    std::fs::remove_file(&log).unwrap();
+                    std::fs::create_dir(&log).unwrap();
+                    let err = p.tick(SimTime(clock)).unwrap_err();
+                    assert!(err.starts_with("journal append"), "{at}: {err}");
+                    // Its folds go to the next serve by a whole build.
+                    assert!(p.unserved.is_none(), "{at}: list kept past a refusal");
+                    std::fs::remove_dir(&log).unwrap();
+                }
+                let published = p.tick(SimTime(clock)).unwrap();
+                assert!(published.is_some(), "{at}");
+                reached.refused_then_healthy += refuse as u64;
+                newest = p
+                    .dataset
+                    .rows()
+                    .map(|(i, j, _, t, _)| {
+                        (
+                            (p.dataset.matrix.node(i), p.dataset.matrix.node(j)),
+                            t.as_nanos(),
+                        )
+                    })
+                    .max_by_key(|&(_, t)| t);
+                assert_incremental_is_whole(&mut p, &journal, &at);
+                // Folds after a serve never reach the snapshot it swapped
+                // in: its matrix grid is shared until the dataset writes.
+                if let Some((before, whole)) = &held {
+                    assert!(before.same_bits(whole), "{at}: a held snapshot moved");
+                }
+                let mut whole = Snapshot::from_merged(&p.dataset);
+                whole.stamp_version(p.generation());
+                held = Some((p.oracle.snapshot(), whole));
+                if rng.gen_bool(0.08) {
+                    let now = SimTime(clock);
+                    let recovered =
+                        Pipeline::recover(nodes.clone(), 1, cfg, Obs::off(), journal.clone(), now);
+                    p = recovered.unwrap().0;
+                    let mut built = Snapshot::from_merged(&p.dataset);
+                    built.stamp_version(p.generation());
+                    assert!(
+                        p.oracle.snapshot().same_bits(&built),
+                        "{at}: recovered snapshot"
+                    );
+                    reached.recoveries += 1;
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        let Reached {
+            coalesced,
+            status_only,
+            refused_then_healthy,
+            reversed,
+            older,
+            recoveries,
+        } = reached;
+        for (case, count) in [
+            ("coalesced", coalesced),
+            ("status only", status_only),
+            ("refused then healthy", refused_then_healthy),
+            ("reversed", reversed),
+            ("older", older),
+            ("recoveries", recoveries),
+        ] {
+            assert!(count >= 5, "{case}: reached {count} times, {reached:?}");
+        }
+    }
+
+    /// The work a publish does at 300 relays, counted in chunks: a
+    /// 64-pair publish re-renders at most 64 of them, a status-only one
+    /// none, and the first publish after a recovery every one.
+    #[test]
+    fn a_publish_re_renders_the_chunks_it_touched() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let nodes: Vec<NodeId> = (0..300).map(|i| NodeId((i * 7) % 300)).collect();
+        let mut rng = SmallRng::seed_from_u64(50);
+        let mut pairs = Vec::new();
+        for (i, &a) in nodes.iter().enumerate() {
+            for &b in &nodes[i + 1..] {
+                let at = SimTime(rng.gen_range(0..1_000u64));
+                pairs.push((a, b, rng.gen_range(1.0..400.0), at));
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("ting-pipeline-chunks-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Journal::open(&dir).unwrap();
+        let mut p = Pipeline::with_obs(
+            nodes.clone(),
+            1,
+            config(),
+            Obs::off(),
+            Some(journal.clone()),
+        );
+        let all = 45_150usize.div_ceil(32);
+        p.offer(delta(1, pairs.clone(), 1_000));
+        assert_eq!(p.tick(SimTime(1_000)).unwrap(), Some(2));
+        assert_eq!(p.rows.rendered(), all, "the first publish");
+        for seq in 2..6 {
+            let changed = (0..64).map(|_| {
+                let (a, b, rtt, _) = pairs[rng.gen_range(0..pairs.len())];
+                (b, a, rtt + 1.0, SimTime(seq * 1_000))
+            });
+            p.offer(delta(seq, changed.collect(), seq * 1_000));
+            assert_eq!(p.tick(SimTime(seq * 1_000)).unwrap(), Some(seq + 1));
+            let rendered = p.rows.rendered();
+            assert!(
+                (1..=64).contains(&rendered),
+                "{rendered} chunks for 64 pairs"
+            );
+        }
+        p.offer(delta(6, vec![], 6_000));
+        assert_eq!(p.tick(SimTime(6_000)).unwrap(), Some(7));
+        assert_eq!(p.rows.rendered(), 0, "a status-only publish");
+
+        let now = SimTime(7_000);
+        let (mut p, _) = Pipeline::recover(nodes, 1, config(), Obs::off(), journal, now).unwrap();
+        assert_eq!(p.rows.rendered(), 0, "a recovery renders nothing");
+        p.offer(delta(7, vec![], 7_000));
+        assert_eq!(p.tick(now).unwrap(), Some(8));
+        assert_eq!(p.rows.rendered(), all, "the first publish after a recovery");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// What each step of a journaled publish, and a whole 64-pair
     /// tick, costs at 300 relays with every pair measured, best of 30:
     /// `cargo test --release -p oracle --lib publish_steps -- --ignored --nocapture`.
+    /// `render` and `snapshot` are the full builds (a first publish, a
+    /// recovery); `render64` and `patched` the same steps after a
+    /// 64-pair fold, as a steady-state publish takes them, and
+    /// `render1402` after a bulk one; `crc` is one pass over the whole
+    /// document, which no publish makes.
     #[test]
     #[ignore = "prints timings; run by hand in release"]
     fn publish_steps_at_300_relays() {
@@ -974,6 +1262,17 @@ mod tests {
                 pairs.push((a, b, rng.gen_range(1.0..400.0), at));
             }
         }
+        // The `seq`-th re-measurement: `count` pairs drawn across the
+        // matrix, at instant `seq · 1000`.
+        let changed = |seq: u64, count: usize| {
+            let mut rng = SmallRng::seed_from_u64(seq);
+            let at = SimTime(seq * 1_000);
+            let changed = (0..count).map(|_| {
+                let (a, b, rtt, _) = pairs[rng.gen_range(0..pairs.len())];
+                (a, b, rtt + 1.0, at)
+            });
+            delta(seq, changed.collect(), seq * 1_000)
+        };
         let mut dataset = MergeOutcome::new(nodes.clone(), 1);
         dataset.fold(delta(1, pairs.clone(), 0)).unwrap();
         let dir = std::env::temp_dir().join(format!("ting-publish-steps-{}", std::process::id()));
@@ -981,7 +1280,7 @@ mod tests {
         let journal = Journal::open(&dir).unwrap();
         let best = |step: &str, f: &mut dyn FnMut() -> Duration| {
             let ms = (0..30).map(|_| f()).min().unwrap().as_secs_f64() * 1e3;
-            println!("{step:<9} {ms:6.2} ms");
+            println!("{step:<10} {ms:6.2} ms");
         };
         let timed = |f: &mut dyn FnMut()| {
             let t = Instant::now();
@@ -992,10 +1291,28 @@ mod tests {
         best("judge", &mut || {
             timed(&mut || dataset.judge_coverage(now, staleness))
         });
-        let (doc, crc) = dataset.to_document_with_crc();
         best("render", &mut || {
-            timed(&mut || drop(std::hint::black_box(dataset.to_document_with_crc())))
+            let mut text = RowText::new(&dataset);
+            timed(&mut || drop(std::hint::black_box(text.render(&dataset))))
         });
+        let (mut live, mut text, mut seq) = (dataset.clone(), RowText::new(&dataset), 1);
+        text.render(&live);
+        for (step, count) in [("render64", 64), ("render1402", 1_402)] {
+            best(step, &mut || {
+                seq += 1;
+                text.fold(&mut live, changed(seq, count), |_, _| {})
+                    .unwrap();
+                timed(&mut || drop(std::hint::black_box(text.render(&live))))
+            });
+        }
+        let whole = dataset.to_document();
+        best("crc", &mut || {
+            timed(&mut || {
+                std::hint::black_box(checkpoint::crc32(whole.as_bytes()));
+            })
+        });
+        let mut text = RowText::new(&dataset);
+        let (doc, crc) = text.render(&dataset);
         best("append", &mut || {
             let took = timed(&mut || journal.append_with_crc(2, &doc, crc).unwrap());
             std::fs::File::create(journal.journal_path()).unwrap();
@@ -1003,6 +1320,16 @@ mod tests {
         });
         best("snapshot", &mut || {
             timed(&mut || drop(std::hint::black_box(Snapshot::from_merged(&dataset))))
+        });
+        best("patched", &mut || {
+            let served = Snapshot::from_merged(&live);
+            seq += 1;
+            let delta = changed(seq, 64);
+            let mut folded = Vec::new();
+            let mut text = RowText::new(&live);
+            text.fold(&mut live, delta, |i, j| folded.push((i, j)))
+                .unwrap();
+            timed(&mut || drop(std::hint::black_box(served.patched(&live, &folded))))
         });
         best("mark", &mut || {
             timed(&mut || journal.mark_published_with_crc(2, &doc, crc).unwrap())
@@ -1014,13 +1341,8 @@ mod tests {
         let mut seq = 1;
         best("tick", &mut || {
             seq += 1;
-            let at = SimTime(seq * 1_000);
-            let changed = pairs.iter().cycle().skip(seq as usize * 64).take(64);
-            let changed = changed
-                .map(|&(a, b, rtt, _)| (a, b, rtt + 1.0, at))
-                .collect();
-            p.offer(delta(seq, changed, seq * 1_000));
-            timed(&mut || assert_eq!(p.tick(at).unwrap(), Some(seq + 1)))
+            p.offer(changed(seq, 64));
+            timed(&mut || assert_eq!(p.tick(SimTime(seq * 1_000)).unwrap(), Some(seq + 1)))
         });
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -83,8 +83,6 @@ pub struct PointAnswer {
     pub rtt_ms: Option<f64>,
     /// When the pair was measured (merged-checkpoint snapshots only).
     pub measured_at_ns: Option<u64>,
-    /// Age at the snapshot's `now_ns`, when both instants are known.
-    pub(crate) age_ns: Option<u64>,
     /// Full provenance of the served cell — the shard and scan round
     /// that measured it plus this snapshot's generation. `None` when
     /// the source carries no lineage (bare matrices, `-` marker rows) or
@@ -115,44 +113,52 @@ pub struct KNearestAnswer {
     pub snapshot_version: u64,
 }
 
-/// A ShorTor-style via-relay answer for `x → y`.
+/// A ShorTor-style via-relay answer for `x → y`. Its freshness is the
+/// served snapshot's: the pipeline judges the snapshot, never an answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetourAnswer {
-    pub(crate) src: NodeId,
-    pub(crate) dst: NodeId,
-    /// Direct `R(src, dst)`; `None` when unmeasured.
+    /// Direct `R(x, y)`; `None` when unmeasured.
     pub direct_ms: Option<f64>,
-    /// Best via relay with its combined `R(src, v) + R(v, dst)`;
+    /// Best via relay with its combined `R(x, v) + R(v, y)`;
     /// `None` when no third relay has both legs measured.
     pub via: Option<Neighbor>,
-    /// Freshness of the *cited path*: for a via answer, the **older**
-    /// of the two leg measurements — a detour is only as fresh as its
-    /// stalest leg; for a direct-only answer, the direct pair's
-    /// instant. `None` when a contributing leg lacks a timestamp.
-    pub(crate) measured_at_ns: Option<u64>,
-    /// Age of `measured_at_ns` at the snapshot's `now_ns`, when both
-    /// are known — what TTL policy judges for detours.
-    pub(crate) age_ns: Option<u64>,
-    /// Provenance of the *cited* pair: the older leg for a via answer,
-    /// the direct pair otherwise — the same selection as
-    /// `measured_at_ns`. `None` when the source carries no lineage.
-    pub(crate) origin: Option<Origin>,
     pub snapshot_version: u64,
 }
 
 /// Cells `k_nearest` tests for "nothing measured" at once.
 const LANES: usize = 8;
 
-/// Sentinel for "no timestamp" in the dense timestamp table, chosen so
-/// a legitimate `t = 0` (the virtual epoch) stays representable.
+/// Sentinel for "no timestamp" in the timestamp table, chosen so a
+/// legitimate `t = 0` (the virtual epoch) stays representable.
 const NO_TIMESTAMP: u64 = u64::MAX;
 
-/// Sentinel for "no lineage" in the dense lineage table — no real
+/// Sentinel for "no lineage" in the lineage table — no real
 /// measurement ever carries `shard = u32::MAX`.
 const NO_LINEAGE: Lineage = Lineage {
     shard: u32::MAX,
     round: u64::MAX,
 };
+
+/// A [`Lineage`] as the lineage table holds it: the shard, then the
+/// round's low and high halves — 12 B a pair, where `Lineage`'s
+/// alignment pads it to 16.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PackedLineage([u32; 3]);
+
+impl From<Lineage> for PackedLineage {
+    fn from(l: Lineage) -> PackedLineage {
+        PackedLineage([l.shard, l.round as u32, (l.round >> 32) as u32])
+    }
+}
+
+impl From<PackedLineage> for Lineage {
+    fn from(PackedLineage([shard, lo, hi]): PackedLineage) -> Lineage {
+        Lineage {
+            shard,
+            round: u64::from(hi) << 32 | u64::from(lo),
+        }
+    }
+}
 
 /// One immutable generation of the served dataset. Its three query
 /// methods are the only implementation of the families, and they know
@@ -162,13 +168,13 @@ const NO_LINEAGE: Lineage = Lineage {
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     matrix: RttMatrix,
-    /// Dense `n × n` measurement instants mirroring the matrix's
-    /// layout; `None` for sources without timestamps.
+    /// Measurement instants, one per pair at its
+    /// [`RttMatrix::pair_slot`] (a table mirroring the matrix would hold
+    /// each twice); `None` for sources without timestamps.
     measured_at_ns: Option<Vec<u64>>,
-    /// Dense `n × n` per-pair provenance mirroring the matrix's layout;
-    /// `None` for sources without lineage (bare matrices, TSVs, v1
-    /// documents).
-    lineage: Option<Vec<Lineage>>,
+    /// Per-pair provenance at the same slots; `None` for sources without
+    /// lineage (bare matrices, TSVs, v1 documents).
+    lineage: Option<Vec<PackedLineage>>,
     meta: SnapshotMeta,
 }
 
@@ -201,17 +207,16 @@ impl Snapshot {
     /// index-space rows fills the instant and lineage tables and counts
     /// the measured pairs.
     pub(crate) fn from_merged(merged: &MergeOutcome) -> Snapshot {
-        let n = merged.matrix.len();
-        let mut instants = vec![NO_TIMESTAMP; n * n];
+        let (n, slots) = (merged.matrix.len(), merged.matrix.pair_slots());
+        let mut instants = vec![NO_TIMESTAMP; slots];
         let mut lineage = None;
         let (mut measured_pairs, mut newest_ns) = (0, None);
         for (i, j, _, t, provenance) in merged.rows() {
-            let t = t.as_nanos();
-            for cell in [i as usize * n + j as usize, j as usize * n + i as usize] {
-                instants[cell] = t;
-                if let Some(l) = provenance {
-                    lineage.get_or_insert_with(|| vec![NO_LINEAGE; n * n])[cell] = l;
-                }
+            let (slot, t) = (merged.matrix.pair_slot(i, j), t.as_nanos());
+            instants[slot] = t;
+            if let Some(l) = provenance {
+                let table = lineage.get_or_insert_with(|| vec![NO_LINEAGE.into(); slots]);
+                table[slot] = l.into();
             }
             measured_pairs += 1;
             newest_ns = newest_ns.max(Some(t));
@@ -228,6 +233,76 @@ impl Snapshot {
                 newest_ns,
             },
         }
+    }
+
+    /// The snapshot of `merged` made from this one, the previous
+    /// generation of the same dataset, by rewriting only the slots of
+    /// `folded` — the cell, in index space, of every pair folded into
+    /// `merged` since this snapshot was built. The matrix is `merged`'s;
+    /// the instant and lineage tables are this snapshot's with those
+    /// slots rewritten, and the count of measured pairs and the newest
+    /// instant are carried forward. A fold never unmeasures a pair, so
+    /// the result is [`Snapshot::from_merged`]'s, slot for slot. `None`
+    /// when this snapshot has no instant table to patch (a matrix-source
+    /// bootstrap).
+    pub(crate) fn patched(&self, merged: &MergeOutcome, folded: &[(u32, u32)]) -> Option<Snapshot> {
+        let mut instants = self.measured_at_ns.clone()?;
+        let mut lineage = self.lineage.clone();
+        let (n, slots) = (merged.matrix.len(), merged.matrix.pair_slots());
+        let (mut measured_pairs, mut newest_ns) = (self.meta.measured_pairs, self.meta.newest_ns);
+        let mut rescan = false;
+        for &(i, j) in folded {
+            let Some((_, t, provenance)) = merged.row(i, j) else {
+                continue;
+            };
+            let slot = merged.matrix.pair_slot(i, j);
+            let (t, was) = (t.as_nanos(), instants[slot]);
+            if was == NO_TIMESTAMP {
+                measured_pairs += 1;
+            } else if t < was && Some(was) == newest_ns {
+                // The newest instant may have been the one replaced.
+                rescan = true;
+            }
+            instants[slot] = t;
+            if let Some(l) = provenance {
+                let table = lineage.get_or_insert_with(|| vec![NO_LINEAGE.into(); slots]);
+                table[slot] = l.into();
+            }
+            newest_ns = newest_ns.max(Some(t));
+        }
+        if rescan {
+            newest_ns = instants
+                .iter()
+                .copied()
+                .filter(|&t| t != NO_TIMESTAMP)
+                .max();
+        }
+        Some(Snapshot {
+            matrix: merged.matrix.clone(),
+            measured_at_ns: Some(instants),
+            lineage,
+            meta: SnapshotMeta {
+                version: 0,
+                nodes: n,
+                measured_pairs,
+                now_ns: Some(merged.now.as_nanos()),
+                newest_ns,
+            },
+        })
+    }
+
+    /// Whether `other` holds the same matrix, tables and metadata, bit
+    /// for bit.
+    #[cfg(test)]
+    pub(crate) fn same_bits(&self, other: &Snapshot) -> bool {
+        let meta = |s: &Snapshot| {
+            let m = s.meta;
+            (m.version, m.nodes, m.measured_pairs, m.now_ns, m.newest_ns)
+        };
+        self.matrix == other.matrix
+            && self.measured_at_ns == other.measured_at_ns
+            && self.lineage == other.lineage
+            && meta(self) == meta(other)
     }
 
     pub fn meta(&self) -> &SnapshotMeta {
@@ -259,7 +334,7 @@ impl Snapshot {
     /// The pair's measurement instant, in index space.
     fn timestamp_idx(&self, i: u32, j: u32) -> Option<u64> {
         let t = self.measured_at_ns.as_deref()?;
-        let v = t[i as usize * self.matrix.len() + j as usize];
+        let v = t[self.matrix.pair_slot(i, j)];
         if v == NO_TIMESTAMP {
             None
         } else {
@@ -267,18 +342,10 @@ impl Snapshot {
         }
     }
 
-    /// Age of a measurement at the snapshot's `now_ns`.
-    fn age_of(&self, measured_at_ns: Option<u64>) -> Option<u64> {
-        match (self.meta.now_ns, measured_at_ns) {
-            (Some(now), Some(at)) => Some(now.saturating_sub(at)),
-            _ => None,
-        }
-    }
-
     /// The pair's provenance, in index space.
     fn lineage_idx(&self, i: u32, j: u32) -> Option<Lineage> {
         let t = self.lineage.as_deref()?;
-        let l = t[i as usize * self.matrix.len() + j as usize];
+        let l = Lineage::from(t[self.matrix.pair_slot(i, j)]);
         if l == NO_LINEAGE {
             None
         } else {
@@ -298,12 +365,9 @@ impl Snapshot {
     pub fn rtt(&self, x: NodeId, y: NodeId) -> Result<PointAnswer, QueryError> {
         let (i, j) = (self.resolve(x)?, self.resolve(y)?);
         let rtt_ms = self.matrix.get_idx(i, j);
-        let measured_at_ns = self.timestamp_idx(i, j);
-        let age_ns = self.age_of(measured_at_ns);
         Ok(PointAnswer {
             rtt_ms,
-            measured_at_ns,
-            age_ns,
+            measured_at_ns: self.timestamp_idx(i, j),
             snapshot_version: self.meta.version,
             origin: self.origin_idx(i, j),
         })
@@ -371,32 +435,14 @@ impl Snapshot {
     /// `R(x, v) + R(v, y)`, via the same kernel `analysis::tiv` uses.
     pub fn best_via(&self, x: NodeId, y: NodeId) -> Result<DetourAnswer, QueryError> {
         let (i, j) = (self.resolve(x)?, self.resolve(y)?);
-        let best = self.matrix.best_detour(i, j);
-        // A detour is only as fresh as its stalest leg: cite the older
-        // of the two leg instants so TTL policy applies to detours.
-        // `cited` is the pair whose provenance the answer reports: the
-        // older leg of a detour, or the direct pair when no via exists.
-        let (measured_at_ns, cited) = match &best {
-            Some(b) => match (self.timestamp_idx(i, b.via), self.timestamp_idx(b.via, j)) {
-                (Some(p), Some(q)) if p <= q => (Some(p), Some((i, b.via))),
-                (Some(_), Some(q)) => (Some(q), Some((b.via, j))),
-                _ => (None, None),
-            },
-            None => (self.timestamp_idx(i, j), Some((i, j))),
-        };
-        let via = best.map(|best| Neighbor {
+        let via = self.matrix.best_detour(i, j).map(|best| Neighbor {
             node: self.matrix.node(best.via),
             rtt_ms: best.rtt_ms,
         });
         Ok(DetourAnswer {
-            src: x,
-            dst: y,
             direct_ms: self.matrix.get_idx(i, j),
             via,
-            measured_at_ns,
-            age_ns: self.age_of(measured_at_ns),
             snapshot_version: self.meta.version,
-            origin: cited.and_then(|(p, q)| self.origin_idx(p, q)),
         })
     }
 }
@@ -616,54 +662,36 @@ mod tests {
     }
 
     #[test]
-    fn detour_freshness_cites_the_older_leg() {
+    fn point_and_k_nearest_answers_cite_their_pairs() {
         let doc = merged_document(vec![
-            pair(0, 1, 100.0, 5_000, 0, 5),
+            pair(0, 1, 100.0, 5_000, 0, (7 << 32) + 5),
             pair(0, 2, 20.0, 1_000, 1, 2),
             pair(1, 2, 20.0, 4_000, 2, 4),
         ]);
         let s = Snapshot::from_merged_document(&doc).unwrap();
         assert_eq!(s.freshness_ns(), Some(5_000));
-        let d = s.best_via(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(d.via.unwrap().node, NodeId(2));
-        // Legs (0,2) @ 1000 and (2,1) @ 4000: the detour is exactly as
-        // fresh as its *stalest* leg — the min, never the max.
-        assert_eq!(d.measured_at_ns, Some(1_000));
-        assert_eq!(d.age_ns, Some(9_000));
-        // The origin cites that same older leg's probe.
+        // A point answer cites its own pair's probe, asked either way
+        // round, a round past 32 bits included.
+        let p = s.rtt(NodeId(0), NodeId(1)).unwrap();
+        assert_eq!(p.measured_at_ns, Some(5_000));
         assert_eq!(
-            d.origin,
+            p.origin,
             Some(Origin {
-                shard: 1,
-                round: 2,
+                shard: 0,
+                round: (7 << 32) + 5,
                 generation: s.meta().version,
             })
         );
-        // A point answer cites its own pair's probe.
-        let p = s.rtt(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(p.origin.unwrap().shard, 0);
-        assert_eq!(p.origin.unwrap().round, 5);
+        assert_eq!(s.rtt(NodeId(1), NodeId(0)), Ok(p));
         // k-nearest cites the stalest contributing pair: from 0 the
         // neighbors are 2 (@1000) and 1 (@5000) — (0,2) is older.
         let near = s.k_nearest(NodeId(0), 2).unwrap();
         assert_eq!(near.origin.unwrap().shard, 1);
         assert_eq!(near.origin.unwrap().round, 2);
-
-        // With no candidate via relay the answer cites the direct pair.
-        let doc = merged_document(vec![pair(0, 1, 50.0, 7_000, 3, 9)]);
-        let s = Snapshot::from_merged_document(&doc).unwrap();
-        let d = s.best_via(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(d.via, None);
-        assert_eq!(d.measured_at_ns, Some(7_000));
-        assert_eq!(d.age_ns, Some(3_000));
-        assert_eq!(d.origin.unwrap().shard, 3);
-        assert_eq!(d.origin.unwrap().round, 9);
-
         // Timestamp-free sources stay `None` all the way through.
-        let d = Snapshot::from_matrix(&matrix())
-            .best_via(NodeId(1), NodeId(2))
+        let p = Snapshot::from_matrix(&matrix())
+            .rtt(NodeId(1), NodeId(2))
             .unwrap();
-        assert_eq!((d.measured_at_ns, d.age_ns), (None, None));
-        assert_eq!(d.origin, None);
+        assert_eq!((p.measured_at_ns, p.origin), (None, None));
     }
 }
