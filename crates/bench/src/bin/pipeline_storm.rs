@@ -74,7 +74,6 @@ fn traced_pipeline_config() -> PipelineConfig {
             latency_budget: SimDuration::from_secs(ROUND_SECS),
             latency_objective_ppm: 0,
             staleness_objective_ppm: 990_000,
-            burn_threshold_milli: 1000,
         }),
         ..pipeline_config()
     }

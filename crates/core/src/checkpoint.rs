@@ -392,9 +392,10 @@ impl<'a> Row<'a> {
 /// POSIX rename atomicity only orders the directory entry, not the file
 /// data, so without the fsync a power loss right after the rename could
 /// leave the new name pointing at zero-length or partially-written
-/// data. After the rename the parent directory is fsynced too (best
-/// effort — not every filesystem supports directory handles) so the
-/// rename itself survives the crash.
+/// data. After the rename the parent directory is fsynced too, so the
+/// rename itself survives the crash; a failure to open or fsync it is
+/// an error, since a caller that goes on as if the file were durable
+/// (say, by truncating the log it replaces) would lose it.
 pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     write_atomic_parts(path, &[contents.as_bytes()])
 }
@@ -408,12 +409,18 @@ pub fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    path.parent().map_or(Ok(()), sync_dir)
+}
+
+/// Fsyncs directory `dir` (the current one when `dir` is empty), so the
+/// entries created or renamed in it survive a crash.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Writes every byte of `parts`, in order, through vectored writes: a

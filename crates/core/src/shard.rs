@@ -303,23 +303,19 @@ impl MergeOutcome {
     }
 
     /// Folds `delta` in: each pair assigns its cell, instant and
-    /// lineage (later pairs win), each shard row takes its status tag.
-    /// A delta [`MergeOutcome::admits`] refuses is an `Err`, unfolded.
-    pub fn fold(&mut self, delta: MergeDelta) -> Result<(), String> {
-        self.fold_cells(delta, |_, _| {})
-    }
-
-    /// [`MergeOutcome::fold`], handing each pair's cell to `touched` in
-    /// index space as it is written.
-    fn fold_cells(
+    /// lineage (later pairs win), and hands the cell to `touched` in
+    /// index space as it is written; each shard row takes its status
+    /// tag. A delta [`MergeOutcome::admits`] refuses is an `Err`,
+    /// unfolded and untouched.
+    pub fn fold(
         &mut self,
         delta: MergeDelta,
-        mut touched: impl FnMut(usize, usize),
+        mut touched: impl FnMut(u32, u32),
     ) -> Result<(), String> {
         self.admits(&delta)?;
         for p in delta.pairs {
             let (i, j) = self.matrix.try_set(p.a, p.b, p.rtt_ms)?;
-            touched(i as usize, j as usize);
+            touched(i, j);
             self.measured_at.insert(ordered(p.a, p.b), p.measured_at);
             self.lineage.insert(ordered(p.a, p.b), p.lineage);
         }
@@ -472,14 +468,16 @@ const CHUNK_SLOTS: usize = 32;
 
 /// The merged document of a live dataset, kept rendered: its `m` rows
 /// in chunks of `CHUNK_SLOTS` (32) consecutive pair slots, each with its
-/// text's CRC-32 and the shift that moves a CRC past that text. A fold
-/// through [`RowText::fold`] marks the chunks its pairs fall in, and
-/// [`RowText::render`] re-renders only those — by the formatter
-/// [`MergeOutcome::to_document`] writes every row with — so a publish
-/// formats and hashes the rows it changed, not the matrix. The head
-/// (coverage rows, merge instant) is rendered anew on every call.
+/// text's CRC-32 and the shift that moves a CRC past that text. Each
+/// cell [`MergeOutcome::fold`] writes is [`RowText::mark`]ed, and
+/// [`RowText::render`] re-renders only the chunks marked — by the
+/// formatter [`MergeOutcome::to_document`] writes every row with — so a
+/// publish formats and hashes the rows it changed, not the matrix. The
+/// head (coverage rows, merge instant) is rendered anew on every call.
 #[derive(Debug, Default)]
 pub struct RowText {
+    /// The node count of the dataset the chunks cut.
+    nodes: usize,
     chunks: Vec<RowChunk>,
     head: String,
     trailer: String,
@@ -512,28 +510,18 @@ impl RowText {
             ..RowChunk::default()
         };
         RowText {
+            nodes: dataset.matrix.len(),
             chunks: vec![dirty; dataset.matrix.pair_slots().div_ceil(CHUNK_SLOTS)],
             ..RowText::default()
         }
     }
 
-    /// [`MergeOutcome::fold`]s `delta` into `dataset`, marking the
-    /// chunk of every pair it writes and handing the pair's cell to
-    /// `touched` in index space.
-    pub fn fold(
-        &mut self,
-        dataset: &mut MergeOutcome,
-        delta: MergeDelta,
-        mut touched: impl FnMut(u32, u32),
-    ) -> Result<(), String> {
-        let n = dataset.matrix.len();
-        let chunks = &mut self.chunks;
-        dataset.fold_cells(delta, |i, j| {
-            if let Some(chunk) = chunks.get_mut(tri_index(n, i, j) / CHUNK_SLOTS) {
-                chunk.dirty = true;
-            }
-            touched(i as u32, j as u32);
-        })
+    /// Marks the chunk holding cell `(i, j)` (index space, either
+    /// order) for the next [`RowText::render`]: what a fold's callback
+    /// does with each cell it writes.
+    pub fn mark(&mut self, i: u32, j: u32) {
+        let slot = tri_index(self.nodes, i as usize, j as usize);
+        self.chunks[slot / CHUNK_SLOTS].dirty = true;
     }
 
     /// Chunks the last [`RowText::render`] re-rendered: the work a
@@ -547,11 +535,12 @@ impl RowText {
     /// part per chunk, trailer — and the CRC-32 of their concatenation.
     /// Only dirty chunks are rendered and hashed; the document's CRC
     /// joins the head's with each chunk's, one multiplication a chunk.
-    /// `dataset` must be the one every fold since [`RowText::new`] went
-    /// into; one over another node count resets every chunk to dirty.
+    /// `dataset` must be the one every fold since [`RowText::new`]
+    /// marked its cells in; one over another node count resets every
+    /// chunk to dirty.
     pub fn render(&mut self, dataset: &MergeOutcome) -> (Vec<&str>, u32) {
         let slots = dataset.matrix.pair_slots();
-        if self.chunks.len() != slots.div_ceil(CHUNK_SLOTS) {
+        if self.nodes != dataset.matrix.len() {
             *self = RowText::new(dataset);
         }
         self.head.clear();
@@ -1278,7 +1267,7 @@ mod tests {
                     statuses,
                     now: SimTime(clock),
                 };
-                text.fold(&mut dataset, delta, |_, _| {}).unwrap();
+                dataset.fold(delta, |i, j| text.mark(i, j)).unwrap();
                 dataset.judge_coverage(SimTime(clock), SimDuration(150));
                 if rng.gen_bool(0.1) {
                     let back = parse_merged_document(&dataset.to_document()).unwrap();
@@ -1307,15 +1296,15 @@ mod tests {
         let mut text = RowText::new(&dataset);
         text.render(&dataset);
         assert_eq!(text.rendered(), 3, "a new text is all dirty");
-        text.fold(&mut dataset, delta(vec![], vec!["dead"]), |_, _| {})
-            .unwrap();
+        let status_only = delta(vec![], vec!["dead"]);
+        dataset.fold(status_only, |i, j| text.mark(i, j)).unwrap();
         text.render(&dataset);
         assert_eq!(text.rendered(), 0, "status only");
         // Indices (0, 11) at slot 11 and (10, 11) at slot 76, named by
         // ids 11, 0 and 1 (index order runs against id order).
         let pairs = vec![pair(0, 11, 1.0, 5, (0, 1)), pair(0, 1, 2.0, 5, (0, 1))];
-        text.fold(&mut dataset, delta(pairs, vec!["live"]), |_, _| {})
-            .unwrap();
+        let two = delta(pairs, vec!["live"]);
+        dataset.fold(two, |i, j| text.mark(i, j)).unwrap();
         let dirty: Vec<bool> = text.chunks.iter().map(|c| c.dirty).collect();
         assert_eq!(dirty, [true, false, true]);
         let (parts, _) = text.render(&dataset);
@@ -1371,12 +1360,13 @@ mod tests {
             // would have written `good` before it met it.
             let refused = delta(vec![good, bad], statuses);
             assert_eq!(merged.admits(&refused).unwrap_err(), reason);
-            assert_eq!(merged.fold(refused).unwrap_err(), reason);
+            let untouched = |_, _| unreachable!("{reason}: a refused delta touched a cell");
+            assert_eq!(merged.fold(refused, untouched).unwrap_err(), reason);
             assert_eq!(merged.to_document(), empty, "{reason}");
         }
         let admitted = delta(vec![good], two);
         assert_eq!(merged.admits(&admitted), Ok(()));
-        assert_eq!(merged.fold(admitted), Ok(()));
+        assert_eq!(merged.fold(admitted, |_, _| {}), Ok(()));
         assert_eq!(merged.rows().count(), 1);
     }
 
@@ -1390,12 +1380,13 @@ mod tests {
             // The same pair again, named the other way round.
             pair(7, 5, 3.0, 12, (0, 2)),
         ];
-        merged
-            .fold(delta(first, vec!["live", "restarting"]))
-            .unwrap();
+        let first = delta(first, vec!["live", "restarting"]);
+        merged.fold(first, |_, _| {}).unwrap();
         // Measured earlier than anything the dataset holds, folded later.
         let second = vec![pair(3, 5, 4.0, 5, (1, 3))];
-        merged.fold(delta(second, vec!["dead", "live"])).unwrap();
+        merged
+            .fold(delta(second, vec!["dead", "live"]), |_, _| {})
+            .unwrap();
 
         let row = |i, j, rtt, at, (shard, round)| {
             let lineage = Some(Lineage { shard, round });
@@ -1454,7 +1445,7 @@ mod tests {
             if round == 0 {
                 sup.inject_crash(1, net.sim.now());
             }
-            live.fold(sup.take_delta(net.sim.now())).unwrap();
+            live.fold(sup.take_delta(net.sim.now()), |_, _| {}).unwrap();
         }
         // At the drain instant nothing is stale; a horizon later all is.
         for now in [net.sim.now(), net.sim.now() + config.scanner.staleness] {

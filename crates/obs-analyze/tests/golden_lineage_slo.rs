@@ -30,7 +30,6 @@ fn pipeline_config() -> PipelineConfig {
             latency_budget: SimDuration::from_hours(1),
             latency_objective_ppm: 0,
             staleness_objective_ppm: 990_000,
-            burn_threshold_milli: 1000,
         }),
     }
 }

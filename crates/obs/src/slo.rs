@@ -2,10 +2,9 @@
 //! breach detection in virtual time.
 //!
 //! A service-level objective here is a declarative [`SloSpec`]: a
-//! name, an objective (the target fraction of *good* observations, in
-//! parts-per-million), and a burn threshold (how fast the error
-//! budget may be consumed before the SLO counts as breached, in
-//! milli-multiples of the budget). The engine keeps one fixed ring of
+//! name and an objective (the target fraction of *good* observations,
+//! in parts-per-million); the SLO counts as breached once the window
+//! has spent its whole error budget. The engine keeps one fixed ring of
 //! virtual-time buckets per SLO ([`WindowSpec`]): each observation is
 //! a `(good, bad)` increment at an instant, buckets older than the
 //! window fall off as time advances, and [`SloEngine::evaluate`]
@@ -17,13 +16,13 @@
 //! objective_ppm` the error budget, the window is breaching iff
 //!
 //! ```text
-//! total > 0  and  bad · 1_000_000 · 1000 ≥ total · budget_ppm · burn_threshold_milli
+//! total > 0  and  bad · 1_000_000 ≥ total · budget_ppm
 //! ```
 //!
-//! i.e. the observed bad fraction is at least `burn_threshold_milli /
-//! 1000` times the budget. A zero budget (objective 100%) breaches on
-//! any bad observation; an empty window never breaches (no data is
-//! not a violation — staleness of the *data* is its own SLO).
+//! i.e. the observed bad fraction has reached the budget (a burn rate
+//! of 1000 milli-budgets or more). A zero budget (objective 100%)
+//! breaches on any bad observation; an empty window never breaches (no
+//! data is not a violation — staleness of the *data* is its own SLO).
 //!
 //! Breach transitions are emitted as the registered
 //! [`names::SLO_BREACH_BEGIN`]/[`names::SLO_BREACH_END`] span pair
@@ -62,10 +61,6 @@ pub struct SloSpec {
     /// Target good fraction in parts-per-million (999_000 = 99.9%).
     /// The error budget is `1_000_000 - objective_ppm`.
     pub objective_ppm: u32,
-    /// Burn-rate threshold in milli-multiples of the budget: 1000
-    /// breaches exactly when the bad fraction reaches the budget,
-    /// 2000 only at twice the budget, 500 at half of it.
-    pub burn_threshold_milli: u32,
 }
 
 #[derive(Debug)]
@@ -123,8 +118,7 @@ impl Window {
         if budget_ppm == 0 {
             return bad > 0;
         }
-        (bad as u128) * 1_000_000 * 1000
-            >= (total as u128) * (budget_ppm as u128) * u128::from(self.spec.burn_threshold_milli)
+        (bad as u128) * 1_000_000 >= (total as u128) * (budget_ppm as u128)
     }
 
     /// Burn rate in milli-budgets, for the gauge: `(bad/total) /
@@ -245,7 +239,7 @@ mod tests {
     use crate::tests::events;
     use crate::ObsConfig;
 
-    fn engine(objective_ppm: u32, burn_threshold_milli: u32) -> (SloEngine, Obs) {
+    fn engine(objective_ppm: u32) -> (SloEngine, Obs) {
         let obs = Obs::new(ObsConfig::Trace);
         let eng = SloEngine::new(
             obs.clone(),
@@ -256,7 +250,6 @@ mod tests {
             &[SloSpec {
                 name: "t",
                 objective_ppm,
-                burn_threshold_milli,
             }],
         );
         (eng, obs)
@@ -272,7 +265,7 @@ mod tests {
 
     #[test]
     fn empty_window_never_breaches() {
-        let (mut eng, obs) = engine(999_000, 1000);
+        let (mut eng, obs) = engine(999_000);
         eng.evaluate(0);
         eng.evaluate(5_000);
         assert!(!eng.is_breaching("t"));
@@ -281,12 +274,13 @@ mod tests {
 
     #[test]
     fn breach_begins_and_ends_as_the_window_slides() {
-        // Objective 99% → budget 10_000 ppm; threshold 1000 → breach
-        // at a 1% bad fraction.
-        let (mut eng, obs) = engine(990_000, 1000);
+        // Objective 99% → budget 10_000 ppm → breach at a 1% bad
+        // fraction.
+        let (mut eng, obs) = engine(990_000);
         eng.observe("t", 50, 99, 1); // exactly 1% bad
         eng.evaluate(50);
         assert!(eng.is_breaching("t"));
+        assert_eq!(totals(&eng, "t").2, 1000, "burns one budget");
         // Window is 4 buckets × 100ns; by t=450 the bad bucket fell off.
         eng.observe("t", 420, 10, 0);
         eng.evaluate(450);
@@ -301,7 +295,7 @@ mod tests {
 
     #[test]
     fn zero_budget_breaches_on_any_bad() {
-        let (mut eng, _obs) = engine(1_000_000, 1000);
+        let (mut eng, _obs) = engine(1_000_000);
         eng.observe("t", 10, 1_000, 0);
         eng.evaluate(10);
         assert!(!eng.is_breaching("t"));
@@ -312,24 +306,8 @@ mod tests {
     }
 
     #[test]
-    fn threshold_scales_the_budget() {
-        // 2% bad against a 1% budget: burn 2000 milli. Threshold 3000
-        // tolerates it; threshold 2000 does not.
-        let (mut tolerant, _) = engine(990_000, 3000);
-        tolerant.observe("t", 10, 98, 2);
-        tolerant.evaluate(10);
-        assert!(!tolerant.is_breaching("t"));
-        assert_eq!(totals(&tolerant, "t").2, 2000);
-
-        let (mut strict, _) = engine(990_000, 2000);
-        strict.observe("t", 10, 98, 2);
-        strict.evaluate(10);
-        assert!(strict.is_breaching("t"));
-    }
-
-    #[test]
     fn late_observations_fold_into_the_oldest_bucket() {
-        let (mut eng, _) = engine(990_000, 1000);
+        let (mut eng, _) = engine(990_000);
         eng.evaluate(1_000); // head at bucket 10
         eng.observe("t", 0, 0, 5); // far in the past → oldest slot
         let (good, bad, _) = totals(&eng, "t");
@@ -342,7 +320,7 @@ mod tests {
 
     #[test]
     fn gauges_track_windowed_totals() {
-        let (mut eng, obs) = engine(990_000, 1000);
+        let (mut eng, obs) = engine(990_000);
         eng.observe("t", 10, 7, 3);
         eng.evaluate(10);
         let doc = obs.document(&crate::ExportMeta {
@@ -357,7 +335,7 @@ mod tests {
     #[test]
     fn transition_sequence_is_deterministic() {
         let run = || {
-            let (mut eng, obs) = engine(990_000, 1000);
+            let (mut eng, obs) = engine(990_000);
             for i in 0..20u64 {
                 let bad = u64::from(i % 7 == 0);
                 eng.observe("t", i * 60, 9, bad);

@@ -23,7 +23,7 @@
 //! have served. The chaos tests drive this by replaying every prefix
 //! of the on-disk bytes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use ting::checkpoint;
 
 /// The append-only staging log's file name.
@@ -62,10 +62,16 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating if needed) the journal directory.
+    /// Opens (creating if needed) the journal directory. Each
+    /// directory it creates is made durable in its parent before it
+    /// returns.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Journal> {
         let dir = dir.into();
+        let created: Vec<&Path> = dir.ancestors().take_while(|d| !d.is_dir()).collect();
         std::fs::create_dir_all(&dir)?;
+        for parent in created.iter().filter_map(|d| d.parent()) {
+            checkpoint::sync_dir(parent)?;
+        }
         Ok(Journal { dir })
     }
 
@@ -89,14 +95,21 @@ impl Journal {
     /// concatenation's CRC-32 the caller holds — the pipeline's cached
     /// render. The frame goes to the log in vectored writes, the
     /// document from the caller's buffers: nothing copies or hashes it.
+    /// The append that creates the log also fsyncs the directory, so
+    /// the log's entry is as durable as its first record.
     pub(crate) fn append_with_crc(&self, gen: u64, doc: &[&str], crc: u32) -> std::io::Result<()> {
+        let path = self.journal_path();
+        let created = !path.exists();
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(self.journal_path())?;
+            .open(&path)?;
         let (header, trailer) = frame_parts(gen, doc, crc);
         checkpoint::write_all_parts(&mut f, &framed(&header, doc, &trailer))?;
         f.sync_all()?;
+        if created {
+            checkpoint::sync_dir(&self.dir)?;
+        }
         Ok(())
     }
 

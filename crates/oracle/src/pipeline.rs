@@ -6,13 +6,15 @@
 //! [`ting::shard::Supervisor::take_delta`] (never blocking — a bounded
 //! queue coalesces on overflow, because delta application is
 //! idempotent assignment); [`Pipeline::tick`] then folds the queue
-//! into the accumulated matrix, renders the same CRC-sealed merged
-//! document an offline [`ting::shard::Supervisor::merge`] would
-//! produce, stages it through the publish [`Journal`] (append → seal →
-//! swap → truncate), and publishes the generation through the oracle's
-//! swap cell under the *journal's* generation number — so a kill at
-//! any byte and a [`Pipeline::recover`] always serve exactly the last
-//! sealed generation, bit-identical to an uninterrupted run.
+//! into the accumulated matrix and publishes the generation through the
+//! oracle's swap cell. A journaled pipeline first renders the same
+//! CRC-sealed merged document an offline
+//! [`ting::shard::Supervisor::merge`] would produce and stages it
+//! through the publish [`Journal`] (append → seal → swap → truncate),
+//! under the *journal's* generation number — so a kill at any byte and
+//! a [`Pipeline::recover`] always serve exactly the last sealed
+//! generation, bit-identical to an uninterrupted run. A volatile one
+//! (no journal) renders no document: nothing would read it.
 //!
 //! Serving is guarded by the [`TtlPolicy`] ladder, judged against the
 //! snapshot's newest measurement in virtual time. The pipeline is the
@@ -73,8 +75,6 @@ pub struct SloConfig {
     /// Fraction of TTL judgments landing `Fresh`, ppm — burn against
     /// this is the staleness-budget burn of the serving ladder.
     pub staleness_objective_ppm: u32,
-    /// Shared burn-rate threshold in milli-multiples of each budget.
-    pub burn_threshold_milli: u32,
 }
 
 /// The live SLO engine with the one budget the control loop itself
@@ -90,7 +90,6 @@ impl SloConfig {
         let slo = |name, objective_ppm| SloSpec {
             name,
             objective_ppm,
-            burn_threshold_milli: self.burn_threshold_milli,
         };
         let engine = SloEngine::new(
             obs.clone(),
@@ -147,16 +146,17 @@ pub struct Pipeline {
     /// [`ting::Supervisor::merge`] would hand back, folded into,
     /// rendered and served through its own methods.
     dataset: MergeOutcome,
-    /// `dataset`'s document as rendered at the last publish, chunk by
-    /// chunk; folds mark the chunks the next publish re-renders.
-    rows: RowText,
     /// Cells, in index space, folded into `dataset` since the served
     /// snapshot was built: the slots the next serve rewrites in a copy
     /// of it. `None` when that serve builds the snapshot whole instead:
     /// the served one is the bootstrap, with no instant table to patch,
     /// or a journal append was refused since it was served.
     unserved: Option<Vec<(u32, u32)>>,
-    journal: Option<Journal>,
+    /// The journal, and `dataset`'s document as rendered at the last
+    /// publish, chunk by chunk, with the chunks folded into since marked
+    /// for the next publish; `None` in a volatile pipeline, which renders
+    /// nothing.
+    durable: Option<(Journal, RowText)>,
     oracle: Oracle,
     queue: VecDeque<MergeDelta>,
     /// Pairs folded into `dataset` since the last sealed generation;
@@ -175,7 +175,8 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// A pipeline without observability or a journal (volatile mode —
-    /// tests and in-process consumers that don't need crash safety).
+    /// tests and in-process consumers that don't need crash safety; it
+    /// renders no document).
     pub fn new(nodes: Vec<NodeId>, shards: usize, config: PipelineConfig) -> Pipeline {
         Pipeline::with_obs(nodes, shards, config, Obs::off(), None)
     }
@@ -193,7 +194,7 @@ impl Pipeline {
     ) -> Pipeline {
         assert!(config.queue_cap >= 1, "queue capacity must be positive");
         let dataset = MergeOutcome::new(nodes, shards);
-        let rows = RowText::new(&dataset);
+        let durable = journal.map(|journal| (journal, RowText::new(&dataset)));
         let oracle = Oracle::with_obs(Snapshot::from_matrix(&dataset.matrix), obs.clone());
         // No timestamps, no age to certify: the ladder says `Degraded`.
         let bootstrap = config.ttl.judgment(None, 0);
@@ -205,9 +206,8 @@ impl Pipeline {
         Pipeline {
             config,
             dataset,
-            rows,
             unserved: None,
-            journal,
+            durable,
             oracle,
             queue: VecDeque::new(),
             unsealed: None,
@@ -261,7 +261,7 @@ impl Pipeline {
             p.serve(gen, now);
             // A pending record sealed but never swapped: finish its
             // interrupted publish so the directory converges.
-            if let (Some(_), Some(journal)) = (&recovered.pending, &p.journal) {
+            if let (Some(_), Some((journal, _))) = (&recovered.pending, &p.durable) {
                 journal
                     .mark_published(gen, doc)
                     .map_err(|e| format!("completing interrupted publish: {e}"))?;
@@ -400,8 +400,11 @@ impl Pipeline {
                 );
             }
             self.last_seq = self.last_seq.max(delta.seq);
-            let unserved = &mut self.unserved;
-            let _ = self.rows.fold(&mut self.dataset, delta, |i, j| {
+            let (durable, unserved) = (&mut self.durable, &mut self.unserved);
+            let _ = self.dataset.fold(delta, |i, j| {
+                if let Some((_, rows)) = durable {
+                    rows.mark(i, j);
+                }
                 if let Some(folded) = unserved {
                     folded.push((i, j));
                 }
@@ -418,11 +421,11 @@ impl Pipeline {
             slo.engine
                 .observe(SLO_COVERAGE, now.as_nanos(), covered, uncovered);
         }
-        // The document's parts borrow the row text, which `serve`'s
+        // The document's parts borrow the durable half, which `serve`'s
         // `&mut self` must not reach: it is lent out for the steps.
-        let mut rows = std::mem::take(&mut self.rows);
-        let sealed = self.seal_and_serve(&mut rows, next, now);
-        self.rows = rows;
+        let mut durable = self.durable.take();
+        let sealed = self.seal_and_serve(durable.as_mut(), next, now);
+        self.durable = durable;
         sealed?;
         self.last_publish = Some(now);
         self.metrics.published.inc();
@@ -442,19 +445,20 @@ impl Pipeline {
         Ok(next)
     }
 
-    /// Render, append, serve and mark generation `next`: the document
-    /// comes from `rows` as parts, the chunks folded into since the last
-    /// render re-rendered, and goes to the journal as those parts under
-    /// the CRC they were joined to — nothing copies or hashes it whole.
+    /// Render, append, serve and mark generation `next` — or, with no
+    /// journal, only serve it. The document comes from the row text as
+    /// parts, the chunks folded into since the last render re-rendered,
+    /// and goes to the journal as those parts under the CRC they were
+    /// joined to — nothing copies or hashes it whole.
     fn seal_and_serve(
         &mut self,
-        rows: &mut RowText,
+        durable: Option<&mut (Journal, RowText)>,
         next: u64,
         now: SimTime,
     ) -> Result<(), String> {
-        let (doc, crc) = rows.render(&self.dataset);
-        if let Some(j) = &self.journal {
-            if let Err(e) = j.append_with_crc(next, &doc, crc) {
+        let sealed = durable.map(|(journal, rows)| (&*journal, rows.render(&self.dataset)));
+        if let Some((journal, (doc, crc))) = &sealed {
+            if let Err(e) = journal.append_with_crc(next, doc, *crc) {
                 // The folds wait, unsealed, for the next tick; its serve
                 // builds the snapshot whole, so no list outlives a tick.
                 self.unserved = None;
@@ -463,8 +467,9 @@ impl Pipeline {
         }
         self.unsealed = None;
         self.serve(next, now);
-        if let Some(j) = &self.journal {
-            j.mark_published_with_crc(next, &doc, crc)
+        if let Some((journal, (doc, crc))) = sealed {
+            journal
+                .mark_published_with_crc(next, &doc, crc)
                 .map_err(|e| format!("journal publish (gen {next}): {e}"))?;
         }
         Ok(())
@@ -598,7 +603,6 @@ mod tests {
             latency_budget: SimDuration::from_secs(30),
             latency_objective_ppm: 990_000,
             staleness_objective_ppm: 990_000,
-            burn_threshold_milli: 1000,
         }
     }
 
@@ -1015,9 +1019,25 @@ mod tests {
         recoveries: u64,
     }
 
-    /// After a publish or a recovery, the cached render is the full
-    /// render of the dataset, on disk and in memory, and the served
-    /// snapshot is the one built whole from the dataset, bit for bit.
+    /// The row text of a journaled pipeline.
+    fn rows(p: &Pipeline) -> &RowText {
+        &p.durable.as_ref().expect("a journaled pipeline").1
+    }
+
+    /// The served snapshot is the one built whole from the dataset, bit
+    /// for bit.
+    fn assert_served_is_whole(p: &Pipeline, at: &str) {
+        let mut built = Snapshot::from_merged(&p.dataset);
+        built.stamp_version(p.generation());
+        assert!(
+            p.oracle.snapshot().same_bits(&built),
+            "{at}: served snapshot"
+        );
+    }
+
+    /// After a publish, the cached render is the full render of the
+    /// dataset, on disk and in memory, and the served snapshot is the
+    /// one built whole from the dataset.
     fn assert_incremental_is_whole(p: &mut Pipeline, journal: &Journal, at: &str) {
         let whole = p.dataset.to_document();
         let on_disk = journal.recover().unwrap();
@@ -1026,20 +1046,12 @@ mod tests {
             Some(&(p.generation(), whole.clone())),
             "{at}"
         );
-        let (parts, crc) = p.rows.render(&p.dataset);
+        let (_, rows) = p.durable.as_mut().expect("a journaled pipeline");
+        let (parts, crc) = rows.render(&p.dataset);
         assert_eq!(parts.concat(), whole, "{at}");
         assert_eq!(crc, checkpoint::crc32(whole.as_bytes()), "{at}");
-        assert_eq!(
-            p.rows.rendered(),
-            0,
-            "{at}: a publish leaves no dirty chunk"
-        );
-        let mut built = Snapshot::from_merged(&p.dataset);
-        built.stamp_version(p.generation());
-        assert!(
-            p.oracle.snapshot().same_bits(&built),
-            "{at}: served snapshot"
-        );
+        assert_eq!(rows.rendered(), 0, "{at}: a publish leaves no dirty chunk");
+        assert_served_is_whole(p, at);
     }
 
     /// The render and snapshot properties of the incremental publish:
@@ -1051,7 +1063,11 @@ mod tests {
     /// recoveries — after every publish leave the cached document equal
     /// to the full render and the patched snapshot equal to
     /// `Snapshot::from_merged`, cell for cell and in its metadata, and
-    /// the snapshot served before it as it was built.
+    /// the snapshot served before it as it was built. A journal-less
+    /// pipeline fed the same offers and ticks (it refuses nothing and
+    /// never recovers) keeps no row text, and publishes the same
+    /// generation and document and a snapshot as patched as the whole
+    /// one after every tick.
     #[test]
     fn the_incremental_publish_is_the_whole_one_after_any_history() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -1069,6 +1085,7 @@ mod tests {
             let journal = Journal::open(&dir).unwrap();
             let mut p =
                 Pipeline::with_obs(nodes.clone(), 1, cfg, Obs::off(), Some(journal.clone()));
+            let mut volatile = Pipeline::new(nodes.clone(), 1, cfg);
             let mut rng = SmallRng::seed_from_u64(seed);
             let (mut seq, mut clock) = (0u64, 1_000u64);
             // The pair holding the newest instant, and that instant.
@@ -1111,7 +1128,9 @@ mod tests {
                     } else {
                         reached.status_only += 1;
                     }
-                    p.offer(delta(seq, pairs, clock));
+                    let d = delta(seq, pairs, clock);
+                    volatile.offer(d.clone());
+                    p.offer(d);
                 }
                 if offers > 1 {
                     reached.coalesced += 1;
@@ -1129,6 +1148,13 @@ mod tests {
                 }
                 let published = p.tick(SimTime(clock)).unwrap();
                 assert!(published.is_some(), "{at}");
+                assert_eq!(volatile.tick(SimTime(clock)).unwrap(), published, "{at}");
+                assert!(
+                    volatile.durable.is_none(),
+                    "{at}: a row text without a journal"
+                );
+                assert_eq!(volatile.serving_document(), p.serving_document(), "{at}");
+                assert_served_is_whole(&volatile, &format!("{at}, no journal"));
                 reached.refused_then_healthy += refuse as u64;
                 newest = p
                     .dataset
@@ -1154,12 +1180,7 @@ mod tests {
                     let recovered =
                         Pipeline::recover(nodes.clone(), 1, cfg, Obs::off(), journal.clone(), now);
                     p = recovered.unwrap().0;
-                    let mut built = Snapshot::from_merged(&p.dataset);
-                    built.stamp_version(p.generation());
-                    assert!(
-                        p.oracle.snapshot().same_bits(&built),
-                        "{at}: recovered snapshot"
-                    );
+                    assert_served_is_whole(&p, &format!("{at}, recovered"));
                     reached.recoveries += 1;
                 }
             }
@@ -1213,7 +1234,7 @@ mod tests {
         let all = 45_150usize.div_ceil(32);
         p.offer(delta(1, pairs.clone(), 1_000));
         assert_eq!(p.tick(SimTime(1_000)).unwrap(), Some(2));
-        assert_eq!(p.rows.rendered(), all, "the first publish");
+        assert_eq!(rows(&p).rendered(), all, "the first publish");
         for seq in 2..6 {
             let changed = (0..64).map(|_| {
                 let (a, b, rtt, _) = pairs[rng.gen_range(0..pairs.len())];
@@ -1221,7 +1242,7 @@ mod tests {
             });
             p.offer(delta(seq, changed.collect(), seq * 1_000));
             assert_eq!(p.tick(SimTime(seq * 1_000)).unwrap(), Some(seq + 1));
-            let rendered = p.rows.rendered();
+            let rendered = rows(&p).rendered();
             assert!(
                 (1..=64).contains(&rendered),
                 "{rendered} chunks for 64 pairs"
@@ -1229,14 +1250,18 @@ mod tests {
         }
         p.offer(delta(6, vec![], 6_000));
         assert_eq!(p.tick(SimTime(6_000)).unwrap(), Some(7));
-        assert_eq!(p.rows.rendered(), 0, "a status-only publish");
+        assert_eq!(rows(&p).rendered(), 0, "a status-only publish");
 
         let now = SimTime(7_000);
         let (mut p, _) = Pipeline::recover(nodes, 1, config(), Obs::off(), journal, now).unwrap();
-        assert_eq!(p.rows.rendered(), 0, "a recovery renders nothing");
+        assert_eq!(rows(&p).rendered(), 0, "a recovery renders nothing");
         p.offer(delta(7, vec![], 7_000));
         assert_eq!(p.tick(now).unwrap(), Some(8));
-        assert_eq!(p.rows.rendered(), all, "the first publish after a recovery");
+        assert_eq!(
+            rows(&p).rendered(),
+            all,
+            "the first publish after a recovery"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1247,7 +1272,8 @@ mod tests {
     /// recovery); `render64` and `patched` the same steps after a
     /// 64-pair fold, as a steady-state publish takes them, and
     /// `render1402` after a bulk one; `crc` is one pass over the whole
-    /// document, which no publish makes.
+    /// document, which no publish makes; `volatile` is `tick` without a
+    /// journal, which renders nothing.
     #[test]
     #[ignore = "prints timings; run by hand in release"]
     fn publish_steps_at_300_relays() {
@@ -1274,7 +1300,7 @@ mod tests {
             delta(seq, changed.collect(), seq * 1_000)
         };
         let mut dataset = MergeOutcome::new(nodes.clone(), 1);
-        dataset.fold(delta(1, pairs.clone(), 0)).unwrap();
+        dataset.fold(delta(1, pairs.clone(), 0), |_, _| {}).unwrap();
         let dir = std::env::temp_dir().join(format!("ting-publish-steps-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let journal = Journal::open(&dir).unwrap();
@@ -1300,7 +1326,7 @@ mod tests {
         for (step, count) in [("render64", 64), ("render1402", 1_402)] {
             best(step, &mut || {
                 seq += 1;
-                text.fold(&mut live, changed(seq, count), |_, _| {})
+                live.fold(changed(seq, count), |i, j| text.mark(i, j))
                     .unwrap();
                 timed(&mut || drop(std::hint::black_box(text.render(&live))))
             });
@@ -1326,24 +1352,25 @@ mod tests {
             seq += 1;
             let delta = changed(seq, 64);
             let mut folded = Vec::new();
-            let mut text = RowText::new(&live);
-            text.fold(&mut live, delta, |i, j| folded.push((i, j)))
-                .unwrap();
+            live.fold(delta, |i, j| folded.push((i, j))).unwrap();
             timed(&mut || drop(std::hint::black_box(served.patched(&live, &folded))))
         });
         best("mark", &mut || {
             timed(&mut || journal.mark_published_with_crc(2, &doc, crc).unwrap())
         });
-        // The whole turn: a 64-pair delta folded, published and served.
-        let mut p = Pipeline::with_obs(nodes, 1, config(), Obs::off(), Some(journal));
-        p.offer(delta(1, pairs.clone(), 0));
-        p.tick(SimTime(0)).unwrap();
-        let mut seq = 1;
-        best("tick", &mut || {
-            seq += 1;
-            p.offer(changed(seq, 64));
-            timed(&mut || assert_eq!(p.tick(SimTime(seq * 1_000)).unwrap(), Some(seq + 1)))
-        });
+        // The whole turn, journaled and not: a 64-pair delta folded,
+        // published and served.
+        for (step, journal) in [("tick", Some(journal)), ("volatile", None)] {
+            let mut p = Pipeline::with_obs(nodes.clone(), 1, config(), Obs::off(), journal);
+            p.offer(delta(1, pairs.clone(), 0));
+            p.tick(SimTime(0)).unwrap();
+            let mut seq = 1;
+            best(step, &mut || {
+                seq += 1;
+                p.offer(changed(seq, 64));
+                timed(&mut || assert_eq!(p.tick(SimTime(seq * 1_000)).unwrap(), Some(seq + 1)))
+            });
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1384,7 +1411,6 @@ mod tests {
                     latency_budget: SimDuration::from_secs(HARD_S),
                     latency_objective_ppm: 0,
                     staleness_objective_ppm,
-                    burn_threshold_milli: 1000,
                 }),
             }
         }

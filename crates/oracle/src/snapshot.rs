@@ -524,7 +524,7 @@ mod tests {
             now: SimTime(10_000),
         };
         let mut merged = MergeOutcome::new((0..n).map(NodeId).collect(), 1);
-        merged.fold(delta).unwrap();
+        merged.fold(delta, |_, _| {}).unwrap();
         let timed = Snapshot::from_merged(&merged);
         for s in [&timed, &Snapshot::from_matrix(&merged.matrix)] {
             for x in 0..n {
@@ -656,7 +656,7 @@ mod tests {
             now: SimTime(10_000),
         };
         let mut merged = MergeOutcome::new(vec![NodeId(0), NodeId(1), NodeId(2)], 1);
-        merged.fold(delta).unwrap();
+        merged.fold(delta, |_, _| {}).unwrap();
         merged.judge_coverage(SimTime(10_000), SimDuration::from_hours(24));
         merged.to_document()
     }

@@ -54,7 +54,9 @@ fn merged(n: u32, seed: u64) -> MergeOutcome {
         statuses: vec!["live"],
         now: SimTime(10),
     };
-    merged.fold(delta).expect("every pair is admissible");
+    merged
+        .fold(delta, |_, _| {})
+        .expect("every pair is admissible");
     merged
 }
 

@@ -236,7 +236,7 @@ fn journaled_pipeline_serves_what_it_seals_across_recoveries() {
     let mut seed = MergeOutcome::new(nodes(), SHARDS);
     let first = stream.delta_of(6);
     let sealed_at = first.now;
-    seed.fold(first).unwrap();
+    seed.fold(first, |_, _| {}).unwrap();
     seed.judge_coverage(sealed_at, config().staleness);
     for (_, lineaged) in &mut stream.measured[..2] {
         *lineaged = false;

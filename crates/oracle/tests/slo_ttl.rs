@@ -40,7 +40,6 @@ fn config(staleness_objective_ppm: u32) -> PipelineConfig {
             latency_budget: SimDuration::from_secs(HARD_S),
             latency_objective_ppm: 0,
             staleness_objective_ppm,
-            burn_threshold_milli: 1000,
         }),
     }
 }
