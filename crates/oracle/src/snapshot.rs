@@ -125,7 +125,7 @@ pub struct DetourAnswer {
     pub snapshot_version: u64,
 }
 
-/// Cells `k_nearest` tests for "nothing measured" at once.
+/// Cells `k_nearest` turns into one mask of measured cells at once.
 const LANES: usize = 8;
 
 /// Sentinel for "no timestamp" in the timestamp table, chosen so a
@@ -377,30 +377,38 @@ impl Snapshot {
     /// excluded), ascending by RTT with index order breaking ties —
     /// fully deterministic for a given snapshot.
     ///
-    /// The row is read in chunks of `LANES` cells, skipping those with
-    /// nothing measured; when more than `k` candidates remain,
-    /// selection keeps the `k` first under the ranking order and only
-    /// those are sorted. That order (`total_cmp`, then index) is
-    /// strict, so the selected set is the full sort's prefix and the
-    /// answer is the full sort's.
+    /// The row is read in chunks of `LANES` cells, each turned into a
+    /// mask of its measured cells so only those are visited; when more
+    /// than `k` candidates remain, selection keeps the `k` first under
+    /// the ranking order and only those are sorted. That order
+    /// (`total_cmp`, then index) is strict, so the selected set is the
+    /// full sort's prefix and the answer is the full sort's.
     pub fn k_nearest(&self, x: NodeId, k: usize) -> Result<KNearestAnswer, QueryError> {
         let i = self.resolve(x)?;
         let row = self.matrix.row(i);
         let mut candidates: Vec<(f64, u32)> = Vec::with_capacity(row.len());
-        let mut take = |start: usize, cells: &[f64]| {
-            let measured = cells.iter().enumerate().filter(|(_, ms)| !ms.is_nan());
-            let others = measured.map(|(o, &ms)| (ms, (start + o) as u32));
-            candidates.extend(others.filter(|&(_, v)| v != i));
+        // A chunk's measured cells as one bit each: only set bits are
+        // visited, so no branch is taken per cell.
+        let measured = |cells: &[f64]| {
+            let bits = cells.iter().enumerate();
+            bits.fold(0u32, |m, (b, ms)| m | u32::from(!ms.is_nan()) << b)
+        };
+        let mut take = |start: usize, cells: &[f64], mut bits: u32| {
+            while bits != 0 {
+                let o = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let v = (start + o) as u32;
+                if v != i {
+                    candidates.push((cells[o], v));
+                }
+            }
         };
         let chunks = row.chunks_exact(LANES);
         let tail = chunks.remainder();
         for (c, cells) in chunks.enumerate() {
-            // Not short-circuiting, so the test compiles to vector code.
-            if !cells.iter().fold(true, |none, ms| none & ms.is_nan()) {
-                take(c * LANES, cells);
-            }
+            take(c * LANES, cells, measured(cells));
         }
-        take(row.len() - tail.len(), tail);
+        take(row.len() - tail.len(), tail, measured(tail));
         let order = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
         if candidates.len() > k {
             candidates.select_nth_unstable_by(k, order);
