@@ -23,7 +23,7 @@
 use crate::matrix::RttMatrix;
 use netsim::NodeId;
 use std::fmt::{Debug, Write as _};
-use std::io::IoSlice;
+use std::io::{IoSlice, Write as _};
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -184,19 +184,23 @@ pub fn seal_suffix(head: &str, doc: &[&str], doc_crc: u32) -> String {
 
 /// Splits a sealed document into its body and verifies the trailer.
 /// Returns the body on success; an error describing the corruption
-/// (missing trailer, malformed hex, mismatched CRC) otherwise.
+/// (missing trailer, malformed hex, mismatched CRC) otherwise. Only
+/// the trailer [`seal`] writes is taken: exactly eight lower-case hex
+/// digits, and at most one final newline; a refusal of its form names
+/// the trailer's line.
 pub fn verify_sealed(text: &str) -> Result<&str, String> {
-    let trimmed = text.trim_end_matches('\n');
+    let trimmed = text.strip_suffix('\n').unwrap_or(text);
     let trailer_start = trimmed
         .rfind('\n')
         .map(|i| i + 1)
         .ok_or("checkpoint has no CRC trailer (truncated?)")?;
     let trailer = &trimmed[trailer_start..];
+    let line = || text[..trailer_start].matches('\n').count() + 1;
     let hex = trailer
         .strip_prefix(CRC_PREFIX)
-        .ok_or_else(|| format!("last line is not a CRC trailer: {trailer:?}"))?;
-    let expected = u32::from_str_radix(hex.trim(), 16)
-        .map_err(|e| format!("malformed CRC trailer {hex:?}: {e}"))?;
+        .ok_or_else(|| format!("line {}: not a CRC trailer: {trailer:?}", line()))?;
+    let expected = parse_crc_hex(hex)
+        .ok_or_else(|| format!("line {}: malformed CRC trailer {hex:?}", line()))?;
     let body = &text[..trailer_start];
     let actual = crc32(body.as_bytes());
     if actual != expected {
@@ -206,6 +210,15 @@ pub fn verify_sealed(text: &str) -> Result<&str, String> {
         ));
     }
     Ok(body)
+}
+
+/// A CRC-32 as a seal writes it: exactly eight lower-case hex digits.
+pub fn parse_crc_hex(hex: &str) -> Option<u32> {
+    let canonical = hex.len() == 8 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if !canonical {
+        return None;
+    }
+    u32::from_str_radix(hex, 16).ok()
 }
 
 /// Appends the node-list header — line 2 of the matrix TSV, the scan
@@ -397,15 +410,9 @@ impl<'a> Row<'a> {
 /// an error, since a caller that goes on as if the file were durable
 /// (say, by truncating the log it replaces) would lose it.
 pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    write_atomic_parts(path, &[contents.as_bytes()])
-}
-
-/// `write_atomic` of the concatenation of `parts`, written one after
-/// another, so a caller that frames a large buffer need not copy it.
-pub fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     let tmp = tmp_path(path);
     let mut f = std::fs::File::create(&tmp)?;
-    write_all_parts(&mut f, parts)?;
+    f.write_all(contents.as_bytes())?;
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, path)?;
@@ -414,7 +421,7 @@ pub fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
 
 /// Fsyncs directory `dir` (the current one when `dir` is empty), so the
 /// entries created or renamed in it survive a crash.
-pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
     let dir = if dir.as_os_str().is_empty() {
         Path::new(".")
     } else {
@@ -658,15 +665,45 @@ mod tests {
         }
     }
 
+    /// Only the trailer `seal` writes verifies: each other spelling of
+    /// the same CRC is refused, naming the trailer's line.
+    #[test]
+    fn a_trailer_seal_would_not_write_is_refused_by_its_line() {
+        let sealed = seal("# ting scan checkpoint v3\nm\t1\t2\t10\t0\t1\n".to_string());
+        let (body, hex) = sealed.trim_end().split_once(CRC_PREFIX).unwrap();
+        assert_eq!(hex.len(), 8);
+        let edits = [
+            (format!("{body}{CRC_PREFIX}{}\n", hex.to_uppercase()), 3),
+            (format!("{body}{CRC_PREFIX}+{}\n", &hex[1..]), 3),
+            (format!("{body}{CRC_PREFIX}0{hex}\n"), 3),
+            (format!("{body}{CRC_PREFIX} {hex}\n"), 3),
+            (format!("{body}{CRC_PREFIX}{hex} \n"), 3),
+            (format!("{body}{CRC_PREFIX}{}\n", &hex[1..]), 3),
+            (format!("{sealed}\n"), 4),
+            (format!("{sealed}\n\n"), 5),
+        ];
+        for (text, line) in edits {
+            let err = verify_sealed(&text).unwrap_err();
+            assert!(
+                err.starts_with(&format!("line {line}: ")),
+                "{err} for {text:?}"
+            );
+        }
+        assert_eq!(parse_crc_hex(hex), Some(crc32(body.as_bytes())));
+        assert_eq!(
+            verify_sealed(sealed.trim_end()),
+            Ok(body),
+            "no final newline"
+        );
+    }
+
     #[test]
     fn any_flipped_body_byte_fails_verification() {
         let body = "# ting scan checkpoint v3\nm\t1\t2\t10\t0\t1\n";
         let sealed = seal(body.to_string());
         // Every byte of the body is covered by the CRC; a flip anywhere
-        // in it must be caught. (Flips inside the trailer itself either
-        // fail hex parsing / mismatch the CRC, or — e.g. a hex-case
-        // flip — leave the verified body byte-identical, which is
-        // harmless by construction.)
+        // in it must be caught. (Flips inside the trailer itself fail
+        // its canonical form or mismatch the CRC.)
         for i in 0..body.len() {
             let mut bytes = sealed.clone().into_bytes();
             bytes[i] ^= 0x01;

@@ -384,17 +384,22 @@ impl MergeOutcome {
         // space, not memory, and a short guess would copy the document.
         let rows = 56 * self.measured_at.len() + 96 * self.shards.len();
         let mut out = String::with_capacity(128 + 11 * self.matrix.len() + rows);
+        self.write_prefix(&mut out);
         self.write_head(&mut out);
         self.write_rows(&mut out, 0..self.matrix.pair_slots());
         seal(out)
     }
 
-    /// Appends what precedes the matrix rows: the magic and node-list
-    /// lines, the merge instant and one coverage row per shard.
-    fn write_head(&self, out: &mut String) {
+    /// Appends the magic and node-list lines: what no fold changes.
+    fn write_prefix(&self, out: &mut String) {
         out.push_str(MERGED_MAGIC);
         out.push('\n');
         crate::checkpoint::write_nodes_header(out, self.matrix.nodes());
+    }
+
+    /// Appends what lies between the node list and the matrix rows: the
+    /// merge instant and one coverage row per shard.
+    fn write_head(&self, out: &mut String) {
         let _ = writeln!(out, "# now_ns: {}", self.now.as_nanos());
         for c in &self.shards {
             let _ = writeln!(
@@ -473,19 +478,25 @@ const CHUNK_SLOTS: usize = 32;
 /// [`RowText::render`] re-renders only the chunks marked — by the
 /// formatter [`MergeOutcome::to_document`] writes every row with — so a
 /// publish formats and hashes the rows it changed, not the matrix. The
-/// head (coverage rows, merge instant) is rendered anew on every call.
+/// head (coverage rows, merge instant) is rendered anew on every call;
+/// the magic and node-list lines once.
 #[derive(Debug, Default)]
 pub struct RowText {
     /// The node count of the dataset the chunks cut.
     nodes: usize,
+    /// The magic and node-list lines, and their CRC-32.
+    prefix: String,
+    prefix_crc: u32,
     chunks: Vec<RowChunk>,
     head: String,
     trailer: String,
     /// One chunk's rows as rendered, before they are copied into a
     /// chunk sized to fit them.
     scratch: String,
-    /// Chunks the last [`RowText::render`] re-rendered.
-    rendered: usize,
+    /// The CRC-32 of the document as last rendered.
+    crc: u32,
+    /// Chunks the last [`RowText::render`] re-rendered, ascending.
+    fresh: Vec<u32>,
 }
 
 /// One chunk of a [`RowText`].
@@ -502,15 +513,19 @@ struct RowChunk {
 }
 
 impl RowText {
-    /// The text of `dataset`, every chunk dirty: nothing is rendered
-    /// until the first [`RowText::render`].
+    /// The text of `dataset`, every chunk dirty: nothing but the node
+    /// list is rendered until the first [`RowText::render`].
     pub fn new(dataset: &MergeOutcome) -> RowText {
         let dirty = RowChunk {
             dirty: true,
             ..RowChunk::default()
         };
+        let mut prefix = String::new();
+        dataset.write_prefix(&mut prefix);
         RowText {
             nodes: dataset.matrix.len(),
+            prefix_crc: crc32(prefix.as_bytes()),
+            prefix,
             chunks: vec![dirty; dataset.matrix.pair_slots().div_ceil(CHUNK_SLOTS)],
             ..RowText::default()
         }
@@ -524,32 +539,30 @@ impl RowText {
         self.chunks[slot / CHUNK_SLOTS].dirty = true;
     }
 
-    /// Chunks the last [`RowText::render`] re-rendered: the work a
-    /// publish did, in chunks.
-    pub fn rendered(&self) -> usize {
-        self.rendered
+    /// Chunks the last [`RowText::render`] re-rendered, by index,
+    /// ascending: what a publish changed, and all a journal frame of it
+    /// carries besides the head and trailer.
+    pub fn fresh(&self) -> &[u32] {
+        &self.fresh
     }
 
-    /// `dataset`'s sealed document, byte for byte
-    /// [`MergeOutcome::to_document`], as parts in order — head, one
-    /// part per chunk, trailer — and the CRC-32 of their concatenation.
-    /// Only dirty chunks are rendered and hashed; the document's CRC
-    /// joins the head's with each chunk's, one multiplication a chunk.
-    /// `dataset` must be the one every fold since [`RowText::new`]
-    /// marked its cells in; one over another node count resets every
-    /// chunk to dirty.
-    pub fn render(&mut self, dataset: &MergeOutcome) -> (Vec<&str>, u32) {
+    /// Brings the text up to `dataset`: the head and trailer anew, and
+    /// only the dirty chunks, whose CRCs join the head's with one
+    /// multiplication a chunk. `dataset` must be the one every fold
+    /// since [`RowText::new`] marked its cells in; one over another node
+    /// count resets every chunk to dirty.
+    pub fn render(&mut self, dataset: &MergeOutcome) {
         let slots = dataset.matrix.pair_slots();
         if self.nodes != dataset.matrix.len() {
             *self = RowText::new(dataset);
         }
         self.head.clear();
         dataset.write_head(&mut self.head);
-        let mut crc = crc32(self.head.as_bytes());
-        self.rendered = 0;
+        let mut crc = crc32_update(self.prefix_crc, self.head.as_bytes());
+        self.fresh.clear();
         for (k, chunk) in self.chunks.iter_mut().enumerate() {
             if chunk.dirty {
-                self.rendered += 1;
+                self.fresh.push(k as u32);
                 self.scratch.clear();
                 let start = k * CHUNK_SLOTS;
                 dataset.write_rows(&mut self.scratch, start..slots.min(start + CHUNK_SLOTS));
@@ -562,13 +575,21 @@ impl RowText {
             }
             crc = crc32_combine_shifted(crc, chunk.crc, chunk.shift);
         }
-        let mut parts = Vec::with_capacity(self.chunks.len() + 2);
-        parts.push(self.head.as_str());
+        let (parts, _) = self.document();
+        self.trailer = seal_suffix("", &parts[..parts.len() - 1], crc);
+        self.crc = crc32_update(crc, self.trailer.as_bytes());
+    }
+
+    /// The sealed document as last rendered, byte for byte
+    /// [`MergeOutcome::to_document`] of the dataset, as parts in order —
+    /// the magic and node-list lines, the head, one part per chunk, the
+    /// trailer — and the CRC-32 of their concatenation.
+    pub fn document(&self) -> (Vec<&str>, u32) {
+        let mut parts = Vec::with_capacity(self.chunks.len() + 3);
+        parts.extend([self.prefix.as_str(), &self.head]);
         parts.extend(self.chunks.iter().map(|chunk| chunk.text.as_str()));
-        self.trailer = seal_suffix("", &parts, crc);
-        let crc = crc32_update(crc, self.trailer.as_bytes());
         parts.push(&self.trailer);
-        (parts, crc)
+        (parts, self.crc)
     }
 }
 
@@ -1277,7 +1298,8 @@ mod tests {
                 if rng.gen_bool(0.75) {
                     let want = reference::to_document(&dataset);
                     assert_eq!(dataset.to_document(), want, "seed {seed}, step {step}");
-                    let (parts, crc) = text.render(&dataset);
+                    text.render(&dataset);
+                    let (parts, crc) = text.document();
                     let got = parts.concat();
                     assert_eq!(got, want, "seed {seed}, step {step}");
                     assert_eq!(crc, crc32(got.as_bytes()), "seed {seed}, step {step}");
@@ -1295,11 +1317,11 @@ mod tests {
         let mut dataset = MergeOutcome::new(ids.clone(), 1);
         let mut text = RowText::new(&dataset);
         text.render(&dataset);
-        assert_eq!(text.rendered(), 3, "a new text is all dirty");
+        assert_eq!(text.fresh(), [0, 1, 2], "a new text is all dirty");
         let status_only = delta(vec![], vec!["dead"]);
         dataset.fold(status_only, |i, j| text.mark(i, j)).unwrap();
         text.render(&dataset);
-        assert_eq!(text.rendered(), 0, "status only");
+        assert_eq!(text.fresh(), [], "status only");
         // Indices (0, 11) at slot 11 and (10, 11) at slot 76, named by
         // ids 11, 0 and 1 (index order runs against id order).
         let pairs = vec![pair(0, 11, 1.0, 5, (0, 1)), pair(0, 1, 2.0, 5, (0, 1))];
@@ -1307,9 +1329,9 @@ mod tests {
         dataset.fold(two, |i, j| text.mark(i, j)).unwrap();
         let dirty: Vec<bool> = text.chunks.iter().map(|c| c.dirty).collect();
         assert_eq!(dirty, [true, false, true]);
-        let (parts, _) = text.render(&dataset);
-        assert_eq!(parts.concat(), dataset.to_document());
-        assert_eq!(text.rendered(), 2);
+        text.render(&dataset);
+        assert_eq!(text.document().0.concat(), dataset.to_document());
+        assert_eq!(text.fresh(), [0, 2]);
     }
 
     #[test]

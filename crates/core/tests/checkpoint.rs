@@ -704,9 +704,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Flipping any byte of a sealed checkpoint either fails the
-    /// load or (for the rare flip that leaves the document equivalent,
-    /// e.g. a hex-case flip inside the CRC trailer) reproduces the
-    /// exact same scanner state — never a silently different one.
+    /// load or (were a flip to leave the document equivalent)
+    /// reproduces the exact same scanner state — never a silently
+    /// different one.
     #[test]
     fn flipped_bytes_never_load_different_state(pos in 0usize..8192, flip in 0u8..255) {
         let sealed = canonical();

@@ -1,29 +1,43 @@
-//! The crash-consistent publish journal: append → seal → swap →
-//! truncate.
+//! The crash-consistent publish journal: a base, and a log of what
+//! each publish changed on it.
 //!
-//! Every generation the pipeline publishes passes through two files in
-//! the journal directory:
+//! The last published generation lives in two files of the journal
+//! directory (grammar: DESIGN.md §19):
 //!
-//! * **`oracle.journal`** — an append-only staging log. A publish
-//!   first appends one framed record (`@gen` header, the merged
-//!   document's bytes, `@seal` trailer with a CRC-32 over the body)
-//!   and fsyncs; the completed `@seal` line is the commit point. A
-//!   kill mid-append leaves a torn tail that recovery cuts off.
-//! * **`oracle.published`** — the last served generation, an
-//!   outer-sealed wrapper around the same document, replaced with
-//!   [`ting::checkpoint::write_atomic_parts`] (tmp + fsync + rename + dir
-//!   fsync). After the swap the journal is truncated; a kill between
-//!   swap and truncate leaves a record whose generation equals the
-//!   published one, which recovery recognizes as already applied.
+//! * **`oracle.published`** — the *base*: one whole generation, an
+//!   outer-sealed wrapper around its merged document and the lengths
+//!   of the parts it was written as (for a pipeline's, the row text's:
+//!   node list, head, one part per row chunk, trailer), replaced only by
+//!   a *compaction* (tmp file, fsync, rename, directory fsync; the
+//!   rename is its commit point), which then truncates the log.
+//! * **`oracle.journal`** — an append-only log of sealed frames. A
+//!   publish that does not compact appends one `@delta` frame — the
+//!   document's head lines, the text of each row chunk the publish
+//!   re-rendered under its index, and the document's trailer — and
+//!   fsyncs once; the frame's completed `@seal` line is its commit
+//!   point. [`Journal::append`] stages a whole `@gen` record instead: a
+//!   generation sealed but not yet made the base (the seal → swap
+//!   window). A kill mid-append leaves a torn tail that recovery cuts
+//!   off.
 //!
-//! The invariant, for a kill at **any byte offset**: recovery always
-//! reproduces exactly the last *sealed* state — the pending journal
-//! record if one sealed after the published generation, otherwise the
-//! published file — bit-identical to what an uninterrupted run would
-//! have served. The chaos tests drive this by replaying every prefix
-//! of the on-disk bytes.
+//! Recovery loads the base, cuts it into its parts by their lengths,
+//! and splices the sealed `@delta` frames onto them in generation
+//! order: the chunk rule is the row text's alone
+//! ([`ting::shard::RowText`]), and the base records its result.
+//! Frames the base already holds — a kill between a compaction's
+//! rename and its truncate — are skipped. The invariant, for a kill at **any byte
+//! offset**: recovery reproduces exactly the last *sealed* state, the
+//! pending `@gen` record if one sealed after it, bit-identical to what
+//! an uninterrupted run served. A sealed frame out of sequence, with no
+//! base under it, or whose body does not parse is an error, never a
+//! silently different state. The chaos tests drive this by replaying
+//! every prefix of the bytes a run writes.
 
+use std::fmt::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use ting::checkpoint;
 
 /// The append-only staging log's file name.
@@ -36,10 +50,11 @@ pub(crate) const PUBLISHED_MAGIC: &str = "# ting oracle published v1";
 /// What recovery found on disk.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Recovered {
-    /// The last atomically published generation, if any.
+    /// The last published generation: the base with every sealed
+    /// `@delta` frame on it spliced in, as one document.
     pub published: Option<(u64, String)>,
-    /// A journal record sealed *after* the published generation — a
-    /// kill landed between seal and swap; the caller must apply it.
+    /// A whole `@gen` record sealed *after* the published generation —
+    /// a kill landed between seal and swap; the caller must apply it.
     pub pending: Option<(u64, String)>,
     /// Whether the journal carried a torn (unsealed) tail that was
     /// discarded.
@@ -65,12 +80,12 @@ impl Journal {
     /// Opens (creating if needed) the journal directory. Each
     /// directory it creates is made durable in its parent before it
     /// returns.
-    pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Journal> {
+    pub fn open(dir: impl Into<PathBuf>) -> io::Result<Journal> {
         let dir = dir.into();
         let created: Vec<&Path> = dir.ancestors().take_while(|d| !d.is_dir()).collect();
         std::fs::create_dir_all(&dir)?;
         for parent in created.iter().filter_map(|d| d.parent()) {
-            checkpoint::sync_dir(parent)?;
+            fsync_dir(parent)?;
         }
         Ok(Journal { dir })
     }
@@ -83,97 +98,121 @@ impl Journal {
         self.dir.join(PUBLISHED_FILE)
     }
 
-    /// Stages generation `gen` (a merged-matrix document) into the
-    /// append-only log. Durable on return; the record is committed by
-    /// its `@seal` line. This is step one of a publish — the caller
-    /// swaps the oracle next, then calls [`Journal::mark_published`].
-    pub fn append(&self, gen: u64, doc: &str) -> std::io::Result<()> {
-        self.append_with_crc(gen, &[doc], checkpoint::crc32(doc.as_bytes()))
+    /// Stages generation `gen` (a merged-matrix document) into the log
+    /// as one whole `@gen` record. Durable on return; the record is
+    /// committed by its `@seal` line, and recovery serves it as pending
+    /// until [`Journal::mark_published`] makes it the base.
+    pub fn append(&self, gen: u64, doc: &str) -> io::Result<()> {
+        let (header, trailer) = frame_parts(GEN, gen, doc.len(), checkpoint::crc32(doc.as_bytes()));
+        self.append_frame(&framed(&header, &[doc], &trailer))
+            .map(drop)
     }
 
-    /// [`Journal::append`] of a document held as the parts `doc`, whose
-    /// concatenation's CRC-32 the caller holds — the pipeline's cached
-    /// render. The frame goes to the log in vectored writes, the
-    /// document from the caller's buffers: nothing copies or hashes it.
-    /// The append that creates the log also fsyncs the directory, so
-    /// the log's entry is as durable as its first record.
-    pub(crate) fn append_with_crc(&self, gen: u64, doc: &[&str], crc: u32) -> std::io::Result<()> {
+    /// Appends generation `gen` as one `@delta` frame: of `doc`, a
+    /// document held as the parts [`ting::shard::RowText::document`]
+    /// lays out, the head, the chunks `fresh` names and the trailer.
+    /// One append and one fsync; returns the frame's length in bytes.
+    pub(crate) fn append_delta(&self, gen: u64, doc: &[&str], fresh: &[u32]) -> io::Result<u64> {
+        let (head, trailer) = (doc[1], doc[doc.len() - 1]);
+        let chunks = fresh.iter().map(|&k| (k, doc[2 + k as usize]));
+        let texts: usize = chunks.clone().map(|(_, text)| text.len() + 24).sum();
+        let mut body = String::with_capacity(head.len() + texts + trailer.len() + 24);
+        let _ = write!(body, "@head {}\n{head}", head.len());
+        for (k, text) in chunks {
+            let _ = write!(body, "@chunk {k} {}\n{text}", text.len());
+        }
+        body.push_str(trailer);
+        let crc = checkpoint::crc32(body.as_bytes());
+        let (header, seal) = frame_parts(DELTA, gen, body.len(), crc);
+        self.append_frame(&framed(&header, &[&body], &seal))
+    }
+
+    /// Appends the frame whose bytes are `parts` to the log and fsyncs
+    /// it; the append that creates the log also fsyncs the directory,
+    /// so the log's entry is as durable as its first frame.
+    fn append_frame(&self, parts: &[&[u8]]) -> io::Result<u64> {
         let path = self.journal_path();
         let created = !path.exists();
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let (header, trailer) = frame_parts(gen, doc, crc);
-        checkpoint::write_all_parts(&mut f, &framed(&header, doc, &trailer))?;
-        f.sync_all()?;
+        let mut f = OpenOptions::new().create(true).append(true).open(&path)?;
+        checkpoint::write_all_parts(&mut f, parts)?;
+        fsync(&f)?;
         if created {
-            checkpoint::sync_dir(&self.dir)?;
+            fsync_dir(&self.dir)?;
         }
-        Ok(())
+        Ok(parts.iter().map(|part| part.len() as u64).sum())
     }
 
-    /// Completes a publish: atomically replaces the published file
-    /// with generation `gen`, then truncates the staging log. A kill
-    /// between the two leaves an already-applied record recovery
-    /// recognizes by its generation number.
-    pub fn mark_published(&self, gen: u64, doc: &str) -> std::io::Result<()> {
+    /// Makes generation `gen` the base and empties the log: a
+    /// compaction. A kill before the rename leaves the old base and
+    /// its log, one after it a log the new base already holds, which
+    /// recovery recognizes by its generation numbers.
+    pub fn mark_published(&self, gen: u64, doc: &str) -> io::Result<()> {
         self.mark_published_with_crc(gen, &[doc], checkpoint::crc32(doc.as_bytes()))
+            .map(drop)
     }
 
     /// [`Journal::mark_published`] of a document held as parts, whose
-    /// CRC-32 the caller holds; like [`Journal::append_with_crc`],
-    /// nothing copies or hashes the document.
+    /// CRC-32 the caller holds; nothing copies or hashes the document.
+    /// The base goes to a tmp file, fsynced, renamed over the published
+    /// file, and the directory is fsynced; then the log is cut to
+    /// nothing and fsynced. A missing log is created before the rename,
+    /// so that one directory fsync makes both entries durable. Returns
+    /// the base's length in bytes.
     pub(crate) fn mark_published_with_crc(
         &self,
         gen: u64,
         doc: &[&str],
         crc: u32,
-    ) -> std::io::Result<()> {
-        let (head, tail) = published_parts(gen, doc, crc);
-        checkpoint::write_atomic_parts(&self.published_path(), &framed(&head, doc, &tail))?;
-        self.cut_journal(0)
-    }
-
-    /// Cuts the staging log to its first `len` bytes, durably.
-    fn cut_journal(&self, len: u64) -> std::io::Result<()> {
-        let f = std::fs::OpenOptions::new()
+    ) -> io::Result<u64> {
+        let log = OpenOptions::new()
+            .create(true)
             .write(true)
+            .truncate(false)
             .open(self.journal_path())?;
-        f.set_len(len)?;
-        f.sync_all()
+        let (head, tail) = published_parts(gen, doc, crc);
+        let parts = framed(&head, doc, &tail);
+        let tmp = self.dir.join(format!("{PUBLISHED_FILE}.tmp"));
+        let mut f = File::create(&tmp)?;
+        checkpoint::write_all_parts(&mut f, &parts)?;
+        fsync(&f)?;
+        drop(f);
+        std::fs::rename(&tmp, self.published_path())?;
+        fsync_dir(&self.dir)?;
+        log.set_len(0)?;
+        fsync(&log)?;
+        Ok(parts.iter().map(|part| part.len() as u64).sum())
     }
 
     /// Replays the directory after a kill. Corrupt *sealed* state (a
-    /// published file that fails its CRC) is an error — that is disk
-    /// rot, not a crash window, and must be loud. Torn tails and stale
-    /// `.tmp` siblings are expected crash debris: the `.tmp` is ignored,
-    /// the tail is cut off the log, so that the next [`Journal::append`]
-    /// lands behind sealed records only — a record sealed behind
-    /// garbage would be lost to the next recovery's walk.
+    /// published file that fails its CRC, a sealed frame that cannot be
+    /// spliced) is an error — that is disk rot or a writer's fault, not
+    /// a crash window, and must be loud; the directory is left as it
+    /// was. Torn tails and stale `.tmp` siblings are expected crash
+    /// debris: the `.tmp` is ignored, the tail is cut off the log, so
+    /// that the next append lands behind sealed frames only — a frame
+    /// sealed behind garbage would be lost to the next recovery's walk.
     pub fn recover(&self) -> Result<Recovered, String> {
-        let published = match std::fs::read_to_string(self.published_path()) {
+        let base = match std::fs::read_to_string(self.published_path()) {
             Ok(text) => Some(parse_published(&text)?),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(format!("published file unreadable: {e}")),
         };
-        let (records, torn_tail) = match std::fs::read(self.journal_path()) {
-            Ok(bytes) => {
-                let (records, sealed) = scan_journal(&bytes);
-                let torn_tail = sealed < bytes.len();
-                if torn_tail {
-                    self.cut_journal(sealed as u64)
-                        .map_err(|e| format!("cutting the journal's torn tail: {e}"))?;
-                }
-                (records, torn_tail)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), false),
+        let log = match std::fs::read(self.journal_path()) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(format!("journal unreadable: {e}")),
         };
-        // `None < Some(0)`: with no published file every sealed record
-        // is pending, whatever number it carries.
-        let published_gen = published.as_ref().map(|&(g, _)| g);
-        let pending = records.into_iter().rfind(|&(g, _)| Some(g) > published_gen);
+        let (frames, sealed) = scan_journal(&log);
+        let (published, pending) = replay(base, &frames)?;
+        let torn_tail = sealed < log.len();
+        if torn_tail {
+            let f = OpenOptions::new().write(true).open(self.journal_path());
+            f.and_then(|f| {
+                f.set_len(sealed as u64)?;
+                fsync(&f)
+            })
+            .map_err(|e| format!("cutting the journal's torn tail: {e}"))?;
+        }
         Ok(Recovered {
             published,
             pending,
@@ -182,19 +221,40 @@ impl Journal {
     }
 }
 
-/// Frames one journal record: `@gen <g> <len>\n` + the document bytes +
-/// `@seal <g> <crc32-hex>\n`. Public so fault-injection tests can
-/// compute byte offsets inside a record without writing one.
+/// Fsyncs `file`. Every fsync the journal makes is a call here, so a
+/// test counts a publish's.
+fn fsync(file: &File) -> io::Result<()> {
+    #[cfg(test)]
+    tests::FSYNCS.with(|n| n.set(n.get() + 1));
+    file.sync_all()
+}
+
+/// Fsyncs directory `dir` (the current one when `dir` is empty), so the
+/// entries created or renamed in it survive a crash.
+fn fsync_dir(dir: &Path) -> io::Result<()> {
+    let dir = match dir.as_os_str().is_empty() {
+        true => Path::new("."),
+        false => dir,
+    };
+    fsync(&File::open(dir)?)
+}
+
+/// The tag of a whole record, and of a frame of changed chunks.
+const GEN: &str = "gen";
+const DELTA: &str = "delta";
+
+/// Frames one whole journal record: `@gen <g> <len>\n` + the document
+/// bytes + `@seal <g> <crc32-hex>\n`. Public so fault-injection tests
+/// can compute byte offsets inside a record without writing one.
 pub fn frame_record(gen: u64, doc: &str) -> String {
-    let (header, trailer) = frame_parts(gen, &[doc], checkpoint::crc32(doc.as_bytes()));
+    let (header, trailer) = frame_parts(GEN, gen, doc.len(), checkpoint::crc32(doc.as_bytes()));
     [header.as_str(), doc, &trailer].concat()
 }
 
-/// The `@gen` header and `@seal` trailer around the document whose
-/// parts are `doc` and whose CRC-32 is `crc`.
-fn frame_parts(gen: u64, doc: &[&str], crc: u32) -> (String, String) {
-    let len: usize = doc.iter().map(|part| part.len()).sum();
-    let header = format!("@gen {gen} {len}\n");
+/// The `@<tag> <gen> <len>` header and `@seal` trailer around a body of
+/// `len` bytes whose CRC-32 is `crc`.
+fn frame_parts(tag: &str, gen: u64, len: usize, crc: u32) -> (String, String) {
+    let header = format!("@{tag} {gen} {len}\n");
     (header, format!("@seal {gen} {crc:08x}\n"))
 }
 
@@ -205,11 +265,15 @@ pub fn render_published(gen: u64, doc: &str) -> String {
 }
 
 /// What the published file holds before and after the document whose
-/// parts are `doc` and whose CRC-32 is `crc`: magic and generation
-/// lines, then the outer seal, its CRC combined from the head's and
-/// `crc`.
+/// parts are `doc` and whose CRC-32 is `crc`: the magic, generation and
+/// part-length lines, then the outer seal, its CRC combined from the
+/// head's and `crc`.
 fn published_parts(gen: u64, doc: &[&str], crc: u32) -> (String, String) {
-    let head = format!("{PUBLISHED_MAGIC}\n# gen: {gen}\n");
+    let mut head = format!("{PUBLISHED_MAGIC}\n# gen: {gen}\n# parts:");
+    for part in doc {
+        let _ = write!(head, " {}", part.len());
+    }
+    head.push('\n');
     let tail = checkpoint::seal_suffix(&head, doc, crc);
     (head, tail)
 }
@@ -223,8 +287,13 @@ fn framed<'a>(head: &'a str, doc: &[&'a str], tail: &'a str) -> Vec<&'a [u8]> {
     parts
 }
 
-/// Parses the published file: outer CRC, magic, generation, document.
-fn parse_published(text: &str) -> Result<(u64, String), String> {
+/// A base as recovery reads it: its generation, the lengths of the parts
+/// its document was written as, and the document.
+type Base = (u64, Vec<usize>, String);
+
+/// Parses the published file: outer CRC, magic, generation, part
+/// lengths (absent in a file written before they were), document.
+fn parse_published(text: &str) -> Result<Base, String> {
     let body = checkpoint::verify_sealed(text).map_err(|e| format!("published file: {e}"))?;
     let rest = body
         .strip_prefix(PUBLISHED_MAGIC)
@@ -235,75 +304,305 @@ fn parse_published(text: &str) -> Result<(u64, String), String> {
     let (gen_line, doc) = rest
         .split_once('\n')
         .ok_or("published file: missing generation line")?;
-    let gen: u64 = gen_line
+    let gen = gen_line
         .strip_prefix("# gen: ")
-        .ok_or_else(|| format!("published file: not a generation line: {gen_line:?}"))?
-        .parse()
-        .map_err(|e| format!("published file: invalid generation: {e}"))?;
-    Ok((gen, doc.to_owned()))
+        .and_then(canonical)
+        .ok_or_else(|| format!("published file: not a generation line: {gen_line:?}"))?;
+    let (parts, doc) = match doc.strip_prefix("# parts:") {
+        Some(rest) => {
+            let (line, doc) = rest.split_once('\n').unwrap_or((rest, ""));
+            let lens = line
+                .strip_prefix(' ')
+                .map(|lens| lens.split(' ').map(canonical));
+            let parts: Option<Vec<usize>> = lens.into_iter().flatten().collect();
+            let parts =
+                parts.ok_or_else(|| format!("published file: not a parts line: {line:?}"))?;
+            (parts, doc)
+        }
+        None => (vec![doc.len()], doc),
+    };
+    Ok((gen, parts, doc.to_owned()))
 }
 
-/// Walks the journal bytes record by record; returns the sealed
-/// records and the offset their last one ends at. Any framing violation
-/// — truncated header, a length that overflows or overruns the buffer,
-/// missing or mismatched `@seal` — ends the walk there: everything
-/// before it is sealed state, everything from it on is a torn tail.
-fn scan_journal(bytes: &[u8]) -> (Vec<(u64, String)>, usize) {
-    let mut records = Vec::new();
+/// A decimal token as the writers write it — `0` or `[1-9][0-9]*`, no
+/// sign — as a `T`.
+fn canonical<T: FromStr>(token: &str) -> Option<T> {
+    let digits = !token.is_empty() && token.bytes().all(|b| b.is_ascii_digit());
+    if !digits || (token.len() > 1 && token.starts_with('0')) {
+        return None;
+    }
+    token.parse().ok()
+}
+
+/// One sealed frame of the log: a whole `@gen` record or a `@delta`
+/// frame, its generation and its body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Frame<'a> {
+    delta: bool,
+    gen: u64,
+    body: &'a str,
+}
+
+/// Walks the journal bytes frame by frame; returns the sealed frames
+/// and the offset their last one ends at. Any framing violation —
+/// truncated header, a token not as the writer writes it, a length that
+/// overflows or overruns the buffer, missing or mismatched `@seal` —
+/// ends the walk there: everything before it is sealed state,
+/// everything from it on is a torn tail.
+fn scan_journal(bytes: &[u8]) -> (Vec<Frame<'_>>, usize) {
+    let mut frames = Vec::new();
     let mut pos = 0;
-    while let Some((gen, body, next)) = read_frame(bytes, pos) {
-        records.push((gen, body.to_owned()));
+    while let Some((frame, next)) = read_frame(bytes, pos) {
+        frames.push(frame);
         pos = next;
     }
-    (records, pos)
+    (frames, pos)
 }
 
-/// The sealed frame at `pos`: its generation, its body and the offset
-/// just past its trailer.
-fn read_frame(bytes: &[u8], pos: usize) -> Option<(u64, &str, usize)> {
-    let (gen, len, body_start) = parse_frame_header(bytes, pos)?;
+/// The sealed frame at `pos` and the offset just past its trailer.
+fn read_frame(bytes: &[u8], pos: usize) -> Option<(Frame<'_>, usize)> {
+    let (delta, gen, len, body_start) = parse_frame_header(bytes, pos)?;
     // `len` is whatever the file says: the sum must not wrap.
     let body_end = body_start.checked_add(len)?;
     let body = std::str::from_utf8(bytes.get(body_start..body_end)?).ok()?;
-    Some((gen, body, verify_frame_seal(bytes, body_end, gen, body)?))
+    let next = verify_frame_seal(bytes, body_end, gen, body)?;
+    Some((Frame { delta, gen, body }, next))
 }
 
-/// Parses `@gen <g> <len>\n` at `pos`; returns `(gen, len, body
-/// start)`.
-fn parse_frame_header(bytes: &[u8], pos: usize) -> Option<(u64, usize, usize)> {
-    let nl = bytes[pos..].iter().position(|&b| b == b'\n')? + pos;
-    let line = std::str::from_utf8(&bytes[pos..nl]).ok()?;
-    let rest = line.strip_prefix("@gen ")?;
+/// The line at `pos`, without its newline, and the offset past it.
+fn line_at(bytes: &[u8], pos: usize) -> Option<(&str, usize)> {
+    let nl = bytes.get(pos..)?.iter().position(|&b| b == b'\n')? + pos;
+    Some((std::str::from_utf8(&bytes[pos..nl]).ok()?, nl + 1))
+}
+
+/// Parses `@gen <g> <len>\n` or `@delta <g> <len>\n` at `pos`; returns
+/// `(whether a delta, gen, len, body start)`.
+fn parse_frame_header(bytes: &[u8], pos: usize) -> Option<(bool, u64, usize, usize)> {
+    let (line, body_start) = line_at(bytes, pos)?;
+    let (tag, rest) = line.strip_prefix('@')?.split_once(' ')?;
     let (gen, len) = rest.split_once(' ')?;
-    Some((gen.parse().ok()?, len.parse().ok()?, nl + 1))
+    let delta = match tag {
+        GEN => false,
+        DELTA => true,
+        _ => return None,
+    };
+    Some((delta, canonical(gen)?, canonical(len)?, body_start))
 }
 
 /// Verifies `@seal <gen> <crc>\n` at `pos` against `body`; returns the
 /// offset just past the trailer.
 fn verify_frame_seal(bytes: &[u8], pos: usize, gen: u64, body: &str) -> Option<usize> {
-    let nl = bytes[pos..].iter().position(|&b| b == b'\n')? + pos;
-    let line = std::str::from_utf8(&bytes[pos..nl]).ok()?;
-    let rest = line.strip_prefix("@seal ")?;
-    let (seal_gen, hex) = rest.split_once(' ')?;
-    if seal_gen.parse::<u64>().ok()? != gen {
-        return None;
+    let (line, next) = line_at(bytes, pos)?;
+    let (seal_gen, hex) = line.strip_prefix("@seal ")?.split_once(' ')?;
+    let sealed = canonical(seal_gen) == Some(gen)
+        && checkpoint::parse_crc_hex(hex) == Some(checkpoint::crc32(body.as_bytes()));
+    sealed.then_some(next)
+}
+
+/// A published generation and a pending one, as [`Recovered`] holds them.
+type Replayed = (Option<(u64, String)>, Option<(u64, String)>);
+
+/// The published and pending generations the base and the log's sealed
+/// frames add up to: each `@delta` frame past the base's generation
+/// spliced onto it in turn — each must be the next generation — and a
+/// whole `@gen` record newer than the result pending.
+fn replay(base: Option<Base>, frames: &[Frame<'_>]) -> Result<Replayed, String> {
+    let mut deltas = Vec::new();
+    let mut at = base.as_ref().map(|&(gen, ..)| gen);
+    for frame in frames.iter().filter(|f| f.delta) {
+        let Some((base_gen, ..)) = base else {
+            return Err(format!(
+                "{JOURNAL_FILE}: sealed @delta {} with no base under it",
+                frame.gen
+            ));
+        };
+        if frame.gen <= base_gen {
+            // Written before a compaction the kill did not let truncate.
+            continue;
+        }
+        if Some(frame.gen) != at.and_then(|gen| gen.checked_add(1)) {
+            return Err(format!(
+                "{JOURNAL_FILE}: sealed @delta {} out of sequence after generation {}",
+                frame.gen,
+                at.unwrap_or(base_gen)
+            ));
+        }
+        at = Some(frame.gen);
+        deltas.push(*frame);
     }
-    if u32::from_str_radix(hex, 16).ok()? != checkpoint::crc32(body.as_bytes()) {
-        return None;
+    let published = match base {
+        Some((_, parts, doc)) if !deltas.is_empty() => {
+            let gen = deltas[deltas.len() - 1].gen;
+            Some((gen, splice(&doc, &parts, &deltas)?))
+        }
+        base => base.map(|(gen, _, doc)| (gen, doc)),
+    };
+    // `None < Some(0)`: with no published generation every sealed
+    // record is pending, whatever number it carries.
+    let newest = published.as_ref().map(|&(gen, _)| gen);
+    let pending = frames
+        .iter()
+        .rfind(|f| !f.delta && Some(f.gen) > newest)
+        .map(|f| (f.gen, f.body.to_owned()));
+    Ok((published, pending))
+}
+
+/// `base`, cut into the parts of the lengths `lens` — as a compaction
+/// wrote it from the row text's parts: node list, head, one part per
+/// chunk, trailer — with the `@delta` frames `deltas` spliced in, in
+/// order. The document they make carries the last frame's trailer; its
+/// seal is checked by the parse that reads it, as a base's is.
+fn splice(base: &str, lens: &[usize], deltas: &[Frame<'_>]) -> Result<String, String> {
+    if lens.len() < 3 || lens.iter().sum::<usize>() != base.len() {
+        return Err(format!(
+            "{PUBLISHED_FILE}: a base of {} bytes is not cut into node list, head, chunks and trailer by {lens:?}",
+            base.len()
+        ));
     }
-    Some(nl + 1)
+    let mut rest = base;
+    let mut parts = Vec::with_capacity(lens.len());
+    for &len in lens {
+        let (part, after) = rest.split_at_checked(len).ok_or_else(|| {
+            format!("{PUBLISHED_FILE}: a part of {len} bytes ends inside a character")
+        })?;
+        parts.push(part);
+        rest = after;
+    }
+    for frame in deltas {
+        apply_delta(&mut parts, frame)
+            .map_err(|e| format!("{JOURNAL_FILE}: @delta {}: {e}", frame.gen))?;
+    }
+    Ok(parts.concat())
+}
+
+/// Puts the head, the chunks and the trailer a `@delta` frame's body
+/// carries in place of those in `parts` (the layout
+/// [`ting::shard::RowText::document`] returns). The body is `@head <len>`,
+/// that many bytes, then `@chunk <index> <len>` and that many bytes per
+/// chunk, indices ascending, then the trailer line; anything else is an
+/// error naming the line.
+fn apply_delta<'a>(parts: &mut [&'a str], frame: &Frame<'a>) -> Result<(), String> {
+    let chunks = parts.len() - 3;
+    let (line, rest) = frame.body.split_once('\n').unwrap_or((frame.body, ""));
+    let len = line.strip_prefix("@head ").and_then(canonical);
+    let (head, mut rest) = len
+        .and_then(|len| rest.split_at_checked(len))
+        .ok_or_else(|| format!("not a head line: {line:?}"))?;
+    parts[1] = head;
+    let mut next = 0;
+    while rest.starts_with("@chunk ") {
+        let (line, after) = rest.split_once('\n').unwrap_or((rest, ""));
+        let (k, len) = line["@chunk ".len()..].split_once(' ').unwrap_or_default();
+        let (k, len): (Option<usize>, Option<usize>) = (canonical(k), canonical(len));
+        let chunk = k.filter(|k| (next..chunks).contains(k)).zip(len);
+        let (k, (text, after)) = chunk
+            .and_then(|(k, len)| Some((k, after.split_at_checked(len)?)))
+            .ok_or_else(|| format!("not a chunk line of this base, in order: {line:?}"))?;
+        parts[2 + k] = text;
+        (next, rest) = (k + 1, after);
+    }
+    if rest.find('\n') != Some(rest.len().wrapping_sub(1)) {
+        let line = rest.split('\n').next().unwrap_or_default();
+        return Err(format!("not a chunk line or the trailer: {line:?}"));
+    }
+    parts[chunks + 2] = rest;
+    Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use netsim::{NodeId, SimTime};
+    use obs::Lineage;
+    use std::cell::Cell;
     use std::io::Write as _;
+    use ting::shard::{DeltaPair, MergeDelta, MergeOutcome, RowText};
+
+    thread_local! {
+        /// Fsyncs the journal made on this thread.
+        pub(super) static FSYNCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Fsyncs the journal has made on this thread so far.
+    pub(crate) fn fsyncs() -> u64 {
+        FSYNCS.with(Cell::get)
+    }
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ting-journal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The sealed frames of `bytes` as `(delta, gen, body)`, and where
+    /// the last ends.
+    fn scan(bytes: &[u8]) -> (Vec<(bool, u64, &str)>, usize) {
+        let (frames, sealed) = scan_journal(bytes);
+        let frames = frames.iter().map(|f| (f.delta, f.gen, f.body)).collect();
+        (frames, sealed)
+    }
+
+    /// A live dataset over 12 nodes (78 pair slots: three chunks) and
+    /// its row text.
+    fn live() -> (MergeOutcome, RowText) {
+        let dataset = MergeOutcome::new((0..12).rev().map(NodeId).collect(), 1);
+        let text = RowText::new(&dataset);
+        (dataset, text)
+    }
+
+    /// Folds the pairs `pairs` of node ids in at `now`, marks their
+    /// chunks and renders the text.
+    fn fold(dataset: &mut MergeOutcome, text: &mut RowText, pairs: &[(u32, u32)], now: u64) {
+        let delta = MergeDelta {
+            seq: now,
+            pairs: pairs
+                .iter()
+                .map(|&(a, b)| DeltaPair {
+                    a: NodeId(a),
+                    b: NodeId(b),
+                    rtt_ms: f64::from(a + 2 * b) / 4.0 + now as f64,
+                    measured_at: SimTime(now),
+                    lineage: Lineage {
+                        shard: 0,
+                        round: now,
+                    },
+                })
+                .collect(),
+            statuses: vec!["live"],
+            now: SimTime(now),
+        };
+        dataset.fold(delta, |i, j| text.mark(i, j)).unwrap();
+        dataset.judge_coverage(SimTime(now), netsim::SimDuration(50));
+        text.render(dataset);
+    }
+
+    /// A base at generation 2, then `@delta` frames 3, 4 and 5 on it (a
+    /// pair in chunk 0, one in chunk 2, a status-only one): the
+    /// documents each generation is, and the log's bytes after each
+    /// frame.
+    fn base_and_three_frames(j: &Journal) -> (Vec<String>, Vec<Vec<u8>>) {
+        let (mut dataset, mut text) = live();
+        fold(&mut dataset, &mut text, &[(11, 10), (0, 1), (5, 6)], 10);
+        let (doc, crc) = text.document();
+        let base = j.mark_published_with_crc(2, &doc, crc).unwrap();
+        let published = std::fs::read(j.published_path()).unwrap();
+        assert_eq!(base, published.len() as u64);
+        let mut docs = vec![dataset.to_document()];
+        let mut logs = Vec::new();
+        for (gen, pairs) in [(3, &[(11, 9)][..]), (4, &[(1, 0)]), (5, &[])] {
+            fold(&mut dataset, &mut text, pairs, 10 * gen);
+            let (doc, _) = text.document();
+            let chunks = text.fresh().len();
+            assert_eq!(chunks, pairs.len(), "generation {gen}");
+            let before = std::fs::metadata(j.journal_path()).unwrap().len();
+            let frame = j.append_delta(gen, &doc, text.fresh()).unwrap();
+            let log = std::fs::read(j.journal_path()).unwrap();
+            assert_eq!(log.len() as u64, before + frame);
+            docs.push(dataset.to_document());
+            logs.push(log);
+        }
+        (docs, logs)
     }
 
     #[test]
@@ -361,20 +660,193 @@ mod tests {
             for piece in doc.as_bytes().chunks(cut.min(doc.len().max(1))) {
                 parts.extend([std::str::from_utf8(piece).unwrap(), ""]);
             }
-            j.append_with_crc(gen, &parts, crc).unwrap();
+            j.append(gen, doc).unwrap();
             let staged = std::fs::read(j.journal_path()).unwrap();
             assert_eq!(staged, frame_record(gen, doc).into_bytes(), "{doc:?}");
-            j.mark_published_with_crc(gen, &parts, crc).unwrap();
+            let base = j.mark_published_with_crc(gen, &parts, crc).unwrap();
             let published = std::fs::read(j.published_path()).unwrap();
-            assert_eq!(
-                published,
-                render_published(gen, doc).into_bytes(),
-                "{doc:?}"
-            );
-            let want = checkpoint::seal(format!("{PUBLISHED_MAGIC}\n# gen: {gen}\n{doc}"));
+            assert_eq!(base, published.len() as u64);
+            let lens: String = parts
+                .iter()
+                .map(|part| format!(" {}", part.len()))
+                .collect();
+            let head = format!("{PUBLISHED_MAGIC}\n# gen: {gen}\n# parts:{lens}\n");
+            let want = checkpoint::seal(format!("{head}{doc}"));
             assert_eq!(published, want.into_bytes(), "the outer seal, {doc:?}");
             assert_eq!(std::fs::metadata(j.journal_path()).unwrap().len(), 0);
+            j.mark_published(gen, doc).unwrap();
+            let published = std::fs::read(j.published_path()).unwrap();
+            assert_eq!(published, render_published(gen, doc).into_bytes());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `@delta` frames splice onto the base in generation order: after
+    /// each, recovery gives back the whole document of its generation,
+    /// nothing pending and no torn tail; a compaction's rename with the
+    /// truncate not done leaves frames the base already holds, which
+    /// are skipped.
+    #[test]
+    fn delta_frames_splice_onto_the_base_in_order() {
+        let dir = tempdir("delta");
+        let j = Journal::open(&dir).unwrap();
+        let (docs, logs) = base_and_three_frames(&j);
+        for (gen, (doc, log)) in (3..).zip(docs[1..].iter().zip(&logs)) {
+            std::fs::write(j.journal_path(), log).unwrap();
+            let r = j.recover().unwrap();
+            assert_eq!(r.published, Some((gen, doc.clone())));
+            assert_eq!((&r.pending, r.torn_tail), (&None, false));
+        }
+        // A frame holds the head, the chunks it names and the trailer.
+        let (frames, _) = scan(&logs[2]);
+        let bodies: Vec<&str> = frames.iter().map(|&(_, _, body)| body).collect();
+        assert!(bodies[0].contains("@chunk 0 ") && !bodies[0].contains("@chunk 2 "));
+        assert!(bodies[1].contains("@chunk 2 ") && !bodies[1].contains("@chunk 0 "));
+        assert!(!bodies[2].contains("@chunk"), "a status-only frame");
+
+        // Compaction at generation 6: rename done, truncate not done.
+        let body = checkpoint::verify_sealed(&docs[3]).unwrap();
+        let gen6 = checkpoint::seal(body.replace("# now_ns: 50\n", "# now_ns: 60\n"));
+        j.mark_published(6, &gen6).unwrap();
+        std::fs::write(j.journal_path(), &logs[2]).unwrap();
+        let r = j.recover().unwrap();
+        assert_eq!(r.published, Some((6, gen6)));
+        assert_eq!((&r.pending, r.torn_tail), (&None, false));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sealed frame that cannot be spliced onto what lies under it is
+    /// a loud error, and recovery leaves the directory as it found it.
+    #[test]
+    fn a_sealed_frame_out_of_sequence_or_without_a_base_is_an_error() {
+        let dir = tempdir("sequence");
+        let j = Journal::open(&dir).unwrap();
+        let (_, logs) = base_and_three_frames(&j);
+        let (frames, _) = scan(&logs[2]);
+        let frame = |k: usize| {
+            let (_, gen, body) = frames[k];
+            let (header, seal) =
+                frame_parts(DELTA, gen, body.len(), checkpoint::crc32(body.as_bytes()));
+            format!("{header}{body}{seal}")
+        };
+        let published = std::fs::read(j.published_path()).unwrap();
+        let cases = [
+            (
+                format!("{}{}", frame(1), frame(0)),
+                true,
+                "sealed @delta 4 out of sequence after generation 2",
+            ),
+            (
+                format!("{}{}", frame(0), frame(2)),
+                true,
+                "sealed @delta 5 out of sequence after generation 3",
+            ),
+            (
+                format!("{}{}", frame(0), frame(0)),
+                true,
+                "sealed @delta 3 out of sequence after generation 3",
+            ),
+            (frame(0), false, "sealed @delta 3 with no base under it"),
+        ];
+        for (log, base, want) in cases {
+            std::fs::write(j.journal_path(), &log).unwrap();
+            if !base {
+                std::fs::remove_file(j.published_path()).unwrap();
+            }
+            let torn = format!("{log}@delta 9");
+            std::fs::write(j.journal_path(), &torn).unwrap();
+            let err = j.recover().unwrap_err();
+            assert_eq!(err, format!("{JOURNAL_FILE}: {want}"));
+            assert_eq!(std::fs::read(j.journal_path()).unwrap(), torn.as_bytes());
+            std::fs::write(j.published_path(), &published).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Only the tokens the writer writes are taken. A frame whose header
+    /// or seal line is spelled any other way is not sealed — the walk
+    /// ends before it — and a sealed `@delta` body with such a line is
+    /// an error naming it.
+    #[test]
+    fn frames_take_only_canonical_tokens() {
+        let dir = tempdir("canonical");
+        let j = Journal::open(&dir).unwrap();
+        let (_, logs) = base_and_three_frames(&j);
+        let (frames, _) = scan(&logs[2]);
+        let (_, gen, body) = frames[0];
+        let crc = checkpoint::crc32(body.as_bytes());
+        let header = format!("@delta {gen} {}\n", body.len());
+        let seal = format!("@seal {gen} {crc:08x}\n");
+        assert_eq!(scan(format!("{header}{body}{seal}").as_bytes()).0.len(), 1);
+        let len = body.len();
+        let headers = [
+            format!("@delta +{gen} {len}\n"),
+            format!("@delta 0{gen} {len}\n"),
+            format!("@delta {gen} +{len}\n"),
+            format!("@delta {gen} 0{len}\n"),
+            format!("@delta  {gen} {len}\n"),
+            format!("@delta {gen} {len} \n"),
+            format!("@Delta {gen} {len}\n"),
+        ];
+        for header in headers {
+            let frame = format!("{header}{body}{seal}");
+            let (frames, sealed) = scan(frame.as_bytes());
+            assert_eq!((frames.len(), sealed), (0, 0), "header line {header:?}");
+        }
+        let seals = [
+            format!("@seal {gen} {crc:08X}\n"),
+            format!("@seal {gen} 0{crc:08x}\n"),
+            format!("@seal {gen} {:07x}\n", crc & 0x0fff_ffff),
+            format!("@seal {gen} +{:07x}\n", crc & 0x0fff_ffff),
+            format!("@seal {gen}  {crc:08x}\n"),
+            format!("@seal +{gen} {crc:08x}\n"),
+            format!("@seal 0{gen} {crc:08x}\n"),
+        ];
+        for seal in seals {
+            let frame = format!("{header}{body}{seal}");
+            let (frames, sealed) = scan(frame.as_bytes());
+            assert_eq!((frames.len(), sealed), (0, 0), "seal line {seal:?}");
+        }
+
+        // Edits inside the body, the frame sealed again: each an error
+        // naming its line.
+        let chunk = body.lines().find(|l| l.starts_with("@chunk ")).unwrap();
+        let (k, text_len) = chunk["@chunk ".len()..].split_once(' ').unwrap();
+        let head = body.lines().next().unwrap();
+        let head_len = &head["@head ".len()..];
+        let edits = [
+            (head.to_owned(), format!("@head +{head_len}")),
+            (head.to_owned(), format!("@head 0{head_len}")),
+            (head.to_owned(), format!("@head  {head_len}")),
+            (chunk.to_owned(), format!("@chunk +{k} {text_len}")),
+            (chunk.to_owned(), format!("@chunk 0{k} {text_len}")),
+            (chunk.to_owned(), format!("@chunk {k} 0{text_len}")),
+            (chunk.to_owned(), format!("@chunk {k} +{text_len}")),
+            (chunk.to_owned(), format!("@chunk 3 {text_len}")),
+            (chunk.to_owned(), format!("@chunk {k}  {text_len}")),
+        ];
+        for (line, edited) in edits {
+            let body = body.replacen(&format!("{line}\n"), &format!("{edited}\n"), 1);
+            let (header, seal) =
+                frame_parts(DELTA, gen, body.len(), checkpoint::crc32(body.as_bytes()));
+            std::fs::write(j.journal_path(), format!("{header}{body}{seal}")).unwrap();
+            let err = j.recover().unwrap_err();
+            assert!(err.contains(&format!("{edited:?}")), "{err} for {edited:?}");
+        }
+        // A chunk's head line dropped: its text is read as the trailer.
+        let dropped = body.replacen(&format!("{chunk}\n"), "", 1);
+        let (header, seal) = frame_parts(
+            DELTA,
+            gen,
+            dropped.len(),
+            checkpoint::crc32(dropped.as_bytes()),
+        );
+        std::fs::write(j.journal_path(), format!("{header}{dropped}{seal}")).unwrap();
+        let err = j.recover().unwrap_err();
+        assert!(
+            err.contains("not a chunk line or the trailer: \"m\\t"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -416,13 +888,13 @@ mod tests {
     #[test]
     fn frame_roundtrips_and_rejects_a_flipped_body_byte() {
         let frame = frame_record(7, "payload line\n");
-        let (records, sealed) = scan_journal(frame.as_bytes());
-        assert_eq!(records, vec![(7, "payload line\n".to_owned())]);
+        let (records, sealed) = scan(frame.as_bytes());
+        assert_eq!(records, vec![(false, 7, "payload line\n")]);
         assert_eq!(sealed, frame.len(), "no torn tail");
         let mut corrupt = frame.into_bytes();
         let at = "@gen 7 13\npay".len() - 1;
         corrupt[at] ^= 0x01;
-        let (records, sealed) = scan_journal(&corrupt);
+        let (records, sealed) = scan(&corrupt);
         assert!(records.is_empty());
         assert_eq!(sealed, 0, "torn from the first byte");
     }
@@ -455,8 +927,8 @@ mod tests {
             let header = format!("@gen 2 {token}\n");
             let rest = second.strip_prefix("@gen 2 8\n").unwrap();
             let bytes = format!("{first}{header}{rest}");
-            let (records, sealed) = scan_journal(bytes.as_bytes());
-            assert_eq!(records, vec![(1, "one\n".to_owned())], "length {token:?}");
+            let (records, sealed) = scan(bytes.as_bytes());
+            assert_eq!(records, vec![(false, 1, "one\n")], "length {token:?}");
             assert_eq!(sealed, first.len(), "length {token:?}");
         }
     }
@@ -492,16 +964,15 @@ mod tests {
         let full = format!("{}{}", frame_record(1, "one\n"), frame_record(2, "two\n"));
         let first = frame_record(1, "one\n").len();
         for cut in 0..=full.len() {
-            let (records, _) = scan_journal(&full.as_bytes()[..cut]);
-            let expect: &[(u64, &str)] = if cut == full.len() {
-                &[(1, "one\n"), (2, "two\n")]
+            let (records, _) = scan(&full.as_bytes()[..cut]);
+            let expect: &[(bool, u64, &str)] = if cut == full.len() {
+                &[(false, 1, "one\n"), (false, 2, "two\n")]
             } else if cut >= first {
-                &[(1, "one\n")]
+                &[(false, 1, "one\n")]
             } else {
                 &[]
             };
-            let got: Vec<(u64, &str)> = records.iter().map(|(g, d)| (*g, d.as_str())).collect();
-            assert_eq!(got, expect, "prefix of {cut} bytes");
+            assert_eq!(records, expect, "prefix of {cut} bytes");
         }
     }
 }

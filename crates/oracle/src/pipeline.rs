@@ -9,12 +9,14 @@
 //! into the accumulated matrix and publishes the generation through the
 //! oracle's swap cell. A journaled pipeline first renders the same
 //! CRC-sealed merged document an offline
-//! [`ting::shard::Supervisor::merge`] would produce and stages it
-//! through the publish [`Journal`] (append → seal → swap → truncate),
-//! under the *journal's* generation number — so a kill at any byte and
-//! a [`Pipeline::recover`] always serve exactly the last sealed
-//! generation, bit-identical to an uninterrupted run. A volatile one
-//! (no journal) renders no document: nothing would read it.
+//! [`ting::shard::Supervisor::merge`] would produce and makes it durable
+//! through the publish [`Journal`] before it swaps it in — one `@delta`
+//! frame of the row chunks the publish changed, one append and one
+//! fsync, or now and then a compaction that rewrites the whole document
+//! as the journal's base — under the *journal's* generation number, so a
+//! kill at any byte and a [`Pipeline::recover`] always serve exactly the
+//! last sealed generation, bit-identical to an uninterrupted run. A
+//! volatile one (no journal) renders no document: nothing would read it.
 //!
 //! Serving is guarded by the [`TtlPolicy`] ladder, judged against the
 //! snapshot's newest measurement in virtual time. The pipeline is the
@@ -135,6 +137,69 @@ impl Metrics {
     }
 }
 
+/// A publish compacts — writes the whole document as the journal's base
+/// and empties its log — instead of appending a `@delta` frame once the
+/// frame would take the log past this share of the base's bytes, in
+/// percent. At 300 relays a 64-pair frame is ≈ 85 KB of a 1.70 MB base:
+/// five frames go between two compactions, and a recovery splices at
+/// most ≈ 0.43 MB of them (DESIGN.md §16).
+const COMPACT_AT_PERCENT: u64 = 25;
+
+/// The durable half of a journaled pipeline.
+#[derive(Debug)]
+struct Durable {
+    journal: Journal,
+    /// `dataset`'s document as rendered at the last publish, chunk by
+    /// chunk, with the chunks folded into since marked for the next.
+    rows: RowText,
+    /// The length in bytes of the base this pipeline last wrote, and of
+    /// the frames it appended on it since; `None` before its first
+    /// compaction and after a failed write, so the next publish
+    /// compacts.
+    on_disk: Option<(u64, u64)>,
+}
+
+impl Durable {
+    fn new(journal: Journal, dataset: &MergeOutcome) -> Durable {
+        Durable {
+            journal,
+            rows: RowText::new(dataset),
+            on_disk: None,
+        }
+    }
+
+    /// Renders generation `gen` of `dataset` — the chunks folded into
+    /// since the last render — and makes it durable: one `@delta` frame
+    /// of what the render changed, or a compaction when this pipeline
+    /// has written no base, the render changed every chunk, or the log
+    /// would pass [`COMPACT_AT_PERCENT`] of the base. The document goes
+    /// to disk as the row text's parts, under the CRC they were joined
+    /// to: nothing copies or hashes it whole.
+    fn write(&mut self, dataset: &MergeOutcome, gen: u64) -> Result<(), String> {
+        self.rows.render(dataset);
+        let (doc, crc) = self.rows.document();
+        let fresh = self.rows.fresh();
+        let changed = fresh.iter().map(|&k| doc[2 + k as usize].len());
+        let frame = (doc[1].len() + changed.sum::<usize>() + doc[doc.len() - 1].len()) as u64;
+        let every_chunk = fresh.len() == doc.len() - 3;
+        self.on_disk = Some(match self.on_disk.take() {
+            Some((base, log))
+                if !every_chunk && (log + frame) * 100 <= base * COMPACT_AT_PERCENT =>
+            {
+                let append = self.journal.append_delta(gen, &doc, fresh);
+                let frame = append.map_err(|e| format!("journal append (gen {gen}): {e}"))?;
+                (base, log + frame)
+            }
+            _ => {
+                let compact = self.journal.mark_published_with_crc(gen, &doc, crc);
+                let base = compact.map_err(|e| format!("journal compaction (gen {gen}): {e}"))?;
+                (base, 0)
+            }
+        });
+        Ok(())
+    }
+}
+
 /// The scan→serve control loop. Single-threaded like the [`Oracle`] it
 /// owns; hand [`Pipeline::reader`]s to concurrent consumers.
 #[derive(Debug)]
@@ -152,11 +217,9 @@ pub struct Pipeline {
     /// the served one is the bootstrap, with no instant table to patch,
     /// or a journal append was refused since it was served.
     unserved: Option<Vec<(u32, u32)>>,
-    /// The journal, and `dataset`'s document as rendered at the last
-    /// publish, chunk by chunk, with the chunks folded into since marked
-    /// for the next publish; `None` in a volatile pipeline, which renders
-    /// nothing.
-    durable: Option<(Journal, RowText)>,
+    /// The journal and the document it is written from; `None` in a
+    /// volatile pipeline, which renders nothing.
+    durable: Option<Durable>,
     oracle: Oracle,
     queue: VecDeque<MergeDelta>,
     /// Pairs folded into `dataset` since the last sealed generation;
@@ -194,7 +257,7 @@ impl Pipeline {
     ) -> Pipeline {
         assert!(config.queue_cap >= 1, "queue capacity must be positive");
         let dataset = MergeOutcome::new(nodes, shards);
-        let durable = journal.map(|journal| (journal, RowText::new(&dataset)));
+        let durable = journal.map(|journal| Durable::new(journal, &dataset));
         let oracle = Oracle::with_obs(Snapshot::from_matrix(&dataset.matrix), obs.clone());
         // No timestamps, no age to certify: the ladder says `Degraded`.
         let bootstrap = config.ttl.judgment(None, 0);
@@ -220,11 +283,13 @@ impl Pipeline {
     }
 
     /// Reopens a journaled pipeline after a kill: replays the journal
-    /// directory, republishes exactly the last sealed generation (the
-    /// pending record when the kill landed between seal and swap, else
-    /// the published file), rebuilds the accumulated dataset from it,
-    /// and re-judges serving at `now`. Returns what recovery found so
-    /// harnesses can assert on the crash window they injected.
+    /// directory, republishes exactly the last sealed generation (a
+    /// pending whole record when the kill landed between its seal and
+    /// swap, else the base with its `@delta` frames spliced in),
+    /// rebuilds the accumulated dataset from it, and re-judges serving
+    /// at `now`. Its first publish compacts: the row text is new.
+    /// Returns what recovery found so harnesses can assert on the crash
+    /// window they injected.
     pub fn recover(
         nodes: Vec<NodeId>,
         shards: usize,
@@ -261,8 +326,9 @@ impl Pipeline {
             p.serve(gen, now);
             // A pending record sealed but never swapped: finish its
             // interrupted publish so the directory converges.
-            if let (Some(_), Some((journal, _))) = (&recovered.pending, &p.durable) {
-                journal
+            if let (Some(_), Some(durable)) = (&recovered.pending, &p.durable) {
+                durable
+                    .journal
                     .mark_published(gen, doc)
                     .map_err(|e| format!("completing interrupted publish: {e}"))?;
             }
@@ -402,8 +468,8 @@ impl Pipeline {
             self.last_seq = self.last_seq.max(delta.seq);
             let (durable, unserved) = (&mut self.durable, &mut self.unserved);
             let _ = self.dataset.fold(delta, |i, j| {
-                if let Some((_, rows)) = durable {
-                    rows.mark(i, j);
+                if let Some(durable) = durable {
+                    durable.rows.mark(i, j);
                 }
                 if let Some(folded) = unserved {
                     folded.push((i, j));
@@ -421,12 +487,15 @@ impl Pipeline {
             slo.engine
                 .observe(SLO_COVERAGE, now.as_nanos(), covered, uncovered);
         }
-        // The document's parts borrow the durable half, which `serve`'s
-        // `&mut self` must not reach: it is lent out for the steps.
-        let mut durable = self.durable.take();
-        let sealed = self.seal_and_serve(durable.as_mut(), next, now);
-        self.durable = durable;
-        sealed?;
+        if let Some(durable) = &mut self.durable {
+            // A refused write leaves the folds unsealed for the next
+            // tick; its serve builds the snapshot whole, so no list
+            // outlives a tick.
+            let written = durable.write(&self.dataset, next);
+            written.inspect_err(|_| self.unserved = None)?;
+        }
+        self.unsealed = None;
+        self.serve(next, now);
         self.last_publish = Some(now);
         self.metrics.published.inc();
         self.metrics.batch_pairs.record_us(batch_pairs);
@@ -443,36 +512,6 @@ impl Pipeline {
             },
         );
         Ok(next)
-    }
-
-    /// Render, append, serve and mark generation `next` — or, with no
-    /// journal, only serve it. The document comes from the row text as
-    /// parts, the chunks folded into since the last render re-rendered,
-    /// and goes to the journal as those parts under the CRC they were
-    /// joined to — nothing copies or hashes it whole.
-    fn seal_and_serve(
-        &mut self,
-        durable: Option<&mut (Journal, RowText)>,
-        next: u64,
-        now: SimTime,
-    ) -> Result<(), String> {
-        let sealed = durable.map(|(journal, rows)| (&*journal, rows.render(&self.dataset)));
-        if let Some((journal, (doc, crc))) = &sealed {
-            if let Err(e) = journal.append_with_crc(next, doc, *crc) {
-                // The folds wait, unsealed, for the next tick; its serve
-                // builds the snapshot whole, so no list outlives a tick.
-                self.unserved = None;
-                return Err(format!("journal append (gen {next}): {e}"));
-            }
-        }
-        self.unsealed = None;
-        self.serve(next, now);
-        if let Some((journal, (doc, crc))) = sealed {
-            journal
-                .mark_published_with_crc(next, &doc, crc)
-                .map_err(|e| format!("journal publish (gen {next}): {e}"))?;
-        }
-        Ok(())
     }
 
     /// The one tail `tick` and `recover` end in: the dataset in hand
@@ -859,41 +898,132 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A refused write — a frame's append or a compaction — publishes
+    /// nothing; the next tick compacts, sealing and serving the folds
+    /// though nothing new was offered, and the frames after it land on
+    /// that base.
     #[test]
-    fn a_refused_journal_append_is_published_by_the_next_tick() {
+    fn a_refused_journal_write_is_published_by_the_next_tick() {
         let dir = std::env::temp_dir().join(format!("ting-pipeline-append-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let journal = Journal::open(&dir).unwrap();
-        let mut p = Pipeline::with_obs(nodes(), 1, config(), Obs::off(), Some(journal.clone()));
-        let served = |p: &Pipeline| {
+        // 20 nodes: 210 pair slots, seven chunks; (0, b) lies in chunk
+        // 0, and the pairs (i, i + 1) lie in every chunk.
+        let nodes: Vec<NodeId> = (0..20).map(NodeId).collect();
+        let all = nodes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| nodes[i + 1..].iter().map(move |&b| (a, b, 7.0, SimTime(5))));
+        let all = all.collect();
+        let mut p = Pipeline::with_obs(nodes, 1, config(), Obs::off(), Some(journal.clone()));
+        let served = |p: &Pipeline, a, b| {
             p.reader()
-                .point(NodeId(0), NodeId(2))
+                .point(NodeId(a), NodeId(b))
                 .unwrap()
                 .answer
                 .rtt_ms
         };
-        p.offer(delta(1, vec![(NodeId(0), NodeId(1), 7.0, SimTime(5))], 10));
-        assert_eq!(p.tick(SimTime(10)).unwrap(), Some(2));
-
-        // A directory where the log belongs: the append is refused.
         let log = journal.journal_path();
-        std::fs::remove_file(&log).unwrap();
-        std::fs::create_dir(&log).unwrap();
-        p.offer(delta(2, vec![(NodeId(0), NodeId(2), 3.0, SimTime(11))], 12));
-        let err = p.tick(SimTime(12)).unwrap_err();
-        assert!(err.starts_with("journal append (gen 3): "), "{err}");
-        assert_eq!((p.generation(), p.queue_depth(), served(&p)), (2, 0, None));
-        assert!(p.serving_document().contains("m\t0\t2\t3\t11\t0\t2\n"));
+        let log_len = || std::fs::metadata(&log).unwrap().len();
+        p.offer(delta(1, all, 10));
+        assert_eq!(p.tick(SimTime(10)).unwrap(), Some(2));
+        assert_eq!(log_len(), 0, "the first publish compacts");
 
-        // The disk is back: the next tick seals and serves the fold,
-        // though nothing new was offered.
-        std::fs::remove_dir(&log).unwrap();
-        assert_eq!(p.tick(SimTime(13)).unwrap(), Some(3));
-        assert_eq!(served(&p), Some(3.0));
-        let recovered = journal.recover().unwrap();
-        assert_eq!(recovered.serve(), Some(&(3, p.serving_document())));
-        assert_eq!(p.tick(SimTime(14)).unwrap(), None, "nothing left unsealed");
+        // A directory where the log belongs: each write is refused.
+        let cases = [
+            (vec![(0, 2)], "journal append"),
+            (
+                (0..19).map(|i| (i, i + 1)).chain([(0, 3)]).collect(),
+                "journal compaction",
+            ),
+        ];
+        for (seq, (pairs, refusal)) in (2..).zip(cases) {
+            let at = 10 * seq;
+            let pairs = pairs
+                .iter()
+                .map(|&(a, b)| (NodeId(a), NodeId(b), 3.0, SimTime(at)));
+            p.offer(delta(seq, pairs.collect(), at));
+            std::fs::remove_file(&log).unwrap();
+            std::fs::create_dir(&log).unwrap();
+            let gen = p.generation();
+            let err = p.tick(SimTime(at)).unwrap_err();
+            let refusal = format!("{refusal} (gen {}): ", gen + 1);
+            assert!(err.starts_with(&refusal), "{err}");
+            assert_eq!((p.queue_depth(), served(&p, 0, seq as u32)), (0, Some(7.0)));
+            let row = format!("m\t0\t{seq}\t3\t{at}\t0\t{seq}\n");
+            assert!(p.serving_document().contains(&row));
+
+            // The disk is back: the next tick compacts.
+            std::fs::remove_dir(&log).unwrap();
+            assert_eq!(p.tick(SimTime(at + 1)).unwrap(), Some(gen + 1));
+            assert_eq!(served(&p, 0, seq as u32), Some(3.0));
+            assert_eq!(log_len(), 0, "a publish after a refusal compacts");
+            let recovered = journal.recover().unwrap();
+            assert_eq!(recovered.serve(), Some(&(gen + 1, p.serving_document())));
+            assert_eq!(
+                p.tick(SimTime(at + 2)).unwrap(),
+                None,
+                "nothing left unsealed"
+            );
+
+            // And the next publish is a frame on that base.
+            p.offer(delta(
+                seq,
+                vec![(NodeId(0), NodeId(8), 1.0, SimTime(at + 3))],
+                at + 3,
+            ));
+            assert_eq!(p.tick(SimTime(at + 3)).unwrap(), Some(gen + 2));
+            assert!(log_len() > 0, "a frame");
+            let recovered = journal.recover().unwrap();
+            assert_eq!(recovered.serve(), Some(&(gen + 2, p.serving_document())));
+        }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A publish that does not compact fsyncs once, the frame it
+    /// appends; a compaction three times: the base's tmp file, the
+    /// directory after the rename, the emptied log. The first publish
+    /// compacts, then one-pair and status-only publishes append frames
+    /// until the log would pass its share of the base.
+    #[test]
+    fn a_frame_publish_fsyncs_once_and_a_compaction_three_times() {
+        use crate::journal::tests::fsyncs;
+        let dir = std::env::temp_dir().join(format!("ting-pipeline-fsyncs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Journal::open(&dir).unwrap();
+        let nodes: Vec<NodeId> = (0..40).map(NodeId).collect();
+        let all = nodes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| nodes[i + 1..].iter().map(move |&b| (a, b, 7.0, SimTime(5))));
+        let mut all = Some(all.collect());
+        let mut p = Pipeline::with_obs(nodes, 1, config(), Obs::off(), Some(journal.clone()));
+        let (mut frames, mut compactions) = (0, 0);
+        for seq in 1..=40u64 {
+            let pairs = match seq {
+                1 => all.take().unwrap(),
+                _ if seq % 5 == 0 => vec![],
+                _ => vec![(NodeId(0), NodeId(seq as u32 % 40), 2.0, SimTime(seq))],
+            };
+            p.offer(delta(seq, pairs, seq));
+            let before = fsyncs();
+            assert_eq!(p.tick(SimTime(seq)).unwrap(), Some(seq + 1));
+            let synced = fsyncs() - before;
+            let log = std::fs::metadata(journal.journal_path()).unwrap().len();
+            match log {
+                0 => compactions += 1,
+                _ => frames += 1,
+            }
+            let want = if log == 0 { 3 } else { 1 };
+            assert_eq!(synced, want, "publish {seq}, log of {log} bytes");
+        }
+        assert!(
+            frames >= 30 && compactions >= 3,
+            "{frames} frames, {compactions} compactions"
+        );
+        let recovered = journal.recover().unwrap();
+        assert_eq!(recovered.serve(), Some(&(41, p.serving_document())));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1021,7 +1151,7 @@ mod tests {
 
     /// The row text of a journaled pipeline.
     fn rows(p: &Pipeline) -> &RowText {
-        &p.durable.as_ref().expect("a journaled pipeline").1
+        &p.durable.as_ref().expect("a journaled pipeline").rows
     }
 
     /// The served snapshot is the one built whole from the dataset, bit
@@ -1046,11 +1176,12 @@ mod tests {
             Some(&(p.generation(), whole.clone())),
             "{at}"
         );
-        let (_, rows) = p.durable.as_mut().expect("a journaled pipeline");
-        let (parts, crc) = rows.render(&p.dataset);
+        let rows = &mut p.durable.as_mut().expect("a journaled pipeline").rows;
+        rows.render(&p.dataset);
+        assert_eq!(rows.fresh(), [], "{at}: a publish leaves no dirty chunk");
+        let (parts, crc) = rows.document();
         assert_eq!(parts.concat(), whole, "{at}");
         assert_eq!(crc, checkpoint::crc32(whole.as_bytes()), "{at}");
-        assert_eq!(rows.rendered(), 0, "{at}: a publish leaves no dirty chunk");
         assert_served_is_whole(p, at);
     }
 
@@ -1141,7 +1272,8 @@ mod tests {
                     std::fs::remove_file(&log).unwrap();
                     std::fs::create_dir(&log).unwrap();
                     let err = p.tick(SimTime(clock)).unwrap_err();
-                    assert!(err.starts_with("journal append"), "{at}: {err}");
+                    let refused = ["journal append", "journal compaction"];
+                    assert!(refused.iter().any(|r| err.starts_with(r)), "{at}: {err}");
                     // Its folds go to the next serve by a whole build.
                     assert!(p.unserved.is_none(), "{at}: list kept past a refusal");
                     std::fs::remove_dir(&log).unwrap();
@@ -1234,7 +1366,7 @@ mod tests {
         let all = 45_150usize.div_ceil(32);
         p.offer(delta(1, pairs.clone(), 1_000));
         assert_eq!(p.tick(SimTime(1_000)).unwrap(), Some(2));
-        assert_eq!(rows(&p).rendered(), all, "the first publish");
+        assert_eq!(rows(&p).fresh().len(), all, "the first publish");
         for seq in 2..6 {
             let changed = (0..64).map(|_| {
                 let (a, b, rtt, _) = pairs[rng.gen_range(0..pairs.len())];
@@ -1242,7 +1374,7 @@ mod tests {
             });
             p.offer(delta(seq, changed.collect(), seq * 1_000));
             assert_eq!(p.tick(SimTime(seq * 1_000)).unwrap(), Some(seq + 1));
-            let rendered = rows(&p).rendered();
+            let rendered = rows(&p).fresh().len();
             assert!(
                 (1..=64).contains(&rendered),
                 "{rendered} chunks for 64 pairs"
@@ -1250,15 +1382,15 @@ mod tests {
         }
         p.offer(delta(6, vec![], 6_000));
         assert_eq!(p.tick(SimTime(6_000)).unwrap(), Some(7));
-        assert_eq!(rows(&p).rendered(), 0, "a status-only publish");
+        assert_eq!(rows(&p).fresh().len(), 0, "a status-only publish");
 
         let now = SimTime(7_000);
         let (mut p, _) = Pipeline::recover(nodes, 1, config(), Obs::off(), journal, now).unwrap();
-        assert_eq!(rows(&p).rendered(), 0, "a recovery renders nothing");
+        assert_eq!(rows(&p).fresh().len(), 0, "a recovery renders nothing");
         p.offer(delta(7, vec![], 7_000));
         assert_eq!(p.tick(now).unwrap(), Some(8));
         assert_eq!(
-            rows(&p).rendered(),
+            rows(&p).fresh().len(),
             all,
             "the first publish after a recovery"
         );
@@ -1266,13 +1398,18 @@ mod tests {
     }
 
     /// What each step of a journaled publish, and a whole 64-pair
-    /// tick, costs at 300 relays with every pair measured, best of 30:
+    /// tick, costs at 300 relays with every pair measured, best and
+    /// median of 30:
     /// `cargo test --release -p oracle --lib publish_steps -- --ignored --nocapture`.
     /// `render` and `snapshot` are the full builds (a first publish, a
     /// recovery); `render64` and `patched` the same steps after a
     /// 64-pair fold, as a steady-state publish takes them, and
     /// `render1402` after a bulk one; `crc` is one pass over the whole
-    /// document, which no publish makes; `volatile` is `tick` without a
+    /// document, which no publish makes; `compact` writes the whole
+    /// document as the base and `frame` appends a 64-pair publish's
+    /// `@delta` frame; `recover` is `Journal::recover` of the base
+    /// alone and `replay` of the base under as many 64-pair frames as
+    /// a log holds before it compacts; `volatile` is `tick` without a
     /// journal, which renders nothing.
     #[test]
     #[ignore = "prints timings; run by hand in release"]
@@ -1305,8 +1442,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let journal = Journal::open(&dir).unwrap();
         let best = |step: &str, f: &mut dyn FnMut() -> Duration| {
-            let ms = (0..30).map(|_| f()).min().unwrap().as_secs_f64() * 1e3;
-            println!("{step:<10} {ms:6.2} ms");
+            let mut ms: Vec<f64> = (0..30).map(|_| f().as_secs_f64() * 1e3).collect();
+            ms.sort_by(f64::total_cmp);
+            println!("{step:<10} {:6.2} ms  (median {:6.2} ms)", ms[0], ms[15]);
         };
         let timed = |f: &mut dyn FnMut()| {
             let t = Instant::now();
@@ -1319,7 +1457,7 @@ mod tests {
         });
         best("render", &mut || {
             let mut text = RowText::new(&dataset);
-            timed(&mut || drop(std::hint::black_box(text.render(&dataset))))
+            timed(&mut || text.render(&dataset))
         });
         let (mut live, mut text, mut seq) = (dataset.clone(), RowText::new(&dataset), 1);
         text.render(&live);
@@ -1328,7 +1466,7 @@ mod tests {
                 seq += 1;
                 live.fold(changed(seq, count), |i, j| text.mark(i, j))
                     .unwrap();
-                timed(&mut || drop(std::hint::black_box(text.render(&live))))
+                timed(&mut || text.render(&live))
             });
         }
         let whole = dataset.to_document();
@@ -1336,13 +1474,6 @@ mod tests {
             timed(&mut || {
                 std::hint::black_box(checkpoint::crc32(whole.as_bytes()));
             })
-        });
-        let mut text = RowText::new(&dataset);
-        let (doc, crc) = text.render(&dataset);
-        best("append", &mut || {
-            let took = timed(&mut || journal.append_with_crc(2, &doc, crc).unwrap());
-            std::fs::File::create(journal.journal_path()).unwrap();
-            took
         });
         best("snapshot", &mut || {
             timed(&mut || drop(std::hint::black_box(Snapshot::from_merged(&dataset))))
@@ -1355,8 +1486,53 @@ mod tests {
             live.fold(delta, |i, j| folded.push((i, j))).unwrap();
             timed(&mut || drop(std::hint::black_box(served.patched(&live, &folded))))
         });
-        best("mark", &mut || {
-            timed(&mut || journal.mark_published_with_crc(2, &doc, crc).unwrap())
+        let mut text = RowText::new(&live);
+        text.render(&live);
+        best("compact", &mut || {
+            let (doc, crc) = text.document();
+            timed(&mut || {
+                journal.mark_published_with_crc(2, &doc, crc).unwrap();
+            })
+        });
+        best("frame", &mut || {
+            seq += 1;
+            live.fold(changed(seq, 64), |i, j| text.mark(i, j)).unwrap();
+            text.render(&live);
+            let (doc, _) = text.document();
+            std::fs::File::create(journal.journal_path()).unwrap();
+            timed(&mut || {
+                journal.append_delta(3, &doc, text.fresh()).unwrap();
+            })
+        });
+        // Recovery with the most frames a log holds between two
+        // compactions: the base's generation, then one frame a 64-pair
+        // publish for as long as the log stays under the threshold.
+        let (doc, crc) = text.document();
+        let base = journal.mark_published_with_crc(2, &doc, crc).unwrap();
+        best("recover", &mut || {
+            timed(&mut || drop(journal.recover().unwrap()))
+        });
+        let (mut gen, mut log) = (2, 0);
+        loop {
+            seq += 1;
+            live.fold(changed(seq, 64), |i, j| text.mark(i, j)).unwrap();
+            text.render(&live);
+            let (doc, _) = text.document();
+            let frame = journal.append_delta(gen + 1, &doc, text.fresh()).unwrap();
+            if (log + frame) * 100 > base * COMPACT_AT_PERCENT {
+                break;
+            }
+            (gen, log) = (gen + 1, log + frame);
+        }
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(journal.journal_path())
+            .unwrap()
+            .set_len(log)
+            .unwrap();
+        println!("{} frames, {log} bytes on a {base}-byte base", gen - 2);
+        best("replay", &mut || {
+            timed(&mut || assert_eq!(journal.recover().unwrap().published.unwrap().0, gen))
         });
         // The whole turn, journaled and not: a 64-pair delta folded,
         // published and served.

@@ -13,7 +13,7 @@ use oracle::{Pipeline, PipelineConfig, QueryError, ServingState, TtlPolicy};
 use std::path::{Path, PathBuf};
 use ting::obs::{Lineage, Obs};
 use ting::shard::{DeltaPair, MergeDelta, Supervisor, SupervisorConfig};
-use ting::{checkpoint, ScannerConfig, TingConfig};
+use ting::{ScannerConfig, TingConfig};
 use tor_sim::TorNetworkBuilder;
 
 const SHARDS: usize = 3;
@@ -165,6 +165,154 @@ fn kill_at_any_append_byte_recovers_the_last_sealed_generation() {
         assert_eq!(&p.serving_document(), final_doc, "cut at byte {cut}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The bytes a journaled run writes, cut at every offset: the first
+/// compaction's base (every byte of its tmp file, then the rename), two
+/// `@delta` frames, and a second compaction (every byte of its tmp file,
+/// then the rename with the truncate not done, then the truncate).
+/// Recovery from each cut must serve the last generation whose commit
+/// point the bytes reached, with the document that generation served
+/// (`cmp`-equal); and from the state at each commit point the rest of
+/// the stream converges on the uninterrupted run's last document.
+#[test]
+fn kill_at_any_byte_of_a_base_two_frames_and_a_compaction_recovers_the_last_sealed_generation() {
+    // 31 relays: 496 pair slots, sixteen chunks; a third of the pairs
+    // measured first, then one pair twice (a frame each), then one pair
+    // in every chunk (a compaction).
+    let nodes: Vec<NodeId> = (0..31).map(|i| NodeId(900 - 7 * i)).collect();
+    let at = |seq: u64| SimTime(1_000_000 * seq);
+    let pair = |i: usize, j: usize, seq: u64| DeltaPair {
+        a: nodes[i],
+        b: nodes[j],
+        rtt_ms: (i * 31 + j) as f64 / 8.0 + seq as f64,
+        measured_at: at(seq),
+        lineage: Lineage {
+            shard: 0,
+            round: seq,
+        },
+    };
+    let bulk = (0..31).flat_map(|i| (i + 1..31).map(move |j| (i, j)));
+    let stream: Vec<Vec<DeltaPair>> = vec![
+        bulk.filter(|(i, j)| (i + j) % 3 == 0)
+            .map(|(i, j)| pair(i, j, 1))
+            .collect(),
+        vec![pair(0, 3, 2)],
+        vec![pair(20, 29, 3)],
+        (0..30).map(|i| pair(i, i + 1, 4)).collect(),
+    ];
+    let deltas: Vec<MergeDelta> = (1..)
+        .zip(stream)
+        .map(|(seq, pairs)| MergeDelta {
+            seq,
+            pairs,
+            statuses: vec!["live"; SHARDS],
+            now: at(seq),
+        })
+        .collect();
+
+    // The uninterrupted run: what each generation served, and the
+    // directory after each publish.
+    let dir = tempdir("sweep");
+    let j = Journal::open(&dir).unwrap();
+    let open = || {
+        Pipeline::with_obs(
+            nodes.clone(),
+            SHARDS,
+            pipeline_config(),
+            Obs::off(),
+            Some(j.clone()),
+        )
+    };
+    let mut p = open();
+    let mut served = vec![p.serving_document()];
+    let mut disk = Vec::new();
+    for d in &deltas {
+        p.offer(d.clone());
+        p.tick(d.now).unwrap();
+        served.push(p.serving_document());
+        let read = |file| std::fs::read(dir.join(file)).unwrap();
+        disk.push((read(PUBLISHED_FILE), read(JOURNAL_FILE)));
+    }
+    let last = served.last().unwrap().clone();
+    let logs: Vec<usize> = disk.iter().map(|(_, log)| log.len()).collect();
+    assert!(
+        logs[0] == 0 && logs[1] > 0 && logs[2] > logs[1] && logs[3] == 0,
+        "{logs:?}"
+    );
+    let (base2, base5) = (&disk[0].0, &disk[3].0);
+    let (frame3, frames) = (&disk[1].1, &disk[2].1);
+
+    // A directory holding `files` and nothing else; recovery must serve
+    // generation `gen`.
+    let tmp = format!("{PUBLISHED_FILE}.tmp");
+    let recovers = |files: &[(&str, &[u8])], gen: u64, at: &str| {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            std::fs::remove_file(entry.unwrap().path()).unwrap();
+        }
+        for (file, bytes) in files {
+            std::fs::write(dir.join(file), bytes).unwrap();
+        }
+        let (p, _) = Pipeline::recover(
+            nodes.clone(),
+            SHARDS,
+            pipeline_config(),
+            Obs::off(),
+            Journal::open(&dir).unwrap(),
+            deltas[3].now,
+        )
+        .unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(p.generation(), gen, "{at}");
+        assert!(
+            p.serving_document() == served[gen as usize - 1],
+            "{at}: document"
+        );
+        p
+    };
+    // Each commit point's state, resumed to the end of the stream.
+    let resumes = |mut p: Pipeline| {
+        let from = p.generation();
+        drive(&mut p, &deltas[from as usize - 1..]);
+        assert!(
+            p.serving_document() == last,
+            "resumed from generation {from}"
+        );
+    };
+    for cut in 0..=base2.len() {
+        let files = [(tmp.as_str(), &base2[..cut]), (JOURNAL_FILE, &[][..])];
+        recovers(&files, 1, &format!("base 2, tmp cut at {cut}"));
+    }
+    let base = (PUBLISHED_FILE, &base2[..]);
+    resumes(recovers(&[base, (JOURNAL_FILE, &[])], 2, "base 2 renamed"));
+    for cut in 0..=frames.len() {
+        let gen = match cut {
+            _ if cut == frames.len() => 4,
+            _ if cut >= frame3.len() => 3,
+            _ => 2,
+        };
+        let files = [base, (JOURNAL_FILE, &frames[..cut])];
+        let p = recovers(&files, gen, &format!("frames 3 and 4 cut at {cut}"));
+        if cut == frame3.len() {
+            resumes(p);
+        }
+    }
+    let log = (JOURNAL_FILE, &frames[..]);
+    for cut in 0..=base5.len() {
+        let files = [base, log, (tmp.as_str(), &base5[..cut])];
+        recovers(&files, 4, &format!("base 5, tmp cut at {cut}"));
+    }
+    let base = (PUBLISHED_FILE, &base5[..]);
+    resumes(recovers(
+        &[base, log],
+        5,
+        "base 5 renamed, log not truncated",
+    ));
+    resumes(recovers(
+        &[base, (JOURNAL_FILE, &[])],
+        5,
+        "base 5, log truncated",
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Every file of the journal directory, by name.
@@ -322,11 +470,7 @@ fn post_seal_and_post_swap_windows_recover_without_loss() {
     let dir = tempdir("posttrunc");
     let j = Journal::open(&dir).unwrap();
     j.append(g1, doc1).unwrap();
-    checkpoint::write_atomic_parts(
-        &dir.join(oracle::journal::PUBLISHED_FILE),
-        &[render_published(g1, doc1).as_bytes()],
-    )
-    .unwrap();
+    std::fs::write(dir.join(PUBLISHED_FILE), render_published(g1, doc1)).unwrap();
     let (p, r) = Pipeline::recover(
         nodes.clone(),
         SHARDS,
