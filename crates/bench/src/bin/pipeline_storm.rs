@@ -12,9 +12,10 @@
 //!   torn journal tail (a mid-append kill at a seeded byte offset);
 //!   recovery must report the torn tail, resume from the last sealed
 //!   generation, and converge bit-identically to the uninterrupted run;
-//! * **seal/swap window** — the kill lands *between* journal seal and
-//!   publish swap (a fully sealed record, no published update);
-//!   recovery must serve the pending generation and converge the same.
+//! * **seal/swap window** — the kill lands just after the next
+//!   generation was sealed as a whole `@gen` record at the journal's
+//!   tail, before it was served; recovery must serve that generation
+//!   and converge the same.
 //!
 //! Any violation exits non-zero.
 //!
@@ -179,8 +180,8 @@ fn drive(p: &mut Pipeline, deltas: &[MergeDelta], violations: &mut Vec<String>) 
 /// One kill of the serving process as it publishes the generation after
 /// `kill_round` rounds. `torn` leaves a prefix of that generation's
 /// frame, cut at a seeded offset, at the journal's tail, as a
-/// mid-append kill would; otherwise the frame is fully sealed but the
-/// published file never advanced — a kill between seal and swap. The
+/// mid-append kill would; otherwise the frame is appended whole and
+/// sealed, and the kill lands before the swap that would serve it. The
 /// recovered process serves the rest of the stream and must converge on
 /// the uninterrupted run's final document. Returns the phase's summary.
 fn kill_phase(

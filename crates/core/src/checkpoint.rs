@@ -95,9 +95,9 @@ pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
 
 /// The CRC-32 of `a ++ b` from `crc32(a)`, `crc32(b)` and `b`'s length
 /// alone — zlib's `crc32_combine`: `crc_a` is shifted past `len_b` zero
-/// bytes by multiplying it with [`crc32_shift`]`(len_b)` modulo the
+/// bytes by multiplying it with `crc32_shift(len_b)` modulo the
 /// polynomial.
-fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
     crc32_combine_shifted(crc_a, crc_b, crc32_shift(len_b))
 }
 
@@ -160,21 +160,18 @@ pub(crate) const CRC_PREFIX: &str = "# crc32: ";
 /// covers every byte before the trailer, including the final newline of
 /// the body.
 pub fn seal(mut body: String) -> String {
-    let suffix = seal_suffix("", &[&body], crc32(body.as_bytes()));
+    let suffix = seal_suffix(&[&body], crc32(body.as_bytes()));
     body.push_str(&suffix);
     body
 }
 
-/// What [`seal`] appends to `head` followed by the parts of `doc` — a
-/// newline when they end without one, then the trailer — given the
-/// CRC-32 of `doc`'s concatenation, which is combined with `head`'s:
-/// `doc` is not hashed here.
-pub fn seal_suffix(head: &str, doc: &[&str], doc_crc: u32) -> String {
-    let len: usize = doc.iter().map(|part| part.len()).sum();
-    let mut crc = crc32_combine(crc32(head.as_bytes()), doc_crc, len);
+/// What [`seal`] appends to the parts of `doc` — a newline when they
+/// end without one, then the trailer — given the CRC-32 of their
+/// concatenation: `doc` is not hashed here.
+pub(crate) fn seal_suffix(doc: &[&str], mut crc: u32) -> String {
     let mut suffix = String::new();
-    let last = doc.iter().rfind(|part| !part.is_empty()).unwrap_or(&head);
-    if !last.ends_with('\n') {
+    let last = doc.iter().rfind(|part| !part.is_empty());
+    if !last.is_some_and(|part| part.ends_with('\n')) {
         suffix.push('\n');
         crc = crc32_update(crc, b"\n");
     }
@@ -591,27 +588,23 @@ mod tests {
     }
 
     #[test]
-    fn sealing_a_head_and_parts_is_sealing_their_concatenation() {
-        let cases: [(&str, &[&str]); 9] = [
-            ("", &[]),
-            ("", &[""]),
-            ("head\n", &[]),
-            ("head\n", &["", ""]),
-            ("", &["doc"]),
-            ("head\n", &["doc"]),
-            ("h", &["doc\n"]),
-            ("h", &["do", "c\n", "", ""]),
-            ("head\n", &["one\n", "", "two"]),
+    fn sealing_parts_is_sealing_their_concatenation() {
+        let cases: [&[&str]; 9] = [
+            &[],
+            &[""],
+            &["", ""],
+            &["doc"],
+            &["head\n", "doc"],
+            &["h", "doc\n"],
+            &["h", "do", "c\n", "", ""],
+            &["head\n", "one\n", "", "two"],
+            &["head\n", ""],
         ];
-        for (head, doc) in cases {
+        for doc in cases {
             let crc = crc32(doc.concat().as_bytes());
-            let suffix = seal_suffix(head, doc, crc);
-            let sealed = seal(format!("{head}{}", doc.concat()));
-            assert_eq!(
-                format!("{head}{}{suffix}", doc.concat()),
-                sealed,
-                "{head:?} + {doc:?}"
-            );
+            let suffix = seal_suffix(doc, crc);
+            let sealed = seal(doc.concat());
+            assert_eq!(format!("{}{suffix}", doc.concat()), sealed, "{doc:?}");
         }
     }
 

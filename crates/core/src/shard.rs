@@ -576,7 +576,7 @@ impl RowText {
             crc = crc32_combine_shifted(crc, chunk.crc, chunk.shift);
         }
         let (parts, _) = self.document();
-        self.trailer = seal_suffix("", &parts[..parts.len() - 1], crc);
+        self.trailer = seal_suffix(&parts[..parts.len() - 1], crc);
         self.crc = crc32_update(crc, self.trailer.as_bytes());
     }
 

@@ -83,7 +83,7 @@ pub const SCAN_RECOVER_BAK: &str = "scan.recover.bak";
 pub const ORACLE_SNAPSHOT_SWAP: &str = "oracle.snapshot.swap";
 
 // ── Live-pipeline spans and events ──
-// The publish pair brackets one drain→journal→swap→truncate cycle;
+// The publish pair brackets one drain→fold→journal write→swap cycle;
 // delta/coalesce/recover are the queue's lifecycle; the staleness
 // transition fires whenever the TTL ladder moves. The counter,
 // histogram, and gauge names beside them

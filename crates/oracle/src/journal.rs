@@ -1,37 +1,37 @@
-//! The crash-consistent publish journal: a base, and a log of what
-//! each publish changed on it.
+//! The crash-consistent publish journal: one file, a log of sealed
+//! records of what each publish wrote.
 //!
-//! The last published generation lives in two files of the journal
-//! directory (grammar: DESIGN.md §19):
+//! `oracle.journal` holds two forms of sealed record (grammar:
+//! DESIGN.md §19):
 //!
-//! * **`oracle.published`** — the *base*: one whole generation, an
-//!   outer-sealed wrapper around its merged document and the lengths
-//!   of the parts it was written as (for a pipeline's, the row text's:
-//!   node list, head, one part per row chunk, trailer), replaced only by
-//!   a *compaction* (tmp file, fsync, rename, directory fsync; the
-//!   rename is its commit point), which then truncates the log.
-//! * **`oracle.journal`** — an append-only log of sealed frames. A
-//!   publish that does not compact appends one `@delta` frame — the
-//!   document's head lines, the text of each row chunk the publish
-//!   re-rendered under its index, and the document's trailer — and
-//!   fsyncs once; the frame's completed `@seal` line is its commit
-//!   point. [`Journal::append`] stages a whole `@gen` record instead: a
-//!   generation sealed but not yet made the base (the seal → swap
-//!   window). A kill mid-append leaves a torn tail that recovery cuts
-//!   off.
+//! * a **`@gen` record** — one whole generation: its merged document,
+//!   after a `# parts:` line when a compaction wrote it, the lengths of
+//!   the parts it was written as (for a pipeline's, the row text's:
+//!   node list, head, one part per row chunk, trailer);
+//! * a **`@delta` frame** — what one publish changed: the document's
+//!   head lines, the text of each row chunk the publish re-rendered
+//!   under its index, and the document's trailer.
 //!
-//! Recovery loads the base, cuts it into its parts by their lengths,
-//! and splices the sealed `@delta` frames onto them in generation
-//! order: the chunk rule is the row text's alone
-//! ([`ting::shard::RowText`]), and the base records its result.
-//! Frames the base already holds — a kill between a compaction's
-//! rename and its truncate — are skipped. The invariant, for a kill at **any byte
-//! offset**: recovery reproduces exactly the last *sealed* state, the
-//! pending `@gen` record if one sealed after it, bit-identical to what
-//! an uninterrupted run served. A sealed frame out of sequence, with no
-//! base under it, or whose body does not parse is an error, never a
-//! silently different state. The chaos tests drive this by replaying
-//! every prefix of the bytes a run writes.
+//! A publish that does not compact appends one `@delta` frame and
+//! fsyncs once; the frame's completed `@seal` line is its commit point.
+//! A *compaction* writes a new log that holds one `@gen` record to
+//! `oracle.journal.tmp`, fsyncs it, renames it over the log and fsyncs
+//! the directory; the rename is its commit point. A kill mid-append
+//! leaves a torn tail that recovery cuts off; a kill mid-compaction
+//! leaves the old log and a `.tmp` that recovery ignores and the next
+//! compaction overwrites.
+//!
+//! Recovery reads the one file: the last sealed `@gen` record, cut into
+//! its parts by their lengths, with the `@delta` frames after it
+//! spliced on in order, each carrying the next generation. The chunk
+//! rule is the row text's alone ([`ting::shard::RowText`]). The
+//! invariant, for a kill at **any byte offset**: recovery reproduces
+//! exactly the last *sealed* state, bit-identical to what an
+//! uninterrupted run served. A sealed frame out of sequence or with no
+//! `@gen` record before it, a body that does not parse, and a whole
+//! frame that fails its seal are errors, never a silently different
+//! state. The chaos tests drive this by replaying every prefix of the
+//! bytes a run writes.
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -40,21 +40,18 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use ting::checkpoint;
 
-/// The append-only staging log's file name.
+/// The journal's one file: the log.
 pub const JOURNAL_FILE: &str = "oracle.journal";
-/// The last-published-generation file's name.
-pub const PUBLISHED_FILE: &str = "oracle.published";
-/// First line of the published file's (outer-sealed) body.
-pub(crate) const PUBLISHED_MAGIC: &str = "# ting oracle published v1";
 
 /// What recovery found on disk.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Recovered {
-    /// The last published generation: the base with every sealed
-    /// `@delta` frame on it spliced in, as one document.
+    /// The last published generation: the last sealed `@gen` record
+    /// with every sealed `@delta` frame after it spliced in, as one
+    /// document.
     pub published: Option<(u64, String)>,
-    /// A whole `@gen` record sealed *after* the published generation —
-    /// a kill landed between seal and swap; the caller must apply it.
+    /// Always `None`: every sealed record is published, wherever it
+    /// sits in the log.
     pub pending: Option<(u64, String)>,
     /// Whether the journal carried a torn (unsealed) tail that was
     /// discarded.
@@ -62,10 +59,9 @@ pub struct Recovered {
 }
 
 impl Recovered {
-    /// The generation recovery says must be served: the pending record
-    /// when one exists, else the published one.
+    /// The generation recovery says must be served: the published one.
     pub fn serve(&self) -> Option<&(u64, String)> {
-        self.pending.as_ref().or(self.published.as_ref())
+        self.published.as_ref()
     }
 }
 
@@ -94,14 +90,10 @@ impl Journal {
         self.dir.join(JOURNAL_FILE)
     }
 
-    pub(crate) fn published_path(&self) -> PathBuf {
-        self.dir.join(PUBLISHED_FILE)
-    }
-
-    /// Stages generation `gen` (a merged-matrix document) into the log
-    /// as one whole `@gen` record. Durable on return; the record is
-    /// committed by its `@seal` line, and recovery serves it as pending
-    /// until [`Journal::mark_published`] makes it the base.
+    /// Appends generation `gen` (a merged-matrix document) to the log
+    /// as one whole `@gen` record, [`frame_record`]'s bytes. Durable on
+    /// return; the record is committed, and published, by its `@seal`
+    /// line.
     pub fn append(&self, gen: u64, doc: &str) -> io::Result<()> {
         let (header, trailer) = frame_parts(GEN, gen, doc.len(), checkpoint::crc32(doc.as_bytes()));
         self.append_frame(&framed(&header, &[doc], &trailer))
@@ -142,10 +134,9 @@ impl Journal {
         Ok(parts.iter().map(|part| part.len() as u64).sum())
     }
 
-    /// Makes generation `gen` the base and empties the log: a
-    /// compaction. A kill before the rename leaves the old base and
-    /// its log, one after it a log the new base already holds, which
-    /// recovery recognizes by its generation numbers.
+    /// Compacts the log to generation `gen`: the log becomes one `@gen`
+    /// record of `doc`, [`render_published`]'s bytes. A kill before the
+    /// rename leaves the old log, one after it the new.
     pub fn mark_published(&self, gen: u64, doc: &str) -> io::Result<()> {
         self.mark_published_with_crc(gen, &[doc], checkpoint::crc32(doc.as_bytes()))
             .map(drop)
@@ -153,57 +144,58 @@ impl Journal {
 
     /// [`Journal::mark_published`] of a document held as parts, whose
     /// CRC-32 the caller holds; nothing copies or hashes the document.
-    /// The base goes to a tmp file, fsynced, renamed over the published
-    /// file, and the directory is fsynced; then the log is cut to
-    /// nothing and fsynced. A missing log is created before the rename,
-    /// so that one directory fsync makes both entries durable. Returns
-    /// the base's length in bytes.
+    /// The new log goes to a tmp file, fsynced, renamed over the log,
+    /// and the directory is fsynced: two fsyncs. Returns the log's
+    /// length in bytes.
     pub(crate) fn mark_published_with_crc(
         &self,
         gen: u64,
         doc: &[&str],
         crc: u32,
     ) -> io::Result<u64> {
-        let log = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(self.journal_path())?;
-        let (head, tail) = published_parts(gen, doc, crc);
+        let (head, tail) = record_parts(gen, doc, crc);
         let parts = framed(&head, doc, &tail);
-        let tmp = self.dir.join(format!("{PUBLISHED_FILE}.tmp"));
+        let tmp = self.dir.join(format!("{JOURNAL_FILE}.tmp"));
         let mut f = File::create(&tmp)?;
         checkpoint::write_all_parts(&mut f, &parts)?;
         fsync(&f)?;
         drop(f);
-        std::fs::rename(&tmp, self.published_path())?;
+        std::fs::rename(&tmp, self.journal_path())?;
         fsync_dir(&self.dir)?;
-        log.set_len(0)?;
-        fsync(&log)?;
         Ok(parts.iter().map(|part| part.len() as u64).sum())
     }
 
     /// Replays the directory after a kill. Corrupt *sealed* state (a
-    /// published file that fails its CRC, a sealed frame that cannot be
+    /// whole frame that fails its seal, a sealed frame that cannot be
     /// spliced) is an error — that is disk rot or a writer's fault, not
     /// a crash window, and must be loud; the directory is left as it
-    /// was. Torn tails and stale `.tmp` siblings are expected crash
-    /// debris: the `.tmp` is ignored, the tail is cut off the log, so
-    /// that the next append lands behind sealed frames only — a frame
-    /// sealed behind garbage would be lost to the next recovery's walk.
+    /// was. So is a directory of the two-file layout, whose base this
+    /// build does not read: it is never served as empty. Torn tails and
+    /// a stale `.tmp` are expected crash debris: the `.tmp` is ignored,
+    /// the tail is cut off the log, so that the next append lands
+    /// behind sealed frames only — a frame sealed behind garbage would
+    /// be lost to the next recovery's walk.
     pub fn recover(&self) -> Result<Recovered, String> {
-        let base = match std::fs::read_to_string(self.published_path()) {
-            Ok(text) => Some(parse_published(&text)?),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(format!("published file unreadable: {e}")),
-        };
+        if self.dir.join("oracle.published").exists() {
+            return Err(format!(
+                "oracle.published: a base of the two-file journal layout in {}; \
+                 this journal keeps every generation in {JOURNAL_FILE}",
+                self.dir.display()
+            ));
+        }
         let log = match std::fs::read(self.journal_path()) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(format!("journal unreadable: {e}")),
         };
         let (frames, sealed) = scan_journal(&log);
-        let (published, pending) = replay(base, &frames)?;
+        if let Some((delta, gen)) = whole_frame(&log, sealed) {
+            let tag = if delta { DELTA } else { GEN };
+            return Err(format!(
+                "{JOURNAL_FILE}: @{tag} {gen} at byte {sealed} is whole but fails its seal"
+            ));
+        }
+        let published = replay(&frames)?;
         let torn_tail = sealed < log.len();
         if torn_tail {
             let f = OpenOptions::new().write(true).open(self.journal_path());
@@ -215,7 +207,7 @@ impl Journal {
         }
         Ok(Recovered {
             published,
-            pending,
+            pending: None,
             torn_tail,
         })
     }
@@ -258,24 +250,27 @@ fn frame_parts(tag: &str, gen: u64, len: usize, crc: u32) -> (String, String) {
     (header, format!("@seal {gen} {crc:08x}\n"))
 }
 
-/// Renders the published file's contents (outer seal included).
+/// The log a compaction to generation `gen` of `doc` writes: one `@gen`
+/// record whose body is a `# parts:` line and the document.
 pub fn render_published(gen: u64, doc: &str) -> String {
-    let (head, tail) = published_parts(gen, &[doc], checkpoint::crc32(doc.as_bytes()));
+    let (head, tail) = record_parts(gen, &[doc], checkpoint::crc32(doc.as_bytes()));
     [head.as_str(), doc, &tail].concat()
 }
 
-/// What the published file holds before and after the document whose
-/// parts are `doc` and whose CRC-32 is `crc`: the magic, generation and
-/// part-length lines, then the outer seal, its CRC combined from the
-/// head's and `crc`.
-fn published_parts(gen: u64, doc: &[&str], crc: u32) -> (String, String) {
-    let mut head = format!("{PUBLISHED_MAGIC}\n# gen: {gen}\n# parts:");
+/// What a compaction's `@gen` record holds before and after the
+/// document whose parts are `doc` and whose CRC-32 is `crc`: the header
+/// and the part-length line, then the seal, its CRC combined from the
+/// line's and `crc`.
+fn record_parts(gen: u64, doc: &[&str], crc: u32) -> (String, String) {
+    let mut lens = String::from("# parts:");
     for part in doc {
-        let _ = write!(head, " {}", part.len());
+        let _ = write!(lens, " {}", part.len());
     }
-    head.push('\n');
-    let tail = checkpoint::seal_suffix(&head, doc, crc);
-    (head, tail)
+    lens.push('\n');
+    let len: usize = doc.iter().map(|part| part.len()).sum();
+    let crc = checkpoint::crc32_combine(checkpoint::crc32(lens.as_bytes()), crc, len);
+    let (header, seal) = frame_parts(GEN, gen, lens.len() + len, crc);
+    (header + &lens, seal)
 }
 
 /// `doc`'s parts between `head` and `tail`, as the bytes a write takes.
@@ -285,43 +280,6 @@ fn framed<'a>(head: &'a str, doc: &[&'a str], tail: &'a str) -> Vec<&'a [u8]> {
     parts.extend(doc.iter().map(|part| part.as_bytes()));
     parts.push(tail.as_bytes());
     parts
-}
-
-/// A base as recovery reads it: its generation, the lengths of the parts
-/// its document was written as, and the document.
-type Base = (u64, Vec<usize>, String);
-
-/// Parses the published file: outer CRC, magic, generation, part
-/// lengths (absent in a file written before they were), document.
-fn parse_published(text: &str) -> Result<Base, String> {
-    let body = checkpoint::verify_sealed(text).map_err(|e| format!("published file: {e}"))?;
-    let rest = body
-        .strip_prefix(PUBLISHED_MAGIC)
-        .and_then(|r| r.strip_prefix('\n'))
-        .ok_or_else(|| {
-            format!("published file: unsupported header (expected {PUBLISHED_MAGIC:?})")
-        })?;
-    let (gen_line, doc) = rest
-        .split_once('\n')
-        .ok_or("published file: missing generation line")?;
-    let gen = gen_line
-        .strip_prefix("# gen: ")
-        .and_then(canonical)
-        .ok_or_else(|| format!("published file: not a generation line: {gen_line:?}"))?;
-    let (parts, doc) = match doc.strip_prefix("# parts:") {
-        Some(rest) => {
-            let (line, doc) = rest.split_once('\n').unwrap_or((rest, ""));
-            let lens = line
-                .strip_prefix(' ')
-                .map(|lens| lens.split(' ').map(canonical));
-            let parts: Option<Vec<usize>> = lens.into_iter().flatten().collect();
-            let parts =
-                parts.ok_or_else(|| format!("published file: not a parts line: {line:?}"))?;
-            (parts, doc)
-        }
-        None => (vec![doc.len()], doc),
-    };
-    Ok((gen, parts, doc.to_owned()))
 }
 
 /// A decimal token as the writers write it — `0` or `[1-9][0-9]*`, no
@@ -348,7 +306,8 @@ struct Frame<'a> {
 /// truncated header, a token not as the writer writes it, a length that
 /// overflows or overruns the buffer, missing or mismatched `@seal` —
 /// ends the walk there: everything before it is sealed state,
-/// everything from it on is a torn tail.
+/// everything from it on is a torn tail, unless [`whole_frame`] finds a
+/// whole frame there.
 fn scan_journal(bytes: &[u8]) -> (Vec<Frame<'_>>, usize) {
     let mut frames = Vec::new();
     let mut pos = 0;
@@ -367,6 +326,16 @@ fn read_frame(bytes: &[u8], pos: usize) -> Option<(Frame<'_>, usize)> {
     let body = std::str::from_utf8(bytes.get(body_start..body_end)?).ok()?;
     let next = verify_frame_seal(bytes, body_end, gen, body)?;
     Some((Frame { delta, gen, body }, next))
+}
+
+/// Whether a `@delta`, and the generation, of the frame at `pos` when
+/// its header line, body and seal line all lie inside `bytes`. A kill
+/// mid-append leaves a prefix of a frame, never a whole one: a whole
+/// frame that is not sealed is rot.
+fn whole_frame(bytes: &[u8], pos: usize) -> Option<(bool, u64)> {
+    let (delta, gen, len, body_start) = parse_frame_header(bytes, pos)?;
+    line_at(bytes, body_start.checked_add(len)?)?;
+    Some((delta, gen))
 }
 
 /// The line at `pos`, without its newline, and the offset past it.
@@ -399,71 +368,87 @@ fn verify_frame_seal(bytes: &[u8], pos: usize, gen: u64, body: &str) -> Option<u
     sealed.then_some(next)
 }
 
-/// A published generation and a pending one, as [`Recovered`] holds them.
-type Replayed = (Option<(u64, String)>, Option<(u64, String)>);
-
-/// The published and pending generations the base and the log's sealed
-/// frames add up to: each `@delta` frame past the base's generation
-/// spliced onto it in turn — each must be the next generation — and a
-/// whole `@gen` record newer than the result pending.
-fn replay(base: Option<Base>, frames: &[Frame<'_>]) -> Result<Replayed, String> {
-    let mut deltas = Vec::new();
-    let mut at = base.as_ref().map(|&(gen, ..)| gen);
-    for frame in frames.iter().filter(|f| f.delta) {
-        let Some((base_gen, ..)) = base else {
+/// The generation the log's sealed frames add up to: the last `@gen`
+/// record with the `@delta` frames after it spliced on in order. Every
+/// `@delta` frame in the log must have a `@gen` record before it and
+/// carry the generation after the frame before it.
+fn replay(frames: &[Frame<'_>]) -> Result<Option<(u64, String)>, String> {
+    // The last `@gen` record's index, and the generation of the frame
+    // before the one in hand.
+    let (mut last, mut before) = (None, None::<u64>);
+    for (k, frame) in frames.iter().enumerate() {
+        if !frame.delta {
+            last = Some(k);
+        } else if let Some(before) = before {
+            if Some(frame.gen) != before.checked_add(1) {
+                return Err(format!(
+                    "{JOURNAL_FILE}: sealed @delta {} out of sequence after generation {before}",
+                    frame.gen
+                ));
+            }
+        } else {
             return Err(format!(
-                "{JOURNAL_FILE}: sealed @delta {} with no base under it",
+                "{JOURNAL_FILE}: sealed @delta {} with no @gen record before it",
                 frame.gen
             ));
-        };
-        if frame.gen <= base_gen {
-            // Written before a compaction the kill did not let truncate.
-            continue;
         }
-        if Some(frame.gen) != at.and_then(|gen| gen.checked_add(1)) {
-            return Err(format!(
-                "{JOURNAL_FILE}: sealed @delta {} out of sequence after generation {}",
-                frame.gen,
-                at.unwrap_or(base_gen)
-            ));
-        }
-        at = Some(frame.gen);
-        deltas.push(*frame);
+        before = Some(frame.gen);
     }
-    let published = match base {
-        Some((_, parts, doc)) if !deltas.is_empty() => {
-            let gen = deltas[deltas.len() - 1].gen;
-            Some((gen, splice(&doc, &parts, &deltas)?))
-        }
-        base => base.map(|(gen, _, doc)| (gen, doc)),
+    let Some(k) = last else {
+        return Ok(None);
     };
-    // `None < Some(0)`: with no published generation every sealed
-    // record is pending, whatever number it carries.
-    let newest = published.as_ref().map(|&(gen, _)| gen);
-    let pending = frames
-        .iter()
-        .rfind(|f| !f.delta && Some(f.gen) > newest)
-        .map(|f| (f.gen, f.body.to_owned()));
-    Ok((published, pending))
+    let (record, deltas) = (&frames[k], &frames[k + 1..]);
+    let (lens, doc) = parts_of(record)?;
+    match deltas.last() {
+        None => Ok(Some((record.gen, doc.to_owned()))),
+        Some(newest) => Ok(Some((newest.gen, splice(record, doc, &lens, deltas)?))),
+    }
 }
 
-/// `base`, cut into the parts of the lengths `lens` — as a compaction
-/// wrote it from the row text's parts: node list, head, one part per
-/// chunk, trailer — with the `@delta` frames `deltas` spliced in, in
-/// order. The document they make carries the last frame's trailer; its
-/// seal is checked by the parse that reads it, as a base's is.
-fn splice(base: &str, lens: &[usize], deltas: &[Frame<'_>]) -> Result<String, String> {
-    if lens.len() < 3 || lens.iter().sum::<usize>() != base.len() {
+/// The part lengths a `@gen` record's `# parts:` line lists and the
+/// document after it; a record without the line is one part.
+fn parts_of<'a>(record: &Frame<'a>) -> Result<(Vec<usize>, &'a str), String> {
+    let Some(rest) = record.body.strip_prefix("# parts:") else {
+        return Ok((vec![record.body.len()], record.body));
+    };
+    let (line, doc) = rest.split_once('\n').unwrap_or((rest, ""));
+    let lens = line
+        .strip_prefix(' ')
+        .map(|lens| lens.split(' ').map(canonical));
+    let lens: Option<Vec<usize>> = lens.into_iter().flatten().collect();
+    match lens {
+        Some(lens) if lens.iter().sum::<usize>() == doc.len() => Ok((lens, doc)),
+        _ => Err(format!(
+            "{JOURNAL_FILE}: @gen {}: not the parts line of its document: {line:?}",
+            record.gen
+        )),
+    }
+}
+
+/// `doc`, the document of `record` cut into the parts of the lengths
+/// `lens` — as a compaction wrote it from the row text's parts: node
+/// list, head, one part per chunk, trailer — with the `@delta` frames
+/// `deltas` spliced in, in order. The document they make carries the
+/// last frame's trailer; its seal is checked by the parse that reads
+/// it, as a record's is.
+fn splice(
+    record: &Frame<'_>,
+    doc: &str,
+    lens: &[usize],
+    deltas: &[Frame<'_>],
+) -> Result<String, String> {
+    let gen = record.gen;
+    if lens.len() < 3 {
         return Err(format!(
-            "{PUBLISHED_FILE}: a base of {} bytes is not cut into node list, head, chunks and trailer by {lens:?}",
-            base.len()
+            "{JOURNAL_FILE}: @gen {gen}: a document of {} bytes is not cut into node list, head, chunks and trailer by {lens:?}",
+            doc.len()
         ));
     }
-    let mut rest = base;
+    let mut rest = doc;
     let mut parts = Vec::with_capacity(lens.len());
     for &len in lens {
         let (part, after) = rest.split_at_checked(len).ok_or_else(|| {
-            format!("{PUBLISHED_FILE}: a part of {len} bytes ends inside a character")
+            format!("{JOURNAL_FILE}: @gen {gen}: a part of {len} bytes ends inside a character")
         })?;
         parts.push(part);
         rest = after;
@@ -528,11 +513,28 @@ pub(crate) mod tests {
         FSYNCS.with(Cell::get)
     }
 
+    /// The sealed records of the log at `path` as `(delta, gen)`.
+    pub(crate) fn records(path: &Path) -> Vec<(bool, u64)> {
+        let bytes = std::fs::read(path).unwrap();
+        let frames = scan_journal(&bytes).0;
+        frames.iter().map(|f| (f.delta, f.gen)).collect()
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ting-journal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Every file of `dir`, by name.
+    fn listing(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let files = std::fs::read_dir(dir).unwrap().map(|f| f.unwrap().path());
+        let mut files: Vec<_> = files
+            .map(|f| (f.clone(), std::fs::read(f).unwrap()))
+            .collect();
+        files.sort();
+        files
     }
 
     /// The sealed frames of `bytes` as `(delta, gen, body)`, and where
@@ -541,6 +543,13 @@ pub(crate) mod tests {
         let (frames, sealed) = scan_journal(bytes);
         let frames = frames.iter().map(|f| (f.delta, f.gen, f.body)).collect();
         (frames, sealed)
+    }
+
+    /// `body` sealed as a `@delta` frame of generation `gen`.
+    fn delta_frame(gen: u64, body: &str) -> String {
+        let (header, seal) =
+            frame_parts(DELTA, gen, body.len(), checkpoint::crc32(body.as_bytes()));
+        format!("{header}{body}{seal}")
     }
 
     /// A live dataset over 12 nodes (78 pair slots: three chunks) and
@@ -577,32 +586,43 @@ pub(crate) mod tests {
         text.render(dataset);
     }
 
-    /// A base at generation 2, then `@delta` frames 3, 4 and 5 on it (a
-    /// pair in chunk 0, one in chunk 2, a status-only one): the
-    /// documents each generation is, and the log's bytes after each
-    /// frame.
-    fn base_and_three_frames(j: &Journal) -> (Vec<String>, Vec<Vec<u8>>) {
+    /// A compaction to generation 2, then `@delta` frames 3, 4 and 5 on
+    /// it (a pair in chunk 0, one in chunk 2, a status-only one), then a
+    /// compaction to generation 6 (a pair in chunk 1) and a status-only
+    /// frame 7 on it: the documents generations 2 to 7 are, the log's
+    /// bytes after the first compaction and after each frame on it, and
+    /// the log the second compaction and its frame leave.
+    fn two_compactions(j: &Journal) -> (Vec<String>, Vec<Vec<u8>>, Vec<u8>) {
         let (mut dataset, mut text) = live();
         fold(&mut dataset, &mut text, &[(11, 10), (0, 1), (5, 6)], 10);
         let (doc, crc) = text.document();
         let base = j.mark_published_with_crc(2, &doc, crc).unwrap();
-        let published = std::fs::read(j.published_path()).unwrap();
-        assert_eq!(base, published.len() as u64);
+        let mut logs = vec![std::fs::read(j.journal_path()).unwrap()];
+        assert_eq!(base, logs[0].len() as u64);
         let mut docs = vec![dataset.to_document()];
-        let mut logs = Vec::new();
-        for (gen, pairs) in [(3, &[(11, 9)][..]), (4, &[(1, 0)]), (5, &[])] {
+        for (gen, pairs) in [
+            (3, &[(11, 9)][..]),
+            (4, &[(1, 0)]),
+            (5, &[]),
+            (6, &[(7, 3)]),
+            (7, &[]),
+        ] {
             fold(&mut dataset, &mut text, pairs, 10 * gen);
-            let (doc, _) = text.document();
-            let chunks = text.fresh().len();
-            assert_eq!(chunks, pairs.len(), "generation {gen}");
-            let before = std::fs::metadata(j.journal_path()).unwrap().len();
-            let frame = j.append_delta(gen, &doc, text.fresh()).unwrap();
-            let log = std::fs::read(j.journal_path()).unwrap();
-            assert_eq!(log.len() as u64, before + frame);
+            let (doc, crc) = text.document();
+            assert_eq!(text.fresh().len(), pairs.len(), "generation {gen}");
+            if gen == 6 {
+                j.mark_published_with_crc(gen, &doc, crc).unwrap();
+            } else {
+                let before = std::fs::metadata(j.journal_path()).unwrap().len();
+                let frame = j.append_delta(gen, &doc, text.fresh()).unwrap();
+                let log = std::fs::read(j.journal_path()).unwrap();
+                assert_eq!(log.len() as u64, before + frame);
+            }
             docs.push(dataset.to_document());
-            logs.push(log);
+            logs.push(std::fs::read(j.journal_path()).unwrap());
         }
-        (docs, logs)
+        let later = logs.split_off(4).pop().unwrap();
+        (docs, logs, later)
     }
 
     #[test]
@@ -613,14 +633,14 @@ pub(crate) mod tests {
 
         j.append(1, "doc one\n").unwrap();
         let r = j.recover().unwrap();
-        assert_eq!(r.pending, Some((1, "doc one\n".to_owned())));
+        assert_eq!(r.published, Some((1, "doc one\n".to_owned())));
         assert_eq!(r.serve().unwrap().0, 1);
         assert!(!r.torn_tail);
 
         j.mark_published(1, "doc one\n").unwrap();
         let r = j.recover().unwrap();
         assert_eq!(r.published, Some((1, "doc one\n".to_owned())));
-        assert_eq!(r.pending, None, "an applied record is not pending");
+        assert_eq!(r.pending, None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -660,120 +680,137 @@ pub(crate) mod tests {
             for piece in doc.as_bytes().chunks(cut.min(doc.len().max(1))) {
                 parts.extend([std::str::from_utf8(piece).unwrap(), ""]);
             }
+            let log = std::fs::read(j.journal_path()).unwrap_or_default();
             j.append(gen, doc).unwrap();
             let staged = std::fs::read(j.journal_path()).unwrap();
-            assert_eq!(staged, frame_record(gen, doc).into_bytes(), "{doc:?}");
-            let base = j.mark_published_with_crc(gen, &parts, crc).unwrap();
-            let published = std::fs::read(j.published_path()).unwrap();
-            assert_eq!(base, published.len() as u64);
+            assert_eq!(staged, [log, frame_record(gen, doc).into_bytes()].concat());
+            let written = j.mark_published_with_crc(gen, &parts, crc).unwrap();
+            let compacted = std::fs::read(j.journal_path()).unwrap();
+            assert_eq!(written, compacted.len() as u64);
             let lens: String = parts
                 .iter()
                 .map(|part| format!(" {}", part.len()))
                 .collect();
-            let head = format!("{PUBLISHED_MAGIC}\n# gen: {gen}\n# parts:{lens}\n");
-            let want = checkpoint::seal(format!("{head}{doc}"));
-            assert_eq!(published, want.into_bytes(), "the outer seal, {doc:?}");
-            assert_eq!(std::fs::metadata(j.journal_path()).unwrap().len(), 0);
+            let body = format!("# parts:{lens}\n{doc}");
+            let crc = checkpoint::crc32(body.as_bytes());
+            let want = format!("@gen {gen} {}\n{body}@seal {gen} {crc:08x}\n", body.len());
+            assert_eq!(compacted, want.into_bytes(), "the record's seal, {doc:?}");
+            assert_eq!(listing(&dir).len(), 1, "the log alone");
             j.mark_published(gen, doc).unwrap();
-            let published = std::fs::read(j.published_path()).unwrap();
-            assert_eq!(published, render_published(gen, doc).into_bytes());
+            let compacted = std::fs::read(j.journal_path()).unwrap();
+            assert_eq!(compacted, render_published(gen, doc).into_bytes());
+            let r = j.recover().unwrap();
+            assert_eq!(r.published, Some((gen, doc.to_owned())), "{doc:?}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `@delta` frames splice onto the base in generation order: after
-    /// each, recovery gives back the whole document of its generation,
-    /// nothing pending and no torn tail; a compaction's rename with the
-    /// truncate not done leaves frames the base already holds, which
-    /// are skipped.
+    /// `@delta` frames splice onto the `@gen` record before them in
+    /// generation order: after each, recovery gives back the whole
+    /// document of its generation and no torn tail. A `@gen` record
+    /// sealed after them is published as it stands — the frames before
+    /// it are not spliced onto it — and frames go on from it.
     #[test]
-    fn delta_frames_splice_onto_the_base_in_order() {
+    fn delta_frames_splice_onto_the_last_gen_record_in_order() {
         let dir = tempdir("delta");
         let j = Journal::open(&dir).unwrap();
-        let (docs, logs) = base_and_three_frames(&j);
-        for (gen, (doc, log)) in (3..).zip(docs[1..].iter().zip(&logs)) {
+        let (docs, logs, later) = two_compactions(&j);
+        for (gen, (doc, log)) in (2..).zip(docs.iter().zip(&logs)) {
             std::fs::write(j.journal_path(), log).unwrap();
             let r = j.recover().unwrap();
             assert_eq!(r.published, Some((gen, doc.clone())));
             assert_eq!((&r.pending, r.torn_tail), (&None, false));
         }
         // A frame holds the head, the chunks it names and the trailer.
-        let (frames, _) = scan(&logs[2]);
+        let (frames, _) = scan(&logs[3]);
         let bodies: Vec<&str> = frames.iter().map(|&(_, _, body)| body).collect();
-        assert!(bodies[0].contains("@chunk 0 ") && !bodies[0].contains("@chunk 2 "));
-        assert!(bodies[1].contains("@chunk 2 ") && !bodies[1].contains("@chunk 0 "));
-        assert!(!bodies[2].contains("@chunk"), "a status-only frame");
+        assert!(bodies[1].contains("@chunk 0 ") && !bodies[1].contains("@chunk 2 "));
+        assert!(bodies[2].contains("@chunk 2 ") && !bodies[2].contains("@chunk 0 "));
+        assert!(!bodies[3].contains("@chunk"), "a status-only frame");
 
-        // Compaction at generation 6: rename done, truncate not done.
-        let body = checkpoint::verify_sealed(&docs[3]).unwrap();
-        let gen6 = checkpoint::seal(body.replace("# now_ns: 50\n", "# now_ns: 60\n"));
-        j.mark_published(6, &gen6).unwrap();
-        std::fs::write(j.journal_path(), &logs[2]).unwrap();
-        let r = j.recover().unwrap();
-        assert_eq!(r.published, Some((6, gen6)));
-        assert_eq!((&r.pending, r.torn_tail), (&None, false));
+        // Generation 6's record sealed behind the frames, then frame 7.
+        let record = read_frame(&later, 0).unwrap().1;
+        for (gen, end) in [(6, record), (7, later.len())] {
+            let log = [&logs[3][..], &later[..end]].concat();
+            std::fs::write(j.journal_path(), log).unwrap();
+            let r = j.recover().unwrap();
+            assert_eq!(r.published, Some((gen, docs[gen as usize - 2].clone())));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A sealed frame that cannot be spliced onto what lies under it is
+    /// A sealed `@delta 2` behind `@delta 3` on a compaction to
+    /// generation 2 is out of sequence, not a frame the record already
+    /// holds: an error naming it, and the directory left as it was.
+    #[test]
+    fn a_sealed_delta_behind_a_newer_one_is_an_error() {
+        let dir = tempdir("behind");
+        let j = Journal::open(&dir).unwrap();
+        let (_, logs, _) = two_compactions(&j);
+        let (frames, _) = scan(&logs[1]);
+        let (_, _, body) = frames[1];
+        let log = [&logs[1][..], delta_frame(2, body).as_bytes()].concat();
+        std::fs::write(j.journal_path(), &log).unwrap();
+        let before = listing(&dir);
+        let err = j.recover().unwrap_err();
+        let want = "sealed @delta 2 out of sequence after generation 3";
+        assert_eq!(err, format!("{JOURNAL_FILE}: {want}"));
+        assert_eq!(listing(&dir), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sealed frame that cannot be spliced onto what lies before it is
     /// a loud error, and recovery leaves the directory as it found it.
     #[test]
-    fn a_sealed_frame_out_of_sequence_or_without_a_base_is_an_error() {
+    fn a_sealed_frame_out_of_sequence_or_without_a_gen_record_is_an_error() {
         let dir = tempdir("sequence");
         let j = Journal::open(&dir).unwrap();
-        let (_, logs) = base_and_three_frames(&j);
-        let (frames, _) = scan(&logs[2]);
+        let (_, logs, _) = two_compactions(&j);
+        let (frames, _) = scan(&logs[3]);
         let frame = |k: usize| {
             let (_, gen, body) = frames[k];
-            let (header, seal) =
-                frame_parts(DELTA, gen, body.len(), checkpoint::crc32(body.as_bytes()));
-            format!("{header}{body}{seal}")
+            delta_frame(gen, body)
         };
-        let published = std::fs::read(j.published_path()).unwrap();
+        let base = String::from_utf8(logs[0].clone()).unwrap();
         let cases = [
             (
-                format!("{}{}", frame(1), frame(0)),
-                true,
+                format!("{base}{}{}", frame(2), frame(1)),
                 "sealed @delta 4 out of sequence after generation 2",
             ),
             (
-                format!("{}{}", frame(0), frame(2)),
-                true,
+                format!("{base}{}{}", frame(1), frame(3)),
                 "sealed @delta 5 out of sequence after generation 3",
             ),
             (
-                format!("{}{}", frame(0), frame(0)),
-                true,
+                format!("{base}{}{}", frame(1), frame(1)),
                 "sealed @delta 3 out of sequence after generation 3",
             ),
-            (frame(0), false, "sealed @delta 3 with no base under it"),
+            (
+                format!("{}{base}", frame(1)),
+                "sealed @delta 3 with no @gen record before it",
+            ),
         ];
-        for (log, base, want) in cases {
-            std::fs::write(j.journal_path(), &log).unwrap();
-            if !base {
-                std::fs::remove_file(j.published_path()).unwrap();
-            }
+        for (log, want) in cases {
             let torn = format!("{log}@delta 9");
             std::fs::write(j.journal_path(), &torn).unwrap();
             let err = j.recover().unwrap_err();
             assert_eq!(err, format!("{JOURNAL_FILE}: {want}"));
             assert_eq!(std::fs::read(j.journal_path()).unwrap(), torn.as_bytes());
-            std::fs::write(j.published_path(), &published).unwrap();
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Only the tokens the writer writes are taken. A frame whose header
     /// or seal line is spelled any other way is not sealed — the walk
-    /// ends before it — and a sealed `@delta` body with such a line is
-    /// an error naming it.
+    /// ends before it — and a sealed `@delta` body or `# parts:` line
+    /// with such a token is an error naming it.
     #[test]
     fn frames_take_only_canonical_tokens() {
         let dir = tempdir("canonical");
         let j = Journal::open(&dir).unwrap();
-        let (_, logs) = base_and_three_frames(&j);
-        let (frames, _) = scan(&logs[2]);
-        let (_, gen, body) = frames[0];
+        let (_, logs, _) = two_compactions(&j);
+        let (frames, _) = scan(&logs[3]);
+        let (_, gen, body) = frames[1];
         let crc = checkpoint::crc32(body.as_bytes());
         let header = format!("@delta {gen} {}\n", body.len());
         let seal = format!("@seal {gen} {crc:08x}\n");
@@ -825,28 +862,46 @@ pub(crate) mod tests {
             (chunk.to_owned(), format!("@chunk 3 {text_len}")),
             (chunk.to_owned(), format!("@chunk {k}  {text_len}")),
         ];
+        let base = &logs[0];
         for (line, edited) in edits {
             let body = body.replacen(&format!("{line}\n"), &format!("{edited}\n"), 1);
-            let (header, seal) =
-                frame_parts(DELTA, gen, body.len(), checkpoint::crc32(body.as_bytes()));
-            std::fs::write(j.journal_path(), format!("{header}{body}{seal}")).unwrap();
+            let log = [&base[..], delta_frame(gen, &body).as_bytes()].concat();
+            std::fs::write(j.journal_path(), log).unwrap();
             let err = j.recover().unwrap_err();
             assert!(err.contains(&format!("{edited:?}")), "{err} for {edited:?}");
         }
         // A chunk's head line dropped: its text is read as the trailer.
         let dropped = body.replacen(&format!("{chunk}\n"), "", 1);
-        let (header, seal) = frame_parts(
-            DELTA,
-            gen,
-            dropped.len(),
-            checkpoint::crc32(dropped.as_bytes()),
-        );
-        std::fs::write(j.journal_path(), format!("{header}{dropped}{seal}")).unwrap();
+        let log = [&base[..], delta_frame(gen, &dropped).as_bytes()].concat();
+        std::fs::write(j.journal_path(), log).unwrap();
         let err = j.recover().unwrap_err();
         assert!(
             err.contains("not a chunk line or the trailer: \"m\\t"),
             "{err}"
         );
+
+        // The record's part lengths, each spelled another way or not
+        // adding up to its document, the record sealed again.
+        let record = std::str::from_utf8(base).unwrap();
+        let (_, _, body) = scan(base).0[0];
+        let (line, doc) = body.split_once('\n').unwrap();
+        let first = line.split(' ').nth(2).unwrap();
+        for edited in [
+            line.replacen(&format!(" {first} "), &format!(" 0{first} "), 1),
+            line.replacen(&format!(" {first} "), &format!(" +{first} "), 1),
+            line.replacen(&format!(" {first} "), &format!("  {first} "), 1),
+            line.replacen(&format!(" {first} "), &format!(" {first} 0 1 "), 1),
+            "# parts:".to_owned(),
+        ] {
+            let body = format!("{edited}\n{doc}");
+            let crc = checkpoint::crc32(body.as_bytes());
+            let log = format!("@gen 2 {}\n{body}@seal 2 {crc:08x}\n", body.len());
+            assert_ne!(log, record);
+            std::fs::write(j.journal_path(), log).unwrap();
+            let err = j.recover().unwrap_err();
+            let want = format!("{JOURNAL_FILE}: @gen 2: not the parts line of its document: ");
+            assert!(err.starts_with(&want), "{err} for {edited:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -867,21 +922,44 @@ pub(crate) mod tests {
         drop(f);
         let r = j.recover().unwrap();
         assert!(r.torn_tail);
-        assert_eq!(r.pending, Some((2, "beta\n".to_owned())));
+        assert_eq!(r.published, Some((2, "beta\n".to_owned())));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A whole record that fails its seal — a flipped byte in the body,
+    /// in the seal — is rot, not a torn append: an error naming the
+    /// record, and the log is not cut.
     #[test]
-    fn corrupt_published_file_is_a_loud_error() {
+    fn a_corrupt_gen_record_is_a_loud_error() {
         let dir = tempdir("rot");
         let j = Journal::open(&dir).unwrap();
         j.append(1, "doc\n").unwrap();
         j.mark_published(1, "doc\n").unwrap();
-        let mut bytes = std::fs::read(j.published_path()).unwrap();
-        bytes[3] ^= 0x20;
-        std::fs::write(j.published_path(), &bytes).unwrap();
+        let sealed = std::fs::read(j.journal_path()).unwrap();
+        for at in ["@gen 1 12\n# p".len(), sealed.len() - 2] {
+            let mut bytes = sealed.clone();
+            bytes[at] ^= 0x20;
+            std::fs::write(j.journal_path(), &bytes).unwrap();
+            let err = j.recover().unwrap_err();
+            let want = format!("{JOURNAL_FILE}: @gen 1 at byte 0 is whole but fails its seal");
+            assert_eq!(err, want, "byte {at}");
+            assert_eq!(std::fs::read(j.journal_path()).unwrap(), bytes);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory of the two-file layout is refused by name and left
+    /// as it was: its base is never served as an empty journal.
+    #[test]
+    fn a_directory_holding_oracle_published_is_refused() {
+        let dir = tempdir("two-files");
+        let j = Journal::open(&dir).unwrap();
+        std::fs::write(dir.join("oracle.published"), "# ting oracle published v1\n").unwrap();
+        j.append(2, "two\n").unwrap();
+        let before = listing(&dir);
         let err = j.recover().unwrap_err();
-        assert!(err.contains("CRC"), "{err}");
+        assert!(err.starts_with("oracle.published: "), "{err}");
+        assert_eq!(listing(&dir), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -908,7 +986,7 @@ pub(crate) mod tests {
         let torn = format!("{}@gen 3 {}\n", frame_record(2, "sealed\n"), usize::MAX);
         std::fs::write(j.journal_path(), torn).unwrap();
         let r = j.recover().unwrap();
-        assert_eq!(r.pending, Some((2, "sealed\n".to_owned())));
+        assert_eq!(r.published, Some((2, "sealed\n".to_owned())));
         assert!(r.torn_tail);
         std::fs::remove_dir_all(&dir).unwrap();
 
@@ -937,24 +1015,24 @@ pub(crate) mod tests {
     fn a_record_sealed_behind_a_torn_tail_survives_the_next_kill() {
         let dir = tempdir("two-kills");
         let j = Journal::open(&dir).unwrap();
-        j.append(2, "two\n").unwrap();
         j.mark_published(2, "two\n").unwrap();
+        let base = std::fs::read(j.journal_path()).unwrap();
         // First kill: mid-append of generation 3.
         let frame = frame_record(3, "three\n");
-        std::fs::write(j.journal_path(), &frame.as_bytes()[..frame.len() - 4]).unwrap();
+        let torn = [&base[..], &frame.as_bytes()[..frame.len() - 4]].concat();
+        std::fs::write(j.journal_path(), torn).unwrap();
         let r = j.recover().unwrap();
         assert!(r.torn_tail);
-        assert_eq!((r.serve().unwrap().0, &r.pending), (2, &None));
-        let files = || [j.journal_path(), j.published_path()].map(|f| std::fs::read(f).unwrap());
-        let cut = files();
+        assert_eq!(r.serve().unwrap().0, 2);
+        let cut = listing(&dir);
         assert_eq!(j.recover().unwrap().serve(), r.serve());
-        assert_eq!(files(), cut, "recover ∘ recover = recover");
+        assert_eq!(listing(&dir), cut, "recover ∘ recover = recover");
 
-        // The restarted publisher stages generation 3 again; the second
-        // kill lands between its seal and `mark_published`.
+        // The restarted publisher appends generation 3 again; the
+        // second kill lands after its seal.
         j.append(3, "three\n").unwrap();
         let r = j.recover().unwrap();
-        assert_eq!(r.pending, Some((3, "three\n".to_owned())));
+        assert_eq!(r.published, Some((3, "three\n".to_owned())));
         assert!(!r.torn_tail);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -12,11 +12,12 @@
 //! [`ting::shard::Supervisor::merge`] would produce and makes it durable
 //! through the publish [`Journal`] before it swaps it in — one `@delta`
 //! frame of the row chunks the publish changed, one append and one
-//! fsync, or now and then a compaction that rewrites the whole document
-//! as the journal's base — under the *journal's* generation number, so a
-//! kill at any byte and a [`Pipeline::recover`] always serve exactly the
-//! last sealed generation, bit-identical to an uninterrupted run. A
-//! volatile one (no journal) renders no document: nothing would read it.
+//! fsync, or now and then a compaction that rewrites the log as one
+//! `@gen` record of the whole document — under the *journal's*
+//! generation number, so a kill at any byte and a [`Pipeline::recover`]
+//! always serve exactly the last sealed generation, bit-identical to an
+//! uninterrupted run. A volatile one (no journal) renders no document:
+//! nothing would read it.
 //!
 //! Serving is guarded by the [`TtlPolicy`] ladder, judged against the
 //! snapshot's newest measurement in virtual time. The pipeline is the
@@ -24,7 +25,7 @@
 //! cell — with every publish, and again on every tick — and the
 //! [`OracleReader`]s it hands out act on it (see [`crate::service`]).
 
-use crate::journal::{Journal, Recovered, JOURNAL_FILE, PUBLISHED_FILE};
+use crate::journal::{Journal, Recovered, JOURNAL_FILE};
 use crate::service::{Oracle, OracleReader};
 use crate::snapshot::Snapshot;
 use crate::ttl::{ServingState, TtlPolicy};
@@ -137,10 +138,10 @@ impl Metrics {
     }
 }
 
-/// A publish compacts — writes the whole document as the journal's base
-/// and empties its log — instead of appending a `@delta` frame once the
-/// frame would take the log past this share of the base's bytes, in
-/// percent. At 300 relays a 64-pair frame is ≈ 85 KB of a 1.70 MB base:
+/// A publish compacts — rewrites the log as one `@gen` record of the
+/// whole document, the base — instead of appending a `@delta` frame once
+/// the frame would take the frames past this share of the base's bytes,
+/// in percent. At 300 relays a 64-pair frame is ≈ 85 KB of a 1.70 MB base:
 /// five frames go between two compactions, and a recovery splices at
 /// most ≈ 0.43 MB of them (DESIGN.md §16).
 const COMPACT_AT_PERCENT: u64 = 25;
@@ -152,10 +153,10 @@ struct Durable {
     /// `dataset`'s document as rendered at the last publish, chunk by
     /// chunk, with the chunks folded into since marked for the next.
     rows: RowText,
-    /// The length in bytes of the base this pipeline last wrote, and of
-    /// the frames it appended on it since; `None` before its first
-    /// compaction and after a failed write, so the next publish
-    /// compacts.
+    /// The length in bytes of the `@gen` record this pipeline's last
+    /// compaction wrote, and of the frames it appended after it since;
+    /// `None` before its first compaction and after a failed write, so
+    /// the next publish compacts.
     on_disk: Option<(u64, u64)>,
 }
 
@@ -282,14 +283,13 @@ impl Pipeline {
         }
     }
 
-    /// Reopens a journaled pipeline after a kill: replays the journal
-    /// directory, republishes exactly the last sealed generation (a
-    /// pending whole record when the kill landed between its seal and
-    /// swap, else the base with its `@delta` frames spliced in),
-    /// rebuilds the accumulated dataset from it, and re-judges serving
-    /// at `now`. Its first publish compacts: the row text is new.
-    /// Returns what recovery found so harnesses can assert on the crash
-    /// window they injected.
+    /// Reopens a journaled pipeline after a kill: replays the journal,
+    /// republishes exactly the last sealed generation (the last `@gen`
+    /// record with the `@delta` frames after it spliced in), rebuilds
+    /// the accumulated dataset from it, and re-judges serving at `now`.
+    /// Its first publish compacts: the row text is new. Returns what
+    /// recovery found so harnesses can assert on the crash window they
+    /// injected.
     pub fn recover(
         nodes: Vec<NodeId>,
         shards: usize,
@@ -305,11 +305,9 @@ impl Pipeline {
             // No publish writes the bootstrap generation or leaves the
             // next one without a number, whatever a sealed file says.
             if !(2..u64::MAX).contains(&gen) {
-                let file = match recovered.pending {
-                    Some(_) => JOURNAL_FILE,
-                    None => PUBLISHED_FILE,
-                };
-                return Err(format!("{file}: generation {gen} is outside 2..u64::MAX"));
+                return Err(format!(
+                    "{JOURNAL_FILE}: generation {gen} is outside 2..u64::MAX"
+                ));
             }
             let parsed = parse_merged_document(doc)?;
             if parsed.matrix.nodes() != p.dataset.matrix.nodes() {
@@ -324,19 +322,10 @@ impl Pipeline {
             p.dataset = MergeOutcome::from(parsed);
             p.last_publish = Some(p.dataset.now);
             p.serve(gen, now);
-            // A pending record sealed but never swapped: finish its
-            // interrupted publish so the directory converges.
-            if let (Some(_), Some(durable)) = (&recovered.pending, &p.durable) {
-                durable
-                    .journal
-                    .mark_published(gen, doc)
-                    .map_err(|e| format!("completing interrupted publish: {e}"))?;
-            }
             p.obs
                 .event(names::ORACLE_PIPELINE_RECOVER, now.as_nanos(), || {
                     vec![
                         ("generation", Value::U64(gen)),
-                        ("pending", Value::U64(recovered.pending.is_some() as u64)),
                         ("torn_tail", Value::U64(recovered.torn_tail as u64)),
                     ]
                 });
@@ -889,7 +878,6 @@ mod tests {
                 );
                 let on_disk = j.recover().unwrap();
                 assert_eq!(on_disk.serve().map(|(gen, _)| *gen), Some(2));
-                assert!(on_disk.pending.is_none());
             }
 
             assert_eq!(p.tick(SimTime(13)).unwrap(), Some(3), "next tick proceeds");
@@ -904,6 +892,7 @@ mod tests {
     /// that base.
     #[test]
     fn a_refused_journal_write_is_published_by_the_next_tick() {
+        use crate::journal::tests::records;
         let dir = std::env::temp_dir().join(format!("ting-pipeline-append-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let journal = Journal::open(&dir).unwrap();
@@ -924,10 +913,9 @@ mod tests {
                 .rtt_ms
         };
         let log = journal.journal_path();
-        let log_len = || std::fs::metadata(&log).unwrap().len();
         p.offer(delta(1, all, 10));
         assert_eq!(p.tick(SimTime(10)).unwrap(), Some(2));
-        assert_eq!(log_len(), 0, "the first publish compacts");
+        assert_eq!(records(&log), [(false, 2)], "the first publish compacts");
 
         // A directory where the log belongs: each write is refused.
         let cases = [
@@ -957,7 +945,12 @@ mod tests {
             std::fs::remove_dir(&log).unwrap();
             assert_eq!(p.tick(SimTime(at + 1)).unwrap(), Some(gen + 1));
             assert_eq!(served(&p, 0, seq as u32), Some(3.0));
-            assert_eq!(log_len(), 0, "a publish after a refusal compacts");
+            let compacted = [(false, gen + 1)];
+            assert_eq!(
+                records(&log),
+                compacted,
+                "a publish after a refusal compacts"
+            );
             let recovered = journal.recover().unwrap();
             assert_eq!(recovered.serve(), Some(&(gen + 1, p.serving_document())));
             assert_eq!(
@@ -973,7 +966,11 @@ mod tests {
                 at + 3,
             ));
             assert_eq!(p.tick(SimTime(at + 3)).unwrap(), Some(gen + 2));
-            assert!(log_len() > 0, "a frame");
+            assert_eq!(
+                records(&log),
+                [(false, gen + 1), (true, gen + 2)],
+                "a frame"
+            );
             let recovered = journal.recover().unwrap();
             assert_eq!(recovered.serve(), Some(&(gen + 2, p.serving_document())));
         }
@@ -981,13 +978,13 @@ mod tests {
     }
 
     /// A publish that does not compact fsyncs once, the frame it
-    /// appends; a compaction three times: the base's tmp file, the
-    /// directory after the rename, the emptied log. The first publish
-    /// compacts, then one-pair and status-only publishes append frames
-    /// until the log would pass its share of the base.
+    /// appends; a compaction twice: the new log's tmp file, and the
+    /// directory after the rename. The first publish compacts, then
+    /// one-pair and status-only publishes append frames until the log
+    /// would pass its share of the base.
     #[test]
-    fn a_frame_publish_fsyncs_once_and_a_compaction_three_times() {
-        use crate::journal::tests::fsyncs;
+    fn a_frame_publish_fsyncs_once_and_a_compaction_twice() {
+        use crate::journal::tests::{fsyncs, records};
         let dir = std::env::temp_dir().join(format!("ting-pipeline-fsyncs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let journal = Journal::open(&dir).unwrap();
@@ -1009,13 +1006,24 @@ mod tests {
             let before = fsyncs();
             assert_eq!(p.tick(SimTime(seq)).unwrap(), Some(seq + 1));
             let synced = fsyncs() - before;
-            let log = std::fs::metadata(journal.journal_path()).unwrap().len();
-            match log {
-                0 => compactions += 1,
-                _ => frames += 1,
-            }
-            let want = if log == 0 { 3 } else { 1 };
-            assert_eq!(synced, want, "publish {seq}, log of {log} bytes");
+            let log = records(&journal.journal_path());
+            let want = match log[..] {
+                [(false, gen)] if gen == seq + 1 => {
+                    compactions += 1;
+                    2
+                }
+                [.., (true, gen)] if gen == seq + 1 => {
+                    frames += 1;
+                    1
+                }
+                _ => panic!("publish {seq}: a log of {log:?}"),
+            };
+            assert_eq!(
+                synced,
+                want,
+                "publish {seq}, a log of {} records",
+                log.len()
+            );
         }
         assert!(
             frames >= 30 && compactions >= 3,
@@ -1405,10 +1413,10 @@ mod tests {
     /// recovery); `render64` and `patched` the same steps after a
     /// 64-pair fold, as a steady-state publish takes them, and
     /// `render1402` after a bulk one; `crc` is one pass over the whole
-    /// document, which no publish makes; `compact` writes the whole
-    /// document as the base and `frame` appends a 64-pair publish's
-    /// `@delta` frame; `recover` is `Journal::recover` of the base
-    /// alone and `replay` of the base under as many 64-pair frames as
+    /// document, which no publish makes; `compact` rewrites the log as
+    /// one `@gen` record of the whole document and `frame` appends a 64-pair publish's
+    /// `@delta` frame; `recover` is `Journal::recover` of that record
+    /// alone and `replay` of the record under as many 64-pair frames as
     /// a log holds before it compacts; `volatile` is `tick` without a
     /// journal, which renders nothing.
     #[test]
@@ -1528,7 +1536,7 @@ mod tests {
             .write(true)
             .open(journal.journal_path())
             .unwrap()
-            .set_len(log)
+            .set_len(base + log)
             .unwrap();
         println!("{} frames, {log} bytes on a {base}-byte base", gen - 2);
         best("replay", &mut || {

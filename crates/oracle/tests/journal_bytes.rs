@@ -1,16 +1,16 @@
 //! The on-disk bytes of a journaled publish, pinned. A seeded stream of
 //! deltas runs through a journaled [`Pipeline`] — one bulk delta, then
 //! trickles of re-measured and new pairs, shard statuses moving — and
-//! after every publish the test records the length and CRC-32 of
-//! `oracle.published` (the base, rewritten only by a compaction), of the
-//! whole-document record the served generation frames to, and of
-//! `oracle.journal` (the `@delta` frames appended since the last
-//! compaction). Any byte that moves in the document, the base or a frame
-//! fails here by generation; an edit to the constants is a format
-//! change, not a fix.
+//! after every publish the test records the length and CRC-32 of the
+//! `@gen` record at the head of `oracle.journal` (the base, rewritten
+//! only by a compaction), of the whole-document record the served
+//! generation frames to, and of the rest of `oracle.journal` (the
+//! `@delta` frames appended since the last compaction). Any byte that
+//! moves in the document, the base or a frame fails here by generation;
+//! an edit to the constants is a format change, not a fix.
 
 use netsim::{NodeId, SimDuration, SimTime};
-use oracle::journal::{frame_record, JOURNAL_FILE, PUBLISHED_FILE};
+use oracle::journal::{frame_record, JOURNAL_FILE};
 use oracle::{Journal, Pipeline, PipelineConfig, TtlPolicy};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use ting::checkpoint::crc32;
@@ -23,8 +23,8 @@ const STATUSES: [&str; 3] = ["live", "restarting", "dead"];
 /// `(length, CRC)` of one file or record.
 type Bytes = (usize, u32);
 
-/// What one generation left: the published file, the whole document's
-/// record, and the log.
+/// What one generation left: the log's `@gen` record, the whole
+/// document's record, and the frames after it.
 type Written = (Bytes, Bytes, Bytes);
 
 /// `n` relays whose ids are not in index order.
@@ -47,6 +47,17 @@ fn pair(rng: &mut SmallRng, a: NodeId, b: NodeId, at: u64) -> DeltaPair {
 
 fn sized(bytes: &[u8]) -> Bytes {
     (bytes.len(), crc32(bytes))
+}
+
+/// The log cut after its first record: the `@gen` record a compaction
+/// wrote, and the `@delta` frames appended after it.
+fn split_log(log: &[u8]) -> (&[u8], &[u8]) {
+    let text = std::str::from_utf8(log).unwrap();
+    let (header, _) = text.split_once('\n').unwrap();
+    assert!(header.starts_with("@gen "), "{header:?}");
+    let len: usize = header.rsplit(' ').next().unwrap().parse().unwrap();
+    let seal = header.len() + 1 + len;
+    log.split_at(seal + text[seal..].find('\n').unwrap() + 1)
 }
 
 /// The most a `@delta` frame of `pairs` changed pairs of `doc` can
@@ -90,7 +101,7 @@ fn run(n: u32, seed: u64, publishes: u64) -> (Vec<Written>, Vec<usize>) {
         Some(journal.clone()),
     );
     let (mut written, mut appended) = (Vec::new(), Vec::new());
-    let mut log_len = 0;
+    let mut frames_len = 0;
     for seq in 1..=publishes {
         let now = 1_000_000_000_000 + seq * 1_700_000_000;
         let mut pairs = Vec::new();
@@ -121,22 +132,22 @@ fn run(n: u32, seed: u64, publishes: u64) -> (Vec<Written>, Vec<usize>) {
             now: SimTime(now),
         });
         let generation = p.tick(SimTime(now)).unwrap().unwrap();
-        let published = std::fs::read(dir.join(PUBLISHED_FILE)).unwrap();
         let log = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let (base, frames) = split_log(&log);
         let doc = p.serving_document();
         let frame = frame_record(generation, &doc);
-        written.push((sized(&published), sized(frame.as_bytes()), sized(&log)));
-        if !log.is_empty() {
+        written.push((sized(base), sized(frame.as_bytes()), sized(frames)));
+        if !frames.is_empty() {
             // Not a compaction: one frame appended, no larger than what
             // the publish changed.
-            let frame = log.len() - log_len;
+            let frame = frames.len() - frames_len;
             assert!(
                 frame <= frame_bound(&doc, changed),
                 "generation {generation}: {frame} bytes"
             );
             appended.push(frame);
         }
-        log_len = log.len();
+        frames_len = frames.len();
         let recovered = journal.recover().unwrap();
         assert_eq!(recovered.serve(), Some(&(generation, doc)));
     }
@@ -148,32 +159,32 @@ fn run(n: u32, seed: u64, publishes: u64) -> (Vec<Written>, Vec<usize>) {
 fn published_bytes_at_40_relays_are_pinned() {
     let pinned: &[Written] = &[
         (
-            (35_253, 0x8a95_c0ba),
+            (35_229, 0x1824_4815),
             (35_080, 0x0ebe_3df3),
             (0, 0x0000_0000),
         ),
         (
-            (35_525, 0x38d8_4c30),
+            (35_501, 0xea23_021a),
             (35_352, 0xb87f_b32e),
             (0, 0x0000_0000),
         ),
         (
-            (35_914, 0xa8ae_db18),
+            (35_890, 0x15ce_14f5),
             (35_741, 0xa8e9_4300),
             (0, 0x0000_0000),
         ),
         (
-            (35_914, 0xa8ae_db18),
+            (35_890, 0x15ce_14f5),
             (35_741, 0x5ace_9307),
             (238, 0xb5fb_5ccb),
         ),
         (
-            (36_129, 0xc65e_3c37),
+            (36_105, 0x5f4f_1abf),
             (35_956, 0x68f2_074f),
             (0, 0x0000_0000),
         ),
         (
-            (36_306, 0x80cf_d2fa),
+            (36_282, 0x6610_1fbc),
             (36_133, 0x7fb9_8816),
             (0, 0x0000_0000),
         ),
@@ -186,36 +197,35 @@ fn published_bytes_at_40_relays_are_pinned() {
 fn published_bytes_at_300_relays_are_pinned() {
     let pinned: &[Written] = &[
         (
-            (1_997_016, 0x6dfd_3da8),
+            (1_996_994, 0xf237_d990),
             (1_989_919, 0x57e7_5481),
             (0, 0x0000_0000),
         ),
         (
-            (1_997_016, 0x6dfd_3da8),
+            (1_996_994, 0xf237_d990),
             (1_990_176, 0xb232_5995),
             (89_595, 0x2e8d_1752),
         ),
         (
-            (1_997_016, 0x6dfd_3da8),
+            (1_996_994, 0xf237_d990),
             (1_990_427, 0x3107_9d29),
             (179_238, 0xa097_6639),
         ),
         (
-            (1_997_016, 0x6dfd_3da8),
+            (1_996_994, 0xf237_d990),
             (1_990_427, 0x347a_a1e8),
             (179_500, 0x1b27_cd89),
         ),
         (
-            (1_997_016, 0x6dfd_3da8),
+            (1_996_994, 0xf237_d990),
             (1_991_024, 0x1f75_3807),
             (266_332, 0x4b9d_8fd4),
         ),
     ];
     let (written, appended) = run(300, 7, 5);
     assert_eq!(written, pinned);
-    // A 64-pair publish appends one frame of ≈ 87–90 KB, where writing
-    // the whole document twice took 3,980,374 bytes for the first of them
-    // (1,990,176 into the log, 1,990,198 into the published file); the
-    // status-only one appends its head and trailer.
+    // A 64-pair publish appends one frame of ≈ 87–90 KB, against a
+    // 1,996,994-byte compaction; the status-only one appends its head
+    // and trailer.
     assert_eq!(appended, [89_595, 89_643, 262, 86_832]);
 }

@@ -1,6 +1,6 @@
 //! Chaos acceptance for the live scan→serve pipeline: a kill at **any
 //! byte** of the publish journal, in any crash window (mid-append,
-//! post-seal pre-swap, mid-swap, mid-truncate), must recover to
+//! mid-compaction, at a compaction's rename), must recover to
 //! exactly the last sealed generation — and resuming the delta stream
 //! from there must converge bit-identically to an uninterrupted run.
 //! Plus the staleness SLO: hard-TTL expiry flips serving to `Degraded`
@@ -8,7 +8,7 @@
 //! publish of fresh data.
 
 use netsim::{NodeId, SimDuration, SimTime};
-use oracle::journal::{frame_record, render_published, Journal, JOURNAL_FILE, PUBLISHED_FILE};
+use oracle::journal::{frame_record, render_published, Journal, JOURNAL_FILE};
 use oracle::{Pipeline, PipelineConfig, QueryError, ServingState, TtlPolicy};
 use std::path::{Path, PathBuf};
 use ting::obs::{Lineage, Obs};
@@ -75,8 +75,8 @@ fn drive(p: &mut Pipeline, deltas: &[MergeDelta]) {
 
 /// The uninterrupted journaled run is the baseline everything else is
 /// judged against: it matches a volatile (journal-less) run, matches
-/// the offline merge, and leaves a converged journal directory
-/// (published = served generation, no pending record, empty log).
+/// the offline merge, and leaves a journal that recovers the served
+/// generation with no torn tail.
 #[test]
 fn journaled_run_matches_volatile_run_and_offline_merge() {
     let (nodes, deltas, merged) = fixture(4);
@@ -105,13 +105,13 @@ fn journaled_run_matches_volatile_run_and_offline_merge() {
     let (gen, doc) = r.published.expect("published generation on disk");
     assert_eq!(gen, journaled.generation());
     assert_eq!(doc, journaled.serving_document());
-    assert!(r.pending.is_none(), "a finished publish leaves no pending");
     assert!(!r.torn_tail);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Byte-offset fault injection over the append window: for **every**
-/// prefix length of the staged record, recovery serves exactly the
+/// prefix length of a whole `@gen` record appended after a compaction's
+/// record, recovery serves exactly the
 /// last sealed generation (the previous one until the final byte is
 /// down, the new one after), and resuming the remaining delta stream
 /// converges bit-identically to the uninterrupted run.
@@ -135,12 +135,12 @@ fn kill_at_any_append_byte_recovers_the_last_sealed_generation() {
     let (g0, ref doc0, now0) = docs[0];
     let (g1, ref doc1, _) = docs[1];
     let frame = frame_record(g1, doc1);
+    let base = render_published(g0, doc0);
     for cut in 0..=frame.len() {
         let dir = tempdir("append");
         let j = Journal::open(&dir).unwrap();
-        j.append(g0, doc0).unwrap();
-        j.mark_published(g0, doc0).unwrap();
-        std::fs::write(j.journal_path(), &frame.as_bytes()[..cut]).unwrap();
+        let log = [base.as_bytes(), &frame.as_bytes()[..cut]].concat();
+        std::fs::write(j.journal_path(), log).unwrap();
 
         let sealed_next = cut == frame.len();
         let expect_gen = if sealed_next { g1 } else { g0 };
@@ -156,7 +156,8 @@ fn kill_at_any_append_byte_recovers_the_last_sealed_generation() {
         .unwrap();
         assert_eq!(p.generation(), expect_gen, "cut at byte {cut}");
         assert_eq!(&p.serving_document(), expect_doc, "cut at byte {cut}");
-        assert_eq!(r.pending.is_some(), sealed_next, "cut at byte {cut}");
+        let torn = 0 < cut && !sealed_next;
+        assert_eq!(r.torn_tail, torn, "cut at byte {cut}");
 
         // Resume the stream from the recovered generation onward: the
         // end state must be bit-identical to the uninterrupted run.
@@ -168,9 +169,9 @@ fn kill_at_any_append_byte_recovers_the_last_sealed_generation() {
 }
 
 /// The bytes a journaled run writes, cut at every offset: the first
-/// compaction's base (every byte of its tmp file, then the rename), two
+/// compaction (every byte of its tmp file, then the rename), two
 /// `@delta` frames, and a second compaction (every byte of its tmp file,
-/// then the rename with the truncate not done, then the truncate).
+/// then the rename).
 /// Recovery from each cut must serve the last generation whose commit
 /// point the bytes reached, with the document that generation served
 /// (`cmp`-equal); and from the state at each commit point the rest of
@@ -231,21 +232,17 @@ fn kill_at_any_byte_of_a_base_two_frames_and_a_compaction_recovers_the_last_seal
         p.offer(d.clone());
         p.tick(d.now).unwrap();
         served.push(p.serving_document());
-        let read = |file| std::fs::read(dir.join(file)).unwrap();
-        disk.push((read(PUBLISHED_FILE), read(JOURNAL_FILE)));
+        disk.push(std::fs::read(j.journal_path()).unwrap());
     }
     let last = served.last().unwrap().clone();
-    let logs: Vec<usize> = disk.iter().map(|(_, log)| log.len()).collect();
-    assert!(
-        logs[0] == 0 && logs[1] > 0 && logs[2] > logs[1] && logs[3] == 0,
-        "{logs:?}"
-    );
-    let (base2, base5) = (&disk[0].0, &disk[3].0);
-    let (frame3, frames) = (&disk[1].1, &disk[2].1);
+    // A compaction's log, two frames appended to it, another compaction.
+    let (base2, frame3, frames, base5) = (&disk[0], &disk[1], &disk[2], &disk[3]);
+    let starts = |log: &[u8], with: &[u8]| log.len() > with.len() && log.starts_with(with);
+    assert!(starts(frame3, base2) && starts(frames, frame3) && base5.len() < frames.len());
 
     // A directory holding `files` and nothing else; recovery must serve
     // generation `gen`.
-    let tmp = format!("{PUBLISHED_FILE}.tmp");
+    let tmp = format!("{JOURNAL_FILE}.tmp");
     let recovers = |files: &[(&str, &[u8])], gen: u64, at: &str| {
         for entry in std::fs::read_dir(&dir).unwrap() {
             std::fs::remove_file(entry.unwrap().path()).unwrap();
@@ -279,39 +276,28 @@ fn kill_at_any_byte_of_a_base_two_frames_and_a_compaction_recovers_the_last_seal
         );
     };
     for cut in 0..=base2.len() {
-        let files = [(tmp.as_str(), &base2[..cut]), (JOURNAL_FILE, &[][..])];
-        recovers(&files, 1, &format!("base 2, tmp cut at {cut}"));
+        let files = [(tmp.as_str(), &base2[..cut])];
+        recovers(&files, 1, &format!("compaction 2, tmp cut at {cut}"));
     }
-    let base = (PUBLISHED_FILE, &base2[..]);
-    resumes(recovers(&[base, (JOURNAL_FILE, &[])], 2, "base 2 renamed"));
-    for cut in 0..=frames.len() {
+    for cut in base2.len()..=frames.len() {
         let gen = match cut {
             _ if cut == frames.len() => 4,
             _ if cut >= frame3.len() => 3,
             _ => 2,
         };
-        let files = [base, (JOURNAL_FILE, &frames[..cut])];
+        let files = [(JOURNAL_FILE, &frames[..cut])];
         let p = recovers(&files, gen, &format!("frames 3 and 4 cut at {cut}"));
-        if cut == frame3.len() {
+        if [base2.len(), frame3.len(), frames.len()].contains(&cut) {
             resumes(p);
         }
     }
     let log = (JOURNAL_FILE, &frames[..]);
     for cut in 0..=base5.len() {
-        let files = [base, log, (tmp.as_str(), &base5[..cut])];
-        recovers(&files, 4, &format!("base 5, tmp cut at {cut}"));
+        let files = [log, (tmp.as_str(), &base5[..cut])];
+        recovers(&files, 4, &format!("compaction 5, tmp cut at {cut}"));
     }
-    let base = (PUBLISHED_FILE, &base5[..]);
-    resumes(recovers(
-        &[base, log],
-        5,
-        "base 5 renamed, log not truncated",
-    ));
-    resumes(recovers(
-        &[base, (JOURNAL_FILE, &[])],
-        5,
-        "base 5, log truncated",
-    ));
+    let files = [(JOURNAL_FILE, &base5[..])];
+    resumes(recovers(&files, 5, "compaction 5 renamed"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -325,11 +311,10 @@ fn on_disk(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
     files
 }
 
-/// Two kills: the first mid-append (every cut point), the second in
-/// the seal → swap window of the restarted pipeline's next publish.
-/// Readers were already served that generation, so recovery must serve
-/// it — which it can only find if the first restart cut the torn tail
-/// instead of letting the record be appended behind it.
+/// Two kills: the first mid-append (every cut point), the second just
+/// after the restarted process sealed its next record. Recovery must
+/// serve that record — which it can only find if the first restart cut
+/// the torn tail instead of letting the record be appended behind it.
 #[test]
 fn a_generation_sealed_after_a_torn_tail_survives_a_second_kill() {
     let (nodes, deltas, _) = fixture(2);
@@ -355,12 +340,12 @@ fn a_generation_sealed_after_a_torn_tail_survives_a_second_kill() {
         .unwrap()
     };
     let frame = frame_record(g1, doc1);
+    let base = render_published(g0, doc0);
     for cut in 0..frame.len() {
         let dir = tempdir("twokills");
         let j = Journal::open(&dir).unwrap();
-        j.append(g0, doc0).unwrap();
-        j.mark_published(g0, doc0).unwrap();
-        std::fs::write(j.journal_path(), &frame.as_bytes()[..cut]).unwrap();
+        let log = [base.as_bytes(), &frame.as_bytes()[..cut]].concat();
+        std::fs::write(j.journal_path(), log).unwrap();
 
         let (p, r) = restart(&dir, now0);
         assert_eq!((p.generation(), r.torn_tail), (g0, cut > 0), "cut {cut}");
@@ -368,23 +353,20 @@ fn a_generation_sealed_after_a_torn_tail_survives_a_second_kill() {
         drop(restart(&dir, now0));
         assert_eq!(on_disk(&dir), after_first, "recover ∘ recover = recover");
 
-        // What a kill before `mark_published` leaves of the restarted
-        // pipeline's next publish: the frame `append` staged, alone.
+        // The restarted process seals generation `g1` as a whole
+        // record, and is killed.
         drop(p);
         j.append(g1, doc1).unwrap();
+        let sealed = on_disk(&dir);
         let (p, r) = restart(&dir, now1);
         assert_eq!(p.generation(), g1, "cut {cut}: sealed generation lost");
         assert_eq!(&p.serving_document(), doc1, "cut {cut}");
-        assert_eq!(r.pending.as_ref().map(|&(g, _)| g), Some(g1), "cut {cut}");
-
-        // Recovery finished the publish: the directory has converged.
-        let converged = on_disk(&dir);
-        let (p, r) = restart(&dir, now1);
+        assert!(!r.torn_tail, "cut {cut}");
         assert_eq!(
-            (p.generation(), &r.pending, r.torn_tail),
-            (g1, &None, false)
+            on_disk(&dir),
+            sealed,
+            "cut {cut}: a sealed log is not written"
         );
-        assert_eq!(on_disk(&dir), converged, "cut {cut}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -413,76 +395,7 @@ fn an_overflowing_frame_length_recovers_the_sealed_prefix() {
     .unwrap();
     assert_eq!((p.generation(), p.serving_document()), (gen, doc));
     assert!(r.torn_tail);
-    assert_eq!(r.pending.map(|(g, _)| g), Some(gen));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The swap and truncate windows: a record sealed but never swapped is
-/// applied on recovery (including over a torn `published.tmp` the kill
-/// left behind), and a swap that completed but never truncated is
-/// recognized as already applied.
-#[test]
-fn post_seal_and_post_swap_windows_recover_without_loss() {
-    let (nodes, deltas, _) = fixture(2);
-    let mut baseline = Pipeline::new(nodes.clone(), SHARDS, pipeline_config());
-    let mut docs = Vec::new();
-    for d in &deltas {
-        let now = d.now;
-        baseline.offer(d.clone());
-        baseline.tick(now).unwrap();
-        docs.push((baseline.generation(), baseline.serving_document(), now));
-    }
-    let (g0, ref doc0, now0) = docs[0];
-    let (g1, ref doc1, _) = docs[1];
-
-    // Post-seal pre-swap, with a half-written published.tmp from the
-    // interrupted write_atomic: the tmp is crash debris, the sealed
-    // journal record is truth.
-    let dir = tempdir("postseal");
-    let j = Journal::open(&dir).unwrap();
-    j.append(g0, doc0).unwrap();
-    j.mark_published(g0, doc0).unwrap();
-    j.append(g1, doc1).unwrap();
-    let torn = &render_published(g1, doc1)[..40];
-    std::fs::write(dir.join("oracle.published.tmp"), torn).unwrap();
-    let (p, r) = Pipeline::recover(
-        nodes.clone(),
-        SHARDS,
-        pipeline_config(),
-        Obs::off(),
-        Journal::open(&dir).unwrap(),
-        now0,
-    )
-    .unwrap();
-    assert_eq!(p.generation(), g1);
-    assert_eq!(&p.serving_document(), doc1);
-    assert_eq!(r.pending.as_ref().map(|&(g, _)| g), Some(g1));
-    // Recovery completed the interrupted publish: the directory has
-    // converged and a second recovery finds nothing pending.
-    let r2 = Journal::open(&dir).unwrap().recover().unwrap();
-    assert_eq!(r2.published.as_ref().map(|&(g, _)| g), Some(g1));
-    assert!(r2.pending.is_none());
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    // Post-swap pre-truncate: the published file already carries g1
-    // while its journal record still exists. The record is recognized
-    // as applied, not replayed as new.
-    let dir = tempdir("posttrunc");
-    let j = Journal::open(&dir).unwrap();
-    j.append(g1, doc1).unwrap();
-    std::fs::write(dir.join(PUBLISHED_FILE), render_published(g1, doc1)).unwrap();
-    let (p, r) = Pipeline::recover(
-        nodes.clone(),
-        SHARDS,
-        pipeline_config(),
-        Obs::off(),
-        Journal::open(&dir).unwrap(),
-        now0,
-    )
-    .unwrap();
-    assert_eq!(p.generation(), g1);
-    assert_eq!(&p.serving_document(), doc1);
-    assert!(r.pending.is_none(), "an applied record is not pending");
+    assert_eq!(r.published.map(|(g, _)| g), Some(gen));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -619,9 +532,9 @@ fn recovery_judges_staleness_at_the_resume_instant() {
 
 /// A CRC seal vouches for a file's bytes, not for its generation
 /// number. Generation 1 is the bootstrap and is never journaled, and
-/// the publish after `u64::MAX` has no number: a sealed published file
-/// or journal record outside `2..u64::MAX` is refused with an error
-/// naming the file and the value — it used to reach the oracle's
+/// the publish after `u64::MAX` has no number: a sealed `@gen` record,
+/// a compaction's or an append's, outside `2..u64::MAX` is refused with
+/// an error naming the file and the value — it used to reach the oracle's
 /// version assert (0, 1) or overflow the next publish (`u64::MAX`) —
 /// and the refusal leaves the directory byte for byte as it found it.
 fn recovery_refuses_generation(gen: u64) {
@@ -640,13 +553,10 @@ fn recovery_refuses_generation(gen: u64) {
         files.sort();
         files
     };
-    for file in [PUBLISHED_FILE, JOURNAL_FILE] {
-        let dir = tempdir(&format!("gen-{gen}-{file}"));
-        let sealed = match file {
-            PUBLISHED_FILE => render_published(gen, &doc),
-            _ => frame_record(gen, &doc),
-        };
-        std::fs::write(dir.join(file), &sealed).unwrap();
+    let records = [render_published(gen, &doc), frame_record(gen, &doc)];
+    for (form, sealed) in records.iter().enumerate() {
+        let dir = tempdir(&format!("gen-{gen}-{form}"));
+        std::fs::write(dir.join(JOURNAL_FILE), sealed).unwrap();
         let before = listing(&dir);
         let err = Pipeline::recover(
             nodes.clone(),
@@ -659,7 +569,7 @@ fn recovery_refuses_generation(gen: u64) {
         .map(|(p, _)| p.generation())
         .unwrap_err();
         assert!(
-            err.contains(file) && err.contains(&format!("generation {gen} ")),
+            err.starts_with(JOURNAL_FILE) && err.contains(&format!("generation {gen} ")),
             "{err}"
         );
         assert_eq!(listing(&dir), before, "a refused recovery writes nothing");

@@ -163,7 +163,7 @@ fn readers_never_observe_an_unsealed_generation() {
     .unwrap();
     assert_eq!(recovered.generation(), ROUNDS + 1);
     assert_eq!(recovered.serving_document(), p.serving_document());
-    assert!(r.pending.is_none());
+    assert!(!r.torn_tail);
     assert_eq!(recovered.state(), ServingState::Fresh);
     std::fs::remove_dir_all(&dir).unwrap();
 }
