@@ -16,10 +16,11 @@
 //! fsyncs once; the frame's completed `@seal` line is its commit point.
 //! A *compaction* writes a new log that holds one `@gen` record to
 //! `oracle.journal.tmp`, fsyncs it, renames it over the log and fsyncs
-//! the directory; the rename is its commit point. A kill mid-append
-//! leaves a torn tail that recovery cuts off; a kill mid-compaction
-//! leaves the old log and a `.tmp` that recovery ignores and the next
-//! compaction overwrites.
+//! the directory; the rename is its commit point. The append that
+//! creates the log writes it the same way, so the log's first record is
+//! never torn. A kill mid-append leaves a torn tail that recovery cuts
+//! off; a kill mid-compaction leaves the old log and a `.tmp` that
+//! recovery ignores and the next compaction overwrites.
 //!
 //! Recovery reads the one file: the last sealed `@gen` record, cut into
 //! its parts by their lengths, with the `@delta` frames after it
@@ -27,11 +28,11 @@
 //! rule is the row text's alone ([`ting::shard::RowText`]). The
 //! invariant, for a kill at **any byte offset**: recovery reproduces
 //! exactly the last *sealed* state, bit-identical to what an
-//! uninterrupted run served. A sealed frame out of sequence or with no
-//! `@gen` record before it, a body that does not parse, and a whole
-//! frame that fails its seal are errors, never a silently different
-//! state. The chaos tests drive this by replaying every prefix of the
-//! bytes a run writes.
+//! uninterrupted run served. A sealed record out of sequence, a
+//! `@delta` with no `@gen` record before it, a body that does not
+//! parse, and a log with no sealed record at byte 0 are errors, never a
+//! silently different state. The chaos tests drive this by replaying
+//! every prefix of the bytes a run writes.
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -120,17 +121,31 @@ impl Journal {
     }
 
     /// Appends the frame whose bytes are `parts` to the log and fsyncs
-    /// it; the append that creates the log also fsyncs the directory,
-    /// so the log's entry is as durable as its first frame.
+    /// it. With no log yet, the frame becomes the log through
+    /// [`Journal::replace_log`], so a kill never leaves a torn first
+    /// record.
     fn append_frame(&self, parts: &[&[u8]]) -> io::Result<u64> {
         let path = self.journal_path();
-        let created = !path.exists();
-        let mut f = OpenOptions::new().create(true).append(true).open(&path)?;
+        if !path.exists() {
+            return self.replace_log(parts);
+        }
+        let mut f = OpenOptions::new().append(true).open(&path)?;
         checkpoint::write_all_parts(&mut f, parts)?;
         fsync(&f)?;
-        if created {
-            fsync_dir(&self.dir)?;
-        }
+        Ok(parts.iter().map(|part| part.len() as u64).sum())
+    }
+
+    /// Makes `parts` the whole log: written to a tmp file, fsynced,
+    /// renamed over the log, and the directory fsynced — two fsyncs.
+    /// Returns the log's length in bytes.
+    fn replace_log(&self, parts: &[&[u8]]) -> io::Result<u64> {
+        let tmp = self.dir.join(format!("{JOURNAL_FILE}.tmp"));
+        let mut f = File::create(&tmp)?;
+        checkpoint::write_all_parts(&mut f, parts)?;
+        fsync(&f)?;
+        drop(f);
+        std::fs::rename(&tmp, self.journal_path())?;
+        fsync_dir(&self.dir)?;
         Ok(parts.iter().map(|part| part.len() as u64).sum())
     }
 
@@ -144,9 +159,8 @@ impl Journal {
 
     /// [`Journal::mark_published`] of a document held as parts, whose
     /// CRC-32 the caller holds; nothing copies or hashes the document.
-    /// The new log goes to a tmp file, fsynced, renamed over the log,
-    /// and the directory is fsynced: two fsyncs. Returns the log's
-    /// length in bytes.
+    /// The new log replaces the old through [`Journal::replace_log`].
+    /// Returns the log's length in bytes.
     pub(crate) fn mark_published_with_crc(
         &self,
         gen: u64,
@@ -154,27 +168,20 @@ impl Journal {
         crc: u32,
     ) -> io::Result<u64> {
         let (head, tail) = record_parts(gen, doc, crc);
-        let parts = framed(&head, doc, &tail);
-        let tmp = self.dir.join(format!("{JOURNAL_FILE}.tmp"));
-        let mut f = File::create(&tmp)?;
-        checkpoint::write_all_parts(&mut f, &parts)?;
-        fsync(&f)?;
-        drop(f);
-        std::fs::rename(&tmp, self.journal_path())?;
-        fsync_dir(&self.dir)?;
-        Ok(parts.iter().map(|part| part.len() as u64).sum())
+        self.replace_log(&framed(&head, doc, &tail))
     }
 
-    /// Replays the directory after a kill. Corrupt *sealed* state (a
-    /// whole frame that fails its seal, a sealed frame that cannot be
-    /// spliced) is an error — that is disk rot or a writer's fault, not
-    /// a crash window, and must be loud; the directory is left as it
-    /// was. So is a directory of the two-file layout, whose base this
-    /// build does not read: it is never served as empty. Torn tails and
-    /// a stale `.tmp` are expected crash debris: the `.tmp` is ignored,
-    /// the tail is cut off the log, so that the next append lands
-    /// behind sealed frames only — a frame sealed behind garbage would
-    /// be lost to the next recovery's walk.
+    /// Replays the directory after a kill. Disk rot or a writer's fault
+    /// is a loud error, and the directory is left as it was: a first
+    /// record that fails its seal (a rename wrote it whole, so it is
+    /// never torn), a sealed frame that cannot be spliced, and a
+    /// directory of the two-file layout, whose base this build does not
+    /// read — never served as empty. Torn tails (whole frames after the
+    /// first that fail their seal too, as a power loss leaves an
+    /// unsynced append) and a stale `.tmp` are expected crash debris:
+    /// the `.tmp` is ignored, the tail is cut off the log, so that the
+    /// next append lands behind sealed frames only — a frame sealed
+    /// behind garbage would be lost to the next recovery's walk.
     pub fn recover(&self) -> Result<Recovered, String> {
         if self.dir.join("oracle.published").exists() {
             return Err(format!(
@@ -189,10 +196,10 @@ impl Journal {
             Err(e) => return Err(format!("journal unreadable: {e}")),
         };
         let (frames, sealed) = scan_journal(&log);
-        if let Some((delta, gen)) = whole_frame(&log, sealed) {
-            let tag = if delta { DELTA } else { GEN };
+        if sealed == 0 && !log.is_empty() {
             return Err(format!(
-                "{JOURNAL_FILE}: @{tag} {gen} at byte {sealed} is whole but fails its seal"
+                "{JOURNAL_FILE}: {} bytes with no sealed record at byte 0",
+                log.len()
             ));
         }
         let published = replay(&frames)?;
@@ -306,8 +313,7 @@ struct Frame<'a> {
 /// truncated header, a token not as the writer writes it, a length that
 /// overflows or overruns the buffer, missing or mismatched `@seal` —
 /// ends the walk there: everything before it is sealed state,
-/// everything from it on is a torn tail, unless [`whole_frame`] finds a
-/// whole frame there.
+/// everything from it on is a torn tail.
 fn scan_journal(bytes: &[u8]) -> (Vec<Frame<'_>>, usize) {
     let mut frames = Vec::new();
     let mut pos = 0;
@@ -326,16 +332,6 @@ fn read_frame(bytes: &[u8], pos: usize) -> Option<(Frame<'_>, usize)> {
     let body = std::str::from_utf8(bytes.get(body_start..body_end)?).ok()?;
     let next = verify_frame_seal(bytes, body_end, gen, body)?;
     Some((Frame { delta, gen, body }, next))
-}
-
-/// Whether a `@delta`, and the generation, of the frame at `pos` when
-/// its header line, body and seal line all lie inside `bytes`. A kill
-/// mid-append leaves a prefix of a frame, never a whole one: a whole
-/// frame that is not sealed is rot.
-fn whole_frame(bytes: &[u8], pos: usize) -> Option<(bool, u64)> {
-    let (delta, gen, len, body_start) = parse_frame_header(bytes, pos)?;
-    line_at(bytes, body_start.checked_add(len)?)?;
-    Some((delta, gen))
 }
 
 /// The line at `pos`, without its newline, and the offset past it.
@@ -370,27 +366,30 @@ fn verify_frame_seal(bytes: &[u8], pos: usize, gen: u64, body: &str) -> Option<u
 
 /// The generation the log's sealed frames add up to: the last `@gen`
 /// record with the `@delta` frames after it spliced on in order. Every
-/// `@delta` frame in the log must have a `@gen` record before it and
-/// carry the generation after the frame before it.
+/// frame after the first must carry the generation after the frame
+/// before it, and every `@delta` frame must have a `@gen` record before
+/// it.
 fn replay(frames: &[Frame<'_>]) -> Result<Option<(u64, String)>, String> {
     // The last `@gen` record's index, and the generation of the frame
     // before the one in hand.
     let (mut last, mut before) = (None, None::<u64>);
     for (k, frame) in frames.iter().enumerate() {
-        if !frame.delta {
-            last = Some(k);
-        } else if let Some(before) = before {
-            if Some(frame.gen) != before.checked_add(1) {
+        let tag = if frame.delta { DELTA } else { GEN };
+        match before {
+            Some(before) if Some(frame.gen) != before.checked_add(1) => {
                 return Err(format!(
-                    "{JOURNAL_FILE}: sealed @delta {} out of sequence after generation {before}",
+                    "{JOURNAL_FILE}: sealed @{tag} {} out of sequence after generation {before}",
                     frame.gen
                 ));
             }
-        } else {
-            return Err(format!(
-                "{JOURNAL_FILE}: sealed @delta {} with no @gen record before it",
-                frame.gen
-            ));
+            None if frame.delta => {
+                return Err(format!(
+                    "{JOURNAL_FILE}: sealed @delta {} with no @gen record before it",
+                    frame.gen
+                ));
+            }
+            _ if !frame.delta => last = Some(k),
+            _ => {}
         }
         before = Some(frame.gen);
     }
@@ -765,7 +764,7 @@ pub(crate) mod tests {
     fn a_sealed_frame_out_of_sequence_or_without_a_gen_record_is_an_error() {
         let dir = tempdir("sequence");
         let j = Journal::open(&dir).unwrap();
-        let (_, logs, _) = two_compactions(&j);
+        let (docs, logs, _) = two_compactions(&j);
         let (frames, _) = scan(&logs[3]);
         let frame = |k: usize| {
             let (_, gen, body) = frames[k];
@@ -788,6 +787,19 @@ pub(crate) mod tests {
             (
                 format!("{}{base}", frame(1)),
                 "sealed @delta 3 with no @gen record before it",
+            ),
+            (
+                format!(
+                    "{base}{}{}{}",
+                    frame(1),
+                    frame(2),
+                    frame_record(3, &docs[1])
+                ),
+                "sealed @gen 3 out of sequence after generation 4",
+            ),
+            (
+                format!("{base}{}", frame_record(2, &docs[0])),
+                "sealed @gen 2 out of sequence after generation 2",
             ),
         ];
         for (log, want) in cases {
@@ -926,25 +938,80 @@ pub(crate) mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A whole record that fails its seal — a flipped byte in the body,
-    /// in the seal — is rot, not a torn append: an error naming the
-    /// record, and the log is not cut.
+    /// The log's first record, which a rename wrote whole, failing its
+    /// seal — a flipped byte in the header's tag or length, in the body,
+    /// in the seal — is rot, not a torn append: an error naming the log,
+    /// which is not cut. Frames after it, with or without one, change
+    /// nothing.
     #[test]
-    fn a_corrupt_gen_record_is_a_loud_error() {
+    fn a_corrupt_first_record_is_a_loud_error() {
         let dir = tempdir("rot");
         let j = Journal::open(&dir).unwrap();
         j.append(1, "doc\n").unwrap();
         j.mark_published(1, "doc\n").unwrap();
         let sealed = std::fs::read(j.journal_path()).unwrap();
-        for at in ["@gen 1 12\n# p".len(), sealed.len() - 2] {
-            let mut bytes = sealed.clone();
-            bytes[at] ^= 0x20;
+        let flips = [
+            (3, 0x20),
+            ("@gen 1 1".len(), 0x01),
+            ("@gen 1 12\n# p".len(), 0x20),
+            (sealed.len() - 2, 0x20),
+        ];
+        let next = frame_record(2, "two\n");
+        for ((at, flip), tail) in flips.into_iter().flat_map(|f| [(f, ""), (f, &next[..])]) {
+            let mut bytes = [&sealed[..], tail.as_bytes()].concat();
+            bytes[at] ^= flip;
             std::fs::write(j.journal_path(), &bytes).unwrap();
             let err = j.recover().unwrap_err();
-            let want = format!("{JOURNAL_FILE}: @gen 1 at byte 0 is whole but fails its seal");
+            let want = format!(
+                "{JOURNAL_FILE}: {} bytes with no sealed record at byte 0",
+                bytes.len()
+            );
             assert_eq!(err, want, "byte {at}");
             assert_eq!(std::fs::read(j.journal_path()).unwrap(), bytes);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A whole frame after the first that fails its seal — what a power
+    /// loss can leave of an append that was never fsynced — is a torn
+    /// tail: cut off, and the sealed prefix serves.
+    #[test]
+    fn a_whole_frame_after_the_first_that_fails_its_seal_is_a_torn_tail() {
+        let dir = tempdir("unsynced");
+        let j = Journal::open(&dir).unwrap();
+        let (docs, logs, _) = two_compactions(&j);
+        let body = (logs[0].len() + logs[1].len()) / 2;
+        for at in [logs[0].len() + 3, body, logs[1].len() - 2] {
+            let mut bytes = logs[1].clone();
+            bytes[at] ^= 0x20;
+            std::fs::write(j.journal_path(), &bytes).unwrap();
+            let r = j.recover().unwrap();
+            assert_eq!(
+                (r.published, r.torn_tail),
+                (Some((2, docs[0].clone())), true)
+            );
+            assert_eq!(
+                std::fs::read(j.journal_path()).unwrap(),
+                logs[0],
+                "byte {at}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The append that creates the log writes it through a tmp file and
+    /// a rename, as a compaction does: two fsyncs, and no `.tmp` left.
+    #[test]
+    fn the_append_that_creates_the_log_renames_it_into_place() {
+        let dir = tempdir("first-append");
+        let j = Journal::open(&dir).unwrap();
+        let before = fsyncs();
+        j.append(2, "two\n").unwrap();
+        assert_eq!(fsyncs() - before, 2);
+        j.append(3, "three\n").unwrap();
+        assert_eq!(fsyncs() - before, 3);
+        let log = [frame_record(2, "two\n"), frame_record(3, "three\n")].concat();
+        assert_eq!(listing(&dir), vec![(j.journal_path(), log.into_bytes())]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
